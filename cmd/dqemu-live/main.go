@@ -9,8 +9,11 @@
 //
 //	dqemu-live -connect master:9000
 //
-// The master ships the guest image to the slaves during the handshake, so
-// only the master needs the program.
+// The master ships the guest image and the node configuration to the slaves
+// during the handshake, so only the master needs the program and the flags.
+// Every node runs internal/core's protocol engine, the one the simulator
+// runs; the wire-efficiency layer (delta transfers, coalescing) is off, so
+// pages travel as full frames.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"time"
 
 	"dqemu"
+	"dqemu/internal/core"
 	"dqemu/internal/image"
 	"dqemu/internal/live"
 )
@@ -40,7 +44,7 @@ func main() {
 
 	switch {
 	case *connect != "":
-		if err := live.RunSlave(*connect); err != nil {
+		if _, err := live.RunSlave(*connect); err != nil {
 			fatal(err)
 		}
 	case *listen != "":
@@ -59,13 +63,17 @@ func main() {
 		defer ln.Close()
 		fmt.Fprintf(os.Stderr, "dqemu-live: waiting for %d slave(s) on %s\n", *slaves, ln.Addr())
 		cfg := live.Config{
-			Slaves:     *slaves,
-			Forwarding: *forward,
-			Splitting:  *split,
-			HintSched:  *hints,
-			Timeout:    *timeout,
-			Stdout:     os.Stdout,
-			Files:      map[string][]byte{},
+			Core: core.Config{
+				Slaves:     *slaves,
+				Forwarding: *forward,
+				Splitting:  *split,
+				HintSched:  *hints,
+				NoDelta:    true,
+				NoCoalesce: true,
+				Stdout:     os.Stdout,
+			},
+			Timeout: *timeout,
+			Files:   map[string][]byte{},
 		}
 		for _, f := range files {
 			data, err := os.ReadFile(f.host)

@@ -11,6 +11,9 @@ import (
 
 // deterministicDirs are the packages on the simulated execution path: every
 // observable result there must be a pure function of the inputs and the seed.
+// internal/core stays in this set although internal/live runs its engine on
+// the wall clock: core reaches time only through core.Runtime, and the
+// wallclock rule is what keeps it that way.
 // internal/live (real sockets), internal/experiments (host-time overhead
 // measurement), internal/chaos (drives the sim from outside) and the
 // commands are exempt from the wallclock rule, not from the others.
@@ -34,7 +37,9 @@ var metricsPolicyDirs = []string{"internal/metrics", "internal/sched"}
 // end-of-run deltas for the exported report, after every decision is made.
 var metricsReadAllowed = map[string]bool{"snapshot": true}
 
-// protocolDirs hold message handlers that must degrade gracefully.
+// protocolDirs hold message handlers that must degrade gracefully. The
+// protocol handlers proper are internal/core's (both transports run them);
+// internal/live contributes the frame filters at its transport boundary.
 var protocolDirs = []string{"internal/core", "internal/live", "internal/netsim"}
 
 // tier3Dirs hold closure compilers whose returned closures run on the
@@ -368,8 +373,12 @@ func isCompilerName(name string) bool {
 }
 
 // isHandlerName matches the protocol-handler naming convention: handle*,
-// on*, On*.
+// on*, On*, plus the entry points frames take into core from a socket.
 func isHandlerName(name string) bool {
+	switch name {
+	case "Deliver", "inbound", "outbound": // frames entering core, and live's filters
+		return true
+	}
 	return strings.HasPrefix(name, "handle") ||
 		strings.HasPrefix(name, "on") || strings.HasPrefix(name, "On")
 }

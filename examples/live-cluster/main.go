@@ -1,7 +1,8 @@
 // live-cluster runs a guest program on a real TCP cluster inside one
 // process: the master and two slaves are goroutines connected over loopback
-// sockets, exchanging the same protocol messages that separate machines
-// would (see cmd/dqemu-live for the multi-process form).
+// sockets, running the same protocol engine as the simulator and exchanging
+// the frames separate machines would (see cmd/dqemu-live for the
+// multi-process form).
 package main
 
 import (
@@ -10,6 +11,7 @@ import (
 	"net"
 
 	"dqemu"
+	"dqemu/internal/core"
 	"dqemu/internal/live"
 )
 
@@ -49,13 +51,13 @@ func main() {
 	const slaves = 2
 	for i := 0; i < slaves; i++ {
 		go func(id int) {
-			if err := live.RunSlave(ln.Addr().String()); err != nil {
+			if _, err := live.RunSlave(ln.Addr().String()); err != nil {
 				log.Printf("slave %d: %v", id, err)
 			}
 		}(i + 1)
 	}
 
-	res, err := live.RunMaster(ln, im, live.Config{Slaves: slaves})
+	res, err := live.RunMaster(ln, im, live.Config{Core: core.Config{Slaves: slaves}})
 	if err != nil {
 		log.Fatal(err)
 	}

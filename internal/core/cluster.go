@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dqemu/internal/trace"
-
 	"dqemu/internal/dsm"
 	"dqemu/internal/guestos"
 	"dqemu/internal/image"
@@ -17,7 +15,6 @@ import (
 	"dqemu/internal/proto"
 	"dqemu/internal/sanitizer"
 	"dqemu/internal/sched"
-	"dqemu/internal/sim"
 	"dqemu/internal/tcg"
 )
 
@@ -26,15 +23,16 @@ const sysExitNum = 93 // abi.SysExit; local alias avoids an import knot in docs
 // mmapBase is where thread stacks and large allocations are handed out.
 const mmapBase = 0x4100_0000
 
-// Cluster is a running DQEMU deployment: one master plus cfg.Slaves slaves
-// executing a single guest image under one virtual clock.
+// Cluster is the part of a DQEMU deployment — one master plus cfg.Slaves
+// slaves executing a single guest image — that this process hosts: every
+// node under the simulator's one virtual clock (NewCluster), exactly one
+// node in a live process (NewLocal). master and os exist where node 0 does.
 type Cluster struct {
 	cfg Config
-	k   *sim.Kernel
-	net *netsim.Network
-	// rel is the reliable transport layered over net when fault injection
-	// is active (cfg.Faults); nil on fault-free runs.
-	rel    *netsim.Reliable
+	rt  Runtime
+	// sim is rt when the deterministic simulator drives the cluster (Run,
+	// network statistics, fault injection); nil under a caller's Runtime.
+	sim    *simRuntime
 	nodes  []*node
 	master *master
 	os     *guestos.OS
@@ -96,55 +94,72 @@ type Result struct {
 	Sched sched.Stats
 }
 
-// NewCluster loads the image into a fresh cluster. Text and read-only data
-// are replicated to every node; writable data starts at the master, whose
-// directory owns every page (§4.2).
+// NewCluster loads the image into a fresh simulated cluster. Text and
+// read-only data are replicated to every node; writable data starts at the
+// master, whose directory owns every page (§4.2).
 func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 	cfg.normalize()
-	if cfg.PhysNodes() > 64 {
-		return nil, fmt.Errorf("core: at most 63 slaves supported")
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
-	c := &Cluster{cfg: cfg, k: sim.NewKernel(), im: im, lostNodes: map[int32]bool{}}
+	s := newSimRuntime(&cfg)
+	ids := make([]int, cfg.PhysNodes())
+	for id := range ids {
+		ids[id] = id
+	}
+	c := newCluster(im, cfg, s, ids)
+	c.sim = s
+	if s.rel != nil {
+		s.rel.OnGiveUp = c.nodeLost
+	}
+	s.register(0, c.master.handle)
+	for id := 1; id < cfg.PhysNodes(); id++ {
+		s.register(id, c.nodes[id].handle)
+	}
+	return c, nil
+}
+
+// NewLocal builds the one node with the given id of a cfg-shaped cluster,
+// for a process that is that node: rt carries its clock, its timers and its
+// frames to the other nodes, and inbound frames arrive through Deliver.
+// Node 0 brings the master services and starts the guest's main thread, so
+// the peers must be reachable through rt before it is built.
+func NewLocal(im *image.Image, cfg Config, id int, rt Runtime) (*Cluster, error) {
+	cfg.normalize()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	if id < 0 || id >= cfg.PhysNodes() {
+		return nil, fmt.Errorf("core: node id %d outside a cluster of %d", id, cfg.PhysNodes())
+	}
+	return newCluster(im, cfg, rt, []int{id}), nil
+}
+
+// newCluster builds the nodes in ids (ascending) and, when node 0 is among
+// them, the master services around it.
+func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
+	c := &Cluster{cfg: cfg, rt: rt, im: im, lostNodes: map[int32]bool{}}
 	if cfg.Metrics {
 		c.prof = newClusterProf()
 	}
-	// The transport is sized once, over the physical node set: elastic
-	// standby slaves exist from the start (registered, image installed) and
-	// merely take no threads until the feedback scheduler activates them.
-	c.net = netsim.New(c.k, cfg.Net, cfg.PhysNodes())
-	if cfg.Tracer != nil {
-		c.net.Trace = func(now int64, m *proto.Msg) {
-			cfg.Tracer.Record(now, trace.EvMsg, int(m.From), m.TID,
-				"%v -> node%d page=%#x num=%d", m.Kind, m.To, m.Page, m.Num)
-		}
-	}
-	if cfg.Faults.Active() {
-		c.net.SetFaults(cfg.Faults)
-		c.rel = netsim.NewReliable(c.k, c.net, cfg.Retry)
-		c.rel.OnGiveUp = c.nodeLost
-	}
-
-	for id := 0; id < cfg.PhysNodes(); id++ {
+	// Load segments: RO everywhere, RW on the master only.
+	for _, id := range ids {
 		n := newNode(id, c)
+		rw := mem.PermNone
+		if id == 0 {
+			rw = mem.PermReadWrite
+		}
+		mem.InstallImage(n.space, im, mem.PermRead, rw)
 		c.nodes = append(c.nodes, n)
 	}
-	c.master = newMaster(c.nodes[0])
-	c.register(0, c.master.handle)
-	for id := 1; id < cfg.PhysNodes(); id++ {
-		c.register(id, c.nodes[id].handle)
+	if ids[0] != 0 {
+		return c
 	}
+	c.master = newMaster(c.nodes[0])
 
-	// Load segments: RO everywhere, RW on the master only.
 	var all dsm.NodeSet
 	for id := 0; id < cfg.PhysNodes(); id++ {
 		all = all.Add(id)
-	}
-	for id, n := range c.nodes {
-		if id == 0 {
-			mem.InstallImage(n.space, im, mem.PermRead, mem.PermReadWrite)
-		} else {
-			mem.InstallImage(n.space, im, mem.PermRead, mem.PermNone)
-		}
 	}
 	for _, seg := range im.Segments {
 		if seg.Writable {
@@ -166,7 +181,7 @@ func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 	if c.prof != nil {
 		// The futex layer records contention (wait/hold/queue depth) per
 		// guest lock word straight into the registry's lock table.
-		c.os.Futex().SetProfile(c.prof.futexProfile(), c.k.Now)
+		c.os.Futex().SetProfile(c.prof.futexProfile(), rt.Now)
 	}
 
 	// The main thread boots on the master.
@@ -180,43 +195,48 @@ func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 	// charge) the fixed-period timer would fire forever, scan, and do
 	// nothing — pure simulation overhead on every run.
 	if cfg.RebalanceNs > 0 && !cfg.Adaptive && cfg.placementSpread() >= 2 {
-		c.k.Post(cfg.RebalanceNs, c.master.rebalance)
+		rt.After(cfg.RebalanceNs, c.master.rebalance)
 	}
 	if cfg.Adaptive {
 		c.master.pol = sched.New(sched.Params{
 			PeriodNs: cfg.AdaptPeriodNs,
 			Elastic:  cfg.MaxSlaves > cfg.Slaves,
 		}, c.prof.reg, c.master)
-		c.k.Post(cfg.AdaptPeriodNs, c.master.adaptTick)
+		rt.After(cfg.AdaptPeriodNs, c.master.adaptTick)
 	}
-	return c, nil
+	return c
 }
 
-// register installs a node's handler on the active transport.
-func (c *Cluster) register(node int, h netsim.Handler) {
-	if c.rel != nil {
-		c.rel.Register(node, h)
+// Deliver hands a frame that arrived from another process to the node it
+// addresses (NewLocal clusters; the simulator registers the handlers with
+// its network instead).
+func (c *Cluster) Deliver(m *proto.Msg) {
+	if m.To == 0 && c.master != nil {
+		c.master.handle(m)
 		return
 	}
-	c.net.Register(node, h)
+	for _, n := range c.nodes {
+		if int32(n.id) == m.To {
+			n.handle(m)
+			return
+		}
+	}
+	c.fail(fmt.Errorf("core: %v frame for node %d, which is not hosted here", m.Kind, m.To))
 }
 
-// send routes a protocol message through the reliable transport when fault
-// injection is active, or straight onto the wire otherwise.
-func (c *Cluster) send(m *proto.Msg) {
-	if c.rel != nil {
-		c.rel.Send(m)
-		return
-	}
-	c.net.Send(m)
-}
+// Done reports whether the run has ended: the guest exited, the master
+// sent KShutdown, or a node failed (Err).
+func (c *Cluster) Done() bool { return c.done }
+
+// Err is the failure that ended the run, nil after a clean exit.
+func (c *Cluster) Err() error { return c.err }
 
 // VFS exposes the guest filesystem for pre-loading inputs and collecting
-// outputs.
+// outputs (the process hosting node 0 only).
 func (c *Cluster) VFS() *guestos.VFS { return c.os.VFS() }
 
 // Now returns the current virtual time.
-func (c *Cluster) Now() int64 { return c.k.Now() }
+func (c *Cluster) Now() int64 { return c.rt.Now() }
 
 // fail aborts the run with an error.
 func (c *Cluster) fail(err error) {
@@ -224,7 +244,6 @@ func (c *Cluster) fail(err error) {
 		c.err = err
 	}
 	c.done = true
-	c.k.Stop()
 }
 
 // finish ends the run normally (exit_group).
@@ -235,13 +254,17 @@ func (c *Cluster) finish(code int64) {
 	c.exitCode = code
 	c.done = true
 	for id := 1; id < c.cfg.PhysNodes(); id++ {
-		c.send(&proto.Msg{Kind: proto.KShutdown, From: 0, To: int32(id)})
+		c.rt.Send(&proto.Msg{Kind: proto.KShutdown, From: 0, To: int32(id)})
 	}
-	c.k.Stop()
 }
 
-// Run executes the guest to completion and returns the result.
+// Run executes the guest to completion on the simulator and returns the
+// result.
 func (c *Cluster) Run() (*Result, error) {
+	if c.sim == nil {
+		return nil, errors.New("core: Run drives the simulator; a NewLocal cluster is driven by its Runtime")
+	}
+	k := c.sim.k
 	// Poll the host-side cancel channel every cancelCheckEvery events: each
 	// event can carry a full execution quantum, so the interval must be
 	// small for cancellation to land promptly; a non-blocking channel poll
@@ -254,45 +277,52 @@ func (c *Cluster) Run() (*Result, error) {
 				steps = 0
 				select {
 				case <-c.cfg.Cancel:
-					return nil, fmt.Errorf("core: run at t=%dns: %w", c.k.Now(), ErrCanceled)
+					return nil, fmt.Errorf("core: run at t=%dns: %w", k.Now(), ErrCanceled)
 				default:
 				}
 			}
 		}
-		if !c.k.Step() {
+		if !k.Step() {
 			if c.done {
 				break
 			}
-			return nil, fmt.Errorf("core: deadlock at t=%dns: %s", c.k.Now(), c.threadDump())
+			return nil, fmt.Errorf("core: deadlock at t=%dns: %s", k.Now(), c.ThreadDump())
 		}
-		if c.k.Now() > c.cfg.MaxTimeNs {
-			return nil, fmt.Errorf("core: guest exceeded %d ns of virtual time: %s", c.cfg.MaxTimeNs, c.threadDump())
+		if k.Now() > c.cfg.MaxTimeNs {
+			return nil, fmt.Errorf("core: guest exceeded %d ns of virtual time: %s", c.cfg.MaxTimeNs, c.ThreadDump())
 		}
 	}
 	if c.err != nil {
 		return nil, c.err
 	}
-	return c.result(), nil
+	return c.Result(), nil
 }
 
-func (c *Cluster) result() *Result {
+// Result reports the hosted nodes' view of a finished run. Under a
+// caller's Runtime, TimeNs is that runtime's clock and the network
+// statistics are zero: the frames are the caller's.
+func (c *Cluster) Result() *Result {
 	r := &Result{
-		ExitCode:   c.exitCode,
-		TimeNs:     c.k.Now(),
-		Console:    c.console.String(),
-		Dir:        c.master.dir.Stats,
-		Net:        c.net.Stats,
-		Faults:     c.net.FaultStats,
-		OS:         c.os.Stats,
-		Migrations: c.master.migrations,
-		Wire:       c.wireStats,
+		ExitCode: c.exitCode,
+		TimeNs:   c.rt.Now(),
+		Console:  c.console.String(),
+		Wire:     c.wireStats,
 	}
-	if c.rel != nil {
-		r.Rel = c.rel.Stats
+	if s := c.sim; s != nil {
+		r.Net, r.Faults = s.net.Stats, s.net.FaultStats
+		if s.rel != nil {
+			r.Rel = s.rel.Stats
+		}
 	}
-	if c.master.fwd != nil {
-		r.Dir.ForwardHits = c.master.fwd.Hits
-		r.Dir.ForwardWasted = c.master.fwd.Wasted
+	if m := c.master; m != nil {
+		r.Dir, r.OS, r.Migrations = m.dir.Stats, c.os.Stats, m.migrations
+		if m.fwd != nil {
+			r.Dir.ForwardHits = m.fwd.Hits
+			r.Dir.ForwardWasted = m.fwd.Wasted
+		}
+		if m.pol != nil {
+			r.Sched = m.pol.Stats()
+		}
 	}
 	var tids []int64
 	byTID := map[int64]*thread{}
@@ -320,9 +350,6 @@ func (c *Cluster) result() *Result {
 		}
 		r.San = sanitizer.Summarize(sans)
 	}
-	if c.master.pol != nil {
-		r.Sched = c.master.pol.Stats()
-	}
 	r.Metrics = c.prof.snapshot(c, r)
 	return r
 }
@@ -336,7 +363,7 @@ func (c *Cluster) ActiveNodes() []int { return c.master.activeNodes() }
 // id is only available through the trace/metrics; use ActiveNodes after
 // the run to observe the set.
 func (c *Cluster) ScheduleAddNode(delayNs int64) {
-	c.k.Post(delayNs, func() {
+	c.rt.After(delayNs, func() {
 		if !c.done {
 			c.master.AddNode()
 		}
@@ -345,15 +372,16 @@ func (c *Cluster) ScheduleAddNode(delayNs int64) {
 
 // ScheduleDrainNode posts a DrainNode actuation at now+delayNs.
 func (c *Cluster) ScheduleDrainNode(delayNs int64, id int) {
-	c.k.Post(delayNs, func() {
+	c.rt.After(delayNs, func() {
 		if !c.done {
 			c.master.DrainNode(id)
 		}
 	})
 }
 
-// threadDump summarizes thread states for deadlock diagnostics.
-func (c *Cluster) threadDump() string {
+// ThreadDump summarizes the hosted threads' states for deadlock and timeout
+// diagnostics.
+func (c *Cluster) ThreadDump() string {
 	var sb bytes.Buffer
 	for _, n := range c.nodes {
 		var tids []int64
@@ -370,7 +398,9 @@ func (c *Cluster) threadDump() string {
 			sb.WriteString("] ")
 		}
 	}
-	fmt.Fprintf(&sb, "futex-waiting=%d", c.os.Futex().TotalWaiting())
+	if c.os != nil {
+		fmt.Fprintf(&sb, "futex-waiting=%d", c.os.Futex().TotalWaiting())
+	}
 	return sb.String()
 }
 

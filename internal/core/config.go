@@ -6,16 +6,22 @@
 // syscall engine (internal/guestos), and the thread placement policy,
 // including the hint-based locality-aware scheduler (§5.3).
 //
-// The whole cluster executes inside a deterministic discrete-event
-// simulation (internal/sim + internal/netsim): guest execution, translation,
-// page faults, network traffic and syscalls all advance one virtual clock,
-// so experiment results are reproducible and reported in virtual time.
+// The protocol engine here (node.go, master.go, wire.go) runs against a
+// small Runtime seam (runtime.go). NewCluster drives it with a deterministic
+// discrete-event simulation (internal/sim + internal/netsim): guest
+// execution, translation, page faults, network traffic and syscalls all
+// advance one virtual clock, so experiment results are reproducible and
+// reported in virtual time. internal/live drives the same engine, one node
+// per process, with the wall clock and TCP frames (NewLocal). This package
+// never reads the host clock — cmd/dqlint checks that.
 package core
 
 import (
+	"fmt"
 	"io"
 
 	"dqemu/internal/netsim"
+	"dqemu/internal/proto"
 	"dqemu/internal/sched"
 	"dqemu/internal/tcg"
 	"dqemu/internal/trace"
@@ -211,6 +217,19 @@ func (c *Config) placementSpread() int {
 	return spread
 }
 
+// check rejects (normalized) shapes no cluster can be built from. It is the
+// gate for configurations that arrive from outside the program — a KInit
+// frame — as much as for a caller's.
+func (c *Config) check() error {
+	if c.PhysNodes() > 64 {
+		return fmt.Errorf("core: at most 63 slaves supported")
+	}
+	if ps := c.PageSize; ps < 64 || ps&(ps-1) != 0 {
+		return fmt.Errorf("core: page size %d is not a power of two >= 64", ps)
+	}
+	return nil
+}
+
 // normalize fills defaulted fields.
 func (c *Config) normalize() {
 	if c.Cores <= 0 {
@@ -245,4 +264,52 @@ func (c *Config) normalize() {
 			c.AdaptPeriodNs = sched.DefaultPeriodNs
 		}
 	}
+}
+
+// nodeFlags are the switches a node (not only the master) reads, in their
+// KInit bit order.
+func (c *Config) nodeFlags() []*bool {
+	return []*bool{
+		&c.Interp, &c.NoChain, &c.NoSuperblock, &c.NoTier3, &c.NoPeephole,
+		&c.NoJumpCache, &c.Verify, &c.NoAtomicPreempt, &c.NoDelta, &c.NoCoalesce,
+	}
+}
+
+// InitFrame is the KInit frame that boots slave id of a cfg-shaped cluster
+// in another process: the encoded guest image plus the part of cfg a slave
+// node reads (cluster size, cores, page size, quantum, tier-3 threshold and
+// the engine and wire-layer switches). Everything else in Config is read
+// by the master only, or is per-process (Tracer, Metrics, Stdout, Cancel);
+// the cost model stays at its default on slaves, where it only sets how
+// much guest work one quantum holds.
+func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
+	cfg.normalize()
+	var flags uint64
+	for i, f := range cfg.nodeFlags() {
+		if *f {
+			flags |= 1 << i
+		}
+	}
+	return &proto.Msg{
+		Kind: proto.KInit, From: 0, To: int32(id), Num: int64(id),
+		Args: [6]uint64{
+			uint64(cfg.Nodes()), uint64(cfg.Cores), uint64(cfg.PageSize),
+			uint64(cfg.QuantumNs), flags, uint64(cfg.Tier3Threshold),
+		},
+		Data: img,
+	}
+}
+
+// ConfigFromInit is InitFrame's inverse on the slave: the Config to hand
+// NewLocal and the node id this process was assigned.
+func ConfigFromInit(m *proto.Msg) (cfg Config, id int) {
+	cfg.Slaves = int(m.Args[0]) - 1
+	cfg.Cores = int(m.Args[1])
+	cfg.PageSize = int(m.Args[2])
+	cfg.QuantumNs = int64(m.Args[3])
+	for i, f := range cfg.nodeFlags() {
+		*f = m.Args[4]&(1<<i) != 0
+	}
+	cfg.Tier3Threshold = uint32(m.Args[5])
+	return cfg, int(m.Num)
 }

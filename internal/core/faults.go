@@ -39,13 +39,13 @@ func (c *Cluster) nodeLost(m *proto.Msg) {
 	}
 	// A crashed node's own retransmit timers still fire in the simulation;
 	// a dead peer has no standing to declare anyone else lost.
-	if c.cfg.Faults.CrashedAt(m.From, c.k.Now()) {
+	if c.cfg.Faults.CrashedAt(m.From, c.rt.Now()) {
 		return
 	}
 	c.lostNodes[m.To] = true
 	e := &NodeLostError{
 		Node:     int(m.To),
-		AtNs:     c.k.Now(),
+		AtNs:     c.rt.Now(),
 		LastKind: m.Kind,
 		LastPage: m.Page,
 		LastTID:  m.TID,

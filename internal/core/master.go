@@ -18,7 +18,6 @@ import (
 // guest OS, and thread placement (round-robin or hint-based, §5.3).
 type master struct {
 	*node
-	cl2 *Cluster // same as node.cl; kept for clarity in Env methods
 
 	dir *dsm.Directory
 
@@ -66,7 +65,6 @@ type master struct {
 func newMaster(n *node) *master {
 	m := &master{
 		node:       n,
-		cl2:        n.cl,
 		helperWait: map[uint64][]func(){},
 		groupNode:  map[int64]int{},
 		placement:  map[int64]int{},
@@ -98,7 +96,7 @@ func (m *master) sendNow(msg *proto.Msg) {
 	if m.wire != nil {
 		m.wire.flushTarget(msg.To)
 	}
-	m.cl.send(msg)
+	m.cl.rt.Send(msg)
 }
 
 // handle dispatches master-bound messages: directory traffic and delegated
@@ -115,7 +113,7 @@ func (m *master) handle(msg *proto.Msg) {
 	}
 	switch msg.Kind {
 	case proto.KPageReq:
-		m.cl.prof.reqArrived(int(msg.From), msg.Page, msg.Write, m.cl.k.Now())
+		m.cl.prof.reqArrived(int(msg.From), msg.Page, msg.Write, m.cl.rt.Now())
 		if m.pol != nil {
 			// The locality sensor: which node homes the pages this thread
 			// keeps faulting on. Read before OnRequest mutates ownership.
@@ -229,7 +227,7 @@ func (m *master) rebalance() {
 	if m.cl.done {
 		return
 	}
-	defer m.cl.k.Post(m.cl.cfg.RebalanceNs, m.rebalance)
+	defer m.cl.rt.After(m.cl.cfg.RebalanceNs, m.rebalance)
 	counts := map[int]int{}
 	for id := 1; id <= m.cl.cfg.Slaves; id++ {
 		counts[id] = 0
@@ -293,8 +291,8 @@ func (m *master) rebalance() {
 	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	tid := victims[0]
 	m.migrating[tid] = minNode
-	m.cl.send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(maxNode), TID: tid, Num: int64(minNode)})
-	m.cl.prof.migStarted(tid, m.cl.k.Now())
+	m.cl.rt.Send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(maxNode), TID: tid, Num: int64(minNode)})
+	m.cl.prof.migStarted(tid, m.cl.rt.Now())
 }
 
 // ---- sched.Actuator implementation (the feedback scheduler's levers) ----
@@ -307,9 +305,9 @@ func (m *master) adaptTick() {
 	if m.cl.done {
 		return
 	}
-	defer m.cl.k.Post(m.cl.cfg.AdaptPeriodNs, m.adaptTick)
+	defer m.cl.rt.After(m.cl.cfg.AdaptPeriodNs, m.adaptTick)
 	in := sched.Inputs{
-		NowNs:        m.cl.k.Now(),
+		NowNs:        m.cl.rt.Now(),
 		ActiveNodes:  m.activeNodes(),
 		CoresPerNode: m.cl.cfg.Cores,
 	}
@@ -346,8 +344,8 @@ func (m *master) MigrateThread(tid int64, to int) {
 		return
 	}
 	m.migrating[tid] = to
-	m.cl.send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(cur), TID: tid, Num: int64(to)})
-	m.cl.prof.migStarted(tid, m.cl.k.Now())
+	m.cl.rt.Send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(cur), TID: tid, Num: int64(to)})
+	m.cl.prof.migStarted(tid, m.cl.rt.Now())
 }
 
 // ForceSplit begins a SplitHome transaction ahead of the reactive splitter.
@@ -396,7 +394,7 @@ func (m *master) DrainNode(id int) bool {
 	m.activeSlave[id] = false
 	m.draining[id] = true
 	if tr := m.cl.cfg.Tracer; tr != nil {
-		tr.Begin(m.cl.k.Now(), trace.EvSched, id, -1, "drain")
+		tr.Begin(m.cl.rt.Now(), trace.EvSched, id, -1, "drain")
 	}
 	m.node.trace(trace.EvSched, -1, "node %d draining", id)
 	var tids []int64
@@ -413,7 +411,7 @@ func (m *master) DrainNode(id int) bool {
 	for _, tid := range tids {
 		m.MigrateThread(tid, m.rotate())
 	}
-	m.cl.k.Post(m.drainPollNs(), func() { m.drainPoll(id) })
+	m.cl.rt.After(m.drainPollNs(), func() { m.drainPoll(id) })
 	return true
 }
 
@@ -440,17 +438,17 @@ func (m *master) drainPoll(id int) {
 		// placed here (shipping or not) or heading here defers the recall.
 		target, inFlight := m.migrating[tid]
 		if node == id || (inFlight && target == id) {
-			m.cl.k.Post(m.drainPollNs(), func() { m.drainPoll(id) })
+			m.cl.rt.After(m.drainPollNs(), func() { m.drainPoll(id) })
 			return
 		}
 	}
 	if left := m.dir.RecallNode(id); left > 0 {
-		m.cl.k.Post(m.drainPollNs(), func() { m.drainPoll(id) })
+		m.cl.rt.After(m.drainPollNs(), func() { m.drainPoll(id) })
 		return
 	}
 	delete(m.draining, id)
 	if tr := m.cl.cfg.Tracer; tr != nil {
-		tr.End(m.cl.k.Now(), trace.EvSched, id, -1, "drain")
+		tr.End(m.cl.rt.Now(), trace.EvSched, id, -1, "drain")
 	}
 	m.node.trace(trace.EvSched, -1, "node %d drained", id)
 }
@@ -510,11 +508,6 @@ func (m *master) onSyscallReq(msg *proto.Msg) {
 	m.createSan = nil
 }
 
-// osExit reaps a thread that died without going through the runtime.
-func (m *master) osExit(tid int64) {
-	m.cl.os.Global(tid, sysExitNum, [6]uint64{0}, func(uint64) {})
-}
-
 // ---- dsm.Env implementation (directory I/O) ----
 
 // SendContent ships the home copy. A grant to the master itself applies
@@ -523,7 +516,7 @@ func (m *master) osExit(tid int64) {
 // write transaction that revokes the master's access, leaving two nodes in
 // M — the in-flight-grant race).
 func (m *master) SendContent(to int, page uint64, perm mem.Perm) {
-	m.cl.prof.grantSent(to, page, m.cl.k.Now())
+	m.cl.prof.grantSent(to, page, m.cl.rt.Now())
 	if to == dsm.Master {
 		if m.wire != nil && perm == mem.PermReadWrite {
 			// The home copy is about to be modified in place: snapshot it
@@ -550,14 +543,26 @@ func (m *master) SendContent(to int, page uint64, perm mem.Perm) {
 		// next access is checked against every recorded remote access.
 		grant.San = m.node.san.EncodePage(page)
 	}
-	m.cl.send(grant)
+	m.cl.rt.Send(grant)
 }
 
 // SendReaffirm grants permission without data: the target already holds the
 // freshest copy (KPageContent with an empty payload keeps local content).
 func (m *master) SendReaffirm(to int, page uint64, perm mem.Perm) {
-	m.cl.prof.grantSent(to, page, m.cl.k.Now())
+	m.cl.prof.grantSent(to, page, m.cl.rt.Now())
 	if to == dsm.Master {
+		if m.wire != nil && perm == mem.PermReadWrite &&
+			m.space.PermOf(page) != mem.PermReadWrite && m.wire.versioned(page) {
+			// Same as SendContent: the master is about to write the home
+			// copy in place, and other nodes may hold twins at its version.
+			// A freshly split shadow page takes this path — the master
+			// owns it, and applyRemap gave every slave a twin of it. The
+			// other pages the master owns without write access are ones
+			// nobody has touched yet: no version, no twins, nothing to
+			// snapshot (every first touch of a page by a single-node run
+			// comes through here).
+			m.wire.openLocalEpoch(page)
+		}
 		m.space.EnsurePage(page, perm)
 		m.space.SetPerm(page, perm)
 		m.node.contentArrived(page, perm)
@@ -628,7 +633,7 @@ func (m *master) BroadcastRemap(orig uint64, shadows []uint64) {
 	// Physical nodes, not active ones: a standby slave that missed a remap
 	// would wedge on the retired page after a later activation.
 	for id := 1; id < m.cl.cfg.PhysNodes(); id++ {
-		m.cl.send(&proto.Msg{
+		m.cl.rt.Send(&proto.Msg{
 			Kind: proto.KRemap, From: 0, To: int32(id),
 			Page: orig, Shadows: shadows,
 		})
@@ -648,7 +653,7 @@ func (m *master) PushPage(to int, page uint64) {
 	if m.node.san != nil {
 		push.San = m.node.san.EncodePage(page)
 	}
-	m.cl.send(push)
+	m.cl.rt.Send(push)
 }
 
 // SplitHome redistributes the (current) home copy of orig into shadows,
@@ -836,4 +841,4 @@ func (m *master) ConsoleWrite(fd int64, data []byte) {
 	}
 }
 
-func (m *master) NowNs() int64 { return m.cl.k.Now() }
+func (m *master) NowNs() int64 { return m.cl.rt.Now() }

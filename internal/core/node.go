@@ -108,7 +108,7 @@ func (n *node) addThread(cpu *tcg.CPU) *thread {
 	n.threads[cpu.TID] = t
 	// Closes the migration-transit measurement when this arrival is the
 	// landing of an in-flight migration (no-op for brand-new threads).
-	n.cl.prof.migArrived(cpu.TID, n.cl.k.Now())
+	n.cl.prof.migArrived(cpu.TID, n.cl.rt.Now())
 	n.enqueue(t)
 	return t
 }
@@ -129,7 +129,7 @@ func (n *node) enqueue(t *thread) {
 // trace records an event when tracing is enabled.
 func (n *node) trace(kind trace.Kind, tid int64, format string, args ...interface{}) {
 	if tr := n.cl.cfg.Tracer; tr != nil {
-		tr.Record(n.cl.k.Now(), kind, n.id, tid, format, args...)
+		tr.Record(n.cl.rt.Now(), kind, n.id, tid, format, args...)
 	}
 }
 
@@ -150,7 +150,7 @@ func (n *node) shipContext(t *thread) {
 		msg.San = n.san.EncodeThread(t.tid)
 		n.san.DropThread(t.tid)
 	}
-	n.cl.send(msg)
+	n.cl.rt.Send(msg)
 }
 
 // onMigrate marks a thread for migration; if it is already runnable it
@@ -188,16 +188,16 @@ func (n *node) schedule() {
 // simulation, see DESIGN.md).
 func (n *node) dispatch(t *thread) {
 	t.state = tRunning
-	n.cl.cfg.Tracer.Begin(n.cl.k.Now(), trace.EvSched, n.id, t.tid, "exec")
+	n.cl.cfg.Tracer.Begin(n.cl.rt.Now(), trace.EvSched, n.id, t.tid, "exec")
 	res := n.engine.Exec(t.cpu, n.cl.cfg.QuantumNs)
 	t.execNs += res.TimeNs
-	n.cl.k.Post(res.TimeNs, func() { n.complete(t, res) })
+	n.cl.rt.Ran(res.TimeNs, func() { n.complete(t, res) })
 }
 
 // complete handles the end of a quantum.
 func (n *node) complete(t *thread, res tcg.Result) {
 	n.busy--
-	n.cl.cfg.Tracer.End(n.cl.k.Now(), trace.EvSched, n.id, t.tid, "exec")
+	n.cl.cfg.Tracer.End(n.cl.rt.Now(), trace.EvSched, n.id, t.tid, "exec")
 	if n.cl.done {
 		return
 	}
@@ -211,9 +211,10 @@ func (n *node) complete(t *thread, res tcg.Result) {
 	case tcg.StopSyscall:
 		n.syscall(t)
 	case tcg.StopHalt:
-		// HALT outside the runtime: treat as thread exit 0.
-		t.state = tDead
-		n.cl.master.osExit(t.tid)
+		// HALT outside the runtime: thread exit 0, delegated like the
+		// syscall (the master may be another process).
+		t.cpu.X[10] = 0
+		n.delegate(t, abi.SysExit)
 	case tcg.StopEBreak:
 		n.cl.fail(fmt.Errorf("node %d: thread %d hit ebreak at pc %#x", n.id, t.tid, t.cpu.PC))
 	default:
@@ -236,7 +237,7 @@ func (n *node) blockOnPage(t *thread, page, addr uint64, write bool) {
 	t.state = tBlockedPage
 	t.needWrite = write
 	t.waitPage = page
-	t.blockStart = n.cl.k.Now()
+	t.blockStart = n.cl.rt.Now()
 	n.cl.cfg.Tracer.Begin(t.blockStart, trace.EvFault, n.id, t.tid, "page-stall")
 	n.waiting[page] = append(n.waiting[page], t)
 	n.requestPage(page, addr, write, t.tid)
@@ -268,7 +269,7 @@ func (n *node) requestPage(page uint64, addr uint64, write bool, tid int64) {
 			msg.Ver = tw.ver
 		}
 	}
-	n.cl.send(msg)
+	n.cl.rt.Send(msg)
 }
 
 // wakePageWaiters releases threads whose page need is now satisfied.
@@ -298,7 +299,7 @@ func (n *node) wakePageWaiters(page uint64, perm mem.Perm) {
 // unblockPage finishes a page stall: account the wait, then either resume
 // guest execution or retry the parked local-syscall handler.
 func (n *node) unblockPage(t *thread) {
-	now := n.cl.k.Now()
+	now := n.cl.rt.Now()
 	wait := now - t.blockStart
 	t.faultNs += wait
 	n.stats.PageWaitNs += wait
@@ -346,7 +347,7 @@ func (n *node) delegate(t *thread, num int64) {
 		t.state = tDead
 	default:
 		t.state = tBlockedSyscall
-		t.blockStart = n.cl.k.Now()
+		t.blockStart = n.cl.rt.Now()
 		n.cl.cfg.Tracer.Begin(t.blockStart, trace.EvSyscall, n.id, t.tid, "syscall-wait")
 	}
 	msg := &proto.Msg{
@@ -364,7 +365,7 @@ func (n *node) delegate(t *thread, num int64) {
 		// by this thread are not ordered before the master's use of it.
 		msg.San = n.san.SyscallClock(t.tid)
 	}
-	n.cl.send(msg)
+	n.cl.rt.Send(msg)
 }
 
 // localSyscall executes a node-local syscall. Handlers that touch guest
@@ -382,7 +383,7 @@ func (n *node) localSyscall(t *thread, num int64) {
 		t.cpu.X[10] = uint64(n.cl.cfg.Nodes())
 		n.enqueue(t)
 	case abi.SysTimeNs:
-		t.cpu.X[10] = uint64(n.cl.k.Now())
+		t.cpu.X[10] = uint64(n.cl.rt.Now())
 		n.enqueue(t)
 	case abi.SysSchedYield:
 		t.cpu.X[10] = 0
@@ -403,7 +404,7 @@ func (n *node) localSyscall(t *thread, num int64) {
 // clockGettime writes a timespec of the virtual clock to *args[1].
 func (n *node) clockGettime(t *thread) {
 	addr := t.cpu.X[11]
-	now := n.cl.k.Now()
+	now := n.cl.rt.Now()
 	var buf [16]byte
 	putU64(buf[0:], uint64(now/1_000_000_000))
 	putU64(buf[8:], uint64(now%1_000_000_000))
@@ -426,12 +427,12 @@ func (n *node) nanosleep(t *thread) {
 		ns = 0
 	}
 	t.state = tBlockedTimer
-	t.blockStart = n.cl.k.Now()
-	n.cl.k.Post(ns, func() {
+	t.blockStart = n.cl.rt.Now()
+	n.cl.rt.After(ns, func() {
 		if n.cl.done || t.state != tBlockedTimer {
 			return
 		}
-		t.syscallNs += n.cl.k.Now() - t.blockStart
+		t.syscallNs += n.cl.rt.Now() - t.blockStart
 		t.cpu.X[10] = 0
 		n.enqueue(t)
 	})
@@ -475,7 +476,7 @@ func (n *node) retryOnFault(t *thread, addr uint64, write bool, handler func(*no
 	t.state = tBlockedPage
 	t.needWrite = write
 	t.waitPage = page
-	t.blockStart = n.cl.k.Now()
+	t.blockStart = n.cl.rt.Now()
 	n.cl.cfg.Tracer.Begin(t.blockStart, trace.EvFault, n.id, t.tid, "page-stall")
 	n.waiting[page] = append(n.waiting[page], t)
 	n.requestPage(page, addr, write, t.tid)
@@ -509,7 +510,10 @@ func (n *node) handle(m *proto.Msg) {
 	case proto.KMigrate:
 		n.onMigrate(m)
 	case proto.KShutdown:
-		// Nothing to do: the cluster flag is global in-process state.
+		// The guest exited on the master. Under the simulator the flag is
+		// already set (one Cluster hosts every node) and the run has ended
+		// before this frame lands; a live slave learns it here.
+		n.cl.done = true
 	default:
 		n.cl.fail(fmt.Errorf("node %d: unexpected message %v", n.id, m.Kind))
 	}
@@ -548,7 +552,7 @@ func (n *node) contentArrived(page uint64, perm mem.Perm) {
 			delete(n.requested, page)
 		}
 	}
-	n.cl.prof.contentApplied(n.id, page, n.cl.k.Now())
+	n.cl.prof.contentApplied(n.id, page, n.cl.rt.Now())
 	n.wakePageWaiters(page, perm)
 	if n.id == 0 {
 		n.cl.master.wakeHelpers(page)
@@ -557,7 +561,7 @@ func (n *node) contentArrived(page uint64, perm mem.Perm) {
 
 func (n *node) onInvalidate(m *proto.Msg) {
 	san := n.dropForInvalidate(m.Page)
-	n.cl.send(&proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, San: san})
+	n.cl.rt.Send(&proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, San: san})
 }
 
 // dropForInvalidate revokes the local copy of page and returns the shadow
@@ -604,7 +608,7 @@ func (n *node) onFetch(m *proto.Msg) {
 	} else { // downgrade to shared
 		n.space.SetPerm(m.Page, mem.PermRead)
 	}
-	n.cl.send(reply)
+	n.cl.rt.Send(reply)
 }
 
 func (n *node) onRetry(m *proto.Msg) {
@@ -692,8 +696,8 @@ func (n *node) onSyscallReply(m *proto.Msg) {
 		n.cl.fail(fmt.Errorf("node %d: stray syscall reply for tid %d", n.id, m.TID))
 		return
 	}
-	n.cl.cfg.Tracer.End(n.cl.k.Now(), trace.EvSyscall, n.id, t.tid, "syscall-wait")
-	t.syscallNs += n.cl.k.Now() - t.blockStart
+	n.cl.cfg.Tracer.End(n.cl.rt.Now(), trace.EvSyscall, n.id, t.tid, "syscall-wait")
+	t.syscallNs += n.cl.rt.Now() - t.blockStart
 	t.cpu.X[10] = m.Ret
 	if n.san != nil {
 		// Acquire whatever clock the master attached: futex-wait wakeups

@@ -72,3 +72,43 @@ func TestDifferentialSharingWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamclusterSplitting is the Splitting arm of the differential for
+// the barrier-phase workload: on 3 slaves with forwarding and page splitting
+// the console and exit code must equal the single-node run's. The first
+// shape is a pinned regression. A freshly split shadow page is owned by the
+// master, so the master's first write to it is granted by SendReaffirm —
+// which used to skip the local epoch SendContent opens, leaving the home
+// copy modified in place under the version every slave's split twin
+// carries. The next delta grant then lost a barrier increment and the run
+// ended in "core: deadlock … futex-waiting=4".
+func TestStreamclusterSplitting(t *testing.T) {
+	pinned, err := workloads.Streamcluster(3, 96, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, im := range map[string]*image.Image{
+		"pinned(3,96,4,2)": pinned,
+		"differential":     sharingImages(t)["streamcluster"],
+	} {
+		want, err := Run(im, DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s single node: %v", name, err)
+		}
+		cfg := DefaultConfig()
+		cfg.Slaves = 3
+		cfg.Forwarding = true
+		cfg.Splitting = true
+		got, err := Run(im, cfg)
+		if err != nil {
+			t.Fatalf("%s on 3 slaves with splitting: %v", name, err)
+		}
+		if got.Dir.Splits == 0 {
+			t.Errorf("%s: no page was split; the arm exercises nothing", name)
+		}
+		if got.Console != want.Console || got.ExitCode != want.ExitCode {
+			t.Errorf("%s diverged under splitting:\n got %q (exit %d)\nwant %q (exit %d)",
+				name, got.Console, got.ExitCode, want.Console, want.ExitCode)
+		}
+	}
+}

@@ -10,8 +10,8 @@ import (
 // This file is the wire-efficiency layer of the DSM protocol (delta page
 // transfers, invalidation multicast coalescing, ack aggregation and push
 // piggybacking). It lives entirely between the directory's Env calls and the
-// network: dsm stays pure protocol logic, and live mode (internal/live),
-// which implements its own Env, keeps the legacy full-page framing.
+// Runtime's Send: dsm stays pure protocol logic, and the layer works the same
+// over the simulated network and over internal/live's TCP frames.
 //
 // Versioning (TreadMarks-style twins): the master assigns every page a
 // monotonically increasing version. homeVer names the content of the home
@@ -143,6 +143,14 @@ func (w *masterWire) homeVerOf(page uint64) uint64 {
 		w.lastVer[page] = 1
 	}
 	return 1
+}
+
+// versioned reports whether the home content of page has ever been named by
+// a version — shipped, pushed, fetched back, or inherited through a split.
+// Only then can any node hold a twin of it.
+func (w *masterWire) versioned(page uint64) bool {
+	_, ok := w.homeVer[page]
+	return ok
 }
 
 // snapshotHome retains data (a frozen copy of the home page at its current
@@ -385,7 +393,7 @@ func (w *masterWire) flushTarget(to int32) {
 // coalescing ablation never costs bytes over the baseline.
 func (w *masterWire) sendContainer(kind proto.Kind, to int32, pls []proto.PagePayload) {
 	if !w.delta && len(pls) == 1 && pls[0].Enc == proto.EncFull {
-		w.m.cl.send(&proto.Msg{
+		w.m.cl.rt.Send(&proto.Msg{
 			Kind: kind, From: 0, To: to,
 			Page: pls[0].Page, Perm: pls[0].Perm,
 			Data: pls[0].Body, San: pls[0].San,
@@ -394,7 +402,7 @@ func (w *masterWire) sendContainer(kind proto.Kind, to int32, pls []proto.PagePa
 	}
 	for len(pls) > 0 {
 		n := min(len(pls), proto.MaxBatchEntries)
-		w.m.cl.send(&proto.Msg{
+		w.m.cl.rt.Send(&proto.Msg{
 			Kind: kind, From: 0, To: to,
 			Page: pls[0].Page, Perm: pls[0].Perm, Flags: proto.FlagCoh,
 			Data: proto.EncodePayloads(pls[:n]),
@@ -421,7 +429,7 @@ func (w *masterWire) queueInvalidate(to int32, page uint64) {
 	if b == nil {
 		b = &invBuf{}
 		w.pendInv[to] = b
-		w.m.cl.k.Post(w.windowNs, func() { w.flushInv(to) })
+		w.m.cl.rt.After(w.windowNs, func() { w.flushInv(to) })
 	}
 	b.pages = append(b.pages, page)
 }
@@ -440,7 +448,7 @@ func (w *masterWire) flushInv(to int32) {
 		return
 	}
 	if len(b.pages) == 1 && len(b.remaps) == 0 {
-		w.m.cl.send(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: to, Page: b.pages[0]})
+		w.m.cl.rt.Send(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: to, Page: b.pages[0]})
 		return
 	}
 	pages, remaps := b.pages, b.remaps
@@ -449,7 +457,7 @@ func (w *masterWire) flushInv(to int32) {
 		nr := min(len(remaps), proto.MaxBatchEntries)
 		w.stats.InvBatches++
 		w.stats.InvBatchPages += uint64(np)
-		w.m.cl.send(&proto.Msg{
+		w.m.cl.rt.Send(&proto.Msg{
 			Kind: proto.KInvBatch, From: 0, To: to,
 			Data: proto.EncodeInvBatch(pages[:np], remaps[:nr]),
 		})
@@ -478,7 +486,7 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 			continue
 		}
 		w.flushTarget(to)
-		w.m.cl.send(&proto.Msg{
+		w.m.cl.rt.Send(&proto.Msg{
 			Kind: proto.KRemap, From: 0, To: to,
 			Page: orig, Shadows: shadows, Ver: ver,
 		})
@@ -649,7 +657,7 @@ func (n *node) applyGrant(pl *proto.PagePayload) {
 		n.cl.wireStats.Resends++
 		delete(n.twins, pl.Page)
 		n.resend[pl.Page] = true
-		n.cl.send(&proto.Msg{
+		n.cl.rt.Send(&proto.Msg{
 			Kind: proto.KPageReq, From: int32(n.id), To: 0, TID: -1,
 			Page:  pl.Page,
 			Write: perm == mem.PermReadWrite || n.requested[pl.Page]&reqWrite != 0,
@@ -689,7 +697,7 @@ func (n *node) applyPush(pl *proto.PagePayload) {
 		n.cl.wireStats.PushDrops++
 		delete(n.twins, pl.Page)
 		n.requested[pl.Page] |= reqRead
-		n.cl.send(&proto.Msg{
+		n.cl.rt.Send(&proto.Msg{
 			Kind: proto.KPageReq, From: int32(n.id), To: 0, TID: -1,
 			Page: pl.Page, Flags: proto.FlagFullResend,
 		})
@@ -727,7 +735,7 @@ func (n *node) onFetchDelta(m *proto.Msg) {
 			}
 		}
 		n.cl.wireStats.countPayload(&pl, n.space.PageSize())
-		n.cl.send(&proto.Msg{
+		n.cl.rt.Send(&proto.Msg{
 			Kind: proto.KFetchReply, From: int32(n.id), To: 0,
 			Page: m.Page, Write: m.Write, Flags: proto.FlagCoh,
 			Data: proto.EncodePayloads([]proto.PagePayload{pl}),
@@ -764,7 +772,7 @@ func (n *node) onFetchDelta(m *proto.Msg) {
 	// The shipped content is now the coherent version m.Ver everywhere.
 	n.setTwin(m.Page, cur, m.Ver)
 	n.cl.wireStats.countPayload(&pl, n.space.PageSize())
-	n.cl.send(&proto.Msg{
+	n.cl.rt.Send(&proto.Msg{
 		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
 		Page: m.Page, Write: m.Write, Flags: proto.FlagCoh,
 		Data: proto.EncodePayloads([]proto.PagePayload{pl}),
@@ -786,7 +794,7 @@ func (n *node) onInvBatch(m *proto.Msg) {
 	for _, re := range remaps {
 		n.applyRemap(re.Orig, re.Shadows, re.Ver)
 	}
-	n.cl.send(&proto.Msg{
+	n.cl.rt.Send(&proto.Msg{
 		Kind: proto.KInvAckBatch, From: int32(n.id), To: 0,
 		Data: proto.EncodeAckBatch(acks),
 	})

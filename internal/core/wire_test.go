@@ -150,7 +150,7 @@ func TestWireForcedMismatchHeals(t *testing.T) {
 	corrupted := 0
 	for _, at := range []int64{2_000_000, 5_000_000, 9_000_000} {
 		at := at
-		c.k.Post(at, func() {
+		c.rt.After(at, func() {
 			for _, n := range c.nodes {
 				if n.id == 0 {
 					continue
@@ -199,7 +199,7 @@ func TestWirePushDropAlwaysRerequests(t *testing.T) {
 	n := c.nodes[1]
 	const page = uint64(0x123456)
 	fullReqs := 0
-	c.net.Trace = func(now int64, m *proto.Msg) {
+	c.sim.net.Trace = func(now int64, m *proto.Msg) {
 		if m.Kind == proto.KPageReq && m.From == 1 && m.Page == page &&
 			m.Flags&proto.FlagFullResend != 0 {
 			fullReqs++
@@ -253,7 +253,7 @@ func TestWireForwardingMismatchHeals(t *testing.T) {
 	}
 	for _, at := range []int64{2_000_000, 5_000_000, 9_000_000} {
 		at := at
-		c.k.Post(at, func() {
+		c.rt.After(at, func() {
 			for _, n := range c.nodes {
 				if n.id == 0 {
 					continue

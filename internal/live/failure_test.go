@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dqemu/internal/core"
 	"dqemu/internal/proto"
 )
 
@@ -23,7 +24,7 @@ func TestMasterAcceptTimeout(t *testing.T) {
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(ln, im, Config{Slaves: 1, Timeout: 300 * time.Millisecond})
+		_, err := RunMaster(ln, im, Config{Core: core.Config{Slaves: 1}, Timeout: 300 * time.Millisecond})
 		done <- err
 	}()
 	select {
@@ -83,7 +84,7 @@ func TestMasterHandshakeFailureCleansUp(t *testing.T) {
 	// Slave 2 connects and slams the door before acking.
 	masterDone := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(ln, im, Config{Slaves: 2, Timeout: 5 * time.Second})
+		_, err := RunMaster(ln, im, Config{Core: core.Config{Slaves: 2}, Timeout: 5 * time.Second})
 		masterDone <- err
 	}()
 	if err := <-goodReady; err != nil {
@@ -240,7 +241,7 @@ long main() {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(ln, im, Config{Slaves: 0, Timeout: 30 * time.Second, Cancel: cancel})
+		_, err := RunMaster(ln, im, Config{Core: core.Config{Slaves: 0, Cancel: cancel}, Timeout: 30 * time.Second})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -1,658 +1,211 @@
-// Package live runs a DQEMU cluster over real TCP with true concurrency:
-// each node is an independent event loop (its own goroutine or process)
-// executing guest threads against its local MMU and exchanging the same
-// protocol messages (internal/proto) that the deterministic simulation
-// exchanges; the directory (internal/dsm), DBT engine (internal/tcg),
-// software MMU (internal/mem) and guest OS (internal/guestos) are the
-// identical components. The simulation driver (internal/core) answers the
-// paper's performance questions reproducibly; this driver demonstrates the
-// system actually distributing work across machines.
+// Package live runs a DQEMU cluster over real TCP with true concurrency,
+// one node per goroutine or process. The protocol engine — node loop, page
+// faults, syscall delegation, directory, placement, the wire layer — is
+// internal/core's, the code the deterministic simulation runs; this package
+// is the other core.Runtime: the wall clock, a timer heap, and
+// length-prefixed frames (internal/proto) on sockets. What lives here is
+// what is about sockets: the deadline-bounded handshake, senders with
+// blocking backpressure, reader goroutines, the event loop, Timeout and
+// Cancel, and exactly-once delegated syscalls across retransmission.
 //
-// Usage: Master listens, slaves connect (RunSlave); the master ships the
-// guest image in a KInit frame, places threads, and the guest runs until
-// exit_group. See cmd/dqemu-live.
+// Usage: the master listens, slaves connect (RunSlave); the master ships
+// the guest image and the node configuration in a KInit frame, places
+// threads, and the guest runs until exit_group. See cmd/dqemu-live.
 package live
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"dqemu/internal/abi"
-	"dqemu/internal/guestos"
-	"dqemu/internal/image"
-	"dqemu/internal/mem"
+	"dqemu/internal/core"
 	"dqemu/internal/proto"
-	"dqemu/internal/tcg"
+	"dqemu/internal/sim"
 )
 
-const (
-	reqRead  uint8 = 1
-	reqWrite uint8 = 2
-)
+// Config configures a live cluster.
+type Config struct {
+	// Core is the cluster shape and every protocol knob, meaning what it
+	// means under the simulator: Slaves is how many connections the master
+	// waits for, Cancel aborts the run with ErrCanceled, Stdout receives the
+	// console. The master ships the part slaves need (core.InitFrame). Net,
+	// Cost and MaxTimeNs model time and do nothing here; Faults, Adaptive,
+	// MaxSlaves > Slaves and Sanitizer are rejected (validate).
+	Core core.Config
 
-// sliceNs is the engine budget per scheduling slice (virtual cost units;
-// in live mode it only sets the yield granularity of the node loop).
-const sliceNs = 200_000
-
-// Delegated-syscall retransmission. A KSyscallReq whose reply has not
-// arrived is re-sent with exponential backoff; the master's replay cache
-// (proto.ReplayCache) makes duplicates harmless. The give-up horizon is
-// wall-clock, not attempt-count, because a parked reply (a futex wait) is
-// legitimate for as long as the guest blocks.
-const (
-	syscallRTOBase = 50 * time.Millisecond
-	syscallRTOMax  = 2 * time.Second
-	syscallGiveUp  = 30 * time.Second
-)
-
-// ErrCanceled is the failure a node reports when its Config.Cancel channel
-// closes mid-run.
-var ErrCanceled = errors.New("live: run canceled")
-
-// SyscallTimeoutError reports a delegated syscall the master never answered
-// within the give-up horizon despite retransmissions.
-type SyscallTimeoutError struct {
-	Node     int
-	TID      int64
-	Num      int64
-	Seq      uint64
-	Attempts int
-	Elapsed  time.Duration
+	// Timeout aborts a wedged run (default 2 minutes), boot included: a
+	// slave that never connects fails RunMaster with a BootError.
+	Timeout time.Duration
+	// Files pre-populates the guest VFS.
+	Files map[string][]byte
 }
 
-func (e *SyscallTimeoutError) Error() string {
-	return fmt.Sprintf("live: node %d: syscall %d (tid %d, seq %d) unanswered after %d attempts over %v",
-		e.Node, e.Num, e.TID, e.Seq, e.Attempts, e.Elapsed.Round(time.Millisecond))
-}
-
-type threadState uint8
-
-const (
-	tRunnable threadState = iota
-	tBlockedPage
-	tBlockedSyscall
-	tBlockedTimer
-	tDead
-)
-
-type thread struct {
-	tid   int64
-	cpu   *tcg.CPU
-	state threadState
-
-	needWrite bool
-	waitPage  uint64
-	retry     func(*thread)
-
-	// Delegated-syscall request state: seq of the outstanding request (a
-	// per-thread counter doubling as the master's dedup key), the frame to
-	// retransmit, when it was first sent, and how many times.
-	scSeq      uint64
-	scMsg      *proto.Msg
-	scStart    time.Time
-	scAttempts int
-}
-
-// nodeCore is the state shared by live masters and slaves. All fields are
-// owned by the node's loop goroutine; the only cross-goroutine channels are
-// inbox (fed by connection readers) and wake (fed by timers).
-type nodeCore struct {
-	id    int
-	nodes int
-	cores int
-
-	space  *mem.Space
-	engine *tcg.Engine
-	llsc   *tcg.LLSCTable
-
-	threads   map[int64]*thread
-	runq      []*thread
-	waiting   map[uint64][]*thread
-	requested map[uint64]uint8
-
-	inbox  chan *proto.Msg
-	wake   chan int64    // tids whose sleep expired
-	resend chan scResend // delegated-syscall retransmit ticks
-	cancel <-chan struct{}
-
-	send func(*proto.Msg) error
-
-	// rng jitters the delegated-syscall retransmission backoff so slaves
-	// whose requests timed out together don't retransmit in lockstep and
-	// storm the master. Owned by the loop goroutine; live mode is wall-clock
-	// scheduled, so a per-node seed costs no determinism that exists.
-	rng *rand.Rand
-
-	// retransmits counts delegated-syscall frames re-sent after a timeout;
-	// staleReplies counts duplicate or superseded replies dropped.
-	retransmits  uint64
-	staleReplies uint64
-
-	start    time.Time
-	deadline time.Time // zero = none; checked every loop iteration
-	done     bool
-	exitCode int64
-	err      error
-}
-
-// scResend identifies one retransmission tick. The (tid, seq) pair makes a
-// tick self-invalidating: if the thread has been resumed, died, or moved on
-// to a newer request, the tick no-ops.
-type scResend struct {
-	tid int64
-	seq uint64
-	rto time.Duration
-}
-
-func newNodeCore(id, nodes, cores int, im *image.Image) *nodeCore {
-	space := mem.NewSpace(0)
-	if id == 0 {
-		mem.InstallImage(space, im, mem.PermRead, mem.PermReadWrite)
-	} else {
-		mem.InstallImage(space, im, mem.PermRead, mem.PermNone)
+// validate rejects, naming the field, the four Config.Core settings whose
+// implementation reads other nodes' state in-process or needs the simulated
+// network: ignoring them would report a run that did not happen.
+func (c *Config) validate() error {
+	k := &c.Core
+	for _, r := range []struct {
+		set        bool
+		field, why string
+	}{
+		{k.Faults.Active(), "Faults", "the fault plan is injected by the simulated network"},
+		{k.Adaptive, "Adaptive", "the feedback scheduler reads every node's engine counters in-process"},
+		{k.MaxSlaves > k.Slaves, "MaxSlaves", "standby slaves are activated by the feedback scheduler"},
+		{k.Sanitizer, "Sanitizer", "the race report is assembled from every node's shadow state in-process"},
+	} {
+		if r.set {
+			return fmt.Errorf("live: Config.Core.%s is not supported over real sockets: %s", r.field, r.why)
+		}
 	}
-	engine := tcg.NewEngine(space, tcg.DefaultCostModel())
-	llsc := tcg.NewLLSCTable()
-	engine.Mon = llsc
-	engine.StopAtomic = true
-	n := &nodeCore{
-		id:        id,
-		nodes:     nodes,
-		cores:     cores,
-		space:     space,
-		engine:    engine,
-		llsc:      llsc,
-		threads:   map[int64]*thread{},
-		waiting:   map[uint64][]*thread{},
-		requested: map[uint64]uint8{},
-		inbox:     make(chan *proto.Msg, 1024),
-		wake:      make(chan int64, 64),
-		resend:    make(chan scResend, 64),
-		rng:       rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(id)<<32)),
-		start:     time.Now(),
+	return nil
+}
+
+// Result reports a finished live run.
+type Result struct {
+	// Result is the master process's view: ExitCode, Console and the
+	// directory and guest-OS statistics are cluster-wide; Nodes, Threads
+	// and most of Metrics cover node 0 (RunSlave returns each slave's
+	// NodeStats); TimeNs is wall nanoseconds; Net, Faults and Rel are zero.
+	*core.Result
+	Wall time.Duration
+}
+
+// ErrCanceled is what a node reports when Config.Core.Cancel closes mid-run
+// (the simulator's sentinel too).
+var ErrCanceled = core.ErrCanceled
+
+// filter sits between the sockets and core and sees every frame that
+// arrives from or leaves for another process (retry.go).
+type filter interface {
+	// inbound reports whether core should see the frame.
+	inbound(m *proto.Msg) bool
+	// outbound may stamp the frame before it is transmitted.
+	outbound(m *proto.Msg)
+}
+
+// loop is the wall-clock core.Runtime of one node: one goroutine (run) owns
+// the core.Cluster and all it reaches; connection readers only feed inbox.
+// Two properties keep a cluster of loops live:
+//
+//   - run fires one due event — typically the completion of a guest
+//     quantum, which dispatches the next — then handles at most one inbound
+//     frame. A freshly granted page is thus usable before the revocation
+//     queued behind it (draining the inbox first would let the fetch win
+//     every time: a cross-node livelock), and a node spinning on a lock
+//     still serves fetches.
+//   - a frame a node addresses to itself (the master's own page requests
+//     and delegated syscalls) is queued as an event, never delivered inside
+//     Send: core's handlers are not re-entrant. The simulator posts such
+//     frames at +LocalNs for the same reason.
+type loop struct {
+	id int
+	cl *core.Cluster
+
+	// timers serves as a heap of (wall ns since start, fn) events.
+	timers     *sim.Kernel
+	start      time.Time
+	deadlineNs int64         // Now() past which the run fails; 0 = none
+	timeout    time.Duration // the configured Timeout, for the message
+	cancel     <-chan struct{}
+
+	// inbox carries frames from the connection readers. Its buffer absorbs
+	// a burst (a grant storm after a barrier) so readers, and through TCP
+	// flow control the sending peers, rarely wait on this loop.
+	inbox chan *proto.Msg
+	// quit is closed when run returns, releasing readers blocked on inbox.
+	quit chan struct{}
+
+	out    func(*proto.Msg) error // transmits a frame to another process
+	filter filter
+
+	err error
+}
+
+func newLoop(id int, cancel <-chan struct{}) *loop {
+	return &loop{
+		id:     id,
+		timers: sim.NewKernel(),
+		start:  time.Now(),
+		cancel: cancel,
+		inbox:  make(chan *proto.Msg, 1024),
+		quit:   make(chan struct{}),
 	}
-	return n
 }
 
-func (n *nodeCore) fail(err error) {
-	if n.err == nil {
-		n.err = err
+// ---- core.Runtime ----
+
+func (l *loop) Now() int64                { return int64(time.Since(l.start)) }
+func (l *loop) After(ns int64, fn func()) { l.timers.PostAt(l.Now()+ns, fn) }
+
+// Ran completes an executed quantum at once (see core.Runtime).
+func (l *loop) Ran(_ int64, fn func()) { l.After(0, fn) }
+
+func (l *loop) Send(m *proto.Msg) {
+	if int(m.To) == l.id {
+		l.After(0, func() { l.cl.Deliver(m) })
+		return
 	}
-	n.done = true
+	l.filter.outbound(m)
+	l.transmit(m)
 }
 
-func (n *nodeCore) nowNs() int64 { return time.Since(n.start).Nanoseconds() }
-
-func (n *nodeCore) addThread(cpu *tcg.CPU) {
-	t := &thread{tid: cpu.TID, cpu: cpu, state: tRunnable}
-	n.threads[cpu.TID] = t
-	n.runq = append(n.runq, t)
+// transmit puts a frame on its connection; a transport error fails the run
+// unless it is already over (peers hang up after shutdown).
+func (l *loop) transmit(m *proto.Msg) {
+	if err := l.out(m); err != nil && !l.cl.Done() {
+		l.fail(fmt.Errorf("live: node %d send: %w", l.id, err))
+	}
 }
 
-// loop drives the node until shutdown, interleaving one protocol message
-// with one guest execution slice. The interleaving matters: on a real node
-// the guest cores run concurrently with the communicator thread, so a
-// thread woken by a page grant gets to use the page even if a revoking
-// fetch is already queued behind the grant. Draining the whole inbox first
-// would let the fetch win every time — a cross-node livelock.
-func (n *nodeCore) loop(handle func(*proto.Msg)) {
-	for !n.done {
-		if !n.deadline.IsZero() && time.Now().After(n.deadline) {
-			n.fail(fmt.Errorf("live: node %d exceeded its deadline", n.id))
-			return
+func (l *loop) fail(err error) {
+	if l.err == nil {
+		l.err = err
+	}
+}
+
+func (l *loop) deliver(m *proto.Msg) {
+	if l.filter.inbound(m) {
+		l.cl.Deliver(m)
+	}
+}
+
+// run drives the node until the guest exits, the master shuts the run down,
+// a node or the transport fails, the deadline passes or cancel closes.
+func (l *loop) run() error {
+	defer close(l.quit)
+	for l.err == nil && !l.cl.Done() {
+		now := l.Now()
+		if l.deadlineNs > 0 && now > l.deadlineNs {
+			return fmt.Errorf("live: run exceeded %v; node %d state: %s", l.timeout, l.id, l.cl.ThreadDump())
 		}
 		select {
-		case <-n.cancel: // nil channel when no canceler is attached
-			n.fail(fmt.Errorf("live: node %d: %w", n.id, ErrCanceled))
-			return
+		case <-l.cancel: // nil channel when no canceler is attached
+			return fmt.Errorf("live: node %d: %w", l.id, ErrCanceled)
 		default:
 		}
-		if len(n.runq) == 0 {
-			// Nothing runnable: block until an event arrives.
+		if l.timers.Pending() > 0 && l.timers.NextAt() <= now {
+			l.timers.Step()
 			select {
-			case m := <-n.inbox:
-				handle(m)
-			case tid := <-n.wake:
-				n.timerFired(tid)
-			case r := <-n.resend:
-				n.resendFired(r)
-			case <-n.cancel:
-				n.fail(fmt.Errorf("live: node %d: %w", n.id, ErrCanceled))
-				return
-			case <-time.After(time.Second):
-				// Liveness tick; loop re-checks done.
+			case m := <-l.inbox:
+				l.deliver(m)
+			default:
 			}
 			continue
 		}
-		// One slice first — a freshly granted page must be usable before a
-		// queued revocation takes it away — then one message.
-		t := n.runq[0]
-		n.runq = n.runq[1:]
-		n.runSlice(t)
-		if n.done {
-			return
+		// Idle until a frame, the next timer, or the deadline re-check.
+		wait := time.Second
+		if l.timers.Pending() > 0 {
+			wait = min(wait, time.Duration(l.timers.NextAt()-now))
 		}
+		idle := time.NewTimer(wait)
 		select {
-		case m := <-n.inbox:
-			handle(m)
-		case tid := <-n.wake:
-			n.timerFired(tid)
-		case r := <-n.resend:
-			n.resendFired(r)
-		default:
+		case m := <-l.inbox:
+			l.deliver(m)
+		case <-l.cancel:
+		case <-idle.C:
 		}
+		idle.Stop()
 	}
-}
-
-// runSlice executes one scheduling slice for t and handles its stop reason.
-func (n *nodeCore) runSlice(t *thread) {
-	res := n.engine.Exec(t.cpu, sliceNs)
-	switch res.Reason {
-	case tcg.StopBudget:
-		t.state = tRunnable
-		n.runq = append(n.runq, t)
-	case tcg.StopPageFault:
-		n.blockOnPage(t, res.Fault.Page, res.Fault.Addr, res.Fault.Write)
-	case tcg.StopSyscall:
-		n.syscall(t)
-	case tcg.StopHalt:
-		t.state = tDead
-		n.sendMsg(&proto.Msg{Kind: proto.KSyscallReq, From: int32(n.id), TID: t.tid, Num: abi.SysExit})
-	default:
-		n.fail(fmt.Errorf("live: node %d thread %d: %v (%v)", n.id, t.tid, res.Reason, res.Err))
-	}
-}
-
-func (n *nodeCore) sendMsg(m *proto.Msg) {
-	if err := n.send(m); err != nil && !n.done {
-		n.fail(fmt.Errorf("live: node %d send: %w", n.id, err))
-	}
-}
-
-func (n *nodeCore) permOK(page uint64, write bool) bool {
-	perm := n.space.PermOf(page)
-	if write {
-		return perm == mem.PermReadWrite
-	}
-	return perm >= mem.PermRead
-}
-
-func (n *nodeCore) blockOnPage(t *thread, page, addr uint64, write bool) {
-	if n.permOK(page, write) {
-		t.state = tRunnable
-		n.runq = append(n.runq, t)
-		return
-	}
-	t.state = tBlockedPage
-	t.needWrite = write
-	t.waitPage = page
-	n.waiting[page] = append(n.waiting[page], t)
-	n.requestPage(page, addr, write, t.tid)
-}
-
-func (n *nodeCore) requestPage(page, addr uint64, write bool, tid int64) {
-	var bit = reqRead
-	if write {
-		bit = reqWrite
-	}
-	if n.requested[page]&bit != 0 {
-		return
-	}
-	n.requested[page] |= bit
-	n.sendMsg(&proto.Msg{
-		Kind: proto.KPageReq, From: int32(n.id), To: 0,
-		TID: tid, Page: page, Addr: addr, Write: write,
-	})
-}
-
-func (n *nodeCore) wakePageWaiters(page uint64, perm mem.Perm) {
-	waiters := n.waiting[page]
-	if len(waiters) == 0 {
-		return
-	}
-	var still []*thread
-	for _, t := range waiters {
-		if t.needWrite && perm != mem.PermReadWrite {
-			still = append(still, t)
-			continue
-		}
-		n.unblock(t)
-	}
-	if len(still) == 0 {
-		delete(n.waiting, page)
-		return
-	}
-	n.waiting[page] = still
-	n.requestPage(page, page*uint64(n.space.PageSize()), true, still[0].tid)
-}
-
-func (n *nodeCore) unblock(t *thread) {
-	if t.retry != nil {
-		retry := t.retry
-		t.retry = nil
-		t.state = tRunnable
-		retry(t)
-		return
-	}
-	t.state = tRunnable
-	n.runq = append(n.runq, t)
-}
-
-func (n *nodeCore) timerFired(tid int64) {
-	t := n.threads[tid]
-	if t == nil || t.state != tBlockedTimer || n.done {
-		return
-	}
-	t.cpu.X[10] = 0
-	t.state = tRunnable
-	n.runq = append(n.runq, t)
-}
-
-// ---- syscalls ----
-
-func (n *nodeCore) syscall(t *thread) {
-	num := int64(t.cpu.X[17])
-	if guestos.IsGlobal(num) {
-		n.delegate(t, num)
-		return
-	}
-	n.localSyscall(t, num)
-}
-
-func (n *nodeCore) delegate(t *thread, num int64) {
-	var args [6]uint64
-	copy(args[:], t.cpu.X[10:16])
-	if num == abi.SysThreadCreate {
-		args[3] = uint64(t.cpu.HintGroup)
-	}
-	msg := &proto.Msg{
-		Kind: proto.KSyscallReq, From: int32(n.id), To: 0,
-		TID: t.tid, Num: num, Args: args,
-	}
-	switch num {
-	case abi.SysExit, abi.SysExitGroup:
-		// Fire-and-forget: no reply ever comes, so the request stays
-		// unsequenced and nothing is armed for retransmission.
-		t.state = tDead
-	default:
-		t.state = tBlockedSyscall
-		t.scSeq++
-		msg.Seq = t.scSeq
-		t.scMsg = msg
-		t.scStart = time.Now()
-		t.scAttempts = 1
-		if n.id != 0 {
-			// The master delivers to itself by direct call; only requests
-			// that cross the wire need a retransmission timer.
-			n.armResend(scResend{tid: t.tid, seq: t.scSeq, rto: syscallRTOBase})
-		}
-	}
-	n.sendMsg(msg)
-}
-
-// armResend schedules one retransmission tick. The tick is delivered to the
-// loop goroutine via the resend channel so all thread state stays
-// single-threaded.
-func (n *nodeCore) armResend(r scResend) {
-	time.AfterFunc(r.rto, func() { n.pushResend(r) })
-}
-
-func (n *nodeCore) pushResend(r scResend) {
-	select {
-	case n.resend <- r:
-	default:
-		// Channel full: try again shortly rather than lose the tick.
-		time.AfterFunc(time.Millisecond, func() { n.pushResend(r) })
-	}
-}
-
-// resendFired re-sends an unanswered delegated syscall, doubling the RTO up
-// to a cap, and gives up with a structured error past the wall-clock
-// horizon. A tick for a request that has been answered (or superseded by a
-// newer one from the same thread) is ignored.
-func (n *nodeCore) resendFired(r scResend) {
-	t := n.threads[r.tid]
-	if n.done || t == nil || t.state != tBlockedSyscall || t.scSeq != r.seq || t.scMsg == nil {
-		return
-	}
-	if elapsed := time.Since(t.scStart); elapsed > syscallGiveUp {
-		n.fail(&SyscallTimeoutError{
-			Node: n.id, TID: t.tid, Num: t.scMsg.Num, Seq: r.seq,
-			Attempts: t.scAttempts, Elapsed: elapsed,
-		})
-		return
-	}
-	t.scAttempts++
-	n.retransmits++
-	n.sendMsg(t.scMsg)
-	next := r.rto * 2
-	if next > syscallRTOMax {
-		next = syscallRTOMax
-	}
-	// Jitter the doubled RTO into [next/2, next]: slaves whose requests all
-	// timed out on the same stall would otherwise retransmit in phase every
-	// round and storm the recovering master.
-	next = next/2 + time.Duration(n.rng.Int63n(int64(next/2)+1))
-	n.armResend(scResend{tid: r.tid, seq: r.seq, rto: next})
-}
-
-func (n *nodeCore) localSyscall(t *thread, num int64) {
-	resume := func(ret uint64) {
-		t.cpu.X[10] = ret
-		t.state = tRunnable
-		n.runq = append(n.runq, t)
-	}
-	switch num {
-	case abi.SysGetTID:
-		resume(uint64(t.tid))
-	case abi.SysNodeID:
-		resume(uint64(n.id))
-	case abi.SysNumNodes:
-		resume(uint64(n.nodes))
-	case abi.SysTimeNs:
-		resume(uint64(n.nowNs()))
-	case abi.SysSchedYield:
-		resume(0)
-	case abi.SysHint:
-		t.cpu.HintGroup = int64(t.cpu.X[10])
-		resume(0)
-	case abi.SysClockGettime:
-		n.clockGettime(t)
-	case abi.SysNanosleep:
-		n.nanosleep(t)
-	default:
-		n.fail(fmt.Errorf("live: node %d: unclassified local syscall %d", n.id, num))
-	}
-}
-
-func (n *nodeCore) clockGettime(t *thread) {
-	addr := t.cpu.X[11]
-	now := n.nowNs()
-	var buf [16]byte
-	putU64(buf[0:], uint64(now/1_000_000_000))
-	putU64(buf[8:], uint64(now%1_000_000_000))
-	n.writeGuestOrRetry(t, addr, buf[:], (*nodeCore).clockGettime, func() {
-		t.cpu.X[10] = 0
-		t.state = tRunnable
-		n.runq = append(n.runq, t)
-	})
-}
-
-func (n *nodeCore) nanosleep(t *thread) {
-	addr := t.cpu.X[10]
-	buf := make([]byte, 16)
-	if err := n.space.ReadBytes(addr, buf); err != nil {
-		n.retryOnFault(t, addr, false, (*nodeCore).nanosleep)
-		return
-	}
-	ns := int64(getU64(buf[0:]))*1_000_000_000 + int64(getU64(buf[8:]))
-	if ns < 0 {
-		ns = 0
-	}
-	t.state = tBlockedTimer
-	tid := t.tid
-	time.AfterFunc(time.Duration(ns), func() {
-		select {
-		case n.wake <- tid:
-		default:
-			// Wake channel full: retry shortly rather than lose the wake.
-			time.AfterFunc(time.Millisecond, func() { n.wake <- tid })
-		}
-	})
-}
-
-func (n *nodeCore) writeGuestOrRetry(t *thread, addr uint64, data []byte, retry func(*nodeCore, *thread), done func()) {
-	for i := range data {
-		ba := n.space.Translate(addr + uint64(i))
-		if n.space.PermOf(n.space.PageOf(ba)) != mem.PermReadWrite {
-			n.retryOnFault(t, ba, true, retry)
-			return
-		}
-	}
-	for i := range data {
-		n.space.Store(addr+uint64(i), uint64(data[i]), 1)
-	}
-	done()
-}
-
-func (n *nodeCore) retryOnFault(t *thread, addr uint64, write bool, handler func(*nodeCore, *thread)) {
-	page := n.space.PageOf(n.space.Translate(addr))
-	if n.permOK(page, write) {
-		handler(n, t)
-		return
-	}
-	t.retry = func(t *thread) { handler(n, t) }
-	t.state = tBlockedPage
-	t.needWrite = write
-	t.waitPage = page
-	n.waiting[page] = append(n.waiting[page], t)
-	n.requestPage(page, addr, write, t.tid)
-}
-
-// ---- common message handling (content, invalidate, fetch, etc.) ----
-
-// handleCommon processes the messages every node understands; it returns
-// false if the kind was not recognized.
-func (n *nodeCore) handleCommon(m *proto.Msg) bool {
-	switch m.Kind {
-	case proto.KPageContent:
-		perm := mem.Perm(m.Perm)
-		if m.Data == nil {
-			// Permission-only reaffirmation: keep the local (freshest) copy.
-			n.space.EnsurePage(m.Page, perm)
-			n.space.SetPerm(m.Page, perm)
-		} else {
-			n.space.InstallPage(m.Page, m.Data, perm)
-			// The incoming copy may carry another node's modifications; any
-			// translation made from the page's previous content is stale.
-			n.engine.InvalidatePage(m.Page)
-		}
-		n.contentArrived(m.Page, perm)
-	case proto.KInvalidate:
-		n.space.DropPage(m.Page)
-		n.llsc.InvalidatePage(m.Page, n.space.PageSize())
-		n.engine.InvalidatePage(m.Page)
-		n.sendMsg(&proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page})
-	case proto.KFetch:
-		data := n.space.PageData(m.Page)
-		if data == nil {
-			n.fail(fmt.Errorf("live: node %d: fetch for absent page %#x", n.id, m.Page))
-			return true
-		}
-		copied := append([]byte(nil), data...)
-		if m.Write {
-			n.space.DropPage(m.Page)
-			n.llsc.InvalidatePage(m.Page, n.space.PageSize())
-			n.engine.InvalidatePage(m.Page)
-		} else {
-			n.space.SetPerm(m.Page, mem.PermRead)
-		}
-		n.sendMsg(&proto.Msg{
-			Kind: proto.KFetchReply, From: int32(n.id), To: 0,
-			Page: m.Page, Data: copied, Write: m.Write,
-		})
-	case proto.KRetry:
-		n.retryArrived(m.Page)
-	case proto.KRemap:
-		if err := n.space.AddRemap(m.Page, m.Shadows); err != nil {
-			n.fail(fmt.Errorf("live: node %d: remap: %w", n.id, err))
-			return true
-		}
-		n.llsc.InvalidatePage(m.Page, n.space.PageSize())
-		n.engine.InvalidatePage(m.Page)
-	case proto.KPush:
-		if n.space.PermOf(m.Page) != mem.PermNone || n.requested[m.Page]&reqWrite != 0 {
-			return true
-		}
-		n.space.InstallPage(m.Page, m.Data, mem.PermRead)
-		n.requested[m.Page] &^= reqRead
-		if n.requested[m.Page] == 0 {
-			delete(n.requested, m.Page)
-		}
-		n.wakePageWaiters(m.Page, mem.PermRead)
-	case proto.KSyscallReply:
-		t := n.threads[m.TID]
-		if t == nil || t.state != tBlockedSyscall || (m.Seq != 0 && m.Seq != t.scSeq) {
-			// A retransmitted request can draw two answers (the original and
-			// a cache replay), and a reply can race a thread that has moved
-			// on. Exactly-once is the (tid, seq) pair's job: anything not
-			// matching the outstanding request is a duplicate — drop it.
-			n.staleReplies++
-			return true
-		}
-		t.scMsg = nil
-		t.cpu.X[10] = m.Ret
-		t.state = tRunnable
-		n.runq = append(n.runq, t)
-	case proto.KThreadStart:
-		cpu, err := proto.DecodeCPU(m.CPU)
-		if err != nil {
-			n.fail(fmt.Errorf("live: node %d: thread start: %w", n.id, err))
-			return true
-		}
-		n.addThread(cpu)
-	case proto.KShutdown:
-		n.exitCode = m.Num
-		n.done = true
-	default:
-		return false
-	}
-	return true
-}
-
-func (n *nodeCore) contentArrived(page uint64, perm mem.Perm) {
-	if perm == mem.PermReadWrite {
-		delete(n.requested, page)
-	} else {
-		n.requested[page] &^= reqRead
-		if n.requested[page] == 0 {
-			delete(n.requested, page)
-		}
-	}
-	n.wakePageWaiters(page, perm)
-}
-
-func (n *nodeCore) retryArrived(page uint64) {
-	delete(n.requested, page)
-	waiters := n.waiting[page]
-	delete(n.waiting, page)
-	for _, t := range waiters {
-		n.unblock(t)
-	}
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+	l.fail(l.cl.Err()) // a transport failure, if any, came first and stays
+	return l.err
 }

@@ -6,11 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"dqemu/internal/core"
+	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
 )
 
 func TestRunSlaveBadAddress(t *testing.T) {
-	if err := RunSlave("127.0.0.1:1"); err == nil || !strings.Contains(err.Error(), "dial") {
+	if _, err := RunSlave("127.0.0.1:1"); err == nil || !strings.Contains(err.Error(), "dial") {
 		t.Errorf("expected dial error, got %v", err)
 	}
 }
@@ -30,7 +32,7 @@ func TestRunSlaveBadHandshake(t *testing.T) {
 		proto.WriteMsg(conn, &proto.Msg{Kind: proto.KShutdown})
 		conn.Close()
 	}()
-	if err := RunSlave(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), "init") {
+	if _, err := RunSlave(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), "init") {
 		t.Errorf("expected init error, got %v", err)
 	}
 }
@@ -47,7 +49,7 @@ long main() {
 	}
 	defer ln.Close()
 	go RunSlave(ln.Addr().String())
-	_, err = RunMaster(ln, im, Config{Slaves: 1, Timeout: 500 * time.Millisecond})
+	_, err = RunMaster(ln, im, Config{Core: core.Config{Slaves: 1}, Timeout: 500 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("expected timeout, got %v", err)
 	}
@@ -79,8 +81,38 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Slaves: 2, Splitting: true, HintSched: true, Forwarding: true})
+	res := runLive(t, im, Config{Core: core.Config{Slaves: 2, Splitting: true, HintSched: true, Forwarding: true}})
 	if res.Console != "30720\n" { // 512 slots * 60 rounds
 		t.Errorf("console = %q", res.Console)
+	}
+}
+
+// TestRunMasterRejectsUnsupportedConfig: the four core.Config settings whose
+// implementation reads peer state in-process or needs the simulated network
+// must fail fast with an error naming the field — before any slave is
+// awaited — rather than run a cluster that silently ignores them.
+func TestRunMasterRejectsUnsupportedConfig(t *testing.T) {
+	im := build(t, `long main() { return 0; }`)
+	for field, cfg := range map[string]core.Config{
+		"Faults":    {Slaves: 1, Faults: &netsim.FaultPlan{Seed: 1, DropRate: 0.01}},
+		"Adaptive":  {Slaves: 1, Adaptive: true},
+		"MaxSlaves": {Slaves: 1, MaxSlaves: 2},
+		"Sanitizer": {Slaves: 1, Sanitizer: true},
+	} {
+		t.Run(field, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			start := time.Now()
+			_, err = RunMaster(ln, im, Config{Core: cfg, Timeout: 5 * time.Second})
+			if err == nil || !strings.Contains(err.Error(), "Config.Core."+field) {
+				t.Errorf("want an error naming Config.Core.%s, got %v", field, err)
+			}
+			if time.Since(start) > 2*time.Second {
+				t.Errorf("rejection took %v: the master waited for slaves first", time.Since(start))
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"dqemu/internal/core"
 	"dqemu/internal/grt"
 	"dqemu/internal/image"
+	"dqemu/internal/workloads"
 )
 
 // runLive starts a master and slaves goroutines over loopback TCP and runs
@@ -22,9 +25,9 @@ func runLive(t *testing.T, im *image.Image, cfg Config) *Result {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
 	}
-	for i := 0; i < cfg.Slaves; i++ {
+	for i := 0; i < cfg.Core.Slaves; i++ {
 		go func() {
-			if err := RunSlave(ln.Addr().String()); err != nil {
+			if _, err := RunSlave(ln.Addr().String()); err != nil {
 				t.Errorf("slave: %v", err)
 			}
 		}()
@@ -51,7 +54,7 @@ long main() {
 	print_str("hello over tcp\n");
 	return 0;
 }`)
-	res := runLive(t, im, Config{Slaves: 0})
+	res := runLive(t, im, Config{Core: core.Config{Slaves: 0}})
 	if res.Console != "hello over tcp\n" || res.ExitCode != 0 {
 		t.Errorf("console=%q exit=%d", res.Console, res.ExitCode)
 	}
@@ -85,7 +88,7 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Slaves: 2})
+	res := runLive(t, im, Config{Core: core.Config{Slaves: 2}})
 	// 800 lock-protected increments, and all 4 workers ran on slave nodes.
 	if res.Console != "800 4\n" {
 		t.Errorf("console = %q", res.Console)
@@ -115,18 +118,29 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Slaves: 3})
+	res := runLive(t, im, Config{Core: core.Config{Slaves: 3}})
 	// sum = sum over idx 0..5, round 0..2 of (idx+round) = 3*15 + 6*3 = 63
 	if res.Console != "63\n" {
 		t.Errorf("console = %q", res.Console)
 	}
 }
 
+// TestLiveMatchesSimulation is the standing sim-vs-live oracle: guests whose
+// console does not depend on the schedule must produce the same exit code
+// and console under the deterministic simulation and under true concurrency
+// over TCP — the same engine on both, so a divergence is a transport or
+// ordering bug, not a second implementation drifting. The guests are a
+// mini-C program plus the workloads the scenario suite pins by console hash,
+// at its smoke scale; every row runs on 2 slaves with the optimizations off
+// and on, and live runs each with the wire layer off (what LiveBackend and
+// dqemu-live ship) and on.
 func TestLiveMatchesSimulation(t *testing.T) {
-	// The strongest cross-validation: the same schedule-independent guest
-	// program must produce identical output under the deterministic
-	// simulation and under true concurrency over TCP.
-	src := `
+	guests := []struct {
+		name  string
+		build func() (*image.Image, error)
+	}{
+		{"minic", func() (*image.Image, error) {
+			return grt.BuildProgram("live.mc", `
 long acc;
 long results[8];
 long worker(long idx) {
@@ -147,19 +161,43 @@ long main() {
 	print_long(acc);
 	print_char('\n');
 	return 0;
-}`
-	im := build(t, src)
-
-	simCfg := core.DefaultConfig()
-	simCfg.Slaves = 3
-	simRes, err := core.Run(im, simCfg)
-	if err != nil {
-		t.Fatal(err)
+}`)
+		}},
+		{"pi", func() (*image.Image, error) { return workloads.Pi(8, 100, 100) }},
+		{"blackscholes", func() (*image.Image, error) { return workloads.Blackscholes(8, 256, 2, 2) }},
+		{"swaptions", func() (*image.Image, error) { return workloads.Swaptions(8, 24, 30, 2) }},
+		{"fluidanimate", func() (*image.Image, error) { return workloads.Fluidanimate(32, 192, 1, 4) }},
+		{"dedup", func() (*image.Image, error) { return workloads.Dedup(4, 4, 2, 75, 256, 16) }},
+		{"streamcluster", func() (*image.Image, error) { return workloads.Streamcluster(8, 2048, 8, 2) }},
 	}
-	for trial := 0; trial < 3; trial++ {
-		liveRes := runLive(t, im, Config{Slaves: 3})
-		if liveRes.Console != simRes.Console {
-			t.Fatalf("trial %d: live %q != sim %q", trial, liveRes.Console, simRes.Console)
+	knobs := []struct {
+		name                          string
+		forward, splitting, hintSched bool
+	}{
+		{name: "plain"},
+		{"fwd+split+hints", true, true, true},
+	}
+	for _, g := range guests {
+		im, err := g.build()
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		for _, k := range knobs {
+			cfg := core.Config{Slaves: 2, Forwarding: k.forward, Splitting: k.splitting, HintSched: k.hintSched}
+			want, err := core.Run(im, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: simulation: %v", g.name, k.name, err)
+			}
+			for _, wire := range []bool{false, true} {
+				cfg.NoDelta, cfg.NoCoalesce = !wire, !wire
+				t.Run(fmt.Sprintf("%s/%s/wire=%v", g.name, k.name, wire), func(t *testing.T) {
+					got := runLive(t, im, Config{Core: cfg})
+					if got.ExitCode != want.ExitCode || sha256.Sum256([]byte(got.Console)) != sha256.Sum256([]byte(want.Console)) {
+						t.Errorf("live exit %d console %q\n sim exit %d console %q",
+							got.ExitCode, got.Console, want.ExitCode, want.Console)
+					}
+				})
+			}
 		}
 	}
 }
@@ -185,12 +223,7 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{
-		Slaves:     1,
-		Forwarding: true,
-		Splitting:  true,
-		Files:      map[string][]byte{"/seed.txt": []byte("3")},
-	})
+	res := runLive(t, im, Config{Core: core.Config{Slaves: 1, Forwarding: true, Splitting: true}, Files: map[string][]byte{"/seed.txt": []byte("3")}})
 	if res.Console != "24576\n" {
 		t.Errorf("console = %q", res.Console)
 	}
@@ -206,7 +239,7 @@ long main() {
 	print_str("slept\n");
 	return 0;
 }`)
-	res := runLive(t, im, Config{Slaves: 1})
+	res := runLive(t, im, Config{Core: core.Config{Slaves: 1}})
 	if res.ExitCode != 0 || res.Console != "slept\n" {
 		t.Errorf("exit=%d console=%q", res.ExitCode, res.Console)
 	}

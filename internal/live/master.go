@@ -1,79 +1,15 @@
 package live
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
-	"dqemu/internal/abi"
-	"dqemu/internal/dsm"
-	"dqemu/internal/guestos"
+	"dqemu/internal/core"
 	"dqemu/internal/image"
-	"dqemu/internal/mem"
 	"dqemu/internal/proto"
-	"dqemu/internal/tcg"
 )
-
-// Config configures a live cluster.
-type Config struct {
-	// Slaves is how many slave connections the master waits for.
-	Slaves int
-	// Cores is the scheduler width per node (live nodes run their threads
-	// on one loop; Cores only affects placement arithmetic).
-	Cores int
-
-	Forwarding bool
-	Splitting  bool
-	HintSched  bool
-
-	// Timeout aborts a wedged run (default 2 minutes). It also bounds the
-	// boot: a slave that never connects fails RunMaster with a BootError
-	// within Timeout instead of hanging Accept forever.
-	Timeout time.Duration
-	// Cancel, when non-nil, aborts the run when closed (the master fails
-	// with ErrCanceled and tears the cluster down). The control-plane
-	// daemon uses this for job cancellation.
-	Cancel <-chan struct{}
-	// Stdout receives guest console output as it appears (may be nil).
-	Stdout io.Writer
-	// Files pre-populates the guest VFS.
-	Files map[string][]byte
-}
-
-// Result reports a finished live run.
-type Result struct {
-	ExitCode int64
-	Console  string
-	Wall     time.Duration
-	// MasterInsns is the guest instruction count retired on the master node.
-	// Slaves execute their shares in their own processes and do not report
-	// back, so this undercounts cluster-wide work; it exists so the control
-	// plane can bill live jobs something better than zero.
-	MasterInsns uint64
-}
-
-// master is node 0 of a live cluster.
-type master struct {
-	*nodeCore
-	cfg   Config
-	peers []*sender // index 0 -> node 1
-
-	dir        *dsm.Directory
-	os         *guestos.OS
-	replay     *proto.ReplayCache
-	im         *image.Image
-	helperWait map[uint64][]func()
-	groupNode  map[int64]int
-	nextRR     int
-
-	trampolinePC uint64
-
-	console  bytes.Buffer
-	deadline time.Time
-}
 
 // sender serializes writes to one connection. The outgoing queue absorbs
 // bursts without blocking the node loop; when it fills, send applies bounded
@@ -190,104 +126,63 @@ func peerName(conn net.Conn) string {
 	return "?"
 }
 
-// RunMaster accepts cfg.Slaves connections on ln, boots the cluster with
-// the given guest image, and runs it to completion.
+// RunMaster accepts cfg.Core.Slaves connections on ln, boots the cluster
+// with the given guest image, and runs it to completion as node 0.
 func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
-	if cfg.Cores <= 0 {
-		cfg.Cores = 4
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Minute
 	}
-	m := &master{
-		nodeCore:   newNodeCore(0, cfg.Slaves+1, cfg.Cores, im),
-		cfg:        cfg,
-		replay:     proto.NewReplayCache(),
-		im:         im,
-		helperWait: map[uint64][]func(){},
-		groupNode:  map[int64]int{},
-	}
-	m.deadline = time.Now().Add(cfg.Timeout)
-	m.nodeCore.deadline = m.deadline
-	m.nodeCore.cancel = cfg.Cancel
+	deadline := time.Now().Add(cfg.Timeout)
+	l := newLoop(0, cfg.Core.Cancel)
+	l.filter = &replayFilter{l: l, cache: proto.NewReplayCache()}
 
-	var fwd *dsm.Forwarder
-	if cfg.Forwarding {
-		fwd = dsm.NewForwarder(0, 0)
-	}
-	var split *dsm.Splitter
-	if cfg.Splitting {
-		split = dsm.NewSplitter(m.space.PageSize(), 0, 0)
-	}
-	m.dir = dsm.New(m, fwd, split)
-
-	// Seed replicated read-only pages in the directory.
-	var all dsm.NodeSet
-	for id := 0; id <= cfg.Slaves; id++ {
-		all = all.Add(id)
-	}
-	for _, seg := range im.Segments {
-		if seg.Writable {
-			continue
-		}
-		first := m.space.PageOf(seg.Addr)
-		last := m.space.PageOf(seg.Addr + seg.MemSize - 1)
-		for p := first; p <= last; p++ {
-			m.dir.SeedReplicated(p, all)
-		}
-	}
-
-	// Accept and handshake the slaves. The whole boot must finish inside
-	// cfg.Timeout: a slave that never connects (or wedges mid-handshake)
-	// fails the run with a structured BootError instead of hanging Accept
-	// forever. Any early return tears down everything already accepted —
-	// closing each peer connection also unblocks its reader goroutine, so a
-	// failed boot leaks neither sockets nor goroutines.
-	if err := m.bootSlaves(ln, im); err != nil {
-		for _, p := range m.peers {
+	// The whole boot must finish inside cfg.Timeout: a slave that never
+	// connects (or wedges mid-handshake) fails the run with a BootError
+	// instead of hanging Accept forever. Any early return tears down what
+	// was already accepted — closing a connection also ends its reader
+	// goroutine, so a failed boot leaks neither sockets nor goroutines.
+	peers, err := bootSlaves(ln, im, cfg.Core, deadline, l)
+	abort := func(err error) (*Result, error) {
+		close(l.quit)
+		for _, p := range peers {
 			p.abort()
 		}
 		return nil, err
 	}
-
-	// The master routes its own protocol traffic inline (synchronously with
-	// directory state, see internal/core on the in-flight-grant race).
-	m.send = func(msg *proto.Msg) error {
-		if msg.To == 0 {
-			m.handle(msg)
-			return nil
+	if err != nil {
+		return abort(err)
+	}
+	l.out = func(m *proto.Msg) error {
+		if m.To < 1 || int(m.To) > len(peers) {
+			return fmt.Errorf("no peer for node %d", m.To)
 		}
-		return m.peers[msg.To-1].send(msg)
+		return peers[m.To-1].send(m)
 	}
 
-	// The wall clock starts when the cluster is assembled.
-	m.nodeCore.start = time.Now()
-
-	brk := (im.End() + 0xffff) &^ 0xffff
-	m.os = guestos.New(m, guestos.NewVFS(), brk, 0x4100_0000, image.ShadowBase)
+	// The wall clock starts when the cluster is assembled. Node 0 is built
+	// last: building it runs the guest's first quantum.
+	l.start = time.Now()
+	l.deadlineNs, l.timeout = int64(deadline.Sub(l.start)), cfg.Timeout
+	if l.cl, err = core.NewLocal(im, cfg.Core, 0, l); err != nil {
+		return abort(err)
+	}
 	for path, data := range cfg.Files {
-		m.os.VFS().AddFile(path, data)
+		l.cl.VFS().AddFile(path, data)
 	}
 
-	cpu := &tcg.CPU{PC: im.Entry, TID: guestos.MainTID}
-	cpu.X[2] = image.StackTop
-	m.addThread(cpu)
-
-	m.loop(m.handleWithDeadline)
-	wall := time.Since(m.start)
+	err = l.run()
+	wall := time.Since(l.start)
 	// Tear everything down, flushing the shutdown frames first.
-	for _, p := range m.peers {
+	for _, p := range peers {
 		p.close()
 	}
-	if m.err != nil {
-		return nil, m.err
+	if err != nil {
+		return nil, err
 	}
-	return &Result{
-		ExitCode:    m.exitCode,
-		Console:     m.console.String(),
-		Wall:        wall,
-		MasterInsns: m.engine.Stats.ExecInsns,
-	}, nil
+	return &Result{Result: l.cl.Result(), Wall: wall}, nil
 }
 
 // BootError reports a cluster boot that failed while accepting or
@@ -310,382 +205,68 @@ func (e *BootError) Timeout() bool {
 	return errors.As(e.Err, &ne) && ne.Timeout()
 }
 
-// deadlineListener is the subset of net.Listener that supports accept
-// deadlines (all stdlib stream listeners do).
-type deadlineListener interface {
-	SetDeadline(time.Time) error
-}
-
-// bootSlaves accepts and handshakes cfg.Slaves connections, honoring the
-// run deadline throughout. On success m.peers holds one sender per slave
-// and a reader goroutine is draining each connection; on error the caller
-// owns cleanup of whatever was already appended to m.peers.
-func (m *master) bootSlaves(ln net.Listener, im *image.Image) error {
-	if dl, ok := ln.(deadlineListener); ok {
-		dl.SetDeadline(m.deadline)
+// bootSlaves accepts and handshakes cfg.Slaves connections, honoring the run
+// deadline throughout. On success there is one sender per slave and a reader
+// goroutine feeding l from each connection; on error the caller owns cleanup
+// of the senders returned so far.
+func bootSlaves(ln net.Listener, im *image.Image, cfg core.Config, deadline time.Time, l *loop) ([]*sender, error) {
+	// Every stdlib stream listener supports accept deadlines.
+	if dl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
+		dl.SetDeadline(deadline)
 		defer dl.SetDeadline(time.Time{})
 	}
 	imgBytes := im.Encode()
-	for i := 0; i < m.cfg.Slaves; i++ {
+	var peers []*sender
+	for id := 1; id <= cfg.Slaves; id++ {
 		conn, err := ln.Accept()
 		if err != nil {
-			return &BootError{Slave: i + 1, Phase: "accept", Err: err}
+			return peers, &BootError{Slave: id, Phase: "accept", Err: err}
+		}
+		failed := func(phase string, err error) ([]*sender, error) {
+			conn.Close()
+			return peers, &BootError{Slave: id, Phase: phase, Err: err}
 		}
 		// The handshake itself is covered by the run deadline too; a slave
 		// that connects and then stalls must not wedge the boot.
-		conn.SetDeadline(m.deadline)
-		init := &proto.Msg{
-			Kind: proto.KInit, From: 0, To: int32(i + 1),
-			Num: int64(i + 1), Args: [6]uint64{uint64(m.cfg.Slaves + 1), uint64(m.cfg.Cores)},
-			Data: imgBytes,
+		conn.SetDeadline(deadline)
+		if err := proto.WriteMsg(conn, core.InitFrame(cfg, id, imgBytes)); err != nil {
+			return failed("init", err)
 		}
-		if err := proto.WriteMsg(conn, init); err != nil {
-			conn.Close()
-			return &BootError{Slave: i + 1, Phase: "init", Err: err}
+		if ack, err := proto.ReadMsg(conn); err != nil {
+			return failed("ack", err)
+		} else if ack.Kind != proto.KInitAck {
+			return failed("ack", fmt.Errorf("expected init ack, got %v", ack.Kind))
 		}
-		ack, err := proto.ReadMsg(conn)
-		if err != nil {
-			conn.Close()
-			return &BootError{Slave: i + 1, Phase: "ack", Err: err}
-		}
-		if ack.Kind != proto.KInitAck {
-			conn.Close()
-			return &BootError{Slave: i + 1, Phase: "ack", Err: fmt.Errorf("expected init ack, got %v", ack.Kind)}
-		}
-		// Steady state: senders/readers run without I/O deadlines (the node
+		// Steady state: senders/readers run without I/O deadlines (the
 		// loop enforces the run deadline itself).
 		conn.SetDeadline(time.Time{})
-		m.peers = append(m.peers, newSender(conn, m.deadline))
-		go m.reader(conn, i+1)
+		peers = append(peers, newSender(conn, deadline))
+		go readFrames(conn, l, int32(id), nil)
 	}
-	return nil
+	return peers, nil
 }
 
-func (m *master) reader(conn net.Conn, from int) {
+// readFrames is a connection's reader goroutine: every frame goes to the
+// loop. On the master, from is the slave at the other end: the connection,
+// not the frame, says who is talking, and slaves only address the master.
+// When the connection ends (shutdown, or broken), a non-nil gone is fed last.
+func readFrames(conn net.Conn, l *loop, from int32, gone *proto.Msg) {
 	for {
-		msg, err := proto.ReadMsg(conn)
+		m, err := proto.ReadMsg(conn)
 		if err != nil {
-			return // connection closed (shutdown) or broken; loop notices via timeout
+			m = gone
+		} else if from != 0 {
+			m.From, m.To = from, 0
 		}
-		msg.From = int32(from)
-		m.inbox <- msg
-	}
-}
-
-func (m *master) handleWithDeadline(msg *proto.Msg) {
-	if time.Now().After(m.deadline) {
-		m.fail(fmt.Errorf("live: run exceeded %v; master state: %s", m.cfg.Timeout, m.dump()))
-		return
-	}
-	m.handle(msg)
-}
-
-// dump summarizes master state for timeout diagnostics.
-func (m *master) dump() string {
-	var sb bytes.Buffer
-	fmt.Fprintf(&sb, "runq=%d", len(m.runq))
-	for tid, t := range m.threads {
-		fmt.Fprintf(&sb, " [tid %d st=%d pc=%#x page=%#x w=%v]", tid, t.state, t.cpu.PC, t.waitPage, t.needWrite)
-	}
-	fmt.Fprintf(&sb, " waiting=%d requested=%v helperWait=%d futex=%d alive=%d",
-		len(m.waiting), m.requested, len(m.helperWait), m.os.Futex().TotalWaiting(), m.os.AliveThreads())
-	for _, page := range []uint64{0x16, 0x17, 0x18, 0x3ffff} {
-		owner, sharers, busy := m.dir.State(page)
-		fmt.Fprintf(&sb, " dir[%#x]={o=%d s=%v b=%v}", page, owner, sharers, busy)
-	}
-	return sb.String()
-}
-
-func (m *master) handle(msg *proto.Msg) {
-	if m.done {
-		return
-	}
-	switch msg.Kind {
-	case proto.KPageReq:
-		m.dir.OnRequest(dsm.Request{
-			Node: int(msg.From), TID: msg.TID,
-			Page: msg.Page, Addr: msg.Addr, Write: msg.Write,
-		})
-	case proto.KFetchReply:
-		if err := m.dir.OnFetchReply(int(msg.From), msg.Page, msg.Data, msg.Write); err != nil {
-			m.fail(err)
-		}
-	case proto.KInvAck:
-		if err := m.dir.OnInvAck(int(msg.From), msg.Page); err != nil {
-			m.fail(err)
-		}
-	case proto.KSyscallReq:
-		m.globalSyscall(msg)
-	case proto.KHintNote:
-		// Recorded for future rebalancing; placement uses creation hints.
-	default:
-		if !m.handleCommon(msg) {
-			m.fail(fmt.Errorf("live: master: unexpected message %v", msg.Kind))
-		}
-	}
-	if msg.Kind == proto.KPageContent || msg.Kind == proto.KRetry {
-		m.wakeHelpers(msg.Page)
-	}
-}
-
-// globalSyscall executes a delegated syscall exactly once. A slave that
-// times out retransmits its KSyscallReq with the same (tid, seq) key; the
-// replay cache answers completed duplicates from the saved reply and drops
-// duplicates of requests whose reply is still parked (futex waits), so
-// non-idempotent syscalls never run twice.
-func (m *master) globalSyscall(msg *proto.Msg) {
-	from, tid, seq := msg.From, msg.TID, msg.Seq
-	reply := func(ret uint64) {
-		r := &proto.Msg{Kind: proto.KSyscallReply, From: 0, To: from, TID: tid, Seq: seq, Ret: ret}
-		if from == 0 {
-			m.handleCommon(r)
-			return
-		}
-		m.sendMsg(r)
-	}
-	switch outcome, ret := m.replay.Admit(tid, seq); outcome {
-	case proto.Replay:
-		reply(ret)
-		return
-	case proto.Suppress:
-		// In-flight or superseded: the live reply (if one is owed) is
-		// already on its way.
-		return
-	}
-	if msg.Num == abi.SysExit || msg.Num == abi.SysExitGroup {
-		// The thread is gone; its dedup state can go with it.
-		m.replay.Forget(tid)
-	}
-	m.os.Global(tid, msg.Num, msg.Args, func(ret uint64) {
-		if m.done {
-			return
-		}
-		m.replay.Complete(tid, seq, ret)
-		reply(ret)
-	})
-}
-
-// ---- dsm.Env ----
-
-func (m *master) SendContent(to int, page uint64, perm mem.Perm) {
-	if to == dsm.Master {
-		m.space.EnsurePage(page, perm)
-		m.space.SetPerm(page, perm)
-		m.contentArrived(page, perm)
-		m.wakeHelpers(page)
-		return
-	}
-	data := m.space.EnsurePage(page, m.space.PermOf(page))
-	m.sendMsg(&proto.Msg{
-		Kind: proto.KPageContent, From: 0, To: int32(to),
-		Page: page, Perm: uint8(perm), Data: append([]byte(nil), data...),
-	})
-}
-
-func (m *master) SendReaffirm(to int, page uint64, perm mem.Perm) {
-	if to == dsm.Master {
-		m.space.EnsurePage(page, perm)
-		m.space.SetPerm(page, perm)
-		m.contentArrived(page, perm)
-		m.wakeHelpers(page)
-		return
-	}
-	m.sendMsg(&proto.Msg{Kind: proto.KPageContent, From: 0, To: int32(to), Page: page, Perm: uint8(perm)})
-}
-
-func (m *master) SendInvalidate(to int, page uint64) {
-	m.sendMsg(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: int32(to), Page: page})
-}
-
-func (m *master) SendFetch(owner int, page uint64, invalidate bool) {
-	m.sendMsg(&proto.Msg{Kind: proto.KFetch, From: 0, To: int32(owner), Page: page, Write: invalidate})
-}
-
-func (m *master) SendRetry(to int, page uint64, tid int64) {
-	if to == dsm.Master {
-		m.retryArrived(page)
-		m.wakeHelpers(page)
-		return
-	}
-	m.sendMsg(&proto.Msg{Kind: proto.KRetry, From: 0, To: int32(to), Page: page, TID: tid})
-}
-
-func (m *master) HomeWriteback(page uint64, data []byte) {
-	m.space.InstallPage(page, data, mem.PermNone)
-	// The written-back copy carries another node's modifications: any
-	// reservation or cached translation of the old bytes is stale.
-	m.llsc.InvalidatePage(page, m.space.PageSize())
-	m.engine.InvalidatePage(page)
-}
-
-func (m *master) HomeSetPerm(page uint64, perm mem.Perm) {
-	m.space.SetPerm(page, perm)
-	if perm == mem.PermNone {
-		// Losing the page to a remote writer: its code may change under us.
-		m.llsc.InvalidatePage(page, m.space.PageSize())
-		m.engine.InvalidatePage(page)
-	}
-}
-
-func (m *master) BroadcastRemap(orig uint64, shadows []uint64) {
-	if err := m.space.AddRemap(orig, shadows); err != nil {
-		m.fail(err)
-		return
-	}
-	m.llsc.InvalidatePage(orig, m.space.PageSize())
-	for id := 1; id < m.nodes; id++ {
-		m.sendMsg(&proto.Msg{Kind: proto.KRemap, From: 0, To: int32(id), Page: orig, Shadows: shadows})
-	}
-}
-
-func (m *master) PushPage(to int, page uint64) {
-	data := m.space.EnsurePage(page, m.space.PermOf(page))
-	m.sendMsg(&proto.Msg{
-		Kind: proto.KPush, From: 0, To: int32(to),
-		Page: page, Data: append([]byte(nil), data...),
-	})
-}
-
-func (m *master) SplitHome(orig uint64, shadows []uint64) {
-	ps := m.space.PageSize()
-	src := append([]byte(nil), m.space.EnsurePage(orig, m.space.PermOf(orig))...)
-	part := ps / len(shadows)
-	for i, sh := range shadows {
-		buf := make([]byte, ps)
-		copy(buf[i*part:(i+1)*part], src[i*part:(i+1)*part])
-		m.space.InstallPage(sh, buf, mem.PermNone)
-	}
-}
-
-// ---- guestos.Host ----
-
-const helperStep = 256
-
-func (m *master) ensurePages(addr uint64, ln int, write bool, done func()) {
-	if ln <= 0 {
-		done()
-		return
-	}
-	need := mem.PermRead
-	if write {
-		need = mem.PermReadWrite
-	}
-	var attempt func()
-	attempt = func() {
-		if m.done {
-			return
-		}
-		check := func(ba uint64) bool {
-			page := m.space.PageOf(ba)
-			if m.space.PermOf(page) >= need {
-				return true
-			}
-			m.helperWait[page] = append(m.helperWait[page], attempt)
-			m.requestPage(page, ba, write, -1)
-			return false
-		}
-		for off := 0; off < ln; off += helperStep {
-			if !check(m.space.Translate(addr + uint64(off))) {
+		if m != nil {
+			select {
+			case l.inbox <- m:
+			case <-l.quit:
 				return
 			}
 		}
-		if !check(m.space.Translate(addr + uint64(ln-1))) {
+		if err != nil {
 			return
 		}
-		done()
-	}
-	attempt()
-}
-
-func (m *master) wakeHelpers(page uint64) {
-	waiters := m.helperWait[page]
-	if len(waiters) == 0 {
-		return
-	}
-	delete(m.helperWait, page)
-	for _, w := range waiters {
-		w()
 	}
 }
-
-func (m *master) ReadGuest(addr uint64, n int, cb func([]byte, error)) {
-	m.ensurePages(addr, n, false, func() {
-		buf := make([]byte, n)
-		if err := m.space.ReadBytes(addr, buf); err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(buf, nil)
-	})
-}
-
-func (m *master) WriteGuest(addr uint64, data []byte, cb func(error)) {
-	m.ensurePages(addr, len(data), true, func() {
-		cb(m.space.WriteBytes(addr, data))
-	})
-}
-
-func (m *master) StartThread(tid int64, fn, arg, stackTop uint64, hint int64) {
-	cpu := &tcg.CPU{PC: m.trampoline(), TID: tid, HintGroup: hint}
-	cpu.X[10] = fn
-	cpu.X[11] = arg
-	cpu.X[2] = stackTop
-	target := m.placeThread(hint)
-	if target == 0 {
-		m.addThread(cpu)
-		return
-	}
-	m.sendMsg(&proto.Msg{
-		Kind: proto.KThreadStart, From: 0, To: int32(target),
-		TID: tid, CPU: proto.EncodeCPU(cpu),
-	})
-}
-
-func (m *master) trampoline() uint64 {
-	// The image symbol lookup happens once; cache on first use.
-	if m.trampolinePC == 0 {
-		m.trampolinePC = 1 // sentinel for "looked up, missing"
-		if pc, ok := m.im.Symbol("__thread_start"); ok {
-			m.trampolinePC = pc
-		}
-	}
-	return m.trampolinePC
-}
-
-func (m *master) placeThread(hint int64) int {
-	if m.cfg.Slaves == 0 {
-		return 0
-	}
-	if m.cfg.HintSched && hint != 0 {
-		if node, ok := m.groupNode[hint]; ok {
-			return node
-		}
-		node := 1 + m.nextRR%m.cfg.Slaves
-		m.nextRR++
-		m.groupNode[hint] = node
-		return node
-	}
-	node := 1 + m.nextRR%m.cfg.Slaves
-	m.nextRR++
-	return node
-}
-
-func (m *master) Shutdown(code int64) {
-	if m.done {
-		return
-	}
-	m.exitCode = code
-	for id := 1; id < m.nodes; id++ {
-		m.sendMsg(&proto.Msg{Kind: proto.KShutdown, From: 0, To: int32(id), Num: code})
-	}
-	m.done = true
-}
-
-func (m *master) ConsoleWrite(fd int64, data []byte) {
-	m.console.Write(data)
-	if m.cfg.Stdout != nil {
-		m.cfg.Stdout.Write(data)
-	}
-}
-
-func (m *master) NowNs() int64 { return m.nowNs() }

@@ -5,58 +5,49 @@ import (
 	"net"
 	"time"
 
+	"dqemu/internal/core"
 	"dqemu/internal/image"
 	"dqemu/internal/proto"
 )
 
-// RunSlave connects to a live master, receives its node id and the guest
-// image, and serves as a cluster node until the master shuts the run down.
-func RunSlave(addr string) error {
+// RunSlave connects to a live master, receives its node id, configuration
+// and the guest image, and serves as a cluster node until the master shuts
+// the run down. It returns what its node executed, so whoever started the
+// slaves can account for the whole cluster.
+func RunSlave(addr string) (none core.NodeStats, err error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("live: dial master: %w", err)
+		return none, fmt.Errorf("live: dial master: %w", err)
 	}
 	defer conn.Close()
 
 	init, err := proto.ReadMsg(conn)
 	if err != nil {
-		return fmt.Errorf("live: handshake: %w", err)
+		return none, fmt.Errorf("live: handshake: %w", err)
 	}
 	if init.Kind != proto.KInit {
-		return fmt.Errorf("live: expected init, got %v", init.Kind)
+		return none, fmt.Errorf("live: expected init, got %v", init.Kind)
 	}
 	im, err := image.Decode(init.Data)
 	if err != nil {
-		return fmt.Errorf("live: decoding image: %w", err)
+		return none, fmt.Errorf("live: decoding image: %w", err)
 	}
-	id := int(init.Num)
-	nodes := int(init.Args[0])
-	cores := int(init.Args[1])
+	cfg, id := core.ConfigFromInit(init)
+	l := newLoop(id, nil)
+	l.filter = newRetransmitter(l)
+	if l.cl, err = core.NewLocal(im, cfg, id, l); err != nil {
+		return none, fmt.Errorf("live: init: %w", err)
+	}
 	if err := proto.WriteMsg(conn, &proto.Msg{Kind: proto.KInitAck, From: int32(id)}); err != nil {
-		return fmt.Errorf("live: ack: %w", err)
+		return none, fmt.Errorf("live: ack: %w", err)
 	}
 
-	n := newNodeCore(id, nodes, cores, im)
 	out := newSender(conn, time.Time{})
-	n.send = out.send
+	l.out = out.send
+	// Master gone: treat like a shutdown so the loop exits.
+	go readFrames(conn, l, 0, &proto.Msg{Kind: proto.KShutdown, To: int32(id)})
 
-	go func() {
-		for {
-			msg, err := proto.ReadMsg(conn)
-			if err != nil {
-				// Master gone: treat like a shutdown so the loop exits.
-				n.inbox <- &proto.Msg{Kind: proto.KShutdown}
-				return
-			}
-			n.inbox <- msg
-		}
-	}()
-
-	n.loop(func(m *proto.Msg) {
-		if !n.handleCommon(m) {
-			n.fail(fmt.Errorf("live: slave %d: unexpected message %v", id, m.Kind))
-		}
-	})
+	err = l.run()
 	out.close()
-	return n.err
+	return l.cl.Result().Nodes[0], err
 }

@@ -80,5 +80,16 @@ func (c *ReplayCache) Complete(tid int64, seq uint64, ret uint64) {
 	e.done, e.ret = true, ret
 }
 
+// Executing returns the sequence number of the thread's request that was
+// admitted for execution and has not completed — the one the next reply to
+// the thread answers.
+func (c *ReplayCache) Executing(tid int64) (seq uint64, ok bool) {
+	e := c.byTID[tid]
+	if e == nil || e.done {
+		return 0, false
+	}
+	return e.seq, true
+}
+
 // Forget drops a thread's state (thread exit).
 func (c *ReplayCache) Forget(tid int64) { delete(c.byTID, tid) }

@@ -26,15 +26,33 @@ type RunSpec struct {
 	Splitting  bool
 	HintSched  bool
 
-	// Metrics asks for the observability snapshot (sim backend only).
+	// Metrics asks for the observability snapshot. On the live backend it
+	// covers what the master process sees: the directory-side fault phases
+	// for every node, everything else for node 0.
 	Metrics bool
+}
+
+// coreConfig is the one mapping from a job to a cluster configuration; both
+// backends run what it returns.
+func (spec *RunSpec) coreConfig(cancel <-chan struct{}) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Slaves = spec.Slaves
+	if spec.Cores > 0 {
+		cfg.Cores = spec.Cores
+	}
+	cfg.Forwarding = spec.Forwarding
+	cfg.Splitting = spec.Splitting
+	cfg.HintSched = spec.HintSched
+	cfg.Metrics = spec.Metrics
+	cfg.Cancel = cancel
+	return cfg
 }
 
 // RunOutcome is what a backend reports for a finished guest.
 type RunOutcome struct {
 	ExitCode   int64
 	Console    string
-	GuestInsns uint64 // billed against the tenant's instruction budget
+	GuestInsns uint64 // cluster-wide; billed against the tenant's instruction budget
 	TimeNs     int64  // guest virtual time (sim backend only)
 	Metrics    *metrics.Snapshot
 }
@@ -62,16 +80,7 @@ type SimBackend struct {
 func (b *SimBackend) Name() string { return "sim" }
 
 func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
-	cfg := core.DefaultConfig()
-	cfg.Slaves = spec.Slaves
-	if spec.Cores > 0 {
-		cfg.Cores = spec.Cores
-	}
-	cfg.Forwarding = spec.Forwarding
-	cfg.Splitting = spec.Splitting
-	cfg.HintSched = spec.HintSched
-	cfg.Metrics = spec.Metrics
-	cfg.Cancel = cancel
+	cfg := spec.coreConfig(cancel)
 	if b.MaxVirtualNs > 0 {
 		cfg.MaxTimeNs = b.MaxVirtualNs
 	}
@@ -103,9 +112,10 @@ func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, err
 
 // LiveBackend spawns a real-socket cluster per job: a master listening on
 // loopback plus spec.Slaves slave loops, each node a genuinely concurrent
-// event loop exchanging length-prefixed frames over TCP. It exists to keep
-// the service honest against the hardened transport — the same BootError /
-// backpressure / cancellation semantics a multi-machine deployment sees.
+// event loop running the same protocol engine as SimBackend and exchanging
+// length-prefixed frames over TCP. It exists to keep the service honest
+// against the hardened transport — the same BootError / backpressure /
+// cancellation semantics a multi-machine deployment sees.
 type LiveBackend struct {
 	// Timeout bounds each live run (live.Config.Timeout; default 2 min).
 	Timeout time.Duration
@@ -120,20 +130,23 @@ func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, er
 	}
 	defer ln.Close()
 	addr := ln.Addr().String()
-	slaveErr := make(chan error, spec.Slaves)
+	type slaveEnd struct {
+		stats core.NodeStats
+		err   error
+	}
+	slaves := make(chan slaveEnd, spec.Slaves)
 	for i := 0; i < spec.Slaves; i++ {
-		go func() { slaveErr <- live.RunSlave(addr) }()
+		go func() {
+			stats, err := live.RunSlave(addr)
+			slaves <- slaveEnd{stats, err}
+		}()
 	}
-	cfg := live.Config{
-		Slaves:     spec.Slaves,
-		Cores:      spec.Cores,
-		Forwarding: spec.Forwarding,
-		Splitting:  spec.Splitting,
-		HintSched:  spec.HintSched,
-		Timeout:    b.Timeout,
-		Cancel:     cancel,
-		Files:      spec.Files,
-	}
+	cfg := live.Config{Core: spec.coreConfig(cancel), Timeout: b.Timeout, Files: spec.Files}
+	// The wire layer stays off: the frames are then, byte for byte, the
+	// full-page framing live jobs have always sent. Turning it on trades
+	// bytes for allocations and has to pay for itself on the live_tcp
+	// benchmark first.
+	cfg.Core.NoDelta, cfg.Core.NoCoalesce = true, true
 	// The master's node loop honors cancel, but the boot (accept/handshake)
 	// is bounded only by cfg.Timeout; closing the listener turns a cancel
 	// during boot into an immediate BootError.
@@ -151,10 +164,12 @@ func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, er
 	// un-accepted connections parked in the accept backlog, and their
 	// handshake reads only fail once the listening socket is gone.
 	ln.Close()
+	var insns uint64
 	for i := 0; i < spec.Slaves; i++ {
-		serr := <-slaveErr
-		if serr != nil && err == nil {
-			err = fmt.Errorf("live backend: slave: %w", serr)
+		s := <-slaves
+		insns += s.stats.Engine.ExecInsns
+		if s.err != nil && err == nil {
+			err = fmt.Errorf("live backend: slave: %w", s.err)
 		}
 	}
 	if err != nil {
@@ -163,9 +178,12 @@ func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, er
 		}
 		return nil, err
 	}
+	// The slaves are goroutines of this process, so the bill covers the
+	// whole cluster: node 0 from the master's result, the rest from theirs.
 	return &RunOutcome{
 		ExitCode:   res.ExitCode,
 		Console:    res.Console,
-		GuestInsns: res.MasterInsns,
+		GuestInsns: insns + res.Nodes[0].Engine.ExecInsns,
+		Metrics:    res.Metrics,
 	}, nil
 }

@@ -58,7 +58,7 @@ type JobRequest struct {
 	// default). Expiry cancels the job.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 
-	// Metrics asks the sim backend for the observability snapshot the bench
+	// Metrics asks the backend for the observability snapshot the bench
 	// suite emits (fault-latency histograms, page heat, contention).
 	Metrics bool `json:"metrics,omitempty"`
 }

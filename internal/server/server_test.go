@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dqemu/internal/core"
 )
 
 // testClient drives the real HTTP surface, as tenants would.
@@ -451,22 +453,57 @@ func TestCrashIsolation(t *testing.T) {
 	}
 }
 
-// TestLiveBackendJob runs one job on a real-socket per-job cluster.
+// TestLiveBackendJob runs one job on a real-socket per-job cluster and
+// checks what the merged engine gives live jobs: a metrics snapshot when
+// asked for one — with the master-side fault phases populated, since the
+// worker's page requests all pass through the master's directory — and a
+// bill that covers the whole cluster. Nearly every instruction of this guest
+// retires on the slave, so a master-only count would be a small fraction of
+// what the same job costs on the sim backend.
 func TestLiveBackendJob(t *testing.T) {
 	_, ts := startServer(t, Options{Workers: 2})
 	c := &testClient{t: t, base: ts.URL, tenant: "alice"}
-	st := c.submit(&JobRequest{
-		Source:  countingSource(42),
-		Backend: "live",
-		Slaves:  1,
-	}, http.StatusAccepted)
-	fin := c.wait(st.ID)
-	if fin.State != StateSucceeded {
-		t.Fatalf("live job: %s (%s)", fin.State, fin.Error)
+	const src = `
+long cells[1024];
+long worker(long a) {
+	long s = 0;
+	for (long i = 0; i < 200000; i++) { cells[i & 1023] += i; s += cells[(i * 7) & 1023]; }
+	return s;
+}
+long main() {
+	thread_join(thread_create((long)worker, 0));
+	print_str("job ");
+	print_long(cells[5]);
+	print_char('\n');
+	return 0;
+}`
+	run := func(backend string) (JobStatus, JobResult) {
+		st := c.submit(&JobRequest{Source: src, Backend: backend, Slaves: 1, Metrics: true}, http.StatusAccepted)
+		fin := c.wait(st.ID)
+		if fin.State != StateSucceeded {
+			t.Fatalf("%s job: %s (%s)", backend, fin.State, fin.Error)
+		}
+		return fin, c.result(st.ID)
 	}
-	res := c.result(st.ID)
-	if res.Console != "job 42\n" {
-		t.Errorf("live console = %q", res.Console)
+	simFin, simRes := run("sim")
+	liveFin, liveRes := run("live")
+	if liveRes.Console != simRes.Console || liveRes.Console == "" {
+		t.Errorf("live console = %q, sim console = %q", liveRes.Console, simRes.Console)
+	}
+	if liveFin.GuestInsns < simFin.GuestInsns*9/10 {
+		t.Errorf("live job billed %d insns, the sim backend %d: the slave's share is missing",
+			liveFin.GuestInsns, simFin.GuestInsns)
+	}
+	if liveFin.TimeNs != 0 {
+		t.Errorf("live job reports %d ns of virtual time; it has no virtual clock", liveFin.TimeNs)
+	}
+	if liveRes.Metrics == nil {
+		t.Fatal("live job with metrics:true returned no snapshot")
+	}
+	for _, name := range []string{core.MetricFaultDirWait, core.MetricFaultE2E} {
+		if liveRes.Metrics.Histograms[name].Count == 0 {
+			t.Errorf("live snapshot: histogram %s is empty", name)
+		}
 	}
 }
 

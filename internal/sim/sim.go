@@ -70,6 +70,11 @@ func (k *Kernel) PostAt(t int64, fn func()) {
 // Pending returns the number of queued events.
 func (k *Kernel) Pending() int { return len(k.queue) }
 
+// NextAt returns the time of the earliest queued event. It must not be
+// called with nothing Pending. A wall-clock driver (internal/live) uses the
+// kernel as its timer heap and fires events as their time comes.
+func (k *Kernel) NextAt() int64 { return k.queue[0].at }
+
 // Step runs the next event. It returns false when the queue is empty or the
 // kernel is stopped.
 func (k *Kernel) Step() bool {
