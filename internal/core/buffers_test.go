@@ -1,0 +1,202 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"dqemu/internal/image"
+	"dqemu/internal/netsim"
+	"dqemu/internal/proto"
+	"dqemu/internal/workloads"
+)
+
+// sentMsg is a message as it looked when it was handed to Runtime.Send.
+type sentMsg struct {
+	m              *proto.Msg
+	data, san, cpu [sha256.Size]byte
+}
+
+func hashSent(m *proto.Msg) sentMsg {
+	return sentMsg{m: m, data: sha256.Sum256(m.Data), san: sha256.Sum256(m.San), cpu: sha256.Sum256(m.CPU)}
+}
+
+// recordingRuntime hashes every buffer a message carries as it is sent.
+type recordingRuntime struct {
+	Runtime
+	sent []sentMsg
+}
+
+func (r *recordingRuntime) Send(m *proto.Msg) {
+	r.sent = append(r.sent, hashSent(m))
+	r.Runtime.Send(m)
+}
+
+// TestAliasSentBuffersImmutable pins the rule that makes reusing page, twin,
+// snapshot and scratch buffers safe (wire.go): whatever was
+// handed to Runtime.Send never changes afterwards. The reliable transport
+// keeps it for retransmission and, under the simulator, the receiver reads
+// the sender's very bytes, so a reused buffer that had leaked into a message
+// would corrupt a later delivery. Every buffer of every message is hashed at
+// Send and again after the run.
+func TestAliasSentBuffersImmutable(t *testing.T) {
+	canneal, err := workloads.Canneal(4, 256, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dedup, err := workloads.Dedup(1, 2, 1, 12, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := &netsim.FaultPlan{Seed: 7, DropRate: 0.05, DupRate: 0.10, ReorderRate: 0.10, JitterNs: 50_000}
+	for _, tc := range []struct {
+		name   string
+		im     *image.Image
+		slaves int
+		faults *netsim.FaultPlan
+		// Without deltas whole pages travel, copied out of mem.Space; with
+		// the layer off altogether they travel in the legacy framing.
+		noDelta, noCoalesce bool
+	}{
+		{"canneal", canneal, 4, nil, false, false},
+		{"dedup", dedup, 2, nil, false, false},
+		{"canneal under faults", canneal, 4, faults, false, false},
+		{"canneal, deltas off", canneal, 4, nil, true, false},
+		{"canneal, wire layer off", canneal, 4, nil, true, true},
+	} {
+		cfg := DefaultConfig()
+		cfg.Slaves = tc.slaves
+		cfg.Forwarding = true
+		cfg.Splitting = true
+		cfg.Faults = tc.faults
+		cfg.NoDelta, cfg.NoCoalesce = tc.noDelta, tc.noCoalesce
+		c, err := NewCluster(tc.im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingRuntime{Runtime: c.rt}
+		c.rt = rec
+		res, err := c.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.ExitCode != 0 {
+			t.Fatalf("%s: exit %d, console %q", tc.name, res.ExitCode, res.Console)
+		}
+		if !tc.noDelta && res.Wire.DeltaPages == 0 {
+			t.Errorf("%s: no diffed transfer, so no buffer was rewritten in place", tc.name)
+		}
+		if tc.faults != nil && res.Rel.Retransmits == 0 {
+			t.Errorf("%s: no retransmission happened", tc.name)
+		}
+		for i, s := range rec.sent {
+			if now := hashSent(s.m); now != s {
+				t.Fatalf("%s: message %d of %d (%v, node %d -> %d, page %#x) changed after it was sent",
+					tc.name, i, len(rec.sent), s.m.Kind, s.m.From, s.m.To, s.m.Page)
+			}
+		}
+	}
+}
+
+// pingPongSrc is two threads in strict alternation on one page: every
+// handoff moves the page's write ownership from one slave to the other (a
+// fetch reply to the master, a grant to the next writer, a read copy for the
+// spinning loser).
+func pingPongSrc(rounds int) string {
+	return fmt.Sprintf(`
+long counter;
+long turn;
+long worker(long idx) {
+	for (long i = 0; i < %d; i++) {
+		while (turn != idx) { }
+		counter += 1;
+		turn = 1 - idx;
+	}
+	return 0;
+}
+long main() {
+	long tids[2];
+	for (long i = 0; i < 2; i++) tids[i] = thread_create((long)worker, i);
+	for (long i = 0; i < 2; i++) thread_join(tids[i]);
+	print_long(counter);
+	print_char('\n');
+	return 0;
+}`, rounds)
+}
+
+// TestAllocPerPageTransfer pins the buffer discipline end to end: once the
+// page, its twins and its snapshots exist, moving it between nodes allocates
+// no page-sized buffer. Two runs that differ only in how long they ping-pong
+// the same page differ, per extra page payload, by well under a page of
+// allocation (messages, encodings and scheduler closures remain). Before
+// buffers were rewritten in place the figure was three and a half pages.
+func TestAllocPerPageTransfer(t *testing.T) {
+	run := func(rounds int) (allocated, payloads uint64) {
+		im := build(t, pingPongSrc(rounds))
+		cfg := DefaultConfig()
+		cfg.Slaves = 2
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(im, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%d\n", 2*rounds); res.Console != want {
+			t.Fatalf("console %q, want %q", res.Console, want)
+		}
+		w := res.Wire
+		return after.TotalAlloc - before.TotalAlloc, w.SamePages + w.DeltaPages + w.RLEPages + w.FullPages
+	}
+	shortBytes, shortPayloads := run(50)
+	longBytes, longPayloads := run(250)
+	extra := longPayloads - shortPayloads
+	if extra < 3*2*200 {
+		t.Fatalf("200 more rounds moved only %d more page payloads: not a ping-pong", extra)
+	}
+	perPayload := float64(longBytes-shortBytes) / float64(extra)
+	t.Logf("%.0f bytes allocated per extra page payload (%d of them)", perPayload, extra)
+	if raceEnabled {
+		return // the detector's own bookkeeping allocates
+	}
+	if limit := float64(DefaultConfig().PageSize) / 2; perPayload > limit {
+		t.Errorf("%.0f bytes allocated per extra page payload, want under %.0f (half a page)", perPayload, limit)
+	}
+}
+
+// TestAllocRecycledBuffersNotResident: a page a node gave up must not show
+// in what the invariant checkers read, although its buffer is kept for reuse
+// and its twin is kept for the next diff.
+func TestAllocRecycledBuffersNotResident(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Slaves = 2
+	c, err := NewCluster(build(t, pingPongSrc(20)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ins := c.Inspect()
+	dropped := 0
+	for _, n := range c.nodes[1:] {
+		for page, tw := range n.twins {
+			if tw.ver == 0 {
+				t.Errorf("node %d: twin of page %#x left without a version", n.id, page)
+			}
+			if n.space.PageData(page) == nil {
+				dropped++
+				if _, listed := ins.NodePerms[n.id][page]; listed {
+					t.Errorf("node %d: dropped page %#x listed as resident", n.id, page)
+				}
+			}
+		}
+		if got := len(ins.NodePerms[n.id]); got != n.space.ResidentPages() {
+			t.Errorf("node %d: %d pages inspected, %d resident", n.id, got, n.space.ResidentPages())
+		}
+	}
+	if dropped == 0 {
+		t.Error("no slave gave up a page it had held: nothing was recycled")
+	}
+}

@@ -660,13 +660,11 @@ func (m *master) PushPage(to int, page uint64) {
 // each holding one part at the original in-page offset (§5.1, Fig. 4).
 func (m *master) SplitHome(orig uint64, shadows []uint64) {
 	m.node.trace(trace.EvSplit, -1, "page %#x -> %d shadows at %#x", orig, len(shadows), shadows[0])
-	ps := m.space.PageSize()
-	src := append([]byte(nil), m.space.EnsurePage(orig, m.space.PermOf(orig))...)
-	part := ps / len(shadows)
+	src := m.space.EnsurePage(orig, m.space.PermOf(orig))
+	part := len(src) / len(shadows)
 	for i, sh := range shadows {
-		buf := make([]byte, ps)
-		copy(buf[i*part:(i+1)*part], src[i*part:(i+1)*part])
-		m.space.InstallPage(sh, buf, mem.PermNone)
+		m.space.InstallPage(sh, nil, mem.PermNone)
+		copy(m.space.PageData(sh)[i*part:(i+1)*part], src[i*part:(i+1)*part])
 	}
 	if m.node.san != nil {
 		m.node.san.SplitPage(orig, shadows)

@@ -663,10 +663,14 @@ func (n *node) applyRemap(orig uint64, shadows []uint64, ver uint64) {
 	ps := n.space.PageSize()
 	part := ps / len(shadows)
 	for i, sh := range shadows {
-		buf := make([]byte, ps)
-		copy(buf[i*part:(i+1)*part], tw.data[i*part:(i+1)*part])
+		buf := tw.data // the retired original's buffer serves the first shadow
+		if i > 0 {
+			buf = make([]byte, ps)
+			copy(buf[i*part:(i+1)*part], tw.data[i*part:(i+1)*part])
+		}
 		n.twins[sh] = &pageTwin{ver: 1, data: buf}
 	}
+	clear(tw.data[part:])
 }
 
 func (n *node) onPush(m *proto.Msg) {

@@ -26,6 +26,17 @@ import (
 // idempotently. A receiver whose twin does not match simply discards it and
 // requests a full re-grant (proto.FlagFullResend); dsm.Request.Full turns
 // that into a content grant even where the directory would reaffirm.
+//
+// Buffers: a transfer rewrites buffers that already exist. A node keeps per
+// page the resident copy (mem.Space) and the twin; the master keeps the home
+// copy, a ring of at most wireSnapKeep snapshots per page, and one scratch
+// page. The rule that makes rewriting in place safe: a buffer handed to
+// Runtime.Send (Msg.Data, a payload Body, San) is immutable from then on —
+// netsim.Reliable keeps it for retransmission, and under the simulator the
+// receiver reads the very same bytes. So page, twin, snapshot and scratch
+// buffers are never sent (what is sent is a fresh copy or a fresh encoding),
+// and what materializeFetchReply returns may be the scratch page or the home
+// copy itself: nothing may keep it past Directory.OnFetchReply.
 
 // WireStats counts wire-layer activity (Result.Wire).
 type WireStats struct {
@@ -104,6 +115,8 @@ type masterWire struct {
 	order    []int32 // flush order for determinism (map iteration is not)
 	pendInv  map[int32]*invBuf
 
+	scratch []byte // one page: where a diffed fetch reply is decoded
+
 	stats *WireStats
 }
 
@@ -126,6 +139,7 @@ func newMasterWire(m *master) *masterWire {
 		grants:   map[int32]*grantBuf{},
 		pendPush: map[int32][]proto.PagePayload{},
 		pendInv:  map[int32]*invBuf{},
+		scratch:  make([]byte, cfg.PageSize),
 		stats:    &m.cl.wireStats,
 	}
 }
@@ -153,21 +167,28 @@ func (w *masterWire) versioned(page uint64) bool {
 	return ok
 }
 
-// snapshotHome retains data (a frozen copy of the home page at its current
-// version) so future grants to nodes with twins at that version can diff.
-func (w *masterWire) snapshotHome(page uint64, data []byte) {
+// snapshotHome freezes the home copy at its current version, so future
+// grants to nodes with twins at that version can diff. A full ring rewrites
+// its oldest snapshot (versions only grow, so that is the lowest).
+func (w *masterWire) snapshotHome(page uint64) {
 	v := w.homeVerOf(page)
 	ss := w.snaps[page]
-	for _, s := range ss {
-		if s.ver == v {
+	oldest := 0
+	for i := range ss {
+		if ss[i].ver == v {
 			return
 		}
+		if ss[i].ver < ss[oldest].ver {
+			oldest = i
+		}
 	}
-	ss = append(ss, wireSnap{ver: v, data: data})
-	if len(ss) > wireSnapKeep {
-		ss = ss[len(ss)-wireSnapKeep:]
+	home := w.m.space.EnsurePage(page, w.m.space.PermOf(page))
+	if len(ss) < wireSnapKeep {
+		w.snaps[page] = append(ss, wireSnap{ver: v, data: append([]byte(nil), home...)})
+		return
 	}
-	w.snaps[page] = ss
+	ss[oldest].ver = v
+	copy(ss[oldest].data, home)
 }
 
 func (w *masterWire) snapOf(page, ver uint64) []byte {
@@ -190,8 +211,7 @@ func (w *masterWire) openLocalEpoch(page uint64) {
 	if !w.delta {
 		return
 	}
-	data := append([]byte(nil), w.m.space.EnsurePage(page, w.m.space.PermOf(page))...)
-	w.snapshotHome(page, data)
+	w.snapshotHome(page)
 	w.lastVer[page]++
 	w.homeVer[page] = w.lastVer[page]
 }
@@ -519,6 +539,8 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 // materializeFetchReply decodes the owner's (possibly diffed) reply into
 // full page bytes against the still-intact home copy, retains the old home
 // content for future deltas, and advances the page to the reply's version.
+// data is only good until the next reply: it is the reply's own body, the
+// scratch page, or the home copy.
 func (w *masterWire) materializeFetchReply(from int32, msg *proto.Msg) (data, san []byte, err error) {
 	pls, derr := proto.DecodePayloads(msg.Data)
 	if derr != nil {
@@ -528,11 +550,10 @@ func (w *masterWire) materializeFetchReply(from int32, msg *proto.Msg) (data, sa
 		return nil, nil, fmt.Errorf("core: fetch reply with %d payloads", len(pls))
 	}
 	pl := pls[0]
-	ps := w.m.cl.cfg.PageSize
-	old := append([]byte(nil), w.m.space.EnsurePage(pl.Page, w.m.space.PermOf(pl.Page))...)
+	home := w.m.space.EnsurePage(pl.Page, w.m.space.PermOf(pl.Page))
 	switch pl.Enc {
 	case proto.EncFull:
-		if len(pl.Body) != ps {
+		if len(pl.Body) != len(home) {
 			return nil, nil, fmt.Errorf("core: fetch reply body %d bytes", len(pl.Body))
 		}
 		data = pl.Body
@@ -541,25 +562,25 @@ func (w *masterWire) materializeFetchReply(from int32, msg *proto.Msg) (data, sa
 			return nil, nil, fmt.Errorf("core: fetch reply diff for page %#x against version %d, home is %d",
 				pl.Page, pl.BaseVer, w.homeVerOf(pl.Page))
 		}
-		buf := append([]byte(nil), old...)
-		if aerr := proto.ApplyDelta(buf, pl.Body); aerr != nil {
+		copy(w.scratch, home)
+		if aerr := proto.ApplyDelta(w.scratch, pl.Body); aerr != nil {
 			return nil, nil, aerr
 		}
-		data = buf
+		data = w.scratch
 	case proto.EncRLE:
-		buf := make([]byte, ps)
-		if aerr := proto.ApplyDelta(buf, pl.Body); aerr != nil {
+		clear(w.scratch)
+		if aerr := proto.ApplyDelta(w.scratch, pl.Body); aerr != nil {
 			return nil, nil, aerr
 		}
-		data = buf
+		data = w.scratch
 	case proto.EncSame:
 		// The owner never materialized its grant (a resend is in flight):
 		// the home copy is still the authoritative content.
-		data = old
+		data = home
 	default:
 		return nil, nil, fmt.Errorf("core: fetch reply encoding %d", pl.Enc)
 	}
-	w.snapshotHome(pl.Page, old)
+	w.snapshotHome(pl.Page)
 	if pl.Ver != 0 {
 		w.homeVer[pl.Page] = pl.Ver
 		if pl.Ver > w.lastVer[pl.Page] {
@@ -578,20 +599,37 @@ func (w *masterWire) materializeFetchReply(from int32, msg *proto.Msg) (data, sa
 
 // ---- node-side receive paths ----
 
-// setTwin retains data (copied — InstallPage does not adopt the slice, but
-// the caller may) as the page's last coherent content.
+// setTwin makes data (copied; it may be the twin itself, fresh out of
+// materialize) the page's last coherent content, version ver.
 func (n *node) setTwin(page uint64, data []byte, ver uint64) {
 	if n.twins == nil || ver == 0 {
 		return
 	}
-	n.twins[page] = &pageTwin{ver: ver, data: append([]byte(nil), data...)}
+	tw := n.twin(page)
+	tw.ver = ver
+	copy(tw.data, data)
+}
+
+// twin returns the page's twin, made on first use with version 0, which
+// names no content. A node that keeps no twins gets a throwaway.
+func (n *node) twin(page uint64) *pageTwin {
+	tw := n.twins[page]
+	if tw == nil {
+		tw = &pageTwin{data: make([]byte, n.space.PageSize())}
+		if n.twins != nil {
+			n.twins[page] = tw
+		}
+	}
+	return tw
 }
 
 // materialize reconstructs full page bytes from a payload. ok=false means
 // the payload needed a twin this node no longer has (or has at the wrong
 // version) — the content cannot be recovered locally and the caller must
 // fall back to a full re-transfer. Deltas carry absolute words, so applying
-// a duplicated payload (ARQ retransmit) is idempotent.
+// a duplicated payload (ARQ retransmit) is idempotent. Every encoding but
+// EncFull is decoded onto the twin in place and returns the twin itself: the
+// caller installs it and then stamps it with setTwin.
 func (n *node) materialize(pl *proto.PagePayload) (data []byte, ok bool, err error) {
 	ps := n.space.PageSize()
 	switch pl.Enc {
@@ -601,27 +639,28 @@ func (n *node) materialize(pl *proto.PagePayload) (data []byte, ok bool, err err
 		}
 		return pl.Body, true, nil
 	case proto.EncRLE:
-		buf := make([]byte, ps)
-		if aerr := proto.ApplyDelta(buf, pl.Body); aerr != nil {
+		tw := n.twin(pl.Page)
+		tw.ver = 0 // neither the old content nor, until setTwin, the new
+		clear(tw.data)
+		if aerr := proto.ApplyDelta(tw.data, pl.Body); aerr != nil {
 			return nil, false, aerr
 		}
-		return buf, true, nil
+		return tw.data, true, nil
 	case proto.EncDelta:
 		tw := n.twins[pl.Page]
 		if tw == nil || tw.ver != pl.BaseVer {
 			return nil, false, nil
 		}
-		buf := append([]byte(nil), tw.data...)
-		if aerr := proto.ApplyDelta(buf, pl.Body); aerr != nil {
+		if aerr := proto.ApplyDelta(tw.data, pl.Body); aerr != nil {
 			return nil, false, aerr
 		}
-		return buf, true, nil
+		return tw.data, true, nil
 	case proto.EncSame:
 		tw := n.twins[pl.Page]
 		if tw == nil || tw.ver != pl.Ver {
 			return nil, false, nil
 		}
-		return append([]byte(nil), tw.data...), true, nil
+		return tw.data, true, nil
 	}
 	return nil, false, fmt.Errorf("node %d: unknown payload encoding %d", n.id, pl.Enc)
 }
@@ -742,11 +781,10 @@ func (n *node) onFetchDelta(m *proto.Msg) {
 		})
 		return
 	}
-	cur := append([]byte(nil), data...)
 	pl := proto.PagePayload{Page: m.Page, Ver: m.Ver}
 	encoded := false
 	if tw := n.twins[m.Page]; tw != nil {
-		if d, ok := proto.EncodeDelta(tw.data, cur, n.space.PageSize()/2); ok {
+		if d, ok := proto.EncodeDelta(tw.data, data, n.space.PageSize()/2); ok {
 			pl.Enc, pl.BaseVer, pl.Body = proto.EncDelta, tw.ver, d
 			encoded = true
 		} else {
@@ -754,11 +792,14 @@ func (n *node) onFetchDelta(m *proto.Msg) {
 		}
 	}
 	if !encoded {
-		pl.Enc, pl.Body = fullOrRLE(cur)
+		pl.Enc, pl.Body = fullOrRLE(data)
 	}
 	if n.san != nil {
 		pl.San = n.san.EncodePage(m.Page)
 	}
+	// The shipped content is now the coherent version m.Ver everywhere. The
+	// twin takes it from the live page, so before the page goes.
+	n.setTwin(m.Page, data, m.Ver)
 	if m.Write { // invalidate
 		n.space.DropPage(m.Page)
 		n.llsc.InvalidatePage(m.Page, n.space.PageSize())
@@ -769,8 +810,6 @@ func (n *node) onFetchDelta(m *proto.Msg) {
 	} else { // downgrade to shared
 		n.space.SetPerm(m.Page, mem.PermRead)
 	}
-	// The shipped content is now the coherent version m.Ver everywhere.
-	n.setTwin(m.Page, cur, m.Ver)
 	n.cl.wireStats.countPayload(&pl, n.space.PageSize())
 	n.cl.rt.Send(&proto.Msg{
 		Kind: proto.KFetchReply, From: int32(n.id), To: 0,

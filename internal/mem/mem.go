@@ -89,6 +89,11 @@ type Space struct {
 	shadowOf  map[uint64]uint64   // shadow page -> original page
 	epoch     uint64
 	tlb       [tlbSize]tlbEntry
+	// free holds the pages DropPage and AddRemap retired, for the next
+	// page this Space creates. Anything that still points into a retired
+	// buffer (tlb, AccelEntry, a translator's site TLB) carries the epoch
+	// from before the drop, and every reuse bumps it again.
+	free []*page
 
 	// Faults counts permission faults reported to the execution engine.
 	Faults uint64
@@ -169,8 +174,7 @@ func (s *Space) AddRemap(orig uint64, shadows []uint64) error {
 	for _, sh := range shadows {
 		s.shadowOf[sh] = orig
 	}
-	delete(s.pages, orig)
-	s.bumpEpoch()
+	s.DropPage(orig)
 	return nil
 }
 
@@ -188,15 +192,26 @@ func (s *Space) RemapCount() int { return len(s.remap) }
 func (s *Space) InstallPage(pageNo uint64, data []byte, perm Perm) {
 	p := s.pages[pageNo]
 	if p == nil {
-		p = &page{data: make([]byte, s.pageSize)}
-		s.pages[pageNo] = p
+		p = s.newPage(pageNo)
 	}
-	copy(p.data, data)
-	for i := len(data); i < s.pageSize; i++ {
-		p.data[i] = 0
-	}
+	n := copy(p.data, data)
+	clear(p.data[n:])
 	p.perm = perm
 	s.bumpEpoch()
+}
+
+// newPage makes pageNo resident on a retired buffer if there is one, whose
+// old content the caller must overwrite, and on a fresh zero one otherwise.
+func (s *Space) newPage(pageNo uint64) *page {
+	var p *page
+	if last := len(s.free) - 1; last >= 0 {
+		p, s.free[last] = s.free[last], nil
+		s.free = s.free[:last]
+	} else {
+		p = &page{data: make([]byte, s.pageSize)}
+	}
+	s.pages[pageNo] = p
+	return p
 }
 
 // EnsurePage creates a zero page with the given permission if absent and
@@ -204,16 +219,21 @@ func (s *Space) InstallPage(pageNo uint64, data []byte, perm Perm) {
 func (s *Space) EnsurePage(pageNo uint64, perm Perm) []byte {
 	p := s.pages[pageNo]
 	if p == nil {
-		p = &page{data: make([]byte, s.pageSize), perm: perm}
-		s.pages[pageNo] = p
+		p = s.newPage(pageNo)
+		clear(p.data)
+		p.perm = perm
 		s.bumpEpoch()
 	}
 	return p.data
 }
 
-// DropPage removes the local copy of a page (Invalid).
+// DropPage removes the local copy of a page (Invalid). Its buffer goes to
+// the next page this Space creates.
 func (s *Space) DropPage(pageNo uint64) {
-	delete(s.pages, pageNo)
+	if p := s.pages[pageNo]; p != nil {
+		delete(s.pages, pageNo)
+		s.free = append(s.free, p)
+	}
 	s.bumpEpoch()
 }
 
@@ -224,8 +244,8 @@ func (s *Space) DropPage(pageNo uint64) {
 func (s *Space) SetPerm(pageNo uint64, perm Perm) {
 	p := s.pages[pageNo]
 	if p == nil {
-		p = &page{data: make([]byte, s.pageSize)}
-		s.pages[pageNo] = p
+		s.EnsurePage(pageNo, perm)
+		return
 	}
 	p.perm = perm
 	s.bumpEpoch()

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 
 	"dqemu/internal/image"
@@ -126,5 +127,80 @@ func TestWriteBytesAppliesRemap(t *testing.T) {
 	buf := make([]byte, 1)
 	if err := s.ReadBytes(0x1000+1500, buf); err != nil || buf[0] != 0xAB {
 		t.Errorf("ReadBytes through remap: %v %v", buf, err)
+	}
+}
+
+// TestDroppedBufferReuse: DropPage keeps the buffer for the next page the
+// Space creates. The next page must not show the old one's bytes, whichever
+// call creates it; nothing cached from before the drop may be used; and the
+// kept buffer is not a resident page.
+func TestDroppedBufferReuse(t *testing.T) {
+	const ps = 256
+	dirty := bytes.Repeat([]byte{0xaa}, ps)
+	for name, create := range map[string]func(s *Space){
+		"InstallPage, short data": func(s *Space) { s.InstallPage(2, []byte{1, 2, 3}, PermReadWrite) },
+		"EnsurePage":              func(s *Space) { s.EnsurePage(2, PermReadWrite)[0] = 1 },
+		"SetPerm":                 func(s *Space) { s.SetPerm(2, PermReadWrite) },
+	} {
+		s := NewSpace(ps)
+		s.InstallPage(1, dirty, PermReadWrite)
+		var ent AccelEntry
+		if v, f := s.Load(ps, 1); f != nil || v != 0xaa || !s.AccelFill(&ent, 1, true) {
+			t.Fatalf("%s: set-up: load %#x fault %v", name, v, f)
+		}
+		old := s.PageData(1)
+		s.DropPage(1)
+		if s.ResidentPages() != 0 || s.PageData(1) != nil || s.PermOf(1) != PermNone {
+			t.Errorf("%s: dropped page still resident", name)
+		}
+		s.ForEachPage(func(no uint64, _ Perm) { t.Errorf("%s: dropped page %d visited", name, no) })
+		if _, f := s.Load(ps, 1); f == nil {
+			t.Errorf("%s: load from the dropped page did not fault", name)
+		}
+		create(s)
+		now := s.PageData(2)
+		if &now[0] != &old[0] {
+			t.Errorf("%s: the dropped buffer was not reused", name)
+		}
+		for i, b := range now[3:] {
+			if b != 0 {
+				t.Fatalf("%s: byte %d of the new page is %#x: old content shows", name, i+3, b)
+			}
+		}
+		if ent.Epoch == s.Epoch() {
+			t.Errorf("%s: an inline-TLB entry into the reused buffer is still current", name)
+		}
+		if _, f := s.Load(ps, 1); f == nil {
+			t.Errorf("%s: page 1 readable through page 2's buffer", name)
+		}
+		if v, f := s.Load(2*ps+1, 1); f != nil || (v != 0 && v != 2) {
+			t.Errorf("%s: load from the new page = %#x, fault %v", name, v, f)
+		}
+	}
+}
+
+func TestDropInstallCycleDoesNotAllocate(t *testing.T) {
+	s := NewSpace(0)
+	data := make([]byte, DefaultPageSize)
+	s.InstallPage(7, data, PermRead)
+	if n := testing.AllocsPerRun(100, func() {
+		s.DropPage(7)
+		s.InstallPage(7, data, PermRead)
+	}); n != 0 {
+		t.Errorf("DropPage+InstallPage allocates %v times per cycle, want 0", n)
+	}
+}
+
+// TestAddRemapRecyclesOriginal: the split page's buffer serves the next page
+// the Space creates, zeroed.
+func TestAddRemapRecyclesOriginal(t *testing.T) {
+	s := NewSpace(256)
+	s.InstallPage(1, bytes.Repeat([]byte{0xaa}, 256), PermReadWrite)
+	old := s.PageData(1)
+	if err := s.AddRemap(1, []uint64{0x100, 0x101}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.EnsurePage(0x100, PermRead); &got[0] != &old[0] || !bytes.Equal(got, make([]byte, 256)) {
+		t.Error("first shadow is not the original's buffer, zeroed")
 	}
 }

@@ -33,44 +33,52 @@ func EncodeDelta(base, cur []byte, limit int) ([]byte, bool) {
 	if base != nil && len(base) != len(cur) {
 		return nil, false
 	}
-	words := len(cur) / deltaWord
-	differs := func(w int) bool {
-		off := w * deltaWord
-		if base == nil {
-			for _, b := range cur[off : off+deltaWord] {
-				if b != 0 {
-					return true
-				}
-			}
-			return false
-		}
-		for i := 0; i < deltaWord; i++ {
-			if cur[off+i] != base[off+i] {
-				return true
-			}
-		}
-		return false
+	// A nil base is the zero page: masking every base word to zero spares
+	// the loops a branch.
+	mask := ^uint64(0)
+	if base == nil {
+		base, mask = cur, 0
 	}
-	var out []byte
-	for w := 0; w < words; {
-		if !differs(w) {
-			w++
+	// First pass: the size of the encoding. It only grows from run to run,
+	// so testing the total is testing after every run.
+	size, inRun := 0, false
+	for off := 0; off < len(cur); off += deltaWord {
+		d := wordDiffers(base, cur, off, mask)
+		if d {
+			size += deltaWord
+			if !inRun {
+				size += runHeader
+			}
+		}
+		inRun = d
+	}
+	if size == 0 {
+		return nil, true
+	}
+	if size > limit {
+		return nil, false
+	}
+	out := make([]byte, 0, size)
+	for off := 0; off < len(cur); off += deltaWord {
+		if !wordDiffers(base, cur, off, mask) {
 			continue
 		}
-		start := w
-		end := w + 1
-		for end < words && differs(end) {
-			end++
+		start := off
+		for off += deltaWord; off < len(cur) && wordDiffers(base, cur, off, mask); off += deltaWord {
 		}
-		out = binary.LittleEndian.AppendUint16(out, uint16(start))
-		out = binary.LittleEndian.AppendUint16(out, uint16(end-start))
-		out = append(out, cur[start*deltaWord:end*deltaWord]...)
-		if len(out) > limit {
-			return nil, false
-		}
-		w = end
+		out = binary.LittleEndian.AppendUint16(out, uint16(start/deltaWord))
+		out = binary.LittleEndian.AppendUint16(out, uint16((off-start)/deltaWord))
+		out = append(out, cur[start:off]...)
 	}
 	return out, true
+}
+
+// wordDiffers compares the words at byte offset off. The full slice
+// expressions let the compiler drop the loads' own bounds checks.
+func wordDiffers(base, cur []byte, off int, mask uint64) bool {
+	c := binary.LittleEndian.Uint64(cur[off : off+deltaWord : off+deltaWord])
+	b := binary.LittleEndian.Uint64(base[off : off+deltaWord : off+deltaWord])
+	return c != b&mask
 }
 
 // ApplyDelta patches dst in place with the encoded runs. Every run is

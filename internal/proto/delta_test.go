@@ -16,6 +16,123 @@ func refPage(seed int64, n int) []byte {
 	return b
 }
 
+// encodeDeltaRef is the byte-at-a-time encoder EncodeDelta replaced, kept as
+// the reference: every wire byte count and virtual-time figure depends on the
+// two producing identical output.
+func encodeDeltaRef(base, cur []byte, limit int) ([]byte, bool) {
+	if len(cur) == 0 || len(cur)%deltaWord != 0 || len(cur)/deltaWord > 0xffff {
+		return nil, false
+	}
+	if base != nil && len(base) != len(cur) {
+		return nil, false
+	}
+	words := len(cur) / deltaWord
+	differs := func(w int) bool {
+		off := w * deltaWord
+		if base == nil {
+			for _, b := range cur[off : off+deltaWord] {
+				if b != 0 {
+					return true
+				}
+			}
+			return false
+		}
+		for i := 0; i < deltaWord; i++ {
+			if cur[off+i] != base[off+i] {
+				return true
+			}
+		}
+		return false
+	}
+	var out []byte
+	for w := 0; w < words; {
+		if !differs(w) {
+			w++
+			continue
+		}
+		start := w
+		end := w + 1
+		for end < words && differs(end) {
+			end++
+		}
+		out = binary.LittleEndian.AppendUint16(out, uint16(start))
+		out = binary.LittleEndian.AppendUint16(out, uint16(end-start))
+		out = append(out, cur[start*deltaWord:end*deltaWord]...)
+		if len(out) > limit {
+			return nil, false
+		}
+		w = end
+	}
+	return out, true
+}
+
+// sameAsRef fails unless EncodeDelta and the reference agree on the bytes,
+// on ok, and on nil-ness of the output.
+func sameAsRef(t testing.TB, what string, base, cur []byte, limit int) {
+	t.Helper()
+	got, gotOK := EncodeDelta(base, cur, limit)
+	want, wantOK := encodeDeltaRef(base, cur, limit)
+	if gotOK != wantOK || !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+		t.Fatalf("%s, limit %d: EncodeDelta = (%d bytes, %v), reference = (%d bytes, %v)",
+			what, limit, len(got), gotOK, len(want), wantOK)
+	}
+}
+
+func TestEncodeDeltaMatchesReference(t *testing.T) {
+	const ps = 512
+	base := refPage(11, ps)
+	equal := append([]byte(nil), base...)
+	alternating := append([]byte(nil), base...)
+	for w := 0; w < ps/deltaWord; w += 2 {
+		alternating[w*deltaWord+w%deltaWord] ^= 0x80 // one byte, a different one each word
+	}
+	lastByte := append([]byte(nil), base...)
+	lastByte[ps-1] ^= 1
+	sparse := make([]byte, ps)
+	copy(sparse[40:], "sparse")
+	shapes := []struct {
+		what      string
+		base, cur []byte
+	}{
+		{"equal pages", base, equal},
+		{"alternating words", base, alternating},
+		{"last byte", base, lastByte},
+		{"every word", base, refPage(12, ps)},
+		{"nil base, sparse", nil, sparse},
+		{"nil base, zero page", nil, make([]byte, ps)},
+		{"nil base, dense", nil, base},
+		{"mismatched lengths", base[:ps-8], base},
+		{"not a multiple of 8", nil, base[:ps-3]},
+		{"both not a multiple of 8", base[:ps-3], equal[:ps-3]},
+		{"empty", nil, nil},
+	}
+	for _, s := range shapes {
+		// Every boundary the limit check can fall on, and both sides of it.
+		full, _ := encodeDeltaRef(s.base, s.cur, 1<<30)
+		for limit := -1; limit <= len(full)+1; limit++ {
+			sameAsRef(t, s.what, s.base, s.cur, limit)
+		}
+	}
+}
+
+func TestEncodeDeltaAllocs(t *testing.T) {
+	const ps = 4096
+	base := refPage(13, ps)
+	cur := append([]byte(nil), base...)
+	for i := 0; i < ps; i += 300 {
+		cur[i] ^= 0xff
+	}
+	for what, f := range map[string]func(){
+		"sparse diff": func() { EncodeDelta(base, cur, ps/2) },
+		"equal pages": func() { EncodeDelta(base, base, ps/2) },
+		"overflow":    func() { EncodeDelta(nil, base, ps/2) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n > 1 {
+			t.Errorf("%s: EncodeDelta allocates %v times, want at most 1", what, n)
+		}
+	}
+}
+
 func TestDeltaRoundtrip(t *testing.T) {
 	const ps = 4096
 	base := refPage(1, ps)

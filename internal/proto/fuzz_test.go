@@ -53,6 +53,8 @@ func FuzzDecode(f *testing.F) {
 //     a rejected delta leaves the destination untouched.
 //  3. Any delta that applies is idempotent — a retransmitted duplicate must
 //     not corrupt the page.
+//  4. EncodeDelta agrees byte for byte, and on ok, with the byte-wise
+//     reference encoder, for pages of any shape and at every limit.
 func FuzzDeltaCodec(f *testing.F) {
 	page := func(seed []byte, n int) []byte {
 		b := make([]byte, n)
@@ -93,6 +95,20 @@ func FuzzDeltaCodec(f *testing.F) {
 			if !bytes.Equal(got, cur) {
 				t.Fatal("RLE roundtrip != full-page copy")
 			}
+		}
+
+		// The fuzzer's bytes as pages of any length (refused unless a whole
+		// number of words and as long as the base), then at every limit.
+		anyLimit := len(seed) + len(delta)
+		sameAsRef(t, "nil base", nil, delta, anyLimit)
+		sameAsRef(t, "mismatched lengths", base, delta, anyLimit)
+		sameAsRef(t, "equal pages", cur, cur, anyLimit)
+		sparse := append([]byte(nil), base...)
+		copy(sparse[len(seed)%ps:], delta)
+		full, _ := encodeDeltaRef(base, sparse, 4*ps)
+		for limit := -1; limit <= len(full)+1; limit++ {
+			sameAsRef(t, "twin", base, sparse, limit)
+			sameAsRef(t, "zero base", nil, sparse, limit)
 		}
 
 		// Arbitrary deltas: no panic; rejection leaves dst untouched;

@@ -4,14 +4,12 @@
 // that lets the benchmark harness regenerate the paper's figures exactly.
 package sim
 
-import "container/heap"
-
 // Kernel is a discrete-event scheduler. The zero value is not usable; call
 // NewKernel.
 type Kernel struct {
 	now   int64
 	seq   uint64
-	queue eventHeap
+	queue []event
 	// Stopped reports whether Stop was called.
 	stopped bool
 }
@@ -22,23 +20,53 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the firing order: time, then posting order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// push and pop keep queue a binary min-heap under before. They work on
+// []event directly: container/heap would box every event in an interface.
+func (k *Kernel) push(e event) {
+	q := append(k.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	k.queue = q
+}
+
+func (k *Kernel) pop() event {
+	q := k.queue
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = event{} // release the popped slot's fn
+	q = q[:last]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < last && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < last && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	k.queue = q
+	return top
 }
 
 // NewKernel returns a kernel at time zero.
@@ -64,7 +92,7 @@ func (k *Kernel) PostAt(t int64, fn func()) {
 		t = k.now
 	}
 	k.seq++
-	heap.Push(&k.queue, event{at: t, seq: k.seq, fn: fn})
+	k.push(event{at: t, seq: k.seq, fn: fn})
 }
 
 // Pending returns the number of queued events.
@@ -81,7 +109,7 @@ func (k *Kernel) Step() bool {
 	if k.stopped || len(k.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.queue).(event)
+	e := k.pop()
 	k.now = e.at
 	e.fn()
 	return true

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"container/heap"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -134,5 +136,84 @@ func TestQuickMonotonicTime(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refHeap is the container/heap queue the kernel used before its own typed
+// heap, kept as the reference for the firing order.
+type refHeap []event
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].before(&h[j]) }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+// TestOrderMatchesContainerHeap replays a seeded schedule — bursts of posts,
+// many at the same instant, interleaved with steps — on the kernel and on the
+// reference queue, and wants the same event out of both at every step.
+func TestOrderMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	k := NewKernel()
+	var ref refHeap
+	var now int64
+	var seq uint64
+	fired := -1
+	for round := 0; round < 2000; round++ {
+		for n := rng.Intn(8); n > 0; n-- {
+			delay := int64(rng.Intn(4)) * 10 // four instants: ties are the rule
+			id := int(seq)
+			k.Post(delay, func() { fired = id })
+			seq++
+			heap.Push(&ref, event{at: now + delay, seq: seq})
+		}
+		for n := rng.Intn(8); n > 0 && k.Pending() > 0; n-- {
+			want := heap.Pop(&ref).(event)
+			if at := k.NextAt(); at != want.at {
+				t.Fatalf("round %d: next event at %d, reference says %d", round, at, want.at)
+			}
+			k.Step()
+			now = k.Now()
+			if uint64(fired)+1 != want.seq || now != want.at {
+				t.Fatalf("round %d: fired post #%d at %d, reference says #%d at %d",
+					round, fired, now, want.seq-1, want.at)
+			}
+		}
+	}
+	if k.Pending() != ref.Len() {
+		t.Fatalf("%d events pending, reference has %d", k.Pending(), ref.Len())
+	}
+}
+
+// TestPopReleasesClosure: a fired event's closure must not stay reachable
+// from the queue's backing array.
+func TestPopReleasesClosure(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 4; i++ {
+		k.Post(int64(i), func() {})
+	}
+	k.Run()
+	for i, e := range k.queue[:cap(k.queue)] {
+		if e.fn != nil {
+			t.Errorf("slot %d still holds a closure after the queue drained", i)
+		}
+	}
+}
+
+func TestPostStepDoesNotAllocate(t *testing.T) {
+	k := NewKernel()
+	nop := func() {}
+	for i := 0; i < 1024; i++ {
+		k.Post(int64(1+i), nop)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() { k.Post(int64(1+i&1023), nop); k.Step(); i++ }); n != 0 {
+		t.Errorf("Post+Step at depth 1024 allocates %v times per round, want 0", n)
 	}
 }
