@@ -1,16 +1,14 @@
-// Command dqemu-bench regenerates the tables and figures of the DQEMU paper
-// (ICPP '20) on the simulated cluster. Results are deterministic virtual
-// time; see EXPERIMENTS.md for the mapping to the paper's numbers.
+// Command dqemu-bench runs scenario specs (internal/scenario) on the
+// simulated cluster: the tables and figures of the DQEMU paper (ICPP '20)
+// under scenarios/paper, the regression suite under scenarios. Results are
+// deterministic virtual time; see EXPERIMENTS.md for the mapping to the
+// paper's numbers. The exit status is nonzero when any gate fails.
 //
 // Usage:
 //
-//	dqemu-bench [-exp fig5|fig6|table1|fig7|fig8|chaos|all] [-full] [-slaves N] [-q]
-//	dqemu-bench -exp chaos -seed N            # reproduce one fault plan
-//	dqemu-bench -exp chaos -runs 200          # longer battery
-//	dqemu-bench -exp chaos -broken noretry    # prove the suite catches a broken transport
-//	dqemu-bench -exp scenario -spec scenarios # run every checked-in scenario spec
-//	dqemu-bench -exp scenario -spec scenarios -smoke -json out.json
-//	dqemu-bench -exp adaptive -full -json BENCH_pr9.json  # feedback-scheduler gate
+//	dqemu-bench -spec scenarios/paper/fig5.json    # one figure
+//	dqemu-bench -spec scenarios/paper              # every paper spec
+//	dqemu-bench -spec scenarios -smoke -json out.json
 package main
 
 import (
@@ -19,290 +17,96 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
-	"strings"
 	"time"
 
-	"dqemu/internal/experiments"
 	"dqemu/internal/scenario"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig5, fig6, table1, fig7, fig8, singlenode, sanitizer, wire, chaos, scenario, adaptive, or all")
-	full := flag.Bool("full", false, "use inputs close to the paper's sizes (slow)")
-	slaves := flag.Int("slaves", 6, "maximum number of slave nodes to sweep")
-	quiet := flag.Bool("q", false, "suppress per-run progress")
-	jsonOut := flag.String("json", "", "write singlenode/sanitizer/wire/adaptive results as JSON to this file")
-	noSuper := flag.Bool("nosuperblock", false, "disable hot-trace superblocks (ablation)")
-	noJC := flag.Bool("nojumpcache", false, "disable the indirect-branch target cache (ablation)")
-	noT3 := flag.Bool("notier3", false, "disable closure compilation of hot superblocks (ablation)")
-	noPeep := flag.Bool("nopeephole", false, "disable mined peephole rules (ablation)")
-	verify := flag.Bool("verify", false, "singlenode/scenario: symbolically prove every superblock translation and structurally check every tier-3 compilation; any failure exits nonzero")
-	ablate := flag.Bool("ablate", false, "singlenode: run the tier ablation matrix (full ladder, -nopeephole, -notier3) in one invocation")
-	benchSel := flag.String("bench", "", "singlenode: run only this workload (pi, blackscholes, swaptions, x264)")
-	chromeTrace := flag.String("chrome-trace", "", "write a Chrome trace_event timeline of the first singlenode run to this file")
-	seed := flag.Int64("seed", 0, "chaos: run a single fault plan with this seed (0 = full battery)")
-	runs := flag.Int("runs", 50, "chaos: battery size when -seed is 0")
-	broken := flag.String("broken", "", "chaos: transport ablation to inject (noretry or nodedup)")
-	specPath := flag.String("spec", "", "scenario: spec file or directory of *.json specs (required for -exp scenario)")
-	smoke := flag.Bool("smoke", false, "scenario: divide scalable workload arguments down for a CI smoke run")
-	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile of the whole run to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && err != flag.ErrHelp {
+		fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it returns an error for bad usage, a scenario
+// that could not run, and any failed gate.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dqemu-bench", flag.ContinueOnError)
+	specPath := fs.String("spec", "", "spec file or directory of *.json specs (required)")
+	smoke := fs.Bool("smoke", false, "divide scalable workload arguments down for a CI smoke run")
+	verify := fs.Bool("verify", false, "symbolically prove every superblock translation and structurally check every tier-3 compilation; any failure is a failed gate")
+	jsonOut := fs.String("json", "", "write the report as JSON to this file")
+	quiet := fs.Bool("q", false, "suppress per-run progress")
+	cpuProf := fs.String("cpuprofile", "", "write a host CPU profile of the whole run to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if *specPath == "" {
+		return fmt.Errorf("-spec <file|dir> is required")
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := experiments.Options{MaxSlaves: *slaves, ChromeTrace: *chromeTrace, Bench: *benchSel}
-	if *full {
-		opts.Scale = experiments.Full
+	var specs []*scenario.Spec
+	st, err := os.Stat(*specPath)
+	if err != nil {
+		return err
+	}
+	if st.IsDir() {
+		specs, err = scenario.LoadDir(*specPath)
+	} else {
+		var s *scenario.Spec
+		s, err = scenario.Load(*specPath)
+		specs = []*scenario.Spec{s}
+	}
+	if err != nil {
+		return err
+	}
+	opts := scenario.Options{Verify: *verify}
+	if *smoke {
+		opts.Scale = scenario.Smoke
 	}
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}
-
-	selected := strings.Split(*exp, ",")
-	want := func(name string) bool {
-		for _, s := range selected {
-			if s == name || s == "all" {
-				return true
-			}
-		}
-		return false
+	start := time.Now()
+	rep, err := scenario.RunAll(specs, opts)
+	if err != nil {
+		return err
 	}
-
-	runOne := func(name string, f func() (printer, error)) {
-		if !want(name) {
-			return
-		}
-		start := time.Now()
-		p, err := f()
+	rep.Print(stdout)
+	if *jsonOut != "" {
+		f, err := os.Create(*jsonOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: %s: %v\n", name, err)
-			os.Exit(1)
+			return err
 		}
-		p.Print(os.Stdout)
-		fmt.Fprintf(os.Stderr, "[%s took %.1fs host time]\n\n", name, time.Since(start).Seconds())
-	}
-
-	if want("chaos") {
-		start := time.Now()
-		co := experiments.ChaosOptions{Options: opts, Runs: *runs, Broken: *broken}
-		if *seed != 0 {
-			co.Seed, co.Runs = *seed, 1
-		}
-		c, err := experiments.RunChaos(co)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		c.Print(os.Stdout)
-		fmt.Fprintf(os.Stderr, "[chaos took %.1fs host time]\n\n", time.Since(start).Seconds())
-		if c.Fails() > 0 {
-			os.Exit(1)
-		}
-	}
-	// scenario runs data-form specs (internal/scenario). Under -exp all it
-	// only runs when -spec names a file or directory; -exp scenario without
-	// -spec is an error.
-	explicitScenario := false
-	for _, s := range selected {
-		if s == "scenario" {
-			explicitScenario = true
-		}
-	}
-	if explicitScenario && *specPath == "" {
-		fmt.Fprintln(os.Stderr, "dqemu-bench: -exp scenario requires -spec <file|dir>")
-		os.Exit(2)
-	}
-	if want("scenario") && *specPath != "" {
-		start := time.Now()
-		var specs []*scenario.Spec
-		st, err := os.Stat(*specPath)
-		if err == nil && st.IsDir() {
-			specs, err = scenario.LoadDir(*specPath)
-		} else if err == nil {
-			var s *scenario.Spec
-			s, err = scenario.Load(*specPath)
-			specs = []*scenario.Spec{s}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: scenario: %v\n", err)
-			os.Exit(1)
-		}
-		so := scenario.Options{Verify: *verify}
-		if *smoke {
-			so.Scale = scenario.Smoke
-		}
-		if !*quiet {
-			so.Progress = os.Stderr
-		}
-		rep, err := scenario.RunAll(specs, so)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: scenario: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Print(os.Stdout)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
+		if err := rep.WriteJSON(f); err != nil {
 			f.Close()
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "[scenario took %.1fs host time]\n\n", time.Since(start).Seconds())
-		if rep.Fails() > 0 {
-			os.Exit(1)
-		}
-	}
-
-	runOne("fig5", func() (printer, error) { return experiments.RunFig5(opts) })
-	runOne("fig6", func() (printer, error) { return experiments.RunFig6(opts) })
-	runOne("table1", func() (printer, error) { return experiments.RunTable1(opts) })
-	runOne("fig7", func() (printer, error) { return experiments.RunFig7(opts) })
-	runOne("fig8", func() (printer, error) { return experiments.RunFig8(opts) })
-
-	if want("sanitizer") {
-		start := time.Now()
-		sr, err := experiments.RunSanitizer(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: sanitizer: %v\n", err)
-			os.Exit(1)
-		}
-		sr.Print(os.Stdout)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := sr.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		fmt.Fprintf(os.Stderr, "[sanitizer took %.1fs host time]\n\n", time.Since(start).Seconds())
-		if sr.Fails() > 0 {
-			os.Exit(1)
+		if err := f.Close(); err != nil {
+			return err
 		}
 	}
-
-	if want("adaptive") {
-		start := time.Now()
-		ar, err := experiments.RunAdaptive(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: adaptive: %v\n", err)
-			os.Exit(1)
-		}
-		ar.Print(os.Stdout)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := ar.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		fmt.Fprintf(os.Stderr, "[adaptive took %.1fs host time]\n\n", time.Since(start).Seconds())
-		if ar.Fails() > 0 {
-			os.Exit(1)
-		}
+	if !*quiet {
+		fmt.Fprintf(os.Stderr, "[%.1fs host time]\n", time.Since(start).Seconds())
 	}
-
-	if want("wire") {
-		start := time.Now()
-		wr, err := experiments.RunWire(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: wire: %v\n", err)
-			os.Exit(1)
-		}
-		wr.Print(os.Stdout)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := wr.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		fmt.Fprintf(os.Stderr, "[wire took %.1fs host time]\n\n", time.Since(start).Seconds())
-		if wr.Fails() > 0 {
-			os.Exit(1)
-		}
+	if n := rep.Fails(); n > 0 {
+		return fmt.Errorf("%d gate(s) failed", n)
 	}
-
-	if want("singlenode") {
-		start := time.Now()
-		var out interface {
-			Print(w io.Writer)
-			WriteJSON(w io.Writer) error
-			VerifyFails() uint64
-		}
-		if *ablate {
-			m, err := experiments.RunSingleNodeMatrix(opts, []experiments.TierConfig{
-				{Verify: *verify}, // full ladder
-				{NoPeephole: true, Verify: *verify},
-				{NoTier3: true, Verify: *verify},
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: singlenode: %v\n", err)
-				os.Exit(1)
-			}
-			out = m
-		} else {
-			sn, err := experiments.RunSingleNode(opts, experiments.TierConfig{
-				NoSuperblock: *noSuper, NoJumpCache: *noJC,
-				NoTier3: *noT3, NoPeephole: *noPeep, Verify: *verify,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: singlenode: %v\n", err)
-				os.Exit(1)
-			}
-			out = sn
-		}
-		out.Print(os.Stdout)
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := out.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "dqemu-bench: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		fmt.Fprintf(os.Stderr, "[singlenode took %.1fs host time]\n\n", time.Since(start).Seconds())
-		if *verify && out.VerifyFails() > 0 {
-			fmt.Fprintf(os.Stderr, "dqemu-bench: singlenode: %d translation-validation failures\n", out.VerifyFails())
-			os.Exit(1)
-		}
-	}
-}
-
-type printer interface {
-	Print(w io.Writer)
+	return nil
 }

@@ -3,9 +3,9 @@
 //
 // The mine -> prove -> apply workflow:
 //
-//  1. Mine: run the single-node suite with peephole rules disabled (or read
-//     an existing -profile JSON dump) and aggregate the execution-weighted
-//     uopseq.* n-gram counters.
+//  1. Mine: run the scenarios/singlenode-*.json specs with peephole rules
+//     disabled (or read an existing -profile JSON dump) and aggregate the
+//     execution-weighted uopseq.* n-gram counters. Run from the repo root.
 //  2. Select: a rule schema from the engine's catalog is a candidate when
 //     its trigger sequence actually occurs in the mined profile (weight >=
 //     -minweight). Schemas that never fire on real workloads stay out of
@@ -32,10 +32,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
-	"dqemu/internal/experiments"
+	"dqemu/internal/scenario"
 	"dqemu/internal/tcg"
 )
 
@@ -189,24 +190,33 @@ func mineRules(profilePath, outPath, mode string, trials int, seed int64, minWei
 	return os.WriteFile(outPath, []byte(b.String()), 0o644)
 }
 
-// mineFromSuite runs the single-node suite with peephole rules ablated off
+// mineFromSuite runs the single-node specs with peephole rules ablated off
 // (so the mined stream is the raw lowered form) and aggregates uopseq.*
 // counters across every row's metrics snapshot.
 func mineFromSuite() (map[string]uint64, error) {
-	sn, err := experiments.RunSingleNode(
-		experiments.Options{Progress: os.Stderr},
-		experiments.TierConfig{NoPeephole: true})
-	if err != nil {
-		return nil, err
+	paths, _ := filepath.Glob(filepath.Join("scenarios", "singlenode-*.json"))
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no scenarios/singlenode-*.json specs (run from the repo root)")
 	}
 	weights := map[string]uint64{}
-	for _, row := range sn.Rows {
-		if row.Metrics == nil {
-			continue
+	for _, p := range paths {
+		s, err := scenario.Load(p)
+		if err != nil {
+			return nil, err
 		}
-		for k, v := range row.Metrics.Counters {
-			if strings.HasPrefix(k, "uopseq.") {
-				weights[k] += v
+		s.Knobs.NoPeephole, s.Knobs.Metrics = true, true
+		rows, err := scenario.Run(s, scenario.Options{Progress: os.Stderr})
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range rows {
+			if row.ExitCode != 0 || row.Metrics == nil {
+				return nil, fmt.Errorf("%s: exit %d, metrics snapshot %v", p, row.ExitCode, row.Metrics != nil)
+			}
+			for k, v := range row.Metrics.Counters {
+				if strings.HasPrefix(k, "uopseq.") {
+					weights[k] += v
+				}
 			}
 		}
 	}
@@ -214,7 +224,7 @@ func mineFromSuite() (map[string]uint64, error) {
 }
 
 // mineFromDump walks an arbitrary JSON profile dump (a -profile metrics
-// snapshot, a singlenode -json file, or anything nesting them) and sums
+// snapshot, a dqemu-bench -json report, or anything nesting them) and sums
 // every numeric field keyed uopseq.*.
 func mineFromDump(path string) (map[string]uint64, error) {
 	text, err := os.ReadFile(path)

@@ -14,15 +14,17 @@ import (
 // internal/core stays in this set although internal/live runs its engine on
 // the wall clock: core reaches time only through core.Runtime, and the
 // wallclock rule is what keeps it that way.
-// internal/live (real sockets), internal/experiments (host-time overhead
-// measurement), internal/chaos (drives the sim from outside) and the
-// commands are exempt from the wallclock rule, not from the others.
+// internal/scenario is in it because every "exactly reproducible" figure
+// in EXPERIMENTS.md is a row it emits.
+// internal/live (real sockets), internal/chaos (drives the sim from
+// outside) and the commands are exempt from the wallclock rule, not from
+// the others.
 var deterministicDirs = []string{
 	"internal/abi", "internal/asm", "internal/core", "internal/dsm",
 	"internal/grt", "internal/guestos", "internal/image", "internal/isa",
 	"internal/mem", "internal/minicc", "internal/netsim", "internal/proto",
-	"internal/sanitizer", "internal/sched", "internal/sim", "internal/tcg",
-	"internal/trace", "internal/workloads",
+	"internal/sanitizer", "internal/scenario", "internal/sched", "internal/sim",
+	"internal/tcg", "internal/trace", "internal/workloads",
 }
 
 // metricsPolicyDirs are the packages allowed to read metrics counters: the

@@ -31,8 +31,8 @@ func tick() int64 { return time.Now().UnixNano() }
 		t.Errorf("deterministic package: %v", got)
 	}
 	// The same code is fine outside the deterministic boundary.
-	if got := lint(t, "internal/experiments/x.go", src); len(got) != 0 {
-		t.Errorf("experiments package flagged: %v", got)
+	if got := lint(t, "internal/live/x.go", src); len(got) != 0 {
+		t.Errorf("live package flagged: %v", got)
 	}
 	// Renamed imports are still caught.
 	renamed := `package core
@@ -118,7 +118,7 @@ func (t *T) Dump() string { return fmt.Sprintf("%d events", len(t.events)) }
 		}
 	}
 	// Outside the deterministic packages recorders may format freely.
-	if got := lint(t, "internal/experiments/x.go", src); len(got) != 0 {
+	if got := lint(t, "internal/live/x.go", src); len(got) != 0 {
 		t.Errorf("non-deterministic package flagged: %v", got)
 	}
 	// Renamed fmt imports are still caught.

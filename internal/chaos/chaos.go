@@ -2,8 +2,10 @@
 // workloads on the simulated cluster under randomized-but-seeded fault
 // plans (internal/netsim fault injection) and checks protocol invariants
 // after every run. A seed fully determines the fault schedule and the
-// verdict, so any failure printed by the suite is reproducible with
-// `dqemu-bench -exp chaos -seed N`.
+// verdict, so any failure is reproducible: Run(Options{Seed: N}) replays
+// it, and the battery's tests print the failing plan as the JSON a
+// scenario spec's "faults" block takes (scenarios/canneal-chaos.json is the
+// model) to try it on another guest.
 //
 // Two fault classes are derived from each seed:
 //

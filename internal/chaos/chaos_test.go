@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,10 +12,17 @@ import (
 	"dqemu/internal/workloads"
 )
 
+// reproduce renders a failed report with what replays it: the seed, for
+// Run(Options{Seed: N}), and its fault plan as the JSON a scenario spec's
+// "faults" block takes (scenarios/canneal-chaos.json is the model).
+func reproduce(rep *Report) string {
+	plan, _ := PlanForSeed(rep.Seed, 2)
+	faults, _ := json.Marshal(plan)
+	return fmt.Sprintf("seed %d (%s): %v\n  \"faults\": %s", rep.Seed, rep.Class, rep.Violations, faults)
+}
+
 // TestChaosShort is the CI battery: 60 seeded fault plans (mixing
-// recoverable and crash classes) must all pass their class's checks. Any
-// failure prints the seed and plan needed to reproduce it with
-// `dqemu-bench -exp chaos -seed N`.
+// recoverable and crash classes) must all pass their class's checks.
 func TestChaosShort(t *testing.T) {
 	b, err := RunBattery(1, 60, Options{}, nil)
 	if err != nil {
@@ -22,7 +31,7 @@ func TestChaosShort(t *testing.T) {
 	if b.Fails != 0 {
 		for _, rep := range b.Reports {
 			if !rep.Pass {
-				t.Errorf("seed %d (%s, %s): %v", rep.Seed, rep.Class, rep.Plan, rep.Violations)
+				t.Error(reproduce(rep))
 			}
 		}
 	}
@@ -55,7 +64,7 @@ func TestChaosSanitized(t *testing.T) {
 	}
 	for _, rep := range b.Reports {
 		if !rep.Pass {
-			t.Errorf("seed %d (%s, %s): %v", rep.Seed, rep.Class, rep.Plan, rep.Violations)
+			t.Error(reproduce(rep))
 		}
 	}
 }

@@ -130,7 +130,7 @@ type Config struct {
 	// accesses are instrumented, vector clocks and shadow pages piggyback on
 	// protocol messages, and Result.San carries the findings. Off by default
 	// (the NoSanitizer baseline): instrumentation costs host time and wire
-	// bytes, and overhead is measured by `dqemu-bench -exp sanitizer`.
+	// bytes; scenarios/sanitizer-*.json report the wire-byte overhead.
 	Sanitizer bool
 
 	// RebalanceNs, when positive, enables dynamic thread migration (an

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +14,7 @@ import (
 	"dqemu/internal/netsim"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden spec fixtures under testdata/")
+var update = flag.Bool("update", false, "rewrite the golden spec fixtures under testdata/ and re-encode the checked-in specs canonically")
 
 // goldenSpecs are the fixtures pinned byte-for-byte under testdata/. A
 // change to the encoder or the field set changes these bytes, which is the
@@ -39,6 +41,7 @@ func goldenSpecs() map[string]*Spec {
 				Forwarding: true, Splitting: true, HintSched: true, PlaceOnMaster: true,
 				Interp: false, NoChain: false, NoSuperblock: false, NoJumpCache: true,
 				NoTier3: false, NoPeephole: true, Tier3Threshold: 2,
+				ForwardTrigger: 3, SplitFactor: 8,
 				NoDelta: true, NoCoalesce: true,
 				RebalanceNs: 4_000_000, Metrics: true, Sanitizer: true,
 			},
@@ -53,13 +56,45 @@ func goldenSpecs() map[string]*Spec {
 				ConsoleSHA256:   map[string]string{"quick": strings.Repeat("ab", 32)},
 				MinInsnsPerVSec: 1e6,
 				MaxTimeNs:       1e9,
-				MaxCohWireBytes: 1 << 20,
 				MinDeltaMisses:  1,
 				MinFutexWaits:   2,
 				MaxRaces:        3,
 			},
 		},
+		"golden_matrix.json": {
+			Version:  SchemaVersion,
+			Name:     "matrix",
+			Workload: Workload{Kind: "lockbench", Args: map[string]int64{"threads": 4}},
+			Cluster:  Cluster{Slaves: 1},
+			Sweep:    &Sweep{Field: "cluster.slaves", Values: []int64{0, 2}},
+			Arms: []Arm{
+				{Name: "global", Args: map[string]int64{"acquires": 40}},
+				{Name: "private", Args: map[string]int64{"private": 1},
+					Cluster: json.RawMessage(`{"quantum_ns":2000}`),
+					Knobs:   json.RawMessage(`{"forwarding":true,"forward_trigger":2}`)},
+			},
+			Compare: []Compare{
+				{Metric: "time_ns", Of: CellRef{Arm: "private"}, Over: &CellRef{Arm: "global"},
+					Bounds: map[string]Bound{"quick": {Max: 1}, "smoke": {Min: 0.5, Max: 2}}},
+				{Metric: "futex_waits", Of: CellRef{Arm: "global", Value: new(int64)}},
+			},
+			Show: []string{"time_ns", "futex_waits"},
+		},
 	}
+}
+
+// specPaths lists the checked-in suites: the regression scenarios and the
+// paper's figures and tables.
+func specPaths(t testing.TB) []string {
+	var paths []string
+	for _, dir := range []string{"scenarios", filepath.Join("scenarios", "paper")} {
+		m, err := filepath.Glob(filepath.Join("..", "..", dir, "*.json"))
+		if err != nil || len(m) == 0 {
+			t.Fatalf("no checked-in specs in %s: %v", dir, err)
+		}
+		paths = append(paths, m...)
+	}
+	return paths
 }
 
 // TestGoldenSpecFixtures pins the canonical encoding of the fixture specs
@@ -94,15 +129,11 @@ func TestGoldenSpecFixtures(t *testing.T) {
 	}
 }
 
-// TestCheckedInSpecsCanonical requires every scenarios/*.json to be in the
+// TestCheckedInSpecsCanonical requires every checked-in spec to be in the
 // canonical encoding (what Encode emits), so diffs stay mechanical and the
 // fuzz target's encode/decode fixpoint matches the files people edit.
 func TestCheckedInSpecsCanonical(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no checked-in specs found: %v", err)
-	}
-	for _, p := range paths {
+	for _, p := range specPaths(t) {
 		disk, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -115,8 +146,12 @@ func TestCheckedInSpecsCanonical(t *testing.T) {
 		if err := s.Encode(&buf); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if !bytes.Equal(disk, buf.Bytes()) {
-			t.Errorf("%s is not in canonical form; re-encode it (Load + Encode)", p)
+		if !bytes.Equal(disk, buf.Bytes()) && *update {
+			if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if !bytes.Equal(disk, buf.Bytes()) {
+			t.Errorf("%s is not in canonical form; re-encode it with `go test ./internal/scenario -run Canonical -update`", p)
 		}
 	}
 }
@@ -124,20 +159,11 @@ func TestCheckedInSpecsCanonical(t *testing.T) {
 // TestSpecRoundTrip: decode → encode → decode is the identity, and encode
 // is a fixpoint, for every checked-in spec and golden fixture.
 func TestSpecRoundTrip(t *testing.T) {
-	var paths []string
-	for _, glob := range []string{
-		filepath.Join("..", "..", "scenarios", "*.json"),
-		filepath.Join("testdata", "golden_*.json"),
-	} {
-		m, err := filepath.Glob(glob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, m...)
+	goldens, err := filepath.Glob(filepath.Join("testdata", "golden_*.json"))
+	if err != nil || len(goldens) != len(goldenSpecs()) {
+		t.Fatalf("golden fixtures: found %d (%v)", len(goldens), err)
 	}
-	if len(paths) < 12 {
-		t.Fatalf("expected at least 12 specs across scenarios/ and testdata/, found %d", len(paths))
-	}
+	paths := append(specPaths(t), goldens...)
 	for _, p := range paths {
 		s1, err := Load(p)
 		if err != nil {
@@ -167,31 +193,59 @@ func TestSpecRoundTrip(t *testing.T) {
 // TestDecodeRejects exercises the strict-decoding and validation paths the
 // fuzz target relies on: all of these must error, never panic.
 func TestDecodeRejects(t *testing.T) {
-	valid := `{"version":1,"name":"ok","workload":{"kind":"pi"},"cluster":{"slaves":1}}`
-	if _, err := Decode([]byte(valid)); err != nil {
+	// spec wraps extra top-level fields into an otherwise valid spec.
+	spec := func(extra string) string {
+		return `{"version":2,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":1}` + extra + `}`
+	}
+	if _, err := Decode([]byte(spec(""))); err != nil {
 		t.Fatalf("control spec rejected: %v", err)
+	}
+	twoArms := `,"arms":[{"name":"a"},{"name":"b"}]`
+	var wide []string
+	for i := 0; i < 65; i++ {
+		wide = append(wide, fmt.Sprint(i))
 	}
 	cases := []struct {
 		name, in, wantSub string
 	}{
 		{"empty object", `{}`, "version"},
-		{"future version", `{"version":99,"name":"x","workload":{"kind":"pi"}}`, "migration"},
-		{"unknown top-level field", `{"version":1,"name":"x","workload":{"kind":"pi"},"bogus":1}`, "unknown field"},
-		{"unknown knob", `{"version":1,"name":"x","workload":{"kind":"pi"},"knobs":{"turbo":true}}`, "unknown field"},
-		{"trailing data", valid + `{"version":1}`, "trailing data"},
-		{"no name", `{"version":1,"workload":{"kind":"pi"}}`, "no name"},
-		{"bad name charset", `{"version":1,"name":"X/Y","workload":{"kind":"pi"}}`, "lowercase"},
-		{"unknown workload", `{"version":1,"name":"x","workload":{"kind":"doom"}}`, "unknown workload kind"},
-		{"unknown workload arg", `{"version":1,"name":"x","workload":{"kind":"pi","args":{"cows":1}}}`, "no argument"},
-		{"arg out of range", `{"version":1,"name":"x","workload":{"kind":"pi","args":{"threads":0}}}`, "outside"},
-		{"too many slaves", `{"version":1,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":64}}`, "slaves outside"},
-		{"odd page size", `{"version":1,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":1,"page_size":1000}}`, "power of two"},
-		{"bad hash length", `{"version":1,"name":"x","workload":{"kind":"pi"},"gates":{"console_sha256":{"quick":"abc"}}}`, "sha256"},
-		{"bad hash scale", `{"version":1,"name":"x","workload":{"kind":"pi"},"gates":{"console_sha256":{"fast":"` + strings.Repeat("a", 64) + `"}}}`, "not a scale"},
-		{"fault rate over 1", `{"version":1,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":1},"faults":{"seed":1,"drop_rate":1.5}}`, "drop_rate"},
-		{"crash on master", `{"version":1,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":1},"faults":{"seed":1,"crashes":[{"node":0,"at_ns":5}]}}`, "master"},
-		{"crash on unknown node", `{"version":1,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":1},"faults":{"seed":1,"crashes":[{"node":7,"at_ns":5}]}}`, "node"},
+		{"old version", `{"version":1,"name":"x","workload":{"kind":"pi"}}`, "migration"},
+		{"unknown top-level field", spec(`,"bogus":1`), "unknown field"},
+		{"unknown knob", spec(`,"knobs":{"turbo":true}`), "unknown field"},
+		{"trailing data", spec("") + `{"version":2}`, "trailing data"},
+		{"no name", `{"version":2,"workload":{"kind":"pi"}}`, "no name"},
+		{"bad name charset", `{"version":2,"name":"X/Y","workload":{"kind":"pi"}}`, "lowercase"},
+		{"unknown workload", `{"version":2,"name":"x","workload":{"kind":"doom"}}`, "unknown workload kind"},
+		{"unknown workload arg", `{"version":2,"name":"x","workload":{"kind":"pi","args":{"cows":1}}}`, "no argument"},
+		{"arg out of range", `{"version":2,"name":"x","workload":{"kind":"pi","args":{"threads":0}}}`, "outside"},
+		{"too many slaves", `{"version":2,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":64}}`, "slaves outside"},
+		{"odd page size", `{"version":2,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":1,"page_size":1000}}`, "power of two"},
+		{"bad hash length", spec(`,"gates":{"console_sha256":{"quick":"abc"}}`), "sha256"},
+		{"bad hash scale", spec(`,"gates":{"console_sha256":{"fast":"` + strings.Repeat("a", 64) + `"}}`), "not a scale"},
+		{"fault rate over 1", spec(`,"faults":{"seed":1,"drop_rate":1.5}`), "drop_rate"},
+		{"crash on master", spec(`,"faults":{"seed":1,"crashes":[{"node":0,"at_ns":5}]}`), "master"},
+		{"crash on unknown node", spec(`,"faults":{"seed":1,"crashes":[{"node":7,"at_ns":5}]}`), "node"},
 		{"not json", `version: 1`, "invalid character"},
+
+		{"empty sweep", spec(`,"sweep":{"field":"cluster.slaves","values":[]}`), "no values"},
+		{"repeated sweep value", spec(`,"sweep":{"field":"cluster.slaves","values":[1,2,1]}`), "repeated"},
+		{"sweep field unknown", spec(`,"sweep":{"field":"cluster.racks","values":[1]}`), "unknown field"},
+		{"sweep field ungrouped", spec(`,"sweep":{"field":"slaves","values":[1]}`), "sweep field"},
+		{"sweep over a switch", spec(`,"sweep":{"field":"knobs.forwarding","values":[1]}`), "sweep field"},
+		{"sweep value out of range", spec(`,"sweep":{"field":"cluster.slaves","values":[1,64]}`), "slaves outside"},
+		{"sweep arg out of range", spec(`,"sweep":{"field":"args.threads","values":[0]}`), "outside"},
+		{"more than 64 cells", spec(`,"sweep":{"field":"args.repeats","values":[` + strings.Join(wide, ",") + `]}`), "at most 64"},
+		{"empty arm name", spec(`,"arms":[{"name":""}]`), "arm name"},
+		{"repeated arm", spec(`,"arms":[{"name":"a"},{"name":"a"}]`), "repeated"},
+		{"arm with unknown knob", spec(`,"arms":[{"name":"a","knobs":{"turbo":true}}]`), "unknown field"},
+		{"arm out of range", spec(`,"arms":[{"name":"a","cluster":{"cores":999}}]`), "cores outside"},
+		{"compare missing arm", spec(twoArms + `,"compare":[{"metric":"time_ns","of":{"arm":"c"}}]`), `no arm "c"`},
+		{"compare missing value", spec(`,"sweep":{"field":"cluster.slaves","values":[1,2]},"compare":[{"metric":"time_ns","of":{"value":3}}]`), "not a sweep value"},
+		{"compare value unswept", spec(`,"compare":[{"metric":"time_ns","of":{"value":1}}]`), "not a sweep value"},
+		{"compare missing metric", spec(twoArms + `,"compare":[{"metric":"joules","of":{"arm":"a"}}]`), "no metric"},
+		{"compare min over max", spec(twoArms + `,"compare":[{"metric":"time_ns","of":{"arm":"a"},"over":{"arm":"b"},"bounds":{"quick":{"min":2,"max":1}}}]`), "min 2 > max 1"},
+		{"compare bad scale", spec(twoArms + `,"compare":[{"metric":"time_ns","of":{"arm":"a"},"bounds":{"fast":{"min":1}}}]`), "not a scale"},
+		{"show missing metric", spec(`,"show":["joules"]`), "no metric"},
 	}
 	for _, tc := range cases {
 		_, err := Decode([]byte(tc.in))
@@ -212,8 +266,8 @@ func TestLoadDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) < 11 {
-		t.Fatalf("scenarios/ holds %d specs, want >= 11", len(specs))
+	if len(specs) < 19 {
+		t.Fatalf("scenarios/ holds %d specs, want >= 19", len(specs))
 	}
 	byName := map[string]*Spec{}
 	for _, s := range specs {
@@ -230,7 +284,7 @@ func TestLoadDir(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	one := `{"version":1,"name":"twin","workload":{"kind":"pi"},"cluster":{"slaves":0}}`
+	one := `{"version":2,"name":"twin","workload":{"kind":"pi"},"cluster":{"slaves":0}}`
 	for _, f := range []string{"a.json", "b.json"} {
 		if err := os.WriteFile(filepath.Join(dir, f), []byte(one), 0o644); err != nil {
 			t.Fatal(err)
@@ -241,5 +295,19 @@ func TestLoadDir(t *testing.T) {
 	}
 	if _, err := LoadDir(t.TempDir()); err == nil {
 		t.Error("empty suite directory not rejected")
+	}
+}
+
+// TestNullArmOverlay: an arm overlay spelled null is no overlay — it must
+// not detach the cell from the sweep value applied after it.
+func TestNullArmOverlay(t *testing.T) {
+	s, err := Decode([]byte(`{"version":2,"name":"x","workload":{"kind":"pi"},"cluster":{"slaves":1},
+"arms":[{"name":"a","cluster":null,"knobs":null}],"sweep":{"field":"knobs.split_factor","values":[3]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := s.cells()
+	if err != nil || len(cells) != 1 || cells[0].spec.Knobs.SplitFactor != 3 || cells[0].spec.Cluster.Slaves != 1 {
+		t.Fatalf("cells: %v %+v", err, cells)
 	}
 }

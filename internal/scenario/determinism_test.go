@@ -3,10 +3,12 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"dqemu/internal/core"
+	"dqemu/internal/image"
 	"dqemu/internal/netsim"
 	"dqemu/internal/trace"
 	"dqemu/internal/workloads"
@@ -31,11 +33,11 @@ func chaosSpec() *Spec {
 func runTraced(t *testing.T, s *Spec) (rowJSON, traceDump []byte) {
 	t.Helper()
 	tr := trace.New(1<<18, nil)
-	row, err := Run(s, Options{Tracer: tr})
+	rows, err := Run(s, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowJSON, err = json.MarshalIndent(row, "", "  ")
+	rowJSON, err = json.MarshalIndent(rows, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +66,19 @@ func TestRunnerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSuiteReportDeterminism: two smoke runs over the whole checked-in
-// suite serialize to byte-identical reports — the property CI relies on
-// when it diffs scenario JSON against history.
+// TestSuiteReportDeterminism: two smoke runs over the checked-in regression
+// suite serialize to byte-identical reports, and both it and the paper's
+// figures and tables pass every gate at smoke scale — the shape claims of
+// EXPERIMENTS.md are tier-1.
 func TestSuiteReportDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-suite run in -short mode")
 	}
-	specs, err := LoadDir(filepath.Join("..", "..", "scenarios"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	emit := func() []byte {
+	emit := func(dir string) []byte {
+		specs, err := LoadDir(filepath.Join("..", "..", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
 		rep, err := RunAll(specs, Options{Scale: Smoke})
 		if err != nil {
 			t.Fatal(err)
@@ -91,27 +94,46 @@ func TestSuiteReportDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	first := emit()
-	second := emit()
-	if !bytes.Equal(first, second) {
+	if !raceEnabled {
+		emit(filepath.Join("scenarios", "paper"))
+	}
+	if !bytes.Equal(emit("scenarios"), emit("scenarios")) {
 		t.Error("suite reports differ across identical runs")
 	}
 }
 
 // TestSpecMatchesDirectRun pins subsumption: running a spec must be the
-// same computation as hand-assembling the equivalent core.Config, so the
-// data form can replace code-form experiments without changing results.
+// same computation as hand-assembling the equivalent core.Config, cell by
+// cell, so the data form replaces code-form experiments without changing
+// results.
 func TestSpecMatchesDirectRun(t *testing.T) {
-	s, err := Load(filepath.Join("..", "..", "scenarios", "wire-fluidanimate-full.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := Run(s, Options{})
-	if err != nil {
-		t.Fatal(err)
+	direct := func(name string, row *Row, im *image.Image, cfg core.Config) {
+		t.Helper()
+		res, err := core.Run(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var insns uint64
+		for _, n := range res.Nodes {
+			insns += n.Engine.ExecInsns
+		}
+		if row.TimeNs != res.TimeNs || row.GuestInsns != insns ||
+			row.ExitCode != res.ExitCode || row.TotalBytes != res.Net.Bytes {
+			t.Errorf("%s: spec run (%d ns, %d insns, exit %d, %d bytes) != direct run (%d ns, %d insns, exit %d, %d bytes)",
+				name, row.TimeNs, row.GuestInsns, row.ExitCode, row.TotalBytes,
+				res.TimeNs, insns, res.ExitCode, res.Net.Bytes)
+		}
 	}
 
-	// The same experiment, written the way experiments/wire.go would.
+	// One arm of an unswept spec: the wire suite's full-layer row.
+	s, err := Load(filepath.Join("..", "..", "scenarios", "wire-fluidanimate.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Run(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	im, err := workloads.Fluidanimate(32, 192, 6, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -120,25 +142,40 @@ func TestSpecMatchesDirectRun(t *testing.T) {
 	cfg.Slaves = 4
 	cfg.Forwarding = true
 	cfg.HintSched = true
-	res, err := core.Run(im, cfg)
+	if rows[3].Arm != "full" {
+		t.Fatalf("row 3 is arm %q, want full", rows[3].Arm)
+	}
+	direct("wire-fluidanimate:full", rows[3], im, cfg)
+
+	// A swept two-arm spec: Figure 7's swaptions at smoke scale, where the
+	// partition count follows the cluster size.
+	s, err = Load(filepath.Join("..", "..", "scenarios", "paper", "fig7-swaptions.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if row.TimeNs != res.TimeNs {
-		t.Errorf("virtual time: spec run %d ns, direct run %d ns", row.TimeNs, res.TimeNs)
+	s.Sweep.Values = []int64{0, 3}
+	s.Arms = s.Arms[1:]
+	s.Compare = nil
+	rows, err = Run(s, Options{Scale: Smoke})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var insns uint64
-	for _, n := range res.Nodes {
-		insns += n.Engine.ExecInsns
+	if len(rows) != 4 {
+		t.Fatalf("2 values x 2 arms gave %d rows", len(rows))
 	}
-	if row.GuestInsns != insns {
-		t.Errorf("guest insns: spec run %d, direct run %d", row.GuestInsns, insns)
-	}
-	if row.ExitCode != res.ExitCode {
-		t.Errorf("exit code: spec run %d, direct run %d", row.ExitCode, res.ExitCode)
-	}
-	if row.TotalBytes != res.Net.Bytes {
-		t.Errorf("wire bytes: spec run %d, direct run %d", row.TotalBytes, res.Net.Bytes)
+	for i, row := range rows {
+		slaves, full := []int{0, 3}[i/2], i%2 == 1
+		if row.Value != int64(slaves) || (row.Arm == "full") != full {
+			t.Fatalf("row %d is %s@%d", i, row.Arm, row.Value)
+		}
+		im, err := workloads.Swaptions(32, 64, 600/smokeDiv, max(1, slaves))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Slaves = slaves
+		cfg.Forwarding = true
+		cfg.Splitting = full
+		direct(fmt.Sprintf("fig7-swaptions:%s@%d", row.Arm, slaves), row, im, cfg)
 	}
 }

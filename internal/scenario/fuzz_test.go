@@ -10,22 +10,21 @@ import (
 // FuzzScenarioSpec throws hostile bytes at the spec decoder. The contract:
 // Decode never panics; anything it accepts re-validates, resolves at both
 // scales, and encodes to a canonical fixpoint (decode∘encode = identity).
-// Seeds come from the checked-in suite plus the corpus under
+// Seeds come from the checked-in suites plus the corpus under
 // testdata/fuzz/FuzzScenarioSpec/.
 func FuzzScenarioSpec(f *testing.F) {
-	paths, _ := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
-	paths2, _ := filepath.Glob(filepath.Join("testdata", "golden_*.json"))
-	for _, p := range append(paths, paths2...) {
+	goldens, _ := filepath.Glob(filepath.Join("testdata", "golden_*.json"))
+	for _, p := range append(specPaths(f), goldens...) {
 		if data, err := os.ReadFile(p); err == nil {
 			f.Add(data)
 		}
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"version":1,"name":"x","workload":{"kind":"pi"}}`))
-	f.Add([]byte(`{"version":1,"name":"x","workload":{"kind":"pi","args":{"threads":1e99}}}`))
-	f.Add([]byte(`{"version":1,"name":"x","workload":{"kind":"pi"},"faults":{"seed":-1,"drop_rate":2}}`))
-	f.Add([]byte(`[{"version":1}]`))
+	f.Add([]byte(`{"version":2,"name":"x","workload":{"kind":"pi"}}`))
+	f.Add([]byte(`{"version":2,"name":"x","workload":{"kind":"pi","args":{"threads":1e99}}}`))
+	f.Add([]byte(`{"version":2,"name":"x","workload":{"kind":"pi"},"faults":{"seed":-1,"drop_rate":2}}`))
+	f.Add([]byte(`[{"version":2}]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
@@ -35,9 +34,15 @@ func FuzzScenarioSpec(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Decode accepted a spec Validate rejects: %v", err)
 		}
-		for _, scale := range []Scale{Quick, Smoke} {
-			if _, err := s.Workload.resolve(scale); err != nil {
-				t.Fatalf("accepted spec fails to resolve at %s: %v", scale, err)
+		cells, err := s.cells()
+		if err != nil || len(cells) == 0 || len(cells) > maxCells {
+			t.Fatalf("accepted spec expands to %d cells: %v", len(cells), err)
+		}
+		for _, c := range cells {
+			for _, scale := range []Scale{Quick, Smoke} {
+				if _, err := c.spec.Workload.resolve(scale, c.spec.Cluster.Slaves); err != nil {
+					t.Fatalf("accepted cell %s fails to resolve at %s: %v", c.label(), scale, err)
+				}
 			}
 		}
 		var b1 bytes.Buffer

@@ -1,11 +1,14 @@
 // Package scenario makes experiments data instead of code: a versioned
 // JSON spec names a workload and its arguments, a cluster shape, the
 // core.Config knobs and ablations, an optional netsim fault plan, and a
-// set of acceptance gates; one runner loads the spec, assembles the
-// cluster, executes it deterministically under virtual time, evaluates
-// the gates, and emits rows in the BENCH schema `dqemu-trend` already
-// consumes. Adding a regression scenario is a new JSON file under
-// scenarios/, not new Go code.
+// set of acceptance gates. A spec may sweep one numeric field and run
+// named arms (partial overlays of args, cluster and knobs); every
+// (sweep value, arm) pair is one cell, and compare gates bound the ratio
+// of a metric between two cells. One runner loads the spec, assembles each
+// cell's cluster, executes it deterministically under virtual time,
+// evaluates the gates, and emits one flat row per cell. Every figure and
+// table of the paper's evaluation is a spec under scenarios/paper/; adding
+// an experiment is a new JSON file, not new Go code.
 //
 // Schema versioning: SchemaVersion is bumped on any incompatible change
 // to the spec layout, with a migration note in EXPERIMENTS.md ("Scenario
@@ -19,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,7 +37,9 @@ import (
 // History:
 //
 //	1 — initial layout (workload/cluster/knobs/faults/gates).
-const SchemaVersion = 1
+//	2 — sweep, arms, compare and show; nodes/groups arguments follow the
+//	    cluster size when omitted; knobs gain forward_trigger/split_factor.
+const SchemaVersion = 2
 
 // Spec is one scenario: everything needed to reproduce a run and judge it.
 type Spec struct {
@@ -49,10 +55,67 @@ type Spec struct {
 	Cluster  Cluster  `json:"cluster"`
 	Knobs    Knobs    `json:"knobs,omitempty"`
 	// Faults, when present, is injected via Config.Faults; the reliable
-	// transport layers in automatically, exactly as `-exp chaos` does.
+	// transport layers in automatically, as in the chaos battery.
 	Faults *netsim.FaultPlan `json:"faults,omitempty"`
-	Gates  Gates             `json:"gates,omitempty"`
+	// Gates are judged on every cell.
+	Gates Gates `json:"gates,omitempty"`
+
+	// Sweep, when present, runs the spec once per value of one field.
+	Sweep *Sweep `json:"sweep,omitempty"`
+	// Arms, when present, run every sweep value once per arm.
+	Arms []Arm `json:"arms,omitempty"`
+	// Compare gates relate cells to each other.
+	Compare []Compare `json:"compare,omitempty"`
+	// Show names the row metrics Print renders as sweep × arm matrices
+	// (default: time_ns).
+	Show []string `json:"show,omitempty"`
 }
+
+// Sweep varies one numeric field: "cluster.<field>", "knobs.<field>" or
+// "args.<name>", named as in the spec's own JSON. The value is applied
+// after the arm's overlay.
+type Sweep struct {
+	Field  string  `json:"field"`
+	Values []int64 `json:"values"`
+}
+
+// Arm is a named partial overlay: only the fields it spells out replace
+// the spec's, so an arm can turn a knob off as well as on.
+type Arm struct {
+	Name    string           `json:"name"`
+	Args    map[string]int64 `json:"args,omitempty"`
+	Cluster json.RawMessage  `json:"cluster,omitempty"`
+	Knobs   json.RawMessage  `json:"knobs,omitempty"`
+}
+
+// CellRef names cells by arm and sweep value. A coordinate left out ranges
+// over all of its values; left out on both sides of a Compare it ranges
+// over them in step.
+type CellRef struct {
+	Arm   string `json:"arm,omitempty"`
+	Value *int64 `json:"value,omitempty"`
+}
+
+// Compare bounds Metric(Of) / Metric(Over) — or Metric(Of) itself when
+// Over is absent. Metric is a dotted path of row JSON field names
+// ("time_ns", "sched.Migrations", "console.walk_ns").
+type Compare struct {
+	Metric string   `json:"metric"`
+	Of     CellRef  `json:"of"`
+	Over   *CellRef `json:"over,omitempty"`
+	// Bounds is keyed by run scale like Gates.ConsoleSHA256; at a scale
+	// without an entry the value is reported and not judged.
+	Bounds map[string]Bound `json:"bounds,omitempty"`
+}
+
+// Bound is an inclusive range; a zero side is open.
+type Bound struct {
+	Min float64 `json:"min,omitempty"`
+	Max float64 `json:"max,omitempty"`
+}
+
+// maxCells bounds the runs one spec can ask for (hostile-input bound).
+const maxCells = 64
 
 // Workload names a registered guest program and its build arguments.
 type Workload struct {
@@ -80,10 +143,15 @@ type Cluster struct {
 // experiments vary. Field names are the stable data form of the knobs; a
 // rename is a schema change.
 type Knobs struct {
-	Forwarding    bool `json:"forwarding,omitempty"`
-	Splitting     bool `json:"splitting,omitempty"`
-	HintSched     bool `json:"hint_sched,omitempty"`
-	PlaceOnMaster bool `json:"place_on_master,omitempty"`
+	Forwarding bool `json:"forwarding,omitempty"`
+	// ForwardTrigger is the sequential-page count that arms read-ahead and
+	// SplitFactor the number of shadow pages a split produces; 0 selects
+	// the defaults.
+	ForwardTrigger int  `json:"forward_trigger,omitempty"`
+	Splitting      bool `json:"splitting,omitempty"`
+	SplitFactor    int  `json:"split_factor,omitempty"`
+	HintSched      bool `json:"hint_sched,omitempty"`
+	PlaceOnMaster  bool `json:"place_on_master,omitempty"`
 
 	Interp         bool   `json:"interp,omitempty"`
 	NoChain        bool   `json:"no_chain,omitempty"`
@@ -131,9 +199,6 @@ type Gates struct {
 	MinInsnsPerVSec float64 `json:"min_insns_per_vsec,omitempty"`
 	// MaxTimeNs bounds the guest's virtual completion time.
 	MaxTimeNs int64 `json:"max_time_ns,omitempty"`
-	// MaxCohWireBytes bounds the coherence protocol's billed wire bytes
-	// (headers included), the wire-efficiency figure of merit.
-	MaxCohWireBytes uint64 `json:"max_coh_wire_bytes,omitempty"`
 	// MinDeltaMisses requires the run to exercise the delta codec's
 	// miss/full-resend paths at least this often (delta misses + twin
 	// mismatch resends + directory full re-grants).
@@ -146,7 +211,7 @@ type Gates struct {
 	MaxRaces uint64 `json:"max_races,omitempty"`
 }
 
-// Scale selects input sizes for a suite run, mirroring experiments.Scale.
+// Scale selects input sizes for a suite run.
 type Scale int
 
 const (
@@ -178,13 +243,26 @@ func Decode(data []byte) (*Spec, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("scenario: trailing data after spec object")
 	}
+	// Arm overlays are kept as written apart from whitespace, so a decoded
+	// spec equals the value that encoded it; a null overlay is none.
+	for i := range s.Arms {
+		for _, raw := range []*json.RawMessage{&s.Arms[i].Cluster, &s.Arms[i].Knobs} {
+			var b bytes.Buffer
+			if json.Compact(&b, *raw) != nil || b.String() == "null" {
+				*raw = nil
+			} else {
+				*raw = b.Bytes()
+			}
+		}
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
 
-// Validate checks semantic constraints after decoding.
+// Validate checks semantic constraints after decoding: the matrix the spec
+// spans, then every cell of it against the field ranges.
 func (s *Spec) Validate() error {
 	if s.Version != SchemaVersion {
 		return fmt.Errorf("scenario: spec version %d, runner speaks %d (see the migration notes in EXPERIMENTS.md)",
@@ -193,11 +271,113 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec has no name")
 	}
-	for _, r := range s.Name {
-		if !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '-' || r == '_') {
-			return fmt.Errorf("scenario: name %q: use lowercase, digits, '-', '_'", s.Name)
+	if !isLabel(s.Name) {
+		return fmt.Errorf("scenario: name %q: use lowercase, digits, '-', '_'", s.Name)
+	}
+	if s.Gates.MaxTimeNs < 0 || s.Gates.MinInsnsPerVSec < 0 {
+		return fmt.Errorf("scenario: negative gate bound")
+	}
+	for scale, h := range s.Gates.ConsoleSHA256 {
+		if !isScale(scale) {
+			return fmt.Errorf("scenario: console_sha256 key %q is not a scale", scale)
+		}
+		if len(h) != 64 {
+			return fmt.Errorf("scenario: console_sha256[%s] is not a hex sha256", scale)
+		}
+		for _, r := range h {
+			if !(r >= '0' && r <= '9' || r >= 'a' && r <= 'f') {
+				return fmt.Errorf("scenario: console_sha256[%s] is not lowercase hex", scale)
+			}
 		}
 	}
+	if err := s.validateMatrix(); err != nil {
+		return err
+	}
+	cells, err := s.cells()
+	if err != nil {
+		return err
+	}
+	for _, c := range cells {
+		if err := c.spec.validateCell(); err != nil {
+			return fmt.Errorf("%w (cell %s)", err, c.label())
+		}
+	}
+	return nil
+}
+
+func isLabel(s string) bool {
+	for _, r := range s {
+		if !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '-' || r == '_') {
+			return false
+		}
+	}
+	return s != ""
+}
+
+func isScale(s string) bool { return s == Quick.String() || s == Smoke.String() }
+
+// validateMatrix checks the sweep, the arms, and that every compare and
+// show entry names cells and metrics the spec has.
+func (s *Spec) validateMatrix() error {
+	values := map[int64]bool{}
+	if s.Sweep != nil {
+		if len(s.Sweep.Values) == 0 {
+			return fmt.Errorf("scenario: sweep over %q has no values", s.Sweep.Field)
+		}
+		for _, v := range s.Sweep.Values {
+			if values[v] {
+				return fmt.Errorf("scenario: sweep value %d repeated", v)
+			}
+			values[v] = true
+		}
+	}
+	arms := map[string]bool{}
+	for _, a := range s.Arms {
+		if !isLabel(a.Name) {
+			return fmt.Errorf("scenario: arm name %q: use lowercase, digits, '-', '_'", a.Name)
+		}
+		if arms[a.Name] {
+			return fmt.Errorf("scenario: arm %q repeated", a.Name)
+		}
+		arms[a.Name] = true
+	}
+	if n := max(1, len(values)) * max(1, len(arms)); n > maxCells {
+		return fmt.Errorf("scenario: %d cells, at most %d per spec", n, maxCells)
+	}
+	for _, m := range s.Show {
+		if !knownMetric(m) {
+			return fmt.Errorf("scenario: show: rows have no metric %q", m)
+		}
+	}
+	for _, c := range s.Compare {
+		if !knownMetric(c.Metric) {
+			return fmt.Errorf("scenario: compare: rows have no metric %q", c.Metric)
+		}
+		for _, ref := range []*CellRef{&c.Of, c.Over} {
+			if ref == nil {
+				continue
+			}
+			if ref.Arm != "" && !arms[ref.Arm] {
+				return fmt.Errorf("scenario: compare %s: no arm %q", c.Metric, ref.Arm)
+			}
+			if ref.Value != nil && !values[*ref.Value] {
+				return fmt.Errorf("scenario: compare %s: %d is not a sweep value", c.Metric, *ref.Value)
+			}
+		}
+		for scale, b := range c.Bounds {
+			if !isScale(scale) {
+				return fmt.Errorf("scenario: compare %s: bounds key %q is not a scale", c.Metric, scale)
+			}
+			if b.Min != 0 && b.Max != 0 && b.Min > b.Max {
+				return fmt.Errorf("scenario: compare %s: min %g > max %g", c.Metric, b.Min, b.Max)
+			}
+		}
+	}
+	return nil
+}
+
+// validateCell range-checks one flat (sweep- and arm-free) spec.
+func (s *Spec) validateCell() error {
 	if s.Cluster.Slaves < 0 || s.Cluster.Slaves > 63 {
 		return fmt.Errorf("scenario: %d slaves outside [0, 63]", s.Cluster.Slaves)
 	}
@@ -219,29 +399,93 @@ func (s *Spec) Validate() error {
 	if s.Knobs.MaxSlaves < 0 || s.Knobs.MaxSlaves > 63 {
 		return fmt.Errorf("scenario: %d max_slaves outside [0, 63]", s.Knobs.MaxSlaves)
 	}
-	if s.Gates.MaxTimeNs < 0 || s.Gates.MinInsnsPerVSec < 0 {
-		return fmt.Errorf("scenario: negative gate bound")
-	}
-	for scale, h := range s.Gates.ConsoleSHA256 {
-		if scale != "quick" && scale != "smoke" {
-			return fmt.Errorf("scenario: console_sha256 key %q is not a scale", scale)
-		}
-		if len(h) != 64 {
-			return fmt.Errorf("scenario: console_sha256[%s] is not a hex sha256", scale)
-		}
-		for _, r := range h {
-			if !(r >= '0' && r <= '9' || r >= 'a' && r <= 'f') {
-				return fmt.Errorf("scenario: console_sha256[%s] is not lowercase hex", scale)
-			}
-		}
+	if k := s.Knobs; k.ForwardTrigger < 0 || k.ForwardTrigger > 64 || k.SplitFactor < 0 || k.SplitFactor > 64 {
+		return fmt.Errorf("scenario: forward_trigger or split_factor outside [0, 64]")
 	}
 	if err := s.Faults.Validate(s.Cluster.Slaves + 1); err != nil {
 		return err
 	}
-	if _, err := s.Workload.resolve(Quick); err != nil {
-		return err
+	_, err := s.Workload.resolve(Quick, s.Cluster.Slaves)
+	return err
+}
+
+// cell is one run of a spec: the flat spec an (arm, sweep value) pair
+// selects.
+type cell struct {
+	arm   string
+	value int64
+	spec  *Spec
+}
+
+// label names the cell as compare gates and error messages print it.
+func (c *cell) label() string { return label(c.spec.Name, c.arm, c.spec.Sweep != nil, c.value) }
+
+func label(name, arm string, swept bool, value int64) string {
+	if arm != "" {
+		if name != "" {
+			name += ":"
+		}
+		name += arm
 	}
-	return nil
+	if swept {
+		name += fmt.Sprintf("@%d", value)
+	}
+	return name
+}
+
+// short is label without the spec's name, for compare results printed
+// under it.
+func (c *cell) short() string { return label("", c.arm, c.spec.Sweep != nil, c.value) }
+
+// overlay decodes raw onto dst strictly; fields raw does not spell out
+// keep their values.
+func overlay(dst interface{}, raw []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	return dec.Decode(dst)
+}
+
+// cells expands the spec into its runs, sweep-major and arm-minor (the
+// order rows are reported in). Each cell's spec keeps Sweep only as the
+// label of what was varied.
+func (s *Spec) cells() ([]cell, error) {
+	arms, values := s.Arms, []int64{0}
+	if len(arms) == 0 {
+		arms = []Arm{{}}
+	}
+	if s.Sweep != nil {
+		values = s.Sweep.Values
+	}
+	var out []cell
+	for _, v := range values {
+		for _, a := range arms {
+			c := *s
+			c.Arms, c.Compare = nil, nil
+			c.Workload.Args = maps.Clone(s.Workload.Args)
+			// view is the cell as an arm (and a sweep field) addresses it.
+			view := struct {
+				Name    string            `json:"name"`
+				Args    *map[string]int64 `json:"args"`
+				Cluster *Cluster          `json:"cluster"`
+				Knobs   *Knobs            `json:"knobs"`
+			}{"", &c.Workload.Args, &c.Cluster, &c.Knobs}
+			raw, err := json.Marshal(a)
+			if err == nil {
+				err = overlay(&view, raw)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("scenario: arm %q: %w", a.Name, err)
+			}
+			if s.Sweep != nil {
+				group, name, _ := strings.Cut(s.Sweep.Field, ".")
+				if err := overlay(&view, []byte(fmt.Sprintf("{%q:{%q:%d}}", group, name, v))); err != nil {
+					return nil, fmt.Errorf("scenario: sweep field %q: %w", s.Sweep.Field, err)
+				}
+			}
+			out = append(out, cell{arm: a.Name, value: v, spec: &c})
+		}
+	}
+	return out, nil
 }
 
 // Encode renders the spec in the canonical checked-in form (two-space
@@ -252,7 +496,7 @@ func (s *Spec) Encode(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// config assembles the core.Config a spec describes.
+// config assembles the core.Config a flat spec describes.
 func (s *Spec) config() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Slaves = s.Cluster.Slaves
@@ -267,7 +511,9 @@ func (s *Spec) config() core.Config {
 	}
 	k := s.Knobs
 	cfg.Forwarding = k.Forwarding
+	cfg.ForwardTrigger = k.ForwardTrigger
 	cfg.Splitting = k.Splitting
+	cfg.SplitFactor = k.SplitFactor
 	cfg.HintSched = k.HintSched
 	cfg.PlaceOnMaster = k.PlaceOnMaster
 	cfg.Interp = k.Interp
@@ -291,14 +537,6 @@ func (s *Spec) config() core.Config {
 		cfg.Faults = &plan
 	}
 	return cfg
-}
-
-// fullLadder reports whether the spec runs the whole translation ladder,
-// which decides whether its row lands in the trend-gated `rows` list.
-func (s *Spec) fullLadder() bool {
-	k := s.Knobs
-	return !k.Interp && !k.NoChain && !k.NoSuperblock && !k.NoJumpCache &&
-		!k.NoTier3 && !k.NoPeephole
 }
 
 // Load reads and validates one spec file.

@@ -17,6 +17,9 @@ type argDef struct {
 	def      int64
 	min, max int64
 	scalable bool
+	// perSlave arguments (the partition count of a statically partitioned
+	// kernel) default to the cluster size, max(1, slaves), not to def.
+	perSlave bool
 }
 
 const smokeDiv = 4
@@ -33,9 +36,9 @@ type workloadDef struct {
 var registry = map[string]workloadDef{
 	"pi": {
 		args: []argDef{
-			{"threads", 8, 1, 256, false},
-			{"repeats", 400, 1, 1 << 20, true},
-			{"terms", 100, 1, 1 << 20, false},
+			{name: "threads", def: 8, min: 1, max: 256},
+			{name: "repeats", def: 400, min: 1, max: 1 << 20, scalable: true},
+			{name: "terms", def: 100, min: 1, max: 1 << 20},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.Pi(int(a["threads"]), int(a["repeats"]), int(a["terms"]))
@@ -43,9 +46,9 @@ var registry = map[string]workloadDef{
 	},
 	"lockbench": {
 		args: []argDef{
-			{"threads", 16, 1, 64, false},
-			{"acquires", 500, 1, 1 << 24, true},
-			{"private", 0, 0, 1, false},
+			{name: "threads", def: 16, min: 1, max: 64},
+			{name: "acquires", def: 500, min: 1, max: 1 << 24, scalable: true},
+			{name: "private", def: 0, min: 0, max: 1},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.LockBench(int(a["threads"]), int(a["acquires"]), a["private"] != 0)
@@ -53,18 +56,34 @@ var registry = map[string]workloadDef{
 	},
 	"memwalk": {
 		args: []argDef{
-			{"bytes", 1 << 20, 4096, 1 << 28, true},
+			{name: "bytes", def: 1 << 20, min: 4096, max: 1 << 28, scalable: true},
+			// local walks memory the walking thread itself initialised (the
+			// single-node row of Table 1) instead of the main thread's.
+			{name: "local", max: 1},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
+			if a["local"] != 0 {
+				return workloads.LocalWalk(int(a["bytes"]))
+			}
 			return workloads.MemWalk(int(a["bytes"]))
+		},
+	},
+	"racy": {
+		args: []argDef{
+			{name: "threads", def: 6, min: 2, max: 32},
+			{name: "rounds", def: 40, min: 1, max: 1 << 16, scalable: true},
+			{name: "seed", def: 1234, max: 1 << 30},
+		},
+		build: func(a map[string]int64) (*image.Image, error) {
+			return workloads.Racy(int(a["threads"]), int(a["rounds"]), a["seed"])
 		},
 	},
 	"falseshare": {
 		args: []argDef{
-			{"threads", 16, 1, 32, false},
-			{"nodes", 4, 1, 63, false},
-			{"section", 128, 1, 4096, false},
-			{"rounds", 200, 1, 1 << 24, true},
+			{name: "threads", def: 16, min: 1, max: 32},
+			{name: "nodes", def: 4, min: 1, max: 63},
+			{name: "section", def: 128, min: 1, max: 4096},
+			{name: "rounds", def: 200, min: 1, max: 1 << 24, scalable: true},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.FalseShare(int(a["threads"]), int(a["nodes"]), int(a["section"]), int(a["rounds"]))
@@ -72,10 +91,10 @@ var registry = map[string]workloadDef{
 	},
 	"blackscholes": {
 		args: []argDef{
-			{"threads", 8, 1, 256, false},
-			{"options", 1024, 1, 1 << 20, true},
-			{"rounds", 10, 1, 1 << 16, true},
-			{"nodes", 1, 1, 63, false},
+			{name: "threads", def: 8, min: 1, max: 256},
+			{name: "options", def: 1024, min: 1, max: 1 << 20, scalable: true},
+			{name: "rounds", def: 10, min: 1, max: 1 << 16, scalable: true},
+			{name: "nodes", def: 1, min: 1, max: 63, perSlave: true},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.Blackscholes(int(a["threads"]), int(a["options"]), int(a["rounds"]), int(a["nodes"]))
@@ -83,10 +102,10 @@ var registry = map[string]workloadDef{
 	},
 	"swaptions": {
 		args: []argDef{
-			{"threads", 8, 1, 256, false},
-			{"swaptions", 24, 1, 1 << 16, false},
-			{"trials", 120, 1, 1 << 20, true},
-			{"nodes", 1, 1, 63, false},
+			{name: "threads", def: 8, min: 1, max: 256},
+			{name: "swaptions", def: 24, min: 1, max: 1 << 16},
+			{name: "trials", def: 120, min: 1, max: 1 << 20, scalable: true},
+			{name: "nodes", def: 1, min: 1, max: 63, perSlave: true},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.Swaptions(int(a["threads"]), int(a["swaptions"]), int(a["trials"]), int(a["nodes"]))
@@ -94,9 +113,9 @@ var registry = map[string]workloadDef{
 	},
 	"x264": {
 		args: []argDef{
-			{"threads", 8, 1, 256, false},
-			{"group", 4, 1, 256, false},
-			{"frames", 24, 2, 1 << 16, true},
+			{name: "threads", def: 8, min: 1, max: 256},
+			{name: "group", def: 4, min: 1, max: 256},
+			{name: "frames", def: 24, min: 2, max: 1 << 16, scalable: true},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.X264(int(a["threads"]), int(a["group"]), int(a["frames"]))
@@ -104,10 +123,10 @@ var registry = map[string]workloadDef{
 	},
 	"fluidanimate": {
 		args: []argDef{
-			{"threads", 32, 1, 256, false},
-			{"grid", 192, 8, 4096, false},
-			{"iters", 6, 1, 1 << 16, true},
-			{"groups", 4, 1, 63, false},
+			{name: "threads", def: 32, min: 1, max: 256},
+			{name: "grid", def: 192, min: 8, max: 4096},
+			{name: "iters", def: 6, min: 1, max: 1 << 16, scalable: true},
+			{name: "groups", def: 4, min: 1, max: 63, perSlave: true},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.Fluidanimate(int(a["threads"]), int(a["grid"]), int(a["iters"]), int(a["groups"]))
@@ -115,10 +134,10 @@ var registry = map[string]workloadDef{
 	},
 	"canneal": {
 		args: []argDef{
-			{"threads", 8, 1, 64, false},
-			{"elems", 4096, 64, 1 << 22, false},
-			{"steps", 300, 1, 1 << 24, true},
-			{"seed", 1, 0, 1 << 30, false},
+			{name: "threads", def: 8, min: 1, max: 64},
+			{name: "elems", def: 4096, min: 64, max: 1 << 22},
+			{name: "steps", def: 300, min: 1, max: 1 << 24, scalable: true},
+			{name: "seed", def: 1, min: 0, max: 1 << 30},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.Canneal(int(a["threads"]), int(a["elems"]), int(a["steps"]), a["seed"])
@@ -126,12 +145,12 @@ var registry = map[string]workloadDef{
 	},
 	"dedup": {
 		args: []argDef{
-			{"producers", 4, 1, 32, false},
-			{"consumers", 4, 1, 32, false},
-			{"writers", 2, 1, 32, false},
-			{"items", 300, 1, 1 << 24, true},
-			{"keyspace", 256, 2, 1 << 20, false},
-			{"qcap", 16, 2, 1 << 16, false},
+			{name: "producers", def: 4, min: 1, max: 32},
+			{name: "consumers", def: 4, min: 1, max: 32},
+			{name: "writers", def: 2, min: 1, max: 32},
+			{name: "items", def: 300, min: 1, max: 1 << 24, scalable: true},
+			{name: "keyspace", def: 256, min: 2, max: 1 << 20},
+			{name: "qcap", def: 16, min: 2, max: 1 << 16},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.Dedup(int(a["producers"]), int(a["consumers"]), int(a["writers"]),
@@ -140,8 +159,8 @@ var registry = map[string]workloadDef{
 	},
 	"phases": {
 		args: []argDef{
-			{"threads", 8, 2, 64, false},
-			{"iters", 8, 1, 1 << 16, true},
+			{name: "threads", def: 8, min: 2, max: 64},
+			{name: "iters", def: 8, min: 1, max: 1 << 16, scalable: true},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.Phases(int(a["threads"]), int(a["iters"]))
@@ -149,10 +168,10 @@ var registry = map[string]workloadDef{
 	},
 	"streamcluster": {
 		args: []argDef{
-			{"threads", 8, 1, 63, false},
-			{"points", 2048, 64, 1 << 22, false},
-			{"centers", 8, 1, 64, false},
-			{"iters", 8, 1, 1 << 16, true},
+			{name: "threads", def: 8, min: 1, max: 63},
+			{name: "points", def: 2048, min: 64, max: 1 << 22},
+			{name: "centers", def: 8, min: 1, max: 64},
+			{name: "iters", def: 8, min: 1, max: 1 << 16, scalable: true},
 		},
 		build: func(a map[string]int64) (*image.Image, error) {
 			return workloads.Streamcluster(int(a["threads"]), int(a["points"]), int(a["centers"]), int(a["iters"]))
@@ -173,7 +192,7 @@ func Kinds() []string {
 // resolve merges defaults with the spec's overrides, validates names and
 // ranges, and applies scale. It never builds the image (Validate calls it
 // on untrusted input).
-func (w *Workload) resolve(scale Scale) (map[string]int64, error) {
+func (w *Workload) resolve(scale Scale, slaves int) (map[string]int64, error) {
 	def, ok := registry[w.Kind]
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown workload kind %q (have %v)", w.Kind, Kinds())
@@ -183,6 +202,9 @@ func (w *Workload) resolve(scale Scale) (map[string]int64, error) {
 	for _, a := range def.args {
 		byName[a.name] = a
 		merged[a.name] = a.def
+		if a.perSlave {
+			merged[a.name] = int64(max(1, slaves))
+		}
 	}
 	for name, v := range w.Args {
 		a, ok := byName[name]
@@ -210,8 +232,8 @@ func (w *Workload) resolve(scale Scale) (map[string]int64, error) {
 }
 
 // buildImage compiles the workload at the given scale.
-func (w *Workload) buildImage(scale Scale) (*image.Image, error) {
-	args, err := w.resolve(scale)
+func (w *Workload) buildImage(scale Scale, slaves int) (*image.Image, error) {
+	args, err := w.resolve(scale, slaves)
 	if err != nil {
 		return nil, err
 	}
