@@ -11,6 +11,7 @@ package grt
 
 import (
 	"fmt"
+	"sync"
 
 	"dqemu/internal/abi"
 	"dqemu/internal/asm"
@@ -329,9 +330,16 @@ long rand_next(long *state) {
 	abi.SysFutex, abi.FutexWait, abi.FutexWake,
 )
 
-// RuntimeSources compiles the runtime and returns its assembly units.
+// runtimeAsm compiles the mini-C half of the runtime, once per process: the
+// source is a constant, and every image build needs its assembly.
+var runtimeAsm = sync.OnceValues(func() (string, error) {
+	return minicc.Compile("rt.mc", runtimeC)
+})
+
+// RuntimeSources returns the runtime's assembly units in a slice of the
+// caller's own (callers append their units to it).
 func RuntimeSources() ([]asm.Source, error) {
-	rtAsm, err := minicc.Compile("rt.mc", runtimeC)
+	rtAsm, err := runtimeAsm()
 	if err != nil {
 		return nil, fmt.Errorf("grt: compiling runtime: %w", err)
 	}

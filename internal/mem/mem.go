@@ -14,6 +14,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -443,17 +444,43 @@ func (s *Space) StoreF64(addr uint64, v float64) *Fault {
 	return s.Store(addr, math.Float64bits(v), 8)
 }
 
+// run returns the bytes backing the longest prefix of the guest range
+// [addr, addr+max) that stays inside one page and, when that page is split,
+// one part of it: what one copy can move. With create an absent page is made
+// zero and PermReadWrite; without, it is the Fault of its first byte.
+func (s *Space) run(addr uint64, max int, create bool) ([]byte, *Fault) {
+	off := addr & uint64(s.pageSize-1)
+	n := uint64(s.pageSize) - off
+	pn := addr >> s.pageShift
+	if shadows, split := s.remap[pn]; split {
+		part := uint64(s.pageSize / len(shadows))
+		n = part - off%part
+		pn = shadows[off/part]
+	}
+	if uint64(max) < n {
+		n = uint64(max)
+	}
+	if create {
+		return s.EnsurePage(pn, PermReadWrite)[off : off+n], nil
+	}
+	p := s.pages[pn]
+	if p == nil {
+		return nil, &Fault{Addr: pn<<s.pageShift | off, Page: pn}
+	}
+	return p.data[off : off+n], nil
+}
+
 // ReadBytes copies guest memory into buf, applying remap but ignoring
 // permissions (helper threads are exempt from the protocol, §4.2). It fails
 // if any page is not resident.
 func (s *Space) ReadBytes(addr uint64, buf []byte) error {
-	for i := range buf {
-		ba := s.Translate(addr + uint64(i))
-		p := s.pages[ba>>s.pageShift]
-		if p == nil {
-			return &Fault{Addr: ba, Page: ba >> s.pageShift}
+	for len(buf) > 0 {
+		src, fault := s.run(addr, len(buf), false)
+		if fault != nil {
+			return fault
 		}
-		buf[i] = p.data[ba&uint64(s.pageSize-1)]
+		n := copy(buf, src)
+		addr, buf = addr+uint64(n), buf[n:]
 	}
 	return nil
 }
@@ -463,10 +490,10 @@ func (s *Space) ReadBytes(addr uint64, buf []byte) error {
 // loader and by delegated syscalls on the master, whose directory owns the
 // authoritative copy).
 func (s *Space) WriteBytes(addr uint64, buf []byte) error {
-	for i := range buf {
-		ba := s.Translate(addr + uint64(i))
-		data := s.EnsurePage(ba>>s.pageShift, PermReadWrite)
-		data[ba&uint64(s.pageSize-1)] = buf[i]
+	for len(buf) > 0 {
+		dst, _ := s.run(addr, len(buf), true)
+		n := copy(dst, buf)
+		addr, buf = addr+uint64(n), buf[n:]
 	}
 	return nil
 }
@@ -474,15 +501,15 @@ func (s *Space) WriteBytes(addr uint64, buf []byte) error {
 // ReadCString reads a NUL-terminated guest string of at most max bytes.
 func (s *Space) ReadCString(addr uint64, max int) (string, error) {
 	var out []byte
-	var b [1]byte
-	for i := 0; i < max; i++ {
-		if err := s.ReadBytes(addr+uint64(i), b[:]); err != nil {
-			return "", err
+	for len(out) < max {
+		src, fault := s.run(addr+uint64(len(out)), max-len(out), false)
+		if fault != nil {
+			return "", fault
 		}
-		if b[0] == 0 {
-			return string(out), nil
+		if i := bytes.IndexByte(src, 0); i >= 0 {
+			return string(append(out, src[:i]...)), nil
 		}
-		out = append(out, b[0])
+		out = append(out, src...)
 	}
 	return string(out), fmt.Errorf("mem: unterminated string at %#x", addr)
 }

@@ -1,0 +1,555 @@
+package tcg
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"dqemu/internal/grt"
+	"dqemu/internal/image"
+	"dqemu/internal/isa"
+	"dqemu/internal/mem"
+)
+
+// refTranslate is translate as it was before it read code a page span at a
+// time: one fetchInsn — a permission probe and a byte-wise ReadBytes — per
+// instruction. The fetch differential holds translate to it.
+func refTranslate(e *Engine, pc uint64) (*block, error) {
+	b := &block{startPC: pc}
+	cur := pc
+	for len(b.ops) < MaxBlockInsns {
+		ins, n, err := e.fetchInsn(cur)
+		if err != nil {
+			if len(b.ops) > 0 {
+				break
+			}
+			return nil, err
+		}
+		b.ops = append(b.ops, ins)
+		b.pcs = append(b.pcs, cur)
+		b.endPC = cur + uint64(n)
+		if ins.IsBranch() {
+			switch ins.Op {
+			case isa.OpJAL:
+				b.takenPC = cur + uint64(ins.Imm*4)
+			case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
+				b.takenPC = cur + uint64(ins.Imm*4)
+				b.fallPC = cur + 4
+			case isa.OpSVC:
+				b.fallPC = cur + 4
+			}
+			break
+		}
+		cur += uint64(n)
+	}
+	if len(b.ops) == MaxBlockInsns && !b.ops[len(b.ops)-1].IsBranch() {
+		last := len(b.ops) - 1
+		b.fallPC = b.pcs[last] + uint64(b.ops[last].Size())
+	}
+	return b, nil
+}
+
+func encodeInsns(t testing.TB, insns ...isa.Instruction) []byte {
+	t.Helper()
+	var code []byte
+	for _, ins := range insns {
+		var err error
+		if code, err = ins.Encode(code); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return code
+}
+
+// coldImage is the shape of bench's cold_code input: funcs small
+// straight-line functions, each called from main.
+func coldImage(t testing.TB, funcs int) *image.Image {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	for f := 0; f < funcs; f++ {
+		fmt.Fprintf(&sb, "long f%d(long x) {\n\tlong a = x + %d;\n\tlong b = x ^ %d;\n", f, rng.Int63n(1<<40), rng.Intn(1<<12))
+		for i := 0; i < 6; i++ {
+			fmt.Fprintf(&sb, "\ta = a %c b;\n\tb = b + %d;\n", "+-*^&|"[rng.Intn(6)], 1+rng.Int63n(1<<uint(4+rng.Intn(40))))
+		}
+		sb.WriteString("\treturn a + b;\n}\n")
+	}
+	sb.WriteString("long main() {\n\tlong acc = 1;\n")
+	for f := 0; f < funcs; f++ {
+		fmt.Fprintf(&sb, "\tacc = f%d(acc);\n", f)
+	}
+	sb.WriteString("\treturn acc & 63;\n}\n")
+	im, err := grt.BuildProgram("cold.mc", sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// boundaryImage puts every long encoding at 4, 8 and 12 bytes before a page
+// end (the last fits its page exactly, the others spill into the next), each
+// in a page of NOPs of its own, and ends in HALT.
+func boundaryImage(t testing.TB, pageSize int) *image.Image {
+	t.Helper()
+	nop := encodeInsns(t, isa.Instruction{Op: isa.OpNOP})
+	var code []byte
+	for _, ins := range []isa.Instruction{
+		{Op: isa.OpMOVIW, Rd: 5, Imm: -7},
+		{Op: isa.OpMOVID, Rd: 6, Imm: 0x1122334455667788},
+		{Op: isa.OpFMOVD, Rd: 7, Imm: 0x3ff8000000000000},
+	} {
+		for _, before := range []int{4, 8, 12} {
+			for len(code)%pageSize != pageSize-before {
+				code = append(code, nop...)
+			}
+			code = append(code, encodeInsns(t, ins)...)
+		}
+	}
+	code = append(code, encodeInsns(t, isa.Instruction{Op: isa.OpHALT})...)
+	im := image.New()
+	im.Entry = image.DefaultTextBase
+	if err := im.AddSegment(image.Segment{Name: "text", Addr: im.Entry, Data: code}); err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// fetchSweep translates from every block entry reachable in im's text — the
+// segment start, the entry point, and every block's end and static
+// successors — with translate and with refTranslate, and requires the same
+// block or the same error from both.
+func fetchSweep(t *testing.T, e *Engine, im *image.Image) (blocks int) {
+	t.Helper()
+	text, ok := im.Text()
+	if !ok {
+		t.Fatal("image has no text segment")
+	}
+	work := []uint64{text.Addr, im.Entry}
+	seen := map[uint64]bool{}
+	for len(work) > 0 {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[pc] || pc < text.Addr || pc >= text.Addr+uint64(len(text.Data)) {
+			continue
+		}
+		seen[pc] = true
+		got, gerr := e.translate(pc)
+		want, werr := refTranslate(e, pc)
+		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+			t.Fatalf("translate(%#x): error %v, reference %v", pc, gerr, werr)
+		}
+		if gerr != nil {
+			work = append(work, pc+4)
+			continue
+		}
+		if !slices.Equal(got.ops, want.ops) || !slices.Equal(got.pcs, want.pcs) ||
+			got.startPC != want.startPC || got.endPC != want.endPC ||
+			got.takenPC != want.takenPC || got.fallPC != want.fallPC {
+			t.Fatalf("translate(%#x) = %d insns [%#x,%#x) taken %#x fall %#x\nreference    %d insns [%#x,%#x) taken %#x fall %#x",
+				pc, len(got.ops), got.startPC, got.endPC, got.takenPC, got.fallPC,
+				len(want.ops), want.startPC, want.endPC, want.takenPC, want.fallPC)
+		}
+		blocks++
+		work = append(work, got.endPC, got.takenPC, got.fallPC)
+	}
+	return blocks
+}
+
+// TestFetchDifferential: the page-span fetch and the byte-wise one decode the
+// same blocks, whatever the page size and whatever state the code pages are
+// in.
+func TestFetchDifferential(t *testing.T) {
+	runtimeOnly, err := grt.BuildProgram("one.mc", "long main() { return 0; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := coldImage(t, 300)
+	images := map[string]func(pageSize int) *image.Image{
+		"runtime":  func(int) *image.Image { return runtimeOnly },
+		"cold":     func(int) *image.Image { return cold },
+		"boundary": func(ps int) *image.Image { return boundaryImage(t, ps) },
+	}
+	// Each state is applied to every third text page, starting at the second.
+	states := map[string]func(s *mem.Space, pn uint64, content []byte){
+		"plain": func(*mem.Space, uint64, []byte) {},
+		"split": func(s *mem.Space, pn uint64, content []byte) {
+			if err := s.AddRemap(pn, []uint64{1<<30 + 2*pn, 1<<30 + 2*pn + 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WriteBytes(s.PageAddr(pn), content); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"permnone": func(s *mem.Space, pn uint64, _ []byte) { s.SetPerm(pn, mem.PermNone) },
+		"absent":   func(s *mem.Space, pn uint64, _ []byte) { s.DropPage(pn) },
+	}
+	for imName, build := range images {
+		for _, pageSize := range []int{mem.DefaultPageSize, 256, 64} {
+			for stName, apply := range states {
+				t.Run(fmt.Sprintf("%s/page%d/%s", imName, pageSize, stName), func(t *testing.T) {
+					im := build(pageSize)
+					space := mem.NewSpace(pageSize)
+					mem.InstallImage(space, im, mem.PermRead, mem.PermReadWrite)
+					text, _ := im.Text()
+					first, last := space.PageOf(text.Addr), space.PageOf(text.Addr+uint64(len(text.Data))-1)
+					for pn := first + 1; pn <= last; pn += 3 {
+						apply(space, pn, slices.Clone(space.PageData(pn)))
+					}
+					if n := fetchSweep(t, NewEngine(space, DefaultCostModel()), im); n < 2 {
+						t.Errorf("only %d blocks compared", n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// splitCodeSpace returns a space whose page 16 is split over shadows 100 and
+// 101, with a counting loop at the start of the page (shadow 100's half) that
+// jumps through a block in shadow 101's half on every iteration:
+//
+//	loop: addi s0, s0, 1 ; addi s1, s1, 1 ; j far
+//	far:  j loop
+func splitCodeSpace(t *testing.T) (space *mem.Space, entry uint64) {
+	t.Helper()
+	space = mem.NewSpace(0)
+	if err := space.AddRemap(16, []uint64{100, 101}); err != nil {
+		t.Fatal(err)
+	}
+	entry = space.PageAddr(16)
+	half := int64(space.PageSize() / 2)
+	loop := encodeInsns(t,
+		isa.Instruction{Op: isa.OpADDI, Rd: isa.RegS0, Rs1: isa.RegS0, Imm: 1},
+		isa.Instruction{Op: isa.OpADDI, Rd: isa.RegS0 + 1, Rs1: isa.RegS0 + 1, Imm: 1},
+		isa.Instruction{Op: isa.OpJAL, Imm: (half - 8) / 4})
+	far := encodeInsns(t, isa.Instruction{Op: isa.OpJAL, Imm: -half / 4})
+	if err := space.WriteBytes(entry, loop); err != nil {
+		t.Fatal(err)
+	}
+	if err := space.WriteBytes(entry+uint64(half), far); err != nil {
+		t.Fatal(err)
+	}
+	return space, entry
+}
+
+// TestInvalidateShadowOfSplitCodePage: the coherence layer invalidates pages
+// by protocol number, which for a split page is the shadow's. Code translated
+// from a split page must be registered under those numbers, at every tier.
+func TestInvalidateShadowOfSplitCodePage(t *testing.T) {
+	t.Run("lookup", func(t *testing.T) {
+		space, entry := splitCodeSpace(t)
+		e := NewEngine(space, DefaultCostModel())
+		var spent int64
+		if _, err := e.lookup(entry, &spent); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.codePages[100]; !ok || len(e.codePages) != 1 {
+			t.Errorf("codePages = %v, want the shadow {100}", e.codePages)
+		}
+		gen := e.gen
+		if e.InvalidatePage(101); e.gen != gen {
+			t.Error("invalidating a shadow no code was translated from flushed the cache")
+		}
+		if e.InvalidatePage(100); e.gen == gen {
+			t.Error("invalidating the shadow the block was translated from left it cached")
+		}
+	})
+
+	tiers := map[string]func(*Engine){
+		"block":      func(e *Engine) { e.NoSuperblock = true },
+		"superblock": func(e *Engine) { e.NoTier3 = true },
+		"tier3":      func(*Engine) {},
+	}
+	for name, tune := range tiers {
+		for _, shadow := range []uint64{100, 101} {
+			t.Run(fmt.Sprintf("%s/shadow%d", name, shadow), func(t *testing.T) {
+				space, entry := splitCodeSpace(t)
+				e := NewEngine(space, DefaultCostModel())
+				e.HotThreshold, e.Tier3Threshold = 2, 2
+				tune(e)
+				cpu := &CPU{PC: entry, TID: 1}
+				for i := 0; i < 64; i++ {
+					if res := e.Exec(cpu, 2_000); res.Reason != StopBudget {
+						t.Fatalf("heat run stopped: %+v", res)
+					}
+				}
+				switch {
+				case name == "superblock" && (e.Stats.SuperblockInsns == 0 || e.Stats.Tier3Insns != 0),
+					name == "tier3" && e.Stats.Tier3Insns == 0:
+					t.Fatalf("loop is not running on the %s tier: %+v", name, e.Stats)
+				}
+				if cpu.X[isa.RegS0] != cpu.X[isa.RegS0+1] {
+					t.Fatalf("before the patch: s0=%d s1=%d", cpu.X[isa.RegS0], cpu.X[isa.RegS0+1])
+				}
+
+				// Another node writes the shadow: in its first half the loop
+				// now adds 2 to s0, in its second the far block stops the run.
+				half := uint64(space.PageSize() / 2)
+				patchAt, patch := entry, isa.Instruction{Op: isa.OpADDI, Rd: isa.RegS0, Rs1: isa.RegS0, Imm: 2}
+				if shadow == 101 {
+					patchAt, patch = entry+half, isa.Instruction{Op: isa.OpHALT}
+				}
+				if err := space.WriteBytes(patchAt, encodeInsns(t, patch)); err != nil {
+					t.Fatal(err)
+				}
+				e.InvalidatePage(shadow)
+				if e.Stats.Flushes != 1 {
+					t.Fatalf("InvalidatePage(%d) did not flush translations of the split page", shadow)
+				}
+				cpu.X[isa.RegS0], cpu.X[isa.RegS0+1], cpu.PC = 0, 0, entry
+				res := e.Exec(cpu, 2_000)
+				if shadow == 101 {
+					if res.Reason != StopHalt {
+						t.Errorf("stale far block ran: %+v", res)
+					}
+				} else if s0, s1 := cpu.X[isa.RegS0], cpu.X[isa.RegS0+1]; s1 == 0 || s0 != 2*s1 {
+					t.Errorf("stale loop body ran: s0=%d s1=%d, want s0 = 2*s1", s0, s1)
+				}
+			})
+		}
+	}
+}
+
+// hotLoops is two loops that get hot one after the other, so one engine
+// builds (and, where enabled, closure-compiles) two traces.
+const hotLoops = `
+_start:
+	li   s0, 0
+	li   s1, 0
+	li   s2, 300
+	li   s3, 0x20000
+first:
+	sd   s1, 0(s3)
+	ld   t0, 0(s3)
+	add  s0, s0, t0
+	addi s1, s1, 1
+	slt  t0, s1, s2
+	bnez t0, first
+	li   s1, 0
+second:
+	hint 3
+	sd   s0, 8(s3)
+	ld   t1, 8(s3)
+	addi t1, t1, 5
+	xor  s0, s0, t1
+	addi s1, s1, 1
+	slt  t0, s1, s2
+	bnez t0, second
+	halt
+`
+
+// TestColdPathVerifyDemotionOwnsRef forces the equivalence proof of two
+// traces, built back to back on one engine, to fail, so each is demoted to
+// its reference lowering. That stream is lowered into engine scratch: what
+// the superblock installs must be a copy of its own, or building the second
+// trace rewrites the first one's code.
+func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
+	want, _ := tier3State(t, hotLoops, func(e *Engine) {
+		e.NoCache, e.NoChain, e.NoSuperblock, e.NoJumpCache = true, true, true, true
+	})
+
+	// Heat both loops on the block tier, so their heads carry branch bias.
+	_, e, cpu, im := setupImage(t, hotLoops)
+	e.NoSuperblock = true
+	if res := runToStop(t, e, cpu); res.Reason != StopHalt {
+		t.Fatalf("stop: %+v", res)
+	}
+	// An unsound rule: every addi adds one too many.
+	unsound := peepSchema{name: "addi-off-by-one", unary: func(u *uop) (uop, bool) {
+		if u.kind != uAddi || u.val == 1 {
+			return uop{}, false
+		}
+		m := *u
+		m.imm, m.val = u.imm+1, 1 // val marks the uop rewritten
+		return m, true
+	}}
+	e.NoSuperblock, e.Verify = false, true
+	e.peepInit, e.peepOn = true, []*peepSchema{&unsound}
+	fails := 0
+	e.OnVerifyFail = func(where string, entry uint64, err error) { fails++ }
+
+	var spent int64
+	var sbs [2]*superblock
+	var kept [2][]uop
+	for i, label := range []string{"first", "second"} {
+		head := e.cache[im.Symbols[label]]
+		if head == nil {
+			t.Fatalf("no cached block at %s", label)
+		}
+		sbs[i] = e.buildTrace(head, &spent)
+		kept[i] = slices.Clone(sbs[i].ops)
+		head.sb = sbs[i]
+	}
+	if fails != 2 || e.Stats.VerifyDemotions != 2 {
+		t.Fatalf("%d failures reported, %d demotions; want both traces demoted", fails, e.Stats.VerifyDemotions)
+	}
+	if !slices.Equal(sbs[0].ops, kept[0]) {
+		t.Error("building the second trace rewrote the first trace's installed reference stream")
+	}
+	for _, sb := range sbs {
+		for _, buf := range [][]uop{e.uopBuf, e.refBuf} {
+			if cap(buf) > 0 && &sb.ops[0] == &buf[:1][0] {
+				t.Errorf("superblock %#x: ops alias the engine's scratch", sb.entry)
+			}
+		}
+	}
+
+	// The installed streams are the sound lowering: rerun on them.
+	cpu2 := &CPU{PC: im.Entry, TID: 1}
+	cpu2.X[isa.RegSP] = 0x40000
+	if res := runToStop(t, e, cpu2); res.Reason != StopHalt {
+		t.Fatalf("rerun: %+v", res)
+	}
+	if e.Stats.SuperblockInsns == 0 {
+		t.Error("rerun did not execute the demoted superblocks")
+	}
+	if cpu2.X != want.X || cpu2.PC != want.PC {
+		t.Errorf("demoted run diverged from the interpreter:\n got pc=%#x x=%v\nwant pc=%#x x=%v", cpu2.PC, cpu2.X, want.PC, want.X)
+	}
+}
+
+// TestColdPathNotReentered: the translator's scratch buffers assume that
+// translate, buildTrace and compileTier3 never run inside one another. The
+// one callback that re-enters the engine, OnHint, fires on the execute path;
+// a nested Exec from it translates, promotes and compiles a second loop from
+// cold while the outer trace is suspended, and must neither trip the depth
+// assertion nor disturb the outer program.
+func TestColdPathNotReentered(t *testing.T) {
+	want, _ := tier3State(t, hotLoops, nil)
+
+	// The nested loop: s0 += s1 for s1 = 0..199, at an address of its own.
+	const nestedAt = 0x30000
+	nestedCode := encodeInsns(t,
+		isa.Instruction{Op: isa.OpADD, Rd: isa.RegS0, Rs1: isa.RegS0, Rs2: isa.RegS0 + 1},
+		isa.Instruction{Op: isa.OpADDI, Rd: isa.RegS0 + 1, Rs1: isa.RegS0 + 1, Imm: 1},
+		isa.Instruction{Op: isa.OpBLT, Rs1: isa.RegS0 + 1, Rs2: isa.RegS0 + 2, Imm: -2},
+		isa.Instruction{Op: isa.OpHALT})
+
+	hints, nestedRuns := 0, 0
+	got, e := tier3State(t, hotLoops, func(e *Engine) {
+		e.Verify, e.Tier3Threshold = true, 2
+		if err := e.Mem.WriteBytes(nestedAt, nestedCode); err != nil {
+			t.Fatal(err)
+		}
+		e.OnHint = func(tid, group int64) {
+			if e.coldDepth != 0 {
+				t.Errorf("OnHint fired with the translator active (depth %d)", e.coldDepth)
+			}
+			if hints++; hints%60 != 1 {
+				return
+			}
+			nestedRuns++
+			e.ClearCache() // the nested loop is cold code every time
+			cpu := &CPU{PC: nestedAt, TID: 2}
+			cpu.X[isa.RegS0+2] = 200
+			for i := 0; ; i++ {
+				res := e.Exec(cpu, 1_500)
+				if res.Reason == StopHalt {
+					break
+				}
+				if res.Reason != StopBudget || i > 10_000 {
+					t.Fatalf("nested run: %+v", res)
+				}
+			}
+			if cpu.X[isa.RegS0] != 199*200/2 {
+				t.Errorf("nested run: sum = %d", cpu.X[isa.RegS0])
+			}
+		}
+	})
+	if e.coldDepth != 0 {
+		t.Errorf("translator depth %d after the run", e.coldDepth)
+	}
+	if nestedRuns < 2 || e.Stats.Tier3Superblocks < uint64(nestedRuns) {
+		t.Errorf("%d nested runs, %d tier-3 compilations: the nested loop did not climb the ladder from cold",
+			nestedRuns, e.Stats.Tier3Superblocks)
+	}
+	if got.X != want.X || got.PC != want.PC {
+		t.Errorf("nested cold-path use changed the outer program:\n got pc=%#x x=%v\nwant pc=%#x x=%v", got.PC, got.X, want.PC, want.X)
+	}
+}
+
+// TestColdPathAllocs pins what the cold path allocates: the slices a block
+// or superblock keeps, once, and nothing for the work in between.
+func TestColdPathAllocs(t *testing.T) {
+	_, e, _, im := setupImage(t, hotLoops)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := e.translate(im.Entry); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("translating one block allocates %v objects, want at most 3 (block, ops, pcs)", n)
+	}
+
+	// peepPass: 200 uops in which addi-fold, mv-bounce, addi-zero and
+	// xor-self all fire, and addi-tri (whose replacement is a fresh slice)
+	// does not.
+	unit := []uop{
+		alui(uAddi, 5, 6, 3), alui(uAddi, 5, 5, 4), // addi-fold
+		alu2(uXor, 7, 8, 8),  // xor-self
+		alui(uAddi, 9, 9, 0), // addi-zero
+		alu2(uAdd, 10, 5, 7),
+	}
+	var template, work []uop
+	for len(template) < 200 {
+		template = append(template, unit...)
+	}
+	work = make([]uop, len(template))
+	applied := e.Stats.PeepApplied
+	if n := testing.AllocsPerRun(100, func() {
+		copy(work, template)
+		if out := e.peepPass(work); len(out) >= len(work) {
+			t.Fatalf("peepPass rewrote nothing: %d uops out of %d", len(out), len(work))
+		}
+	}); n != 0 {
+		t.Errorf("peepPass over %d uops allocates %v objects, want 0", len(template), n)
+	}
+	if e.Stats.PeepApplied == applied {
+		t.Error("no peephole rule fired")
+	}
+
+	// Tier-3: replanning a superblock reuses the engine's plan, and a
+	// two-access memory run takes two slots of the access slab, not the
+	// t3MemRun its closure's array type could index.
+	_, e = tier3State(t, hotLoops, func(e *Engine) { e.Tier3Threshold = 2 })
+	var sb *superblock
+	for _, b := range e.cache {
+		if b.sb != nil && b.sb.t3 != nil && b.sb.entry != im.Entry {
+			sb = b.sb
+		}
+	}
+	if sb == nil {
+		t.Fatal("no tier-3 compilation produced")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !planTier3(&e.plan, sb.ops) {
+			t.Fatal("plan failed")
+		}
+	}); n != 0 {
+		t.Errorf("replanning allocates %v objects, want 0", n)
+	}
+	runs, accs := 0, 0
+	for _, seg := range e.plan.segs {
+		for gi, start := range seg.groups {
+			end := len(seg.units)
+			if gi+1 < len(seg.groups) {
+				end = seg.groups[gi+1]
+			}
+			if end-start > 1 {
+				runs, accs = runs+1, accs+end-start
+			}
+		}
+	}
+	if runs == 0 || accs >= runs*t3MemRun {
+		t.Fatalf("test loop has %d memory runs of %d accesses; want short runs", runs, accs)
+	}
+	e.accSlab = make([]memAcc, 4*t3MemRun)
+	var spent int64
+	if e.compileTier3(sb, &spent) == nil {
+		t.Fatal("recompilation failed")
+	}
+	if used := 4*t3MemRun - len(e.accSlab); used != accs {
+		t.Errorf("compiling %d accesses in %d runs took %d slab slots", accs, runs, used)
+	}
+}

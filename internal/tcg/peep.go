@@ -371,7 +371,9 @@ func (e *Engine) peepSchemas() []*peepSchema {
 
 // peepPass applies the enabled rules to a freshly lowered uop array, before
 // segmentation, rewriting in place. Merges re-expose the previous uop, so
-// chains (li;addi;slli;...) collapse in one left-to-right sweep.
+// chains (li;addi;slli;...) collapse in one left-to-right sweep. The uop
+// under rewrite is out's last element, never a local: a local whose address
+// reaches the schema func values would be one heap object per uop.
 func (e *Engine) peepPass(ops []uop) []uop {
 	schemas := e.peepSchemas()
 	if len(schemas) == 0 {
@@ -379,40 +381,34 @@ func (e *Engine) peepPass(ops []uop) []uop {
 	}
 	out := ops[:0]
 	for i := range ops {
-		u := ops[i]
-		for {
-			applied := false
+		out = append(out, ops[i])
+		for applied := true; applied; {
+			applied = false
 			for _, s := range schemas {
+				n := len(out)
 				if s.unary != nil {
-					if m, ok := s.unary(&u); ok {
-						u = m
+					if m, ok := s.unary(&out[n-1]); ok {
+						out[n-1] = m
 						e.Stats.PeepApplied++
 						applied = true
 					}
 				}
-				if s.pair != nil && len(out) > 0 {
-					if m, ok := s.pair(&out[len(out)-1], &u); ok {
-						out = out[:len(out)-1]
-						u = m
+				if s.pair != nil && n > 1 {
+					if m, ok := s.pair(&out[n-2], &out[n-1]); ok {
+						out = append(out[:n-2], m)
 						e.Stats.PeepApplied++
 						applied = true
 					}
 				}
-				if s.tri != nil && len(out) > 1 {
-					if repl, ok := s.tri(&out[len(out)-2], &out[len(out)-1], &u); ok && len(repl) > 0 {
-						out = out[:len(out)-2]
-						out = append(out, repl[:len(repl)-1]...)
-						u = repl[len(repl)-1]
+				if n = len(out); s.tri != nil && n > 2 {
+					if repl, ok := s.tri(&out[n-3], &out[n-2], &out[n-1]); ok && len(repl) > 0 {
+						out = append(out[:n-3], repl...)
 						e.Stats.PeepApplied++
 						applied = true
 					}
 				}
-			}
-			if !applied {
-				break
 			}
 		}
-		out = append(out, u)
 	}
 	return out
 }

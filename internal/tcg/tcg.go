@@ -246,6 +246,22 @@ type Engine struct {
 	// Enabled peephole schemas, resolved lazily from PeepRules.
 	peepOn   []*peepSchema
 	peepInit bool
+
+	// Translator scratch: translate decodes into insBuf/pcBuf, buildTrace
+	// lowers into uopBuf (and refBuf under Verify), compileTier3 plans in
+	// plan. Each is dead when its function returns — what a block or
+	// superblock keeps is a copy made at its final size — and coldDepth
+	// asserts that no two of those functions are ever active at once.
+	insBuf    [MaxBlockInsns]isa.Instruction
+	pcBuf     [MaxBlockInsns]uint64
+	uopBuf    []uop
+	refBuf    []uop
+	plan      t3plan
+	coldDepth int
+
+	// accSlab is where compileMemRun's closures keep their pre-decoded
+	// accesses: kept, not scratch, and handed out a run's length at a time.
+	accSlab []memAcc
 }
 
 const accelTLBSize = 64 // power of two
@@ -343,20 +359,56 @@ func (e *Engine) fetchInsn(pc uint64) (isa.Instruction, int, error) {
 	return isa.Decode(buf[:n])
 }
 
-// translate builds the translation block starting at pc.
+// translate builds the translation block starting at pc. Code is read a
+// page span at a time: while the 12-byte decode window lies inside one
+// resident, unsplit, readable page, Decode runs straight on the page's bytes
+// (AccelFill answers all three in one probe); a window that crosses the page
+// end, a split page or an absent one goes through fetchInsn, byte-wise.
+// Instructions are decoded into engine scratch and copied once, at their
+// final size, into the block.
 func (e *Engine) translate(pc uint64) (*block, error) {
+	e.coldEnter()
+	defer e.coldLeave()
+	ops, pcs := e.insBuf[:0], e.pcBuf[:0]
 	b := &block{startPC: pc}
+	var line mem.AccelEntry // the code page the window is in; zero matches none
+	codePage := ^uint64(0)  // last page registered in codePages
 	cur := pc
-	for len(b.ops) < MaxBlockInsns {
-		ins, n, err := e.fetchInsn(cur)
+	for len(ops) < MaxBlockInsns {
+		var ins isa.Instruction
+		var n int
+		var err error
+		pn, off := cur>>e.pageShift, cur&e.pageMask
+		fast := off+12 <= e.pageMask+1 &&
+			(line.Epoch != 0 && line.PageNo == pn || e.Mem.AccelFill(&line, pn, false))
+		if fast {
+			ins, n, err = isa.Decode(line.Data[off : off+12])
+		} else {
+			ins, n, err = e.fetchInsn(cur)
+		}
 		if err != nil {
-			if len(b.ops) > 0 {
+			if len(ops) > 0 {
 				break // let execution reach the bad address before failing
 			}
 			return nil, err
 		}
-		b.ops = append(b.ops, ins)
-		b.pcs = append(b.pcs, cur)
+		// Invalidations name translated pages: register the page each
+		// instruction's first and last byte translate to (one page on the
+		// fast path, two or a shadow on the byte-wise one).
+		if !e.NoCache {
+			if !fast {
+				pn = e.Mem.PageOf(e.Mem.Translate(cur))
+				if tail := e.Mem.PageOf(e.Mem.Translate(cur + uint64(n) - 1)); tail != pn {
+					e.codePages[tail] = struct{}{}
+				}
+			}
+			if pn != codePage {
+				e.codePages[pn] = struct{}{}
+				codePage = pn
+			}
+		}
+		ops = append(ops, ins)
+		pcs = append(pcs, cur)
 		b.endPC = cur + uint64(n)
 		if ins.IsBranch() {
 			switch ins.Op {
@@ -372,12 +424,26 @@ func (e *Engine) translate(pc uint64) (*block, error) {
 		}
 		cur += uint64(n)
 	}
-	if len(b.ops) == MaxBlockInsns && !b.ops[len(b.ops)-1].IsBranch() {
-		last := len(b.ops) - 1
-		b.fallPC = b.pcs[last] + uint64(b.ops[last].Size())
+	if last := len(ops) - 1; last == MaxBlockInsns-1 && !ops[last].IsBranch() {
+		b.fallPC = b.endPC
 	}
+	b.ops, b.pcs = make([]isa.Instruction, len(ops)), make([]uint64, len(pcs))
+	copy(b.ops, ops)
+	copy(b.pcs, pcs)
 	return b, nil
 }
+
+// coldEnter marks the translator's scratch buffers in use, coldLeave frees
+// them. Nothing on the translate path calls back into it — OnHint re-enters
+// Exec from the execute path only — so a second entry is a bug, not a case
+// to serve.
+func (e *Engine) coldEnter() {
+	if e.coldDepth++; e.coldDepth != 1 {
+		panic("tcg: translator re-entered while its scratch buffers are in use")
+	}
+}
+
+func (e *Engine) coldLeave() { e.coldDepth-- }
 
 // lookup returns the block at pc, translating (and charging translation
 // time) if needed.
@@ -399,9 +465,6 @@ func (e *Engine) lookup(pc uint64, spent *int64) (*block, error) {
 	b.gen = e.gen
 	if !e.NoCache {
 		e.cache[pc] = b
-		for p := e.Mem.PageOf(b.startPC); p <= e.Mem.PageOf(b.endPC-1); p++ {
-			e.codePages[p] = struct{}{}
-		}
 	}
 	if e.San != nil {
 		e.San.LintBlock(b.ops, b.pcs, e.isCodeAddr)

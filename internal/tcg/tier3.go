@@ -45,6 +45,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"dqemu/internal/isa"
 	"dqemu/internal/mem"
@@ -249,16 +250,24 @@ type t3plan struct {
 	starts   []int // segment start indices, one per segBoundary
 	fuseLoop bool  // trailing bare uLoopBack folded into the predecessor
 	segs     []t3seg
+
+	// Backing arrays of every segment's units and groups. A plan is dead
+	// once its consumer returns, so the engine replans into the same one.
+	units  []t3unit
+	groups []int
 }
 
-// planTier3 derives the compilation plan from a segmentized uop array.
-// Returns ok=false when the shape is not compilable (empty trace or no
-// trailing segment boundary).
-func planTier3(ops []uop) (t3plan, bool) {
+// planTier3 derives the compilation plan from a segmentized uop array into
+// p, reusing p's arrays. Returns false when the shape is not compilable
+// (empty trace or no trailing segment boundary).
+func planTier3(p *t3plan, ops []uop) bool {
 	if len(ops) == 0 || !segBoundary(ops[len(ops)-1].kind) {
-		return t3plan{}, false
+		return false
 	}
-	var p t3plan
+	// No array outgrows len(ops), so sized once here the appends below never
+	// move one under the segments already cut from it.
+	*p = t3plan{starts: slices.Grow(p.starts[:0], len(ops)), segs: slices.Grow(p.segs[:0], len(ops)),
+		units: slices.Grow(p.units[:0], len(ops)), groups: slices.Grow(p.groups[:0], len(ops))}
 	segStart := 0
 	for i := range ops {
 		if segBoundary(ops[i].kind) {
@@ -280,14 +289,13 @@ func planTier3(ops []uop) (t3plan, bool) {
 		}
 	}
 
-	p.segs = make([]t3seg, nseg)
 	for s := 0; s < nseg; s++ {
 		first := p.starts[s]
 		last := len(ops) - 1
 		if s+1 < len(p.starts) {
 			last = p.starts[s+1] - 1
 		}
-		seg := t3seg{first: first, last: last}
+		seg := t3seg{first: first, last: last, units: p.units[len(p.units):], groups: p.groups[len(p.groups):]}
 		// Fusion plan for the straight-line mids: a greedy forward scan
 		// folds address-bump addis into their neighbouring memory ops (pre:
 		// addi right before the access, may feed the address; post: addi
@@ -335,7 +343,6 @@ func planTier3(ops []uop) (t3plan, bool) {
 		// load-load / store-addi-load / fload-fload runs the uopseq profile
 		// surfaces. Wider runs amortize the per-closure call overhead that
 		// dominates mem-heavy inner loops.
-		seg.groups = make([]int, 0, len(seg.units))
 		for k := 0; k < len(seg.units); {
 			g := 1
 			if pair8able(ops, seg.units[k]) {
@@ -346,9 +353,11 @@ func planTier3(ops []uop) (t3plan, bool) {
 			seg.groups = append(seg.groups, k)
 			k += g
 		}
-		p.segs[s] = seg
+		p.units = p.units[:len(p.units)+len(seg.units)]
+		p.groups = p.groups[:len(p.groups)+len(seg.groups)]
+		p.segs = append(p.segs, seg)
 	}
-	return p, true
+	return true
 }
 
 // compileTier3 compiles sb into a chunk array, charging translation time
@@ -358,9 +367,11 @@ func planTier3(ops []uop) (t3plan, bool) {
 // superblock contains a shape the closure compiler does not handle
 // (execution then stays on tier-2 permanently).
 func (e *Engine) compileTier3(sb *superblock, spent *int64) *tier3 {
+	e.coldEnter()
+	defer e.coldLeave()
 	ops := sb.ops
-	plan, ok := planTier3(ops)
-	if !ok {
+	plan := &e.plan
+	if !planTier3(plan, ops) {
 		return nil
 	}
 	t3 := &tier3{entry: sb.entry, gen: sb.gen}
@@ -706,7 +717,15 @@ type memAcc struct {
 // with PC at access k's instruction (pageFault refunds from ac.idx).
 func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 	ops := sb.ops
-	var accs [t3MemRun]memAcc
+	// The closure indexes accs with constants, so it wants the full-width
+	// array type, but reads only the len(us) slots this run fills: take that
+	// many from the engine's slab and let the view's unused tail lie over the
+	// slots of the runs compiled next.
+	if len(e.accSlab) < t3MemRun {
+		e.accSlab = make([]memAcc, 16*t3MemRun)
+	}
+	accs := (*[t3MemRun]memAcc)(e.accSlab)
+	e.accSlab = e.accSlab[len(us):]
 	for k := range us {
 		un := us[k]
 		u := &ops[un.op]

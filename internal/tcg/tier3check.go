@@ -37,8 +37,8 @@ func (e *Engine) checkTier3(sb *superblock, t3 *tier3) error {
 	if t3.gen != sb.gen {
 		return fmt.Errorf("tier3 generation %d, superblock generation %d", t3.gen, sb.gen)
 	}
-	plan, ok := planTier3(ops)
-	if !ok {
+	var plan t3plan // the checker's own, not the one the compilation used
+	if !planTier3(&plan, ops) {
 		return fmt.Errorf("uop sequence is not compilable yet a tier3 was produced")
 	}
 	if plan.fuseLoop {

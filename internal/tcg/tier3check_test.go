@@ -84,8 +84,8 @@ func TestCheckSegPlanRejectsBadPlans(t *testing.T) {
 		{kind: uExit, npc: 0x100, exit: 0, exit2: -1},
 	}
 	segmentize(ops)
-	plan, ok := planTier3(ops)
-	if !ok {
+	var plan t3plan
+	if !planTier3(&plan, ops) {
 		t.Fatal("plan failed on a trivial segment")
 	}
 	if err := checkSegPlan(ops, &plan.segs[0]); err != nil {

@@ -13,7 +13,11 @@
 // exit pointer — no stale translation can run after a flush.
 package tcg
 
-import "dqemu/internal/isa"
+import (
+	"slices"
+
+	"dqemu/internal/isa"
+)
 
 const (
 	// DefaultHotThreshold is the execution count at which a block is
@@ -101,10 +105,17 @@ func isCondBranch(op isa.Op) bool {
 
 // buildTrace forms a superblock starting at head, charging translation time
 // for every instruction lowered. head must be a current-generation cached
-// block.
+// block. The trace is lowered and peephole-rewritten in engine scratch;
+// sb.ops is one copy of the result, made before anything (segmentize, the
+// equivalence proof, later compileTier3 closures) takes a pointer into it.
 func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
+	e.coldEnter()
+	defer e.coldLeave()
 	sb := &superblock{entry: head.startPC, gen: e.gen}
-	visited := map[uint64]bool{head.startPC: true}
+	ops := e.uopBuf[:0]
+	visited := [MaxTraceBlocks]uint64{head.startPC} // entries of the blocks in the trace
+	nvisited := 1
+	nexits := 0
 
 	// Translation validation (Engine.Verify): ref accumulates the
 	// per-instruction reference lowering — each guest instruction lowered
@@ -114,18 +125,19 @@ func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
 	// verbatim (same exit-slot indices), making ref a drop-in demotion
 	// target when the optimized stream fails its equivalence proof.
 	verify := e.Verify
-	var ref, scratch []uop
+	ref := e.refBuf[:0]
+	var scratch [2]uop // lowerInsn emits at most a sanitizer probe and the uop
 
 	newExit := func() int16 {
-		sb.exits = append(sb.exits, exitSlot{})
-		return int16(len(sb.exits) - 1)
+		nexits++
+		return int16(nexits - 1)
 	}
 
 	// canFollow reports whether the trace may continue into the block at
 	// target: it must be translated in this generation, not already part of
-	// the trace, and fit under the caps.
+	// the trace, and fit under the caps. A block it admits joins visited.
 	canFollow := func(target uint64, blocks int) (*block, bool) {
-		if blocks >= MaxTraceBlocks || visited[target] {
+		if blocks >= MaxTraceBlocks || slices.Contains(visited[:nvisited], target) {
 			return nil, false
 		}
 		nb, ok := e.cache[target]
@@ -135,6 +147,8 @@ func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
 		if sb.ninsns+uint32(len(nb.ops)) > MaxTraceInsns {
 			return nil, false
 		}
+		visited[nvisited] = target
+		nvisited++
 		return nb, true
 	}
 
@@ -146,9 +160,9 @@ func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
 		if verify {
 			ref = append(ref, u)
 		}
-		if len(sb.ops) > 0 && (u.kind == uGuard || u.kind == uBranchExit) &&
+		if len(ops) > 0 && (u.kind == uGuard || u.kind == uBranchExit) &&
 			u.rs2 == 0 && (u.bop == isa.OpBEQ || u.bop == isa.OpBNE) {
-			p := &sb.ops[len(sb.ops)-1]
+			p := &ops[len(ops)-1]
 			if (p.kind == uSlt || p.kind == uSltu) && p.rd != 0 && p.rd == u.rs1 {
 				fused := u
 				if u.kind == uGuard {
@@ -167,13 +181,13 @@ func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
 				return
 			}
 		}
-		sb.ops = append(sb.ops, u)
+		ops = append(ops, u)
 	}
 
 	// app appends a terminator/link uop, mirroring it into the reference
 	// stream under -verify.
 	app := func(u uop) {
-		sb.ops = append(sb.ops, u)
+		ops = append(ops, u)
 		if verify {
 			ref = append(ref, u)
 		}
@@ -193,10 +207,9 @@ loop:
 			if i == term {
 				break
 			}
-			sb.ops = e.lowerInsn(sb.ops, &b.ops[i], b.pcs[i])
+			ops = e.lowerInsn(ops, &b.ops[i], b.pcs[i])
 			if verify {
-				scratch = e.lowerInsn(scratch[:0], &b.ops[i], b.pcs[i])
-				ref = append(ref, scratch...)
+				ref = append(ref, e.lowerInsn(scratch[:0], &b.ops[i], b.pcs[i])...)
 			}
 			sb.ninsns++
 		}
@@ -211,7 +224,6 @@ loop:
 				fallPC = b.pcs[last] + uint64(b.ops[last].Size())
 			}
 			if nb, ok := canFollow(fallPC, blocks); ok {
-				visited[fallPC] = true
 				b = nb
 				continue
 			}
@@ -239,7 +251,6 @@ loop:
 			}
 			if nb, ok := canFollow(target, blocks); ok {
 				app(link)
-				visited[target] = true
 				b = nb
 				continue
 			}
@@ -274,7 +285,6 @@ loop:
 					emit(uop{kind: uGuard, rs1: ins.Rs1, rs2: ins.Rs2, bop: ins.Op,
 						expectTaken: followTaken, pc: pc, npc: offPC,
 						selfInsns: 1, selfCost: cost, exit: newExit(), exit2: -1})
-					visited[onPC] = true
 					b = nb
 					continue
 				}
@@ -299,20 +309,23 @@ loop:
 		}
 	}
 
-	sb.ops = e.peepPass(sb.ops)
+	ops = e.peepPass(ops)
+	sb.ops, sb.exits = make([]uop, len(ops)), make([]exitSlot, nexits)
+	copy(sb.ops, ops)
+	e.uopBuf, e.refBuf = ops[:0], ref[:0]
 	segmentize(sb.ops)
 
 	if verify {
 		if err := symEquivSeq(ref, sb.ops); err != nil {
-			// Demote with a diagnostic: install the per-instruction
-			// reference lowering, which is correct by construction and
-			// reuses the same exit slots.
+			// Demote with a diagnostic: install a copy of the
+			// per-instruction reference lowering, which is correct by
+			// construction and reuses the same exit slots.
 			e.Stats.VerifyDemotions++
+			sb.ops = slices.Clone(ref)
+			segmentize(sb.ops)
 			if e.OnVerifyFail != nil {
 				e.OnVerifyFail("superblock", sb.entry, err)
 			}
-			segmentize(ref)
-			sb.ops = ref
 		} else {
 			e.Stats.VerifiedSuperblocks++
 		}
