@@ -35,7 +35,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dqemu-bench", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "spec file or directory of *.json specs (required)")
 	smoke := fs.Bool("smoke", false, "divide scalable workload arguments down for a CI smoke run")
-	verify := fs.Bool("verify", false, "symbolically prove every superblock translation and structurally check every tier-3 compilation; any failure is a failed gate")
+	verify := fs.Bool("verify", false, "symbolically prove every trace's lowering and structurally check its closure compilation; any failure is a failed gate")
 	jsonOut := fs.String("json", "", "write the report as JSON to this file")
 	quiet := fs.Bool("q", false, "suppress per-run progress")
 	cpuProf := fs.String("cpuprofile", "", "write a host CPU profile of the whole run to this file")

@@ -172,8 +172,9 @@ func mineRules(profilePath, outPath, mode string, trials int, seed int64, minWei
 #
 #   go run ./cmd/dqemu-peep -prove=symbolic -check internal/tcg/rules/peep.rules
 #
-# weight is the execution-weighted occurrence count of the rule's trigger
-# sequence in the mining run (`)
+# weight is the occurrence count of the rule's trigger sequence over the
+# mining run's traces, each trace counted once per dispatch into it
+# (`)
 	b.WriteString(source)
 	b.WriteString(").\n")
 	fmt.Fprintf(&b, "schema %d\n", tcg.PeepRulesSchema)

@@ -28,10 +28,10 @@ func main() {
 	split := flag.Bool("split", false, "enable page splitting (paper §5.1)")
 	hints := flag.Bool("hints", false, "enable hint-based locality-aware scheduling (paper §5.3)")
 	stats := flag.Bool("stats", false, "print run statistics to stderr")
-	verify := flag.Bool("verify", false, "prove every superblock translation symbolically and check every tier-3 compilation structurally; failures demote and are counted in -stats")
+	verify := flag.Bool("verify", false, "prove every trace's lowering symbolically and check its closure compilation structurally; a failed proof compiles the reference lowering, a failed check leaves the trace on the block interpreter, and both are counted in -stats")
 	traceFlag := flag.Bool("trace", false, "stream cluster events (messages, faults, syscalls) to stderr")
 	rebalance := flag.Int64("rebalance", 0, "rebalance period in virtual ns (0 = no dynamic migration)")
-	adaptive := flag.Bool("adaptive", false, "enable the metrics-driven feedback scheduler (locality migration, proactive splits, AIMD forwarding, tier-3 retuning)")
+	adaptive := flag.Bool("adaptive", false, "enable the metrics-driven feedback scheduler (locality migration, proactive splits, AIMD forwarding, elastic nodes)")
 	maxSlaves := flag.Int("max-slaves", 0, "physical slaves provisioned for elastic scaling (> -slaves leaves standbys the adaptive loop can activate)")
 	profile := flag.String("profile", "", "enable the metrics registry and write the JSON snapshot to this file (- for stderr)")
 	chromeTrace := flag.String("chrome-trace", "", "record typed spans and write a Chrome trace_event timeline (Perfetto-loadable) to this file")
@@ -167,13 +167,13 @@ func printStats(res *dqemu.Result) {
 		vT3Fail += n.Engine.Tier3CheckFailures
 	}
 	if vSB+vDemote+vT3+vT3Fail > 0 {
-		fmt.Fprintf(os.Stderr, "verify:         superblocks proved=%d demoted=%d tier3 checked=%d rejected=%d\n",
+		fmt.Fprintf(os.Stderr, "verify:         traces proved=%d demoted=%d compilations checked=%d rejected=%d\n",
 			vSB, vDemote, vT3, vT3Fail)
 	}
 	if res.Sched.Ticks > 0 {
-		fmt.Fprintf(os.Stderr, "adaptive:       ticks=%d migrations=%d proactive-splits=%d tier3-retunes=%d fwd-retunes=%d nodes+%d/-%d\n",
+		fmt.Fprintf(os.Stderr, "adaptive:       ticks=%d migrations=%d proactive-splits=%d fwd-retunes=%d nodes+%d/-%d\n",
 			res.Sched.Ticks, res.Sched.Migrations, res.Sched.ProactiveSplits,
-			res.Sched.Tier3Retunes, res.Sched.FwdRetunes, res.Sched.NodesAdded, res.Sched.NodesDrained)
+			res.Sched.FwdRetunes, res.Sched.NodesAdded, res.Sched.NodesDrained)
 	}
 }
 

@@ -19,8 +19,8 @@
 //   - t3alloc: closure-compiler functions (compile* in internal/tcg) must
 //     not allocate inside the closures they return — make/new/append,
 //     &composite-literal, and nested closure creation there run once per
-//     executed micro-op, not once per translation, and break the tier-3
-//     zero-alloc steady-state guarantee. Hoist the allocation to compile
+//     executed micro-op, not once per translation, and break the compiled
+//     traces' zero-alloc steady-state guarantee. Hoist the allocation to compile
 //     time and capture the result.
 //   - metricsread: metrics counter reads (.Value() in a file importing
 //     dqemu/internal/metrics) are confined to internal/sched and

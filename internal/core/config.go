@@ -72,30 +72,27 @@ type Config struct {
 	Interp bool
 	// NoChain disables block chaining (ablation).
 	NoChain bool
-	// NoSuperblock disables hot-trace superblock promotion (ablation).
+	// NoSuperblock disables promotion of hot blocks to compiled traces
+	// (ablation): everything runs on the block interpreter.
 	NoSuperblock bool
-	// NoTier3 disables closure compilation of hot superblocks (ablation):
-	// superblocks stay on the tier-2 micro-op dispatch loop forever.
+	// NoTier3 is an alias of NoSuperblock, folded into it by newNode. It
+	// selected the uop dispatch loop, which is gone; the frozen bench/ still
+	// sets it by name, and it goes at ROADMAP 1(c)'s unfreeze.
 	NoTier3 bool
-	// NoPeephole disables the mined peephole rewrite rules at superblock
+	// NoPeephole disables the mined peephole rewrite rules at trace
 	// lowering (ablation).
 	NoPeephole bool
 	// Verify enables translate-time translation validation: every lowered
-	// and peephole-rewritten superblock is symbolically proved equivalent
-	// to the per-instruction reference semantics (demoted with a diagnostic
-	// on failure), and every tier-3 closure compilation is structurally
-	// checked against its tier-2 uop sequence (rejected on failure). Adds
-	// translation-time cost only; the execution hot path is unchanged.
+	// and peephole-rewritten trace is symbolically proved equivalent to the
+	// per-instruction reference semantics (compiled from the reference
+	// lowering instead, with a diagnostic, on failure), and its closure
+	// compilation is structurally checked against the uop sequence it was
+	// compiled from (not installed on failure: the trace's head stays on
+	// the block interpreter). Adds translation-time cost only; the
+	// execution hot path is unchanged.
 	Verify bool
-	// Tier3Threshold overrides the tier-2 entry count at which a superblock
-	// is closure-compiled (default tcg.DefaultTier3Threshold).
-	Tier3Threshold uint32
 	// NoJumpCache disables the indirect-branch target cache (ablation).
 	NoJumpCache bool
-	// NoAtomicPreempt keeps running the quantum across write-atomics
-	// (ablation; default off = quanta end at atomics like QEMU translation
-	// blocks, so lock hand-offs interleave at instruction granularity).
-	NoAtomicPreempt bool
 	// NoDelta disables delta page transfers (ablation): coherence messages
 	// carry full pages, nodes keep no twins, and no version information is
 	// exchanged. With NoCoalesce also set, the wire layer is fully off and
@@ -142,10 +139,9 @@ type Config struct {
 	// Adaptive enables the feedback scheduler (internal/sched): every
 	// AdaptPeriodNs the master reads the metrics registry and adjusts thread
 	// placement (locality-driven migration with hysteresis), proactively
-	// splits false-sharing pages, retunes the tier-3 promotion threshold
-	// from superblock re-entry rates, caps the forwarder's window growth
-	// from delta efficiency, and (when MaxSlaves > Slaves) grows or shrinks
-	// the active node set under load. Implies Metrics. The NoAdaptive
+	// splits false-sharing pages, caps the forwarder's window growth from
+	// delta efficiency, and (when MaxSlaves > Slaves) grows or shrinks the
+	// active node set under load. Implies Metrics. The NoAdaptive
 	// ablation is simply Adaptive=false: the legacy load-only rebalancer
 	// (RebalanceNs) and fixed thresholds remain in charge.
 	Adaptive bool
@@ -270,15 +266,15 @@ func (c *Config) normalize() {
 // KInit bit order.
 func (c *Config) nodeFlags() []*bool {
 	return []*bool{
-		&c.Interp, &c.NoChain, &c.NoSuperblock, &c.NoTier3, &c.NoPeephole,
-		&c.NoJumpCache, &c.Verify, &c.NoAtomicPreempt, &c.NoDelta, &c.NoCoalesce,
+		&c.Interp, &c.NoChain, &c.NoSuperblock, &c.NoPeephole,
+		&c.NoJumpCache, &c.Verify, &c.NoDelta, &c.NoCoalesce,
 	}
 }
 
 // InitFrame is the KInit frame that boots slave id of a cfg-shaped cluster
 // in another process: the encoded guest image plus the part of cfg a slave
-// node reads (cluster size, cores, page size, quantum, tier-3 threshold and
-// the engine and wire-layer switches). Everything else in Config is read
+// node reads (cluster size, cores, page size, quantum and the engine and
+// wire-layer switches). Everything else in Config is read
 // by the master only, or is per-process (Tracer, Metrics, Stdout, Cancel);
 // the cost model stays at its default on slaves, where it only sets how
 // much guest work one quantum holds.
@@ -294,7 +290,7 @@ func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 		Kind: proto.KInit, From: 0, To: int32(id), Num: int64(id),
 		Args: [6]uint64{
 			uint64(cfg.Nodes()), uint64(cfg.Cores), uint64(cfg.PageSize),
-			uint64(cfg.QuantumNs), flags, uint64(cfg.Tier3Threshold),
+			uint64(cfg.QuantumNs), flags,
 		},
 		Data: img,
 	}
@@ -310,6 +306,5 @@ func ConfigFromInit(m *proto.Msg) (cfg Config, id int) {
 	for i, f := range cfg.nodeFlags() {
 		*f = m.Args[4]&(1<<i) != 0
 	}
-	cfg.Tier3Threshold = uint32(m.Args[5])
 	return cfg, int(m.Num)
 }

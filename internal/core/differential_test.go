@@ -46,9 +46,10 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		cfg.SplitFactor = 8
 		variants = append(variants, cfg)
 	}
-	// Translation-tier ablations: block chaining without superblocks, and
-	// the same distributed, but with the indirect-branch cache off too. The
-	// default variants above already exercise the superblock tier.
+	// Translator ablations: the block interpreter alone (no trace
+	// promotion, no indirect-branch cache), and compiled traces distributed
+	// with the indirect-branch cache off. The default variants above
+	// already run compiled traces with the mined peephole rules.
 	{
 		cfg := DefaultConfig()
 		cfg.Slaves = 1
@@ -62,19 +63,10 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		cfg.NoJumpCache = true
 		variants = append(variants, cfg)
 	}
-	// Tier-3 closure compilation distributed across nodes, with and without
-	// the mined peephole rules; the low threshold makes short random
-	// programs actually reach the compiled tier.
-	{
-		cfg := DefaultConfig()
-		cfg.Slaves = 2
-		cfg.Tier3Threshold = 2
-		variants = append(variants, cfg)
-	}
+	// Compiled traces distributed across nodes without the peephole rules.
 	{
 		cfg := DefaultConfig()
 		cfg.Slaves = 3
-		cfg.Tier3Threshold = 2
 		cfg.NoPeephole = true
 		variants = append(variants, cfg)
 	}
@@ -106,26 +98,16 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 }
 
 // tierConfigs returns every rung of the translation ladder on a single
-// node: the pure interpreter, plain chained blocks, tier-2 superblocks with
-// the upper tier off, tier-3 closure compilation, and tier-3 with the mined
-// peephole rules — the four-way differential matrix (plus the chained rung)
-// for the tiered-translation work. The tier-3 rungs force a low promotion
-// threshold so short test programs actually reach the compiled tier.
+// node: the pure interpreter, cached and chained blocks, compiled traces,
+// and compiled traces with the mined peephole rules — the four-way
+// differential matrix for the translator.
 func tierConfigs() map[string]Config {
-	super := DefaultConfig()
-	super.NoTier3 = true
-	super.NoPeephole = true
+	compiled := DefaultConfig()
+	compiled.NoPeephole = true
 
-	tier3 := DefaultConfig()
-	tier3.NoPeephole = true
-	tier3.Tier3Threshold = 2
-
-	tier3peep := DefaultConfig()
-	tier3peep.Tier3Threshold = 2
-
-	chained := DefaultConfig()
-	chained.NoSuperblock = true
-	chained.NoJumpCache = true
+	blocks := DefaultConfig()
+	blocks.NoSuperblock = true
+	blocks.NoJumpCache = true
 
 	interp := DefaultConfig()
 	interp.Interp = true
@@ -134,10 +116,13 @@ func tierConfigs() map[string]Config {
 	interp.NoJumpCache = true
 
 	return map[string]Config{
-		"superblock": super, "tier3": tier3, "tier3+peep": tier3peep,
-		"chained": chained, "interp": interp,
+		"interp": interp, "blocks": blocks,
+		"compiled": compiled, "compiled+peep": DefaultConfig(),
 	}
 }
+
+// compiledTier reports whether rung name of tierConfigs promotes traces.
+func compiledTier(name string) bool { return name == "compiled" || name == "compiled+peep" }
 
 // tierState is the architecturally visible outcome of a run: console bytes,
 // exit code, the main thread's final registers, and every writable image
@@ -197,11 +182,12 @@ func runTier(t *testing.T, im *image.Image, cfg Config) tierState {
 }
 
 // TestDifferentialTiers proves the ladder's coherence claim end to end:
-// the interpreter, chained blocks, tier-2 superblocks, tier-3 closures, and
-// tier-3 with mined peephole rules all leave bit-identical architectural
-// state — registers and memory — for the same guest program, not just
-// identical console output. The tier-3 rungs must also demonstrably run on
-// the compiled tier rather than silently falling back to tier-2.
+// the interpreter, cached blocks, compiled traces, and compiled traces with
+// mined peephole rules all leave bit-identical architectural state —
+// registers and memory — for the same guest program, not just identical
+// console output. The compiled rungs must also demonstrably run closures
+// rather than silently staying on the block interpreter, and the other two
+// must not.
 func TestDifferentialTiers(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	const programs = 4
@@ -209,14 +195,14 @@ func TestDifferentialTiers(t *testing.T) {
 		src := genProgram(r)
 		im := build(t, src)
 
-		want := runTier(t, im, tierConfigs()["superblock"])
+		want := runTier(t, im, tierConfigs()["interp"])
 		for name, cfg := range tierConfigs() {
-			if name == "superblock" {
+			if name == "interp" {
 				continue
 			}
 			got := runTier(t, im, cfg)
-			if (name == "tier3" || name == "tier3+peep") && got.tier3Insns == 0 {
-				t.Errorf("program %d tier %s never executed tier-3 closures", p, name)
+			if compiledTier(name) != (got.tier3Insns != 0) {
+				t.Errorf("program %d tier %s retired %d instructions on compiled closures", p, name, got.tier3Insns)
 			}
 			if got.console != want.console || got.exitCode != want.exitCode {
 				t.Fatalf("program %d tier %s output diverged:\n got %q (exit %d)\nwant %q (exit %d)\nsource:\n%s",
@@ -239,11 +225,11 @@ func TestDifferentialTiers(t *testing.T) {
 }
 
 // TestDifferentialTiersVerified re-runs the tier ladder with translate-time
-// translation validation on: every superblock the translator produces must
-// be symbolically proved against the per-instruction reference semantics
-// and every tier-3 compilation must pass the structural checker — with zero
-// demotions, on real multi-threaded guest programs, while the architectural
-// state still matches the interpreter-free baseline.
+// translation validation on: every trace the translator produces must be
+// symbolically proved against the per-instruction reference semantics and
+// its closure compilation must pass the structural checker — with zero
+// demotions and zero rejections, on real multi-threaded guest programs,
+// while the architectural state still matches the unverified interpreter's.
 func TestDifferentialTiersVerified(t *testing.T) {
 	r := rand.New(rand.NewSource(1717))
 	const programs = 2
@@ -251,10 +237,10 @@ func TestDifferentialTiersVerified(t *testing.T) {
 		src := genProgram(r)
 		im := build(t, src)
 
-		base := runTier(t, im, tierConfigs()["superblock"])
+		base := runTier(t, im, tierConfigs()["interp"])
 		for name, cfg := range tierConfigs() {
-			if name == "interp" {
-				continue // nothing to verify: no superblocks are built
+			if !compiledTier(name) {
+				continue // nothing to verify: no traces are built
 			}
 			cfg.Verify = true
 			got := runTier(t, im, cfg)
@@ -262,13 +248,11 @@ func TestDifferentialTiersVerified(t *testing.T) {
 				t.Errorf("program %d tier %s: %d verify demotions on a sound translator", p, name, got.verifyDemos)
 			}
 			if got.t3CheckFail != 0 {
-				t.Errorf("program %d tier %s: %d tier-3 structural check failures", p, name, got.t3CheckFail)
+				t.Errorf("program %d tier %s: %d structural check failures", p, name, got.t3CheckFail)
 			}
-			if name != "chained" && got.verifiedSB == 0 {
-				t.Errorf("program %d tier %s: no superblocks verified", p, name)
-			}
-			if (name == "tier3" || name == "tier3+peep") && got.verifiedT3 == 0 {
-				t.Errorf("program %d tier %s: no tier-3 compilations verified", p, name)
+			if got.verifiedSB == 0 || got.verifiedT3 != got.verifiedSB {
+				t.Errorf("program %d tier %s: %d traces proved, %d compilations checked; want every trace, and at least one",
+					p, name, got.verifiedSB, got.verifiedT3)
 			}
 			if got.console != base.console || got.exitCode != base.exitCode ||
 				got.x != base.x || got.f != base.f || got.pc != base.pc || !bytes.Equal(got.mem, base.mem) {

@@ -323,10 +323,6 @@ func (m *master) adaptTick() {
 		}
 		in.ThreadNodes[tid] = node
 	}
-	for _, n := range m.cl.nodes {
-		in.SuperblockEntries += n.engine.Stats.SuperblockEntries
-		in.Superblocks += n.engine.Stats.Superblocks
-	}
 	if ws := &m.cl.wireStats; ws.RawBytes > 0 {
 		in.DeltaRatio = 1 - float64(ws.BodyBytes)/float64(ws.RawBytes)
 	}
@@ -351,14 +347,6 @@ func (m *master) MigrateThread(tid int64, to int) {
 // ForceSplit begins a SplitHome transaction ahead of the reactive splitter.
 func (m *master) ForceSplit(page uint64) bool {
 	return m.dir.ForceSplit(page)
-}
-
-// SetTier3Threshold retunes every node's promotion count; superblocks
-// already past the old threshold keep their closures.
-func (m *master) SetTier3Threshold(v uint32) {
-	for _, n := range m.cl.nodes {
-		n.engine.Tier3Threshold = v
-	}
 }
 
 // SetForwardCap bounds the forwarder's window growth multiplier.

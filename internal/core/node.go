@@ -74,13 +74,11 @@ func newNode(id int, cl *Cluster) *node {
 	engine.Mon = llsc
 	engine.NoCache = cl.cfg.Interp
 	engine.NoChain = cl.cfg.NoChain
-	engine.NoSuperblock = cl.cfg.NoSuperblock
-	engine.NoTier3 = cl.cfg.NoTier3
+	engine.NoSuperblock = cl.cfg.NoSuperblock || cl.cfg.NoTier3
 	engine.NoPeephole = cl.cfg.NoPeephole
-	engine.Tier3Threshold = cl.cfg.Tier3Threshold
 	engine.NoJumpCache = cl.cfg.NoJumpCache
 	engine.Verify = cl.cfg.Verify
-	engine.StopAtomic = !cl.cfg.NoAtomicPreempt
+	engine.StopAtomic = true
 	n := &node{
 		id:        id,
 		cl:        cl,

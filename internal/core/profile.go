@@ -209,7 +209,7 @@ func (p *clusterProf) snapshot(c *Cluster, r *Result) *metrics.Snapshot {
 		reg.Gauge("wire.delta_ratio").Set(1 - float64(r.Wire.BodyBytes)/float64(r.Wire.RawBytes))
 	}
 
-	// Tier-3 / peephole translation counters (summed across nodes).
+	// Compiled-trace / peephole translation counters (summed across nodes).
 	var t3ns int64
 	var t3insns, t3demote, peep uint64
 	var vSB, vDemote, vT3, vT3Fail uint64

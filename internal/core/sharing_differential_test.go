@@ -10,10 +10,10 @@ import (
 
 // sharingImages builds tiny instances of the three sharing-pattern
 // workloads (canneal-like pointer chasing, dedup-like pipeline,
-// streamcluster-like barrier phases). The tier-3 closure compiler had
-// never executed pointer-chasing or barrier-storm traces before these; the
-// shapes are small enough for the interpreter rung but still reach the
-// compiled tier at the lowered promotion threshold.
+// streamcluster-like barrier phases). The closure compiler had never
+// executed pointer-chasing or barrier-storm traces before these; the shapes
+// are small enough for the interpreter rung but still get hot enough to be
+// compiled.
 func sharingImages(t *testing.T) map[string]*image.Image {
 	t.Helper()
 	ims := map[string]*image.Image{}
@@ -31,26 +31,26 @@ func sharingImages(t *testing.T) map[string]*image.Image {
 }
 
 // TestDifferentialSharingWorkloads is the four-way differential state test
-// for the sharing-pattern workloads: the interpreter, tier-2 superblocks,
-// tier-3 closures, and tier-3 with mined peephole rules must leave
+// for the sharing-pattern workloads: the interpreter, cached blocks,
+// compiled traces, and compiled traces with mined peephole rules must leave
 // bit-identical registers, writable memory, and console output. Different
-// tiers retire instructions at different virtual-time costs, so the
+// rungs pay different virtual translation time, so the
 // interleavings (queue handoffs, barrier arrival orders, CAS winners)
 // genuinely differ between rungs — the workloads' commutative-update
 // design is what makes the final state comparable at all.
 func TestDifferentialSharingWorkloads(t *testing.T) {
 	tiers := tierConfigs()
 	for name, im := range sharingImages(t) {
-		want := runTier(t, im, tiers["superblock"])
+		want := runTier(t, im, tiers["interp"])
 		for tier, cfg := range tiers {
-			if tier == "superblock" {
+			if tier == "interp" {
 				continue
 			}
 			got := runTier(t, im, cfg)
-			if (tier == "tier3" || tier == "tier3+peep") && got.tier3Insns == 0 {
-				t.Errorf("%s tier %s never executed tier-3 closures", name, tier)
+			if compiledTier(tier) && got.tier3Insns == 0 {
+				t.Errorf("%s tier %s never executed compiled closures", name, tier)
 			}
-			if tier == "tier3+peep" && got.peeps == 0 {
+			if tier == "compiled+peep" && got.peeps == 0 {
 				t.Errorf("%s tier %s applied no peephole rules", name, tier)
 			}
 			if got.console != want.console || got.exitCode != want.exitCode {

@@ -49,7 +49,7 @@ func (c *Config) validate() error {
 		field, why string
 	}{
 		{k.Faults.Active(), "Faults", "the fault plan is injected by the simulated network"},
-		{k.Adaptive, "Adaptive", "the feedback scheduler reads every node's engine counters in-process"},
+		{k.Adaptive, "Adaptive", "the feedback scheduler steers by a metrics registry every node feeds in-process"},
 		{k.MaxSlaves > k.Slaves, "MaxSlaves", "standby slaves are activated by the feedback scheduler"},
 		{k.Sanitizer, "Sanitizer", "the race report is assembled from every node's shadow state in-process"},
 	} {

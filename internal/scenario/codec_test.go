@@ -40,8 +40,7 @@ func goldenSpecs() map[string]*Spec {
 			Knobs: Knobs{
 				Forwarding: true, Splitting: true, HintSched: true, PlaceOnMaster: true,
 				Interp: false, NoChain: false, NoSuperblock: false, NoJumpCache: true,
-				NoTier3: false, NoPeephole: true, Tier3Threshold: 2,
-				ForwardTrigger: 3, SplitFactor: 8,
+				NoPeephole: true, ForwardTrigger: 3, SplitFactor: 8,
 				NoDelta: true, NoCoalesce: true,
 				RebalanceNs: 4_000_000, Metrics: true, Sanitizer: true,
 			},
@@ -212,6 +211,8 @@ func TestDecodeRejects(t *testing.T) {
 		{"old version", `{"version":1,"name":"x","workload":{"kind":"pi"}}`, "migration"},
 		{"unknown top-level field", spec(`,"bogus":1`), "unknown field"},
 		{"unknown knob", spec(`,"knobs":{"turbo":true}`), "unknown field"},
+		{"deleted knob no_tier3", spec(`,"knobs":{"no_tier3":true}`), "unknown field"},
+		{"deleted knob tier3_threshold", spec(`,"knobs":{"tier3_threshold":2}`), "unknown field"},
 		{"trailing data", spec("") + `{"version":2}`, "trailing data"},
 		{"no name", `{"version":2,"workload":{"kind":"pi"}}`, "no name"},
 		{"bad name charset", `{"version":2,"name":"X/Y","workload":{"kind":"pi"}}`, "lowercase"},

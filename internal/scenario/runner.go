@@ -30,7 +30,7 @@ type Options struct {
 	Tracer *trace.Tracer
 	// Verify forces translate-time translation validation on for every
 	// spec, regardless of its knobs; each run then carries the implicit
-	// verify_clean gate (zero demotions, zero tier-3 rejections).
+	// verify_clean gate (zero demotions, zero rejected compilations).
 	Verify bool
 }
 
@@ -358,7 +358,7 @@ func evalGates(s *Spec, scale Scale, row *Row, verified bool) []GateResult {
 	}
 	if verified {
 		add("verify_clean", row.VerifyDemotions == 0 && row.Tier3CheckFailures == 0,
-			"superblocks proved=%d demoted=%d, tier3 checked=%d rejected=%d",
+			"traces proved=%d demoted=%d, compilations checked=%d rejected=%d",
 			row.VerifiedSuperblocks, row.VerifyDemotions, row.VerifiedTier3, row.Tier3CheckFailures)
 	}
 	return out

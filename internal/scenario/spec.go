@@ -153,16 +153,15 @@ type Knobs struct {
 	HintSched      bool `json:"hint_sched,omitempty"`
 	PlaceOnMaster  bool `json:"place_on_master,omitempty"`
 
-	Interp         bool   `json:"interp,omitempty"`
-	NoChain        bool   `json:"no_chain,omitempty"`
-	NoSuperblock   bool   `json:"no_superblock,omitempty"`
-	NoJumpCache    bool   `json:"no_jump_cache,omitempty"`
-	NoTier3        bool   `json:"no_tier3,omitempty"`
-	NoPeephole     bool   `json:"no_peephole,omitempty"`
-	Tier3Threshold uint32 `json:"tier3_threshold,omitempty"`
+	Interp       bool `json:"interp,omitempty"`
+	NoChain      bool `json:"no_chain,omitempty"`
+	NoSuperblock bool `json:"no_superblock,omitempty"`
+	NoJumpCache  bool `json:"no_jump_cache,omitempty"`
+	NoPeephole   bool `json:"no_peephole,omitempty"`
 	// Verify turns on translate-time translation validation (symbolic
-	// superblock proofs, tier-3 structural checks); a run with verify on
-	// gets an implicit verify_clean gate requiring zero failures.
+	// trace proofs, structural checks of their closure compilations); a run
+	// with verify on gets an implicit verify_clean gate requiring zero
+	// failures.
 	Verify bool `json:"verify,omitempty"`
 
 	NoDelta    bool `json:"no_delta,omitempty"`
@@ -173,7 +172,7 @@ type Knobs struct {
 	Sanitizer   bool  `json:"sanitizer,omitempty"`
 
 	// Adaptive turns on the feedback scheduler (internal/sched): locality
-	// migration, proactive splits, AIMD forwarding, and tier-3 retuning,
+	// migration, proactive splits, AIMD forwarding and elastic nodes,
 	// driven off the metrics registry (implies metrics). AdaptPeriodNs
 	// overrides the control period; 0 selects the default (250 µs).
 	Adaptive      bool  `json:"adaptive,omitempty"`
@@ -520,9 +519,7 @@ func (s *Spec) config() core.Config {
 	cfg.NoChain = k.NoChain
 	cfg.NoSuperblock = k.NoSuperblock
 	cfg.NoJumpCache = k.NoJumpCache
-	cfg.NoTier3 = k.NoTier3
 	cfg.NoPeephole = k.NoPeephole
-	cfg.Tier3Threshold = k.Tier3Threshold
 	cfg.Verify = k.Verify
 	cfg.NoDelta = k.NoDelta
 	cfg.NoCoalesce = k.NoCoalesce

@@ -7,9 +7,8 @@
 // decisions — whether to migrate a thread toward the node homing the pages
 // it faults on (the paper's §5.3 hint-based locality scheduling, but
 // measured instead of hinted), split a false-sharing page before its fault
-// storm, retune the tier-3 promotion threshold from the observed superblock
-// re-entry rate, cap the forwarder's window growth from delta efficiency,
-// or grow/shrink the active node set under load.
+// storm, cap the forwarder's window growth from delta efficiency, or
+// grow/shrink the active node set under load.
 //
 // The policy is the ONLY place adaptation decisions read metrics counters;
 // a dqlint rule (metricsread) enforces that, so the NoAdaptive ablation is
@@ -34,8 +33,6 @@ type Actuator interface {
 	// splitter's own reactive threshold. Returns false when the page cannot
 	// split (retired, busy, shadow region, or splitting disabled).
 	ForceSplit(page uint64) bool
-	// SetTier3Threshold retunes every node's tier-3 promotion count.
-	SetTier3Threshold(v uint32)
 	// SetForwardCap bounds the forwarder's window growth multiplier.
 	SetForwardCap(mult int)
 	// AddNode activates a standby slave and returns its id (-1 if none).
@@ -76,9 +73,6 @@ type Params struct {
 	// SplitTopN is how many heat-map rows are scanned for false-sharing
 	// candidates each period (default 16).
 	SplitTopN int
-	// Tier3Min/Tier3Max clamp the adaptive tier-3 promotion threshold
-	// (defaults 8 and 48, around tcg.DefaultTier3Threshold = 24).
-	Tier3Min, Tier3Max uint32
 	// ElasticHigh adds a standby node when every active node carries more
 	// than ElasticHigh×cores worker threads (default 2). ElasticLow drains
 	// a slave when the remaining ones could hold every thread at under
@@ -117,12 +111,6 @@ func (p *Params) normalize() {
 	if p.SplitTopN <= 0 {
 		p.SplitTopN = 16
 	}
-	if p.Tier3Min == 0 {
-		p.Tier3Min = 8
-	}
-	if p.Tier3Max == 0 {
-		p.Tier3Max = 48
-	}
 	if p.ElasticHigh <= 0 {
 		p.ElasticHigh = 2
 	}
@@ -147,9 +135,6 @@ type Inputs struct {
 	ThreadNodes map[int64]int
 	// CoresPerNode bounds how many threads a node runs without queueing.
 	CoresPerNode int
-	// SuperblockEntries/Superblocks drive the tier-3 re-entry rate.
-	SuperblockEntries uint64
-	Superblocks       uint64
 	// DeltaRatio is the wire layer's live delta efficiency (0 when the
 	// wire layer is off or has seen no coherence payload yet).
 	DeltaRatio float64
@@ -160,7 +145,6 @@ type Stats struct {
 	Ticks           uint64
 	Migrations      uint64 // locality + load-balance migrations initiated
 	ProactiveSplits uint64
-	Tier3Retunes    uint64
 	FwdRetunes      uint64
 	NodesAdded      uint64
 	NodesDrained    uint64 // drains initiated
@@ -181,14 +165,13 @@ type Policy struct {
 	// splitDone marks pages already force-split (never retried).
 	splitDone map[uint64]bool
 
-	tier3       uint32
 	fwdCap      int
 	lastElastic int64
 
 	stats Stats
 
-	cMig, cSplit, cTier3, cFwd, cAdd, cDrain *metrics.Counter
-	gTier3, gFwdCap                          *metrics.Gauge
+	cMig, cSplit, cFwd, cAdd, cDrain *metrics.Counter
+	gFwdCap                          *metrics.Gauge
 }
 
 // New builds a policy over the run's metrics registry.
@@ -202,11 +185,9 @@ func New(p Params, reg *metrics.Registry, act Actuator) *Policy {
 		fwdCap:    4,
 		cMig:      reg.Counter("sched.migrations"),
 		cSplit:    reg.Counter("sched.proactive_splits"),
-		cTier3:    reg.Counter("sched.tier3_retunes"),
 		cFwd:      reg.Counter("sched.fwd_retunes"),
 		cAdd:      reg.Counter("sched.nodes_added"),
 		cDrain:    reg.Counter("sched.nodes_drained"),
-		gTier3:    reg.Gauge("sched.tier3_threshold"),
 		gFwdCap:   reg.Gauge("sched.forward_cap"),
 	}
 }
@@ -231,14 +212,13 @@ func (pol *Policy) NoteFault(tid int64, node, owner int) {
 }
 
 // Tick runs one control period. Order matters and is fixed: migrate,
-// split, tier-3, forwarder, elastic — each sub-policy sees the same
+// split, forwarder, elastic — each sub-policy sees the same
 // snapshot and their actuations are serialized under the virtual clock.
 func (pol *Policy) Tick(in Inputs) {
 	pol.stats.Ticks++
 	pol.pruneExited(in)
 	pol.tickMigrate(in)
 	pol.tickSplit()
-	pol.tickTier3(in)
 	pol.tickForward(in)
 	pol.tickElastic(in)
 	pol.decay()
@@ -418,42 +398,6 @@ func (pol *Policy) tickSplit() {
 		pol.act.Tracef("sched: proactive split page %#x (invals %d, %d nodes)",
 			row.Page, row.Invals, row.Nodes)
 	}
-}
-
-// tickTier3 derives the tier-3 promotion threshold from the observed
-// superblock re-entry rate: traces that re-enter a lot should be closure
-// compiled sooner; cold traces should never pay the compile.
-func (pol *Policy) tickTier3(in Inputs) {
-	if in.Superblocks == 0 {
-		return
-	}
-	avg := in.SuperblockEntries / in.Superblocks
-	var target uint32
-	switch {
-	case avg >= 64:
-		target = pol.p.Tier3Min
-	case avg >= 16:
-		target = 16
-	case avg >= 4:
-		target = 24
-	default:
-		target = pol.p.Tier3Max
-	}
-	if target < pol.p.Tier3Min {
-		target = pol.p.Tier3Min
-	}
-	if target > pol.p.Tier3Max {
-		target = pol.p.Tier3Max
-	}
-	if target == pol.tier3 {
-		return
-	}
-	pol.tier3 = target
-	pol.stats.Tier3Retunes++
-	pol.cTier3.Inc()
-	pol.gTier3.Set(float64(target))
-	pol.act.Tracef("sched: tier-3 threshold -> %d (re-entry avg %d)", target, avg)
-	pol.act.SetTier3Threshold(target)
 }
 
 // tickForward caps the forwarder's window growth from the wire layer's

@@ -11,7 +11,6 @@ import (
 type mockAct struct {
 	moves   []string
 	splits  []uint64
-	tier3   []uint32
 	fwdCaps []int
 	added   int
 	drained []int
@@ -30,8 +29,7 @@ func (a *mockAct) ForceSplit(page uint64) bool {
 	a.splits = append(a.splits, page)
 	return true
 }
-func (a *mockAct) SetTier3Threshold(v uint32) { a.tier3 = append(a.tier3, v) }
-func (a *mockAct) SetForwardCap(mult int)     { a.fwdCaps = append(a.fwdCaps, mult) }
+func (a *mockAct) SetForwardCap(mult int) { a.fwdCaps = append(a.fwdCaps, mult) }
 func (a *mockAct) AddNode() int {
 	a.added++
 	a.nextNode++
@@ -239,25 +237,6 @@ func TestProactiveSplitRetriesBusyPage(t *testing.T) {
 	pol.Tick(in)
 	if len(act.splits) != 1 || act.splits[0] != 7 {
 		t.Fatalf("splits = %v, want [7] on retry", act.splits)
-	}
-}
-
-// TestTier3Retune maps re-entry rates onto promotion thresholds.
-func TestTier3Retune(t *testing.T) {
-	act := &mockAct{}
-	pol := newTestPolicy(Params{}, act)
-	in := Inputs{ActiveNodes: []int{1, 2}, ThreadNodes: map[int64]int{}, CoresPerNode: 4}
-
-	in.Superblocks, in.SuperblockEntries = 10, 1000 // avg 100: promote early
-	pol.Tick(in)
-	in.Superblocks, in.SuperblockEntries = 1000, 1500 // avg 1: promote late
-	pol.Tick(in)
-	if len(act.tier3) != 2 || act.tier3[0] != 8 || act.tier3[1] != 48 {
-		t.Fatalf("tier3 = %v, want [8 48]", act.tier3)
-	}
-	pol.Tick(in) // unchanged rate: no retune
-	if len(act.tier3) != 2 {
-		t.Fatalf("tier3 retuned without a rate change: %v", act.tier3)
 	}
 }
 

@@ -236,7 +236,8 @@ func splitCodeSpace(t *testing.T) (space *mem.Space, entry uint64) {
 
 // TestInvalidateShadowOfSplitCodePage: the coherence layer invalidates pages
 // by protocol number, which for a split page is the shadow's. Code translated
-// from a split page must be registered under those numbers, at every tier.
+// from a split page must be registered under those numbers, on both
+// executors.
 func TestInvalidateShadowOfSplitCodePage(t *testing.T) {
 	t.Run("lookup", func(t *testing.T) {
 		space, entry := splitCodeSpace(t)
@@ -258,16 +259,15 @@ func TestInvalidateShadowOfSplitCodePage(t *testing.T) {
 	})
 
 	tiers := map[string]func(*Engine){
-		"block":      func(e *Engine) { e.NoSuperblock = true },
-		"superblock": func(e *Engine) { e.NoTier3 = true },
-		"tier3":      func(*Engine) {},
+		"block": func(e *Engine) { e.NoSuperblock = true },
+		"tier3": func(*Engine) {}, // compiled traces, named as Stats names them
 	}
 	for name, tune := range tiers {
 		for _, shadow := range []uint64{100, 101} {
 			t.Run(fmt.Sprintf("%s/shadow%d", name, shadow), func(t *testing.T) {
 				space, entry := splitCodeSpace(t)
 				e := NewEngine(space, DefaultCostModel())
-				e.HotThreshold, e.Tier3Threshold = 2, 2
+				e.HotThreshold = 2
 				tune(e)
 				cpu := &CPU{PC: entry, TID: 1}
 				for i := 0; i < 64; i++ {
@@ -275,10 +275,8 @@ func TestInvalidateShadowOfSplitCodePage(t *testing.T) {
 						t.Fatalf("heat run stopped: %+v", res)
 					}
 				}
-				switch {
-				case name == "superblock" && (e.Stats.SuperblockInsns == 0 || e.Stats.Tier3Insns != 0),
-					name == "tier3" && e.Stats.Tier3Insns == 0:
-					t.Fatalf("loop is not running on the %s tier: %+v", name, e.Stats)
+				if compiled := e.Stats.Tier3Insns != 0; compiled != (name == "tier3") {
+					t.Fatalf("loop is not running on the %s executor: %+v", name, e.Stats)
 				}
 				if cpu.X[isa.RegS0] != cpu.X[isa.RegS0+1] {
 					t.Fatalf("before the patch: s0=%d s1=%d", cpu.X[isa.RegS0], cpu.X[isa.RegS0+1])
@@ -313,7 +311,7 @@ func TestInvalidateShadowOfSplitCodePage(t *testing.T) {
 }
 
 // hotLoops is two loops that get hot one after the other, so one engine
-// builds (and, where enabled, closure-compiles) two traces.
+// builds and closure-compiles two traces.
 const hotLoops = `
 _start:
 	li   s0, 0
@@ -343,14 +341,14 @@ second:
 // TestColdPathVerifyDemotionOwnsRef forces the equivalence proof of two
 // traces, built back to back on one engine, to fail, so each is demoted to
 // its reference lowering. That stream is lowered into engine scratch: what
-// the superblock installs must be a copy of its own, or building the second
-// trace rewrites the first one's code.
+// the superblock keeps (and its closures point into) must be a copy of its
+// own, or building the second trace rewrites the first one's code.
 func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
 	want, _ := tier3State(t, hotLoops, func(e *Engine) {
 		e.NoCache, e.NoChain, e.NoSuperblock, e.NoJumpCache = true, true, true, true
 	})
 
-	// Heat both loops on the block tier, so their heads carry branch bias.
+	// Heat both loops on the block interpreter, so their heads carry branch bias.
 	_, e, cpu, im := setupImage(t, hotLoops)
 	e.NoSuperblock = true
 	if res := runToStop(t, e, cpu); res.Reason != StopHalt {
@@ -380,7 +378,9 @@ func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
 		}
 		sbs[i] = e.buildTrace(head, &spent)
 		kept[i] = slices.Clone(sbs[i].ops)
-		head.sb = sbs[i]
+		if !e.install(head, sbs[i], e.compileTier3(sbs[i])) {
+			t.Fatalf("trace at %s was not installed", label)
+		}
 	}
 	if fails != 2 || e.Stats.VerifyDemotions != 2 {
 		t.Fatalf("%d failures reported, %d demotions; want both traces demoted", fails, e.Stats.VerifyDemotions)
@@ -396,14 +396,14 @@ func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
 		}
 	}
 
-	// The installed streams are the sound lowering: rerun on them.
+	// The installed traces were compiled from the sound lowering: rerun on them.
 	cpu2 := &CPU{PC: im.Entry, TID: 1}
 	cpu2.X[isa.RegSP] = 0x40000
 	if res := runToStop(t, e, cpu2); res.Reason != StopHalt {
 		t.Fatalf("rerun: %+v", res)
 	}
-	if e.Stats.SuperblockInsns == 0 {
-		t.Error("rerun did not execute the demoted superblocks")
+	if e.Stats.Tier3Insns == 0 {
+		t.Error("rerun did not execute the demoted traces")
 	}
 	if cpu2.X != want.X || cpu2.PC != want.PC {
 		t.Errorf("demoted run diverged from the interpreter:\n got pc=%#x x=%v\nwant pc=%#x x=%v", cpu2.PC, cpu2.X, want.PC, want.X)
@@ -429,7 +429,7 @@ func TestColdPathNotReentered(t *testing.T) {
 
 	hints, nestedRuns := 0, 0
 	got, e := tier3State(t, hotLoops, func(e *Engine) {
-		e.Verify, e.Tier3Threshold = true, 2
+		e.Verify = true
 		if err := e.Mem.WriteBytes(nestedAt, nestedCode); err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +462,7 @@ func TestColdPathNotReentered(t *testing.T) {
 		t.Errorf("translator depth %d after the run", e.coldDepth)
 	}
 	if nestedRuns < 2 || e.Stats.Tier3Superblocks < uint64(nestedRuns) {
-		t.Errorf("%d nested runs, %d tier-3 compilations: the nested loop did not climb the ladder from cold",
+		t.Errorf("%d nested runs, %d compiled traces: the nested loop was not compiled from cold",
 			nestedRuns, e.Stats.Tier3Superblocks)
 	}
 	if got.X != want.X || got.PC != want.PC {
@@ -509,18 +509,18 @@ func TestColdPathAllocs(t *testing.T) {
 		t.Error("no peephole rule fired")
 	}
 
-	// Tier-3: replanning a superblock reuses the engine's plan, and a
-	// two-access memory run takes two slots of the access slab, not the
-	// t3MemRun its closure's array type could index.
-	_, e = tier3State(t, hotLoops, func(e *Engine) { e.Tier3Threshold = 2 })
+	// Closure compilation: replanning a superblock reuses the engine's plan,
+	// and a two-access memory run takes two slots of the access slab, not
+	// the t3MemRun its closure's array type could index.
+	_, e = tier3State(t, hotLoops, nil)
 	var sb *superblock
 	for _, b := range e.cache {
-		if b.sb != nil && b.sb.t3 != nil && b.sb.entry != im.Entry {
+		if b.sb != nil && b.sb.entry != im.Entry {
 			sb = b.sb
 		}
 	}
 	if sb == nil {
-		t.Fatal("no tier-3 compilation produced")
+		t.Fatal("no compiled trace produced")
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if !planTier3(&e.plan, sb.ops) {
@@ -545,8 +545,7 @@ func TestColdPathAllocs(t *testing.T) {
 		t.Fatalf("test loop has %d memory runs of %d accesses; want short runs", runs, accs)
 	}
 	e.accSlab = make([]memAcc, 4*t3MemRun)
-	var spent int64
-	if e.compileTier3(sb, &spent) == nil {
+	if e.compileTier3(sb) == nil {
 		t.Fatal("recompilation failed")
 	}
 	if used := 4*t3MemRun - len(e.accSlab); used != accs {

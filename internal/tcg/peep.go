@@ -9,8 +9,8 @@
 // cross-checks it by randomized differential state replay (ProveRule),
 // and writes the surviving set to the checked-in rules file under a
 // mandatory schema-version directive. The engine applies the enabled
-// rules in peepPass, between trace lowering and segmentation, so both
-// tier-2 dispatch and tier-3 closure compilation see the shrunken stream.
+// rules in peepPass, between trace lowering and segmentation, so closure
+// compilation sees the shrunken stream.
 //
 // Soundness boundary: every schema rewrites pure ALU uops only. ALU uops
 // cannot fault, exit the trace, or be observed mid-sequence (no exit can
@@ -414,7 +414,8 @@ func (e *Engine) peepPass(ops []uop) []uop {
 }
 
 // evalUop executes one pure ALU uop against a register file — the reference
-// semantics for the soundness proof, textually mirroring execSuperRun.
+// semantics for the soundness proof, mirroring compileMid's closures case for
+// case.
 func evalUop(u *uop, x *[32]uint64) error {
 	switch u.kind {
 	case uNop:
@@ -639,17 +640,17 @@ func mustParseRules(text string) map[string]bool {
 
 // UopSeqProfile emits execution-weighted micro-op n-gram counts (n=1..3)
 // over every live superblock, as uopseq.<k1>[-<k2>[-<k3>]] keys — the raw
-// material cmd/dqemu-peep mines rules from. Weight is the superblock's
-// tier-2 entry count (its heat). Output is capped to the top uopSeqTopK
+// material cmd/dqemu-peep mines rules from. Weight is the trace's dispatch
+// count (tier3.entries, its heat). Output is capped to the top uopSeqTopK
 // sequences, deterministically ordered, to bound profile size.
 func (e *Engine) UopSeqProfile(emit func(seq string, weight uint64)) {
 	counts := map[string]uint64{}
 	for _, b := range e.cache {
 		sb := b.sb
-		if sb == nil || sb.execs == 0 {
+		if sb == nil || sb.t3.entries == 0 {
 			continue
 		}
-		w := uint64(sb.execs)
+		w := sb.t3.entries
 		ops := sb.ops
 		for i := range ops {
 			n1 := kindName(ops[i].kind)

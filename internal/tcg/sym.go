@@ -50,7 +50,7 @@ func newSymPair(bld *symeq.Builder) (a, b symState) {
 }
 
 // symPure applies u to the state when u is pure — no fault, no exit, no
-// externally visible action — mirroring execSuperRun's ALU and FP cases
+// externally visible action — mirroring compileMid's ALU and FP closures
 // operator for operator. Returns false when u is an effect the lockstep
 // matcher must handle.
 func (st *symState) symPure(u *uop) bool {

@@ -88,27 +88,28 @@ type Stats struct {
 	Faults          uint64
 	Syscalls        uint64
 
-	// Tiered-translation counters.
-	Superblocks       uint64 // hot traces built
-	SuperblockInsns   uint64 // guest instructions retired inside superblocks
-	SuperblockEntries uint64 // superblock dispatches (re-entries; feeds tier-3 retuning)
-	FusedUops       uint64 // peephole fusions applied during trace lowering
-	JumpCacheHits   uint64
-	JumpCacheMisses uint64
-	Flushes         uint64 // translation cache flushes (generation bumps)
-
-	// Tier-3 (closure compilation) and mined-peephole counters.
-	Tier3Superblocks uint64 // superblocks compiled to closures
-	Tier3Insns       uint64 // guest instructions retired on the compiled tier
-	Tier3TranslateNs int64  // virtual time charged for closure compilation
-	Tier3Demotions   uint64 // mid-trace generation-guard trips back to tier-2
+	// Compiled-trace counters. Instructions not counted in Tier3Insns
+	// retired on the block interpreter.
+	Superblocks uint64 // hot traces formed
+	// SuperblockInsns counted instructions retired by the uop dispatch loop,
+	// which is gone: it reads 0 and stays declared only because the frozen
+	// bench/ reads it (ROADMAP 1(c) drops it at the unfreeze).
+	SuperblockInsns  uint64
+	FusedUops        uint64 // peephole fusions applied during trace lowering
+	JumpCacheHits    uint64
+	JumpCacheMisses  uint64
+	Flushes          uint64 // translation cache flushes (generation bumps)
+	Tier3Superblocks uint64 // traces compiled to closures
+	Tier3Insns       uint64 // guest instructions retired in compiled traces
+	Tier3TranslateNs int64  // virtual time charged for forming and compiling traces
+	Tier3Demotions   uint64 // mid-trace generation-guard trips back to the block interpreter
 	PeepApplied      uint64 // mined peephole rules applied at trace lowering
 
 	// Translation-validation counters (Engine.Verify).
-	VerifiedSuperblocks uint64 // superblocks proved equivalent to the reference lowering
-	VerifyDemotions     uint64 // superblocks demoted to the reference lowering on proof failure
-	VerifiedTier3       uint64 // tier-3 compilations whose structure checked out
-	Tier3CheckFailures  uint64 // tier-3 compilations rejected by the structural checker
+	VerifiedSuperblocks uint64 // traces proved equivalent to the reference lowering
+	VerifyDemotions     uint64 // traces demoted to the reference lowering on proof failure
+	VerifiedTier3       uint64 // closure compilations whose structure checked out
+	Tier3CheckFailures  uint64 // closure compilations rejected by the structural checker
 }
 
 // MaxBlockInsns bounds translation block length.
@@ -125,19 +126,21 @@ type block struct {
 	gen            uint64 // cache generation the block was translated in
 
 	// Hot-trace bookkeeping: execution count toward promotion, direction
-	// counts of the terminating conditional branch (for trace bias), and
-	// the superblock this block heads once promoted.
+	// counts of the terminating conditional branch (for trace bias), the
+	// compiled trace this block heads once promoted, and whether promotion
+	// was refused (sticky: a block lives for one cache generation).
 	count      uint32
 	takenCount uint32
 	fallCount  uint32
+	refused    bool
 	sb         *superblock
 }
 
 // SanHook receives DQSan instrumentation events and translate-time lint
 // callbacks. All addresses are translated (post-remap) so shadow state is
 // keyed the same way the DSM keys pages. nil disables instrumentation with
-// zero per-instruction cost on the interpreter tier and no extra uops on
-// the superblock tier.
+// zero per-instruction cost on the block interpreter and no extra uops in
+// compiled traces.
 type SanHook interface {
 	OnLoad(tid int64, taddr uint64, size int, pc uint64)
 	OnStore(tid int64, taddr uint64, size int, pc uint64)
@@ -160,35 +163,32 @@ type Engine struct {
 
 	// NoCache disables the translation cache (every block entry
 	// retranslates) and NoChain disables block chaining; both exist for the
-	// ablation benchmarks. NoSuperblock disables hot-trace promotion and
-	// NoJumpCache disables the indirect-branch target cache, so the speedup
-	// ladder interp -> chained -> superblock can be measured. NoTier3
-	// disables closure compilation of hot superblocks and NoPeephole
-	// disables the mined peephole rules, extending the ladder to
-	// superblock -> tier-3 -> tier-3+peephole.
+	// ablation benchmarks. NoSuperblock disables trace promotion, leaving
+	// the block interpreter alone, and NoJumpCache disables the
+	// indirect-branch target cache; NoPeephole disables the mined peephole
+	// rules. Together they give the measured ladder interpreter -> cached
+	// blocks -> compiled traces -> compiled traces + peephole.
 	NoCache      bool
 	NoChain      bool
 	NoSuperblock bool
 	NoJumpCache  bool
-	NoTier3      bool
 	NoPeephole   bool
 
 	// Verify enables translate-time translation validation: every freshly
-	// built superblock is symbolically proved equivalent to the
-	// per-instruction reference lowering (internal/tcg/sym.go), and every
-	// tier-3 closure compilation is structurally checked against its tier-2
-	// uop sequence. A superblock that fails the proof is demoted to the
-	// reference lowering with a diagnostic (OnVerifyFail); a failing tier-3
-	// compilation is rejected and the superblock stays on tier-2.
+	// lowered trace is symbolically proved equivalent to the
+	// per-instruction reference lowering (internal/tcg/sym.go), and its
+	// closure compilation is structurally checked against the uop sequence
+	// it was compiled from. A trace that fails the proof is compiled from
+	// the reference lowering instead, with a diagnostic (OnVerifyFail); a
+	// compilation that fails the check is not installed and the trace's
+	// head block stays on the block interpreter.
 	Verify bool
 	// OnVerifyFail, if set, observes each verification failure: where is
 	// "superblock" or "tier3", entry the guest PC heading the trace.
 	OnVerifyFail func(where string, entry uint64, err error)
 
-	// HotThreshold overrides DefaultHotThreshold when nonzero (tests);
-	// Tier3Threshold likewise overrides DefaultTier3Threshold.
-	HotThreshold   uint32
-	Tier3Threshold uint32
+	// HotThreshold overrides DefaultHotThreshold when nonzero (tests).
+	HotThreshold uint32
 
 	// PeepRules selects which mined peephole schemas are enabled; nil uses
 	// the checked-in rules file (internal/tcg/rules/peep.rules).
@@ -229,7 +229,7 @@ type Engine struct {
 	// Exec's next lookup should fill (the trace analog of block chaining).
 	pendingExit *exitSlot
 
-	// Inline softmmu TLB for the superblock tier: direct-mapped caches of
+	// Inline softmmu TLB for compiled traces: direct-mapped caches of
 	// page byte slices for loads (rdTLB) and stores (wrTLB), validated
 	// against the Space's mutation epoch on every access, so page-state
 	// changes by the coherence protocol invalidate them implicitly.
@@ -238,8 +238,9 @@ type Engine struct {
 	pageMask  uint64 // Space page size - 1
 	pageShift uint
 
-	// Tier-3 execution contexts: a tiny stack-shaped pool so the trampoline
-	// never allocates in steady state yet tolerates hint-hook re-entry.
+	// Compiled-trace execution contexts: a tiny stack-shaped pool so the
+	// trampoline never allocates in steady state yet tolerates hint-hook
+	// re-entry.
 	t3pool  [4]t3ctx
 	t3depth int32
 
@@ -504,11 +505,12 @@ func (e *Engine) lookupFast(pc uint64, spent *int64) (*block, error) {
 // virtual time has been consumed (it may overshoot by up to one block or
 // one superblock segment chain).
 //
-// Dispatch is tiered: a block that has been promoted runs its superblock's
-// micro-op array; otherwise the block interpreter runs and bumps the
-// promotion counter. All chained pointers (taken/fall, superblock exit
-// slots, jump-cache entries) are revalidated against the cache generation
-// before being followed, so ClearCache retires them atomically.
+// There are two executors: a block that heads a compiled trace runs the
+// trace's closures; any other block runs on the block interpreter, which
+// bumps its promotion counter and, at HotThreshold, forms and compiles the
+// trace in one step. All chained pointers (taken/fall, trace exit slots,
+// jump-cache entries) are revalidated against the cache generation before
+// being followed, so ClearCache retires them atomically.
 func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 	var spent int64
 	e.pendingExit = nil
@@ -521,27 +523,11 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 		var res Result
 		var stop bool
 		if sb := blk.sb; sb != nil && !e.NoSuperblock && sb.gen == e.gen {
-			e.Stats.SuperblockEntries++
-			if t3 := sb.t3; t3 != nil && !e.NoTier3 {
-				next, res, stop = e.execTier3(cpu, t3, &spent, budgetNs)
-			} else {
-				if !e.NoTier3 && sb.t3 == nil && !sb.t3fail {
-					sb.execs++
-					if sb.execs >= e.tier3Threshold() {
-						if t3 := e.compileTier3(sb, &spent); t3 != nil {
-							sb.t3 = t3
-							continue
-						}
-						sb.t3fail = true
-					}
-				}
-				next, res, stop = e.execSuper(cpu, sb, &spent, budgetNs)
-			}
+			next, res, stop = e.execTier3(cpu, sb.t3, &spent, budgetNs)
 		} else {
-			if !e.NoSuperblock && !e.NoCache && blk.sb == nil && blk.gen == e.gen {
+			if !e.NoSuperblock && !e.NoCache && blk.sb == nil && !blk.refused && blk.gen == e.gen {
 				blk.count++
-				if blk.count >= e.hotThreshold() {
-					blk.sb = e.buildTrace(blk, &spent)
+				if blk.count >= e.hotThreshold() && e.promote(blk, &spent) {
 					continue
 				}
 			}

@@ -1,12 +1,13 @@
-// Tier-3 IR-less translation: closure-compiled superblocks.
+// Compiled traces: closure compilation of superblocks.
 //
-// A superblock that stays hot after promotion (its tier-2 entry count
-// crosses Tier3Threshold) is compiled once more, this time out of the
+// A trace is compiled the moment it forms (promote in trace.go), out of the
 // micro-op array entirely: every uop becomes a small specialized Go closure
 // with its operands, widths, sign shifts and branch polarity resolved at
 // compile time — no dispatch switch, no per-uop bounds checks, no per-uop
-// operand decode. This is the "foregoing the IR" model: the host program
-// *is* the translation.
+// operand decode. This is the "foregoing the IR" model: the IR is a
+// compile-time artefact and the host program *is* the translation. (The
+// type and counter names say tier3 because the ladder once had a uop
+// dispatch loop between the block interpreter and this.)
 //
 // Execution is subroutine-threaded: the closures of one straight-line
 // segment are chained (`return next(c)`), so every indirect call site is
@@ -30,11 +31,12 @@
 // entry (Exec's dispatch check), at every back-edge, after HINT callbacks,
 // and before any segment that starts on a different guest code page than
 // its predecessor (the chunk's guard flag). A failed check abandons the
-// compiled form at an exact instruction boundary and falls back to
-// tier-2/tier-1 — counted in Stats.Tier3Demotions. Faults inside a segment
-// reuse the tier-2 refund arithmetic (refundTail) via the captured uop
-// index, so restart-at-faulting-instruction semantics are bit-identical
-// across tiers.
+// compiled trace at an exact instruction boundary and lands on Exec's
+// lookup, which retranslates for the block interpreter — counted in
+// Stats.Tier3Demotions. Faults inside a segment refund the unexecuted tail
+// from the uop array the closures were compiled from (refundTail) via the
+// captured uop index, so restart-at-faulting-instruction semantics are
+// bit-identical to the block interpreter's.
 //
 // Closures must allocate only at compile time: the execution path is
 // zero-alloc (enforced by the dqlint t3alloc rule and pinned by
@@ -51,18 +53,6 @@ import (
 	"dqemu/internal/mem"
 )
 
-// DefaultTier3Threshold is the tier-2 entry count at which a superblock is
-// compiled to closures. It is deliberately lower than DefaultHotThreshold:
-// a superblock only exists because its head block was already hot.
-const DefaultTier3Threshold = 24
-
-func (e *Engine) tier3Threshold() uint32 {
-	if e.Tier3Threshold != 0 {
-		return e.Tier3Threshold
-	}
-	return DefaultTier3Threshold
-}
-
 // t3op is one compiled micro-op (possibly several fused guest ops): it
 // mutates guest state through the context and either calls the next
 // closure of the chain or returns a disposition to the trampoline.
@@ -77,7 +67,7 @@ const (
 	t3Exit                // trace exit: PC and c.next are set; resume in Exec
 	t3Switch              // jump-cache hit on a compiled target: tail-enter c.sw
 	t3Stop                // quantum ends: c.res/c.stop are set
-	t3Demote              // generation changed mid-trace: fall back to tier-2
+	t3Demote              // generation changed mid-trace: fall back to the block interpreter
 
 	// t3Cont is an internal sentinel returned by the shared fault/atomic
 	// helpers: "no disposition — continue down the chain". It never
@@ -124,6 +114,10 @@ type tier3 struct {
 	entry  uint64
 	gen    uint64
 	chunks []t3chunk
+	// entries counts dispatches into the trace — from Exec, a JALR tail
+	// entry or a trace-to-trace switch, not its own back-edge. It is the
+	// trace's heat in UopSeqProfile.
+	entries uint64
 }
 
 // t3ChunkOps caps the closure-chain depth of one chunk, comfortably under
@@ -135,7 +129,7 @@ const t3ChunkOps = 10
 // trampoline, which calls the next chunk in the array.
 func t3adv(c *t3ctx) int32 { return t3Next }
 
-var errT3Fall = fmt.Errorf("tcg: tier-3 trace fell off the end")
+var errT3Fall = fmt.Errorf("tcg: compiled trace fell off the end")
 
 func (e *Engine) t3acquire() *t3ctx {
 	if int(e.t3depth) < len(e.t3pool) {
@@ -161,8 +155,9 @@ func (e *Engine) t3release(c *t3ctx, spent *int64) {
 
 // execTier3 is the trampoline: it walks the chunk array, applying each
 // chunk's charge and code-page generation guard inline, and handles the
-// dispositions that unwind out of the closure chains. Return convention
-// matches execSuper.
+// dispositions that unwind out of the closure chains. Like execBlock it
+// returns the chained next block (nil when a cache lookup is needed) or
+// stop=true with a Result; budgetNs bounds in-trace loops and switches.
 func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*block, Result, bool) {
 	c := e.t3acquire()
 	c.e, c.cpu = e, cpu
@@ -177,13 +172,14 @@ func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*
 	c.next, c.sw, c.stop = nil, nil, false
 	c.res = Result{}
 
+	t3.entries++
 	chunks := t3.chunks
 	ci := 0
 	for {
 		ch := &chunks[ci]
 		if ch.guard && t3.gen != e.gen {
 			// Everything before this boundary retired exactly once; resume
-			// at the segment's first instruction on tier-2/1.
+			// at the segment's first instruction on the block interpreter.
 			cpu.PC = ch.pc
 			e.Stats.Tier3Demotions++
 			e.t3release(c, spent)
@@ -215,6 +211,7 @@ func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*
 			}
 			t3 = c.sw
 			c.sw = nil
+			t3.entries++
 			chunks = t3.chunks
 			ci = 0
 		case t3Exit:
@@ -244,8 +241,8 @@ type t3seg struct {
 // t3plan is the complete compilation plan for a superblock: segment
 // boundaries, the back-edge fold, and each segment's fusion units and
 // memory-run groups. compileTier3 consumes it mechanically, which makes
-// the plan the single structure the tier-3 checker (tier3check.go) has to
-// validate against the tier-2 uop sequence.
+// the plan the single structure the checker (tier3check.go) has to
+// validate against the uop sequence.
 type t3plan struct {
 	starts   []int // segment start indices, one per segBoundary
 	fuseLoop bool  // trailing bare uLoopBack folded into the predecessor
@@ -360,13 +357,13 @@ func planTier3(p *t3plan, ops []uop) bool {
 	return true
 }
 
-// compileTier3 compiles sb into a chunk array, charging translation time
-// like buildTrace. Each cost segment becomes one chunk: a fusion plan over
-// the straight-line mids (addi absorption, mem pairing) followed by one
-// leaf closure per plan unit plus the compiled tail. Returns nil when the
-// superblock contains a shape the closure compiler does not handle
-// (execution then stays on tier-2 permanently).
-func (e *Engine) compileTier3(sb *superblock, spent *int64) *tier3 {
+// compileTier3 compiles sb into a chunk array (buildTrace has already
+// charged the translation). Each cost segment becomes one chunk: a fusion
+// plan over the straight-line mids (addi absorption, mem pairing) followed
+// by one leaf closure per plan unit plus the compiled tail. Returns nil when
+// the superblock contains a shape the closure compiler does not handle
+// (install then leaves its head on the block interpreter).
+func (e *Engine) compileTier3(sb *superblock) *tier3 {
 	e.coldEnter()
 	defer e.coldLeave()
 	ops := sb.ops
@@ -472,31 +469,13 @@ func (e *Engine) compileTier3(sb *superblock, spent *int64) *tier3 {
 		t3.chunks = append(t3.chunks, sc...)
 	}
 
-	t := int64(sb.ninsns) * e.Cost.TranslateNs
-	*spent += t
-	e.Stats.TranslateNs += t
-	e.Stats.Tier3TranslateNs += t
 	e.Stats.Tier3Superblocks++
-
-	if e.Verify {
-		if err := e.checkTier3(sb, t3); err != nil {
-			// Reject the compilation: the caller records the sticky t3fail
-			// and the superblock stays on tier-2, which is verified
-			// separately by symEquivSeq.
-			e.Stats.Tier3CheckFailures++
-			if e.OnVerifyFail != nil {
-				e.OnVerifyFail("tier3", sb.entry, err)
-			}
-			return nil
-		}
-		e.Stats.VerifiedTier3++
-	}
 	return t3
 }
 
 // pageFault exits the compiled trace on a page fault: refund the
 // unexecuted tail of the segment and stop with PC at the faulting
-// instruction, exactly like superFault.
+// instruction, exactly like Engine.fault.
 func (c *t3ctx) pageFault(sb *superblock, i int, fl *mem.Fault) int32 {
 	refundTail(sb, i, c.spent, &c.executed)
 	c.cpu.PC = sb.ops[i].pc
@@ -507,7 +486,7 @@ func (c *t3ctx) pageFault(sb *superblock, i int, fl *mem.Fault) int32 {
 	return t3Stop
 }
 
-// alignFault mirrors superAlign for the compiled tier.
+// alignFault exits the compiled trace on a misaligned atomic, like badAlign.
 func (c *t3ctx) alignFault(sb *superblock, i int, addr uint64) int32 {
 	refundTail(sb, i, c.spent, &c.executed)
 	c.cpu.PC = sb.ops[i].pc
@@ -517,14 +496,14 @@ func (c *t3ctx) alignFault(sb *superblock, i int, addr uint64) int32 {
 	return t3Stop
 }
 
-// chainTo transfers control to the resolved exit block h. When h's
-// superblock is closure-compiled and current, execution switches straight
-// to that trace in the same context — no Exec round trip, no context
-// re-init; the trampoline re-checks the budget on the way. Otherwise the
-// trace exits to Exec with c.next = h.
+// chainTo transfers control to the resolved exit block h. When h heads a
+// current compiled trace, execution switches straight to it in the same
+// context — no Exec round trip, no context re-init; the trampoline
+// re-checks the budget on the way. Otherwise the trace exits to Exec with
+// c.next = h.
 func (c *t3ctx) chainTo(h *block) int32 {
 	if h != nil {
-		if nsb := h.sb; nsb != nil && nsb.t3 != nil && nsb.gen == c.e.gen {
+		if nsb := h.sb; nsb != nil && nsb.gen == c.e.gen {
 			c.sw = nsb.t3
 			return t3Switch
 		}
@@ -1781,12 +1760,9 @@ func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
 				if h := &en.jc[(target>>2)&(jcSize-1)]; h.pc == target && h.gen == en.gen {
 					en.Stats.JumpCacheHits++
 					if nsb := h.blk.sb; nsb != nil && nsb.gen == en.gen && *c.spent < c.budget {
-						// Tail-entry: stay on the compiled tier when the
-						// target is compiled too.
-						if nt3 := nsb.t3; nt3 != nil {
-							c.sw = nt3
-							return t3Switch
-						}
+						// Tail-entry: the target heads a compiled trace too.
+						c.sw = nsb.t3
+						return t3Switch
 					}
 					c.next = h.blk
 					return t3Exit
@@ -1874,9 +1850,10 @@ func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
 	return nil
 }
 
-// doLL/doSC/doAmo are the atomic boundary ops. They are rare enough that
-// sharing the tier-2 structure through context methods beats duplicating
-// it per closure; monEmpty is refreshed exactly like execSuperRun does.
+// doLL/doSC/doAmo are the atomic boundary ops, rare enough that one shared
+// context method each beats a specialized closure per site. They mirror
+// execBlock's atomics; c.monEmpty can only go false inside a trace through
+// this thread's own LL, which is where it is refreshed.
 func (c *t3ctx) doLL(sb *superblock, i int) int32 {
 	u := &sb.ops[i]
 	e := c.e

@@ -11,13 +11,12 @@ import (
 func tier3State(t *testing.T, src string, tune func(*Engine)) (*CPU, *Engine) {
 	t.Helper()
 	_, e, cpu, _ := setupImage(t, src)
-	e.HotThreshold = 2 // promote quickly so short test programs climb the ladder
+	e.HotThreshold = 2 // promote quickly so short test programs get compiled
 	if tune != nil {
 		tune(e)
 	}
-	// Small quantum slices: each Exec re-enters the hot superblock, driving
-	// the tier-2 entry count past the tier-3 threshold as the scheduler's
-	// quantum boundaries would.
+	// Small quantum slices, so traces are left and re-entered at budget
+	// boundaries the way the scheduler's quanta would cut them.
 	for i := 0; i < 1_000_000; i++ {
 		res := e.Exec(cpu, 1_500)
 		if res.Reason == StopHalt {
@@ -31,24 +30,25 @@ func tier3State(t *testing.T, src string, tune func(*Engine)) (*CPU, *Engine) {
 	return nil, nil
 }
 
-// tier3Rungs is the four-way ladder the differential tests compare:
-// interpreter, tier-2 superblocks, tier-3 closures, and tier-3 with the
-// mined peephole rules applied.
+// tier3Rungs is the four-way ladder the differential tests compare: the
+// interpreter (no translation cache), cached and chained blocks, compiled
+// traces, and compiled traces with the mined peephole rules applied.
 func tier3Rungs() map[string]func(*Engine) {
 	return map[string]func(*Engine){
 		"interp": func(e *Engine) {
 			e.NoCache, e.NoChain, e.NoSuperblock, e.NoJumpCache = true, true, true, true
 		},
-		"superblock": func(e *Engine) { e.NoTier3, e.NoPeephole = true, true },
-		"tier3":      func(e *Engine) { e.NoPeephole = true; e.Tier3Threshold = 2 },
-		"tier3+peep": func(e *Engine) { e.Tier3Threshold = 2 },
+		"blocks":        func(e *Engine) { e.NoSuperblock = true },
+		"compiled":      func(e *Engine) { e.NoPeephole = true },
+		"compiled+peep": func(*Engine) {},
 	}
 }
 
 // TestTier3MatchesBaselineState is the four-way differential: every rung of
 // the ladder must leave bit-identical registers and PC on a workload that
-// exercises ALU, memory, FP, and calls; and the tier-3 rungs must actually
-// have executed compiled closures rather than silently falling back.
+// exercises ALU, memory, FP, and calls; the compiled rungs must actually
+// have executed closures rather than silently falling back, and the other
+// two must not have.
 func TestTier3MatchesBaselineState(t *testing.T) {
 	const src = `
 _start:
@@ -92,18 +92,21 @@ loop:
 		cpu, e := tier3State(t, src, tune)
 		states[name] = state{cpu.X, cpu.F, cpu.PC}
 		switch name {
-		case "tier3", "tier3+peep":
+		case "compiled", "compiled+peep":
 			if e.Stats.Tier3Superblocks == 0 || e.Stats.Tier3Insns == 0 {
-				t.Errorf("%s: no tier-3 execution (superblocks=%d insns=%d)",
+				t.Errorf("%s: no compiled execution (traces=%d insns=%d)",
 					name, e.Stats.Tier3Superblocks, e.Stats.Tier3Insns)
 			}
-		case "interp":
+		default:
 			if e.Stats.Tier3Insns != 0 || e.Stats.Superblocks != 0 {
-				t.Errorf("interp: unexpectedly ran upper tiers (%+v)", e.Stats)
+				t.Errorf("%s: unexpectedly ran compiled traces (%+v)", name, e.Stats)
 			}
 		}
-		if name == "tier3+peep" && e.Stats.PeepApplied == 0 {
-			t.Errorf("tier3+peep: no peephole rules applied")
+		if e.Stats.SuperblockInsns != 0 {
+			t.Errorf("%s: SuperblockInsns = %d; nothing writes it any more", name, e.Stats.SuperblockInsns)
+		}
+		if name == "compiled+peep" && e.Stats.PeepApplied == 0 {
+			t.Errorf("compiled+peep: no peephole rules applied")
 		}
 	}
 	want := states["interp"]
@@ -115,11 +118,54 @@ loop:
 	}
 }
 
+// TestCompiledLoopInOneExec: a loop that closes inside its own trace never
+// comes back through Exec's dispatch, so promotion must not depend on
+// re-dispatch. Run to halt in a single Exec call under the default
+// threshold, the loop must retire on compiled closures and end in the
+// interpreter's state.
+func TestCompiledLoopInOneExec(t *testing.T) {
+	const src = `
+_start:
+	li   s0, 0
+	li   s1, 0
+	li   s2, 20000
+	li   s3, 0x20000
+loop:
+	sd   s1, 0(s3)
+	ld   t0, 0(s3)
+	add  s0, s0, t0
+	addi s1, s1, 1
+	slt  t0, s1, s2
+	bnez t0, loop
+	halt
+`
+	_, ref, want, _ := setupImage(t, src)
+	ref.NoCache, ref.NoChain, ref.NoSuperblock, ref.NoJumpCache = true, true, true, true
+	if res := ref.Exec(want, 1<<62); res.Reason != StopHalt {
+		t.Fatalf("interpreter: %+v", res)
+	}
+
+	_, e, cpu, _ := setupImage(t, src)
+	if res := e.Exec(cpu, 1<<62); res.Reason != StopHalt {
+		t.Fatalf("one Exec call did not reach the halt: %+v", res)
+	}
+	if *cpu != *want {
+		t.Errorf("state diverged from the interpreter:\n got %+v\nwant %+v", cpu, want)
+	}
+	if e.Stats.ExecInsns != ref.Stats.ExecInsns {
+		t.Errorf("retired %d instructions, interpreter %d", e.Stats.ExecInsns, ref.Stats.ExecInsns)
+	}
+	if share := float64(e.Stats.Tier3Insns) / float64(e.Stats.ExecInsns); share <= 0.9 {
+		t.Errorf("%.1f%% of %d instructions retired on compiled closures, want over 90%%",
+			100*share, e.Stats.ExecInsns)
+	}
+}
+
 // TestTier3MidRunInvalidationDemotes flushes the translation cache from a
-// hint hook firing *inside* a compiled tier-3 trace. The generation guard
-// must demote to tier-2 at the next instruction boundary (no stale closure
-// may keep running), the loop must re-heat and re-promote afterwards, and
-// the final state must match an undisturbed run exactly.
+// hint hook firing *inside* a compiled trace. The generation guard must
+// demote to the block interpreter at the next instruction boundary (no
+// stale closure may keep running), the loop must re-heat and re-promote
+// afterwards, and the final state must match an undisturbed run exactly.
 func TestTier3MidRunInvalidationDemotes(t *testing.T) {
 	const src = `
 _start:
@@ -134,19 +180,25 @@ loop:
 	bnez t0, loop
 	halt
 `
-	baseline, _ := tier3State(t, src, func(e *Engine) { e.Tier3Threshold = 2 })
+	baseline, _ := tier3State(t, src, nil)
 
 	_, eng, cpu, im := setupImage(t, src)
 	eng.HotThreshold = 2
-	eng.Tier3Threshold = 2
 	codePage := eng.Mem.PageOf(eng.Mem.Translate(im.Entry))
-	var hints int
+	var hints, onBlocks int
+	tracesAtFlush := ^uint64(0)
 	eng.OnHint = func(tid, group int64) {
 		hints++
+		if eng.Stats.Superblocks == tracesAtFlush {
+			// No trace has formed since the flush: the block interpreter
+			// retired this hint.
+			onBlocks++
+		}
 		if hints%200 == 0 {
 			// Invalidate the page the loop's code lives on, as the
 			// coherence layer would on a code-page migration.
 			eng.InvalidatePage(codePage)
+			tracesAtFlush = eng.Stats.Superblocks
 		}
 	}
 	halted := false
@@ -164,13 +216,16 @@ loop:
 		t.Fatalf("program did not halt")
 	}
 	if eng.Stats.Tier3Demotions == 0 {
-		t.Fatalf("no tier-3 demotions despite mid-run invalidation (stats %+v)", eng.Stats)
+		t.Fatalf("no demotions despite mid-run invalidation (stats %+v)", eng.Stats)
 	}
 	if eng.Stats.Flushes == 0 {
 		t.Fatalf("invalidation did not flush the cache")
 	}
+	if onBlocks == 0 {
+		t.Errorf("after a flush the loop never ran on the block interpreter")
+	}
 	if eng.Stats.Tier3Superblocks < 2 {
-		t.Errorf("loop did not re-promote after the flush (tier3 superblocks=%d)",
+		t.Errorf("loop did not re-promote after the flush (compiled traces=%d)",
 			eng.Stats.Tier3Superblocks)
 	}
 	if cpu.X != baseline.X || cpu.PC != baseline.PC {
@@ -197,22 +252,21 @@ loop:
 `
 	_, e, cpu, _ := setupImage(t, src)
 	e.HotThreshold = 2
-	e.Tier3Threshold = 2
-	// Heat: promote through tier-1 -> tier-2 -> tier-3.
+	// Heat: the loop head gets hot on the block interpreter and is compiled.
 	for i := 0; i < 64; i++ {
 		if res := e.Exec(cpu, 200_000); res.Reason != StopBudget {
 			t.Fatalf("heat run stopped: %+v", res)
 		}
 	}
 	if e.Stats.Tier3Insns == 0 {
-		t.Fatalf("loop never reached tier-3 (stats %+v)", e.Stats)
+		t.Fatalf("loop was never compiled (stats %+v)", e.Stats)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if res := e.Exec(cpu, 200_000); res.Reason != StopBudget {
 			t.Fatalf("steady-state run stopped: %+v", res)
 		}
 	}); n != 0 {
-		t.Errorf("steady-state tier-3 Exec allocates %v times per run, want 0", n)
+		t.Errorf("steady-state compiled Exec allocates %v times per run, want 0", n)
 	}
 }
 
@@ -242,19 +296,18 @@ loop:
 	halt
 `
 	// Fault-free baseline.
-	baseline, _ := tier3State(t, src, func(e *Engine) { e.Tier3Threshold = 2 })
+	baseline, _ := tier3State(t, src, nil)
 
 	space, e, cpu, _ := setupImage(t, src)
 	e.HotThreshold = 2
-	e.Tier3Threshold = 2
-	// Heat until tier-3 is live, then revoke the second page mid-run.
+	// Heat until the loop is compiled, then revoke the second page mid-run.
 	for i := 0; i < 30; i++ {
 		if res := e.Exec(cpu, 1_500); res.Reason != StopBudget {
 			t.Fatalf("heat run stopped: %+v", res)
 		}
 	}
 	if e.Stats.Tier3Insns == 0 {
-		t.Fatalf("loop never reached tier-3 (stats %+v)", e.Stats)
+		t.Fatalf("loop was never compiled (stats %+v)", e.Stats)
 	}
 	faultPage := space.PageOf(0x3f000)
 	space.SetPerm(faultPage, mem.PermNone)

@@ -1,11 +1,12 @@
-// Structural translation validation for tier-3 closure compilation.
+// Structural translation validation for closure compilation.
 //
-// The closure tier has no IR to symbolically execute — the compiled form
-// is opaque host closures — so it is validated structurally instead: the
-// compilation plan (segment boundaries, fusion units, memory-run groups)
-// and the emitted chunk array are checked against the tier-2 uop sequence
-// they were compiled from. The invariants proved here are exactly the
-// ones the trampoline and the fault paths rely on:
+// A compiled trace has no IR to symbolically execute — it is opaque host
+// closures — so it is validated structurally instead: the compilation plan
+// (segment boundaries, fusion units, memory-run groups) and the emitted
+// chunk array are checked against the uop sequence they were compiled
+// from, which symEquivSeq has already proved against the reference
+// lowering. The invariants proved here are exactly the ones the trampoline
+// and the fault paths rely on:
 //
 //   - every segment ends at a segment-boundary uop and contains no
 //     boundary mid-segment (so chunk charges retire atomically);
@@ -21,14 +22,15 @@
 //     recomputed code-page-cross guard, continuation chunks charging
 //     nothing, every chunk executable.
 //
-// A compilation failing any of these is rejected (the superblock stays on
-// the symbolically verified tier-2 form) rather than demoted at runtime.
+// A compilation failing any of these is rejected — the trace is not
+// installed and its head stays on the block interpreter — rather than
+// demoted at runtime.
 package tcg
 
 import "fmt"
 
 // checkTier3 validates t3 against the superblock it was compiled from.
-// Called under Engine.Verify at the end of compileTier3.
+// Called under Engine.Verify by install.
 func (e *Engine) checkTier3(sb *superblock, t3 *tier3) error {
 	ops := sb.ops
 	if t3.entry != sb.entry {

@@ -3,13 +3,12 @@ package tcg
 import (
 	"strings"
 	"testing"
+
+	"dqemu/internal/isa"
 )
 
-// compiledTrace runs a looping workload until a tier-3 compilation exists
-// and returns the engine, the superblock, and its compiled form.
-func compiledTrace(t *testing.T) (*Engine, *superblock, *tier3) {
-	t.Helper()
-	const src = `
+// checkedLoop is the looping workload the checker tests compile.
+const checkedLoop = `
 _start:
 	li   s0, 0
 	li   s1, 0
@@ -24,13 +23,18 @@ loop:
 	bnez t0, loop
 	halt
 `
-	_, e := tier3State(t, src, func(e *Engine) { e.Tier3Threshold = 2 })
+
+// compiledTrace runs checkedLoop until a compiled trace exists and returns
+// the engine, the superblock, and its compiled form.
+func compiledTrace(t *testing.T) (*Engine, *superblock, *tier3) {
+	t.Helper()
+	_, e := tier3State(t, checkedLoop, nil)
 	for _, b := range e.cache {
-		if b.sb != nil && b.sb.t3 != nil {
+		if b.sb != nil {
 			return e, b.sb, b.sb.t3
 		}
 	}
-	t.Fatal("no tier-3 compilation produced")
+	t.Fatal("no compiled trace produced")
 	return nil, nil, nil
 }
 
@@ -43,16 +47,21 @@ func TestCheckTier3AcceptsRealCompilation(t *testing.T) {
 	}
 }
 
+// corrupted returns a copy of t3 with f applied to it.
+func corrupted(t3 *tier3, f func(*tier3)) *tier3 {
+	cp := *t3
+	cp.chunks = append([]t3chunk(nil), t3.chunks...)
+	f(&cp)
+	return &cp
+}
+
 // TestCheckTier3RejectsCorruption corrupts one structural property at a
 // time and requires the checker to catch each.
 func TestCheckTier3RejectsCorruption(t *testing.T) {
 	e, sb, t3 := compiledTrace(t)
 
 	mutate := func(name string, f func(*tier3), want string) {
-		cp := *t3
-		cp.chunks = append([]t3chunk(nil), t3.chunks...)
-		f(&cp)
-		err := e.checkTier3(sb, &cp)
+		err := e.checkTier3(sb, corrupted(t3, f))
 		if err == nil {
 			t.Errorf("%s: corruption passed the checker", name)
 			return
@@ -71,6 +80,77 @@ func TestCheckTier3RejectsCorruption(t *testing.T) {
 	mutate("dead chunk", func(c *tier3) { c.chunks[0].fn = nil }, "no code")
 	mutate("dropped chunk", func(c *tier3) { c.chunks = c.chunks[:len(c.chunks)-1] }, "chunk")
 	mutate("extra chunk", func(c *tier3) { c.chunks = append(c.chunks, t3chunk{fn: t3adv}) }, "chunk")
+}
+
+// TestRefusedTraceStaysOnBlocks forces one checkTier3 rejection at a loop
+// head: the trace must not be installed, the refusal must be sticky for the
+// cache generation (one attempt, one diagnostic), the guest must finish on
+// the block interpreter with the state of an undisturbed run, and a cache
+// flush must clear the refusal.
+func TestRefusedTraceStaysOnBlocks(t *testing.T) {
+	want, _ := tier3State(t, checkedLoop, nil)
+
+	_, e, cpu, im := setupImage(t, checkedLoop)
+	e.Verify = true
+	tier3Fails := 0
+	e.OnVerifyFail = func(where string, entry uint64, err error) {
+		if where != "tier3" || entry != im.Symbols["loop"] {
+			t.Errorf("unexpected verification failure in %s at %#x: %v", where, entry, err)
+		}
+		tier3Fails++
+	}
+	// Warm the loop head on the block interpreter, short of promotion, so it
+	// is cached and carries branch bias.
+	for e.cache[im.Symbols["loop"]] == nil || e.cache[im.Symbols["loop"]].count < biasMinTotal {
+		if res := e.Exec(cpu, 500); res.Reason != StopBudget {
+			t.Fatalf("warm-up stopped: %+v", res)
+		}
+	}
+	head := e.cache[im.Symbols["loop"]]
+
+	// Promote by hand, overcharging the compilation's first chunk.
+	var spent int64
+	sb := e.buildTrace(head, &spent)
+	t3 := corrupted(e.compileTier3(sb), func(c *tier3) { c.chunks[0].cost++ })
+	if e.install(head, sb, t3) || head.sb != nil {
+		t.Fatal("a compilation the checker rejects was installed")
+	}
+	if tier3Fails != 1 || e.Stats.Tier3CheckFailures != 1 {
+		t.Fatalf("%d diagnostics, %d check failures; want 1 and 1", tier3Fails, e.Stats.Tier3CheckFailures)
+	}
+
+	// The head is far past any threshold now; it must not be tried again.
+	e.HotThreshold = 2
+	traces := e.Stats.Superblocks
+	if res := runToStop(t, e, cpu); res.Reason != StopHalt {
+		t.Fatalf("stop: %+v", res)
+	}
+	if tier3Fails != 1 || e.Stats.Superblocks != traces {
+		t.Errorf("refused head was attempted again: %d diagnostics, %d new traces",
+			tier3Fails, e.Stats.Superblocks-traces)
+	}
+	if e.Stats.Tier3Insns != 0 {
+		t.Errorf("%d instructions retired in compiled traces; the loop should have stayed on the block interpreter", e.Stats.Tier3Insns)
+	}
+	if cpu.X != want.X || cpu.PC != want.PC {
+		t.Errorf("refused run diverged:\n got pc=%#x x=%v\nwant pc=%#x x=%v", cpu.PC, cpu.X, want.PC, want.X)
+	}
+
+	// A new cache generation has new blocks: the trace is attempted again,
+	// and this time nothing corrupts it.
+	e.ClearCache()
+	cpu2 := &CPU{PC: im.Entry, TID: 1}
+	cpu2.X[isa.RegSP] = 0x40000
+	if res := runToStop(t, e, cpu2); res.Reason != StopHalt {
+		t.Fatalf("rerun: %+v", res)
+	}
+	if e.Stats.Superblocks == traces || e.Stats.Tier3Insns == 0 || tier3Fails != 1 {
+		t.Errorf("after ClearCache the loop was not compiled: %d new traces, %d compiled insns, %d diagnostics",
+			e.Stats.Superblocks-traces, e.Stats.Tier3Insns, tier3Fails)
+	}
+	if cpu2.X != want.X || cpu2.PC != want.PC {
+		t.Errorf("rerun diverged:\n got pc=%#x x=%v\nwant pc=%#x x=%v", cpu2.PC, cpu2.X, want.PC, want.X)
+	}
 }
 
 // TestCheckSegPlanRejectsBadPlans exercises the plan validator directly on

@@ -1,16 +1,21 @@
-// Hot-trace superblock formation (tier 3 of the translation pipeline).
+// Compiled-trace formation.
 //
-// Per-block execution counters promote hot translation blocks into
-// superblocks: traces that follow chained successors across unconditional
-// JALs and strongly biased conditional branches, up to a length cap. The
-// trace body is lowered to the flat micro-op array in uop.go. A trace that
-// re-enters its own head gets a back-edge uop, so hot loops run entirely
-// inside one superblock with only a budget check per iteration.
+// The translator has two executors. Cold code runs on the block interpreter
+// (execBlock in tcg.go): translation blocks, cached, chained, one switch per
+// guest instruction. A block whose execution count crosses HotThreshold heads
+// a trace — a superblock that follows chained successors across
+// unconditional JALs and strongly biased conditional branches, up to a length
+// cap — and the trace is closure-compiled in the same step (promote):
+// lowered to the micro-op IR in uop.go, peephole-rewritten, proved under
+// -verify, and handed straight to compileTier3 (tier3.go). There is no
+// second promotion and nothing interprets the IR. A trace that re-enters its
+// own head gets a back-edge, so hot loops run entirely inside one compiled
+// trace with only a budget check per iteration.
 //
 // Coherence: a superblock carries the cache generation it was built in.
-// ClearCache bumps the generation, which retires every superblock (checked
-// at dispatch, at back-edges, and after HINT callbacks) and every chained
-// exit pointer — no stale translation can run after a flush.
+// ClearCache bumps the generation, which retires every compiled trace
+// (checked at dispatch, at back-edges, and after HINT callbacks) and every
+// chained exit pointer — no stale translation can run after a flush.
 package tcg
 
 import (
@@ -20,8 +25,8 @@ import (
 )
 
 const (
-	// DefaultHotThreshold is the execution count at which a block is
-	// promoted into a superblock.
+	// DefaultHotThreshold is the execution count at which a block heads a
+	// compiled trace.
 	DefaultHotThreshold = 50
 	// MaxTraceInsns bounds total guest instructions in one superblock.
 	MaxTraceInsns = 256
@@ -42,19 +47,15 @@ type exitSlot struct {
 	blk *block
 }
 
+// superblock is one trace: the closures that execute it (t3) and the uop
+// array they were compiled from, kept as their fault metadata.
 type superblock struct {
 	entry  uint64
 	gen    uint64 // cache generation this trace was built in
 	ops    []uop
 	exits  []exitSlot
 	ninsns uint32 // guest instructions lowered into the trace
-
-	// Tier-3 bookkeeping: tier-2 entry count toward closure compilation,
-	// the compiled form once promoted, and a sticky flag for superblocks the
-	// closure compiler refused (so the attempt is not repeated).
-	execs  uint32
-	t3     *tier3
-	t3fail bool
+	t3     *tier3 // set once, by install
 }
 
 func (e *Engine) hotThreshold() uint32 {
@@ -103,11 +104,43 @@ func isCondBranch(op isa.Op) bool {
 	return false
 }
 
-// buildTrace forms a superblock starting at head, charging translation time
-// for every instruction lowered. head must be a current-generation cached
-// block. The trace is lowered and peephole-rewritten in engine scratch;
-// sb.ops is one copy of the result, made before anything (segmentize, the
-// equivalence proof, later compileTier3 closures) takes a pointer into it.
+// promote forms the trace headed by head, compiles it and installs it as
+// head.sb; it reports whether head now has a compiled trace. head must be a
+// current-generation cached block.
+func (e *Engine) promote(head *block, spent *int64) bool {
+	sb := e.buildTrace(head, spent)
+	return e.install(head, sb, e.compileTier3(sb))
+}
+
+// install makes t3 the executable form of head's trace sb — under Verify
+// only once checkTier3 accepts it. A trace the closure compiler (t3 == nil)
+// or the checker refused is dropped and head marked refused: it stays on the
+// block interpreter and is not attempted again in this cache generation.
+func (e *Engine) install(head *block, sb *superblock, t3 *tier3) bool {
+	if t3 != nil && e.Verify {
+		if err := e.checkTier3(sb, t3); err != nil {
+			e.Stats.Tier3CheckFailures++
+			if e.OnVerifyFail != nil {
+				e.OnVerifyFail("tier3", sb.entry, err)
+			}
+			t3 = nil
+		} else {
+			e.Stats.VerifiedTier3++
+		}
+	}
+	if t3 == nil {
+		head.refused = true
+		return false
+	}
+	sb.t3, head.sb = t3, sb
+	return true
+}
+
+// buildTrace lowers the trace starting at head to uops, charging the trace's
+// one translation charge for every instruction lowered. The trace is lowered
+// and peephole-rewritten in engine scratch; sb.ops is one copy of the result,
+// made before anything (segmentize, the equivalence proof, compileTier3's
+// closures) takes a pointer into it.
 func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
 	e.coldEnter()
 	defer e.coldLeave()
@@ -317,9 +350,9 @@ loop:
 
 	if verify {
 		if err := symEquivSeq(ref, sb.ops); err != nil {
-			// Demote with a diagnostic: install a copy of the
-			// per-instruction reference lowering, which is correct by
-			// construction and reuses the same exit slots.
+			// Demote with a diagnostic: compile a copy of the
+			// per-instruction reference lowering instead, which is correct
+			// by construction and reuses the same exit slots.
 			e.Stats.VerifyDemotions++
 			sb.ops = slices.Clone(ref)
 			segmentize(sb.ops)
@@ -334,6 +367,7 @@ loop:
 	t := int64(sb.ninsns) * e.Cost.TranslateNs
 	*spent += t
 	e.Stats.TranslateNs += t
+	e.Stats.Tier3TranslateNs += t
 	e.Stats.Superblocks++
 	e.Stats.TranslatedInsns += uint64(sb.ninsns)
 	return sb

@@ -9,9 +9,9 @@ import (
 )
 
 // benchHotLoop measures engine throughput on the shared hotLoop program
-// at one tier of the translation ladder, reporting retired guest
-// instructions per op so the tiers are directly comparable.
-func benchHotLoop(b *testing.B, noSuper bool, tune ...func(*Engine)) {
+// at one rung of the translation ladder, reporting retired guest
+// instructions per op so the rungs are directly comparable.
+func benchHotLoop(b *testing.B, tune func(*Engine)) {
 	im, err := asm.Assemble(asm.Source{Name: "t.s", Text: hotLoop})
 	if err != nil {
 		b.Fatal(err)
@@ -19,13 +19,8 @@ func benchHotLoop(b *testing.B, noSuper bool, tune ...func(*Engine)) {
 	space := mem.NewSpace(0)
 	mem.InstallImage(space, im, mem.PermRead, mem.PermReadWrite)
 	e := NewEngine(space, DefaultCostModel())
-	e.NoSuperblock = noSuper
-	e.NoTier3 = true    // the ladder below turns tiers back on explicitly
 	e.HotThreshold = 20 // promote early, but with enough branch history for bias
-	e.Tier3Threshold = 10
-	for _, f := range tune {
-		f(e)
-	}
+	tune(e)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		c := &CPU{PC: im.Entry, TID: 1}
@@ -43,11 +38,10 @@ func benchHotLoop(b *testing.B, noSuper bool, tune ...func(*Engine)) {
 	b.ReportMetric(float64(e.Stats.ExecInsns)/float64(b.N), "insns/op")
 }
 
-func BenchmarkHotLoopSuperblock(b *testing.B) { benchHotLoop(b, false) }
-func BenchmarkHotLoopChained(b *testing.B)    { benchHotLoop(b, true) }
+func BenchmarkHotLoopChained(b *testing.B) {
+	benchHotLoop(b, func(e *Engine) { e.NoSuperblock = true })
+}
 func BenchmarkHotLoopTier3(b *testing.B) {
-	benchHotLoop(b, false, func(e *Engine) { e.NoTier3 = false; e.NoPeephole = true })
+	benchHotLoop(b, func(e *Engine) { e.NoPeephole = true })
 }
-func BenchmarkHotLoopTier3Peep(b *testing.B) {
-	benchHotLoop(b, false, func(e *Engine) { e.NoTier3 = false })
-}
+func BenchmarkHotLoopTier3Peep(b *testing.B) { benchHotLoop(b, func(*Engine) {}) }

@@ -70,23 +70,23 @@ func TestSuperblockPromotionAndCorrectness(t *testing.T) {
 		t.Errorf("sum = %d, want %d", got, 999*1000/2)
 	}
 	if e.Stats.Superblocks == 0 {
-		t.Error("hot loop was never promoted to a superblock")
+		t.Error("hot loop was never promoted to a compiled trace")
 	}
-	if e.Stats.SuperblockInsns == 0 {
-		t.Error("no instructions retired inside superblocks")
+	if e.Stats.Tier3Insns == 0 {
+		t.Error("no instructions retired inside compiled traces")
 	}
 	if e.Stats.FusedUops == 0 {
 		t.Error("slt+bnez pair was not fused")
 	}
-	if e.Stats.SuperblockInsns >= e.Stats.ExecInsns {
-		t.Errorf("SuperblockInsns %d must be < ExecInsns %d",
-			e.Stats.SuperblockInsns, e.Stats.ExecInsns)
+	if e.Stats.Tier3Insns >= e.Stats.ExecInsns {
+		t.Errorf("Tier3Insns %d must be < ExecInsns %d",
+			e.Stats.Tier3Insns, e.Stats.ExecInsns)
 	}
 }
 
 func TestSuperblockMatchesBaselineState(t *testing.T) {
-	// The same program must leave bit-identical registers and memory under
-	// all three tiers: interpreter, chained blocks, and superblocks.
+	// The same program must leave bit-identical registers and memory on
+	// compiled traces, on chained blocks, and on the interpreter.
 	src := `
 _start:
 	li  t0, 0x20000
@@ -146,16 +146,16 @@ loop:
 }
 
 func TestNoSuperblockReproducesSeedStats(t *testing.T) {
-	// With both new tiers disabled no superblocks are built and the jump
-	// cache is never consulted.
+	// With promotion and the jump cache disabled no traces are built and the
+	// jump cache is never consulted.
 	_, e, cpu, _ := setupImage(t, hotLoop)
 	e.NoSuperblock, e.NoJumpCache = true, true
 	if res := runToStop(t, e, cpu); res.Reason != StopHalt {
 		t.Fatalf("stop: %+v", res)
 	}
-	if e.Stats.Superblocks != 0 || e.Stats.SuperblockInsns != 0 ||
+	if e.Stats.Superblocks != 0 || e.Stats.Tier3Insns != 0 ||
 		e.Stats.JumpCacheHits != 0 || e.Stats.JumpCacheMisses != 0 {
-		t.Errorf("ablated run used new tiers: %+v", e.Stats)
+		t.Errorf("ablated run left the block interpreter: %+v", e.Stats)
 	}
 	if got := int64(cpu.X[isa.RegS0]); got != 999*1000/2 {
 		t.Errorf("sum = %d, want %d", got, 999*1000/2)
@@ -208,7 +208,7 @@ addone:
 }
 
 func TestSuperblockLoopRespectsBudget(t *testing.T) {
-	// Once the loop runs inside one superblock, the back-edge must still
+	// Once the loop runs inside one compiled trace, the back-edge must still
 	// yield when the quantum is spent — bounded overshoot, no livelock.
 	_, e, cpu, _ := setupImage(t, `
 _start:

@@ -1,20 +1,24 @@
-// Micro-op lowering and execution for hot-trace superblocks (tier 3 of the
-// translation pipeline, see trace.go). A superblock's guest instructions are
-// pre-decoded into a flat uop array: loads and stores carry a pre-resolved
-// width and sign-extension shift, long-immediate moves carry the
-// materialized constant, compare+branch pairs and ADDI chains are fused, and
-// virtual-time costs are aggregated per straight-line segment so the hot
-// path charges the cost model once per segment instead of once per
-// instruction. Every uop keeps the guest PC of the instruction it came from,
-// so faults, syscalls and contended atomics exit the superblock with
-// architecturally exact state and internal/core's restart-at-faulting-
-// instruction contract holds unchanged.
+// Micro-op lowering: the compile-time IR of a compiled trace (see trace.go).
+// A trace's guest instructions are pre-decoded into a flat uop array: loads
+// and stores carry a pre-resolved width and sign-extension shift,
+// long-immediate moves carry the materialized constant, compare+branch pairs
+// and ADDI chains are fused, and virtual-time costs are aggregated per
+// straight-line segment so the compiled trace charges the cost model once
+// per segment instead of once per instruction.
+//
+// Nothing executes uops. The array is what the peephole pass rewrites, what
+// -verify proves (symEquivSeq against the reference lowering, checkTier3
+// against the closures) and what compileTier3 reads once to build the
+// closures that do run (tier3.go). The superblock keeps it afterwards as
+// fault metadata: every uop holds the guest PC of the instruction it came
+// from and its own cost, so a fault, syscall or contended atomic leaves the
+// trace with architecturally exact state (refundTail) and internal/core's
+// restart-at-faulting-instruction contract holds unchanged. UopSeqProfile
+// mines the same arrays for peephole candidates.
 package tcg
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
 
 	"dqemu/internal/isa"
 	"dqemu/internal/mem"
@@ -362,7 +366,7 @@ func segBoundary(k uopKind) bool {
 
 // segmentize computes the aggregate cost and instruction count of every
 // straight-line segment and stores them on the segment's first uop. The
-// executor charges the whole segment on entry; only a mid-segment fault
+// compiled trace charges the whole segment on entry; only a mid-segment fault
 // (loads/stores, which are not boundaries) needs the per-uop selfCost to
 // refund the unexecuted tail.
 func segmentize(ops []uop) {
@@ -443,433 +447,4 @@ func (e *Engine) slowStore(addr uint64, val uint64, size uint8) *mem.Fault {
 		e.Mem.AccelFill(&e.wrTLB[pn&(accelTLBSize-1)], pn, true)
 	}
 	return fault
-}
-
-// superFault exits the superblock on a page fault with PC at the faulting
-// instruction, exactly like Engine.fault.
-func (e *Engine) superFault(cpu *CPU, sb *superblock, i int, fl *mem.Fault, spent *int64, executed uint64) (*block, Result, bool, uint64) {
-	refundTail(sb, i, spent, &executed)
-	cpu.PC = sb.ops[i].pc
-	e.Stats.Faults++
-	*spent += e.Cost.FaultNs
-	return nil, Result{Reason: StopPageFault, Fault: *fl}, true, executed
-}
-
-// execSuper executes a superblock. Like execBlock it returns the chained
-// next block (nil when a cache lookup is needed) or stop=true with a Result.
-// budgetNs bounds in-trace loops: the back-edge yields once the quantum is
-// spent so a looping trace cannot monopolize Exec.
-func (e *Engine) execSuper(cpu *CPU, sb *superblock, spent *int64, budgetNs int64) (*block, Result, bool) {
-	next, res, stop, executed := e.execSuperRun(cpu, sb, spent, budgetNs)
-	e.Stats.SuperblockInsns += executed
-	e.Stats.ExecInsns += executed
-	return next, res, stop
-}
-
-// execSuperRun is execSuper's uop dispatch loop; it returns the retired
-// instruction count instead of deferring the stats update (a defer per call
-// is measurable at trace-exit rates).
-func (e *Engine) execSuperRun(cpu *CPU, sb *superblock, spent *int64, budgetNs int64) (next *block, res Result, stop bool, executed uint64) {
-	x := &cpu.X
-	f := &cpu.F
-	mmu := e.Mem
-	ops := sb.ops
-	// e.Mon can only gain entries via this thread's LL while we are inside
-	// the trace, so the emptiness check is hoisted out of the store path and
-	// refreshed at the uops that could change it.
-	monEmpty := e.Mon.Empty()
-
-	for i := 0; i < len(ops); i++ {
-		u := &ops[i]
-		if u.insns != 0 {
-			*spent += int64(u.cost)
-			executed += uint64(u.insns)
-		}
-		switch u.kind {
-		case uNop:
-
-		case uFence:
-			if e.San != nil {
-				e.San.OnFence(cpu.TID)
-			}
-
-		case uSanRead:
-			if e.San != nil {
-				addr := x[u.rs1] + uint64(u.imm)
-				e.San.OnLoad(cpu.TID, mmu.Translate(addr), int(u.size), u.pc)
-			}
-		case uSanWrite:
-			if e.San != nil {
-				addr := x[u.rs1] + uint64(u.imm)
-				e.San.OnStore(cpu.TID, mmu.Translate(addr), int(u.size), u.pc)
-			}
-
-		case uAdd:
-			x[u.rd] = x[u.rs1] + x[u.rs2]
-		case uSub:
-			x[u.rd] = x[u.rs1] - x[u.rs2]
-		case uMul:
-			x[u.rd] = x[u.rs1] * x[u.rs2]
-		case uDiv:
-			x[u.rd] = uint64(sdiv(int64(x[u.rs1]), int64(x[u.rs2])))
-		case uDivU:
-			if x[u.rs2] == 0 {
-				x[u.rd] = ^uint64(0)
-			} else {
-				x[u.rd] = x[u.rs1] / x[u.rs2]
-			}
-		case uRem:
-			x[u.rd] = uint64(srem(int64(x[u.rs1]), int64(x[u.rs2])))
-		case uRemU:
-			if x[u.rs2] == 0 {
-				x[u.rd] = x[u.rs1]
-			} else {
-				x[u.rd] = x[u.rs1] % x[u.rs2]
-			}
-		case uAnd:
-			x[u.rd] = x[u.rs1] & x[u.rs2]
-		case uOr:
-			x[u.rd] = x[u.rs1] | x[u.rs2]
-		case uXor:
-			x[u.rd] = x[u.rs1] ^ x[u.rs2]
-		case uSll:
-			x[u.rd] = x[u.rs1] << (x[u.rs2] & 63)
-		case uSrl:
-			x[u.rd] = x[u.rs1] >> (x[u.rs2] & 63)
-		case uSra:
-			x[u.rd] = uint64(int64(x[u.rs1]) >> (x[u.rs2] & 63))
-		case uSlt:
-			x[u.rd] = b2u(int64(x[u.rs1]) < int64(x[u.rs2]))
-		case uSltu:
-			x[u.rd] = b2u(x[u.rs1] < x[u.rs2])
-
-		case uAddi:
-			x[u.rd] = x[u.rs1] + uint64(u.imm)
-		case uAndi:
-			x[u.rd] = x[u.rs1] & uint64(u.imm)
-		case uOri:
-			x[u.rd] = x[u.rs1] | uint64(u.imm)
-		case uXori:
-			x[u.rd] = x[u.rs1] ^ uint64(u.imm)
-		case uSlli:
-			x[u.rd] = x[u.rs1] << (uint64(u.imm) & 63)
-		case uSrli:
-			x[u.rd] = x[u.rs1] >> (uint64(u.imm) & 63)
-		case uSrai:
-			x[u.rd] = uint64(int64(x[u.rs1]) >> (uint64(u.imm) & 63))
-		case uSlti:
-			x[u.rd] = b2u(int64(x[u.rs1]) < u.imm)
-		case uLi:
-			x[u.rd] = u.val
-
-		case uLoad:
-			addr := x[u.rs1] + uint64(u.imm)
-			off := addr & e.pageMask
-			var v uint64
-			if ln := &e.rdTLB[(addr>>e.pageShift)&(accelTLBSize-1)]; ln.PageNo == addr>>e.pageShift &&
-				ln.Epoch == mmu.Epoch() && off+uint64(u.size) <= e.pageMask+1 {
-				v = loadLE(ln.Data[off:], u.size)
-			} else {
-				var fault *mem.Fault
-				v, fault = e.slowLoad(addr, u.size)
-				if fault != nil {
-					return e.superFault(cpu, sb, i, fault, spent, executed)
-				}
-			}
-			if u.sh != 0 {
-				v = uint64(int64(v<<u.sh) >> u.sh)
-			}
-			wr(x, u.rd, v)
-		case uStore:
-			addr := x[u.rs1] + uint64(u.imm)
-			off := addr & e.pageMask
-			if ln := &e.wrTLB[(addr>>e.pageShift)&(accelTLBSize-1)]; ln.PageNo == addr>>e.pageShift &&
-				ln.Epoch == mmu.Epoch() && off+uint64(u.size) <= e.pageMask+1 {
-				storeLE(ln.Data[off:], x[u.rs2], u.size)
-			} else if fault := e.slowStore(addr, x[u.rs2], u.size); fault != nil {
-				return e.superFault(cpu, sb, i, fault, spent, executed)
-			}
-			if !monEmpty {
-				e.Mon.OnStore(cpu.TID, mmu.Translate(addr))
-			}
-		case uFLoad:
-			addr := x[u.rs1] + uint64(u.imm)
-			off := addr & e.pageMask
-			if ln := &e.rdTLB[(addr>>e.pageShift)&(accelTLBSize-1)]; ln.PageNo == addr>>e.pageShift &&
-				ln.Epoch == mmu.Epoch() && off+8 <= e.pageMask+1 {
-				f[u.rd] = math.Float64frombits(loadLE(ln.Data[off:], 8))
-			} else {
-				v, fault := e.slowLoad(addr, 8)
-				if fault != nil {
-					return e.superFault(cpu, sb, i, fault, spent, executed)
-				}
-				f[u.rd] = math.Float64frombits(v)
-			}
-		case uFStore:
-			addr := x[u.rs1] + uint64(u.imm)
-			off := addr & e.pageMask
-			if ln := &e.wrTLB[(addr>>e.pageShift)&(accelTLBSize-1)]; ln.PageNo == addr>>e.pageShift &&
-				ln.Epoch == mmu.Epoch() && off+8 <= e.pageMask+1 {
-				storeLE(ln.Data[off:], math.Float64bits(f[u.rs2]), 8)
-			} else if fault := e.slowStore(addr, math.Float64bits(f[u.rs2]), 8); fault != nil {
-				return e.superFault(cpu, sb, i, fault, spent, executed)
-			}
-			if !monEmpty {
-				e.Mon.OnStore(cpu.TID, mmu.Translate(addr))
-			}
-
-		case uGuard:
-			if takeBranch(u.bop, x[u.rs1], x[u.rs2]) != u.expectTaken {
-				cpu.PC = u.npc
-				return e.exitVia(sb, u.exit), Result{}, false, executed
-			}
-		case uFusedCmpGuard:
-			var c uint64
-			if u.cmpU {
-				c = b2u(x[u.rs1] < x[u.rs2])
-			} else {
-				c = b2u(int64(x[u.rs1]) < int64(x[u.rs2]))
-			}
-			x[u.rd] = c
-			if takeBranch(u.bop, c, 0) != u.expectTaken {
-				cpu.PC = u.npc
-				return e.exitVia(sb, u.exit), Result{}, false, executed
-			}
-		case uBranchExit:
-			if takeBranch(u.bop, x[u.rs1], x[u.rs2]) {
-				cpu.PC = u.npc
-				return e.exitVia(sb, u.exit), Result{}, false, executed
-			}
-			cpu.PC = u.npc2
-			return e.exitVia(sb, u.exit2), Result{}, false, executed
-		case uFusedCmpExit:
-			var c uint64
-			if u.cmpU {
-				c = b2u(x[u.rs1] < x[u.rs2])
-			} else {
-				c = b2u(int64(x[u.rs1]) < int64(x[u.rs2]))
-			}
-			x[u.rd] = c
-			if takeBranch(u.bop, c, 0) {
-				cpu.PC = u.npc
-				return e.exitVia(sb, u.exit), Result{}, false, executed
-			}
-			cpu.PC = u.npc2
-			return e.exitVia(sb, u.exit2), Result{}, false, executed
-
-		case uLink:
-			if u.rd != 0 {
-				x[u.rd] = u.val
-			}
-		case uJalExit:
-			if u.rd != 0 {
-				x[u.rd] = u.val
-			}
-			cpu.PC = u.npc
-			return e.exitVia(sb, u.exit), Result{}, false, executed
-		case uJalrExit:
-			target := (x[u.rs1] + uint64(u.imm)) &^ 3
-			if u.rd != 0 {
-				x[u.rd] = u.val
-			}
-			cpu.PC = target
-			if !e.NoJumpCache && !e.NoCache {
-				if h := &e.jc[(target>>2)&(jcSize-1)]; h.pc == target && h.gen == e.gen {
-					e.Stats.JumpCacheHits++
-					// Tail-call straight into the target's superblock when
-					// it has one, without bouncing through Exec's dispatch.
-					// A closure-compiled target instead bounces so Exec runs
-					// its tier-3 form (and call-heavy targets accrue entries
-					// toward compilation).
-					if nsb := h.blk.sb; nsb != nil && !e.NoSuperblock && nsb.gen == e.gen && *spent < budgetNs {
-						if nsb.t3 == nil || e.NoTier3 {
-							if !e.NoTier3 && !nsb.t3fail {
-								nsb.execs++
-							}
-							sb = nsb
-							ops = sb.ops
-							i = -1
-							continue
-						}
-					}
-					return h.blk, Result{}, false, executed
-				}
-				// Miss: fall through to Exec's lookup, which fills the cache
-				// (and counts the miss).
-			}
-			return nil, Result{}, false, executed
-		case uLoopBack:
-			if *spent >= budgetNs || sb.gen != e.gen {
-				cpu.PC = sb.entry
-				return nil, Result{}, false, executed
-			}
-			i = -1
-		case uExit:
-			cpu.PC = u.npc
-			return e.exitVia(sb, u.exit), Result{}, false, executed
-
-		case uLL:
-			addr := x[u.rs1]
-			if addr%8 != 0 {
-				return e.superAlign(cpu, sb, i, addr, spent, executed)
-			}
-			v, fault := mmu.Load(addr, 8)
-			if fault != nil {
-				return e.superFault(cpu, sb, i, fault, spent, executed)
-			}
-			e.Mon.OnLL(cpu.TID, mmu.Translate(addr))
-			if e.San != nil {
-				e.San.OnAtomic(cpu.TID, mmu.Translate(addr), 8, u.pc, false)
-			}
-			monEmpty = false
-			wr(x, u.rd, v)
-		case uSC:
-			addr := x[u.rs1]
-			if addr%8 != 0 {
-				return e.superAlign(cpu, sb, i, addr, spent, executed)
-			}
-			taddr := mmu.Translate(addr)
-			if mmu.PermOf(mmu.PageOf(taddr)) != mem.PermReadWrite {
-				return e.superFault(cpu, sb, i, &mem.Fault{Addr: taddr, Page: mmu.PageOf(taddr), Write: true}, spent, executed)
-			}
-			if e.Mon.ValidateSC(cpu.TID, taddr) {
-				if fault := mmu.Store(addr, x[u.rs2], 8); fault != nil {
-					return e.superFault(cpu, sb, i, fault, spent, executed)
-				}
-				if e.San != nil {
-					e.San.OnAtomic(cpu.TID, taddr, 8, u.pc, true)
-				}
-				wr(x, u.rd, 0)
-			} else {
-				if e.San != nil {
-					e.San.OnAtomic(cpu.TID, taddr, 8, u.pc, false)
-				}
-				wr(x, u.rd, 1)
-				if e.StopAtomic {
-					cpu.PC = u.pc + 4
-					return nil, Result{Reason: StopBudget}, true, executed
-				}
-			}
-		case uCAS, uAmoAdd, uAmoSwap:
-			addr := x[u.rs1]
-			if addr%8 != 0 {
-				return e.superAlign(cpu, sb, i, addr, spent, executed)
-			}
-			taddr := mmu.Translate(addr)
-			if mmu.PermOf(mmu.PageOf(taddr)) != mem.PermReadWrite {
-				return e.superFault(cpu, sb, i, &mem.Fault{Addr: taddr, Page: mmu.PageOf(taddr), Write: true}, spent, executed)
-			}
-			old, fault := mmu.Load(addr, 8)
-			if fault != nil {
-				return e.superFault(cpu, sb, i, fault, spent, executed)
-			}
-			var newVal uint64
-			doStore := true
-			switch u.kind {
-			case uCAS:
-				newVal = x[u.rs2]
-				doStore = old == x[u.rd]
-			case uAmoAdd:
-				newVal = old + x[u.rs2]
-			case uAmoSwap:
-				newVal = x[u.rs2]
-			}
-			if doStore {
-				if fault := mmu.Store(addr, newVal, 8); fault != nil {
-					return e.superFault(cpu, sb, i, fault, spent, executed)
-				}
-				if !e.Mon.Empty() {
-					e.Mon.OnStore(cpu.TID, taddr)
-				}
-			}
-			if e.San != nil {
-				e.San.OnAtomic(cpu.TID, taddr, 8, u.pc, doStore)
-			}
-			wr(x, u.rd, old)
-			if e.StopAtomic && u.kind == uCAS && !doStore {
-				cpu.PC = u.pc + 4
-				return nil, Result{Reason: StopBudget}, true, executed
-			}
-
-		case uSvcExit:
-			e.Stats.Syscalls++
-			*spent += e.Cost.SyscallNs
-			cpu.PC = u.pc + 4
-			return nil, Result{Reason: StopSyscall}, true, executed
-		case uHint:
-			cpu.HintGroup = u.imm
-			if e.OnHint != nil {
-				e.OnHint(cpu.TID, u.imm)
-				monEmpty = e.Mon.Empty()
-				if sb.gen != e.gen {
-					// The hook flushed the translation cache: leave the
-					// retired trace at the next instruction boundary.
-					cpu.PC = u.pc + 4
-					return nil, Result{}, false, executed
-				}
-			}
-		case uHaltExit:
-			cpu.PC = u.pc + 4
-			return nil, Result{Reason: StopHalt}, true, executed
-		case uEbreakExit:
-			cpu.PC = u.pc
-			return nil, Result{Reason: StopEBreak}, true, executed
-
-		case uFAdd:
-			f[u.rd] = f[u.rs1] + f[u.rs2]
-		case uFSub:
-			f[u.rd] = f[u.rs1] - f[u.rs2]
-		case uFMul:
-			f[u.rd] = f[u.rs1] * f[u.rs2]
-		case uFDiv:
-			f[u.rd] = f[u.rs1] / f[u.rs2]
-		case uFMin:
-			f[u.rd] = math.Min(f[u.rs1], f[u.rs2])
-		case uFMax:
-			f[u.rd] = math.Max(f[u.rs1], f[u.rs2])
-		case uFSqrt:
-			f[u.rd] = math.Sqrt(f[u.rs1])
-		case uFNeg:
-			f[u.rd] = -f[u.rs1]
-		case uFAbs:
-			f[u.rd] = math.Abs(f[u.rs1])
-		case uFExp:
-			f[u.rd] = math.Exp(f[u.rs1])
-		case uFLn:
-			f[u.rd] = math.Log(f[u.rs1])
-		case uFMovImm:
-			f[u.rd] = math.Float64frombits(u.val)
-		case uFMv:
-			f[u.rd] = f[u.rs1]
-		case uFMvXD:
-			x[u.rd] = math.Float64bits(f[u.rs1])
-		case uFMvDX:
-			f[u.rd] = math.Float64frombits(x[u.rs1])
-		case uFCvtDL:
-			f[u.rd] = float64(int64(x[u.rs1]))
-		case uFCvtLD:
-			x[u.rd] = uint64(int64(f[u.rs1]))
-		case uFEq:
-			x[u.rd] = b2u(f[u.rs1] == f[u.rs2])
-		case uFLt:
-			x[u.rd] = b2u(f[u.rs1] < f[u.rs2])
-		case uFLe:
-			x[u.rd] = b2u(f[u.rs1] <= f[u.rs2])
-
-		default:
-			refundTail(sb, i, spent, &executed)
-			cpu.PC = u.pc
-			return nil, Result{Reason: StopError, Err: fmt.Errorf("tcg: bad uop %d at %#x", u.kind, u.pc)}, true, executed
-		}
-	}
-	// Unreachable: every trace ends with an exit uop.
-	cpu.PC = sb.entry
-	return nil, Result{Reason: StopError, Err: fmt.Errorf("tcg: superblock at %#x fell off the end", sb.entry)}, true, executed
-}
-
-// superAlign exits the superblock on a misaligned atomic, like badAlign.
-func (e *Engine) superAlign(cpu *CPU, sb *superblock, i int, addr uint64, spent *int64, executed uint64) (*block, Result, bool, uint64) {
-	refundTail(sb, i, spent, &executed)
-	cpu.PC = sb.ops[i].pc
-	return nil, Result{Reason: StopError, Err: fmt.Errorf("tcg: misaligned atomic %#x at %#x", addr, sb.ops[i].pc)}, true, executed
 }
