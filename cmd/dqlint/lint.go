@@ -70,14 +70,13 @@ var eagerFormatFuncs = map[string]bool{
 }
 
 // uopMutAllowed are the translation-engine functions that own a uop slice
-// while it is still private — lowering builds it, the peephole rewrites it
-// through mergePair/rewriteTo, segmentize stamps the aggregate charges.
+// while it is still private — lowering builds it, segmentize stamps the
+// aggregate charges.
 // Everywhere else a uop slice reached by index is the cached superblock
 // form, shared across executions and (after publication) across threads;
 // mutating an element in place corrupts every later run of the block.
 var uopMutAllowed = map[string]bool{
-	"lowerInsn": true, "buildTrace": true, "peepPass": true,
-	"mergePair": true, "rewriteTo": true, "segmentize": true,
+	"lowerInsn": true, "segmentize": true,
 }
 
 // uopSliceNames are the identifier names the uopmut rule treats as uop
@@ -279,10 +278,9 @@ func (l *linter) byValueMutex(t ast.Expr) (string, bool) {
 
 // checkUopMut flags in-place mutation of an indexed uop-slice element
 // (`ops[i] = u`, `ops[i].cost = c`, `sb.ops[i].insns++`) outside the
-// sanctioned rewrite helpers (the uopmut rule). Cached superblock uop
-// slices are shared by every later execution of the block — mutation must
-// go through mergePair/rewriteTo during the peephole, or build a new
-// slice.
+// functions that own the slice while it is private (the uopmut rule).
+// Cached superblock uop slices are shared by every later execution of the
+// block — a rewrite builds a new slice.
 func (l *linter) checkUopMut(n ast.Node, fnName string) {
 	switch st := n.(type) {
 	case *ast.AssignStmt:
@@ -292,13 +290,13 @@ func (l *linter) checkUopMut(n ast.Node, fnName string) {
 		for _, lhs := range st.Lhs {
 			if uopSliceIndex(lhs) {
 				l.report(lhs.Pos(), "uopmut",
-					"%s mutates a uop slice element in place; cached superblocks share the slice — use mergePair/rewriteTo or build a new slice", fnName)
+					"%s mutates a uop slice element in place; cached superblocks share the slice — build a new slice", fnName)
 			}
 		}
 	case *ast.IncDecStmt:
 		if uopSliceIndex(st.X) {
 			l.report(st.X.Pos(), "uopmut",
-				"%s mutates a uop slice element in place; cached superblocks share the slice — use mergePair/rewriteTo or build a new slice", fnName)
+				"%s mutates a uop slice element in place; cached superblocks share the slice — build a new slice", fnName)
 		}
 	}
 }

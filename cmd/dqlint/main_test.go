@@ -179,7 +179,7 @@ func scribble(ops []uop, i int) {
 }
 func scribbleSB(sb *superblock) { sb.ops[0].cost += 1 } // flagged: through selector
 func segmentize(ops []uop) { ops[0].cost = 1 }          // sanctioned helper
-func peepPass(ops []uop) { ops[0] = uop{} }             // sanctioned helper
+func lowerInsn(ops []uop) { ops[0] = uop{} }            // sanctioned helper
 func readOnly(ops []uop) int { return ops[0].cost }     // reads are fine
 func fresh(ops []uop) []uop {
 	out := make([]uop, len(ops))

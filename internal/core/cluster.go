@@ -350,7 +350,7 @@ func (c *Cluster) Result() *Result {
 		}
 		r.San = sanitizer.Summarize(sans)
 	}
-	r.Metrics = c.prof.snapshot(c, r)
+	r.Metrics = c.prof.snapshot(r)
 	return r
 }
 

@@ -70,8 +70,6 @@ type Config struct {
 
 	// Interp disables the translation cache (ablation).
 	Interp bool
-	// NoChain disables block chaining (ablation).
-	NoChain bool
 	// NoSuperblock disables promotion of hot blocks to compiled traces
 	// (ablation): everything runs on the block interpreter.
 	NoSuperblock bool
@@ -79,16 +77,13 @@ type Config struct {
 	// selected the uop dispatch loop, which is gone; the frozen bench/ still
 	// sets it by name, and it goes at ROADMAP 1(c)'s unfreeze.
 	NoTier3 bool
-	// NoPeephole disables the mined peephole rewrite rules at trace
-	// lowering (ablation).
-	NoPeephole bool
 	// Verify enables translate-time translation validation: every lowered
-	// and peephole-rewritten trace is symbolically proved equivalent to the
-	// per-instruction reference semantics (compiled from the reference
-	// lowering instead, with a diagnostic, on failure), and its closure
-	// compilation is structurally checked against the uop sequence it was
-	// compiled from (not installed on failure: the trace's head stays on
-	// the block interpreter). Adds translation-time cost only; the
+	// trace (ADDI chains folded, compare+branch pairs fused) is symbolically
+	// proved equivalent to the per-instruction reference semantics (compiled
+	// from the reference lowering instead, with a diagnostic, on failure),
+	// and its closure compilation is structurally checked against the uop
+	// sequence it was compiled from (not installed on failure: the trace's
+	// head stays on the block interpreter). Adds translation-time cost only; the
 	// execution hot path is unchanged.
 	Verify bool
 	// NoJumpCache disables the indirect-branch target cache (ablation).
@@ -266,8 +261,8 @@ func (c *Config) normalize() {
 // KInit bit order.
 func (c *Config) nodeFlags() []*bool {
 	return []*bool{
-		&c.Interp, &c.NoChain, &c.NoSuperblock, &c.NoPeephole,
-		&c.NoJumpCache, &c.Verify, &c.NoDelta, &c.NoCoalesce,
+		&c.Interp, &c.NoSuperblock, &c.NoJumpCache,
+		&c.Verify, &c.NoDelta, &c.NoCoalesce,
 	}
 }
 
@@ -297,14 +292,28 @@ func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 }
 
 // ConfigFromInit is InitFrame's inverse on the slave: the Config to hand
-// NewLocal and the node id this process was assigned.
-func ConfigFromInit(m *proto.Msg) (cfg Config, id int) {
+// NewLocal and the node id this process was assigned. A frame this build
+// cannot have written — flag bits above nodeFlags, anything in Args[5], a
+// cluster of no nodes — comes from a master of another build, whose flag
+// word means something else: it is refused, not reinterpreted.
+func ConfigFromInit(m *proto.Msg) (cfg Config, id int, err error) {
+	flags := cfg.nodeFlags()
+	if m.Args[0] == 0 {
+		return Config{}, 0, fmt.Errorf("core: init frame describes a cluster of 0 nodes")
+	}
+	if unknown := m.Args[4] &^ (1<<len(flags) - 1); unknown != 0 {
+		return Config{}, 0, fmt.Errorf("core: init frame sets unknown flag bits %#b (this build knows bits 0-%d)",
+			unknown, len(flags)-1)
+	}
+	if m.Args[5] != 0 {
+		return Config{}, 0, fmt.Errorf("core: init frame carries Args[5] = %d, which this build does not read", m.Args[5])
+	}
 	cfg.Slaves = int(m.Args[0]) - 1
 	cfg.Cores = int(m.Args[1])
 	cfg.PageSize = int(m.Args[2])
 	cfg.QuantumNs = int64(m.Args[3])
-	for i, f := range cfg.nodeFlags() {
+	for i, f := range flags {
 		*f = m.Args[4]&(1<<i) != 0
 	}
-	return cfg, int(m.Num)
+	return cfg, int(m.Num), nil
 }

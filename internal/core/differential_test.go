@@ -49,7 +49,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	// Translator ablations: the block interpreter alone (no trace
 	// promotion, no indirect-branch cache), and compiled traces distributed
 	// with the indirect-branch cache off. The default variants above
-	// already run compiled traces with the mined peephole rules.
+	// already run compiled traces.
 	{
 		cfg := DefaultConfig()
 		cfg.Slaves = 1
@@ -61,13 +61,6 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Slaves = 2
 		cfg.NoJumpCache = true
-		variants = append(variants, cfg)
-	}
-	// Compiled traces distributed across nodes without the peephole rules.
-	{
-		cfg := DefaultConfig()
-		cfg.Slaves = 3
-		cfg.NoPeephole = true
 		variants = append(variants, cfg)
 	}
 
@@ -98,31 +91,20 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 }
 
 // tierConfigs returns every rung of the translation ladder on a single
-// node: the pure interpreter, cached and chained blocks, compiled traces,
-// and compiled traces with the mined peephole rules — the four-way
-// differential matrix for the translator.
+// node: the pure interpreter, cached and chained blocks, and compiled
+// traces — the three-way differential matrix for the translator.
 func tierConfigs() map[string]Config {
-	compiled := DefaultConfig()
-	compiled.NoPeephole = true
-
 	blocks := DefaultConfig()
 	blocks.NoSuperblock = true
 	blocks.NoJumpCache = true
 
 	interp := DefaultConfig()
 	interp.Interp = true
-	interp.NoChain = true
 	interp.NoSuperblock = true
 	interp.NoJumpCache = true
 
-	return map[string]Config{
-		"interp": interp, "blocks": blocks,
-		"compiled": compiled, "compiled+peep": DefaultConfig(),
-	}
+	return map[string]Config{"interp": interp, "blocks": blocks, "compiled": DefaultConfig()}
 }
-
-// compiledTier reports whether rung name of tierConfigs promotes traces.
-func compiledTier(name string) bool { return name == "compiled" || name == "compiled+peep" }
 
 // tierState is the architecturally visible outcome of a run: console bytes,
 // exit code, the main thread's final registers, and every writable image
@@ -135,7 +117,6 @@ type tierState struct {
 	pc         uint64
 	mem        []byte
 	tier3Insns uint64
-	peeps      uint64
 
 	verifiedSB  uint64
 	verifyDemos uint64
@@ -162,7 +143,6 @@ func runTier(t *testing.T, im *image.Image, cfg Config) tierState {
 		x: mainCPU.X, f: mainCPU.F, pc: mainCPU.PC}
 	for _, n := range res.Nodes {
 		st.tier3Insns += n.Engine.Tier3Insns
-		st.peeps += n.Engine.PeepApplied
 		st.verifiedSB += n.Engine.VerifiedSuperblocks
 		st.verifyDemos += n.Engine.VerifyDemotions
 		st.verifiedT3 += n.Engine.VerifiedTier3
@@ -182,12 +162,11 @@ func runTier(t *testing.T, im *image.Image, cfg Config) tierState {
 }
 
 // TestDifferentialTiers proves the ladder's coherence claim end to end:
-// the interpreter, cached blocks, compiled traces, and compiled traces with
-// mined peephole rules all leave bit-identical architectural state —
-// registers and memory — for the same guest program, not just identical
-// console output. The compiled rungs must also demonstrably run closures
-// rather than silently staying on the block interpreter, and the other two
-// must not.
+// the interpreter, cached blocks and compiled traces all leave bit-identical
+// architectural state — registers and memory — for the same guest program,
+// not just identical console output. The compiled rung must also demonstrably
+// run closures rather than silently staying on the block interpreter, and the
+// other two must not.
 func TestDifferentialTiers(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	const programs = 4
@@ -201,7 +180,7 @@ func TestDifferentialTiers(t *testing.T) {
 				continue
 			}
 			got := runTier(t, im, cfg)
-			if compiledTier(name) != (got.tier3Insns != 0) {
+			if (name == "compiled") != (got.tier3Insns != 0) {
 				t.Errorf("program %d tier %s retired %d instructions on compiled closures", p, name, got.tier3Insns)
 			}
 			if got.console != want.console || got.exitCode != want.exitCode {
@@ -224,7 +203,7 @@ func TestDifferentialTiers(t *testing.T) {
 	}
 }
 
-// TestDifferentialTiersVerified re-runs the tier ladder with translate-time
+// TestDifferentialTiersVerified re-runs the compiled rung with translate-time
 // translation validation on: every trace the translator produces must be
 // symbolically proved against the per-instruction reference semantics and
 // its closure compilation must pass the structural checker — with zero
@@ -238,26 +217,22 @@ func TestDifferentialTiersVerified(t *testing.T) {
 		im := build(t, src)
 
 		base := runTier(t, im, tierConfigs()["interp"])
-		for name, cfg := range tierConfigs() {
-			if !compiledTier(name) {
-				continue // nothing to verify: no traces are built
-			}
-			cfg.Verify = true
-			got := runTier(t, im, cfg)
-			if got.verifyDemos != 0 {
-				t.Errorf("program %d tier %s: %d verify demotions on a sound translator", p, name, got.verifyDemos)
-			}
-			if got.t3CheckFail != 0 {
-				t.Errorf("program %d tier %s: %d structural check failures", p, name, got.t3CheckFail)
-			}
-			if got.verifiedSB == 0 || got.verifiedT3 != got.verifiedSB {
-				t.Errorf("program %d tier %s: %d traces proved, %d compilations checked; want every trace, and at least one",
-					p, name, got.verifiedSB, got.verifiedT3)
-			}
-			if got.console != base.console || got.exitCode != base.exitCode ||
-				got.x != base.x || got.f != base.f || got.pc != base.pc || !bytes.Equal(got.mem, base.mem) {
-				t.Fatalf("program %d tier %s diverged under -verify\nsource:\n%s", p, name, src)
-			}
+		cfg := tierConfigs()["compiled"] // the only rung that builds traces
+		cfg.Verify = true
+		got := runTier(t, im, cfg)
+		if got.verifyDemos != 0 {
+			t.Errorf("program %d: %d verify demotions on a sound translator", p, got.verifyDemos)
+		}
+		if got.t3CheckFail != 0 {
+			t.Errorf("program %d: %d structural check failures", p, got.t3CheckFail)
+		}
+		if got.verifiedSB == 0 || got.verifiedT3 != got.verifiedSB {
+			t.Errorf("program %d: %d traces proved, %d compilations checked; want every trace, and at least one",
+				p, got.verifiedSB, got.verifiedT3)
+		}
+		if got.console != base.console || got.exitCode != base.exitCode ||
+			got.x != base.x || got.f != base.f || got.pc != base.pc || !bytes.Equal(got.mem, base.mem) {
+			t.Fatalf("program %d diverged under -verify\nsource:\n%s", p, src)
 		}
 	}
 }

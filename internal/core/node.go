@@ -73,9 +73,7 @@ func newNode(id int, cl *Cluster) *node {
 	llsc := tcg.NewLLSCTable()
 	engine.Mon = llsc
 	engine.NoCache = cl.cfg.Interp
-	engine.NoChain = cl.cfg.NoChain
 	engine.NoSuperblock = cl.cfg.NoSuperblock || cl.cfg.NoTier3
-	engine.NoPeephole = cl.cfg.NoPeephole
 	engine.NoJumpCache = cl.cfg.NoJumpCache
 	engine.Verify = cl.cfg.Verify
 	engine.StopAtomic = true

@@ -193,7 +193,7 @@ func (p *clusterProf) futexProfile() *metrics.LockProfile {
 // snapshot renders the run's metrics. It folds in the cross-subsystem
 // summaries that live outside the registry: per-thread and per-node time
 // breakdowns, wire-layer delta efficiency, and network/migration totals.
-func (p *clusterProf) snapshot(c *Cluster, r *Result) *metrics.Snapshot {
+func (p *clusterProf) snapshot(r *Result) *metrics.Snapshot {
 	if p == nil {
 		return nil
 	}
@@ -209,15 +209,14 @@ func (p *clusterProf) snapshot(c *Cluster, r *Result) *metrics.Snapshot {
 		reg.Gauge("wire.delta_ratio").Set(1 - float64(r.Wire.BodyBytes)/float64(r.Wire.RawBytes))
 	}
 
-	// Compiled-trace / peephole translation counters (summed across nodes).
+	// Compiled-trace translation counters (summed across nodes).
 	var t3ns int64
-	var t3insns, t3demote, peep uint64
+	var t3insns, t3demote uint64
 	var vSB, vDemote, vT3, vT3Fail uint64
 	for _, ns := range r.Nodes {
 		t3ns += ns.Engine.Tier3TranslateNs
 		t3insns += ns.Engine.Tier3Insns
 		t3demote += ns.Engine.Tier3Demotions
-		peep += ns.Engine.PeepApplied
 		vSB += ns.Engine.VerifiedSuperblocks
 		vDemote += ns.Engine.VerifyDemotions
 		vT3 += ns.Engine.VerifiedTier3
@@ -226,20 +225,11 @@ func (p *clusterProf) snapshot(c *Cluster, r *Result) *metrics.Snapshot {
 	reg.Counter("translate.tier3_ns").Add(uint64(t3ns) - reg.Counter("translate.tier3_ns").Value())
 	reg.Counter("exec.tier3_insns").Add(t3insns - reg.Counter("exec.tier3_insns").Value())
 	reg.Counter("tier3.demotions").Add(t3demote - reg.Counter("tier3.demotions").Value())
-	reg.Counter("peep.rules_applied").Add(peep - reg.Counter("peep.rules_applied").Value())
 	// Translation-validation counters (all zero unless Config.Verify).
 	reg.Counter("verify.superblocks").Add(vSB - reg.Counter("verify.superblocks").Value())
 	reg.Counter("verify.demotions").Add(vDemote - reg.Counter("verify.demotions").Value())
 	reg.Counter("verify.tier3").Add(vT3 - reg.Counter("verify.tier3").Value())
 	reg.Counter("verify.tier3_failures").Add(vT3Fail - reg.Counter("verify.tier3_failures").Value())
-
-	// Hot micro-op sequences (the raw material cmd/dqemu-peep mines): one
-	// counter per execution-weighted n-gram, keys already uopseq.-prefixed.
-	for _, n := range c.nodes {
-		n.engine.UopSeqProfile(func(seq string, weight uint64) {
-			reg.Counter(seq).Add(weight)
-		})
-	}
 
 	s := reg.Snapshot(metrics.DefaultHeatTopN)
 	for _, ts := range r.Threads {

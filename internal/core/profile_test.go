@@ -181,8 +181,8 @@ func TestProfilerHooksZeroAllocWhenDisabled(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("disabled profiler hooks allocated %v per run, want 0", n)
 	}
-	if p.snapshot(nil, nil) != nil {
+	if p.snapshot(nil) != nil {
 		t.Fatal("nil profiler snapshot should be nil")
 	}
-	var _ *metrics.Snapshot = p.snapshot(nil, nil)
+	var _ *metrics.Snapshot = p.snapshot(nil)
 }

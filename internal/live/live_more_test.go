@@ -37,6 +37,33 @@ func TestRunSlaveBadHandshake(t *testing.T) {
 	}
 }
 
+// TestRunSlaveRefusesForeignInit: a KInit frame whose flag word has a bit
+// this build does not know comes from a master of another build; the slave
+// must refuse to boot rather than run with its switches reinterpreted.
+func TestRunSlaveRefusesForeignInit(t *testing.T) {
+	im := build(t, `long main() { return 0; }`)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		m := core.InitFrame(core.Config{Slaves: 1}, 1, im.Encode())
+		m.Args[4] |= 1 << 7 // the last of the eight bits an older build shipped
+		proto.WriteMsg(conn, m)
+		proto.ReadMsg(conn) // hold the connection until the slave gives up
+	}()
+	_, err = RunSlave(ln.Addr().String())
+	if err == nil || !strings.Contains(err.Error(), "live: init:") || !strings.Contains(err.Error(), "unknown flag bits 0b10000000") {
+		t.Errorf("expected a live: init: error naming the unknown bit, got %v", err)
+	}
+}
+
 func TestMasterTimeout(t *testing.T) {
 	im := build(t, `
 long main() {

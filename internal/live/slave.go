@@ -32,7 +32,10 @@ func RunSlave(addr string) (none core.NodeStats, err error) {
 	if err != nil {
 		return none, fmt.Errorf("live: decoding image: %w", err)
 	}
-	cfg, id := core.ConfigFromInit(init)
+	cfg, id, err := core.ConfigFromInit(init)
+	if err != nil {
+		return none, fmt.Errorf("live: init: %w", err)
+	}
 	l := newLoop(id, nil)
 	l.filter = newRetransmitter(l)
 	if l.cl, err = core.NewLocal(im, cfg, id, l); err != nil {

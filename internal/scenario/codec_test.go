@@ -39,8 +39,8 @@ func goldenSpecs() map[string]*Spec {
 			Cluster: Cluster{Slaves: 3, Cores: 2, QuantumNs: 250_000, PageSize: 1024},
 			Knobs: Knobs{
 				Forwarding: true, Splitting: true, HintSched: true, PlaceOnMaster: true,
-				Interp: false, NoChain: false, NoSuperblock: false, NoJumpCache: true,
-				NoPeephole: true, ForwardTrigger: 3, SplitFactor: 8,
+				Interp: false, NoSuperblock: false, NoJumpCache: true,
+				ForwardTrigger: 3, SplitFactor: 8,
 				NoDelta: true, NoCoalesce: true,
 				RebalanceNs: 4_000_000, Metrics: true, Sanitizer: true,
 			},
@@ -213,6 +213,8 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown knob", spec(`,"knobs":{"turbo":true}`), "unknown field"},
 		{"deleted knob no_tier3", spec(`,"knobs":{"no_tier3":true}`), "unknown field"},
 		{"deleted knob tier3_threshold", spec(`,"knobs":{"tier3_threshold":2}`), "unknown field"},
+		{"deleted knob no_peephole", spec(`,"knobs":{"no_peephole":true}`), `unknown field "no_peephole"`},
+		{"deleted knob no_chain", spec(`,"knobs":{"no_chain":true}`), `unknown field "no_chain"`},
 		{"trailing data", spec("") + `{"version":2}`, "trailing data"},
 		{"no name", `{"version":2,"workload":{"kind":"pi"}}`, "no name"},
 		{"bad name charset", `{"version":2,"name":"X/Y","workload":{"kind":"pi"}}`, "lowercase"},

@@ -154,10 +154,8 @@ type Knobs struct {
 	PlaceOnMaster  bool `json:"place_on_master,omitempty"`
 
 	Interp       bool `json:"interp,omitempty"`
-	NoChain      bool `json:"no_chain,omitempty"`
 	NoSuperblock bool `json:"no_superblock,omitempty"`
 	NoJumpCache  bool `json:"no_jump_cache,omitempty"`
-	NoPeephole   bool `json:"no_peephole,omitempty"`
 	// Verify turns on translate-time translation validation (symbolic
 	// trace proofs, structural checks of their closure compilations); a run
 	// with verify on gets an implicit verify_clean gate requiring zero
@@ -516,10 +514,8 @@ func (s *Spec) config() core.Config {
 	cfg.HintSched = k.HintSched
 	cfg.PlaceOnMaster = k.PlaceOnMaster
 	cfg.Interp = k.Interp
-	cfg.NoChain = k.NoChain
 	cfg.NoSuperblock = k.NoSuperblock
 	cfg.NoJumpCache = k.NoJumpCache
-	cfg.NoPeephole = k.NoPeephole
 	cfg.Verify = k.Verify
 	cfg.NoDelta = k.NoDelta
 	cfg.NoCoalesce = k.NoCoalesce

@@ -345,7 +345,7 @@ second:
 // own, or building the second trace rewrites the first one's code.
 func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
 	want, _ := tier3State(t, hotLoops, func(e *Engine) {
-		e.NoCache, e.NoChain, e.NoSuperblock, e.NoJumpCache = true, true, true, true
+		e.NoCache, e.NoSuperblock, e.NoJumpCache = true, true, true
 	})
 
 	// Heat both loops on the block interpreter, so their heads carry branch bias.
@@ -354,17 +354,7 @@ func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
 	if res := runToStop(t, e, cpu); res.Reason != StopHalt {
 		t.Fatalf("stop: %+v", res)
 	}
-	// An unsound rule: every addi adds one too many.
-	unsound := peepSchema{name: "addi-off-by-one", unary: func(u *uop) (uop, bool) {
-		if u.kind != uAddi || u.val == 1 {
-			return uop{}, false
-		}
-		m := *u
-		m.imm, m.val = u.imm+1, 1 // val marks the uop rewritten
-		return m, true
-	}}
 	e.NoSuperblock, e.Verify = false, true
-	e.peepInit, e.peepOn = true, []*peepSchema{&unsound}
 	fails := 0
 	e.OnVerifyFail = func(where string, entry uint64, err error) { fails++ }
 
@@ -376,7 +366,16 @@ func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
 		if head == nil {
 			t.Fatalf("no cached block at %s", label)
 		}
-		sbs[i] = e.buildTrace(head, &spent)
+		// buildTrace, with an unsound rewrite between its two halves: the
+		// trace's first addi adds one too many.
+		sb, ops, ref := e.lowerTrace(head)
+		bad := slices.IndexFunc(ops, func(u uop) bool { return u.kind == uAddi })
+		if bad < 0 {
+			t.Fatalf("trace at %s lowers no addi", label)
+		}
+		ops[bad].imm++
+		e.finishTrace(sb, ops, ref, &spent)
+		sbs[i] = sb
 		kept[i] = slices.Clone(sbs[i].ops)
 		if !e.install(head, sbs[i], e.compileTier3(sbs[i])) {
 			t.Fatalf("trace at %s was not installed", label)
@@ -480,33 +479,6 @@ func TestColdPathAllocs(t *testing.T) {
 		}
 	}); n > 3 {
 		t.Errorf("translating one block allocates %v objects, want at most 3 (block, ops, pcs)", n)
-	}
-
-	// peepPass: 200 uops in which addi-fold, mv-bounce, addi-zero and
-	// xor-self all fire, and addi-tri (whose replacement is a fresh slice)
-	// does not.
-	unit := []uop{
-		alui(uAddi, 5, 6, 3), alui(uAddi, 5, 5, 4), // addi-fold
-		alu2(uXor, 7, 8, 8),  // xor-self
-		alui(uAddi, 9, 9, 0), // addi-zero
-		alu2(uAdd, 10, 5, 7),
-	}
-	var template, work []uop
-	for len(template) < 200 {
-		template = append(template, unit...)
-	}
-	work = make([]uop, len(template))
-	applied := e.Stats.PeepApplied
-	if n := testing.AllocsPerRun(100, func() {
-		copy(work, template)
-		if out := e.peepPass(work); len(out) >= len(work) {
-			t.Fatalf("peepPass rewrote nothing: %d uops out of %d", len(out), len(work))
-		}
-	}); n != 0 {
-		t.Errorf("peepPass over %d uops allocates %v objects, want 0", len(template), n)
-	}
-	if e.Stats.PeepApplied == applied {
-		t.Error("no peephole rule fired")
 	}
 
 	// Closure compilation: replanning a superblock reuses the engine's plan,

@@ -2,11 +2,12 @@ package tcg
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
 // fuzzAluKinds is the pure-ALU alphabet FuzzSymEq decodes uops from —
-// exactly the kinds the peephole rules may touch and evalUop replays.
+// exactly the kinds evalUop replays.
 var fuzzAluKinds = []uopKind{
 	uNop, uAdd, uSub, uMul, uDiv, uDivU, uRem, uRemU, uAnd, uOr, uXor,
 	uSll, uSrl, uSra, uSlt, uSltu,
@@ -57,6 +58,87 @@ func decodeUops(data []byte, maxOps int) []uop {
 		data = data[5:]
 	}
 	return out
+}
+
+// evalUop executes one pure ALU uop against a register file — the concrete
+// reference FuzzSymEq replays against, mirroring compileMid's closures case
+// for case.
+func evalUop(u *uop, x *[32]uint64) error {
+	switch u.kind {
+	case uNop:
+	case uAdd:
+		x[u.rd] = x[u.rs1] + x[u.rs2]
+	case uSub:
+		x[u.rd] = x[u.rs1] - x[u.rs2]
+	case uMul:
+		x[u.rd] = x[u.rs1] * x[u.rs2]
+	case uDiv:
+		x[u.rd] = uint64(sdiv(int64(x[u.rs1]), int64(x[u.rs2])))
+	case uDivU:
+		if x[u.rs2] == 0 {
+			x[u.rd] = ^uint64(0)
+		} else {
+			x[u.rd] = x[u.rs1] / x[u.rs2]
+		}
+	case uRem:
+		x[u.rd] = uint64(srem(int64(x[u.rs1]), int64(x[u.rs2])))
+	case uRemU:
+		if x[u.rs2] == 0 {
+			x[u.rd] = x[u.rs1]
+		} else {
+			x[u.rd] = x[u.rs1] % x[u.rs2]
+		}
+	case uAnd:
+		x[u.rd] = x[u.rs1] & x[u.rs2]
+	case uOr:
+		x[u.rd] = x[u.rs1] | x[u.rs2]
+	case uXor:
+		x[u.rd] = x[u.rs1] ^ x[u.rs2]
+	case uSll:
+		x[u.rd] = x[u.rs1] << (x[u.rs2] & 63)
+	case uSrl:
+		x[u.rd] = x[u.rs1] >> (x[u.rs2] & 63)
+	case uSra:
+		x[u.rd] = uint64(int64(x[u.rs1]) >> (x[u.rs2] & 63))
+	case uSlt:
+		x[u.rd] = b2u(int64(x[u.rs1]) < int64(x[u.rs2]))
+	case uSltu:
+		x[u.rd] = b2u(x[u.rs1] < x[u.rs2])
+	case uAddi:
+		x[u.rd] = x[u.rs1] + uint64(u.imm)
+	case uAndi:
+		x[u.rd] = x[u.rs1] & uint64(u.imm)
+	case uOri:
+		x[u.rd] = x[u.rs1] | uint64(u.imm)
+	case uXori:
+		x[u.rd] = x[u.rs1] ^ uint64(u.imm)
+	case uSlli:
+		x[u.rd] = x[u.rs1] << (uint64(u.imm) & 63)
+	case uSrli:
+		x[u.rd] = x[u.rs1] >> (uint64(u.imm) & 63)
+	case uSrai:
+		x[u.rd] = uint64(int64(x[u.rs1]) >> (uint64(u.imm) & 63))
+	case uSlti:
+		x[u.rd] = b2u(int64(x[u.rs1]) < u.imm)
+	case uLi:
+		x[u.rd] = u.val
+	default:
+		return fmt.Errorf("tcg: evalUop: non-ALU uop %s", kindName(u.kind))
+	}
+	return nil
+}
+
+func fmtSeq(ops []uop) string {
+	s := ""
+	for i := range ops {
+		if i > 0 {
+			s += " ; "
+		}
+		u := &ops[i]
+		s += fmt.Sprintf("%s rd=x%d rs1=x%d rs2=x%d imm=%d val=%#x",
+			kindName(u.kind), u.rd, u.rs1, u.rs2, u.imm, u.val)
+	}
+	return s
 }
 
 // replayDiverges runs both sequences concretely from a battery of shared

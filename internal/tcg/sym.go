@@ -12,15 +12,13 @@
 // presence of faults: a load can fault and expose every register, so no
 // rewrite may defer or reorder a write across one.
 //
-// The translator's rewrites (ADDI folding, cmp+branch fusion, the mined
-// peephole rules) all act inside straight-line ALU runs, which have no
-// boundaries — exactly the shapes this checker discharges by constant
-// folding and normalization alone.
+// The translator's rewrites (ADDI folding, cmp+branch fusion) act inside
+// straight-line ALU runs, which have no boundaries — exactly the shapes this
+// checker discharges by constant folding and normalization alone.
 package tcg
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dqemu/internal/isa"
 	"dqemu/internal/tcg/symeq"
@@ -220,7 +218,7 @@ func effClass(k uopKind) uopKind {
 
 // symEquivSeq proves ref and got equivalent for every input, or explains
 // the first divergence. ref is the per-instruction reference lowering;
-// got is the fused+peepholed stream actually installed.
+// got is the folded and fused stream actually installed.
 func symEquivSeq(ref, got []uop) error {
 	bld := symeq.NewBuilder()
 	a, b := newSymPair(bld)
@@ -497,165 +495,4 @@ func sideDesc(ref []uop, ia int, got []uop, ib int) string {
 		return fmt.Sprintf("%s at pc %#x", kindName(ref[ia].kind), ref[ia].pc)
 	}
 	return fmt.Sprintf("extra %s at pc %#x", kindName(got[ib].kind), got[ib].pc)
-}
-
-// symImmBattery is the boundary battery substituted into rule immediates
-// during symbolic proving: register inputs are universally quantified by
-// the symbolic state, immediates (baked into the uop encoding) are swept
-// across the values where carry, sign and shift behavior changes.
-var symImmBattery = []uint64{
-	0, 1, ^uint64(0), 2, ^uint64(1), 63, 64,
-	uint64(1) << 63, uint64(1)<<63 - 1,
-	0x5555555555555555, 0xaaaaaaaaaaaaaaaa,
-	0x7fffffffffffffff, 0x8000000000000001,
-}
-
-// ProveRuleSymbolic proves the named peephole schema sound for all
-// register inputs: every generated instance (and every immediate-battery
-// variant of it that still matches the schema) is checked by full
-// symbolic equivalence of the original and rewritten uop sequences. This
-// subsumes ProveRule's randomized replay on the register side — registers
-// are universally quantified expression variables, not samples. A rule
-// whose instance the engine cannot discharge is rejected, not sampled.
-func ProveRuleSymbolic(name string, seed int64) error {
-	for i := range allPeepSchemas {
-		if allPeepSchemas[i].name == name {
-			return proveSchemaSymbolic(&allPeepSchemas[i], seed)
-		}
-	}
-	return fmt.Errorf("tcg: unknown peephole rule %q", name)
-}
-
-func proveSchemaSymbolic(s *peepSchema, seed int64) error {
-	r := rand.New(rand.NewSource(seed))
-	const shapeTrials = 24 // register-shape instances from the generator
-	proved := 0
-	for t := 0; t < shapeTrials; t++ {
-		lhs := genInstance(s, r)
-		for _, variant := range immVariants(lhs) {
-			rhs, ok := applySchema(s, variant)
-			if !ok {
-				continue
-			}
-			if err := proveInstanceSymbolic(variant, rhs); err != nil {
-				return fmt.Errorf("tcg: rule %s REJECTED by symbolic prover (trial %d): %w\n  lhs: %s\n  rhs: %s",
-					s.name, t, err, fmtSeq(variant), fmtSeq(rhs))
-			}
-			proved++
-		}
-	}
-	if proved == 0 {
-		return fmt.Errorf("tcg: rule %s: generator produced no matching instances", s.name)
-	}
-	return nil
-}
-
-// genInstance draws one matching lhs sequence from the schema's generator.
-func genInstance(s *peepSchema, r *rand.Rand) []uop {
-	switch {
-	case s.tri != nil:
-		a, b, c := s.genTri(r)
-		return []uop{a, b, c}
-	case s.pair != nil:
-		a, b := s.genPair(r)
-		return []uop{a, b}
-	default:
-		return []uop{s.genUnary(r)}
-	}
-}
-
-// immVariants returns lhs plus copies with each uop's immediate (and uLi
-// value) swept across the boundary battery. Variants that no longer match
-// the schema are filtered by the caller via applySchema.
-func immVariants(lhs []uop) [][]uop {
-	out := [][]uop{lhs}
-	for i := range lhs {
-		for _, v := range symImmBattery {
-			cp := append([]uop(nil), lhs...)
-			if cp[i].kind == uLi {
-				cp[i].val = v
-			} else {
-				cp[i].imm = int64(v)
-			}
-			out = append(out, cp)
-		}
-	}
-	return out
-}
-
-// applySchema runs the schema's matcher on lhs, returning the replacement
-// sequence.
-func applySchema(s *peepSchema, lhs []uop) ([]uop, bool) {
-	switch {
-	case s.tri != nil && len(lhs) == 3:
-		return s.tri(&lhs[0], &lhs[1], &lhs[2])
-	case s.pair != nil && len(lhs) == 2:
-		m, ok := s.pair(&lhs[0], &lhs[1])
-		if !ok {
-			return nil, false
-		}
-		return []uop{m}, true
-	case s.unary != nil && len(lhs) == 1:
-		m, ok := s.unary(&lhs[0])
-		if !ok {
-			return nil, false
-		}
-		return []uop{m}, true
-	}
-	return nil, false
-}
-
-// proveInstanceSymbolic proves one concrete lhs/rhs instance equivalent
-// for all register inputs, and that the rewrite preserves virtual-time
-// accounting and the x0 invariant.
-func proveInstanceSymbolic(lhs, rhs []uop) error {
-	if lenInsns(lhs) != lenInsns(rhs) || lenCost(lhs) != lenCost(rhs) {
-		return fmt.Errorf("cost/insn accounting not preserved")
-	}
-	bld := symeq.NewBuilder()
-	a, b := newSymPair(bld)
-	for i := range lhs {
-		if !a.symPure(&lhs[i]) {
-			return fmt.Errorf("lhs uop %s is not pure ALU", kindName(lhs[i].kind))
-		}
-	}
-	for i := range rhs {
-		if !b.symPure(&rhs[i]) {
-			return fmt.Errorf("rhs uop %s is not pure ALU", kindName(rhs[i].kind))
-		}
-	}
-	for i := 0; i < 32; i++ {
-		if v, env := bld.Equal(a.x[i], b.x[i]); v != symeq.Proven {
-			return fmt.Errorf("x%d: %v%s", i, v, cexDetail(bld, a.x[i], b.x[i], env))
-		}
-	}
-	for i := 0; i < 32; i++ {
-		if v, _ := bld.Equal(a.f[i], b.f[i]); v != symeq.Proven {
-			return fmt.Errorf("f%d not provably equal", i)
-		}
-	}
-	if v, _ := bld.Equal(b.x[0], bld.Const(0)); v != symeq.Proven {
-		return fmt.Errorf("x0 invariant violated")
-	}
-	return nil
-}
-
-func cexDetail(bld *symeq.Builder, x, y *symeq.Expr, env symeq.Env) string {
-	if env == nil {
-		return ""
-	}
-	return fmt.Sprintf(" (counterexample: lhs=%#x rhs=%#x)", symeq.Eval(x, env), symeq.Eval(y, env))
-}
-
-func fmtSeq(ops []uop) string {
-	s := ""
-	for i := range ops {
-		if i > 0 {
-			s += " ; "
-		}
-		u := &ops[i]
-		s += fmt.Sprintf("%s rd=x%d rs1=x%d rs2=x%d imm=%d val=%#x",
-			kindName(u.kind), u.rd, u.rs1, u.rs2, u.imm, u.val)
-	}
-	return s
 }

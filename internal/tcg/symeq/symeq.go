@@ -259,7 +259,7 @@ func evalOp(op Op, a, c uint64) uint64 {
 }
 
 // Bin builds op(x, y), normalizing and interning. The rewrites here are the
-// exact algebra the translator's peephole and fold passes rely on; anything
+// exact algebra the translator's fold and fusion passes rely on; anything
 // beyond it falls back to the refutation domains and stays provable only
 // when both sides normalize identically.
 func (b *Builder) Bin(op Op, x, y *Expr) *Expr {

@@ -95,7 +95,7 @@ type Stats struct {
 	// which is gone: it reads 0 and stays declared only because the frozen
 	// bench/ reads it (ROADMAP 1(c) drops it at the unfreeze).
 	SuperblockInsns  uint64
-	FusedUops        uint64 // peephole fusions applied during trace lowering
+	FusedUops        uint64 // lowering-time ADDI folds and cmp+branch fusions
 	JumpCacheHits    uint64
 	JumpCacheMisses  uint64
 	Flushes          uint64 // translation cache flushes (generation bumps)
@@ -103,7 +103,10 @@ type Stats struct {
 	Tier3Insns       uint64 // guest instructions retired in compiled traces
 	Tier3TranslateNs int64  // virtual time charged for forming and compiling traces
 	Tier3Demotions   uint64 // mid-trace generation-guard trips back to the block interpreter
-	PeepApplied      uint64 // mined peephole rules applied at trace lowering
+	// PeepApplied counted applications of the mined peephole rules, which are
+	// gone: it reads 0 and stays declared only because the frozen bench/ reads
+	// it (ROADMAP 1(c) drops it at the unfreeze).
+	PeepApplied uint64
 
 	// Translation-validation counters (Engine.Verify).
 	VerifiedSuperblocks uint64 // traces proved equivalent to the reference lowering
@@ -161,18 +164,15 @@ type Engine struct {
 	// instrumented and freshly-translated blocks are linted.
 	San SanHook
 
-	// NoCache disables the translation cache (every block entry
-	// retranslates) and NoChain disables block chaining; both exist for the
-	// ablation benchmarks. NoSuperblock disables trace promotion, leaving
-	// the block interpreter alone, and NoJumpCache disables the
-	// indirect-branch target cache; NoPeephole disables the mined peephole
-	// rules. Together they give the measured ladder interpreter -> cached
-	// blocks -> compiled traces -> compiled traces + peephole.
+	// NoCache disables the translation cache: every block entry
+	// retranslates, so nothing is chained either. NoSuperblock disables trace
+	// promotion, leaving the block interpreter alone, and NoJumpCache
+	// disables the indirect-branch target cache. All three exist for the
+	// ablation benchmarks; together they give the measured ladder
+	// interpreter -> cached blocks -> compiled traces.
 	NoCache      bool
-	NoChain      bool
 	NoSuperblock bool
 	NoJumpCache  bool
-	NoPeephole   bool
 
 	// Verify enables translate-time translation validation: every freshly
 	// lowered trace is symbolically proved equivalent to the
@@ -189,10 +189,6 @@ type Engine struct {
 
 	// HotThreshold overrides DefaultHotThreshold when nonzero (tests).
 	HotThreshold uint32
-
-	// PeepRules selects which mined peephole schemas are enabled; nil uses
-	// the checked-in rules file (internal/tcg/rules/peep.rules).
-	PeepRules map[string]bool
 
 	// StopAtomic ends the scheduling quantum after a CONTENDED atomic (a
 	// CAS whose comparison failed or an SC that lost its reservation), the
@@ -243,10 +239,6 @@ type Engine struct {
 	// re-entry.
 	t3pool  [4]t3ctx
 	t3depth int32
-
-	// Enabled peephole schemas, resolved lazily from PeepRules.
-	peepOn   []*peepSchema
-	peepInit bool
 
 	// Translator scratch: translate decodes into insBuf/pcBuf, buildTrace
 	// lowers into uopBuf (and refBuf under Verify), compileTier3 plans in
@@ -548,7 +540,7 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 			if pe := e.pendingExit; pe != nil {
 				pe.blk = nb
 				e.pendingExit = nil
-			} else if !e.NoChain && blk.gen == e.gen {
+			} else if blk.gen == e.gen {
 				switch cpu.PC {
 				case blk.takenPC:
 					blk.taken = nb

@@ -114,10 +114,6 @@ type tier3 struct {
 	entry  uint64
 	gen    uint64
 	chunks []t3chunk
-	// entries counts dispatches into the trace — from Exec, a JALR tail
-	// entry or a trace-to-trace switch, not its own back-edge. It is the
-	// trace's heat in UopSeqProfile.
-	entries uint64
 }
 
 // t3ChunkOps caps the closure-chain depth of one chunk, comfortably under
@@ -172,7 +168,6 @@ func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*
 	c.next, c.sw, c.stop = nil, nil, false
 	c.res = Result{}
 
-	t3.entries++
 	chunks := t3.chunks
 	ci := 0
 	for {
@@ -211,7 +206,6 @@ func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*
 			}
 			t3 = c.sw
 			c.sw = nil
-			t3.entries++
 			chunks = t3.chunks
 			ci = 0
 		case t3Exit:
@@ -298,7 +292,7 @@ func planTier3(p *t3plan, ops []uop) bool {
 		// addi right before the access, may feed the address; post: addi
 		// right after it) and pairs leftover adjacent addis. One unit = one
 		// compiled closure, so an addi-load-addi triple retires in a single
-		// call — these are the hottest sequences the uopseq profile mines.
+		// call.
 		for j := first; j < last; {
 			k := ops[j].kind
 			if k == uAddi && j+1 < last && memFusable(ops[j+1].kind) {
@@ -336,10 +330,9 @@ func planTier3(p *t3plan, ops []uop) bool {
 		}
 		// Second-level fusion: runs of up to t3MemRun adjacent 8-byte
 		// loads/stores (integer or double FP, each keeping its own addi
-		// fusions and site TLB line) collapse into one closure — the
-		// load-load / store-addi-load / fload-fload runs the uopseq profile
-		// surfaces. Wider runs amortize the per-closure call overhead that
-		// dominates mem-heavy inner loops.
+		// fusions and site TLB line) collapse into one closure: load-load,
+		// store-addi-load and fload-fload runs. Wider runs amortize the
+		// per-closure call overhead that dominates mem-heavy inner loops.
 		for k := 0; k < len(seg.units); {
 			g := 1
 			if pair8able(ops, seg.units[k]) {
@@ -1028,9 +1021,9 @@ func addiMidable(k uopKind) bool {
 }
 
 // compileAddiMid fuses an addi into the following ALU/FP closure: the addi
-// retires first (program order), then the op — one call for the hottest
-// digram the uopseq profiles mine (`addi` precedes nearly everything in
-// loop bodies: induction bump then compute).
+// retires first (program order), then the op — one call for the commonest
+// pair in loop bodies (`addi` precedes nearly everything there: induction
+// bump then compute).
 func compileAddiMid(a, b *uop, next t3op) t3op {
 	ard, ars, ai := a.rd, a.rs1, uint64(a.imm)
 	rd, rs1, rs2 := b.rd, b.rs1, b.rs2

@@ -30,23 +30,20 @@ func tier3State(t *testing.T, src string, tune func(*Engine)) (*CPU, *Engine) {
 	return nil, nil
 }
 
-// tier3Rungs is the four-way ladder the differential tests compare: the
-// interpreter (no translation cache), cached and chained blocks, compiled
-// traces, and compiled traces with the mined peephole rules applied.
+// tier3Rungs is the three-way ladder the differential tests compare: the
+// interpreter (no translation cache), cached and chained blocks, and compiled
+// traces.
 func tier3Rungs() map[string]func(*Engine) {
 	return map[string]func(*Engine){
-		"interp": func(e *Engine) {
-			e.NoCache, e.NoChain, e.NoSuperblock, e.NoJumpCache = true, true, true, true
-		},
-		"blocks":        func(e *Engine) { e.NoSuperblock = true },
-		"compiled":      func(e *Engine) { e.NoPeephole = true },
-		"compiled+peep": func(*Engine) {},
+		"interp":   func(e *Engine) { e.NoCache, e.NoSuperblock, e.NoJumpCache = true, true, true },
+		"blocks":   func(e *Engine) { e.NoSuperblock = true },
+		"compiled": func(*Engine) {},
 	}
 }
 
-// TestTier3MatchesBaselineState is the four-way differential: every rung of
+// TestTier3MatchesBaselineState is the three-way differential: every rung of
 // the ladder must leave bit-identical registers and PC on a workload that
-// exercises ALU, memory, FP, and calls; the compiled rungs must actually
+// exercises ALU, memory, FP, and calls; the compiled rung must actually
 // have executed closures rather than silently falling back, and the other
 // two must not have.
 func TestTier3MatchesBaselineState(t *testing.T) {
@@ -67,9 +64,8 @@ loop:
 	fsd  f2, 16(s3)
 	fld  f3, 16(s3)
 	fadd f2, f3, f2
-	; ALU mix with addi neighbours (peephole and fusion food); the
-	; mv-bounce (addi rd,rs,0 ; addi rs,rd,0) and addi-zero shapes below
-	; are exactly what the mined rules rewrite.
+	; ALU mix with addi neighbours (fold and fusion food), among them a
+	; move bounced through t3 and an addi of zero.
 	addi t3, s0, 0
 	addi s0, t3, 0
 	addi s5, s5, 0
@@ -92,7 +88,7 @@ loop:
 		cpu, e := tier3State(t, src, tune)
 		states[name] = state{cpu.X, cpu.F, cpu.PC}
 		switch name {
-		case "compiled", "compiled+peep":
+		case "compiled":
 			if e.Stats.Tier3Superblocks == 0 || e.Stats.Tier3Insns == 0 {
 				t.Errorf("%s: no compiled execution (traces=%d insns=%d)",
 					name, e.Stats.Tier3Superblocks, e.Stats.Tier3Insns)
@@ -104,9 +100,6 @@ loop:
 		}
 		if e.Stats.SuperblockInsns != 0 {
 			t.Errorf("%s: SuperblockInsns = %d; nothing writes it any more", name, e.Stats.SuperblockInsns)
-		}
-		if name == "compiled+peep" && e.Stats.PeepApplied == 0 {
-			t.Errorf("compiled+peep: no peephole rules applied")
 		}
 	}
 	want := states["interp"]
@@ -140,7 +133,7 @@ loop:
 	halt
 `
 	_, ref, want, _ := setupImage(t, src)
-	ref.NoCache, ref.NoChain, ref.NoSuperblock, ref.NoJumpCache = true, true, true, true
+	ref.NoCache, ref.NoSuperblock, ref.NoJumpCache = true, true, true
 	if res := ref.Exec(want, 1<<62); res.Reason != StopHalt {
 		t.Fatalf("interpreter: %+v", res)
 	}

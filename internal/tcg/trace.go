@@ -6,11 +6,12 @@
 // a trace — a superblock that follows chained successors across
 // unconditional JALs and strongly biased conditional branches, up to a length
 // cap — and the trace is closure-compiled in the same step (promote):
-// lowered to the micro-op IR in uop.go, peephole-rewritten, proved under
-// -verify, and handed straight to compileTier3 (tier3.go). There is no
-// second promotion and nothing interprets the IR. A trace that re-enters its
-// own head gets a back-edge, so hot loops run entirely inside one compiled
-// trace with only a budget check per iteration.
+// lowered to the micro-op IR in uop.go (folding ADDI chains and fusing
+// compare+branch pairs as it goes), proved under -verify, and handed straight
+// to compileTier3 (tier3.go). There is no second promotion and nothing
+// interprets the IR. A trace that re-enters its own head gets a back-edge, so
+// hot loops run entirely inside one compiled trace with only a budget check
+// per iteration.
 //
 // Coherence: a superblock carries the cache generation it was built in.
 // ClearCache bumps the generation, which retires every compiled trace
@@ -68,7 +69,7 @@ func (e *Engine) hotThreshold() uint32 {
 // exitVia resolves the chained block at a trace exit, or records the slot in
 // pendingExit so Exec's next lookup fills it.
 func (e *Engine) exitVia(sb *superblock, idx int16) *block {
-	if idx < 0 || e.NoChain {
+	if idx < 0 {
 		return nil
 	}
 	s := &sb.exits[idx]
@@ -137,15 +138,21 @@ func (e *Engine) install(head *block, sb *superblock, t3 *tier3) bool {
 }
 
 // buildTrace lowers the trace starting at head to uops, charging the trace's
-// one translation charge for every instruction lowered. The trace is lowered
-// and peephole-rewritten in engine scratch; sb.ops is one copy of the result,
-// made before anything (segmentize, the equivalence proof, compileTier3's
-// closures) takes a pointer into it.
+// one translation charge for every instruction lowered.
 func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
 	e.coldEnter()
 	defer e.coldLeave()
-	sb := &superblock{entry: head.startPC, gen: e.gen}
-	ops := e.uopBuf[:0]
+	sb, ops, ref := e.lowerTrace(head)
+	e.finishTrace(sb, ops, ref, spent)
+	return sb
+}
+
+// lowerTrace follows the trace starting at head and lowers it in engine
+// scratch: ops is the folded and fused stream, ref (under Verify) the
+// per-instruction reference lowering. Both are dead once finishTrace returns.
+func (e *Engine) lowerTrace(head *block) (sb *superblock, ops, ref []uop) {
+	sb = &superblock{entry: head.startPC, gen: e.gen}
+	ops = e.uopBuf[:0]
 	visited := [MaxTraceBlocks]uint64{head.startPC} // entries of the blocks in the trace
 	nvisited := 1
 	nexits := 0
@@ -158,7 +165,7 @@ func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
 	// verbatim (same exit-slot indices), making ref a drop-in demotion
 	// target when the optimized stream fails its equivalence proof.
 	verify := e.Verify
-	ref := e.refBuf[:0]
+	ref = e.refBuf[:0]
 	var scratch [2]uop // lowerInsn emits at most a sanitizer probe and the uop
 
 	newExit := func() int16 {
@@ -342,13 +349,21 @@ loop:
 		}
 	}
 
-	ops = e.peepPass(ops)
-	sb.ops, sb.exits = make([]uop, len(ops)), make([]exitSlot, nexits)
+	sb.exits = make([]exitSlot, nexits)
+	return sb, ops, ref
+}
+
+// finishTrace makes sb.ops one copy of the lowered stream — made before
+// anything (segmentize, the equivalence proof, compileTier3's closures) takes
+// a pointer into it — proves it against ref under Verify, and charges the
+// trace's translation time.
+func (e *Engine) finishTrace(sb *superblock, ops, ref []uop, spent *int64) {
+	sb.ops = make([]uop, len(ops))
 	copy(sb.ops, ops)
 	e.uopBuf, e.refBuf = ops[:0], ref[:0]
 	segmentize(sb.ops)
 
-	if verify {
+	if e.Verify {
 		if err := symEquivSeq(ref, sb.ops); err != nil {
 			// Demote with a diagnostic: compile a copy of the
 			// per-instruction reference lowering instead, which is correct
@@ -370,5 +385,4 @@ loop:
 	e.Stats.Tier3TranslateNs += t
 	e.Stats.Superblocks++
 	e.Stats.TranslatedInsns += uint64(sb.ninsns)
-	return sb
 }

@@ -41,7 +41,4 @@ func benchHotLoop(b *testing.B, tune func(*Engine)) {
 func BenchmarkHotLoopChained(b *testing.B) {
 	benchHotLoop(b, func(e *Engine) { e.NoSuperblock = true })
 }
-func BenchmarkHotLoopTier3(b *testing.B) {
-	benchHotLoop(b, func(e *Engine) { e.NoPeephole = true })
-}
-func BenchmarkHotLoopTier3Peep(b *testing.B) { benchHotLoop(b, func(*Engine) {}) }
+func BenchmarkHotLoopTier3(b *testing.B) { benchHotLoop(b, func(*Engine) {}) }

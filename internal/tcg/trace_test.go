@@ -479,15 +479,22 @@ func TestInvalidatePageFlushesOnlyCodePages(t *testing.T) {
 }
 
 func TestAddiChainFolding(t *testing.T) {
-	// Adjacent same-register ADDIs inside a trace fold into one uop but
-	// must retire the same instruction count and value.
+	// Adjacent same-register ADDIs inside a trace fold into one uop, and a
+	// move bounced straight back (s0 -> t3 -> s0) into the move alone, but
+	// must retire the same instruction count and value. A bounce through x0
+	// is not one: it clears the register.
 	_, e, cpu, _ := setupImage(t, `
 _start:
 	li  s1, 0
 	li  s2, 400
+	li  s4, 9
 loop:
 	addi s0, s0, 3
 	addi s0, s0, 4
+	addi t3, s0, 0
+	addi s0, t3, 0
+	addi x0, s4, 0
+	addi s4, x0, 0
 	addi s1, s1, 1
 	blt s1, s2, loop
 	halt
@@ -500,12 +507,15 @@ loop:
 	if got := cpu.X[isa.RegS0]; got != 400*7 {
 		t.Errorf("s0 = %d, want %d", got, 400*7)
 	}
-	if e.Stats.FusedUops == 0 {
-		t.Error("ADDI chain was not folded")
+	if got := cpu.X[isa.RegS0+4]; got != 0 {
+		t.Errorf("s4 = %d after a move from x0, want 0", got)
 	}
-	// ExecInsns must count guest instructions, not uops: 2 lis (possibly
-	// moviw) + 400 iterations of 4 instructions + halt.
-	want := uint64(2 + 400*4 + 1)
+	if e.Stats.FusedUops < 2 {
+		t.Errorf("%d folds in the trace, want the ADDI chain and the bounced move", e.Stats.FusedUops)
+	}
+	// ExecInsns must count guest instructions, not uops: 3 lis (possibly
+	// moviw) + 400 iterations of 8 instructions + halt.
+	want := uint64(3 + 400*8 + 1)
 	if e.Stats.ExecInsns != want {
 		t.Errorf("ExecInsns = %d, want %d", e.Stats.ExecInsns, want)
 	}

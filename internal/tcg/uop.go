@@ -6,19 +6,19 @@
 // straight-line segment so the compiled trace charges the cost model once
 // per segment instead of once per instruction.
 //
-// Nothing executes uops. The array is what the peephole pass rewrites, what
-// -verify proves (symEquivSeq against the reference lowering, checkTier3
-// against the closures) and what compileTier3 reads once to build the
-// closures that do run (tier3.go). The superblock keeps it afterwards as
-// fault metadata: every uop holds the guest PC of the instruction it came
-// from and its own cost, so a fault, syscall or contended atomic leaves the
-// trace with architecturally exact state (refundTail) and internal/core's
-// restart-at-faulting-instruction contract holds unchanged. UopSeqProfile
-// mines the same arrays for peephole candidates.
+// Nothing executes uops. The array is what -verify proves (symEquivSeq
+// against the reference lowering, checkTier3 against the closures) and what
+// compileTier3 reads once to build the closures that do run (tier3.go). The
+// superblock keeps it afterwards as fault metadata: every uop holds the guest
+// PC of the instruction it came from and its own cost, so a fault, syscall or
+// contended atomic leaves the trace with architecturally exact state
+// (refundTail) and internal/core's restart-at-faulting-instruction contract
+// holds unchanged.
 package tcg
 
 import (
 	"encoding/binary"
+	"strconv"
 
 	"dqemu/internal/isa"
 	"dqemu/internal/mem"
@@ -122,6 +122,39 @@ const (
 	uFLe
 )
 
+// kindNames maps uop kinds to the short names diagnostics print.
+var kindNames = [...]string{
+	uNop: "nop",
+	uAdd: "add", uSub: "sub", uMul: "mul", uDiv: "div", uDivU: "divu",
+	uRem: "rem", uRemU: "remu", uAnd: "and", uOr: "or", uXor: "xor",
+	uSll: "sll", uSrl: "srl", uSra: "sra", uSlt: "slt", uSltu: "sltu",
+	uAddi: "addi", uAndi: "andi", uOri: "ori", uXori: "xori",
+	uSlli: "slli", uSrli: "srli", uSrai: "srai", uSlti: "slti",
+	uLi:   "li",
+	uLoad: "load", uStore: "store", uFLoad: "fload", uFStore: "fstore",
+	uSanRead: "sanread", uSanWrite: "sanwrite",
+	uGuard: "guard", uFusedCmpGuard: "cmpguard",
+	uBranchExit: "brexit", uFusedCmpExit: "cmpexit",
+	uLink: "link", uJalExit: "jalexit", uJalrExit: "jalrexit",
+	uLoopBack: "loopback", uExit: "exit",
+	uLL: "ll", uSC: "sc", uCAS: "cas", uAmoAdd: "amoadd", uAmoSwap: "amoswap",
+	uFence:   "fence",
+	uSvcExit: "svc", uHint: "hint", uHaltExit: "halt", uEbreakExit: "ebreak",
+	uFAdd: "fadd", uFSub: "fsub", uFMul: "fmul", uFDiv: "fdiv",
+	uFMin: "fmin", uFMax: "fmax", uFSqrt: "fsqrt", uFNeg: "fneg",
+	uFAbs: "fabs", uFExp: "fexp", uFLn: "fln", uFMovImm: "fmovi",
+	uFMv: "fmv", uFMvXD: "fmvxd", uFMvDX: "fmvdx",
+	uFCvtDL: "fcvtdl", uFCvtLD: "fcvtld",
+	uFEq: "feq", uFLt: "flt", uFLe: "fle",
+}
+
+func kindName(k uopKind) string {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
+	}
+	return "u" + strconv.Itoa(int(k))
+}
+
 // uop is one pre-decoded micro-operation of a superblock.
 type uop struct {
 	imm int64
@@ -200,11 +233,16 @@ func (e *Engine) lowerInsn(ops []uop, ins *isa.Instruction, pc uint64) []uop {
 		u = alu(uSltu)
 
 	case isa.OpADDI:
-		if ins.Rd != 0 && ins.Rd == ins.Rs1 && len(ops) > 0 {
-			// Fold ADDI chains on the same register into one uop. The
+		if ins.Rd != 0 && len(ops) > 0 {
+			// Fold ADDI chains on the same register into one uop, and drop a
+			// move bounced straight back (addi rd,rs,0 ; addi rs,rd,0: rs
+			// holds the value already; a uAddi's rd is never x0). The
 			// intermediate value is never observable: ADDI cannot fault, so
 			// any exit between the two additions is impossible.
-			if p := &ops[len(ops)-1]; p.kind == uAddi && p.rd == ins.Rd && p.selfInsns < 255 {
+			p := &ops[len(ops)-1]
+			chain := ins.Rs1 == ins.Rd && p.rd == ins.Rd
+			bounce := ins.Imm == 0 && p.imm == 0 && ins.Rs1 == p.rd && ins.Rd == p.rs1
+			if p.kind == uAddi && (chain || bounce) && p.selfInsns < 255 {
 				p.imm += ins.Imm
 				p.selfCost += u.selfCost
 				p.selfInsns++

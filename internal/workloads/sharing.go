@@ -15,7 +15,7 @@ import (
 // contents — is schedule independent: cross-thread state combines only
 // through commutative atomic adds, exactly-once CAS insertions, and
 // barrier-separated single-writer phases. That makes them usable in the
-// four-way tier differential tests, where different translation tiers
+// three-way tier differential tests, where different translation tiers
 // produce different interleavings.
 
 // Canneal is a canneal-like kernel: a netlist of elems elements is chased
