@@ -12,8 +12,7 @@
 // The master ships the guest image and the node configuration to the slaves
 // during the handshake, so only the master needs the program and the flags.
 // Every node runs internal/core's protocol engine, the one the simulator
-// runs; the wire-efficiency layer (delta transfers, coalescing) is off, so
-// pages travel as full frames.
+// runs, wire-efficiency layer (delta transfers, coalescing) included.
 package main
 
 import (
@@ -68,8 +67,6 @@ func main() {
 				Forwarding: *forward,
 				Splitting:  *split,
 				HintSched:  *hints,
-				NoDelta:    true,
-				NoCoalesce: true,
 				Stdout:     os.Stdout,
 			},
 			Timeout: *timeout,

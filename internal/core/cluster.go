@@ -30,9 +30,12 @@ const mmapBase = 0x4100_0000
 type Cluster struct {
 	cfg Config
 	rt  Runtime
-	// sim is rt when the deterministic simulator drives the cluster (Run,
+	// sim is the deterministic simulator when it drives the cluster (Run,
 	// network statistics, fault injection); nil under a caller's Runtime.
-	sim    *simRuntime
+	sim *simRuntime
+	// rel is the reliable layer between the engine and rt's wire: present
+	// exactly when Config.Faults is active, on either runtime.
+	rel    *netsim.Reliable
 	nodes  []*node
 	master *master
 	os     *guestos.OS
@@ -109,12 +112,8 @@ func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 	}
 	c := newCluster(im, cfg, s, ids)
 	c.sim = s
-	if s.rel != nil {
-		s.rel.OnGiveUp = c.nodeLost
-	}
-	s.register(0, c.master.handle)
-	for id := 1; id < cfg.PhysNodes(); id++ {
-		s.register(id, c.nodes[id].handle)
+	for _, id := range ids {
+		s.net.Register(id, c.handler(id))
 	}
 	return c, nil
 }
@@ -139,6 +138,11 @@ func NewLocal(im *image.Image, cfg Config, id int, rt Runtime) (*Cluster, error)
 // them, the master services around it.
 func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
 	c := &Cluster{cfg: cfg, rt: rt, im: im, lostNodes: map[int32]bool{}}
+	if cfg.Faults.Active() {
+		c.rel = netsim.NewReliable(rt.After, rt.Send, c.dispatch, cfg.Retry)
+		c.rel.OnGiveUp = c.nodeLost
+		c.rt = reliableRuntime{rt, c.rel}
+	}
 	if cfg.Metrics {
 		c.prof = newClusterProf()
 	}
@@ -207,10 +211,19 @@ func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
 	return c
 }
 
-// Deliver hands a frame that arrived from another process to the node it
-// addresses (NewLocal clusters; the simulator registers the handlers with
-// its network instead).
+// Deliver takes a frame off the runtime's wire (NewLocal clusters; the
+// simulator registers handler with its network instead): through the
+// reliable layer when there is one, then to the node it addresses.
 func (c *Cluster) Deliver(m *proto.Msg) {
+	if c.rel != nil {
+		c.rel.Receive(m)
+		return
+	}
+	c.dispatch(m)
+}
+
+// dispatch hands a frame to the hosted node it addresses.
+func (c *Cluster) dispatch(m *proto.Msg) {
 	if m.To == 0 && c.master != nil {
 		c.master.handle(m)
 		return
@@ -222,6 +235,17 @@ func (c *Cluster) Deliver(m *proto.Msg) {
 		}
 	}
 	c.fail(fmt.Errorf("core: %v frame for node %d, which is not hosted here", m.Kind, m.To))
+}
+
+// handler is what the simulated network calls with node id's messages.
+func (c *Cluster) handler(id int) netsim.Handler {
+	switch {
+	case c.rel != nil:
+		return c.rel.Receive
+	case id == 0:
+		return c.master.handle
+	}
+	return c.nodes[id].handle
 }
 
 // Done reports whether the run has ended: the guest exited, the master
@@ -299,8 +323,9 @@ func (c *Cluster) Run() (*Result, error) {
 }
 
 // Result reports the hosted nodes' view of a finished run. Under a
-// caller's Runtime, TimeNs is that runtime's clock and the network
-// statistics are zero: the frames are the caller's.
+// caller's Runtime, TimeNs is that runtime's clock, Net and Faults are zero
+// (the frames, and the injector, are the caller's) and Rel covers the hosted
+// nodes' links.
 func (c *Cluster) Result() *Result {
 	r := &Result{
 		ExitCode: c.exitCode,
@@ -309,10 +334,10 @@ func (c *Cluster) Result() *Result {
 		Wire:     c.wireStats,
 	}
 	if s := c.sim; s != nil {
-		r.Net, r.Faults = s.net.Stats, s.net.FaultStats
-		if s.rel != nil {
-			r.Rel = s.rel.Stats
-		}
+		r.Net, r.Faults = s.net.Stats, s.net.FaultStats()
+	}
+	if c.rel != nil {
+		r.Rel = c.rel.Stats
 	}
 	if m := c.master; m != nil {
 		r.Dir, r.OS, r.Migrations = m.dir.Stats, c.os.Stats, m.migrations

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -107,14 +108,17 @@ type Config struct {
 
 	// Faults, when set to an active plan, injects deterministic seeded
 	// faults (drop/dup/jitter/reorder, node stalls and crashes) into the
-	// simulated interconnect and automatically layers the reliable
-	// transport (per-link sequencing, retransmission with exponential
-	// backoff, duplicate suppression) over it. Fault-free runs bypass both,
-	// keeping default message counts and timings unchanged.
+	// interconnect — the simulated network, or every frame crossing the
+	// live master's sockets — and layers the reliable transport (per-link
+	// sequencing, retransmission with exponential backoff, duplicate
+	// suppression) between the engine and the runtime's wire. Fault-free
+	// runs bypass both, keeping default message counts and timings
+	// unchanged. Times in the plan are on the runtime's clock.
 	Faults *netsim.FaultPlan
 	// Retry tunes the reliable transport when Faults is active. The zero
-	// value selects netsim.DefaultRetryPolicy; the NoRetry/NoDedup fields
-	// are deliberate-breakage ablations for the chaos suite.
+	// value selects netsim.DefaultRetryPolicy (virtual time; internal/live
+	// substitutes a wall-clock policy); the NoRetry/NoDedup fields are
+	// deliberate-breakage ablations for the chaos suite.
 	Retry netsim.RetryPolicy
 
 	// Sanitizer enables DQSan (internal/sanitizer): translate-time IR lint
@@ -266,20 +270,36 @@ func (c *Config) nodeFlags() []*bool {
 	}
 }
 
+// initFaults is what a KInit frame carries in San when the cluster runs
+// under a fault plan.
+type initFaults struct {
+	Plan  *netsim.FaultPlan  `json:"plan"`
+	Retry netsim.RetryPolicy `json:"retry"`
+}
+
 // InitFrame is the KInit frame that boots slave id of a cfg-shaped cluster
 // in another process: the encoded guest image plus the part of cfg a slave
-// node reads (cluster size, cores, page size, quantum and the engine and
-// wire-layer switches). Everything else in Config is read
-// by the master only, or is per-process (Tracer, Metrics, Stdout, Cancel);
-// the cost model stays at its default on slaves, where it only sets how
-// much guest work one quantum holds.
+// node reads — cluster size, cores, page size, quantum, the six engine and
+// wire-layer switches and, under an active fault plan, the plan and the
+// retry policy, announced by one more bit of the flag word that is derived,
+// not set: every node of a cluster must agree on whether its links run the
+// reliable layer. Everything else in Config is read by the master only, or
+// is per-process (Tracer, Metrics, Stdout, Cancel); the cost model stays at
+// its default on slaves, where it only sets how much guest work one quantum
+// holds.
 func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 	cfg.normalize()
 	var flags uint64
-	for i, f := range cfg.nodeFlags() {
+	nodeFlags := cfg.nodeFlags()
+	for i, f := range nodeFlags {
 		if *f {
 			flags |= 1 << i
 		}
+	}
+	var faults []byte
+	if cfg.Faults.Active() {
+		flags |= 1 << len(nodeFlags)
+		faults, _ = json.Marshal(initFaults{cfg.Faults, cfg.Retry}) // plain numbers: cannot fail
 	}
 	return &proto.Msg{
 		Kind: proto.KInit, From: 0, To: int32(id), Num: int64(id),
@@ -288,25 +308,44 @@ func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 			uint64(cfg.QuantumNs), flags,
 		},
 		Data: img,
+		San:  faults,
 	}
 }
 
 // ConfigFromInit is InitFrame's inverse on the slave: the Config to hand
 // NewLocal and the node id this process was assigned. A frame this build
-// cannot have written — flag bits above nodeFlags, anything in Args[5], a
-// cluster of no nodes — comes from a master of another build, whose flag
-// word means something else: it is refused, not reinterpreted.
+// cannot have written — flag bits above the fault-plan bit, anything in
+// Args[5], a cluster of no nodes, a plan without its bit or a bit without an
+// active, well-formed plan — comes from a master of another build, whose
+// flag word means something else: it is refused, not reinterpreted.
 func ConfigFromInit(m *proto.Msg) (cfg Config, id int, err error) {
 	flags := cfg.nodeFlags()
+	faultsBit := uint64(1) << len(flags)
 	if m.Args[0] == 0 {
 		return Config{}, 0, fmt.Errorf("core: init frame describes a cluster of 0 nodes")
 	}
-	if unknown := m.Args[4] &^ (1<<len(flags) - 1); unknown != 0 {
+	if unknown := m.Args[4] &^ (faultsBit<<1 - 1); unknown != 0 {
 		return Config{}, 0, fmt.Errorf("core: init frame sets unknown flag bits %#b (this build knows bits 0-%d)",
-			unknown, len(flags)-1)
+			unknown, len(flags))
 	}
 	if m.Args[5] != 0 {
 		return Config{}, 0, fmt.Errorf("core: init frame carries Args[5] = %d, which this build does not read", m.Args[5])
+	}
+	if m.Args[4]&faultsBit != 0 {
+		var f initFaults
+		err := json.Unmarshal(m.San, &f)
+		if err == nil {
+			err = f.Plan.Validate(int(m.Args[0]))
+		}
+		if err != nil {
+			return Config{}, 0, fmt.Errorf("core: init frame's fault plan: %w", err)
+		}
+		if !f.Plan.Active() {
+			return Config{}, 0, fmt.Errorf("core: init frame announces a fault plan and carries none that injects anything")
+		}
+		cfg.Faults, cfg.Retry = f.Plan, f.Retry
+	} else if len(m.San) != 0 {
+		return Config{}, 0, fmt.Errorf("core: init frame carries %d bytes of fault plan without the flag bit that announces one", len(m.San))
 	}
 	cfg.Slaves = int(m.Args[0]) - 1
 	cfg.Cores = int(m.Args[1])

@@ -4,13 +4,17 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dqemu/internal/netsim"
+	"dqemu/internal/proto"
 )
 
 // TestInitFrameRoundTrip: a slave process rebuilds, from the KInit frame
-// alone, exactly the part of Config a node reads — the four scalars and the
-// six switches of nodeFlags, each in its own bit — and nothing else; a frame
-// this build could not have written is refused with an error that says what
-// it does not understand.
+// alone, exactly the part of Config a node reads — the four scalars, the six
+// switches of nodeFlags, each in its own bit, and under an active fault plan
+// the plan and the retry policy behind a seventh, derived bit — and nothing
+// else; a frame this build could not have written is refused with an error
+// that says what it does not understand.
 func TestInitFrameRoundTrip(t *testing.T) {
 	base := Config{Slaves: 3, Cores: 2, PageSize: 1024, QuantumNs: 7_000}
 	const nflags = 6
@@ -51,6 +55,28 @@ func TestInitFrameRoundTrip(t *testing.T) {
 		}
 	}
 
+	// An active fault plan travels whole, with the retry policy, and sets
+	// the derived bit; an inactive one is no plan.
+	faulty := base
+	faulty.Faults = &netsim.FaultPlan{
+		Seed: 7, DropRate: 0.03, JitterNs: 200_000,
+		Stalls:  []netsim.Window{{Node: 1, FromNs: 5, ToNs: 9}},
+		Crashes: []netsim.Crash{{Node: 2, AtNs: 11}},
+	}
+	faulty.Retry = netsim.RetryPolicy{BaseRTONs: 5_000_000, MaxRTONs: 80_000_000, MaxAttempts: 9, NoDedup: true}
+	m := InitFrame(faulty, 1, img)
+	if m.Args[4] != 1<<nflags {
+		t.Errorf("fault plan: flag word %#b, want only bit %d", m.Args[4], nflags)
+	}
+	if got, _, err := ConfigFromInit(m); err != nil || !reflect.DeepEqual(got, faulty) {
+		t.Errorf("fault plan: round trip (err %v)\n got %+v\nwant %+v", err, got, faulty)
+	}
+	idle := base
+	idle.Faults = &netsim.FaultPlan{Seed: 7}
+	if m := InitFrame(idle, 1, img); m.Args[4] != 0 || len(m.San) != 0 {
+		t.Errorf("inactive plan shipped: flag word %#b, %d bytes", m.Args[4], len(m.San))
+	}
+
 	// Master-only and per-process fields do not travel.
 	master := base
 	master.Forwarding, master.Splitting, master.HintSched = true, true, true
@@ -59,18 +85,24 @@ func TestInitFrameRoundTrip(t *testing.T) {
 	}
 
 	// Frames from another build: the flag word had eight bits before two
-	// switches were deleted, and Args[5] once carried a threshold.
+	// switches were deleted, and Args[5] once carried a threshold. And
+	// frames whose fault-plan bit and plan disagree.
 	for name, tc := range map[string]struct {
-		mutate  func(args *[6]uint64)
+		from    Config
+		mutate  func(m *proto.Msg)
 		wantSub string
 	}{
-		"unknown flag bit": {func(a *[6]uint64) { a[4] |= 1 << nflags }, "unknown flag bits 0b1000000"},
-		"high flag bit":    {func(a *[6]uint64) { a[4] |= 1 << 63 }, "unknown flag bits 0b1" + strings.Repeat("0", 63)},
-		"Args[5] set":      {func(a *[6]uint64) { a[5] = 24 }, "Args[5] = 24"},
-		"no nodes":         {func(a *[6]uint64) { a[0] = 0 }, "0 nodes"},
+		"unknown flag bit": {base, func(m *proto.Msg) { m.Args[4] |= 1 << (nflags + 1) }, "unknown flag bits 0b10000000"},
+		"high flag bit":    {base, func(m *proto.Msg) { m.Args[4] |= 1 << 63 }, "unknown flag bits 0b1" + strings.Repeat("0", 63)},
+		"Args[5] set":      {base, func(m *proto.Msg) { m.Args[5] = 24 }, "Args[5] = 24"},
+		"no nodes":         {base, func(m *proto.Msg) { m.Args[0] = 0 }, "0 nodes"},
+		"bit, no plan":     {base, func(m *proto.Msg) { m.Args[4] |= 1 << nflags }, "fault plan"},
+		"plan, no bit":     {faulty, func(m *proto.Msg) { m.Args[4] = 0 }, "without the flag bit"},
+		"idle plan":        {faulty, func(m *proto.Msg) { m.San = []byte(`{"plan":{"seed":7}}`) }, "injects"},
+		"crash of node 9":  {faulty, func(m *proto.Msg) { m.San = []byte(`{"plan":{"seed":7,"crashes":[{"node":9,"at_ns":1}]}}`) }, "unknown or master node 9"},
 	} {
-		m := InitFrame(base, 1, nil)
-		tc.mutate(&m.Args)
+		m := InitFrame(tc.from, 1, nil)
+		tc.mutate(m)
 		if _, _, err := ConfigFromInit(m); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: error %v, want one containing %q", name, err, tc.wantSub)
 		}

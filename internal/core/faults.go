@@ -8,14 +8,16 @@ import (
 
 // NodeLostError is the structured "graceful degradation" outcome when a peer
 // stops answering: the reliable transport exhausted its retransmission
-// budget on a message, the master re-homed the pages the dead node owned,
-// and the run stopped with this report instead of hanging.
+// budget on a message, or the runtime saw the peer go (NodeGone); the master
+// re-homed the pages the dead node owned, and the run stopped with this
+// report instead of hanging.
 type NodeLostError struct {
 	// Node is the unreachable peer.
 	Node int
-	// AtNs is the virtual time the loss was declared.
+	// AtNs is the time on the runtime's clock the loss was declared.
 	AtNs int64
-	// LastKind/LastPage/LastTID identify the message that gave up.
+	// LastKind/LastPage/LastTID identify the message that gave up (KInvalid:
+	// none did, the connection ended).
 	LastKind proto.Kind
 	LastPage uint64
 	LastTID  int64
@@ -27,8 +29,18 @@ type NodeLostError struct {
 }
 
 func (e *NodeLostError) Error() string {
-	return fmt.Sprintf("core: node %d lost at t=%dns (gave up on %v page=%#x tid=%d); re-homed %d pages [%s]",
-		e.Node, e.AtNs, e.LastKind, e.LastPage, e.LastTID, len(e.RehomedPages), e.Plan)
+	why := fmt.Sprintf("gave up on %v page=%#x tid=%d", e.LastKind, e.LastPage, e.LastTID)
+	if e.LastKind == proto.KInvalid {
+		why = "its connection ended"
+	}
+	return fmt.Sprintf("core: node %d lost at t=%dns (%s); re-homed %d pages [%s]",
+		e.Node, e.AtNs, why, len(e.RehomedPages), e.Plan)
+}
+
+// NodeGone declares a peer lost on the runtime's word — a live connection
+// that ended before the run did — with the consequences of a give-up.
+func (c *Cluster) NodeGone(node int) {
+	c.nodeLost(&proto.Msg{From: int32(c.nodes[0].id), To: int32(node)})
 }
 
 // nodeLost handles a reliable-transport give-up: declare the peer dead,

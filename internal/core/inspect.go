@@ -39,8 +39,8 @@ func (c *Cluster) Inspect() *Inspection {
 		}
 	}
 	ins.FutexWaiting = c.os.Futex().TotalWaiting()
-	if c.sim != nil && c.sim.rel != nil {
-		ins.UnackedMsgs = c.sim.rel.Unacked()
+	if c.rel != nil {
+		ins.UnackedMsgs = c.rel.Unacked()
 	}
 	return ins
 }

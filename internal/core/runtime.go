@@ -29,19 +29,28 @@ type Runtime interface {
 	// spent the real time executing the quantum, and waiting out the cost
 	// model on top would cap live throughput at the model's speed.
 	Ran(costNs int64, fn func())
-	// Send puts m on the wire towards m.To. Delivery is reliable and
-	// FIFO per (sender, receiver) pair.
+	// Send puts m on the wire towards m.To. Delivery is reliable and FIFO
+	// per (sender, receiver) pair, except under Config.Faults: then the
+	// engine's frames reach Send through netsim.Reliable, which repairs
+	// what the plan makes the wire lose, repeat and reorder.
 	Send(m *proto.Msg)
 }
 
+// reliableRuntime is a Runtime whose Send goes through the reliable layer
+// (netsim.Reliable) before it reaches the runtime's own wire. newCluster
+// stacks it on either runtime whenever Config.Faults is active.
+type reliableRuntime struct {
+	Runtime
+	rel *netsim.Reliable
+}
+
+func (r reliableRuntime) Send(m *proto.Msg) { r.rel.Send(m) }
+
 // simRuntime is the deterministic Runtime: one virtual clock for the whole
-// cluster, the modelled interconnect, and the reliable transport over it
-// when fault injection is active.
+// cluster and the modelled interconnect, fault injector included.
 type simRuntime struct {
 	k   *sim.Kernel
 	net *netsim.Network
-	// rel is layered over net when Config.Faults is active; nil otherwise.
-	rel *netsim.Reliable
 }
 
 func newSimRuntime(cfg *Config) *simRuntime {
@@ -56,32 +65,11 @@ func newSimRuntime(cfg *Config) *simRuntime {
 				"%v -> node%d page=%#x num=%d", m.Kind, m.To, m.Page, m.Num)
 		}
 	}
-	if cfg.Faults.Active() {
-		s.net.SetFaults(cfg.Faults)
-		s.rel = netsim.NewReliable(s.k, s.net, cfg.Retry)
-	}
+	s.net.SetFaults(cfg.Faults)
 	return s
 }
 
 func (s *simRuntime) Now() int64                { return s.k.Now() }
 func (s *simRuntime) After(ns int64, fn func()) { s.k.Post(ns, fn) }
 func (s *simRuntime) Ran(cost int64, fn func()) { s.k.Post(cost, fn) }
-
-// Send routes a protocol message through the reliable transport when fault
-// injection is active, or straight onto the modelled wire otherwise.
-func (s *simRuntime) Send(m *proto.Msg) {
-	if s.rel != nil {
-		s.rel.Send(m)
-		return
-	}
-	s.net.Send(m)
-}
-
-// register installs a node's handler on the active transport.
-func (s *simRuntime) register(node int, h netsim.Handler) {
-	if s.rel != nil {
-		s.rel.Register(node, h)
-		return
-	}
-	s.net.Register(node, h)
-}
+func (s *simRuntime) Send(m *proto.Msg)         { s.net.Send(m) }

@@ -134,6 +134,71 @@ func TestMasterHandshakeFailureCleansUp(t *testing.T) {
 	t.Errorf("goroutines: before boot %d, after failed boot %d", before, runtime.NumGoroutine())
 }
 
+// TestSlaveHangUpFailsFast: a slave whose connection ends mid-run must fail
+// the run at once with a *core.NodeLostError naming it — not leave the master
+// waiting out Timeout for replies that cannot come — and the master must
+// leave neither goroutine nor socket behind.
+func TestSlaveHangUpFailsFast(t *testing.T) {
+	im := build(t, `
+long worker(long a) { return 0; }
+long main() {
+	thread_join(thread_create((long)worker, 0));
+	return 0;
+}`)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	before := runtime.NumGoroutine()
+
+	const timeout = 30 * time.Second
+	start := time.Now()
+	masterDone := make(chan error, 1)
+	go func() {
+		_, err := RunMaster(ln, im, Config{Core: core.Config{Slaves: 1}, Timeout: timeout})
+		masterDone <- err
+	}()
+
+	// The slave, by hand: handshake, take the first frame of the run (the
+	// worker thread's start), hang up.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if init, err := proto.ReadMsg(conn); err != nil || init.Kind != proto.KInit {
+		t.Fatalf("handshake: %v, %v", init, err)
+	}
+	if err := proto.WriteMsg(conn, &proto.Msg{Kind: proto.KInitAck, From: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := proto.ReadMsg(conn); err != nil || m.Kind != proto.KThreadStart {
+		t.Fatalf("first frame: %v, %v", m, err)
+	}
+	conn.Close()
+
+	select {
+	case err = <-masterDone:
+	case <-time.After(timeout):
+		t.Fatal("master still running")
+	}
+	var lost *core.NodeLostError
+	if !errors.As(err, &lost) || lost.Node != 1 {
+		t.Fatalf("want a NodeLostError naming node 1, got %T: %v", err, err)
+	}
+	if elapsed := time.Since(start); elapsed > timeout/10 {
+		t.Errorf("took %v of a %v Timeout to notice", elapsed, timeout)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before+2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: before %d, after the failed run %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestSenderBackpressure: a full outgoing queue must block (bounded by the
 // deadline) and then deliver — never silently drop a frame.
 func TestSenderBackpressure(t *testing.T) {

@@ -6,7 +6,8 @@
 // length-prefixed frames (internal/proto) on sockets. What lives here is
 // what is about sockets: the deadline-bounded handshake, senders with
 // blocking backpressure, reader goroutines, the event loop, Timeout and
-// Cancel, and exactly-once delegated syscalls across retransmission.
+// Cancel, a slave whose connection ends mid-run, and — under a fault plan —
+// the master's end of every connection as the place the plan is injected.
 //
 // Usage: the master listens, slaves connect (RunSlave); the master ships
 // the guest image and the node configuration in a KInit frame, places
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"dqemu/internal/core"
+	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
 	"dqemu/internal/sim"
 )
@@ -28,8 +30,16 @@ type Config struct {
 	// means under the simulator: Slaves is how many connections the master
 	// waits for, Cancel aborts the run with ErrCanceled, Stdout receives the
 	// console. The master ships the part slaves need (core.InitFrame). Net,
-	// Cost and MaxTimeNs model time and do nothing here; Faults, Adaptive,
+	// Cost and MaxTimeNs model time and do nothing here; Adaptive,
 	// MaxSlaves > Slaves and Sanitizer are rejected (validate).
+	//
+	// Faults is injected by the master, on every frame it puts on or takes
+	// off a socket — every link, since slaves only address the master — by
+	// the decision code the simulated network runs (netsim.Injector), with
+	// the plan's times read as wall nanoseconds since the run started. A
+	// crashed slave is cut off, not killed: the run ends in a
+	// *core.NodeLostError when the master's retransmissions to it give up.
+	// A zero Retry becomes wallRetry.
 	Core core.Config
 
 	// Timeout aborts a wedged run (default 2 minutes), boot included: a
@@ -39,16 +49,25 @@ type Config struct {
 	Files map[string][]byte
 }
 
-// validate rejects, naming the field, the four Config.Core settings whose
-// implementation reads other nodes' state in-process or needs the simulated
-// network: ignoring them would report a run that did not happen.
+// wallRetry is the reliable layer's policy on the wall clock, where a
+// retransmission timeout has to outlast a descheduled peer, not 56 µs of
+// modelled round trip: 50 ms doubling to 2 s, a peer declared lost after
+// about 15 s of silence.
+var wallRetry = netsim.RetryPolicy{
+	BaseRTONs:   int64(50 * time.Millisecond),
+	MaxRTONs:    int64(2 * time.Second),
+	MaxAttempts: 12,
+}
+
+// validate rejects, naming the field, the three Config.Core settings whose
+// implementation reads other nodes' state in-process: ignoring them would
+// report a run that did not happen.
 func (c *Config) validate() error {
 	k := &c.Core
 	for _, r := range []struct {
 		set        bool
 		field, why string
 	}{
-		{k.Faults.Active(), "Faults", "the fault plan is injected by the simulated network"},
 		{k.Adaptive, "Adaptive", "the feedback scheduler steers by a metrics registry every node feeds in-process"},
 		{k.MaxSlaves > k.Slaves, "MaxSlaves", "standby slaves are activated by the feedback scheduler"},
 		{k.Sanitizer, "Sanitizer", "the race report is assembled from every node's shadow state in-process"},
@@ -65,7 +84,10 @@ type Result struct {
 	// Result is the master process's view: ExitCode, Console and the
 	// directory and guest-OS statistics are cluster-wide; Nodes, Threads
 	// and most of Metrics cover node 0 (RunSlave returns each slave's
-	// NodeStats); TimeNs is wall nanoseconds; Net, Faults and Rel are zero.
+	// NodeStats); TimeNs is wall nanoseconds and Net is zero. Under a fault
+	// plan Faults counts what the master's injector did to the cluster's
+	// frames and Rel what the reliable layer did on the master's links
+	// (each slave's own retransmissions stay in its process).
 	*core.Result
 	Wall time.Duration
 }
@@ -73,15 +95,6 @@ type Result struct {
 // ErrCanceled is what a node reports when Config.Core.Cancel closes mid-run
 // (the simulator's sentinel too).
 var ErrCanceled = core.ErrCanceled
-
-// filter sits between the sockets and core and sees every frame that
-// arrives from or leaves for another process (retry.go).
-type filter interface {
-	// inbound reports whether core should see the frame.
-	inbound(m *proto.Msg) bool
-	// outbound may stamp the frame before it is transmitted.
-	outbound(m *proto.Msg)
-}
 
 // loop is the wall-clock core.Runtime of one node: one goroutine (run) owns
 // the core.Cluster and all it reaches; connection readers only feed inbox.
@@ -115,10 +128,10 @@ type loop struct {
 	// quit is closed when run returns, releasing readers blocked on inbox.
 	quit chan struct{}
 
-	out    func(*proto.Msg) error // transmits a frame to another process
-	filter filter
-
-	err error
+	out func(*proto.Msg) error // puts a frame on its connection
+	// inj, on a master running a fault plan, decides the fate of every frame
+	// that crosses a socket in either direction; nil elsewhere.
+	inj *netsim.Injector
 }
 
 func newLoop(id int, cancel <-chan struct{}) *loop {
@@ -145,35 +158,73 @@ func (l *loop) Send(m *proto.Msg) {
 		l.After(0, func() { l.cl.Deliver(m) })
 		return
 	}
-	l.filter.outbound(m)
-	l.transmit(m)
+	l.inject(m, l.transmit)
 }
 
-// transmit puts a frame on its connection; a transport error fails the run
-// unless it is already over (peers hang up after shutdown).
+// transmit puts a frame on its connection. A connection that fails has lost
+// its peer, which the loop is told the way the connection's reader would
+// tell it — as an event of its own: core's handlers, which call Send, are
+// not re-entrant.
 func (l *loop) transmit(m *proto.Msg) {
-	if err := l.out(m); err != nil && !l.cl.Done() {
-		l.fail(fmt.Errorf("live: node %d send: %w", l.id, err))
+	if l.out(m) != nil {
+		l.After(0, func() { l.deliver(l.gone(m.To)) })
 	}
 }
 
-func (l *loop) fail(err error) {
-	if l.err == nil {
-		l.err = err
+// gone is the frame that tells the loop its connection to peer has ended: a
+// KShutdown from it. For a slave that is the master's shutdown, sent or not:
+// the run is over. For the master it is a lost node, unless the run is over.
+func (l *loop) gone(peer int32) *proto.Msg {
+	return &proto.Msg{Kind: proto.KShutdown, From: peer, To: int32(l.id)}
+}
+
+// inject passes a frame between core and a socket, in either direction,
+// through the fault plan: what netsim.Network.Send does to a message of the
+// simulation, with timers for the wire's delays.
+func (l *loop) inject(m *proto.Msg, pass func(*proto.Msg)) {
+	if l.inj == nil {
+		pass(m)
+		return
+	}
+	fate := l.inj.Decide(m.From, m.To, l.Now())
+	if fate.Lost {
+		return
+	}
+	l.After(fate.DelayNs, func() { l.arrive(m, pass) })
+	if fate.Dup {
+		c := *m
+		l.After(fate.DupDelayNs, func() { l.arrive(&c, pass) })
 	}
 }
 
+// arrive is the receiving end of inject: the frame is lost to a crashed
+// node and waits out a stalled one.
+func (l *loop) arrive(m *proto.Msg, pass func(*proto.Msg)) {
+	now := l.Now()
+	switch hold, lost := l.inj.Arrive(m.To, now); {
+	case lost:
+	case hold > 0:
+		l.After(hold-now, func() { l.arrive(m, pass) })
+	default:
+		pass(m)
+	}
+}
+
+// deliver takes a frame from a connection reader, or a connection's end
+// (gone).
 func (l *loop) deliver(m *proto.Msg) {
-	if l.filter.inbound(m) {
-		l.cl.Deliver(m)
+	if l.id == 0 && m.Kind == proto.KShutdown {
+		l.cl.NodeGone(int(m.From))
+		return
 	}
+	l.inject(m, l.cl.Deliver)
 }
 
 // run drives the node until the guest exits, the master shuts the run down,
 // a node or the transport fails, the deadline passes or cancel closes.
 func (l *loop) run() error {
 	defer close(l.quit)
-	for l.err == nil && !l.cl.Done() {
+	for !l.cl.Done() {
 		now := l.Now()
 		if l.deadlineNs > 0 && now > l.deadlineNs {
 			return fmt.Errorf("live: run exceeded %v; node %d state: %s", l.timeout, l.id, l.cl.ThreadDump())
@@ -206,6 +257,5 @@ func (l *loop) run() error {
 		}
 		idle.Stop()
 	}
-	l.fail(l.cl.Err()) // a transport failure, if any, came first and stays
-	return l.err
+	return l.cl.Err()
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dqemu/internal/core"
-	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
 )
 
@@ -54,7 +53,7 @@ func TestRunSlaveRefusesForeignInit(t *testing.T) {
 		}
 		defer conn.Close()
 		m := core.InitFrame(core.Config{Slaves: 1}, 1, im.Encode())
-		m.Args[4] |= 1 << 7 // the last of the eight bits an older build shipped
+		m.Args[4] |= 1 << 7 // one past the seven bits this build ships
 		proto.WriteMsg(conn, m)
 		proto.ReadMsg(conn) // hold the connection until the slave gives up
 	}()
@@ -114,14 +113,13 @@ long main() {
 	}
 }
 
-// TestRunMasterRejectsUnsupportedConfig: the four core.Config settings whose
-// implementation reads peer state in-process or needs the simulated network
-// must fail fast with an error naming the field — before any slave is
-// awaited — rather than run a cluster that silently ignores them.
+// TestRunMasterRejectsUnsupportedConfig: the three core.Config settings whose
+// implementation reads peer state in-process must fail fast with an error
+// naming the field — before any slave is awaited — rather than run a cluster
+// that silently ignores them.
 func TestRunMasterRejectsUnsupportedConfig(t *testing.T) {
 	im := build(t, `long main() { return 0; }`)
 	for field, cfg := range map[string]core.Config{
-		"Faults":    {Slaves: 1, Faults: &netsim.FaultPlan{Seed: 1, DropRate: 0.01}},
 		"Adaptive":  {Slaves: 1, Adaptive: true},
 		"MaxSlaves": {Slaves: 1, MaxSlaves: 2},
 		"Sanitizer": {Slaves: 1, Sanitizer: true},

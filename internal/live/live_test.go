@@ -2,20 +2,24 @@ package live
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"dqemu/internal/chaos"
 	"dqemu/internal/core"
 	"dqemu/internal/grt"
 	"dqemu/internal/image"
+	"dqemu/internal/netsim"
 	"dqemu/internal/workloads"
 )
 
-// runLive starts a master and slaves goroutines over loopback TCP and runs
-// the image to completion.
-func runLive(t *testing.T, im *image.Image, cfg Config) *Result {
+// runCluster starts a master and slave goroutines over loopback TCP, runs
+// the image, and returns what RunMaster did once every slave has returned
+// too; slaves holds the errors of the slaves that failed.
+func runCluster(t *testing.T, im *image.Image, cfg Config) (res *Result, slaves []error, err error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -25,14 +29,30 @@ func runLive(t *testing.T, im *image.Image, cfg Config) *Result {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
 	}
+	ended := make(chan error, cfg.Core.Slaves)
 	for i := 0; i < cfg.Core.Slaves; i++ {
 		go func() {
-			if _, err := RunSlave(ln.Addr().String()); err != nil {
-				t.Errorf("slave: %v", err)
-			}
+			_, err := RunSlave(ln.Addr().String())
+			ended <- err
 		}()
 	}
-	res, err := RunMaster(ln, im, cfg)
+	res, err = RunMaster(ln, im, cfg)
+	ln.Close() // a slave the boot never accepted gives up only now
+	for i := 0; i < cfg.Core.Slaves; i++ {
+		if e := <-ended; e != nil {
+			slaves = append(slaves, e)
+		}
+	}
+	return res, slaves, err
+}
+
+// runLive is runCluster for a run in which nothing may fail.
+func runLive(t *testing.T, im *image.Image, cfg Config) *Result {
+	t.Helper()
+	res, slaves, err := runCluster(t, im, cfg)
+	for _, e := range slaves {
+		t.Errorf("slave: %v", e)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +152,11 @@ long main() {
 // ordering bug, not a second implementation drifting. The guests are a
 // mini-C program plus the workloads the scenario suite pins by console hash,
 // at its smoke scale; every row runs on 2 slaves with the optimizations off
-// and on, and live runs each with the wire layer off (what LiveBackend and
-// dqemu-live ship) and on.
+// and on, and live runs each with the wire layer off and on (what every
+// entry point ships) and then, wire layer on, under a fault plan the
+// reliable layer must repair: the console of the fault-free simulation is
+// still the reference, so a duplicated write or futex wake that got through
+// would show.
 func TestLiveMatchesSimulation(t *testing.T) {
 	guests := []struct {
 		name  string
@@ -188,17 +211,102 @@ long main() {
 			if err != nil {
 				t.Fatalf("%s/%s: simulation: %v", g.name, k.name, err)
 			}
+			same := func(t *testing.T, cfg core.Config) *Result {
+				got := runLive(t, im, Config{Core: cfg})
+				if got.ExitCode != want.ExitCode || sha256.Sum256([]byte(got.Console)) != sha256.Sum256([]byte(want.Console)) {
+					t.Errorf("live exit %d console %q\n sim exit %d console %q",
+						got.ExitCode, got.Console, want.ExitCode, want.Console)
+				}
+				return got
+			}
 			for _, wire := range []bool{false, true} {
 				cfg.NoDelta, cfg.NoCoalesce = !wire, !wire
-				t.Run(fmt.Sprintf("%s/%s/wire=%v", g.name, k.name, wire), func(t *testing.T) {
-					got := runLive(t, im, Config{Core: cfg})
-					if got.ExitCode != want.ExitCode || sha256.Sum256([]byte(got.Console)) != sha256.Sum256([]byte(want.Console)) {
-						t.Errorf("live exit %d console %q\n sim exit %d console %q",
-							got.ExitCode, got.Console, want.ExitCode, want.Console)
-					}
-				})
+				t.Run(fmt.Sprintf("%s/%s/wire=%v", g.name, k.name, wire), func(t *testing.T) { same(t, cfg) })
 			}
+			if !k.forward {
+				continue // the fault arm runs once per guest, on the busier protocol
+			}
+			cfg.Faults, cfg.Retry = &recoverable, fastRetry
+			t.Run(fmt.Sprintf("%s/%s/faults", g.name, k.name), func(t *testing.T) {
+				got := same(t, cfg)
+				t.Logf("%v: injected %+v, reliable layer %+v", got.Wall, got.Faults, got.Rel)
+				if got.Faults.Dropped == 0 || got.Faults.Duplicated == 0 || got.Rel.Retransmits == 0 {
+					t.Errorf("the plan did not bite: injected %+v, reliable layer %+v", got.Faults, got.Rel)
+				}
+			})
 		}
+	}
+}
+
+// recoverable is a fault plan the reliable layer must absorb: loss,
+// duplication, jitter, reordering and one stalled slave, at rates that hit
+// even the smallest guest above a few times.
+var recoverable = netsim.FaultPlan{
+	Seed: 20, DropRate: 0.03, DupRate: 0.03, JitterNs: 200_000, ReorderRate: 0.03,
+	Stalls: []netsim.Window{{Node: 1, FromNs: 2_000_000, ToNs: 12_000_000}},
+}
+
+// fastRetry keeps the fault tests short: a dropped frame costs 2 ms, not
+// wallRetry's 50 (dedup loses a thousand, mostly one after another). The
+// give-up horizon stays at two seconds, so a loaded runner cannot turn a
+// slow ack into a lost node; a retransmission that was not needed is only a
+// duplicate for the receiver to drop.
+var fastRetry = netsim.RetryPolicy{BaseRTONs: 2_000_000, MaxRTONs: 200_000_000, MaxAttempts: 16}
+
+// TestLiveChaos puts the socket transport in front of the seeded battery the
+// simulator faces (internal/chaos): the same plans from the same seeds on the
+// same self-checking torture guest, both classes. A recoverable plan must end
+// in the fault-free simulation's exit code and console; a crash plan — the
+// guest sized to still be running when the crash lands — in a
+// *core.NodeLostError naming the slave the plan cut off, long before Timeout.
+func TestLiveChaos(t *testing.T) {
+	for _, seed := range []int64{1, 2, 7, 13, 20, 27} {
+		plan, class := chaos.PlanForSeed(seed, 2)
+		rounds := 24
+		if class == "crash" {
+			rounds = 1500 // ≈ 0.3 s fault-free; the plans crash within 40 ms
+		}
+		im, err := workloads.Torture(4, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("%s/seed=%d", class, seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := core.Config{Slaves: 2, Faults: &plan, Retry: fastRetry}
+			start := time.Now()
+			got, slaves, err := runCluster(t, im, Config{Core: cfg, Timeout: 60 * time.Second})
+			if class == "recoverable" {
+				want, simErr := core.Run(im, core.Config{Slaves: 2})
+				if simErr != nil {
+					t.Fatal(simErr)
+				}
+				if err != nil || len(slaves) != 0 {
+					t.Fatalf("[%v] master: %v, slaves: %v", &plan, err, slaves)
+				}
+				if got.ExitCode != want.ExitCode || got.Console != want.Console {
+					t.Errorf("[%v] live exit %d console %q\n sim exit %d console %q",
+						&plan, got.ExitCode, got.Console, want.ExitCode, want.Console)
+				}
+				if got.Rel.Retransmits == 0 {
+					t.Errorf("[%v] nothing was retransmitted: injected %+v, reliable layer %+v", &plan, got.Faults, got.Rel)
+				}
+				return
+			}
+			var lost *core.NodeLostError
+			if !errors.As(err, &lost) || int32(lost.Node) != plan.Crashes[0].Node {
+				t.Errorf("[%v] want a NodeLostError naming node %d, got %v", &plan, plan.Crashes[0].Node, err)
+			}
+			if elapsed := time.Since(start); elapsed > 20*time.Second {
+				t.Errorf("[%v] took %v to notice", &plan, elapsed)
+			}
+			// The slave that was cut off may have given up on the master
+			// first; nothing else may have gone wrong on a slave.
+			for _, e := range slaves {
+				if !errors.As(e, &lost) || lost.Node != 0 {
+					t.Errorf("[%v] slave: %v", &plan, e)
+				}
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"dqemu/internal/core"
 	"dqemu/internal/image"
+	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
 )
 
@@ -137,7 +138,12 @@ func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
 	}
 	deadline := time.Now().Add(cfg.Timeout)
 	l := newLoop(0, cfg.Core.Cancel)
-	l.filter = &replayFilter{l: l, cache: proto.NewReplayCache()}
+	if cfg.Core.Faults.Active() {
+		l.inj = netsim.NewInjector(*cfg.Core.Faults)
+		if cfg.Core.Retry.BaseRTONs <= 0 {
+			cfg.Core.Retry = wallRetry
+		}
+	}
 
 	// The whole boot must finish inside cfg.Timeout: a slave that never
 	// connects (or wedges mid-handshake) fails the run with a BootError
@@ -155,12 +161,7 @@ func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
 	if err != nil {
 		return abort(err)
 	}
-	l.out = func(m *proto.Msg) error {
-		if m.To < 1 || int(m.To) > len(peers) {
-			return fmt.Errorf("no peer for node %d", m.To)
-		}
-		return peers[m.To-1].send(m)
-	}
+	l.out = func(m *proto.Msg) error { return peers[m.To-1].send(m) }
 
 	// The wall clock starts when the cluster is assembled. Node 0 is built
 	// last: building it runs the guest's first quantum.
@@ -182,7 +183,11 @@ func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Result: l.cl.Result(), Wall: wall}, nil
+	res := &Result{Result: l.cl.Result(), Wall: wall}
+	if l.inj != nil {
+		res.Faults = l.inj.Stats
+	}
+	return res, nil
 }
 
 // BootError reports a cluster boot that failed while accepting or
@@ -241,29 +246,26 @@ func bootSlaves(ln net.Listener, im *image.Image, cfg core.Config, deadline time
 		// loop enforces the run deadline itself).
 		conn.SetDeadline(time.Time{})
 		peers = append(peers, newSender(conn, deadline))
-		go readFrames(conn, l, int32(id), nil)
+		go readFrames(conn, l, int32(id))
 	}
 	return peers, nil
 }
 
-// readFrames is a connection's reader goroutine: every frame goes to the
-// loop. On the master, from is the slave at the other end: the connection,
+// readFrames is the reader goroutine of the connection to peer: every frame
+// goes to the loop, stamped with the link it arrived on — the connection,
 // not the frame, says who is talking, and slaves only address the master.
-// When the connection ends (shutdown, or broken), a non-nil gone is fed last.
-func readFrames(conn net.Conn, l *loop, from int32, gone *proto.Msg) {
+// When the connection ends (shutdown, or broken) the loop is told last.
+func readFrames(conn net.Conn, l *loop, peer int32) {
 	for {
 		m, err := proto.ReadMsg(conn)
 		if err != nil {
-			m = gone
-		} else if from != 0 {
-			m.From, m.To = from, 0
+			m = l.gone(peer)
 		}
-		if m != nil {
-			select {
-			case l.inbox <- m:
-			case <-l.quit:
-				return
-			}
+		m.From, m.To = peer, int32(l.id)
+		select {
+		case l.inbox <- m:
+		case <-l.quit:
+			return
 		}
 		if err != nil {
 			return

@@ -37,7 +37,6 @@ func RunSlave(addr string) (none core.NodeStats, err error) {
 		return none, fmt.Errorf("live: init: %w", err)
 	}
 	l := newLoop(id, nil)
-	l.filter = newRetransmitter(l)
 	if l.cl, err = core.NewLocal(im, cfg, id, l); err != nil {
 		return none, fmt.Errorf("live: init: %w", err)
 	}
@@ -47,8 +46,7 @@ func RunSlave(addr string) (none core.NodeStats, err error) {
 
 	out := newSender(conn, time.Time{})
 	l.out = out.send
-	// Master gone: treat like a shutdown so the loop exits.
-	go readFrames(conn, l, 0, &proto.Msg{Kind: proto.KShutdown, To: int32(id)})
+	go readFrames(conn, l, 0)
 
 	err = l.run()
 	out.close()

@@ -3,15 +3,16 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-
-	"dqemu/internal/proto"
 )
 
-// FaultPlan describes deterministic fault injection for the simulated
-// interconnect. All randomness comes from one seeded generator consumed in
-// Send order, so a given (seed, workload) pair replays the exact same fault
-// schedule. Local (From==To) messages are never faulted: they model
-// intra-node function calls, not the wire.
+// FaultPlan describes deterministic fault injection for the cluster's
+// interconnect (an Injector applies it). All randomness comes from one seeded
+// generator consumed in Send order, so under the simulator a given (seed,
+// workload) pair replays the exact same fault schedule; over live sockets
+// the draws are the same and the order is the interleaving's. Times are on
+// the run's clock: virtual under the simulator, wall over sockets. Local
+// (From==To) messages are never faulted: they model intra-node function
+// calls, not the wire.
 // The JSON tags are the plan's stable wire form: scenario specs
 // (internal/scenario) embed fault plans as data, so renaming a field here
 // is a spec schema change and needs a migration note (EXPERIMENTS.md).
@@ -30,16 +31,16 @@ type FaultPlan struct {
 	// ReorderDelayNs is the hold-back for reordered messages. Defaults to
 	// 4×JitterNs or 200 µs, whichever is larger.
 	ReorderDelayNs int64 `json:"reorder_delay_ns,omitempty"`
-	// Stalls freeze a node's receive processing for a window of virtual
-	// time: messages arriving during the window are deferred to its end
+	// Stalls freeze a node's receive processing for a window of time:
+	// messages arriving during the window are deferred to its end
 	// (GC pause / scheduling hiccup model).
 	Stalls []Window `json:"stalls,omitempty"`
-	// Crashes kill a node permanently at a point in virtual time: all
+	// Crashes kill a node permanently at a point in time: all
 	// traffic from it is dropped at the sender and to it at delivery.
 	Crashes []Crash `json:"crashes,omitempty"`
 }
 
-// Window is a [FromNs, ToNs) interval of virtual time on one node.
+// Window is a [FromNs, ToNs) interval of the run's clock on one node.
 type Window struct {
 	Node   int32 `json:"node"`
 	FromNs int64 `json:"from_ns"`
@@ -125,74 +126,86 @@ type FaultStats struct {
 	CrashDropped uint64 // messages to/from a crashed node
 }
 
-type faultState struct {
-	plan FaultPlan
-	rng  *rand.Rand
+// Injector applies a FaultPlan one frame at a time. It is the decision code
+// both transports share: Network asks it what happens to every inter-node
+// message of the simulation, the live master (internal/live) asks it the
+// same of every frame that crosses its sockets. It owns the plan's one random
+// stream, so the schedule is a pure function of the seed and the order of
+// Decide calls; now is the caller's clock, nanoseconds since the run started.
+type Injector struct {
+	plan  FaultPlan
+	rng   *rand.Rand
+	Stats FaultStats
 }
 
-func newFaultState(p FaultPlan) *faultState {
-	fp := p
-	if fp.ReorderDelayNs == 0 {
-		fp.ReorderDelayNs = 4 * fp.JitterNs
-		if fp.ReorderDelayNs < 200_000 {
-			fp.ReorderDelayNs = 200_000
-		}
+// NewInjector arms p, which must be Active.
+func NewInjector(p FaultPlan) *Injector {
+	if p.ReorderDelayNs == 0 {
+		p.ReorderDelayNs = max(4*p.JitterNs, 200_000)
 	}
-	return &faultState{plan: fp, rng: rand.New(rand.NewSource(fp.Seed))}
+	return &Injector{plan: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
-func (f *faultState) crashed(node int32, now int64) bool {
-	return f.plan.CrashedAt(node, now)
+// Fate is what the plan does to one frame as it leaves its sender.
+type Fate struct {
+	// Lost: an endpoint has crashed, or the frame was dropped. Nothing else
+	// is set.
+	Lost bool
+	// DelayNs is the extra time the frame spends in flight (jitter, plus the
+	// hold-back when it is reordered).
+	DelayNs int64
+	// Dup asks for a second copy, in flight DupDelayNs longer than normal.
+	Dup        bool
+	DupDelayNs int64
 }
 
-// stalledUntil returns the end of a stall window covering (node, now).
-func (f *faultState) stalledUntil(node int32, now int64) (int64, bool) {
-	end, ok := int64(0), false
-	for _, w := range f.plan.Stalls {
-		if w.Node == node && now >= w.FromNs && now < w.ToNs && w.ToNs > end {
-			end, ok = w.ToNs, true
-		}
-	}
-	return end, ok
-}
-
-// send applies sender-side faults (crash, drop, duplication, jitter,
-// reorder) and hands surviving copies to the network's transmit path. The
-// random draws happen in a fixed order per message so the schedule is a pure
-// function of the seed and the Send sequence.
-func (f *faultState) send(nw *Network, m *proto.Msg) {
-	now := nw.k.Now()
-	if f.crashed(m.From, now) || f.crashed(m.To, now) {
-		nw.FaultStats.CrashDropped++
-		return
+// Decide applies the sender-side faults (crash, drop, duplication, jitter,
+// reorder) to one frame. The random draws happen in a fixed order per frame.
+func (f *Injector) Decide(from, to int32, now int64) Fate {
+	if f.plan.CrashedAt(from, now) || f.plan.CrashedAt(to, now) {
+		f.Stats.CrashDropped++
+		return Fate{Lost: true}
 	}
 	drop := f.plan.DropRate > 0 && f.rng.Float64() < f.plan.DropRate
 	dup := f.plan.DupRate > 0 && f.rng.Float64() < f.plan.DupRate
-	var jitter int64
+	var fate Fate
 	if f.plan.JitterNs > 0 {
-		jitter = f.rng.Int63n(f.plan.JitterNs + 1)
+		fate.DelayNs = f.rng.Int63n(f.plan.JitterNs + 1)
 	}
 	reorder := f.plan.ReorderRate > 0 && f.rng.Float64() < f.plan.ReorderRate
 	if drop {
-		nw.FaultStats.Dropped++
-		return
+		f.Stats.Dropped++
+		return Fate{Lost: true}
 	}
 	if reorder {
-		nw.FaultStats.Reordered++
-		jitter += f.plan.ReorderDelayNs
+		f.Stats.Reordered++
+		fate.DelayNs += f.plan.ReorderDelayNs
 	}
-	nw.transmit(m, jitter)
 	if dup {
-		nw.FaultStats.Duplicated++
-		var dupJitter int64
+		f.Stats.Duplicated++
+		fate.Dup = true
 		if f.plan.JitterNs > 0 {
-			dupJitter = f.rng.Int63n(f.plan.JitterNs + 1)
+			fate.DupDelayNs = f.rng.Int63n(f.plan.JitterNs + 1)
 		}
-		c := *m
-		// The duplicate is a real wire copy: account it exactly like the
-		// original (Send counted only the first copy), sharing the same
-		// overflow-bucket clamp.
-		nw.Stats.count(&c)
-		nw.transmit(&c, dupJitter)
 	}
+	return fate
+}
+
+// Arrive applies the receiver-side faults to a frame reaching node to: lost
+// when the node has crashed, held until holdNs (> now) when it is inside a
+// stall window — the caller asks again then — and free to go otherwise.
+func (f *Injector) Arrive(to int32, now int64) (holdNs int64, lost bool) {
+	if f.plan.CrashedAt(to, now) {
+		f.Stats.CrashDropped++
+		return 0, true
+	}
+	for _, w := range f.plan.Stalls {
+		if w.Node == to && now >= w.FromNs && now < w.ToNs && w.ToNs > holdNs {
+			holdNs = w.ToNs
+		}
+	}
+	if holdNs > 0 {
+		f.Stats.Stalled++
+	}
+	return holdNs, false
 }

@@ -29,7 +29,7 @@ func TestFaultDropIsDeterministic(t *testing.T) {
 			nw.Send(&proto.Msg{Kind: proto.KPageReq, From: 0, To: 1, Page: uint64(i)})
 		}
 		k.Run()
-		return *got, nw.FaultStats
+		return *got, nw.FaultStats()
 	}
 	a, sa := schedule(42)
 	b, sb := schedule(42)
@@ -49,8 +49,8 @@ func TestFaultDuplication(t *testing.T) {
 	k, nw, got := faultNet(t, FaultPlan{Seed: 7, DupRate: 1.0})
 	nw.Send(&proto.Msg{Kind: proto.KPageReq, From: 0, To: 1, Page: 9})
 	k.Run()
-	if len(*got) != 2 || nw.FaultStats.Duplicated != 1 {
-		t.Fatalf("got %v, stats %+v", *got, nw.FaultStats)
+	if len(*got) != 2 || nw.FaultStats().Duplicated != 1 {
+		t.Fatalf("got %v, stats %+v", *got, nw.FaultStats())
 	}
 }
 
@@ -103,8 +103,8 @@ func TestFaultStallDefersDelivery(t *testing.T) {
 	if len(*got) != 1 || at < 5_000_000 {
 		t.Fatalf("stalled delivery at %d ns (want >= 5ms), got=%v", at, *got)
 	}
-	if nw.FaultStats.Stalled != 1 {
-		t.Fatalf("stats %+v", nw.FaultStats)
+	if nw.FaultStats().Stalled != 1 {
+		t.Fatalf("stats %+v", nw.FaultStats())
 	}
 }
 
@@ -118,9 +118,22 @@ func TestFaultCrashDropsTraffic(t *testing.T) {
 		nw.Send(&proto.Msg{Kind: proto.KInvAck, From: 1, To: 0, Page: 4})
 	})
 	k.Run()
-	if len(*got) != 0 || nw.FaultStats.CrashDropped != 2 {
-		t.Fatalf("crashed node exchanged traffic: got=%v stats=%+v", *got, nw.FaultStats)
+	if len(*got) != 0 || nw.FaultStats().CrashDropped != 2 {
+		t.Fatalf("crashed node exchanged traffic: got=%v stats=%+v", *got, nw.FaultStats())
 	}
+}
+
+// reliableOver stacks the reliable layer on a two-node network; what it
+// delivers to node 1 goes to h1.
+func reliableOver(k *sim.Kernel, nw *Network, pol RetryPolicy, h1 Handler) *Reliable {
+	rel := NewReliable(k.Post, nw.Send, func(m *proto.Msg) {
+		if m.To == 1 {
+			h1(m)
+		}
+	}, pol)
+	nw.Register(0, rel.Receive)
+	nw.Register(1, rel.Receive)
+	return rel
 }
 
 func TestReliableExactlyOnceUnderChaos(t *testing.T) {
@@ -129,10 +142,8 @@ func TestReliableExactlyOnceUnderChaos(t *testing.T) {
 	k := sim.NewKernel()
 	nw := New(k, DefaultConfig(), 2)
 	nw.SetFaults(&FaultPlan{Seed: 99, DropRate: 0.25, DupRate: 0.25, JitterNs: 300_000, ReorderRate: 0.2})
-	rel := NewReliable(k, nw, DefaultRetryPolicy())
 	var got []uint64
-	rel.Register(0, func(m *proto.Msg) {})
-	rel.Register(1, func(m *proto.Msg) { got = append(got, m.Page) })
+	rel := reliableOver(k, nw, DefaultRetryPolicy(), func(m *proto.Msg) { got = append(got, m.Page) })
 	const n = 200
 	for i := 0; i < n; i++ {
 		rel.Send(&proto.Msg{Kind: proto.KPageContent, From: 0, To: 1, Page: uint64(i)})
@@ -159,11 +170,9 @@ func TestReliableGiveUpFiresOnCrash(t *testing.T) {
 	nw := New(k, DefaultConfig(), 2)
 	nw.SetFaults(&FaultPlan{Seed: 5, Crashes: []Crash{{Node: 1, AtNs: 1}}})
 	pol := DefaultRetryPolicy()
-	rel := NewReliable(k, nw, pol)
 	var lost *proto.Msg
+	rel := reliableOver(k, nw, pol, func(m *proto.Msg) { t.Fatal("delivered to crashed node") })
 	rel.OnGiveUp = func(m *proto.Msg) { lost = m }
-	rel.Register(0, func(m *proto.Msg) {})
-	rel.Register(1, func(m *proto.Msg) { t.Fatal("delivered to crashed node") })
 	k.Post(10, func() {
 		rel.Send(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: 1, Page: 77})
 	})
@@ -182,10 +191,8 @@ func TestReliableNoRetryAblationLosesMessages(t *testing.T) {
 	nw.SetFaults(&FaultPlan{Seed: 11, DropRate: 0.5})
 	pol := DefaultRetryPolicy()
 	pol.NoRetry = true
-	rel := NewReliable(k, nw, pol)
 	var got int
-	rel.Register(0, func(m *proto.Msg) {})
-	rel.Register(1, func(m *proto.Msg) { got++ })
+	rel := reliableOver(k, nw, pol, func(m *proto.Msg) { got++ })
 	for i := 0; i < 50; i++ {
 		rel.Send(&proto.Msg{Kind: proto.KPageContent, From: 0, To: 1, Page: uint64(i)})
 	}
@@ -201,10 +208,8 @@ func TestReliableNoDedupAblationLeaksDuplicates(t *testing.T) {
 	nw.SetFaults(&FaultPlan{Seed: 13, DupRate: 1.0})
 	pol := DefaultRetryPolicy()
 	pol.NoDedup = true
-	rel := NewReliable(k, nw, pol)
 	var got int
-	rel.Register(0, func(m *proto.Msg) {})
-	rel.Register(1, func(m *proto.Msg) { got++ })
+	rel := reliableOver(k, nw, pol, func(m *proto.Msg) { got++ })
 	rel.Send(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: 1, Page: 3})
 	k.Run()
 	if got < 2 {

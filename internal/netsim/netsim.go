@@ -101,8 +101,7 @@ type Network struct {
 	Stats    Stats
 	// fault, when set via SetFaults, injects seeded drop/dup/jitter/reorder
 	// and node stall/crash events into every inter-node message.
-	fault      *faultState
-	FaultStats FaultStats
+	fault *Injector
 }
 
 // New builds a network for n nodes on the given kernel.
@@ -124,9 +123,6 @@ func (nw *Network) Register(node int, h Handler) {
 	nw.handlers[node] = h
 }
 
-// Nodes returns the cluster size.
-func (nw *Network) Nodes() int { return len(nw.handlers) }
-
 // SetFaults arms deterministic fault injection. Pass an active plan before
 // any Send; passing nil or an inactive plan leaves the network fault-free.
 func (nw *Network) SetFaults(p *FaultPlan) {
@@ -134,7 +130,15 @@ func (nw *Network) SetFaults(p *FaultPlan) {
 		nw.fault = nil
 		return
 	}
-	nw.fault = newFaultState(*p)
+	nw.fault = NewInjector(*p)
+}
+
+// FaultStats counts the faults injected so far.
+func (nw *Network) FaultStats() FaultStats {
+	if nw.fault == nil {
+		return FaultStats{}
+	}
+	return nw.fault.Stats
 }
 
 // Kernel returns the sim kernel the network schedules on.
@@ -154,11 +158,22 @@ func (nw *Network) Send(m *proto.Msg) {
 		nw.k.Post(nw.cfg.LocalNs, func() { nw.deliver(m) })
 		return
 	}
-	if nw.fault != nil {
-		nw.fault.send(nw, m)
+	if nw.fault == nil {
+		nw.transmit(m, 0)
 		return
 	}
-	nw.transmit(m, 0)
+	fate := nw.fault.Decide(m.From, m.To, nw.k.Now())
+	if fate.Lost {
+		return
+	}
+	nw.transmit(m, fate.DelayNs)
+	if fate.Dup {
+		// The duplicate is a real wire copy: account it exactly like the
+		// original (only the first copy is counted above).
+		c := *m
+		nw.Stats.count(&c)
+		nw.transmit(&c, fate.DupDelayNs)
+	}
 }
 
 // transmit models the wire: sender NIC serialization, propagation (plus any
@@ -192,13 +207,12 @@ func (nw *Network) transmit(m *proto.Msg, extraNs int64) {
 func (nw *Network) receive(m *proto.Msg, proc int64) {
 	now := nw.k.Now()
 	if nw.fault != nil {
-		if nw.fault.crashed(m.To, now) {
-			nw.FaultStats.CrashDropped++
+		hold, lost := nw.fault.Arrive(m.To, now)
+		if lost {
 			return
 		}
-		if end, ok := nw.fault.stalledUntil(m.To, now); ok {
-			nw.FaultStats.Stalled++
-			nw.k.PostAt(end, func() { nw.receive(m, proc) })
+		if hold > 0 {
+			nw.k.PostAt(hold, func() { nw.receive(m, proc) })
 			return
 		}
 	}

@@ -238,8 +238,8 @@ func TestFaultDuplicateCopiesAreCounted(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("delivered = %d, want original + duplicate", delivered)
 	}
-	if nw.FaultStats.Duplicated != 1 {
-		t.Fatalf("duplicated = %d", nw.FaultStats.Duplicated)
+	if nw.FaultStats().Duplicated != 1 {
+		t.Fatalf("duplicated = %d", nw.FaultStats().Duplicated)
 	}
 	if nw.Stats.Msgs != 2 {
 		t.Errorf("msgs = %d, want 2 (both wire copies)", nw.Stats.Msgs)

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"dqemu/internal/proto"
-	"dqemu/internal/sim"
-)
+import "dqemu/internal/proto"
 
 // RetryPolicy tunes the reliable transport's retransmission behaviour.
 type RetryPolicy struct {
@@ -42,19 +39,24 @@ type RelStats struct {
 	GiveUps     uint64 // messages abandoned after MaxAttempts
 }
 
-// Reliable layers exactly-once, in-order delivery on top of a lossy
-// Network: per-link sequence numbers, a receive-side reorder buffer with
-// duplicate suppression, cumulative acks, and per-message retransmission
-// timers with exponential backoff. When a message exhausts its attempts the
-// OnGiveUp hook fires so the cluster can declare the peer dead instead of
-// hanging. Local (From==To) messages bypass the layer entirely.
+// Reliable layers exactly-once, in-order delivery on top of a lossy wire:
+// per-link sequence numbers, a receive-side reorder buffer with duplicate
+// suppression, cumulative acks, and per-message retransmission timers with
+// exponential backoff. When a message exhausts its attempts the OnGiveUp
+// hook fires so the cluster can declare the peer dead instead of hanging.
+// Local (From==To) messages bypass the layer entirely.
+//
+// It takes from its surroundings only a timer and the wire below, so the
+// same layer runs over the simulated Network on virtual time and over TCP
+// frames on the wall clock; it may hold the links of every node (the
+// simulator) or of one (a live process).
 type Reliable struct {
-	k   *sim.Kernel
-	net *Network
-	pol RetryPolicy
-	tx  map[[2]int32]*txLink
-	rx  map[[2]int32]*rxLink
-	app []Handler
+	after   func(ns int64, fn func()) // runs fn ns from now
+	lower   func(*proto.Msg)          // the lossy wire
+	deliver Handler                   // the protocol layer above
+	pol     RetryPolicy
+	tx      map[[2]int32]*txLink
+	rx      map[[2]int32]*rxLink
 	// OnGiveUp is called when a message to a peer exhausts MaxAttempts.
 	OnGiveUp func(m *proto.Msg)
 	Stats    RelStats
@@ -76,34 +78,27 @@ type rxLink struct {
 	buf       map[uint64]*proto.Msg
 }
 
-// NewReliable wraps net with the reliable transport. Callers must Register
-// handlers through the Reliable, not the Network, and route sends through
-// Reliable.Send.
-func NewReliable(k *sim.Kernel, net *Network, pol RetryPolicy) *Reliable {
+// NewReliable builds the layer between a lossy wire (lower) and the protocol
+// (deliver), retransmitting on after's clock. Sends go through Send; every
+// message the wire hands up, acks included, goes through Receive.
+func NewReliable(after func(ns int64, fn func()), lower func(*proto.Msg), deliver Handler, pol RetryPolicy) *Reliable {
 	if pol.BaseRTONs <= 0 {
 		pol = DefaultRetryPolicy()
 	}
 	return &Reliable{
-		k:   k,
-		net: net,
-		pol: pol,
-		tx:  map[[2]int32]*txLink{},
-		rx:  map[[2]int32]*rxLink{},
-		app: make([]Handler, net.Nodes()),
+		after:   after,
+		lower:   lower,
+		deliver: deliver,
+		pol:     pol,
+		tx:      map[[2]int32]*txLink{},
+		rx:      map[[2]int32]*rxLink{},
 	}
-}
-
-// Register installs the application handler for a node, interposing the
-// transport's receive logic.
-func (r *Reliable) Register(node int, h Handler) {
-	r.app[node] = h
-	r.net.Register(node, func(m *proto.Msg) { r.onReceive(m) })
 }
 
 // Send queues m for reliable delivery to m.To.
 func (r *Reliable) Send(m *proto.Msg) {
 	if m.From == m.To {
-		r.net.Send(m)
+		r.lower(m)
 		return
 	}
 	link := [2]int32{m.From, m.To}
@@ -118,14 +113,14 @@ func (r *Reliable) Send(m *proto.Msg) {
 	l.unacked[m.Seq] = p
 	r.Stats.Sent++
 	c := *m
-	r.net.Send(&c)
+	r.lower(&c)
 	if !r.pol.NoRetry {
 		r.armTimer(l, m.Seq, p)
 	}
 }
 
 func (r *Reliable) armTimer(l *txLink, seq uint64, p *pending) {
-	r.k.Post(p.rtoNs, func() {
+	r.after(p.rtoNs, func() {
 		if l.unacked[seq] != p {
 			return // acked meanwhile
 		}
@@ -140,7 +135,7 @@ func (r *Reliable) armTimer(l *txLink, seq uint64, p *pending) {
 		p.attempts++
 		r.Stats.Retransmits++
 		c := *p.m
-		r.net.Send(&c)
+		r.lower(&c)
 		p.rtoNs *= 2
 		if p.rtoNs > r.pol.MaxRTONs {
 			p.rtoNs = r.pol.MaxRTONs
@@ -149,7 +144,9 @@ func (r *Reliable) armTimer(l *txLink, seq uint64, p *pending) {
 	})
 }
 
-func (r *Reliable) onReceive(m *proto.Msg) {
+// Receive takes one message off the wire: acks are consumed, sequenced
+// messages are deduplicated and handed up in order, the rest pass through.
+func (r *Reliable) Receive(m *proto.Msg) {
 	if m.Kind == proto.KAck {
 		r.onAck(m)
 		return
@@ -224,15 +221,7 @@ func (r *Reliable) onAck(m *proto.Msg) {
 
 func (r *Reliable) sendAck(from, to int32, seq uint64) {
 	r.Stats.Acks++
-	r.net.Send(&proto.Msg{Kind: proto.KAck, From: from, To: to, Seq: seq})
-}
-
-func (r *Reliable) deliver(m *proto.Msg) {
-	h := r.app[m.To]
-	if h == nil {
-		panic("netsim: reliable delivery to unregistered node")
-	}
-	h(m)
+	r.lower(&proto.Msg{Kind: proto.KAck, From: from, To: to, Seq: seq})
 }
 
 // Unacked reports the number of in-flight (sent, not yet acknowledged)

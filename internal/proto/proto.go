@@ -47,7 +47,7 @@ const (
 
 	// Live-mode bootstrap (internal/live): the master assigns the slave its
 	// node id and ships the guest image.
-	KInit // master -> slave: Num=node id, Args[0]=cluster size, Data=image
+	KInit // master -> slave: Num=node id, Args=cluster shape and switches, Data=image, San=fault plan (core.InitFrame)
 	KInitAck
 
 	// Reliable delivery (fault-tolerant transport): cumulative acknowledgement
@@ -92,8 +92,8 @@ type Msg struct {
 	From int32
 	To   int32
 	// Seq is the per-link sequence number stamped by the reliable transport
-	// (0 = unsequenced). For KSyscallReq/KSyscallReply it doubles as the
-	// per-thread request id used to deduplicate retried delegations.
+	// (netsim.Reliable, its only owner; 0 = unsequenced). On a KAck it is
+	// the highest sequence number delivered in order.
 	Seq     uint64
 	TID     int64
 	Page    uint64

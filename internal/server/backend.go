@@ -142,10 +142,6 @@ func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, er
 		}()
 	}
 	cfg := live.Config{Core: spec.coreConfig(cancel), Timeout: b.Timeout, Files: spec.Files}
-	// The wire layer stays off: the frames are then, byte for byte, the
-	// full-page framing live jobs have always sent. Turning it on is a
-	// change of its own, judged on the live_tcp benchmark.
-	cfg.Core.NoDelta, cfg.Core.NoCoalesce = true, true
 	// The master's node loop honors cancel, but the boot (accept/handshake)
 	// is bounded only by cfg.Timeout; closing the listener turns a cancel
 	// during boot into an immediate BootError.
