@@ -101,6 +101,7 @@ func newNode(id int, cl *Cluster) *node {
 // addThread registers and enqueues a new guest thread.
 func (n *node) addThread(cpu *tcg.CPU) *thread {
 	t := &thread{tid: cpu.TID, cpu: cpu, node: n, state: tRunnable}
+	t.done = t.complete
 	n.threads[cpu.TID] = t
 	// Closes the migration-transit measurement when this arrival is the
 	// landing of an in-flight migration (no-op for brand-new threads).
@@ -172,7 +173,8 @@ func (n *node) onMigrate(m *proto.Msg) {
 func (n *node) schedule() {
 	for n.busy < n.cl.cfg.Cores && len(n.runq) > 0 && !n.cl.done {
 		t := n.runq[0]
-		n.runq = n.runq[1:]
+		// Copy down rather than reslice: the queue keeps its backing array.
+		n.runq = n.runq[:copy(n.runq, n.runq[1:])]
 		n.busy++
 		n.dispatch(t)
 	}
@@ -185,13 +187,15 @@ func (n *node) schedule() {
 func (n *node) dispatch(t *thread) {
 	t.state = tRunning
 	n.cl.cfg.Tracer.Begin(n.cl.rt.Now(), trace.EvSched, n.id, t.tid, "exec")
-	res := n.engine.Exec(t.cpu, n.cl.cfg.QuantumNs)
-	t.execNs += res.TimeNs
-	n.cl.rt.Ran(res.TimeNs, func() { n.complete(t, res) })
+	t.res = n.engine.Exec(t.cpu, n.cl.cfg.QuantumNs)
+	t.execNs += t.res.TimeNs
+	n.cl.rt.Ran(t.res.TimeNs, t.done)
 }
 
-// complete handles the end of a quantum.
-func (n *node) complete(t *thread, res tcg.Result) {
+// complete handles the end of t's quantum, whose result is t.res.
+func (t *thread) complete() {
+	n := t.node
+	res := t.res // a copy: the cases below may dispatch t again
 	n.busy--
 	n.cl.cfg.Tracer.End(n.cl.rt.Now(), trace.EvSched, n.id, t.tid, "exec")
 	if n.cl.done {
@@ -202,7 +206,9 @@ func (n *node) complete(t *thread, res tcg.Result) {
 		n.enqueue(t)
 	case tcg.StopPageFault:
 		n.stats.PageFaults++
-		n.trace(trace.EvFault, t.tid, "addr=%#x page=%#x write=%v", res.Fault.Addr, res.Fault.Page, res.Fault.Write)
+		if n.cl.cfg.Tracer != nil { // the arguments are boxed before trace can look
+			n.trace(trace.EvFault, t.tid, "addr=%#x page=%#x write=%v", res.Fault.Addr, res.Fault.Page, res.Fault.Write)
+		}
 		n.blockOnPage(t, res.Fault.Page, res.Fault.Addr, res.Fault.Write)
 	case tcg.StopSyscall:
 		n.syscall(t)
@@ -274,7 +280,7 @@ func (n *node) wakePageWaiters(page uint64, perm mem.Perm) {
 	if len(waiters) == 0 {
 		return
 	}
-	var still []*thread
+	still := waiters[:0] // filtered in place; nothing below parks a thread on this page
 	for _, t := range waiters {
 		if t.needWrite && perm != mem.PermReadWrite {
 			still = append(still, t)
@@ -282,11 +288,10 @@ func (n *node) wakePageWaiters(page uint64, perm mem.Perm) {
 		}
 		n.unblockPage(t)
 	}
+	n.waiting[page] = still // emptied or not, the page's next fault reuses the array
 	if len(still) == 0 {
-		delete(n.waiting, page)
 		return
 	}
-	n.waiting[page] = still
 	// Readers were satisfied but writers remain: make sure a write request
 	// is outstanding.
 	n.requestPage(page, still[0].cpu.PC, true, still[0].tid)

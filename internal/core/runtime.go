@@ -27,7 +27,9 @@ type Runtime interface {
 	// modelled cost is costNs. The simulator charges the cost as a delay;
 	// a wall-clock runtime runs fn as soon as it can — the host already
 	// spent the real time executing the quantum, and waiting out the cost
-	// model on top would cap live throughput at the model's speed.
+	// model on top would cap live throughput at the model's speed. fn is
+	// called once; the caller keeps it and may pass the same func again for
+	// a later quantum, so a Runtime must not hold it past the call.
 	Ran(costNs int64, fn func())
 	// Send puts m on the wire towards m.To. Delivery is reliable and FIFO
 	// per (sender, receiver) pair, except under Config.Faults: then the

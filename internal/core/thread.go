@@ -45,6 +45,12 @@ type thread struct {
 	waitPage   uint64 // for tBlockedPage
 	blockStart int64
 
+	// The completion slot: a thread has at most one quantum in flight, so
+	// its result lives here and done — made once, in addThread — completes
+	// it. node.dispatch hands done to Runtime.Ran without allocating.
+	res  tcg.Result
+	done func()
+
 	// syscallRetry re-runs a node-local syscall whose guest-memory access
 	// faulted; the faulting page has been requested and the handler repeats
 	// once it arrives.

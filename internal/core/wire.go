@@ -33,10 +33,11 @@ import (
 // page. The rule that makes rewriting in place safe: a buffer handed to
 // Runtime.Send (Msg.Data, a payload Body, San) is immutable from then on —
 // netsim.Reliable keeps it for retransmission, and under the simulator the
-// receiver reads the very same bytes. So page, twin, snapshot and scratch
-// buffers are never sent (what is sent is a fresh copy or a fresh encoding),
-// and what materializeFetchReply returns may be the scratch page or the home
-// copy itself: nothing may keep it past Directory.OnFetchReply.
+// receiver reads the very same bytes, as views (proto.PayloadReader): it
+// copies them out and never writes through them. So page, twin, snapshot and
+// scratch buffers are never sent (what is sent is a fresh copy or a fresh
+// encoding), and what materializeFetchReply returns may be the scratch page
+// or the home copy itself: nothing may keep it past Directory.OnFetchReply.
 
 // WireStats counts wire-layer activity (Result.Wire).
 type WireStats struct {
@@ -81,8 +82,11 @@ type wireSnap struct {
 // wireSnapKeep bounds the per-page ring of retained home-copy versions.
 const wireSnapKeep = 4
 
-type grantBuf struct {
-	pls []proto.PagePayload
+// targetBuf is what one node is owed when the current handle ends: its demand
+// grants and the pushes forwarded to it. Both slices keep their backing array
+// from one flush to the next.
+type targetBuf struct {
+	grants, pushes []proto.PagePayload
 }
 
 type invBuf struct {
@@ -110,10 +114,9 @@ type masterWire struct {
 	// never pushes, which a node may ignore).
 	remote map[nodePage]uint64
 
-	grants   map[int32]*grantBuf
-	pendPush map[int32][]proto.PagePayload
-	order    []int32 // flush order for determinism (map iteration is not)
-	pendInv  map[int32]*invBuf
+	out     []targetBuf // by node id
+	order   []int32     // targets with something in out, in first-touch order
+	pendInv map[int32]*invBuf
 
 	scratch []byte // one page: where a diffed fetch reply is decoded
 
@@ -136,8 +139,7 @@ func newMasterWire(m *master) *masterWire {
 		epoch:    map[uint64]uint64{},
 		snaps:    map[uint64][]wireSnap{},
 		remote:   map[nodePage]uint64{},
-		grants:   map[int32]*grantBuf{},
-		pendPush: map[int32][]proto.PagePayload{},
+		out:      make([]targetBuf, cfg.PhysNodes()),
 		pendInv:  map[int32]*invBuf{},
 		scratch:  make([]byte, cfg.PageSize),
 		stats:    &m.cl.wireStats,
@@ -335,13 +337,8 @@ func (w *masterWire) queueGrant(to int32, page uint64, perm mem.Perm) {
 		}
 		w.remote[nodePage{to, page}] = pl.Ver
 	}
-	g := w.grants[to]
-	if g == nil {
-		g = &grantBuf{}
-		w.grants[to] = g
-		w.touch(to)
-	}
-	g.pls = append(g.pls, pl)
+	w.out[to].grants = append(w.out[to].grants, pl)
+	w.touch(to)
 	if !w.coalesce {
 		w.flushTarget(to)
 	}
@@ -351,7 +348,7 @@ func (w *masterWire) queueGrant(to int32, page uint64, perm mem.Perm) {
 // the receiver is free to ignore them.
 func (w *masterWire) queuePush(to int32, page uint64) {
 	pl := w.buildPayload(to, page, mem.PermRead, true)
-	w.pendPush[to] = append(w.pendPush[to], pl)
+	w.out[to].pushes = append(w.out[to].pushes, pl)
 	w.touch(to)
 	if !w.coalesce {
 		w.flushTarget(to)
@@ -367,44 +364,42 @@ func (w *masterWire) piggyBudget() int { return w.m.cl.cfg.PageSize }
 // any other immediate master->to send so link-FIFO ordering matches the
 // unbuffered protocol (master.sendNow does this).
 func (w *masterWire) flushTarget(to int32) {
-	g := w.grants[to]
-	pushes := w.pendPush[to]
-	if g == nil && len(pushes) == 0 {
+	b := &w.out[to]
+	if len(b.grants) == 0 && len(b.pushes) == 0 {
 		return
 	}
-	delete(w.grants, to)
-	delete(w.pendPush, to)
-	if w.m.cl.done {
-		return
-	}
-	if g != nil {
-		if w.coalesce && len(pushes) > 0 {
-			budget := w.piggyBudget()
-			used := 0
-			var rest []proto.PagePayload
-			for _, pl := range pushes {
-				if used+len(pl.Body) <= budget {
-					used += len(pl.Body)
-					g.pls = append(g.pls, pl)
-					w.stats.PiggyPushes++
-				} else {
-					rest = append(rest, pl)
+	if !w.m.cl.done {
+		pushes := b.pushes
+		if len(b.grants) > 0 {
+			if w.coalesce {
+				budget := w.piggyBudget()
+				used := 0
+				rest := pushes[:0]
+				for _, pl := range pushes {
+					if used+len(pl.Body) <= budget {
+						used += len(pl.Body)
+						b.grants = append(b.grants, pl)
+						w.stats.PiggyPushes++
+					} else {
+						rest = append(rest, pl)
+					}
 				}
+				pushes = rest
 			}
-			pushes = rest
+			w.sendContainer(proto.KPageContent, to, b.grants)
 		}
-		w.sendContainer(proto.KPageContent, to, g.pls)
-	}
-	if len(pushes) == 0 {
-		return
-	}
-	if w.coalesce {
-		w.sendContainer(proto.KPush, to, pushes)
-	} else {
-		for _, pl := range pushes {
-			w.sendContainer(proto.KPush, to, []proto.PagePayload{pl})
+		if w.coalesce && len(pushes) > 0 {
+			w.sendContainer(proto.KPush, to, pushes)
+		} else {
+			for _, pl := range pushes {
+				w.sendContainer(proto.KPush, to, []proto.PagePayload{pl})
+			}
 		}
 	}
+	// What was sent holds the bodies now: drop them here, keep the arrays.
+	clear(b.grants)
+	clear(b.pushes)
+	b.grants, b.pushes = b.grants[:0], b.pushes[:0]
 }
 
 // sendContainer ships payloads under FlagCoh framing, splitting across
@@ -433,11 +428,10 @@ func (w *masterWire) sendContainer(kind proto.Kind, to int32, pls []proto.PagePa
 
 // flushAll runs at the end of every master handle.
 func (w *masterWire) flushAll() {
-	for len(w.order) > 0 {
-		to := w.order[0]
-		w.order = w.order[1:]
+	for _, to := range w.order {
 		w.flushTarget(to)
 	}
+	w.order = w.order[:0]
 }
 
 // ---- invalidation coalescing ----
@@ -542,14 +536,15 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 // data is only good until the next reply: it is the reply's own body, the
 // scratch page, or the home copy.
 func (w *masterWire) materializeFetchReply(from int32, msg *proto.Msg) (data, san []byte, err error) {
-	pls, derr := proto.DecodePayloads(msg.Data)
-	if derr != nil {
+	var pl proto.PagePayload
+	r := proto.ReadPayloads(msg.Data)
+	one := r.Next(&pl)
+	if derr := r.Err(); derr != nil {
 		return nil, nil, derr
 	}
-	if len(pls) != 1 {
-		return nil, nil, fmt.Errorf("core: fetch reply with %d payloads", len(pls))
+	if !one || r.Len() != 1 {
+		return nil, nil, fmt.Errorf("core: fetch reply with %d payloads", r.Len())
 	}
-	pl := pls[0]
 	home := w.m.space.EnsurePage(pl.Page, w.m.space.PermOf(pl.Page))
 	switch pl.Enc {
 	case proto.EncFull:
@@ -668,17 +663,17 @@ func (n *node) materialize(pl *proto.PagePayload) (data []byte, ok bool, err err
 // onCohFrame unpacks a FlagCoh container (KPageContent or KPush): demand
 // grants plus any pushes that rode along.
 func (n *node) onCohFrame(m *proto.Msg) {
-	pls, err := proto.DecodePayloads(m.Data)
-	if err != nil {
-		n.cl.fail(fmt.Errorf("node %d: %v payload container: %w", n.id, m.Kind, err))
-		return
-	}
-	for i := range pls {
-		if pls[i].Push || m.Kind == proto.KPush {
-			n.applyPush(&pls[i])
+	var pl proto.PagePayload
+	r := proto.ReadPayloads(m.Data)
+	for r.Next(&pl) {
+		if pl.Push || m.Kind == proto.KPush {
+			n.applyPush(&pl)
 		} else {
-			n.applyGrant(&pls[i])
+			n.applyGrant(&pl)
 		}
+	}
+	if err := r.Err(); err != nil {
+		n.cl.fail(fmt.Errorf("node %d: %v payload container: %w", n.id, m.Kind, err))
 	}
 }
 

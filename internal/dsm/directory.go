@@ -13,6 +13,7 @@ package dsm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dqemu/internal/mem"
 )
@@ -97,8 +98,8 @@ type entry struct {
 
 	busy       bool
 	acksLeft   int
-	fetchFrom  int     // slave a fetch is outstanding to (0 = none)
-	invPending NodeSet // nodes that owe an invalidation ack
+	fetchFrom  int       // slave a fetch is outstanding to (0 = none)
+	invPending NodeSet   // nodes that owe an invalidation ack
 	grant      *Request  // request waiting for acks/fetch
 	split      bool      // a split transaction is in flight
 	pending    []Request // requests queued while busy
@@ -232,30 +233,38 @@ func (d *Directory) serveWrite(e *entry, r Request) {
 	if e.owner > 0 {
 		// A slave owns the only current copy: revoke and pull it home.
 		e.busy = true
-		e.grant = &r
+		e.stash(r)
 		e.fetchFrom = e.owner
 		d.Stats.Fetches++
 		d.env.SendFetch(e.owner, r.Page, true)
 		return
 	}
 	// Home copy is current (owner is Master or NoOwner with sharers).
-	acks := 0
-	e.sharers.ForEach(func(n int) {
-		if n != r.Node && n != Master {
-			d.Stats.Invalidates++
-			e.invPending = e.invPending.Add(n)
-			d.env.SendInvalidate(n, r.Page)
-			acks++
-		}
-	})
-	if acks > 0 {
+	if acks := d.invalidateSharers(e, r.Page, r.Node); acks > 0 {
 		e.busy = true
 		e.acksLeft = acks
-		e.grant = &r
+		e.stash(r)
 		return
 	}
 	d.grantWrite(e, r)
 }
+
+// invalidateSharers sends an invalidation to every sharer of page but the
+// master and except, and returns how many acks are now owed.
+func (d *Directory) invalidateSharers(e *entry, page uint64, except int) (acks int) {
+	for s := e.sharers.Remove(Master).Remove(except); s != 0; s &= s - 1 {
+		n := bits.TrailingZeros64(uint64(s))
+		d.Stats.Invalidates++
+		e.invPending = e.invPending.Add(n)
+		d.env.SendInvalidate(n, page)
+		acks++
+	}
+	return acks
+}
+
+// stash parks r on the busy entry until its acks or fetch reply arrive. Only
+// here does a request reach the heap: serveRead/serveWrite take it by value.
+func (e *entry) stash(r Request) { e.grant = &r }
 
 func (d *Directory) serveRead(e *entry, r Request) {
 	if e.owner == r.Node && r.Node != Master {
@@ -273,7 +282,7 @@ func (d *Directory) serveRead(e *entry, r Request) {
 	if e.owner > 0 && e.owner != r.Node {
 		// Downgrade the owner: it keeps a Shared copy and sends data home.
 		e.busy = true
-		e.grant = &r
+		e.stash(r)
 		e.fetchFrom = e.owner
 		d.Stats.Fetches++
 		d.env.SendFetch(e.owner, r.Page, false)
@@ -420,16 +429,7 @@ func (d *Directory) beginSplit(page uint64, e *entry) {
 		d.env.SendFetch(e.owner, page, true)
 		return
 	}
-	acks := 0
-	e.sharers.ForEach(func(n int) {
-		if n != Master {
-			d.Stats.Invalidates++
-			e.invPending = e.invPending.Add(n)
-			d.env.SendInvalidate(n, page)
-			acks++
-		}
-	})
-	if acks > 0 {
+	if acks := d.invalidateSharers(e, page, Master); acks > 0 {
 		e.acksLeft = acks
 		return
 	}

@@ -129,13 +129,16 @@ type loop struct {
 	quit chan struct{}
 
 	out func(*proto.Msg) error // puts a frame on its connection
+	// deliverLocal hands a frame this node sent itself to the cluster; made
+	// once, it is the handler of the timer event that carries the frame.
+	deliverLocal func(any)
 	// inj, on a master running a fault plan, decides the fate of every frame
 	// that crosses a socket in either direction; nil elsewhere.
 	inj *netsim.Injector
 }
 
 func newLoop(id int, cancel <-chan struct{}) *loop {
-	return &loop{
+	l := &loop{
 		id:     id,
 		timers: sim.NewKernel(),
 		start:  time.Now(),
@@ -143,6 +146,8 @@ func newLoop(id int, cancel <-chan struct{}) *loop {
 		inbox:  make(chan *proto.Msg, 1024),
 		quit:   make(chan struct{}),
 	}
+	l.deliverLocal = func(m any) { l.cl.Deliver(m.(*proto.Msg)) }
+	return l
 }
 
 // ---- core.Runtime ----
@@ -155,7 +160,7 @@ func (l *loop) Ran(_ int64, fn func()) { l.After(0, fn) }
 
 func (l *loop) Send(m *proto.Msg) {
 	if int(m.To) == l.id {
-		l.After(0, func() { l.cl.Deliver(m) })
+		l.timers.PostArgAt(l.Now(), l.deliverLocal, m)
 		return
 	}
 	l.inject(m, l.transmit)

@@ -96,9 +96,13 @@ type Network struct {
 	// rxFreeAt serializes receive processing per (receiver, sender) link:
 	// the master runs one manager thread per slave (§4), so requests from
 	// different slaves are handled concurrently while messages from the
-	// same peer are handled in order.
-	rxFreeAt map[[2]int32]int64
-	Stats    Stats
+	// same peer are handled in order. Indexed to*len(handlers)+from.
+	rxFreeAt []int64
+	// onReceive and onDeliver are the two event handlers of a message in
+	// flight, made once: the message is the event's argument (sim.PostArgAt),
+	// so a hop allocates nothing.
+	onReceive, onDeliver func(any)
+	Stats                Stats
 	// fault, when set via SetFaults, injects seeded drop/dup/jitter/reorder
 	// and node stall/crash events into every inter-node message.
 	fault *Injector
@@ -109,13 +113,16 @@ func New(k *sim.Kernel, cfg Config, n int) *Network {
 	if cfg.BandwidthBps <= 0 {
 		panic("netsim: bandwidth must be positive")
 	}
-	return &Network{
+	nw := &Network{
 		k:        k,
 		cfg:      cfg,
 		handlers: make([]Handler, n),
 		txFreeAt: make([]int64, n),
-		rxFreeAt: map[[2]int32]int64{},
+		rxFreeAt: make([]int64, n*n),
 	}
+	nw.onReceive = func(m any) { nw.receive(m.(*proto.Msg)) }
+	nw.onDeliver = func(m any) { nw.deliver(m.(*proto.Msg)) }
+	return nw
 }
 
 // Register installs the message handler for a node.
@@ -155,7 +162,7 @@ func (nw *Network) Send(m *proto.Msg) {
 	}
 	nw.Stats.count(m)
 	if m.From == m.To {
-		nw.k.Post(nw.cfg.LocalNs, func() { nw.deliver(m) })
+		nw.k.PostArgAt(nw.k.Now()+nw.cfg.LocalNs, nw.onDeliver, m)
 		return
 	}
 	if nw.fault == nil {
@@ -187,7 +194,24 @@ func (nw *Network) transmit(m *proto.Msg, extraNs int64) {
 	nw.txFreeAt[m.From] = txDone
 	nw.Stats.BusyTxNs += txTime
 
-	arrive := txDone + nw.cfg.LatencyNs + extraNs
+	nw.k.PostArgAt(txDone+nw.cfg.LatencyNs+extraNs, nw.onReceive, m)
+}
+
+// receive runs at arrival time: it applies receiver-side fault checks
+// (crash, stall windows) and then queues the message behind the link's
+// helper-thread processing.
+func (nw *Network) receive(m *proto.Msg) {
+	now := nw.k.Now()
+	if nw.fault != nil {
+		hold, lost := nw.fault.Arrive(m.To, now)
+		if lost {
+			return
+		}
+		if hold > 0 {
+			nw.k.PostArgAt(hold, nw.onReceive, m)
+			return
+		}
+	}
 	proc := nw.cfg.ProcNs
 	switch m.Kind {
 	case proto.KPush, proto.KRemap, proto.KThreadStart:
@@ -198,30 +222,11 @@ func (nw *Network) transmit(m *proto.Msg, extraNs int64) {
 		// Acks are cheap bookkeeping, not fault-path protocol work.
 		proc = nw.cfg.StreamProcNs
 	}
-	nw.k.PostAt(arrive, func() { nw.receive(m, proc) })
-}
-
-// receive runs at arrival time: it applies receiver-side fault checks
-// (crash, stall windows) and then queues the message behind the link's
-// helper-thread processing.
-func (nw *Network) receive(m *proto.Msg, proc int64) {
-	now := nw.k.Now()
-	if nw.fault != nil {
-		hold, lost := nw.fault.Arrive(m.To, now)
-		if lost {
-			return
-		}
-		if hold > 0 {
-			nw.k.PostAt(hold, func() { nw.receive(m, proc) })
-			return
-		}
-	}
 	// The helper thread for this link serializes its message handling.
-	link := [2]int32{m.To, m.From}
-	start := max64(now, nw.rxFreeAt[link])
-	done := start + proc
+	link := int(m.To)*len(nw.handlers) + int(m.From)
+	done := max64(now, nw.rxFreeAt[link]) + proc
 	nw.rxFreeAt[link] = done
-	nw.k.PostAt(done, func() { nw.deliver(m) })
+	nw.k.PostArgAt(done, nw.onDeliver, m)
 }
 
 func (nw *Network) deliver(m *proto.Msg) {

@@ -271,3 +271,30 @@ func TestFaultDuplicateOverflowKind(t *testing.T) {
 			nw.Stats.ByKind[OverflowKind])
 	}
 }
+
+// TestAllocPerMessageHop: carrying a message from Send to its handler costs
+// no heap object beyond the caller's Msg — the two events of an inter-node
+// message (arrival, end of receive processing) and the one of a local message
+// take the message as their argument and a handler made once in New. Each
+// used to be a closure.
+func TestAllocPerMessageHop(t *testing.T) {
+	k := sim.NewKernel()
+	nw := New(k, DefaultConfig(), 2)
+	delivered := 0
+	for id := 0; id < 2; id++ {
+		nw.Register(id, func(*proto.Msg) { delivered++ })
+	}
+	remote := &proto.Msg{Kind: proto.KPageReq, From: 1, To: 0, Page: 7}
+	local := &proto.Msg{Kind: proto.KPageReq, From: 0, To: 0, Page: 7}
+	got := testing.AllocsPerRun(1000, func() {
+		nw.Send(remote)
+		nw.Send(local)
+		k.Run()
+	})
+	if delivered != 2*1001 {
+		t.Fatalf("%d messages delivered, want %d", delivered, 2*1001)
+	}
+	if got != 0 {
+		t.Errorf("send→deliver of two messages allocates %v objects, want 0", got)
+	}
+}

@@ -78,12 +78,22 @@ type PagePayload struct {
 	San []byte
 }
 
-// EncodePayloads serializes a payload container for Msg.Data.
+// payloadFixed is the encoded size of a payload without its Body and San:
+// three versions, Enc/Perm/Push, two length words.
+const payloadFixed = 35
+
+// EncodePayloads serializes a payload container for Msg.Data into one buffer
+// of exactly the container's size.
 func EncodePayloads(ps []PagePayload) []byte {
 	checkBatchLen("payload batch", len(ps))
-	var buf []byte
+	size := 2
+	for i := range ps {
+		size += payloadFixed + len(ps[i].Body) + len(ps[i].San)
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ps)))
-	for _, p := range ps {
+	for i := range ps {
+		p := &ps[i]
 		buf = binary.LittleEndian.AppendUint64(buf, p.Page)
 		buf = binary.LittleEndian.AppendUint64(buf, p.Ver)
 		buf = binary.LittleEndian.AppendUint64(buf, p.BaseVer)
@@ -100,33 +110,64 @@ func EncodePayloads(ps []PagePayload) []byte {
 	return buf
 }
 
-// DecodePayloads parses a container produced by EncodePayloads.
-func DecodePayloads(b []byte) ([]PagePayload, error) {
-	r := &reader{buf: b}
-	n := int(r.u16())
-	if n > MaxBatchEntries {
-		return nil, fmt.Errorf("proto: absurd payload count %d", n)
+// PayloadReader walks a container produced by EncodePayloads one payload at
+// a time, by value: for r.Next(&pl) { ... }; then r.Err(). Every Body and San
+// it yields is a view of the container, never a copy — the container (a
+// decoded frame's Data or, under the simulator, the sender's own encoding)
+// is immutable, and whoever installs a payload copies it out.
+type PayloadReader struct {
+	r    reader
+	n    int // payloads the container announces
+	left int
+	err  error
+}
+
+// ReadPayloads starts reading the container b.
+func ReadPayloads(b []byte) PayloadReader {
+	pr := PayloadReader{r: reader{buf: b}}
+	pr.n = int(pr.r.u16())
+	if pr.n > MaxBatchEntries {
+		pr.err = fmt.Errorf("proto: absurd payload count %d", pr.n)
+		return pr
 	}
-	ps := make([]PagePayload, 0, n)
-	for i := 0; i < n; i++ {
-		var p PagePayload
-		p.Page = r.u64()
-		p.Ver = r.u64()
-		p.BaseVer = r.u64()
-		p.Enc = r.u8()
-		p.Perm = r.u8()
-		p.Push = r.u8() != 0
-		p.Body = r.blob()
-		p.San = r.blob()
-		ps = append(ps, p)
+	pr.left = pr.n
+	return pr
+}
+
+// Len is the number of payloads the container announces.
+func (pr *PayloadReader) Len() int { return pr.n }
+
+// Next decodes the next payload into pl and reports whether there was one;
+// it stops for good at the first payload the container ends inside of.
+func (pr *PayloadReader) Next(pl *PagePayload) bool {
+	if pr.left == 0 || pr.err != nil || pr.r.err != nil {
+		return false
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("proto: decode payloads: %w", r.err)
+	pr.left--
+	r := &pr.r
+	pl.Page = r.u64()
+	pl.Ver = r.u64()
+	pl.BaseVer = r.u64()
+	pl.Enc = r.u8()
+	pl.Perm = r.u8()
+	pl.Push = r.u8() != 0
+	pl.Body = r.blob()
+	pl.San = r.blob()
+	return r.err == nil
+}
+
+// Err is what stopped Next short of Len payloads or, once all of them were
+// read, the container's trailing bytes; nil for a well-formed container.
+func (pr *PayloadReader) Err() error {
+	switch {
+	case pr.err != nil:
+		return pr.err
+	case pr.r.err != nil:
+		return fmt.Errorf("proto: decode payloads: %w", pr.r.err)
+	case pr.left == 0 && pr.r.off != len(pr.r.buf):
+		return fmt.Errorf("proto: %d trailing bytes after payloads", len(pr.r.buf)-pr.r.off)
 	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("proto: %d trailing bytes after payloads", len(b)-r.off)
-	}
-	return ps, nil
+	return nil
 }
 
 // RemapEntry is a page-splitting remap riding in a KInvBatch: nodes whose

@@ -262,7 +262,7 @@ func TestPayloadContainerRoundtrip(t *testing.T) {
 		{Page: 0x41, Ver: 3, Enc: EncSame, Perm: 1, Push: true, San: []byte{9, 9}},
 		{Page: 0x42, Ver: 1, Enc: EncFull, Body: bytes.Repeat([]byte{0xaa}, 128)},
 	}
-	got, err := DecodePayloads(EncodePayloads(pls))
+	got, err := decodePayloads(EncodePayloads(pls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestPayloadContainerRoundtrip(t *testing.T) {
 			t.Errorf("payload %d mismatch: %+v vs %+v", i, a, b)
 		}
 	}
-	if _, err := DecodePayloads(append(EncodePayloads(pls), 0)); err == nil {
+	if _, err := decodePayloads(append(EncodePayloads(pls), 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
 }
@@ -326,7 +326,7 @@ func TestBatchCountLimits(t *testing.T) {
 	// A count field just past the bound must be rejected as absurd, not
 	// misparsed into a huge allocation or a trailing-bytes error.
 	hdr := binary.LittleEndian.AppendUint16(nil, uint16(over))
-	if _, err := DecodePayloads(hdr); err == nil || !strings.Contains(err.Error(), "absurd") {
+	if _, err := decodePayloads(hdr); err == nil || !strings.Contains(err.Error(), "absurd") {
 		t.Errorf("payload count %d: got %v, want absurd-count error", over, err)
 	}
 	if _, _, err := DecodeInvBatch(hdr); err == nil || !strings.Contains(err.Error(), "absurd") {

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"reflect"
 	"testing"
 )
@@ -13,6 +14,8 @@ import (
 //  2. Anything Decode accepts re-encodes to a frame that decodes to the
 //     identical message (encode∘decode is a fixpoint), so a message relayed
 //     through a node is preserved bit-exactly.
+//  3. What Decode returns is views of the input, which it did not write; the
+//     same holds for the payloads of whatever container the bytes make.
 func FuzzDecode(f *testing.F) {
 	seeds := []*Msg{
 		{Kind: KPageReq, From: 2, To: 0, Page: 0x123, Addr: 0x123456, Write: true, TID: 7},
@@ -29,10 +32,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		before := sha256.Sum256(data)
+		checkPayloadViews(t, data)
 		m, err := Decode(data)
 		if err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
+		checkMsgViews(t, m, data, before)
 		frame := m.Encode()
 		m2, err := Decode(frame[4:])
 		if err != nil {
@@ -55,6 +61,8 @@ func FuzzDecode(f *testing.F) {
 //     not corrupt the page.
 //  4. EncodeDelta agrees byte for byte, and on ok, with the byte-wise
 //     reference encoder, for pages of any shape and at every limit.
+//  5. A delta that travelled in a container is read back as a view of it,
+//     byte for byte, and reading the container writes nothing.
 func FuzzDeltaCodec(f *testing.F) {
 	page := func(seed []byte, n int) []byte {
 		b := make([]byte, n)
@@ -95,6 +103,13 @@ func FuzzDeltaCodec(f *testing.F) {
 			if !bytes.Equal(got, cur) {
 				t.Fatal("RLE roundtrip != full-page copy")
 			}
+		}
+
+		c := EncodePayloads([]PagePayload{{Page: 1, Enc: EncDelta, Body: delta, San: seed}})
+		pls, err := decodePayloads(c)
+		if n, verr := checkPayloadViews(t, c); err != nil || verr != nil || n != 1 ||
+			!bytes.Equal(pls[0].Body, delta) || !bytes.Equal(pls[0].San, seed) {
+			t.Fatalf("container roundtrip: %d payloads, err %v / %v", n, err, verr)
 		}
 
 		// The fuzzer's bytes as pages of any length (refused unless a whole

@@ -94,12 +94,12 @@ type Msg struct {
 	// Seq is the per-link sequence number stamped by the reliable transport
 	// (netsim.Reliable, its only owner; 0 = unsequenced). On a KAck it is
 	// the highest sequence number delivered in order.
-	Seq     uint64
-	TID     int64
-	Page    uint64
-	Addr    uint64
-	Write   bool
-	Perm    uint8
+	Seq   uint64
+	TID   int64
+	Page  uint64
+	Addr  uint64
+	Write bool
+	Perm  uint8
 	// Flags carries wire-layer framing bits (FlagCoh, FlagFullResend).
 	Flags uint8
 	// Ver is a per-page directory version: on KPageReq the requester's twin
@@ -147,9 +147,15 @@ func (m *Msg) PayloadSize() int {
 	return len(m.Data) + len(m.CPU) + 8*len(m.Shadows) + len(m.San)
 }
 
-// Encode serialises the message (length-prefixed frame).
+// frameFixed is the encoded size of a message that carries nothing variable:
+// the 4-byte length prefix, every fixed-width field, and the four length
+// words of Shadows, Data, CPU and San.
+const frameFixed = 136
+
+// Encode serialises the message (length-prefixed frame) into one buffer of
+// exactly the frame's size.
 func (m *Msg) Encode() []byte {
-	buf := make([]byte, 4, 128+len(m.Data)+len(m.CPU))
+	buf := make([]byte, 4, frameFixed+m.PayloadSize())
 	buf = append(buf, byte(m.Kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.From))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.To))
@@ -183,7 +189,9 @@ func (m *Msg) Encode() []byte {
 }
 
 // Decode parses a frame produced by Encode (without consuming the length
-// prefix, which the transport strips). It returns the message.
+// prefix, which the transport strips). The message's Data, CPU and San are
+// views of buf, not copies: buf belongs to the message from here on, and
+// nobody — caller, message holder or consumer — may write it (wire.go).
 func Decode(buf []byte) (*Msg, error) {
 	r := &reader{buf: buf}
 	m := &Msg{}
@@ -207,9 +215,11 @@ func Decode(buf []byte) (*Msg, error) {
 		if n > 1<<20 {
 			return nil, fmt.Errorf("proto: absurd shadow count %d", n)
 		}
-		m.Shadows = make([]uint64, n)
-		for i := range m.Shadows {
-			m.Shadows[i] = r.u64()
+		if b := r.take(8 * n); b != nil {
+			m.Shadows = make([]uint64, n)
+			for i := range m.Shadows {
+				m.Shadows[i] = binary.LittleEndian.Uint64(b[8*i:])
+			}
 		}
 	}
 	m.Data = r.blob()
@@ -227,23 +237,39 @@ type reader struct {
 	err error
 }
 
+// take returns the next n bytes of the frame as a view (capacity clipped, so
+// an append by a holder cannot reach the bytes behind it), or nil (and sets
+// err) when the frame ends first: a truncated frame allocates nothing it
+// claims to carry.
 func (r *reader) take(n int) []byte {
 	if r.err != nil || r.off+n > len(r.buf) {
 		if r.err == nil {
 			r.err = fmt.Errorf("truncated at %d (+%d of %d)", r.off, n, len(r.buf))
 		}
-		return make([]byte, n)
+		return nil
 	}
-	b := r.buf[r.off : r.off+n]
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
 
-func (r *reader) u8() byte    { return r.take(1)[0] }
-func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.take(2)) }
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+// zeros is what a fixed-width read past the end of the frame decodes.
+var zeros [8]byte
 
+func (r *reader) fixed(n int) []byte {
+	if b := r.take(n); b != nil {
+		return b
+	}
+	return zeros[:n]
+}
+
+func (r *reader) u8() byte    { return r.fixed(1)[0] }
+func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
+
+// blob reads a length-prefixed byte string as a view of the frame, which is
+// immutable, so the view is as good as a copy.
 func (r *reader) blob() []byte {
 	n := int(r.u32())
 	if r.err != nil || n == 0 {
@@ -253,5 +279,5 @@ func (r *reader) blob() []byte {
 		r.err = fmt.Errorf("absurd blob size %d", n)
 		return nil
 	}
-	return append([]byte(nil), r.take(n)...)
+	return r.take(n)
 }

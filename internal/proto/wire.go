@@ -16,7 +16,9 @@ func WriteMsg(w io.Writer, m *Msg) error {
 	return err
 }
 
-// ReadMsg reads one length-prefixed frame.
+// ReadMsg reads one length-prefixed frame into a buffer of its own, which the
+// returned message's Data, CPU and San are views of (Decode): two messages
+// read from one stream share no memory.
 func ReadMsg(r io.Reader) (*Msg, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

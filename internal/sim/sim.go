@@ -14,11 +14,18 @@ type Kernel struct {
 	stopped bool
 }
 
+// An event is a handler and the word it is called with. A func() posted
+// through Post/PostAt is the argument of callFunc; neither a func value nor a
+// pointer allocates when stored in an interface, so posting costs no heap
+// object as long as the handler itself was made beforehand.
 type event struct {
 	at  int64
 	seq uint64
-	fn  func()
+	fn  func(any)
+	arg any
 }
+
+func callFunc(fn any) { fn.(func())() }
 
 // before is the firing order: time, then posting order.
 func (e *event) before(o *event) bool {
@@ -49,7 +56,7 @@ func (k *Kernel) pop() event {
 	top := q[0]
 	last := len(q) - 1
 	q[0] = q[last]
-	q[last] = event{} // release the popped slot's fn
+	q[last] = event{} // release the popped slot's fn and arg
 	q = q[:last]
 	for i := 0; ; {
 		least := i
@@ -87,12 +94,17 @@ func (k *Kernel) Post(delay int64, fn func()) {
 }
 
 // PostAt schedules fn at absolute time t (clamped to now).
-func (k *Kernel) PostAt(t int64, fn func()) {
+func (k *Kernel) PostAt(t int64, fn func()) { k.PostArgAt(t, callFunc, fn) }
+
+// PostArgAt schedules fn(arg) at absolute time t (clamped to now), in the same
+// (time, posting order) sequence as every other post. A caller that makes fn
+// once and passes what varies as arg (a pointer) posts without allocating.
+func (k *Kernel) PostArgAt(t int64, fn func(any), arg any) {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
-	k.push(event{at: t, seq: k.seq, fn: fn})
+	k.push(event{at: t, seq: k.seq, fn: fn, arg: arg})
 }
 
 // Pending returns the number of queued events.
@@ -111,7 +123,7 @@ func (k *Kernel) Step() bool {
 	}
 	e := k.pop()
 	k.now = e.at
-	e.fn()
+	e.fn(e.arg)
 	return true
 }
 

@@ -157,7 +157,9 @@ func (h *refHeap) Pop() interface{} {
 
 // TestOrderMatchesContainerHeap replays a seeded schedule — bursts of posts,
 // many at the same instant, interleaved with steps — on the kernel and on the
-// reference queue, and wants the same event out of both at every step.
+// reference queue, and wants the same event out of both at every step. Plain
+// func() posts and argument-carrying ones are mixed at random: they share one
+// (time, posting order) sequence.
 func TestOrderMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	k := NewKernel()
@@ -165,11 +167,18 @@ func TestOrderMatchesContainerHeap(t *testing.T) {
 	var now int64
 	var seq uint64
 	fired := -1
+	fireArg := func(id any) { fired = *id.(*int) }
+	argPosts := 0
 	for round := 0; round < 2000; round++ {
 		for n := rng.Intn(8); n > 0; n-- {
 			delay := int64(rng.Intn(4)) * 10 // four instants: ties are the rule
 			id := int(seq)
-			k.Post(delay, func() { fired = id })
+			if rng.Intn(2) == 0 {
+				k.Post(delay, func() { fired = id })
+			} else {
+				k.PostArgAt(now+delay, fireArg, &id)
+				argPosts++
+			}
 			seq++
 			heap.Push(&ref, event{at: now + delay, seq: seq})
 		}
@@ -189,6 +198,9 @@ func TestOrderMatchesContainerHeap(t *testing.T) {
 	if k.Pending() != ref.Len() {
 		t.Fatalf("%d events pending, reference has %d", k.Pending(), ref.Len())
 	}
+	if argPosts < int(seq)/4 || argPosts > int(seq)*3/4 {
+		t.Fatalf("%d of %d posts carried an argument: not a mix", argPosts, seq)
+	}
 }
 
 // TestPopReleasesClosure: a fired event's closure must not stay reachable
@@ -197,11 +209,12 @@ func TestPopReleasesClosure(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 4; i++ {
 		k.Post(int64(i), func() {})
+		k.PostArgAt(int64(i), func(any) {}, new(int))
 	}
 	k.Run()
 	for i, e := range k.queue[:cap(k.queue)] {
-		if e.fn != nil {
-			t.Errorf("slot %d still holds a closure after the queue drained", i)
+		if e.fn != nil || e.arg != nil {
+			t.Errorf("slot %d still holds a closure or its argument after the queue drained", i)
 		}
 	}
 }
@@ -215,5 +228,11 @@ func TestPostStepDoesNotAllocate(t *testing.T) {
 	i := 0
 	if n := testing.AllocsPerRun(2000, func() { k.Post(int64(1+i&1023), nop); k.Step(); i++ }); n != 0 {
 		t.Errorf("Post+Step at depth 1024 allocates %v times per round, want 0", n)
+	}
+	// The same with a handler made once and a pointer for what varies.
+	hits := 0
+	count := func(p any) { *p.(*int)++ }
+	if n := testing.AllocsPerRun(2000, func() { k.PostArgAt(k.Now()+int64(1+i&1023), count, &hits); k.Step(); i++ }); n != 0 {
+		t.Errorf("PostArgAt+Step at depth 1024 allocates %v times per round, want 0", n)
 	}
 }
