@@ -1,8 +1,13 @@
-// Package asm implements a two-pass assembler for the GA64 guest ISA. It
-// plays the role of the cross-toolchain the paper uses to produce statically
-// linked ARM binaries (§6.1): guest programs — hand-written runtime code and
-// mini-C compiler output — are assembled and linked into a single
-// image.Image.
+// Package asm implements the assembler for the GA64 guest ISA. It plays the
+// role of the cross-toolchain the paper uses to produce statically linked
+// ARM binaries (§6.1): guest programs — hand-written runtime code and mini-C
+// compiler output — are assembled and linked into a single image.Image.
+//
+// It is one pass plus fixups. A line whose operands are registers and
+// literals is encoded into its section's buffer as it is parsed; an operand
+// that names a symbol leaves a fixup, resolved once every section has its
+// base address. Prepare freezes the state after a list of sources, so text
+// that never changes (the guest runtime) is parsed once per process.
 //
 // Syntax summary:
 //
@@ -24,9 +29,10 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -47,135 +53,192 @@ type Options struct {
 	TextBase uint64
 }
 
+// Prefix is the assembler's state after a list of sources: section bytes,
+// cursors, labels, equates, numeric labels and the fixups still pending.
+// It is immutable — Assemble works on a copy — so one Prefix may be shared
+// by any number of goroutines. The zero Prefix is the empty one.
+type Prefix struct{ a assembler }
+
+// Prepare assembles sources up to, but not including, the link: what
+// (*Prefix).Assemble adds is treated exactly as if it had followed them in
+// one Assemble call.
+func Prepare(opts Options, sources ...Source) (*Prefix, error) {
+	a := (&Prefix{a: assembler{opts: opts}}).fork(sources)
+	if err := a.parse(sources); err != nil {
+		return nil, err
+	}
+	// Clip what a fork shares with the prefix, so its appends reallocate.
+	a.fixups = a.fixups[:len(a.fixups):len(a.fixups)]
+	for name, list := range a.numeric {
+		a.numeric[name] = list[:len(list):len(list)]
+	}
+	return &Prefix{a: *a}, nil
+}
+
+// Assemble assembles more after the prefix's sources and links everything
+// into a guest image.
+func (p *Prefix) Assemble(more ...Source) (*image.Image, error) {
+	a := p.fork(more)
+	if err := a.parse(more); err != nil {
+		return nil, err
+	}
+	return a.link()
+}
+
 // Assemble assembles and links the sources into a guest image.
 func Assemble(sources ...Source) (*image.Image, error) {
-	return AssembleOptions(Options{}, sources...)
+	return (&Prefix{}).Assemble(sources...)
 }
 
 // AssembleOptions is Assemble with explicit options.
 func AssembleOptions(opts Options, sources ...Source) (*image.Image, error) {
-	if opts.TextBase == 0 {
-		opts.TextBase = image.DefaultTextBase
-	}
-	a := newAssembler(opts)
-	for _, src := range sources {
-		a.pass1(src)
-	}
-	if len(a.errs) > 0 {
-		return nil, a.errs[0]
-	}
-	a.layout()
-	im, err := a.pass2()
-	if err != nil {
-		return nil, err
-	}
-	return im, nil
+	return (&Prefix{a: assembler{opts: opts}}).Assemble(sources...)
 }
 
+// The sections, in layout order. Only .bss holds no bytes.
+const (
+	secText = iota
+	secRodata
+	secData
+	secBss
+	numSections
+)
+
+var sectionNames = [numSections]string{"text", "rodata", "data", "bss"}
+
 type section struct {
-	name     string
-	writable bool
-	noData   bool // .bss: reserves space only
-	cursor   uint64
-	base     uint64
-	buf      []byte
+	cursor uint64
+	base   uint64
+	buf    []byte // len(buf) == cursor, except in .bss, which has none
 }
 
 type symPos struct {
-	sec *section
+	sec int
 	off uint64
 }
 
 type numPos struct {
 	order int
-	sec   *section
-	off   uint64
+	symPos
 }
 
-type item struct {
-	src    string
-	line   int
-	sec    *section
-	off    uint64
-	size   uint64
-	order  int
-	encode func(pc uint64) ([]byte, error)
+// A fixup is a value that could not be encoded when its line was parsed,
+// because the expression names a symbol (or failed, and the failure is a
+// link-time diagnostic). Fixups are resolved in source order.
+type fixup struct {
+	form  byte   // an operand kind of instr.go, a data width, or fixErr
+	expr  string // the expression; for fixErr, the diagnostic
+	ins   isa.Instruction
+	at    symPos
+	order int // position among the numeric labels, for "1b"/"1f"
+	file  string
+	line  int
 }
+
+const bssHoldsData = ".bss cannot hold data"
+
+// fixErr is the form of a diagnostic that is known at parse time but
+// belongs to link time (data in .bss, a misaligned text pad): it ranks after
+// every parse error, in source order among the fixups.
+const fixErr = 'e'
 
 type assembler struct {
-	opts     Options
-	sections []*section
-	byName   map[string]*section
-	cur      *section
-	items    []*item
-	labels   map[string]symPos
-	equates  map[string]int64
-	numeric  map[string][]numPos
-	order    int
-	errs     []error
+	opts    Options
+	secs    [numSections]section
+	cur     int
+	labels  map[string]symPos
+	equates map[string]int64
+	numeric map[string][]numPos
+	fixups  []fixup
+	order   int
+	err     error // the first parse error
 
 	// Current source position, for diagnostics.
 	file string
 	line int
 }
 
-func newAssembler(opts Options) *assembler {
-	text := &section{name: "text"}
-	rodata := &section{name: "rodata"}
-	data := &section{name: "data", writable: true}
-	bss := &section{name: "bss", writable: true, noData: true}
-	a := &assembler{
-		opts:     opts,
-		sections: []*section{text, rodata, data, bss},
-		byName:   map[string]*section{"text": text, "rodata": rodata, "data": data, "bss": bss},
-		labels:   map[string]symPos{},
-		equates:  map[string]int64{},
-		numeric:  map[string][]numPos{},
+// fork returns a private copy of the prefix's state with room for more.
+// Fixups and numeric-label lists are shared: nothing writes to them and
+// Prepare clipped their capacity.
+func (p *Prefix) fork(more []Source) *assembler {
+	a := p.a
+	if a.opts.TextBase == 0 {
+		a.opts.TextBase = image.DefaultTextBase
 	}
-	a.cur = text
-	return a
+	n := 0
+	for _, src := range more {
+		n += len(src.Text)
+	}
+	for i := range a.secs[:secBss] {
+		room := 0
+		if i == secText {
+			room = n / 4 // a line of mini-C output is ≈16 bytes for a 4-byte instruction
+		}
+		a.secs[i].buf = append(make([]byte, 0, len(a.secs[i].buf)+room), a.secs[i].buf...)
+	}
+	a.labels = cloneMap(a.labels)
+	a.equates = cloneMap(a.equates)
+	a.numeric = cloneMap(a.numeric)
+	return &a
+}
+
+func cloneMap[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil {
+		return M{}
+	}
+	return maps.Clone(m)
 }
 
 func (a *assembler) errorf(format string, args ...interface{}) {
-	a.errs = append(a.errs, fmt.Errorf("%s:%d: %s", a.file, a.line, fmt.Sprintf(format, args...)))
+	if a.err == nil {
+		a.err = fmt.Errorf("%s:%d: %s", a.file, a.line, fmt.Sprintf(format, args...))
+	}
 }
 
-// pass1 parses one source file, defining labels and laying out item sizes.
+// parse assembles the sources into the sections, up to the first error.
 // Every file starts in .text, as with separately assembled objects.
-func (a *assembler) pass1(src Source) {
-	a.file = src.Name
-	a.cur = a.byName["text"]
-	for i, raw := range strings.Split(src.Text, "\n") {
-		a.line = i + 1
-		line := stripComment(raw)
-		// Peel off leading labels.
-		for {
-			line = strings.TrimSpace(line)
-			colon := labelColon(line)
-			if colon < 0 {
-				break
-			}
-			a.defineLabel(strings.TrimSpace(line[:colon]))
-			line = line[colon+1:]
+func (a *assembler) parse(sources []Source) error {
+	for _, src := range sources {
+		a.file, a.line, a.cur = src.Name, 0, secText
+		for text, more := src.Text, true; more && a.err == nil; {
+			var raw string
+			raw, text, more = strings.Cut(text, "\n")
+			a.line++
+			a.parseLine(stripComment(raw))
 		}
-		if line == "" {
-			continue
+	}
+	return a.err
+}
+
+func (a *assembler) parseLine(line string) {
+	// Peel off leading labels.
+	for {
+		line = strings.TrimSpace(line)
+		colon := labelColon(line)
+		if colon < 0 {
+			break
 		}
-		if line[0] == '.' && !strings.HasPrefix(line, ".L") {
-			a.directive(line)
-			continue
-		}
+		a.defineLabel(strings.TrimSpace(line[:colon]))
+		line = line[colon+1:]
+	}
+	switch {
+	case line == "":
+	case line[0] == '.' && !strings.HasPrefix(line, ".L"):
+		a.directive(line)
+	default:
 		a.instruction(line)
 	}
 }
 
 func (a *assembler) defineLabel(name string) {
+	here := symPos{sec: a.cur, off: a.secs[a.cur].cursor}
 	if name == "" {
 		a.errorf("empty label")
 		return
 	}
 	if isNumericLabel(name) {
-		a.numeric[name] = append(a.numeric[name], numPos{order: a.order, sec: a.cur, off: a.cur.cursor})
+		a.numeric[name] = append(a.numeric[name], numPos{order: a.order, symPos: here})
 		a.order++
 		return
 	}
@@ -191,23 +254,76 @@ func (a *assembler) defineLabel(name string) {
 		a.errorf("label %q conflicts with .equ", name)
 		return
 	}
-	a.labels[name] = symPos{sec: a.cur, off: a.cur.cursor}
+	a.labels[name] = here
 }
 
-// addItem records an item of the given size at the current cursor.
-func (a *assembler) addItem(size uint64, encode func(pc uint64) ([]byte, error)) *item {
-	it := &item{src: a.file, line: a.line, sec: a.cur, off: a.cur.cursor, size: size, order: a.order, encode: encode}
+// emit appends bytes at the cursor. .bss holds none: it only checks that
+// none would be needed.
+func (a *assembler) emit(b []byte) {
+	sec := &a.secs[a.cur]
+	if a.cur != secBss {
+		sec.buf = append(sec.buf, b...)
+	} else if !allZero(b) {
+		a.deferError(bssHoldsData)
+	}
+	sec.cursor += uint64(len(b))
+}
+
+// reserve advances the cursor over n fill bytes.
+func (a *assembler) reserve(n uint64, fill byte) {
+	sec := &a.secs[a.cur]
+	if a.cur != secBss {
+		sec.buf = append(sec.buf, make([]byte, n)...)
+		if fill != 0 {
+			tail := sec.buf[sec.cursor:]
+			for i := range tail {
+				tail[i] = fill
+			}
+		}
+	} else if fill != 0 && n > 0 {
+		a.deferError(bssHoldsData)
+	}
+	sec.cursor += n
+}
+
+// fits reports whether n more bytes keep the image within
+// image.MaxMemBytes. Only .space and .align can ask for more bytes than
+// their line is long, so only they check before anything is allocated.
+func (a *assembler) fits(directive string, n uint64) bool {
+	used := uint64(0)
+	for i := range a.secs {
+		used += a.secs[i].cursor
+	}
+	if used > image.MaxMemBytes || n > image.MaxMemBytes-used {
+		a.errorf("%s: %d more bytes take the image over the %d-byte limit (image.MaxMemBytes)", directive, n, uint64(image.MaxMemBytes))
+		return false
+	}
+	return true
+}
+
+// addFixup leaves size bytes at the cursor to be filled at link time.
+func (a *assembler) addFixup(form byte, ins isa.Instruction, expr string, size int) {
+	a.fixups = append(a.fixups, fixup{form: form, expr: expr, ins: ins, order: a.order,
+		at: symPos{sec: a.cur, off: a.secs[a.cur].cursor}, file: a.file, line: a.line})
 	a.order++
-	a.items = append(a.items, it)
-	a.cur.cursor += size
-	return it
+	a.reserve(uint64(size), 0)
+}
+
+func (a *assembler) deferError(msg string) {
+	a.fixups = append(a.fixups, fixup{form: fixErr, expr: msg, file: a.file, line: a.line})
 }
 
 func (a *assembler) directive(line string) {
 	name, rest := splitWord(line)
 	switch name {
-	case ".text", ".rodata", ".data", ".bss":
-		a.cur = a.byName[name[1:]]
+	case ".text":
+		a.cur = secText
+	case ".rodata":
+		a.cur = secRodata
+	case ".data":
+		a.cur = secData
+	case ".bss":
+		a.cur = secBss
 	case ".global", ".globl":
 		// Symbols are all visible; accepted for compatibility.
 	case ".align":
@@ -216,9 +332,19 @@ func (a *assembler) directive(line string) {
 			a.errorf(".align needs a positive power of two: %v", err)
 			return
 		}
-		pad := (uint64(n) - a.cur.cursor%uint64(n)) % uint64(n)
-		if pad > 0 {
-			a.emitPad(pad)
+		pad := (uint64(n) - a.secs[a.cur].cursor%uint64(n)) % uint64(n)
+		switch {
+		case !a.fits(name, pad):
+		case a.cur != secText:
+			a.reserve(pad, 0)
+		case pad%4 != 0:
+			a.deferError(fmt.Sprintf("text alignment pad %d not a multiple of 4", pad))
+			a.reserve(pad, 0)
+		default:
+			// Text is padded with NOPs so the pad stays decodable.
+			for ; pad > 0; pad -= 4 {
+				a.emitIns(isa.Instruction{Op: isa.OpNOP})
+			}
 		}
 	case ".byte":
 		a.dataDirective(rest, 1)
@@ -229,19 +355,17 @@ func (a *assembler) directive(line string) {
 	case ".quad":
 		a.dataDirective(rest, 8)
 	case ".double":
-		vals := splitOperands(rest)
-		for _, v := range vals {
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		for more := rest != ""; more; {
+			var v string
+			v, rest, more = cutOperand(rest)
+			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
 				a.errorf(".double: %v", err)
 				return
 			}
-			bits := math.Float64bits(f)
-			a.addItem(8, func(uint64) ([]byte, error) {
-				var b [8]byte
-				putUint(b[:], bits, 8)
-				return b[:], nil
-			})
+			var b [8]byte
+			putUint(b[:], math.Float64bits(f), 8)
+			a.emit(b[:])
 		}
 	case ".ascii", ".asciz":
 		s, err := parseString(rest)
@@ -249,14 +373,15 @@ func (a *assembler) directive(line string) {
 			a.errorf("%s: %v", name, err)
 			return
 		}
+		b := append(make([]byte, 0, len(s)+1), s...)
 		if name == ".asciz" {
-			s += "\x00"
+			b = append(b, 0)
 		}
-		b := []byte(s)
-		a.addItem(uint64(len(b)), func(uint64) ([]byte, error) { return b, nil })
+		a.emit(b)
 	case ".space":
-		ops := splitOperands(rest)
-		if len(ops) == 0 || len(ops) > 2 {
+		var ops [2]string
+		nops := operands(rest, ops[:])
+		if nops == 0 || nops > 2 {
 			a.errorf(".space needs 1 or 2 operands")
 			return
 		}
@@ -266,30 +391,22 @@ func (a *assembler) directive(line string) {
 			return
 		}
 		fill := int64(0)
-		if len(ops) == 2 {
+		if nops == 2 {
 			if fill, err = a.constExpr(ops[1]); err != nil {
 				a.errorf(".space: bad fill: %v", err)
 				return
 			}
 		}
-		size := uint64(n)
-		fb := byte(fill)
-		a.addItem(size, func(uint64) ([]byte, error) {
-			b := make([]byte, size)
-			if fb != 0 {
-				for i := range b {
-					b[i] = fb
-				}
-			}
-			return b, nil
-		})
+		if a.fits(name, uint64(n)) {
+			a.reserve(uint64(n), byte(fill))
+		}
 	case ".equ", ".set":
-		ops := splitOperands(rest)
-		if len(ops) != 2 {
+		var ops [2]string
+		if operands(rest, ops[:]) != 2 {
 			a.errorf("%s needs name, expr", name)
 			return
 		}
-		sym := strings.TrimSpace(ops[0])
+		sym := ops[0]
 		if !validSymbol(sym) {
 			a.errorf("%s: invalid name %q", name, sym)
 			return
@@ -309,45 +426,24 @@ func (a *assembler) directive(line string) {
 	}
 }
 
-// dataDirective emits one item per expression of the given width. The
-// expressions are evaluated in pass 2, so they may reference labels.
+// dataDirective emits one integer of the given width per expression: now if
+// the expression is all literals, as a fixup if it names a symbol.
 func (a *assembler) dataDirective(rest string, width int) {
-	for _, opRaw := range splitOperands(rest) {
-		op := strings.TrimSpace(opRaw)
-		it := a.addItem(uint64(width), nil)
-		it.encode = func(uint64) ([]byte, error) {
-			v, err := a.eval(op, it)
-			if err != nil {
-				return nil, err
-			}
-			b := make([]byte, width)
-			putUint(b, uint64(v), width)
-			return b, nil
+	for more := rest != ""; more; {
+		var expr string
+		expr, rest, more = cutOperand(rest)
+		if v, err := evalExpr(expr, nil); err == nil {
+			var b [8]byte
+			putUint(b[:], uint64(v), width)
+			a.emit(b[:width])
+		} else {
+			a.addFixup(byte(width), isa.Instruction{}, expr, width)
 		}
 	}
 }
 
-// emitPad pads the current section. Text is padded with NOPs so the pad
-// stays decodable; other sections use zeros.
-func (a *assembler) emitPad(pad uint64) {
-	isText := a.cur.name == "text"
-	a.addItem(pad, func(uint64) ([]byte, error) {
-		b := make([]byte, pad)
-		if isText {
-			if pad%4 != 0 {
-				return nil, fmt.Errorf("text alignment pad %d not a multiple of 4", pad)
-			}
-			for i := uint64(0); i < pad; i += 4 {
-				nop, _ := isa.Instruction{Op: isa.OpNOP}.Encode(nil)
-				copy(b[i:], nop)
-			}
-		}
-		return b, nil
-	})
-}
-
-// constExpr evaluates an expression that must be resolvable during pass 1
-// (integer literals and previously defined equates only).
+// constExpr evaluates an expression that must be resolvable where it
+// stands (integer literals and previously defined equates only).
 func (a *assembler) constExpr(src string) (int64, error) {
 	return evalExpr(strings.TrimSpace(src), func(name string) (int64, bool) {
 		v, ok := a.equates[name]
@@ -355,28 +451,30 @@ func (a *assembler) constExpr(src string) (int64, error) {
 	})
 }
 
-// eval evaluates an expression in pass 2, when all labels are placed. it
-// provides the reference point for numeric local labels.
-func (a *assembler) eval(src string, it *item) (int64, error) {
-	return evalExpr(strings.TrimSpace(src), func(name string) (int64, bool) {
+// eval evaluates an expression at link time, when all labels are placed.
+// order is the reference point for numeric local labels.
+func (a *assembler) eval(src string, order int) (int64, error) {
+	return evalExpr(src, func(name string) (int64, bool) {
 		if v, ok := a.equates[name]; ok {
 			return v, ok
 		}
 		if pos, ok := a.labels[name]; ok {
-			return int64(pos.sec.base + pos.off), true
+			return int64(a.addr(pos)), true
 		}
 		if len(name) >= 2 {
 			suffix := name[len(name)-1]
 			digits := name[:len(name)-1]
 			if (suffix == 'b' || suffix == 'f') && isNumericLabel(digits) {
-				if pos, ok := a.findNumeric(digits, suffix == 'f', it.order); ok {
-					return int64(pos.sec.base + pos.off), true
+				if pos, ok := a.findNumeric(digits, suffix == 'f', order); ok {
+					return int64(a.addr(pos.symPos)), true
 				}
 			}
 		}
 		return 0, false
 	})
 }
+
+func (a *assembler) addr(pos symPos) uint64 { return a.secs[pos.sec].base + pos.off }
 
 func (a *assembler) findNumeric(digits string, forward bool, order int) (numPos, bool) {
 	list := a.numeric[digits]
@@ -396,75 +494,44 @@ func (a *assembler) findNumeric(digits string, forward bool, order int) (numPos,
 	return numPos{}, false
 }
 
-// layout assigns section base addresses: text at TextBase, each later
-// section at the next 4 KiB boundary.
-func (a *assembler) layout() {
+// link assigns section base addresses — text at TextBase, each later
+// section at the next 4 KiB boundary past a gap — resolves the fixups and
+// builds the image.
+func (a *assembler) link() (*image.Image, error) {
 	addr := a.opts.TextBase
-	for _, sec := range a.sections {
-		sec.base = addr
-		addr = alignUp(addr+sec.cursor, 4096) + image.DefaultDataGap
+	for i := range a.secs {
+		a.secs[i].base = addr
+		addr = alignUp(addr+a.secs[i].cursor, 4096) + image.DefaultDataGap
 		addr = alignUp(addr, 4096)
 	}
-}
-
-// pass2 encodes every item and builds the image.
-func (a *assembler) pass2() (*image.Image, error) {
-	for _, sec := range a.sections {
-		if !sec.noData {
-			sec.buf = make([]byte, sec.cursor)
+	for i := range a.fixups {
+		fx := &a.fixups[i]
+		var scratch [12]byte
+		b, err := a.resolve(fx, scratch[:0])
+		if err == nil && fx.at.sec == secBss && !allZero(b) {
+			err = errors.New(bssHoldsData)
 		}
-	}
-	for _, it := range a.items {
-		if it.sec.noData {
-			if it.encode != nil {
-				// .bss accepts only .space/.align; verify the bytes are zero.
-				b, err := it.encode(0)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: %v", it.src, it.line, err)
-				}
-				for _, c := range b {
-					if c != 0 {
-						return nil, fmt.Errorf("%s:%d: .bss cannot hold data", it.src, it.line)
-					}
-				}
-			}
-			continue
-		}
-		if it.encode == nil {
-			return nil, fmt.Errorf("%s:%d: internal: item without encoder", it.src, it.line)
-		}
-		pc := it.sec.base + it.off
-		b, err := it.encode(pc)
 		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", it.src, it.line, err)
+			return nil, fmt.Errorf("%s:%d: %v", fx.file, fx.line, err)
 		}
-		if uint64(len(b)) != it.size {
-			return nil, fmt.Errorf("%s:%d: internal: size changed between passes (%d -> %d)", it.src, it.line, it.size, len(b))
+		if fx.at.sec != secBss {
+			copy(a.secs[fx.at.sec].buf[fx.at.off:], b)
 		}
-		copy(it.sec.buf[it.off:], b)
 	}
 
-	im := image.New()
-	for _, sec := range a.sections {
+	im := &image.Image{Symbols: make(map[string]uint64, len(a.labels))}
+	for i := range a.secs {
+		sec := &a.secs[i]
 		if sec.cursor == 0 {
 			continue
 		}
-		seg := image.Segment{Name: sec.name, Addr: sec.base, MemSize: sec.cursor, Writable: sec.writable}
-		if !sec.noData {
-			seg.Data = sec.buf
-		}
+		seg := image.Segment{Name: sectionNames[i], Addr: sec.base, Data: sec.buf, MemSize: sec.cursor, Writable: i >= secData}
 		if err := im.AddSegment(seg); err != nil {
 			return nil, err
 		}
 	}
-	names := make([]string, 0, len(a.labels))
-	for name := range a.labels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pos := a.labels[name]
-		im.Symbols[name] = pos.sec.base + pos.off
+	for name, pos := range a.labels {
+		im.Symbols[name] = a.addr(pos)
 	}
 	if entry, ok := im.Symbols["_start"]; ok {
 		im.Entry = entry
@@ -474,12 +541,55 @@ func (a *assembler) pass2() (*image.Image, error) {
 	return im, nil
 }
 
+// resolve appends the bytes of one fixup to buf.
+func (a *assembler) resolve(fx *fixup, buf []byte) ([]byte, error) {
+	if fx.form == fixErr {
+		return nil, errors.New(fx.expr)
+	}
+	v, err := a.eval(fx.expr, fx.order)
+	if err != nil {
+		return nil, err
+	}
+	ins, pc := fx.ins, a.addr(fx.at)
+	switch fx.form {
+	case 1, 2, 4, 8:
+		buf = buf[:fx.form]
+		putUint(buf, uint64(v), int(fx.form))
+		return buf, nil
+	case argBranch, argJump:
+		what := "branch"
+		if fx.form == argJump {
+			what = "jump"
+		}
+		off := v - int64(pc)
+		if off%4 != 0 {
+			return nil, fmt.Errorf("%s target %#x misaligned from pc %#x", what, v, pc)
+		}
+		v = off / 4
+	case argAddr:
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return nil, fmt.Errorf("value %#x does not fit in 32 bits; use lid", v)
+		}
+	}
+	ins.Imm = v
+	return ins.Encode(buf)
+}
+
 func alignUp(v, n uint64) uint64 { return (v + n - 1) &^ (n - 1) }
 
 func putUint(b []byte, v uint64, width int) {
 	for i := 0; i < width; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // stripComment removes ; # and // comments, respecting string literals.
@@ -556,15 +666,10 @@ func splitWord(line string) (word, rest string) {
 	return line, ""
 }
 
-// splitOperands splits on top-level commas (outside quotes and parens).
-func splitOperands(s string) []string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
-	}
-	var out []string
-	depth, start := 0, 0
-	inStr := false
+// cutOperand splits s at its first top-level comma (outside quotes and
+// parentheses); more reports whether there was one.
+func cutOperand(s string) (op, rest string, more bool) {
+	depth, inStr := 0, false
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if inStr {
@@ -584,13 +689,25 @@ func splitOperands(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
+				return strings.TrimSpace(s[:i]), s[i+1:], true
 			}
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return strings.TrimSpace(s), "", false
+}
+
+// operands stores the comma-separated operands of s (already trimmed) in
+// ops and returns how many there are, which may be more than ops holds.
+func operands(s string, ops []string) int {
+	n := 0
+	for more := s != ""; more; n++ {
+		var op string
+		op, s, more = cutOperand(s)
+		if n < len(ops) {
+			ops[n] = op
+		}
+	}
+	return n
 }
 
 func parseString(s string) (string, error) {

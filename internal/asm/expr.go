@@ -29,6 +29,9 @@ type exprParser struct {
 }
 
 func evalExpr(src string, lookup func(string) (int64, bool)) (int64, error) {
+	if v, ok := decimal(src); ok {
+		return v, nil
+	}
 	p := &exprParser{src: src, lookup: lookup}
 	v, err := p.parseOr()
 	if err != nil {
@@ -39,6 +42,26 @@ func evalExpr(src string, lookup func(string) (int64, bool)) (int64, error) {
 		return 0, fmt.Errorf("trailing characters %q in expression %q", p.src[p.pos:], src)
 	}
 	return v, nil
+}
+
+// decimal is the value of a plain decimal literal with an optional minus
+// sign, as most operands are; anything else is for the parser.
+func decimal(s string) (v int64, ok bool) {
+	digits := strings.TrimPrefix(s, "-")
+	if digits == "" || len(digits) > 18 || digits[0] == '0' && len(digits) > 1 {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		c := digits[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		v = v*10 + int64(c)
+	}
+	if len(digits) < len(s) {
+		v = -v
+	}
+	return v, true
 }
 
 func (p *exprParser) parseOr() (int64, error) {

@@ -1,9 +1,12 @@
 package asm
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
+	"dqemu/internal/image"
 	"dqemu/internal/isa"
 )
 
@@ -13,7 +16,12 @@ import (
 //     whatever the input looks like.
 //  2. Assembly is deterministic: the same source yields a deeply equal
 //     image on a second run (no map-iteration or time dependence).
-//  3. Instruction round-trip: every word the assembler emits into the text
+//  3. A prefix cannot be told from a fresh assembly: for every split of the
+//     text at a line boundary, Prepare(head).Assemble(tail) gives what
+//     Assemble(head, tail) gives — the same image bytes or the same
+//     diagnostic — and gives it twice, so the first Assemble left nothing
+//     of its labels, fixups or bytes behind in the prefix.
+//  4. Instruction round-trip: every word the assembler emits into the text
 //     segment re-encodes, via isa.Decode then isa.Encode, to the identical
 //     bytes — the assembler and the ISA codec agree on every encoding it
 //     can produce.
@@ -39,6 +47,7 @@ fn:
 		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(im, im2) {
 			t.Fatalf("assembly not deterministic (err %v vs %v)", err, err2)
 		}
+		checkSplits(t, text)
 		if err != nil {
 			return
 		}
@@ -66,4 +75,39 @@ fn:
 			}
 		}
 	})
+}
+
+// outcome is what two assemblies must agree on: the encoded image or the
+// diagnostic.
+func outcome(im *image.Image, err error) []byte {
+	if err != nil {
+		return []byte("error: " + err.Error())
+	}
+	return im.Encode()
+}
+
+func checkSplits(t *testing.T, text string) {
+	t.Helper()
+	for cut := 0; cut >= 0 && cut <= len(text); {
+		head := Source{Name: "head.s", Text: text[:cut]}
+		tail := Source{Name: "tail.s", Text: text[cut:]}
+		want := outcome(Assemble(head, tail))
+		p, err := Prepare(Options{}, head)
+		for round := 0; round < 2; round++ {
+			var got []byte
+			if err != nil {
+				got = outcome(nil, err)
+			} else {
+				got = outcome(p.Assemble(tail))
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("split at byte %d, Assemble %d on the prefix:\n got  %.200q\n want %.200q", cut, round, got, want)
+			}
+		}
+		next := strings.IndexByte(text[cut:], '\n')
+		if next < 0 {
+			break
+		}
+		cut += next + 1
+	}
 }

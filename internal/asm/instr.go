@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -9,620 +10,227 @@ import (
 	"dqemu/internal/isa"
 )
 
+// Operand kinds: one letter of a mnemonic's args per operand, naming what
+// the operand is and the instruction field it fills. The four expression
+// kinds are also the forms a fixup can have.
+const (
+	argRd, argRs1, argRs2    = 'd', 's', 't' // integer register
+	argFRd, argFRs1, argFRs2 = 'D', 'S', 'T' // FP register
+	argMem                   = 'm'           // offset(base): Rs1 and an argImm offset
+	argAtomic                = 'a'           // (base), no offset: Rs1
+	argFloat                 = 'f'           // float64 literal, its bits in Imm
+	argConst                 = 'c'           // 14-bit constant known where it stands
+	argLi                    = 'l'           // li: smallest encoding if known where it stands, else argAddr
+	argImm                   = 'i'           // expression, Imm as it is
+	argBranch                = 'b'           // expression, Imm = (value - pc) / 4
+	argJump                  = 'j'           // as argBranch, worded as a jump
+	argAddr                  = 'w'           // expression that must fit 32 bits (la)
+)
+
+// mnemonic is one row of the assembler's only instruction table: the
+// instruction with its fixed fields, the operand kinds that fill the rest —
+// one alternative per accepted operand count — and what to say when the
+// count matches none.
+type mnemonic struct {
+	ins   isa.Instruction
+	args  []string
+	needs string
+}
+
+// mnemonics maps every mnemonic, alias and pseudo-instruction included.
+var mnemonics = func() map[string]mnemonic {
+	const ra, zero = isa.RegRA, isa.RegZero
+	all := map[string]mnemonic{
+		"jal":  {isa.Instruction{Op: isa.OpJAL, Rd: ra}, []string{"j", "dj"}, "needs [rd,] target"},
+		"j":    {isa.Instruction{Op: isa.OpJAL, Rd: zero}, []string{"j"}, "needs a target"},
+		"call": {isa.Instruction{Op: isa.OpJAL, Rd: ra}, []string{"j"}, "needs a target"},
+		"jalr": {isa.Instruction{Op: isa.OpJALR, Rd: ra}, []string{"s", "ds", "dsi"}, "needs rd, rs1, imm"},
+		"jr":   {isa.Instruction{Op: isa.OpJALR, Rd: zero}, []string{"s"}, "needs a register"},
+		"ret":  {isa.Instruction{Op: isa.OpJALR, Rd: zero, Rs1: ra}, []string{""}, "takes no operands"},
+		// li of a constant picks the smallest encoding; li of a
+		// label-relative expression assumes a 32-bit value (all guest
+		// addresses fit); lid always uses the 64-bit form.
+		"li":   {isa.Instruction{Op: isa.OpMOVIW}, []string{"dl"}, "needs rd, expr"},
+		"la":   {isa.Instruction{Op: isa.OpMOVIW}, []string{"dw"}, "needs rd, expr"},
+		"lid":  {isa.Instruction{Op: isa.OpMOVID}, []string{"di"}, "needs rd, expr"},
+		"mv":   {isa.Instruction{Op: isa.OpADDI}, []string{"ds"}, "needs rd, rs"},
+		"not":  {isa.Instruction{Op: isa.OpXORI, Imm: -1}, []string{"ds"}, "needs rd, rs"},
+		"neg":  {isa.Instruction{Op: isa.OpSUB, Rs1: zero}, []string{"dt"}, "needs rd, rs"},
+		"snez": {isa.Instruction{Op: isa.OpSLTU, Rs1: zero}, []string{"dt"}, "needs rd, rs"},
+		"seqz": {isa.Instruction{Op: isa.OpSLTU, Rs1: zero}, []string{"dt"}, "needs rd, rs"}, // then xori rd, rd, 1
+		"svc":  {isa.Instruction{Op: isa.OpSVC}, []string{"", "c"}, "needs at most one operand"},
+		"hint": {isa.Instruction{Op: isa.OpHINT}, []string{"", "c"}, "needs at most one operand"},
+	}
+	form := func(args, needs string, ops map[string]isa.Op) {
+		for name, op := range ops {
+			all[name] = mnemonic{isa.Instruction{Op: op}, []string{args}, needs}
+		}
+	}
+	form("dst", "needs rd, rs1, rs2", map[string]isa.Op{
+		"add": isa.OpADD, "sub": isa.OpSUB, "mul": isa.OpMUL,
+		"div": isa.OpDIV, "divu": isa.OpDIVU, "rem": isa.OpREM, "remu": isa.OpREMU,
+		"and": isa.OpAND, "or": isa.OpOR, "xor": isa.OpXOR,
+		"sll": isa.OpSLL, "srl": isa.OpSRL, "sra": isa.OpSRA,
+		"slt": isa.OpSLT, "sltu": isa.OpSLTU})
+	form("dsi", "needs rd, rs1, imm", map[string]isa.Op{
+		"addi": isa.OpADDI, "andi": isa.OpANDI, "ori": isa.OpORI, "xori": isa.OpXORI,
+		"slli": isa.OpSLLI, "srli": isa.OpSRLI, "srai": isa.OpSRAI, "slti": isa.OpSLTI})
+	form("dm", "needs rd, offset(base)", map[string]isa.Op{
+		"lb": isa.OpLB, "lbu": isa.OpLBU, "lh": isa.OpLH, "lhu": isa.OpLHU,
+		"lw": isa.OpLW, "lwu": isa.OpLWU, "ld": isa.OpLD, "ll": isa.OpLL})
+	form("Dm", "needs rd, offset(base)", map[string]isa.Op{"fld": isa.OpFLD})
+	form("tm", "needs rs, offset(base)", map[string]isa.Op{
+		"sb": isa.OpSB, "sh": isa.OpSH, "sw": isa.OpSW, "sd": isa.OpSD})
+	form("Tm", "needs rs, offset(base)", map[string]isa.Op{"fsd": isa.OpFSD})
+	form("stb", "needs rs1, rs2, target", map[string]isa.Op{
+		"beq": isa.OpBEQ, "bne": isa.OpBNE, "blt": isa.OpBLT,
+		"bge": isa.OpBGE, "bltu": isa.OpBLTU, "bgeu": isa.OpBGEU})
+	// Aliases that reverse the operand order.
+	form("tsb", "needs rs1, rs2, target", map[string]isa.Op{
+		"bgt": isa.OpBLT, "ble": isa.OpBGE, "bgtu": isa.OpBLTU, "bleu": isa.OpBGEU})
+	// Aliases comparing against zero, the register first or second.
+	form("sb", "needs rs, target", map[string]isa.Op{
+		"beqz": isa.OpBEQ, "bnez": isa.OpBNE, "bltz": isa.OpBLT, "bgez": isa.OpBGE})
+	form("tb", "needs rs, target", map[string]isa.Op{"bgtz": isa.OpBLT, "blez": isa.OpBGE})
+	form("DST", "needs 3 operands", map[string]isa.Op{
+		"fadd": isa.OpFADD, "fsub": isa.OpFSUB, "fmul": isa.OpFMUL, "fdiv": isa.OpFDIV,
+		"fmin": isa.OpFMIN, "fmax": isa.OpFMAX})
+	form("DS", "needs 2 operands", map[string]isa.Op{
+		"fsqrt": isa.OpFSQRT, "fneg": isa.OpFNEG, "fabs": isa.OpFABS,
+		"fexp": isa.OpFEXP, "fln": isa.OpFLN, "fmv": isa.OpFMV})
+	form("dST", "needs rd, fs1, fs2", map[string]isa.Op{
+		"feq": isa.OpFEQ, "flt": isa.OpFLT, "fle": isa.OpFLE})
+	form("dta", "needs rd, rs2, (rs1)", map[string]isa.Op{
+		"sc": isa.OpSC, "cas": isa.OpCAS, "amoadd": isa.OpAMOADD, "amoswap": isa.OpAMOSWAP})
+	form("", "takes no operands", map[string]isa.Op{
+		"fence": isa.OpFENCE, "nop": isa.OpNOP, "halt": isa.OpHALT, "ebreak": isa.OpEBREAK})
+	form("di", "needs rd, literal", map[string]isa.Op{"moviw": isa.OpMOVIW, "movid": isa.OpMOVID})
+	form("Df", "needs fd, float", map[string]isa.Op{"fmovd": isa.OpFMOVD, "fli": isa.OpFMOVD})
+	form("dS", "needs rd, rs", map[string]isa.Op{"fmv.x.d": isa.OpFMVXD, "fcvt.l.d": isa.OpFCVTLD})
+	form("Ds", "needs rd, rs", map[string]isa.Op{"fmv.d.x": isa.OpFMVDX, "fcvt.d.l": isa.OpFCVTDL})
+	return all
+}()
+
 // instruction parses and emits one instruction (or pseudo-instruction).
 func (a *assembler) instruction(line string) {
-	mnemonic, rest := splitWord(line)
-	mnemonic = strings.ToLower(mnemonic)
-	ops := splitOperands(rest)
-	if err := a.dispatch(mnemonic, ops); err != nil {
-		a.errorf("%s: %v", mnemonic, err)
+	word, rest := splitWord(line)
+	name := strings.ToLower(word)
+	var ops [3]string
+	if err := a.encode(name, ops[:], operands(rest, ops[:])); err != nil {
+		a.errorf("%s: %v", name, err)
 	}
 }
 
-var rType = map[string]isa.Op{
-	"add": isa.OpADD, "sub": isa.OpSUB, "mul": isa.OpMUL,
-	"div": isa.OpDIV, "divu": isa.OpDIVU, "rem": isa.OpREM, "remu": isa.OpREMU,
-	"and": isa.OpAND, "or": isa.OpOR, "xor": isa.OpXOR,
-	"sll": isa.OpSLL, "srl": isa.OpSRL, "sra": isa.OpSRA,
-	"slt": isa.OpSLT, "sltu": isa.OpSLTU,
-}
-
-var iType = map[string]isa.Op{
-	"addi": isa.OpADDI, "andi": isa.OpANDI, "ori": isa.OpORI, "xori": isa.OpXORI,
-	"slli": isa.OpSLLI, "srli": isa.OpSRLI, "srai": isa.OpSRAI, "slti": isa.OpSLTI,
-}
-
-var loadOps = map[string]isa.Op{
-	"lb": isa.OpLB, "lbu": isa.OpLBU, "lh": isa.OpLH, "lhu": isa.OpLHU,
-	"lw": isa.OpLW, "lwu": isa.OpLWU, "ld": isa.OpLD, "fld": isa.OpFLD, "ll": isa.OpLL,
-}
-
-var storeOps = map[string]isa.Op{
-	"sb": isa.OpSB, "sh": isa.OpSH, "sw": isa.OpSW, "sd": isa.OpSD, "fsd": isa.OpFSD,
-}
-
-var branchOps = map[string]isa.Op{
-	"beq": isa.OpBEQ, "bne": isa.OpBNE, "blt": isa.OpBLT,
-	"bge": isa.OpBGE, "bltu": isa.OpBLTU, "bgeu": isa.OpBGEU,
-}
-
-// branchSwap maps aliases that reverse the operand order.
-var branchSwap = map[string]isa.Op{
-	"bgt": isa.OpBLT, "ble": isa.OpBGE, "bgtu": isa.OpBLTU, "bleu": isa.OpBGEU,
-}
-
-// branchZero maps aliases comparing against zero: mnemonic -> op and whether
-// the register is rs1 (true) or rs2.
-var branchZero = map[string]struct {
-	op    isa.Op
-	first bool
-}{
-	"beqz": {isa.OpBEQ, true}, "bnez": {isa.OpBNE, true},
-	"bltz": {isa.OpBLT, true}, "bgez": {isa.OpBGE, true},
-	"bgtz": {isa.OpBLT, false}, "blez": {isa.OpBGE, false},
-}
-
-var fpBinary = map[string]isa.Op{
-	"fadd": isa.OpFADD, "fsub": isa.OpFSUB, "fmul": isa.OpFMUL, "fdiv": isa.OpFDIV,
-	"fmin": isa.OpFMIN, "fmax": isa.OpFMAX,
-}
-
-var fpUnary = map[string]isa.Op{
-	"fsqrt": isa.OpFSQRT, "fneg": isa.OpFNEG, "fabs": isa.OpFABS,
-	"fexp": isa.OpFEXP, "fln": isa.OpFLN, "fmv": isa.OpFMV,
-}
-
-var fpCompare = map[string]isa.Op{
-	"feq": isa.OpFEQ, "flt": isa.OpFLT, "fle": isa.OpFLE,
-}
-
-var amoOps = map[string]isa.Op{
-	"sc": isa.OpSC, "cas": isa.OpCAS, "amoadd": isa.OpAMOADD, "amoswap": isa.OpAMOSWAP,
-}
-
-var bareOps = map[string]isa.Op{
-	"fence": isa.OpFENCE, "nop": isa.OpNOP, "halt": isa.OpHALT, "ebreak": isa.OpEBREAK,
-}
-
-func (a *assembler) dispatch(m string, ops []string) error {
-	if op, ok := rType[m]; ok {
-		return a.rInstr(op, ops)
+// encode emits the instruction name with the n operands in ops (n may be
+// more than ops holds, which no mnemonic accepts).
+func (a *assembler) encode(name string, ops []string, n int) error {
+	m, ok := mnemonics[name]
+	if !ok {
+		return fmt.Errorf("unknown instruction")
 	}
-	if op, ok := iType[m]; ok {
-		return a.iInstr(op, ops)
-	}
-	if op, ok := loadOps[m]; ok {
-		return a.loadInstr(op, ops)
-	}
-	if op, ok := storeOps[m]; ok {
-		return a.storeInstr(op, ops)
-	}
-	if op, ok := branchOps[m]; ok {
-		return a.branchInstr(op, ops, false)
-	}
-	if op, ok := branchSwap[m]; ok {
-		return a.branchInstr(op, ops, true)
-	}
-	if bz, ok := branchZero[m]; ok {
-		return a.branchZeroInstr(bz.op, bz.first, ops)
-	}
-	if op, ok := fpBinary[m]; ok {
-		return a.fpInstr(op, ops, 3)
-	}
-	if op, ok := fpUnary[m]; ok {
-		return a.fpInstr(op, ops, 2)
-	}
-	if op, ok := fpCompare[m]; ok {
-		return a.fpCompareInstr(op, ops)
-	}
-	if op, ok := amoOps[m]; ok {
-		return a.amoInstr(op, ops)
-	}
-	if op, ok := bareOps[m]; ok {
-		if len(ops) != 0 {
-			return fmt.Errorf("takes no operands")
+	args := m.args[0]
+	for _, alt := range m.args[1:] {
+		if len(alt) == n {
+			args = alt
 		}
-		a.fixed(isa.Instruction{Op: op})
-		return nil
 	}
-	switch m {
-	case "jal":
-		return a.jalInstr(ops)
-	case "j":
-		if len(ops) != 1 {
-			return fmt.Errorf("needs a target")
-		}
-		return a.jalInstr([]string{"zero", ops[0]})
-	case "call":
-		if len(ops) != 1 {
-			return fmt.Errorf("needs a target")
-		}
-		return a.jalInstr([]string{"ra", ops[0]})
-	case "jalr":
-		return a.jalrInstr(ops)
-	case "jr":
-		if len(ops) != 1 {
-			return fmt.Errorf("needs a register")
-		}
-		return a.jalrInstr([]string{"zero", ops[0], "0"})
-	case "ret":
-		if len(ops) != 0 {
-			return fmt.Errorf("takes no operands")
-		}
-		return a.jalrInstr([]string{"zero", "ra", "0"})
-	case "li", "lid", "la":
-		return a.liInstr(m, ops)
-	case "mv":
-		if len(ops) != 2 {
-			return fmt.Errorf("needs rd, rs")
-		}
-		rd, rs, err := a.twoIntRegs(ops)
-		if err != nil {
-			return err
-		}
-		a.fixed(isa.Instruction{Op: isa.OpADDI, Rd: rd, Rs1: rs})
-		return nil
-	case "not":
-		rd, rs, err := a.twoIntRegs(ops)
-		if err != nil {
-			return err
-		}
-		a.fixed(isa.Instruction{Op: isa.OpXORI, Rd: rd, Rs1: rs, Imm: -1})
-		return nil
-	case "neg":
-		rd, rs, err := a.twoIntRegs(ops)
-		if err != nil {
-			return err
-		}
-		a.fixed(isa.Instruction{Op: isa.OpSUB, Rd: rd, Rs1: isa.RegZero, Rs2: rs})
-		return nil
-	case "snez":
-		rd, rs, err := a.twoIntRegs(ops)
-		if err != nil {
-			return err
-		}
-		a.fixed(isa.Instruction{Op: isa.OpSLTU, Rd: rd, Rs1: isa.RegZero, Rs2: rs})
-		return nil
-	case "seqz":
-		rd, rs, err := a.twoIntRegs(ops)
-		if err != nil {
-			return err
-		}
-		a.fixed(isa.Instruction{Op: isa.OpSLTU, Rd: rd, Rs1: isa.RegZero, Rs2: rs})
-		a.fixed(isa.Instruction{Op: isa.OpXORI, Rd: rd, Rs1: rd, Imm: 1})
-		return nil
-	case "svc", "hint":
-		op := isa.OpSVC
-		if m == "hint" {
-			op = isa.OpHINT
-		}
-		imm := int64(0)
-		if len(ops) == 1 {
-			v, err := a.constExpr(ops[0])
-			if err != nil {
-				return err
+	if len(args) != n {
+		return errors.New(m.needs)
+	}
+
+	ins, kind, expr := m.ins, byte(0), ""
+	for i := 0; i < len(args); i++ {
+		op, err := ops[i], error(nil)
+		switch args[i] {
+		case argRd:
+			ins.Rd, err = intReg(op)
+		case argRs1:
+			ins.Rs1, err = intReg(op)
+		case argRs2:
+			ins.Rs2, err = intReg(op)
+		case argFRd:
+			ins.Rd, err = fReg(op)
+		case argFRs1:
+			ins.Rs1, err = fReg(op)
+		case argFRs2:
+			ins.Rs2, err = fReg(op)
+		case argMem:
+			kind = argImm
+			expr, ins.Rs1, err = parseMem(op)
+		case argAtomic:
+			var off string
+			if off, ins.Rs1, err = parseMem(op); err == nil && off != "0" {
+				err = fmt.Errorf("atomic address must be (reg) with no offset")
 			}
-			imm = v
-		} else if len(ops) > 1 {
-			return fmt.Errorf("needs at most one operand")
-		}
-		if imm < isa.ImmMin14 || imm > isa.ImmMax14 {
-			return fmt.Errorf("operand %d out of range", imm)
-		}
-		a.fixed(isa.Instruction{Op: op, Imm: imm})
-		return nil
-	case "moviw", "movid":
-		if len(ops) != 2 {
-			return fmt.Errorf("needs rd, literal")
-		}
-		rd, err := intReg(ops[0])
-		if err != nil {
-			return err
-		}
-		op := isa.OpMOVIW
-		size := uint64(8)
-		if m == "movid" {
-			op, size = isa.OpMOVID, 12
-		}
-		expr := ops[1]
-		it := a.addItem(size, nil)
-		it.encode = func(uint64) ([]byte, error) {
-			v, err := a.eval(expr, it)
-			if err != nil {
-				return nil, err
+		case argFloat:
+			var f float64
+			if f, err = strconv.ParseFloat(op, 64); err != nil {
+				err = fmt.Errorf("bad float literal %q: %v", op, err)
 			}
-			return isa.Instruction{Op: op, Rd: rd, Imm: v}.Encode(nil)
+			ins.Imm = int64(math.Float64bits(f))
+		case argConst:
+			if ins.Imm, err = a.constExpr(op); err == nil && (ins.Imm < isa.ImmMin14 || ins.Imm > isa.ImmMax14) {
+				err = fmt.Errorf("operand %d out of range", ins.Imm)
+			}
+		case argLi:
+			kind, expr = argAddr, op
+			if v, cerr := a.constExpr(op); cerr == nil {
+				kind, ins.Imm = 0, v
+				switch {
+				case v >= isa.ImmMin14 && v <= isa.ImmMax14:
+					ins.Op, ins.Rs1 = isa.OpADDI, isa.RegZero
+				case v < math.MinInt32 || v > math.MaxInt32:
+					ins.Op = isa.OpMOVID
+				}
+			}
+		default:
+			kind, expr = args[i], op
 		}
-		return nil
-	case "fmovd", "fli":
-		if len(ops) != 2 {
-			return fmt.Errorf("needs fd, float")
-		}
-		fd, err := fReg(ops[0])
 		if err != nil {
 			return err
 		}
-		f, err := strconv.ParseFloat(ops[1], 64)
-		if err != nil {
-			return fmt.Errorf("bad float literal %q: %v", ops[1], err)
+	}
+
+	switch kind {
+	case 0:
+		a.emitIns(ins)
+	case argImm:
+		// All literals: encode now. A symbol, or any failure, is for
+		// link time.
+		if v, err := evalExpr(expr, nil); err == nil {
+			now := ins
+			now.Imm = v
+			if a.emitIns(now) {
+				break
+			}
 		}
-		a.fixed(isa.Instruction{Op: isa.OpFMOVD, Rd: fd, Imm: int64(math.Float64bits(f))})
-		return nil
-	case "fmv.x.d":
-		return a.fpMoveInstr(isa.OpFMVXD, ops, false, true)
-	case "fmv.d.x":
-		return a.fpMoveInstr(isa.OpFMVDX, ops, true, false)
-	case "fcvt.d.l":
-		return a.fpMoveInstr(isa.OpFCVTDL, ops, true, false)
-	case "fcvt.l.d":
-		return a.fpMoveInstr(isa.OpFCVTLD, ops, false, true)
-	}
-	return fmt.Errorf("unknown instruction")
-}
-
-// fixed emits an instruction with all fields already resolved.
-func (a *assembler) fixed(ins isa.Instruction) {
-	a.addItem(uint64(ins.Size()), func(uint64) ([]byte, error) { return ins.Encode(nil) })
-}
-
-// immInstr emits an instruction whose Imm field is an expression evaluated
-// in pass 2 as a plain value.
-func (a *assembler) immInstr(ins isa.Instruction, expr string) {
-	it := a.addItem(uint64(ins.Size()), nil)
-	it.encode = func(uint64) ([]byte, error) {
-		v, err := a.eval(expr, it)
-		if err != nil {
-			return nil, err
-		}
-		ins.Imm = v
-		return ins.Encode(nil)
-	}
-}
-
-func (a *assembler) rInstr(op isa.Op, ops []string) error {
-	if len(ops) != 3 {
-		return fmt.Errorf("needs rd, rs1, rs2")
-	}
-	rd, err := intReg(ops[0])
-	if err != nil {
-		return err
-	}
-	rs1, err := intReg(ops[1])
-	if err != nil {
-		return err
-	}
-	rs2, err := intReg(ops[2])
-	if err != nil {
-		return err
-	}
-	a.fixed(isa.Instruction{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
-	return nil
-}
-
-func (a *assembler) iInstr(op isa.Op, ops []string) error {
-	if len(ops) != 3 {
-		return fmt.Errorf("needs rd, rs1, imm")
-	}
-	rd, err := intReg(ops[0])
-	if err != nil {
-		return err
-	}
-	rs1, err := intReg(ops[1])
-	if err != nil {
-		return err
-	}
-	a.immInstr(isa.Instruction{Op: op, Rd: rd, Rs1: rs1}, ops[2])
-	return nil
-}
-
-func (a *assembler) loadInstr(op isa.Op, ops []string) error {
-	if len(ops) != 2 {
-		return fmt.Errorf("needs rd, offset(base)")
-	}
-	var rd uint8
-	var err error
-	if op == isa.OpFLD {
-		rd, err = fReg(ops[0])
-	} else {
-		rd, err = intReg(ops[0])
-	}
-	if err != nil {
-		return err
-	}
-	offExpr, base, err := parseMem(ops[1])
-	if err != nil {
-		return err
-	}
-	a.immInstr(isa.Instruction{Op: op, Rd: rd, Rs1: base}, offExpr)
-	return nil
-}
-
-func (a *assembler) storeInstr(op isa.Op, ops []string) error {
-	if len(ops) != 2 {
-		return fmt.Errorf("needs rs, offset(base)")
-	}
-	var rs2 uint8
-	var err error
-	if op == isa.OpFSD {
-		rs2, err = fReg(ops[0])
-	} else {
-		rs2, err = intReg(ops[0])
-	}
-	if err != nil {
-		return err
-	}
-	offExpr, base, err := parseMem(ops[1])
-	if err != nil {
-		return err
-	}
-	a.immInstr(isa.Instruction{Op: op, Rs2: rs2, Rs1: base}, offExpr)
-	return nil
-}
-
-func (a *assembler) branchInstr(op isa.Op, ops []string, swap bool) error {
-	if len(ops) != 3 {
-		return fmt.Errorf("needs rs1, rs2, target")
-	}
-	rs1, err := intReg(ops[0])
-	if err != nil {
-		return err
-	}
-	rs2, err := intReg(ops[1])
-	if err != nil {
-		return err
-	}
-	if swap {
-		rs1, rs2 = rs2, rs1
-	}
-	a.branchTo(isa.Instruction{Op: op, Rs1: rs1, Rs2: rs2}, ops[2])
-	return nil
-}
-
-func (a *assembler) branchZeroInstr(op isa.Op, first bool, ops []string) error {
-	if len(ops) != 2 {
-		return fmt.Errorf("needs rs, target")
-	}
-	rs, err := intReg(ops[0])
-	if err != nil {
-		return err
-	}
-	ins := isa.Instruction{Op: op}
-	if first {
-		ins.Rs1 = rs
-	} else {
-		ins.Rs2 = rs
-	}
-	a.branchTo(ins, ops[1])
-	return nil
-}
-
-// branchTo emits a conditional branch whose target is resolved in pass 2.
-func (a *assembler) branchTo(ins isa.Instruction, target string) {
-	it := a.addItem(uint64(ins.Size()), nil)
-	it.encode = func(pc uint64) ([]byte, error) {
-		v, err := a.eval(target, it)
-		if err != nil {
-			return nil, err
-		}
-		off := v - int64(pc)
-		if off%4 != 0 {
-			return nil, fmt.Errorf("branch target %#x misaligned from pc %#x", v, pc)
-		}
-		ins.Imm = off / 4
-		return ins.Encode(nil)
-	}
-}
-
-func (a *assembler) jalInstr(ops []string) error {
-	var rd uint8 = isa.RegRA
-	var target string
-	switch len(ops) {
-	case 1:
-		target = ops[0]
-	case 2:
-		r, err := intReg(ops[0])
-		if err != nil {
-			return err
-		}
-		rd, target = r, ops[1]
+		fallthrough
 	default:
-		return fmt.Errorf("needs [rd,] target")
+		a.addFixup(kind, ins, expr, int(ins.Size()))
 	}
-	ins := isa.Instruction{Op: isa.OpJAL, Rd: rd}
-	it := a.addItem(uint64(ins.Size()), nil)
-	it.encode = func(pc uint64) ([]byte, error) {
-		v, err := a.eval(target, it)
-		if err != nil {
-			return nil, err
-		}
-		off := v - int64(pc)
-		if off%4 != 0 {
-			return nil, fmt.Errorf("jump target %#x misaligned from pc %#x", v, pc)
-		}
-		ins.Imm = off / 4
-		return ins.Encode(nil)
+	if name == "seqz" {
+		a.emitIns(isa.Instruction{Op: isa.OpXORI, Rd: ins.Rd, Rs1: ins.Rd, Imm: 1})
 	}
 	return nil
 }
 
-func (a *assembler) jalrInstr(ops []string) error {
-	if len(ops) == 1 {
-		ops = []string{"ra", ops[0], "0"}
+// emitIns encodes an instruction at the cursor, and reports whether it
+// could be encoded.
+func (a *assembler) emitIns(ins isa.Instruction) bool {
+	var scratch [12]byte
+	b, err := ins.Encode(scratch[:0])
+	if err == nil {
+		a.emit(b)
 	}
-	if len(ops) == 2 {
-		ops = append(ops, "0")
-	}
-	if len(ops) != 3 {
-		return fmt.Errorf("needs rd, rs1, imm")
-	}
-	rd, err := intReg(ops[0])
-	if err != nil {
-		return err
-	}
-	rs1, err := intReg(ops[1])
-	if err != nil {
-		return err
-	}
-	a.immInstr(isa.Instruction{Op: isa.OpJALR, Rd: rd, Rs1: rs1}, ops[2])
-	return nil
-}
-
-// liInstr implements li/lid/la. li of a pass-1 constant picks the smallest
-// encoding; li of a label-relative expression assumes a 32-bit value (all
-// guest addresses fit); lid always uses the 64-bit form.
-func (a *assembler) liInstr(m string, ops []string) error {
-	if len(ops) != 2 {
-		return fmt.Errorf("needs rd, expr")
-	}
-	rd, err := intReg(ops[0])
-	if err != nil {
-		return err
-	}
-	expr := ops[1]
-	if m == "lid" {
-		it := a.addItem(12, nil)
-		it.encode = func(uint64) ([]byte, error) {
-			v, err := a.eval(expr, it)
-			if err != nil {
-				return nil, err
-			}
-			return isa.Instruction{Op: isa.OpMOVID, Rd: rd, Imm: v}.Encode(nil)
-		}
-		return nil
-	}
-	if m == "li" {
-		if v, err := a.constExpr(expr); err == nil {
-			switch {
-			case v >= isa.ImmMin14 && v <= isa.ImmMax14:
-				a.fixed(isa.Instruction{Op: isa.OpADDI, Rd: rd, Rs1: isa.RegZero, Imm: v})
-			case v >= math.MinInt32 && v <= math.MaxInt32:
-				a.fixed(isa.Instruction{Op: isa.OpMOVIW, Rd: rd, Imm: v})
-			default:
-				a.fixed(isa.Instruction{Op: isa.OpMOVID, Rd: rd, Imm: v})
-			}
-			return nil
-		}
-	}
-	// la, or li with a forward reference: one moviw, checked in pass 2.
-	it := a.addItem(8, nil)
-	it.encode = func(uint64) ([]byte, error) {
-		v, err := a.eval(expr, it)
-		if err != nil {
-			return nil, err
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("value %#x does not fit in 32 bits; use lid", v)
-		}
-		return isa.Instruction{Op: isa.OpMOVIW, Rd: rd, Imm: v}.Encode(nil)
-	}
-	return nil
-}
-
-func (a *assembler) fpInstr(op isa.Op, ops []string, nregs int) error {
-	if len(ops) != nregs {
-		return fmt.Errorf("needs %d operands", nregs)
-	}
-	regs := make([]uint8, nregs)
-	for i, s := range ops {
-		r, err := fReg(s)
-		if err != nil {
-			return err
-		}
-		regs[i] = r
-	}
-	ins := isa.Instruction{Op: op, Rd: regs[0], Rs1: regs[1]}
-	if nregs == 3 {
-		ins.Rs2 = regs[2]
-	}
-	a.fixed(ins)
-	return nil
-}
-
-func (a *assembler) fpCompareInstr(op isa.Op, ops []string) error {
-	if len(ops) != 3 {
-		return fmt.Errorf("needs rd, fs1, fs2")
-	}
-	rd, err := intReg(ops[0])
-	if err != nil {
-		return err
-	}
-	fs1, err := fReg(ops[1])
-	if err != nil {
-		return err
-	}
-	fs2, err := fReg(ops[2])
-	if err != nil {
-		return err
-	}
-	a.fixed(isa.Instruction{Op: op, Rd: rd, Rs1: fs1, Rs2: fs2})
-	return nil
-}
-
-// fpMoveInstr handles the int<->float move/convert family.
-func (a *assembler) fpMoveInstr(op isa.Op, ops []string, dstF, srcF bool) error {
-	if len(ops) != 2 {
-		return fmt.Errorf("needs rd, rs")
-	}
-	var rd, rs uint8
-	var err error
-	if dstF {
-		rd, err = fReg(ops[0])
-	} else {
-		rd, err = intReg(ops[0])
-	}
-	if err != nil {
-		return err
-	}
-	if srcF {
-		rs, err = fReg(ops[1])
-	} else {
-		rs, err = intReg(ops[1])
-	}
-	if err != nil {
-		return err
-	}
-	a.fixed(isa.Instruction{Op: op, Rd: rd, Rs1: rs})
-	return nil
-}
-
-func (a *assembler) amoInstr(op isa.Op, ops []string) error {
-	if len(ops) != 3 {
-		return fmt.Errorf("needs rd, rs2, (rs1)")
-	}
-	rd, err := intReg(ops[0])
-	if err != nil {
-		return err
-	}
-	rs2, err := intReg(ops[1])
-	if err != nil {
-		return err
-	}
-	offExpr, rs1, err := parseMem(ops[2])
-	if err != nil {
-		return err
-	}
-	if strings.TrimSpace(offExpr) != "0" {
-		return fmt.Errorf("atomic address must be (reg) with no offset")
-	}
-	a.fixed(isa.Instruction{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
-	return nil
-}
-
-func (a *assembler) twoIntRegs(ops []string) (rd, rs uint8, err error) {
-	if len(ops) != 2 {
-		return 0, 0, fmt.Errorf("needs rd, rs")
-	}
-	if rd, err = intReg(ops[0]); err != nil {
-		return
-	}
-	rs, err = intReg(ops[1])
-	return
+	return err == nil
 }
 
 func intReg(s string) (uint8, error) {
-	n, ok := isa.IntRegNumber(strings.ToLower(strings.TrimSpace(s)))
-	if !ok {
-		return 0, fmt.Errorf("bad integer register %q", s)
+	n, ok := isa.IntRegNumber(s)
+	if !ok { // not in the form the compiler writes: "A0", "( sp )"
+		if n, ok = isa.IntRegNumber(strings.ToLower(strings.TrimSpace(s))); !ok {
+			return 0, fmt.Errorf("bad integer register %q", s)
+		}
 	}
 	return n, nil
 }

@@ -1,0 +1,2 @@
+_start:
+	add a0, a1,

@@ -1,0 +1,3 @@
+_start:
+	li a0, '#'
+	halt

@@ -1,0 +1,2 @@
+_start:
+	addi a0, a0, _start

@@ -1,0 +1,4 @@
+_start:
+	.byte 1
+	.align 4
+	j nowhere

@@ -1,0 +1,9 @@
+_start:
+	j over
+	.byte 1, 2, 3, 4
+	.align 4
+	.word 0xdeadbeef
+	.ascii "abcd"
+over:	halt
+	.align 16
+tail:	nop

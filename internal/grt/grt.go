@@ -330,23 +330,34 @@ long rand_next(long *state) {
 	abi.SysFutex, abi.FutexWait, abi.FutexWake,
 )
 
-// runtimeAsm compiles the mini-C half of the runtime, once per process: the
-// source is a constant, and every image build needs its assembly.
-var runtimeAsm = sync.OnceValues(func() (string, error) {
-	return minicc.Compile("rt.mc", runtimeC)
+// prepared compiles the mini-C half of the runtime and assembles both
+// halves, once per process: the sources are constants, and every image
+// build continues from the assembler state after them.
+var prepared = sync.OnceValues(func() (rt preparedRuntime, err error) {
+	rtAsm, err := minicc.Compile("rt.mc", runtimeC)
+	if err != nil {
+		return rt, fmt.Errorf("grt: compiling runtime: %w", err)
+	}
+	rt.sources = []asm.Source{
+		{Name: "start.s", Text: startS},
+		{Name: "rt.s", Text: rtAsm},
+	}
+	if rt.prefix, err = asm.Prepare(asm.Options{}, rt.sources...); err != nil {
+		return rt, fmt.Errorf("grt: assembling runtime: %w", err)
+	}
+	return rt, nil
 })
+
+type preparedRuntime struct {
+	sources []asm.Source // start.s and rt.s
+	prefix  *asm.Prefix  // the assembler's state after them
+}
 
 // RuntimeSources returns the runtime's assembly units in a slice of the
 // caller's own (callers append their units to it).
 func RuntimeSources() ([]asm.Source, error) {
-	rtAsm, err := runtimeAsm()
-	if err != nil {
-		return nil, fmt.Errorf("grt: compiling runtime: %w", err)
-	}
-	return []asm.Source{
-		{Name: "start.s", Text: startS},
-		{Name: "rt.s", Text: rtAsm},
-	}, nil
+	rt, err := prepared()
+	return append([]asm.Source(nil), rt.sources...), err
 }
 
 // BuildProgram compiles a mini-C workload (the Prelude is prepended) and
@@ -356,12 +367,11 @@ func BuildProgram(name, src string) (*image.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := RuntimeSources()
+	rt, err := prepared()
 	if err != nil {
 		return nil, err
 	}
-	sources := append(rt, asm.Source{Name: name + ".s", Text: userAsm})
-	im, err := asm.Assemble(sources...)
+	im, err := rt.prefix.Assemble(asm.Source{Name: name + ".s", Text: userAsm})
 	if err != nil {
 		return nil, fmt.Errorf("grt: assembling %s: %w", name, err)
 	}
@@ -370,11 +380,11 @@ func BuildProgram(name, src string) (*image.Image, error) {
 
 // BuildAsmProgram assembles raw assembly sources together with the runtime.
 func BuildAsmProgram(sources ...asm.Source) (*image.Image, error) {
-	rt, err := RuntimeSources()
+	rt, err := prepared()
 	if err != nil {
 		return nil, err
 	}
-	im, err := asm.Assemble(append(rt, sources...)...)
+	im, err := rt.prefix.Assemble(sources...)
 	if err != nil {
 		return nil, fmt.Errorf("grt: assembling: %w", err)
 	}

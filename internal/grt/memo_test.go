@@ -3,6 +3,7 @@ package grt
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -24,8 +25,9 @@ long main() {
 }`},
 }
 
-// buildFresh is BuildProgram as it was before the runtime's assembly was
-// memoized: it compiles rt.mc again for this one image.
+// buildFresh is BuildProgram without anything shared: it compiles rt.mc and
+// assembles start.s, rt.s and the user's unit from scratch for this one
+// image, where BuildProgram continues from the prepared prefix.
 func buildFresh(t testing.TB, name, src string) []byte {
 	t.Helper()
 	rtAsm, err := minicc.Compile("rt.mc", runtimeC)
@@ -77,9 +79,9 @@ func TestRuntimeCompiledOnceImagesIdentical(t *testing.T) {
 }
 
 // TestConcurrentBuildProgram is what dqemud's admissions do: several
-// goroutines build images at once. Each appends its unit to the slice
-// RuntimeSources returned, so that slice must be the caller's own (run under
-// -race).
+// goroutines build images at once, all from the one asm.Prefix of the
+// runtime. A build that wrote to the prefix's section bytes, tables or
+// fixups instead of to its own copy is a data race here (run under -race).
 func TestConcurrentBuildProgram(t *testing.T) {
 	want := make([][]byte, len(memoPrograms))
 	for i, p := range memoPrograms {
@@ -106,5 +108,31 @@ func TestConcurrentBuildProgram(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestBuildTinyAllocs pins what a one-line job costs to build: its own text
+// through minicc, a copy of the runtime prefix, the image and its symbol
+// table. Re-assembling the runtime for it cost 752,594 B in 18,085 objects.
+func TestBuildTinyAllocs(t *testing.T) {
+	const tiny = "long main() { print_str(\"tiny \"); print_long(100001); print_char('\\n'); return 33; }\n"
+	build := func() {
+		if _, err := BuildProgram("tiny.mc", tiny); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // the runtime is prepared once per process
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	objects := testing.AllocsPerRun(runs, build)
+	t.Logf("%d B in %.0f objects per build", bytes, objects)
+	if bytes > 200<<10 || objects > 2500 {
+		t.Errorf("a one-line BuildProgram allocates %d B in %.0f objects, want at most 200 KiB in 2,500", bytes, objects)
 	}
 }

@@ -23,6 +23,14 @@ const (
 	ShadowLimit     = 0x7000_0000
 )
 
+// MaxMemBytes bounds the memory an image's segments may claim in total. The
+// loader backs every page of every segment at boot and the assembler holds
+// every non-bss byte, so an unbounded claim (a one-line ".space" or a forged
+// MemSize) would be an unbounded allocation. The largest full-scale image in
+// the tree is the benchmark's cold_code program, ≈0.5 MiB; the bound is 128
+// times that.
+const MaxMemBytes = 64 << 20
+
 // Segment is one contiguous region of the guest address space. MemSize may
 // exceed len(Data); the remainder is zero-filled (bss).
 type Segment struct {
@@ -46,16 +54,22 @@ func New() *Image {
 }
 
 // AddSegment appends a segment, keeping segments sorted by address and
-// rejecting overlaps.
+// rejecting overlaps and an image of more than MaxMemBytes.
 func (im *Image) AddSegment(s Segment) error {
 	if s.MemSize < uint64(len(s.Data)) {
 		s.MemSize = uint64(len(s.Data))
 	}
+	total := s.MemSize
 	for _, old := range im.Segments {
 		if s.Addr < old.Addr+old.MemSize && old.Addr < s.Addr+s.MemSize {
 			return fmt.Errorf("image: segment %q [%#x,%#x) overlaps %q [%#x,%#x)",
 				s.Name, s.Addr, s.Addr+s.MemSize, old.Name, old.Addr, old.Addr+old.MemSize)
 		}
+		total += old.MemSize // each at most MaxMemBytes: no overflow
+	}
+	if s.MemSize > MaxMemBytes || total > MaxMemBytes {
+		return fmt.Errorf("image: segment %q of %d bytes takes the image over the %d-byte limit (image.MaxMemBytes)",
+			s.Name, s.MemSize, uint64(MaxMemBytes))
 	}
 	im.Segments = append(im.Segments, s)
 	sort.Slice(im.Segments, func(i, j int) bool { return im.Segments[i].Addr < im.Segments[j].Addr })
@@ -122,7 +136,8 @@ func (im *Image) Encode() []byte {
 	return buf
 }
 
-// Decode parses a serialised image.
+// Decode parses a serialised image. It allocates in proportion to the
+// bytes it is given, never to a length they claim.
 func Decode(buf []byte) (*Image, error) {
 	r := reader{buf: buf}
 	if string(r.bytes(len(magic))) != magic {
@@ -130,23 +145,20 @@ func Decode(buf []byte) (*Image, error) {
 	}
 	im := New()
 	im.Entry = r.u64()
-	nseg := int(r.u32())
-	for i := 0; i < nseg && r.err == nil; i++ {
+	for n := r.count(28); n > 0 && r.err == nil; n-- { // a segment is 4+8+8+4+4 bytes and its name
 		var s Segment
 		s.Name = r.str()
 		s.Addr = r.u64()
 		s.MemSize = r.u64()
 		s.Writable = r.u32() != 0
-		n := int(r.u32())
-		s.Data = append([]byte(nil), r.bytes(n)...)
+		s.Data = append([]byte(nil), r.bytes(int(r.u32()))...)
 		if r.err == nil {
 			if err := im.AddSegment(s); err != nil {
 				return nil, err
 			}
 		}
 	}
-	nsym := int(r.u32())
-	for i := 0; i < nsym && r.err == nil; i++ {
+	for n := r.count(12); n > 0 && r.err == nil; n-- { // a symbol is 4+8 bytes and its name
 		name := r.str()
 		im.Symbols[name] = r.u64()
 	}
@@ -167,18 +179,41 @@ type reader struct {
 	err error
 }
 
+// bytes returns the next n bytes, or nil (and sets err) if there are fewer.
 func (r *reader) bytes(n int) []byte {
-	if r.err != nil || r.off+n > len(r.buf) {
+	if r.err != nil || n < 0 || n > len(r.buf)-r.off {
 		if r.err == nil {
 			r.err = fmt.Errorf("need %d bytes at offset %d of %d", n, r.off, len(r.buf))
 		}
-		return make([]byte, n)
+		return nil
 	}
 	b := r.buf[r.off : r.off+n]
 	r.off += n
 	return b
 }
 
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.bytes(4)) }
-func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.bytes(8)) }
+func (r *reader) u32() uint32 {
+	if b := r.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) u64() uint64 {
+	if b := r.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
 func (r *reader) str() string { return string(r.bytes(int(r.u32()))) }
+
+// count reads an element count and checks it against the bytes left, each
+// element taking at least min of them.
+func (r *reader) count(min int) int {
+	n := int(r.u32())
+	if r.err == nil && n > (len(r.buf)-r.off)/min {
+		r.err = fmt.Errorf("count %d at offset %d of %d: an element takes at least %d bytes", n, r.off-4, len(r.buf), min)
+	}
+	return n
+}

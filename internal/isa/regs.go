@@ -66,17 +66,19 @@ func IntRegNumber(name string) (uint8, bool) {
 	return n, ok
 }
 
-// FRegNumber resolves an FP register name ("f0".."f31").
+// FRegNumber resolves an FP register name ("f0".."f31", no leading zeros).
 func FRegNumber(name string) (uint8, bool) {
-	var n int
-	if _, err := fmt.Sscanf(name, "f%d", &n); err != nil || n < 0 || n > 31 {
+	if len(name) < 2 || len(name) > 3 || name[0] != 'f' || len(name) == 3 && name[1] == '0' {
 		return 0, false
 	}
-	// Reject trailing garbage such as "f1x".
-	if fmt.Sprintf("f%d", n) != name {
-		return 0, false
+	n := 0
+	for _, c := range []byte(name[1:]) {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
 	}
-	return uint8(n), true
+	return uint8(n), n < NumRegs
 }
 
 // IntRegName returns the ABI name of integer register n.

@@ -65,8 +65,29 @@ func (g *codegen) errf(line int, format string, args ...interface{}) error {
 	return &compileError{file: g.file, line: line, msg: fmt.Sprintf(format, args...)}
 }
 
+// emit writes one instruction line. The format takes %s (a string) and %d
+// (an int or int64) and nothing else: a line is written for every
+// instruction of every function, and building a format string and running
+// fmt for each was a fifth of Compile.
 func (g *codegen) emit(format string, args ...interface{}) {
-	fmt.Fprintf(&g.out, "\t"+format+"\n", args...)
+	g.out.WriteByte('\t')
+	for i := strings.IndexByte(format, '%'); i >= 0; i = strings.IndexByte(format, '%') {
+		g.out.WriteString(format[:i])
+		var num [20]byte
+		switch a := args[0].(type) {
+		case string:
+			g.out.WriteString(a)
+		case int:
+			g.out.Write(strconv.AppendInt(num[:0], int64(a), 10))
+		case int64:
+			g.out.Write(strconv.AppendInt(num[:0], a, 10))
+		default:
+			panic(fmt.Sprintf("minicc: emit(%q): unsupported argument type %T", format, a))
+		}
+		format, args = format[i+2:], args[1:]
+	}
+	g.out.WriteString(format)
+	g.out.WriteByte('\n')
 }
 
 func (g *codegen) label(l string) { fmt.Fprintf(&g.out, "%s:\n", l) }
@@ -114,7 +135,7 @@ func (g *codegen) generate() (string, error) {
 		g.out.WriteString("\t.rodata\n")
 		for i, s := range g.strs {
 			g.label(fmt.Sprintf(".Lstr_%s_%d", sanitize(g.file), i))
-			g.emit(".asciz %q", s)
+			g.emit(".asciz %s", strconv.Quote(s))
 		}
 	}
 	return g.out.String(), nil

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dqemu/internal/core"
+	"dqemu/internal/image"
 )
 
 // testClient drives the real HTTP surface, as tenants would.
@@ -593,5 +594,40 @@ func TestBadRequests(t *testing.T) {
 	}
 	if jobs := c.daemonStatus(); jobs.Queued != 0 || jobs.Running != 0 {
 		t.Errorf("rejected submissions left daemon state: %+v", jobs)
+	}
+}
+
+// TestHugeReservationRejected: a job whose program reserves more memory
+// than an image may hold (image.MaxMemBytes) is a 400 at admission — as
+// assembly, as mini-C and as a prebuilt image with a forged MemSize — and
+// the daemon then runs a normal job. The first two used to make the
+// assembler allocate the reservation (256 GiB here: a fatal out-of-memory
+// no recover catches); the third made the loader back every page.
+func TestHugeReservationRejected(t *testing.T) {
+	_, ts := startServer(t, Options{MaxSlaves: 4})
+	c := &testClient{t: t, base: ts.URL, tenant: "mallory"}
+
+	forged := image.New()
+	if err := forged.AddSegment(image.Segment{Name: "text", Addr: 0x10000, Data: []byte{0, 0, 0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	forged.Segments[0].MemSize = 1 << 38
+	for name, req := range map[string]*JobRequest{
+		"asm":    {Name: "huge", Asm: "main:\tret\n\t.bss\nbig: .space 0x4000000000\n"},
+		"mini-C": {Name: "huge", Source: "long big[34359738368];\nlong main() { return 0; }\n"},
+		"image":  {Name: "huge", Image: forged.Encode()},
+	} {
+		resp, data := c.req("POST", "/v1/jobs", req)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("image.MaxMemBytes")) {
+			t.Errorf("%s: HTTP %d %s, want 400 naming image.MaxMemBytes", name, resp.StatusCode, data)
+		}
+	}
+
+	st := c.submit(&JobRequest{Source: countingSource(7)}, http.StatusAccepted)
+	if st = c.wait(st.ID); st.State != StateSucceeded {
+		t.Fatalf("the job after the rejected ones: %+v", st)
+	}
+	if res := c.result(st.ID); res.Console != "job 7\n" {
+		t.Errorf("console %q", res.Console)
 	}
 }
