@@ -219,3 +219,23 @@ _start:	halt
 		t.Errorf("bss size = %d", bssSize)
 	}
 }
+
+// TestEveryOpHasCanonicalForm: every op of isa's table is a mnemonic whose
+// fullest operand list is the shape the disassembler prints, with a message
+// for a wrong operand count — so a new op, or a new shape, cannot reach the
+// assembler half-described.
+func TestEveryOpHasCanonicalForm(t *testing.T) {
+	for op := isa.OpInvalid + 1; op.Valid(); op++ {
+		m, ok := mnemonics[op.String()]
+		if !ok || m.ins.Op != op {
+			t.Errorf("%s: mnemonic row %+v", op, m)
+			continue
+		}
+		if full := m.args[len(m.args)-1]; full != op.Shape() {
+			t.Errorf("%s: assembles %q, disassembles %q", op, full, op.Shape())
+		}
+		if m.needs == "" {
+			t.Errorf("%s: shape %q has no operand-count message", op, op.Shape())
+		}
+	}
+}

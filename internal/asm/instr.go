@@ -37,7 +37,33 @@ type mnemonic struct {
 	needs string
 }
 
-// mnemonics maps every mnemonic, alias and pseudo-instruction included.
+// needs is what an operand shape's mnemonics say when the count is wrong.
+var needs = map[string]string{
+	"":    "takes no operands",
+	"dst": "needs rd, rs1, rs2",
+	"dsi": "needs rd, rs1, imm",
+	"dm":  "needs rd, offset(base)",
+	"Dm":  "needs rd, offset(base)",
+	"tm":  "needs rs, offset(base)",
+	"Tm":  "needs rs, offset(base)",
+	"stb": "needs rs1, rs2, target",
+	"tsb": "needs rs1, rs2, target",
+	"sb":  "needs rs, target",
+	"tb":  "needs rs, target",
+	"DST": "needs 3 operands",
+	"DS":  "needs 2 operands",
+	"dST": "needs rd, fs1, fs2",
+	"dta": "needs rd, rs2, (rs1)",
+	"di":  "needs rd, literal",
+	"Df":  "needs fd, float",
+	"dS":  "needs rd, rs",
+	"Ds":  "needs rd, rs",
+}
+
+// mnemonics maps every mnemonic, alias and pseudo-instruction included. The
+// canonical form of each op — its name and operand shape — comes from isa's
+// table; written out here are only the rows that differ from it: defaults
+// for omitted operands, aliases and pseudo-instructions.
 var mnemonics = func() map[string]mnemonic {
 	const ra, zero = isa.RegRA, isa.RegZero
 	all := map[string]mnemonic{
@@ -61,53 +87,24 @@ var mnemonics = func() map[string]mnemonic {
 		"svc":  {isa.Instruction{Op: isa.OpSVC}, []string{"", "c"}, "needs at most one operand"},
 		"hint": {isa.Instruction{Op: isa.OpHINT}, []string{"", "c"}, "needs at most one operand"},
 	}
-	form := func(args, needs string, ops map[string]isa.Op) {
+	alias := func(args string, ops map[string]isa.Op) {
 		for name, op := range ops {
-			all[name] = mnemonic{isa.Instruction{Op: op}, []string{args}, needs}
+			all[name] = mnemonic{isa.Instruction{Op: op}, []string{args}, needs[args]}
 		}
 	}
-	form("dst", "needs rd, rs1, rs2", map[string]isa.Op{
-		"add": isa.OpADD, "sub": isa.OpSUB, "mul": isa.OpMUL,
-		"div": isa.OpDIV, "divu": isa.OpDIVU, "rem": isa.OpREM, "remu": isa.OpREMU,
-		"and": isa.OpAND, "or": isa.OpOR, "xor": isa.OpXOR,
-		"sll": isa.OpSLL, "srl": isa.OpSRL, "sra": isa.OpSRA,
-		"slt": isa.OpSLT, "sltu": isa.OpSLTU})
-	form("dsi", "needs rd, rs1, imm", map[string]isa.Op{
-		"addi": isa.OpADDI, "andi": isa.OpANDI, "ori": isa.OpORI, "xori": isa.OpXORI,
-		"slli": isa.OpSLLI, "srli": isa.OpSRLI, "srai": isa.OpSRAI, "slti": isa.OpSLTI})
-	form("dm", "needs rd, offset(base)", map[string]isa.Op{
-		"lb": isa.OpLB, "lbu": isa.OpLBU, "lh": isa.OpLH, "lhu": isa.OpLHU,
-		"lw": isa.OpLW, "lwu": isa.OpLWU, "ld": isa.OpLD, "ll": isa.OpLL})
-	form("Dm", "needs rd, offset(base)", map[string]isa.Op{"fld": isa.OpFLD})
-	form("tm", "needs rs, offset(base)", map[string]isa.Op{
-		"sb": isa.OpSB, "sh": isa.OpSH, "sw": isa.OpSW, "sd": isa.OpSD})
-	form("Tm", "needs rs, offset(base)", map[string]isa.Op{"fsd": isa.OpFSD})
-	form("stb", "needs rs1, rs2, target", map[string]isa.Op{
-		"beq": isa.OpBEQ, "bne": isa.OpBNE, "blt": isa.OpBLT,
-		"bge": isa.OpBGE, "bltu": isa.OpBLTU, "bgeu": isa.OpBGEU})
 	// Aliases that reverse the operand order.
-	form("tsb", "needs rs1, rs2, target", map[string]isa.Op{
+	alias("tsb", map[string]isa.Op{
 		"bgt": isa.OpBLT, "ble": isa.OpBGE, "bgtu": isa.OpBLTU, "bleu": isa.OpBGEU})
 	// Aliases comparing against zero, the register first or second.
-	form("sb", "needs rs, target", map[string]isa.Op{
+	alias("sb", map[string]isa.Op{
 		"beqz": isa.OpBEQ, "bnez": isa.OpBNE, "bltz": isa.OpBLT, "bgez": isa.OpBGE})
-	form("tb", "needs rs, target", map[string]isa.Op{"bgtz": isa.OpBLT, "blez": isa.OpBGE})
-	form("DST", "needs 3 operands", map[string]isa.Op{
-		"fadd": isa.OpFADD, "fsub": isa.OpFSUB, "fmul": isa.OpFMUL, "fdiv": isa.OpFDIV,
-		"fmin": isa.OpFMIN, "fmax": isa.OpFMAX})
-	form("DS", "needs 2 operands", map[string]isa.Op{
-		"fsqrt": isa.OpFSQRT, "fneg": isa.OpFNEG, "fabs": isa.OpFABS,
-		"fexp": isa.OpFEXP, "fln": isa.OpFLN, "fmv": isa.OpFMV})
-	form("dST", "needs rd, fs1, fs2", map[string]isa.Op{
-		"feq": isa.OpFEQ, "flt": isa.OpFLT, "fle": isa.OpFLE})
-	form("dta", "needs rd, rs2, (rs1)", map[string]isa.Op{
-		"sc": isa.OpSC, "cas": isa.OpCAS, "amoadd": isa.OpAMOADD, "amoswap": isa.OpAMOSWAP})
-	form("", "takes no operands", map[string]isa.Op{
-		"fence": isa.OpFENCE, "nop": isa.OpNOP, "halt": isa.OpHALT, "ebreak": isa.OpEBREAK})
-	form("di", "needs rd, literal", map[string]isa.Op{"moviw": isa.OpMOVIW, "movid": isa.OpMOVID})
-	form("Df", "needs fd, float", map[string]isa.Op{"fmovd": isa.OpFMOVD, "fli": isa.OpFMOVD})
-	form("dS", "needs rd, rs", map[string]isa.Op{"fmv.x.d": isa.OpFMVXD, "fcvt.l.d": isa.OpFCVTLD})
-	form("Ds", "needs rd, rs", map[string]isa.Op{"fmv.d.x": isa.OpFMVDX, "fcvt.d.l": isa.OpFCVTDL})
+	alias("tb", map[string]isa.Op{"bgtz": isa.OpBLT, "blez": isa.OpBGE})
+	alias("Df", map[string]isa.Op{"fli": isa.OpFMOVD})
+	for op := isa.OpInvalid + 1; op.Valid(); op++ {
+		if _, written := all[op.String()]; !written {
+			all[op.String()] = mnemonic{isa.Instruction{Op: op}, []string{op.Shape()}, needs[op.Shape()]}
+		}
+	}
 	return all
 }()
 

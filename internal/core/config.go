@@ -87,8 +87,6 @@ type Config struct {
 	// head stays on the block interpreter). Adds translation-time cost only; the
 	// execution hot path is unchanged.
 	Verify bool
-	// NoJumpCache disables the indirect-branch target cache (ablation).
-	NoJumpCache bool
 	// NoDelta disables delta page transfers (ablation): coherence messages
 	// carry full pages, nodes keep no twins, and no version information is
 	// exchanged. With NoCoalesce also set, the wire layer is fully off and
@@ -265,7 +263,7 @@ func (c *Config) normalize() {
 // KInit bit order.
 func (c *Config) nodeFlags() []*bool {
 	return []*bool{
-		&c.Interp, &c.NoSuperblock, &c.NoJumpCache,
+		&c.Interp, &c.NoSuperblock,
 		&c.Verify, &c.NoDelta, &c.NoCoalesce,
 	}
 }
@@ -279,7 +277,7 @@ type initFaults struct {
 
 // InitFrame is the KInit frame that boots slave id of a cfg-shaped cluster
 // in another process: the encoded guest image plus the part of cfg a slave
-// node reads — cluster size, cores, page size, quantum, the six engine and
+// node reads — cluster size, cores, page size, quantum, the five engine and
 // wire-layer switches and, under an active fault plan, the plan and the
 // retry policy, announced by one more bit of the flag word that is derived,
 // not set: every node of a cluster must agree on whether its links run the

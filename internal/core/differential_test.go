@@ -46,21 +46,12 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		cfg.SplitFactor = 8
 		variants = append(variants, cfg)
 	}
-	// Translator ablations: the block interpreter alone (no trace
-	// promotion, no indirect-branch cache), and compiled traces distributed
-	// with the indirect-branch cache off. The default variants above
-	// already run compiled traces.
+	// Translator ablation: the block interpreter alone (no trace
+	// promotion). The default variants above already run compiled traces.
 	{
 		cfg := DefaultConfig()
 		cfg.Slaves = 1
 		cfg.NoSuperblock = true
-		cfg.NoJumpCache = true
-		variants = append(variants, cfg)
-	}
-	{
-		cfg := DefaultConfig()
-		cfg.Slaves = 2
-		cfg.NoJumpCache = true
 		variants = append(variants, cfg)
 	}
 
@@ -96,12 +87,10 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 func tierConfigs() map[string]Config {
 	blocks := DefaultConfig()
 	blocks.NoSuperblock = true
-	blocks.NoJumpCache = true
 
 	interp := DefaultConfig()
 	interp.Interp = true
 	interp.NoSuperblock = true
-	interp.NoJumpCache = true
 
 	return map[string]Config{"interp": interp, "blocks": blocks, "compiled": DefaultConfig()}
 }

@@ -74,7 +74,6 @@ func newNode(id int, cl *Cluster) *node {
 	engine.Mon = llsc
 	engine.NoCache = cl.cfg.Interp
 	engine.NoSuperblock = cl.cfg.NoSuperblock || cl.cfg.NoTier3
-	engine.NoJumpCache = cl.cfg.NoJumpCache
 	engine.Verify = cl.cfg.Verify
 	engine.StopAtomic = true
 	n := &node{

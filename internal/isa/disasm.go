@@ -6,48 +6,43 @@ import (
 	"strings"
 )
 
-// Disasm renders ins in the assembler's input syntax.
+// Disasm renders ins in the assembler's input syntax: the mnemonic and one
+// operand per letter of the op's shape.
 func (ins Instruction) Disasm() string {
-	fd, f1, f2 := ins.Op.FRegFields()
-	rd := regStr(ins.Rd, fd)
-	rs1 := regStr(ins.Rs1, f1)
-	rs2 := regStr(ins.Rs2, f2)
-	switch ins.Op.Format() {
-	case FormatR:
-		switch ins.Op {
-		case OpNOP, OpHALT, OpEBREAK, OpFENCE:
-			return ins.Op.String()
-		case OpFSQRT, OpFNEG, OpFABS, OpFEXP, OpFLN, OpFMV, OpFMVXD, OpFMVDX, OpFCVTDL, OpFCVTLD:
-			return fmt.Sprintf("%s %s, %s", ins.Op, rd, rs1)
-		case OpSC, OpCAS, OpAMOADD, OpAMOSWAP:
-			return fmt.Sprintf("%s %s, %s, (%s)", ins.Op, rd, rs2, rs1)
-		default:
-			return fmt.Sprintf("%s %s, %s, %s", ins.Op, rd, rs1, rs2)
+	var sb strings.Builder
+	sb.WriteString(ins.Op.String())
+	for i, kind := range []byte(ins.Op.Shape()) {
+		if i == 0 {
+			sb.WriteByte(' ')
+		} else {
+			sb.WriteString(", ")
 		}
-	case FormatI:
-		switch ins.Op {
-		case OpLB, OpLBU, OpLH, OpLHU, OpLW, OpLWU, OpLD, OpFLD, OpLL:
-			return fmt.Sprintf("%s %s, %d(%s)", ins.Op, rd, ins.Imm, rs1)
-		case OpSVC, OpHINT:
-			return fmt.Sprintf("%s %d", ins.Op, ins.Imm)
-		case OpJALR:
-			return fmt.Sprintf("%s %s, %s, %d", ins.Op, rd, rs1, ins.Imm)
-		default:
-			return fmt.Sprintf("%s %s, %s, %d", ins.Op, rd, rs1, ins.Imm)
+		switch kind {
+		case 'd':
+			sb.WriteString(IntRegName(ins.Rd))
+		case 's':
+			sb.WriteString(IntRegName(ins.Rs1))
+		case 't':
+			sb.WriteString(IntRegName(ins.Rs2))
+		case 'D':
+			sb.WriteString(FRegName(ins.Rd))
+		case 'S':
+			sb.WriteString(FRegName(ins.Rs1))
+		case 'T':
+			sb.WriteString(FRegName(ins.Rs2))
+		case 'm':
+			fmt.Fprintf(&sb, "%d(%s)", ins.Imm, IntRegName(ins.Rs1))
+		case 'a':
+			fmt.Fprintf(&sb, "(%s)", IntRegName(ins.Rs1))
+		case 'i', 'c':
+			fmt.Fprintf(&sb, "%d", ins.Imm)
+		case 'b', 'j':
+			fmt.Fprintf(&sb, "%d", ins.Imm*4)
+		case 'f':
+			fmt.Fprintf(&sb, "%g", math.Float64frombits(uint64(ins.Imm)))
 		}
-	case FormatS:
-		return fmt.Sprintf("%s %s, %d(%s)", ins.Op, rs2, ins.Imm, rs1)
-	case FormatB:
-		return fmt.Sprintf("%s %s, %s, %d", ins.Op, rs1, rs2, ins.Imm*4)
-	case FormatJ:
-		return fmt.Sprintf("%s %s, %d", ins.Op, rd, ins.Imm*4)
-	case FormatX:
-		if ins.Op == OpFMOVD {
-			return fmt.Sprintf("%s %s, %g", ins.Op, rd, math.Float64frombits(uint64(ins.Imm)))
-		}
-		return fmt.Sprintf("%s %s, %d", ins.Op, rd, ins.Imm)
 	}
-	return ins.Op.String()
+	return sb.String()
 }
 
 // DisasmCode renders a code buffer one instruction per line, prefixed with
@@ -65,11 +60,4 @@ func DisasmCode(base uint64, code []byte) string {
 		off += n
 	}
 	return sb.String()
-}
-
-func regStr(n uint8, fp bool) string {
-	if fp {
-		return FRegName(n)
-	}
-	return IntRegName(n)
 }

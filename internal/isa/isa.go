@@ -75,7 +75,7 @@ const (
 
 	// Jumps.
 	OpJAL  // format J: rd = pc+4; pc += imm*4
-	OpJALR // format I: rd = pc+4; pc = (rs1+imm) &^ 1
+	OpJALR // format I: rd = pc+4; pc = (rs1+imm) &^ 3 (targets are word-aligned)
 
 	// Atomics. LL/SC mirror ARM's exclusive pair; CAS mirrors ARM v8.1 CAS.
 	OpLL      // format I (imm=0): rd = mem64[rs1], open monitor
@@ -144,103 +144,108 @@ type Instruction struct {
 }
 
 // info captures the per-opcode static properties used by the encoder,
-// decoder, disassembler and translator.
+// decoder, disassembler and assembler.
 type info struct {
 	name   string
 	format Format
-	// fdRd, fRs1, fRs2 mark fields that name F registers.
-	fdRd, fRs1, fRs2 bool
+	// args is the operand shape: one letter per operand of the assembly
+	// syntax, in the order written. d s t name Rd Rs1 Rs2 as integer
+	// registers and D S T as FP registers; m is offset(base) — Imm and Rs1 —
+	// and a the offset-less (base) of the atomics; i is Imm as it stands, c
+	// the same where the assembler wants a constant, b and j a branch or jump
+	// target (Imm counts words, the text bytes), f Imm's bits as a float64.
+	args string
 }
 
 var opInfo = [opMax]info{
-	OpADD:  {name: "add", format: FormatR},
-	OpSUB:  {name: "sub", format: FormatR},
-	OpMUL:  {name: "mul", format: FormatR},
-	OpDIV:  {name: "div", format: FormatR},
-	OpDIVU: {name: "divu", format: FormatR},
-	OpREM:  {name: "rem", format: FormatR},
-	OpREMU: {name: "remu", format: FormatR},
-	OpAND:  {name: "and", format: FormatR},
-	OpOR:   {name: "or", format: FormatR},
-	OpXOR:  {name: "xor", format: FormatR},
-	OpSLL:  {name: "sll", format: FormatR},
-	OpSRL:  {name: "srl", format: FormatR},
-	OpSRA:  {name: "sra", format: FormatR},
-	OpSLT:  {name: "slt", format: FormatR},
-	OpSLTU: {name: "sltu", format: FormatR},
+	OpADD:  {name: "add", format: FormatR, args: "dst"},
+	OpSUB:  {name: "sub", format: FormatR, args: "dst"},
+	OpMUL:  {name: "mul", format: FormatR, args: "dst"},
+	OpDIV:  {name: "div", format: FormatR, args: "dst"},
+	OpDIVU: {name: "divu", format: FormatR, args: "dst"},
+	OpREM:  {name: "rem", format: FormatR, args: "dst"},
+	OpREMU: {name: "remu", format: FormatR, args: "dst"},
+	OpAND:  {name: "and", format: FormatR, args: "dst"},
+	OpOR:   {name: "or", format: FormatR, args: "dst"},
+	OpXOR:  {name: "xor", format: FormatR, args: "dst"},
+	OpSLL:  {name: "sll", format: FormatR, args: "dst"},
+	OpSRL:  {name: "srl", format: FormatR, args: "dst"},
+	OpSRA:  {name: "sra", format: FormatR, args: "dst"},
+	OpSLT:  {name: "slt", format: FormatR, args: "dst"},
+	OpSLTU: {name: "sltu", format: FormatR, args: "dst"},
 
-	OpADDI: {name: "addi", format: FormatI},
-	OpANDI: {name: "andi", format: FormatI},
-	OpORI:  {name: "ori", format: FormatI},
-	OpXORI: {name: "xori", format: FormatI},
-	OpSLLI: {name: "slli", format: FormatI},
-	OpSRLI: {name: "srli", format: FormatI},
-	OpSRAI: {name: "srai", format: FormatI},
-	OpSLTI: {name: "slti", format: FormatI},
+	OpADDI: {name: "addi", format: FormatI, args: "dsi"},
+	OpANDI: {name: "andi", format: FormatI, args: "dsi"},
+	OpORI:  {name: "ori", format: FormatI, args: "dsi"},
+	OpXORI: {name: "xori", format: FormatI, args: "dsi"},
+	OpSLLI: {name: "slli", format: FormatI, args: "dsi"},
+	OpSRLI: {name: "srli", format: FormatI, args: "dsi"},
+	OpSRAI: {name: "srai", format: FormatI, args: "dsi"},
+	OpSLTI: {name: "slti", format: FormatI, args: "dsi"},
 
-	OpMOVIW: {name: "moviw", format: FormatX},
-	OpMOVID: {name: "movid", format: FormatX},
+	OpMOVIW: {name: "moviw", format: FormatX, args: "di"},
+	OpMOVID: {name: "movid", format: FormatX, args: "di"},
 
-	OpLB:  {name: "lb", format: FormatI},
-	OpLBU: {name: "lbu", format: FormatI},
-	OpLH:  {name: "lh", format: FormatI},
-	OpLHU: {name: "lhu", format: FormatI},
-	OpLW:  {name: "lw", format: FormatI},
-	OpLWU: {name: "lwu", format: FormatI},
-	OpLD:  {name: "ld", format: FormatI},
+	OpLB:  {name: "lb", format: FormatI, args: "dm"},
+	OpLBU: {name: "lbu", format: FormatI, args: "dm"},
+	OpLH:  {name: "lh", format: FormatI, args: "dm"},
+	OpLHU: {name: "lhu", format: FormatI, args: "dm"},
+	OpLW:  {name: "lw", format: FormatI, args: "dm"},
+	OpLWU: {name: "lwu", format: FormatI, args: "dm"},
+	OpLD:  {name: "ld", format: FormatI, args: "dm"},
 
-	OpSB: {name: "sb", format: FormatS},
-	OpSH: {name: "sh", format: FormatS},
-	OpSW: {name: "sw", format: FormatS},
-	OpSD: {name: "sd", format: FormatS},
+	OpSB: {name: "sb", format: FormatS, args: "tm"},
+	OpSH: {name: "sh", format: FormatS, args: "tm"},
+	OpSW: {name: "sw", format: FormatS, args: "tm"},
+	OpSD: {name: "sd", format: FormatS, args: "tm"},
 
-	OpBEQ:  {name: "beq", format: FormatB},
-	OpBNE:  {name: "bne", format: FormatB},
-	OpBLT:  {name: "blt", format: FormatB},
-	OpBGE:  {name: "bge", format: FormatB},
-	OpBLTU: {name: "bltu", format: FormatB},
-	OpBGEU: {name: "bgeu", format: FormatB},
+	OpBEQ:  {name: "beq", format: FormatB, args: "stb"},
+	OpBNE:  {name: "bne", format: FormatB, args: "stb"},
+	OpBLT:  {name: "blt", format: FormatB, args: "stb"},
+	OpBGE:  {name: "bge", format: FormatB, args: "stb"},
+	OpBLTU: {name: "bltu", format: FormatB, args: "stb"},
+	OpBGEU: {name: "bgeu", format: FormatB, args: "stb"},
 
-	OpJAL:  {name: "jal", format: FormatJ},
-	OpJALR: {name: "jalr", format: FormatI},
+	OpJAL:  {name: "jal", format: FormatJ, args: "dj"},
+	OpJALR: {name: "jalr", format: FormatI, args: "dsi"},
 
-	OpLL:      {name: "ll", format: FormatI},
-	OpSC:      {name: "sc", format: FormatR},
-	OpCAS:     {name: "cas", format: FormatR},
-	OpAMOADD:  {name: "amoadd", format: FormatR},
-	OpAMOSWAP: {name: "amoswap", format: FormatR},
+	OpLL:      {name: "ll", format: FormatI, args: "dm"},
+	OpSC:      {name: "sc", format: FormatR, args: "dta"},
+	OpCAS:     {name: "cas", format: FormatR, args: "dta"},
+	OpAMOADD:  {name: "amoadd", format: FormatR, args: "dta"},
+	OpAMOSWAP: {name: "amoswap", format: FormatR, args: "dta"},
 	OpFENCE:   {name: "fence", format: FormatR},
 
-	OpSVC:    {name: "svc", format: FormatI},
-	OpHINT:   {name: "hint", format: FormatI},
+	OpSVC:    {name: "svc", format: FormatI, args: "c"},
+	OpHINT:   {name: "hint", format: FormatI, args: "c"},
 	OpNOP:    {name: "nop", format: FormatR},
 	OpHALT:   {name: "halt", format: FormatR},
 	OpEBREAK: {name: "ebreak", format: FormatR},
 
-	OpFADD:  {name: "fadd", format: FormatR, fdRd: true, fRs1: true, fRs2: true},
-	OpFSUB:  {name: "fsub", format: FormatR, fdRd: true, fRs1: true, fRs2: true},
-	OpFMUL:  {name: "fmul", format: FormatR, fdRd: true, fRs1: true, fRs2: true},
-	OpFDIV:  {name: "fdiv", format: FormatR, fdRd: true, fRs1: true, fRs2: true},
-	OpFMIN:  {name: "fmin", format: FormatR, fdRd: true, fRs1: true, fRs2: true},
-	OpFMAX:  {name: "fmax", format: FormatR, fdRd: true, fRs1: true, fRs2: true},
-	OpFSQRT: {name: "fsqrt", format: FormatR, fdRd: true, fRs1: true},
-	OpFNEG:  {name: "fneg", format: FormatR, fdRd: true, fRs1: true},
-	OpFABS:  {name: "fabs", format: FormatR, fdRd: true, fRs1: true},
-	OpFEXP:  {name: "fexp", format: FormatR, fdRd: true, fRs1: true},
-	OpFLN:   {name: "fln", format: FormatR, fdRd: true, fRs1: true},
+	OpFADD:  {name: "fadd", format: FormatR, args: "DST"},
+	OpFSUB:  {name: "fsub", format: FormatR, args: "DST"},
+	OpFMUL:  {name: "fmul", format: FormatR, args: "DST"},
+	OpFDIV:  {name: "fdiv", format: FormatR, args: "DST"},
+	OpFMIN:  {name: "fmin", format: FormatR, args: "DST"},
+	OpFMAX:  {name: "fmax", format: FormatR, args: "DST"},
+	OpFSQRT: {name: "fsqrt", format: FormatR, args: "DS"},
+	OpFNEG:  {name: "fneg", format: FormatR, args: "DS"},
+	OpFABS:  {name: "fabs", format: FormatR, args: "DS"},
+	OpFEXP:  {name: "fexp", format: FormatR, args: "DS"},
+	OpFLN:   {name: "fln", format: FormatR, args: "DS"},
 
-	OpFLD: {name: "fld", format: FormatI, fdRd: true},
-	OpFSD: {name: "fsd", format: FormatS, fRs2: true},
+	OpFLD: {name: "fld", format: FormatI, args: "Dm"},
+	OpFSD: {name: "fsd", format: FormatS, args: "Tm"},
 
-	OpFMOVD:  {name: "fmovd", format: FormatX, fdRd: true},
-	OpFMV:    {name: "fmv", format: FormatR, fdRd: true, fRs1: true},
-	OpFMVXD:  {name: "fmv.x.d", format: FormatR, fRs1: true},
-	OpFMVDX:  {name: "fmv.d.x", format: FormatR, fdRd: true},
-	OpFCVTDL: {name: "fcvt.d.l", format: FormatR, fdRd: true},
-	OpFCVTLD: {name: "fcvt.l.d", format: FormatR, fRs1: true},
-	OpFEQ:    {name: "feq", format: FormatR, fRs1: true, fRs2: true},
-	OpFLT:    {name: "flt", format: FormatR, fRs1: true, fRs2: true},
-	OpFLE:    {name: "fle", format: FormatR, fRs1: true, fRs2: true},
+	OpFMOVD:  {name: "fmovd", format: FormatX, args: "Df"},
+	OpFMV:    {name: "fmv", format: FormatR, args: "DS"},
+	OpFMVXD:  {name: "fmv.x.d", format: FormatR, args: "dS"},
+	OpFMVDX:  {name: "fmv.d.x", format: FormatR, args: "Ds"},
+	OpFCVTDL: {name: "fcvt.d.l", format: FormatR, args: "Ds"},
+	OpFCVTLD: {name: "fcvt.l.d", format: FormatR, args: "dS"},
+	OpFEQ:    {name: "feq", format: FormatR, args: "dST"},
+	OpFLT:    {name: "flt", format: FormatR, args: "dST"},
+	OpFLE:    {name: "fle", format: FormatR, args: "dST"},
 }
 
 // Valid reports whether op names a defined operation.
@@ -259,11 +264,11 @@ func (op Op) Format() Format {
 	return opInfo[op].format
 }
 
-// FRegFields reports which of the rd/rs1/rs2 fields of op name floating
-// point registers.
-func (op Op) FRegFields() (rd, rs1, rs2 bool) {
-	in := opInfo[op]
-	return in.fdRd, in.fRs1, in.fRs2
+// Shape returns the operand shape of op's assembly syntax, one letter per
+// operand (see info.args): what Disasm prints and the assembler's canonical
+// form of the mnemonic parses.
+func (op Op) Shape() string {
+	return opInfo[op].args
 }
 
 // Immediate field limits.

@@ -53,12 +53,12 @@ func TestRunSlaveRefusesForeignInit(t *testing.T) {
 		}
 		defer conn.Close()
 		m := core.InitFrame(core.Config{Slaves: 1}, 1, im.Encode())
-		m.Args[4] |= 1 << 7 // one past the seven bits this build ships
+		m.Args[4] |= 1 << 6 // one past the six bits this build ships
 		proto.WriteMsg(conn, m)
 		proto.ReadMsg(conn) // hold the connection until the slave gives up
 	}()
 	_, err = RunSlave(ln.Addr().String())
-	if err == nil || !strings.Contains(err.Error(), "live: init:") || !strings.Contains(err.Error(), "unknown flag bits 0b10000000") {
+	if err == nil || !strings.Contains(err.Error(), "live: init:") || !strings.Contains(err.Error(), "unknown flag bits 0b1000000") {
 		t.Errorf("expected a live: init: error naming the unknown bit, got %v", err)
 	}
 }

@@ -39,7 +39,7 @@ func goldenSpecs() map[string]*Spec {
 			Cluster: Cluster{Slaves: 3, Cores: 2, QuantumNs: 250_000, PageSize: 1024},
 			Knobs: Knobs{
 				Forwarding: true, Splitting: true, HintSched: true, PlaceOnMaster: true,
-				Interp: false, NoSuperblock: false, NoJumpCache: true,
+				Interp: false, NoSuperblock: false,
 				ForwardTrigger: 3, SplitFactor: 8,
 				NoDelta: true, NoCoalesce: true,
 				RebalanceNs: 4_000_000, Metrics: true, Sanitizer: true,

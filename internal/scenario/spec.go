@@ -155,7 +155,6 @@ type Knobs struct {
 
 	Interp       bool `json:"interp,omitempty"`
 	NoSuperblock bool `json:"no_superblock,omitempty"`
-	NoJumpCache  bool `json:"no_jump_cache,omitempty"`
 	// Verify turns on translate-time translation validation (symbolic
 	// trace proofs, structural checks of their closure compilations); a run
 	// with verify on gets an implicit verify_clean gate requiring zero
@@ -515,7 +514,6 @@ func (s *Spec) config() core.Config {
 	cfg.PlaceOnMaster = k.PlaceOnMaster
 	cfg.Interp = k.Interp
 	cfg.NoSuperblock = k.NoSuperblock
-	cfg.NoJumpCache = k.NoJumpCache
 	cfg.Verify = k.Verify
 	cfg.NoDelta = k.NoDelta
 	cfg.NoCoalesce = k.NoCoalesce

@@ -345,7 +345,7 @@ second:
 // own, or building the second trace rewrites the first one's code.
 func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
 	want, _ := tier3State(t, hotLoops, func(e *Engine) {
-		e.NoCache, e.NoSuperblock, e.NoJumpCache = true, true, true
+		e.NoCache, e.NoSuperblock = true, true
 	})
 
 	// Heat both loops on the block interpreter, so their heads carry branch bias.

@@ -49,8 +49,9 @@ func newSymPair(bld *symeq.Builder) (a, b symState) {
 
 // symPure applies u to the state when u is pure — no fault, no exit, no
 // externally visible action — mirroring compileMid's ALU and FP closures
-// operator for operator. Returns false when u is an effect the lockstep
-// matcher must handle.
+// operator for operator, and sharing nothing with them: -verify is worth
+// what the symbolic side's independence of the concrete one is worth.
+// Returns false when u is an effect the lockstep matcher must handle.
 func (st *symState) symPure(u *uop) bool {
 	b := st.bld
 	x := &st.x

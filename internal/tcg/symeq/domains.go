@@ -63,7 +63,7 @@ func (e *Expr) computeDomains() {
 		if c, ok := y.IsConst(); ok {
 			s := c & 63
 			e.ko = x.ko >> s
-			e.kz = x.kz>>s | ^((^uint64(0))>>s)
+			e.kz = x.kz>>s | ^((^uint64(0)) >> s)
 			e.lo, e.hi = x.lo>>s, x.hi>>s
 		}
 	case Sar:
@@ -73,10 +73,10 @@ func (e *Expr) computeDomains() {
 			switch {
 			case x.kz&sign != 0: // sign known clear: behaves like Shr
 				e.ko = x.ko >> s
-				e.kz = x.kz>>s | ^((^uint64(0))>>s)
+				e.kz = x.kz>>s | ^((^uint64(0)) >> s)
 				e.lo, e.hi = x.lo>>s, x.hi>>s
 			case x.ko&sign != 0: // sign known set: high bits fill with ones
-				e.ko = uint64(int64(x.ko)>>s) | ^((^uint64(0))>>s)
+				e.ko = uint64(int64(x.ko)>>s) | ^((^uint64(0)) >> s)
 				e.kz = x.kz >> s
 			default:
 				e.ko = (x.ko >> s) &^ (^((^uint64(0)) >> s))

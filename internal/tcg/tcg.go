@@ -165,14 +165,13 @@ type Engine struct {
 	San SanHook
 
 	// NoCache disables the translation cache: every block entry
-	// retranslates, so nothing is chained either. NoSuperblock disables trace
-	// promotion, leaving the block interpreter alone, and NoJumpCache
-	// disables the indirect-branch target cache. All three exist for the
-	// ablation benchmarks; together they give the measured ladder
-	// interpreter -> cached blocks -> compiled traces.
+	// retranslates, so nothing is chained or cached for indirect branches
+	// either. NoSuperblock disables trace promotion, leaving the block
+	// interpreter alone. Both exist for the ablation benchmarks; together
+	// they give the measured ladder interpreter -> cached blocks -> compiled
+	// traces.
 	NoCache      bool
 	NoSuperblock bool
-	NoJumpCache  bool
 
 	// Verify enables translate-time translation validation: every freshly
 	// lowered trace is symbolically proved equivalent to the
@@ -476,7 +475,7 @@ func (e *Engine) isCodeAddr(addr uint64) bool {
 // direct-mapped PC-indexed probe that avoids the translation-cache map on
 // hits (JALR-heavy code — function returns — hits here almost always).
 func (e *Engine) lookupFast(pc uint64, spent *int64) (*block, error) {
-	if e.NoJumpCache || e.NoCache {
+	if e.NoCache {
 		return e.lookup(pc, spent)
 	}
 	h := &e.jc[(pc>>2)&(jcSize-1)]
@@ -555,7 +554,11 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 }
 
 // execBlock executes b. It returns the chained next block (nil when a cache
-// lookup is needed), or stop=true with a Result.
+// lookup is needed), or stop=true with a Result. Its switch is the reference
+// every tier differential compares the compiled traces against, so it is
+// written out by hand and reads no table the lowering or the closure compiler
+// also read; only the atomics, whose step order is a contract of its own,
+// are shared (Engine.atomic).
 func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res Result, stop bool) {
 	x := &cpu.X
 	f := &cpu.F
@@ -702,87 +705,13 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 			cpu.PC = target
 			return nil, Result{}, false
 
-		case isa.OpLL:
-			addr := x[ins.Rs1]
-			if addr%8 != 0 {
-				return e.badAlign(cpu, pc, addr, spent)
-			}
-			v, fault := mmu.Load(addr, 8)
-			if fault != nil {
-				return e.fault(cpu, pc, fault, spent)
-			}
-			e.Mon.OnLL(cpu.TID, mmu.Translate(addr))
-			if e.San != nil {
-				e.San.OnAtomic(cpu.TID, mmu.Translate(addr), 8, pc, false)
-			}
-			wr(x, ins.Rd, v)
-
-		case isa.OpSC:
-			addr := x[ins.Rs1]
-			if addr%8 != 0 {
-				return e.badAlign(cpu, pc, addr, spent)
-			}
-			taddr := mmu.Translate(addr)
-			if mmu.PermOf(mmu.PageOf(taddr)) != mem.PermReadWrite {
-				return e.fault(cpu, pc, &mem.Fault{Addr: taddr, Page: mmu.PageOf(taddr), Write: true}, spent)
-			}
-			if e.Mon.ValidateSC(cpu.TID, taddr) {
-				if fault := mmu.Store(addr, x[ins.Rs2], 8); fault != nil {
-					return e.fault(cpu, pc, fault, spent)
-				}
-				if e.San != nil {
-					e.San.OnAtomic(cpu.TID, taddr, 8, pc, true)
-				}
-				wr(x, ins.Rd, 0)
-			} else {
-				if e.San != nil {
-					e.San.OnAtomic(cpu.TID, taddr, 8, pc, false)
-				}
-				wr(x, ins.Rd, 1)
-				if e.StopAtomic {
-					cpu.PC = pc + 4
-					return nil, Result{Reason: StopBudget}, true
-				}
-			}
-
-		case isa.OpCAS, isa.OpAMOADD, isa.OpAMOSWAP:
-			addr := x[ins.Rs1]
-			if addr%8 != 0 {
-				return e.badAlign(cpu, pc, addr, spent)
-			}
-			taddr := mmu.Translate(addr)
-			if mmu.PermOf(mmu.PageOf(taddr)) != mem.PermReadWrite {
-				return e.fault(cpu, pc, &mem.Fault{Addr: taddr, Page: mmu.PageOf(taddr), Write: true}, spent)
-			}
-			old, fault := mmu.Load(addr, 8)
-			if fault != nil {
-				return e.fault(cpu, pc, fault, spent)
-			}
-			var newVal uint64
-			doStore := true
-			switch ins.Op {
-			case isa.OpCAS:
-				newVal = x[ins.Rs2]
-				doStore = old == x[ins.Rd]
-			case isa.OpAMOADD:
-				newVal = old + x[ins.Rs2]
-			case isa.OpAMOSWAP:
-				newVal = x[ins.Rs2]
-			}
-			if doStore {
-				if fault := mmu.Store(addr, newVal, 8); fault != nil {
-					return e.fault(cpu, pc, fault, spent)
-				}
-				if !e.Mon.Empty() {
-					e.Mon.OnStore(cpu.TID, taddr)
-				}
-			}
-			if e.San != nil {
-				e.San.OnAtomic(cpu.TID, taddr, 8, pc, doStore)
-			}
-			wr(x, ins.Rd, old)
-			if e.StopAtomic && ins.Op == isa.OpCAS && !doStore {
-				// Contended CAS: yield the core like a failed spinner.
+		case isa.OpLL, isa.OpSC, isa.OpCAS, isa.OpAMOADD, isa.OpAMOSWAP:
+			switch end, fl := e.atomic(cpu, ins.Op, ins.Rd, ins.Rs1, ins.Rs2, pc); end {
+			case atomicFault:
+				return e.fault(cpu, pc, &fl, spent)
+			case atomicMisaligned:
+				return e.badAlign(cpu, pc, x[ins.Rs1], spent)
+			case atomicYield:
 				cpu.PC = pc + 4
 				return nil, Result{Reason: StopBudget}, true
 			}
@@ -869,6 +798,85 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 	}
 	cpu.PC = b.pcs[len(b.pcs)-1] + uint64(b.ops[len(b.ops)-1].Size())
 	return nil, Result{}, false
+}
+
+// atomicEnd is how one atomic instruction ended.
+type atomicEnd uint8
+
+const (
+	atomicDone       atomicEnd = iota
+	atomicFault                // page fault, returned beside it; nothing was written
+	atomicMisaligned           // address not 8-byte aligned; nothing was written
+	atomicYield                // retired, and StopAtomic ends the quantum after it
+)
+
+// atomic executes the LL, SC, CAS, AMOADD or AMOSWAP at pc: the one
+// implementation of the atomics, which both executors run and each turns
+// into its own kind of stop. The order of its steps is the contract the
+// monitor, the sanitizer and the coherence layer rely on: alignment first;
+// then, for everything that may write, a write-permission probe before the
+// monitor is consulted, so an SC that faults keeps its reservation for the
+// retry; then the access, the monitor, the sanitizer, and last the register.
+// Under StopAtomic a CAS whose comparison failed and an SC that lost its
+// reservation yield the core like a failed spinner; a successful atomic
+// keeps its timeslice.
+func (e *Engine) atomic(cpu *CPU, op isa.Op, rd, rs1, rs2 uint8, pc uint64) (atomicEnd, mem.Fault) {
+	x := &cpu.X
+	mmu := e.Mem
+	addr := x[rs1]
+	if addr%8 != 0 {
+		return atomicMisaligned, mem.Fault{}
+	}
+	taddr := mmu.Translate(addr)
+	if op == isa.OpLL {
+		v, fault := mmu.Load(addr, 8)
+		if fault != nil {
+			return atomicFault, *fault
+		}
+		e.Mon.OnLL(cpu.TID, taddr)
+		if e.San != nil {
+			e.San.OnAtomic(cpu.TID, taddr, 8, pc, false)
+		}
+		wr(x, rd, v)
+		return atomicDone, mem.Fault{}
+	}
+	if mmu.PermOf(mmu.PageOf(taddr)) != mem.PermReadWrite {
+		return atomicFault, mem.Fault{Addr: taddr, Page: mmu.PageOf(taddr), Write: true}
+	}
+	newVal, doStore := x[rs2], true
+	var result uint64 // what rd receives: the old value, or 0/1 from an SC
+	if op == isa.OpSC {
+		doStore = e.Mon.ValidateSC(cpu.TID, taddr)
+		result = b2u(!doStore)
+	} else {
+		old, fault := mmu.Load(addr, 8)
+		if fault != nil {
+			return atomicFault, *fault
+		}
+		result = old
+		switch op {
+		case isa.OpCAS:
+			doStore = old == x[rd]
+		case isa.OpAMOADD:
+			newVal += old
+		}
+	}
+	if doStore {
+		if fault := mmu.Store(addr, newVal, 8); fault != nil {
+			return atomicFault, *fault
+		}
+		if op != isa.OpSC && !e.Mon.Empty() {
+			e.Mon.OnStore(cpu.TID, taddr)
+		}
+	}
+	if e.San != nil {
+		e.San.OnAtomic(cpu.TID, taddr, 8, pc, doStore)
+	}
+	wr(x, rd, result)
+	if e.StopAtomic && !doStore {
+		return atomicYield, mem.Fault{}
+	}
+	return atomicDone, mem.Fault{}
 }
 
 // codeFault classifies a translation failure. A fetch from a page the node

@@ -21,11 +21,12 @@
 // are charged inline by the trampoline — branch-free adds, no charge
 // closure call.
 //
-// Memory closures keep a per-site TLB line in their environment: one
-// static load/store site overwhelmingly re-touches the page it touched
-// last, so the hit path is a page-number compare against a closure-local
-// cell instead of an index into the engine's shared TLB array. Misses
-// revalidate through the engine TLB / softmmu and refill the site line.
+// The closures of 8-byte accesses — all but a few percent of the memory
+// traffic — keep a per-site TLB line in their environment: one static
+// load/store site overwhelmingly re-touches the page it touched last, so the
+// hit path is a page-number compare against a closure-local cell instead of
+// an index into the engine's shared TLB array. Misses revalidate through the engine TLB /
+// softmmu and refill the site line. Narrower accesses index the engine TLB.
 //
 // Coherence: the trampoline revalidates the cache generation at trace
 // entry (Exec's dispatch check), at every back-edge, after HINT callbacks,
@@ -416,26 +417,20 @@ func (e *Engine) compileTier3(sb *superblock) *tier3 {
 			if gi+1 < len(groups) {
 				end = groups[gi+1]
 			}
-			if end-start > 1 {
-				fn = e.compileMemRun(sb, units[start:end], fn)
-				n++
-				continue
-			}
 			un := units[start]
-			switch {
-			case memFusable(ops[un.op].kind):
-				var pre, post *uop
-				if un.pre >= 0 {
-					pre = &ops[un.pre]
-				}
-				if un.post >= 0 {
-					post = &ops[un.post]
-				}
-				fn = e.compileMem(sb, un.op, fuseAddi(pre), fuseAddi(post), fn)
+			switch k := ops[un.op].kind; {
+			case pair8able(ops, un):
+				// A group of several is a run of these by construction; one
+				// on its own is a run of one.
+				fn = e.compileMemRun(sb, units[start:end], fn)
+			case k == uLoad:
+				fn = e.compileLoad(sb, un, fn)
+			case k == uStore:
+				fn = e.compileStore(sb, un, fn)
 			case un.pair >= 0:
 				fn = compileAddiPair(&ops[un.op], &ops[un.pair], fn)
 			case un.pre >= 0:
-				fn = compileAddiMid(&ops[un.pre], &ops[un.op], fn)
+				fn = compileAddiMul(&ops[un.pre], &ops[un.op], fn)
 			default:
 				fn = e.compileMid(sb, un.op, fn)
 			}
@@ -533,10 +528,13 @@ type addiFuse struct {
 	imm uint64
 }
 
-func fuseAddi(u *uop) addiFuse {
-	if u == nil {
+// fuseAddi pre-decodes the addi at ops[i]; a unit's unused slot (-1) is the
+// fusion that is off.
+func fuseAddi(ops []uop, i int) addiFuse {
+	if i < 0 {
 		return addiFuse{}
 	}
+	u := &ops[i]
 	return addiFuse{on: true, rd: u.rd, rs: u.rs1, imm: uint64(u.imm)}
 }
 
@@ -597,22 +595,6 @@ func (c *t3ctx) loadMiss8(st *siteTLB, sb *superblock, i int, addr, pn, off uint
 	return v, t3Cont
 }
 
-// loadMiss4 is loadMiss8 for 4-byte loads (zero-extended; the caller
-// applies any sign extension).
-func (c *t3ctx) loadMiss4(st *siteTLB, sb *superblock, i int, addr, pn, off uint64) (uint64, int32) {
-	en := c.e
-	mmu := en.Mem
-	if st.fillRd(en, mmu, pn) && off+4 <= sitePageSize {
-		return uint64(binary.LittleEndian.Uint32(st.data[off : off+4])), t3Cont
-	}
-	v, fault := en.slowLoad(addr, 4)
-	if fault != nil {
-		return 0, c.pageFault(sb, i, fault)
-	}
-	st.fillRd(en, mmu, pn)
-	return v, t3Cont
-}
-
 // storeMiss8 is the outlined slow half of an 8-byte store site.
 func (c *t3ctx) storeMiss8(st *siteTLB, sb *superblock, i int, addr, pn, off, val uint64) int32 {
 	en := c.e
@@ -628,25 +610,9 @@ func (c *t3ctx) storeMiss8(st *siteTLB, sb *superblock, i int, addr, pn, off, va
 	return t3Cont
 }
 
-// storeMiss4 is storeMiss8 for 4-byte stores.
-func (c *t3ctx) storeMiss4(st *siteTLB, sb *superblock, i int, addr, pn, off, val uint64) int32 {
-	en := c.e
-	mmu := en.Mem
-	if st.fillWr(en, mmu, pn) && off+4 <= sitePageSize {
-		binary.LittleEndian.PutUint32(st.data[off:off+4], uint32(val))
-		return t3Cont
-	}
-	if fault := en.slowStore(addr, val, 4); fault != nil {
-		return c.pageFault(sb, i, fault)
-	}
-	st.fillWr(en, mmu, pn)
-	return t3Cont
-}
-
 // pair8able reports whether unit u is a plain 8-byte load or store —
-// integer (with rd live for loads) or double-precision FP — that can fuse
-// with an adjacent one. Units that already carry a second access or an
-// addi pair are excluded.
+// integer (with rd live for loads) or double-precision FP: the accesses
+// compileMemRun's body serves, alone or fused with adjacent ones.
 func pair8able(ops []uop, u t3unit) bool {
 	if u.pair >= 0 {
 		return false
@@ -666,7 +632,7 @@ func pair8able(ops []uop, u t3unit) bool {
 // t3MemRun caps the width of a fused memory-run closure.
 const t3MemRun = 6
 
-// memAcc is one access of a fused memory run, fully pre-decoded at compile
+// memAcc is one access of a memory run, fully pre-decoded at compile
 // time: its addi fusions, operand registers, kind (integer/FP load/store,
 // all 8-byte) and private site TLB line.
 type memAcc struct {
@@ -681,12 +647,21 @@ type memAcc struct {
 	st        *siteTLB
 }
 
-// compileMemRun compiles a run of 2..t3MemRun fused 8-byte accesses —
-// integer or double-precision FP, each with its own pre/post addi and its
-// own site TLB line — into one closure, amortizing the per-closure call
-// overhead across the whole run. Program order is preserved exactly: a
-// fault on access k leaves accesses 0..k-1 and their addi fusions retired,
-// with PC at access k's instruction (pageFault refunds from ac.idx).
+// compileMemRun compiles a run of 1..t3MemRun 8-byte accesses — integer or
+// double-precision FP, each with its own pre/post addi and its own site TLB
+// line — into one closure, amortizing the per-closure call overhead across
+// the whole run. It is the only body an 8-byte access has: a lone ld or fsd
+// is a run of one. Program order is preserved exactly: a fault on access k
+// leaves accesses 0..k-1 and their addi fusions retired, with PC at access
+// k's instruction (pageFault refunds from ac.idx).
+//
+// The six copies below are one access written out t3MemRun times, on purpose.
+// Memory closures are 49 % of hot_compute's closure calls, and the same body
+// as a `for k := 0; k < nacc; k++` loop was slower there in every one of four
+// alternating runs (host_s 0.570/0.621, 0.593/0.618, 0.571/0.661, 0.616/0.653
+// s; EXPERIMENTS.md, "Tried and removed"): constant indices let the compiler
+// drop the bounds checks and keep each access's fields in registers. Change
+// one copy and change them all.
 func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 	ops := sb.ops
 	// The closure indexes accs with constants, so it wants the full-width
@@ -698,20 +673,13 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 	}
 	accs := (*[t3MemRun]memAcc)(e.accSlab)
 	e.accSlab = e.accSlab[len(us):]
-	for k := range us {
-		un := us[k]
+	for k, un := range us {
 		u := &ops[un.op]
-		ac := memAcc{rd: u.rd, rs1: u.rs1, rs2: u.rs2, imm: uint64(u.imm), idx: un.op,
+		accs[k] = memAcc{rd: u.rd, rs1: u.rs1, rs2: u.rs2, imm: uint64(u.imm), idx: un.op,
 			load: u.kind == uLoad || u.kind == uFLoad,
 			fp:   u.kind == uFLoad || u.kind == uFStore,
-			st:   &siteTLB{page: ^uint64(0)}}
-		if un.pre >= 0 {
-			ac.pre = fuseAddi(&ops[un.pre])
-		}
-		if un.post >= 0 {
-			ac.post = fuseAddi(&ops[un.post])
-		}
-		accs[k] = ac
+			pre:  fuseAddi(ops, un.pre), post: fuseAddi(ops, un.post),
+			st: &siteTLB{page: ^uint64(0)}}
 	}
 	nacc := len(us)
 	shift, mask := e.pageShift, e.pageMask
@@ -760,51 +728,9 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 				x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
 			}
 		}
-		{
-			ac := &accs[1]
-			if ac.pre.on {
-				x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
-			}
-			addr := x[ac.rs1] + ac.imm
-			pn := addr >> shift
-			off := addr & mask
-			st := ac.st
-			if ac.load {
-				var v uint64
-				if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
-					v = binary.LittleEndian.Uint64(st.data[off : off+8])
-				} else {
-					var d int32
-					if v, d = c.loadMiss8(st, sb, ac.idx, addr, pn, off); d != t3Cont {
-						return d
-					}
-				}
-				if ac.fp {
-					c.f[ac.rd] = math.Float64frombits(v)
-				} else {
-					x[ac.rd] = v
-				}
-			} else {
-				val := x[ac.rs2]
-				if ac.fp {
-					val = math.Float64bits(c.f[ac.rs2])
-				}
-				if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
-					binary.LittleEndian.PutUint64(st.data[off:off+8], val)
-				} else if d := c.storeMiss8(st, sb, ac.idx, addr, pn, off, val); d != t3Cont {
-					return d
-				}
-				if !c.monEmpty {
-					c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
-				}
-			}
-			if ac.post.on {
-				x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
-			}
-		}
-		if nacc > 2 {
+		if nacc > 1 {
 			{
-				ac := &accs[2]
+				ac := &accs[1]
 				if ac.pre.on {
 					x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
 				}
@@ -845,9 +771,9 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 					x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
 				}
 			}
-			if nacc > 3 {
+			if nacc > 2 {
 				{
-					ac := &accs[3]
+					ac := &accs[2]
 					if ac.pre.on {
 						x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
 					}
@@ -888,9 +814,9 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 						x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
 					}
 				}
-				if nacc > 4 {
+				if nacc > 3 {
 					{
-						ac := &accs[4]
+						ac := &accs[3]
 						if ac.pre.on {
 							x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
 						}
@@ -931,9 +857,9 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 							x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
 						}
 					}
-					if nacc > 5 {
+					if nacc > 4 {
 						{
-							ac := &accs[5]
+							ac := &accs[4]
 							if ac.pre.on {
 								x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
 							}
@@ -974,26 +900,55 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 								x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
 							}
 						}
+						if nacc > 5 {
+							{
+								ac := &accs[5]
+								if ac.pre.on {
+									x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
+								}
+								addr := x[ac.rs1] + ac.imm
+								pn := addr >> shift
+								off := addr & mask
+								st := ac.st
+								if ac.load {
+									var v uint64
+									if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
+										v = binary.LittleEndian.Uint64(st.data[off : off+8])
+									} else {
+										var d int32
+										if v, d = c.loadMiss8(st, sb, ac.idx, addr, pn, off); d != t3Cont {
+											return d
+										}
+									}
+									if ac.fp {
+										c.f[ac.rd] = math.Float64frombits(v)
+									} else {
+										x[ac.rd] = v
+									}
+								} else {
+									val := x[ac.rs2]
+									if ac.fp {
+										val = math.Float64bits(c.f[ac.rs2])
+									}
+									if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
+										binary.LittleEndian.PutUint64(st.data[off:off+8], val)
+									} else if d := c.storeMiss8(st, sb, ac.idx, addr, pn, off, val); d != t3Cont {
+										return d
+									}
+									if !c.monEmpty {
+										c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
+									}
+								}
+								if ac.post.on {
+									x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
+								}
+							}
+						}
 					}
 				}
 			}
 		}
 		return next(c)
-	}
-}
-
-// compileMem dispatches a (possibly fused) memory unit to the
-// width-specialized compilers.
-func (e *Engine) compileMem(sb *superblock, i int, pre, post addiFuse, next t3op) t3op {
-	switch sb.ops[i].kind {
-	case uLoad:
-		return e.compileLoad(sb, i, pre, post, next)
-	case uStore:
-		return e.compileStore(sb, i, pre, post, next)
-	case uFLoad:
-		return e.compileFLoad(sb, i, pre, post, next)
-	default:
-		return e.compileFStore(sb, i, pre, post, next)
 	}
 }
 
@@ -1009,113 +964,30 @@ func compileAddiPair(u1, u2 *uop, next t3op) t3op {
 	}
 }
 
-// addiMidable gates the planner's addi absorption to exactly the op kinds
-// compileAddiMid implements.
-func addiMidable(k uopKind) bool {
-	switch k {
-	case uAdd, uSub, uMul, uAnd, uOr, uXor, uSltu, uSlt, uSlli, uSrli, uSrai,
-		uAndi, uOri, uXori, uLi, uFAdd, uFSub, uFMul, uFDiv, uFMovImm, uFMv:
-		return true
-	}
-	return false
-}
+// addiMidable reports whether the planner folds a preceding addi into a uop
+// of kind k: the predicate the planner, the checker and compileTier3 share.
+// Only mul earns it — 0.8 % and 5.5 % of closure calls on hot_compute and
+// shared_cluster; of the other twenty kinds this once covered, fourteen were
+// never compiled on any benchmark workload and six (li and or sub xor add)
+// were at most 0.02 % of calls each (EXPERIMENTS.md, "Tried and removed").
+func addiMidable(k uopKind) bool { return k == uMul }
 
-// compileAddiMid fuses an addi into the following ALU/FP closure: the addi
-// retires first (program order), then the op — one call for the commonest
-// pair in loop bodies (`addi` precedes nearly everything there: induction
-// bump then compute).
-func compileAddiMid(a, b *uop, next t3op) t3op {
+// compileAddiMul fuses an addi into the mul that follows it: the addi retires
+// first (program order), then the product — an induction bump and the index
+// scaling it feeds, in one call.
+func compileAddiMul(a, b *uop, next t3op) t3op {
 	ard, ars, ai := a.rd, a.rs1, uint64(a.imm)
 	rd, rs1, rs2 := b.rd, b.rs1, b.rs2
-	imm := b.imm
-	switch b.kind {
-	case uAdd:
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] + x[rs2]; return next(c) }
-	case uSub:
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] - x[rs2]; return next(c) }
-	case uMul:
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] * x[rs2]; return next(c) }
-	case uAnd:
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] & x[rs2]; return next(c) }
-	case uOr:
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] | x[rs2]; return next(c) }
-	case uXor:
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] ^ x[rs2]; return next(c) }
-	case uSltu:
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = b2u(x[rs1] < x[rs2]); return next(c) }
-	case uSlt:
-		return func(c *t3ctx) int32 {
-			x := c.x
-			x[ard] = x[ars] + ai
-			x[rd] = b2u(int64(x[rs1]) < int64(x[rs2]))
-			return next(c)
-		}
-	case uSlli:
-		sh := uint64(imm) & 63
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] << sh; return next(c) }
-	case uSrli:
-		sh := uint64(imm) & 63
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] >> sh; return next(c) }
-	case uSrai:
-		sh := uint64(imm) & 63
-		return func(c *t3ctx) int32 {
-			x := c.x
-			x[ard] = x[ars] + ai
-			x[rd] = uint64(int64(x[rs1]) >> sh)
-			return next(c)
-		}
-	case uAndi:
-		ui := uint64(imm)
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] & ui; return next(c) }
-	case uOri:
-		ui := uint64(imm)
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] | ui; return next(c) }
-	case uXori:
-		ui := uint64(imm)
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] ^ ui; return next(c) }
-	case uLi:
-		v := b.val
-		return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = v; return next(c) }
-	case uFAdd:
-		return func(c *t3ctx) int32 {
-			c.x[ard] = c.x[ars] + ai
-			f := c.f
-			f[rd] = f[rs1] + f[rs2]
-			return next(c)
-		}
-	case uFSub:
-		return func(c *t3ctx) int32 {
-			c.x[ard] = c.x[ars] + ai
-			f := c.f
-			f[rd] = f[rs1] - f[rs2]
-			return next(c)
-		}
-	case uFMul:
-		return func(c *t3ctx) int32 {
-			c.x[ard] = c.x[ars] + ai
-			f := c.f
-			f[rd] = f[rs1] * f[rs2]
-			return next(c)
-		}
-	case uFDiv:
-		return func(c *t3ctx) int32 {
-			c.x[ard] = c.x[ars] + ai
-			f := c.f
-			f[rd] = f[rs1] / f[rs2]
-			return next(c)
-		}
-	case uFMovImm:
-		v := math.Float64frombits(b.val)
-		return func(c *t3ctx) int32 { c.x[ard] = c.x[ars] + ai; c.f[rd] = v; return next(c) }
-	case uFMv:
-		return func(c *t3ctx) int32 { c.x[ard] = c.x[ars] + ai; c.f[rd] = c.f[rs1]; return next(c) }
-	}
-	return nil
+	return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] * x[rs2]; return next(c) }
 }
 
-// compileMid compiles one straight-line (non-boundary) uop. All closures
-// capture their operands at compile time and allocate nothing at
-// execution time.
+// compileMid compiles one straight-line (non-boundary, non-memory) uop. All
+// closures capture their operands at compile time and allocate nothing at
+// execution time. The arms are written out, one closure per kind, and stay
+// so: Go does not specialise a closure on a captured function value, so a
+// shared per-op semantics table would put a second indirect call inside the
+// 34-44 % of all closure calls that land here, and generating the arms would
+// move this code, not remove it.
 func (e *Engine) compileMid(sb *superblock, i int, next t3op) t3op {
 	u := &sb.ops[i]
 	rd, rs1, rs2 := u.rd, u.rs1, u.rs2
@@ -1222,15 +1094,6 @@ func (e *Engine) compileMid(sb *superblock, i int, next t3op) t3op {
 		v := u.val
 		return func(c *t3ctx) int32 { c.x[rd] = v; return next(c) }
 
-	case uLoad:
-		return e.compileLoad(sb, i, addiFuse{}, addiFuse{}, next)
-	case uStore:
-		return e.compileStore(sb, i, addiFuse{}, addiFuse{}, next)
-	case uFLoad:
-		return e.compileFLoad(sb, i, addiFuse{}, addiFuse{}, next)
-	case uFStore:
-		return e.compileFStore(sb, i, addiFuse{}, addiFuse{}, next)
-
 	case uSanRead:
 		size := int(u.size)
 		pc := u.pc
@@ -1311,238 +1174,43 @@ func (e *Engine) compileMid(sb *superblock, i int, next t3op) t3op {
 	return nil
 }
 
-// compileLoad builds a width/sign-specialized load closure with the inline
-// softmmu fast path and the per-site TLB line baked in.
-func (e *Engine) compileLoad(sb *superblock, i int, pre, post addiFuse, next t3op) t3op {
+// compileLoad compiles a load that is not a run member: narrower than 8
+// bytes, or into x0. One closure for all of them, through the engine's
+// shared read TLB; no benchmark workload compiles a 2- or 4-byte access at
+// all (minicc emits ld sd lbu sb fld fsd), so a site line per width earned
+// nothing.
+func (e *Engine) compileLoad(sb *superblock, un t3unit, next t3op) t3op {
+	i := un.op
 	u := &sb.ops[i]
+	pre, post := fuseAddi(sb.ops, un.pre), fuseAddi(sb.ops, un.post)
 	rd, rs1, imm := u.rd, u.rs1, uint64(u.imm)
+	size, sh := u.size, u.sh
 	shift, mask := e.pageShift, e.pageMask
 	mmu := e.Mem
-	switch {
-	case rd == 0 || u.size < 4:
-		// Rare shapes share one generic closure (still TLB-accelerated).
-		size, sh := u.size, u.sh
-		return func(c *t3ctx) int32 {
-			if pre.on {
-				x := c.x
-				x[pre.rd] = x[pre.rs] + pre.imm
-			}
-			en := c.e
-			addr := c.x[rs1] + imm
-			pn := addr >> shift
-			off := addr & mask
-			var v uint64
-			if ln := &en.rdTLB[pn&(accelTLBSize-1)]; ln.PageNo == pn &&
-				ln.Epoch == mmu.Epoch() && off+uint64(size) <= mask+1 {
-				v = loadLE(ln.Data[off:], size)
-			} else {
-				var fault *mem.Fault
-				v, fault = en.slowLoad(addr, size)
-				if fault != nil {
-					return c.pageFault(sb, i, fault)
-				}
-			}
-			if sh != 0 {
-				v = uint64(int64(v<<sh) >> sh)
-			}
-			wr(c.x, rd, v)
-			if post.on {
-				x := c.x
-				x[post.rd] = x[post.rs] + post.imm
-			}
-			return next(c)
-		}
-	case u.size == 8:
-		st := &siteTLB{page: ^uint64(0)}
-		return func(c *t3ctx) int32 {
-			if pre.on {
-				x := c.x
-				x[pre.rd] = x[pre.rs] + pre.imm
-			}
-			addr := c.x[rs1] + imm
-			pn := addr >> shift
-			off := addr & mask
-			var v uint64
-			if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
-				v = binary.LittleEndian.Uint64(st.data[off : off+8])
-			} else {
-				var d int32
-				if v, d = c.loadMiss8(st, sb, i, addr, pn, off); d != t3Cont {
-					return d
-				}
-			}
-			c.x[rd] = v
-			if post.on {
-				x := c.x
-				x[post.rd] = x[post.rs] + post.imm
-			}
-			return next(c)
-		}
-	case u.sh != 0: // LW: signed 32-bit
-		st := &siteTLB{page: ^uint64(0)}
-		return func(c *t3ctx) int32 {
-			if pre.on {
-				x := c.x
-				x[pre.rd] = x[pre.rs] + pre.imm
-			}
-			addr := c.x[rs1] + imm
-			pn := addr >> shift
-			off := addr & mask
-			var v uint64
-			if pn == st.page && st.epoch == mmu.Epoch() && off+4 <= sitePageSize {
-				v = uint64(binary.LittleEndian.Uint32(st.data[off : off+4]))
-			} else {
-				var d int32
-				if v, d = c.loadMiss4(st, sb, i, addr, pn, off); d != t3Cont {
-					return d
-				}
-			}
-			c.x[rd] = uint64(int64(int32(uint32(v))))
-			if post.on {
-				x := c.x
-				x[post.rd] = x[post.rs] + post.imm
-			}
-			return next(c)
-		}
-	default: // LWU
-		st := &siteTLB{page: ^uint64(0)}
-		return func(c *t3ctx) int32 {
-			if pre.on {
-				x := c.x
-				x[pre.rd] = x[pre.rs] + pre.imm
-			}
-			addr := c.x[rs1] + imm
-			pn := addr >> shift
-			off := addr & mask
-			var v uint64
-			if pn == st.page && st.epoch == mmu.Epoch() && off+4 <= sitePageSize {
-				v = uint64(binary.LittleEndian.Uint32(st.data[off : off+4]))
-			} else {
-				var d int32
-				if v, d = c.loadMiss4(st, sb, i, addr, pn, off); d != t3Cont {
-					return d
-				}
-			}
-			c.x[rd] = v
-			if post.on {
-				x := c.x
-				x[post.rd] = x[post.rs] + post.imm
-			}
-			return next(c)
-		}
-	}
-}
-
-// compileStore builds a width-specialized store closure with the inline
-// softmmu fast path, the per-site TLB line, and the hoisted LL/SC-monitor
-// emptiness check.
-func (e *Engine) compileStore(sb *superblock, i int, pre, post addiFuse, next t3op) t3op {
-	u := &sb.ops[i]
-	rs1, rs2, imm := u.rs1, u.rs2, uint64(u.imm)
-	shift, mask := e.pageShift, e.pageMask
-	mmu := e.Mem
-	switch u.size {
-	case 8:
-		st := &siteTLB{page: ^uint64(0)}
-		return func(c *t3ctx) int32 {
-			if pre.on {
-				x := c.x
-				x[pre.rd] = x[pre.rs] + pre.imm
-			}
-			addr := c.x[rs1] + imm
-			pn := addr >> shift
-			off := addr & mask
-			if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
-				binary.LittleEndian.PutUint64(st.data[off:off+8], c.x[rs2])
-			} else if d := c.storeMiss8(st, sb, i, addr, pn, off, c.x[rs2]); d != t3Cont {
-				return d
-			}
-			if !c.monEmpty {
-				c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
-			}
-			if post.on {
-				x := c.x
-				x[post.rd] = x[post.rs] + post.imm
-			}
-			return next(c)
-		}
-	case 4:
-		st := &siteTLB{page: ^uint64(0)}
-		return func(c *t3ctx) int32 {
-			if pre.on {
-				x := c.x
-				x[pre.rd] = x[pre.rs] + pre.imm
-			}
-			addr := c.x[rs1] + imm
-			pn := addr >> shift
-			off := addr & mask
-			if pn == st.page && st.epoch == mmu.Epoch() && off+4 <= sitePageSize {
-				binary.LittleEndian.PutUint32(st.data[off:off+4], uint32(c.x[rs2]))
-			} else if d := c.storeMiss4(st, sb, i, addr, pn, off, c.x[rs2]); d != t3Cont {
-				return d
-			}
-			if !c.monEmpty {
-				c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
-			}
-			if post.on {
-				x := c.x
-				x[post.rd] = x[post.rs] + post.imm
-			}
-			return next(c)
-		}
-	default:
-		size := u.size
-		return func(c *t3ctx) int32 {
-			if pre.on {
-				x := c.x
-				x[pre.rd] = x[pre.rs] + pre.imm
-			}
-			en := c.e
-			addr := c.x[rs1] + imm
-			pn := addr >> shift
-			off := addr & mask
-			if ln := &en.wrTLB[pn&(accelTLBSize-1)]; ln.PageNo == pn &&
-				ln.Epoch == mmu.Epoch() && off+uint64(size) <= mask+1 {
-				storeLE(ln.Data[off:], c.x[rs2], size)
-			} else if fault := en.slowStore(addr, c.x[rs2], size); fault != nil {
-				return c.pageFault(sb, i, fault)
-			}
-			if !c.monEmpty {
-				en.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
-			}
-			if post.on {
-				x := c.x
-				x[post.rd] = x[post.rs] + post.imm
-			}
-			return next(c)
-		}
-	}
-}
-
-func (e *Engine) compileFLoad(sb *superblock, i int, pre, post addiFuse, next t3op) t3op {
-	u := &sb.ops[i]
-	rd, rs1, imm := u.rd, u.rs1, uint64(u.imm)
-	shift, mask := e.pageShift, e.pageMask
-	mmu := e.Mem
-	st := &siteTLB{page: ^uint64(0)}
 	return func(c *t3ctx) int32 {
 		if pre.on {
 			x := c.x
 			x[pre.rd] = x[pre.rs] + pre.imm
 		}
+		en := c.e
 		addr := c.x[rs1] + imm
 		pn := addr >> shift
 		off := addr & mask
 		var v uint64
-		if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
-			v = binary.LittleEndian.Uint64(st.data[off : off+8])
+		if ln := &en.rdTLB[pn&(accelTLBSize-1)]; ln.PageNo == pn &&
+			ln.Epoch == mmu.Epoch() && off+uint64(size) <= mask+1 {
+			v = loadLE(ln.Data[off:], size)
 		} else {
-			var d int32
-			if v, d = c.loadMiss8(st, sb, i, addr, pn, off); d != t3Cont {
-				return d
+			var fault *mem.Fault
+			v, fault = en.slowLoad(addr, size)
+			if fault != nil {
+				return c.pageFault(sb, i, fault)
 			}
 		}
-		c.f[rd] = math.Float64frombits(v)
+		if sh != 0 {
+			v = uint64(int64(v<<sh) >> sh)
+		}
+		wr(c.x, rd, v)
 		if post.on {
 			x := c.x
 			x[post.rd] = x[post.rs] + post.imm
@@ -1551,51 +1219,39 @@ func (e *Engine) compileFLoad(sb *superblock, i int, pre, post addiFuse, next t3
 	}
 }
 
-func (e *Engine) compileFStore(sb *superblock, i int, pre, post addiFuse, next t3op) t3op {
+// compileStore is compileLoad's counterpart for stores narrower than 8
+// bytes, with the hoisted LL/SC-monitor emptiness check.
+func (e *Engine) compileStore(sb *superblock, un t3unit, next t3op) t3op {
+	i := un.op
 	u := &sb.ops[i]
+	pre, post := fuseAddi(sb.ops, un.pre), fuseAddi(sb.ops, un.post)
 	rs1, rs2, imm := u.rs1, u.rs2, uint64(u.imm)
+	size := u.size
 	shift, mask := e.pageShift, e.pageMask
 	mmu := e.Mem
-	st := &siteTLB{page: ^uint64(0)}
 	return func(c *t3ctx) int32 {
 		if pre.on {
 			x := c.x
 			x[pre.rd] = x[pre.rs] + pre.imm
 		}
+		en := c.e
 		addr := c.x[rs1] + imm
 		pn := addr >> shift
 		off := addr & mask
-		if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
-			binary.LittleEndian.PutUint64(st.data[off:off+8], math.Float64bits(c.f[rs2]))
-		} else if d := c.storeMiss8(st, sb, i, addr, pn, off, math.Float64bits(c.f[rs2])); d != t3Cont {
-			return d
+		if ln := &en.wrTLB[pn&(accelTLBSize-1)]; ln.PageNo == pn &&
+			ln.Epoch == mmu.Epoch() && off+uint64(size) <= mask+1 {
+			storeLE(ln.Data[off:], c.x[rs2], size)
+		} else if fault := en.slowStore(addr, c.x[rs2], size); fault != nil {
+			return c.pageFault(sb, i, fault)
 		}
 		if !c.monEmpty {
-			c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
+			en.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
 		}
 		if post.on {
 			x := c.x
 			x[post.rd] = x[post.rs] + post.imm
 		}
 		return next(c)
-	}
-}
-
-// negBranch returns the branch op with the opposite outcome.
-func negBranch(op isa.Op) isa.Op {
-	switch op {
-	case isa.OpBEQ:
-		return isa.OpBNE
-	case isa.OpBNE:
-		return isa.OpBEQ
-	case isa.OpBLT:
-		return isa.OpBGE
-	case isa.OpBGE:
-		return isa.OpBLT
-	case isa.OpBLTU:
-		return isa.OpBGEU
-	default: // OpBGEU
-		return isa.OpBLTU
 	}
 }
 
@@ -1610,61 +1266,17 @@ func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
 	switch u.kind {
 	case uGuard:
 		// The trace stays on the closure chain while the branch goes the
-		// expected way; fold the polarity into the comparison so the exit
-		// condition is a single specialized compare.
-		xop := u.bop
-		if u.expectTaken {
-			xop = negBranch(xop)
-		}
-		switch xop {
-		case isa.OpBEQ:
-			return func(c *t3ctx) int32 {
-				if c.x[rs1] == c.x[rs2] {
-					c.cpu.PC = npc
-					return c.chainTo(c.e.exitVia(sb, exit))
-				}
-				return next(c)
+		// expected way. One closure over takeBranch, as uBranchExit has:
+		// unfused guards are at most 1.6 % of closure calls on the benchmark
+		// workloads and every one of them is a beq (EXPERIMENTS.md, "Tried
+		// and removed"), so a closure per branch op earned nothing.
+		bop, expect := u.bop, u.expectTaken
+		return func(c *t3ctx) int32 {
+			if takeBranch(bop, c.x[rs1], c.x[rs2]) != expect {
+				c.cpu.PC = npc
+				return c.chainTo(c.e.exitVia(sb, exit))
 			}
-		case isa.OpBNE:
-			return func(c *t3ctx) int32 {
-				if c.x[rs1] != c.x[rs2] {
-					c.cpu.PC = npc
-					return c.chainTo(c.e.exitVia(sb, exit))
-				}
-				return next(c)
-			}
-		case isa.OpBLT:
-			return func(c *t3ctx) int32 {
-				if int64(c.x[rs1]) < int64(c.x[rs2]) {
-					c.cpu.PC = npc
-					return c.chainTo(c.e.exitVia(sb, exit))
-				}
-				return next(c)
-			}
-		case isa.OpBGE:
-			return func(c *t3ctx) int32 {
-				if int64(c.x[rs1]) >= int64(c.x[rs2]) {
-					c.cpu.PC = npc
-					return c.chainTo(c.e.exitVia(sb, exit))
-				}
-				return next(c)
-			}
-		case isa.OpBLTU:
-			return func(c *t3ctx) int32 {
-				if c.x[rs1] < c.x[rs2] {
-					c.cpu.PC = npc
-					return c.chainTo(c.e.exitVia(sb, exit))
-				}
-				return next(c)
-			}
-		default: // OpBGEU
-			return func(c *t3ctx) int32 {
-				if c.x[rs1] >= c.x[rs2] {
-					c.cpu.PC = npc
-					return c.chainTo(c.e.exitVia(sb, exit))
-				}
-				return next(c)
-			}
+			return next(c)
 		}
 
 	case uFusedCmpGuard:
@@ -1749,7 +1361,7 @@ func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
 				c.x[rd] = link
 			}
 			c.cpu.PC = target
-			if !en.NoJumpCache && !en.NoCache {
+			if !en.NoCache {
 				if h := &en.jc[(target>>2)&(jcSize-1)]; h.pc == target && h.gen == en.gen {
 					en.Stats.JumpCacheHits++
 					if nsb := h.blk.sb; nsb != nil && nsb.gen == en.gen && *c.spent < c.budget {
@@ -1774,25 +1386,22 @@ func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
 			return c.chainTo(c.e.exitVia(sb, exit))
 		}
 
-	case uLL:
+	case uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
+		op := u.bop
 		return func(c *t3ctx) int32 {
-			if d := c.doLL(sb, i); d != t3Cont {
-				return d
+			switch end, fl := c.e.atomic(c.cpu, op, rd, rs1, rs2, pc); end {
+			case atomicFault:
+				return c.pageFault(sb, i, &fl)
+			case atomicMisaligned:
+				return c.alignFault(sb, i, c.x[rs1])
+			case atomicYield:
+				c.cpu.PC = pc + 4
+				c.res = Result{Reason: StopBudget}
+				c.stop = true
+				return t3Stop
 			}
-			return next(c)
-		}
-	case uSC:
-		return func(c *t3ctx) int32 {
-			if d := c.doSC(sb, i); d != t3Cont {
-				return d
-			}
-			return next(c)
-		}
-	case uCAS, uAmoAdd, uAmoSwap:
-		return func(c *t3ctx) int32 {
-			if d := c.doAmo(sb, i); d != t3Cont {
-				return d
-			}
+			// Inside a trace only this thread's own LL opens a reservation.
+			c.monEmpty = c.e.Mon.Empty()
 			return next(c)
 		}
 
@@ -1841,112 +1450,4 @@ func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
 		}
 	}
 	return nil
-}
-
-// doLL/doSC/doAmo are the atomic boundary ops, rare enough that one shared
-// context method each beats a specialized closure per site. They mirror
-// execBlock's atomics; c.monEmpty can only go false inside a trace through
-// this thread's own LL, which is where it is refreshed.
-func (c *t3ctx) doLL(sb *superblock, i int) int32 {
-	u := &sb.ops[i]
-	e := c.e
-	mmu := e.Mem
-	addr := c.x[u.rs1]
-	if addr%8 != 0 {
-		return c.alignFault(sb, i, addr)
-	}
-	v, fault := mmu.Load(addr, 8)
-	if fault != nil {
-		return c.pageFault(sb, i, fault)
-	}
-	e.Mon.OnLL(c.cpu.TID, mmu.Translate(addr))
-	if e.San != nil {
-		e.San.OnAtomic(c.cpu.TID, mmu.Translate(addr), 8, u.pc, false)
-	}
-	c.monEmpty = false
-	wr(c.x, u.rd, v)
-	return t3Cont
-}
-
-func (c *t3ctx) doSC(sb *superblock, i int) int32 {
-	u := &sb.ops[i]
-	e := c.e
-	mmu := e.Mem
-	addr := c.x[u.rs1]
-	if addr%8 != 0 {
-		return c.alignFault(sb, i, addr)
-	}
-	taddr := mmu.Translate(addr)
-	if mmu.PermOf(mmu.PageOf(taddr)) != mem.PermReadWrite {
-		return c.pageFault(sb, i, &mem.Fault{Addr: taddr, Page: mmu.PageOf(taddr), Write: true})
-	}
-	if e.Mon.ValidateSC(c.cpu.TID, taddr) {
-		if fault := mmu.Store(addr, c.x[u.rs2], 8); fault != nil {
-			return c.pageFault(sb, i, fault)
-		}
-		if e.San != nil {
-			e.San.OnAtomic(c.cpu.TID, taddr, 8, u.pc, true)
-		}
-		wr(c.x, u.rd, 0)
-	} else {
-		if e.San != nil {
-			e.San.OnAtomic(c.cpu.TID, taddr, 8, u.pc, false)
-		}
-		wr(c.x, u.rd, 1)
-		if e.StopAtomic {
-			c.cpu.PC = u.pc + 4
-			c.res = Result{Reason: StopBudget}
-			c.stop = true
-			return t3Stop
-		}
-	}
-	return t3Cont
-}
-
-func (c *t3ctx) doAmo(sb *superblock, i int) int32 {
-	u := &sb.ops[i]
-	e := c.e
-	mmu := e.Mem
-	addr := c.x[u.rs1]
-	if addr%8 != 0 {
-		return c.alignFault(sb, i, addr)
-	}
-	taddr := mmu.Translate(addr)
-	if mmu.PermOf(mmu.PageOf(taddr)) != mem.PermReadWrite {
-		return c.pageFault(sb, i, &mem.Fault{Addr: taddr, Page: mmu.PageOf(taddr), Write: true})
-	}
-	old, fault := mmu.Load(addr, 8)
-	if fault != nil {
-		return c.pageFault(sb, i, fault)
-	}
-	var newVal uint64
-	doStore := true
-	switch u.kind {
-	case uCAS:
-		newVal = c.x[u.rs2]
-		doStore = old == c.x[u.rd]
-	case uAmoAdd:
-		newVal = old + c.x[u.rs2]
-	default: // uAmoSwap
-		newVal = c.x[u.rs2]
-	}
-	if doStore {
-		if fault := mmu.Store(addr, newVal, 8); fault != nil {
-			return c.pageFault(sb, i, fault)
-		}
-		if !e.Mon.Empty() {
-			e.Mon.OnStore(c.cpu.TID, taddr)
-		}
-	}
-	if e.San != nil {
-		e.San.OnAtomic(c.cpu.TID, taddr, 8, u.pc, doStore)
-	}
-	wr(c.x, u.rd, old)
-	if e.StopAtomic && u.kind == uCAS && !doStore {
-		c.cpu.PC = u.pc + 4
-		c.res = Result{Reason: StopBudget}
-		c.stop = true
-		return t3Stop
-	}
-	return t3Cont
 }

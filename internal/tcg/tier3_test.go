@@ -35,7 +35,7 @@ func tier3State(t *testing.T, src string, tune func(*Engine)) (*CPU, *Engine) {
 // traces.
 func tier3Rungs() map[string]func(*Engine) {
 	return map[string]func(*Engine){
-		"interp":   func(e *Engine) { e.NoCache, e.NoSuperblock, e.NoJumpCache = true, true, true },
+		"interp":   func(e *Engine) { e.NoCache, e.NoSuperblock = true, true },
 		"blocks":   func(e *Engine) { e.NoSuperblock = true },
 		"compiled": func(*Engine) {},
 	}
@@ -43,7 +43,7 @@ func tier3Rungs() map[string]func(*Engine) {
 
 // TestTier3MatchesBaselineState is the three-way differential: every rung of
 // the ladder must leave bit-identical registers and PC on a workload that
-// exercises ALU, memory, FP, and calls; the compiled rung must actually
+// exercises ALU, memory, FP, and an indirect jump; the compiled rung must actually
 // have executed closures rather than silently falling back, and the other
 // two must not have.
 func TestTier3MatchesBaselineState(t *testing.T) {
@@ -72,6 +72,12 @@ loop:
 	addi t2, s0, 7
 	andi t2, t2, 1023
 	xor  s0, s0, t2
+	; an indirect jump to a target that is 2 mod 4: jalr clears both low bits
+	la   t4, landed
+	addi t4, t4, 2
+	jalr t5, t4, 0
+landed:
+	xor  s0, s0, t5
 	addi s1, s1, 1
 	slt  t0, s1, s2
 	bnez t0, loop
@@ -133,7 +139,7 @@ loop:
 	halt
 `
 	_, ref, want, _ := setupImage(t, src)
-	ref.NoCache, ref.NoSuperblock, ref.NoJumpCache = true, true, true
+	ref.NoCache, ref.NoSuperblock = true, true
 	if res := ref.Exec(want, 1<<62); res.Reason != StopHalt {
 		t.Fatalf("interpreter: %+v", res)
 	}

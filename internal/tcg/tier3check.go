@@ -12,11 +12,11 @@
 //     boundary mid-segment (so chunk charges retire atomically);
 //   - fusion units cover the straight-line mids exactly once, in program
 //     order, with only legal shapes (pre/post addi on a plain memory
-//     access, addi pairs, addi+ALU mids) — so fault restart points (the
+//     access, addi pairs, addi+mul) — so fault restart points (the
 //     unit's memory-op index) always name the architecturally correct
 //     instruction;
-//   - memory-run groups fuse only adjacent 8-byte accesses and never
-//     exceed t3MemRun;
+//   - memory-run groups hold only 8-byte accesses and never exceed
+//     t3MemRun;
 //   - the chunk array mirrors the plan: one head chunk per segment
 //     carrying exactly the segment's aggregate cost/insns/pc and the
 //     recomputed code-page-cross guard, continuation chunks charging

@@ -109,19 +109,19 @@ loop:
 	halt
 `
 	type tier struct {
-		name                  string
-		noSuper, noJC, interp bool
+		name            string
+		noSuper, interp bool
 	}
 	tiers := []tier{
-		{"superblock", false, false, false},
-		{"chained", true, true, false},
-		{"interp", true, true, true},
+		{"superblock", false, false},
+		{"chained", true, false},
+		{"interp", true, true},
 	}
 	var ref *CPU
 	var refMem []byte
 	for _, tr := range tiers {
 		space, e, cpu, _ := setupImage(t, src)
-		e.NoSuperblock, e.NoJumpCache, e.NoCache = tr.noSuper, tr.noJC, tr.interp
+		e.NoSuperblock, e.NoCache = tr.noSuper, tr.interp
 		if res := runToStop(t, e, cpu); res.Reason != StopHalt {
 			t.Fatalf("%s: stop %+v", tr.name, res)
 		}
@@ -146,15 +146,13 @@ loop:
 }
 
 func TestNoSuperblockReproducesSeedStats(t *testing.T) {
-	// With promotion and the jump cache disabled no traces are built and the
-	// jump cache is never consulted.
+	// With promotion disabled no traces are built.
 	_, e, cpu, _ := setupImage(t, hotLoop)
-	e.NoSuperblock, e.NoJumpCache = true, true
+	e.NoSuperblock = true
 	if res := runToStop(t, e, cpu); res.Reason != StopHalt {
 		t.Fatalf("stop: %+v", res)
 	}
-	if e.Stats.Superblocks != 0 || e.Stats.Tier3Insns != 0 ||
-		e.Stats.JumpCacheHits != 0 || e.Stats.JumpCacheMisses != 0 {
+	if e.Stats.Superblocks != 0 || e.Stats.Tier3Insns != 0 {
 		t.Errorf("ablated run left the block interpreter: %+v", e.Stats)
 	}
 	if got := int64(cpu.X[isa.RegS0]); got != 999*1000/2 {
@@ -192,18 +190,6 @@ addone:
 	if e.Stats.JumpCacheHits < e.Stats.JumpCacheMisses {
 		t.Errorf("hits %d < misses %d; cache is not effective",
 			e.Stats.JumpCacheHits, e.Stats.JumpCacheMisses)
-	}
-
-	_, e2, cpu2, _ := setupImage(t, src)
-	e2.NoJumpCache = true
-	if res := runToStop(t, e2, cpu2); res.Reason != StopHalt {
-		t.Fatalf("ablated stop: %+v", res)
-	}
-	if e2.Stats.JumpCacheHits != 0 || e2.Stats.JumpCacheMisses != 0 {
-		t.Errorf("NoJumpCache still touched the cache: %+v", e2.Stats)
-	}
-	if cpu2.X[isa.RegS0] != 300 {
-		t.Errorf("ablated s0 = %d, want 300", cpu2.X[isa.RegS0])
 	}
 }
 

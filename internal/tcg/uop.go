@@ -176,64 +176,117 @@ type uop struct {
 	rs2         uint8
 	size        uint8  // load/store width in bytes
 	sh          uint8  // load sign-extension shift (64 - 8*size); 0 = none
-	bop         isa.Op // branch op for guards/branch exits
+	bop         isa.Op // which branch a guard or branch exit is, which atomic an atomic
 	selfInsns   uint8  // guest instructions this uop retires (2+ when fused)
 	cmpU        bool   // fused compare is unsigned (sltu)
 	expectTaken bool   // guard: branch direction the trace follows
 }
 
+// lowering is one row of the op-to-uop table: everything about lowering a
+// straight-line guest instruction that is a lookup.
+type lowering struct {
+	kind  uopKind
+	size  uint8 // memory access width in bytes
+	sh    uint8 // load sign-extension shift
+	x0nop bool  // the only effect is an integer rd: a uNop when rd is x0
+}
+
+// lowerTab is indexed by isa.Op. Ops without a row — block terminators,
+// which buildTrace lowers because it knows whether the trace follows or exits
+// them, and invalid ops — read as the zero row, uNop, which only OpNOP means.
+var lowerTab = [256]lowering{
+	isa.OpADD:  {kind: uAdd, x0nop: true},
+	isa.OpSUB:  {kind: uSub, x0nop: true},
+	isa.OpMUL:  {kind: uMul, x0nop: true},
+	isa.OpDIV:  {kind: uDiv, x0nop: true},
+	isa.OpDIVU: {kind: uDivU, x0nop: true},
+	isa.OpREM:  {kind: uRem, x0nop: true},
+	isa.OpREMU: {kind: uRemU, x0nop: true},
+	isa.OpAND:  {kind: uAnd, x0nop: true},
+	isa.OpOR:   {kind: uOr, x0nop: true},
+	isa.OpXOR:  {kind: uXor, x0nop: true},
+	isa.OpSLL:  {kind: uSll, x0nop: true},
+	isa.OpSRL:  {kind: uSrl, x0nop: true},
+	isa.OpSRA:  {kind: uSra, x0nop: true},
+	isa.OpSLT:  {kind: uSlt, x0nop: true},
+	isa.OpSLTU: {kind: uSltu, x0nop: true},
+
+	isa.OpADDI: {kind: uAddi, x0nop: true},
+	isa.OpANDI: {kind: uAndi, x0nop: true},
+	isa.OpORI:  {kind: uOri, x0nop: true},
+	isa.OpXORI: {kind: uXori, x0nop: true},
+	isa.OpSLLI: {kind: uSlli, x0nop: true},
+	isa.OpSRLI: {kind: uSrli, x0nop: true},
+	isa.OpSRAI: {kind: uSrai, x0nop: true},
+	isa.OpSLTI: {kind: uSlti, x0nop: true},
+
+	isa.OpMOVIW: {kind: uLi, x0nop: true},
+	isa.OpMOVID: {kind: uLi, x0nop: true},
+
+	isa.OpLB:  {kind: uLoad, size: 1, sh: 56},
+	isa.OpLBU: {kind: uLoad, size: 1},
+	isa.OpLH:  {kind: uLoad, size: 2, sh: 48},
+	isa.OpLHU: {kind: uLoad, size: 2},
+	isa.OpLW:  {kind: uLoad, size: 4, sh: 32},
+	isa.OpLWU: {kind: uLoad, size: 4},
+	isa.OpLD:  {kind: uLoad, size: 8},
+	isa.OpSB:  {kind: uStore, size: 1},
+	isa.OpSH:  {kind: uStore, size: 2},
+	isa.OpSW:  {kind: uStore, size: 4},
+	isa.OpSD:  {kind: uStore, size: 8},
+	isa.OpFLD: {kind: uFLoad, size: 8},
+	isa.OpFSD: {kind: uFStore, size: 8},
+
+	isa.OpLL:      {kind: uLL},
+	isa.OpSC:      {kind: uSC},
+	isa.OpCAS:     {kind: uCAS},
+	isa.OpAMOADD:  {kind: uAmoAdd},
+	isa.OpAMOSWAP: {kind: uAmoSwap},
+	isa.OpFENCE:   {kind: uFence},
+
+	isa.OpHINT: {kind: uHint},
+	isa.OpNOP:  {kind: uNop},
+
+	isa.OpFADD:   {kind: uFAdd},
+	isa.OpFSUB:   {kind: uFSub},
+	isa.OpFMUL:   {kind: uFMul},
+	isa.OpFDIV:   {kind: uFDiv},
+	isa.OpFMIN:   {kind: uFMin},
+	isa.OpFMAX:   {kind: uFMax},
+	isa.OpFSQRT:  {kind: uFSqrt},
+	isa.OpFNEG:   {kind: uFNeg},
+	isa.OpFABS:   {kind: uFAbs},
+	isa.OpFEXP:   {kind: uFExp},
+	isa.OpFLN:    {kind: uFLn},
+	isa.OpFMOVD:  {kind: uFMovImm},
+	isa.OpFMV:    {kind: uFMv},
+	isa.OpFMVXD:  {kind: uFMvXD, x0nop: true},
+	isa.OpFMVDX:  {kind: uFMvDX},
+	isa.OpFCVTDL: {kind: uFCvtDL},
+	isa.OpFCVTLD: {kind: uFCvtLD, x0nop: true},
+	isa.OpFEQ:    {kind: uFEq, x0nop: true},
+	isa.OpFLT:    {kind: uFLt, x0nop: true},
+	isa.OpFLE:    {kind: uFLe, x0nop: true},
+}
+
 // lowerInsn appends the uop(s) for one guest instruction to ops. Pure
-// straight-line instructions only; block terminators are lowered by
-// buildTrace, which knows whether the trace follows or exits them.
+// straight-line instructions only. What the table cannot say is here: the
+// ADDI folds, the materialized constants, the sanitizer probes and which
+// atomic an atomic is.
 func (e *Engine) lowerInsn(ops []uop, ins *isa.Instruction, pc uint64) []uop {
-	u := uop{pc: pc, selfInsns: 1, selfCost: int32(e.opCost[ins.Op]), exit: -1, exit2: -1,
+	row := lowerTab[ins.Op]
+	u := uop{kind: row.kind, size: row.size, sh: row.sh,
+		pc: pc, selfInsns: 1, selfCost: int32(e.opCost[ins.Op]), exit: -1, exit2: -1,
 		rd: ins.Rd, rs1: ins.Rs1, rs2: ins.Rs2, imm: ins.Imm}
-
-	// Integer ALU results into x0 have no architectural effect; keep the
-	// cost charge but drop the work.
-	alu := func(k uopKind) uop {
-		if ins.Rd == 0 {
-			u.kind = uNop
-			return u
-		}
-		u.kind = k
-		return u
+	if row.x0nop && ins.Rd == 0 {
+		// An integer result into x0 has no architectural effect; keep the
+		// cost charge but drop the work.
+		u.kind = uNop
+		return append(ops, u)
 	}
-
-	switch ins.Op {
-	case isa.OpADD:
-		u = alu(uAdd)
-	case isa.OpSUB:
-		u = alu(uSub)
-	case isa.OpMUL:
-		u = alu(uMul)
-	case isa.OpDIV:
-		u = alu(uDiv)
-	case isa.OpDIVU:
-		u = alu(uDivU)
-	case isa.OpREM:
-		u = alu(uRem)
-	case isa.OpREMU:
-		u = alu(uRemU)
-	case isa.OpAND:
-		u = alu(uAnd)
-	case isa.OpOR:
-		u = alu(uOr)
-	case isa.OpXOR:
-		u = alu(uXor)
-	case isa.OpSLL:
-		u = alu(uSll)
-	case isa.OpSRL:
-		u = alu(uSrl)
-	case isa.OpSRA:
-		u = alu(uSra)
-	case isa.OpSLT:
-		u = alu(uSlt)
-	case isa.OpSLTU:
-		u = alu(uSltu)
-
-	case isa.OpADDI:
-		if ins.Rd != 0 && len(ops) > 0 {
+	switch row.kind {
+	case uAddi:
+		if len(ops) > 0 {
 			// Fold ADDI chains on the same register into one uop, and drop a
 			// move bounced straight back (addi rd,rs,0 ; addi rs,rd,0: rs
 			// holds the value already; a uAddi's rd is never x0). The
@@ -250,130 +303,20 @@ func (e *Engine) lowerInsn(ops []uop, ins *isa.Instruction, pc uint64) []uop {
 				return ops
 			}
 		}
-		u = alu(uAddi)
-	case isa.OpANDI:
-		u = alu(uAndi)
-	case isa.OpORI:
-		u = alu(uOri)
-	case isa.OpXORI:
-		u = alu(uXori)
-	case isa.OpSLLI:
-		u = alu(uSlli)
-	case isa.OpSRLI:
-		u = alu(uSrli)
-	case isa.OpSRAI:
-		u = alu(uSrai)
-	case isa.OpSLTI:
-		u = alu(uSlti)
-
-	case isa.OpMOVIW, isa.OpMOVID:
+	case uLi, uFMovImm:
 		u.val = uint64(ins.Imm)
-		u = alu(uLi)
-
-	case isa.OpLB:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, 1)
-		u.kind, u.size, u.sh = uLoad, 1, 56
-	case isa.OpLBU:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, 1)
-		u.kind, u.size = uLoad, 1
-	case isa.OpLH:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, 2)
-		u.kind, u.size, u.sh = uLoad, 2, 48
-	case isa.OpLHU:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, 2)
-		u.kind, u.size = uLoad, 2
-	case isa.OpLW:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, 4)
-		u.kind, u.size, u.sh = uLoad, 4, 32
-	case isa.OpLWU:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, 4)
-		u.kind, u.size = uLoad, 4
-	case isa.OpLD:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, 8)
-		u.kind, u.size = uLoad, 8
-	case isa.OpSB:
-		ops = e.lowerSan(ops, ins, pc, uSanWrite, 1)
-		u.kind, u.size = uStore, 1
-	case isa.OpSH:
-		ops = e.lowerSan(ops, ins, pc, uSanWrite, 2)
-		u.kind, u.size = uStore, 2
-	case isa.OpSW:
-		ops = e.lowerSan(ops, ins, pc, uSanWrite, 4)
-		u.kind, u.size = uStore, 4
-	case isa.OpSD:
-		ops = e.lowerSan(ops, ins, pc, uSanWrite, 8)
-		u.kind, u.size = uStore, 8
-	case isa.OpFLD:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, 8)
-		u.kind = uFLoad
-	case isa.OpFSD:
-		ops = e.lowerSan(ops, ins, pc, uSanWrite, 8)
-		u.kind = uFStore
-
-	case isa.OpLL:
-		u.kind = uLL
-	case isa.OpSC:
-		u.kind = uSC
-	case isa.OpCAS:
-		u.kind = uCAS
-	case isa.OpAMOADD:
-		u.kind = uAmoAdd
-	case isa.OpAMOSWAP:
-		u.kind = uAmoSwap
-	case isa.OpFENCE:
-		u.kind = uFence
-
-	case isa.OpHINT:
-		u.kind = uHint
-	case isa.OpNOP:
-		u.kind = uNop
-
-	case isa.OpFADD:
-		u.kind = uFAdd
-	case isa.OpFSUB:
-		u.kind = uFSub
-	case isa.OpFMUL:
-		u.kind = uFMul
-	case isa.OpFDIV:
-		u.kind = uFDiv
-	case isa.OpFMIN:
-		u.kind = uFMin
-	case isa.OpFMAX:
-		u.kind = uFMax
-	case isa.OpFSQRT:
-		u.kind = uFSqrt
-	case isa.OpFNEG:
-		u.kind = uFNeg
-	case isa.OpFABS:
-		u.kind = uFAbs
-	case isa.OpFEXP:
-		u.kind = uFExp
-	case isa.OpFLN:
-		u.kind = uFLn
-	case isa.OpFMOVD:
-		u.kind, u.val = uFMovImm, uint64(ins.Imm)
-	case isa.OpFMV:
-		u.kind = uFMv
-	case isa.OpFMVXD:
-		u = alu(uFMvXD)
-	case isa.OpFMVDX:
-		u.kind = uFMvDX
-	case isa.OpFCVTDL:
-		u.kind = uFCvtDL
-	case isa.OpFCVTLD:
-		u = alu(uFCvtLD)
-	case isa.OpFEQ:
-		u = alu(uFEq)
-	case isa.OpFLT:
-		u = alu(uFLt)
-	case isa.OpFLE:
-		u = alu(uFLe)
-
-	default:
-		// Terminators (branches, SVC, HALT, EBREAK) never reach lowerInsn;
-		// anything else is undecodable here and ends the trace at runtime.
-		u.kind = uEbreakExit
-		u.pc = pc
+	case uLoad, uFLoad:
+		ops = e.lowerSan(ops, ins, pc, uSanRead, row.size)
+	case uStore, uFStore:
+		ops = e.lowerSan(ops, ins, pc, uSanWrite, row.size)
+	case uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
+		u.bop = ins.Op
+	case uNop:
+		if ins.Op != isa.OpNOP {
+			// No row: a terminator never reaches lowerInsn, so this is not an
+			// instruction at all and ends the trace at runtime.
+			u.kind = uEbreakExit
+		}
 	}
 	return append(ops, u)
 }
