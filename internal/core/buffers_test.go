@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"dqemu/internal/image"
 	"dqemu/internal/netsim"
@@ -19,7 +20,8 @@ type sentMsg struct {
 }
 
 func hashSent(m *proto.Msg) sentMsg {
-	return sentMsg{m: m, data: sha256.Sum256(m.Data), san: sha256.Sum256(m.San), cpu: sha256.Sum256(m.CPU)}
+	aux := m.AuxPart()
+	return sentMsg{m: m, data: sha256.Sum256(m.Data), san: sha256.Sum256(aux.San), cpu: sha256.Sum256(aux.CPU)}
 }
 
 // recordingRuntime hashes every buffer a message carries as it is sent.
@@ -201,11 +203,12 @@ long main() {
 // page, its twins and its snapshots exist, moving it between nodes allocates
 // no page-sized buffer, and the protocol around it only what the wire must
 // own. Two runs that differ only in how long they ping-pong the same page
-// differ, per extra page payload, by about 750 bytes: the request, fetch,
-// reply and grant headers (224 bytes each) and the small delta bodies and
-// containers. It was 1,490 bytes while quanta, event hops and decodes still
-// allocated, and three and a half pages before buffers were rewritten in
-// place.
+// differ, per extra page payload, by about 390 bytes: the request, fetch,
+// reply and grant messages (96 bytes each) and the containers the two
+// content-carrying ones hold. It was 747 bytes while a message was 224 bytes
+// and every delta body was made to be copied into its container, 1,490 while
+// quanta, event hops and decodes still allocated, and three and a half pages
+// before buffers were rewritten in place.
 func TestAllocPerPageTransfer(t *testing.T) {
 	run := func(rounds int) (allocated, payloads uint64) {
 		im := build(t, pingPongSrc(rounds))
@@ -235,8 +238,81 @@ func TestAllocPerPageTransfer(t *testing.T) {
 	if raceEnabled {
 		return // the detector's own bookkeeping allocates
 	}
-	if limit := 940.0; perPayload > limit { // measured 747, plus a quarter
+	if limit := 490.0; perPayload > limit { // measured 389, plus a quarter
 		t.Errorf("%.0f bytes allocated per extra page payload, want under %.0f", perPayload, limit)
+	}
+}
+
+// syscallMsgs sums what the syscall messages of a run cost as heap objects.
+type syscallMsgs struct {
+	Runtime
+	msgs, bytes uint64
+}
+
+func (r *syscallMsgs) Send(m *proto.Msg) {
+	if m.Kind == proto.KSyscallReq || m.Kind == proto.KSyscallReply {
+		r.msgs++
+		r.bytes += uint64(unsafe.Sizeof(*m))
+		if m.Sys != nil {
+			r.bytes += uint64(unsafe.Sizeof(*m.Sys))
+		}
+		if m.Aux != nil {
+			r.bytes += 80 // the size class of unsafe.Sizeof(proto.Aux{}) = 72
+		}
+	}
+	r.Runtime.Send(m)
+}
+
+// TestAllocSyscallMsg: a delegated syscall is a request and a reply of 96 + 64
+// bytes each — the message and its syscall words, no Aux while the sanitizer
+// is off — where each was 224. Two runs that differ only in how many times a
+// thread on the slave calls getpid differ, per extra call, by those 320 bytes
+// and the master's reply closure.
+func TestAllocSyscallMsg(t *testing.T) {
+	run := func(calls int) (allocated, msgs, msgBytes uint64) {
+		im := build(t, fmt.Sprintf(`
+long worker(long arg) {
+	long s = 0;
+	for (long i = 0; i < %d; i++) s += getpid();
+	return s;
+}
+long main() {
+	thread_join(thread_create((long)worker, 0));
+	return 0;
+}`, calls))
+		cfg := DefaultConfig()
+		cfg.Slaves = 1
+		c, err := NewCluster(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := &syscallMsgs{Runtime: c.rt}
+		c.rt = rt
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := c.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil || res.ExitCode != 0 {
+			t.Fatalf("exit %v, err %v", res, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, rt.msgs, rt.bytes
+	}
+	shortBytes, shortMsgs, shortMsgBytes := run(500)
+	longBytes, longMsgs, longMsgBytes := run(2500)
+	trips := (longMsgs - shortMsgs) / 2
+	if trips != 2000 {
+		t.Fatalf("2,000 more calls made %d more round trips", trips)
+	}
+	if got := (longMsgBytes - shortMsgBytes) / trips; got > 2*(96+64) {
+		t.Errorf("the two messages of a round trip are %d bytes of objects, want at most %d", got, 2*(96+64))
+	}
+	perTrip := float64(longBytes-shortBytes) / float64(trips)
+	t.Logf("%.0f bytes allocated per extra round trip", perTrip)
+	if raceEnabled {
+		return // the detector's own bookkeeping allocates
+	}
+	if limit := 460.0; perTrip > limit { // measured 369, plus a quarter; 497 with 224-byte messages
+		t.Errorf("%.0f bytes allocated per extra round trip, want under %.0f", perTrip, limit)
 	}
 }
 

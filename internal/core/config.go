@@ -300,13 +300,13 @@ func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 		faults, _ = json.Marshal(initFaults{cfg.Faults, cfg.Retry}) // plain numbers: cannot fail
 	}
 	return &proto.Msg{
-		Kind: proto.KInit, From: 0, To: int32(id), Num: int64(id),
-		Args: [6]uint64{
+		Kind: proto.KInit, From: 0, To: int32(id),
+		Sys: &proto.Sys{Num: int64(id), Args: [6]uint64{
 			uint64(cfg.Nodes()), uint64(cfg.Cores), uint64(cfg.PageSize),
 			uint64(cfg.QuantumNs), flags,
-		},
+		}},
 		Data: img,
-		San:  faults,
+		Aux:  proto.SanAux(faults),
 	}
 }
 
@@ -316,7 +316,8 @@ func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 // Args[5], a cluster of no nodes, a plan without its bit or a bit without an
 // active, well-formed plan — comes from a master of another build, whose
 // flag word means something else: it is refused, not reinterpreted.
-func ConfigFromInit(m *proto.Msg) (cfg Config, id int, err error) {
+func ConfigFromInit(frame *proto.Msg) (cfg Config, id int, err error) {
+	m, plan := frame.SysPart(), frame.AuxPart().San
 	flags := cfg.nodeFlags()
 	faultsBit := uint64(1) << len(flags)
 	if m.Args[0] == 0 {
@@ -331,7 +332,7 @@ func ConfigFromInit(m *proto.Msg) (cfg Config, id int, err error) {
 	}
 	if m.Args[4]&faultsBit != 0 {
 		var f initFaults
-		err := json.Unmarshal(m.San, &f)
+		err := json.Unmarshal(plan, &f)
 		if err == nil {
 			err = f.Plan.Validate(int(m.Args[0]))
 		}
@@ -342,8 +343,8 @@ func ConfigFromInit(m *proto.Msg) (cfg Config, id int, err error) {
 			return Config{}, 0, fmt.Errorf("core: init frame announces a fault plan and carries none that injects anything")
 		}
 		cfg.Faults, cfg.Retry = f.Plan, f.Retry
-	} else if len(m.San) != 0 {
-		return Config{}, 0, fmt.Errorf("core: init frame carries %d bytes of fault plan without the flag bit that announces one", len(m.San))
+	} else if len(plan) != 0 {
+		return Config{}, 0, fmt.Errorf("core: init frame carries %d bytes of fault plan without the flag bit that announces one", len(plan))
 	}
 	cfg.Slaves = int(m.Args[0]) - 1
 	cfg.Cores = int(m.Args[1])

@@ -34,11 +34,11 @@ func TestInitFrameRoundTrip(t *testing.T) {
 		if i == nflags {
 			wantBits = 1<<nflags - 1
 		}
-		if m.Args[4] != wantBits {
-			t.Errorf("case %d: flag word %#b, want %#b", i, m.Args[4], wantBits)
+		if m.Sys.Args[4] != wantBits {
+			t.Errorf("case %d: flag word %#b, want %#b", i, m.Sys.Args[4], wantBits)
 		}
-		if m.Args[5] != 0 {
-			t.Errorf("case %d: Args[5] = %d, nothing ships there", i, m.Args[5])
+		if m.Sys.Args[5] != 0 {
+			t.Errorf("case %d: Args[5] = %d, nothing ships there", i, m.Sys.Args[5])
 		}
 		if !reflect.DeepEqual(m.Data, img) {
 			t.Errorf("case %d: frame carries image %v", i, m.Data)
@@ -65,16 +65,16 @@ func TestInitFrameRoundTrip(t *testing.T) {
 	}
 	faulty.Retry = netsim.RetryPolicy{BaseRTONs: 5_000_000, MaxRTONs: 80_000_000, MaxAttempts: 9, NoDedup: true}
 	m := InitFrame(faulty, 1, img)
-	if m.Args[4] != 1<<nflags {
-		t.Errorf("fault plan: flag word %#b, want only bit %d", m.Args[4], nflags)
+	if m.Sys.Args[4] != 1<<nflags {
+		t.Errorf("fault plan: flag word %#b, want only bit %d", m.Sys.Args[4], nflags)
 	}
 	if got, _, err := ConfigFromInit(m); err != nil || !reflect.DeepEqual(got, faulty) {
 		t.Errorf("fault plan: round trip (err %v)\n got %+v\nwant %+v", err, got, faulty)
 	}
 	idle := base
 	idle.Faults = &netsim.FaultPlan{Seed: 7}
-	if m := InitFrame(idle, 1, img); m.Args[4] != 0 || len(m.San) != 0 {
-		t.Errorf("inactive plan shipped: flag word %#b, %d bytes", m.Args[4], len(m.San))
+	if m := InitFrame(idle, 1, img); m.Sys.Args[4] != 0 || len(m.AuxPart().San) != 0 {
+		t.Errorf("inactive plan shipped: flag word %#b, %d bytes", m.Sys.Args[4], len(m.AuxPart().San))
 	}
 
 	// Master-only and per-process fields do not travel.
@@ -92,14 +92,14 @@ func TestInitFrameRoundTrip(t *testing.T) {
 		mutate  func(m *proto.Msg)
 		wantSub string
 	}{
-		"unknown flag bit": {base, func(m *proto.Msg) { m.Args[4] |= 1 << (nflags + 1) }, "unknown flag bits 0b1000000"},
-		"high flag bit":    {base, func(m *proto.Msg) { m.Args[4] |= 1 << 63 }, "unknown flag bits 0b1" + strings.Repeat("0", 63)},
-		"Args[5] set":      {base, func(m *proto.Msg) { m.Args[5] = 24 }, "Args[5] = 24"},
-		"no nodes":         {base, func(m *proto.Msg) { m.Args[0] = 0 }, "0 nodes"},
-		"bit, no plan":     {base, func(m *proto.Msg) { m.Args[4] |= 1 << nflags }, "fault plan"},
-		"plan, no bit":     {faulty, func(m *proto.Msg) { m.Args[4] = 0 }, "without the flag bit"},
-		"idle plan":        {faulty, func(m *proto.Msg) { m.San = []byte(`{"plan":{"seed":7}}`) }, "injects"},
-		"crash of node 9":  {faulty, func(m *proto.Msg) { m.San = []byte(`{"plan":{"seed":7,"crashes":[{"node":9,"at_ns":1}]}}`) }, "unknown or master node 9"},
+		"unknown flag bit": {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << (nflags + 1) }, "unknown flag bits 0b1000000"},
+		"high flag bit":    {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << 63 }, "unknown flag bits 0b1" + strings.Repeat("0", 63)},
+		"Args[5] set":      {base, func(m *proto.Msg) { m.Sys.Args[5] = 24 }, "Args[5] = 24"},
+		"no nodes":         {base, func(m *proto.Msg) { m.Sys.Args[0] = 0 }, "0 nodes"},
+		"bit, no plan":     {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << nflags }, "fault plan"},
+		"plan, no bit":     {faulty, func(m *proto.Msg) { m.Sys.Args[4] = 0 }, "without the flag bit"},
+		"idle plan":        {faulty, func(m *proto.Msg) { m.Aux.San = []byte(`{"plan":{"seed":7}}`) }, "injects"},
+		"crash of node 9":  {faulty, func(m *proto.Msg) { m.Aux.San = []byte(`{"plan":{"seed":7,"crashes":[{"node":9,"at_ns":1}]}}`) }, "unknown or master node 9"},
 	} {
 		m := InitFrame(tc.from, 1, nil)
 		tc.mutate(m)

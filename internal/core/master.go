@@ -135,7 +135,7 @@ func (m *master) handle(msg *proto.Msg) {
 			Full:  full,
 		})
 	case proto.KFetchReply:
-		data, san := msg.Data, msg.San
+		data, san := msg.Data, msg.AuxPart().San
 		if msg.Flags&proto.FlagCoh != 0 {
 			var err error
 			data, san, err = m.wire.materializeFetchReply(msg.From, msg)
@@ -170,7 +170,7 @@ func (m *master) handle(msg *proto.Msg) {
 		}
 	case proto.KInvAck:
 		if m.node.san != nil {
-			m.node.san.MergePage(msg.Page, msg.San)
+			m.node.san.MergePage(msg.Page, msg.AuxPart().San)
 		}
 		if err := m.dir.OnInvAck(int(msg.From), msg.Page); err != nil {
 			m.cl.fail(err)
@@ -204,20 +204,21 @@ func (m *master) onMigrateCtx(msg *proto.Msg) {
 	m.placement[msg.TID] = target
 	m.migrations++
 	if target == 0 {
-		cpu, err := proto.DecodeCPU(msg.CPU)
+		aux := msg.AuxPart()
+		cpu, err := proto.DecodeCPU(aux.CPU)
 		if err != nil {
 			m.cl.fail(err)
 			return
 		}
 		if m.node.san != nil {
-			m.node.san.InstallThread(msg.TID, msg.San)
+			m.node.san.InstallThread(msg.TID, aux.San)
 		}
 		m.node.addThread(cpu)
 		return
 	}
 	m.sendNow(&proto.Msg{
 		Kind: proto.KThreadStart, From: 0, To: int32(target),
-		TID: msg.TID, CPU: msg.CPU, San: msg.San,
+		TID: msg.TID, Aux: msg.Aux, // context and clock, as they arrived
 	})
 }
 
@@ -291,7 +292,7 @@ func (m *master) rebalance() {
 	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	tid := victims[0]
 	m.migrating[tid] = minNode
-	m.cl.rt.Send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(maxNode), TID: tid, Num: int64(minNode)})
+	m.cl.rt.Send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(maxNode), TID: tid, Sys: &proto.Sys{Num: int64(minNode)}})
 	m.cl.prof.migStarted(tid, m.cl.rt.Now())
 }
 
@@ -340,7 +341,7 @@ func (m *master) MigrateThread(tid int64, to int) {
 		return
 	}
 	m.migrating[tid] = to
-	m.cl.rt.Send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(cur), TID: tid, Num: int64(to)})
+	m.cl.rt.Send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(cur), TID: tid, Sys: &proto.Sys{Num: int64(to)}})
 	m.cl.prof.migStarted(tid, m.cl.rt.Now())
 }
 
@@ -450,12 +451,13 @@ func (m *master) Tracef(format string, args ...interface{}) {
 func (m *master) onSyscallReq(msg *proto.Msg) {
 	from := msg.From
 	tid := msg.TID
-	if msg.Num == sysExitNum {
+	sys, clock := msg.SysPart(), msg.AuxPart().San
+	if sys.Num == sysExitNum {
 		delete(m.placement, tid)
 		delete(m.migrating, tid)
 	}
 	// DQSan happens-before edges ride on the delegation: the caller's clock
-	// (msg.San) is released into the right master-side channel before the
+	// (clock) is released into the right master-side channel before the
 	// syscall runs, and `attach` picks the clock the reply should carry. The
 	// closure is evaluated when the reply actually fires — a parked futex wait
 	// or join replies long after this request, once more wakes/exits have
@@ -463,21 +465,21 @@ func (m *master) onSyscallReq(msg *proto.Msg) {
 	san := m.node.san
 	var attach func() []byte
 	if san != nil {
-		switch msg.Num {
+		switch sys.Num {
 		case abi.SysFutex:
-			taddr := m.space.Translate(msg.Args[0])
-			if int64(msg.Args[1]) == abi.FutexWake {
-				san.FutexWake(taddr, msg.San)
+			taddr := m.space.Translate(sys.Args[0])
+			if int64(sys.Args[1]) == abi.FutexWake {
+				san.FutexWake(taddr, clock)
 			} else {
 				attach = func() []byte { return san.FutexWaitClock(taddr) }
 			}
 		case abi.SysThreadCreate:
-			m.createSan = msg.San
+			m.createSan = clock
 		case abi.SysThreadJoin:
-			child := int64(msg.Args[0])
+			child := int64(sys.Args[0])
 			attach = func() []byte { return san.JoinClock(child) }
 		case sysExitNum:
-			san.RecordExit(tid, msg.San)
+			san.RecordExit(tid, clock)
 		}
 	}
 	reply := func(ret uint64) {
@@ -485,14 +487,14 @@ func (m *master) onSyscallReq(msg *proto.Msg) {
 			return
 		}
 		rm := &proto.Msg{
-			Kind: proto.KSyscallReply, From: 0, To: from, TID: tid, Ret: ret,
+			Kind: proto.KSyscallReply, From: 0, To: from, TID: tid, Sys: &proto.Sys{Ret: ret},
 		}
 		if attach != nil {
-			rm.San = attach()
+			rm.Aux = proto.SanAux(attach())
 		}
 		m.sendNow(rm)
 	}
-	m.cl.os.Global(tid, msg.Num, msg.Args, reply)
+	m.cl.os.Global(tid, sys.Num, sys.Args, reply)
 	m.createSan = nil
 }
 
@@ -529,7 +531,7 @@ func (m *master) SendContent(to int, page uint64, perm mem.Perm) {
 	if m.node.san != nil {
 		// Shadow state travels with the page: the grantee merges it so its
 		// next access is checked against every recorded remote access.
-		grant.San = m.node.san.EncodePage(page)
+		grant.Aux = proto.SanAux(m.node.san.EncodePage(page))
 	}
 	m.cl.rt.Send(grant)
 }
@@ -623,7 +625,7 @@ func (m *master) BroadcastRemap(orig uint64, shadows []uint64) {
 	for id := 1; id < m.cl.cfg.PhysNodes(); id++ {
 		m.cl.rt.Send(&proto.Msg{
 			Kind: proto.KRemap, From: 0, To: int32(id),
-			Page: orig, Shadows: shadows,
+			Page: orig, Aux: &proto.Aux{Shadows: shadows},
 		})
 	}
 }
@@ -639,7 +641,7 @@ func (m *master) PushPage(to int, page uint64) {
 		Page: page, Data: append([]byte(nil), data...),
 	}
 	if m.node.san != nil {
-		push.San = m.node.san.EncodePage(page)
+		push.Aux = proto.SanAux(m.node.san.EncodePage(page))
 	}
 	m.cl.rt.Send(push)
 }
@@ -759,7 +761,7 @@ func (m *master) StartThread(tid int64, fn, arg, stackTop uint64, hint int64) {
 	}
 	m.sendNow(&proto.Msg{
 		Kind: proto.KThreadStart, From: 0, To: int32(target),
-		TID: tid, CPU: proto.EncodeCPU(cpu), San: m.createSan,
+		TID: tid, Aux: &proto.Aux{CPU: proto.EncodeCPU(cpu), San: m.createSan},
 	})
 }
 

@@ -42,6 +42,10 @@ type node struct {
 	// being re-requested in full.
 	twins  map[uint64]*pageTwin
 	resend map[uint64]bool
+	// fetchScratch is where the body of a fetch reply is encoded on its way
+	// into the reply's container; it keeps its array from fetch to fetch and
+	// is never sent.
+	fetchScratch []byte
 
 	// Outstanding timer wakeups etc. keep the node referenced.
 	stats NodeStats
@@ -138,12 +142,12 @@ func (n *node) shipContext(t *thread) {
 	n.stats.MigratedOut++
 	msg := &proto.Msg{
 		Kind: proto.KMigrateCtx, From: int32(n.id), To: 0,
-		TID: t.tid, CPU: proto.EncodeCPU(t.cpu),
+		TID: t.tid, Aux: &proto.Aux{CPU: proto.EncodeCPU(t.cpu)},
 	}
 	if n.san != nil {
 		// The vector clock is part of the thread context: it migrates with
 		// the CPU state and is dropped here like the LL/SC reservation.
-		msg.San = n.san.EncodeThread(t.tid)
+		msg.Aux.San = n.san.EncodeThread(t.tid)
 		n.san.DropThread(t.tid)
 	}
 	n.cl.rt.Send(msg)
@@ -355,15 +359,14 @@ func (n *node) delegate(t *thread, num int64) {
 		From: int32(n.id),
 		To:   0,
 		TID:  t.tid,
-		Num:  num,
-		Args: args,
+		Sys:  &proto.Sys{Num: num, Args: args},
 	}
 	if n.san != nil {
 		// Every delegation releases the caller's clock to the master: thread
 		// create, futex wake and exit all publish whatever the caller did
 		// before trapping. SyscallClock ticks afterwards, so later accesses
 		// by this thread are not ordered before the master's use of it.
-		msg.San = n.san.SyscallClock(t.tid)
+		msg.Aux = proto.SanAux(n.san.SyscallClock(t.tid))
 	}
 	n.cl.rt.Send(msg)
 }
@@ -535,7 +538,7 @@ func (n *node) onPageContent(m *proto.Msg) {
 		// translation made from the page's previous content is stale.
 		n.engine.InvalidatePage(m.Page)
 		if n.san != nil {
-			n.san.MergePage(m.Page, m.San)
+			n.san.MergePage(m.Page, m.AuxPart().San)
 		}
 	}
 	n.contentArrived(m.Page, perm)
@@ -561,7 +564,7 @@ func (n *node) contentArrived(page uint64, perm mem.Perm) {
 
 func (n *node) onInvalidate(m *proto.Msg) {
 	san := n.dropForInvalidate(m.Page)
-	n.cl.rt.Send(&proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, San: san})
+	n.cl.rt.Send(&proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, Aux: proto.SanAux(san)})
 }
 
 // dropForInvalidate revokes the local copy of page and returns the shadow
@@ -596,7 +599,7 @@ func (n *node) onFetch(m *proto.Msg) {
 		Page: m.Page, Data: copied, Write: m.Write,
 	}
 	if n.san != nil {
-		reply.San = n.san.EncodePage(m.Page)
+		reply.Aux = proto.SanAux(n.san.EncodePage(m.Page))
 	}
 	if m.Write { // invalidate
 		n.space.DropPage(m.Page)
@@ -631,7 +634,7 @@ func (n *node) retryArrived(page uint64) {
 }
 
 func (n *node) onRemap(m *proto.Msg) {
-	n.applyRemap(m.Page, m.Shadows, m.Ver)
+	n.applyRemap(m.Page, m.AuxPart().Shadows, m.Ver)
 }
 
 // applyRemap installs a page split. ver, when nonzero, is the home version
@@ -685,7 +688,7 @@ func (n *node) onPush(m *proto.Msg) {
 	}
 	n.space.InstallPage(m.Page, m.Data, mem.PermRead)
 	if n.san != nil {
-		n.san.MergePage(m.Page, m.San)
+		n.san.MergePage(m.Page, m.AuxPart().San)
 	}
 	n.requested[m.Page] &^= reqRead
 	if n.requested[m.Page] == 0 {
@@ -702,17 +705,18 @@ func (n *node) onSyscallReply(m *proto.Msg) {
 	}
 	n.cl.cfg.Tracer.End(n.cl.rt.Now(), trace.EvSyscall, n.id, t.tid, "syscall-wait")
 	t.syscallNs += n.cl.rt.Now() - t.blockStart
-	t.cpu.X[10] = m.Ret
+	t.cpu.X[10] = m.SysPart().Ret
 	if n.san != nil {
 		// Acquire whatever clock the master attached: futex-wait wakeups
 		// carry the wakers' releases, join replies the target's exit clock.
-		n.san.Acquire(m.TID, m.San)
+		n.san.Acquire(m.TID, m.AuxPart().San)
 	}
 	n.enqueue(t)
 }
 
 func (n *node) onThreadStart(m *proto.Msg) {
-	cpu, err := proto.DecodeCPU(m.CPU)
+	aux := m.AuxPart()
+	cpu, err := proto.DecodeCPU(aux.CPU)
 	if err != nil {
 		n.cl.fail(fmt.Errorf("node %d: thread start: %w", n.id, err))
 		return
@@ -720,7 +724,7 @@ func (n *node) onThreadStart(m *proto.Msg) {
 	if n.san != nil {
 		// New or migrated thread: its clock (creator's clock at create, or
 		// the migrated thread's own) arrives with the context.
-		n.san.InstallThread(m.TID, m.San)
+		n.san.InstallThread(m.TID, aux.San)
 	}
 	n.addThread(cpu)
 }

@@ -35,9 +35,10 @@ import (
 // netsim.Reliable keeps it for retransmission, and under the simulator the
 // receiver reads the very same bytes, as views (proto.PayloadReader): it
 // copies them out and never writes through them. So page, twin, snapshot and
-// scratch buffers are never sent (what is sent is a fresh copy or a fresh
-// encoding), and what materializeFetchReply returns may be the scratch page
-// or the home copy itself: nothing may keep it past Directory.OnFetchReply.
+// scratch buffers and the body arena are never sent (what is sent is a fresh
+// copy or a fresh encoding), and what materializeFetchReply returns may be
+// the scratch page or the home copy itself: nothing may keep it past
+// Directory.OnFetchReply.
 
 // WireStats counts wire-layer activity (Result.Wire).
 type WireStats struct {
@@ -117,6 +118,11 @@ type masterWire struct {
 	out     []targetBuf // by node id
 	order   []int32     // targets with something in out, in first-touch order
 	pendInv map[int32]*invBuf
+	// arena holds, back to back, the bodies of every payload queued in out:
+	// each Body is a view of it (a view of an array the arena outgrew keeps
+	// that array) until proto.EncodePayloads copies it into the container
+	// that is sent. flushAll cuts the arena back; it is never sent.
+	arena []byte
 
 	scratch []byte // one page: where a diffed fetch reply is decoded
 
@@ -264,38 +270,44 @@ func (w *masterWire) buildPayload(to int32, page uint64, perm mem.Perm, push boo
 	hv := w.homeVerOf(page)
 	pl.Ver = hv
 	if !w.delta {
+		// Alone in its message this body is sent as it is (sendContainer).
 		pl.Enc = proto.EncFull
 		pl.Body = append([]byte(nil), data...)
 	} else {
+		arena := w.arena
+		start, ok := len(arena), false
 		base := w.remote[nodePage{to, page}]
 		switch {
 		case base != 0 && base == hv:
 			pl.Enc = proto.EncSame
 		case base != 0 && w.snapOf(page, base) != nil:
-			if d, ok := proto.EncodeDelta(w.snapOf(page, base), data, w.limit); ok {
-				pl.Enc, pl.BaseVer, pl.Body = proto.EncDelta, base, d
+			if arena, ok = proto.AppendDelta(arena, w.snapOf(page, base), data, w.limit); ok {
+				pl.Enc, pl.BaseVer = proto.EncDelta, base
 			} else {
 				w.stats.DeltaOverflows++
-				pl.Enc, pl.Body = fullOrRLE(data)
+				pl.Enc, arena = fullOrRLE(arena, data)
 			}
 		default:
 			if base != 0 {
 				w.stats.DeltaMisses++
 			}
-			pl.Enc, pl.Body = fullOrRLE(data)
+			pl.Enc, arena = fullOrRLE(arena, data)
 		}
+		pl.Body = arena[start:len(arena):len(arena)]
+		w.arena = arena
 	}
 	w.stats.countPayload(&pl, len(data))
 	return pl
 }
 
-// fullOrRLE picks the zero-run encoding when it is cheaper than the raw
-// page (freshly touched sparse pages), else ships the page whole.
-func fullOrRLE(data []byte) (uint8, []byte) {
-	if d, ok := proto.EncodeDelta(nil, data, len(data)-proto.HeaderSize); ok {
+// fullOrRLE appends to dst the zero-run encoding of the page when that is
+// cheaper than the raw page (freshly touched sparse pages), else the page
+// whole.
+func fullOrRLE(dst, data []byte) (uint8, []byte) {
+	if d, ok := proto.AppendDelta(dst, nil, data, len(data)-proto.HeaderSize); ok {
 		return proto.EncRLE, d
 	}
-	return proto.EncFull, append([]byte(nil), data...)
+	return proto.EncFull, append(dst, data...)
 }
 
 func (s *WireStats) countPayload(pl *proto.PagePayload, pageSize int) {
@@ -411,7 +423,7 @@ func (w *masterWire) sendContainer(kind proto.Kind, to int32, pls []proto.PagePa
 		w.m.cl.rt.Send(&proto.Msg{
 			Kind: kind, From: 0, To: to,
 			Page: pls[0].Page, Perm: pls[0].Perm,
-			Data: pls[0].Body, San: pls[0].San,
+			Data: pls[0].Body, Aux: proto.SanAux(pls[0].San),
 		})
 		return
 	}
@@ -426,12 +438,13 @@ func (w *masterWire) sendContainer(kind proto.Kind, to int32, pls []proto.PagePa
 	}
 }
 
-// flushAll runs at the end of every master handle.
+// flushAll runs at the end of every master handle. Nothing is queued once it
+// is through, so no payload views the arena any more.
 func (w *masterWire) flushAll() {
 	for _, to := range w.order {
 		w.flushTarget(to)
 	}
-	w.order = w.order[:0]
+	w.order, w.arena = w.order[:0], w.arena[:0]
 }
 
 // ---- invalidation coalescing ----
@@ -502,7 +515,7 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 		w.flushTarget(to)
 		w.m.cl.rt.Send(&proto.Msg{
 			Kind: proto.KRemap, From: 0, To: to,
-			Page: orig, Shadows: shadows, Ver: ver,
+			Page: orig, Ver: ver, Aux: &proto.Aux{Shadows: shadows},
 		})
 	}
 	if !w.delta {
@@ -777,20 +790,28 @@ func (n *node) onFetchDelta(m *proto.Msg) {
 		return
 	}
 	pl := proto.PagePayload{Page: m.Page, Ver: m.Ver}
-	encoded := false
+	body, encoded := n.fetchScratch[:0], false
 	if tw := n.twins[m.Page]; tw != nil {
-		if d, ok := proto.EncodeDelta(tw.data, data, n.space.PageSize()/2); ok {
-			pl.Enc, pl.BaseVer, pl.Body = proto.EncDelta, tw.ver, d
-			encoded = true
+		if body, encoded = proto.AppendDelta(body, tw.data, data, n.space.PageSize()/2); encoded {
+			pl.Enc, pl.BaseVer = proto.EncDelta, tw.ver
 		} else {
 			n.cl.wireStats.DeltaOverflows++
 		}
 	}
 	if !encoded {
-		pl.Enc, pl.Body = fullOrRLE(data)
+		pl.Enc, body = fullOrRLE(body, data)
 	}
+	pl.Body, n.fetchScratch = body, body
 	if n.san != nil {
 		pl.San = n.san.EncodePage(m.Page)
+	}
+	// The container is what is sent: it takes the body out of the scratch
+	// before the next fetch rewrites it.
+	n.cl.wireStats.countPayload(&pl, n.space.PageSize())
+	reply := &proto.Msg{
+		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
+		Page: m.Page, Write: m.Write, Flags: proto.FlagCoh,
+		Data: proto.EncodePayloads([]proto.PagePayload{pl}),
 	}
 	// The shipped content is now the coherent version m.Ver everywhere. The
 	// twin takes it from the live page, so before the page goes.
@@ -805,12 +826,7 @@ func (n *node) onFetchDelta(m *proto.Msg) {
 	} else { // downgrade to shared
 		n.space.SetPerm(m.Page, mem.PermRead)
 	}
-	n.cl.wireStats.countPayload(&pl, n.space.PageSize())
-	n.cl.rt.Send(&proto.Msg{
-		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
-		Page: m.Page, Write: m.Write, Flags: proto.FlagCoh,
-		Data: proto.EncodePayloads([]proto.PagePayload{pl}),
-	})
+	n.cl.rt.Send(reply)
 }
 
 // onInvBatch handles a coalesced invalidation: all pages drop, remaps (page

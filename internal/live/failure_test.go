@@ -1,11 +1,13 @@
 package live
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dqemu/internal/core"
 	"dqemu/internal/proto"
@@ -78,7 +80,7 @@ func TestMasterHandshakeFailureCleansUp(t *testing.T) {
 			goodReady <- errors.New("expected KInit")
 			return
 		}
-		goodReady <- proto.WriteMsg(good, &proto.Msg{Kind: proto.KInitAck, From: int32(init.Num)})
+		goodReady <- proto.WriteMsg(good, &proto.Msg{Kind: proto.KInitAck, From: int32(init.SysPart().Num)})
 	}()
 
 	// Slave 2 connects and slams the door before acking.
@@ -209,7 +211,7 @@ func TestSenderBackpressure(t *testing.T) {
 	// net.Pipe has no buffering: the writer goroutine blocks inside
 	// WriteMsg on the first frame, the second fills the 1-slot queue, so
 	// the third send must take the blocking path.
-	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Num: n} }
+	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Sys: &proto.Sys{Num: n}} }
 	if err := s.send(msg(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +242,7 @@ func TestSenderBackpressure(t *testing.T) {
 				close(got)
 				return
 			}
-			got <- m.Num
+			got <- m.SysPart().Num
 		}
 	}()
 	if err := <-sent; err != nil {
@@ -268,7 +270,7 @@ func TestSenderBackpressureDeadline(t *testing.T) {
 	defer client.Close()
 	s := newSenderSize(client, time.Now().Add(200*time.Millisecond), 1)
 
-	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Num: n} }
+	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Sys: &proto.Sys{Num: n}} }
 	s.send(msg(1)) // writer wedges in WriteMsg
 	deadline := time.Now().Add(2 * time.Second)
 	for len(s.out) != 0 && time.Now().Before(deadline) {
@@ -287,6 +289,63 @@ func TestSenderBackpressureDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("deadline send took %v, want ~200ms", elapsed)
+	}
+}
+
+// frameSink is the connection end of a sender under test: it decodes each
+// frame as it is written and notes which array it was written from.
+type frameSink struct {
+	net.Conn // nil: a sender only writes to its connection and closes it
+	arrays   map[*byte]int
+	nums     []int64
+	err      error
+}
+
+func (f *frameSink) Write(p []byte) (int, error) {
+	f.arrays[unsafe.SliceData(p)]++
+	m, err := proto.ReadMsg(bytes.NewReader(p))
+	if err != nil {
+		f.err = err
+		return 0, err
+	}
+	f.nums = append(f.nums, m.SysPart().Num)
+	return len(p), nil
+}
+
+func (f *frameSink) Close() error { return nil }
+
+// TestAllocSenderFrames: the sender goroutine encodes every frame into the
+// one buffer it owns. The first frame sizes it; the thousand behind it, none
+// larger, are written from the same array — AppendFrame allocated nothing —
+// and each arrives whole and in order although the buffer was rewritten under
+// the one before.
+func TestAllocSenderFrames(t *testing.T) {
+	sink := &frameSink{arrays: map[*byte]int{}}
+	s := newSender(sink, time.Time{})
+	page := bytes.Repeat([]byte{0xab}, 4096)
+	for i := int64(0); i <= 1000; i++ {
+		m := &proto.Msg{Kind: proto.KSyscallReply, Sys: &proto.Sys{Num: i}}
+		if i%3 == 0 {
+			m.Kind, m.Data = proto.KPageContent, page
+		}
+		if err := s.send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.close() // returns once the queue is drained
+	if sink.err != nil {
+		t.Fatalf("a frame did not decode: %v", sink.err)
+	}
+	if len(sink.nums) != 1001 {
+		t.Fatalf("%d of 1001 frames written", len(sink.nums))
+	}
+	for i, n := range sink.nums {
+		if n != int64(i) {
+			t.Fatalf("frame %d carries %d", i, n)
+		}
+	}
+	if len(sink.arrays) != 1 {
+		t.Errorf("1001 frames were written from %d buffers, want the sender's one", len(sink.arrays))
 	}
 }
 

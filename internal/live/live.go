@@ -229,6 +229,10 @@ func (l *loop) deliver(m *proto.Msg) {
 // a node or the transport fails, the deadline passes or cancel closes.
 func (l *loop) run() error {
 	defer close(l.quit)
+	// One timer serves every idle pass, stopped and drained before each Reset:
+	// under go.mod's go 1.22 a tick nobody read would end the next wait at once.
+	idle := time.NewTimer(time.Hour)
+	defer idle.Stop()
 	for !l.cl.Done() {
 		now := l.Now()
 		if l.deadlineNs > 0 && now > l.deadlineNs {
@@ -253,14 +257,19 @@ func (l *loop) run() error {
 		if l.timers.Pending() > 0 {
 			wait = min(wait, time.Duration(l.timers.NextAt()-now))
 		}
-		idle := time.NewTimer(wait)
+		if !idle.Stop() {
+			select {
+			case <-idle.C:
+			default:
+			}
+		}
+		idle.Reset(wait)
 		select {
 		case m := <-l.inbox:
 			l.deliver(m)
 		case <-l.cancel:
 		case <-idle.C:
 		}
-		idle.Stop()
 	}
 	return l.cl.Err()
 }

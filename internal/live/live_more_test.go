@@ -53,7 +53,7 @@ func TestRunSlaveRefusesForeignInit(t *testing.T) {
 		}
 		defer conn.Close()
 		m := core.InitFrame(core.Config{Slaves: 1}, 1, im.Encode())
-		m.Args[4] |= 1 << 6 // one past the six bits this build ships
+		m.Sys.Args[4] |= 1 << 6 // one past the six bits this build ships
 		proto.WriteMsg(conn, m)
 		proto.ReadMsg(conn) // hold the connection until the slave gives up
 	}()

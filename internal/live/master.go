@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"dqemu/internal/core"
@@ -41,8 +42,12 @@ func newSenderSize(conn net.Conn, deadline time.Time, queue int) *sender {
 	}
 	go func() {
 		defer close(s.drained)
+		// Every frame is encoded into this one buffer. Only this goroutine sees
+		// it: Write does not keep it, the reliable layer keeps messages.
+		var frame []byte
 		for m := range s.out {
-			if err := proto.WriteMsg(conn, m); err != nil {
+			frame = m.AppendFrame(slices.Grow(frame[:0], m.FrameSize()))
+			if _, err := conn.Write(frame); err != nil {
 				select {
 				case s.err <- err:
 				default:

@@ -36,7 +36,8 @@ func inside(view, frame []byte) bool {
 // of a decoded message is a view of the input, and decoding wrote nothing.
 func checkMsgViews(t *testing.T, m *Msg, in []byte, before [sha256.Size]byte) {
 	t.Helper()
-	for name, v := range map[string][]byte{"Data": m.Data, "CPU": m.CPU, "San": m.San} {
+	aux := m.AuxPart()
+	for name, v := range map[string][]byte{"Data": m.Data, "CPU": aux.CPU, "San": aux.San} {
 		if !inside(v, in) {
 			t.Errorf("%v: %s is not a view of the frame", m.Kind, name)
 		}
@@ -74,8 +75,8 @@ var allocMsgs = []struct {
 }{
 	{"header only", &Msg{Kind: KPageReq, From: 2, Page: 0x123, Addr: 0x123456, Write: true, TID: 7}},
 	{"page", &Msg{Kind: KPageContent, To: 2, Page: 0x123, Perm: 2, Data: bytes.Repeat([]byte{0xab}, 4096)}},
-	{"san and shadows", &Msg{Kind: KRemap, To: 3, Page: 5, Ver: 9, Shadows: []uint64{100, 101, 102, 103},
-		San: []byte{1, 2, 3, 4, 5}, CPU: make([]byte, 48)}},
+	{"san and shadows", &Msg{Kind: KRemap, To: 3, Page: 5, Ver: 9, Aux: &Aux{Shadows: []uint64{100, 101, 102, 103},
+		San: []byte{1, 2, 3, 4, 5}, CPU: make([]byte, 48)}}},
 	{"coh container", &Msg{Kind: KPageContent, To: 1, Flags: FlagCoh, Data: EncodePayloads(testPayloads)}},
 }
 
@@ -85,9 +86,16 @@ var testPayloads = []PagePayload{
 	{Page: 0x42, Ver: 1, Enc: EncFull, Body: bytes.Repeat([]byte{0xaa}, 4096)},
 }
 
-// TestEncodeAllocs: a frame and a container are each made once, at exactly
-// their size. (Encode's old capacity hint fell 8 bytes short of the fixed
-// header, so every frame was allocated twice.)
+var (
+	testInvPages = []uint64{0x40, 0x41, 0x42, 0x43, 0x44}
+	testRemaps   = []RemapEntry{{Orig: 0x99, Ver: 4, Shadows: []uint64{0x100, 0x101, 0x102, 0x103}}, {Orig: 0x9a}}
+	testAcks     = []AckEntry{{Page: 0x40, San: []byte{1, 2, 3}}, {Page: 0x41}, {Page: 0x42, San: bytes.Repeat([]byte{7}, 40)}}
+)
+
+// TestEncodeAllocs: a frame, a container and a batch body are each made once,
+// at exactly their size. (Encode's old capacity hint fell 8 bytes short of
+// the fixed header, so every frame was allocated twice; the batch encoders
+// grew from nil by doubling.)
 func TestEncodeAllocs(t *testing.T) {
 	for _, tc := range allocMsgs {
 		frame := tc.m.Encode()
@@ -108,15 +116,30 @@ func TestEncodeAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { sinkBytes = EncodePayloads(testPayloads) }); got != 1 {
 		t.Errorf("EncodePayloads allocates %v times, want 1", got)
 	}
+	for name, enc := range map[string]func() []byte{
+		"EncodeInvBatch": func() []byte { return EncodeInvBatch(testInvPages, testRemaps) },
+		"EncodeAckBatch": func() []byte { return EncodeAckBatch(testAcks) },
+	} {
+		if b := enc(); cap(b) != len(b) {
+			t.Errorf("%s: body of %d bytes in a buffer of %d", name, len(b), cap(b))
+		}
+		if got := testing.AllocsPerRun(20, func() { sinkBytes = enc() }); got != 1 {
+			t.Errorf("%s allocates %v times, want 1", name, got)
+		}
+	}
 }
 
 // TestDecodeTruncatedAllocatesNothingLarge: a frame cut anywhere decodes to
 // an error without allocating what its length fields announce — a 4-byte
 // length used to be answered with a zeroed buffer of that many bytes, up to
-// 16 MB from a peer that sent a dozen.
+// 16 MB from a peer that sent a dozen; a 2-byte ack batch with 128 KB of
+// entries, and an invalidation batch with 4,096 zero pages.
 func TestDecodeTruncatedAllocatesNothingLarge(t *testing.T) {
 	frame := allocMsgs[1].m.Encode()[4:]
 	container := EncodePayloads(testPayloads)
+	inv := EncodeInvBatch(testInvPages, testRemaps)
+	ack := EncodeAckBatch(testAcks)
+	maxCount := []byte{0x00, 0x10} // MaxBatchEntries entries, and nothing behind the count
 	// A well-formed prefix ends in a length field announcing the most a
 	// decoder accepts.
 	hostile := append(append([]byte(nil), frame[:frameFixed-4-12]...), 0xff, 0xff, 0xff, 0x00)
@@ -152,15 +175,46 @@ func TestDecodeTruncatedAllocatesNothingLarge(t *testing.T) {
 			t.Fatalf("container cut at %d accepted", cut)
 		}
 	}
+	decodeInv := func(b []byte) error { _, _, err := DecodeInvBatch(b); return err }
+	decodeAck := func(b []byte) error { _, err := DecodeAckBatch(b); return err }
+	batchAll := func() {
+		for cut := 0; cut < len(inv); cut++ {
+			sink = decodeInv(inv[:cut])
+		}
+		for cut := 0; cut < len(ack); cut++ {
+			sink = decodeAck(ack[:cut])
+		}
+		sink = decodeInv(maxCount)
+		sink = decodeInv(append([]byte{0, 0}, maxCount...)) // no pages, MaxBatchEntries remaps
+		sink = decodeAck(maxCount)
+	}
+	for cut := 0; cut < len(inv); cut++ {
+		if decodeInv(inv[:cut]) == nil {
+			t.Fatalf("inv batch cut at %d accepted", cut)
+		}
+	}
+	for cut := 0; cut < len(ack); cut++ {
+		if decodeAck(ack[:cut]) == nil {
+			t.Fatalf("ack batch cut at %d accepted", cut)
+		}
+	}
+	if decodeInv(maxCount) == nil || decodeAck(maxCount) == nil {
+		t.Fatal("a batch of MaxBatchEntries entries and no bytes accepted")
+	}
 	if _, err := Decode(hostile); err == nil {
 		t.Fatal("hostile frame accepted")
 	}
-	for name, f := range map[string]func(){"Decode": decodeAll, "ReadPayloads": readAll} {
+	for name, f := range map[string]func(){"Decode": decodeAll, "ReadPayloads": readAll, "batches": batchAll} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
 		prefixes := len(frame) + len(container)
+		if name == "batches" {
+			// Few prefixes, so one announced-size allocation would show: the
+			// three hostile counts alone used to cost 790 KB.
+			prefixes = len(inv) + len(ack) + 3
+		}
 		// Each rejected prefix costs an error value and (Decode) a Msg:
 		// a few objects, well under a kilobyte. The old behaviour cost
 		// megabytes.
@@ -188,7 +242,7 @@ func TestDecodePayloadsViews(t *testing.T) {
 		if len(tc.m.Data) > 0 && len(m.Data) != len(tc.m.Data) {
 			t.Errorf("%s: Data of %d bytes decoded to %d", tc.name, len(tc.m.Data), len(m.Data))
 		}
-		if cap(m.Data) != len(m.Data) || cap(m.San) != len(m.San) {
+		if san := m.AuxPart().San; cap(m.Data) != len(m.Data) || cap(san) != len(san) {
 			t.Errorf("%s: a view's capacity reaches past its end", tc.name)
 		}
 		if m.Flags&FlagCoh == 0 {
@@ -218,8 +272,8 @@ func TestDecodePayloadsViews(t *testing.T) {
 // frame ReadMsg returns lives in a buffer of its own.
 func TestReadMsgOwnsItsFrame(t *testing.T) {
 	var stream bytes.Buffer
-	first := &Msg{Kind: KPageContent, To: 2, Page: 1, Data: bytes.Repeat([]byte{0x11}, 4096), San: []byte{1, 2}}
-	second := &Msg{Kind: KPageContent, To: 2, Page: 2, Data: bytes.Repeat([]byte{0x22}, 4096), CPU: []byte{3, 4}}
+	first := &Msg{Kind: KPageContent, To: 2, Page: 1, Data: bytes.Repeat([]byte{0x11}, 4096), Aux: &Aux{San: []byte{1, 2}}}
+	second := &Msg{Kind: KPageContent, To: 2, Page: 2, Data: bytes.Repeat([]byte{0x22}, 4096), Aux: &Aux{CPU: []byte{3, 4}}}
 	for _, m := range []*Msg{first, second} {
 		if err := WriteMsg(&stream, m); err != nil {
 			t.Fatal(err)
@@ -235,8 +289,8 @@ func TestReadMsgOwnsItsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range [][]byte{a.Data, a.San} {
-		for _, w := range [][]byte{b.Data, b.CPU} {
+	for _, v := range [][]byte{a.Data, a.Aux.San} {
+		for _, w := range [][]byte{b.Data, b.Aux.CPU} {
 			if inside(v[:1], w) || inside(w[:1], v) {
 				t.Fatal("two frames share memory")
 			}
@@ -245,7 +299,7 @@ func TestReadMsgOwnsItsFrame(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = 0xee
 	}
-	if !bytes.Equal(b.Data, second.Data) || !bytes.Equal(b.CPU, second.CPU) {
+	if !bytes.Equal(b.Data, second.Data) || !bytes.Equal(b.Aux.CPU, second.Aux.CPU) {
 		t.Error("writing the first message changed the second")
 	}
 }

@@ -178,19 +178,28 @@ type RemapEntry struct {
 	Shadows []uint64
 }
 
-// EncodeInvBatch serializes a KInvBatch body: the pages being revoked from
-// the receiver plus any remaps riding along.
+// remapFixed and ackFixed are the encoded sizes of a remap entry without its
+// shadows (Orig, Ver, shadow count) and of an ack entry without its San.
+const remapFixed, ackFixed = 18, 12
+
+// EncodeInvBatch serializes a KInvBatch body — the pages being revoked from
+// the receiver plus any remaps riding along — into one buffer of exactly its
+// size.
 func EncodeInvBatch(pages []uint64, remaps []RemapEntry) []byte {
 	checkBatchLen("inv-batch page list", len(pages))
 	checkBatchLen("inv-batch remap list", len(remaps))
-	var buf []byte
+	size := 2 + 8*len(pages) + 2
+	for i := range remaps {
+		checkBatchLen("remap shadow list", len(remaps[i].Shadows))
+		size += remapFixed + 8*len(remaps[i].Shadows)
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(pages)))
 	for _, p := range pages {
 		buf = binary.LittleEndian.AppendUint64(buf, p)
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(remaps)))
 	for _, rm := range remaps {
-		checkBatchLen("remap shadow list", len(rm.Shadows))
 		buf = binary.LittleEndian.AppendUint64(buf, rm.Orig)
 		buf = binary.LittleEndian.AppendUint64(buf, rm.Ver)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rm.Shadows)))
@@ -201,6 +210,13 @@ func EncodeInvBatch(pages []uint64, remaps []RemapEntry) []byte {
 	return buf
 }
 
+// room reports whether n more entries of at least size bytes each fit in what
+// is left of the buffer. A batch decoder sizes a list once when they do; when
+// not, it stores nothing and reads on only to name where the body ends.
+func (r *reader) room(n, size int) bool {
+	return n > 0 && n*size <= len(r.buf)-r.off
+}
+
 // DecodeInvBatch parses a KInvBatch body.
 func DecodeInvBatch(b []byte) (pages []uint64, remaps []RemapEntry, err error) {
 	r := &reader{buf: b}
@@ -208,25 +224,38 @@ func DecodeInvBatch(b []byte) (pages []uint64, remaps []RemapEntry, err error) {
 	if np > MaxBatchEntries {
 		return nil, nil, fmt.Errorf("proto: absurd inv-batch page count %d", np)
 	}
-	for i := 0; i < np; i++ {
-		pages = append(pages, r.u64())
+	if r.room(np, 8) {
+		pages = make([]uint64, 0, np)
+	}
+	for i := 0; i < np && r.err == nil; i++ {
+		if p := r.u64(); pages != nil {
+			pages = append(pages, p)
+		}
 	}
 	nr := int(r.u16())
 	if nr > MaxBatchEntries {
 		return nil, nil, fmt.Errorf("proto: absurd inv-batch remap count %d", nr)
 	}
-	for i := 0; i < nr; i++ {
-		var rm RemapEntry
-		rm.Orig = r.u64()
-		rm.Ver = r.u64()
+	if r.room(nr, remapFixed) {
+		remaps = make([]RemapEntry, 0, nr)
+	}
+	for i := 0; i < nr && r.err == nil; i++ {
+		rm := RemapEntry{Orig: r.u64(), Ver: r.u64()}
 		ns := int(r.u16())
 		if ns > MaxBatchEntries {
 			return nil, nil, fmt.Errorf("proto: absurd remap shadow count %d", ns)
 		}
-		for j := 0; j < ns; j++ {
-			rm.Shadows = append(rm.Shadows, r.u64())
+		if r.room(ns, 8) {
+			rm.Shadows = make([]uint64, 0, ns)
 		}
-		remaps = append(remaps, rm)
+		for j := 0; j < ns && r.err == nil; j++ {
+			if sh := r.u64(); rm.Shadows != nil {
+				rm.Shadows = append(rm.Shadows, sh)
+			}
+		}
+		if remaps != nil {
+			remaps = append(remaps, rm)
+		}
 	}
 	if r.err != nil {
 		return nil, nil, fmt.Errorf("proto: decode inv-batch: %w", r.err)
@@ -244,10 +273,15 @@ type AckEntry struct {
 	San  []byte
 }
 
-// EncodeAckBatch serializes a KInvAckBatch body.
+// EncodeAckBatch serializes a KInvAckBatch body into one buffer of exactly
+// its size.
 func EncodeAckBatch(acks []AckEntry) []byte {
 	checkBatchLen("ack batch", len(acks))
-	var buf []byte
+	size := 2
+	for i := range acks {
+		size += ackFixed + len(acks[i].San)
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(acks)))
 	for _, a := range acks {
 		buf = binary.LittleEndian.AppendUint64(buf, a.Page)
@@ -264,12 +298,14 @@ func DecodeAckBatch(b []byte) ([]AckEntry, error) {
 	if n > MaxBatchEntries {
 		return nil, fmt.Errorf("proto: absurd ack-batch count %d", n)
 	}
-	acks := make([]AckEntry, 0, n)
-	for i := 0; i < n; i++ {
-		var a AckEntry
-		a.Page = r.u64()
-		a.San = r.blob()
-		acks = append(acks, a)
+	var acks []AckEntry
+	if r.room(n, ackFixed) {
+		acks = make([]AckEntry, 0, n)
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		if a := (AckEntry{Page: r.u64(), San: r.blob()}); acks != nil {
+			acks = append(acks, a)
+		}
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("proto: decode ack-batch: %w", r.err)

@@ -23,15 +23,22 @@ const deltaWord = 8
 const runHeader = 4
 
 // EncodeDelta diffs cur against base (nil base = all zeros) and returns the
-// encoded runs. It reports false when the encoding would exceed limit bytes
-// — the caller falls back to a full-page transfer — or when the pages are
-// not same-sized whole multiples of the word size.
+// encoded runs in a buffer of their own. It reports false when the encoding
+// would exceed limit bytes — the caller falls back to a full-page transfer —
+// or when the pages are not same-sized whole multiples of the word size.
 func EncodeDelta(base, cur []byte, limit int) ([]byte, bool) {
+	return AppendDelta(nil, base, cur, limit)
+}
+
+// AppendDelta is EncodeDelta into a buffer the caller owns: the runs are
+// appended to dst (grown at most once) and the extended slice returned. When
+// it reports false, and when the pages are equal, dst comes back as it was.
+func AppendDelta(dst, base, cur []byte, limit int) ([]byte, bool) {
 	if len(cur) == 0 || len(cur)%deltaWord != 0 || len(cur)/deltaWord > 0xffff {
-		return nil, false
+		return dst, false
 	}
 	if base != nil && len(base) != len(cur) {
-		return nil, false
+		return dst, false
 	}
 	// A nil base is the zero page: masking every base word to zero spares
 	// the loops a branch.
@@ -53,12 +60,14 @@ func EncodeDelta(base, cur []byte, limit int) ([]byte, bool) {
 		inRun = d
 	}
 	if size == 0 {
-		return nil, true
+		return dst, true
 	}
 	if size > limit {
-		return nil, false
+		return dst, false
 	}
-	out := make([]byte, 0, size)
+	if need := len(dst) + size; need > cap(dst) { // exact for a nil dst, doubling for an arena
+		dst = append(make([]byte, 0, max(need, 2*cap(dst))), dst...)
+	}
 	for off := 0; off < len(cur); off += deltaWord {
 		if !wordDiffers(base, cur, off, mask) {
 			continue
@@ -66,11 +75,11 @@ func EncodeDelta(base, cur []byte, limit int) ([]byte, bool) {
 		start := off
 		for off += deltaWord; off < len(cur) && wordDiffers(base, cur, off, mask); off += deltaWord {
 		}
-		out = binary.LittleEndian.AppendUint16(out, uint16(start/deltaWord))
-		out = binary.LittleEndian.AppendUint16(out, uint16((off-start)/deltaWord))
-		out = append(out, cur[start:off]...)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(start/deltaWord))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16((off-start)/deltaWord))
+		dst = append(dst, cur[start:off]...)
 	}
-	return out, true
+	return dst, true
 }
 
 // wordDiffers compares the words at byte offset off. The full slice

@@ -16,16 +16,17 @@ import (
 //     through a node is preserved bit-exactly.
 //  3. What Decode returns is views of the input, which it did not write; the
 //     same holds for the payloads of whatever container the bytes make.
+var fuzzSeeds = []*Msg{
+	{Kind: KPageReq, From: 2, To: 0, Page: 0x123, Addr: 0x123456, Write: true, TID: 7},
+	{Kind: KPageContent, From: 0, To: 2, Seq: 99, Page: 0x123, Perm: 2, Data: bytes.Repeat([]byte{0xab}, 64)},
+	{Kind: KRemap, From: 0, To: 3, Page: 5, Aux: &Aux{Shadows: []uint64{100, 101, 102, 103}}},
+	{Kind: KSyscallReq, From: 1, To: 0, Seq: 3, TID: 12, Sys: &Sys{Num: 64, Args: [6]uint64{1, 0x2000, 5, 0, 0, 0}}},
+	{Kind: KThreadStart, From: 0, To: 2, TID: 3, Aux: &Aux{CPU: make([]byte, 64)}},
+	{Kind: KAck, From: 1, To: 2, Seq: 41},
+}
+
 func FuzzDecode(f *testing.F) {
-	seeds := []*Msg{
-		{Kind: KPageReq, From: 2, To: 0, Page: 0x123, Addr: 0x123456, Write: true, TID: 7},
-		{Kind: KPageContent, From: 0, To: 2, Seq: 99, Page: 0x123, Perm: 2, Data: bytes.Repeat([]byte{0xab}, 64)},
-		{Kind: KRemap, From: 0, To: 3, Page: 5, Shadows: []uint64{100, 101, 102, 103}},
-		{Kind: KSyscallReq, From: 1, To: 0, Seq: 3, TID: 12, Num: 64, Args: [6]uint64{1, 0x2000, 5, 0, 0, 0}},
-		{Kind: KThreadStart, From: 0, To: 2, TID: 3, CPU: make([]byte, 64)},
-		{Kind: KAck, From: 1, To: 2, Seq: 41},
-	}
-	for _, m := range seeds {
+	for _, m := range fuzzSeeds {
 		f.Add(m.Encode()[4:]) // Decode takes the frame without its length prefix
 	}
 	f.Add([]byte{})
@@ -63,6 +64,9 @@ func FuzzDecode(f *testing.F) {
 //     reference encoder, for pages of any shape and at every limit.
 //  5. A delta that travelled in a container is read back as a view of it,
 //     byte for byte, and reading the container writes nothing.
+//  6. AppendDelta behind a prefix is the prefix followed by EncodeDelta's
+//     bytes, with the same ok; on overflow (and for equal pages) the buffer
+//     comes back at the length it had.
 func FuzzDeltaCodec(f *testing.F) {
 	page := func(seed []byte, n int) []byte {
 		b := make([]byte, n)
@@ -124,7 +128,11 @@ func FuzzDeltaCodec(f *testing.F) {
 		for limit := -1; limit <= len(full)+1; limit++ {
 			sameAsRef(t, "twin", base, sparse, limit)
 			sameAsRef(t, "zero base", nil, sparse, limit)
+			appendSameAsEncode(t, seed, base, sparse, limit)
+			appendSameAsEncode(t, seed, nil, sparse, limit)
 		}
+		appendSameAsEncode(t, seed, base, delta, anyLimit)
+		appendSameAsEncode(t, seed, cur, cur, anyLimit)
 
 		// Arbitrary deltas: no panic; rejection leaves dst untouched;
 		// acceptance is idempotent.
@@ -143,4 +151,15 @@ func FuzzDeltaCodec(f *testing.F) {
 			t.Fatal("delta application not idempotent")
 		}
 	})
+}
+
+// appendSameAsEncode is FuzzDeltaCodec's property 6.
+func appendSameAsEncode(t *testing.T, prefix, base, cur []byte, limit int) {
+	t.Helper()
+	want, wantOK := EncodeDelta(base, cur, limit)
+	got, ok := AppendDelta(append([]byte(nil), prefix...), base, cur, limit)
+	if ok != wantOK || !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
+		t.Fatalf("limit %d: AppendDelta behind %d bytes = (%d bytes, %v), EncodeDelta = (%d bytes, %v)",
+			limit, len(prefix), len(got), ok, len(want), wantOK)
+	}
 }

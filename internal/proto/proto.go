@@ -86,38 +86,82 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Msg is one protocol message. Unused fields are zero.
+// Msg is one protocol message. Unused fields are zero. It is 96 bytes — the
+// one-byte fields share a word with From and To, what only some kinds carry
+// sits behind Sys and Aux — so a coherence message (request, fetch, reply,
+// grant, invalidation, ack) is one 96-byte object; a field appended here
+// moves every message sent to the next size class (TestAllocMsgSize).
 type Msg struct {
-	Kind Kind
-	From int32
-	To   int32
-	// Seq is the per-link sequence number stamped by the reliable transport
-	// (netsim.Reliable, its only owner; 0 = unsequenced). On a KAck it is
-	// the highest sequence number delivered in order.
-	Seq   uint64
-	TID   int64
-	Page  uint64
-	Addr  uint64
+	Kind  Kind
 	Write bool
 	Perm  uint8
 	// Flags carries wire-layer framing bits (FlagCoh, FlagFullResend).
 	Flags uint8
+	From  int32
+	To    int32
+	// Seq is the per-link sequence number stamped by the reliable transport
+	// (netsim.Reliable, its only owner; 0 = unsequenced). On a KAck it is
+	// the highest sequence number delivered in order.
+	Seq  uint64
+	TID  int64
+	Page uint64
+	Addr uint64
 	// Ver is a per-page directory version: on KPageReq the requester's twin
 	// version (0 = no usable twin), on KFetch the epoch the owner's content
 	// will be known as, on KRemap the home version of the original page at
 	// split time (nodes whose twin matches split it along the shadows).
-	Ver     uint64
-	Num     int64 // syscall number / hint group
-	Ret     uint64
-	Args    [6]uint64
-	Data    []byte
+	Ver  uint64
+	Data []byte
+	// Sys and Aux are nil on a message that sets none of their fields (read
+	// them through SysPart and AuxPart): a frame carries zeros for a nil part,
+	// and Decode leaves a part nil when the frame carries only zeros for it.
+	Sys *Sys
+	Aux *Aux
+}
+
+// Sys is the eight syscall words of a message: set on syscall delegation and
+// replies, hints, KMigrate, KShutdown and KInit, nil on coherence traffic.
+type Sys struct {
+	Num  int64 // syscall number / hint group
+	Ret  uint64
+	Args [6]uint64
+}
+
+// Aux is the variable-length fields other than Data: a remap's Shadows, the
+// serialized CPU context of a thread start or migration, and San, the DQSan
+// piggyback — an encoded vector clock (syscall delegation, futex replies,
+// thread start/migration) or an encoded shadow page (coherence transfers);
+// on KInit the fault plan. Nil whenever all three are empty, so the sanitizer
+// costs nothing, in memory or on the wire, in normal runs.
+type Aux struct {
 	Shadows []uint64
 	CPU     []byte
-	// San is the DQSan piggyback: an encoded vector clock (syscall
-	// delegation, futex replies, thread start/migration) or an encoded
-	// shadow page (coherence transfers). Empty when the sanitizer is off,
-	// so it costs nothing on the wire in normal runs.
-	San []byte
+	San     []byte
+}
+
+// SysPart returns the message's syscall words, zero when it has none.
+func (m *Msg) SysPart() Sys {
+	if m.Sys == nil {
+		return Sys{}
+	}
+	return *m.Sys
+}
+
+// AuxPart returns the message's Shadows, CPU and San, empty when it has none.
+func (m *Msg) AuxPart() Aux {
+	if m.Aux == nil {
+		return Aux{}
+	}
+	return *m.Aux
+}
+
+// SanAux is the Aux of a message whose only auxiliary field is san: nil for
+// an empty san (the sanitizer is off, or the page has no shadow state).
+func SanAux(san []byte) *Aux {
+	if len(san) == 0 {
+		return nil
+	}
+	return &Aux{San: san}
 }
 
 // Msg.Flags bits.
@@ -144,7 +188,8 @@ func (m *Msg) WireSize() int64 {
 // payload containers, serialized CPU contexts, shadow lists and the DQSan
 // piggyback.
 func (m *Msg) PayloadSize() int {
-	return len(m.Data) + len(m.CPU) + 8*len(m.Shadows) + len(m.San)
+	a := m.AuxPart()
+	return len(m.Data) + len(a.CPU) + 8*len(a.Shadows) + len(a.San)
 }
 
 // frameFixed is the encoded size of a message that carries nothing variable:
@@ -152,11 +197,23 @@ func (m *Msg) PayloadSize() int {
 // words of Shadows, Data, CPU and San.
 const frameFixed = 136
 
+// FrameSize is the length of the message's frame, prefix included.
+func (m *Msg) FrameSize() int { return frameFixed + m.PayloadSize() }
+
 // Encode serialises the message (length-prefixed frame) into one buffer of
 // exactly the frame's size.
 func (m *Msg) Encode() []byte {
-	buf := make([]byte, 4, frameFixed+m.PayloadSize())
-	buf = append(buf, byte(m.Kind))
+	return m.AppendFrame(make([]byte, 0, m.FrameSize()))
+}
+
+// AppendFrame appends the message's length-prefixed frame to dst and returns
+// the extended slice; what dst already holds is left as it is. A writer that
+// owns a buffer and hands it to nothing that keeps it (a net.Conn) encodes
+// every frame into that one buffer.
+func (m *Msg) AppendFrame(dst []byte) []byte {
+	start := len(dst)
+	sys, aux := m.SysPart(), m.AuxPart()
+	buf := append(dst, 0, 0, 0, 0, byte(m.Kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.From))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.To))
 	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
@@ -169,22 +226,22 @@ func (m *Msg) Encode() []byte {
 	}
 	buf = append(buf, w, m.Perm, m.Flags)
 	buf = binary.LittleEndian.AppendUint64(buf, m.Ver)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Num))
-	buf = binary.LittleEndian.AppendUint64(buf, m.Ret)
-	for _, a := range m.Args {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(sys.Num))
+	buf = binary.LittleEndian.AppendUint64(buf, sys.Ret)
+	for _, a := range sys.Args {
 		buf = binary.LittleEndian.AppendUint64(buf, a)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Shadows)))
-	for _, s := range m.Shadows {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(aux.Shadows)))
+	for _, s := range aux.Shadows {
 		buf = binary.LittleEndian.AppendUint64(buf, s)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Data)))
 	buf = append(buf, m.Data...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.CPU)))
-	buf = append(buf, m.CPU...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.San)))
-	buf = append(buf, m.San...)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(aux.CPU)))
+	buf = append(buf, aux.CPU...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(aux.San)))
+	buf = append(buf, aux.San...)
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf
 }
 
@@ -206,27 +263,35 @@ func Decode(buf []byte) (*Msg, error) {
 	m.Perm = r.u8()
 	m.Flags = r.u8()
 	m.Ver = r.u64()
-	m.Num = int64(r.u64())
-	m.Ret = r.u64()
-	for i := range m.Args {
-		m.Args[i] = r.u64()
+	sys := Sys{Num: int64(r.u64()), Ret: r.u64()}
+	for i := range sys.Args {
+		sys.Args[i] = r.u64()
 	}
+	if sys != (Sys{}) {
+		part := sys // escapes; sys itself stays on the stack
+		m.Sys = &part
+	}
+	var aux Aux
 	if n := int(r.u32()); n > 0 {
 		if n > 1<<20 {
 			return nil, fmt.Errorf("proto: absurd shadow count %d", n)
 		}
 		if b := r.take(8 * n); b != nil {
-			m.Shadows = make([]uint64, n)
-			for i := range m.Shadows {
-				m.Shadows[i] = binary.LittleEndian.Uint64(b[8*i:])
+			aux.Shadows = make([]uint64, n)
+			for i := range aux.Shadows {
+				aux.Shadows[i] = binary.LittleEndian.Uint64(b[8*i:])
 			}
 		}
 	}
 	m.Data = r.blob()
-	m.CPU = r.blob()
-	m.San = r.blob()
+	aux.CPU = r.blob()
+	aux.San = r.blob()
 	if r.err != nil {
 		return nil, fmt.Errorf("proto: decode %v: %w", m.Kind, r.err)
+	}
+	if aux.Shadows != nil || aux.CPU != nil || aux.San != nil {
+		part := aux
+		m.Aux = &part
 	}
 	return m, nil
 }
