@@ -23,6 +23,7 @@ func FuzzLint(f *testing.F) {
 	f.Add("package core\nimport \"dqemu/internal/metrics\"\nfunc decide(r *metrics.Registry) bool { return r.Counter(\"x\").Value() > 1 }\n")
 	f.Add("package x\nfunc compile() {}\n")
 	f.Add("package x")
+	f.Add("package tcg\nfunc compileOp(ops []uop) func() int {\n\tu := &ops[0]\n\treturn func() int { return ops[1].cost + u.cost + len(sb.ops) }\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		for _, path := range []string{"internal/tcg/fuzz.go", "internal/core/fuzz.go", "other/fuzz.go"} {
 			fs, err := lintSource(path, []byte(src))

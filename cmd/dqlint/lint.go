@@ -72,9 +72,9 @@ var eagerFormatFuncs = map[string]bool{
 // uopMutAllowed are the translation-engine functions that own a uop slice
 // while it is still private — lowering builds it, segmentize stamps the
 // aggregate charges.
-// Everywhere else a uop slice reached by index is the cached superblock
-// form, shared across executions and (after publication) across threads;
-// mutating an element in place corrupts every later run of the block.
+// Everywhere else a uop slice reached by index is a finished stream, which
+// the equivalence proof, the closure compiler and the checker all read in
+// turn; mutating an element in place makes them disagree about one trace.
 var uopMutAllowed = map[string]bool{
 	"lowerInsn": true, "segmentize": true,
 }
@@ -149,6 +149,7 @@ func lintSource(path string, src []byte) ([]finding, error) {
 		inRecorder := l.deterministic && isRecorderName(fn.Name.Name)
 		if l.tier3 && isCompilerName(fn.Name.Name) {
 			l.checkClosureAllocs(fn)
+			l.checkScratchReads(fn)
 		}
 		mutArmed := l.tier3 && !uopMutAllowed[fn.Name.Name]
 		if fn.Body != nil {
@@ -279,8 +280,8 @@ func (l *linter) byValueMutex(t ast.Expr) (string, bool) {
 // checkUopMut flags in-place mutation of an indexed uop-slice element
 // (`ops[i] = u`, `ops[i].cost = c`, `sb.ops[i].insns++`) outside the
 // functions that own the slice while it is private (the uopmut rule).
-// Cached superblock uop slices are shared by every later execution of the
-// block — a rewrite builds a new slice.
+// A finished stream is read by the proof, the compiler and the checker in
+// turn — a rewrite builds a new slice.
 func (l *linter) checkUopMut(n ast.Node, fnName string) {
 	switch st := n.(type) {
 	case *ast.AssignStmt:
@@ -290,13 +291,13 @@ func (l *linter) checkUopMut(n ast.Node, fnName string) {
 		for _, lhs := range st.Lhs {
 			if uopSliceIndex(lhs) {
 				l.report(lhs.Pos(), "uopmut",
-					"%s mutates a uop slice element in place; cached superblocks share the slice — build a new slice", fnName)
+					"%s mutates a uop slice element in place; the proof, the compiler and the checker share the stream — build a new slice", fnName)
 			}
 		}
 	case *ast.IncDecStmt:
 		if uopSliceIndex(st.X) {
 			l.report(st.X.Pos(), "uopmut",
-				"%s mutates a uop slice element in place; cached superblocks share the slice — build a new slice", fnName)
+				"%s mutates a uop slice element in place; the proof, the compiler and the checker share the stream — build a new slice", fnName)
 		}
 	}
 }
@@ -361,6 +362,65 @@ func (l *linter) checkClosureAllocs(fn *ast.FuncDecl) {
 		if lit, ok := n.(*ast.FuncLit); ok {
 			ast.Inspect(lit.Body, inClosure)
 			return false // inClosure already walked the body, nested lits included
+		}
+		return true
+	})
+}
+
+// checkScratchReads flags a closure returned by a compile* function that
+// reads the uop stream at run time (the t3scratch rule): an index into a
+// uop-slice name (ops[i], sb.ops[i].pc), the slice itself, or a pointer the
+// enclosing function took into it (u := &ops[i], then u.pc in the closure).
+// The stream is translator scratch: by the time the closure runs, the next
+// trace has been lowered into it. A closure copies what it needs into its
+// environment at compile time.
+func (l *linter) checkScratchReads(fn *ast.FuncDecl) {
+	if fn.Body == nil {
+		return
+	}
+	ptrs := map[string]bool{}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, rhs := range as.Rhs {
+				ref, ok := rhs.(*ast.UnaryExpr)
+				id, isIdent := as.Lhs[i].(*ast.Ident)
+				if ok && isIdent && ref.Op == token.AND && uopSliceIndex(ref.X) {
+					ptrs[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
+	flag := func(pos token.Pos, what string) {
+		l.report(pos, "t3scratch",
+			"%s execution closure reads %s, the translator's scratch uop stream, at run time; copy the field at compile time", fn.Name.Name, what)
+	}
+	var inClosure func(n ast.Node) bool
+	inClosure = func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.IndexExpr:
+			if uopSliceIndex(e) {
+				flag(e.Pos(), "an indexed uop")
+				return false
+			}
+		case *ast.SelectorExpr:
+			if uopSliceNames[e.Sel.Name] {
+				flag(e.Pos(), "a uop slice")
+				return false
+			}
+			ast.Inspect(e.X, inClosure) // not e.Sel: a field name is not a variable
+			return false
+		case *ast.Ident:
+			if uopSliceNames[e.Name] || ptrs[e.Name] {
+				flag(e.Pos(), e.Name)
+			}
+		}
+		return true
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			ast.Inspect(lit.Body, inClosure)
+			return false
 		}
 		return true
 	})

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,6 +168,112 @@ type point struct{ x int }
 	// Outside the translation engine the rule is off.
 	if got := lint(t, "internal/core/x.go", src); len(got) != 0 {
 		t.Errorf("non-tcg package flagged: %v", got)
+	}
+}
+
+func TestT3ScratchRule(t *testing.T) {
+	src := `package tcg
+type uop struct{ pc, imm uint64 }
+type superblock struct{ ops []uop }
+func compileOp(sb *superblock, ops []uop, i int) func() uint64 {
+	u := &ops[i]
+	pc := u.pc // compile time: fine
+	return func() uint64 {
+		return ops[i].imm + // flagged: an indexed uop
+			sb.ops[0].pc + // flagged: through the superblock
+			uint64(len(ops)) + // flagged: the slice itself
+			u.imm + // flagged: a pointer into the stream
+			pc
+	}
+}
+func compileClean(ops []uop, i int) func() uint64 {
+	u := &ops[i]
+	imm := u.imm
+	return func() uint64 { return imm }
+}
+func helper(ops []uop) func() uint64 {
+	return func() uint64 { return ops[0].pc } // not a compiler
+}
+`
+	got := lint(t, "internal/tcg/x.go", src)
+	if len(got) != 4 {
+		t.Errorf("t3scratch findings: %v", got)
+	}
+	for _, r := range got {
+		if r != "t3scratch" {
+			t.Errorf("wrong rule: %v", got)
+		}
+	}
+	if got := lint(t, "internal/core/x.go", src); len(got) != 0 {
+		t.Errorf("non-tcg package flagged: %v", got)
+	}
+}
+
+// TestT3ScratchRuleOnTheCompiler plants a run-time read of the uop stream in
+// the first closure of every compile* function of the real closure compiler
+// — once through an index, once through the pointer the function takes into
+// the stream — and wants the rule to name that function each time.
+func TestT3ScratchRuleOnTheCompiler(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Skipf("module root: %v", err)
+	}
+	path := filepath.Join(root, "internal", "tcg", "tier3.go")
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pointer each compile function takes into the stream.
+	ptrs := map[string]string{
+		"compileTier3": "u", "compileMemRun": "u", "compileAddiPair": "u1", "compileAddiMul": "a",
+		"compileMid": "u", "compileLoad": "u", "compileStore": "u", "compileTail": "u",
+	}
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || !isCompilerName(fn.Name.Name) {
+			continue
+		}
+		ptr, ok := ptrs[fn.Name.Name]
+		if !ok {
+			t.Errorf("%s: a compile function this test does not know; add its stream pointer", fn.Name.Name)
+			continue
+		}
+		seen++
+		var lit *ast.FuncLit
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if l, ok := n.(*ast.FuncLit); ok && lit == nil {
+				lit = l
+			}
+			return lit == nil
+		})
+		if lit == nil {
+			t.Errorf("%s returns no closure", fn.Name.Name)
+			continue
+		}
+		at := fset.Position(lit.Body.Lbrace).Offset + 1
+		for _, read := range []string{" _ = ops[0];", " _ = " + ptr + ".pc;"} {
+			planted := string(src[:at]) + read + string(src[at:])
+			fs, err := lintSource(path, []byte(planted))
+			if err != nil {
+				t.Fatalf("%s with%s: %v", fn.Name.Name, read, err)
+			}
+			fired := false
+			for _, f := range fs {
+				fired = fired || f.rule == "t3scratch" && strings.Contains(f.msg, fn.Name.Name+" ")
+			}
+			if !fired {
+				t.Errorf("%s: planted%s did not fire t3scratch: %v", fn.Name.Name, read, fs)
+			}
+		}
+	}
+	if seen != len(ptrs) {
+		t.Errorf("found %d of the %d compile functions", seen, len(ptrs))
 	}
 }
 

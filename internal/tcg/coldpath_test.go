@@ -15,9 +15,10 @@ import (
 
 // refTranslate is translate as it was before it read code a page span at a
 // time: one fetchInsn — a permission probe and a byte-wise ReadBytes — per
-// instruction. The fetch differential holds translate to it.
-func refTranslate(e *Engine, pc uint64) (*block, error) {
-	b := &block{startPC: pc}
+// instruction — and before a block stopped keeping the address of each. The
+// fetch differential holds translate to it.
+func refTranslate(e *Engine, pc uint64) (b *block, pcs []uint64, err error) {
+	b = &block{startPC: pc}
 	cur := pc
 	for len(b.ops) < MaxBlockInsns {
 		ins, n, err := e.fetchInsn(cur)
@@ -25,10 +26,10 @@ func refTranslate(e *Engine, pc uint64) (*block, error) {
 			if len(b.ops) > 0 {
 				break
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		b.ops = append(b.ops, ins)
-		b.pcs = append(b.pcs, cur)
+		pcs = append(pcs, cur)
 		b.endPC = cur + uint64(n)
 		if ins.IsBranch() {
 			switch ins.Op {
@@ -46,9 +47,9 @@ func refTranslate(e *Engine, pc uint64) (*block, error) {
 	}
 	if len(b.ops) == MaxBlockInsns && !b.ops[len(b.ops)-1].IsBranch() {
 		last := len(b.ops) - 1
-		b.fallPC = b.pcs[last] + uint64(b.ops[last].Size())
+		b.fallPC = pcs[last] + uint64(b.ops[last].Size())
 	}
-	return b, nil
+	return b, pcs, nil
 }
 
 func encodeInsns(t testing.TB, insns ...isa.Instruction) []byte {
@@ -119,7 +120,9 @@ func boundaryImage(t testing.TB, pageSize int) *image.Image {
 // fetchSweep translates from every block entry reachable in im's text — the
 // segment start, the entry point, and every block's end and static
 // successors — with translate and with refTranslate, and requires the same
-// block or the same error from both.
+// block or the same error from both. The addresses translate leaves in
+// pcBuf, and the ones the executors derive from startPC and the op sizes,
+// must be the reference's too.
 func fetchSweep(t *testing.T, e *Engine, im *image.Image) (blocks int) {
 	t.Helper()
 	text, ok := im.Text()
@@ -136,7 +139,7 @@ func fetchSweep(t *testing.T, e *Engine, im *image.Image) (blocks int) {
 		}
 		seen[pc] = true
 		got, gerr := e.translate(pc)
-		want, werr := refTranslate(e, pc)
+		want, wantPCs, werr := refTranslate(e, pc)
 		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 			t.Fatalf("translate(%#x): error %v, reference %v", pc, gerr, werr)
 		}
@@ -144,7 +147,18 @@ func fetchSweep(t *testing.T, e *Engine, im *image.Image) (blocks int) {
 			work = append(work, pc+4)
 			continue
 		}
-		if !slices.Equal(got.ops, want.ops) || !slices.Equal(got.pcs, want.pcs) ||
+		derived := []uint64{got.startPC}
+		for _, ins := range got.ops {
+			derived = append(derived, derived[len(derived)-1]+uint64(ins.Size()))
+		}
+		if end := derived[len(got.ops)]; end != got.endPC {
+			t.Fatalf("translate(%#x): the op sizes end the block at %#x, endPC is %#x", pc, end, got.endPC)
+		}
+		derived = derived[:len(got.ops)]
+		if !slices.Equal(e.pcBuf[:len(got.ops)], wantPCs) || !slices.Equal(derived, wantPCs) {
+			t.Fatalf("translate(%#x): pcBuf %#x, derived %#x, reference %#x", pc, e.pcBuf[:len(got.ops)], derived, wantPCs)
+		}
+		if !slices.Equal(got.ops, want.ops) ||
 			got.startPC != want.startPC || got.endPC != want.endPC ||
 			got.takenPC != want.takenPC || got.fallPC != want.fallPC {
 			t.Fatalf("translate(%#x) = %d insns [%#x,%#x) taken %#x fall %#x\nreference    %d insns [%#x,%#x) taken %#x fall %#x",
@@ -338,74 +352,134 @@ second:
 	halt
 `
 
-// TestColdPathVerifyDemotionOwnsRef forces the equivalence proof of two
-// traces, built back to back on one engine, to fail, so each is demoted to
-// its reference lowering. That stream is lowered into engine scratch: what
-// the superblock keeps (and its closures point into) must be a copy of its
-// own, or building the second trace rewrites the first one's code.
-func TestColdPathVerifyDemotionOwnsRef(t *testing.T) {
-	want, _ := tier3State(t, hotLoops, func(e *Engine) {
-		e.NoCache, e.NoSuperblock = true, true
-	})
+// scratchLoops is hotLoops with a memory run of three in its first loop whose
+// middle access writes a page of its own, a jump into that loop, so the
+// first iteration already runs its trace, and an add of the counter for
+// hotLoops' xor, whose s0 ends at -5 from any start: here the final s0 is
+// the sum of every iteration of both loops.
+const scratchLoops = `
+_start:
+	li   s0, 0
+	li   s1, 0
+	li   s2, 300
+	li   s3, 0x20000
+	li   s4, 0x21000
+	j    first
+first:
+	sd   s1, 0(s3)
+	sd   s0, 0(s4)
+	ld   t0, 0(s3)
+	add  s0, s0, t0
+	addi s1, s1, 1
+	slt  t0, s1, s2
+	bnez t0, first
+	li   s1, 0
+second:
+	hint 3
+	sd   s0, 8(s3)
+	ld   t1, 8(s3)
+	addi t1, t1, 5
+	add  s0, s1, t1
+	addi s1, s1, 1
+	slt  t0, s1, s2
+	bnez t0, second
+	halt
+`
+
+// scribble overwrites the whole backing array of a scratch stream with a uop
+// no trace lowers: a closure that still read the stream would run it.
+func scribble(buf []uop) {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = uop{kind: uEbreakExit, imm: -3, val: 0xbad, pc: 0xbad0, npc: 0xbad4, npc2: 0xbad8,
+			cost: -7, selfCost: -7, insns: 9, exit: 7, exit2: 7,
+			rd: 13, rs1: 13, rs2: 13, size: 3, sh: 9, bop: isa.OpHALT, selfInsns: 9}
+	}
+}
+
+// TestCompiledTraceOwnsNoScratch builds two traces back to back on one
+// engine, the first demoted by -verify to its reference lowering, and after
+// each install overwrites the backing arrays of the translator's uop scratch
+// with garbage: a compiled trace must keep nothing that reads them. Both
+// loops then run to the interpreter's final state and instruction count,
+// through a page fault on the middle access of a memory run.
+func TestCompiledTraceOwnsNoScratch(t *testing.T) {
+	const faultPage = 0x21000
+	// run executes cpu to its halt with faultPage revoked until it faults,
+	// and returns where it did.
+	run := func(e *Engine, cpu *CPU) (faultPC uint64) {
+		t.Helper()
+		e.Mem.SetPerm(e.Mem.PageOf(faultPage), mem.PermNone)
+		for i := 0; ; i++ {
+			switch res := e.Exec(cpu, 10_000_000); {
+			case res.Reason == StopHalt:
+				return faultPC
+			case res.Reason == StopPageFault && faultPC == 0:
+				faultPC = cpu.PC
+				e.Mem.SetPerm(res.Fault.Page, mem.PermReadWrite)
+			case res.Reason != StopBudget || i == 1000:
+				t.Fatalf("stop: %+v", res)
+			}
+		}
+	}
+	_, ref, want, im := setupImage(t, scratchLoops)
+	ref.NoCache, ref.NoSuperblock = true, true
+	wantFault := run(ref, want)
+	if wantFault != im.Symbols["first"]+4 {
+		t.Fatalf("the interpreter faulted at %#x, not at the run's middle access", wantFault)
+	}
 
 	// Heat both loops on the block interpreter, so their heads carry branch bias.
-	_, e, cpu, im := setupImage(t, hotLoops)
+	_, e, cpu, _ := setupImage(t, scratchLoops)
 	e.NoSuperblock = true
 	if res := runToStop(t, e, cpu); res.Reason != StopHalt {
 		t.Fatalf("stop: %+v", res)
 	}
 	e.NoSuperblock, e.Verify = false, true
-	fails := 0
-	e.OnVerifyFail = func(where string, entry uint64, err error) { fails++ }
-
+	// Grown as a busy engine's are, so both lowerings land in one array each
+	// and the scribbles reach every uop either trace was compiled from.
+	e.uopBuf, e.refBuf = make([]uop, 0, 256), make([]uop, 0, 256)
+	bufs := [2]*uop{&e.uopBuf[:1][0], &e.refBuf[:1][0]}
 	var spent int64
-	var sbs [2]*superblock
-	var kept [2][]uop
 	for i, label := range []string{"first", "second"} {
 		head := e.cache[im.Symbols[label]]
 		if head == nil {
 			t.Fatalf("no cached block at %s", label)
 		}
-		// buildTrace, with an unsound rewrite between its two halves: the
-		// trace's first addi adds one too many.
-		sb, ops, ref := e.lowerTrace(head)
-		bad := slices.IndexFunc(ops, func(u uop) bool { return u.kind == uAddi })
-		if bad < 0 {
-			t.Fatalf("trace at %s lowers no addi", label)
+		// promote, with an unsound rewrite of the first trace between
+		// lowering and proof: its first addi adds one too many.
+		sb, ops, refOps := e.lowerTrace(head)
+		if i == 0 {
+			ops[slices.IndexFunc(ops, func(u uop) bool { return u.kind == uAddi })].imm++
 		}
-		ops[bad].imm++
-		e.finishTrace(sb, ops, ref, &spent)
-		sbs[i] = sb
-		kept[i] = slices.Clone(sbs[i].ops)
-		if !e.install(head, sbs[i], e.compileTier3(sbs[i])) {
+		ops = e.finishTrace(sb, ops, refOps, &spent)
+		if !e.install(head, sb, ops, e.compileTier3(sb, ops)) {
 			t.Fatalf("trace at %s was not installed", label)
 		}
+		scribble(e.uopBuf)
+		scribble(e.refBuf)
 	}
-	if fails != 2 || e.Stats.VerifyDemotions != 2 {
-		t.Fatalf("%d failures reported, %d demotions; want both traces demoted", fails, e.Stats.VerifyDemotions)
+	if e.Stats.VerifyDemotions != 1 || e.Stats.VerifiedSuperblocks != 1 {
+		t.Fatalf("%d traces demoted, %d proved; want one of each", e.Stats.VerifyDemotions, e.Stats.VerifiedSuperblocks)
 	}
-	if !slices.Equal(sbs[0].ops, kept[0]) {
-		t.Error("building the second trace rewrote the first trace's installed reference stream")
-	}
-	for _, sb := range sbs {
-		for _, buf := range [][]uop{e.uopBuf, e.refBuf} {
-			if cap(buf) > 0 && &sb.ops[0] == &buf[:1][0] {
-				t.Errorf("superblock %#x: ops alias the engine's scratch", sb.entry)
-			}
-		}
+	if bufs != [2]*uop{&e.uopBuf[:1][0], &e.refBuf[:1][0]} {
+		t.Fatal("a lowering outgrew the scratch arrays: the scribbles missed an array a trace was compiled from")
 	}
 
-	// The installed traces were compiled from the sound lowering: rerun on them.
-	cpu2 := &CPU{PC: im.Entry, TID: 1}
-	cpu2.X[isa.RegSP] = 0x40000
-	if res := runToStop(t, e, cpu2); res.Reason != StopHalt {
-		t.Fatalf("rerun: %+v", res)
+	*cpu = CPU{PC: im.Entry, TID: 1}
+	cpu.X[isa.RegSP] = 0x40000
+	insns, compiled := e.Stats.ExecInsns, e.Stats.Tier3Insns
+	if got := run(e, cpu); got != wantFault {
+		t.Errorf("faulted at %#x, the interpreter at %#x", got, wantFault)
 	}
-	if e.Stats.Tier3Insns == 0 {
-		t.Error("rerun did not execute the demoted traces")
+	if e.Stats.Tier3Insns == compiled {
+		t.Error("the rerun did not execute the compiled traces")
 	}
-	if cpu2.X != want.X || cpu2.PC != want.PC {
-		t.Errorf("demoted run diverged from the interpreter:\n got pc=%#x x=%v\nwant pc=%#x x=%v", cpu2.PC, cpu2.X, want.PC, want.X)
+	if cpu.X != want.X || cpu.PC != want.PC {
+		t.Errorf("diverged from the interpreter:\n got pc=%#x x=%v\nwant pc=%#x x=%v", cpu.PC, cpu.X, want.PC, want.X)
+	}
+	if got := e.Stats.ExecInsns - insns; got != ref.Stats.ExecInsns {
+		t.Errorf("retired %d instructions, the interpreter %d", got, ref.Stats.ExecInsns)
 	}
 }
 
@@ -469,33 +543,18 @@ func TestColdPathNotReentered(t *testing.T) {
 	}
 }
 
-// TestColdPathAllocs pins what the cold path allocates: the slices a block
-// or superblock keeps, once, and nothing for the work in between.
-func TestColdPathAllocs(t *testing.T) {
-	_, e, _, im := setupImage(t, hotLoops)
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := e.translate(im.Entry); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 3 {
-		t.Errorf("translating one block allocates %v objects, want at most 3 (block, ops, pcs)", n)
-	}
-
-	// Closure compilation: replanning a superblock reuses the engine's plan,
-	// and a two-access memory run takes two slots of the access slab, not
-	// the t3MemRun its closure's array type could index.
-	_, e = tier3State(t, hotLoops, nil)
-	var sb *superblock
-	for _, b := range e.cache {
-		if b.sb != nil && b.sb.entry != im.Entry {
-			sb = b.sb
-		}
-	}
-	if sb == nil {
+// TestColdPathReusesPlanAndSlab: replanning a trace reuses the engine's
+// plan, and a two-access memory run takes two slots of the access slab, not
+// the t3MemRun its closure's array type could index.
+func TestColdPathReusesPlanAndSlab(t *testing.T) {
+	var log *[]compiledStream
+	_, e := tier3State(t, hotLoops, func(e *Engine) { log = recordCompiles(e) })
+	if len(*log) == 0 {
 		t.Fatal("no compiled trace produced")
 	}
+	c := (*log)[0]
 	if n := testing.AllocsPerRun(100, func() {
-		if !planTier3(&e.plan, sb.ops) {
+		if !planTier3(&e.plan, c.ops) {
 			t.Fatal("plan failed")
 		}
 	}); n != 0 {
@@ -517,7 +576,7 @@ func TestColdPathAllocs(t *testing.T) {
 		t.Fatalf("test loop has %d memory runs of %d accesses; want short runs", runs, accs)
 	}
 	e.accSlab = make([]memAcc, 4*t3MemRun)
-	if e.compileTier3(sb) == nil {
+	if e.compileTier3(c.sb, c.ops) == nil {
 		t.Fatal("recompilation failed")
 	}
 	if used := 4*t3MemRun - len(e.accSlab); used != accs {

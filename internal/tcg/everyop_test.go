@@ -47,7 +47,8 @@ func TestEveryOpEveryExecutor(t *testing.T) {
 				}
 				fallthrough
 			case "compiled":
-				checkEveryOpCoverage(t, name, e, san)
+				checkEveryOpCoverage(t, name, e, got.compiled, san)
+				checkFaultSites(t, name, got, san)
 			}
 			if want == nil {
 				want = got
@@ -83,6 +84,10 @@ type everyOpOutcome struct {
 	stops []string // every non-budget stop, in order
 	hooks []string // every hint and sanitizer call, in order
 	insns uint64
+
+	// Not compared: where each page fault left PC, and what was compiled.
+	faultPCs []uint64
+	compiled []compiledStream
 }
 
 func (w *everyOpOutcome) diff(t *testing.T, name string, g *everyOpOutcome) {
@@ -153,6 +158,7 @@ func runEveryOp(t *testing.T, name, src string, tune func(*Engine), san bool) (*
 		e.San = recSan{&out.hooks}
 	}
 	tune(e)
+	compiled := recordCompiles(e)
 	for pass := 0; pass < eoPasses; pass++ {
 		*cpu = CPU{PC: im.Entry, TID: 1}
 		cpu.X[isa.RegSP] = 0x40000
@@ -192,6 +198,7 @@ func runEveryOp(t *testing.T, name, src string, tune func(*Engine), san bool) (*
 				cpu.PC += 4
 			case StopPageFault:
 				stop += fmt.Sprintf(" %+v", res.Fault)
+				out.faultPCs = append(out.faultPCs, cpu.PC)
 				space.SetPerm(res.Fault.Page, mem.PermReadWrite)
 			case StopError:
 				if !strings.Contains(res.Err.Error(), "misaligned atomic") {
@@ -203,7 +210,7 @@ func runEveryOp(t *testing.T, name, src string, tune func(*Engine), san bool) (*
 			out.stops = append(out.stops, stop)
 		}
 	}
-	out.x, out.pc, out.insns = cpu.X, cpu.PC, e.Stats.ExecInsns
+	out.x, out.pc, out.insns, out.compiled = cpu.X, cpu.PC, e.Stats.ExecInsns, *compiled
 	for i, f := range cpu.F {
 		out.f[i] = math.Float64bits(f) // NaNs must compare equal to themselves
 	}
@@ -519,10 +526,10 @@ func everyOpProgram(t *testing.T) string {
 	return b.String()
 }
 
-// checkEveryOpCoverage reads the engine's installed traces back: the uops
-// they were compiled from, and the plan compileTier3 consumed (planTier3 is
-// the one planner; the checker replans the same way).
-func checkEveryOpCoverage(t *testing.T, name string, e *Engine, san bool) {
+// checkEveryOpCoverage reads back what the engine compiled and installed:
+// the streams the seams recorded, and the plan compileTier3 consumed
+// (planTier3 is the one planner; the checker replans the same way).
+func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compiledStream, san bool) {
 	t.Helper()
 	ops := map[isa.Op]bool{}
 	kinds := map[uopKind]bool{}
@@ -530,13 +537,13 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, san bool) {
 	fuses := func(un t3unit) string {
 		return fmt.Sprintf("pre=%v post=%v", un.pre >= 0, un.post >= 0)
 	}
-	for _, blk := range e.cache {
-		sb := blk.sb
-		if sb == nil || sb.t3 == nil {
+	for _, c := range compiled {
+		sb, stream := c.sb, c.ops
+		if sb.t3 == nil {
 			continue
 		}
-		for i := range sb.ops {
-			u := &sb.ops[i]
+		for i := range stream {
+			u := &stream[i]
 			kinds[u.kind] = true
 			if ins, _, err := e.fetchInsn(u.pc); err == nil && u.selfInsns > 0 {
 				ops[ins.Op] = true
@@ -555,7 +562,7 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, san bool) {
 			}
 		}
 		var plan t3plan
-		if !planTier3(&plan, sb.ops) {
+		if !planTier3(&plan, stream) {
 			t.Fatalf("%s: installed trace at %#x does not plan", name, sb.entry)
 		}
 		paths[fmt.Sprintf("fuseLoop=%v", plan.fuseLoop)] = true
@@ -574,12 +581,12 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, san bool) {
 					end = seg.groups[gi+1]
 				}
 				un := seg.units[start]
-				u := &sb.ops[un.op]
+				u := &stream[un.op]
 				switch {
-				case pair8able(sb.ops, un):
+				case pair8able(stream, un):
 					for _, m := range seg.units[start:end] {
 						paths[fmt.Sprintf("run of %d", end-start)] = true
-						paths[fmt.Sprintf("run member %s", kindName(sb.ops[m.op].kind))] = true
+						paths[fmt.Sprintf("run member %s", kindName(stream[m.op].kind))] = true
 						if end-start == 1 || end-start == 2 || end-start == t3MemRun {
 							paths[fmt.Sprintf("run of %d %s", end-start, fuses(m))] = true
 						}
@@ -646,6 +653,49 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, san bool) {
 		// plain runs.
 		if !san && !paths[p] {
 			t.Errorf("%s: compile path never taken: %s", name, p)
+		}
+	}
+}
+
+// refundWalk is the walk a compiled trace made over its uop array at run
+// time, on a fault at ops[i], before its closures captured the result at
+// compile time (refundTail): the PC of ops[i], and the charge of the uops
+// after it in its segment.
+func refundWalk(ops []uop, i int) faultSite {
+	s := faultSite{pc: ops[i].pc}
+	for j := i + 1; j < len(ops); j++ {
+		u := &ops[j]
+		if u.insns != 0 {
+			break
+		}
+		s.refundCost += u.selfCost
+		s.refundInsns += uint32(u.selfInsns)
+	}
+	return s
+}
+
+// checkFaultSites holds every fault site the closures of every compiled trace
+// captured to refundWalk over the stream they were compiled from, and wants
+// every page fault the run took (none with a sanitizer recording) to have
+// stopped at one of them.
+func checkFaultSites(t *testing.T, name string, got *everyOpOutcome, san bool) {
+	t.Helper()
+	sites := map[uint64]bool{}
+	for _, c := range got.compiled {
+		for i, s := range c.sites {
+			if want := refundWalk(c.ops, i); s != want {
+				t.Errorf("%s: trace %#x, uop %d (%s): captured %+v, the run-time walk gives %+v",
+					name, c.sb.entry, i, kindName(c.ops[i].kind), s, want)
+			}
+			sites[s.pc] = true
+		}
+	}
+	if want := len(eoFaultPages) * (eoPasses - 1); !san && len(got.faultPCs) != want {
+		t.Errorf("%s: %d page faults, want %d: one per revoked page per pass after the first", name, len(got.faultPCs), want)
+	}
+	for _, pc := range got.faultPCs {
+		if !sites[pc] {
+			t.Errorf("%s: page fault at %#x, where no compiled closure captured a fault site", name, pc)
 		}
 	}
 }

@@ -118,9 +118,10 @@ type Stats struct {
 // MaxBlockInsns bounds translation block length.
 const MaxBlockInsns = 64
 
+// block is one translation block. Its instructions are contiguous: the guest
+// address of ops[i] is startPC plus the sizes of the ops before it.
 type block struct {
 	ops []isa.Instruction
-	pcs []uint64 // guest address of each instruction
 	// Static successors for block chaining; filled lazily.
 	takenPC, fallPC uint64 // 0 when unknown/dynamic
 	taken, fall     *block
@@ -203,9 +204,8 @@ type Engine struct {
 	opCost [256]int64
 
 	// gen is the translation cache generation. ClearCache bumps it;
-	// blocks, superblocks, chain pointers and jump-cache entries from an
-	// older generation are dead and revalidated wherever they are followed.
-	// Starts at 1 so a zero-valued jump-cache entry never matches.
+	// blocks, superblocks, chain pointers and exit slots from an older
+	// generation are dead and revalidated wherever they are followed.
 	gen uint64
 
 	// codePages is the set of guest pages containing code translated in
@@ -217,7 +217,8 @@ type Engine struct {
 
 	// jc is the indirect-branch target cache (QEMU jump-cache style):
 	// a direct-mapped PC-indexed array resolving JALR targets without the
-	// translation-cache map probe.
+	// translation-cache map probe. ClearCache empties it, so an entry with a
+	// block is always of the current generation; an empty one matches no PC.
 	jc [jcSize]jcEntry
 
 	// pendingExit, when set by exitVia, is the superblock exit slot that
@@ -241,9 +242,11 @@ type Engine struct {
 
 	// Translator scratch: translate decodes into insBuf/pcBuf, buildTrace
 	// lowers into uopBuf (and refBuf under Verify), compileTier3 plans in
-	// plan. Each is dead when its function returns — what a block or
-	// superblock keeps is a copy made at its final size — and coldDepth
-	// asserts that no two of those functions are ever active at once.
+	// plan. A block keeps a copy of its instructions made at their final
+	// size; a compiled trace keeps only its closures, which copied what they
+	// read out of the stream as they were built. translate is one cold
+	// section and promote, from lowering to install, another; coldDepth
+	// asserts that the two are never active at once.
 	insBuf    [MaxBlockInsns]isa.Instruction
 	pcBuf     [MaxBlockInsns]uint64
 	uopBuf    []uop
@@ -254,6 +257,12 @@ type Engine struct {
 	// accSlab is where compileMemRun's closures keep their pre-decoded
 	// accesses: kept, not scratch, and handed out a run's length at a time.
 	accSlab []memAcc
+
+	// Test seams, nil outside tests: traced sees the stream each promotion
+	// compiled before its scratch is reused, sited every fault site a
+	// closure captured from it.
+	traced func(sb *superblock, ops []uop)
+	sited  func(i int, s faultSite)
 }
 
 const accelTLBSize = 64 // power of two
@@ -262,8 +271,7 @@ const jcSize = 1024 // power of two
 
 type jcEntry struct {
 	pc  uint64
-	blk *block
-	gen uint64
+	blk *block // nil: empty
 }
 
 // NewEngine returns an engine bound to a Space with the given cost model.
@@ -304,12 +312,14 @@ func (e *Engine) classCost(op isa.Op) int64 {
 }
 
 // ClearCache drops all translated blocks, superblocks, chain pointers and
-// jump-cache entries by bumping the cache generation (QEMU tb_flush).
-// Already-chained taken/fall pointers and superblock exit slots may still
-// reference retired blocks, but every follow site revalidates the
-// generation, so no stale translation executes after the flush.
+// jump-cache entries by bumping the cache generation and emptying the jump
+// cache (QEMU tb_flush). Already-chained taken/fall pointers and superblock
+// exit slots may still reference retired blocks, but every follow site
+// revalidates the generation, so no stale translation executes after the
+// flush.
 func (e *Engine) ClearCache() {
 	e.gen++
+	clear(e.jc[:])
 	e.cache = map[uint64]*block{}
 	e.codePages = map[uint64]struct{}{}
 	e.Stats.Flushes++
@@ -357,7 +367,8 @@ func (e *Engine) fetchInsn(pc uint64) (isa.Instruction, int, error) {
 // (AccelFill answers all three in one probe); a window that crosses the page
 // end, a split page or an absent one goes through fetchInsn, byte-wise.
 // Instructions are decoded into engine scratch and copied once, at their
-// final size, into the block.
+// final size, into the block; their addresses stay in pcBuf until the next
+// translation.
 func (e *Engine) translate(pc uint64) (*block, error) {
 	e.coldEnter()
 	defer e.coldLeave()
@@ -419,9 +430,8 @@ func (e *Engine) translate(pc uint64) (*block, error) {
 	if last := len(ops) - 1; last == MaxBlockInsns-1 && !ops[last].IsBranch() {
 		b.fallPC = b.endPC
 	}
-	b.ops, b.pcs = make([]isa.Instruction, len(ops)), make([]uint64, len(pcs))
+	b.ops = make([]isa.Instruction, len(ops))
 	copy(b.ops, ops)
-	copy(b.pcs, pcs)
 	return b, nil
 }
 
@@ -459,7 +469,7 @@ func (e *Engine) lookup(pc uint64, spent *int64) (*block, error) {
 		e.cache[pc] = b
 	}
 	if e.San != nil {
-		e.San.LintBlock(b.ops, b.pcs, e.isCodeAddr)
+		e.San.LintBlock(b.ops, e.pcBuf[:len(b.ops)], e.isCodeAddr)
 	}
 	return b, nil
 }
@@ -479,7 +489,7 @@ func (e *Engine) lookupFast(pc uint64, spent *int64) (*block, error) {
 		return e.lookup(pc, spent)
 	}
 	h := &e.jc[(pc>>2)&(jcSize-1)]
-	if h.pc == pc && h.gen == e.gen {
+	if h.pc == pc && h.blk != nil {
 		e.Stats.JumpCacheHits++
 		return h.blk, nil
 	}
@@ -488,7 +498,7 @@ func (e *Engine) lookupFast(pc uint64, spent *int64) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	*h = jcEntry{pc: pc, blk: b, gen: e.gen}
+	*h = jcEntry{pc: pc, blk: b}
 	return b, nil
 }
 
@@ -499,9 +509,9 @@ func (e *Engine) lookupFast(pc uint64, spent *int64) (*block, error) {
 // There are two executors: a block that heads a compiled trace runs the
 // trace's closures; any other block runs on the block interpreter, which
 // bumps its promotion counter and, at HotThreshold, forms and compiles the
-// trace in one step. All chained pointers (taken/fall, trace exit slots,
-// jump-cache entries) are revalidated against the cache generation before
-// being followed, so ClearCache retires them atomically.
+// trace in one step. All chained pointers (taken/fall, trace exit slots)
+// are revalidated against the cache generation before being followed, and
+// ClearCache empties the jump cache, so a flush retires them atomically.
 func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 	var spent int64
 	e.pendingExit = nil
@@ -566,9 +576,11 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 	var executed uint64
 	defer func() { e.Stats.ExecInsns += executed }()
 
-	for i := 0; i < len(b.ops); i++ {
+	// pc steps one word an instruction, and the long encodings add the rest
+	// of their Size in their arms: a Size call per step costs 14 %.
+	pc := b.startPC
+	for i := 0; i < len(b.ops); i, pc = i+1, pc+4 {
 		ins := &b.ops[i]
-		pc := b.pcs[i]
 		*spent += e.opCost[ins.Op]
 		executed++
 		switch ins.Op {
@@ -630,6 +642,7 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 
 		case isa.OpMOVIW, isa.OpMOVID:
 			wr(x, ins.Rd, uint64(ins.Imm))
+			pc += uint64(ins.Size()) - 4
 
 		case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLWU, isa.OpLD:
 			addr := x[ins.Rs1] + uint64(ins.Imm)
@@ -769,6 +782,7 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 			f[ins.Rd] = math.Log(f[ins.Rs1])
 		case isa.OpFMOVD:
 			f[ins.Rd] = math.Float64frombits(uint64(ins.Imm))
+			pc += uint64(ins.Size()) - 4
 		case isa.OpFMV:
 			f[ins.Rd] = f[ins.Rs1]
 		case isa.OpFMVXD:
@@ -796,7 +810,7 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 		cpu.PC = b.fallPC
 		return b.fall, Result{}, false
 	}
-	cpu.PC = b.pcs[len(b.pcs)-1] + uint64(b.ops[len(b.ops)-1].Size())
+	cpu.PC = b.endPC
 	return nil, Result{}, false
 }
 

@@ -22,11 +22,12 @@
 // closure call.
 //
 // The closures of 8-byte accesses — all but a few percent of the memory
-// traffic — keep a per-site TLB line in their environment: one static
+// traffic — keep a per-site TLB line in each access's memAcc: one static
 // load/store site overwhelmingly re-touches the page it touched last, so the
-// hit path is a page-number compare against a closure-local cell instead of
-// an index into the engine's shared TLB array. Misses revalidate through the engine TLB /
-// softmmu and refill the site line. Narrower accesses index the engine TLB.
+// hit path is a page-number compare against the access's own line instead of
+// an index into the engine's shared TLB array. Misses revalidate through the
+// engine TLB / softmmu and refill the site line. Narrower accesses index the
+// engine TLB.
 //
 // Coherence: the trampoline revalidates the cache generation at trace
 // entry (Exec's dispatch check), at every back-edge, after HINT callbacks,
@@ -34,14 +35,15 @@
 // its predecessor (the chunk's guard flag). A failed check abandons the
 // compiled trace at an exact instruction boundary and lands on Exec's
 // lookup, which retranslates for the block interpreter — counted in
-// Stats.Tier3Demotions. Faults inside a segment refund the unexecuted tail
-// from the uop array the closures were compiled from (refundTail) via the
-// captured uop index, so restart-at-faulting-instruction semantics are
-// bit-identical to the block interpreter's.
+// Stats.Tier3Demotions. A fault inside a segment refunds the unexecuted tail
+// from the faultSite its closure captured at compile time, so
+// restart-at-faulting-instruction semantics are bit-identical to the block
+// interpreter's.
 //
 // Closures must allocate only at compile time: the execution path is
 // zero-alloc (enforced by the dqlint t3alloc rule and pinned by
-// TestTier3ExecAllocs).
+// TestTier3ExecAllocs). They must not read the uop stream at run time
+// either: it is scratch the next trace is lowered into (the t3scratch rule).
 package tcg
 
 import (
@@ -256,9 +258,10 @@ func planTier3(p *t3plan, ops []uop) bool {
 	if len(ops) == 0 || !segBoundary(ops[len(ops)-1].kind) {
 		return false
 	}
-	// No array outgrows len(ops), so sized once here the appends below never
-	// move one under the segments already cut from it.
-	*p = t3plan{starts: slices.Grow(p.starts[:0], len(ops)), segs: slices.Grow(p.segs[:0], len(ops)),
+	// Each array is sized once — segs by the segment count the first pass
+	// finds, the others by len(ops), which bounds them — so the appends below
+	// never move one under the segments already cut from it.
+	*p = t3plan{starts: slices.Grow(p.starts[:0], len(ops)), segs: p.segs[:0],
 		units: slices.Grow(p.units[:0], len(ops)), groups: slices.Grow(p.groups[:0], len(ops))}
 	segStart := 0
 	for i := range ops {
@@ -267,6 +270,7 @@ func planTier3(p *t3plan, ops []uop) bool {
 			segStart = i + 1
 		}
 	}
+	p.segs = slices.Grow(p.segs, len(p.starts))
 
 	// A final segment that is a bare back-edge gets folded into its
 	// predecessor's fall-through: charge + t3Loop in one closure (the
@@ -351,16 +355,14 @@ func planTier3(p *t3plan, ops []uop) bool {
 	return true
 }
 
-// compileTier3 compiles sb into a chunk array (buildTrace has already
-// charged the translation). Each cost segment becomes one chunk: a fusion
-// plan over the straight-line mids (addi absorption, mem pairing) followed
-// by one leaf closure per plan unit plus the compiled tail. Returns nil when
-// the superblock contains a shape the closure compiler does not handle
-// (install then leaves its head on the block interpreter).
-func (e *Engine) compileTier3(sb *superblock) *tier3 {
-	e.coldEnter()
-	defer e.coldLeave()
-	ops := sb.ops
+// compileTier3 compiles sb's segmentized stream ops into a chunk array
+// (buildTrace has already charged the translation). Each cost segment
+// becomes one chunk: a fusion plan over the straight-line mids (addi
+// absorption, mem pairing) followed by one leaf closure per plan unit plus
+// the compiled tail. Returns nil when the superblock contains a shape the
+// closure compiler does not handle (install then leaves its head on the
+// block interpreter).
+func (e *Engine) compileTier3(sb *superblock, ops []uop) *tier3 {
 	plan := &e.plan
 	if !planTier3(plan, ops) {
 		return nil
@@ -388,8 +390,14 @@ func (e *Engine) compileTier3(sb *superblock) *tier3 {
 		}
 	}
 
-	// segChunks[s] is segment s's chunks in forward order.
-	segChunks := make([][]t3chunk, nseg)
+	// A segment is a head chunk plus one per t3ChunkOps groups cut off its
+	// end. Segments compile last first, so their chunks fill the array from
+	// the back.
+	ci := 0
+	for s := range plan.segs {
+		ci += 1 + len(plan.segs[s].groups)/t3ChunkOps
+	}
+	t3.chunks = make([]t3chunk, ci)
 	for s := nseg - 1; s >= 0; s-- {
 		first := plan.segs[s].first
 		last := plan.segs[s].last
@@ -397,18 +405,18 @@ func (e *Engine) compileTier3(sb *superblock) *tier3 {
 		if s == nseg-1 {
 			next = tailNext
 		}
-		tail := e.compileTail(sb, last, next)
+		tail := e.compileTail(sb, ops, last, next)
 		if tail == nil {
 			return nil
 		}
 		units := plan.segs[s].units
 		groups := plan.segs[s].groups
-		var rev []t3op // cut chunk heads, segment-end first
 		fn := tail
 		n := 1
 		for gi := len(groups) - 1; gi >= 0; gi-- {
 			if n == t3ChunkOps {
-				rev = append(rev, fn)
+				ci--
+				t3.chunks[ci] = t3chunk{fn: fn}
 				fn = t3adv
 				n = 0
 			}
@@ -422,17 +430,17 @@ func (e *Engine) compileTier3(sb *superblock) *tier3 {
 			case pair8able(ops, un):
 				// A group of several is a run of these by construction; one
 				// on its own is a run of one.
-				fn = e.compileMemRun(sb, units[start:end], fn)
+				fn = e.compileMemRun(ops, units[start:end], fn)
 			case k == uLoad:
-				fn = e.compileLoad(sb, un, fn)
+				fn = e.compileLoad(ops, un, fn)
 			case k == uStore:
-				fn = e.compileStore(sb, un, fn)
+				fn = e.compileStore(ops, un, fn)
 			case un.pair >= 0:
-				fn = compileAddiPair(&ops[un.op], &ops[un.pair], fn)
+				fn = compileAddiPair(ops, un, fn)
 			case un.pre >= 0:
-				fn = compileAddiMul(&ops[un.pre], &ops[un.op], fn)
+				fn = compileAddiMul(ops, un, fn)
 			default:
-				fn = e.compileMid(sb, un.op, fn)
+				fn = e.compileMid(ops, un.op, fn)
 			}
 			if fn == nil {
 				return nil
@@ -444,29 +452,23 @@ func (e *Engine) compileTier3(sb *superblock) *tier3 {
 			guard = e.Mem.PageOf(e.Mem.Translate(ops[first].pc)) !=
 				e.Mem.PageOf(e.Mem.Translate(ops[starts[s-1]].pc))
 		}
-		chunks := make([]t3chunk, 0, len(rev)+1)
-		chunks = append(chunks, t3chunk{fn: fn,
+		ci--
+		t3.chunks[ci] = t3chunk{fn: fn,
 			cost: int64(ops[first].cost), insns: uint64(ops[first].insns),
-			pc: ops[first].pc, guard: guard})
-		for k := len(rev) - 1; k >= 0; k-- {
-			chunks = append(chunks, t3chunk{fn: rev[k]})
-		}
-		segChunks[s] = chunks
-	}
-	for _, sc := range segChunks {
-		t3.chunks = append(t3.chunks, sc...)
+			pc: ops[first].pc, guard: guard}
 	}
 
 	e.Stats.Tier3Superblocks++
 	return t3
 }
 
-// pageFault exits the compiled trace on a page fault: refund the
+// pageFault exits the compiled trace on a page fault at site s: refund the
 // unexecuted tail of the segment and stop with PC at the faulting
 // instruction, exactly like Engine.fault.
-func (c *t3ctx) pageFault(sb *superblock, i int, fl *mem.Fault) int32 {
-	refundTail(sb, i, c.spent, &c.executed)
-	c.cpu.PC = sb.ops[i].pc
+func (c *t3ctx) pageFault(s faultSite, fl *mem.Fault) int32 {
+	*c.spent -= int64(s.refundCost)
+	c.executed -= uint64(s.refundInsns)
+	c.cpu.PC = s.pc
 	c.e.Stats.Faults++
 	*c.spent += c.e.Cost.FaultNs
 	c.res = Result{Reason: StopPageFault, Fault: *fl}
@@ -475,11 +477,12 @@ func (c *t3ctx) pageFault(sb *superblock, i int, fl *mem.Fault) int32 {
 }
 
 // alignFault exits the compiled trace on a misaligned atomic, like badAlign.
-func (c *t3ctx) alignFault(sb *superblock, i int, addr uint64) int32 {
-	refundTail(sb, i, c.spent, &c.executed)
-	c.cpu.PC = sb.ops[i].pc
+func (c *t3ctx) alignFault(s faultSite, addr uint64) int32 {
+	*c.spent -= int64(s.refundCost)
+	c.executed -= uint64(s.refundInsns)
+	c.cpu.PC = s.pc
 	c.res = Result{Reason: StopError,
-		Err: fmt.Errorf("tcg: misaligned atomic %#x at %#x", addr, sb.ops[i].pc)}
+		Err: fmt.Errorf("tcg: misaligned atomic %#x at %#x", addr, s.pc)}
 	c.stop = true
 	return t3Stop
 }
@@ -545,11 +548,11 @@ func fuseAddi(ops []uop, i int) addiFuse {
 // fill site lines and stay on the engine-TLB/softmmu path.
 const sitePageSize = mem.DefaultPageSize
 
-// siteTLB is a memory closure's private TLB line: the page its static
-// load/store site touched last. One heap object per site, allocated at
-// compile time; validity matches the engine TLB (page number plus fill
-// epoch). The hit path is a compare against these fields — no index into
-// the engine's shared TLB array, and no cross-site eviction.
+// siteTLB is a memory access's private TLB line: the page its static
+// load/store site touched last, held inside the access's memAcc; validity
+// matches the engine TLB (page number plus fill epoch). The hit path is a
+// compare against these fields — no index into the engine's shared TLB
+// array, and no cross-site eviction.
 type siteTLB struct {
 	page  uint64
 	epoch uint64
@@ -581,30 +584,32 @@ func (st *siteTLB) fillWr(en *Engine, mmu *mem.Space, pn uint64) bool {
 // loadMiss8 is the outlined slow half of an 8-byte load site: revalidate
 // through the engine TLB, then the softmmu, refilling the site line on
 // the way out. The int32 is t3Cont on success or a fault disposition.
-func (c *t3ctx) loadMiss8(st *siteTLB, sb *superblock, i int, addr, pn, off uint64) (uint64, int32) {
+func (c *t3ctx) loadMiss8(ac *memAcc, addr, pn, off uint64) (uint64, int32) {
 	en := c.e
 	mmu := en.Mem
+	st := &ac.st
 	if st.fillRd(en, mmu, pn) && off+8 <= sitePageSize {
 		return binary.LittleEndian.Uint64(st.data[off : off+8]), t3Cont
 	}
 	v, fault := en.slowLoad(addr, 8)
 	if fault != nil {
-		return 0, c.pageFault(sb, i, fault)
+		return 0, c.pageFault(ac.site, fault)
 	}
 	st.fillRd(en, mmu, pn)
 	return v, t3Cont
 }
 
 // storeMiss8 is the outlined slow half of an 8-byte store site.
-func (c *t3ctx) storeMiss8(st *siteTLB, sb *superblock, i int, addr, pn, off, val uint64) int32 {
+func (c *t3ctx) storeMiss8(ac *memAcc, addr, pn, off, val uint64) int32 {
 	en := c.e
 	mmu := en.Mem
+	st := &ac.st
 	if st.fillWr(en, mmu, pn) && off+8 <= sitePageSize {
 		binary.LittleEndian.PutUint64(st.data[off:off+8], val)
 		return t3Cont
 	}
 	if fault := en.slowStore(addr, val, 8); fault != nil {
-		return c.pageFault(sb, i, fault)
+		return c.pageFault(ac.site, fault)
 	}
 	st.fillWr(en, mmu, pn)
 	return t3Cont
@@ -633,18 +638,18 @@ func pair8able(ops []uop, u t3unit) bool {
 const t3MemRun = 6
 
 // memAcc is one access of a memory run, fully pre-decoded at compile
-// time: its addi fusions, operand registers, kind (integer/FP load/store,
-// all 8-byte) and private site TLB line.
+// time: its private site TLB line, operand registers, addi fusions (the
+// fields of two addiFuse, spread so that everything the run body reads fills
+// the first 64 bytes), kind (integer/FP load/store, all 8-byte), and last
+// the fault site, which only a miss that faults reads.
 type memAcc struct {
-	pre, post addiFuse
-	rd        uint8
-	rs1       uint8
-	rs2       uint8
-	load      bool
-	fp        bool
-	imm       uint64
-	idx       int
-	st        *siteTLB
+	st                      siteTLB
+	imm, preImm, postImm    uint64
+	rd, rs1, rs2            uint8
+	preRd, preRs            uint8
+	postRd, postRs          uint8
+	load, fp, preOn, postOn bool
+	site                    faultSite
 }
 
 // compileMemRun compiles a run of 1..t3MemRun 8-byte accesses — integer or
@@ -653,7 +658,7 @@ type memAcc struct {
 // the whole run. It is the only body an 8-byte access has: a lone ld or fsd
 // is a run of one. Program order is preserved exactly: a fault on access k
 // leaves accesses 0..k-1 and their addi fusions retired, with PC at access
-// k's instruction (pageFault refunds from ac.idx).
+// k's instruction (pageFault refunds from ac.site).
 //
 // The six copies below are one access written out t3MemRun times, on purpose.
 // Memory closures are 49 % of hot_compute's closure calls, and the same body
@@ -662,8 +667,7 @@ type memAcc struct {
 // s; EXPERIMENTS.md, "Tried and removed"): constant indices let the compiler
 // drop the bounds checks and keep each access's fields in registers. Change
 // one copy and change them all.
-func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
-	ops := sb.ops
+func (e *Engine) compileMemRun(ops []uop, us []t3unit, next t3op) t3op {
 	// The closure indexes accs with constants, so it wants the full-width
 	// array type, but reads only the len(us) slots this run fills: take that
 	// many from the engine's slab and let the view's unused tail lie over the
@@ -675,11 +679,13 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 	e.accSlab = e.accSlab[len(us):]
 	for k, un := range us {
 		u := &ops[un.op]
-		accs[k] = memAcc{rd: u.rd, rs1: u.rs1, rs2: u.rs2, imm: uint64(u.imm), idx: un.op,
-			load: u.kind == uLoad || u.kind == uFLoad,
-			fp:   u.kind == uFLoad || u.kind == uFStore,
-			pre:  fuseAddi(ops, un.pre), post: fuseAddi(ops, un.post),
-			st: &siteTLB{page: ^uint64(0)}}
+		pre, post := fuseAddi(ops, un.pre), fuseAddi(ops, un.post)
+		accs[k] = memAcc{st: siteTLB{page: ^uint64(0)},
+			imm: uint64(u.imm), preImm: pre.imm, postImm: post.imm,
+			rd: u.rd, rs1: u.rs1, rs2: u.rs2,
+			preRd: pre.rd, preRs: pre.rs, postRd: post.rd, postRs: post.rs,
+			load: u.kind == uLoad || u.kind == uFLoad, fp: u.kind == uFLoad || u.kind == uFStore,
+			preOn: pre.on, postOn: post.on, site: e.site(ops, un.op)}
 	}
 	nacc := len(us)
 	shift, mask := e.pageShift, e.pageMask
@@ -688,20 +694,20 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 		x := c.x
 		{
 			ac := &accs[0]
-			if ac.pre.on {
-				x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
+			if ac.preOn {
+				x[ac.preRd] = x[ac.preRs] + ac.preImm
 			}
 			addr := x[ac.rs1] + ac.imm
 			pn := addr >> shift
 			off := addr & mask
-			st := ac.st
+			st := &ac.st
 			if ac.load {
 				var v uint64
 				if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 					v = binary.LittleEndian.Uint64(st.data[off : off+8])
 				} else {
 					var d int32
-					if v, d = c.loadMiss8(st, sb, ac.idx, addr, pn, off); d != t3Cont {
+					if v, d = c.loadMiss8(ac, addr, pn, off); d != t3Cont {
 						return d
 					}
 				}
@@ -717,34 +723,34 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 				}
 				if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 					binary.LittleEndian.PutUint64(st.data[off:off+8], val)
-				} else if d := c.storeMiss8(st, sb, ac.idx, addr, pn, off, val); d != t3Cont {
+				} else if d := c.storeMiss8(ac, addr, pn, off, val); d != t3Cont {
 					return d
 				}
 				if !c.monEmpty {
 					c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
 				}
 			}
-			if ac.post.on {
-				x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
+			if ac.postOn {
+				x[ac.postRd] = x[ac.postRs] + ac.postImm
 			}
 		}
 		if nacc > 1 {
 			{
 				ac := &accs[1]
-				if ac.pre.on {
-					x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
+				if ac.preOn {
+					x[ac.preRd] = x[ac.preRs] + ac.preImm
 				}
 				addr := x[ac.rs1] + ac.imm
 				pn := addr >> shift
 				off := addr & mask
-				st := ac.st
+				st := &ac.st
 				if ac.load {
 					var v uint64
 					if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 						v = binary.LittleEndian.Uint64(st.data[off : off+8])
 					} else {
 						var d int32
-						if v, d = c.loadMiss8(st, sb, ac.idx, addr, pn, off); d != t3Cont {
+						if v, d = c.loadMiss8(ac, addr, pn, off); d != t3Cont {
 							return d
 						}
 					}
@@ -760,34 +766,34 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 					}
 					if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 						binary.LittleEndian.PutUint64(st.data[off:off+8], val)
-					} else if d := c.storeMiss8(st, sb, ac.idx, addr, pn, off, val); d != t3Cont {
+					} else if d := c.storeMiss8(ac, addr, pn, off, val); d != t3Cont {
 						return d
 					}
 					if !c.monEmpty {
 						c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
 					}
 				}
-				if ac.post.on {
-					x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
+				if ac.postOn {
+					x[ac.postRd] = x[ac.postRs] + ac.postImm
 				}
 			}
 			if nacc > 2 {
 				{
 					ac := &accs[2]
-					if ac.pre.on {
-						x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
+					if ac.preOn {
+						x[ac.preRd] = x[ac.preRs] + ac.preImm
 					}
 					addr := x[ac.rs1] + ac.imm
 					pn := addr >> shift
 					off := addr & mask
-					st := ac.st
+					st := &ac.st
 					if ac.load {
 						var v uint64
 						if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 							v = binary.LittleEndian.Uint64(st.data[off : off+8])
 						} else {
 							var d int32
-							if v, d = c.loadMiss8(st, sb, ac.idx, addr, pn, off); d != t3Cont {
+							if v, d = c.loadMiss8(ac, addr, pn, off); d != t3Cont {
 								return d
 							}
 						}
@@ -803,34 +809,34 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 						}
 						if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 							binary.LittleEndian.PutUint64(st.data[off:off+8], val)
-						} else if d := c.storeMiss8(st, sb, ac.idx, addr, pn, off, val); d != t3Cont {
+						} else if d := c.storeMiss8(ac, addr, pn, off, val); d != t3Cont {
 							return d
 						}
 						if !c.monEmpty {
 							c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
 						}
 					}
-					if ac.post.on {
-						x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
+					if ac.postOn {
+						x[ac.postRd] = x[ac.postRs] + ac.postImm
 					}
 				}
 				if nacc > 3 {
 					{
 						ac := &accs[3]
-						if ac.pre.on {
-							x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
+						if ac.preOn {
+							x[ac.preRd] = x[ac.preRs] + ac.preImm
 						}
 						addr := x[ac.rs1] + ac.imm
 						pn := addr >> shift
 						off := addr & mask
-						st := ac.st
+						st := &ac.st
 						if ac.load {
 							var v uint64
 							if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 								v = binary.LittleEndian.Uint64(st.data[off : off+8])
 							} else {
 								var d int32
-								if v, d = c.loadMiss8(st, sb, ac.idx, addr, pn, off); d != t3Cont {
+								if v, d = c.loadMiss8(ac, addr, pn, off); d != t3Cont {
 									return d
 								}
 							}
@@ -846,34 +852,34 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 							}
 							if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 								binary.LittleEndian.PutUint64(st.data[off:off+8], val)
-							} else if d := c.storeMiss8(st, sb, ac.idx, addr, pn, off, val); d != t3Cont {
+							} else if d := c.storeMiss8(ac, addr, pn, off, val); d != t3Cont {
 								return d
 							}
 							if !c.monEmpty {
 								c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
 							}
 						}
-						if ac.post.on {
-							x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
+						if ac.postOn {
+							x[ac.postRd] = x[ac.postRs] + ac.postImm
 						}
 					}
 					if nacc > 4 {
 						{
 							ac := &accs[4]
-							if ac.pre.on {
-								x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
+							if ac.preOn {
+								x[ac.preRd] = x[ac.preRs] + ac.preImm
 							}
 							addr := x[ac.rs1] + ac.imm
 							pn := addr >> shift
 							off := addr & mask
-							st := ac.st
+							st := &ac.st
 							if ac.load {
 								var v uint64
 								if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 									v = binary.LittleEndian.Uint64(st.data[off : off+8])
 								} else {
 									var d int32
-									if v, d = c.loadMiss8(st, sb, ac.idx, addr, pn, off); d != t3Cont {
+									if v, d = c.loadMiss8(ac, addr, pn, off); d != t3Cont {
 										return d
 									}
 								}
@@ -889,34 +895,34 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 								}
 								if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 									binary.LittleEndian.PutUint64(st.data[off:off+8], val)
-								} else if d := c.storeMiss8(st, sb, ac.idx, addr, pn, off, val); d != t3Cont {
+								} else if d := c.storeMiss8(ac, addr, pn, off, val); d != t3Cont {
 									return d
 								}
 								if !c.monEmpty {
 									c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
 								}
 							}
-							if ac.post.on {
-								x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
+							if ac.postOn {
+								x[ac.postRd] = x[ac.postRs] + ac.postImm
 							}
 						}
 						if nacc > 5 {
 							{
 								ac := &accs[5]
-								if ac.pre.on {
-									x[ac.pre.rd] = x[ac.pre.rs] + ac.pre.imm
+								if ac.preOn {
+									x[ac.preRd] = x[ac.preRs] + ac.preImm
 								}
 								addr := x[ac.rs1] + ac.imm
 								pn := addr >> shift
 								off := addr & mask
-								st := ac.st
+								st := &ac.st
 								if ac.load {
 									var v uint64
 									if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 										v = binary.LittleEndian.Uint64(st.data[off : off+8])
 									} else {
 										var d int32
-										if v, d = c.loadMiss8(st, sb, ac.idx, addr, pn, off); d != t3Cont {
+										if v, d = c.loadMiss8(ac, addr, pn, off); d != t3Cont {
 											return d
 										}
 									}
@@ -932,15 +938,15 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 									}
 									if pn == st.page && st.epoch == mmu.Epoch() && off+8 <= sitePageSize {
 										binary.LittleEndian.PutUint64(st.data[off:off+8], val)
-									} else if d := c.storeMiss8(st, sb, ac.idx, addr, pn, off, val); d != t3Cont {
+									} else if d := c.storeMiss8(ac, addr, pn, off, val); d != t3Cont {
 										return d
 									}
 									if !c.monEmpty {
 										c.e.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
 									}
 								}
-								if ac.post.on {
-									x[ac.post.rd] = x[ac.post.rs] + ac.post.imm
+								if ac.postOn {
+									x[ac.postRd] = x[ac.postRs] + ac.postImm
 								}
 							}
 						}
@@ -952,8 +958,9 @@ func (e *Engine) compileMemRun(sb *superblock, us []t3unit, next t3op) t3op {
 	}
 }
 
-// compileAddiPair fuses two adjacent addis into one closure.
-func compileAddiPair(u1, u2 *uop, next t3op) t3op {
+// compileAddiPair fuses unit un's two adjacent addis into one closure.
+func compileAddiPair(ops []uop, un t3unit, next t3op) t3op {
+	u1, u2 := &ops[un.op], &ops[un.pair]
 	rd1, rs1, i1 := u1.rd, u1.rs1, uint64(u1.imm)
 	rd2, rs2, i2 := u2.rd, u2.rs1, uint64(u2.imm)
 	return func(c *t3ctx) int32 {
@@ -975,7 +982,8 @@ func addiMidable(k uopKind) bool { return k == uMul }
 // compileAddiMul fuses an addi into the mul that follows it: the addi retires
 // first (program order), then the product — an induction bump and the index
 // scaling it feeds, in one call.
-func compileAddiMul(a, b *uop, next t3op) t3op {
+func compileAddiMul(ops []uop, un t3unit, next t3op) t3op {
+	a, b := &ops[un.pre], &ops[un.op]
 	ard, ars, ai := a.rd, a.rs1, uint64(a.imm)
 	rd, rs1, rs2 := b.rd, b.rs1, b.rs2
 	return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] * x[rs2]; return next(c) }
@@ -988,8 +996,8 @@ func compileAddiMul(a, b *uop, next t3op) t3op {
 // shared per-op semantics table would put a second indirect call inside the
 // 34-44 % of all closure calls that land here, and generating the arms would
 // move this code, not remove it.
-func (e *Engine) compileMid(sb *superblock, i int, next t3op) t3op {
-	u := &sb.ops[i]
+func (e *Engine) compileMid(ops []uop, i int, next t3op) t3op {
+	u := &ops[i]
 	rd, rs1, rs2 := u.rd, u.rs1, u.rs2
 	imm := u.imm
 	switch u.kind {
@@ -1179,12 +1187,12 @@ func (e *Engine) compileMid(sb *superblock, i int, next t3op) t3op {
 // shared read TLB; no benchmark workload compiles a 2- or 4-byte access at
 // all (minicc emits ld sd lbu sb fld fsd), so a site line per width earned
 // nothing.
-func (e *Engine) compileLoad(sb *superblock, un t3unit, next t3op) t3op {
-	i := un.op
-	u := &sb.ops[i]
-	pre, post := fuseAddi(sb.ops, un.pre), fuseAddi(sb.ops, un.post)
+func (e *Engine) compileLoad(ops []uop, un t3unit, next t3op) t3op {
+	u := &ops[un.op]
+	pre, post := fuseAddi(ops, un.pre), fuseAddi(ops, un.post)
 	rd, rs1, imm := u.rd, u.rs1, uint64(u.imm)
 	size, sh := u.size, u.sh
+	site := e.site(ops, un.op)
 	shift, mask := e.pageShift, e.pageMask
 	mmu := e.Mem
 	return func(c *t3ctx) int32 {
@@ -1204,7 +1212,7 @@ func (e *Engine) compileLoad(sb *superblock, un t3unit, next t3op) t3op {
 			var fault *mem.Fault
 			v, fault = en.slowLoad(addr, size)
 			if fault != nil {
-				return c.pageFault(sb, i, fault)
+				return c.pageFault(site, fault)
 			}
 		}
 		if sh != 0 {
@@ -1221,12 +1229,12 @@ func (e *Engine) compileLoad(sb *superblock, un t3unit, next t3op) t3op {
 
 // compileStore is compileLoad's counterpart for stores narrower than 8
 // bytes, with the hoisted LL/SC-monitor emptiness check.
-func (e *Engine) compileStore(sb *superblock, un t3unit, next t3op) t3op {
-	i := un.op
-	u := &sb.ops[i]
-	pre, post := fuseAddi(sb.ops, un.pre), fuseAddi(sb.ops, un.post)
+func (e *Engine) compileStore(ops []uop, un t3unit, next t3op) t3op {
+	u := &ops[un.op]
+	pre, post := fuseAddi(ops, un.pre), fuseAddi(ops, un.post)
 	rs1, rs2, imm := u.rs1, u.rs2, uint64(u.imm)
 	size := u.size
+	site := e.site(ops, un.op)
 	shift, mask := e.pageShift, e.pageMask
 	mmu := e.Mem
 	return func(c *t3ctx) int32 {
@@ -1242,7 +1250,7 @@ func (e *Engine) compileStore(sb *superblock, un t3unit, next t3op) t3op {
 			ln.Epoch == mmu.Epoch() && off+uint64(size) <= mask+1 {
 			storeLE(ln.Data[off:], c.x[rs2], size)
 		} else if fault := en.slowStore(addr, c.x[rs2], size); fault != nil {
-			return c.pageFault(sb, i, fault)
+			return c.pageFault(site, fault)
 		}
 		if !c.monEmpty {
 			en.Mon.OnStore(c.cpu.TID, mmu.Translate(addr))
@@ -1258,8 +1266,8 @@ func (e *Engine) compileStore(sb *superblock, un t3unit, next t3op) t3op {
 // compileTail compiles a segment-boundary uop. Fall-through outcomes
 // (guard passes, successful atomics, hints) chain into next; everything
 // else returns a trampoline disposition.
-func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
-	u := &sb.ops[i]
+func (e *Engine) compileTail(sb *superblock, ops []uop, i int, next t3op) t3op {
+	u := &ops[i]
 	rd, rs1, rs2 := u.rd, u.rs1, u.rs2
 	pc, npc, npc2 := u.pc, u.npc, u.npc2
 	exit, exit2 := u.exit, u.exit2
@@ -1362,7 +1370,7 @@ func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
 			}
 			c.cpu.PC = target
 			if !en.NoCache {
-				if h := &en.jc[(target>>2)&(jcSize-1)]; h.pc == target && h.gen == en.gen {
+				if h := &en.jc[(target>>2)&(jcSize-1)]; h.pc == target && h.blk != nil {
 					en.Stats.JumpCacheHits++
 					if nsb := h.blk.sb; nsb != nil && nsb.gen == en.gen && *c.spent < c.budget {
 						// Tail-entry: the target heads a compiled trace too.
@@ -1388,12 +1396,13 @@ func (e *Engine) compileTail(sb *superblock, i int, next t3op) t3op {
 
 	case uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
 		op := u.bop
+		site := e.site(ops, i)
 		return func(c *t3ctx) int32 {
 			switch end, fl := c.e.atomic(c.cpu, op, rd, rs1, rs2, pc); end {
 			case atomicFault:
-				return c.pageFault(sb, i, &fl)
+				return c.pageFault(site, &fl)
 			case atomicMisaligned:
-				return c.alignFault(sb, i, c.x[rs1])
+				return c.alignFault(site, c.x[rs1])
 			case atomicYield:
 				c.cpu.PC = pc + 4
 				c.res = Result{Reason: StopBudget}

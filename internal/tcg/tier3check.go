@@ -29,10 +29,9 @@ package tcg
 
 import "fmt"
 
-// checkTier3 validates t3 against the superblock it was compiled from.
-// Called under Engine.Verify by install.
-func (e *Engine) checkTier3(sb *superblock, t3 *tier3) error {
-	ops := sb.ops
+// checkTier3 validates t3 against the superblock and the segmentized stream
+// it was compiled from. Called under Engine.Verify by install.
+func (e *Engine) checkTier3(sb *superblock, ops []uop, t3 *tier3) error {
 	if t3.entry != sb.entry {
 		return fmt.Errorf("tier3 entry %#x, superblock entry %#x", t3.entry, sb.entry)
 	}

@@ -25,24 +25,26 @@ loop:
 `
 
 // compiledTrace runs checkedLoop until a compiled trace exists and returns
-// the engine, the superblock, and its compiled form.
-func compiledTrace(t *testing.T) (*Engine, *superblock, *tier3) {
+// the engine, the superblock, the stream it was compiled from, and its
+// compiled form.
+func compiledTrace(t *testing.T) (*Engine, *superblock, []uop, *tier3) {
 	t.Helper()
-	_, e := tier3State(t, checkedLoop, nil)
-	for _, b := range e.cache {
-		if b.sb != nil {
-			return e, b.sb, b.sb.t3
+	var log *[]compiledStream
+	_, e := tier3State(t, checkedLoop, func(e *Engine) { log = recordCompiles(e) })
+	for _, c := range *log {
+		if c.sb.t3 != nil {
+			return e, c.sb, c.ops, c.sb.t3
 		}
 	}
 	t.Fatal("no compiled trace produced")
-	return nil, nil, nil
+	return nil, nil, nil, nil
 }
 
 // TestCheckTier3AcceptsRealCompilation: the structural checker must pass
 // every compilation the real compiler produces.
 func TestCheckTier3AcceptsRealCompilation(t *testing.T) {
-	e, sb, t3 := compiledTrace(t)
-	if err := e.checkTier3(sb, t3); err != nil {
+	e, sb, ops, t3 := compiledTrace(t)
+	if err := e.checkTier3(sb, ops, t3); err != nil {
 		t.Fatalf("real compilation rejected: %v", err)
 	}
 }
@@ -58,10 +60,10 @@ func corrupted(t3 *tier3, f func(*tier3)) *tier3 {
 // TestCheckTier3RejectsCorruption corrupts one structural property at a
 // time and requires the checker to catch each.
 func TestCheckTier3RejectsCorruption(t *testing.T) {
-	e, sb, t3 := compiledTrace(t)
+	e, sb, ops, t3 := compiledTrace(t)
 
 	mutate := func(name string, f func(*tier3), want string) {
-		err := e.checkTier3(sb, corrupted(t3, f))
+		err := e.checkTier3(sb, ops, corrupted(t3, f))
 		if err == nil {
 			t.Errorf("%s: corruption passed the checker", name)
 			return
@@ -110,9 +112,9 @@ func TestRefusedTraceStaysOnBlocks(t *testing.T) {
 
 	// Promote by hand, overcharging the compilation's first chunk.
 	var spent int64
-	sb := e.buildTrace(head, &spent)
-	t3 := corrupted(e.compileTier3(sb), func(c *tier3) { c.chunks[0].cost++ })
-	if e.install(head, sb, t3) || head.sb != nil {
+	sb, ops := e.buildTrace(head, &spent)
+	t3 := corrupted(e.compileTier3(sb, ops), func(c *tier3) { c.chunks[0].cost++ })
+	if e.install(head, sb, ops, t3) || head.sb != nil {
 		t.Fatal("a compilation the checker rejects was installed")
 	}
 	if tier3Fails != 1 || e.Stats.Tier3CheckFailures != 1 {

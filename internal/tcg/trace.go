@@ -48,12 +48,12 @@ type exitSlot struct {
 	blk *block
 }
 
-// superblock is one trace: the closures that execute it (t3) and the uop
-// array they were compiled from, kept as their fault metadata.
+// superblock is one trace: the closures that execute it (t3) and the exit
+// slots they chain through. The uop stream they were compiled from is
+// translator scratch, dead once promote returns.
 type superblock struct {
 	entry  uint64
 	gen    uint64 // cache generation this trace was built in
-	ops    []uop
 	exits  []exitSlot
 	ninsns uint32 // guest instructions lowered into the trace
 	t3     *tier3 // set once, by install
@@ -107,19 +107,28 @@ func isCondBranch(op isa.Op) bool {
 
 // promote forms the trace headed by head, compiles it and installs it as
 // head.sb; it reports whether head now has a compiled trace. head must be a
-// current-generation cached block.
+// current-generation cached block. The stream lives in the translator's
+// scratch from lowering to install, so the whole promotion is one cold
+// section.
 func (e *Engine) promote(head *block, spent *int64) bool {
-	sb := e.buildTrace(head, spent)
-	return e.install(head, sb, e.compileTier3(sb))
+	e.coldEnter()
+	defer e.coldLeave()
+	sb, ops := e.buildTrace(head, spent)
+	t3 := e.compileTier3(sb, ops)
+	if e.traced != nil {
+		e.traced(sb, ops)
+	}
+	return e.install(head, sb, ops, t3)
 }
 
-// install makes t3 the executable form of head's trace sb — under Verify
-// only once checkTier3 accepts it. A trace the closure compiler (t3 == nil)
-// or the checker refused is dropped and head marked refused: it stays on the
-// block interpreter and is not attempted again in this cache generation.
-func (e *Engine) install(head *block, sb *superblock, t3 *tier3) bool {
+// install makes t3 the executable form of head's trace sb, compiled from ops
+// — under Verify only once checkTier3 accepts it. A trace the closure
+// compiler (t3 == nil) or the checker refused is dropped and head marked
+// refused: it stays on the block interpreter and is not attempted again in
+// this cache generation.
+func (e *Engine) install(head *block, sb *superblock, ops []uop, t3 *tier3) bool {
 	if t3 != nil && e.Verify {
-		if err := e.checkTier3(sb, t3); err != nil {
+		if err := e.checkTier3(sb, ops, t3); err != nil {
 			e.Stats.Tier3CheckFailures++
 			if e.OnVerifyFail != nil {
 				e.OnVerifyFail("tier3", sb.entry, err)
@@ -138,18 +147,16 @@ func (e *Engine) install(head *block, sb *superblock, t3 *tier3) bool {
 }
 
 // buildTrace lowers the trace starting at head to uops, charging the trace's
-// one translation charge for every instruction lowered.
-func (e *Engine) buildTrace(head *block, spent *int64) *superblock {
-	e.coldEnter()
-	defer e.coldLeave()
+// one translation charge for every instruction lowered, and returns the
+// stream to compile.
+func (e *Engine) buildTrace(head *block, spent *int64) (*superblock, []uop) {
 	sb, ops, ref := e.lowerTrace(head)
-	e.finishTrace(sb, ops, ref, spent)
-	return sb
+	return sb, e.finishTrace(sb, ops, ref, spent)
 }
 
 // lowerTrace follows the trace starting at head and lowers it in engine
 // scratch: ops is the folded and fused stream, ref (under Verify) the
-// per-instruction reference lowering. Both are dead once finishTrace returns.
+// per-instruction reference lowering. Both live until the next lowering.
 func (e *Engine) lowerTrace(head *block) (sb *superblock, ops, ref []uop) {
 	sb = &superblock{entry: head.startPC, gen: e.gen}
 	ops = e.uopBuf[:0]
@@ -243,15 +250,17 @@ loop:
 		if n > 0 && b.ops[n-1].IsBranch() {
 			term = n - 1
 		}
+		pc := b.startPC
 		for i := 0; i < n; i++ {
 			if i == term {
 				break
 			}
-			ops = e.lowerInsn(ops, &b.ops[i], b.pcs[i])
+			ops = e.lowerInsn(ops, &b.ops[i], pc)
 			if verify {
-				ref = append(ref, e.lowerInsn(scratch[:0], &b.ops[i], b.pcs[i])...)
+				ref = append(ref, e.lowerInsn(scratch[:0], &b.ops[i], pc)...)
 			}
 			sb.ninsns++
+			pc += uint64(b.ops[i].Size())
 		}
 		if term < 0 {
 			// Block without a terminator: MaxBlockInsns fall-through, or a
@@ -260,8 +269,7 @@ loop:
 			// PC then fails at Exec's lookup, exactly as with execBlock).
 			fallPC := b.fallPC
 			if fallPC == 0 {
-				last := len(b.ops) - 1
-				fallPC = b.pcs[last] + uint64(b.ops[last].Size())
+				fallPC = b.endPC
 			}
 			if nb, ok := canFollow(fallPC, blocks); ok {
 				b = nb
@@ -271,8 +279,7 @@ loop:
 			break
 		}
 
-		ins := &b.ops[term]
-		pc := b.pcs[term]
+		ins := &b.ops[term] // pc is its address: the loop stopped there
 		sb.ninsns++
 		cost := int32(e.opCost[ins.Op])
 
@@ -353,24 +360,22 @@ loop:
 	return sb, ops, ref
 }
 
-// finishTrace makes sb.ops one copy of the lowered stream — made before
-// anything (segmentize, the equivalence proof, compileTier3's closures) takes
-// a pointer into it — proves it against ref under Verify, and charges the
-// trace's translation time.
-func (e *Engine) finishTrace(sb *superblock, ops, ref []uop, spent *int64) {
-	sb.ops = make([]uop, len(ops))
-	copy(sb.ops, ops)
-	e.uopBuf, e.refBuf = ops[:0], ref[:0]
-	segmentize(sb.ops)
+// finishTrace segmentizes the lowered stream, proves it against ref under
+// Verify, and charges the trace's translation time. It returns the stream
+// to compile — ops, or ref after a failed proof — which stays in the
+// engine's scratch: the closures copy what they read out of it.
+func (e *Engine) finishTrace(sb *superblock, ops, ref []uop, spent *int64) []uop {
+	e.uopBuf, e.refBuf = ops[:0], ref[:0] // keep what the appends grew
+	segmentize(ops)
 
 	if e.Verify {
-		if err := symEquivSeq(ref, sb.ops); err != nil {
-			// Demote with a diagnostic: compile a copy of the
-			// per-instruction reference lowering instead, which is correct
-			// by construction and reuses the same exit slots.
+		if err := symEquivSeq(ref, ops); err != nil {
+			// Demote with a diagnostic: compile the per-instruction
+			// reference lowering instead, which is correct by construction
+			// and reuses the same exit slots.
 			e.Stats.VerifyDemotions++
-			sb.ops = slices.Clone(ref)
-			segmentize(sb.ops)
+			ops = ref
+			segmentize(ops)
 			if e.OnVerifyFail != nil {
 				e.OnVerifyFail("superblock", sb.entry, err)
 			}
@@ -385,4 +390,5 @@ func (e *Engine) finishTrace(sb *superblock, ops, ref []uop, spent *int64) {
 	e.Stats.Tier3TranslateNs += t
 	e.Stats.Superblocks++
 	e.Stats.TranslatedInsns += uint64(sb.ninsns)
+	return ops
 }

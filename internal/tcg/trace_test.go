@@ -1,6 +1,7 @@
 package tcg
 
 import (
+	"slices"
 	"testing"
 
 	"dqemu/internal/asm"
@@ -43,6 +44,27 @@ func runToStop(t *testing.T, e *Engine, cpu *CPU) Result {
 	}
 	t.Fatalf("program did not stop: %+v", res)
 	return Result{}
+}
+
+// compiledStream is one promotion as the engine's test seams saw it: the
+// trace, a copy of the stream it was compiled from, and every fault site its
+// closures captured, by uop index.
+type compiledStream struct {
+	sb    *superblock
+	ops   []uop
+	sites map[int]faultSite
+}
+
+// recordCompiles makes e log every promotion it compiles.
+func recordCompiles(e *Engine) *[]compiledStream {
+	log := &[]compiledStream{}
+	sites := map[int]faultSite{}
+	e.sited = func(i int, s faultSite) { sites[i] = s }
+	e.traced = func(sb *superblock, ops []uop) {
+		*log = append(*log, compiledStream{sb, slices.Clone(ops), sites})
+		sites = map[int]faultSite{}
+	}
+	return log
 }
 
 // hotLoop sums 0..n-1 with a biased backward branch and a compare+branch
@@ -190,6 +212,45 @@ addone:
 	if e.Stats.JumpCacheHits < e.Stats.JumpCacheMisses {
 		t.Errorf("hits %d < misses %d; cache is not effective",
 			e.Stats.JumpCacheHits, e.Stats.JumpCacheMisses)
+	}
+}
+
+// TestJumpToZeroFaults: an empty jump-cache entry is all zeros, and PC 0
+// indexes one. A hot loop's indirect call whose target turns 0 on the last
+// iteration must reach lookup's fault, not the entry's nil block — on both
+// executors, and again after a flush has emptied the cache. (The nop keeps
+// the entry point, and with it every PC the program runs, off the page
+// boundaries that share PC 0's slot.)
+func TestJumpToZeroFaults(t *testing.T) {
+	const src = `
+	nop
+_start:
+	li   s1, 0
+	li   s2, 200
+	la   s3, fn
+loop:
+	addi s1, s1, 1
+	slt  t0, s1, s2
+	mul  t1, t0, s3
+	jalr ra, t1, 0
+fn:
+	j    loop
+`
+	for _, compiled := range []bool{false, true} {
+		_, e, cpu, im := setupImage(t, src)
+		e.NoSuperblock = !compiled
+		for _, flush := range []bool{false, true} {
+			if flush {
+				e.ClearCache()
+				*cpu = CPU{PC: im.Entry, TID: 1}
+			}
+			if res := runToStop(t, e, cpu); res.Reason != StopPageFault || cpu.PC != 0 {
+				t.Errorf("compiled=%v flush=%v: stop %+v at %#x, want a page fault at 0", compiled, flush, res, cpu.PC)
+			}
+		}
+		if ran := e.Stats.Tier3Insns != 0; ran != compiled {
+			t.Errorf("compiled=%v: %d instructions retired in compiled traces", compiled, e.Stats.Tier3Insns)
+		}
 	}
 }
 

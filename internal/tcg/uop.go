@@ -6,14 +6,15 @@
 // straight-line segment so the compiled trace charges the cost model once
 // per segment instead of once per instruction.
 //
-// Nothing executes uops. The array is what -verify proves (symEquivSeq
-// against the reference lowering, checkTier3 against the closures) and what
-// compileTier3 reads once to build the closures that do run (tier3.go). The
-// superblock keeps it afterwards as fault metadata: every uop holds the guest
-// PC of the instruction it came from and its own cost, so a fault, syscall or
-// contended atomic leaves the trace with architecturally exact state
-// (refundTail) and internal/core's restart-at-faulting-instruction contract
-// holds unchanged.
+// Nothing executes uops, and nothing keeps them. The array is translator
+// scratch: what -verify proves (symEquivSeq against the reference lowering,
+// checkTier3 against the closures) and what compileTier3 reads once to build
+// the closures that do run (tier3.go). Every uop holds the guest PC of the
+// instruction it came from and its own cost; a closure that can stop its
+// trace mid-segment captures both, for the uops after it, as its faultSite,
+// so a fault or misaligned atomic leaves the trace with architecturally exact
+// state and internal/core's restart-at-faulting-instruction contract holds
+// unchanged.
 package tcg
 
 import (
@@ -367,17 +368,26 @@ func segmentize(ops []uop) {
 	}
 }
 
-// refundTail gives back the cost/insn charge of the uops after index i in
-// i's segment, which did not execute because i faulted or exited early.
-func refundTail(sb *superblock, i int, spent *int64, executed *uint64) {
-	for j := i + 1; j < len(sb.ops); j++ {
-		u := &sb.ops[j]
-		if u.insns != 0 {
-			break
-		}
-		*spent -= int64(u.selfCost)
-		*executed -= uint64(u.selfInsns)
+// faultSite is what a closure that can stop its trace mid-segment keeps to
+// leave exact state: the guest PC of its instruction, and the charge of the
+// uops after it in its segment, which did not execute and are refunded.
+type faultSite struct {
+	pc          uint64
+	refundCost  int32
+	refundInsns uint32
+}
+
+// site computes the fault site of ops[i] in a segmentized stream.
+func (e *Engine) site(ops []uop, i int) faultSite {
+	s := faultSite{pc: ops[i].pc}
+	for j := i + 1; j < len(ops) && ops[j].insns == 0; j++ {
+		s.refundCost += ops[j].selfCost
+		s.refundInsns += uint32(ops[j].selfInsns)
 	}
+	if e.sited != nil {
+		e.sited(i, s)
+	}
+	return s
 }
 
 // loadLE reads a little-endian value of 1, 2, 4 or 8 bytes from b.
