@@ -30,9 +30,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print run statistics to stderr")
 	verify := flag.Bool("verify", false, "prove every trace's lowering symbolically and check its closure compilation structurally; a failed proof compiles the reference lowering, a failed check leaves the trace on the block interpreter, and both are counted in -stats")
 	traceFlag := flag.Bool("trace", false, "stream cluster events (messages, faults, syscalls) to stderr")
-	rebalance := flag.Int64("rebalance", 0, "rebalance period in virtual ns (0 = no dynamic migration)")
-	adaptive := flag.Bool("adaptive", false, "enable the metrics-driven feedback scheduler (locality migration, proactive splits, AIMD forwarding, elastic nodes)")
-	maxSlaves := flag.Int("max-slaves", 0, "physical slaves provisioned for elastic scaling (> -slaves leaves standbys the adaptive loop can activate)")
+	adaptive := flag.Bool("adaptive", false, "enable the metrics-driven feedback scheduler (locality and load migration, proactive splits)")
 	profile := flag.String("profile", "", "enable the metrics registry and write the JSON snapshot to this file (- for stderr)")
 	chromeTrace := flag.String("chrome-trace", "", "record typed spans and write a Chrome trace_event timeline (Perfetto-loadable) to this file")
 	var files fileFlags
@@ -57,9 +55,7 @@ func main() {
 	cfg.Splitting = *split
 	cfg.HintSched = *hints
 	cfg.Stdout = os.Stdout
-	cfg.RebalanceNs = *rebalance
 	cfg.Adaptive = *adaptive
-	cfg.MaxSlaves = *maxSlaves
 	cfg.Verify = *verify
 	if *traceFlag {
 		cfg.Tracer = trace.New(0, os.Stderr)
@@ -171,9 +167,8 @@ func printStats(res *dqemu.Result) {
 			vSB, vDemote, vT3, vT3Fail)
 	}
 	if res.Sched.Ticks > 0 {
-		fmt.Fprintf(os.Stderr, "adaptive:       ticks=%d migrations=%d proactive-splits=%d fwd-retunes=%d nodes+%d/-%d\n",
-			res.Sched.Ticks, res.Sched.Migrations, res.Sched.ProactiveSplits,
-			res.Sched.FwdRetunes, res.Sched.NodesAdded, res.Sched.NodesDrained)
+		fmt.Fprintf(os.Stderr, "adaptive:       ticks=%d migrations=%d proactive-splits=%d\n",
+			res.Sched.Ticks, res.Sched.Migrations, res.Sched.ProactiveSplits)
 	}
 }
 

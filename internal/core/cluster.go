@@ -81,7 +81,7 @@ type Result struct {
 	Faults netsim.FaultStats
 	Rel    netsim.RelStats
 	OS     guestos.Stats
-	// Migrations counts dynamic thread migrations (Config.RebalanceNs).
+	// Migrations counts thread migrations that landed (Config.Adaptive).
 	Migrations uint64
 	// Wire reports the wire-efficiency layer (delta transfers, coalescing).
 	Wire WireStats
@@ -106,7 +106,7 @@ func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	s := newSimRuntime(&cfg)
-	ids := make([]int, cfg.PhysNodes())
+	ids := make([]int, cfg.Nodes())
 	for id := range ids {
 		ids[id] = id
 	}
@@ -128,8 +128,8 @@ func NewLocal(im *image.Image, cfg Config, id int, rt Runtime) (*Cluster, error)
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	if id < 0 || id >= cfg.PhysNodes() {
-		return nil, fmt.Errorf("core: node id %d outside a cluster of %d", id, cfg.PhysNodes())
+	if id < 0 || id >= cfg.Nodes() {
+		return nil, fmt.Errorf("core: node id %d outside a cluster of %d", id, cfg.Nodes())
 	}
 	return newCluster(im, cfg, rt, []int{id}), nil
 }
@@ -162,7 +162,7 @@ func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
 	c.master = newMaster(c.nodes[0])
 
 	var all dsm.NodeSet
-	for id := 0; id < cfg.PhysNodes(); id++ {
+	for id := 0; id < cfg.Nodes(); id++ {
 		all = all.Add(id)
 	}
 	for _, seg := range im.Segments {
@@ -194,19 +194,9 @@ func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
 	c.master.placement[guestos.MainTID] = 0
 	c.master.node.addThread(cpu)
 
-	// The legacy load-only rebalancer only runs when it can actually move
-	// something: with a single placement node (or the adaptive scheduler in
-	// charge) the fixed-period timer would fire forever, scan, and do
-	// nothing — pure simulation overhead on every run.
-	if cfg.RebalanceNs > 0 && !cfg.Adaptive && cfg.placementSpread() >= 2 {
-		rt.After(cfg.RebalanceNs, c.master.rebalance)
-	}
 	if cfg.Adaptive {
-		c.master.pol = sched.New(sched.Params{
-			PeriodNs: cfg.AdaptPeriodNs,
-			Elastic:  cfg.MaxSlaves > cfg.Slaves,
-		}, c.prof.reg, c.master)
-		rt.After(cfg.AdaptPeriodNs, c.master.adaptTick)
+		c.master.pol = sched.New(c.prof.reg, c.master)
+		rt.After(sched.PeriodNs, c.master.adaptTick)
 	}
 	return c
 }
@@ -277,7 +267,7 @@ func (c *Cluster) finish(code int64) {
 	}
 	c.exitCode = code
 	c.done = true
-	for id := 1; id < c.cfg.PhysNodes(); id++ {
+	for id := 1; id < c.cfg.Nodes(); id++ {
 		c.rt.Send(&proto.Msg{Kind: proto.KShutdown, From: 0, To: int32(id)})
 	}
 }
@@ -377,31 +367,6 @@ func (c *Cluster) Result() *Result {
 	}
 	r.Metrics = c.prof.snapshot(r)
 	return r
-}
-
-// ActiveNodes returns the placement-eligible node ids, sorted ascending:
-// the master when it takes workers, plus every active, non-draining slave.
-func (c *Cluster) ActiveNodes() []int { return c.master.activeNodes() }
-
-// ScheduleAddNode posts an AddNode actuation at now+delayNs of virtual
-// time, for embedders and tests driving elasticity by hand. The returned
-// id is only available through the trace/metrics; use ActiveNodes after
-// the run to observe the set.
-func (c *Cluster) ScheduleAddNode(delayNs int64) {
-	c.rt.After(delayNs, func() {
-		if !c.done {
-			c.master.AddNode()
-		}
-	})
-}
-
-// ScheduleDrainNode posts a DrainNode actuation at now+delayNs.
-func (c *Cluster) ScheduleDrainNode(delayNs int64, id int) {
-	c.rt.After(delayNs, func() {
-		if !c.done {
-			c.master.DrainNode(id)
-		}
-	})
 }
 
 // ThreadDump summarizes the hosted threads' states for deadlock and timeout

@@ -23,7 +23,6 @@ import (
 
 	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
-	"dqemu/internal/sched"
 	"dqemu/internal/tcg"
 	"dqemu/internal/trace"
 )
@@ -127,30 +126,14 @@ type Config struct {
 	// bytes; scenarios/sanitizer-*.json report the wire-byte overhead.
 	Sanitizer bool
 
-	// RebalanceNs, when positive, enables dynamic thread migration (an
-	// extension of the paper's §4.1 context shipping): every RebalanceNs of
-	// virtual time the master moves one thread from the most- to the
-	// least-loaded node when the imbalance is at least two threads.
-	RebalanceNs int64
-
 	// Adaptive enables the feedback scheduler (internal/sched): every
-	// AdaptPeriodNs the master reads the metrics registry and adjusts thread
-	// placement (locality-driven migration with hysteresis), proactively
-	// splits false-sharing pages, caps the forwarder's window growth from
-	// delta efficiency, and (when MaxSlaves > Slaves) grows or shrinks the
-	// active node set under load. Implies Metrics. The NoAdaptive
-	// ablation is simply Adaptive=false: the legacy load-only rebalancer
-	// (RebalanceNs) and fixed thresholds remain in charge.
+	// sched.PeriodNs of virtual time the master reads the metrics registry,
+	// migrates threads toward the pages they fault on (with a load-balance
+	// fallback), and proactively splits false-sharing pages. Implies
+	// Metrics. The NoAdaptive ablation is simply Adaptive=false: placement
+	// stays where StartThread put it and splits wait for the splitter's
+	// fixed threshold.
 	Adaptive bool
-	// AdaptPeriodNs is the feedback scheduler's control period (default
-	// sched.DefaultPeriodNs, 250 µs of virtual time).
-	AdaptPeriodNs int64
-	// MaxSlaves is the number of physical slave nodes provisioned. Slaves of
-	// them start active; the rest are standby nodes the feedback scheduler
-	// can activate (AddNode) and drain (DrainNode) at runtime. Values below
-	// Slaves are raised to Slaves, so the default (0) provisions exactly the
-	// static cluster.
-	MaxSlaves int
 
 	// Cancel, when non-nil, aborts the run when closed: Cluster.Run returns
 	// an error wrapping ErrCanceled at the next event boundary. The channel
@@ -188,34 +171,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Nodes returns the initially active cluster size including the master.
-// The guest-visible node count (SysNumNodes) and the legacy message loops
-// use this; elastic standby nodes are invisible until activated.
+// Nodes returns the cluster size including the master.
 func (c *Config) Nodes() int { return c.Slaves + 1 }
-
-// PhysNodes returns the provisioned cluster size including the master and
-// any elastic standby slaves. Message transports, shutdown broadcasts and
-// remap broadcasts must cover physical nodes: a standby slave that misses a
-// remap while inactive would wedge on retired pages after activation.
-func (c *Config) PhysNodes() int { return c.MaxSlaves + 1 }
-
-// placementSpread is the number of nodes worker threads can initially land
-// on: the slaves, plus the master when it takes workers (always, when there
-// are no slaves).
-func (c *Config) placementSpread() int {
-	spread := c.Slaves
-	if c.PlaceOnMaster || c.Slaves == 0 {
-		spread++
-	}
-	return spread
-}
 
 // check rejects (normalized) shapes no cluster can be built from. It is the
 // gate for configurations that arrive from outside the program — a KInit
 // frame — as much as for a caller's.
 func (c *Config) check() error {
-	if c.PhysNodes() > 64 {
-		return fmt.Errorf("core: at most 63 slaves supported")
+	if c.Slaves < 0 || c.Slaves > 63 {
+		return fmt.Errorf("core: %d slaves outside [0, 63]", c.Slaves)
 	}
 	if ps := c.PageSize; ps < 64 || ps&(ps-1) != 0 {
 		return fmt.Errorf("core: page size %d is not a power of two >= 64", ps)
@@ -246,16 +210,10 @@ func (c *Config) normalize() {
 	if c.CoalesceWindowNs <= 0 {
 		c.CoalesceWindowNs = 12_000
 	}
-	if c.MaxSlaves < c.Slaves {
-		c.MaxSlaves = c.Slaves
-	}
 	if c.Adaptive {
 		// The feedback scheduler steers by the metrics registry; without it
 		// there are no sensors to read.
 		c.Metrics = true
-		if c.AdaptPeriodNs <= 0 {
-			c.AdaptPeriodNs = sched.DefaultPeriodNs
-		}
 	}
 }
 

@@ -108,3 +108,35 @@ func TestInitFrameRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigCheck: shapes no cluster can be built from are refused by name
+// when the cluster is built, before any node exists.
+func TestConfigCheck(t *testing.T) {
+	im := build(t, `long main() { return 0; }`)
+	for _, tc := range []struct {
+		name    string
+		mutate  func(c *Config)
+		wantSub string
+	}{
+		{"negative slaves", func(c *Config) { c.Slaves = -1 }, "-1 slaves outside [0, 63]"},
+		{"64 slaves", func(c *Config) { c.Slaves = 64 }, "64 slaves outside [0, 63]"},
+		{"odd page size", func(c *Config) { c.PageSize = 1000 }, "page size 1000"},
+		{"tiny page size", func(c *Config) { c.PageSize = 32 }, "page size 32"},
+	} {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		if _, err := NewCluster(im, cfg); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: NewCluster error %v, want one containing %q", tc.name, err, tc.wantSub)
+		}
+		if _, err := NewLocal(im, cfg, 0, nil); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: NewLocal error %v, want one containing %q", tc.name, err, tc.wantSub)
+		}
+	}
+	for _, slaves := range []int{0, 63} {
+		cfg := DefaultConfig()
+		cfg.Slaves = slaves
+		if err := cfg.check(); err != nil {
+			t.Errorf("%d slaves refused: %v", slaves, err)
+		}
+	}
+}

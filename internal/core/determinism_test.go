@@ -9,15 +9,16 @@ import (
 	"dqemu/internal/trace"
 )
 
-// runTraced executes the skewed-placement workload with rebalancing,
-// tracing and metrics on, and returns the full trace dump plus the result.
+// runTraced executes the skewed-placement workload with the feedback
+// scheduler, tracing and metrics on, and returns the full trace dump plus
+// the result.
 // Each call rebuilds the image from source so no state leaks between runs.
 func runTraced(t *testing.T) (string, *Result) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Slaves = 3
 	cfg.HintSched = true // all 12 workers land on one node -> migrations
-	cfg.RebalanceNs = 2_000_000
+	cfg.Adaptive = true
 	cfg.Metrics = true
 	tr := trace.New(0, nil)
 	cfg.Tracer = tr
@@ -29,17 +30,19 @@ func runTraced(t *testing.T) (string, *Result) {
 	return dump.String(), res
 }
 
-// Two identically-seeded runs with rebalancing active must be bit-for-bit
-// reproducible: same trace log, same stats, same metrics snapshot. This
-// regressed when master.rebalance picked max/min nodes and the victim
-// thread by Go map iteration (randomized tie-breaks); the fix iterates node
-// ids and tids in sorted order.
-func TestRunToRunDeterminismWithRebalancing(t *testing.T) {
+// Two identically-seeded runs with the feedback scheduler migrating threads
+// must be bit-for-bit reproducible: same trace log, same stats, same metrics
+// snapshot. The scheduler's snapshot arrives in Go maps (thread placement,
+// affinity counts); sched picks the most- and least-loaded nodes, the victim
+// thread and the affinity target by iterating node ids and tids in sorted
+// order (sortedTids, sortedNodes), never in map order, which would randomize
+// tie-breaks between identically-seeded runs.
+func TestRunToRunDeterminismWithAdaptiveMigration(t *testing.T) {
 	dump1, res1 := runTraced(t)
 	dump2, res2 := runTraced(t)
 
 	if res1.Migrations == 0 {
-		t.Fatal("workload produced no migrations; the test is not exercising the rebalancer")
+		t.Fatal("workload produced no migrations; the test is not exercising the scheduler")
 	}
 	if dump1 != dump2 {
 		// Find the first divergent line for a readable failure.

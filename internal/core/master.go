@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dqemu/internal/abi"
 	"dqemu/internal/dsm"
@@ -36,25 +35,18 @@ type master struct {
 	// hintNotes counts received dynamic hint notifications.
 	hintNotes uint64
 
-	// Dynamic migration state (Config.RebalanceNs): where each live thread
-	// runs, and which migrations are in flight (tid -> target node).
+	// Migration state (Config.Adaptive): where each live thread runs, and
+	// which migrations are in flight (tid -> target node).
 	placement  map[int64]int
 	migrating  map[int64]int
 	migrations uint64
 
-	// fwd is the forwarder handed to the directory, retained so the
-	// feedback scheduler can retune its window cap; nil without Forwarding.
+	// fwd is the forwarder handed to the directory, retained for its
+	// Hits/Wasted counts in Result.Dir; nil without Forwarding.
 	fwd *dsm.Forwarder
 
 	// pol is the feedback scheduler (Config.Adaptive); nil otherwise.
 	pol *sched.Policy
-
-	// Elastic node state: activeSlave[id] marks slave id placement-eligible;
-	// draining marks slaves mid-drain (threads moving off, pages recalling).
-	// Standby slaves (MaxSlaves > Slaves) exist physically from boot but are
-	// inactive until AddNode.
-	activeSlave []bool
-	draining    map[int]bool
 
 	// createSan holds the creator's vector clock for the duration of a
 	// SysThreadCreate delegation: Global calls StartThread synchronously, so
@@ -69,16 +61,10 @@ func newMaster(n *node) *master {
 		groupNode:  map[int64]int{},
 		placement:  map[int64]int{},
 		migrating:  map[int64]int{},
-		draining:   map[int]bool{},
 	}
 	cfg := n.cl.cfg
-	m.activeSlave = make([]bool, cfg.PhysNodes())
-	for id := 1; id <= cfg.Slaves; id++ {
-		m.activeSlave[id] = true
-	}
 	if cfg.Forwarding {
 		m.fwd = dsm.NewForwarder(cfg.ForwardTrigger, cfg.ForwardWindow)
-		m.fwd.Adaptive = cfg.Adaptive
 	}
 	var split *dsm.Splitter
 	if cfg.Splitting {
@@ -193,13 +179,6 @@ func (m *master) onMigrateCtx(msg *proto.Msg) {
 		m.cl.fail(fmt.Errorf("master: unexpected migration context for tid %d", msg.TID))
 		return
 	}
-	if target != 0 && !m.activeSlave[target] {
-		// The target was drained (or never activated) while the context was
-		// in flight: re-place the thread among the current candidates.
-		retarget := m.rotate()
-		m.node.trace(trace.EvSched, msg.TID, "migration retargeted %d -> %d (node drained)", target, retarget)
-		target = retarget
-	}
 	delete(m.migrating, msg.TID)
 	m.placement[msg.TID] = target
 	m.migrations++
@@ -222,80 +201,6 @@ func (m *master) onMigrateCtx(msg *proto.Msg) {
 	})
 }
 
-// rebalance moves one thread from the most- to the least-loaded node when
-// the imbalance is at least two threads, then re-arms its timer.
-func (m *master) rebalance() {
-	if m.cl.done {
-		return
-	}
-	defer m.cl.rt.After(m.cl.cfg.RebalanceNs, m.rebalance)
-	counts := map[int]int{}
-	for id := 1; id <= m.cl.cfg.Slaves; id++ {
-		counts[id] = 0
-	}
-	if m.cl.cfg.PlaceOnMaster || m.cl.cfg.Slaves == 0 {
-		counts[0] = 0
-	}
-	for tid, node := range m.placement {
-		if tid == 1 {
-			continue // the main thread stays on the master
-		}
-		// Count in-flight migrations at their target: the context ship can
-		// take longer than the rebalance period, and charging the thread to
-		// its source until then makes the same imbalance fire again — the
-		// master then moves a second thread, overshoots, moves the pair back,
-		// and the two bounce between nodes forever without executing.
-		if target, inFlight := m.migrating[tid]; inFlight {
-			node = target
-		}
-		if _, eligible := counts[node]; eligible {
-			counts[node]++
-		}
-	}
-	// Pick extremes by ascending node id with strict comparisons, so ties
-	// always resolve to the lowest id. Iterating the counts map directly
-	// would randomize tie-breaks (Go map order), making identically-seeded
-	// runs migrate different threads.
-	nodes := make([]int, 0, len(counts))
-	for node := range counts {
-		nodes = append(nodes, node)
-	}
-	sort.Ints(nodes)
-	maxNode, minNode := -1, -1
-	for _, node := range nodes {
-		c := counts[node]
-		if maxNode < 0 || c > counts[maxNode] {
-			maxNode = node
-		}
-		if minNode < 0 || c < counts[minNode] {
-			minNode = node
-		}
-	}
-	if maxNode < 0 || counts[maxNode]-counts[minNode] < 2 {
-		return
-	}
-	// Same determinism requirement for the victim: the lowest-tid movable
-	// thread on the loaded node, not whichever the map yields first.
-	var victims []int64
-	for tid, node := range m.placement {
-		if node != maxNode || tid == 1 {
-			continue
-		}
-		if _, inFlight := m.migrating[tid]; inFlight {
-			continue
-		}
-		victims = append(victims, tid)
-	}
-	if len(victims) == 0 {
-		return
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-	tid := victims[0]
-	m.migrating[tid] = minNode
-	m.cl.rt.Send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(maxNode), TID: tid, Sys: &proto.Sys{Num: int64(minNode)}})
-	m.cl.prof.migStarted(tid, m.cl.rt.Now())
-}
-
 // ---- sched.Actuator implementation (the feedback scheduler's levers) ----
 
 // adaptTick assembles the per-period cluster snapshot, runs the policy, and
@@ -306,26 +211,24 @@ func (m *master) adaptTick() {
 	if m.cl.done {
 		return
 	}
-	defer m.cl.rt.After(m.cl.cfg.AdaptPeriodNs, m.adaptTick)
+	defer m.cl.rt.After(sched.PeriodNs, m.adaptTick)
 	in := sched.Inputs{
 		NowNs:        m.cl.rt.Now(),
-		ActiveNodes:  m.activeNodes(),
 		CoresPerNode: m.cl.cfg.Cores,
 	}
-	for id := 1; id < len(m.activeSlave); id++ {
-		if !m.activeSlave[id] && !m.draining[id] {
-			in.StandbySlaves++
-		}
+	for id := m.firstPlaceable(); id <= m.cl.cfg.Slaves; id++ {
+		in.ActiveNodes = append(in.ActiveNodes, id)
 	}
 	in.ThreadNodes = make(map[int64]int, len(m.placement))
 	for tid, node := range m.placement {
+		// Count in-flight migrations at their target: a context ship can
+		// outlast a control period, and charging the thread to its source
+		// until then fires the same imbalance again — a second thread moves,
+		// overshoots, and the pair bounces between nodes without executing.
 		if target, inFlight := m.migrating[tid]; inFlight {
 			node = target
 		}
 		in.ThreadNodes[tid] = node
-	}
-	if ws := &m.cl.wireStats; ws.RawBytes > 0 {
-		in.DeltaRatio = 1 - float64(ws.BodyBytes)/float64(ws.RawBytes)
 	}
 	m.pol.Tick(in)
 }
@@ -348,98 +251,6 @@ func (m *master) MigrateThread(tid int64, to int) {
 // ForceSplit begins a SplitHome transaction ahead of the reactive splitter.
 func (m *master) ForceSplit(page uint64) bool {
 	return m.dir.ForceSplit(page)
-}
-
-// SetForwardCap bounds the forwarder's window growth multiplier.
-func (m *master) SetForwardCap(mult int) {
-	if m.fwd != nil {
-		m.fwd.SetWindowCap(mult)
-	}
-}
-
-// AddNode activates the lowest-id standby slave. The node has existed since
-// boot (registered handler, RO image installed), so activation is purely a
-// placement-policy event; threads arrive via migration or future placement.
-func (m *master) AddNode() int {
-	for id := 1; id < len(m.activeSlave); id++ {
-		if m.activeSlave[id] || m.draining[id] {
-			continue
-		}
-		m.activeSlave[id] = true
-		m.node.trace(trace.EvSched, -1, "node %d activated", id)
-		return id
-	}
-	return -1
-}
-
-// DrainNode starts gracefully removing slave id from the active set: new
-// placement skips it immediately, its threads are told to migrate off, and
-// once they have left, drainPoll recalls its page states home through the
-// normal coherence protocol.
-func (m *master) DrainNode(id int) bool {
-	if id <= 0 || id >= len(m.activeSlave) || !m.activeSlave[id] || m.draining[id] {
-		return false
-	}
-	m.activeSlave[id] = false
-	m.draining[id] = true
-	if tr := m.cl.cfg.Tracer; tr != nil {
-		tr.Begin(m.cl.rt.Now(), trace.EvSched, id, -1, "drain")
-	}
-	m.node.trace(trace.EvSched, -1, "node %d draining", id)
-	var tids []int64
-	for tid, node := range m.placement {
-		if node != id || tid == 1 {
-			continue
-		}
-		if _, inFlight := m.migrating[tid]; inFlight {
-			continue
-		}
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
-		m.MigrateThread(tid, m.rotate())
-	}
-	m.cl.rt.After(m.drainPollNs(), func() { m.drainPoll(id) })
-	return true
-}
-
-// drainPollNs is how often a drain re-checks progress: one control period,
-// or the quantum when the adaptive loop is off (embedder-driven drains).
-func (m *master) drainPollNs() int64 {
-	if p := m.cl.cfg.AdaptPeriodNs; p > 0 {
-		return p
-	}
-	return m.cl.cfg.QuantumNs
-}
-
-// drainPoll advances a drain: first wait for every thread to leave (their
-// contexts may still be in flight, and a blocked thread only ships once its
-// futex or fault resolves), then recall page states until the directory no
-// longer involves the node.
-func (m *master) drainPoll(id int) {
-	if m.cl.done || !m.draining[id] {
-		return
-	}
-	for tid, node := range m.placement {
-		// placement stays at the source until KMigrateCtx lands, and a thread
-		// still on the node can keep faulting pages onto it — so any thread
-		// placed here (shipping or not) or heading here defers the recall.
-		target, inFlight := m.migrating[tid]
-		if node == id || (inFlight && target == id) {
-			m.cl.rt.After(m.drainPollNs(), func() { m.drainPoll(id) })
-			return
-		}
-	}
-	if left := m.dir.RecallNode(id); left > 0 {
-		m.cl.rt.After(m.drainPollNs(), func() { m.drainPoll(id) })
-		return
-	}
-	delete(m.draining, id)
-	if tr := m.cl.cfg.Tracer; tr != nil {
-		tr.End(m.cl.rt.Now(), trace.EvSched, id, -1, "drain")
-	}
-	m.node.trace(trace.EvSched, -1, "node %d drained", id)
 }
 
 // Tracef records a policy decision in the cluster trace.
@@ -620,9 +431,7 @@ func (m *master) BroadcastRemap(orig uint64, shadows []uint64) {
 		m.wire.broadcastRemap(orig, shadows)
 		return
 	}
-	// Physical nodes, not active ones: a standby slave that missed a remap
-	// would wedge on the retired page after a later activation.
-	for id := 1; id < m.cl.cfg.PhysNodes(); id++ {
+	for id := 1; id < m.cl.cfg.Nodes(); id++ {
 		m.cl.rt.Send(&proto.Msg{
 			Kind: proto.KRemap, From: 0, To: int32(id),
 			Page: orig, Aux: &proto.Aux{Shadows: shadows},
@@ -769,11 +578,11 @@ func (m *master) StartThread(tid int64, fn, arg, stackTop uint64, hint int64) {
 // together when hint scheduling is on, otherwise round-robin (§5.3).
 func (m *master) placeThread(hint int64) int {
 	cfg := m.cl.cfg
-	if cfg.Slaves == 0 && cfg.MaxSlaves == 0 {
+	if cfg.Slaves == 0 {
 		return 0
 	}
 	if cfg.HintSched && hint != 0 {
-		if nodeID, ok := m.groupNode[hint]; ok && m.placeable(nodeID) {
+		if nodeID, ok := m.groupNode[hint]; ok {
 			return nodeID
 		}
 		nodeID := m.rotate()
@@ -783,39 +592,20 @@ func (m *master) placeThread(hint int64) int {
 	return m.rotate()
 }
 
-// placeable reports whether new threads may land on node id.
-func (m *master) placeable(id int) bool {
-	if id == 0 {
-		return m.cl.cfg.PlaceOnMaster
-	}
-	return m.activeSlave[id]
-}
-
-// activeNodes returns the placement candidates sorted ascending: the master
-// when it takes workers, plus every active (non-draining) slave. With a
-// static cluster this is exactly the legacy [first, first+candidates) range.
-func (m *master) activeNodes() []int {
-	var out []int
+// firstPlaceable is the lowest node worker threads land on: the placement
+// nodes are [firstPlaceable, Slaves], the master included only when it
+// takes workers.
+func (m *master) firstPlaceable() int {
 	if m.cl.cfg.PlaceOnMaster {
-		out = append(out, 0)
-	}
-	for id := 1; id < len(m.activeSlave); id++ {
-		if m.activeSlave[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// rotate round-robins over the active candidates. The candidate list is
-// sorted, so with a static cluster the sequence is byte-identical to the
-// legacy first+nextRR%candidates arithmetic.
-func (m *master) rotate() int {
-	cands := m.activeNodes()
-	if len(cands) == 0 {
 		return 0
 	}
-	nodeID := cands[m.nextRR%len(cands)]
+	return 1
+}
+
+// rotate round-robins over the placement nodes.
+func (m *master) rotate() int {
+	first := m.firstPlaceable()
+	nodeID := first + m.nextRR%(m.cl.cfg.Slaves+1-first)
 	m.nextRR++
 	return nodeID
 }

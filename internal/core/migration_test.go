@@ -4,7 +4,7 @@ import "testing"
 
 // skewSrc hints every worker into the same locality group, so hint
 // scheduling piles all of them onto one node — the pathological placement
-// dynamic migration is meant to fix.
+// the feedback scheduler's load-balance fallback is meant to fix.
 const skewSrc = `
 long results[16];
 long worker(long idx) {
@@ -33,9 +33,9 @@ func TestMigrationRebalancesSkewedPlacement(t *testing.T) {
 	base.HintSched = true // all 12 workers land on one node
 	skewed := buildRun(t, skewSrc, base)
 
-	reb := base
-	reb.RebalanceNs = 2_000_000 // rebalance every 2 ms of virtual time
-	balanced := buildRun(t, skewSrc, reb)
+	adaptive := base
+	adaptive.Adaptive = true
+	balanced := buildRun(t, skewSrc, adaptive)
 
 	if skewed.Console != balanced.Console {
 		t.Fatalf("results differ: %q vs %q", skewed.Console, balanced.Console)
@@ -60,8 +60,8 @@ func TestMigrationRebalancesSkewedPlacement(t *testing.T) {
 }
 
 func TestMigrationPreservesBlockedThreads(t *testing.T) {
-	// Threads that sleep and hold locks while the rebalancer runs must
-	// migrate without losing state.
+	// Threads that sleep and hold locks while the feedback scheduler moves
+	// them must migrate without losing state.
 	src := `
 long lock;
 long counter;
@@ -87,12 +87,76 @@ long main() {
 	cfg := DefaultConfig()
 	cfg.Slaves = 2
 	cfg.HintSched = true
-	cfg.RebalanceNs = 300_000
+	cfg.Adaptive = true
 	res := buildRun(t, src, cfg)
 	if res.Console != "40" {
 		t.Errorf("counter = %q, want 40", res.Console)
 	}
 	if res.Migrations == 0 {
 		t.Error("expected some migrations")
+	}
+}
+
+// TestAdaptivePingPongStable runs a two-thread lock ping-pong over a single
+// shared page with the feedback scheduler on. Both threads' affinity points
+// at the other's node every tick; without hysteresis the policy would bounce
+// them forever. The run must stay deterministic across repeats and settle in
+// a handful of migrations rather than one per control period.
+func TestAdaptivePingPongStable(t *testing.T) {
+	const src = `
+long shared[1];
+long l[1];
+long worker(long idx) {
+	for (long r = 0; r < 600; r++) {
+		mutex_lock(l);
+		shared[0] = shared[0] + 1;
+		mutex_unlock(l);
+	}
+	return 0;
+}
+long main() {
+	long t0 = thread_create((long)worker, 0);
+	long t1 = thread_create((long)worker, 1);
+	thread_join(t0);
+	thread_join(t1);
+	print_long(shared[0]);
+	print_char('\n');
+	return 0;
+}`
+	im := build(t, src)
+	cfg := DefaultConfig()
+	cfg.Slaves = 2
+	cfg.Adaptive = true
+
+	first, err := Run(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.ExitCode != 0 {
+		t.Fatalf("exit %d console %q", first.ExitCode, first.Console)
+	}
+	if first.Console != "1200\n" {
+		t.Errorf("console = %q, want %q", first.Console, "1200\n")
+	}
+	if first.Sched.Ticks == 0 {
+		t.Fatal("adaptive loop never ticked")
+	}
+	// The hysteresis bound: a pure ping-pong admits at most a few moves
+	// (co-locate once, maybe re-settle after a phase of lock transfer),
+	// nowhere near one per tick.
+	if max := first.Sched.Ticks / 4; first.Sched.Migrations > 4 && first.Sched.Migrations > max {
+		t.Errorf("policy thrashing: %d migrations over %d ticks",
+			first.Sched.Migrations, first.Sched.Ticks)
+	}
+
+	second, err := Run(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Console != first.Console || second.TimeNs != first.TimeNs ||
+		second.Sched != first.Sched {
+		t.Errorf("adaptive ping-pong not deterministic:\n run1 %q t=%d %+v\n run2 %q t=%d %+v",
+			first.Console, first.TimeNs, first.Sched,
+			second.Console, second.TimeNs, second.Sched)
 	}
 }

@@ -21,8 +21,8 @@ const (
 	// MetricFaultApply is the apply phase: content at the node to the first
 	// waiter resumed (zero unless the waiter needed a further upgrade).
 	MetricFaultApply = "fault.apply_ns"
-	// MetricMigrate is the thread-migration latency: the rebalancer picking
-	// a victim to the thread being runnable on its new node.
+	// MetricMigrate is the thread-migration latency: the feedback scheduler
+	// picking a thread to the thread being runnable on its new node.
 	MetricMigrate = "migrate.ns"
 )
 
@@ -156,7 +156,7 @@ func (p *clusterProf) invalidated(page uint64) {
 	p.reg.Pages().Invalidate(page)
 }
 
-// migStarted marks the rebalancer committing to migrate tid.
+// migStarted marks the feedback scheduler committing to migrate tid.
 func (p *clusterProf) migStarted(tid int64, now int64) {
 	if p == nil {
 		return

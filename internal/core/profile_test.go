@@ -131,7 +131,7 @@ func TestMetricsRecordMigrations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Slaves = 3
 	cfg.HintSched = true
-	cfg.RebalanceNs = 2_000_000
+	cfg.Adaptive = true
 	cfg.Metrics = true
 	res := buildRun(t, skewSrc, cfg)
 	if res.Migrations == 0 {

@@ -21,7 +21,7 @@ type Runtime interface {
 	// Now is nanoseconds since the run started.
 	Now() int64
 	// After runs fn ns nanoseconds from now (nanosleep, the invalidation
-	// coalescing window, the rebalance/adapt/drain periods).
+	// coalescing window, the feedback scheduler's control period).
 	After(ns int64, fn func())
 	// Ran completes a guest quantum that has already executed and whose
 	// modelled cost is costNs. The simulator charges the cost as a delay;
@@ -57,10 +57,7 @@ type simRuntime struct {
 
 func newSimRuntime(cfg *Config) *simRuntime {
 	s := &simRuntime{k: sim.NewKernel()}
-	// The transport is sized once, over the physical node set: elastic
-	// standby slaves exist from the start (registered, image installed) and
-	// merely take no threads until the feedback scheduler activates them.
-	s.net = netsim.New(s.k, cfg.Net, cfg.PhysNodes())
+	s.net = netsim.New(s.k, cfg.Net, cfg.Nodes())
 	if tr := cfg.Tracer; tr != nil {
 		s.net.Trace = func(now int64, m *proto.Msg) {
 			tr.Record(now, trace.EvMsg, int(m.From), m.TID,

@@ -164,21 +164,24 @@ func TestSanitizerShadowSurvivesSplitting(t *testing.T) {
 }
 
 // TestSanitizerSurvivesMigration exercises shadow/clock transfer across
-// dynamic thread migration: racy threads keep racing while the master
-// rebalances them, and the run must still converge on race reports.
+// dynamic thread migration: racy threads keep racing while the feedback
+// scheduler moves them, and the run must still converge on race reports.
 func TestSanitizerSurvivesMigration(t *testing.T) {
 	im, err := workloads.Racy(6, 30, 7)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	cfg := sanCfg(2)
-	cfg.RebalanceNs = 200_000
+	cfg.Adaptive = true
 	res, err := Run(im, cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if res.ExitCode != 0 {
 		t.Fatalf("exit = %d, console:\n%s", res.ExitCode, res.Console)
+	}
+	if res.Migrations == 0 {
+		t.Fatal("no migrations; the test is not exercising them")
 	}
 	if len(res.San.Races) == 0 {
 		t.Error("no races detected under migration")

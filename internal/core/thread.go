@@ -33,8 +33,8 @@ func (s threadState) String() string {
 
 // thread is one guest thread living on one node. The paper migrates
 // contexts at creation time (§4.1); here a placed thread can also move later
-// (Config.RebalanceNs, Config.Adaptive, node drains): its CPU context ships
-// through the master and a new thread value is made on the target node.
+// (Config.Adaptive): its CPU context ships through the master and a new
+// thread value is made on the target node.
 type thread struct {
 	tid  int64
 	cpu  *tcg.CPU

@@ -145,7 +145,7 @@ func newMasterWire(m *master) *masterWire {
 		epoch:    map[uint64]uint64{},
 		snaps:    map[uint64][]wireSnap{},
 		remote:   map[nodePage]uint64{},
-		out:      make([]targetBuf, cfg.PhysNodes()),
+		out:      make([]targetBuf, cfg.Nodes()),
 		pendInv:  map[int32]*invBuf{},
 		scratch:  make([]byte, cfg.PageSize),
 		stats:    &m.cl.wireStats,
@@ -504,8 +504,7 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 	if w.delta {
 		ver = w.homeVerOf(orig)
 	}
-	// Remaps cover physical nodes: standby slaves must learn splits too.
-	for id := 1; id < w.m.cl.cfg.PhysNodes(); id++ {
+	for id := 1; id < w.m.cl.cfg.Nodes(); id++ {
 		to := int32(id)
 		if b := w.pendInv[to]; b != nil {
 			b.remaps = append(b.remaps, proto.RemapEntry{Orig: orig, Ver: ver, Shadows: shadows})
@@ -521,7 +520,7 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 	if !w.delta {
 		return
 	}
-	for id := 1; id < w.m.cl.cfg.PhysNodes(); id++ {
+	for id := 1; id < w.m.cl.cfg.Nodes(); id++ {
 		np := nodePage{int32(id), orig}
 		if ver != 0 && w.remote[np] == ver {
 			for _, sh := range shadows {

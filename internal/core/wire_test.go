@@ -326,14 +326,15 @@ long main() {
 	}
 }
 
-// TestWireMigrationEquivalence keeps the rebalancer moving threads while the
-// wire layer runs: a migrated thread's faults resume on a node with
-// different twins, and the belief map must stay per-node, not per-thread.
+// TestWireMigrationEquivalence keeps the feedback scheduler moving threads
+// while the wire layer runs: a migrated thread's faults resume on a node
+// with different twins, and the belief map must stay per-node, not
+// per-thread.
 func TestWireMigrationEquivalence(t *testing.T) {
 	im := build(t, wireShareSrc)
 	base := DefaultConfig()
 	base.Slaves = 3
-	base.RebalanceNs = 400_000
+	base.Adaptive = true
 
 	var want string
 	first := true
@@ -344,6 +345,9 @@ func TestWireMigrationEquivalence(t *testing.T) {
 		}
 		if res.ExitCode != 0 {
 			t.Fatalf("%s: exit %d console %q", name, res.ExitCode, res.Console)
+		}
+		if res.Migrations == 0 {
+			t.Errorf("%s: no migrations; the test is not exercising them", name)
 		}
 		if first {
 			want, first = res.Console, false

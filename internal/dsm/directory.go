@@ -85,8 +85,8 @@ type Stats struct {
 	Suppressed  uint64 // demand reads answered by an in-flight push
 	FullResends uint64 // full-content re-grants after a delta mismatch
 
-	// ForwardHits/ForwardWasted mirror the forwarder's AIMD sensors at the
-	// end of a run (copied in by the embedder; the directory itself never
+	// ForwardHits/ForwardWasted mirror the forwarder's Hits and Wasted at
+	// the end of a run (copied in by the embedder; the directory itself never
 	// reads them).
 	ForwardHits   uint64
 	ForwardWasted uint64

@@ -5,37 +5,26 @@ package dsm
 // it is modelled on [15], which tracks streams per open file) and, once a
 // stream turns sequential, pushes the pages ahead of it to the thread's
 // node in Shared state, hiding the fault round trip.
-//
-// With Adaptive set, each stream self-tunes its trigger and window by AIMD:
-// a fault that continues through the pushed window is a hit (additive window
-// growth, and a sustained run of hits anneals the trigger down so the stream
-// re-arms faster after an interruption); a stream reset that strands pushed
-// pages is waste (multiplicative window decrease plus a trigger bump, so a
-// random-access phase stops paying for speculation). With Adaptive off the
-// behavior is byte-identical to the static forwarder.
 type Forwarder struct {
 	// Trigger is the number of consecutive sequential requests that arm
 	// read-ahead (the paper's micro-benchmark uses 4).
 	Trigger int
-	// Window is how many pages ahead are pushed once armed.
+	// Window is how many pages ahead are pushed once armed; it doubles
+	// while a stream holds, up to windowCap times Window.
 	Window int
-	// Adaptive enables the per-stream AIMD self-tuning above.
-	Adaptive bool
 
 	// Hits counts demand faults that continued a stream through its pushed
-	// window; Wasted counts pushed pages stranded by a stream reset. Both
-	// are maintained unconditionally — they are the feedback scheduler's
-	// forwarding sensors.
+	// window; Wasted counts pushed pages stranded by a stream reset
+	// (reported in Stats.ForwardHits/ForwardWasted).
 	Hits   uint64
 	Wasted uint64
 
-	// capMult bounds window growth at capMult*Window (0 selects 4, the
-	// Linux-readahead-style doubling limit). The feedback scheduler raises
-	// or lowers it with the wire layer's delta efficiency.
-	capMult int
-
 	streams map[int64]*stream
 }
+
+// windowCap bounds window growth at windowCap*Window, the
+// Linux-readahead-style doubling limit.
+const windowCap = 4
 
 type stream struct {
 	lastPage  uint64
@@ -43,34 +32,14 @@ type stream struct {
 	pushedTo  uint64 // highest page already pushed for this stream
 	curWindow int    // current readahead size (doubles up to the cap)
 
-	// Adaptive per-stream overrides; zero means "use the Forwarder field".
-	trigger int
-	window  int
-	hits    int // consecutive continuation hits since the last reset
-
 	// scratch backs the returned prediction slice: Record runs on the
 	// remote-fault hot path, and reallocating the window every call costs
 	// an allocation per armed fault (pinned at zero by a benchmark test).
 	scratch []uint64
 }
 
-func (st *stream) effTrigger(f *Forwarder) int {
-	if st.trigger > 0 {
-		return st.trigger
-	}
-	return f.Trigger
-}
-
-func (st *stream) baseWindow(f *Forwarder) int {
-	if st.window > 0 {
-		return st.window
-	}
-	return f.Window
-}
-
 // NewForwarder returns a forwarder with the given trigger and window
-// (zero values select 4 and 8; the window doubles while a stream holds, up
-// to the growth cap, default 4x).
+// (zero values select 4 and 8).
 func NewForwarder(trigger, window int) *Forwarder {
 	if trigger <= 0 {
 		trigger = 4
@@ -79,25 +48,6 @@ func NewForwarder(trigger, window int) *Forwarder {
 		window = 8
 	}
 	return &Forwarder{Trigger: trigger, Window: window, streams: map[int64]*stream{}}
-}
-
-// SetWindowCap bounds window growth at mult*Window (clamped to [1, 16]).
-func (f *Forwarder) SetWindowCap(mult int) {
-	if mult < 1 {
-		mult = 1
-	}
-	if mult > 16 {
-		mult = 16
-	}
-	f.capMult = mult
-}
-
-func (f *Forwarder) windowCap() int {
-	mult := f.capMult
-	if mult <= 0 {
-		mult = 4
-	}
-	return mult * f.Window
 }
 
 // Record notes a demand read by node for page and returns the pages to push
@@ -121,21 +71,6 @@ func (f *Forwarder) Record(tid int64, page uint64) []uint64 {
 		st.runLen++
 		if st.pushedTo > 0 {
 			f.Hits++
-			st.hits++
-			if f.Adaptive {
-				// Additive increase; a sustained hit run lowers the trigger
-				// so the stream re-arms faster after an interruption.
-				w := st.baseWindow(f) + 1
-				if lim := f.windowCap(); w > lim {
-					w = lim
-				}
-				st.window = w
-				if st.hits%4 == 0 {
-					if tr := st.effTrigger(f); tr > 2 {
-						st.trigger = tr - 1
-					}
-				}
-			}
 		}
 	case page == st.lastPage:
 		// Re-fault on the same page (e.g. the page was invalidated under the
@@ -148,35 +83,20 @@ func (f *Forwarder) Record(tid int64, page uint64) []uint64 {
 			// The stream broke with pushes in flight past its last fault:
 			// those pages were speculated for nothing.
 			f.Wasted += st.pushedTo - st.lastPage
-			if f.Adaptive {
-				// Multiplicative decrease, and demand a longer sequential
-				// run before arming again.
-				w := st.baseWindow(f) / 2
-				if w < 2 {
-					w = 2
-				}
-				st.window = w
-				tr := st.effTrigger(f) + 1
-				if max := 4 * f.Trigger; tr > max {
-					tr = max
-				}
-				st.trigger = tr
-			}
 		}
 		st.runLen = 1
 		st.pushedTo = 0
 		st.curWindow = 0
-		st.hits = 0
 	}
 	st.lastPage = page
-	if st.runLen < st.effTrigger(f) {
+	if st.runLen < f.Trigger {
 		return nil
 	}
 	// Armed: push the current window ahead of the demand page, skipping
 	// what is already in flight, then grow the window (the doubling of the
 	// Linux readahead framework) so a steady stream faults ever more rarely.
 	if st.curWindow == 0 {
-		st.curWindow = st.baseWindow(f)
+		st.curWindow = f.Window
 	}
 	start := page + 1
 	if st.pushedTo >= start {
@@ -186,7 +106,7 @@ func (f *Forwarder) Record(tid int64, page uint64) []uint64 {
 	if end > st.pushedTo {
 		st.pushedTo = end
 	}
-	if lim := f.windowCap(); st.curWindow < lim {
+	if lim := windowCap * f.Window; st.curWindow < lim {
 		st.curWindow *= 2
 		if st.curWindow > lim {
 			st.curWindow = lim

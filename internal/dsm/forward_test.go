@@ -94,9 +94,13 @@ func TestForwarderStreamReset(t *testing.T) {
 	if got := f.Record(1, 17); !reflect.DeepEqual(got, seqPages(18, 25)) {
 		t.Fatalf("doubled: %v", got)
 	}
-	// Jump far away: everything resets.
+	// Jump far away: everything resets, and the pages pushed past 17 were
+	// speculated for nothing.
 	if got := f.Record(1, 1000); got != nil {
 		t.Fatalf("jump pushed %v", got)
+	}
+	if f.Hits != 1 || f.Wasted != 8 {
+		t.Fatalf("Hits, Wasted = %d, %d, want 1 (page 17), 8 (pages 18-25)", f.Hits, f.Wasted)
 	}
 	if got := f.Record(1, 1001); got != nil {
 		t.Fatalf("second page after reset pushed %v (window not reset?)", got)
@@ -120,5 +124,43 @@ func TestForwarderBackwardFaultResets(t *testing.T) {
 	}
 	if got := f.Record(1, 6); got == nil {
 		t.Fatal("new backward stream did not re-arm at trigger")
+	}
+}
+
+// TestForwarderRecordZeroAlloc pins the hot fault path at zero allocations
+// per Record call once a stream's scratch buffer has warmed up: the
+// prediction slice is reused, not reallocated.
+func TestForwarderRecordZeroAlloc(t *testing.T) {
+	f := NewForwarder(4, 8)
+	page := uint64(100)
+	// Warm up: arm the stream and let the window double to its cap so the
+	// scratch buffer reaches its steady-state capacity.
+	for i := 0; i < 16; i++ {
+		f.Record(7, page)
+		page++
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		f.Record(7, page)
+		page++
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per armed Record, want 0", allocs)
+	}
+}
+
+// TestForwarderWindowCap: a stream's window doubles up to windowCap × Window
+// and holds there for as long as the stream runs.
+func TestForwarderWindowCap(t *testing.T) {
+	f := NewForwarder(2, 3)
+	page := uint64(100)
+	for i := 0; i < 30; i++ {
+		f.Record(7, page)
+		page++
+		if w := f.streams[7].curWindow; w > windowCap*f.Window {
+			t.Fatalf("record %d: curWindow = %d, past the cap %d", i, w, windowCap*f.Window)
+		}
+	}
+	if w := f.streams[7].curWindow; w != windowCap*f.Window {
+		t.Fatalf("curWindow = %d after a long stream, want the cap %d", w, windowCap*f.Window)
 	}
 }

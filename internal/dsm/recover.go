@@ -33,56 +33,6 @@ func (d *Directory) Snapshot() []PageState {
 	return out
 }
 
-// RecallNode gracefully pulls every page state involving a live node back
-// home, through the normal protocol (unlike ReclaimNode below, which is
-// crash recovery and discards the dead node's modifications): pages the
-// node owns are fetch-invalidated (modifications write back home), shared
-// copies are invalidated, and pages mid-transaction are left alone — the
-// caller polls again after the in-flight transaction settles. It returns
-// how many pages still involve the node (recall in flight or deferred);
-// zero means the node holds nothing and can be deactivated.
-//
-// Recalls run as ordinary busy transactions with no stashed grant, so
-// requests that race in from other nodes queue behind them and are served
-// by the drain path once the writeback or ack lands.
-func (d *Directory) RecallNode(node int) int {
-	var pages []uint64
-	for page := range d.pages {
-		pages = append(pages, page)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	remaining := 0
-	for _, page := range pages {
-		e := d.pages[page]
-		if e.retired {
-			continue
-		}
-		involved := e.owner == node || e.sharers.Has(node) ||
-			e.fetchFrom == node || e.invPending.Has(node)
-		if !involved {
-			continue
-		}
-		remaining++
-		if e.busy {
-			continue // settle the in-flight transaction first; poll again
-		}
-		if e.owner == node {
-			e.busy = true
-			e.fetchFrom = node
-			d.Stats.Fetches++
-			d.env.SendFetch(node, page, true)
-			continue
-		}
-		// Shared copy (a push or read grant): plain invalidation.
-		e.busy = true
-		e.acksLeft = 1
-		e.invPending = e.invPending.Add(node)
-		d.Stats.Invalidates++
-		d.env.SendInvalidate(node, page)
-	}
-	return remaining
-}
-
 // ReclaimNode re-homes every page state involving a dead node: the node is
 // struck from all sharer sets, and pages it owned in Modified state revert to
 // the home copy (their unsynced modifications are lost — the caller reports

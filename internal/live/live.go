@@ -30,8 +30,8 @@ type Config struct {
 	// means under the simulator: Slaves is how many connections the master
 	// waits for, Cancel aborts the run with ErrCanceled, Stdout receives the
 	// console. The master ships the part slaves need (core.InitFrame). Net,
-	// Cost and MaxTimeNs model time and do nothing here; Adaptive,
-	// MaxSlaves > Slaves and Sanitizer are rejected (validate).
+	// Cost and MaxTimeNs model time and do nothing here; Adaptive and
+	// Sanitizer are rejected (validate).
 	//
 	// Faults is injected by the master, on every frame it puts on or takes
 	// off a socket — every link, since slaves only address the master — by
@@ -59,7 +59,7 @@ var wallRetry = netsim.RetryPolicy{
 	MaxAttempts: 12,
 }
 
-// validate rejects, naming the field, the three Config.Core settings whose
+// validate rejects, naming the field, the two Config.Core settings whose
 // implementation reads other nodes' state in-process: ignoring them would
 // report a run that did not happen.
 func (c *Config) validate() error {
@@ -69,7 +69,6 @@ func (c *Config) validate() error {
 		field, why string
 	}{
 		{k.Adaptive, "Adaptive", "the feedback scheduler steers by a metrics registry every node feeds in-process"},
-		{k.MaxSlaves > k.Slaves, "MaxSlaves", "standby slaves are activated by the feedback scheduler"},
 		{k.Sanitizer, "Sanitizer", "the race report is assembled from every node's shadow state in-process"},
 	} {
 		if r.set {

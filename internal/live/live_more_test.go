@@ -113,7 +113,7 @@ long main() {
 	}
 }
 
-// TestRunMasterRejectsUnsupportedConfig: the three core.Config settings whose
+// TestRunMasterRejectsUnsupportedConfig: the two core.Config settings whose
 // implementation reads peer state in-process must fail fast with an error
 // naming the field — before any slave is awaited — rather than run a cluster
 // that silently ignores them.
@@ -121,7 +121,6 @@ func TestRunMasterRejectsUnsupportedConfig(t *testing.T) {
 	im := build(t, `long main() { return 0; }`)
 	for field, cfg := range map[string]core.Config{
 		"Adaptive":  {Slaves: 1, Adaptive: true},
-		"MaxSlaves": {Slaves: 1, MaxSlaves: 2},
 		"Sanitizer": {Slaves: 1, Sanitizer: true},
 	} {
 		t.Run(field, func(t *testing.T) {

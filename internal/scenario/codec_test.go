@@ -42,7 +42,7 @@ func goldenSpecs() map[string]*Spec {
 				Interp: false, NoSuperblock: false,
 				ForwardTrigger: 3, SplitFactor: 8,
 				NoDelta: true, NoCoalesce: true,
-				RebalanceNs: 4_000_000, Metrics: true, Sanitizer: true,
+				Metrics: true, Sanitizer: true, Adaptive: true,
 			},
 			Faults: &netsim.FaultPlan{
 				Seed: 9, DropRate: 0.02, DupRate: 0.01, JitterNs: 30_000,
@@ -215,6 +215,10 @@ func TestDecodeRejects(t *testing.T) {
 		{"deleted knob tier3_threshold", spec(`,"knobs":{"tier3_threshold":2}`), "unknown field"},
 		{"deleted knob no_peephole", spec(`,"knobs":{"no_peephole":true}`), `unknown field "no_peephole"`},
 		{"deleted knob no_chain", spec(`,"knobs":{"no_chain":true}`), `unknown field "no_chain"`},
+		{"deleted knob rebalance_ns", spec(`,"knobs":{"rebalance_ns":2000000}`), `unknown field "rebalance_ns"`},
+		{"deleted knob adapt_period_ns", spec(`,"knobs":{"adaptive":true,"adapt_period_ns":250000}`), `unknown field "adapt_period_ns"`},
+		{"deleted knob max_slaves", spec(`,"knobs":{"max_slaves":4}`), `unknown field "max_slaves"`},
+		{"deleted knob in an arm", spec(`,"arms":[{"name":"a","knobs":{"max_slaves":4}}]`), `unknown field "max_slaves"`},
 		{"trailing data", spec("") + `{"version":2}`, "trailing data"},
 		{"no name", `{"version":2,"workload":{"kind":"pi"}}`, "no name"},
 		{"bad name charset", `{"version":2,"name":"X/Y","workload":{"kind":"pi"}}`, "lowercase"},

@@ -164,20 +164,13 @@ type Knobs struct {
 	NoDelta    bool `json:"no_delta,omitempty"`
 	NoCoalesce bool `json:"no_coalesce,omitempty"`
 
-	RebalanceNs int64 `json:"rebalance_ns,omitempty"`
-	Metrics     bool  `json:"metrics,omitempty"`
-	Sanitizer   bool  `json:"sanitizer,omitempty"`
+	Metrics   bool `json:"metrics,omitempty"`
+	Sanitizer bool `json:"sanitizer,omitempty"`
 
 	// Adaptive turns on the feedback scheduler (internal/sched): locality
-	// migration, proactive splits, AIMD forwarding and elastic nodes,
-	// driven off the metrics registry (implies metrics). AdaptPeriodNs
-	// overrides the control period; 0 selects the default (250 µs).
-	Adaptive      bool  `json:"adaptive,omitempty"`
-	AdaptPeriodNs int64 `json:"adapt_period_ns,omitempty"`
-	// MaxSlaves provisions elastic standby slaves beyond Cluster.Slaves
-	// that the adaptive policy may activate at runtime; 0 means no
-	// headroom.
-	MaxSlaves int `json:"max_slaves,omitempty"`
+	// migration with a load-balance fallback and proactive splits, driven
+	// off the metrics registry (implies metrics).
+	Adaptive bool `json:"adaptive,omitempty"`
 }
 
 // Gates are the acceptance checks evaluated on the finished run. Every
@@ -386,15 +379,6 @@ func (s *Spec) validateCell() error {
 	if ps := s.Cluster.PageSize; ps != 0 && (ps < 256 || ps > 65536 || ps&(ps-1) != 0) {
 		return fmt.Errorf("scenario: page size %d is not a power of two in [256, 65536]", ps)
 	}
-	if s.Knobs.RebalanceNs < 0 {
-		return fmt.Errorf("scenario: negative rebalance interval")
-	}
-	if s.Knobs.AdaptPeriodNs < 0 {
-		return fmt.Errorf("scenario: negative adaptive control period")
-	}
-	if s.Knobs.MaxSlaves < 0 || s.Knobs.MaxSlaves > 63 {
-		return fmt.Errorf("scenario: %d max_slaves outside [0, 63]", s.Knobs.MaxSlaves)
-	}
 	if k := s.Knobs; k.ForwardTrigger < 0 || k.ForwardTrigger > 64 || k.SplitFactor < 0 || k.SplitFactor > 64 {
 		return fmt.Errorf("scenario: forward_trigger or split_factor outside [0, 64]")
 	}
@@ -517,12 +501,9 @@ func (s *Spec) config() core.Config {
 	cfg.Verify = k.Verify
 	cfg.NoDelta = k.NoDelta
 	cfg.NoCoalesce = k.NoCoalesce
-	cfg.RebalanceNs = k.RebalanceNs
 	cfg.Metrics = k.Metrics
 	cfg.Sanitizer = k.Sanitizer
 	cfg.Adaptive = k.Adaptive
-	cfg.AdaptPeriodNs = k.AdaptPeriodNs
-	cfg.MaxSlaves = k.MaxSlaves
 	if s.Faults != nil {
 		plan := *s.Faults // the cluster must not alias the spec
 		cfg.Faults = &plan

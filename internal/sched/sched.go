@@ -6,9 +6,8 @@
 // in sorted, virtual-time order, so identically-seeded runs make identical
 // decisions — whether to migrate a thread toward the node homing the pages
 // it faults on (the paper's §5.3 hint-based locality scheduling, but
-// measured instead of hinted), split a false-sharing page before its fault
-// storm, cap the forwarder's window growth from delta efficiency, or
-// grow/shrink the active node set under load.
+// measured instead of hinted), or split a false-sharing page before its
+// fault storm.
 //
 // The policy is the ONLY place adaptation decisions read metrics counters;
 // a dqlint rule (metricsread) enforces that, so the NoAdaptive ablation is
@@ -33,94 +32,36 @@ type Actuator interface {
 	// splitter's own reactive threshold. Returns false when the page cannot
 	// split (retired, busy, shadow region, or splitting disabled).
 	ForceSplit(page uint64) bool
-	// SetForwardCap bounds the forwarder's window growth multiplier.
-	SetForwardCap(mult int)
-	// AddNode activates a standby slave and returns its id (-1 if none).
-	AddNode() int
-	// DrainNode begins gracefully draining slave id: threads migrate off,
-	// pages recall home. Returns false if id is not an active slave.
-	DrainNode(id int) bool
 	// Tracef records a policy decision in the cluster trace (EvSched).
 	Tracef(format string, args ...interface{})
 }
 
-// Params tunes the policy. The zero value selects the defaults below.
-type Params struct {
-	// PeriodNs is the control period (default 250 µs of virtual time).
-	PeriodNs int64
-	// MinFaults is the decayed remote-fault count a thread must charge to
-	// one node before a locality migration is considered (default 4 — a
-	// remote fault blocks its thread for ~410 µs of virtual time, so even a
-	// thread faulting back-to-back accrues only ~5 decayed faults per decay
-	// window; demanding more would make locality migration unreachable).
-	MinFaults uint64
-	// DecayEvery is how many control periods pass between affinity-table
-	// halvings (default 16): the decay window is DecayEvery×PeriodNs, long
-	// enough to integrate a fault-latency-bound signal, short enough that a
-	// phase shift fades within a few milliseconds of virtual time.
-	DecayEvery uint64
-	// HystNum/HystDen is the hysteresis ratio: the best remote node must
-	// beat the thread's current node's score by this factor (default 2/1).
-	// Without it, symmetric sharing ping-pongs threads between nodes.
-	HystNum, HystDen uint64
-	// CooldownNs is how long a migrated thread must stay put (default 8
-	// periods) — the migration-cost budget's per-thread half.
-	CooldownNs int64
-	// BudgetPerTick caps locality migrations per control period (default
-	// 1): committing both halves of a sharing pair in one tick would swap
-	// them and re-create the imbalance it saw.
-	BudgetPerTick int
-	// SplitTopN is how many heat-map rows are scanned for false-sharing
-	// candidates each period (default 16).
-	SplitTopN int
-	// ElasticHigh adds a standby node when every active node carries more
-	// than ElasticHigh×cores worker threads (default 2). ElasticLow drains
-	// a slave when the remaining ones could hold every thread at under
-	// ElasticLow×cores each, halved (default 1). Zero disables neither;
-	// use Elastic=false for that.
-	ElasticHigh, ElasticLow int
-	// Elastic enables runtime add/drain of slave nodes (default off: the
-	// active set only changes when the embedder asks).
-	Elastic bool
-	// ElasticCooldownNs spaces elastic actions (default 32 periods).
-	ElasticCooldownNs int64
-}
+// PeriodNs is the control period: 250 µs of virtual time.
+const PeriodNs = 250_000
 
-// DefaultPeriodNs is the default control period.
-const DefaultPeriodNs = 250_000
-
-func (p *Params) normalize() {
-	if p.PeriodNs <= 0 {
-		p.PeriodNs = DefaultPeriodNs
-	}
-	if p.MinFaults == 0 {
-		p.MinFaults = 4
-	}
-	if p.DecayEvery == 0 {
-		p.DecayEvery = 16
-	}
-	if p.HystNum == 0 || p.HystDen == 0 {
-		p.HystNum, p.HystDen = 2, 1
-	}
-	if p.CooldownNs <= 0 {
-		p.CooldownNs = 8 * p.PeriodNs
-	}
-	if p.BudgetPerTick <= 0 {
-		p.BudgetPerTick = 1
-	}
-	if p.SplitTopN <= 0 {
-		p.SplitTopN = 16
-	}
-	if p.ElasticHigh <= 0 {
-		p.ElasticHigh = 2
-	}
-	if p.ElasticLow <= 0 {
-		p.ElasticLow = 1
-	}
-	if p.ElasticCooldownNs <= 0 {
-		p.ElasticCooldownNs = 32 * p.PeriodNs
-	}
-}
+const (
+	// minFaults is the decayed remote-fault count a thread must charge to
+	// one node before a locality migration is considered. A remote fault
+	// blocks its thread for ~410 µs of virtual time, so even a thread
+	// faulting back-to-back accrues only ~5 decayed faults per decay
+	// window; demanding more would make locality migration unreachable.
+	minFaults = 4
+	// decayEvery is how many control periods pass between affinity-table
+	// halvings: the decay window is long enough to integrate a
+	// fault-latency-bound signal, short enough that a phase shift fades
+	// within a few milliseconds of virtual time.
+	decayEvery = 16
+	// hysteresis is how many times the thread's pull toward its current
+	// node the best remote node's score must reach. Without it, symmetric
+	// sharing ping-pongs threads between nodes.
+	hysteresis = 2
+	// cooldownNs is how long a migrated thread must stay put — the
+	// migration-cost budget's per-thread half.
+	cooldownNs = 8 * PeriodNs
+	// splitTopN is how many heat-map rows are scanned for false-sharing
+	// candidates each period.
+	splitTopN = 16
+)
 
 // Inputs is the per-tick cluster snapshot the master assembles. Everything
 // here is derived from kernel-serialized state, so it is deterministic.
@@ -128,16 +69,11 @@ type Inputs struct {
 	NowNs int64
 	// ActiveNodes are the placement-eligible node ids, sorted ascending.
 	ActiveNodes []int
-	// StandbySlaves counts inactive slaves AddNode could activate.
-	StandbySlaves int
 	// ThreadNodes maps each live worker thread to the node it runs on
 	// (in-flight migrations counted at their target).
 	ThreadNodes map[int64]int
 	// CoresPerNode bounds how many threads a node runs without queueing.
 	CoresPerNode int
-	// DeltaRatio is the wire layer's live delta efficiency (0 when the
-	// wire layer is off or has seen no coherence payload yet).
-	DeltaRatio float64
 }
 
 // Stats counts policy decisions (reported in core.Result.Sched).
@@ -145,14 +81,10 @@ type Stats struct {
 	Ticks           uint64
 	Migrations      uint64 // locality + load-balance migrations initiated
 	ProactiveSplits uint64
-	FwdRetunes      uint64
-	NodesAdded      uint64
-	NodesDrained    uint64 // drains initiated
 }
 
 // Policy is the feedback scheduler's decision state.
 type Policy struct {
-	p   Params
 	reg *metrics.Registry
 	act Actuator
 
@@ -165,30 +97,20 @@ type Policy struct {
 	// splitDone marks pages already force-split (never retried).
 	splitDone map[uint64]bool
 
-	fwdCap      int
-	lastElastic int64
-
 	stats Stats
 
-	cMig, cSplit, cFwd, cAdd, cDrain *metrics.Counter
-	gFwdCap                          *metrics.Gauge
+	cMig, cSplit *metrics.Counter
 }
 
 // New builds a policy over the run's metrics registry.
-func New(p Params, reg *metrics.Registry, act Actuator) *Policy {
-	p.normalize()
+func New(reg *metrics.Registry, act Actuator) *Policy {
 	return &Policy{
-		p: p, reg: reg, act: act,
+		reg: reg, act: act,
 		aff:       map[int64]map[int]uint64{},
 		lastMove:  map[int64]int64{},
 		splitDone: map[uint64]bool{},
-		fwdCap:    4,
 		cMig:      reg.Counter("sched.migrations"),
 		cSplit:    reg.Counter("sched.proactive_splits"),
-		cFwd:      reg.Counter("sched.fwd_retunes"),
-		cAdd:      reg.Counter("sched.nodes_added"),
-		cDrain:    reg.Counter("sched.nodes_drained"),
-		gFwdCap:   reg.Gauge("sched.forward_cap"),
 	}
 }
 
@@ -211,16 +133,14 @@ func (pol *Policy) NoteFault(tid int64, node, owner int) {
 	m[owner]++
 }
 
-// Tick runs one control period. Order matters and is fixed: migrate,
-// split, forwarder, elastic — each sub-policy sees the same
-// snapshot and their actuations are serialized under the virtual clock.
+// Tick runs one control period. Order matters and is fixed: migrate, then
+// split — both see the same snapshot and their actuations are serialized
+// under the virtual clock.
 func (pol *Policy) Tick(in Inputs) {
 	pol.stats.Ticks++
 	pol.pruneExited(in)
 	pol.tickMigrate(in)
 	pol.tickSplit()
-	pol.tickForward(in)
-	pol.tickElastic(in)
 	pol.decay()
 }
 
@@ -237,7 +157,7 @@ func (pol *Policy) pruneExited(in Inputs) {
 // decay halves every affinity count once per decay window so old phases
 // fade within a few windows; emptied rows are dropped.
 func (pol *Policy) decay() {
-	if pol.stats.Ticks%pol.p.DecayEvery != 0 {
+	if pol.stats.Ticks%decayEvery != 0 {
 		return
 	}
 	for _, tid := range sortedTids(pol.aff) {
@@ -257,9 +177,9 @@ func (pol *Policy) decay() {
 }
 
 // tickMigrate implements locality-driven migration with hysteresis, a
-// cooldown, and a per-tick budget: among all threads, commit the moves with
-// the strongest affinity advantage, at most BudgetPerTick of them, and fall
-// back to a pure load balance when no affinity signal is actionable.
+// cooldown, and a budget of one move per tick: commit the move with the
+// strongest affinity advantage, and fall back to a pure load balance when no
+// affinity signal is actionable.
 func (pol *Policy) tickMigrate(in Inputs) {
 	if len(in.ActiveNodes) < 2 {
 		return
@@ -277,18 +197,16 @@ func (pol *Policy) tickMigrate(in Inputs) {
 	}
 	maxLoad := in.CoresPerNode * 2 // soft cap: don't pile a node past 2x cores
 
-	type move struct {
-		tid   int64
-		to    int
-		score uint64
-	}
-	var best []move
+	// One move per tick: committing both halves of a sharing pair in one
+	// tick would swap them and re-create the imbalance it saw. Ties go to
+	// the lowest tid.
+	bestTid, bestTo, bestScore := int64(0), -1, uint64(0)
 	for _, tid := range sortedTids(pol.aff) {
 		cur, alive := in.ThreadNodes[tid]
 		if !alive || tid == 1 { // the main thread stays on the master
 			continue
 		}
-		if in.NowNs-pol.lastMove[tid] < pol.p.CooldownNs && pol.lastMove[tid] != 0 {
+		if in.NowNs-pol.lastMove[tid] < cooldownNs && pol.lastMove[tid] != 0 {
 			continue
 		}
 		m := pol.aff[tid]
@@ -302,45 +220,28 @@ func (pol *Policy) tickMigrate(in Inputs) {
 				target, targetScore = n, m[n]
 			}
 		}
-		if target < 0 || targetScore < pol.p.MinFaults {
+		if target < 0 || targetScore < minFaults {
 			continue
 		}
 		// Hysteresis: the pull toward the target must dominate the pull
 		// toward where the thread already is, or symmetric sharing would
 		// swap the pair forever.
-		if targetScore*pol.p.HystDen < m[cur]*pol.p.HystNum {
+		if targetScore < hysteresis*m[cur] {
 			continue
 		}
 		if maxLoad > 0 && load[target] >= maxLoad {
 			continue
 		}
-		best = append(best, move{tid, target, targetScore})
+		if targetScore > bestScore {
+			bestTid, bestTo, bestScore = tid, target, targetScore
+		}
 	}
-	sort.Slice(best, func(i, j int) bool {
-		if best[i].score != best[j].score {
-			return best[i].score > best[j].score
-		}
-		return best[i].tid < best[j].tid
-	})
-	moved := 0
-	for _, mv := range best {
-		if moved >= pol.p.BudgetPerTick {
-			break
-		}
-		if maxLoad > 0 && load[mv.to] >= maxLoad {
-			continue
-		}
-		pol.commitMove(in, mv.tid, mv.to, "affinity", mv.score)
-		load[mv.to]++
-		load[in.ThreadNodes[mv.tid]]--
-		moved++
-	}
-	if moved > 0 {
+	if bestTo >= 0 {
+		pol.commitMove(in, bestTid, bestTo, "affinity", bestScore)
 		return
 	}
-	// Load-balance fallback (the legacy rebalancer's rule): move one
-	// thread from the most- to the least-loaded node when the imbalance
-	// is at least two.
+	// Load-balance fallback: move one thread from the most- to the
+	// least-loaded node when the imbalance is at least two.
 	maxN, minN := -1, -1
 	for _, n := range in.ActiveNodes {
 		if maxN < 0 || load[n] > load[maxN] {
@@ -357,7 +258,7 @@ func (pol *Policy) tickMigrate(in Inputs) {
 		if tid == 1 || in.ThreadNodes[tid] != maxN {
 			continue
 		}
-		if in.NowNs-pol.lastMove[tid] < pol.p.CooldownNs && pol.lastMove[tid] != 0 {
+		if in.NowNs-pol.lastMove[tid] < cooldownNs && pol.lastMove[tid] != 0 {
 			continue
 		}
 		pol.commitMove(in, tid, minN, "load", uint64(load[maxN]-load[minN]))
@@ -385,7 +286,7 @@ func (pol *Policy) commitMove(in Inputs, tid int64, to int, why string, score ui
 // tickSplit feeds false-sharing candidates from the heat map into SplitHome
 // before the reactive splitter's fault-storm threshold trips.
 func (pol *Policy) tickSplit() {
-	for _, row := range pol.reg.Pages().TopN(pol.p.SplitTopN) {
+	for _, row := range pol.reg.Pages().TopN(splitTopN) {
 		if !row.FalseSharing || pol.splitDone[row.Page] {
 			continue
 		}
@@ -397,96 +298,6 @@ func (pol *Policy) tickSplit() {
 		pol.cSplit.Inc()
 		pol.act.Tracef("sched: proactive split page %#x (invals %d, %d nodes)",
 			row.Page, row.Invals, row.Nodes)
-	}
-}
-
-// tickForward caps the forwarder's window growth from the wire layer's
-// delta efficiency: cheap pages (high delta ratio) can be speculated
-// aggressively; expensive ones should stay conservative. The per-stream
-// trigger/window AIMD runs inside dsm.Forwarder off its own hit/waste
-// observations; this is the global half of the loop.
-func (pol *Policy) tickForward(in Inputs) {
-	target := 4
-	switch {
-	case in.DeltaRatio >= 0.5:
-		target = 8
-	case in.DeltaRatio > 0 && in.DeltaRatio < 0.2:
-		target = 2
-	}
-	if target == pol.fwdCap {
-		return
-	}
-	pol.fwdCap = target
-	pol.stats.FwdRetunes++
-	pol.cFwd.Inc()
-	pol.gFwdCap.Set(float64(target))
-	pol.act.Tracef("sched: forward window cap -> %dx (delta ratio %.2f)", target, in.DeltaRatio)
-	pol.act.SetForwardCap(target)
-}
-
-// tickElastic grows or shrinks the active node set under load.
-func (pol *Policy) tickElastic(in Inputs) {
-	if !pol.p.Elastic || in.CoresPerNode <= 0 {
-		return
-	}
-	if in.NowNs-pol.lastElastic < pol.p.ElasticCooldownNs {
-		return
-	}
-	slaves := 0
-	total := 0
-	minLoad := -1
-	minNode := -1
-	load := map[int]int{}
-	for _, tid := range sortedTids(in.ThreadNodes) {
-		if tid == 1 {
-			continue
-		}
-		load[in.ThreadNodes[tid]]++
-		total++
-	}
-	for _, n := range in.ActiveNodes {
-		if n == 0 {
-			continue
-		}
-		slaves++
-		if minLoad < 0 || load[n] < minLoad || (load[n] == minLoad && n > minNode) {
-			minLoad, minNode = load[n], n
-		}
-	}
-	if slaves == 0 {
-		return
-	}
-	// Grow: every active slave oversubscribed and a standby exists.
-	allHot := true
-	for _, n := range in.ActiveNodes {
-		if n == 0 {
-			continue
-		}
-		if load[n] <= pol.p.ElasticHigh*in.CoresPerNode {
-			allHot = false
-			break
-		}
-	}
-	if allHot && in.StandbySlaves > 0 {
-		if id := pol.act.AddNode(); id > 0 {
-			pol.lastElastic = in.NowNs
-			pol.stats.NodesAdded++
-			pol.cAdd.Inc()
-			pol.act.Tracef("sched: added node %d (all %d slaves past %d threads)",
-				id, slaves, pol.p.ElasticHigh*in.CoresPerNode)
-		}
-		return
-	}
-	// Shrink: the remaining slaves could hold every worker thread at half
-	// the low-water occupancy — drain the emptiest (highest id on ties).
-	if slaves > 1 && total*2 <= (slaves-1)*pol.p.ElasticLow*in.CoresPerNode {
-		if pol.act.DrainNode(minNode) {
-			pol.lastElastic = in.NowNs
-			pol.stats.NodesDrained++
-			pol.cDrain.Inc()
-			pol.act.Tracef("sched: draining node %d (%d worker threads on %d slaves)",
-				minNode, total, slaves)
-		}
 	}
 }
 

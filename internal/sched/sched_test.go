@@ -9,14 +9,10 @@ import (
 
 // mockAct records actuations.
 type mockAct struct {
-	moves   []string
-	splits  []uint64
-	fwdCaps []int
-	added   int
-	drained []int
+	moves  []string
+	splits []uint64
 
 	denySplit bool
-	nextNode  int
 }
 
 func (a *mockAct) MigrateThread(tid int64, to int) {
@@ -29,27 +25,17 @@ func (a *mockAct) ForceSplit(page uint64) bool {
 	a.splits = append(a.splits, page)
 	return true
 }
-func (a *mockAct) SetForwardCap(mult int) { a.fwdCaps = append(a.fwdCaps, mult) }
-func (a *mockAct) AddNode() int {
-	a.added++
-	a.nextNode++
-	return a.nextNode
-}
-func (a *mockAct) DrainNode(id int) bool {
-	a.drained = append(a.drained, id)
-	return true
-}
 func (a *mockAct) Tracef(format string, args ...interface{}) {}
 
-func newTestPolicy(p Params, act Actuator) *Policy {
-	return New(p, metrics.NewRegistry(), act)
+func newTestPolicy(act Actuator) *Policy {
+	return New(metrics.NewRegistry(), act)
 }
 
 // TestAffinityMigration: a thread faulting overwhelmingly on pages another
 // node owns migrates there.
 func TestAffinityMigration(t *testing.T) {
 	act := &mockAct{}
-	pol := newTestPolicy(Params{}, act)
+	pol := newTestPolicy(act)
 	in := Inputs{
 		NowNs:        1_000_000,
 		ActiveNodes:  []int{1, 2},
@@ -74,7 +60,7 @@ func TestAffinityMigration(t *testing.T) {
 // halves of a pair even when one side does qualify.
 func TestPingPongHysteresis(t *testing.T) {
 	act := &mockAct{}
-	pol := newTestPolicy(Params{}, act)
+	pol := newTestPolicy(act)
 	in := Inputs{
 		NowNs:        1_000_000,
 		ActiveNodes:  []int{1, 2},
@@ -109,7 +95,7 @@ func TestPingPongHysteresis(t *testing.T) {
 		}
 		pol.aff[2][1] = pol.aff[2][2] - 2 // near-symmetric pull
 		pol.aff[3][2] = pol.aff[3][1] - 2
-		in.NowNs += DefaultPeriodNs
+		in.NowNs += PeriodNs
 		pol.Tick(in)
 	}
 	if len(act.moves) != 0 {
@@ -122,7 +108,7 @@ func TestPingPongHysteresis(t *testing.T) {
 // kills the partner's signal instead of swapping the pair.
 func TestBudgetCommitsOneSideOfAPair(t *testing.T) {
 	act := &mockAct{}
-	pol := newTestPolicy(Params{}, act)
+	pol := newTestPolicy(act)
 	in := Inputs{
 		NowNs:        1_000_000,
 		ActiveNodes:  []int{1, 2},
@@ -144,7 +130,7 @@ func TestBudgetCommitsOneSideOfAPair(t *testing.T) {
 // TestCooldown: a freshly migrated thread stays put even under pressure.
 func TestCooldown(t *testing.T) {
 	act := &mockAct{}
-	pol := newTestPolicy(Params{}, act)
+	pol := newTestPolicy(act)
 	in := Inputs{
 		NowNs:        1_000_000,
 		ActiveNodes:  []int{1, 2},
@@ -162,7 +148,7 @@ func TestCooldown(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pol.NoteFault(2, 2, 1)
 	}
-	in.NowNs += DefaultPeriodNs // within cooldown
+	in.NowNs += PeriodNs // within cooldown
 	pol.Tick(in)
 	if len(act.moves) != 1 {
 		t.Fatalf("cooldown ignored: moves = %v", act.moves)
@@ -170,18 +156,18 @@ func TestCooldown(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pol.NoteFault(2, 2, 1)
 	}
-	in.NowNs += 100 * DefaultPeriodNs // past cooldown
+	in.NowNs += 100 * PeriodNs // past cooldown
 	pol.Tick(in)
 	if len(act.moves) != 2 {
 		t.Fatalf("moves = %v, want two after cooldown", act.moves)
 	}
 }
 
-// TestLoadBalanceFallback replicates the legacy rebalancer rule when no
-// affinity signal is actionable.
+// TestLoadBalanceFallback: with no actionable affinity signal, one thread
+// moves from the most- to the least-loaded node.
 func TestLoadBalanceFallback(t *testing.T) {
 	act := &mockAct{}
-	pol := newTestPolicy(Params{}, act)
+	pol := newTestPolicy(act)
 	in := Inputs{
 		NowNs:        1_000_000,
 		ActiveNodes:  []int{1, 2},
@@ -198,7 +184,7 @@ func TestLoadBalanceFallback(t *testing.T) {
 func TestProactiveSplit(t *testing.T) {
 	act := &mockAct{}
 	reg := metrics.NewRegistry()
-	pol := New(Params{}, reg, act)
+	pol := New(reg, act)
 	// Two nodes write-fault page 7 and it keeps getting invalidated: a
 	// false-sharing candidate by the heat map's own flag.
 	for i := 0; i < 6; i++ {
@@ -222,7 +208,7 @@ func TestProactiveSplit(t *testing.T) {
 func TestProactiveSplitRetriesBusyPage(t *testing.T) {
 	act := &mockAct{denySplit: true}
 	reg := metrics.NewRegistry()
-	pol := New(Params{}, reg, act)
+	pol := New(reg, act)
 	for i := 0; i < 6; i++ {
 		reg.Pages().Fault(7, 1, true)
 		reg.Pages().Fault(7, 2, true)
@@ -240,61 +226,11 @@ func TestProactiveSplitRetriesBusyPage(t *testing.T) {
 	}
 }
 
-// TestForwardCap follows the delta-efficiency gauge.
-func TestForwardCap(t *testing.T) {
-	act := &mockAct{}
-	pol := newTestPolicy(Params{}, act)
-	in := Inputs{ActiveNodes: []int{1, 2}, ThreadNodes: map[int64]int{}, CoresPerNode: 4}
-	in.DeltaRatio = 0.8
-	pol.Tick(in)
-	in.DeltaRatio = 0.05
-	pol.Tick(in)
-	if len(act.fwdCaps) != 2 || act.fwdCaps[0] != 8 || act.fwdCaps[1] != 2 {
-		t.Fatalf("fwdCaps = %v, want [8 2]", act.fwdCaps)
-	}
-}
-
-// TestElastic adds under sustained overload and drains when idle.
-func TestElastic(t *testing.T) {
-	act := &mockAct{nextNode: 2}
-	pol := newTestPolicy(Params{Elastic: true}, act)
-	threads := map[int64]int{}
-	var tid int64 = 2
-	for i := 0; i < 20; i++ { // 10 threads each on slaves 1 and 2, cores 4
-		threads[tid] = 1 + int(tid)%2
-		tid++
-	}
-	in := Inputs{
-		NowNs:         100_000_000,
-		ActiveNodes:   []int{1, 2},
-		StandbySlaves: 1,
-		ThreadNodes:   threads,
-		CoresPerNode:  4,
-	}
-	pol.Tick(in)
-	if act.added != 1 {
-		t.Fatalf("added = %d, want 1", act.added)
-	}
-
-	// Nearly idle: 1 worker thread across 3 slaves drains one.
-	pol2 := newTestPolicy(Params{Elastic: true}, act)
-	in2 := Inputs{
-		NowNs:        200_000_000,
-		ActiveNodes:  []int{1, 2, 3},
-		ThreadNodes:  map[int64]int{2: 1},
-		CoresPerNode: 4,
-	}
-	pol2.Tick(in2)
-	if len(act.drained) != 1 || act.drained[0] != 3 {
-		t.Fatalf("drained = %v, want [3] (emptiest, highest id)", act.drained)
-	}
-}
-
 // TestDecayForgetsOldPhases: affinity from a dead phase fades within a few
 // periods so a later phase is not steered by stale pressure.
 func TestDecayForgetsOldPhases(t *testing.T) {
 	act := &mockAct{}
-	pol := newTestPolicy(Params{DecayEvery: 1}, act)
+	pol := newTestPolicy(act)
 	in := Inputs{
 		NowNs:        1_000_000,
 		ActiveNodes:  []int{1, 2},
@@ -304,14 +240,17 @@ func TestDecayForgetsOldPhases(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pol.NoteFault(2, 1, 2)
 	}
-	// Ticks with cooldown active: nothing moves, counts decay.
+	// Ticks with cooldown active (the clock stands still): nothing moves,
+	// counts decay.
 	pol.lastMove[2] = in.NowNs
-	for i := 0; i < 12; i++ {
-		in.NowNs += DefaultPeriodNs / 4
+	for i := 0; i < 8*decayEvery; i++ {
 		pol.Tick(in)
 	}
 	if c := pol.aff[2][2]; c != 0 {
-		t.Fatalf("affinity survived 12 decay periods: %d", c)
+		t.Fatalf("affinity survived 8 decay windows: %d", c)
+	}
+	if len(act.moves) != 0 {
+		t.Fatalf("moves = %v during cooldown, want none", act.moves)
 	}
 }
 
@@ -320,7 +259,7 @@ func TestDecayForgetsOldPhases(t *testing.T) {
 func TestDeterministicDecisions(t *testing.T) {
 	run := func() []string {
 		act := &mockAct{}
-		pol := newTestPolicy(Params{BudgetPerTick: 3}, act)
+		pol := newTestPolicy(act)
 		in := Inputs{
 			NowNs:        1_000_000,
 			ActiveNodes:  []int{1, 2, 3},
@@ -335,7 +274,7 @@ func TestDeterministicDecisions(t *testing.T) {
 			pol.NoteFault(6, 2, 1)
 		}
 		for i := 0; i < 5; i++ {
-			in.NowNs += DefaultPeriodNs
+			in.NowNs += PeriodNs
 			pol.Tick(in)
 		}
 		return act.moves
