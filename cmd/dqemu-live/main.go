@@ -32,11 +32,12 @@ import (
 func main() {
 	listen := flag.String("listen", "", "master: address to listen on (e.g. :9000)")
 	connect := flag.String("connect", "", "slave: master address to connect to")
-	slaves := flag.Int("slaves", 1, "master: number of slaves to wait for")
-	forward := flag.Bool("forward", false, "enable data forwarding")
-	split := flag.Bool("split", false, "enable page splitting")
-	hints := flag.Bool("hints", false, "enable hint-based locality scheduling")
-	timeout := flag.Duration("timeout", 2*time.Minute, "master: abort a wedged run")
+	cfg := live.Config{Core: core.Config{Stdout: os.Stdout}, Files: map[string][]byte{}}
+	flag.IntVar(&cfg.Core.Slaves, "slaves", 1, "master: number of slaves to wait for")
+	flag.BoolVar(&cfg.Core.Forwarding, "forward", false, "enable data forwarding")
+	flag.BoolVar(&cfg.Core.Splitting, "split", false, "enable page splitting")
+	flag.BoolVar(&cfg.Core.HintSched, "hints", false, "enable hint-based locality scheduling")
+	flag.DurationVar(&cfg.Timeout, "timeout", 2*time.Minute, "master: abort a wedged run")
 	var files fileFlags
 	flag.Var(&files, "file", "guest VFS file as guestpath=hostpath (repeatable)")
 	flag.Parse()
@@ -60,18 +61,7 @@ func main() {
 			fatal(err)
 		}
 		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "dqemu-live: waiting for %d slave(s) on %s\n", *slaves, ln.Addr())
-		cfg := live.Config{
-			Core: core.Config{
-				Slaves:     *slaves,
-				Forwarding: *forward,
-				Splitting:  *split,
-				HintSched:  *hints,
-				Stdout:     os.Stdout,
-			},
-			Timeout: *timeout,
-			Files:   map[string][]byte{},
-		}
+		fmt.Fprintf(os.Stderr, "dqemu-live: waiting for %d slave(s) on %s\n", cfg.Core.Slaves, ln.Addr())
 		for _, f := range files {
 			data, err := os.ReadFile(f.host)
 			if err != nil {

@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"dqemu/internal/server"
 )
@@ -27,15 +28,20 @@ import (
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8787", "dqemud base URL")
 	tenant := flag.String("tenant", "", "tenant id (default tenant when empty)")
-	name := flag.String("name", "", "job name (defaults to the program file name)")
-	backend := flag.String("backend", "", "execution backend: sim (default) or live")
-	slaves := flag.Int("slaves", 0, "slave nodes for the job's cluster")
-	cores := flag.Int("cores", 0, "cores per node")
-	forward := flag.Bool("forward", false, "enable data forwarding")
-	split := flag.Bool("split", false, "enable page splitting")
-	hints := flag.Bool("hints", false, "enable hint-based locality scheduling")
-	timeout := flag.Duration("timeout", 0, "per-job host time limit (0 = daemon default)")
-	metrics := flag.Bool("metrics", false, "request the metrics snapshot (sim backend)")
+	req := &server.JobRequest{}
+	flag.StringVar(&req.Name, "name", "", "job name (defaults to the program file name)")
+	flag.StringVar(&req.Backend, "backend", "", "execution backend: sim (default) or live")
+	flag.IntVar(&req.Slaves, "slaves", 0, "slave nodes for the job's cluster")
+	flag.IntVar(&req.Cores, "cores", 0, "cores per node")
+	flag.BoolVar(&req.Forwarding, "forward", false, "enable data forwarding")
+	flag.BoolVar(&req.Splitting, "split", false, "enable page splitting")
+	flag.BoolVar(&req.HintSched, "hints", false, "enable hint-based locality scheduling")
+	flag.Func("timeout", "per-job host time limit as a duration (0 = daemon default)", func(v string) error {
+		d, err := time.ParseDuration(v)
+		req.TimeoutMs = d.Milliseconds()
+		return err
+	})
+	flag.BoolVar(&req.Metrics, "metrics", false, "request the metrics snapshot (sim backend)")
 	jsonOut := flag.Bool("json", false, "print the full job result as JSON instead of console output")
 	noWait := flag.Bool("no-wait", false, "submit and print the job id without waiting")
 	cancel := flag.String("cancel", "", "cancel the given job id and exit")
@@ -59,17 +65,6 @@ func main() {
 			os.Exit(125)
 		}
 		path := flag.Arg(0)
-		req := &server.JobRequest{
-			Name:       *name,
-			Backend:    *backend,
-			Slaves:     *slaves,
-			Cores:      *cores,
-			Forwarding: *forward,
-			Splitting:  *split,
-			HintSched:  *hints,
-			TimeoutMs:  timeout.Milliseconds(),
-			Metrics:    *metrics,
-		}
 		if req.Name == "" {
 			req.Name = strings.TrimSuffix(path, ".mc")
 		}

@@ -22,15 +22,17 @@ import (
 )
 
 func main() {
-	slaves := flag.Int("slaves", 0, "number of slave nodes (0 = single-node QEMU baseline)")
-	cores := flag.Int("cores", 4, "cores per node")
-	forward := flag.Bool("forward", false, "enable data forwarding (paper §5.2)")
-	split := flag.Bool("split", false, "enable page splitting (paper §5.1)")
-	hints := flag.Bool("hints", false, "enable hint-based locality-aware scheduling (paper §5.3)")
+	cfg := dqemu.DefaultConfig()
+	cfg.Stdout = os.Stdout
+	flag.IntVar(&cfg.Slaves, "slaves", 0, "number of slave nodes (0 = single-node QEMU baseline)")
+	flag.IntVar(&cfg.Cores, "cores", 4, "cores per node")
+	flag.BoolVar(&cfg.Forwarding, "forward", false, "enable data forwarding (paper §5.2)")
+	flag.BoolVar(&cfg.Splitting, "split", false, "enable page splitting (paper §5.1)")
+	flag.BoolVar(&cfg.HintSched, "hints", false, "enable hint-based locality-aware scheduling (paper §5.3)")
 	stats := flag.Bool("stats", false, "print run statistics to stderr")
-	verify := flag.Bool("verify", false, "prove every trace's lowering symbolically and check its closure compilation structurally; a failed proof compiles the reference lowering, a failed check leaves the trace on the block interpreter, and both are counted in -stats")
+	flag.BoolVar(&cfg.Verify, "verify", false, "prove every trace's lowering symbolically and check its closure compilation structurally; a failed proof compiles the reference lowering, a failed check leaves the trace on the block interpreter, and both are counted in -stats")
 	traceFlag := flag.Bool("trace", false, "stream cluster events (messages, faults, syscalls) to stderr")
-	adaptive := flag.Bool("adaptive", false, "enable the metrics-driven feedback scheduler (locality and load migration, proactive splits)")
+	flag.BoolVar(&cfg.Adaptive, "adaptive", false, "enable the metrics-driven feedback scheduler (locality and load migration, proactive splits)")
 	profile := flag.String("profile", "", "enable the metrics registry and write the JSON snapshot to this file (- for stderr)")
 	chromeTrace := flag.String("chrome-trace", "", "record typed spans and write a Chrome trace_event timeline (Perfetto-loadable) to this file")
 	var files fileFlags
@@ -48,15 +50,6 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := dqemu.DefaultConfig()
-	cfg.Slaves = *slaves
-	cfg.Cores = *cores
-	cfg.Forwarding = *forward
-	cfg.Splitting = *split
-	cfg.HintSched = *hints
-	cfg.Stdout = os.Stdout
-	cfg.Adaptive = *adaptive
-	cfg.Verify = *verify
 	if *traceFlag {
 		cfg.Tracer = trace.New(0, os.Stderr)
 	}

@@ -39,8 +39,9 @@ import (
 	"dqemu/internal/minicc"
 )
 
-// Config describes a cluster: node and core counts, network and DBT cost
-// models, and the optimization switches (Forwarding, Splitting, HintSched).
+// Config describes a cluster: node and core counts, the network model, and
+// the switches of its embedded Knobs (Forwarding, Splitting, HintSched, the
+// ablations and the observability layers).
 type Config = core.Config
 
 // Result reports a finished run: exit code, virtual wall time, console

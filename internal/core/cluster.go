@@ -101,10 +101,10 @@ type Result struct {
 // read-only data are replicated to every node; writable data starts at the
 // master, whose directory owns every page (§4.2).
 func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
-	cfg.normalize()
-	if err := cfg.check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
+	cfg.normalize()
 	s := newSimRuntime(&cfg)
 	ids := make([]int, cfg.Nodes())
 	for id := range ids {
@@ -124,10 +124,10 @@ func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 // Node 0 brings the master services and starts the guest's main thread, so
 // the peers must be reachable through rt before it is built.
 func NewLocal(im *image.Image, cfg Config, id int, rt Runtime) (*Cluster, error) {
-	cfg.normalize()
-	if err := cfg.check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
+	cfg.normalize()
 	if id < 0 || id >= cfg.Nodes() {
 		return nil, fmt.Errorf("core: node id %d outside a cluster of %d", id, cfg.Nodes())
 	}

@@ -23,9 +23,78 @@ import (
 
 	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
-	"dqemu/internal/tcg"
 	"dqemu/internal/trace"
 )
+
+// Knobs are the switches that select what the cluster does: the paper's
+// optimizations (§5.1-§5.3), the ablations, and the observability layers.
+// This is their one declaration: a scenario spec's "knobs" object decodes
+// into it (the JSON tags are the spec's field names; a rename is a schema
+// change), and the CLIs and the job daemon set its fields directly. The
+// zero value is every knob off at its default.
+type Knobs struct {
+	// Forwarding enables data forwarding (§5.2).
+	Forwarding bool `json:"forwarding,omitempty"`
+	// ForwardTrigger is the sequential-page count that arms read-ahead and
+	// SplitFactor the number of shadow pages a split produces; 0 selects
+	// the defaults.
+	ForwardTrigger int `json:"forward_trigger,omitempty"`
+	// Splitting enables page splitting for false sharing (§5.1).
+	Splitting   bool `json:"splitting,omitempty"`
+	SplitFactor int  `json:"split_factor,omitempty"`
+	// HintSched enables hint-based locality-aware placement (§5.3). When
+	// off, threads are placed round-robin.
+	HintSched bool `json:"hint_sched,omitempty"`
+
+	// Interp disables the translation cache (ablation).
+	Interp bool `json:"interp,omitempty"`
+	// NoSuperblock disables promotion of hot blocks to compiled traces
+	// (ablation): everything runs on the block interpreter.
+	NoSuperblock bool `json:"no_superblock,omitempty"`
+	// Verify enables translate-time translation validation: every lowered
+	// trace (ADDI chains folded, compare+branch pairs fused) is symbolically
+	// proved equivalent to the per-instruction reference semantics (compiled
+	// from the reference lowering instead, with a diagnostic, on failure),
+	// and its closure compilation is structurally checked against the uop
+	// sequence it was compiled from (not installed on failure: the trace's
+	// head stays on the block interpreter). Adds translation-time cost only; the
+	// execution hot path is unchanged.
+	Verify bool `json:"verify,omitempty"`
+
+	// NoDelta disables delta page transfers (ablation): coherence messages
+	// carry full pages, nodes keep no twins, and no version information is
+	// exchanged. With NoCoalesce also set, the wire layer is fully off and
+	// message framing matches the pre-wire-layer baseline byte for byte.
+	NoDelta bool `json:"no_delta,omitempty"`
+	// NoCoalesce disables invalidation multicast coalescing, ack
+	// aggregation and push piggybacking (ablation): every invalidation is a
+	// separate unicast with its own ack, and grants/pushes go one page per
+	// message.
+	NoCoalesce bool `json:"no_coalesce,omitempty"`
+
+	// Metrics enables the cluster observability layer (internal/metrics):
+	// fault-latency histograms split by phase, per-page heat maps, futex
+	// contention profiles and per-thread time breakdowns, reported in
+	// Result.Metrics. Off by default; when off the instrumented hot paths
+	// cost zero allocations (every hook no-ops on the nil profiler).
+	Metrics bool `json:"metrics,omitempty"`
+	// Sanitizer enables DQSan (internal/sanitizer): translate-time IR lint
+	// passes plus the distributed happens-before guest race detector. Guest
+	// accesses are instrumented, vector clocks and shadow pages piggyback on
+	// protocol messages, and Result.San carries the findings. Off by default
+	// (the NoSanitizer baseline): instrumentation costs host time and wire
+	// bytes; scenarios/sanitizer-*.json report the wire-byte overhead.
+	Sanitizer bool `json:"sanitizer,omitempty"`
+
+	// Adaptive enables the feedback scheduler (internal/sched): every
+	// sched.PeriodNs of virtual time the master reads the metrics registry,
+	// migrates threads toward the pages they fault on (with a load-balance
+	// fallback), and proactively splits false-sharing pages. Implies
+	// Metrics. The NoAdaptive ablation is simply Adaptive=false: placement
+	// stays where StartThread put it and splits wait for the splitter's
+	// fixed threshold.
+	Adaptive bool `json:"adaptive,omitempty"`
+}
 
 // Config describes a cluster.
 type Config struct {
@@ -39,28 +108,9 @@ type Config struct {
 	// PageSize is the coherence granularity (default 4096).
 	PageSize int
 
-	Cost tcg.CostModel
-	Net  netsim.Config
+	Net netsim.Config
 
-	// Forwarding enables data forwarding (§5.2).
-	Forwarding     bool
-	ForwardTrigger int
-	ForwardWindow  int
-
-	// Splitting enables page splitting for false sharing (§5.1).
-	Splitting      bool
-	SplitFactor    int
-	SplitThreshold int
-
-	// HintSched enables hint-based locality-aware placement (§5.3). When
-	// off, threads are placed round-robin.
-	HintSched bool
-
-	// PlaceOnMaster includes the master in worker-thread placement. The
-	// paper schedules guest threads "among the slave nodes and the master
-	// node"; the evaluation's scalability studies count slave nodes, so the
-	// default (false) places workers only on slaves when any exist.
-	PlaceOnMaster bool
+	Knobs
 
 	// Stdout, if set, receives guest console output as it appears.
 	Stdout io.Writer
@@ -68,40 +118,10 @@ type Config struct {
 	// MaxTimeNs aborts runs exceeding this much virtual time (default 1h).
 	MaxTimeNs int64
 
-	// Interp disables the translation cache (ablation).
-	Interp bool
-	// NoSuperblock disables promotion of hot blocks to compiled traces
-	// (ablation): everything runs on the block interpreter.
-	NoSuperblock bool
 	// NoTier3 is an alias of NoSuperblock, folded into it by newNode. It
 	// selected the uop dispatch loop, which is gone; the frozen bench/ still
 	// sets it by name, and it goes at ROADMAP 1(c)'s unfreeze.
 	NoTier3 bool
-	// Verify enables translate-time translation validation: every lowered
-	// trace (ADDI chains folded, compare+branch pairs fused) is symbolically
-	// proved equivalent to the per-instruction reference semantics (compiled
-	// from the reference lowering instead, with a diagnostic, on failure),
-	// and its closure compilation is structurally checked against the uop
-	// sequence it was compiled from (not installed on failure: the trace's
-	// head stays on the block interpreter). Adds translation-time cost only; the
-	// execution hot path is unchanged.
-	Verify bool
-	// NoDelta disables delta page transfers (ablation): coherence messages
-	// carry full pages, nodes keep no twins, and no version information is
-	// exchanged. With NoCoalesce also set, the wire layer is fully off and
-	// message framing matches the pre-wire-layer baseline byte for byte.
-	NoDelta bool
-	// NoCoalesce disables invalidation multicast coalescing, ack
-	// aggregation and push piggybacking (ablation): every invalidation is a
-	// separate unicast with its own ack, and grants/pushes go one page per
-	// message.
-	NoCoalesce bool
-	// CoalesceWindowNs is how long the master holds invalidations for one
-	// sharer before flushing them as a single KInvBatch, letting
-	// invalidations from back-to-back coherence events share a message.
-	// Zero selects the default (12 µs — small next to the ~410 µs remote
-	// fault, large enough to capture barrier-release storms).
-	CoalesceWindowNs int64
 
 	// Faults, when set to an active plan, injects deterministic seeded
 	// faults (drop/dup/jitter/reorder, node stalls and crashes) into the
@@ -118,23 +138,6 @@ type Config struct {
 	// deliberate-breakage ablations for the chaos suite.
 	Retry netsim.RetryPolicy
 
-	// Sanitizer enables DQSan (internal/sanitizer): translate-time IR lint
-	// passes plus the distributed happens-before guest race detector. Guest
-	// accesses are instrumented, vector clocks and shadow pages piggyback on
-	// protocol messages, and Result.San carries the findings. Off by default
-	// (the NoSanitizer baseline): instrumentation costs host time and wire
-	// bytes; scenarios/sanitizer-*.json report the wire-byte overhead.
-	Sanitizer bool
-
-	// Adaptive enables the feedback scheduler (internal/sched): every
-	// sched.PeriodNs of virtual time the master reads the metrics registry,
-	// migrates threads toward the pages they fault on (with a load-balance
-	// fallback), and proactively splits false-sharing pages. Implies
-	// Metrics. The NoAdaptive ablation is simply Adaptive=false: placement
-	// stays where StartThread put it and splits wait for the splitter's
-	// fixed threshold.
-	Adaptive bool
-
 	// Cancel, when non-nil, aborts the run when closed: Cluster.Run returns
 	// an error wrapping ErrCanceled at the next event boundary. The channel
 	// is polled between simulation events, never inside them, so it cannot
@@ -148,13 +151,6 @@ type Config struct {
 	// attached the cluster also records typed begin/end spans (exec quanta,
 	// page stalls, syscall waits) for the Chrome trace exporter.
 	Tracer *trace.Tracer
-
-	// Metrics enables the cluster observability layer (internal/metrics):
-	// fault-latency histograms split by phase, per-page heat maps, futex
-	// contention profiles and per-thread time breakdowns, reported in
-	// Result.Metrics. Off by default; when off the instrumented hot paths
-	// cost zero allocations (every hook no-ops on the nil profiler).
-	Metrics bool
 }
 
 // DefaultConfig mirrors the paper's testbed: quad-core nodes on gigabit
@@ -165,7 +161,6 @@ func DefaultConfig() Config {
 		Cores:     4,
 		QuantumNs: 100_000,
 		PageSize:  4096,
-		Cost:      tcg.DefaultCostModel(),
 		Net:       netsim.DefaultConfig(),
 		MaxTimeNs: int64(3600) * 1_000_000_000,
 	}
@@ -174,15 +169,23 @@ func DefaultConfig() Config {
 // Nodes returns the cluster size including the master.
 func (c *Config) Nodes() int { return c.Slaves + 1 }
 
-// check rejects (normalized) shapes no cluster can be built from. It is the
-// gate for configurations that arrive from outside the program — a KInit
-// frame — as much as for a caller's.
-func (c *Config) check() error {
+// Check rejects configurations no cluster can be built from, as NewCluster
+// and NewLocal would: it checks a normalized copy of c. It is the gate for
+// configurations that arrive from outside the program — a scenario spec, a
+// job request, a KInit frame — as much as for a caller's.
+func (c Config) Check() error {
+	c.normalize()
 	if c.Slaves < 0 || c.Slaves > 63 {
 		return fmt.Errorf("core: %d slaves outside [0, 63]", c.Slaves)
 	}
 	if ps := c.PageSize; ps < 64 || ps&(ps-1) != 0 {
 		return fmt.Errorf("core: page size %d is not a power of two >= 64", ps)
+	}
+	if c.ForwardTrigger < 0 || c.ForwardTrigger > 64 {
+		return fmt.Errorf("core: forward_trigger %d outside [0, 64]", c.ForwardTrigger)
+	}
+	if c.SplitFactor < 0 || c.SplitFactor > 64 {
+		return fmt.Errorf("core: split_factor %d outside [0, 64]", c.SplitFactor)
 	}
 	return nil
 }
@@ -198,17 +201,11 @@ func (c *Config) normalize() {
 	if c.PageSize == 0 {
 		c.PageSize = 4096
 	}
-	if c.Cost == (tcg.CostModel{}) {
-		c.Cost = tcg.DefaultCostModel()
-	}
 	if c.Net == (netsim.Config{}) {
 		c.Net = netsim.DefaultConfig()
 	}
 	if c.MaxTimeNs <= 0 {
 		c.MaxTimeNs = int64(3600) * 1_000_000_000
-	}
-	if c.CoalesceWindowNs <= 0 {
-		c.CoalesceWindowNs = 12_000
 	}
 	if c.Adaptive {
 		// The feedback scheduler steers by the metrics registry; without it
@@ -240,9 +237,7 @@ type initFaults struct {
 // retry policy, announced by one more bit of the flag word that is derived,
 // not set: every node of a cluster must agree on whether its links run the
 // reliable layer. Everything else in Config is read by the master only, or
-// is per-process (Tracer, Metrics, Stdout, Cancel); the cost model stays at
-// its default on slaves, where it only sets how much guest work one quantum
-// holds.
+// is per-process (Tracer, Metrics, Stdout, Cancel).
 func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 	cfg.normalize()
 	var flags uint64

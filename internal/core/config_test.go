@@ -122,6 +122,8 @@ func TestConfigCheck(t *testing.T) {
 		{"64 slaves", func(c *Config) { c.Slaves = 64 }, "64 slaves outside [0, 63]"},
 		{"odd page size", func(c *Config) { c.PageSize = 1000 }, "page size 1000"},
 		{"tiny page size", func(c *Config) { c.PageSize = 32 }, "page size 32"},
+		{"forward trigger 65", func(c *Config) { c.ForwardTrigger = 65 }, "forward_trigger 65 outside [0, 64]"},
+		{"negative split factor", func(c *Config) { c.SplitFactor = -1 }, "split_factor -1 outside [0, 64]"},
 	} {
 		cfg := DefaultConfig()
 		tc.mutate(&cfg)
@@ -135,7 +137,7 @@ func TestConfigCheck(t *testing.T) {
 	for _, slaves := range []int{0, 63} {
 		cfg := DefaultConfig()
 		cfg.Slaves = slaves
-		if err := cfg.check(); err != nil {
+		if err := cfg.Check(); err != nil {
 			t.Errorf("%d slaves refused: %v", slaves, err)
 		}
 	}

@@ -64,11 +64,11 @@ func newMaster(n *node) *master {
 	}
 	cfg := n.cl.cfg
 	if cfg.Forwarding {
-		m.fwd = dsm.NewForwarder(cfg.ForwardTrigger, cfg.ForwardWindow)
+		m.fwd = dsm.NewForwarder(cfg.ForwardTrigger, 0)
 	}
 	var split *dsm.Splitter
 	if cfg.Splitting {
-		split = dsm.NewSplitter(cfg.PageSize, cfg.SplitFactor, cfg.SplitThreshold)
+		split = dsm.NewSplitter(cfg.PageSize, cfg.SplitFactor, 0)
 	}
 	m.dir = dsm.New(m, m.fwd, split)
 	m.wire = newMasterWire(m)
@@ -216,7 +216,7 @@ func (m *master) adaptTick() {
 		NowNs:        m.cl.rt.Now(),
 		CoresPerNode: m.cl.cfg.Cores,
 	}
-	for id := m.firstPlaceable(); id <= m.cl.cfg.Slaves; id++ {
+	for id := 1; id <= m.cl.cfg.Slaves; id++ {
 		in.ActiveNodes = append(in.ActiveNodes, id)
 	}
 	in.ThreadNodes = make(map[int64]int, len(m.placement))
@@ -592,20 +592,10 @@ func (m *master) placeThread(hint int64) int {
 	return m.rotate()
 }
 
-// firstPlaceable is the lowest node worker threads land on: the placement
-// nodes are [firstPlaceable, Slaves], the master included only when it
-// takes workers.
-func (m *master) firstPlaceable() int {
-	if m.cl.cfg.PlaceOnMaster {
-		return 0
-	}
-	return 1
-}
-
-// rotate round-robins over the placement nodes.
+// rotate round-robins worker threads over the slaves. The master takes none
+// while slaves exist: the paper's scalability studies count slave nodes.
 func (m *master) rotate() int {
-	first := m.firstPlaceable()
-	nodeID := first + m.nextRR%(m.cl.cfg.Slaves+1-first)
+	nodeID := 1 + m.nextRR%m.cl.cfg.Slaves
 	m.nextRR++
 	return nodeID
 }

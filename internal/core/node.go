@@ -73,7 +73,7 @@ const (
 
 func newNode(id int, cl *Cluster) *node {
 	space := mem.NewSpace(cl.cfg.PageSize)
-	engine := tcg.NewEngine(space, cl.cfg.Cost)
+	engine := tcg.NewEngine(space, tcg.DefaultCostModel())
 	llsc := tcg.NewLLSCTable()
 	engine.Mon = llsc
 	engine.NoCache = cl.cfg.Interp

@@ -141,22 +141,26 @@ func TestSanitizerCleanWorkloads(t *testing.T) {
 
 // TestSanitizerShadowSurvivesSplitting turns on page splitting and checks
 // that shadow state follows the remapped parts without wedging the run or
-// fabricating reports on the torture workload.
+// fabricating reports on the torture workload. With 32 threads the 64-byte
+// slots cover two parts of the false-sharing page, and 64 rounds ping-pong it
+// past the splitter's default threshold.
 func TestSanitizerShadowSurvivesSplitting(t *testing.T) {
-	im, err := workloads.Torture(4, 24)
+	im, err := workloads.Torture(32, 64)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	cfg := sanCfg(2)
 	cfg.Splitting = true
 	cfg.SplitFactor = 4
-	cfg.SplitThreshold = 6
 	res, err := Run(im, cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if res.ExitCode != 0 {
 		t.Fatalf("exit = %d, console:\n%s", res.ExitCode, res.Console)
+	}
+	if res.Dir.Splits == 0 {
+		t.Errorf("no page split; the test is not exercising remapped shadow state")
 	}
 	if len(res.San.Races) != 0 {
 		t.Errorf("false positives under splitting:\n%s", dumpSan(t, res))

@@ -83,6 +83,12 @@ type wireSnap struct {
 // wireSnapKeep bounds the per-page ring of retained home-copy versions.
 const wireSnapKeep = 4
 
+// coalesceWindowNs is how long the master holds invalidations for one sharer
+// before flushing them as a single KInvBatch, letting invalidations from
+// back-to-back coherence events share a message: small next to the ~410 µs
+// remote fault, large enough to capture barrier-release storms.
+const coalesceWindowNs = 12_000
+
 // targetBuf is what one node is owed when the current handle ends: its demand
 // grants and the pushes forwarded to it. Both slices keep their backing array
 // from one flush to the next.
@@ -102,7 +108,6 @@ type masterWire struct {
 	m        *master
 	delta    bool
 	coalesce bool
-	windowNs int64
 	limit    int // encoded-delta fallback threshold in bytes
 
 	lastVer map[uint64]uint64 // highest version assigned so far
@@ -138,7 +143,6 @@ func newMasterWire(m *master) *masterWire {
 		m:        m,
 		delta:    !cfg.NoDelta,
 		coalesce: !cfg.NoCoalesce,
-		windowNs: cfg.CoalesceWindowNs,
 		limit:    cfg.PageSize / 2,
 		lastVer:  map[uint64]uint64{},
 		homeVer:  map[uint64]uint64{},
@@ -456,7 +460,7 @@ func (w *masterWire) queueInvalidate(to int32, page uint64) {
 	if b == nil {
 		b = &invBuf{}
 		w.pendInv[to] = b
-		w.m.cl.rt.After(w.windowNs, func() { w.flushInv(to) })
+		w.m.cl.rt.After(coalesceWindowNs, func() { w.flushInv(to) })
 	}
 	b.pages = append(b.pages, page)
 }

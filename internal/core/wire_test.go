@@ -279,16 +279,19 @@ func TestWireForwardingMismatchHeals(t *testing.T) {
 
 // TestWireSplittingEquivalence runs a false-sharing workload with page
 // splitting on across the ablation matrix: split twins must follow
-// SplitHome's layout or re-fetches would install wrong content.
+// SplitHome's layout or re-fetches would install wrong content. Each of the 8
+// writers owns 128 bytes of its own 512-byte slot of arr, so writers on
+// different nodes touch different parts of a page, and a barrier every round
+// interleaves them, so the splitter fires at its default threshold.
 func TestWireSplittingEquivalence(t *testing.T) {
 	const src = `
 long arr[512];
 long bar[3];
 long worker(long idx) {
 	for (long r = 0; r < 30; r++) {
-		for (long i = 0; i < 16; i++) arr[idx * 16 + i] += idx + r + i;
+		for (long i = 0; i < 16; i++) arr[idx * 64 + i] += idx + r + i;
+		barrier_wait(bar);
 	}
-	barrier_wait(bar);
 	return 0;
 }
 long main() {
@@ -306,7 +309,6 @@ long main() {
 	base := DefaultConfig()
 	base.Slaves = 4
 	base.Splitting = true
-	base.SplitThreshold = 4
 
 	var want string
 	first := true
@@ -317,6 +319,9 @@ long main() {
 		}
 		if res.ExitCode != 0 {
 			t.Fatalf("%s: exit %d console %q", name, res.ExitCode, res.Console)
+		}
+		if res.Dir.Splits == 0 {
+			t.Errorf("%s: no page split; the test is not exercising split twins", name)
 		}
 		if first {
 			want, first = res.Console, false

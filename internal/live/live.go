@@ -29,9 +29,9 @@ type Config struct {
 	// Core is the cluster shape and every protocol knob, meaning what it
 	// means under the simulator: Slaves is how many connections the master
 	// waits for, Cancel aborts the run with ErrCanceled, Stdout receives the
-	// console. The master ships the part slaves need (core.InitFrame). Net,
-	// Cost and MaxTimeNs model time and do nothing here; Adaptive and
-	// Sanitizer are rejected (validate).
+	// console. The master ships the part slaves need (core.InitFrame). Net
+	// and MaxTimeNs model time and do nothing here; Adaptive and Sanitizer
+	// are rejected (validate).
 	//
 	// Faults is injected by the master, on every frame it puts on or takes
 	// off a socket — every link, since slaves only address the master — by

@@ -107,7 +107,7 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Core: core.Config{Slaves: 2, Splitting: true, HintSched: true, Forwarding: true}})
+	res := runLive(t, im, Config{Core: core.Config{Slaves: 2, Knobs: core.Knobs{Splitting: true, HintSched: true, Forwarding: true}}})
 	if res.Console != "30720\n" { // 512 slots * 60 rounds
 		t.Errorf("console = %q", res.Console)
 	}
@@ -120,8 +120,8 @@ long main() {
 func TestRunMasterRejectsUnsupportedConfig(t *testing.T) {
 	im := build(t, `long main() { return 0; }`)
 	for field, cfg := range map[string]core.Config{
-		"Adaptive":  {Slaves: 1, Adaptive: true},
-		"Sanitizer": {Slaves: 1, Sanitizer: true},
+		"Adaptive":  {Slaves: 1, Knobs: core.Knobs{Adaptive: true}},
+		"Sanitizer": {Slaves: 1, Knobs: core.Knobs{Sanitizer: true}},
 	} {
 		t.Run(field, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")

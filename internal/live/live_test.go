@@ -194,11 +194,11 @@ long main() {
 		{"streamcluster", func() (*image.Image, error) { return workloads.Streamcluster(8, 2048, 8, 2) }},
 	}
 	knobs := []struct {
-		name                          string
-		forward, splitting, hintSched bool
+		name  string
+		knobs core.Knobs
 	}{
 		{name: "plain"},
-		{"fwd+split+hints", true, true, true},
+		{"fwd+split+hints", core.Knobs{Forwarding: true, Splitting: true, HintSched: true}},
 	}
 	for _, g := range guests {
 		im, err := g.build()
@@ -206,7 +206,7 @@ long main() {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 		for _, k := range knobs {
-			cfg := core.Config{Slaves: 2, Forwarding: k.forward, Splitting: k.splitting, HintSched: k.hintSched}
+			cfg := core.Config{Slaves: 2, Knobs: k.knobs}
 			want, err := core.Run(im, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: simulation: %v", g.name, k.name, err)
@@ -223,7 +223,7 @@ long main() {
 				cfg.NoDelta, cfg.NoCoalesce = !wire, !wire
 				t.Run(fmt.Sprintf("%s/%s/wire=%v", g.name, k.name, wire), func(t *testing.T) { same(t, cfg) })
 			}
-			if !k.forward {
+			if !k.knobs.Forwarding {
 				continue // the fault arm runs once per guest, on the busier protocol
 			}
 			cfg.Faults, cfg.Retry = &recoverable, fastRetry
@@ -331,7 +331,7 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Core: core.Config{Slaves: 1, Forwarding: true, Splitting: true}, Files: map[string][]byte{"/seed.txt": []byte("3")}})
+	res := runLive(t, im, Config{Core: core.Config{Slaves: 1, Knobs: core.Knobs{Forwarding: true, Splitting: true}}, Files: map[string][]byte{"/seed.txt": []byte("3")}})
 	if res.Console != "24576\n" {
 		t.Errorf("console = %q", res.Console)
 	}

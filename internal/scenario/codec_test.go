@@ -38,7 +38,7 @@ func goldenSpecs() map[string]*Spec {
 			},
 			Cluster: Cluster{Slaves: 3, Cores: 2, QuantumNs: 250_000, PageSize: 1024},
 			Knobs: Knobs{
-				Forwarding: true, Splitting: true, HintSched: true, PlaceOnMaster: true,
+				Forwarding: true, Splitting: true, HintSched: true,
 				Interp: false, NoSuperblock: false,
 				ForwardTrigger: 3, SplitFactor: 8,
 				NoDelta: true, NoCoalesce: true,
@@ -218,6 +218,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"deleted knob rebalance_ns", spec(`,"knobs":{"rebalance_ns":2000000}`), `unknown field "rebalance_ns"`},
 		{"deleted knob adapt_period_ns", spec(`,"knobs":{"adaptive":true,"adapt_period_ns":250000}`), `unknown field "adapt_period_ns"`},
 		{"deleted knob max_slaves", spec(`,"knobs":{"max_slaves":4}`), `unknown field "max_slaves"`},
+		{"deleted knob place_on_master", spec(`,"knobs":{"place_on_master":true}`), `unknown field "place_on_master"`},
+		{"forward trigger out of range", spec(`,"knobs":{"forwarding":true,"forward_trigger":65}`), "forward_trigger 65 outside [0, 64]"},
+		{"negative split factor", spec(`,"knobs":{"splitting":true,"split_factor":-1}`), "split_factor -1 outside [0, 64]"},
 		{"deleted knob in an arm", spec(`,"arms":[{"name":"a","knobs":{"max_slaves":4}}]`), `unknown field "max_slaves"`},
 		{"trailing data", spec("") + `{"version":2}`, "trailing data"},
 		{"no name", `{"version":2,"workload":{"kind":"pi"}}`, "no name"},

@@ -139,39 +139,8 @@ type Cluster struct {
 	PageSize int `json:"page_size,omitempty"`
 }
 
-// Knobs mirrors the core.Config feature toggles and ablations that
-// experiments vary. Field names are the stable data form of the knobs; a
-// rename is a schema change.
-type Knobs struct {
-	Forwarding bool `json:"forwarding,omitempty"`
-	// ForwardTrigger is the sequential-page count that arms read-ahead and
-	// SplitFactor the number of shadow pages a split produces; 0 selects
-	// the defaults.
-	ForwardTrigger int  `json:"forward_trigger,omitempty"`
-	Splitting      bool `json:"splitting,omitempty"`
-	SplitFactor    int  `json:"split_factor,omitempty"`
-	HintSched      bool `json:"hint_sched,omitempty"`
-	PlaceOnMaster  bool `json:"place_on_master,omitempty"`
-
-	Interp       bool `json:"interp,omitempty"`
-	NoSuperblock bool `json:"no_superblock,omitempty"`
-	// Verify turns on translate-time translation validation (symbolic
-	// trace proofs, structural checks of their closure compilations); a run
-	// with verify on gets an implicit verify_clean gate requiring zero
-	// failures.
-	Verify bool `json:"verify,omitempty"`
-
-	NoDelta    bool `json:"no_delta,omitempty"`
-	NoCoalesce bool `json:"no_coalesce,omitempty"`
-
-	Metrics   bool `json:"metrics,omitempty"`
-	Sanitizer bool `json:"sanitizer,omitempty"`
-
-	// Adaptive turns on the feedback scheduler (internal/sched): locality
-	// migration with a load-balance fallback and proactive splits, driven
-	// off the metrics registry (implies metrics).
-	Adaptive bool `json:"adaptive,omitempty"`
-}
+// Knobs are the core.Config switches a spec sets, under their JSON names.
+type Knobs = core.Knobs
 
 // Gates are the acceptance checks evaluated on the finished run. Every
 // quantity gated here is virtual-time deterministic: two runs of the same
@@ -365,10 +334,11 @@ func (s *Spec) validateMatrix() error {
 	return nil
 }
 
-// validateCell range-checks one flat (sweep- and arm-free) spec.
+// validateCell range-checks one flat (sweep- and arm-free) spec: what core
+// refuses to build, then the spec's own stricter cluster bounds.
 func (s *Spec) validateCell() error {
-	if s.Cluster.Slaves < 0 || s.Cluster.Slaves > 63 {
-		return fmt.Errorf("scenario: %d slaves outside [0, 63]", s.Cluster.Slaves)
+	if err := s.config().Check(); err != nil {
+		return err
 	}
 	if s.Cluster.Cores < 0 || s.Cluster.Cores > 256 {
 		return fmt.Errorf("scenario: %d cores outside [0, 256]", s.Cluster.Cores)
@@ -378,9 +348,6 @@ func (s *Spec) validateCell() error {
 	}
 	if ps := s.Cluster.PageSize; ps != 0 && (ps < 256 || ps > 65536 || ps&(ps-1) != 0) {
 		return fmt.Errorf("scenario: page size %d is not a power of two in [256, 65536]", ps)
-	}
-	if k := s.Knobs; k.ForwardTrigger < 0 || k.ForwardTrigger > 64 || k.SplitFactor < 0 || k.SplitFactor > 64 {
-		return fmt.Errorf("scenario: forward_trigger or split_factor outside [0, 64]")
 	}
 	if err := s.Faults.Validate(s.Cluster.Slaves + 1); err != nil {
 		return err
@@ -489,21 +456,7 @@ func (s *Spec) config() core.Config {
 	if s.Cluster.PageSize > 0 {
 		cfg.PageSize = s.Cluster.PageSize
 	}
-	k := s.Knobs
-	cfg.Forwarding = k.Forwarding
-	cfg.ForwardTrigger = k.ForwardTrigger
-	cfg.Splitting = k.Splitting
-	cfg.SplitFactor = k.SplitFactor
-	cfg.HintSched = k.HintSched
-	cfg.PlaceOnMaster = k.PlaceOnMaster
-	cfg.Interp = k.Interp
-	cfg.NoSuperblock = k.NoSuperblock
-	cfg.Verify = k.Verify
-	cfg.NoDelta = k.NoDelta
-	cfg.NoCoalesce = k.NoCoalesce
-	cfg.Metrics = k.Metrics
-	cfg.Sanitizer = k.Sanitizer
-	cfg.Adaptive = k.Adaptive
+	cfg.Knobs = s.Knobs
 	if s.Faults != nil {
 		plan := *s.Faults // the cluster must not alias the spec
 		cfg.Faults = &plan

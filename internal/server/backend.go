@@ -12,40 +12,14 @@ import (
 	"dqemu/internal/metrics"
 )
 
-// RunSpec is a fully admitted job: the compiled guest image plus cluster
-// shape. Admission does program building (and rejects bad programs with
-// 400), so by the time a worker sees a RunSpec the only failures left are
-// runtime ones.
+// RunSpec is a fully admitted job: the compiled guest image and the cluster
+// configuration both backends run. Admission builds the program and checks
+// the configuration (and rejects either with 400), so by the time a worker
+// sees a RunSpec the only failures left are runtime ones.
 type RunSpec struct {
-	Image *image.Image
-	Files map[string][]byte
-
-	Slaves     int
-	Cores      int
-	Forwarding bool
-	Splitting  bool
-	HintSched  bool
-
-	// Metrics asks for the observability snapshot. On the live backend it
-	// covers what the master process sees: the directory-side fault phases
-	// for every node, everything else for node 0.
-	Metrics bool
-}
-
-// coreConfig is the one mapping from a job to a cluster configuration; both
-// backends run what it returns.
-func (spec *RunSpec) coreConfig(cancel <-chan struct{}) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Slaves = spec.Slaves
-	if spec.Cores > 0 {
-		cfg.Cores = spec.Cores
-	}
-	cfg.Forwarding = spec.Forwarding
-	cfg.Splitting = spec.Splitting
-	cfg.HintSched = spec.HintSched
-	cfg.Metrics = spec.Metrics
-	cfg.Cancel = cancel
-	return cfg
+	Image  *image.Image
+	Files  map[string][]byte
+	Config core.Config
 }
 
 // RunOutcome is what a backend reports for a finished guest.
@@ -80,7 +54,8 @@ type SimBackend struct {
 func (b *SimBackend) Name() string { return "sim" }
 
 func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
-	cfg := spec.coreConfig(cancel)
+	cfg := spec.Config
+	cfg.Cancel = cancel
 	if b.MaxVirtualNs > 0 {
 		cfg.MaxTimeNs = b.MaxVirtualNs
 	}
@@ -111,7 +86,7 @@ func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, err
 }
 
 // LiveBackend spawns a real-socket cluster per job: a master listening on
-// loopback plus spec.Slaves slave loops, each node a genuinely concurrent
+// loopback plus spec.Config.Slaves slave loops, each node a genuinely concurrent
 // event loop running the same protocol engine as SimBackend and exchanging
 // length-prefixed frames over TCP. It exists to keep the service honest
 // against the hardened transport — the same BootError / backpressure /
@@ -134,14 +109,15 @@ func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, er
 		stats core.NodeStats
 		err   error
 	}
-	slaves := make(chan slaveEnd, spec.Slaves)
-	for i := 0; i < spec.Slaves; i++ {
+	cfg := live.Config{Core: spec.Config, Timeout: b.Timeout, Files: spec.Files}
+	cfg.Core.Cancel = cancel
+	slaves := make(chan slaveEnd, cfg.Core.Slaves)
+	for i := 0; i < cfg.Core.Slaves; i++ {
 		go func() {
 			stats, err := live.RunSlave(addr)
 			slaves <- slaveEnd{stats, err}
 		}()
 	}
-	cfg := live.Config{Core: spec.coreConfig(cancel), Timeout: b.Timeout, Files: spec.Files}
 	// The master's node loop honors cancel, but the boot (accept/handshake)
 	// is bounded only by cfg.Timeout; closing the listener turns a cancel
 	// during boot into an immediate BootError.
@@ -160,7 +136,7 @@ func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, er
 	// handshake reads only fail once the listening socket is gone.
 	ln.Close()
 	var insns uint64
-	for i := 0; i < spec.Slaves; i++ {
+	for i := 0; i < cfg.Core.Slaves; i++ {
 		s := <-slaves
 		insns += s.stats.Engine.ExecInsns
 		if s.err != nil && err == nil {

@@ -59,7 +59,9 @@ type JobRequest struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 
 	// Metrics asks the backend for the observability snapshot the bench
-	// suite emits (fault-latency histograms, page heat, contention).
+	// suite emits (fault-latency histograms, page heat, contention). On the
+	// live backend it covers what the master process sees: the
+	// directory-side fault phases for every node, everything else for node 0.
 	Metrics bool `json:"metrics,omitempty"`
 }
 

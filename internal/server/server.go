@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"dqemu/internal/asm"
+	"dqemu/internal/core"
 	"dqemu/internal/grt"
 	"dqemu/internal/image"
 )
@@ -212,6 +213,13 @@ func (s *Server) Submit(tenant string, req *JobRequest) (JobStatus, error) {
 	if req.Slaves < 0 || req.Slaves > s.opts.MaxSlaves {
 		return JobStatus{}, &APIError{Status: http.StatusBadRequest, Message: fmt.Sprintf("slaves must be in [0, %d]", s.opts.MaxSlaves)}
 	}
+	cfg := core.DefaultConfig()
+	cfg.Slaves, cfg.Cores = req.Slaves, req.Cores
+	cfg.Forwarding, cfg.Splitting, cfg.HintSched = req.Forwarding, req.Splitting, req.HintSched
+	cfg.Metrics = req.Metrics
+	if err := cfg.Check(); err != nil {
+		return JobStatus{}, &APIError{Status: http.StatusBadRequest, Message: err.Error()}
+	}
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMs > 0 {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
@@ -246,20 +254,11 @@ func (s *Server) Submit(tenant string, req *JobRequest) (JobStatus, error) {
 
 	s.nextID++
 	j := &job{
-		id:      fmt.Sprintf("job-%06d", s.nextID),
-		tenant:  tenant,
-		name:    req.Name,
-		backend: backendName,
-		spec: RunSpec{
-			Image:      im,
-			Files:      req.Files,
-			Slaves:     req.Slaves,
-			Cores:      req.Cores,
-			Forwarding: req.Forwarding,
-			Splitting:  req.Splitting,
-			HintSched:  req.HintSched,
-			Metrics:    req.Metrics,
-		},
+		id:       fmt.Sprintf("job-%06d", s.nextID),
+		tenant:   tenant,
+		name:     req.Name,
+		backend:  backendName,
+		spec:     RunSpec{Image: im, Files: req.Files, Config: cfg},
 		timeout:  timeout,
 		state:    StateQueued,
 		queuedAt: time.Now(),

@@ -576,24 +576,29 @@ func TestDrainGraceCancels(t *testing.T) {
 }
 
 // TestBadRequests: admission rejects malformed programs and shapes with
-// 400s, never creating daemon state.
+// 400s, never creating daemon state. A shape inside the daemon's MaxSlaves
+// that core cannot build is refused at admission, not failed at run time.
 func TestBadRequests(t *testing.T) {
-	_, ts := startServer(t, Options{MaxSlaves: 4})
-	c := &testClient{t: t, base: ts.URL, tenant: "alice"}
-
-	for _, req := range []*JobRequest{
-		{},                                     // no program
-		{Source: "long main( {", Name: "bad"},  // does not compile
-		{Source: trivialSource, Slaves: 99},    // over MaxSlaves
-		{Source: trivialSource, Backend: "xx"}, // unknown backend
+	for _, tc := range []struct {
+		opts    Options
+		req     *JobRequest
+		wantSub string
+	}{
+		{Options{MaxSlaves: 4}, &JobRequest{}, "exactly one of"},                               // no program
+		{Options{MaxSlaves: 4}, &JobRequest{Source: "long main( {", Name: "bad"}, "building"},  // does not compile
+		{Options{MaxSlaves: 4}, &JobRequest{Source: trivialSource, Slaves: 99}, "slaves must"}, // over MaxSlaves
+		{Options{MaxSlaves: 4}, &JobRequest{Source: trivialSource, Backend: "xx"}, "backend"},  // unknown backend
+		{Options{MaxSlaves: 100}, &JobRequest{Source: trivialSource, Slaves: 64}, "64 slaves"}, // a shape core refuses
 	} {
-		resp, _ := c.req("POST", "/v1/jobs", req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("req %+v: HTTP %d, want 400", req, resp.StatusCode)
+		_, ts := startServer(t, tc.opts)
+		c := &testClient{t: t, base: ts.URL, tenant: "alice"}
+		resp, data := c.req("POST", "/v1/jobs", tc.req)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte(tc.wantSub)) {
+			t.Errorf("req %+v: HTTP %d %s, want 400 containing %q", tc.req, resp.StatusCode, data, tc.wantSub)
 		}
-	}
-	if jobs := c.daemonStatus(); jobs.Queued != 0 || jobs.Running != 0 {
-		t.Errorf("rejected submissions left daemon state: %+v", jobs)
+		if jobs := c.daemonStatus(); jobs.Queued != 0 || jobs.Running != 0 {
+			t.Errorf("rejected submission %+v left daemon state: %+v", tc.req, jobs)
+		}
 	}
 }
 
