@@ -25,7 +25,6 @@ import (
 
 	"dqemu"
 	"dqemu/internal/core"
-	"dqemu/internal/image"
 	"dqemu/internal/live"
 )
 
@@ -52,7 +51,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: dqemu-live -listen ADDR -slaves N prog.mc|prog.s|prog.img")
 			os.Exit(2)
 		}
-		im, err := loadProgram(flag.Arg(0))
+		im, err := dqemu.Load(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
@@ -79,22 +78,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dqemu-live: need -listen (master) or -connect (slave)")
 		os.Exit(2)
 	}
-}
-
-func loadProgram(path string) (*dqemu.Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case strings.HasSuffix(path, ".mc"):
-		return dqemu.Compile(path, string(data))
-	case strings.HasSuffix(path, ".s"):
-		return dqemu.Assemble(dqemu.Source{Name: path, Text: string(data)})
-	case strings.HasSuffix(path, ".img"):
-		return image.Decode(data)
-	}
-	return nil, fmt.Errorf("unknown program type %q", path)
 }
 
 func fatal(err error) {

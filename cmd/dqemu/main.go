@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"dqemu"
-	"dqemu/internal/image"
 	"dqemu/internal/trace"
 )
 
@@ -44,8 +43,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	path := flag.Arg(0)
-	im, err := loadProgram(path)
+	im, err := dqemu.Load(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -119,22 +117,6 @@ func writeChromeTrace(path string, tr *trace.Tracer) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadProgram(path string) (*dqemu.Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case strings.HasSuffix(path, ".mc"):
-		return dqemu.Compile(path, string(data))
-	case strings.HasSuffix(path, ".s"):
-		return dqemu.Assemble(dqemu.Source{Name: path, Text: string(data)})
-	case strings.HasSuffix(path, ".img"):
-		return image.Decode(data)
-	}
-	return nil, fmt.Errorf("dqemu: unknown program type %q (want .mc, .s or .img)", path)
 }
 
 func printStats(res *dqemu.Result) {

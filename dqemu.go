@@ -32,6 +32,10 @@
 package dqemu
 
 import (
+	"fmt"
+	"os"
+	"strings"
+
 	"dqemu/internal/asm"
 	"dqemu/internal/core"
 	"dqemu/internal/grt"
@@ -86,6 +90,25 @@ func CompileToAsm(name, src string) (string, error) {
 // against the guest runtime.
 func Assemble(sources ...Source) (*Image, error) {
 	return grt.BuildAsmProgram(sources...)
+}
+
+// Load builds the guest image a program file names by its suffix: mini-C
+// source (.mc) goes through Compile, GA64 assembly (.s) through Assemble, and
+// a prebuilt image (.img, from dqemu-cc/dqemu-asm) is decoded.
+func Load(path string) (*Image, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case strings.HasSuffix(path, ".mc"):
+		return Compile(path, string(data))
+	case strings.HasSuffix(path, ".s"):
+		return Assemble(Source{Name: path, Text: string(data)})
+	case strings.HasSuffix(path, ".img"):
+		return image.Decode(data)
+	}
+	return nil, fmt.Errorf("unknown program type %q (want .mc, .s or .img)", path)
 }
 
 // AssembleBare assembles sources without the guest runtime (the program

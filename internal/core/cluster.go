@@ -48,7 +48,8 @@ type Cluster struct {
 
 	// wireStats accumulates wire-efficiency-layer activity from both the
 	// master (encoding choices, batching) and the nodes (mismatch resends,
-	// dropped pushes). Zero when the layer is fully ablated.
+	// dropped pushes). With both ablations set it counts the whole pages the
+	// layer ships.
 	wireStats WireStats
 
 	// prof is the metrics recorder (Config.Metrics); nil when disabled,

@@ -63,8 +63,9 @@ type Knobs struct {
 
 	// NoDelta disables delta page transfers (ablation): coherence messages
 	// carry full pages, nodes keep no twins, and no version information is
-	// exchanged. With NoCoalesce also set, the wire layer is fully off and
-	// message framing matches the pre-wire-layer baseline byte for byte.
+	// exchanged. With NoCoalesce also set, every page travels whole in the
+	// pre-wire-layer framing and frame lengths match that baseline; the
+	// layer still counts those pages in Result.Wire.
 	NoDelta bool `json:"no_delta,omitempty"`
 	// NoCoalesce disables invalidation multicast coalescing, ack
 	// aggregation and push piggybacking (ablation): every invalidation is a

@@ -21,8 +21,8 @@ type master struct {
 	dir *dsm.Directory
 
 	// wire is the wire-efficiency layer (delta transfers, invalidation
-	// coalescing, push piggybacking). nil when both ablations are set, which
-	// keeps every Env method on its legacy framing.
+	// coalescing, push piggybacking) every page transfer goes through. With
+	// both ablations set it ships every page whole in the pre-layer framing.
 	wire *masterWire
 
 	// helperWait parks manager-thread continuations needing a page at home.
@@ -79,9 +79,7 @@ func newMaster(n *node) *master {
 // immediate send, so buffering can never reorder the master's messages on
 // one link relative to the unbuffered protocol.
 func (m *master) sendNow(msg *proto.Msg) {
-	if m.wire != nil {
-		m.wire.flushTarget(msg.To)
-	}
+	m.wire.flushTarget(msg.To)
 	m.cl.rt.Send(msg)
 }
 
@@ -92,11 +90,9 @@ func (m *master) handle(msg *proto.Msg) {
 	if m.cl.done && msg.Kind != proto.KShutdown {
 		return
 	}
-	if m.wire != nil {
-		// Grants and pushes queued while handling this message flush as
-		// (at most) one message per target once the directory settles.
-		defer m.wire.flushAll()
-	}
+	// Grants and pushes queued while handling this message flush as (at
+	// most) one message per target once the directory settles.
+	defer m.wire.flushAll()
 	switch msg.Kind {
 	case proto.KPageReq:
 		m.cl.prof.reqArrived(int(msg.From), msg.Page, msg.Write, m.cl.rt.Now())
@@ -106,12 +102,10 @@ func (m *master) handle(msg *proto.Msg) {
 			m.pol.NoteFault(msg.TID, int(msg.From), m.dir.OwnerOf(msg.Page))
 		}
 		full := msg.Flags&proto.FlagFullResend != 0
-		if m.wire != nil {
-			if full {
-				m.wire.stats.Resends++
-			}
-			m.wire.noteRequest(msg.From, msg.Page, msg.Ver, full)
+		if full {
+			m.wire.stats.Resends++
 		}
+		m.wire.noteRequest(msg.From, msg.Page, msg.Ver, full)
 		m.dir.OnRequest(dsm.Request{
 			Node:  int(msg.From),
 			TID:   msg.TID,
@@ -122,13 +116,15 @@ func (m *master) handle(msg *proto.Msg) {
 		})
 	case proto.KFetchReply:
 		data, san := msg.Data, msg.AuxPart().San
+		var err error
 		if msg.Flags&proto.FlagCoh != 0 {
-			var err error
 			data, san, err = m.wire.materializeFetchReply(msg.From, msg)
-			if err != nil {
-				m.cl.fail(err)
-				return
-			}
+		} else if len(data) != m.space.PageSize() {
+			err = fmt.Errorf("core: fetch reply from node %d for page %#x: %d-byte body", msg.From, msg.Page, len(data))
+		}
+		if err != nil {
+			m.cl.fail(err)
+			return
 		}
 		if m.node.san != nil {
 			// Fold the owner's shadow history into the home copy before the
@@ -319,7 +315,7 @@ func (m *master) onSyscallReq(msg *proto.Msg) {
 func (m *master) SendContent(to int, page uint64, perm mem.Perm) {
 	m.cl.prof.grantSent(to, page, m.cl.rt.Now())
 	if to == dsm.Master {
-		if m.wire != nil && perm == mem.PermReadWrite {
+		if perm == mem.PermReadWrite {
 			// The home copy is about to be modified in place: snapshot it
 			// (sharers keep twins at this version) and open a new version.
 			m.wire.openLocalEpoch(page)
@@ -329,22 +325,7 @@ func (m *master) SendContent(to int, page uint64, perm mem.Perm) {
 		m.node.contentArrived(page, perm)
 		return
 	}
-	if m.wire != nil {
-		m.wire.queueGrant(int32(to), page, perm)
-		return
-	}
-	data := m.space.EnsurePage(page, m.space.PermOf(page))
-	grant := &proto.Msg{
-		Kind: proto.KPageContent, From: 0, To: int32(to),
-		Page: page, Perm: uint8(perm),
-		Data: append([]byte(nil), data...),
-	}
-	if m.node.san != nil {
-		// Shadow state travels with the page: the grantee merges it so its
-		// next access is checked against every recorded remote access.
-		grant.Aux = proto.SanAux(m.node.san.EncodePage(page))
-	}
-	m.cl.rt.Send(grant)
+	m.wire.queueGrant(int32(to), page, perm)
 }
 
 // SendReaffirm grants permission without data: the target already holds the
@@ -352,8 +333,7 @@ func (m *master) SendContent(to int, page uint64, perm mem.Perm) {
 func (m *master) SendReaffirm(to int, page uint64, perm mem.Perm) {
 	m.cl.prof.grantSent(to, page, m.cl.rt.Now())
 	if to == dsm.Master {
-		if m.wire != nil && perm == mem.PermReadWrite &&
-			m.space.PermOf(page) != mem.PermReadWrite && m.wire.versioned(page) {
+		if perm == mem.PermReadWrite && m.space.PermOf(page) != mem.PermReadWrite && m.wire.versioned(page) {
 			// Same as SendContent: the master is about to write the home
 			// copy in place, and other nodes may hold twins at its version.
 			// A freshly split shadow page takes this path — the master
@@ -377,7 +357,7 @@ func (m *master) SendReaffirm(to int, page uint64, perm mem.Perm) {
 
 func (m *master) SendInvalidate(to int, page uint64) {
 	m.cl.prof.invalidated(page)
-	if m.wire != nil && m.wire.coalesce {
+	if m.wire.coalesce {
 		m.wire.queueInvalidate(int32(to), page)
 		return
 	}
@@ -386,7 +366,7 @@ func (m *master) SendInvalidate(to int, page uint64) {
 
 func (m *master) SendFetch(owner int, page uint64, invalidate bool) {
 	msg := &proto.Msg{Kind: proto.KFetch, From: 0, To: int32(owner), Page: page, Write: invalidate}
-	if m.wire != nil && m.wire.delta {
+	if m.wire.delta {
 		// Stamp the epoch naming the owner's content so the reply's diff
 		// carries the version the page will be known by.
 		msg.Ver = m.wire.fetchEpoch(page)
@@ -427,32 +407,11 @@ func (m *master) BroadcastRemap(orig uint64, shadows []uint64) {
 		return
 	}
 	m.llsc.InvalidatePage(orig, m.space.PageSize())
-	if m.wire != nil {
-		m.wire.broadcastRemap(orig, shadows)
-		return
-	}
-	for id := 1; id < m.cl.cfg.Nodes(); id++ {
-		m.cl.rt.Send(&proto.Msg{
-			Kind: proto.KRemap, From: 0, To: int32(id),
-			Page: orig, Aux: &proto.Aux{Shadows: shadows},
-		})
-	}
+	m.wire.broadcastRemap(orig, shadows)
 }
 
 func (m *master) PushPage(to int, page uint64) {
-	if m.wire != nil {
-		m.wire.queuePush(int32(to), page)
-		return
-	}
-	data := m.space.EnsurePage(page, m.space.PermOf(page))
-	push := &proto.Msg{
-		Kind: proto.KPush, From: 0, To: int32(to),
-		Page: page, Data: append([]byte(nil), data...),
-	}
-	if m.node.san != nil {
-		push.Aux = proto.SanAux(m.node.san.EncodePage(page))
-	}
-	m.cl.rt.Send(push)
+	m.wire.queuePush(int32(to), page)
 }
 
 // SplitHome redistributes the (current) home copy of orig into shadows,

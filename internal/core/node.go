@@ -74,8 +74,6 @@ const (
 func newNode(id int, cl *Cluster) *node {
 	space := mem.NewSpace(cl.cfg.PageSize)
 	engine := tcg.NewEngine(space, tcg.DefaultCostModel())
-	llsc := tcg.NewLLSCTable()
-	engine.Mon = llsc
 	engine.NoCache = cl.cfg.Interp
 	engine.NoSuperblock = cl.cfg.NoSuperblock || cl.cfg.NoTier3
 	engine.Verify = cl.cfg.Verify
@@ -85,7 +83,7 @@ func newNode(id int, cl *Cluster) *node {
 		cl:        cl,
 		space:     space,
 		engine:    engine,
-		llsc:      llsc,
+		llsc:      engine.Mon,
 		threads:   map[int64]*thread{},
 		waiting:   map[uint64][]*thread{},
 		requested: map[uint64]uint8{},
@@ -523,25 +521,25 @@ func (n *node) handle(m *proto.Msg) {
 }
 
 func (n *node) onPageContent(m *proto.Msg) {
-	if m.Flags&proto.FlagCoh != 0 {
+	switch {
+	case m.Flags&proto.FlagCoh != 0:
 		n.onCohFrame(m)
-		return
-	}
-	perm := mem.Perm(m.Perm)
-	if m.Data == nil {
+	case m.Data == nil:
 		// Permission-only reaffirmation: keep the local (freshest) copy.
+		perm := mem.Perm(m.Perm)
 		n.space.EnsurePage(m.Page, perm)
 		n.space.SetPerm(m.Page, perm)
-	} else {
-		n.space.InstallPage(m.Page, m.Data, perm)
-		// The incoming copy may carry another node's modifications; any
-		// translation made from the page's previous content is stale.
-		n.engine.InvalidatePage(m.Page)
-		if n.san != nil {
-			n.san.MergePage(m.Page, m.AuxPart().San)
-		}
+		n.contentArrived(m.Page, perm)
+	default:
+		pl := rawPayload(m)
+		n.applyGrant(&pl)
 	}
-	n.contentArrived(m.Page, perm)
+}
+
+// rawPayload is a raw-framed grant or push as the one whole page it carries,
+// so it installs through materialize, which checks its size.
+func rawPayload(m *proto.Msg) proto.PagePayload {
+	return proto.PagePayload{Page: m.Page, Perm: m.Perm, Enc: proto.EncFull, Body: m.Data, San: m.AuxPart().San}
 }
 
 // contentArrived updates request bookkeeping and wakes whoever waited for
@@ -563,21 +561,28 @@ func (n *node) contentArrived(page uint64, perm mem.Perm) {
 }
 
 func (n *node) onInvalidate(m *proto.Msg) {
-	san := n.dropForInvalidate(m.Page)
+	san := n.revoke(m.Page, true)
 	n.cl.rt.Send(&proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, Aux: proto.SanAux(san)})
 }
 
-// dropForInvalidate revokes the local copy of page and returns the shadow
-// history the ack must carry home: the next owner must see this node's
-// accesses, and keeping the history here would detach it from the page. The
-// twin survives the invalidation — that is the whole point of twins.
-func (n *node) dropForInvalidate(page uint64) []byte {
-	n.space.DropPage(page)
-	n.llsc.InvalidatePage(page, n.space.PageSize())
-	n.engine.InvalidatePage(page)
+// revoke gives up this node's hold on page, dropping the local copy (drop)
+// or downgrading it to shared, and returns the shadow history the ack or
+// fetch reply must carry home: the next owner must see this node's accesses,
+// and keeping the history here would detach it from the page. The twin
+// survives — that is the whole point of twins.
+func (n *node) revoke(page uint64, drop bool) []byte {
 	var san []byte
 	if n.san != nil {
 		san = n.san.EncodePage(page)
+	}
+	if !drop {
+		n.space.SetPerm(page, mem.PermRead)
+		return san
+	}
+	n.space.DropPage(page)
+	n.llsc.InvalidatePage(page, n.space.PageSize())
+	n.engine.InvalidatePage(page)
+	if n.san != nil {
 		n.san.DropPage(page)
 	}
 	return san
@@ -593,24 +598,11 @@ func (n *node) onFetch(m *proto.Msg) {
 		n.cl.fail(fmt.Errorf("node %d: fetch for non-resident page %#x", n.id, m.Page))
 		return
 	}
-	copied := append([]byte(nil), data...)
 	reply := &proto.Msg{
 		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
-		Page: m.Page, Data: copied, Write: m.Write,
+		Page: m.Page, Data: append([]byte(nil), data...), Write: m.Write,
 	}
-	if n.san != nil {
-		reply.Aux = proto.SanAux(n.san.EncodePage(m.Page))
-	}
-	if m.Write { // invalidate
-		n.space.DropPage(m.Page)
-		n.llsc.InvalidatePage(m.Page, n.space.PageSize())
-		n.engine.InvalidatePage(m.Page)
-		if n.san != nil {
-			n.san.DropPage(m.Page)
-		}
-	} else { // downgrade to shared
-		n.space.SetPerm(m.Page, mem.PermRead)
-	}
+	reply.Aux = proto.SanAux(n.revoke(m.Page, m.Write))
 	n.cl.rt.Send(reply)
 }
 
@@ -681,20 +673,8 @@ func (n *node) onPush(m *proto.Msg) {
 		n.onCohFrame(m)
 		return
 	}
-	// Install a forwarded page in Shared state unless we already hold (or
-	// are upgrading) it.
-	if n.space.PermOf(m.Page) != mem.PermNone || n.requested[m.Page]&reqWrite != 0 {
-		return
-	}
-	n.space.InstallPage(m.Page, m.Data, mem.PermRead)
-	if n.san != nil {
-		n.san.MergePage(m.Page, m.AuxPart().San)
-	}
-	n.requested[m.Page] &^= reqRead
-	if n.requested[m.Page] == 0 {
-		delete(n.requested, m.Page)
-	}
-	n.wakePageWaiters(m.Page, mem.PermRead)
+	pl := rawPayload(m)
+	n.applyPush(&pl)
 }
 
 func (n *node) onSyscallReply(m *proto.Msg) {

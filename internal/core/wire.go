@@ -136,9 +136,6 @@ type masterWire struct {
 
 func newMasterWire(m *master) *masterWire {
 	cfg := m.cl.cfg
-	if cfg.NoDelta && cfg.NoCoalesce {
-		return nil // layer fully off: legacy framing everywhere
-	}
 	return &masterWire{
 		m:        m,
 		delta:    !cfg.NoDelta,
@@ -269,6 +266,8 @@ func (w *masterWire) buildPayload(to int32, page uint64, perm mem.Perm, push boo
 	data := w.m.space.EnsurePage(page, w.m.space.PermOf(page))
 	pl := proto.PagePayload{Page: page, Perm: uint8(perm), Push: push}
 	if w.m.node.san != nil {
+		// Shadow state travels with the page: the receiver merges it so its
+		// next access is checked against every recorded remote access.
 		pl.San = w.m.node.san.EncodePage(page)
 	}
 	hv := w.homeVerOf(page)
@@ -565,7 +564,7 @@ func (w *masterWire) materializeFetchReply(from int32, msg *proto.Msg) (data, sa
 	switch pl.Enc {
 	case proto.EncFull:
 		if len(pl.Body) != len(home) {
-			return nil, nil, fmt.Errorf("core: fetch reply body %d bytes", len(pl.Body))
+			return nil, nil, fmt.Errorf("core: fetch reply from node %d for page %#x: %d-byte body", from, pl.Page, len(pl.Body))
 		}
 		data = pl.Body
 	case proto.EncDelta:
@@ -804,32 +803,19 @@ func (n *node) onFetchDelta(m *proto.Msg) {
 	if !encoded {
 		pl.Enc, body = fullOrRLE(body, data)
 	}
-	pl.Body, n.fetchScratch = body, body
-	if n.san != nil {
-		pl.San = n.san.EncodePage(m.Page)
-	}
 	// The container is what is sent: it takes the body out of the scratch
 	// before the next fetch rewrites it.
-	n.cl.wireStats.countPayload(&pl, n.space.PageSize())
-	reply := &proto.Msg{
-		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
-		Page: m.Page, Write: m.Write, Flags: proto.FlagCoh,
-		Data: proto.EncodePayloads([]proto.PagePayload{pl}),
-	}
+	pl.Body, n.fetchScratch = body, body
 	// The shipped content is now the coherent version m.Ver everywhere. The
 	// twin takes it from the live page, so before the page goes.
 	n.setTwin(m.Page, data, m.Ver)
-	if m.Write { // invalidate
-		n.space.DropPage(m.Page)
-		n.llsc.InvalidatePage(m.Page, n.space.PageSize())
-		n.engine.InvalidatePage(m.Page)
-		if n.san != nil {
-			n.san.DropPage(m.Page)
-		}
-	} else { // downgrade to shared
-		n.space.SetPerm(m.Page, mem.PermRead)
-	}
-	n.cl.rt.Send(reply)
+	pl.San = n.revoke(m.Page, m.Write)
+	n.cl.wireStats.countPayload(&pl, n.space.PageSize())
+	n.cl.rt.Send(&proto.Msg{
+		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
+		Page: m.Page, Write: m.Write, Flags: proto.FlagCoh,
+		Data: proto.EncodePayloads([]proto.PagePayload{pl}),
+	})
 }
 
 // onInvBatch handles a coalesced invalidation: all pages drop, remaps (page
@@ -842,7 +828,7 @@ func (n *node) onInvBatch(m *proto.Msg) {
 	}
 	acks := make([]proto.AckEntry, 0, len(pages))
 	for _, page := range pages {
-		acks = append(acks, proto.AckEntry{Page: page, San: n.dropForInvalidate(page)})
+		acks = append(acks, proto.AckEntry{Page: page, San: n.revoke(page, true)})
 	}
 	for _, re := range remaps {
 		n.applyRemap(re.Orig, re.Shadows, re.Ver)

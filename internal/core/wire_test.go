@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"dqemu/internal/image"
 	"dqemu/internal/mem"
 	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
+	"dqemu/internal/workloads"
 )
 
 // wireShareSrc is a sharing-heavy guest: a mutex-protected counter page
@@ -47,7 +51,7 @@ long main() {
 }`
 
 // wireVariants is the ablation matrix: full layer, delta only, coalescing
-// only, and fully off (the pre-wire-layer baseline).
+// only, and fully off (the pre-wire-layer framing).
 func wireVariants(base Config) map[string]Config {
 	full := base
 	noDelta := base
@@ -87,8 +91,11 @@ func TestWireAblationEquivalence(t *testing.T) {
 		}
 		switch name {
 		case "off":
-			if res.Wire != (WireStats{}) {
-				t.Errorf("off: wire stats nonzero with layer ablated: %+v", res.Wire)
+			// Every page travels whole and alone: the pre-layer framing.
+			w := res.Wire
+			if w.SamePages+w.DeltaPages+w.RLEPages+w.PiggyPushes+w.InvBatches != 0 ||
+				w.FullPages == 0 || w.BodyBytes != w.RawBytes {
+				t.Errorf("off: want only whole pages, body bytes = raw bytes: %+v", w)
 			}
 		case "full", "nodelta", "nocoalesce":
 			if res.Wire.SamePages+res.Wire.DeltaPages+res.Wire.RLEPages+res.Wire.FullPages == 0 {
@@ -435,5 +442,180 @@ long main() {
 	}
 	if res.Net.ByKind[0] != 0 {
 		t.Errorf("invalid-kind messages on the wire")
+	}
+}
+
+// runWrapped runs im on 4 slaves with forwarding and splitting under the
+// wire ablations given, with the cluster's runtime replaced by what wrap
+// makes of it.
+func runWrapped(t *testing.T, im *image.Image, noDelta, noCoalesce bool, wrap func(Runtime) Runtime) (*Result, error) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Slaves = 4
+	cfg.Forwarding = true
+	cfg.Splitting = true
+	cfg.NoDelta, cfg.NoCoalesce = noDelta, noCoalesce
+	c, err := NewCluster(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.rt = wrap(c.rt)
+	return c.Run()
+}
+
+// TestWireOffArmFraming pins what the fully ablated layer puts on the wire:
+// the pre-layer framing, frame for frame. No container, no batch, no version,
+// and every raw page transfer carries exactly one whole page. The guest
+// false-shares arr (page splits, so remaps) and then has every worker read
+// big in order (forwarded pushes).
+func TestWireOffArmFraming(t *testing.T) {
+	im := build(t, `
+long arr[512];
+long big[8192];
+long bar[3];
+long worker(long idx) {
+	for (long r = 0; r < 30; r++) {
+		for (long i = 0; i < 16; i++) arr[idx * 64 + i] += idx + r + i;
+		barrier_wait(bar);
+	}
+	long s = 0;
+	for (long j = 0; j < 8192; j++) s += big[j];
+	return s;
+}
+long main() {
+	barrier_init(bar, 8);
+	for (long j = 0; j < 8192; j++) big[j] = j;
+	long tids[8];
+	for (long i = 0; i < 8; i++) tids[i] = thread_create((long)worker, i);
+	for (long i = 0; i < 8; i++) thread_join(tids[i]);
+	long s = 0;
+	for (long i = 0; i < 512; i++) s += arr[i];
+	print_long(s);
+	print_char('\n');
+	return 0;
+}`)
+	rec := &recordingRuntime{}
+	res, err := runWrapped(t, im, true, true, func(rt Runtime) Runtime { rec.Runtime = rt; return rec })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ExitCode != 0 {
+		t.Fatalf("exit %d, console %q", res.ExitCode, res.Console)
+	}
+	ps := DefaultConfig().PageSize
+	seen := map[proto.Kind]int{}
+	for _, s := range rec.sent {
+		m := s.m
+		seen[m.Kind]++
+		switch {
+		case m.Flags&proto.FlagCoh != 0:
+			t.Fatalf("%v to node %d page %#x: FlagCoh container", m.Kind, m.To, m.Page)
+		case m.Kind == proto.KInvBatch || m.Kind == proto.KInvAckBatch:
+			t.Fatalf("%v from node %d: a batch", m.Kind, m.From)
+		}
+		switch m.Kind {
+		case proto.KFetch, proto.KRemap, proto.KPageReq:
+			if m.Ver != 0 {
+				t.Fatalf("%v for page %#x carries version %d", m.Kind, m.Page, m.Ver)
+			}
+		case proto.KPageContent, proto.KPush, proto.KFetchReply:
+			if m.Data != nil && len(m.Data) != ps {
+				t.Fatalf("%v for page %#x carries %d bytes, want %d", m.Kind, m.Page, len(m.Data), ps)
+			}
+		}
+	}
+	for _, k := range []proto.Kind{proto.KPageContent, proto.KPush, proto.KFetch, proto.KFetchReply, proto.KRemap, proto.KInvalidate} {
+		if seen[k] == 0 {
+			t.Errorf("no %v sent; the run does not exercise it", k)
+		}
+	}
+}
+
+// truncatingRuntime cuts the body of every raw fetch reply to 100 bytes.
+type truncatingRuntime struct {
+	Runtime
+	cut []*proto.Msg
+}
+
+func (r *truncatingRuntime) Send(m *proto.Msg) {
+	if m.Kind == proto.KFetchReply && m.Flags&proto.FlagCoh == 0 && len(m.Data) > 100 {
+		m.Data = m.Data[:100]
+		r.cut = append(r.cut, m)
+	}
+	r.Runtime.Send(m)
+}
+
+// TestShortRawFetchReplyFails: a raw fetch reply shorter than a page must
+// fail the run, naming the node and the page. Installed as it was, it
+// zero-filled the rest of the home page, and canneal printed a wrong total
+// with exit status 0.
+func TestShortRawFetchReplyFails(t *testing.T) {
+	im, err := workloads.Canneal(4, 256, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trunc := &truncatingRuntime{}
+	res, err := runWrapped(t, im, true, false, func(rt Runtime) Runtime { trunc.Runtime = rt; return trunc })
+	if len(trunc.cut) == 0 {
+		t.Fatal("no raw fetch reply was sent")
+	}
+	if err == nil {
+		t.Fatalf("run with %d truncated fetch replies succeeded: exit %d, console %q", len(trunc.cut), res.ExitCode, res.Console)
+	}
+	for _, m := range trunc.cut {
+		if strings.Contains(err.Error(), fmt.Sprintf("node %d ", m.From)) &&
+			strings.Contains(err.Error(), fmt.Sprintf("page %#x:", m.Page)) {
+			return
+		}
+	}
+	t.Errorf("error %q names no truncated reply's node and page", err)
+}
+
+// idleRuntime is a Runtime whose clock never moves and whose wire drops
+// everything: enough for a NewLocal node fed frames by hand.
+type idleRuntime struct{}
+
+func (idleRuntime) Now() int64          { return 0 }
+func (idleRuntime) After(int64, func()) {}
+func (idleRuntime) Ran(int64, func())   {}
+func (idleRuntime) Send(*proto.Msg)     {}
+
+// TestShortRawPageFails: a raw grant or push whose body is not one page must
+// fail the run at the receiving node instead of installing a zero-padded
+// page. A whole page installs.
+func TestShortRawPageFails(t *testing.T) {
+	im := build(t, wireShareSrc)
+	cfg := DefaultConfig()
+	cfg.Slaves = 2
+	cfg.NoDelta = true
+	const page = uint64(0x123456)
+	for _, tc := range []struct {
+		kind proto.Kind
+		size int
+		ok   bool
+	}{
+		{proto.KPageContent, 100, false},
+		{proto.KPush, 100, false},
+		{proto.KPageContent, cfg.PageSize, true},
+		{proto.KPush, cfg.PageSize, true},
+	} {
+		c, err := NewLocal(im, cfg, 1, idleRuntime{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Deliver(&proto.Msg{
+			Kind: tc.kind, From: 0, To: 1, Page: page,
+			Perm: uint8(mem.PermRead), Data: make([]byte, tc.size),
+		})
+		if tc.ok {
+			if c.Err() != nil || c.nodes[0].space.PermOf(page) != mem.PermRead {
+				t.Errorf("%v of a whole page: err %v, perm %v", tc.kind, c.Err(), c.nodes[0].space.PermOf(page))
+			}
+			continue
+		}
+		if c.Err() == nil || !c.Done() {
+			t.Errorf("%v with a %d-byte body installed (perm %v) instead of failing the run",
+				tc.kind, tc.size, c.nodes[0].space.PermOf(page))
+		}
 	}
 }

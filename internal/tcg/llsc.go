@@ -1,28 +1,13 @@
 package tcg
 
-// Monitor is the exclusive-access monitor consulted by LL/SC and stores.
-// The paper maintains a global LL/SC hash table per DQEMU instance (§4.4):
-// LL records (thread, address); every store probes the table while it is
+// LLSCTable is the exclusive-access monitor consulted by LL/SC and stores:
+// the global LL/SC hash table the paper keeps per DQEMU instance (§4.4). LL
+// records (thread, address); every store probes the table while it is
 // non-empty; SC succeeds only if its thread's entry is still present; page
-// invalidations conservatively kill entries, which may fail an SC that
-// would have succeeded — a safe false positive.
-type Monitor interface {
-	// OnLL records an exclusive load by tid at (post-remap) address addr.
-	OnLL(tid int64, addr uint64)
-	// OnStore reports a committed store that may break other threads'
-	// exclusivity. Called only while the table is non-empty.
-	OnStore(tid int64, addr uint64)
-	// ValidateSC checks and consumes tid's monitor for addr, returning
-	// whether the store-conditional may proceed.
-	ValidateSC(tid int64, addr uint64) bool
-	// Empty reports whether the table has no live entries (fast path that
-	// lets translated stores skip instrumentation, §4.4).
-	Empty() bool
-}
-
-// LLSCTable is the global LL/SC hash table. It is not safe for concurrent
-// use; each node's execution is single-goroutine, and cross-node effects
-// arrive as InvalidatePage calls from the same goroutine.
+// invalidations conservatively kill entries, which may fail an SC that would
+// have succeeded — a safe false positive. It is not safe for concurrent use;
+// each node's execution is single-goroutine, and cross-node effects arrive as
+// InvalidatePage calls from the same goroutine.
 type LLSCTable struct {
 	entries map[uint64]int64 // exclusive address -> owning thread
 	// FalseFailures counts SC failures induced by conservative page-level
@@ -35,21 +20,24 @@ func NewLLSCTable() *LLSCTable {
 	return &LLSCTable{entries: map[uint64]int64{}}
 }
 
-// OnLL implements Monitor. A second LL to the same address steals the
-// entry, as on real hardware where the monitor tracks one reservation.
+// OnLL records an exclusive load by tid at (post-remap) address addr. A
+// second LL to the same address steals the entry, as on real hardware where
+// the monitor tracks one reservation.
 func (t *LLSCTable) OnLL(tid int64, addr uint64) {
 	t.entries[addr] = tid
 }
 
-// OnStore implements Monitor: any store to a monitored address from a
-// different thread clears the reservation.
+// OnStore reports a committed store that may break other threads'
+// exclusivity: a store to a monitored address from a different thread clears
+// the reservation. Callers skip it while the table is Empty.
 func (t *LLSCTable) OnStore(tid int64, addr uint64) {
 	if owner, ok := t.entries[addr]; ok && owner != tid {
 		delete(t.entries, addr)
 	}
 }
 
-// ValidateSC implements Monitor. On success the entry is consumed.
+// ValidateSC checks and consumes tid's reservation for addr, returning
+// whether the store-conditional may proceed.
 func (t *LLSCTable) ValidateSC(tid int64, addr uint64) bool {
 	owner, ok := t.entries[addr]
 	if !ok || owner != tid {
@@ -59,7 +47,8 @@ func (t *LLSCTable) ValidateSC(tid int64, addr uint64) bool {
 	return true
 }
 
-// Empty implements Monitor.
+// Empty reports whether the table has no live entries (the fast path that
+// lets translated stores skip instrumentation, §4.4).
 func (t *LLSCTable) Empty() bool { return len(t.entries) == 0 }
 
 // InvalidatePage kills every reservation on the given page. The cluster

@@ -42,7 +42,7 @@ func (o llscOp) String() string {
 }
 
 // llscModel is the reference implementation: a list of reservations with the
-// semantics spelled out on the Monitor interface. Deliberately structured
+// semantics spelled out on the LLSCTable methods. Deliberately structured
 // differently from LLSCTable (a scan over a slice, not a map) so the two
 // cannot share a bug by construction.
 type llscModel struct {
@@ -319,7 +319,7 @@ t2:
 	if cpu1.X[isa.RegS0+1] != 5 {
 		t.Fatalf("failed SC wrote memory: x=%d", cpu1.X[isa.RegS0+1])
 	}
-	if e.Mon.(*LLSCTable).FalseFailures != 0 {
+	if e.Mon.FalseFailures != 0 {
 		t.Fatalf("a genuine conflict was accounted as a false failure")
 	}
 }

@@ -157,8 +157,8 @@ type SanHook interface {
 type Engine struct {
 	Mem  *mem.Space
 	Cost CostModel
-	// Mon is the LL/SC monitor (the node's global hash table). Must be set.
-	Mon Monitor
+	// Mon is the LL/SC monitor (the node's global hash table).
+	Mon *LLSCTable
 	// OnHint, if set, observes HINT instructions as they execute.
 	OnHint func(tid, group int64)
 	// San, if set, is the DQSan sanitizer: guest memory accesses are

@@ -367,7 +367,7 @@ func TestLLSCBrokenByOtherThreadStore(t *testing.T) {
 	space := mem.NewSpace(0)
 	space.SetPerm(space.PageOf(0x20000), mem.PermReadWrite)
 	e := NewEngine(space, DefaultCostModel())
-	table := e.Mon.(*LLSCTable)
+	table := e.Mon
 
 	table.OnLL(1, 0x20000)
 	if table.Empty() {
