@@ -40,7 +40,6 @@ import (
 	"dqemu/internal/core"
 	"dqemu/internal/grt"
 	"dqemu/internal/image"
-	"dqemu/internal/minicc"
 )
 
 // Config describes a cluster: node and core counts, the network model, and
@@ -83,7 +82,7 @@ func Compile(name, src string) (*Image, error) {
 // CompileToAsm translates mini-C to GA64 assembly text without assembling,
 // for inspection or further processing.
 func CompileToAsm(name, src string) (string, error) {
-	return minicc.Compile(name, grt.Prelude+src)
+	return grt.CompileProgram(name, src)
 }
 
 // Assemble builds a guest image from raw GA64 assembly sources linked

@@ -108,6 +108,15 @@ func TestCompileToAsm(t *testing.T) {
 	}
 }
 
+// TestCompileToAsmNamesUserLine: the diagnostic counts lines from the
+// caller's text, not from the Prelude put in front of it.
+func TestCompileToAsmNamesUserLine(t *testing.T) {
+	_, err := dqemu.CompileToAsm("x.mc", "long main() {\n  return y;\n}\n")
+	if want := `x.mc:2: undefined identifier "y"`; err == nil || err.Error() != want {
+		t.Errorf("CompileToAsm: %v, want %s", err, want)
+	}
+}
+
 func TestCompileErrorsSurface(t *testing.T) {
 	if _, err := dqemu.Compile("bad.mc", "long main() { return undefined_thing; }"); err == nil {
 		t.Error("expected compile error")

@@ -35,6 +35,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"dqemu/internal/image"
 	"dqemu/internal/isa"
@@ -202,32 +203,43 @@ func (a *assembler) parse(sources []Source) error {
 	for _, src := range sources {
 		a.file, a.line, a.cur = src.Name, 0, secText
 		for text, more := src.Text, true; more && a.err == nil; {
-			var raw string
-			raw, text, more = strings.Cut(text, "\n")
+			var code string
+			code, text, more = cutLine(text)
 			a.line++
-			a.parseLine(stripComment(raw))
+			a.parseLine(code)
 		}
 	}
 	return a.err
 }
 
+// parseLine reads each byte of the line's first word once: a run of
+// symbol characters ended by a colon is a label (peeled off, and the rest
+// read again); otherwise the word, up to the first blank or tab, names the
+// directive or instruction, and the rest is its operands.
 func (a *assembler) parseLine(line string) {
-	// Peel off leading labels.
 	for {
-		line = strings.TrimSpace(line)
-		colon := labelColon(line)
-		if colon < 0 {
-			break
+		line = trimSpace(line)
+		i := 0
+		for i < len(line) && isSymChar(line[i]) {
+			i++
 		}
-		a.defineLabel(strings.TrimSpace(line[:colon]))
-		line = line[colon+1:]
-	}
-	switch {
-	case line == "":
-	case line[0] == '.' && !strings.HasPrefix(line, ".L"):
-		a.directive(line)
-	default:
-		a.instruction(line)
+		if i < len(line) && line[i] == ':' {
+			a.defineLabel(line[:i])
+			line = line[i+1:]
+			continue
+		}
+		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
+			i++
+		}
+		word, rest := line[:i], trimSpace(line[i:])
+		switch {
+		case line == "":
+		case line[0] == '.' && !strings.HasPrefix(line, ".L"):
+			a.directive(word, rest)
+		default:
+			a.instruction(word, rest)
+		}
+		return
 	}
 }
 
@@ -313,8 +325,7 @@ func (a *assembler) deferError(msg string) {
 	a.fixups = append(a.fixups, fixup{form: fixErr, expr: msg, file: a.file, line: a.line})
 }
 
-func (a *assembler) directive(line string) {
-	name, rest := splitWord(line)
+func (a *assembler) directive(name, rest string) {
 	switch name {
 	case ".text":
 		a.cur = secText
@@ -592,44 +603,53 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// stripComment removes ; # and // comments, respecting string literals.
-func stripComment(line string) string {
+// lineStops marks the bytes cutLine stops at: the newline, and what starts
+// or ends a comment, a string or an escape.
+var lineStops = [256]bool{'\n': true, '"': true, '\\': true, '#': true, ';': true, '/': true}
+
+// cutLine splits text after its first line and returns that line without
+// its comment (; # or //, outside string literals), looking at each byte of
+// the code once and skipping the comment to the newline.
+func cutLine(text string) (code, rest string, more bool) {
 	inStr := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if inStr {
-			if c == '\\' {
+	for i := 0; i < len(text); i++ {
+		switch c := text[i]; {
+		case !lineStops[c]:
+		case c == '\n':
+			return text[:i], text[i+1:], true
+		case inStr:
+			// An escape skips the byte after the backslash, but never the
+			// newline that ends the line.
+			if c == '\\' && i+1 < len(text) && text[i+1] != '\n' {
 				i++
 			} else if c == '"' {
 				inStr = false
 			}
-			continue
-		}
-		switch {
 		case c == '"':
 			inStr = true
-		case c == '#' || c == ';':
-			return line[:i]
-		case c == '/' && i+1 < len(line) && line[i+1] == '/':
-			return line[:i]
+		case c == '#' || c == ';' || c == '/' && i+1 < len(text) && text[i+1] == '/':
+			if nl := strings.IndexByte(text[i:], '\n'); nl >= 0 {
+				return text[:i], text[i+nl+1:], true
+			}
+			return text[:i], "", false
 		}
 	}
-	return line
+	return text, "", false
 }
 
-// labelColon returns the index of a label-terminating colon at the start of
-// the line, or -1.
-func labelColon(line string) int {
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == ':' {
-			return i
-		}
-		if !(isSymChar(c) || c == ' ' && strings.TrimSpace(line[:i]) == "") {
-			return -1
-		}
+// trimSpace is strings.TrimSpace, with the ends that are blanks, tabs or
+// printable ASCII — all the compiler writes — decided without a call.
+func trimSpace(s string) string {
+	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
+		s = s[1:]
 	}
-	return -1
+	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
+		s = s[:len(s)-1]
+	}
+	if len(s) > 0 && (s[0] <= ' ' || s[0] >= utf8.RuneSelf || s[len(s)-1] <= ' ' || s[len(s)-1] >= utf8.RuneSelf) {
+		return strings.TrimSpace(s)
+	}
+	return s
 }
 
 func isNumericLabel(s string) bool {
@@ -656,44 +676,33 @@ func validSymbol(s string) bool {
 	return true
 }
 
-func splitWord(line string) (word, rest string) {
-	line = strings.TrimSpace(line)
-	for i := 0; i < len(line); i++ {
-		if line[i] == ' ' || line[i] == '\t' {
-			return line[:i], strings.TrimSpace(line[i:])
-		}
-	}
-	return line, ""
-}
+// operandStops marks the bytes cutOperand stops at.
+var operandStops = [256]bool{',': true, '(': true, ')': true, '"': true, '\\': true}
 
 // cutOperand splits s at its first top-level comma (outside quotes and
-// parentheses); more reports whether there was one.
+// parentheses), trimmed; more reports whether there was one.
 func cutOperand(s string) (op, rest string, more bool) {
 	depth, inStr := 0, false
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
+		switch c := s[i]; {
+		case !operandStops[c]:
+		case inStr:
 			if c == '\\' {
 				i++
 			} else if c == '"' {
 				inStr = false
 			}
-			continue
-		}
-		switch c {
-		case '"':
+		case c == '"':
 			inStr = true
-		case '(':
+		case c == '(':
 			depth++
-		case ')':
+		case c == ')':
 			depth--
-		case ',':
-			if depth == 0 {
-				return strings.TrimSpace(s[:i]), s[i+1:], true
-			}
+		case c == ',' && depth == 0:
+			return trimSpace(s[:i]), s[i+1:], true
 		}
 	}
-	return strings.TrimSpace(s), "", false
+	return trimSpace(s), "", false
 }
 
 // operands stores the comma-separated operands of s (already trimmed) in

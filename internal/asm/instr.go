@@ -109,8 +109,7 @@ var mnemonics = func() map[string]mnemonic {
 }()
 
 // instruction parses and emits one instruction (or pseudo-instruction).
-func (a *assembler) instruction(line string) {
-	word, rest := splitWord(line)
+func (a *assembler) instruction(word, rest string) {
 	name := strings.ToLower(word)
 	var ops [3]string
 	if err := a.encode(name, ops[:], operands(rest, ops[:])); err != nil {
@@ -242,7 +241,7 @@ func fReg(s string) (uint8, error) {
 
 // parseMem parses "offsetExpr(base)" or "(base)"; the offset defaults to 0.
 func parseMem(s string) (offExpr string, base uint8, err error) {
-	s = strings.TrimSpace(s)
+	s = trimSpace(s)
 	if !strings.HasSuffix(s, ")") {
 		return "", 0, fmt.Errorf("expected offset(base), got %q", s)
 	}
@@ -255,7 +254,7 @@ func parseMem(s string) (offExpr string, base uint8, err error) {
 	if err != nil {
 		return "", 0, err
 	}
-	offExpr = strings.TrimSpace(s[:open])
+	offExpr = trimSpace(s[:open])
 	if offExpr == "" {
 		offExpr = "0"
 	}

@@ -58,8 +58,9 @@ __syscall:
 	ret
 `, abi.SysExitGroup, abi.SysExit)
 
-// Prelude declares the runtime API for workload sources. Prepend it (it is
-// pure declarations, so line numbers shift but nothing else).
+// Prelude declares the runtime API for workload sources. CompileProgram
+// puts it in front of every workload; it is pure declarations, and
+// diagnostics count lines from the workload's own first line.
 const Prelude = `
 extern long __syscall(long n, long a, long b, long c, long d, long e, long f);
 extern long strlen(char *s);
@@ -360,10 +361,16 @@ func RuntimeSources() ([]asm.Source, error) {
 	return append([]asm.Source(nil), rt.sources...), err
 }
 
-// BuildProgram compiles a mini-C workload (the Prelude is prepended) and
-// links it with the runtime into a guest image.
+// CompileProgram compiles a mini-C workload behind the Prelude to assembly
+// text: the one place a workload meets the Prelude.
+func CompileProgram(name, src string) (string, error) {
+	return minicc.CompileWithPrelude(name, Prelude, src)
+}
+
+// BuildProgram compiles a mini-C workload with CompileProgram and links it
+// with the runtime into a guest image.
 func BuildProgram(name, src string) (*image.Image, error) {
-	userAsm, err := minicc.Compile(name, Prelude+src)
+	userAsm, err := CompileProgram(name, src)
 	if err != nil {
 		return nil, err
 	}

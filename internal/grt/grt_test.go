@@ -292,6 +292,19 @@ long main() {
 	}
 }
 
+// TestDiagnosticsCountUserLines: the Prelude goes in front of every
+// workload, but a diagnostic names the line of the workload's own text.
+func TestDiagnosticsCountUserLines(t *testing.T) {
+	const src = "long main() {\n  return y;\n}\n"
+	const want = `x.mc:2: undefined identifier "y"`
+	if _, err := grt.BuildProgram("x.mc", src); err == nil || err.Error() != want {
+		t.Errorf("BuildProgram: %v, want %s", err, want)
+	}
+	if _, err := grt.CompileProgram("x.mc", src); err == nil || err.Error() != want {
+		t.Errorf("CompileProgram: %v, want %s", err, want)
+	}
+}
+
 func TestStackSizePerThread(t *testing.T) {
 	// Deep recursion within the 1 MiB thread stack must work.
 	res := runGuest(t, `

@@ -183,6 +183,32 @@ func TestRegisterNames(t *testing.T) {
 	}
 }
 
+// TestIntRegNumberMatchesTable holds IntRegNumber's decoded names to the
+// regNames table it short-cuts, over every string of one to four bytes
+// from [a-z0-9]: a8, t9, s10, x32 and x01 stay unknown, as in the table.
+func TestIntRegNumberMatchesTable(t *testing.T) {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+	var buf [4]byte
+	var walk func(n int)
+	walk = func(n int) {
+		if n > 0 {
+			name := string(buf[:n])
+			want, wok := regNames[name]
+			if got, ok := IntRegNumber(name); got != want || ok != wok {
+				t.Fatalf("IntRegNumber(%q) = %d, %v; regNames has %d, %v", name, got, ok, want, wok)
+			}
+		}
+		if n == len(buf) {
+			return
+		}
+		for i := 0; i < len(alphabet); i++ {
+			buf[n] = alphabet[i]
+			walk(n + 1)
+		}
+	}
+	walk(0)
+}
+
 func TestIsBranch(t *testing.T) {
 	branch := []Op{OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU, OpJAL, OpJALR, OpHALT, OpEBREAK, OpSVC}
 	for _, op := range branch {

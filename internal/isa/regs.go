@@ -61,7 +61,25 @@ func init() {
 }
 
 // IntRegNumber resolves an integer register name ("x7", "a0", "sp", ...).
+// The names the compiler writes — a0-a7, s0-s9, t0-t8, sp and ra — are
+// decoded from their two bytes; every other name is looked up in regNames.
 func IntRegNumber(name string) (uint8, bool) {
+	if len(name) == 2 {
+		switch c, d := name[0], name[1]-'0'; {
+		case c == 'a' && d <= 7:
+			return RegA0 + d, true
+		case c == 's' && d <= 9:
+			return RegS0 + d, true
+		case c == 't' && d <= 4:
+			return RegT0 + d, true
+		case c == 't' && d <= 8:
+			return RegT5 + d - 5, true
+		case name == "sp":
+			return RegSP, true
+		case name == "ra":
+			return RegRA, true
+		}
+	}
 	n, ok := regNames[name]
 	return n, ok
 }

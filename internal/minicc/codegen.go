@@ -10,8 +10,14 @@ import (
 // acceptable to internal/asm. The runtime symbols it references (externs)
 // are resolved when the output is assembled together with the guest runtime.
 func Compile(file, src string) (string, error) {
-	lx := &lexer{src: src, file: file}
-	toks, err := lx.lex()
+	return CompileWithPrelude(file, "", src)
+}
+
+// CompileWithPrelude is Compile of prelude+src, where prelude is whole lines
+// of declarations every unit shares (grt.Prelude): the output is the same,
+// and a diagnostic counts lines from src's first line, not the prelude's.
+func CompileWithPrelude(file, prelude, src string) (string, error) {
+	toks, err := tokenize(file, prelude, src)
 	if err != nil {
 		return "", err
 	}
@@ -20,9 +26,23 @@ func Compile(file, src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	g := &codegen{file: file, prog: prog, funcs: map[string]*funcSig{}, globals: map[string]*globalInfo{}}
+	g := &codegen{file: file, unit: sanitize(file), prog: prog,
+		funcs: map[string]*funcSig{}, globals: map[string]*globalInfo{}}
+	g.out.Grow(outBytesPerSrcByte * min(len(src), sizedSrcBytes))
 	return g.generate()
 }
+
+// outBytesPerSrcByte sizes the output up front: straight-line mini-C
+// compiles to 10–13 bytes of assembly per byte, so the buffer is written
+// once instead of being copied as it doubles. Declarations, the prelude's
+// included, compile to almost nothing and are not counted.
+const outBytesPerSrcByte = 14
+
+// sizedSrcBytes is as much source as the up-front sizes of the tokens and
+// the output count (over four times the benchmark's largest program): past it
+// they grow as they fill, so a job of megabytes of blanks or comments is
+// not answered with allocations in proportion to its length.
+const sizedSrcBytes = 512 << 10
 
 type globalInfo struct {
 	ty       *Type
@@ -45,6 +65,7 @@ type localInfo struct {
 
 type codegen struct {
 	file    string
+	unit    string // the file name as labels spell it
 	prog    *program
 	out     strings.Builder
 	funcs   map[string]*funcSig
@@ -82,7 +103,9 @@ func (g *codegen) emit(format string, args ...interface{}) {
 		case int64:
 			g.out.Write(strconv.AppendInt(num[:0], a, 10))
 		default:
-			panic(fmt.Sprintf("minicc: emit(%q): unsupported argument type %T", format, a))
+			// Naming the argument here would make every argument escape,
+			// and boxing it allocate.
+			panic("minicc: emit(" + strconv.Quote(format) + "): argument is not a string, int or int64")
 		}
 		format, args = format[i+2:], args[1:]
 	}
@@ -90,13 +113,16 @@ func (g *codegen) emit(format string, args ...interface{}) {
 	g.out.WriteByte('\n')
 }
 
-func (g *codegen) label(l string) { fmt.Fprintf(&g.out, "%s:\n", l) }
+func (g *codegen) label(l string) {
+	g.out.WriteString(l)
+	g.out.WriteString(":\n")
+}
 
 // newLabel returns a label unique within the whole link (the file name is
 // folded in so separately compiled units can be assembled together).
 func (g *codegen) newLabel(hint string) string {
 	g.labelN++
-	return fmt.Sprintf(".L%s_%s_%d", sanitize(g.file), hint, g.labelN)
+	return ".L" + g.unit + "_" + hint + "_" + strconv.Itoa(g.labelN)
 }
 
 func (g *codegen) generate() (string, error) {
@@ -134,7 +160,7 @@ func (g *codegen) generate() (string, error) {
 	if len(g.strs) > 0 {
 		g.out.WriteString("\t.rodata\n")
 		for i, s := range g.strs {
-			g.label(fmt.Sprintf(".Lstr_%s_%d", sanitize(g.file), i))
+			g.label(g.strLabelName(i))
 			g.emit(".asciz %s", strconv.Quote(s))
 		}
 	}
@@ -154,12 +180,14 @@ func sanitize(s string) string {
 func (g *codegen) strLabel(s string) string {
 	for i, old := range g.strs {
 		if old == s {
-			return fmt.Sprintf(".Lstr_%s_%d", sanitize(g.file), i)
+			return g.strLabelName(i)
 		}
 	}
 	g.strs = append(g.strs, s)
-	return fmt.Sprintf(".Lstr_%s_%d", sanitize(g.file), len(g.strs)-1)
+	return g.strLabelName(len(g.strs) - 1)
 }
+
+func (g *codegen) strLabelName(i int) string { return ".Lstr_" + g.unit + "_" + strconv.Itoa(i) }
 
 func (g *codegen) genGlobals() error {
 	var data, bss []*globalDecl

@@ -240,7 +240,7 @@ func (p *parser) parseConstLit() (expr, error) {
 		}
 		return &intLit{val: v}, nil
 	case tokFloat:
-		v := t.fval
+		v := t.fval()
 		if neg {
 			v = -v
 		}
@@ -485,44 +485,53 @@ func (p *parser) parseTernary() (expr, error) {
 	return &cond{c: c, t: t, f: f, line: line}, nil
 }
 
-// binLevels lists binary operators from lowest to highest precedence.
-var binLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", "<=", ">", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
+// binaryPrec is the precedence of a binary operator, from 0 for || to 9 for
+// the multiplicative operators, or -1 for any other text.
+func binaryPrec(op string) int {
+	switch op {
+	case "||":
+		return 0
+	case "&&":
+		return 1
+	case "|":
+		return 2
+	case "^":
+		return 3
+	case "&":
+		return 4
+	case "==", "!=":
+		return 5
+	case "<", "<=", ">", ">=":
+		return 6
+	case "<<", ">>":
+		return 7
+	case "+", "-":
+		return 8
+	case "*", "/", "%":
+		return 9
+	}
+	return -1
 }
 
-func (p *parser) parseBinary(level int) (expr, error) {
-	if level == len(binLevels) {
-		return p.parseUnary()
-	}
-	l, err := p.parseBinary(level + 1)
+// parseBinary parses a binary expression whose operators bind at least as
+// tightly as minPrec, by precedence climbing: one call per operand, every
+// operator left-associative.
+func (p *parser) parseBinary(minPrec int) (expr, error) {
+	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.cur()
-		matched := false
+		prec := -1
 		if t.kind == tokPunct {
-			for _, op := range binLevels[level] {
-				if t.text == op {
-					matched = true
-					break
-				}
-			}
+			prec = binaryPrec(t.text)
 		}
-		if !matched {
+		if prec < minPrec {
 			return l, nil
 		}
 		p.next()
-		r, err := p.parseBinary(level + 1)
+		r, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -600,7 +609,7 @@ func (p *parser) parsePrimary() (expr, error) {
 	case tokInt:
 		return &intLit{val: t.ival}, nil
 	case tokFloat:
-		return &floatLit{val: t.fval}, nil
+		return &floatLit{val: t.fval()}, nil
 	case tokStr:
 		return &strLit{val: t.text}, nil
 	case tokIdent:

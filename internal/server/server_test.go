@@ -589,6 +589,8 @@ func TestBadRequests(t *testing.T) {
 		{Options{MaxSlaves: 4}, &JobRequest{Source: trivialSource, Slaves: 99}, "slaves must"}, // over MaxSlaves
 		{Options{MaxSlaves: 4}, &JobRequest{Source: trivialSource, Backend: "xx"}, "backend"},  // unknown backend
 		{Options{MaxSlaves: 100}, &JobRequest{Source: trivialSource, Slaves: 64}, "64 slaves"}, // a shape core refuses
+		// The diagnostic names the line of the job's own text.
+		{Options{MaxSlaves: 4}, &JobRequest{Source: "long main() {\n  return y;\n}\n", Name: "x"}, `x.mc:2: undefined identifier \"y\"`},
 	} {
 		_, ts := startServer(t, tc.opts)
 		c := &testClient{t: t, base: ts.URL, tenant: "alice"}
