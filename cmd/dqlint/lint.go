@@ -41,7 +41,7 @@ var metricsReadAllowed = map[string]bool{"snapshot": true}
 
 // protocolDirs hold message handlers that must degrade gracefully. The
 // protocol handlers proper are internal/core's (both transports run them);
-// internal/live contributes the frame filters at its transport boundary.
+// internal/live and internal/netsim hold the transports that call them.
 var protocolDirs = []string{"internal/core", "internal/live", "internal/netsim"}
 
 // tier3Dirs hold closure compilers whose returned closures run on the
@@ -80,7 +80,7 @@ var uopMutAllowed = map[string]bool{
 }
 
 // uopSliceNames are the identifier names the uopmut rule treats as uop
-// slices (`ops[i]`, `sb.ops[i]`, `uops[i]`).
+// slices (`ops[i]`, `b.ops[i]`, `uops[i]`).
 var uopSliceNames = map[string]bool{"ops": true, "uops": true}
 
 type finding struct {
@@ -278,7 +278,7 @@ func (l *linter) byValueMutex(t ast.Expr) (string, bool) {
 }
 
 // checkUopMut flags in-place mutation of an indexed uop-slice element
-// (`ops[i] = u`, `ops[i].cost = c`, `sb.ops[i].insns++`) outside the
+// (`ops[i] = u`, `ops[i].cost = c`, `b.ops[i].insns++`) outside the
 // functions that own the slice while it is private (the uopmut rule).
 // A finished stream is read by the proof, the compiler and the checker in
 // turn — a rewrite builds a new slice.
@@ -304,7 +304,7 @@ func (l *linter) checkUopMut(n ast.Node, fnName string) {
 
 // uopSliceIndex reports whether e is an index into a uop-slice-named
 // expression, optionally through a field selector: ops[i], ops[i].cost,
-// sb.ops[i].kind.
+// b.ops[i].kind.
 func uopSliceIndex(e ast.Expr) bool {
 	if sel, ok := e.(*ast.SelectorExpr); ok {
 		e = sel.X
@@ -369,7 +369,7 @@ func (l *linter) checkClosureAllocs(fn *ast.FuncDecl) {
 
 // checkScratchReads flags a closure returned by a compile* function that
 // reads the uop stream at run time (the t3scratch rule): an index into a
-// uop-slice name (ops[i], sb.ops[i].pc), the slice itself, or a pointer the
+// uop-slice name (ops[i], b.ops[i].pc), the slice itself, or a pointer the
 // enclosing function took into it (u := &ops[i], then u.pc in the closure).
 // The stream is translator scratch: by the time the closure runs, the next
 // trace has been lowered into it. A closure copies what it needs into its
@@ -432,14 +432,14 @@ func isCompilerName(name string) bool {
 	return strings.HasPrefix(name, "compile")
 }
 
+// handlerNames are the protocol handlers isHandlerName matches by name, not
+// by prefix: Deliver is where every frame enters core, from either runtime.
+var handlerNames = map[string]bool{"Deliver": true}
+
 // isHandlerName matches the protocol-handler naming convention: handle*,
-// on*, On*, plus the entry points frames take into core from a socket.
+// on*, On*, plus handlerNames.
 func isHandlerName(name string) bool {
-	switch name {
-	case "Deliver", "inbound", "outbound": // frames entering core, and live's filters
-		return true
-	}
-	return strings.HasPrefix(name, "handle") ||
+	return handlerNames[name] || strings.HasPrefix(name, "handle") ||
 		strings.HasPrefix(name, "on") || strings.HasPrefix(name, "On")
 }
 

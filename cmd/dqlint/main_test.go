@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -373,6 +374,51 @@ func TestRepoIsClean(t *testing.T) {
 		}
 		for _, f := range fs {
 			t.Errorf("%s", f)
+		}
+	}
+}
+
+// TestSpecialNamesExist holds every rule table that names functions to the
+// code: each name must be a function declared in a non-test file of the
+// directories its rule covers. A rename that leaves a table behind would
+// otherwise disarm (or stop exempting) that function without a finding.
+func TestSpecialNamesExist(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Skipf("module root: %v", err)
+	}
+	files, err := expand(filepath.Join(root, "..."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string][]string{} // function name -> files declaring it
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				declared[fn.Name.Name] = append(declared[fn.Name.Name], path)
+			}
+		}
+	}
+	for _, rule := range []struct {
+		name  string
+		names map[string]bool
+		in    func(path string) bool
+	}{
+		{"nakedpanic handlerNames", handlerNames, func(p string) bool { return inDirs(p, protocolDirs) }},
+		{"uopmut uopMutAllowed", uopMutAllowed, func(p string) bool { return inDirs(p, tier3Dirs) }},
+		{"metricsread metricsReadAllowed", metricsReadAllowed, func(p string) bool { return !inDirs(p, metricsPolicyDirs) }},
+	} {
+		for name := range rule.names {
+			if !slices.ContainsFunc(declared[name], rule.in) {
+				t.Errorf("%s: %s is declared in no file the rule covers", rule.name, name)
+			}
 		}
 	}
 }

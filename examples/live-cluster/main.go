@@ -1,14 +1,13 @@
 // live-cluster runs a guest program on a real TCP cluster inside one
 // process: the master and two slaves are goroutines connected over loopback
 // sockets, running the same protocol engine as the simulator and exchanging
-// the frames separate machines would (see cmd/dqemu-live for the
+// the frames separate machines would (dqemu -listen/-connect is the
 // multi-process form).
 package main
 
 import (
 	"fmt"
 	"log"
-	"net"
 
 	"dqemu"
 	"dqemu/internal/core"
@@ -42,22 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ln.Close()
-
-	const slaves = 2
-	for i := 0; i < slaves; i++ {
-		go func(id int) {
-			if _, err := live.RunSlave(ln.Addr().String()); err != nil {
-				log.Printf("slave %d: %v", id, err)
-			}
-		}(i + 1)
-	}
-
-	res, err := live.RunMaster(ln, im, live.Config{Core: core.Config{Slaves: slaves}})
+	res, err := live.Run(im, live.Config{Core: core.Config{Slaves: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 	c := newCluster(im, cfg, s, ids)
 	c.sim = s
 	for _, id := range ids {
-		s.net.Register(id, c.handler(id))
+		s.net.Register(id, c.Deliver)
 	}
 	return c, nil
 }
@@ -202,8 +202,8 @@ func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
 	return c
 }
 
-// Deliver takes a frame off the runtime's wire (NewLocal clusters; the
-// simulator registers handler with its network instead): through the
+// Deliver takes a frame off the runtime's wire — the simulated network's
+// handler for every node, or a NewLocal cluster's runtime: through the
 // reliable layer when there is one, then to the node it addresses.
 func (c *Cluster) Deliver(m *proto.Msg) {
 	if c.rel != nil {
@@ -226,17 +226,6 @@ func (c *Cluster) dispatch(m *proto.Msg) {
 		}
 	}
 	c.fail(fmt.Errorf("core: %v frame for node %d, which is not hosted here", m.Kind, m.To))
-}
-
-// handler is what the simulated network calls with node id's messages.
-func (c *Cluster) handler(id int) netsim.Handler {
-	switch {
-	case c.rel != nil:
-		return c.rel.Receive
-	case id == 0:
-		return c.master.handle
-	}
-	return c.nodes[id].handle
 }
 
 // Done reports whether the run has ended: the guest exited, the master

@@ -77,7 +77,6 @@ func newNode(id int, cl *Cluster) *node {
 	engine.NoCache = cl.cfg.Interp
 	engine.NoSuperblock = cl.cfg.NoSuperblock || cl.cfg.NoTier3
 	engine.Verify = cl.cfg.Verify
-	engine.StopAtomic = true
 	n := &node{
 		id:        id,
 		cl:        cl,
@@ -474,13 +473,7 @@ func (n *node) retryOnFault(t *thread, addr uint64, write bool, handler func(*no
 		return
 	}
 	t.syscallRetry = func(t *thread) { handler(n, t) }
-	t.state = tBlockedPage
-	t.needWrite = write
-	t.waitPage = page
-	t.blockStart = n.cl.rt.Now()
-	n.cl.cfg.Tracer.Begin(t.blockStart, trace.EvFault, n.id, t.tid, "page-stall")
-	n.waiting[page] = append(n.waiting[page], t)
-	n.requestPage(page, addr, write, t.tid)
+	n.blockOnPage(t, page, addr, write)
 }
 
 // ---- Communicator: protocol message handling (helper thread, §4) ----

@@ -9,16 +9,21 @@
 // Cancel, a slave whose connection ends mid-run, and — under a fault plan —
 // the master's end of every connection as the place the plan is injected.
 //
-// Usage: the master listens, slaves connect (RunSlave); the master ships
-// the guest image and the node configuration in a KInit frame, places
-// threads, and the guest runs until exit_group. See cmd/dqemu-live.
+// Usage: the master listens (RunMaster), slaves connect (RunSlave); the
+// master ships the guest image and the node configuration in a KInit frame,
+// places threads, and the guest runs until exit_group. Run boots such a
+// cluster inside one process; cmd/dqemu -listen/-connect runs one node per
+// process.
 package live
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"time"
 
 	"dqemu/internal/core"
+	"dqemu/internal/image"
 	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
 	"dqemu/internal/sim"
@@ -81,9 +86,10 @@ func (c *Config) validate() error {
 // Result reports a finished live run.
 type Result struct {
 	// Result is the master process's view: ExitCode, Console and the
-	// directory and guest-OS statistics are cluster-wide; Nodes, Threads
-	// and most of Metrics cover node 0 (RunSlave returns each slave's
-	// NodeStats); TimeNs is wall nanoseconds and Net is zero. Under a fault
+	// directory and guest-OS statistics are cluster-wide; Threads and most
+	// of Metrics cover node 0; Nodes covers node 0 under RunMaster and every
+	// node, in node-id order, under Run (RunSlave returns each slave's
+	// NodeStats). TimeNs is wall nanoseconds and Net is zero. Under a fault
 	// plan Faults counts what the master's injector did to the cluster's
 	// frames and Rel what the reliable layer did on the master's links
 	// (each slave's own retransmissions stay in its process).
@@ -94,6 +100,65 @@ type Result struct {
 // ErrCanceled is what a node reports when Config.Core.Cancel closes mid-run
 // (the simulator's sentinel too).
 var ErrCanceled = core.ErrCanceled
+
+// Run boots a whole cluster in this process — a master listening on
+// loopback and cfg.Core.Slaves RunSlave goroutines dialling it — and runs
+// im on it to completion. A master error is returned as it is, so errors.Is
+// and errors.As find it first; the slaves' errors are joined after it, each
+// naming its node if it ran one.
+func Run(im *image.Image, cfg Config) (*Result, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
+	type slaveEnd struct {
+		stats core.NodeStats
+		err   error
+	}
+	ends := make(chan slaveEnd, cfg.Core.Slaves)
+	for range cfg.Core.Slaves {
+		go func() {
+			stats, err := RunSlave(ln.Addr().String())
+			ends <- slaveEnd{stats, err}
+		}()
+	}
+	// Cancel reaches the master's node loop, not its boot (accept, handshake):
+	// closing the listener turns a cancel during boot into a BootError.
+	mastered := make(chan struct{})
+	go func() {
+		select {
+		case <-cfg.Core.Cancel:
+			ln.Close()
+		case <-mastered:
+		}
+	}()
+	res, err := RunMaster(ln, im, cfg)
+	close(mastered)
+	// A boot failure leaves slaves in the accept backlog, whose handshake
+	// reads fail only once the listener is closed.
+	ln.Close()
+	nodes := make([]core.NodeStats, 1+cfg.Core.Slaves) // by node id
+	errs := []error{err}
+	for range cfg.Core.Slaves {
+		switch s := <-ends; {
+		case s.err == nil:
+			nodes[s.stats.Node] = s.stats
+		case s.stats.Node == 0: // it failed before it ran a node
+			errs = append(errs, fmt.Errorf("live: slave: %w", s.err))
+		default:
+			errs = append(errs, fmt.Errorf("live: slave node %d: %w", s.stats.Node, s.err))
+		}
+	}
+	if len(errs) > 1 {
+		err = errors.Join(errs...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	nodes[0] = res.Nodes[0]
+	res.Nodes = nodes
+	return res, nil
+}
 
 // loop is the wall-clock core.Runtime of one node: one goroutine (run) owns
 // the core.Cluster and all it reaches; connection readers only feed inbox.

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -16,43 +15,14 @@ import (
 	"dqemu/internal/workloads"
 )
 
-// runCluster starts a master and slave goroutines over loopback TCP, runs
-// the image, and returns what RunMaster did once every slave has returned
-// too; slaves holds the errors of the slaves that failed.
-func runCluster(t *testing.T, im *image.Image, cfg Config) (res *Result, slaves []error, err error) {
+// runLive runs the image on an in-process cluster (Run) in which nothing
+// may fail.
+func runLive(t *testing.T, im *image.Image, cfg Config) *Result {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
 	}
-	ended := make(chan error, cfg.Core.Slaves)
-	for i := 0; i < cfg.Core.Slaves; i++ {
-		go func() {
-			_, err := RunSlave(ln.Addr().String())
-			ended <- err
-		}()
-	}
-	res, err = RunMaster(ln, im, cfg)
-	ln.Close() // a slave the boot never accepted gives up only now
-	for i := 0; i < cfg.Core.Slaves; i++ {
-		if e := <-ended; e != nil {
-			slaves = append(slaves, e)
-		}
-	}
-	return res, slaves, err
-}
-
-// runLive is runCluster for a run in which nothing may fail.
-func runLive(t *testing.T, im *image.Image, cfg Config) *Result {
-	t.Helper()
-	res, slaves, err := runCluster(t, im, cfg)
-	for _, e := range slaves {
-		t.Errorf("slave: %v", e)
-	}
+	res, err := Run(im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +82,15 @@ long main() {
 	// 800 lock-protected increments, and all 4 workers ran on slave nodes.
 	if res.Console != "800 4\n" {
 		t.Errorf("console = %q", res.Console)
+	}
+	// Run reports every node, in node-id order; the workers ran on the slaves.
+	if len(res.Nodes) != 3 {
+		t.Fatalf("%d nodes reported, want 3", len(res.Nodes))
+	}
+	for id, n := range res.Nodes {
+		if n.Node != id || (id > 0 && n.Engine.ExecInsns == 0) {
+			t.Errorf("Nodes[%d] = node %d, %d insns", id, n.Node, n.Engine.ExecInsns)
+		}
 	}
 }
 
@@ -274,14 +253,14 @@ func TestLiveChaos(t *testing.T) {
 			t.Parallel()
 			cfg := core.Config{Slaves: 2, Faults: &plan, Retry: fastRetry}
 			start := time.Now()
-			got, slaves, err := runCluster(t, im, Config{Core: cfg, Timeout: 60 * time.Second})
+			got, err := Run(im, Config{Core: cfg, Timeout: 60 * time.Second})
 			if class == "recoverable" {
 				want, simErr := core.Run(im, core.Config{Slaves: 2})
 				if simErr != nil {
 					t.Fatal(simErr)
 				}
-				if err != nil || len(slaves) != 0 {
-					t.Fatalf("[%v] master: %v, slaves: %v", &plan, err, slaves)
+				if err != nil {
+					t.Fatalf("[%v] %v", &plan, err)
 				}
 				if got.ExitCode != want.ExitCode || got.Console != want.Console {
 					t.Errorf("[%v] live exit %d console %q\n sim exit %d console %q",
@@ -300,7 +279,12 @@ func TestLiveChaos(t *testing.T) {
 				t.Errorf("[%v] took %v to notice", &plan, elapsed)
 			}
 			// The slave that was cut off may have given up on the master
-			// first; nothing else may have gone wrong on a slave.
+			// first; nothing else may have gone wrong on a slave. Run joins
+			// the slaves' errors after the master's.
+			var slaves []error
+			if joined, ok := err.(interface{ Unwrap() []error }); ok {
+				slaves = joined.Unwrap()[1:]
+			}
 			for _, e := range slaves {
 				if !errors.As(e, &lost) || lost.Node != 0 {
 					t.Errorf("[%v] slave: %v", &plan, e)

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"dqemu/internal/core"
@@ -67,30 +66,37 @@ func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, err
 		cl.VFS().AddFile(path, data)
 	}
 	res, err := cl.Run()
+	out, err := outcome("sim", res, err)
+	if out != nil {
+		out.TimeNs = res.TimeNs // virtual time is the simulator's alone
+	}
+	return out, err
+}
+
+// outcome is what the backend called name reports of a run that ended in
+// res or err: a canceled run is ErrJobCanceled, and a finished one is billed
+// for every node res reports.
+func outcome(name string, res *core.Result, err error) (*RunOutcome, error) {
+	if errors.Is(err, core.ErrCanceled) {
+		return nil, fmt.Errorf("%s backend: %w", name, ErrJobCanceled)
+	}
 	if err != nil {
-		if errors.Is(err, core.ErrCanceled) {
-			return nil, fmt.Errorf("sim backend: %w", ErrJobCanceled)
-		}
 		return nil, err
 	}
-	out := &RunOutcome{
-		ExitCode: res.ExitCode,
-		Console:  res.Console,
-		TimeNs:   res.TimeNs,
-		Metrics:  res.Metrics,
-	}
+	out := &RunOutcome{ExitCode: res.ExitCode, Console: res.Console, Metrics: res.Metrics}
 	for _, n := range res.Nodes {
 		out.GuestInsns += n.Engine.ExecInsns
 	}
 	return out, nil
 }
 
-// LiveBackend spawns a real-socket cluster per job: a master listening on
-// loopback plus spec.Config.Slaves slave loops, each node a genuinely concurrent
-// event loop running the same protocol engine as SimBackend and exchanging
-// length-prefixed frames over TCP. It exists to keep the service honest
-// against the hardened transport — the same BootError / backpressure /
-// cancellation semantics a multi-machine deployment sees.
+// LiveBackend spawns a real-socket cluster per job (live.Run): a master
+// listening on loopback plus spec.Config.Slaves slave loops, each node a
+// genuinely concurrent event loop running the same protocol engine as
+// SimBackend and exchanging length-prefixed frames over TCP. It exists to
+// keep the service honest against the hardened transport — the same
+// BootError / backpressure / cancellation semantics a multi-machine
+// deployment sees.
 type LiveBackend struct {
 	// Timeout bounds each live run (live.Config.Timeout; default 2 min).
 	Timeout time.Duration
@@ -99,62 +105,13 @@ type LiveBackend struct {
 func (b *LiveBackend) Name() string { return "live" }
 
 func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("live backend: %w", err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-	type slaveEnd struct {
-		stats core.NodeStats
-		err   error
-	}
 	cfg := live.Config{Core: spec.Config, Timeout: b.Timeout, Files: spec.Files}
 	cfg.Core.Cancel = cancel
-	slaves := make(chan slaveEnd, cfg.Core.Slaves)
-	for i := 0; i < cfg.Core.Slaves; i++ {
-		go func() {
-			stats, err := live.RunSlave(addr)
-			slaves <- slaveEnd{stats, err}
-		}()
-	}
-	// The master's node loop honors cancel, but the boot (accept/handshake)
-	// is bounded only by cfg.Timeout; closing the listener turns a cancel
-	// during boot into an immediate BootError.
-	masterDone := make(chan struct{})
-	go func() {
-		select {
-		case <-cancel:
-			ln.Close()
-		case <-masterDone:
-		}
-	}()
-	res, err := live.RunMaster(ln, spec.Image, cfg)
-	close(masterDone)
-	// Close the listener before draining the slaves: a boot failure leaves
-	// un-accepted connections parked in the accept backlog, and their
-	// handshake reads only fail once the listening socket is gone.
-	ln.Close()
-	var insns uint64
-	for i := 0; i < cfg.Core.Slaves; i++ {
-		s := <-slaves
-		insns += s.stats.Engine.ExecInsns
-		if s.err != nil && err == nil {
-			err = fmt.Errorf("live backend: slave: %w", s.err)
-		}
-	}
+	res, err := live.Run(spec.Image, cfg)
 	if err != nil {
-		if errors.Is(err, live.ErrCanceled) {
-			return nil, fmt.Errorf("live backend: %w", ErrJobCanceled)
-		}
-		return nil, err
+		return outcome("live", nil, err)
 	}
-	// The slaves are goroutines of this process, so the bill covers the
-	// whole cluster: node 0 from the master's result, the rest from theirs.
-	return &RunOutcome{
-		ExitCode:   res.ExitCode,
-		Console:    res.Console,
-		GuestInsns: insns + res.Nodes[0].Engine.ExecInsns,
-		Metrics:    res.Metrics,
-	}, nil
+	// The slaves are goroutines of this process, so res reports, and the
+	// bill covers, the whole cluster.
+	return outcome("live", res.Result, nil)
 }

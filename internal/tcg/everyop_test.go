@@ -151,7 +151,6 @@ func runEveryOp(t *testing.T, name, src string, tune func(*Engine), san bool) (*
 		space.SetPerm(space.PageOf(p), mem.PermReadWrite)
 	}
 	e.HotThreshold = 10 // above the bias minimum, so a biased branch is followed
-	e.StopAtomic = true
 	out := &everyOpOutcome{mem: map[uint64][]byte{}}
 	e.OnHint = func(tid, group int64) { out.hooks = append(out.hooks, fmt.Sprintf("hint %d", group)) }
 	if san {
@@ -487,7 +486,7 @@ func everyOpProgram(t *testing.T) string {
 		emit("\thalt") // not the last instruction: the harness runs on
 	})
 	// Atomics that lose: an sc without a reservation, a cas that compares
-	// unequal (both yield under StopAtomic), a misaligned ll.
+	// unequal (both yield the quantum), a misaligned ll.
 	loop(func(string) {
 		emit("\tsd   t0, 0(s3)")
 		emit("\tsc   t2, t1, (s3)")

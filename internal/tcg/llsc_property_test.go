@@ -310,6 +310,11 @@ t2:
 	if res := e.Exec(cpu2, 1<<40); res.Reason != StopHalt {
 		t.Fatalf("thread 2: %+v", res)
 	}
+	// The failed SC is contended: it ends thread 1's quantum, and the next
+	// one runs to the halt.
+	if res := e.Exec(cpu1, 1<<40); res.Reason != StopBudget {
+		t.Fatalf("thread 1 did not yield at its failed SC: %+v", res)
+	}
 	if res := e.Exec(cpu1, 1<<40); res.Reason != StopHalt {
 		t.Fatalf("thread 1 resume: %+v", res)
 	}

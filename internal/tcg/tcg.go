@@ -190,14 +190,6 @@ type Engine struct {
 	// HotThreshold overrides DefaultHotThreshold when nonzero (tests).
 	HotThreshold uint32
 
-	// StopAtomic ends the scheduling quantum after a CONTENDED atomic (a
-	// CAS whose comparison failed or an SC that lost its reservation), the
-	// way QEMU ends translation blocks at synchronizing instructions. A
-	// failing spinner thus yields immediately — lock hand-offs interleave
-	// at instruction granularity — while a successful lock holder keeps
-	// its timeslice and is not convoyed.
-	StopAtomic bool
-
 	Stats Stats
 
 	cache  map[uint64]*block
@@ -821,7 +813,7 @@ const (
 	atomicDone       atomicEnd = iota
 	atomicFault                // page fault, returned beside it; nothing was written
 	atomicMisaligned           // address not 8-byte aligned; nothing was written
-	atomicYield                // retired, and StopAtomic ends the quantum after it
+	atomicYield                // retired contended, and the quantum ends after it
 )
 
 // atomic executes the LL, SC, CAS, AMOADD or AMOSWAP at pc: the one
@@ -831,9 +823,11 @@ const (
 // then, for everything that may write, a write-permission probe before the
 // monitor is consulted, so an SC that faults keeps its reservation for the
 // retry; then the access, the monitor, the sanitizer, and last the register.
-// Under StopAtomic a CAS whose comparison failed and an SC that lost its
-// reservation yield the core like a failed spinner; a successful atomic
-// keeps its timeslice.
+// A contended atomic — a CAS whose comparison failed, an SC that lost its
+// reservation — ends the scheduling quantum, the way QEMU ends translation
+// blocks at synchronizing instructions: a failing spinner yields at once, so
+// lock hand-offs interleave at instruction granularity, while a successful
+// lock holder keeps its timeslice and is not convoyed.
 func (e *Engine) atomic(cpu *CPU, op isa.Op, rd, rs1, rs2 uint8, pc uint64) (atomicEnd, mem.Fault) {
 	x := &cpu.X
 	mmu := e.Mem
@@ -887,7 +881,7 @@ func (e *Engine) atomic(cpu *CPU, op isa.Op, rd, rs1, rs2 uint8, pc uint64) (ato
 		e.San.OnAtomic(cpu.TID, taddr, 8, pc, doStore)
 	}
 	wr(x, rd, result)
-	if e.StopAtomic && !doStore {
+	if !doStore {
 		return atomicYield, mem.Fault{}
 	}
 	return atomicDone, mem.Fault{}

@@ -8,8 +8,8 @@ import (
 	"dqemu/internal/mem"
 )
 
-func TestStopAtomicOnContention(t *testing.T) {
-	// A failing CAS ends the quantum (StopBudget) when StopAtomic is on;
+func TestFailedCASYields(t *testing.T) {
+	// A failing CAS ends the quantum (StopBudget);
 	// a succeeding one does not.
 	im, err := asm.Assemble(asm.Source{Name: "t.s", Text: `
 _start:
@@ -29,7 +29,6 @@ _start:
 	mem.InstallImage(space, im, mem.PermRead, mem.PermReadWrite)
 	space.SetPerm(space.PageOf(0x20000), mem.PermReadWrite)
 	e := NewEngine(space, DefaultCostModel())
-	e.StopAtomic = true
 	cpu := &CPU{PC: im.Entry, TID: 1}
 
 	res := e.Exec(cpu, 1<<40)
@@ -48,7 +47,7 @@ _start:
 	}
 }
 
-func TestStopAtomicFailedSC(t *testing.T) {
+func TestFailedSCYields(t *testing.T) {
 	im, err := asm.Assemble(asm.Source{Name: "t.s", Text: `
 _start:
 	li  t0, 0x20000
@@ -63,7 +62,6 @@ _start:
 	mem.InstallImage(space, im, mem.PermRead, mem.PermReadWrite)
 	space.SetPerm(space.PageOf(0x20000), mem.PermReadWrite)
 	e := NewEngine(space, DefaultCostModel())
-	e.StopAtomic = true
 	cpu := &CPU{PC: im.Entry, TID: 1}
 	res := e.Exec(cpu, 1<<40)
 	if res.Reason != StopBudget || cpu.X[isa.RegA0] != 1 || cpu.X[isa.RegS0] != 0 {

@@ -369,7 +369,7 @@ loop:
 	}
 }
 
-func TestSuperblockStopAtomicExit(t *testing.T) {
+func TestSuperblockContendedAtomicExit(t *testing.T) {
 	// A contended CAS inside a promoted trace ends the quantum with PC just
 	// past the CAS, exactly like the block interpreter.
 	space, e, cpu, _ := setupImage(t, `
@@ -389,7 +389,6 @@ loop:
 `)
 	_ = space
 	e.HotThreshold = 4
-	e.StopAtomic = true
 	stops := 0
 	var res Result
 	for i := 0; i < 2000; i++ {

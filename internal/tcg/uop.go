@@ -86,7 +86,7 @@ const (
 	uExit     // straight-line trace end
 
 	// Atomics and fences. Atomics end a cost segment because they can fault
-	// or (under StopAtomic) end the quantum mid-trace.
+	// or, contended, end the quantum mid-trace.
 	uLL
 	uSC
 	uCAS
