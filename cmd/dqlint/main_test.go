@@ -423,6 +423,81 @@ func TestSpecialNamesExist(t *testing.T) {
 	}
 }
 
+// TestEveryKindIsSent: every message kind proto declares is used outside
+// internal/proto somewhere other than a case label. A kind that is only ever
+// handled is one nobody sends, and its handler is dead protocol.
+func TestEveryKindIsSent(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Skipf("module root: %v", err)
+	}
+	files, err := expand(filepath.Join(root, "..."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := map[string]bool{} // Kind constant -> used other than as a case label
+	var code []*ast.File
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !inDirs(path, []string{"internal/proto"}) {
+			code = append(code, f)
+			continue
+		}
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			typ := "" // a spec without type or values repeats the one before
+			for _, sp := range gd.Specs {
+				vs := sp.(*ast.ValueSpec)
+				if id, ok := vs.Type.(*ast.Ident); ok {
+					typ = id.Name
+				} else if vs.Type != nil || len(vs.Values) > 0 {
+					typ = ""
+				}
+				for _, n := range vs.Names {
+					if typ == "Kind" && n.Name != "KInvalid" && n.Name != "KindCount" {
+						sent[n.Name] = false
+					}
+				}
+			}
+		}
+	}
+	if len(sent) == 0 {
+		t.Fatal("found no proto.Kind constants")
+	}
+	for _, f := range code {
+		labels := map[ast.Expr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if cc, ok := n.(*ast.CaseClause); ok {
+				for _, e := range cc.List {
+					labels[e] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && !labels[sel] {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "proto" {
+					if _, ok := sent[sel.Sel.Name]; ok {
+						sent[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for kind, ok := range sent {
+		if !ok {
+			t.Errorf("proto.%s is only ever a case label outside internal/proto: nothing sends it", kind)
+		}
+	}
+}
+
 // moduleRoot walks up from the working directory to the go.mod.
 func moduleRoot() (string, error) {
 	dir, err := os.Getwd()

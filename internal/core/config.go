@@ -61,16 +61,15 @@ type Knobs struct {
 	// execution hot path is unchanged.
 	Verify bool `json:"verify,omitempty"`
 
-	// NoDelta disables delta page transfers (ablation): coherence messages
-	// carry full pages, nodes keep no twins, and no version information is
-	// exchanged. With NoCoalesce also set, every page travels whole in the
-	// pre-wire-layer framing and frame lengths match that baseline; the
-	// layer still counts those pages in Result.Wire.
+	// NoDelta disables delta page transfers (ablation): every grant, push
+	// and fetch reply carries its page whole (EncFull), nodes keep no twins,
+	// and no version information is exchanged. The pages still travel in
+	// payload containers and are counted in Result.Wire.
 	NoDelta bool `json:"no_delta,omitempty"`
 	// NoCoalesce disables invalidation multicast coalescing, ack
 	// aggregation and push piggybacking (ablation): every invalidation is a
 	// separate unicast with its own ack, and grants/pushes go one page per
-	// message.
+	// message. Only the master reads it.
 	NoCoalesce bool `json:"no_coalesce,omitempty"`
 
 	// Metrics enables the cluster observability layer (internal/metrics):
@@ -218,10 +217,7 @@ func (c *Config) normalize() {
 // nodeFlags are the switches a node (not only the master) reads, in their
 // KInit bit order.
 func (c *Config) nodeFlags() []*bool {
-	return []*bool{
-		&c.Interp, &c.NoSuperblock,
-		&c.Verify, &c.NoDelta, &c.NoCoalesce,
-	}
+	return []*bool{&c.Interp, &c.NoSuperblock, &c.Verify, &c.NoDelta}
 }
 
 // initFaults is what a KInit frame carries in San when the cluster runs
@@ -233,7 +229,7 @@ type initFaults struct {
 
 // InitFrame is the KInit frame that boots slave id of a cfg-shaped cluster
 // in another process: the encoded guest image plus the part of cfg a slave
-// node reads — cluster size, cores, page size, quantum, the five engine and
+// node reads — cluster size, cores, page size, quantum, the four engine and
 // wire-layer switches and, under an active fault plan, the plan and the
 // retry policy, announced by one more bit of the flag word that is derived,
 // not set: every node of a cluster must agree on whether its links run the

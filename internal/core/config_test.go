@@ -10,14 +10,14 @@ import (
 )
 
 // TestInitFrameRoundTrip: a slave process rebuilds, from the KInit frame
-// alone, exactly the part of Config a node reads — the four scalars, the five
+// alone, exactly the part of Config a node reads — the four scalars, the four
 // switches of nodeFlags, each in its own bit, and under an active fault plan
-// the plan and the retry policy behind a sixth, derived bit — and nothing
+// the plan and the retry policy behind a fifth, derived bit — and nothing
 // else; a frame this build could not have written is refused with an error
 // that says what it does not understand.
 func TestInitFrameRoundTrip(t *testing.T) {
 	base := Config{Slaves: 3, Cores: 2, PageSize: 1024, QuantumNs: 7_000}
-	const nflags = 5
+	const nflags = 4
 	if n := len(base.nodeFlags()); n != nflags {
 		t.Fatalf("nodeFlags has %d switches, want %d", n, nflags)
 	}
@@ -84,15 +84,15 @@ func TestInitFrameRoundTrip(t *testing.T) {
 		t.Errorf("master-only fields leaked into the slave's Config (err %v):\n got %+v\nwant %+v", err, got, base)
 	}
 
-	// Frames from another build: the flag word had eight bits before three
-	// switches were deleted, and Args[5] once carried a threshold. And
+	// Frames from another build: the flag word had eight bits before four
+	// switches left it, and Args[5] once carried a threshold. And
 	// frames whose fault-plan bit and plan disagree.
 	for name, tc := range map[string]struct {
 		from    Config
 		mutate  func(m *proto.Msg)
 		wantSub string
 	}{
-		"unknown flag bit": {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << (nflags + 1) }, "unknown flag bits 0b1000000"},
+		"unknown flag bit": {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << (nflags + 1) }, "unknown flag bits 0b100000"},
 		"high flag bit":    {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << 63 }, "unknown flag bits 0b1" + strings.Repeat("0", 63)},
 		"Args[5] set":      {base, func(m *proto.Msg) { m.Sys.Args[5] = 24 }, "Args[5] = 24"},
 		"no nodes":         {base, func(m *proto.Msg) { m.Sys.Args[0] = 0 }, "0 nodes"},

@@ -22,7 +22,7 @@ type master struct {
 
 	// wire is the wire-efficiency layer (delta transfers, invalidation
 	// coalescing, push piggybacking) every page transfer goes through. With
-	// both ablations set it ships every page whole in the pre-layer framing.
+	// both ablations set it ships every page whole, one page per container.
 	wire *masterWire
 
 	// helperWait parks manager-thread continuations needing a page at home.
@@ -31,9 +31,6 @@ type master struct {
 	// Hint-based placement state: locality group -> node.
 	groupNode map[int64]int
 	nextRR    int
-
-	// hintNotes counts received dynamic hint notifications.
-	hintNotes uint64
 
 	// Migration state (Config.Adaptive): where each live thread runs, and
 	// which migrations are in flight (tid -> target node).
@@ -115,13 +112,7 @@ func (m *master) handle(msg *proto.Msg) {
 			Full:  full,
 		})
 	case proto.KFetchReply:
-		data, san := msg.Data, msg.AuxPart().San
-		var err error
-		if msg.Flags&proto.FlagCoh != 0 {
-			data, san, err = m.wire.materializeFetchReply(msg.From, msg)
-		} else if len(data) != m.space.PageSize() {
-			err = fmt.Errorf("core: fetch reply from node %d for page %#x: %d-byte body", msg.From, msg.Page, len(data))
-		}
+		data, san, err := m.wire.materializeFetchReply(msg.From, msg)
 		if err != nil {
 			m.cl.fail(err)
 			return
@@ -159,8 +150,6 @@ func (m *master) handle(msg *proto.Msg) {
 		}
 	case proto.KSyscallReq:
 		m.onSyscallReq(msg)
-	case proto.KHintNote:
-		m.hintNotes++
 	case proto.KMigrateCtx:
 		m.onMigrateCtx(msg)
 	default:

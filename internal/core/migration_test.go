@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"dqemu/internal/trace"
+)
 
 // skewSrc hints every worker into the same locality group, so hint
 // scheduling piles all of them onto one node — the pathological placement
@@ -56,6 +60,50 @@ func TestMigrationRebalancesSkewedPlacement(t *testing.T) {
 	}
 	if nodesUsed < 2 {
 		t.Errorf("threads ended up on %d node(s)", nodesUsed)
+	}
+}
+
+// TestMigratedThreadKeepsBreakdown: a thread's row covers every node it ran
+// on. The "exec" spans of each thread add up exactly to its ExecNs — except
+// for a thread whose last quantum was still in flight at exit, whose span
+// never closed.
+func TestMigratedThreadKeepsBreakdown(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Slaves = 3
+	cfg.HintSched = true
+	cfg.Adaptive = true
+	cfg.Tracer = trace.New(0, nil)
+	res := buildRun(t, skewSrc, cfg)
+	if res.Migrations == 0 {
+		t.Fatal("no migrations")
+	}
+	if cfg.Tracer.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d events", cfg.Tracer.Dropped())
+	}
+	spans := map[int64]int64{}
+	open := map[int64]int64{} // tid -> begin of its quantum in flight
+	for _, e := range cfg.Tracer.Filter(trace.EvSched) {
+		switch {
+		case e.Name != "exec":
+		case e.Phase == trace.PhBegin:
+			open[e.TID] = e.TimeNs
+		case e.Phase == trace.PhEnd:
+			spans[e.TID] += e.TimeNs - open[e.TID]
+			delete(open, e.TID)
+		}
+	}
+	checked := 0
+	for _, ts := range res.Threads {
+		if _, inFlight := open[ts.TID]; inFlight {
+			continue
+		}
+		checked++
+		if ts.ExecNs != spans[ts.TID] {
+			t.Errorf("tid %d (ended on node %d): ExecNs %d, exec spans sum to %d", ts.TID, ts.Node, ts.ExecNs, spans[ts.TID])
+		}
+	}
+	if checked < len(res.Threads)-1 {
+		t.Errorf("checked %d of %d threads", checked, len(res.Threads))
 	}
 }
 

@@ -103,8 +103,12 @@ func (n *node) addThread(cpu *tcg.CPU) *thread {
 	t := &thread{tid: cpu.TID, cpu: cpu, node: n, state: tRunnable}
 	t.done = t.complete
 	n.threads[cpu.TID] = t
-	// Closes the migration-transit measurement when this arrival is the
-	// landing of an in-flight migration (no-op for brand-new threads).
+	// The landing of a migration carries on the thread's time breakdown and
+	// closes the migration-transit measurement (no-ops for new threads).
+	if old := n.cl.inTransit[cpu.TID]; old != nil {
+		t.execNs, t.faultNs, t.syscallNs = old.execNs, old.faultNs, old.syscallNs
+		delete(n.cl.inTransit, cpu.TID)
+	}
 	n.cl.prof.migArrived(cpu.TID, n.cl.rt.Now())
 	n.enqueue(t)
 	return t
@@ -134,6 +138,7 @@ func (n *node) trace(kind trace.Kind, tid int64, format string, args ...interfac
 func (n *node) shipContext(t *thread) {
 	n.trace(trace.EvSched, t.tid, "migrating away")
 	delete(n.threads, t.tid)
+	n.cl.inTransit[t.tid] = t
 	n.llsc.DropThread(t.tid)
 	t.state = tDead
 	n.stats.MigratedOut++
@@ -496,7 +501,7 @@ func (n *node) handle(m *proto.Msg) {
 	case proto.KRemap:
 		n.onRemap(m)
 	case proto.KPush:
-		n.onPush(m)
+		n.onCohFrame(m)
 	case proto.KSyscallReply:
 		n.onSyscallReply(m)
 	case proto.KThreadStart:
@@ -514,25 +519,15 @@ func (n *node) handle(m *proto.Msg) {
 }
 
 func (n *node) onPageContent(m *proto.Msg) {
-	switch {
-	case m.Flags&proto.FlagCoh != 0:
+	if m.Data != nil {
 		n.onCohFrame(m)
-	case m.Data == nil:
-		// Permission-only reaffirmation: keep the local (freshest) copy.
-		perm := mem.Perm(m.Perm)
-		n.space.EnsurePage(m.Page, perm)
-		n.space.SetPerm(m.Page, perm)
-		n.contentArrived(m.Page, perm)
-	default:
-		pl := rawPayload(m)
-		n.applyGrant(&pl)
+		return
 	}
-}
-
-// rawPayload is a raw-framed grant or push as the one whole page it carries,
-// so it installs through materialize, which checks its size.
-func rawPayload(m *proto.Msg) proto.PagePayload {
-	return proto.PagePayload{Page: m.Page, Perm: m.Perm, Enc: proto.EncFull, Body: m.Data, San: m.AuxPart().San}
+	// Permission-only reaffirmation: keep the local (freshest) copy.
+	perm := mem.Perm(m.Perm)
+	n.space.EnsurePage(m.Page, perm)
+	n.space.SetPerm(m.Page, perm)
+	n.contentArrived(m.Page, perm)
 }
 
 // contentArrived updates request bookkeeping and wakes whoever waited for
@@ -579,24 +574,6 @@ func (n *node) revoke(page uint64, drop bool) []byte {
 		n.san.DropPage(page)
 	}
 	return san
-}
-
-func (n *node) onFetch(m *proto.Msg) {
-	if n.twins != nil {
-		n.onFetchDelta(m)
-		return
-	}
-	data := n.space.PageData(m.Page)
-	if data == nil {
-		n.cl.fail(fmt.Errorf("node %d: fetch for non-resident page %#x", n.id, m.Page))
-		return
-	}
-	reply := &proto.Msg{
-		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
-		Page: m.Page, Data: append([]byte(nil), data...), Write: m.Write,
-	}
-	reply.Aux = proto.SanAux(n.revoke(m.Page, m.Write))
-	n.cl.rt.Send(reply)
 }
 
 func (n *node) onRetry(m *proto.Msg) {
@@ -659,15 +636,6 @@ func (n *node) applyRemap(orig uint64, shadows []uint64, ver uint64) {
 		n.twins[sh] = &pageTwin{ver: 1, data: buf}
 	}
 	clear(tw.data[part:])
-}
-
-func (n *node) onPush(m *proto.Msg) {
-	if m.Flags&proto.FlagCoh != 0 {
-		n.onCohFrame(m)
-		return
-	}
-	pl := rawPayload(m)
-	n.applyPush(&pl)
 }
 
 func (n *node) onSyscallReply(m *proto.Msg) {

@@ -62,13 +62,14 @@ type thread struct {
 	migrating bool
 
 	// Per-thread time breakdown (Fig. 8): execution, page-fault stall,
-	// syscall stall.
+	// syscall stall, summed over every node the thread ran on.
 	execNs    int64
 	faultNs   int64
 	syscallNs int64
 }
 
-// ThreadStats is the per-thread breakdown reported in results.
+// ThreadStats is the per-thread breakdown reported in results: Node is where
+// the thread ended, the times cover every node it ran on.
 type ThreadStats struct {
 	TID       int64
 	Node      int

@@ -270,20 +270,19 @@ func (w *masterWire) buildPayload(to int32, page uint64, perm mem.Perm, push boo
 		// next access is checked against every recorded remote access.
 		pl.San = w.m.node.san.EncodePage(page)
 	}
-	hv := w.homeVerOf(page)
-	pl.Ver = hv
+	arena := w.arena
+	start := len(arena)
 	if !w.delta {
-		// Alone in its message this body is sent as it is (sendContainer).
-		pl.Enc = proto.EncFull
-		pl.Body = append([]byte(nil), data...)
+		pl.Enc, arena = proto.EncFull, append(arena, data...)
 	} else {
-		arena := w.arena
-		start, ok := len(arena), false
+		hv := w.homeVerOf(page)
+		pl.Ver = hv
 		base := w.remote[nodePage{to, page}]
 		switch {
 		case base != 0 && base == hv:
 			pl.Enc = proto.EncSame
 		case base != 0 && w.snapOf(page, base) != nil:
+			var ok bool
 			if arena, ok = proto.AppendDelta(arena, w.snapOf(page, base), data, w.limit); ok {
 				pl.Enc, pl.BaseVer = proto.EncDelta, base
 			} else {
@@ -296,9 +295,9 @@ func (w *masterWire) buildPayload(to int32, page uint64, perm mem.Perm, push boo
 			}
 			pl.Enc, arena = fullOrRLE(arena, data)
 		}
-		pl.Body = arena[start:len(arena):len(arena)]
-		w.arena = arena
 	}
+	pl.Body = arena[start:len(arena):len(arena)]
+	w.arena = arena
 	w.stats.countPayload(&pl, len(data))
 	return pl
 }
@@ -417,24 +416,14 @@ func (w *masterWire) flushTarget(to int32) {
 	b.grants, b.pushes = b.grants[:0], b.pushes[:0]
 }
 
-// sendContainer ships payloads under FlagCoh framing, splitting across
-// messages when a batch outgrows the wire format's count field. In delta-off
-// mode a lone full-page payload regresses to the legacy raw framing so the
-// coalescing ablation never costs bytes over the baseline.
+// sendContainer ships payloads in payload containers, splitting across
+// messages when a batch outgrows the wire format's count field.
 func (w *masterWire) sendContainer(kind proto.Kind, to int32, pls []proto.PagePayload) {
-	if !w.delta && len(pls) == 1 && pls[0].Enc == proto.EncFull {
-		w.m.cl.rt.Send(&proto.Msg{
-			Kind: kind, From: 0, To: to,
-			Page: pls[0].Page, Perm: pls[0].Perm,
-			Data: pls[0].Body, Aux: proto.SanAux(pls[0].San),
-		})
-		return
-	}
 	for len(pls) > 0 {
 		n := min(len(pls), proto.MaxBatchEntries)
 		w.m.cl.rt.Send(&proto.Msg{
 			Kind: kind, From: 0, To: to,
-			Page: pls[0].Page, Perm: pls[0].Perm, Flags: proto.FlagCoh,
+			Page: pls[0].Page, Perm: pls[0].Perm,
 			Data: proto.EncodePayloads(pls[:n]),
 		})
 		pls = pls[n:]
@@ -546,10 +535,10 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 // ---- fetch replies ----
 
 // materializeFetchReply decodes the owner's (possibly diffed) reply into
-// full page bytes against the still-intact home copy, retains the old home
-// content for future deltas, and advances the page to the reply's version.
-// data is only good until the next reply: it is the reply's own body, the
-// scratch page, or the home copy.
+// full page bytes against the still-intact home copy and, with delta
+// transfers on, retains the old home content for future deltas and advances
+// the page to the reply's version. data is only good until the next reply:
+// it is the reply's own body, the scratch page, or the home copy.
 func (w *masterWire) materializeFetchReply(from int32, msg *proto.Msg) (data, san []byte, err error) {
 	var pl proto.PagePayload
 	r := proto.ReadPayloads(msg.Data)
@@ -589,6 +578,9 @@ func (w *masterWire) materializeFetchReply(from int32, msg *proto.Msg) (data, sa
 		data = home
 	default:
 		return nil, nil, fmt.Errorf("core: fetch reply encoding %d", pl.Enc)
+	}
+	if !w.delta {
+		return data, pl.San, nil
 	}
 	w.snapshotHome(pl.Page)
 	if pl.Ver != 0 {
@@ -675,7 +667,7 @@ func (n *node) materialize(pl *proto.PagePayload) (data []byte, ok bool, err err
 	return nil, false, fmt.Errorf("node %d: unknown payload encoding %d", n.id, pl.Enc)
 }
 
-// onCohFrame unpacks a FlagCoh container (KPageContent or KPush): demand
+// onCohFrame unpacks the payload container of a KPageContent or KPush: demand
 // grants plus any pushes that rode along.
 func (n *node) onCohFrame(m *proto.Msg) {
 	var pl proto.PagePayload
@@ -765,55 +757,54 @@ func (n *node) applyPush(pl *proto.PagePayload) {
 	n.wakePageWaiters(pl.Page, mem.PermRead)
 }
 
-// onFetchDelta answers a KFetch with a diff against the twin laid down when
-// this node received the page, stamped with the epoch (m.Ver) the master
-// opened for this ownership. A fetch for a page whose grant mismatched and
+// onFetch answers a KFetch with the page, stamped with the epoch (m.Ver) the
+// master opened for this ownership: a diff against the twin laid down when
+// this node received the page where it can, else the page whole from a node
+// that keeps no twins (the NoDelta ablation) and otherwise its cheaper of
+// whole and zero-run encoding. A fetch for a page whose grant mismatched and
 // was never installed answers EncSame: the home copy is still current.
-func (n *node) onFetchDelta(m *proto.Msg) {
+func (n *node) onFetch(m *proto.Msg) {
+	pl := proto.PagePayload{Page: m.Page, Ver: m.Ver}
 	data := n.space.PageData(m.Page)
-	if data == nil {
-		if !n.resend[m.Page] {
-			n.cl.fail(fmt.Errorf("node %d: fetch for non-resident page %#x", n.id, m.Page))
-			return
-		}
-		pl := proto.PagePayload{Page: m.Page, Ver: m.Ver, Enc: proto.EncSame}
+	switch {
+	case data == nil && !n.resend[m.Page]:
+		n.cl.fail(fmt.Errorf("node %d: fetch for non-resident page %#x", n.id, m.Page))
+		return
+	case data == nil:
+		pl.Enc = proto.EncSame
 		if n.san != nil {
 			pl.San = n.san.EncodePage(m.Page)
 			if m.Write {
 				n.san.DropPage(m.Page)
 			}
 		}
-		n.cl.wireStats.countPayload(&pl, n.space.PageSize())
-		n.cl.rt.Send(&proto.Msg{
-			Kind: proto.KFetchReply, From: int32(n.id), To: 0,
-			Page: m.Page, Write: m.Write, Flags: proto.FlagCoh,
-			Data: proto.EncodePayloads([]proto.PagePayload{pl}),
-		})
-		return
-	}
-	pl := proto.PagePayload{Page: m.Page, Ver: m.Ver}
-	body, encoded := n.fetchScratch[:0], false
-	if tw := n.twins[m.Page]; tw != nil {
-		if body, encoded = proto.AppendDelta(body, tw.data, data, n.space.PageSize()/2); encoded {
-			pl.Enc, pl.BaseVer = proto.EncDelta, tw.ver
-		} else {
-			n.cl.wireStats.DeltaOverflows++
+	default:
+		body, encoded := n.fetchScratch[:0], false
+		switch tw := n.twins[m.Page]; {
+		case n.twins == nil:
+			pl.Enc, body, encoded = proto.EncFull, append(body, data...), true
+		case tw != nil:
+			if body, encoded = proto.AppendDelta(body, tw.data, data, n.space.PageSize()/2); encoded {
+				pl.Enc, pl.BaseVer = proto.EncDelta, tw.ver
+			} else {
+				n.cl.wireStats.DeltaOverflows++
+			}
 		}
+		if !encoded {
+			pl.Enc, body = fullOrRLE(body, data)
+		}
+		// The container is what is sent: it takes the body out of the scratch
+		// before the next fetch rewrites it.
+		pl.Body, n.fetchScratch = body, body
+		// The shipped content is now the coherent version m.Ver everywhere. The
+		// twin takes it from the live page, so before the page goes.
+		n.setTwin(m.Page, data, m.Ver)
+		pl.San = n.revoke(m.Page, m.Write)
 	}
-	if !encoded {
-		pl.Enc, body = fullOrRLE(body, data)
-	}
-	// The container is what is sent: it takes the body out of the scratch
-	// before the next fetch rewrites it.
-	pl.Body, n.fetchScratch = body, body
-	// The shipped content is now the coherent version m.Ver everywhere. The
-	// twin takes it from the live page, so before the page goes.
-	n.setTwin(m.Page, data, m.Ver)
-	pl.San = n.revoke(m.Page, m.Write)
 	n.cl.wireStats.countPayload(&pl, n.space.PageSize())
 	n.cl.rt.Send(&proto.Msg{
 		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
-		Page: m.Page, Write: m.Write, Flags: proto.FlagCoh,
+		Page: m.Page, Write: m.Write,
 		Data: proto.EncodePayloads([]proto.PagePayload{pl}),
 	})
 }

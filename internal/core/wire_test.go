@@ -51,7 +51,7 @@ long main() {
 }`
 
 // wireVariants is the ablation matrix: full layer, delta only, coalescing
-// only, and fully off (the pre-wire-layer framing).
+// only, and fully off (every page whole and alone).
 func wireVariants(base Config) map[string]Config {
 	full := base
 	noDelta := base
@@ -91,7 +91,7 @@ func TestWireAblationEquivalence(t *testing.T) {
 		}
 		switch name {
 		case "off":
-			// Every page travels whole and alone: the pre-layer framing.
+			// Every page travels whole and alone.
 			w := res.Wire
 			if w.SamePages+w.DeltaPages+w.RLEPages+w.PiggyPushes+w.InvBatches != 0 ||
 				w.FullPages == 0 || w.BodyBytes != w.RawBytes {
@@ -464,10 +464,11 @@ func runWrapped(t *testing.T, im *image.Image, noDelta, noCoalesce bool, wrap fu
 }
 
 // TestWireOffArmFraming pins what the fully ablated layer puts on the wire:
-// the pre-layer framing, frame for frame. No container, no batch, no version,
-// and every raw page transfer carries exactly one whole page. The guest
-// false-shares arr (page splits, so remaps) and then has every worker read
-// big in order (forwarded pushes).
+// every frame that carries a page holds one container of one whole page
+// (EncFull) at version 0; there are no batches and no versions, and a
+// KPageContent without data is a reaffirmation. The guest false-shares arr
+// (page splits, so remaps) and then has every worker read big in order
+// (forwarded pushes).
 func TestWireOffArmFraming(t *testing.T) {
 	im := build(t, `
 long arr[512];
@@ -504,14 +505,15 @@ long main() {
 	}
 	ps := DefaultConfig().PageSize
 	seen := map[proto.Kind]int{}
+	reaffirms := 0
 	for _, s := range rec.sent {
 		m := s.m
 		seen[m.Kind]++
 		switch {
-		case m.Flags&proto.FlagCoh != 0:
-			t.Fatalf("%v to node %d page %#x: FlagCoh container", m.Kind, m.To, m.Page)
 		case m.Kind == proto.KInvBatch || m.Kind == proto.KInvAckBatch:
 			t.Fatalf("%v from node %d: a batch", m.Kind, m.From)
+		case m.Flags != 0:
+			t.Fatalf("%v for page %#x: flags %#b", m.Kind, m.Page, m.Flags)
 		}
 		switch m.Kind {
 		case proto.KFetch, proto.KRemap, proto.KPageReq:
@@ -519,8 +521,22 @@ long main() {
 				t.Fatalf("%v for page %#x carries version %d", m.Kind, m.Page, m.Ver)
 			}
 		case proto.KPageContent, proto.KPush, proto.KFetchReply:
-			if m.Data != nil && len(m.Data) != ps {
-				t.Fatalf("%v for page %#x carries %d bytes, want %d", m.Kind, m.Page, len(m.Data), ps)
+			if m.Data == nil {
+				if p := mem.Perm(m.Perm); m.Kind != proto.KPageContent || (p != mem.PermRead && p != mem.PermReadWrite) {
+					t.Fatalf("%v for page %#x without data grants %v", m.Kind, m.Page, p)
+				}
+				reaffirms++
+				continue
+			}
+			var pl proto.PagePayload
+			r := proto.ReadPayloads(m.Data)
+			if !r.Next(&pl) || r.Len() != 1 || r.Err() != nil {
+				t.Fatalf("%v for page %#x: %d payloads, err %v", m.Kind, m.Page, r.Len(), r.Err())
+			}
+			if pl.Page != m.Page || pl.Enc != proto.EncFull || len(pl.Body) != ps || pl.Ver != 0 || pl.BaseVer != 0 ||
+				pl.Push != (m.Kind == proto.KPush) {
+				t.Fatalf("%v for page %#x: payload page %#x enc %d, %d-byte body, ver %d/%d, push %v",
+					m.Kind, m.Page, pl.Page, pl.Enc, len(pl.Body), pl.Ver, pl.BaseVer, pl.Push)
 			}
 		}
 	}
@@ -529,27 +545,35 @@ long main() {
 			t.Errorf("no %v sent; the run does not exercise it", k)
 		}
 	}
+	// Fetch replies are counted like grants and pushes.
+	if pages := seen[proto.KPageContent] + seen[proto.KPush] + seen[proto.KFetchReply] - reaffirms; res.Wire.FullPages != uint64(pages) {
+		t.Errorf("Result.Wire counts %d full pages, %d were sent", res.Wire.FullPages, pages)
+	}
 }
 
-// truncatingRuntime cuts the body of every raw fetch reply to 100 bytes.
+// truncatingRuntime cuts to 100 bytes the body of every whole-page fetch
+// reply.
 type truncatingRuntime struct {
 	Runtime
 	cut []*proto.Msg
 }
 
 func (r *truncatingRuntime) Send(m *proto.Msg) {
-	if m.Kind == proto.KFetchReply && m.Flags&proto.FlagCoh == 0 && len(m.Data) > 100 {
-		m.Data = m.Data[:100]
+	var pl proto.PagePayload
+	if rd := proto.ReadPayloads(m.Data); m.Kind == proto.KFetchReply && rd.Next(&pl) &&
+		pl.Enc == proto.EncFull && len(pl.Body) > 100 {
+		pl.Body = pl.Body[:100]
+		m.Data = proto.EncodePayloads([]proto.PagePayload{pl})
 		r.cut = append(r.cut, m)
 	}
 	r.Runtime.Send(m)
 }
 
-// TestShortRawFetchReplyFails: a raw fetch reply shorter than a page must
-// fail the run, naming the node and the page. Installed as it was, it
-// zero-filled the rest of the home page, and canneal printed a wrong total
-// with exit status 0.
-func TestShortRawFetchReplyFails(t *testing.T) {
+// TestShortFetchReplyFails: a fetch reply whose whole page is shorter than a
+// page must fail the run at the master, naming the node and the page.
+// Installed as it was, it zero-filled the rest of the home page, and canneal
+// printed a wrong total with exit status 0.
+func TestShortFetchReplyFails(t *testing.T) {
 	im, err := workloads.Canneal(4, 256, 40, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -557,7 +581,7 @@ func TestShortRawFetchReplyFails(t *testing.T) {
 	trunc := &truncatingRuntime{}
 	res, err := runWrapped(t, im, true, false, func(rt Runtime) Runtime { trunc.Runtime = rt; return trunc })
 	if len(trunc.cut) == 0 {
-		t.Fatal("no raw fetch reply was sent")
+		t.Fatal("no whole-page fetch reply was sent")
 	}
 	if err == nil {
 		t.Fatalf("run with %d truncated fetch replies succeeded: exit %d, console %q", len(trunc.cut), res.ExitCode, res.Console)
@@ -580,10 +604,10 @@ func (idleRuntime) After(int64, func()) {}
 func (idleRuntime) Ran(int64, func())   {}
 func (idleRuntime) Send(*proto.Msg)     {}
 
-// TestShortRawPageFails: a raw grant or push whose body is not one page must
-// fail the run at the receiving node instead of installing a zero-padded
-// page. A whole page installs.
-func TestShortRawPageFails(t *testing.T) {
+// TestShortPageFails: a grant or push whose whole page (EncFull) is not one
+// page must fail the run at the receiving node, naming the node and the
+// page, instead of installing a zero-padded page. A whole page installs.
+func TestShortPageFails(t *testing.T) {
 	im := build(t, wireShareSrc)
 	cfg := DefaultConfig()
 	cfg.Slaves = 2
@@ -603,9 +627,11 @@ func TestShortRawPageFails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pl := proto.PagePayload{Page: page, Perm: uint8(mem.PermRead), Enc: proto.EncFull,
+			Push: tc.kind == proto.KPush, Body: make([]byte, tc.size)}
 		c.Deliver(&proto.Msg{
-			Kind: tc.kind, From: 0, To: 1, Page: page,
-			Perm: uint8(mem.PermRead), Data: make([]byte, tc.size),
+			Kind: tc.kind, From: 0, To: 1, Page: page, Perm: pl.Perm,
+			Data: proto.EncodePayloads([]proto.PagePayload{pl}),
 		})
 		if tc.ok {
 			if c.Err() != nil || c.nodes[0].space.PermOf(page) != mem.PermRead {
@@ -616,6 +642,8 @@ func TestShortRawPageFails(t *testing.T) {
 		if c.Err() == nil || !c.Done() {
 			t.Errorf("%v with a %d-byte body installed (perm %v) instead of failing the run",
 				tc.kind, tc.size, c.nodes[0].space.PermOf(page))
+		} else if msg := c.Err().Error(); !strings.Contains(msg, "node 1:") || !strings.Contains(msg, fmt.Sprintf("page %#x", page)) {
+			t.Errorf("%v with a %d-byte body: error %q names not node 1 and page %#x", tc.kind, tc.size, msg, page)
 		}
 	}
 }

@@ -77,7 +77,7 @@ var allocMsgs = []struct {
 	{"page", &Msg{Kind: KPageContent, To: 2, Page: 0x123, Perm: 2, Data: bytes.Repeat([]byte{0xab}, 4096)}},
 	{"san and shadows", &Msg{Kind: KRemap, To: 3, Page: 5, Ver: 9, Aux: &Aux{Shadows: []uint64{100, 101, 102, 103},
 		San: []byte{1, 2, 3, 4, 5}, CPU: make([]byte, 48)}}},
-	{"coh container", &Msg{Kind: KPageContent, To: 1, Flags: FlagCoh, Data: EncodePayloads(testPayloads)}},
+	{"container", &Msg{Kind: KPageContent, To: 1, Data: EncodePayloads(testPayloads)}},
 }
 
 var testPayloads = []PagePayload{
@@ -245,7 +245,7 @@ func TestDecodePayloadsViews(t *testing.T) {
 		if san := m.AuxPart().San; cap(m.Data) != len(m.Data) || cap(san) != len(san) {
 			t.Errorf("%s: a view's capacity reaches past its end", tc.name)
 		}
-		if m.Flags&FlagCoh == 0 {
+		if tc.name != "container" {
 			continue
 		}
 		// Views of m.Data, itself a view of the frame.

@@ -5,11 +5,13 @@ import (
 	"fmt"
 )
 
-// Coherence payload containers for the wire-efficiency layer. A message with
-// FlagCoh set carries one or more PagePayloads in Data: a KPageContent holds
-// the demand grant first plus any pushes piggybacked onto it, a KPush holds
-// a batch of forwarded pages, and a KFetchReply holds the owner's single
-// diff. KInvBatch/KInvAckBatch have their own formats below.
+// Coherence payload containers: the one framing of page content on the wire.
+// Every KPageContent, KPush and KFetchReply that carries data carries one or
+// more PagePayloads in Data: a KPageContent holds the demand grant first plus
+// any pushes piggybacked onto it, a KPush holds a batch of forwarded pages,
+// and a KFetchReply holds the owner's single page. A KPageContent without
+// Data is a permission-only reaffirmation. KInvBatch/KInvAckBatch have their
+// own formats below.
 
 // MaxBatchEntries bounds the entry count of every length-prefixed list on
 // the wire: payload containers, invalidation-batch pages and remaps, remap
@@ -58,7 +60,7 @@ func encName(enc uint8) string {
 	return fmt.Sprintf("enc(%d)", enc)
 }
 
-// PagePayload is one page transfer inside a FlagCoh container.
+// PagePayload is one page transfer inside a payload container.
 type PagePayload struct {
 	Page uint64
 	// Ver is the directory version of the carried content; the receiver's

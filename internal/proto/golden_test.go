@@ -44,7 +44,9 @@ func goldenMsgs() (names []string, msgs []*Msg) {
 
 // TestFrameGolden: the frame layout is what it was before Msg was split into
 // parts — the file was written by the Encode of the commit before the split,
-// so a node built from that commit decodes these frames and sends them.
+// and rewritten since only where the protocol itself changed (kind numbers,
+// flag bits), so a node built from the same protocol decodes these frames
+// and sends them.
 // Encode and AppendFrame both produce them, and AppendFrame leaves what its
 // buffer already held alone.
 func TestFrameGolden(t *testing.T) {

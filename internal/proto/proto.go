@@ -1,9 +1,9 @@
 // Package proto defines the wire protocol spoken between DQEMU cluster
 // nodes: coherence traffic (page requests, contents, invalidations), syscall
 // delegation, thread management and the optimization side-channels (page
-// splitting remaps, forwarded pages, scheduling hints). One Msg type covers
-// all kinds; the binary codec is used by the live TCP transport and to size
-// messages for the simulated network's bandwidth model.
+// splitting remaps, forwarded pages). One Msg type covers all kinds; the
+// binary codec is used by the live TCP transport and to size messages for
+// the simulated network's bandwidth model.
 package proto
 
 import (
@@ -19,16 +19,16 @@ const (
 
 	// Coherence protocol (§4.2).
 	KPageReq     // slave -> master: Page, Addr, Write
-	KPageContent // master -> node: Page, Perm, Data
+	KPageContent // master -> node: Page, Perm, Data (payload container; none = reaffirm Perm)
 	KInvalidate  // master -> sharer: Page
 	KInvAck      // sharer -> master: Page
 	KFetch       // master -> owner: Page, Write (true = invalidate, false = downgrade)
-	KFetchReply  // owner -> master: Page, Data
+	KFetchReply  // owner -> master: Page, Data (payload container of one page)
 	KRetry       // master -> node: Page — re-execute the faulting access (page was split)
 
 	// Optimizations (§5).
 	KRemap // master -> all: Page, Shadows (page splitting)
-	KPush  // master -> node: Page, Data (data forwarding, Shared state)
+	KPush  // master -> node: Page, Data (payload container; data forwarding, Shared state)
 
 	// Syscall delegation (§4.3).
 	KSyscallReq   // slave -> master: TID, Num, Args
@@ -36,7 +36,6 @@ const (
 
 	// Thread management (§4.1).
 	KThreadStart // master -> node: TID, CPU (serialized context)
-	KHintNote    // node -> master: TID, Num=group (locality hint, §5.3)
 	KShutdown    // master -> all: stop; Num = exit code
 
 	// Dynamic thread migration (extension of the paper's §4.1 context
@@ -73,7 +72,7 @@ var kindNames = [...]string{
 	KInvalidate: "invalidate", KInvAck: "inv-ack", KFetch: "fetch",
 	KFetchReply: "fetch-reply", KRetry: "retry", KRemap: "remap", KPush: "push",
 	KSyscallReq: "syscall-req", KSyscallReply: "syscall-reply",
-	KThreadStart: "thread-start", KHintNote: "hint", KShutdown: "shutdown",
+	KThreadStart: "thread-start", KShutdown: "shutdown",
 	KInit: "init", KInitAck: "init-ack",
 	KMigrate: "migrate", KMigrateCtx: "migrate-ctx",
 	KAck: "ack", KInvBatch: "inv-batch", KInvAckBatch: "inv-ack-batch",
@@ -95,7 +94,7 @@ type Msg struct {
 	Kind  Kind
 	Write bool
 	Perm  uint8
-	// Flags carries wire-layer framing bits (FlagCoh, FlagFullResend).
+	// Flags carries wire-layer bits (FlagFullResend).
 	Flags uint8
 	From  int32
 	To    int32
@@ -120,9 +119,9 @@ type Msg struct {
 }
 
 // Sys is the eight syscall words of a message: set on syscall delegation and
-// replies, hints, KMigrate, KShutdown and KInit, nil on coherence traffic.
+// replies, KMigrate, KShutdown and KInit, nil on coherence traffic.
 type Sys struct {
-	Num  int64 // syscall number / hint group
+	Num  int64 // syscall number; KMigrate's target node, KInit's node id
 	Ret  uint64
 	Args [6]uint64
 }
@@ -164,16 +163,10 @@ func SanAux(san []byte) *Aux {
 	return &Aux{San: san}
 }
 
-// Msg.Flags bits.
-const (
-	// FlagCoh marks Data as an encoded payload container ([]PagePayload)
-	// rather than raw page bytes (KPageContent, KFetchReply, KPush).
-	FlagCoh uint8 = 1 << iota
-	// FlagFullResend on a KPageReq asks for a full-page grant: the
-	// requester's twin proved unusable (a delta mismatched), so the
-	// directory must ship content even where it would normally reaffirm.
-	FlagFullResend
-)
+// FlagFullResend, a Msg.Flags bit, on a KPageReq asks for a full-page
+// grant: the requester's twin proved unusable (a delta mismatched), so the
+// directory must ship content even where it would normally reaffirm.
+const FlagFullResend uint8 = 1
 
 // HeaderSize approximates the fixed per-message header cost on the wire;
 // everything beyond it (Data, CPU, Shadows, San) is payload.

@@ -21,7 +21,7 @@ var roundtripMsgs = []*Msg{
 	{Kind: KSyscallReq, From: 1, To: 0, TID: 12, Sys: &Sys{Num: 64, Args: [6]uint64{1, 0x2000, 5, 0, 0, 0}}},
 	{Kind: KSyscallReply, From: 0, To: 1, TID: 12, Sys: &Sys{Ret: 5}},
 	{Kind: KThreadStart, From: 0, To: 2, TID: 3, Aux: &Aux{CPU: make([]byte, 32*8+32*8+24)}},
-	{Kind: KHintNote, From: 2, To: 0, TID: 3, Sys: &Sys{Num: 42}},
+	{Kind: KMigrate, From: 0, To: 2, TID: 3, Sys: &Sys{Num: 1}},
 }
 
 func TestMsgRoundtrip(t *testing.T) {
@@ -101,7 +101,7 @@ func TestWireSize(t *testing.T) {
 		{&Msg{Kind: KRemap, Aux: &Aux{Shadows: make([]uint64, 4)}}, 4 * 8},
 		{&Msg{Kind: KThreadStart, Aux: &Aux{CPU: make([]byte, 544)}}, 544},
 		{
-			&Msg{Kind: KPageContent, Flags: FlagCoh,
+			&Msg{Kind: KPageContent,
 				Data: EncodePayloads([]PagePayload{{Page: 1, Ver: 2, Enc: EncSame}})},
 			2 + 3*8 + 3 + 2*4,
 		},
@@ -124,9 +124,10 @@ func TestWireSize(t *testing.T) {
 	}
 	// A header-only EncSame grant must be dramatically cheaper than the full
 	// page it replaces — the wire layer's accounting depends on it.
-	same := &Msg{Kind: KPageContent, Flags: FlagCoh,
+	same := &Msg{Kind: KPageContent,
 		Data: EncodePayloads([]PagePayload{{Page: 1, Ver: 2, Enc: EncSame}})}
-	full := &Msg{Kind: KPageContent, Data: make([]byte, 4096)}
+	full := &Msg{Kind: KPageContent,
+		Data: EncodePayloads([]PagePayload{{Page: 1, Ver: 2, Enc: EncFull, Body: make([]byte, 4096)}})}
 	if same.WireSize()*10 > full.WireSize() {
 		t.Errorf("EncSame frame (%d bytes) not ≪ full page (%d bytes)", same.WireSize(), full.WireSize())
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"dqemu/internal/core"
 	"dqemu/internal/image"
@@ -35,7 +34,6 @@ type RunOutcome struct {
 // promptly with an error wrapping ErrJobCanceled, and must be safe for
 // concurrent Run calls: the daemon runs many jobs at once.
 type Backend interface {
-	Name() string
 	Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error)
 }
 
@@ -45,19 +43,11 @@ var ErrJobCanceled = errors.New("job canceled")
 // SimBackend executes jobs on the deterministic discrete-event simulation
 // (internal/core). It is the default: no sockets, reproducible results,
 // and the full metrics surface of the bench suite.
-type SimBackend struct {
-	// MaxVirtualNs caps guest virtual time per job (0 = core default, 1h).
-	MaxVirtualNs int64
-}
-
-func (b *SimBackend) Name() string { return "sim" }
+type SimBackend struct{}
 
 func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
 	cfg := spec.Config
 	cfg.Cancel = cancel
-	if b.MaxVirtualNs > 0 {
-		cfg.MaxTimeNs = b.MaxVirtualNs
-	}
 	cl, err := core.NewCluster(spec.Image, cfg)
 	if err != nil {
 		return nil, err
@@ -96,16 +86,11 @@ func outcome(name string, res *core.Result, err error) (*RunOutcome, error) {
 // SimBackend and exchanging length-prefixed frames over TCP. It exists to
 // keep the service honest against the hardened transport — the same
 // BootError / backpressure / cancellation semantics a multi-machine
-// deployment sees.
-type LiveBackend struct {
-	// Timeout bounds each live run (live.Config.Timeout; default 2 min).
-	Timeout time.Duration
-}
-
-func (b *LiveBackend) Name() string { return "live" }
+// deployment sees. Each run is bounded by live.Config's default Timeout.
+type LiveBackend struct{}
 
 func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
-	cfg := live.Config{Core: spec.Config, Timeout: b.Timeout, Files: spec.Files}
+	cfg := live.Config{Core: spec.Config, Files: spec.Files}
 	cfg.Core.Cancel = cancel
 	res, err := live.Run(spec.Image, cfg)
 	if err != nil {

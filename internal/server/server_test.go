@@ -270,8 +270,6 @@ func newBlockingBackend() *blockingBackend {
 	return &blockingBackend{release: make(chan struct{})}
 }
 
-func (b *blockingBackend) Name() string { return "sim" }
-
 func (b *blockingBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
 	b.mu.Lock()
 	b.started++
@@ -421,7 +419,6 @@ long main() {
 // panicBackend blows up on every job.
 type panicBackend struct{}
 
-func (panicBackend) Name() string { return "sim" }
 func (panicBackend) Run(<-chan struct{}, RunSpec) (*RunOutcome, error) {
 	panic("backend exploded")
 }
