@@ -3,6 +3,10 @@
 //	dqemu-cc prog.mc              # write prog.img (linked with the runtime)
 //	dqemu-cc -S prog.mc           # print GA64 assembly instead
 //	dqemu-cc -o out.img prog.mc
+//
+// The image is built with no assembly text in between: the compiler hands
+// its instructions to the assembler. -S prints that same stream, so
+// dqemu-asm of the printed text writes the same image byte for byte.
 package main
 
 import (

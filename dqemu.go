@@ -80,7 +80,8 @@ func Compile(name, src string) (*Image, error) {
 }
 
 // CompileToAsm translates mini-C to GA64 assembly text without assembling,
-// for inspection or further processing.
+// for inspection or further processing. Compile builds from the same
+// instructions without printing them; Assemble of this text gives its image.
 func CompileToAsm(name, src string) (string, error) {
 	return grt.CompileProgram(name, src)
 }

@@ -59,7 +59,7 @@ func TestHugeReserveAllocatesNothingLarge(t *testing.T) {
 		"max int64":   {"\t.bss\n\t.space 0x7fffffffffffffff\n", "huge.s:2: .space: 9223372036854775807 more bytes take the image over " + limit},
 		"sum":         {"\t.bss\n\t.space 40<<20\n\t.data\n\t.space 40<<20\n", "huge.s:4: .space: 41943040 more bytes take the image over " + limit},
 		"align":       {"\t.data\n\t.byte 1\n\t.align 0x4000000000\n", "huge.s:3: .align: 274877906943 more bytes take the image over " + limit},
-		"mini-C":      {"", "grt: assembling big.mc: big.mc.s:"},
+		"mini-C":      {"", "grt: assembling big.mc: big.mc:1: .space: "},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -100,6 +100,19 @@ func BenchmarkAssembleLarge(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lines), "ns/line")
+}
+
+// BenchmarkBuildLarge is what a job of the cold shape costs end to end:
+// grt.BuildProgram, the mini-C compiled straight into the assembler after
+// the runtime's prefix, then linked.
+func BenchmarkBuildLarge(b *testing.B) {
+	src := goldenManyFuncs(1, 300)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := grt.BuildProgram("gen.mc", src); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkCompileLarge(b *testing.B) {

@@ -7,7 +7,9 @@
 // literals is encoded into its section's buffer as it is parsed; an operand
 // that names a symbol leaves a fixup, resolved once every section has its
 // base address. Prepare freezes the state after a list of sources, so text
-// that never changes (the guest runtime) is parsed once per process.
+// that never changes (the guest runtime) is parsed once per process. A
+// compiler need not write text at all: it hands its items to an Emitter,
+// which a Builder encodes the way the parsed text would be (emit.go).
 //
 // Syntax summary:
 //
@@ -33,6 +35,8 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -64,7 +68,7 @@ type Prefix struct{ a assembler }
 // (*Prefix).Assemble adds is treated exactly as if it had followed them in
 // one Assemble call.
 func Prepare(opts Options, sources ...Source) (*Prefix, error) {
-	a := (&Prefix{a: assembler{opts: opts}}).fork(sources)
+	a := (&Prefix{a: assembler{opts: opts}}).fork(0)
 	if err := a.parse(sources); err != nil {
 		return nil, err
 	}
@@ -73,13 +77,17 @@ func Prepare(opts Options, sources ...Source) (*Prefix, error) {
 	for name, list := range a.numeric {
 		a.numeric[name] = list[:len(list):len(list)]
 	}
-	return &Prefix{a: *a}, nil
+	return &Prefix{a: a}, nil
 }
 
 // Assemble assembles more after the prefix's sources and links everything
 // into a guest image.
 func (p *Prefix) Assemble(more ...Source) (*image.Image, error) {
-	a := p.fork(more)
+	n := 0 // a line of mini-C output is ≈16 bytes for a 4-byte instruction
+	for _, src := range more {
+		n += len(src.Text)
+	}
+	a := p.fork(n / 4)
 	if err := a.parse(more); err != nil {
 		return nil, err
 	}
@@ -123,12 +131,12 @@ type numPos struct {
 	symPos
 }
 
-// A fixup is a value that could not be encoded when its line was parsed,
-// because the expression names a symbol (or failed, and the failure is a
+// A fixup is a value that could not be encoded where it stands, because
+// it names a symbol or needs the pc (or failed, and the failure is a
 // link-time diagnostic). Fixups are resolved in source order.
 type fixup struct {
-	form  byte   // an operand kind of instr.go, a data width, or fixErr
-	expr  string // the expression; for fixErr, the diagnostic
+	form  byte    // an operand kind of instr.go, a data width, or fixErr
+	val   Operand // the value or expression; for fixErr, sym is the diagnostic
 	ins   isa.Instruction
 	at    symPos
 	order int // position among the numeric labels, for "1b"/"1f"
@@ -159,29 +167,22 @@ type assembler struct {
 	line int
 }
 
-// fork returns a private copy of the prefix's state with room for more.
-// Fixups and numeric-label lists are shared: nothing writes to them and
-// Prepare clipped their capacity.
-func (p *Prefix) fork(more []Source) *assembler {
+// fork returns a private copy of the prefix's state with room in .text for
+// text more bytes of code. Fixups and numeric-label lists are shared: nothing
+// writes to them and Prepare clipped their capacity.
+func (p *Prefix) fork(text int) assembler {
 	a := p.a
 	if a.opts.TextBase == 0 {
 		a.opts.TextBase = image.DefaultTextBase
 	}
-	n := 0
-	for _, src := range more {
-		n += len(src.Text)
-	}
 	for i := range a.secs[:secBss] {
-		room := 0
-		if i == secText {
-			room = n / 4 // a line of mini-C output is ≈16 bytes for a 4-byte instruction
-		}
-		a.secs[i].buf = append(make([]byte, 0, len(a.secs[i].buf)+room), a.secs[i].buf...)
+		a.secs[i].buf = append(make([]byte, 0, len(a.secs[i].buf)+text), a.secs[i].buf...)
+		text = 0 // the room is for .text, the first section
 	}
 	a.labels = cloneMap(a.labels)
 	a.equates = cloneMap(a.equates)
 	a.numeric = cloneMap(a.numeric)
-	return &a
+	return a
 }
 
 func cloneMap[M ~map[K]V, K comparable, V any](m M) M {
@@ -314,49 +315,25 @@ func (a *assembler) fits(directive string, n uint64) bool {
 }
 
 // addFixup leaves size bytes at the cursor to be filled at link time.
-func (a *assembler) addFixup(form byte, ins isa.Instruction, expr string, size int) {
-	a.fixups = append(a.fixups, fixup{form: form, expr: expr, ins: ins, order: a.order,
+func (a *assembler) addFixup(form byte, ins isa.Instruction, val Operand, size int) {
+	a.fixups = append(a.fixups, fixup{form: form, val: val, ins: ins, order: a.order,
 		at: symPos{sec: a.cur, off: a.secs[a.cur].cursor}, file: a.file, line: a.line})
 	a.order++
 	a.reserve(uint64(size), 0)
 }
 
 func (a *assembler) deferError(msg string) {
-	a.fixups = append(a.fixups, fixup{form: fixErr, expr: msg, file: a.file, line: a.line})
+	a.fixups = append(a.fixups, fixup{form: fixErr, val: Operand{sym: msg}, file: a.file, line: a.line})
 }
 
 func (a *assembler) directive(name, rest string) {
 	switch name {
-	case ".text":
-		a.cur = secText
-	case ".rodata":
-		a.cur = secRodata
-	case ".data":
-		a.cur = secData
-	case ".bss":
-		a.cur = secBss
+	case ".text", ".rodata", ".data", ".bss":
+		a.cur = slices.Index(sectionNames[:], name[1:])
 	case ".global", ".globl":
 		// Symbols are all visible; accepted for compatibility.
 	case ".align":
-		n, err := a.constExpr(rest)
-		if err != nil || n <= 0 || n&(n-1) != 0 {
-			a.errorf(".align needs a positive power of two: %v", err)
-			return
-		}
-		pad := (uint64(n) - a.secs[a.cur].cursor%uint64(n)) % uint64(n)
-		switch {
-		case !a.fits(name, pad):
-		case a.cur != secText:
-			a.reserve(pad, 0)
-		case pad%4 != 0:
-			a.deferError(fmt.Sprintf("text alignment pad %d not a multiple of 4", pad))
-			a.reserve(pad, 0)
-		default:
-			// Text is padded with NOPs so the pad stays decodable.
-			for ; pad > 0; pad -= 4 {
-				a.emitIns(isa.Instruction{Op: isa.OpNOP})
-			}
-		}
+		a.align(a.constExpr(rest))
 	case ".byte":
 		a.dataDirective(rest, 1)
 	case ".half":
@@ -374,9 +351,7 @@ func (a *assembler) directive(name, rest string) {
 				a.errorf(".double: %v", err)
 				return
 			}
-			var b [8]byte
-			putUint(b[:], math.Float64bits(f), 8)
-			a.emit(b[:])
+			a.emitUint(math.Float64bits(f), 8)
 		}
 	case ".ascii", ".asciz":
 		s, err := parseString(rest)
@@ -397,20 +372,14 @@ func (a *assembler) directive(name, rest string) {
 			return
 		}
 		n, err := a.constExpr(ops[0])
-		if err != nil || n < 0 {
-			a.errorf(".space: bad size: %v", err)
-			return
-		}
 		fill := int64(0)
-		if nops == 2 {
+		if nops == 2 && err == nil && n >= 0 {
 			if fill, err = a.constExpr(ops[1]); err != nil {
 				a.errorf(".space: bad fill: %v", err)
 				return
 			}
 		}
-		if a.fits(name, uint64(n)) {
-			a.reserve(uint64(n), byte(fill))
-		}
+		a.space(n, fill, err)
 	case ".equ", ".set":
 		var ops [2]string
 		if operands(rest, ops[:]) != 2 {
@@ -437,19 +406,61 @@ func (a *assembler) directive(name, rest string) {
 	}
 }
 
-// dataDirective emits one integer of the given width per expression: now if
-// the expression is all literals, as a fixup if it names a symbol.
+// dataDirective emits one integer of the given width per expression.
 func (a *assembler) dataDirective(rest string, width int) {
 	for more := rest != ""; more; {
 		var expr string
 		expr, rest, more = cutOperand(rest)
-		if v, err := evalExpr(expr, nil); err == nil {
-			var b [8]byte
-			putUint(b[:], uint64(v), width)
-			a.emit(b[:width])
-		} else {
-			a.addFixup(byte(width), isa.Instruction{}, expr, width)
+		a.data(width, literal(expr))
+	}
+}
+
+// data emits one integer of the given width: now if its value is known, as
+// a fixup if it names a symbol.
+func (a *assembler) data(width int, val Operand) {
+	if val.link {
+		a.addFixup(byte(width), isa.Instruction{}, val, width)
+		return
+	}
+	a.emitUint(uint64(val.imm), width)
+}
+
+func (a *assembler) emitUint(v uint64, width int) {
+	var b [8]byte
+	putUint(b[:], v, width)
+	a.emit(b[:width])
+}
+
+// align pads to a multiple of n; err is why n could not be read.
+func (a *assembler) align(n int64, err error) {
+	if err != nil || n <= 0 || n&(n-1) != 0 {
+		a.errorf(".align needs a positive power of two: %v", err)
+		return
+	}
+	pad := (uint64(n) - a.secs[a.cur].cursor%uint64(n)) % uint64(n)
+	switch {
+	case !a.fits(".align", pad):
+	case a.cur != secText:
+		a.reserve(pad, 0)
+	case pad%4 != 0:
+		a.deferError(fmt.Sprintf("text alignment pad %d not a multiple of 4", pad))
+		a.reserve(pad, 0)
+	default:
+		// Text is padded with NOPs so the pad stays decodable.
+		for ; pad > 0; pad -= 4 {
+			a.emitIns(isa.Instruction{Op: isa.OpNOP})
 		}
+	}
+}
+
+// space reserves n bytes of fill; err is why n could not be read.
+func (a *assembler) space(n, fill int64, err error) {
+	if err != nil || n < 0 {
+		a.errorf(".space: bad size: %v", err)
+		return
+	}
+	if a.fits(".space", uint64(n)) {
+		a.reserve(uint64(n), byte(fill))
 	}
 }
 
@@ -487,20 +498,17 @@ func (a *assembler) eval(src string, order int) (int64, error) {
 
 func (a *assembler) addr(pos symPos) uint64 { return a.secs[pos.sec].base + pos.off }
 
+// findNumeric finds the definition of a numeric label nearest after (or
+// before) the reference ranked order. A label's definitions are listed in
+// rank order, so it is a binary search.
 func (a *assembler) findNumeric(digits string, forward bool, order int) (numPos, bool) {
 	list := a.numeric[digits]
 	if forward {
-		for _, p := range list {
-			if p.order > order {
-				return p, true
-			}
-		}
-		return numPos{}, false
-	}
-	for i := len(list) - 1; i >= 0; i-- {
-		if list[i].order < order {
+		if i := sort.Search(len(list), func(i int) bool { return list[i].order > order }); i < len(list) {
 			return list[i], true
 		}
+	} else if i := sort.Search(len(list), func(i int) bool { return list[i].order >= order }); i > 0 {
+		return list[i-1], true
 	}
 	return numPos{}, false
 }
@@ -555,9 +563,12 @@ func (a *assembler) link() (*image.Image, error) {
 // resolve appends the bytes of one fixup to buf.
 func (a *assembler) resolve(fx *fixup, buf []byte) ([]byte, error) {
 	if fx.form == fixErr {
-		return nil, errors.New(fx.expr)
+		return nil, errors.New(fx.val.sym)
 	}
-	v, err := a.eval(fx.expr, fx.order)
+	v, err := fx.val.imm, error(nil)
+	if fx.val.link {
+		v, err = a.eval(fx.val.sym, fx.order)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -131,6 +131,40 @@ func goldenManyFuncs(seed int64, funcs int) string {
 	return sb.String()
 }
 
+// goldenMiniC is every pinned build of mini-C text held in this file, by
+// row name.
+func goldenMiniC() map[string]struct{ file, src string } {
+	type mc = struct{ file, src string }
+	out := map[string]mc{
+		"runtime/no-main":    {"nomain.mc", "long helper() { return 1; }\n"},
+		"runtime/dup-symbol": {"dup.mc", "long strlen(char *s) { return 0; }\nlong main() { return 0; }\n"},
+	}
+	for _, c := range []int{100000, 100001, 123456, 999999} {
+		out[fmt.Sprintf("job/tiny-%d", c)] = mc{"tiny.mc", goldenTiny(c)}
+	}
+	for _, c := range []int{1, 2, 1000} {
+		out[fmt.Sprintf("job/threads-%d", c)] = mc{"threads.mc", goldenThreads(c)}
+	}
+	for _, g := range []struct {
+		seed  int64
+		funcs int
+	}{{1, 300}, {2, 320}, {3, 24}} {
+		out[fmt.Sprintf("gen/seed%d-funcs%d", g.seed, g.funcs)] = mc{"gen.mc", goldenManyFuncs(g.seed, g.funcs)}
+	}
+	return out
+}
+
+// TestBothRoutesSameImage: each mini-C build of goldenMiniC makes the same
+// image, or the same diagnostic, from the text -S prints as straight from
+// the compiler. The stock workloads are held to it in internal/workloads.
+func TestBothRoutesSameImage(t *testing.T) {
+	for name, mc := range goldenMiniC() {
+		if d := grt.DiffRoutes(mc.file, mc.src); d != "" {
+			t.Errorf("%s: %s", name, d)
+		}
+	}
+}
+
 // goldenBuilds returns every pinned build, by name.
 func goldenBuilds(t *testing.T) map[string]string {
 	t.Helper()
@@ -166,19 +200,8 @@ func goldenBuilds(t *testing.T) map[string]string {
 	out["runtime/alone"] = digest(asm.Assemble(rt...))
 	out["runtime/textbase"] = digest(asm.AssembleOptions(asm.Options{TextBase: 0x40_0000}, rt...))
 	out["runtime/asm-main"] = digest(grt.BuildAsmProgram(asm.Source{Name: "main.s", Text: "main:\n\tli a0, 3\n\tret\n"}))
-	out["runtime/no-main"] = digest(grt.BuildProgram("nomain.mc", "long helper() { return 1; }\n"))
-	out["runtime/dup-symbol"] = digest(grt.BuildProgram("dup.mc", "long strlen(char *s) { return 0; }\nlong main() { return 0; }\n"))
-	for _, c := range []int{100000, 100001, 123456, 999999} {
-		out[fmt.Sprintf("job/tiny-%d", c)] = digest(grt.BuildProgram("tiny.mc", goldenTiny(c)))
-	}
-	for _, c := range []int{1, 2, 1000} {
-		out[fmt.Sprintf("job/threads-%d", c)] = digest(grt.BuildProgram("threads.mc", goldenThreads(c)))
-	}
-	for _, g := range []struct {
-		seed  int64
-		funcs int
-	}{{1, 300}, {2, 320}, {3, 24}} {
-		out[fmt.Sprintf("gen/seed%d-funcs%d", g.seed, g.funcs)] = digest(grt.BuildProgram("gen.mc", goldenManyFuncs(g.seed, g.funcs)))
+	for name, mc := range goldenMiniC() {
+		out[name] = digest(grt.BuildProgram(mc.file, mc.src))
 	}
 
 	// Every stock guest at the argument sets bench/workloads.go,

@@ -108,106 +108,155 @@ var mnemonics = func() map[string]mnemonic {
 	return all
 }()
 
-// instruction parses and emits one instruction (or pseudo-instruction).
-func (a *assembler) instruction(word, rest string) {
-	name := strings.ToLower(word)
-	var ops [3]string
-	if err := a.encode(name, ops[:], operands(rest, ops[:])); err != nil {
-		a.errorf("%s: %v", name, err)
-	}
+// A Template is an instruction before its operands fill it: a row of
+// mnemonics with one of its operand lists chosen.
+type Template struct {
+	name string
+	ins  isa.Instruction
+	args string
 }
 
-// encode emits the instruction name with the n operands in ops (n may be
-// more than ops holds, which no mnemonic accepts).
-func (a *assembler) encode(name string, ops []string, n int) error {
+// Op returns the template of the mnemonic name with its fullest operand
+// list (jal rd, target; svc n). It panics if there is no such mnemonic:
+// templates are looked up once, by names written in code.
+func Op(name string) *Template {
 	m, ok := mnemonics[name]
 	if !ok {
-		return fmt.Errorf("unknown instruction")
+		panic("asm: no mnemonic " + strconv.Quote(name))
 	}
-	args := m.args[0]
+	return &Template{name: name, ins: m.ins, args: m.args[len(m.args)-1]}
+}
+
+// instruction reads one instruction (or pseudo-instruction) of text into a
+// template and its operand values, and encodes it.
+func (a *assembler) instruction(word, rest string) {
+	name := strings.ToLower(word)
+	var strs [3]string
+	n := operands(rest, strs[:]) // may be more than strs holds, which no mnemonic accepts
+	m, ok := mnemonics[name]
+	if !ok {
+		a.errorf("%s: unknown instruction", name)
+		return
+	}
+	t := Template{name: name, ins: m.ins, args: m.args[0]}
 	for _, alt := range m.args[1:] {
 		if len(alt) == n {
-			args = alt
+			t.args = alt
 		}
 	}
-	if len(args) != n {
-		return errors.New(m.needs)
+	if len(t.args) != n {
+		a.errorf("%s: %s", name, m.needs)
+		return
 	}
+	var ops [3]Operand
+	for i := 0; i < n; i++ {
+		var err error
+		if ops[i], err = a.operand(t.args[i], strs[i]); err != nil {
+			a.errorf("%s: %v", name, err)
+			return
+		}
+	}
+	a.ins(&t, &ops)
+}
 
-	ins, kind, expr := m.ins, byte(0), ""
-	for i := 0; i < len(args); i++ {
-		op, err := ops[i], error(nil)
-		switch args[i] {
-		case argRd:
-			ins.Rd, err = intReg(op)
-		case argRs1:
-			ins.Rs1, err = intReg(op)
-		case argRs2:
-			ins.Rs2, err = intReg(op)
-		case argFRd:
-			ins.Rd, err = fReg(op)
-		case argFRs1:
-			ins.Rs1, err = fReg(op)
-		case argFRs2:
-			ins.Rs2, err = fReg(op)
-		case argMem:
-			kind = argImm
-			expr, ins.Rs1, err = parseMem(op)
-		case argAtomic:
-			var off string
-			if off, ins.Rs1, err = parseMem(op); err == nil && off != "0" {
-				err = fmt.Errorf("atomic address must be (reg) with no offset")
-			}
-		case argFloat:
-			var f float64
-			if f, err = strconv.ParseFloat(op, 64); err != nil {
-				err = fmt.Errorf("bad float literal %q: %v", op, err)
-			}
-			ins.Imm = int64(math.Float64bits(f))
-		case argConst:
-			if ins.Imm, err = a.constExpr(op); err == nil && (ins.Imm < isa.ImmMin14 || ins.Imm > isa.ImmMax14) {
-				err = fmt.Errorf("operand %d out of range", ins.Imm)
-			}
-		case argLi:
-			kind, expr = argAddr, op
-			if v, cerr := a.constExpr(op); cerr == nil {
-				kind, ins.Imm = 0, v
-				switch {
-				case v >= isa.ImmMin14 && v <= isa.ImmMax14:
-					ins.Op, ins.Rs1 = isa.OpADDI, isa.RegZero
-				case v < math.MinInt32 || v > math.MaxInt32:
-					ins.Op = isa.OpMOVID
-				}
-			}
-		default:
-			kind, expr = args[i], op
+// operand reads one operand of text the way its letter says. An expression
+// that is not all literals stays text, to be evaluated at link time; so do
+// branch, jump and la targets, whatever they are.
+func (a *assembler) operand(letter byte, s string) (Operand, error) {
+	switch letter {
+	case argRd, argRs1, argRs2:
+		r, err := intReg(s)
+		return R(r), err
+	case argFRd, argFRs1, argFRs2:
+		r, err := fReg(s)
+		return R(r), err
+	case argMem, argAtomic:
+		off, base, err := parseMem(s)
+		if err == nil && letter == argAtomic && off != "0" {
+			err = errors.New("atomic address must be (reg) with no offset")
 		}
+		op := literal(off)
+		op.reg = base
+		return op, err
+	case argFloat:
+		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			return err
+			return Operand{}, fmt.Errorf("bad float literal %q: %v", s, err)
 		}
-	}
-
-	switch kind {
-	case 0:
-		a.emitIns(ins)
+		return Float(f), nil
+	case argConst:
+		v, err := a.constExpr(s)
+		return Int(v), err
+	case argLi:
+		if v, err := a.constExpr(s); err == nil {
+			return Int(v), nil
+		}
 	case argImm:
-		// All literals: encode now. A symbol, or any failure, is for
-		// link time.
-		if v, err := evalExpr(expr, nil); err == nil {
-			now := ins
-			now.Imm = v
-			if a.emitIns(now) {
+		return literal(s), nil
+	}
+	return Sym(s), nil
+}
+
+// literal is the value of an expression that is all literals, else the
+// expression, to be evaluated at link time.
+func literal(expr string) Operand {
+	if v, err := evalExpr(expr, nil); err == nil {
+		return Int(v)
+	}
+	return Sym(expr)
+}
+
+// ins encodes the instruction t with its operand values: now if it needs
+// no symbol and fits, else as a fixup that link resolves. Text reaches it
+// through instruction, a compiler's items through Builder.Ins.
+func (a *assembler) ins(t *Template, ops *[3]Operand) {
+	ins, kind, val := t.ins, byte(0), Operand{}
+	for i := 0; i < len(t.args); i++ {
+		op := &ops[i]
+		switch c := t.args[i]; c {
+		case argRd, argFRd:
+			ins.Rd = op.reg
+		case argRs1, argFRs1, argAtomic:
+			ins.Rs1 = op.reg
+		case argRs2, argFRs2:
+			ins.Rs2 = op.reg
+		case argFloat, argConst:
+			if c == argConst && (op.imm < isa.ImmMin14 || op.imm > isa.ImmMax14) {
+				a.errorf("%s: operand %d out of range", t.name, op.imm)
+				return
+			}
+			ins.Imm = op.imm
+		case argLi:
+			if op.link {
+				kind, val = argAddr, *op
 				break
 			}
+			switch v := op.imm; {
+			case v >= isa.ImmMin14 && v <= isa.ImmMax14:
+				ins.Op, ins.Rs1 = isa.OpADDI, isa.RegZero
+			case v < math.MinInt32 || v > math.MaxInt32:
+				ins.Op = isa.OpMOVID
+			}
+			ins.Imm = op.imm
+		case argMem:
+			ins.Rs1 = op.reg
+			kind, val, ins.Imm = argImm, *op, op.imm
+		default: // argImm, argBranch, argJump, argAddr
+			kind, val, ins.Imm = c, *op, op.imm
 		}
-		fallthrough
-	default:
-		a.addFixup(kind, ins, expr, int(ins.Size()))
 	}
-	if name == "seqz" {
+
+	switch {
+	case kind == 0:
+		a.emitIns(ins)
+	case kind != argImm || val.link || !a.emitIns(ins):
+		// A symbol, a pc-relative target or an immediate that does not
+		// fit is for link time.
+		a.addFixup(kind, ins, val, int(ins.Size()))
+	}
+	if t.name == "seqz" {
 		a.emitIns(isa.Instruction{Op: isa.OpXORI, Rd: ins.Rd, Rs1: ins.Rd, Imm: 1})
 	}
-	return nil
 }
 
 // emitIns encodes an instruction at the cursor, and reports whether it

@@ -305,6 +305,24 @@ func TestDiagnosticsCountUserLines(t *testing.T) {
 	}
 }
 
+// TestAssemblerDiagnosticsNameMiniCLines: what the assembler finds wrong
+// with a compiled workload names the mini-C file and the line of the
+// definition, call or reference that caused it.
+func TestAssemblerDiagnosticsNameMiniCLines(t *testing.T) {
+	const prefix = "grt: assembling x.mc: x.mc:"
+	for _, c := range []struct{ src, want string }{
+		{"long n;\nlong strlen(char *s) { return 0; }\nlong main() { return 0; }\n", `2: label "strlen" redefined`},
+		{"long n;\nlong strlen;\nlong main() { return 0; }\n", `2: label "strlen" redefined`},
+		{"extern long nowhere();\nlong main() {\n  return nowhere();\n}\n", `3: undefined symbol "nowhere"`},
+		{"extern long nowhere();\nlong main() {\n  long f = (long)nowhere;\n  return f;\n}\n", `3: undefined symbol "nowhere"`},
+		{"long n;\nlong big[34359738368];\nlong main() { return 0; }\n", "2: .space: 274877906944 more bytes take the image over the 67108864-byte limit (image.MaxMemBytes)"},
+	} {
+		if _, err := grt.BuildProgram("x.mc", c.src); err == nil || err.Error() != prefix+c.want {
+			t.Errorf("%q: %v, want %s%s", c.src, err, prefix, c.want)
+		}
+	}
+}
+
 func TestStackSizePerThread(t *testing.T) {
 	// Deep recursion within the 1 MiB thread stack must work.
 	res := runGuest(t, `

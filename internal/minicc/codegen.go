@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"dqemu/internal/asm"
+	"dqemu/internal/isa"
 )
 
 // Compile translates a mini-C translation unit to GA64 assembly text
@@ -16,21 +19,55 @@ func Compile(file, src string) (string, error) {
 // CompileWithPrelude is Compile of prelude+src, where prelude is whole lines
 // of declarations every unit shares (grt.Prelude): the output is the same,
 // and a diagnostic counts lines from src's first line, not the prelude's.
+// The text is what Generate hands an asm.Printer.
 func CompileWithPrelude(file, prelude, src string) (string, error) {
+	var p asm.Printer
+	p.Grow(outBytesPerSrcByte * min(len(src), sizedSrcBytes))
+	if err := Generate(file, prelude, src, &p); err != nil {
+		return "", err
+	}
+	return p.String(), nil
+}
+
+// Generate compiles prelude+src as CompileWithPrelude does, handing the
+// program to e item by item: an asm.Builder encodes it with no text in
+// between. The items carry the mini-C line of each function, global and
+// call, so the assembler's diagnostics name what the user wrote.
+func Generate(file, prelude, src string, e asm.Emitter) error {
 	toks, err := tokenize(file, prelude, src)
 	if err != nil {
-		return "", err
+		return err
 	}
 	p := &parser{file: file, toks: toks}
 	prog, err := p.parseProgram()
 	if err != nil {
-		return "", err
+		return err
 	}
-	g := &codegen{file: file, unit: sanitize(file), prog: prog,
-		funcs: map[string]*funcSig{}, globals: map[string]*globalInfo{}}
-	g.out.Grow(outBytesPerSrcByte * min(len(src), sizedSrcBytes))
+	g := &codegen{file: file, unit: sanitize(file), prog: prog, e: e,
+		funcs: map[string]*funcSig{}, globals: map[string]*globalInfo{}, strIdx: map[string]int{}}
 	return g.generate()
 }
+
+// The registers the generated code names.
+var (
+	ra, sp, s0 = asm.R(isa.RegRA), asm.R(isa.RegSP), asm.R(isa.RegS0)
+	a0, a1, a2 = asm.R(isa.RegA0), asm.R(isa.RegA1), asm.R(isa.RegA2)
+	t0, t1, t2 = asm.R(isa.RegT0), asm.R(isa.RegT0 + 1), asm.R(isa.RegT0 + 2)
+	f0, f1     = asm.R(0), asm.R(1)
+)
+
+// The instructions it writes, each looked up in the assembler's table once.
+var (
+	opLi, opLa, opMv, opJ, opCall, opRet  = asm.Op("li"), asm.Op("la"), asm.Op("mv"), asm.Op("j"), asm.Op("call"), asm.Op("ret")
+	opBeqz, opBnez, opSeqz, opSnez        = asm.Op("beqz"), asm.Op("bnez"), asm.Op("seqz"), asm.Op("snez")
+	opAdd, opAddi, opSub, opMul, opDiv    = asm.Op("add"), asm.Op("addi"), asm.Op("sub"), asm.Op("mul"), asm.Op("div")
+	opSlt, opSltu, opAndi, opXori         = asm.Op("slt"), asm.Op("sltu"), asm.Op("andi"), asm.Op("xori")
+	opNeg, opNot                          = asm.Op("neg"), asm.Op("not")
+	opLd, opSd, opLbu, opSb, opFld, opFsd = asm.Op("ld"), asm.Op("sd"), asm.Op("lbu"), asm.Op("sb"), asm.Op("fld"), asm.Op("fsd")
+	opFli, opFeq, opFlt, opFle, opFneg    = asm.Op("fli"), asm.Op("feq"), asm.Op("flt"), asm.Op("fle"), asm.Op("fneg")
+	opFcvtDL, opFcvtLD                    = asm.Op("fcvt.d.l"), asm.Op("fcvt.l.d")
+	opFence, opHint, opCas, opLl, opSc    = asm.Op("fence"), asm.Op("hint"), asm.Op("cas"), asm.Op("ll"), asm.Op("sc")
+)
 
 // outBytesPerSrcByte sizes the output up front: straight-line mini-C
 // compiles to 10–13 bytes of assembly per byte, so the buffer is written
@@ -67,10 +104,11 @@ type codegen struct {
 	file    string
 	unit    string // the file name as labels spell it
 	prog    *program
-	out     strings.Builder
+	e       asm.Emitter
 	funcs   map[string]*funcSig
 	globals map[string]*globalInfo
-	strs    []string
+	strs    []string       // string literals, in order of first use
+	strIdx  map[string]int // a literal's index in strs
 	labelN  int
 
 	// Per-function state.
@@ -86,37 +124,16 @@ func (g *codegen) errf(line int, format string, args ...interface{}) error {
 	return &compileError{file: g.file, line: line, msg: fmt.Sprintf(format, args...)}
 }
 
-// emit writes one instruction line. The format takes %s (a string) and %d
-// (an int or int64) and nothing else: a line is written for every
-// instruction of every function, and building a format string and running
-// fmt for each was a fifth of Compile.
-func (g *codegen) emit(format string, args ...interface{}) {
-	g.out.WriteByte('\t')
-	for i := strings.IndexByte(format, '%'); i >= 0; i = strings.IndexByte(format, '%') {
-		g.out.WriteString(format[:i])
-		var num [20]byte
-		switch a := args[0].(type) {
-		case string:
-			g.out.WriteString(a)
-		case int:
-			g.out.Write(strconv.AppendInt(num[:0], int64(a), 10))
-		case int64:
-			g.out.Write(strconv.AppendInt(num[:0], a, 10))
-		default:
-			// Naming the argument here would make every argument escape,
-			// and boxing it allocate.
-			panic("minicc: emit(" + strconv.Quote(format) + "): argument is not a string, int or int64")
-		}
-		format, args = format[i+2:], args[1:]
+// ins hands one instruction to the emitter.
+func (g *codegen) ins(t *asm.Template, ops ...asm.Operand) {
+	var o [3]asm.Operand
+	for i, op := range ops {
+		o[i] = op
 	}
-	g.out.WriteString(format)
-	g.out.WriteByte('\n')
+	g.e.Ins(t, o)
 }
 
-func (g *codegen) label(l string) {
-	g.out.WriteString(l)
-	g.out.WriteString(":\n")
-}
+func (g *codegen) label(l string) { g.e.Label(l) }
 
 // newLabel returns a label unique within the whole link (the file name is
 // folded in so separately compiled units can be assembled together).
@@ -125,14 +142,14 @@ func (g *codegen) newLabel(hint string) string {
 	return ".L" + g.unit + "_" + hint + "_" + strconv.Itoa(g.labelN)
 }
 
-func (g *codegen) generate() (string, error) {
+func (g *codegen) generate() error {
 	// Register functions and externs.
 	for _, ex := range g.prog.externs {
 		g.funcs[ex.name] = &funcSig{ret: ex.ret}
 	}
 	for _, fn := range g.prog.funcs {
 		if sig, dup := g.funcs[fn.name]; dup && sig.known {
-			return "", g.errf(fn.line, "function %q redefined", fn.name)
+			return g.errf(fn.line, "function %q redefined", fn.name)
 		}
 		sig := &funcSig{ret: fn.ret, known: true}
 		for _, prm := range fn.params {
@@ -142,29 +159,29 @@ func (g *codegen) generate() (string, error) {
 	}
 	for _, gd := range g.prog.globals {
 		if _, dup := g.globals[gd.name]; dup {
-			return "", g.errf(gd.line, "global %q redefined", gd.name)
+			return g.errf(gd.line, "global %q redefined", gd.name)
 		}
 		g.globals[gd.name] = &globalInfo{ty: gd.ty, arrayLen: gd.arrayLen}
 	}
 
-	g.out.WriteString("\t.text\n")
+	g.e.Section(asm.Text)
 	for _, fn := range g.prog.funcs {
 		if err := g.genFunc(fn); err != nil {
-			return "", err
+			return err
 		}
 	}
 	if err := g.genGlobals(); err != nil {
-		return "", err
+		return err
 	}
 	// String literals.
 	if len(g.strs) > 0 {
-		g.out.WriteString("\t.rodata\n")
+		g.e.Section(asm.Rodata)
 		for i, s := range g.strs {
 			g.label(g.strLabelName(i))
-			g.emit(".asciz %s", strconv.Quote(s))
+			g.e.Data(asm.Asciz, asm.Str(s))
 		}
 	}
-	return g.out.String(), nil
+	return nil
 }
 
 func sanitize(s string) string {
@@ -177,14 +194,15 @@ func sanitize(s string) string {
 	return sb.String()
 }
 
+// strLabel interns a string literal: equal literals share one label.
 func (g *codegen) strLabel(s string) string {
-	for i, old := range g.strs {
-		if old == s {
-			return g.strLabelName(i)
-		}
+	i, ok := g.strIdx[s]
+	if !ok {
+		i = len(g.strs)
+		g.strs = append(g.strs, s)
+		g.strIdx[s] = i
 	}
-	g.strs = append(g.strs, s)
-	return g.strLabelName(len(g.strs) - 1)
+	return g.strLabelName(i)
 }
 
 func (g *codegen) strLabelName(i int) string { return ".Lstr_" + g.unit + "_" + strconv.Itoa(i) }
@@ -200,28 +218,32 @@ func (g *codegen) genGlobals() error {
 		}
 	}
 	if len(data) > 0 {
-		g.out.WriteString("\t.data\n")
+		g.e.Section(asm.Data)
 		for _, gd := range data {
-			g.emit(".align 8")
-			g.label(gd.name)
+			g.globalLabel(gd)
 			if err := g.emitGlobalInit(gd); err != nil {
 				return err
 			}
 		}
 	}
 	if len(bss) > 0 {
-		g.out.WriteString("\t.bss\n")
+		g.e.Section(asm.Bss)
 		for _, gd := range bss {
-			g.emit(".align 8")
-			g.label(gd.name)
+			g.globalLabel(gd)
 			n := gd.ty.size()
 			if gd.arrayLen >= 0 {
 				n *= gd.arrayLen
 			}
-			g.emit(".space %d", n)
+			g.e.Data(asm.Space, asm.Int(n))
 		}
 	}
 	return nil
+}
+
+func (g *codegen) globalLabel(gd *globalDecl) {
+	g.e.Line(gd.line)
+	g.e.Data(asm.Align, asm.Int(8))
+	g.label(gd.name)
 }
 
 func (g *codegen) emitGlobalInit(gd *globalDecl) error {
@@ -229,26 +251,19 @@ func (g *codegen) emitGlobalInit(gd *globalDecl) error {
 		for _, e := range gd.initList {
 			switch v := e.(type) {
 			case *intLit:
-				switch gd.ty.Kind {
-				case KindChar:
-					g.emit(".byte %d", v.val&0xff)
-				case KindDouble:
-					g.emit(".double %s", strconv.FormatFloat(float64(v.val), 'g', 17, 64))
-				default:
-					g.emit(".quad %d", v.val)
-				}
+				g.emitInt(gd.ty, v.val)
 			case *floatLit:
 				if gd.ty.Kind != KindDouble {
 					return g.errf(gd.line, "float initializer for %s array", gd.ty)
 				}
-				g.emit(".double %s", strconv.FormatFloat(v.val, 'g', 17, 64))
+				g.e.Data(asm.Double, asm.Float(v.val))
 			default:
 				return g.errf(gd.line, "array initializers must be literals")
 			}
 		}
 		rest := (gd.arrayLen - int64(len(gd.initList))) * gd.ty.size()
 		if rest > 0 {
-			g.emit(".space %d", rest)
+			g.e.Data(asm.Space, asm.Int(rest))
 		}
 		return nil
 	}
@@ -257,23 +272,28 @@ func (g *codegen) emitGlobalInit(gd *globalDecl) error {
 		if !gd.ty.isPtr() || gd.ty.Elem.Kind != KindChar {
 			return g.errf(gd.line, "string initializer needs char*")
 		}
-		g.emit(".quad %s", g.strLabel(*gd.initS))
+		g.e.Data(asm.Quad, asm.Sym(g.strLabel(*gd.initS)))
 	case gd.initF != nil:
 		if gd.ty.Kind != KindDouble {
 			return g.errf(gd.line, "float initializer for %s", gd.ty)
 		}
-		g.emit(".double %s", strconv.FormatFloat(*gd.initF, 'g', 17, 64))
+		g.e.Data(asm.Double, asm.Float(*gd.initF))
 	case gd.initI != nil:
-		switch gd.ty.Kind {
-		case KindChar:
-			g.emit(".byte %d", *gd.initI&0xff)
-		case KindDouble:
-			g.emit(".double %s", strconv.FormatFloat(float64(*gd.initI), 'g', 17, 64))
-		default:
-			g.emit(".quad %d", *gd.initI)
-		}
+		g.emitInt(gd.ty, *gd.initI)
 	}
 	return nil
+}
+
+// emitInt emits an integer initializer as a value of type ty.
+func (g *codegen) emitInt(ty *Type, v int64) {
+	switch ty.Kind {
+	case KindChar:
+		g.e.Data(asm.Byte, asm.Int(v&0xff))
+	case KindDouble:
+		g.e.Data(asm.Double, asm.Float(float64(v)))
+	default:
+		g.e.Data(asm.Quad, asm.Int(v))
+	}
 }
 
 // ---- Functions ----
@@ -329,73 +349,67 @@ func (g *codegen) genFunc(fn *funcDecl) error {
 	g.retLbl = g.newLabel("ret_" + fn.name)
 	frame := g.prescan(fn)
 
-	g.out.WriteString("\t.global " + fn.name + "\n")
+	g.e.Line(fn.line)
 	g.label(fn.name)
 	if frame <= 8184 {
-		g.emit("addi sp, sp, -%d", frame)
-		g.emit("sd   ra, %d(sp)", frame-8)
-		g.emit("sd   s0, %d(sp)", frame-16)
-		g.emit("addi s0, sp, %d", frame)
+		g.ins(opAddi, sp, sp, asm.Int(-frame))
+		g.ins(opSd, ra, asm.Mem(frame-8, sp))
+		g.ins(opSd, s0, asm.Mem(frame-16, sp))
+		g.ins(opAddi, s0, sp, asm.Int(frame))
 	} else {
-		g.emit("li   t0, %d", frame)
-		g.emit("sub  sp, sp, t0")
-		g.emit("add  t1, sp, t0")
-		g.emit("sd   ra, -8(t1)")
-		g.emit("sd   s0, -16(t1)")
-		g.emit("mv   s0, t1")
+		g.ins(opLi, t0, asm.Int(frame))
+		g.ins(opSub, sp, sp, t0)
+		g.ins(opAdd, t1, sp, t0)
+		g.ins(opSd, ra, asm.Mem(-8, t1))
+		g.ins(opSd, s0, asm.Mem(-16, t1))
+		g.ins(opMv, s0, t1)
 	}
 	// Spill parameters into their slots.
 	for i, prm := range fn.params {
 		li := &localInfo{ty: prm.ty, arrayLen: -1, off: g.paramOff[i]}
 		g.scopes[0][prm.name] = li
+		reg := aArg(i)
 		if prm.ty.isFloat() {
-			g.storeSlotF(li.off, fmt.Sprintf("f%d", 10+i))
-		} else {
-			g.storeSlotI(li.off, fmt.Sprintf("a%d", i))
+			reg = fArg(i)
 		}
+		g.storeSlot(prm.ty.isFloat(), li.off, reg)
 	}
 	if err := g.genBlock(fn.body); err != nil {
 		return err
 	}
 	// Implicit return (value 0 for non-void falls out naturally).
-	g.emit("li   a0, 0")
+	g.ins(opLi, a0, asm.Int(0))
 	g.label(g.retLbl)
-	g.emit("ld   ra, -8(s0)")
-	g.emit("mv   sp, s0")
-	g.emit("ld   s0, -16(s0)")
-	g.emit("ret")
+	g.ins(opLd, ra, asm.Mem(-8, s0))
+	g.ins(opMv, sp, s0)
+	g.ins(opLd, s0, asm.Mem(-16, s0))
+	g.ins(opRet)
 	return nil
 }
 
-// storeSlotI stores integer register reg to the slot at s0-off.
-func (g *codegen) storeSlotI(off int64, reg string) {
+// storeSlot stores register reg, an FP one if float, to the slot at s0-off.
+func (g *codegen) storeSlot(float bool, off int64, reg asm.Operand) {
+	store := opSd
+	if float {
+		store = opFsd
+	}
 	if off <= 8191 {
-		g.emit("sd   %s, -%d(s0)", reg, off)
+		g.ins(store, reg, asm.Mem(-off, s0))
 		return
 	}
-	g.emit("li   t1, %d", off)
-	g.emit("sub  t1, s0, t1")
-	g.emit("sd   %s, 0(t1)", reg)
-}
-
-func (g *codegen) storeSlotF(off int64, reg string) {
-	if off <= 8191 {
-		g.emit("fsd  %s, -%d(s0)", reg, off)
-		return
-	}
-	g.emit("li   t1, %d", off)
-	g.emit("sub  t1, s0, t1")
-	g.emit("fsd  %s, 0(t1)", reg)
+	g.ins(opLi, t1, asm.Int(off))
+	g.ins(opSub, t1, s0, t1)
+	g.ins(store, reg, asm.Mem(0, t1))
 }
 
 // addrOfSlot materialises s0-off into reg.
-func (g *codegen) addrOfSlot(off int64, reg string) {
+func (g *codegen) addrOfSlot(off int64, reg asm.Operand) {
 	if off <= 8191 {
-		g.emit("addi %s, s0, -%d", reg, off)
+		g.ins(opAddi, reg, s0, asm.Int(-off))
 		return
 	}
-	g.emit("li   %s, %d", reg, off)
-	g.emit("sub  %s, s0, %s", reg, reg)
+	g.ins(opLi, reg, asm.Int(off))
+	g.ins(opSub, reg, s0, reg)
 }
 
 // ---- Scope helpers ----
@@ -440,11 +454,11 @@ func (g *codegen) genStmt(s stmt) error {
 			if err := g.convert(ty, v.ty, v.line); err != nil {
 				return err
 			}
+			reg := a0
 			if v.ty.isFloat() {
-				g.storeSlotF(li.off, "f0")
-			} else {
-				g.storeSlotI(li.off, "a0")
+				reg = f0
 			}
+			g.storeSlot(v.ty.isFloat(), li.off, reg)
 		}
 		return nil
 	case *exprStmt:
@@ -460,7 +474,7 @@ func (g *codegen) genStmt(s stmt) error {
 			return err
 		}
 		if v.els != nil {
-			g.emit("j %s", endLbl)
+			g.jump(endLbl)
 		}
 		g.label(elseLbl)
 		if v.els != nil {
@@ -485,7 +499,7 @@ func (g *codegen) genStmt(s stmt) error {
 		if err != nil {
 			return err
 		}
-		g.emit("j %s", top)
+		g.jump(top)
 		g.label(end)
 		return nil
 	case *forStmt:
@@ -519,7 +533,7 @@ func (g *codegen) genStmt(s stmt) error {
 				return err
 			}
 		}
-		g.emit("j %s", top)
+		g.jump(top)
 		g.label(end)
 		return nil
 	case *returnStmt:
@@ -532,19 +546,19 @@ func (g *codegen) genStmt(s stmt) error {
 				return err
 			}
 		}
-		g.emit("j %s", g.retLbl)
+		g.jump(g.retLbl)
 		return nil
 	case *breakStmt:
 		if len(g.brk) == 0 {
 			return g.errf(v.line, "break outside loop")
 		}
-		g.emit("j %s", g.brk[len(g.brk)-1])
+		g.jump(g.brk[len(g.brk)-1])
 		return nil
 	case *continueStmt:
 		if len(g.cont) == 0 {
 			return g.errf(v.line, "continue outside loop")
 		}
-		g.emit("j %s", g.cont[len(g.cont)-1])
+		g.jump(g.cont[len(g.cont)-1])
 		return nil
 	}
 	return fmt.Errorf("minicc: unknown statement %T", s)
@@ -557,15 +571,17 @@ func (g *codegen) genCond(e expr, falseLbl string) error {
 		return err
 	}
 	g.boolify(ty)
-	g.emit("beqz a0, %s", falseLbl)
+	g.ins(opBeqz, a0, asm.Sym(falseLbl))
 	return nil
 }
+
+func (g *codegen) jump(l string) { g.ins(opJ, asm.Sym(l)) }
 
 // boolify turns the current value (a0/f0 per ty) into 0/1 in a0.
 func (g *codegen) boolify(ty *Type) {
 	if ty.isFloat() {
-		g.emit("fli  f1, 0.0")
-		g.emit("feq  a0, f0, f1")
-		g.emit("xori a0, a0, 1")
+		g.ins(opFli, f1, asm.Float(0))
+		g.ins(opFeq, a0, f0, f1)
+		g.ins(opXori, a0, a0, asm.Int(1))
 	}
 }

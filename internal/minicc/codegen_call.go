@@ -1,11 +1,15 @@
 package minicc
 
-// Built-in functions compiled to single instructions rather than calls.
-var fpBuiltins = map[string]string{
-	"sqrt": "fsqrt",
-	"exp":  "fexp",
-	"log":  "fln",
-	"fabs": "fabs",
+import (
+	"dqemu/internal/asm"
+	"dqemu/internal/isa"
+)
+
+// builtinOps are the built-in functions compiled to one instruction each
+// rather than to calls.
+var builtinOps = map[string]*asm.Template{
+	"sqrt": asm.Op("fsqrt"), "exp": asm.Op("fexp"), "log": asm.Op("fln"), "fabs": asm.Op("fabs"),
+	"fmin": asm.Op("fmin"), "fmax": asm.Op("fmax"), "__amoadd": asm.Op("amoadd"), "__amoswap": asm.Op("amoswap"),
 }
 
 func (g *codegen) genCall(v *call) (*Type, error) {
@@ -21,7 +25,7 @@ func (g *codegen) genCall(v *call) (*Type, error) {
 		if err := g.convert(ty, tyDouble, v.line); err != nil {
 			return nil, err
 		}
-		g.emit("%s f0, f0", fpBuiltins[v.name])
+		g.ins(builtinOps[v.name], f0, f0)
 		return tyDouble, nil
 
 	case "fmin", "fmax":
@@ -35,7 +39,7 @@ func (g *codegen) genCall(v *call) (*Type, error) {
 		if err := g.convert(ty, tyDouble, v.line); err != nil {
 			return nil, err
 		}
-		g.pushF()
+		g.push(true)
 		ty, err = g.genExpr(v.args[1])
 		if err != nil {
 			return nil, err
@@ -43,16 +47,16 @@ func (g *codegen) genCall(v *call) (*Type, error) {
 		if err := g.convert(ty, tyDouble, v.line); err != nil {
 			return nil, err
 		}
-		g.popF("f1")
-		g.emit("%s f0, f1, f0", v.name)
+		g.popF(f1)
+		g.ins(builtinOps[v.name], f0, f1, f0)
 		return tyDouble, nil
 
 	case "__fence":
 		if len(v.args) != 0 {
 			return nil, g.errf(v.line, "__fence takes no arguments")
 		}
-		g.emit("fence")
-		g.emit("li   a0, 0")
+		g.ins(opFence)
+		g.ins(opLi, a0, asm.Int(0))
 		return tyLong, nil
 
 	case "hint":
@@ -63,8 +67,8 @@ func (g *codegen) genCall(v *call) (*Type, error) {
 		if !ok {
 			return nil, g.errf(v.line, "hint argument must be an integer literal (use dq_hint for dynamic groups)")
 		}
-		g.emit("hint %d", lit.val)
-		g.emit("li   a0, 0")
+		g.ins(opHint, asm.Int(lit.val))
+		g.ins(opLi, a0, asm.Int(0))
 		return tyLong, nil
 
 	case "__cas":
@@ -72,29 +76,29 @@ func (g *codegen) genCall(v *call) (*Type, error) {
 		if err := g.evalIntArgs(v, 3); err != nil {
 			return nil, err
 		}
-		g.popI("a2")
-		g.popI("a1")
-		g.popI("a0")
-		g.emit("cas  a1, a2, (a0)")
-		g.emit("mv   a0, a1")
+		g.popI(a2)
+		g.popI(a1)
+		g.popI(a0)
+		g.ins(opCas, a1, a2, asm.Mem(0, a0))
+		g.ins(opMv, a0, a1)
 		return tyLong, nil
 
 	case "__amoadd", "__amoswap":
 		if err := g.evalIntArgs(v, 2); err != nil {
 			return nil, err
 		}
-		g.popI("a1")
-		g.popI("a0")
-		g.emit("%s t0, a1, (a0)", v.name[2:])
-		g.emit("mv   a0, t0")
+		g.popI(a1)
+		g.popI(a0)
+		g.ins(builtinOps[v.name], t0, a1, asm.Mem(0, a0))
+		g.ins(opMv, a0, t0)
 		return tyLong, nil
 
 	case "__ll":
 		if err := g.evalIntArgs(v, 1); err != nil {
 			return nil, err
 		}
-		g.popI("a0")
-		g.emit("ll   a0, (a0)")
+		g.popI(a0)
+		g.ins(opLl, a0, asm.Mem(0, a0))
 		return tyLong, nil
 
 	case "__sc":
@@ -102,10 +106,10 @@ func (g *codegen) genCall(v *call) (*Type, error) {
 		if err := g.evalIntArgs(v, 2); err != nil {
 			return nil, err
 		}
-		g.popI("a1")
-		g.popI("a0")
-		g.emit("sc   t0, a1, (a0)")
-		g.emit("mv   a0, t0")
+		g.popI(a1)
+		g.popI(a0)
+		g.ins(opSc, t0, a1, asm.Mem(0, a0))
+		g.ins(opMv, a0, t0)
 		return tyLong, nil
 	}
 
@@ -133,21 +137,18 @@ func (g *codegen) genCall(v *call) (*Type, error) {
 			ty = sig.params[i]
 		}
 		kinds[i] = ty.isFloat()
-		if kinds[i] {
-			g.pushF()
-		} else {
-			g.pushI()
-		}
+		g.push(kinds[i])
 	}
 	// Pop into argument registers, last first. Register index = position.
 	for i := len(v.args) - 1; i >= 0; i-- {
 		if kinds[i] {
-			g.popF(fRegName(i))
+			g.popF(fArg(i))
 		} else {
-			g.popI(aRegName(i))
+			g.popI(aArg(i))
 		}
 	}
-	g.emit("call %s", v.name)
+	g.e.Line(v.line)
+	g.ins(opCall, asm.Sym(v.name))
 	return sig.ret, nil
 }
 
@@ -164,10 +165,11 @@ func (g *codegen) evalIntArgs(v *call, n int) error {
 		if ty.isFloat() {
 			return g.errf(v.line, "%s needs integer/pointer arguments", v.name)
 		}
-		g.pushI()
+		g.push(false)
 	}
 	return nil
 }
 
-func aRegName(i int) string { return "a" + string(rune('0'+i)) }
-func fRegName(i int) string { return "f1" + string(rune('0'+i)) } // f10..f17
+// aArg and fArg are the registers of argument i: a0..a7, f10..f17.
+func aArg(i int) asm.Operand { return asm.R(isa.RegA0 + uint8(i)) }
+func fArg(i int) asm.Operand { return asm.R(10 + uint8(i)) }

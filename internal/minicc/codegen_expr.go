@@ -1,36 +1,36 @@
 package minicc
 
-import "strconv"
+import "dqemu/internal/asm"
 
 // ---- Value stack helpers. Values are spilled to the guest stack between
 // the two operands of a binary operation; sp is restored by the function
 // epilogue even if codegen leaves it moved (it cannot, but belt and braces).
 
-func (g *codegen) pushI() {
-	g.emit("addi sp, sp, -8")
-	g.emit("sd   a0, 0(sp)")
+// push spills the current value, f0 if float else a0.
+func (g *codegen) push(float bool) {
+	store, reg := opSd, a0
+	if float {
+		store, reg = opFsd, f0
+	}
+	g.ins(opAddi, sp, sp, asm.Int(-8))
+	g.ins(store, reg, asm.Mem(0, sp))
 }
 
-func (g *codegen) popI(reg string) {
-	g.emit("ld   %s, 0(sp)", reg)
-	g.emit("addi sp, sp, 8")
+func (g *codegen) popI(reg asm.Operand) {
+	g.ins(opLd, reg, asm.Mem(0, sp))
+	g.ins(opAddi, sp, sp, asm.Int(8))
 }
 
-func (g *codegen) pushF() {
-	g.emit("addi sp, sp, -8")
-	g.emit("fsd  f0, 0(sp)")
-}
-
-func (g *codegen) popF(reg string) {
-	g.emit("fld  %s, 0(sp)", reg)
-	g.emit("addi sp, sp, 8")
+func (g *codegen) popF(reg asm.Operand) {
+	g.ins(opFld, reg, asm.Mem(0, sp))
+	g.ins(opAddi, sp, sp, asm.Int(8))
 }
 
 // convert coerces the current value (in a0/f0 per `from`) to type `to`.
 func (g *codegen) convert(from, to *Type, line int) error {
 	if from.isFloat() == to.isFloat() {
 		if to.Kind == KindChar && from.Kind != KindChar {
-			g.emit("andi a0, a0, 255")
+			g.ins(opAndi, a0, a0, asm.Int(255))
 		}
 		if to.Kind == KindVoid || from.Kind == KindVoid {
 			if to.Kind != from.Kind {
@@ -40,12 +40,12 @@ func (g *codegen) convert(from, to *Type, line int) error {
 		return nil
 	}
 	if to.isFloat() {
-		g.emit("fcvt.d.l f0, a0")
+		g.ins(opFcvtDL, f0, a0)
 		return nil
 	}
-	g.emit("fcvt.l.d a0, f0")
+	g.ins(opFcvtLD, a0, f0)
 	if to.Kind == KindChar {
-		g.emit("andi a0, a0, 255")
+		g.ins(opAndi, a0, a0, asm.Int(255))
 	}
 	return nil
 }
@@ -54,23 +54,23 @@ func (g *codegen) convert(from, to *Type, line int) error {
 func (g *codegen) loadValue(ty *Type) {
 	switch ty.Kind {
 	case KindChar:
-		g.emit("lbu  a0, 0(a0)")
+		g.ins(opLbu, a0, asm.Mem(0, a0))
 	case KindDouble:
-		g.emit("fld  f0, 0(a0)")
+		g.ins(opFld, f0, asm.Mem(0, a0))
 	default:
-		g.emit("ld   a0, 0(a0)")
+		g.ins(opLd, a0, asm.Mem(0, a0))
 	}
 }
 
 // storeValue stores the current value (a0/f0 per ty) to the address in reg.
-func (g *codegen) storeValue(ty *Type, reg string) {
+func (g *codegen) storeValue(ty *Type, reg asm.Operand) {
 	switch ty.Kind {
 	case KindChar:
-		g.emit("sb   a0, 0(%s)", reg)
+		g.ins(opSb, a0, asm.Mem(0, reg))
 	case KindDouble:
-		g.emit("fsd  f0, 0(%s)", reg)
+		g.ins(opFsd, f0, asm.Mem(0, reg))
 	default:
-		g.emit("sd   a0, 0(%s)", reg)
+		g.ins(opSd, a0, asm.Mem(0, reg))
 	}
 }
 
@@ -80,11 +80,11 @@ func (g *codegen) genAddr(e expr) (*Type, error) {
 	switch v := e.(type) {
 	case *varRef:
 		if li := g.lookupLocal(v.name); li != nil {
-			g.addrOfSlot(li.off, "a0")
+			g.addrOfSlot(li.off, a0)
 			return li.ty, nil
 		}
 		if gi, ok := g.globals[v.name]; ok {
-			g.emit("la   a0, %s", v.name)
+			g.ins(opLa, a0, asm.Sym(v.name))
 			return gi.ty, nil
 		}
 		return nil, g.errf(v.line, "undefined variable %q", v.name)
@@ -108,7 +108,7 @@ func (g *codegen) genAddr(e expr) (*Type, error) {
 		if !bty.isPtr() {
 			return nil, g.errf(v.line, "cannot index %s", bty)
 		}
-		g.pushI()
+		g.push(false)
 		ity, err := g.genExpr(v.idx)
 		if err != nil {
 			return nil, err
@@ -116,12 +116,12 @@ func (g *codegen) genAddr(e expr) (*Type, error) {
 		if !ity.isInt() {
 			return nil, g.errf(v.line, "index must be integer, got %s", ity)
 		}
-		g.popI("a1")
+		g.popI(a1)
 		if size := bty.Elem.size(); size > 1 {
-			g.emit("li   t0, %d", size)
-			g.emit("mul  a0, a0, t0")
+			g.ins(opLi, t0, asm.Int(size))
+			g.ins(opMul, a0, a0, t0)
 		}
-		g.emit("add  a0, a1, a0")
+		g.ins(opAdd, a0, a1, a0)
 		return bty.Elem, nil
 	}
 	return nil, g.errf(0, "expression is not an lvalue")
@@ -132,13 +132,13 @@ func (g *codegen) genAddr(e expr) (*Type, error) {
 func (g *codegen) genExpr(e expr) (*Type, error) {
 	switch v := e.(type) {
 	case *intLit:
-		g.emit("li   a0, %d", v.val)
+		g.ins(opLi, a0, asm.Int(v.val))
 		return tyLong, nil
 	case *floatLit:
-		g.emit("fli  f0, %s", strconv.FormatFloat(v.val, 'g', 17, 64))
+		g.ins(opFli, f0, asm.Float(v.val))
 		return tyDouble, nil
 	case *strLit:
-		g.emit("la   a0, %s", g.strLabel(v.val))
+		g.ins(opLa, a0, asm.Sym(g.strLabel(v.val)))
 		return ptrTo(tyChar), nil
 	case *varRef:
 		return g.genVarRef(v)
@@ -185,15 +185,15 @@ func (g *codegen) decay(ty *Type) *Type {
 func (g *codegen) genVarRef(v *varRef) (*Type, error) {
 	if li := g.lookupLocal(v.name); li != nil {
 		if li.arrayLen >= 0 {
-			g.addrOfSlot(li.off, "a0")
+			g.addrOfSlot(li.off, a0)
 			return ptrTo(li.ty), nil
 		}
-		g.addrOfSlot(li.off, "a0")
+		g.addrOfSlot(li.off, a0)
 		g.loadValue(li.ty)
 		return g.decay(li.ty), nil
 	}
 	if gi, ok := g.globals[v.name]; ok {
-		g.emit("la   a0, %s", v.name)
+		g.ins(opLa, a0, asm.Sym(v.name))
 		if gi.arrayLen >= 0 {
 			return ptrTo(gi.ty), nil
 		}
@@ -201,7 +201,8 @@ func (g *codegen) genVarRef(v *varRef) (*Type, error) {
 		return g.decay(gi.ty), nil
 	}
 	if _, ok := g.funcs[v.name]; ok {
-		g.emit("la   a0, %s", v.name)
+		g.e.Line(v.line) // an extern may be defined nowhere
+		g.ins(opLa, a0, asm.Sym(v.name))
 		return ptrTo(tyVoid), nil
 	}
 	return nil, g.errf(v.line, "undefined identifier %q", v.name)
@@ -233,24 +234,24 @@ func (g *codegen) genUnary(v *unary) (*Type, error) {
 	switch v.op {
 	case "-":
 		if ty.isFloat() {
-			g.emit("fneg f0, f0")
+			g.ins(opFneg, f0, f0)
 		} else {
-			g.emit("neg  a0, a0")
+			g.ins(opNeg, a0, a0)
 		}
 		return ty, nil
 	case "!":
 		if ty.isFloat() {
-			g.emit("fli  f1, 0.0")
-			g.emit("feq  a0, f0, f1")
+			g.ins(opFli, f1, asm.Float(0))
+			g.ins(opFeq, a0, f0, f1)
 			return tyLong, nil
 		}
-		g.emit("seqz a0, a0")
+		g.ins(opSeqz, a0, a0)
 		return tyLong, nil
 	case "~":
 		if ty.isFloat() {
 			return nil, g.errf(v.line, "~ needs an integer")
 		}
-		g.emit("not  a0, a0")
+		g.ins(opNot, a0, a0)
 		return ty, nil
 	}
 	return nil, g.errf(v.line, "unknown unary %q", v.op)
@@ -264,17 +265,21 @@ func (g *codegen) genBinary(v *binary) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lty.isFloat() {
-		g.pushF()
-	} else {
-		g.pushI()
-	}
+	g.push(lty.isFloat())
 	rty, err := g.genExpr(v.r)
 	if err != nil {
 		return nil, err
 	}
 	return g.combine(v.op, lty, rty, v.line)
 }
+
+// intOps and fpOps are the operators that are one instruction, the left
+// operand in a1 or f1 and the right in a0 or f0.
+var (
+	intOps = map[string]*asm.Template{"+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": asm.Op("rem"),
+		"&": asm.Op("and"), "|": asm.Op("or"), "^": asm.Op("xor"), "<<": asm.Op("sll"), ">>": asm.Op("sra")}
+	fpOps = map[string]*asm.Template{"+": asm.Op("fadd"), "-": asm.Op("fsub"), "*": asm.Op("fmul"), "/": asm.Op("fdiv")}
+)
 
 // combine pops the left operand (pushed by the caller) and applies op with
 // the right operand in a0/f0, leaving the result in a0/f0.
@@ -286,86 +291,64 @@ func (g *codegen) combine(op string, lty, rty *Type, line int) (*Type, error) {
 	if lty.isFloat() || rty.isFloat() {
 		// Promote both to double: right first (in registers), then left.
 		if !rty.isFloat() {
-			g.emit("fcvt.d.l f0, a0")
+			g.ins(opFcvtDL, f0, a0)
 		}
 		if lty.isFloat() {
-			g.popF("f1")
+			g.popF(f1)
 		} else {
-			g.popI("a1")
-			g.emit("fcvt.d.l f1, a1")
+			g.popI(a1)
+			g.ins(opFcvtDL, f1, a1)
+		}
+		if t, ok := fpOps[op]; ok {
+			g.ins(t, f0, f1, f0)
+			return tyDouble, nil
 		}
 		switch op {
-		case "+":
-			g.emit("fadd f0, f1, f0")
-		case "-":
-			g.emit("fsub f0, f1, f0")
-		case "*":
-			g.emit("fmul f0, f1, f0")
-		case "/":
-			g.emit("fdiv f0, f1, f0")
 		case "<":
-			g.emit("flt  a0, f1, f0")
+			g.ins(opFlt, a0, f1, f0)
 			return tyLong, nil
 		case ">":
-			g.emit("flt  a0, f0, f1")
+			g.ins(opFlt, a0, f0, f1)
 			return tyLong, nil
 		case "<=":
-			g.emit("fle  a0, f1, f0")
+			g.ins(opFle, a0, f1, f0)
 			return tyLong, nil
 		case ">=":
-			g.emit("fle  a0, f0, f1")
+			g.ins(opFle, a0, f0, f1)
 			return tyLong, nil
 		case "==":
-			g.emit("feq  a0, f1, f0")
+			g.ins(opFeq, a0, f1, f0)
 			return tyLong, nil
 		case "!=":
-			g.emit("feq  a0, f1, f0")
-			g.emit("xori a0, a0, 1")
+			g.ins(opFeq, a0, f1, f0)
+			g.ins(opXori, a0, a0, asm.Int(1))
 			return tyLong, nil
-		default:
-			return nil, g.errf(line, "operator %q not defined on double", op)
 		}
-		return tyDouble, nil
+		return nil, g.errf(line, "operator %q not defined on double", op)
 	}
 	// Integer operands.
-	g.popI("a1")
+	g.popI(a1)
+	if t, ok := intOps[op]; ok {
+		g.ins(t, a0, a1, a0)
+		return tyLong, nil
+	}
 	switch op {
-	case "+":
-		g.emit("add  a0, a1, a0")
-	case "-":
-		g.emit("sub  a0, a1, a0")
-	case "*":
-		g.emit("mul  a0, a1, a0")
-	case "/":
-		g.emit("div  a0, a1, a0")
-	case "%":
-		g.emit("rem  a0, a1, a0")
-	case "&":
-		g.emit("and  a0, a1, a0")
-	case "|":
-		g.emit("or   a0, a1, a0")
-	case "^":
-		g.emit("xor  a0, a1, a0")
-	case "<<":
-		g.emit("sll  a0, a1, a0")
-	case ">>":
-		g.emit("sra  a0, a1, a0")
 	case "<":
-		g.emit("slt  a0, a1, a0")
+		g.ins(opSlt, a0, a1, a0)
 	case ">":
-		g.emit("slt  a0, a0, a1")
+		g.ins(opSlt, a0, a0, a1)
 	case "<=":
-		g.emit("slt  a0, a0, a1")
-		g.emit("xori a0, a0, 1")
+		g.ins(opSlt, a0, a0, a1)
+		g.ins(opXori, a0, a0, asm.Int(1))
 	case ">=":
-		g.emit("slt  a0, a1, a0")
-		g.emit("xori a0, a0, 1")
+		g.ins(opSlt, a0, a1, a0)
+		g.ins(opXori, a0, a0, asm.Int(1))
 	case "==":
-		g.emit("sub  a0, a1, a0")
-		g.emit("seqz a0, a0")
+		g.ins(opSub, a0, a1, a0)
+		g.ins(opSeqz, a0, a0)
 	case "!=":
-		g.emit("sub  a0, a1, a0")
-		g.emit("snez a0, a0")
+		g.ins(opSub, a0, a1, a0)
+		g.ins(opSnez, a0, a0)
 	default:
 		return nil, g.errf(line, "unknown operator %q", op)
 	}
@@ -375,18 +358,18 @@ func (g *codegen) combine(op string, lty, rty *Type, line int) (*Type, error) {
 func (g *codegen) combinePtr(op string, lty, rty *Type, line int) (*Type, error) {
 	switch {
 	case lty.isPtr() && rty.isInt():
-		g.popI("a1")
+		g.popI(a1)
 		size := lty.Elem.size()
 		switch op {
 		case "+", "-":
 			if size > 1 {
-				g.emit("li   t0, %d", size)
-				g.emit("mul  a0, a0, t0")
+				g.ins(opLi, t0, asm.Int(size))
+				g.ins(opMul, a0, a0, t0)
 			}
 			if op == "+" {
-				g.emit("add  a0, a1, a0")
+				g.ins(opAdd, a0, a1, a0)
 			} else {
-				g.emit("sub  a0, a1, a0")
+				g.ins(opSub, a0, a1, a0)
 			}
 			return lty, nil
 		case "==", "!=", "<", ">", "<=", ">=":
@@ -395,25 +378,25 @@ func (g *codegen) combinePtr(op string, lty, rty *Type, line int) (*Type, error)
 	case lty.isInt() && rty.isPtr():
 		switch op {
 		case "+":
-			g.popI("a1")
+			g.popI(a1)
 			if size := rty.Elem.size(); size > 1 {
-				g.emit("li   t0, %d", size)
-				g.emit("mul  a1, a1, t0")
+				g.ins(opLi, t0, asm.Int(size))
+				g.ins(opMul, a1, a1, t0)
 			}
-			g.emit("add  a0, a1, a0")
+			g.ins(opAdd, a0, a1, a0)
 			return rty, nil
 		case "==", "!=", "<", ">", "<=", ">=":
-			g.popI("a1")
+			g.popI(a1)
 			return g.ptrCompareRegs(op)
 		}
 	case lty.isPtr() && rty.isPtr():
 		switch op {
 		case "-":
-			g.popI("a1")
-			g.emit("sub  a0, a1, a0")
+			g.popI(a1)
+			g.ins(opSub, a0, a1, a0)
 			if size := lty.Elem.size(); size > 1 {
-				g.emit("li   t0, %d", size)
-				g.emit("div  a0, a0, t0")
+				g.ins(opLi, t0, asm.Int(size))
+				g.ins(opDiv, a0, a0, t0)
 			}
 			return tyLong, nil
 		case "==", "!=", "<", ">", "<=", ">=":
@@ -426,7 +409,7 @@ func (g *codegen) combinePtr(op string, lty, rty *Type, line int) (*Type, error)
 // ptrCompare pops the left operand into a1 and emits an unsigned compare
 // against a0.
 func (g *codegen) ptrCompare(op string) (*Type, error) {
-	g.popI("a1")
+	g.popI(a1)
 	return g.ptrCompareRegs(op)
 }
 
@@ -434,21 +417,21 @@ func (g *codegen) ptrCompare(op string) (*Type, error) {
 func (g *codegen) ptrCompareRegs(op string) (*Type, error) {
 	switch op {
 	case "==":
-		g.emit("sub  a0, a1, a0")
-		g.emit("seqz a0, a0")
+		g.ins(opSub, a0, a1, a0)
+		g.ins(opSeqz, a0, a0)
 	case "!=":
-		g.emit("sub  a0, a1, a0")
-		g.emit("snez a0, a0")
+		g.ins(opSub, a0, a1, a0)
+		g.ins(opSnez, a0, a0)
 	case "<":
-		g.emit("sltu a0, a1, a0")
+		g.ins(opSltu, a0, a1, a0)
 	case ">":
-		g.emit("sltu a0, a0, a1")
+		g.ins(opSltu, a0, a0, a1)
 	case "<=":
-		g.emit("sltu a0, a0, a1")
-		g.emit("xori a0, a0, 1")
+		g.ins(opSltu, a0, a0, a1)
+		g.ins(opXori, a0, a0, asm.Int(1))
 	case ">=":
-		g.emit("sltu a0, a1, a0")
-		g.emit("xori a0, a0, 1")
+		g.ins(opSltu, a0, a1, a0)
+		g.ins(opXori, a0, a0, asm.Int(1))
 	}
 	return tyLong, nil
 }
@@ -462,22 +445,22 @@ func (g *codegen) genLogical(v *binary) (*Type, error) {
 	}
 	g.boolify(lty)
 	if v.op == "&&" {
-		g.emit("beqz a0, %s", short)
+		g.ins(opBeqz, a0, asm.Sym(short))
 	} else {
-		g.emit("bnez a0, %s", short)
+		g.ins(opBnez, a0, asm.Sym(short))
 	}
 	rty, err := g.genExpr(v.r)
 	if err != nil {
 		return nil, err
 	}
 	g.boolify(rty)
-	g.emit("snez a0, a0")
-	g.emit("j %s", end)
+	g.ins(opSnez, a0, a0)
+	g.jump(end)
 	g.label(short)
 	if v.op == "&&" {
-		g.emit("li   a0, 0")
+		g.ins(opLi, a0, asm.Int(0))
 	} else {
-		g.emit("li   a0, 1")
+		g.ins(opLi, a0, asm.Int(1))
 	}
 	g.label(end)
 	return tyLong, nil
@@ -488,7 +471,7 @@ func (g *codegen) genAssign(v *assign) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.pushI() // address
+	g.push(false) // address
 	if v.op == "=" {
 		rty, err := g.genExpr(v.r)
 		if err != nil {
@@ -497,20 +480,16 @@ func (g *codegen) genAssign(v *assign) (*Type, error) {
 		if err := g.convert(rty, aty, v.line); err != nil {
 			return nil, err
 		}
-		g.popI("a1")
-		g.storeValue(aty, "a1")
+		g.popI(a1)
+		g.storeValue(aty, a1)
 		return g.decay(aty), nil
 	}
 	// Compound assignment: load current value, keeping the address pushed.
-	g.emit("ld   a1, 0(sp)")
-	g.emit("mv   a0, a1")
+	g.ins(opLd, a1, asm.Mem(0, sp))
+	g.ins(opMv, a0, a1)
 	g.loadValue(aty)
 	vty := g.decay(aty)
-	if vty.isFloat() {
-		g.pushF()
-	} else {
-		g.pushI()
-	}
+	g.push(vty.isFloat())
 	rty, err := g.genExpr(v.r)
 	if err != nil {
 		return nil, err
@@ -522,8 +501,8 @@ func (g *codegen) genAssign(v *assign) (*Type, error) {
 	if err := g.convert(resTy, aty, v.line); err != nil {
 		return nil, err
 	}
-	g.popI("a1")
-	g.storeValue(aty, "a1")
+	g.popI(a1)
+	g.storeValue(aty, a1)
 	return g.decay(aty), nil
 }
 
@@ -542,11 +521,11 @@ func (g *codegen) genIncDec(v *incDec) (*Type, error) {
 	if v.op == "--" {
 		delta = -delta
 	}
-	g.emit("mv   t2, a0")
-	g.emit("mv   a0, t2")
+	g.ins(opMv, t2, a0)
+	g.ins(opMv, a0, t2)
 	g.loadValue(aty)
-	g.emit("addi a0, a0, %d", delta)
-	g.storeValue(aty, "t2")
+	g.ins(opAddi, a0, a0, asm.Int(delta))
+	g.storeValue(aty, t2)
 	return g.decay(aty), nil
 }
 
@@ -558,12 +537,12 @@ func (g *codegen) genCondExpr(v *cond) (*Type, error) {
 		return nil, err
 	}
 	g.boolify(cty)
-	g.emit("beqz a0, %s", elseL)
+	g.ins(opBeqz, a0, asm.Sym(elseL))
 	tty, err := g.genExpr(v.t)
 	if err != nil {
 		return nil, err
 	}
-	g.emit("j %s", endL)
+	g.jump(endL)
 	g.label(elseL)
 	fty, err := g.genExpr(v.f)
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
-	"dqemu/internal/asm"
 	"dqemu/internal/grt"
 	"dqemu/internal/minicc"
 )
@@ -63,7 +63,9 @@ func diagLine(err error) (line int, rest string) {
 //     Prelude+src: the same assembly, or the same diagnostic with its line
 //     counted from src's first line instead of the Prelude's.
 //  3. Whatever the compiler emits assembles with the runtime or returns an
-//     error.
+//     error, and BuildProgram, where the compiler hands its items to the
+//     assembler with no text in between, gives the same: the image byte for
+//     byte, or the message (grt.DiffRoutes).
 func FuzzCompile(f *testing.F) {
 	f.Add("long main() { return 1 + 2 * 3 - (4 << 1) / 5 % 6 == 7 || 8 && 9; }")
 	// Every literal form, then each way a literal or comment can fail.
@@ -92,8 +94,9 @@ func FuzzCompile(f *testing.F) {
 		case out != whole:
 			t.Fatal("behind the Prelude the assembly differs from Prelude+src's")
 		}
-		// An image or a diagnostic, never a panic.
-		_, _ = grt.BuildAsmProgram(asm.Source{Name: "fuzz.s", Text: out})
+		if d := grt.DiffRoutes("fuzz.mc", src); d != "" {
+			t.Fatal(d)
+		}
 	})
 }
 
@@ -133,5 +136,56 @@ func TestCompileAllocs(t *testing.T) {
 		if !raceEnabled && got > c.limit {
 			t.Errorf("%s: one Compile allocates %d bytes, want at most %d", c.name, got, c.limit)
 		}
+	}
+}
+
+// TestStringLiteralsInterned: equal literals share one label, numbered in
+// order of first use, globals after functions.
+func TestStringLiteralsInterned(t *testing.T) {
+	out, err := minicc.Compile("s.mc", `extern void p(char *s);
+char *g = "b";
+long main() { p("a"); p("b"); p("a"); return 0; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for text, want := range map[string]int{
+		".asciz":                       2,
+		".Lstr_smc_0:\n\t.asciz \"a\"": 1,
+		".Lstr_smc_1:\n\t.asciz \"b\"": 1,
+		"la   a0, .Lstr_smc_0":         2,
+		"la   a0, .Lstr_smc_1":         1,
+		".quad .Lstr_smc_1":            1,
+	} {
+		if got := strings.Count(out, text); got != want {
+			t.Errorf("%q appears %d times, want %d:\n%s", text, got, want, out)
+		}
+	}
+}
+
+// TestManyStringLiterals: 200k distinct literals compile in seconds. Each
+// was compared with every one before it, so a few megabytes of job text
+// held dqemud's admission for minutes.
+func TestManyStringLiterals(t *testing.T) {
+	const n = 200_000
+	var sb strings.Builder
+	sb.WriteString("extern void p(char *s);\nlong main() {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "\tp(\"s%d\");\n", i)
+	}
+	sb.WriteString("\treturn 0;\n}\n")
+	limit := 5 * time.Second
+	if raceEnabled {
+		limit *= 10
+	}
+	start := time.Now()
+	out, err := minicc.Compile("many.mc", sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > limit {
+		t.Errorf("%d literals took %v, want under %v", n, took, limit)
+	}
+	if got := strings.Count(out, ".asciz"); got != n {
+		t.Errorf("%d strings emitted, want %d", got, n)
 	}
 }

@@ -15,8 +15,9 @@ import (
 	"dqemu/internal/image"
 )
 
-// build compiles a workload source.
-func build(name, src string) (*image.Image, error) {
+// build compiles a workload source. It is a variable so a test can build
+// every stock source both ways (grt.DiffRoutes).
+var build = func(name, src string) (*image.Image, error) {
 	im, err := grt.BuildProgram(name, src)
 	if err != nil {
 		return nil, fmt.Errorf("workloads: %s: %w", name, err)
