@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"dqemu/internal/core"
 	"dqemu/internal/image"
@@ -18,6 +19,11 @@ type RunSpec struct {
 	Image  *image.Image
 	Files  map[string][]byte
 	Config core.Config
+	// Timeout bounds the run's host time: the request's timeout_ms, clamped
+	// to Options.MaxTimeout, or Options.DefaultTimeout. The daemon cancels
+	// the job when it passes, and a backend with a deadline of its own sets
+	// it from here.
+	Timeout time.Duration
 }
 
 // RunOutcome is what a backend reports for a finished guest.
@@ -80,19 +86,25 @@ func outcome(name string, res *core.Result, err error) (*RunOutcome, error) {
 	return out, nil
 }
 
+// liveConfig is the live cluster spec runs on: its deadline is the job's,
+// not live.Config's default.
+func liveConfig(cancel <-chan struct{}, spec RunSpec) live.Config {
+	cfg := live.Config{Core: spec.Config, Files: spec.Files, Timeout: spec.Timeout}
+	cfg.Core.Cancel = cancel
+	return cfg
+}
+
 // LiveBackend spawns a real-socket cluster per job (live.Run): a master
 // listening on loopback plus spec.Config.Slaves slave loops, each node a
 // genuinely concurrent event loop running the same protocol engine as
 // SimBackend and exchanging length-prefixed frames over TCP. It exists to
 // keep the service honest against the hardened transport — the same
 // BootError / backpressure / cancellation semantics a multi-machine
-// deployment sees. Each run is bounded by live.Config's default Timeout.
+// deployment sees. Each run is bounded by the job's own timeout.
 type LiveBackend struct{}
 
 func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
-	cfg := live.Config{Core: spec.Config, Files: spec.Files}
-	cfg.Core.Cancel = cancel
-	res, err := live.Run(spec.Image, cfg)
+	res, err := live.Run(spec.Image, liveConfig(cancel, spec))
 	if err != nil {
 		return outcome("live", nil, err)
 	}

@@ -104,7 +104,6 @@ type job struct {
 	name    string
 	backend string
 	spec    RunSpec
-	timeout time.Duration
 
 	state    State
 	queuedAt time.Time

@@ -258,8 +258,7 @@ func (s *Server) Submit(tenant string, req *JobRequest) (JobStatus, error) {
 		tenant:   tenant,
 		name:     req.Name,
 		backend:  backendName,
-		spec:     RunSpec{Image: im, Files: req.Files, Config: cfg},
-		timeout:  timeout,
+		spec:     RunSpec{Image: im, Files: req.Files, Config: cfg, Timeout: timeout},
 		state:    StateQueued,
 		queuedAt: time.Now(),
 		cancel:   make(chan struct{}),
@@ -320,8 +319,8 @@ func (s *Server) next() (*job, bool) {
 // runJob executes one claimed job with crash isolation: a panicking
 // backend (or guest-triggered bug) fails this job, not the daemon.
 func (s *Server) runJob(j *job) {
-	timer := time.AfterFunc(j.timeout, func() {
-		s.cancelWith(j, fmt.Errorf("job exceeded its %v timeout", j.timeout))
+	timer := time.AfterFunc(j.spec.Timeout, func() {
+		s.cancelWith(j, fmt.Errorf("job exceeded its %v timeout", j.spec.Timeout))
 	})
 	defer timer.Stop()
 	backend := s.opts.Backends[j.backend]

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -502,6 +503,57 @@ long main() {
 		if liveRes.Metrics.Histograms[name].Count == 0 {
 			t.Errorf("live snapshot: histogram %s is empty", name)
 		}
+	}
+}
+
+// specBackend records the spec of every job it runs, and succeeds at once.
+type specBackend struct {
+	mu    sync.Mutex
+	specs []RunSpec
+}
+
+func (b *specBackend) Run(_ <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.specs = append(b.specs, spec)
+	return &RunOutcome{}, nil
+}
+
+// TestLiveJobTimeout: the job's timeout bounds a live run, not live.Config's
+// two-minute default. A job admitted with 3 minutes gets a live cluster
+// configured with 3 minutes, and a spinning guest whose spec allows 300 ms
+// ends well within 2 s with the live cluster's deadline error.
+func TestLiveJobTimeout(t *testing.T) {
+	rec := &specBackend{}
+	_, ts := startServer(t, Options{Workers: 1, Backends: map[string]Backend{"sim": rec}})
+	c := &testClient{t: t, base: ts.URL, tenant: "alice"}
+	st := c.submit(&JobRequest{Source: trivialSource, TimeoutMs: 180_000}, http.StatusAccepted)
+	if fin := c.wait(st.ID); fin.State != StateSucceeded {
+		t.Fatalf("job: %s (%s)", fin.State, fin.Error)
+	}
+	rec.mu.Lock()
+	spec := rec.specs[0]
+	rec.mu.Unlock()
+	if spec.Timeout != 3*time.Minute {
+		t.Errorf("a job admitted with timeout_ms 180000 has spec.Timeout %v", spec.Timeout)
+	}
+	if cfg := liveConfig(nil, spec); cfg.Timeout != 3*time.Minute {
+		t.Errorf("its live cluster would run with Timeout %v, want 3m0s", cfg.Timeout)
+	}
+
+	im, err := buildImage(&JobRequest{Name: "spin", Source: "long main() { while (1) {} return 0; }"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Slaves = 1
+	start := time.Now()
+	_, err = (&LiveBackend{}).Run(make(chan struct{}), RunSpec{Image: im, Config: cfg, Timeout: 300 * time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "exceeded 300ms") {
+		t.Errorf("spinning guest with a 300ms spec timeout: %v, want the live deadline error", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("spinning guest with a 300ms spec timeout ran %v", took)
 	}
 }
 

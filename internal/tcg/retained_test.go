@@ -78,16 +78,11 @@ func coldSource(seed int64, funcs, stmts, reps int) string {
 	return sb.String()
 }
 
-// TestTraceRetainedBytes holds what one engine allocates per guest
-// instruction it translates, on cold_code's largest input: the cold-code
-// generator's 300-function program called 120 times over (cold120), run to
-// its exit. Nearly every byte is a translation the engine keeps — blocks,
-// compiled traces — so this is what a translated instruction costs to hold.
-func TestTraceRetainedBytes(t *testing.T) {
-	// Measured at this commit, and at e2cca87 (the parent), where a compiled
-	// trace kept its uop array and a block the address of each instruction.
-	const measured, parent = 36.4, 76.2
-	im, err := grt.BuildProgram("cold120.mc", coldSource(1, 300, 15, 120))
+// coldEngine returns an engine and a CPU at the entry of a grt program,
+// with a stack.
+func coldEngine(t *testing.T, name, src string) (*Engine, *CPU) {
+	t.Helper()
+	im, err := grt.BuildProgram(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,19 +91,22 @@ func TestTraceRetainedBytes(t *testing.T) {
 	for p := uint64(image.StackTop - 16*space.PageSize()); p < image.StackTop; p += uint64(space.PageSize()) {
 		space.SetPerm(space.PageOf(p), mem.PermReadWrite)
 	}
-	e := NewEngine(space, DefaultCostModel())
 	cpu := &CPU{PC: im.Entry, TID: 1}
 	cpu.X[isa.RegSP] = image.StackTop
+	return NewEngine(space, DefaultCostModel()), cpu
+}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for exited := false; !exited; {
+// runToExit runs a grt program to its exit, serving its writes and
+// answering every other syscall with 0.
+func runToExit(t *testing.T, e *Engine, cpu *CPU) {
+	t.Helper()
+	for {
 		switch res := e.Exec(cpu, 1_000_000); res.Reason {
 		case StopBudget:
 		case StopSyscall:
 			switch cpu.X[isa.RegA7] {
 			case abi.SysExit, abi.SysExitGroup:
-				exited = true
+				return
 			case abi.SysWrite:
 				cpu.X[isa.RegA0] = cpu.X[isa.RegA2]
 			default:
@@ -118,6 +116,22 @@ func TestTraceRetainedBytes(t *testing.T) {
 			t.Fatalf("stop: %+v", res)
 		}
 	}
+}
+
+// TestTraceRetainedBytes holds what one engine allocates per guest
+// instruction it translates, on cold_code's largest input: the cold-code
+// generator's 300-function program called 120 times over (cold120), run to
+// its exit. Nearly every byte is a translation the engine keeps — blocks,
+// compiled traces — so this is what a translated instruction costs to hold.
+func TestTraceRetainedBytes(t *testing.T) {
+	// Measured at this commit, and at e2cca87 (the parent), where a compiled
+	// trace kept its uop array and a block the address of each instruction.
+	const measured, parent = 36.4, 76.2
+	e, cpu := coldEngine(t, "cold120.mc", coldSource(1, 300, 15, 120))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runToExit(t, e, cpu)
 	runtime.ReadMemStats(&after)
 	if e.Stats.Tier3Superblocks < 300 || e.Stats.ExecInsns < 1_000_000 {
 		t.Fatalf("the program did not run as cold120 does: %+v", e.Stats)

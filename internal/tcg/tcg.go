@@ -12,6 +12,7 @@
 package tcg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -128,6 +129,7 @@ type block struct {
 
 	startPC, endPC uint64 // [startPC, endPC) guest code range of the block
 	gen            uint64 // cache generation the block was translated in
+	cost           int64  // virtual time of all of ops, charged by a run to the end
 
 	// Hot-trace bookkeeping: execution count toward promotion, direction
 	// counts of the terminating conditional branch (for trace bias), the
@@ -424,6 +426,9 @@ func (e *Engine) translate(pc uint64) (*block, error) {
 	}
 	b.ops = make([]isa.Instruction, len(ops))
 	copy(b.ops, ops)
+	for i := range ops {
+		b.cost += e.opCost[ops[i].Op]
+	}
 	return b, nil
 }
 
@@ -561,20 +566,37 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 // written out by hand and reads no table the lowering or the closure compiler
 // also read; only the atomics, whose step order is a contract of its own,
 // are shared (Engine.atomic).
+//
+// Its memory accesses share the inline TLB with the compiled traces: every
+// load and store probes rdTLB/wrTLB through rdHit/wrHit, which inline, and a
+// miss goes to slowLoad/slowStore, which run the softmmu and refill the line.
+// That is a cache, not a semantic table: a line is filled only from a page the
+// Space holds resident, unsplit and permitted, and is honoured only at the
+// epoch it was filled in, so a hit reads and writes the bytes mem.Space.Load
+// and Store would. Because the differentials can no longer catch a wrong TLB,
+// FuzzBlockMemory holds this executor to a replay on a bare mem.Space across
+// page installs, drops, permission changes and splits.
+//
+// Nothing is counted per instruction. Every exit leaves the loop by break,
+// and below it the instructions that ran, the one that ended the block (a
+// branch, a stop or a fault) included, are retired and charged at once: the
+// block's translate-time cost when it ran to its end, their own costs when
+// it stopped short.
 func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res Result, stop bool) {
 	x := &cpu.X
 	f := &cpu.F
 	mmu := e.Mem
-	var executed uint64
-	defer func() { e.Stats.ExecInsns += executed }()
+	ops := b.ops
+	t := *spent
+	var fl *mem.Fault // the access that ended the block faulted
+	var afl mem.Fault // an atomic's fault, for fl; declared here to stay off the heap
 
 	// pc steps one word an instruction, and the long encodings add the rest
 	// of their Size in their arms: a Size call per step costs 14 %.
-	pc := b.startPC
-	for i := 0; i < len(b.ops); i, pc = i+1, pc+4 {
-		ins := &b.ops[i]
-		*spent += e.opCost[ins.Op]
-		executed++
+	i, pc := 0, b.startPC
+exec:
+	for ; i < len(ops); i, pc = i+1, pc+4 {
+		ins := &ops[i]
 		switch ins.Op {
 		case isa.OpADD:
 			wr(x, ins.Rd, x[ins.Rs1]+x[ins.Rs2])
@@ -636,15 +658,52 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 			wr(x, ins.Rd, uint64(ins.Imm))
 			pc += uint64(ins.Size()) - 4
 
-		case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLWU, isa.OpLD:
+		case isa.OpLD, isa.OpFLD:
 			addr := x[ins.Rs1] + uint64(ins.Imm)
-			size := loadSize(ins.Op)
-			v, fault := mmu.Load(addr, size)
-			if fault != nil {
-				return e.fault(cpu, pc, fault, spent)
+			var v uint64
+			if p := e.rdHit(addr, 8); p != nil {
+				v = binary.LittleEndian.Uint64(p)
+			} else if v, fl = e.slowLoad(addr, 8); fl != nil {
+				break exec
 			}
 			if e.San != nil {
-				e.San.OnLoad(cpu.TID, mmu.Translate(addr), size, pc)
+				e.San.OnLoad(cpu.TID, mmu.Translate(addr), 8, pc)
+			}
+			if ins.Op == isa.OpLD {
+				wr(x, ins.Rd, v)
+			} else {
+				f[ins.Rd] = math.Float64frombits(v)
+			}
+
+		case isa.OpSD, isa.OpFSD:
+			addr := x[ins.Rs1] + uint64(ins.Imm)
+			v := x[ins.Rs2]
+			if ins.Op == isa.OpFSD {
+				v = math.Float64bits(f[ins.Rs2])
+			}
+			if p := e.wrHit(addr, 8); p != nil {
+				binary.LittleEndian.PutUint64(p, v)
+			} else if fl = e.slowStore(addr, v, 8); fl != nil {
+				break exec
+			}
+			if !e.Mon.Empty() {
+				e.Mon.OnStore(cpu.TID, mmu.Translate(addr))
+			}
+			if e.San != nil {
+				e.San.OnStore(cpu.TID, mmu.Translate(addr), 8, pc)
+			}
+
+		case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLWU:
+			addr := x[ins.Rs1] + uint64(ins.Imm)
+			size := loadSize(ins.Op)
+			var v uint64
+			if p := e.rdHit(addr, size); p != nil {
+				v = loadLE(p, size)
+			} else if v, fl = e.slowLoad(addr, size); fl != nil {
+				break exec
+			}
+			if e.San != nil {
+				e.San.OnLoad(cpu.TID, mmu.Translate(addr), int(size), pc)
 			}
 			switch ins.Op {
 			case isa.OpLB:
@@ -656,69 +715,56 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 			}
 			wr(x, ins.Rd, v)
 
-		case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
+		case isa.OpSB, isa.OpSH, isa.OpSW:
 			addr := x[ins.Rs1] + uint64(ins.Imm)
 			size := storeSize(ins.Op)
-			if fault := mmu.Store(addr, x[ins.Rs2], size); fault != nil {
-				return e.fault(cpu, pc, fault, spent)
+			if p := e.wrHit(addr, size); p != nil {
+				storeLE(p, x[ins.Rs2], size)
+			} else if fl = e.slowStore(addr, x[ins.Rs2], size); fl != nil {
+				break exec
 			}
 			if !e.Mon.Empty() {
 				e.Mon.OnStore(cpu.TID, mmu.Translate(addr))
 			}
 			if e.San != nil {
-				e.San.OnStore(cpu.TID, mmu.Translate(addr), size, pc)
-			}
-
-		case isa.OpFLD:
-			v, fault := mmu.LoadF64(x[ins.Rs1] + uint64(ins.Imm))
-			if fault != nil {
-				return e.fault(cpu, pc, fault, spent)
-			}
-			if e.San != nil {
-				e.San.OnLoad(cpu.TID, mmu.Translate(x[ins.Rs1]+uint64(ins.Imm)), 8, pc)
-			}
-			f[ins.Rd] = v
-		case isa.OpFSD:
-			if fault := mmu.StoreF64(x[ins.Rs1]+uint64(ins.Imm), f[ins.Rs2]); fault != nil {
-				return e.fault(cpu, pc, fault, spent)
-			}
-			if !e.Mon.Empty() {
-				e.Mon.OnStore(cpu.TID, mmu.Translate(x[ins.Rs1]+uint64(ins.Imm)))
-			}
-			if e.San != nil {
-				e.San.OnStore(cpu.TID, mmu.Translate(x[ins.Rs1]+uint64(ins.Imm)), 8, pc)
+				e.San.OnStore(cpu.TID, mmu.Translate(addr), int(size), pc)
 			}
 
 		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
 			if takeBranch(ins.Op, x[ins.Rs1], x[ins.Rs2]) {
 				b.takenCount++
-				cpu.PC = pc + uint64(ins.Imm*4)
-				return b.taken, Result{}, false
+				cpu.PC, next = pc+uint64(ins.Imm*4), b.taken
+			} else {
+				b.fallCount++
+				cpu.PC, next = pc+4, b.fall
 			}
-			b.fallCount++
-			cpu.PC = pc + 4
-			return b.fall, Result{}, false
+			break exec
 
 		case isa.OpJAL:
 			wr(x, ins.Rd, pc+4)
-			cpu.PC = pc + uint64(ins.Imm*4)
-			return b.taken, Result{}, false
+			cpu.PC, next = pc+uint64(ins.Imm*4), b.taken
+			break exec
 
 		case isa.OpJALR:
 			target := (x[ins.Rs1] + uint64(ins.Imm)) &^ 3
 			wr(x, ins.Rd, pc+4)
 			cpu.PC = target
-			return nil, Result{}, false
+			break exec
 
 		case isa.OpLL, isa.OpSC, isa.OpCAS, isa.OpAMOADD, isa.OpAMOSWAP:
-			switch end, fl := e.atomic(cpu, ins.Op, ins.Rd, ins.Rs1, ins.Rs2, pc); end {
+			var end atomicEnd
+			switch end, afl = e.atomic(cpu, ins.Op, ins.Rd, ins.Rs1, ins.Rs2, pc); end {
 			case atomicFault:
-				return e.fault(cpu, pc, &fl, spent)
+				fl = &afl
+				break exec
 			case atomicMisaligned:
-				return e.badAlign(cpu, pc, x[ins.Rs1], spent)
+				cpu.PC = pc
+				res, stop = Result{Reason: StopError, Err: fmt.Errorf("tcg: misaligned atomic %#x at %#x", x[ins.Rs1], pc)}, true
+				break exec
 			case atomicYield:
 				cpu.PC = pc + 4
-				return nil, Result{Reason: StopBudget}, true
+				res, stop = Result{Reason: StopBudget}, true
+				break exec
 			}
 
 		case isa.OpFENCE:
@@ -730,9 +776,10 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 
 		case isa.OpSVC:
 			e.Stats.Syscalls++
-			*spent += e.Cost.SyscallNs
+			t += e.Cost.SyscallNs
 			cpu.PC = pc + 4
-			return nil, Result{Reason: StopSyscall}, true
+			res, stop = Result{Reason: StopSyscall}, true
+			break exec
 
 		case isa.OpHINT:
 			cpu.HintGroup = ins.Imm
@@ -744,11 +791,13 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 
 		case isa.OpHALT:
 			cpu.PC = pc + 4
-			return nil, Result{Reason: StopHalt}, true
+			res, stop = Result{Reason: StopHalt}, true
+			break exec
 
 		case isa.OpEBREAK:
 			cpu.PC = pc
-			return nil, Result{Reason: StopEBreak}, true
+			res, stop = Result{Reason: StopEBreak}, true
+			break exec
 
 		case isa.OpFADD:
 			f[ins.Rd] = f[ins.Rs1] + f[ins.Rs2]
@@ -794,16 +843,37 @@ func (e *Engine) execBlock(cpu *CPU, b *block, spent *int64) (next *block, res R
 
 		default:
 			cpu.PC = pc
-			return nil, Result{Reason: StopError, Err: fmt.Errorf("tcg: unimplemented op %s at %#x", ins.Op, pc)}, true
+			res, stop = Result{Reason: StopError, Err: fmt.Errorf("tcg: unimplemented op %s at %#x", ins.Op, pc)}, true
+			break exec
 		}
 	}
-	// Fell off the end of a full-length block: continue at fallPC.
-	if b.fallPC != 0 {
-		cpu.PC = b.fallPC
-		return b.fall, Result{}, false
+	n := i // instructions that ran
+	switch {
+	case i < len(ops):
+		n++ // the one that ended the block
+		if fl != nil {
+			// A page fault leaves PC at the faulting instruction.
+			cpu.PC = pc
+			e.Stats.Faults++
+			t += e.Cost.FaultNs
+			res, stop = Result{Reason: StopPageFault, Fault: *fl}, true
+		}
+	case b.fallPC != 0:
+		// Fell off the end of a full-length block: continue at fallPC.
+		cpu.PC, next = b.fallPC, b.fall
+	default:
+		cpu.PC = b.endPC
 	}
-	cpu.PC = b.endPC
-	return nil, Result{}, false
+	if n == len(ops) {
+		t += b.cost
+	} else {
+		for k := range n {
+			t += e.opCost[ops[k].Op]
+		}
+	}
+	*spent = t
+	e.Stats.ExecInsns += uint64(n)
+	return next, res, stop
 }
 
 // atomicEnd is how one atomic instruction ended.
@@ -904,19 +974,6 @@ func (e *Engine) codeFault(pc uint64, spent int64, err error) Result {
 	return Result{Reason: StopError, TimeNs: spent, Err: err}
 }
 
-// fault stops execution with PC at the faulting instruction.
-func (e *Engine) fault(cpu *CPU, pc uint64, fl *mem.Fault, spent *int64) (*block, Result, bool) {
-	cpu.PC = pc
-	e.Stats.Faults++
-	*spent += e.Cost.FaultNs
-	return nil, Result{Reason: StopPageFault, Fault: *fl}, true
-}
-
-func (e *Engine) badAlign(cpu *CPU, pc, addr uint64, spent *int64) (*block, Result, bool) {
-	cpu.PC = pc
-	return nil, Result{Reason: StopError, Err: fmt.Errorf("tcg: misaligned atomic %#x at %#x", addr, pc)}, true
-}
-
 func wr(x *[32]uint64, rd uint8, v uint64) {
 	if rd != 0 {
 		x[rd] = v
@@ -952,7 +1009,7 @@ func srem(a, b int64) int64 {
 	}
 }
 
-func loadSize(op isa.Op) int {
+func loadSize(op isa.Op) uint8 {
 	switch op {
 	case isa.OpLB, isa.OpLBU:
 		return 1
@@ -965,7 +1022,7 @@ func loadSize(op isa.Op) int {
 	}
 }
 
-func storeSize(op isa.Op) int {
+func storeSize(op isa.Op) uint8 {
 	switch op {
 	case isa.OpSB:
 		return 1

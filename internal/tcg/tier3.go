@@ -392,12 +392,14 @@ func (e *Engine) compileTier3(sb *superblock, ops []uop) *tier3 {
 
 	// A segment is a head chunk plus one per t3ChunkOps groups cut off its
 	// end. Segments compile last first, so their chunks fill the array from
-	// the back.
+	// the back, and every fault site is asked for at a lower index than the
+	// one before it: one backward walk over the stream serves them all.
 	ci := 0
 	for s := range plan.segs {
 		ci += 1 + len(plan.segs[s].groups)/t3ChunkOps
 	}
 	t3.chunks = make([]t3chunk, ci)
+	sites := newSiteWalk(ops)
 	for s := nseg - 1; s >= 0; s-- {
 		first := plan.segs[s].first
 		last := plan.segs[s].last
@@ -405,7 +407,7 @@ func (e *Engine) compileTier3(sb *superblock, ops []uop) *tier3 {
 		if s == nseg-1 {
 			next = tailNext
 		}
-		tail := e.compileTail(sb, ops, last, next)
+		tail := e.compileTail(sb, ops, last, &sites, next)
 		if tail == nil {
 			return nil
 		}
@@ -430,11 +432,11 @@ func (e *Engine) compileTier3(sb *superblock, ops []uop) *tier3 {
 			case pair8able(ops, un):
 				// A group of several is a run of these by construction; one
 				// on its own is a run of one.
-				fn = e.compileMemRun(ops, units[start:end], fn)
+				fn = e.compileMemRun(ops, units[start:end], &sites, fn)
 			case k == uLoad:
-				fn = e.compileLoad(ops, un, fn)
+				fn = e.compileLoad(ops, un, &sites, fn)
 			case k == uStore:
-				fn = e.compileStore(ops, un, fn)
+				fn = e.compileStore(ops, un, &sites, fn)
 			case un.pair >= 0:
 				fn = compileAddiPair(ops, un, fn)
 			case un.pre >= 0:
@@ -667,7 +669,7 @@ type memAcc struct {
 // s; EXPERIMENTS.md, "Tried and removed"): constant indices let the compiler
 // drop the bounds checks and keep each access's fields in registers. Change
 // one copy and change them all.
-func (e *Engine) compileMemRun(ops []uop, us []t3unit, next t3op) t3op {
+func (e *Engine) compileMemRun(ops []uop, us []t3unit, sites *siteWalk, next t3op) t3op {
 	// The closure indexes accs with constants, so it wants the full-width
 	// array type, but reads only the len(us) slots this run fills: take that
 	// many from the engine's slab and let the view's unused tail lie over the
@@ -677,7 +679,8 @@ func (e *Engine) compileMemRun(ops []uop, us []t3unit, next t3op) t3op {
 	}
 	accs := (*[t3MemRun]memAcc)(e.accSlab)
 	e.accSlab = e.accSlab[len(us):]
-	for k, un := range us {
+	for k := len(us) - 1; k >= 0; k-- { // last first: sites are asked for falling indices
+		un := us[k]
 		u := &ops[un.op]
 		pre, post := fuseAddi(ops, un.pre), fuseAddi(ops, un.post)
 		accs[k] = memAcc{st: siteTLB{page: ^uint64(0)},
@@ -685,7 +688,7 @@ func (e *Engine) compileMemRun(ops []uop, us []t3unit, next t3op) t3op {
 			rd: u.rd, rs1: u.rs1, rs2: u.rs2,
 			preRd: pre.rd, preRs: pre.rs, postRd: post.rd, postRs: post.rs,
 			load: u.kind == uLoad || u.kind == uFLoad, fp: u.kind == uFLoad || u.kind == uFStore,
-			preOn: pre.on, postOn: post.on, site: e.site(ops, un.op)}
+			preOn: pre.on, postOn: post.on, site: e.site(sites, un.op)}
 	}
 	nacc := len(us)
 	shift, mask := e.pageShift, e.pageMask
@@ -1187,14 +1190,12 @@ func (e *Engine) compileMid(ops []uop, i int, next t3op) t3op {
 // shared read TLB; no benchmark workload compiles a 2- or 4-byte access at
 // all (minicc emits ld sd lbu sb fld fsd), so a site line per width earned
 // nothing.
-func (e *Engine) compileLoad(ops []uop, un t3unit, next t3op) t3op {
+func (e *Engine) compileLoad(ops []uop, un t3unit, sites *siteWalk, next t3op) t3op {
 	u := &ops[un.op]
 	pre, post := fuseAddi(ops, un.pre), fuseAddi(ops, un.post)
 	rd, rs1, imm := u.rd, u.rs1, uint64(u.imm)
 	size, sh := u.size, u.sh
-	site := e.site(ops, un.op)
-	shift, mask := e.pageShift, e.pageMask
-	mmu := e.Mem
+	site := e.site(sites, un.op)
 	return func(c *t3ctx) int32 {
 		if pre.on {
 			x := c.x
@@ -1202,16 +1203,12 @@ func (e *Engine) compileLoad(ops []uop, un t3unit, next t3op) t3op {
 		}
 		en := c.e
 		addr := c.x[rs1] + imm
-		pn := addr >> shift
-		off := addr & mask
 		var v uint64
-		if ln := &en.rdTLB[pn&(accelTLBSize-1)]; ln.PageNo == pn &&
-			ln.Epoch == mmu.Epoch() && off+uint64(size) <= mask+1 {
-			v = loadLE(ln.Data[off:], size)
+		if p := en.rdHit(addr, size); p != nil {
+			v = loadLE(p, size)
 		} else {
 			var fault *mem.Fault
-			v, fault = en.slowLoad(addr, size)
-			if fault != nil {
+			if v, fault = en.slowLoad(addr, size); fault != nil {
 				return c.pageFault(site, fault)
 			}
 		}
@@ -1229,13 +1226,12 @@ func (e *Engine) compileLoad(ops []uop, un t3unit, next t3op) t3op {
 
 // compileStore is compileLoad's counterpart for stores narrower than 8
 // bytes, with the hoisted LL/SC-monitor emptiness check.
-func (e *Engine) compileStore(ops []uop, un t3unit, next t3op) t3op {
+func (e *Engine) compileStore(ops []uop, un t3unit, sites *siteWalk, next t3op) t3op {
 	u := &ops[un.op]
 	pre, post := fuseAddi(ops, un.pre), fuseAddi(ops, un.post)
 	rs1, rs2, imm := u.rs1, u.rs2, uint64(u.imm)
 	size := u.size
-	site := e.site(ops, un.op)
-	shift, mask := e.pageShift, e.pageMask
+	site := e.site(sites, un.op)
 	mmu := e.Mem
 	return func(c *t3ctx) int32 {
 		if pre.on {
@@ -1244,11 +1240,8 @@ func (e *Engine) compileStore(ops []uop, un t3unit, next t3op) t3op {
 		}
 		en := c.e
 		addr := c.x[rs1] + imm
-		pn := addr >> shift
-		off := addr & mask
-		if ln := &en.wrTLB[pn&(accelTLBSize-1)]; ln.PageNo == pn &&
-			ln.Epoch == mmu.Epoch() && off+uint64(size) <= mask+1 {
-			storeLE(ln.Data[off:], c.x[rs2], size)
+		if p := en.wrHit(addr, size); p != nil {
+			storeLE(p, c.x[rs2], size)
 		} else if fault := en.slowStore(addr, c.x[rs2], size); fault != nil {
 			return c.pageFault(site, fault)
 		}
@@ -1266,7 +1259,7 @@ func (e *Engine) compileStore(ops []uop, un t3unit, next t3op) t3op {
 // compileTail compiles a segment-boundary uop. Fall-through outcomes
 // (guard passes, successful atomics, hints) chain into next; everything
 // else returns a trampoline disposition.
-func (e *Engine) compileTail(sb *superblock, ops []uop, i int, next t3op) t3op {
+func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, next t3op) t3op {
 	u := &ops[i]
 	rd, rs1, rs2 := u.rd, u.rs1, u.rs2
 	pc, npc, npc2 := u.pc, u.npc, u.npc2
@@ -1396,7 +1389,7 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, next t3op) t3op {
 
 	case uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
 		op := u.bop
-		site := e.site(ops, i)
+		site := e.site(sites, i)
 		return func(c *t3ctx) int32 {
 			switch end, fl := c.e.atomic(c.cpu, op, rd, rs1, rs2, pc); end {
 			case atomicFault:

@@ -1,6 +1,7 @@
 package tcg
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -65,6 +66,59 @@ func recordCompiles(e *Engine) *[]compiledStream {
 		sites = map[int]faultSite{}
 	}
 	return log
+}
+
+// TestFaultSitesMatchWalk: the fault site compileTier3's backward walk gives
+// every load, store and atomic of every stream compiled from a cold_code
+// program is the one a forward walk from the uop gives (refundWalk, the
+// definition before the backward walk), and no other uop gets one; and that
+// the walk is one pass per stream. The
+// every-op programs hold the narrow accesses and the atomics to the same
+// definition (checkFaultSites).
+func TestFaultSitesMatchWalk(t *testing.T) {
+	e, cpu := coldEngine(t, "cold30.mc", coldSource(1, 300, 15, 30))
+	e.HotThreshold = 10 // promote every function, not only the hottest
+	log := recordCompiles(e)
+	// Sites asked for at falling indices are one walk; a rising one restarts it.
+	sited, traced, last := e.sited, e.traced, math.MaxInt
+	e.sited = func(i int, s faultSite) {
+		if i >= last {
+			t.Errorf("site of uop %d asked for after uop %d's: the walk restarts", i, last)
+		}
+		last = i
+		sited(i, s)
+	}
+	e.traced = func(sb *superblock, ops []uop) {
+		traced(sb, ops)
+		last = math.MaxInt
+	}
+	runToExit(t, e, cpu)
+	if len(*log) < 300 {
+		t.Fatalf("%d traces compiled, want one per function at least", len(*log))
+	}
+	sites := 0
+	for _, c := range *log {
+		for i := range c.ops {
+			s, ok := c.sites[i]
+			switch c.ops[i].kind {
+			case uLoad, uStore, uFLoad, uFStore, uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
+				if !ok {
+					t.Fatalf("trace %#x: uop %d (%s) has no fault site", c.sb.entry, i, kindName(c.ops[i].kind))
+				}
+			default:
+				if ok {
+					t.Fatalf("trace %#x: uop %d (%s) has a fault site", c.sb.entry, i, kindName(c.ops[i].kind))
+				}
+				continue
+			}
+			if want := refundWalk(c.ops, i); s != want {
+				t.Fatalf("trace %#x: uop %d (%s): site %+v, the forward walk gives %+v",
+					c.sb.entry, i, kindName(c.ops[i].kind), s, want)
+			}
+			sites++
+		}
+	}
+	t.Logf("%d sites in %d traces", sites, len(*log))
 }
 
 // hotLoop sums 0..n-1 with a biased backward branch and a compare+branch

@@ -377,13 +377,36 @@ type faultSite struct {
 	refundInsns uint32
 }
 
-// site computes the fault site of ops[i] in a segmentized stream.
-func (e *Engine) site(ops []uop, i int) faultSite {
-	s := faultSite{pc: ops[i].pc}
-	for j := i + 1; j < len(ops) && ops[j].insns == 0; j++ {
-		s.refundCost += ops[j].selfCost
-		s.refundInsns += uint32(ops[j].selfInsns)
+// siteWalk computes fault sites in one backward walk over a segmentized
+// stream: it holds the refund of ops[i], the charge of the uops after i up to
+// the next one that starts a segment (nonzero insns), and steps to a lower
+// index by adding the uop it passes, or by zeroing the sum when that uop
+// starts a segment. Sites asked for at falling indices, as compileTier3 asks,
+// cost the stream's length in all.
+type siteWalk struct {
+	ops   []uop
+	i     int
+	cost  int32
+	insns uint32
+}
+
+func newSiteWalk(ops []uop) siteWalk { return siteWalk{ops: ops, i: len(ops) - 1} }
+
+// site computes the fault site of ops[i]. A rising index restarts the walk
+// from the end of the stream: still exact, only no longer linear.
+func (e *Engine) site(w *siteWalk, i int) faultSite {
+	if i > w.i {
+		*w = newSiteWalk(w.ops)
 	}
+	for ; w.i > i; w.i-- {
+		if u := &w.ops[w.i]; u.insns != 0 {
+			w.cost, w.insns = 0, 0
+		} else {
+			w.cost += u.selfCost
+			w.insns += uint32(u.selfInsns)
+		}
+	}
+	s := faultSite{pc: w.ops[i].pc, refundCost: w.cost, refundInsns: w.insns}
 	if e.sited != nil {
 		e.sited(i, s)
 	}
@@ -416,6 +439,29 @@ func storeLE(b []byte, val uint64, size uint8) {
 	default:
 		binary.LittleEndian.PutUint64(b, val)
 	}
+}
+
+// rdHit probes the inline read TLB for a load of size bytes at addr: a line
+// that holds addr's page at the current epoch, with the access inside the
+// page, gives the page's bytes from addr on; anything else gives nil, and the
+// caller goes to slowLoad. It is the one probe of every load on the block
+// interpreter and of the narrow loads of compiled traces, and it inlines.
+func (e *Engine) rdHit(addr uint64, size uint8) []byte {
+	pn, off := addr>>e.pageShift, addr&e.pageMask
+	if ln := &e.rdTLB[pn&(accelTLBSize-1)]; ln.PageNo == pn && ln.Epoch == e.Mem.Epoch() && off+uint64(size) <= e.pageMask+1 {
+		return ln.Data[off:]
+	}
+	return nil
+}
+
+// wrHit is rdHit for stores, through the write TLB; a miss goes to
+// slowStore.
+func (e *Engine) wrHit(addr uint64, size uint8) []byte {
+	pn, off := addr>>e.pageShift, addr&e.pageMask
+	if ln := &e.wrTLB[pn&(accelTLBSize-1)]; ln.PageNo == pn && ln.Epoch == e.Mem.Epoch() && off+uint64(size) <= e.pageMask+1 {
+		return ln.Data[off:]
+	}
+	return nil
 }
 
 // slowLoad services an inline-TLB miss: it performs the access through the
