@@ -178,8 +178,11 @@ func (c Config) Check() error {
 	if c.Slaves < 0 || c.Slaves > 63 {
 		return fmt.Errorf("core: %d slaves outside [0, 63]", c.Slaves)
 	}
-	if ps := c.PageSize; ps < 64 || ps&(ps-1) != 0 {
-		return fmt.Errorf("core: page size %d is not a power of two >= 64", ps)
+	// 64 KiB is the largest page a scenario spec may ask for; a larger one
+	// from a KInit frame would have InstallImage allocate it, and a page of
+	// 2^40 bytes kills the process.
+	if ps := c.PageSize; ps < 64 || ps > 64<<10 || ps&(ps-1) != 0 {
+		return fmt.Errorf("core: page size %d is not a power of two in [64, 65536]", ps)
 	}
 	if c.ForwardTrigger < 0 || c.ForwardTrigger > 64 {
 		return fmt.Errorf("core: forward_trigger %d outside [0, 64]", c.ForwardTrigger)

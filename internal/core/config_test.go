@@ -122,6 +122,7 @@ func TestConfigCheck(t *testing.T) {
 		{"64 slaves", func(c *Config) { c.Slaves = 64 }, "64 slaves outside [0, 63]"},
 		{"odd page size", func(c *Config) { c.PageSize = 1000 }, "page size 1000"},
 		{"tiny page size", func(c *Config) { c.PageSize = 32 }, "page size 32"},
+		{"huge page size", func(c *Config) { c.PageSize = 128 << 10 }, "page size 131072"},
 		{"forward trigger 65", func(c *Config) { c.ForwardTrigger = 65 }, "forward_trigger 65 outside [0, 64]"},
 		{"negative split factor", func(c *Config) { c.SplitFactor = -1 }, "split_factor -1 outside [0, 64]"},
 	} {
@@ -134,11 +135,33 @@ func TestConfigCheck(t *testing.T) {
 			t.Errorf("%s: NewLocal error %v, want one containing %q", tc.name, err, tc.wantSub)
 		}
 	}
+	for _, ps := range []int{64, 64 << 10} {
+		cfg := DefaultConfig()
+		cfg.PageSize = ps
+		if err := cfg.Check(); err != nil {
+			t.Errorf("page size %d refused: %v", ps, err)
+		}
+	}
 	for _, slaves := range []int{0, 63} {
 		cfg := DefaultConfig()
 		cfg.Slaves = slaves
 		if err := cfg.Check(); err != nil {
 			t.Errorf("%d slaves refused: %v", slaves, err)
 		}
+	}
+}
+
+// TestInitFrameHugePageSizeRefused: a KInit frame naming a 2^40-byte page
+// decodes, but the slave's NewLocal refuses it instead of asking the memory
+// layer for a 1 TiB page.
+func TestInitFrameHugePageSizeRefused(t *testing.T) {
+	im := build(t, `long main() { return 0; }`)
+	cfg := Config{Slaves: 1, PageSize: 1 << 40}
+	got, id, err := ConfigFromInit(InitFrame(cfg, 1, nil))
+	if err != nil {
+		t.Fatalf("ConfigFromInit: %v", err)
+	}
+	if _, err := NewLocal(im, got, id, nil); err == nil || !strings.Contains(err.Error(), "page size 1099511627776") {
+		t.Fatalf("NewLocal error %v, want the page size refused", err)
 	}
 }

@@ -46,20 +46,6 @@ const (
 	EncSame
 )
 
-func encName(enc uint8) string {
-	switch enc {
-	case EncFull:
-		return "full"
-	case EncDelta:
-		return "delta"
-	case EncRLE:
-		return "rle"
-	case EncSame:
-		return "same"
-	}
-	return fmt.Sprintf("enc(%d)", enc)
-}
-
 // PagePayload is one page transfer inside a payload container.
 type PagePayload struct {
 	Page uint64

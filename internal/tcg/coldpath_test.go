@@ -393,7 +393,7 @@ func scribble(buf []uop) {
 	for i := range buf {
 		buf[i] = uop{kind: uEbreakExit, imm: -3, val: 0xbad, pc: 0xbad0, npc: 0xbad4, npc2: 0xbad8,
 			cost: -7, selfCost: -7, insns: 9, exit: 7, exit2: 7,
-			rd: 13, rs1: 13, rs2: 13, size: 3, sh: 9, bop: isa.OpHALT, selfInsns: 9}
+			rd: 13, rs1: 13, rs2: 13, size: 3, sh: 9, op: isa.OpHALT, selfInsns: 9}
 	}
 }
 
@@ -450,7 +450,7 @@ func TestCompiledTraceOwnsNoScratch(t *testing.T) {
 		// lowering and proof: its first addi adds one too many.
 		sb, ops, refOps := e.lowerTrace(head)
 		if i == 0 {
-			ops[slices.IndexFunc(ops, func(u uop) bool { return u.kind == uAddi })].imm++
+			ops[slices.IndexFunc(ops, func(u uop) bool { return isAddi(&u) })].imm++
 		}
 		ops = e.finishTrace(sb, ops, refOps, &spent)
 		if !e.install(head, sb, ops, e.compileTier3(sb, ops)) {

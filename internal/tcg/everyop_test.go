@@ -549,15 +549,15 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compi
 			}
 			switch u.kind {
 			case uGuard:
-				paths[fmt.Sprintf("guard %s expectTaken=%v", u.bop, u.expectTaken)] = true
+				paths[fmt.Sprintf("guard %s expectTaken=%v", u.op, u.expectTaken)] = true
 			case uBranchExit:
-				paths[fmt.Sprintf("brexit %s", u.bop)] = true
+				paths[fmt.Sprintf("brexit %s", u.op)] = true
 			case uFusedCmpGuard, uFusedCmpExit:
 				paths[fmt.Sprintf("%s unsigned=%v", kindName(u.kind), u.cmpU)] = true
 			case uJalExit:
 				paths[fmt.Sprintf("jalexit link=%v", u.rd != 0)] = true
-			case uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
-				paths[fmt.Sprintf("atomic %s", u.bop)] = true
+			case uAtomic:
+				paths[fmt.Sprintf("atomic %s", u.op)] = true
 			}
 		}
 		var plan t3plan
@@ -599,7 +599,7 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compi
 				case un.pair >= 0:
 					paths["addi pair"] = true
 				case un.pre >= 0:
-					paths["addi+"+kindName(u.kind)] = true
+					paths["addi+"+uopName(u)] = true
 				}
 			}
 		}
@@ -684,7 +684,7 @@ func checkFaultSites(t *testing.T, name string, got *everyOpOutcome, san bool) {
 		for i, s := range c.sites {
 			if want := refundWalk(c.ops, i); s != want {
 				t.Errorf("%s: trace %#x, uop %d (%s): captured %+v, the run-time walk gives %+v",
-					name, c.sb.entry, i, kindName(c.ops[i].kind), s, want)
+					name, c.sb.entry, i, uopName(&c.ops[i]), s, want)
 			}
 			sites[s.pc] = true
 		}

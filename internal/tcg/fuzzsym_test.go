@@ -4,14 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+
+	"dqemu/internal/isa"
+	"dqemu/internal/mem"
 )
 
-// fuzzAluKinds is the pure-ALU alphabet FuzzSymEq decodes uops from —
-// exactly the kinds evalUop replays.
-var fuzzAluKinds = []uopKind{
-	uNop, uAdd, uSub, uMul, uDiv, uDivU, uRem, uRemU, uAnd, uOr, uXor,
-	uSll, uSrl, uSra, uSlt, uSltu,
-	uAddi, uAndi, uOri, uXori, uSlli, uSrli, uSrai, uSlti, uLi,
+// fuzzAluOps is the pure-ALU alphabet FuzzSymEq decodes uops from, in the
+// order the seeds were written for: nop, the register-register ops, the
+// register-immediate ops, and a 64-bit literal move.
+var fuzzAluOps = []isa.Op{
+	isa.OpNOP, isa.OpADD, isa.OpSUB, isa.OpMUL, isa.OpDIV, isa.OpDIVU, isa.OpREM, isa.OpREMU,
+	isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSLL, isa.OpSRL, isa.OpSRA, isa.OpSLT, isa.OpSLTU,
+	isa.OpADDI, isa.OpANDI, isa.OpORI, isa.OpXORI, isa.OpSLLI, isa.OpSRLI, isa.OpSRAI, isa.OpSLTI,
+	isa.OpMOVID,
 }
 
 // fuzzImms maps a byte to an immediate from the boundary battery plus raw
@@ -38,12 +43,13 @@ func fuzzImm(b byte, raw uint16) int64 {
 }
 
 // decodeUops turns fuzz bytes into a short pure-ALU uop sequence, 5 bytes
-// per uop.
+// per uop. Like lowering, it makes a nop or a result into x0 a uNop.
 func decodeUops(data []byte, maxOps int) []uop {
 	var out []uop
 	for len(data) >= 5 && len(out) < maxOps {
 		u := uop{
-			kind:      fuzzAluKinds[int(data[0])%len(fuzzAluKinds)],
+			kind:      uPure,
+			op:        fuzzAluOps[int(data[0])%len(fuzzAluOps)],
 			rd:        data[1] & 31,
 			rs1:       data[2] & 31,
 			rs2:       data[3] & 31,
@@ -51,8 +57,12 @@ func decodeUops(data []byte, maxOps int) []uop {
 		}
 		raw := binary.LittleEndian.Uint16([]byte{data[3], data[4]})
 		u.imm = fuzzImm(data[4], raw)
-		if u.kind == uLi {
+		if u.op == isa.OpMOVID {
 			u.val = uint64(u.imm) * 0x9e3779b97f4a7c15
+			u.imm = int64(u.val)
+		}
+		if u.op == isa.OpNOP || u.rd == 0 {
+			u.kind = uNop
 		}
 		out = append(out, u)
 		data = data[5:]
@@ -60,71 +70,25 @@ func decodeUops(data []byte, maxOps int) []uop {
 	return out
 }
 
-// evalUop executes one pure ALU uop against a register file — the concrete
-// reference FuzzSymEq replays against, mirroring compileMid's closures case
-// for case.
-func evalUop(u *uop, x *[32]uint64) error {
+// evalUop replays one pure uop on the reference executor: a block of the
+// one instruction it lowers, its literal as the immediate, run by execBlock
+// on the register file x.
+func evalUop(e *Engine, u *uop, x *[32]uint64) error {
 	switch u.kind {
 	case uNop:
-	case uAdd:
-		x[u.rd] = x[u.rs1] + x[u.rs2]
-	case uSub:
-		x[u.rd] = x[u.rs1] - x[u.rs2]
-	case uMul:
-		x[u.rd] = x[u.rs1] * x[u.rs2]
-	case uDiv:
-		x[u.rd] = uint64(sdiv(int64(x[u.rs1]), int64(x[u.rs2])))
-	case uDivU:
-		if x[u.rs2] == 0 {
-			x[u.rd] = ^uint64(0)
-		} else {
-			x[u.rd] = x[u.rs1] / x[u.rs2]
-		}
-	case uRem:
-		x[u.rd] = uint64(srem(int64(x[u.rs1]), int64(x[u.rs2])))
-	case uRemU:
-		if x[u.rs2] == 0 {
-			x[u.rd] = x[u.rs1]
-		} else {
-			x[u.rd] = x[u.rs1] % x[u.rs2]
-		}
-	case uAnd:
-		x[u.rd] = x[u.rs1] & x[u.rs2]
-	case uOr:
-		x[u.rd] = x[u.rs1] | x[u.rs2]
-	case uXor:
-		x[u.rd] = x[u.rs1] ^ x[u.rs2]
-	case uSll:
-		x[u.rd] = x[u.rs1] << (x[u.rs2] & 63)
-	case uSrl:
-		x[u.rd] = x[u.rs1] >> (x[u.rs2] & 63)
-	case uSra:
-		x[u.rd] = uint64(int64(x[u.rs1]) >> (x[u.rs2] & 63))
-	case uSlt:
-		x[u.rd] = b2u(int64(x[u.rs1]) < int64(x[u.rs2]))
-	case uSltu:
-		x[u.rd] = b2u(x[u.rs1] < x[u.rs2])
-	case uAddi:
-		x[u.rd] = x[u.rs1] + uint64(u.imm)
-	case uAndi:
-		x[u.rd] = x[u.rs1] & uint64(u.imm)
-	case uOri:
-		x[u.rd] = x[u.rs1] | uint64(u.imm)
-	case uXori:
-		x[u.rd] = x[u.rs1] ^ uint64(u.imm)
-	case uSlli:
-		x[u.rd] = x[u.rs1] << (uint64(u.imm) & 63)
-	case uSrli:
-		x[u.rd] = x[u.rs1] >> (uint64(u.imm) & 63)
-	case uSrai:
-		x[u.rd] = uint64(int64(x[u.rs1]) >> (uint64(u.imm) & 63))
-	case uSlti:
-		x[u.rd] = b2u(int64(x[u.rs1]) < u.imm)
-	case uLi:
-		x[u.rd] = u.val
+		return nil
+	case uPure:
 	default:
-		return fmt.Errorf("tcg: evalUop: non-ALU uop %s", kindName(u.kind))
+		return fmt.Errorf("tcg: evalUop: non-ALU uop %s", uopName(u))
 	}
+	ins := isa.Instruction{Op: u.op, Rd: u.rd, Rs1: u.rs1, Rs2: u.rs2, Imm: u.imm}
+	b := &block{startPC: 0x1000, ops: []isa.Instruction{ins}, endPC: 0x1000 + uint64(ins.Size())}
+	cpu := &CPU{X: *x, PC: b.startPC}
+	var spent int64
+	if _, res, stop := e.execBlock(cpu, b, &spent); stop {
+		return fmt.Errorf("tcg: evalUop: %s stopped its block: %v %v", uopName(u), res.Reason, res.Err)
+	}
+	*x = cpu.X
 	return nil
 }
 
@@ -136,7 +100,7 @@ func fmtSeq(ops []uop) string {
 		}
 		u := &ops[i]
 		s += fmt.Sprintf("%s rd=x%d rs1=x%d rs2=x%d imm=%d val=%#x",
-			kindName(u.kind), u.rd, u.rs1, u.rs2, u.imm, u.val)
+			uopName(u), u.rd, u.rs1, u.rs2, u.imm, u.val)
 	}
 	return s
 }
@@ -144,6 +108,7 @@ func fmtSeq(ops []uop) string {
 // replayDiverges runs both sequences concretely from a battery of shared
 // register files and reports whether any run ends in different states.
 func replayDiverges(ref, got []uop) bool {
+	e := NewEngine(mem.NewSpace(0), DefaultCostModel())
 	for t := 0; t < 48; t++ {
 		var x0 [32]uint64
 		for i := 1; i < 32; i++ {
@@ -155,12 +120,12 @@ func replayDiverges(ref, got []uop) bool {
 		}
 		xa, xb := x0, x0
 		for i := range ref {
-			if evalUop(&ref[i], &xa) != nil {
+			if evalUop(e, &ref[i], &xa) != nil {
 				return false // non-ALU decode: out of scope
 			}
 		}
 		for i := range got {
-			if evalUop(&got[i], &xb) != nil {
+			if evalUop(e, &got[i], &xb) != nil {
 				return false
 			}
 		}
@@ -221,7 +186,7 @@ func FuzzSymEq(f *testing.F) {
 func TestFuzzSymEqSeedRejectsUnsound(t *testing.T) {
 	ref := decodeUops([]byte{16, 1, 1, 0, 1}, 6)
 	got := decodeUops([]byte{16, 1, 1, 0, 3}, 6)
-	if len(ref) != 1 || len(got) != 1 || ref[0].kind != uAddi || got[0].kind != uAddi || ref[0].imm == got[0].imm {
+	if len(ref) != 1 || len(got) != 1 || !isAddi(&ref[0]) || !isAddi(&got[0]) || ref[0].imm == got[0].imm {
 		t.Fatalf("seed decode drifted: ref=%s got=%s", fmtSeq(ref), fmtSeq(got))
 	}
 	if err := symEquivSeq(ref, got); err == nil {

@@ -48,8 +48,9 @@ func newSymPair(bld *symeq.Builder) (a, b symState) {
 }
 
 // symPure applies u to the state when u is pure — no fault, no exit, no
-// externally visible action — mirroring compileMid's ALU and FP closures
-// operator for operator, and sharing nothing with them: -verify is worth
+// externally visible action: a nop, a link write, or a uPure by its op —
+// mirroring compileMid's ALU and FP closures operator for operator, and
+// sharing nothing with them: -verify is worth
 // what the symbolic side's independence of the concrete one is worth.
 // Returns false when u is an effect the lockstep matcher must handle.
 func (st *symState) symPure(u *uop) bool {
@@ -63,98 +64,105 @@ func (st *symState) symPure(u *uop) bool {
 
 	switch u.kind {
 	case uNop:
-	case uAdd:
-		x[u.rd] = bin(symeq.Add)
-	case uSub:
-		x[u.rd] = bin(symeq.Sub)
-	case uMul:
-		x[u.rd] = bin(symeq.Mul)
-	case uDiv:
-		x[u.rd] = bin(symeq.Div)
-	case uDivU:
-		x[u.rd] = bin(symeq.DivU)
-	case uRem:
-		x[u.rd] = bin(symeq.Rem)
-	case uRemU:
-		x[u.rd] = bin(symeq.RemU)
-	case uAnd:
-		x[u.rd] = bin(symeq.And)
-	case uOr:
-		x[u.rd] = bin(symeq.Or)
-	case uXor:
-		x[u.rd] = bin(symeq.Xor)
-	case uSll:
-		x[u.rd] = bin(symeq.Shl) // symeq shifts mask the amount mod 64
-	case uSrl:
-		x[u.rd] = bin(symeq.Shr)
-	case uSra:
-		x[u.rd] = bin(symeq.Sar)
-	case uSlt:
-		x[u.rd] = bin(symeq.LtS)
-	case uSltu:
-		x[u.rd] = bin(symeq.LtU)
-	case uAddi:
-		x[u.rd] = imm(symeq.Add)
-	case uAndi:
-		x[u.rd] = imm(symeq.And)
-	case uOri:
-		x[u.rd] = imm(symeq.Or)
-	case uXori:
-		x[u.rd] = imm(symeq.Xor)
-	case uSlli:
-		x[u.rd] = imm(symeq.Shl)
-	case uSrli:
-		x[u.rd] = imm(symeq.Shr)
-	case uSrai:
-		x[u.rd] = imm(symeq.Sar)
-	case uSlti:
-		x[u.rd] = imm(symeq.LtS)
-	case uLi:
-		x[u.rd] = b.Const(u.val)
+		return true
 	case uLink:
 		if u.rd != 0 {
 			x[u.rd] = b.Const(u.val)
 		}
+		return true
+	case uPure: // by op, below
+	default:
+		return false
+	}
+	switch u.op {
+	case isa.OpADD:
+		x[u.rd] = bin(symeq.Add)
+	case isa.OpSUB:
+		x[u.rd] = bin(symeq.Sub)
+	case isa.OpMUL:
+		x[u.rd] = bin(symeq.Mul)
+	case isa.OpDIV:
+		x[u.rd] = bin(symeq.Div)
+	case isa.OpDIVU:
+		x[u.rd] = bin(symeq.DivU)
+	case isa.OpREM:
+		x[u.rd] = bin(symeq.Rem)
+	case isa.OpREMU:
+		x[u.rd] = bin(symeq.RemU)
+	case isa.OpAND:
+		x[u.rd] = bin(symeq.And)
+	case isa.OpOR:
+		x[u.rd] = bin(symeq.Or)
+	case isa.OpXOR:
+		x[u.rd] = bin(symeq.Xor)
+	case isa.OpSLL:
+		x[u.rd] = bin(symeq.Shl) // symeq shifts mask the amount mod 64
+	case isa.OpSRL:
+		x[u.rd] = bin(symeq.Shr)
+	case isa.OpSRA:
+		x[u.rd] = bin(symeq.Sar)
+	case isa.OpSLT:
+		x[u.rd] = bin(symeq.LtS)
+	case isa.OpSLTU:
+		x[u.rd] = bin(symeq.LtU)
+	case isa.OpADDI:
+		x[u.rd] = imm(symeq.Add)
+	case isa.OpANDI:
+		x[u.rd] = imm(symeq.And)
+	case isa.OpORI:
+		x[u.rd] = imm(symeq.Or)
+	case isa.OpXORI:
+		x[u.rd] = imm(symeq.Xor)
+	case isa.OpSLLI:
+		x[u.rd] = imm(symeq.Shl)
+	case isa.OpSRLI:
+		x[u.rd] = imm(symeq.Shr)
+	case isa.OpSRAI:
+		x[u.rd] = imm(symeq.Sar)
+	case isa.OpSLTI:
+		x[u.rd] = imm(symeq.LtS)
+	case isa.OpMOVIW, isa.OpMOVID:
+		x[u.rd] = b.Const(u.val)
 
-	case uFAdd:
+	case isa.OpFADD:
 		f[u.rd] = fun2("fadd")
-	case uFSub:
+	case isa.OpFSUB:
 		f[u.rd] = fun2("fsub")
-	case uFMul:
+	case isa.OpFMUL:
 		f[u.rd] = fun2("fmul")
-	case uFDiv:
+	case isa.OpFDIV:
 		f[u.rd] = fun2("fdiv")
-	case uFMin:
+	case isa.OpFMIN:
 		f[u.rd] = fun2("fmin")
-	case uFMax:
+	case isa.OpFMAX:
 		f[u.rd] = fun2("fmax")
-	case uFSqrt:
+	case isa.OpFSQRT:
 		f[u.rd] = fun1("fsqrt")
-	case uFNeg:
+	case isa.OpFNEG:
 		f[u.rd] = fun1("fneg")
-	case uFAbs:
+	case isa.OpFABS:
 		f[u.rd] = fun1("fabs")
-	case uFExp:
+	case isa.OpFEXP:
 		f[u.rd] = fun1("fexp")
-	case uFLn:
+	case isa.OpFLN:
 		f[u.rd] = fun1("fln")
-	case uFMovImm:
+	case isa.OpFMOVD:
 		f[u.rd] = b.Const(u.val)
-	case uFMv:
+	case isa.OpFMV:
 		f[u.rd] = f[u.rs1]
-	case uFMvXD:
+	case isa.OpFMVXD:
 		x[u.rd] = f[u.rs1]
-	case uFMvDX:
+	case isa.OpFMVDX:
 		f[u.rd] = x[u.rs1]
-	case uFCvtDL:
+	case isa.OpFCVTDL:
 		f[u.rd] = b.Fun("fcvtdl", 64, x[u.rs1])
-	case uFCvtLD:
+	case isa.OpFCVTLD:
 		x[u.rd] = b.Fun("fcvtld", 64, f[u.rs1])
-	case uFEq:
+	case isa.OpFEQ:
 		x[u.rd] = b.Fun("feq", 1, f[u.rs1], f[u.rs2])
-	case uFLt:
+	case isa.OpFLT:
 		x[u.rd] = b.Fun("flt", 1, f[u.rs1], f[u.rs2])
-	case uFLe:
+	case isa.OpFLE:
 		x[u.rd] = b.Fun("fle", 1, f[u.rs1], f[u.rs2])
 
 	default:
@@ -199,9 +207,9 @@ func (st *symState) branchTake(u *uop) *symeq.Expr {
 		}
 		c := b.Bin(op, st.x[u.rs1], st.x[u.rs2])
 		st.x[u.rd] = c
-		return takeExpr(b, u.bop, c, b.Const(0))
+		return takeExpr(b, u.op, c, b.Const(0))
 	default:
-		return takeExpr(b, u.bop, st.x[u.rs1], st.x[u.rs2])
+		return takeExpr(b, u.op, st.x[u.rs1], st.x[u.rs2])
 	}
 }
 
@@ -262,9 +270,9 @@ func symEquivSeq(ref, got []uop) error {
 		ru, gu := &ref[ia], &got[ib]
 		if effClass(ru.kind) != effClass(gu.kind) {
 			return fmt.Errorf("effect %d: reference %s vs rewritten %s at pc %#x",
-				k, kindName(ru.kind), kindName(gu.kind), ru.pc)
+				k, uopName(ru), uopName(gu), ru.pc)
 		}
-		site := fmt.Sprintf("effect %d (%s at pc %#x)", k, kindName(gu.kind), gu.pc)
+		site := fmt.Sprintf("effect %d (%s at pc %#x)", k, uopName(gu), gu.pc)
 		if ru.pc != gu.pc {
 			return fmt.Errorf("%s: pc differs from reference %#x", site, ru.pc)
 		}
@@ -390,32 +398,9 @@ func symEquivSeq(ref, got []uop) error {
 				return err
 			}
 
-		case uLL:
-			if err := stateEq(site); err != nil {
-				return err
-			}
-			if err := prove(a.x[ru.rs1], b.x[gu.rs1], site+" address"); err != nil {
-				return err
-			}
-			raw := bld.VarW(fmt.Sprintf("ll%d", k), 64)
-			a.wrSym(ru.rd, raw)
-			b.wrSym(gu.rd, raw)
-		case uSC:
-			if err := stateEq(site); err != nil {
-				return err
-			}
-			if err := prove(a.x[ru.rs1], b.x[gu.rs1], site+" address"); err != nil {
-				return err
-			}
-			if err := prove(a.x[ru.rs2], b.x[gu.rs2], site+" value"); err != nil {
-				return err
-			}
-			res := bld.VarW(fmt.Sprintf("sc%d", k), 1)
-			a.wrSym(ru.rd, res)
-			b.wrSym(gu.rd, res)
-		case uCAS, uAmoAdd, uAmoSwap:
-			if ru.kind != gu.kind {
-				return fmt.Errorf("%s: atomic kind differs", site)
+		case uAtomic:
+			if ru.op != gu.op {
+				return fmt.Errorf("%s: atomic differs from reference %s", site, uopName(ru))
 			}
 			if err := stateEq(site); err != nil {
 				return err
@@ -423,17 +408,24 @@ func symEquivSeq(ref, got []uop) error {
 			if err := prove(a.x[ru.rs1], b.x[gu.rs1], site+" address"); err != nil {
 				return err
 			}
-			if err := prove(a.x[ru.rs2], b.x[gu.rs2], site+" operand"); err != nil {
-				return err
+			if ru.op != isa.OpLL {
+				if err := prove(a.x[ru.rs2], b.x[gu.rs2], site+" operand"); err != nil {
+					return err
+				}
 			}
-			if ru.kind == uCAS {
+			if ru.op == isa.OpCAS {
 				if err := prove(a.x[ru.rd], b.x[gu.rd], site+" compare value"); err != nil {
 					return err
 				}
 			}
-			old := bld.VarW(fmt.Sprintf("amo%d", k), 64)
-			a.wrSym(ru.rd, old)
-			b.wrSym(gu.rd, old)
+			// The result is a fresh symbol, one bit wide for SC's status.
+			width := uint8(64)
+			if ru.op == isa.OpSC {
+				width = 1
+			}
+			res := bld.VarW(fmt.Sprintf("%s%d", ru.op, k), width)
+			a.wrSym(ru.rd, res)
+			b.wrSym(gu.rd, res)
 
 		case uSvcExit, uHaltExit, uEbreakExit:
 			if ru.kind != gu.kind {
@@ -493,7 +485,7 @@ func cexNote(env symeq.Env) string {
 
 func sideDesc(ref []uop, ia int, got []uop, ib int) string {
 	if ia < len(ref) {
-		return fmt.Sprintf("%s at pc %#x", kindName(ref[ia].kind), ref[ia].pc)
+		return fmt.Sprintf("%s at pc %#x", uopName(&ref[ia]), ref[ia].pc)
 	}
-	return fmt.Sprintf("extra %s at pc %#x", kindName(got[ib].kind), got[ib].pc)
+	return fmt.Sprintf("extra %s at pc %#x", uopName(&got[ib]), got[ib].pc)
 }

@@ -7,12 +7,12 @@ import (
 	"dqemu/internal/isa"
 )
 
-func alu2(kind uopKind, rd, rs1, rs2 uint8) uop {
-	return uop{kind: kind, rd: rd, rs1: rs1, rs2: rs2, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
+func alu2(op isa.Op, rd, rs1, rs2 uint8) uop {
+	return uop{kind: uPure, op: op, rd: rd, rs1: rs1, rs2: rs2, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
 }
 
-func alui(kind uopKind, rd, rs1 uint8, imm int64) uop {
-	return uop{kind: kind, rd: rd, rs1: rs1, imm: imm, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
+func alui(op isa.Op, rd, rs1 uint8, imm int64) uop {
+	return uop{kind: uPure, op: op, rd: rd, rs1: rs1, imm: imm, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
 }
 
 func TestSymEquivSeqProvesAlgebraicRewrites(t *testing.T) {
@@ -22,18 +22,18 @@ func TestSymEquivSeqProvesAlgebraicRewrites(t *testing.T) {
 	}{
 		{
 			"addi fold",
-			[]uop{alui(uAddi, 1, 2, 10), alui(uAddi, 1, 1, 20)},
-			[]uop{alui(uAddi, 1, 2, 30)},
+			[]uop{alui(isa.OpADDI, 1, 2, 10), alui(isa.OpADDI, 1, 1, 20)},
+			[]uop{alui(isa.OpADDI, 1, 2, 30)},
 		},
 		{
 			"xor-self to li 0",
-			[]uop{alu2(uXor, 3, 7, 7)},
-			[]uop{{kind: uLi, rd: 3, val: 0, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}},
+			[]uop{alu2(isa.OpXOR, 3, 7, 7)},
+			[]uop{{kind: uPure, op: isa.OpMOVID, rd: 3, val: 0, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}},
 		},
 		{
 			"independent addi commute",
-			[]uop{alui(uAddi, 1, 2, 5), alui(uAddi, 3, 4, 6)},
-			[]uop{alui(uAddi, 3, 4, 6), alui(uAddi, 1, 2, 5)},
+			[]uop{alui(isa.OpADDI, 1, 2, 5), alui(isa.OpADDI, 3, 4, 6)},
+			[]uop{alui(isa.OpADDI, 3, 4, 6), alui(isa.OpADDI, 1, 2, 5)},
 		},
 		{
 			"empty both",
@@ -50,6 +50,7 @@ func TestSymEquivSeqProvesAlgebraicRewrites(t *testing.T) {
 func TestSymEquivSeqRejectsWrongRewrites(t *testing.T) {
 	ld := uop{kind: uLoad, rd: 3, rs1: 4, imm: 8, size: 8, pc: 0x100, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
 	st := uop{kind: uStore, rs1: 4, rs2: 5, imm: 8, size: 8, pc: 0x104, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
+	amo := uop{kind: uAtomic, op: isa.OpAMOADD, rd: 3, rs1: 4, rs2: 5, pc: 0x108, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
 
 	cases := []struct {
 		name     string
@@ -58,25 +59,25 @@ func TestSymEquivSeqRejectsWrongRewrites(t *testing.T) {
 	}{
 		{
 			"unsound immediate change",
-			[]uop{alui(uAddi, 1, 1, 1)},
-			[]uop{alui(uAddi, 1, 1, 2)},
+			[]uop{alui(isa.OpADDI, 1, 1, 1)},
+			[]uop{alui(isa.OpADDI, 1, 1, 2)},
 			"x1",
 		},
 		{
 			"off-by-one addi fold",
-			[]uop{alui(uAddi, 1, 2, 10), alui(uAddi, 1, 1, 20)},
-			[]uop{alui(uAddi, 1, 2, 31)},
+			[]uop{alui(isa.OpADDI, 1, 2, 10), alui(isa.OpADDI, 1, 1, 20)},
+			[]uop{alui(isa.OpADDI, 1, 2, 31)},
 			"x1",
 		},
 		{
 			"result materialized into x0",
-			[]uop{alui(uAddi, 3, 3, 0)},
-			[]uop{{kind: uLi, rd: 0, val: 7, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}},
+			[]uop{alui(isa.OpADDI, 3, 3, 0)},
+			[]uop{{kind: uPure, op: isa.OpMOVID, rd: 0, val: 7, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}},
 			"x0",
 		},
 		{
 			"dropped write",
-			[]uop{alui(uAddi, 1, 2, 5)},
+			[]uop{alui(isa.OpADDI, 1, 2, 5)},
 			nil,
 			"x1",
 		},
@@ -100,9 +101,15 @@ func TestSymEquivSeqRejectsWrongRewrites(t *testing.T) {
 		},
 		{
 			"write deferred across a store",
-			[]uop{alui(uAddi, 1, 1, 7), st},
-			[]uop{st, alui(uAddi, 1, 1, 7)},
+			[]uop{alui(isa.OpADDI, 1, 1, 7), st},
+			[]uop{st, alui(isa.OpADDI, 1, 1, 7)},
 			"x1",
+		},
+		{
+			"atomic op changed",
+			[]uop{amo},
+			[]uop{func() uop { u := amo; u.op = isa.OpAMOSWAP; return u }()},
+			"atomic differs",
 		},
 		{
 			"dropped effect",
@@ -127,8 +134,8 @@ func TestSymEquivSeqRejectsWrongRewrites(t *testing.T) {
 // compare-guard rewrite buildTrace performs: the fused form must prove
 // equal, and a polarity flip must be rejected.
 func TestSymEquivSeqProvesCmpBranchFusion(t *testing.T) {
-	cmp := alu2(uSlt, 5, 6, 7)
-	guard := uop{kind: uGuard, rs1: 5, rs2: 0, bop: isa.OpBNE, expectTaken: true,
+	cmp := alu2(isa.OpSLT, 5, 6, 7)
+	guard := uop{kind: uGuard, rs1: 5, rs2: 0, op: isa.OpBNE, expectTaken: true,
 		pc: 0x200, npc: 0x300, selfInsns: 1, selfCost: 1, exit: 0, exit2: -1}
 	fused := guard
 	fused.kind = uFusedCmpGuard

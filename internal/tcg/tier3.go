@@ -300,10 +300,10 @@ func planTier3(p *t3plan, ops []uop) bool {
 		// call.
 		for j := first; j < last; {
 			k := ops[j].kind
-			if k == uAddi && j+1 < last && memFusable(ops[j+1].kind) {
+			if isAddi(&ops[j]) && j+1 < last && memFusable(ops[j+1].kind) {
 				un := t3unit{op: j + 1, pre: j, post: -1, pair: -1}
 				j += 2
-				if j < last && ops[j].kind == uAddi {
+				if j < last && isAddi(&ops[j]) {
 					un.post = j
 					j++
 				}
@@ -313,19 +313,19 @@ func planTier3(p *t3plan, ops []uop) bool {
 			if memFusable(k) {
 				un := t3unit{op: j, pre: -1, post: -1, pair: -1}
 				j++
-				if j < last && ops[j].kind == uAddi {
+				if j < last && isAddi(&ops[j]) {
 					un.post = j
 					j++
 				}
 				seg.units = append(seg.units, un)
 				continue
 			}
-			if k == uAddi && j+1 < last && ops[j+1].kind == uAddi {
+			if isAddi(&ops[j]) && j+1 < last && isAddi(&ops[j+1]) {
 				seg.units = append(seg.units, t3unit{op: j, pre: -1, post: -1, pair: j + 1})
 				j += 2
 				continue
 			}
-			if k == uAddi && j+1 < last && addiMidable(ops[j+1].kind) {
+			if isAddi(&ops[j]) && j+1 < last && addiMidable(&ops[j+1]) {
 				seg.units = append(seg.units, t3unit{op: j + 1, pre: j, post: -1, pair: -1})
 				j += 2
 				continue
@@ -974,13 +974,13 @@ func compileAddiPair(ops []uop, un t3unit, next t3op) t3op {
 	}
 }
 
-// addiMidable reports whether the planner folds a preceding addi into a uop
-// of kind k: the predicate the planner, the checker and compileTier3 share.
+// addiMidable reports whether the planner folds a preceding addi into u: the
+// predicate the planner, the checker and compileTier3 share.
 // Only mul earns it — 0.8 % and 5.5 % of closure calls on hot_compute and
-// shared_cluster; of the other twenty kinds this once covered, fourteen were
+// shared_cluster; of the other twenty ops this once covered, fourteen were
 // never compiled on any benchmark workload and six (li and or sub xor add)
 // were at most 0.02 % of calls each (EXPERIMENTS.md, "Tried and removed").
-func addiMidable(k uopKind) bool { return k == uMul }
+func addiMidable(u *uop) bool { return u.kind == uPure && u.op == isa.OpMUL }
 
 // compileAddiMul fuses an addi into the mul that follows it: the addi retires
 // first (program order), then the product — an induction bump and the index
@@ -992,13 +992,14 @@ func compileAddiMul(ops []uop, un t3unit, next t3op) t3op {
 	return func(c *t3ctx) int32 { x := c.x; x[ard] = x[ars] + ai; x[rd] = x[rs1] * x[rs2]; return next(c) }
 }
 
-// compileMid compiles one straight-line (non-boundary, non-memory) uop. All
-// closures capture their operands at compile time and allocate nothing at
-// execution time. The arms are written out, one closure per kind, and stay
-// so: Go does not specialise a closure on a captured function value, so a
-// shared per-op semantics table would put a second indirect call inside the
-// 34-44 % of all closure calls that land here, and generating the arms would
-// move this code, not remove it.
+// compileMid compiles one straight-line (non-boundary, non-memory) uop: a
+// probe, a fence or a link by its kind, a pure uop by its op. All closures
+// capture their operands at compile time and allocate nothing at execution
+// time. The arms are written out, one closure per op, and stay so: Go does
+// not specialise a closure on a captured function value, so a shared per-op
+// semantics table would put a second indirect call inside the 34-44 % of all
+// closure calls that land here, and generating the arms would move this
+// code, not remove it.
 func (e *Engine) compileMid(ops []uop, i int, next t3op) t3op {
 	u := &ops[i]
 	rd, rs1, rs2 := u.rd, u.rs1, u.rs2
@@ -1006,105 +1007,6 @@ func (e *Engine) compileMid(ops []uop, i int, next t3op) t3op {
 	switch u.kind {
 	case uNop:
 		return next
-
-	case uAdd:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] + x[rs2]; return next(c) }
-	case uSub:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] - x[rs2]; return next(c) }
-	case uMul:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] * x[rs2]; return next(c) }
-	case uDiv:
-		return func(c *t3ctx) int32 {
-			x := c.x
-			x[rd] = uint64(sdiv(int64(x[rs1]), int64(x[rs2])))
-			return next(c)
-		}
-	case uDivU:
-		return func(c *t3ctx) int32 {
-			x := c.x
-			if x[rs2] == 0 {
-				x[rd] = ^uint64(0)
-			} else {
-				x[rd] = x[rs1] / x[rs2]
-			}
-			return next(c)
-		}
-	case uRem:
-		return func(c *t3ctx) int32 {
-			x := c.x
-			x[rd] = uint64(srem(int64(x[rs1]), int64(x[rs2])))
-			return next(c)
-		}
-	case uRemU:
-		return func(c *t3ctx) int32 {
-			x := c.x
-			if x[rs2] == 0 {
-				x[rd] = x[rs1]
-			} else {
-				x[rd] = x[rs1] % x[rs2]
-			}
-			return next(c)
-		}
-	case uAnd:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] & x[rs2]; return next(c) }
-	case uOr:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] | x[rs2]; return next(c) }
-	case uXor:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] ^ x[rs2]; return next(c) }
-	case uSll:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] << (x[rs2] & 63); return next(c) }
-	case uSrl:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] >> (x[rs2] & 63); return next(c) }
-	case uSra:
-		return func(c *t3ctx) int32 {
-			x := c.x
-			x[rd] = uint64(int64(x[rs1]) >> (x[rs2] & 63))
-			return next(c)
-		}
-	case uSlt:
-		return func(c *t3ctx) int32 {
-			x := c.x
-			x[rd] = b2u(int64(x[rs1]) < int64(x[rs2]))
-			return next(c)
-		}
-	case uSltu:
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = b2u(x[rs1] < x[rs2]); return next(c) }
-
-	case uAddi:
-		ui := uint64(imm)
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] + ui; return next(c) }
-	case uAndi:
-		ui := uint64(imm)
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] & ui; return next(c) }
-	case uOri:
-		ui := uint64(imm)
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] | ui; return next(c) }
-	case uXori:
-		ui := uint64(imm)
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] ^ ui; return next(c) }
-	case uSlli:
-		sh := uint64(imm) & 63
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] << sh; return next(c) }
-	case uSrli:
-		sh := uint64(imm) & 63
-		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] >> sh; return next(c) }
-	case uSrai:
-		sh := uint64(imm) & 63
-		return func(c *t3ctx) int32 {
-			x := c.x
-			x[rd] = uint64(int64(x[rs1]) >> sh)
-			return next(c)
-		}
-	case uSlti:
-		return func(c *t3ctx) int32 {
-			x := c.x
-			x[rd] = b2u(int64(x[rs1]) < imm)
-			return next(c)
-		}
-	case uLi:
-		v := u.val
-		return func(c *t3ctx) int32 { c.x[rd] = v; return next(c) }
-
 	case uSanRead:
 		size := int(u.size)
 		pc := u.pc
@@ -1132,54 +1034,156 @@ func (e *Engine) compileMid(ops []uop, i int, next t3op) t3op {
 			}
 			return next(c)
 		}
-
 	case uLink:
 		v := u.val
 		if rd == 0 {
 			return next
 		}
 		return func(c *t3ctx) int32 { c.x[rd] = v; return next(c) }
+	case uPure: // by op, below
+	default:
+		return nil
+	}
 
-	case uFAdd:
+	switch u.op {
+	case isa.OpADD:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] + x[rs2]; return next(c) }
+	case isa.OpSUB:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] - x[rs2]; return next(c) }
+	case isa.OpMUL:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] * x[rs2]; return next(c) }
+	case isa.OpDIV:
+		return func(c *t3ctx) int32 {
+			x := c.x
+			x[rd] = uint64(sdiv(int64(x[rs1]), int64(x[rs2])))
+			return next(c)
+		}
+	case isa.OpDIVU:
+		return func(c *t3ctx) int32 {
+			x := c.x
+			if x[rs2] == 0 {
+				x[rd] = ^uint64(0)
+			} else {
+				x[rd] = x[rs1] / x[rs2]
+			}
+			return next(c)
+		}
+	case isa.OpREM:
+		return func(c *t3ctx) int32 {
+			x := c.x
+			x[rd] = uint64(srem(int64(x[rs1]), int64(x[rs2])))
+			return next(c)
+		}
+	case isa.OpREMU:
+		return func(c *t3ctx) int32 {
+			x := c.x
+			if x[rs2] == 0 {
+				x[rd] = x[rs1]
+			} else {
+				x[rd] = x[rs1] % x[rs2]
+			}
+			return next(c)
+		}
+	case isa.OpAND:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] & x[rs2]; return next(c) }
+	case isa.OpOR:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] | x[rs2]; return next(c) }
+	case isa.OpXOR:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] ^ x[rs2]; return next(c) }
+	case isa.OpSLL:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] << (x[rs2] & 63); return next(c) }
+	case isa.OpSRL:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] >> (x[rs2] & 63); return next(c) }
+	case isa.OpSRA:
+		return func(c *t3ctx) int32 {
+			x := c.x
+			x[rd] = uint64(int64(x[rs1]) >> (x[rs2] & 63))
+			return next(c)
+		}
+	case isa.OpSLT:
+		return func(c *t3ctx) int32 {
+			x := c.x
+			x[rd] = b2u(int64(x[rs1]) < int64(x[rs2]))
+			return next(c)
+		}
+	case isa.OpSLTU:
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = b2u(x[rs1] < x[rs2]); return next(c) }
+
+	case isa.OpADDI:
+		ui := uint64(imm)
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] + ui; return next(c) }
+	case isa.OpANDI:
+		ui := uint64(imm)
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] & ui; return next(c) }
+	case isa.OpORI:
+		ui := uint64(imm)
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] | ui; return next(c) }
+	case isa.OpXORI:
+		ui := uint64(imm)
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] ^ ui; return next(c) }
+	case isa.OpSLLI:
+		sh := uint64(imm) & 63
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] << sh; return next(c) }
+	case isa.OpSRLI:
+		sh := uint64(imm) & 63
+		return func(c *t3ctx) int32 { x := c.x; x[rd] = x[rs1] >> sh; return next(c) }
+	case isa.OpSRAI:
+		sh := uint64(imm) & 63
+		return func(c *t3ctx) int32 {
+			x := c.x
+			x[rd] = uint64(int64(x[rs1]) >> sh)
+			return next(c)
+		}
+	case isa.OpSLTI:
+		return func(c *t3ctx) int32 {
+			x := c.x
+			x[rd] = b2u(int64(x[rs1]) < imm)
+			return next(c)
+		}
+	case isa.OpMOVIW, isa.OpMOVID:
+		v := u.val
+		return func(c *t3ctx) int32 { c.x[rd] = v; return next(c) }
+
+	case isa.OpFADD:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = f[rs1] + f[rs2]; return next(c) }
-	case uFSub:
+	case isa.OpFSUB:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = f[rs1] - f[rs2]; return next(c) }
-	case uFMul:
+	case isa.OpFMUL:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = f[rs1] * f[rs2]; return next(c) }
-	case uFDiv:
+	case isa.OpFDIV:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = f[rs1] / f[rs2]; return next(c) }
-	case uFMin:
+	case isa.OpFMIN:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = math.Min(f[rs1], f[rs2]); return next(c) }
-	case uFMax:
+	case isa.OpFMAX:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = math.Max(f[rs1], f[rs2]); return next(c) }
-	case uFSqrt:
+	case isa.OpFSQRT:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = math.Sqrt(f[rs1]); return next(c) }
-	case uFNeg:
+	case isa.OpFNEG:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = -f[rs1]; return next(c) }
-	case uFAbs:
+	case isa.OpFABS:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = math.Abs(f[rs1]); return next(c) }
-	case uFExp:
+	case isa.OpFEXP:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = math.Exp(f[rs1]); return next(c) }
-	case uFLn:
+	case isa.OpFLN:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = math.Log(f[rs1]); return next(c) }
-	case uFMovImm:
+	case isa.OpFMOVD:
 		v := math.Float64frombits(u.val)
 		return func(c *t3ctx) int32 { c.f[rd] = v; return next(c) }
-	case uFMv:
+	case isa.OpFMV:
 		return func(c *t3ctx) int32 { f := c.f; f[rd] = f[rs1]; return next(c) }
-	case uFMvXD:
+	case isa.OpFMVXD:
 		return func(c *t3ctx) int32 { c.x[rd] = math.Float64bits(c.f[rs1]); return next(c) }
-	case uFMvDX:
+	case isa.OpFMVDX:
 		return func(c *t3ctx) int32 { c.f[rd] = math.Float64frombits(c.x[rs1]); return next(c) }
-	case uFCvtDL:
+	case isa.OpFCVTDL:
 		return func(c *t3ctx) int32 { c.f[rd] = float64(int64(c.x[rs1])); return next(c) }
-	case uFCvtLD:
+	case isa.OpFCVTLD:
 		return func(c *t3ctx) int32 { c.x[rd] = uint64(int64(c.f[rs1])); return next(c) }
-	case uFEq:
+	case isa.OpFEQ:
 		return func(c *t3ctx) int32 { c.x[rd] = b2u(c.f[rs1] == c.f[rs2]); return next(c) }
-	case uFLt:
+	case isa.OpFLT:
 		return func(c *t3ctx) int32 { c.x[rd] = b2u(c.f[rs1] < c.f[rs2]); return next(c) }
-	case uFLe:
+	case isa.OpFLE:
 		return func(c *t3ctx) int32 { c.x[rd] = b2u(c.f[rs1] <= c.f[rs2]); return next(c) }
 	}
 	return nil
@@ -1271,7 +1275,7 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 		// unfused guards are at most 1.6 % of closure calls on the benchmark
 		// workloads and every one of them is a beq (EXPERIMENTS.md, "Tried
 		// and removed"), so a closure per branch op earned nothing.
-		bop, expect := u.bop, u.expectTaken
+		bop, expect := u.op, u.expectTaken
 		return func(c *t3ctx) int32 {
 			if takeBranch(bop, c.x[rs1], c.x[rs2]) != expect {
 				c.cpu.PC = npc
@@ -1282,7 +1286,7 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 
 	case uFusedCmpGuard:
 		// rd = slt(rs1, rs2); exit when rd lands on the off-trace value.
-		takenAt0 := u.bop == isa.OpBEQ // beqz taken when cmp == 0
+		takenAt0 := u.op == isa.OpBEQ // beqz taken when cmp == 0
 		exitVal := uint64(0)
 		if takenAt0 == u.expectTaken {
 			exitVal = 1
@@ -1309,7 +1313,7 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 		}
 
 	case uBranchExit:
-		bop := u.bop
+		bop := u.op
 		return func(c *t3ctx) int32 {
 			if takeBranch(bop, c.x[rs1], c.x[rs2]) {
 				c.cpu.PC = npc
@@ -1320,7 +1324,7 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 		}
 
 	case uFusedCmpExit:
-		takenAt1 := u.bop == isa.OpBNE // bnez taken when cmp == 1
+		takenAt1 := u.op == isa.OpBNE // bnez taken when cmp == 1
 		cmpU := u.cmpU
 		return func(c *t3ctx) int32 {
 			var v uint64
@@ -1387,8 +1391,8 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 			return c.chainTo(c.e.exitVia(sb, exit))
 		}
 
-	case uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
-		op := u.bop
+	case uAtomic:
+		op := u.op
 		site := e.site(sites, i)
 		return func(c *t3ctx) int32 {
 			switch end, fl := c.e.atomic(c.cpu, op, rd, rs1, rs2, pc); end {

@@ -45,7 +45,7 @@ func (e *Engine) checkTier3(sb *superblock, ops []uop, t3 *tier3) error {
 	if plan.fuseLoop {
 		last := &ops[len(ops)-1]
 		if last.kind != uLoopBack {
-			return fmt.Errorf("fused back-edge is %s, not loopback", kindName(last.kind))
+			return fmt.Errorf("fused back-edge is %s, not loopback", uopName(last))
 		}
 	}
 
@@ -118,11 +118,11 @@ func checkSegPlan(ops []uop, seg *t3seg) error {
 		return fmt.Errorf("segment range out of bounds")
 	}
 	if !segBoundary(ops[seg.last].kind) {
-		return fmt.Errorf("segment tail %s is not a boundary", kindName(ops[seg.last].kind))
+		return fmt.Errorf("segment tail %s is not a boundary", uopName(&ops[seg.last]))
 	}
 	for i := seg.first; i < seg.last; i++ {
 		if segBoundary(ops[i].kind) {
-			return fmt.Errorf("boundary uop %s mid-segment at %d", kindName(ops[i].kind), i)
+			return fmt.Errorf("boundary uop %s mid-segment at %d", uopName(&ops[i]), i)
 		}
 	}
 
@@ -137,19 +137,19 @@ func checkSegPlan(ops []uop, seg *t3seg) error {
 			if un.op != j || un.pair != j+1 {
 				return fmt.Errorf("unit %d: addi pair (%d,%d) does not continue coverage at %d", ui, un.op, un.pair, j)
 			}
-			if ops[un.op].kind != uAddi || ops[un.pair].kind != uAddi {
-				return fmt.Errorf("unit %d: pair of %s/%s, want addi/addi", ui, kindName(ops[un.op].kind), kindName(ops[un.pair].kind))
+			if !isAddi(&ops[un.op]) || !isAddi(&ops[un.pair]) {
+				return fmt.Errorf("unit %d: pair of %s/%s, want addi/addi", ui, uopName(&ops[un.op]), uopName(&ops[un.pair]))
 			}
 			j += 2
 		default:
 			start := un.op
 			if un.pre >= 0 {
 				start = un.pre
-				if un.pre != un.op-1 || ops[un.pre].kind != uAddi {
+				if un.pre != un.op-1 || !isAddi(&ops[un.pre]) {
 					return fmt.Errorf("unit %d: pre %d is not the addi preceding op %d", ui, un.pre, un.op)
 				}
-				if !memFusable(ops[un.op].kind) && !addiMidable(ops[un.op].kind) {
-					return fmt.Errorf("unit %d: pre-addi fused into non-fusable %s", ui, kindName(ops[un.op].kind))
+				if !memFusable(ops[un.op].kind) && !addiMidable(&ops[un.op]) {
+					return fmt.Errorf("unit %d: pre-addi fused into non-fusable %s", ui, uopName(&ops[un.op]))
 				}
 			}
 			if start != j {
@@ -158,9 +158,9 @@ func checkSegPlan(ops []uop, seg *t3seg) error {
 			j = un.op + 1
 			if un.post >= 0 {
 				if !memFusable(ops[un.op].kind) {
-					return fmt.Errorf("unit %d: post-addi on non-memory %s", ui, kindName(ops[un.op].kind))
+					return fmt.Errorf("unit %d: post-addi on non-memory %s", ui, uopName(&ops[un.op]))
 				}
-				if un.post != un.op+1 || ops[un.post].kind != uAddi {
+				if un.post != un.op+1 || !isAddi(&ops[un.post]) {
 					return fmt.Errorf("unit %d: post %d is not the addi following op %d", ui, un.post, un.op)
 				}
 				j = un.post + 1

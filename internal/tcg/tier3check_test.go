@@ -160,9 +160,9 @@ func TestRefusedTraceStaysOnBlocks(t *testing.T) {
 func TestCheckSegPlanRejectsBadPlans(t *testing.T) {
 	ld := uop{kind: uLoad, rd: 3, rs1: 4, imm: 8, size: 8, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
 	ops := []uop{
-		alui(uAddi, 4, 4, 8),
+		alui(isa.OpADDI, 4, 4, 8),
 		ld,
-		alui(uAddi, 4, 4, 8),
+		alui(isa.OpADDI, 4, 4, 8),
 		{kind: uExit, npc: 0x100, exit: 0, exit2: -1},
 	}
 	segmentize(ops)

@@ -208,9 +208,9 @@ func (e *Engine) lowerTrace(head *block) (sb *superblock, ops, ref []uop) {
 			ref = append(ref, u)
 		}
 		if len(ops) > 0 && (u.kind == uGuard || u.kind == uBranchExit) &&
-			u.rs2 == 0 && (u.bop == isa.OpBEQ || u.bop == isa.OpBNE) {
+			u.rs2 == 0 && (u.op == isa.OpBEQ || u.op == isa.OpBNE) {
 			p := &ops[len(ops)-1]
-			if (p.kind == uSlt || p.kind == uSltu) && p.rd != 0 && p.rd == u.rs1 {
+			if p.kind == uPure && (p.op == isa.OpSLT || p.op == isa.OpSLTU) && p.rd != 0 && p.rd == u.rs1 {
 				fused := u
 				if u.kind == uGuard {
 					fused.kind = uFusedCmpGuard
@@ -220,7 +220,7 @@ func (e *Engine) lowerTrace(head *block) (sb *superblock, ops, ref []uop) {
 				fused.rd = p.rd
 				fused.rs1 = p.rs1
 				fused.rs2 = p.rs2
-				fused.cmpU = p.kind == uSltu
+				fused.cmpU = p.op == isa.OpSLTU
 				fused.selfCost += p.selfCost
 				fused.selfInsns += p.selfInsns
 				*p = fused
@@ -286,7 +286,7 @@ loop:
 		switch {
 		case ins.Op == isa.OpJAL:
 			target := pc + uint64(ins.Imm*4)
-			link := uop{kind: uLink, rd: ins.Rd, val: pc + 4, pc: pc,
+			link := uop{kind: uLink, op: ins.Op, rd: ins.Rd, val: pc + 4, pc: pc,
 				selfInsns: 1, selfCost: cost, exit: -1, exit2: -1}
 			if ins.Rd == 0 {
 				link.kind = uNop
@@ -308,7 +308,7 @@ loop:
 			break loop
 
 		case ins.Op == isa.OpJALR:
-			app(uop{kind: uJalrExit, rd: ins.Rd, rs1: ins.Rs1,
+			app(uop{kind: uJalrExit, op: ins.Op, rd: ins.Rd, rs1: ins.Rs1,
 				imm: ins.Imm, val: pc + 4, pc: pc, selfInsns: 1, selfCost: cost,
 				exit: -1, exit2: -1})
 			break loop
@@ -322,35 +322,35 @@ loop:
 					onPC, offPC = fallPC, takenPC
 				}
 				if onPC == sb.entry {
-					emit(uop{kind: uGuard, rs1: ins.Rs1, rs2: ins.Rs2, bop: ins.Op,
+					emit(uop{kind: uGuard, rs1: ins.Rs1, rs2: ins.Rs2, op: ins.Op,
 						expectTaken: followTaken, pc: pc, npc: offPC,
 						selfInsns: 1, selfCost: cost, exit: newExit(), exit2: -1})
 					app(uop{kind: uLoopBack, pc: pc, exit: -1, exit2: -1})
 					break loop
 				}
 				if nb, ok := canFollow(onPC, blocks); ok {
-					emit(uop{kind: uGuard, rs1: ins.Rs1, rs2: ins.Rs2, bop: ins.Op,
+					emit(uop{kind: uGuard, rs1: ins.Rs1, rs2: ins.Rs2, op: ins.Op,
 						expectTaken: followTaken, pc: pc, npc: offPC,
 						selfInsns: 1, selfCost: cost, exit: newExit(), exit2: -1})
 					b = nb
 					continue
 				}
 			}
-			emit(uop{kind: uBranchExit, rs1: ins.Rs1, rs2: ins.Rs2, bop: ins.Op,
+			emit(uop{kind: uBranchExit, rs1: ins.Rs1, rs2: ins.Rs2, op: ins.Op,
 				pc: pc, npc: takenPC, npc2: fallPC,
 				selfInsns: 1, selfCost: cost, exit: newExit(), exit2: newExit()})
 			break loop
 
 		case ins.Op == isa.OpSVC:
-			app(uop{kind: uSvcExit, pc: pc,
+			app(uop{kind: uSvcExit, op: ins.Op, pc: pc,
 				selfInsns: 1, selfCost: cost, exit: -1, exit2: -1})
 			break loop
 		case ins.Op == isa.OpHALT:
-			app(uop{kind: uHaltExit, pc: pc,
+			app(uop{kind: uHaltExit, op: ins.Op, pc: pc,
 				selfInsns: 1, selfCost: cost, exit: -1, exit2: -1})
 			break loop
 		default: // EBREAK and anything unexpected
-			app(uop{kind: uEbreakExit, pc: pc,
+			app(uop{kind: uEbreakExit, op: ins.Op, pc: pc,
 				selfInsns: 1, selfCost: cost, exit: -1, exit2: -1})
 			break loop
 		}

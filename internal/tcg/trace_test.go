@@ -101,19 +101,19 @@ func TestFaultSitesMatchWalk(t *testing.T) {
 		for i := range c.ops {
 			s, ok := c.sites[i]
 			switch c.ops[i].kind {
-			case uLoad, uStore, uFLoad, uFStore, uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
+			case uLoad, uStore, uFLoad, uFStore, uAtomic:
 				if !ok {
-					t.Fatalf("trace %#x: uop %d (%s) has no fault site", c.sb.entry, i, kindName(c.ops[i].kind))
+					t.Fatalf("trace %#x: uop %d (%s) has no fault site", c.sb.entry, i, uopName(&c.ops[i]))
 				}
 			default:
 				if ok {
-					t.Fatalf("trace %#x: uop %d (%s) has a fault site", c.sb.entry, i, kindName(c.ops[i].kind))
+					t.Fatalf("trace %#x: uop %d (%s) has a fault site", c.sb.entry, i, uopName(&c.ops[i]))
 				}
 				continue
 			}
 			if want := refundWalk(c.ops, i); s != want {
 				t.Fatalf("trace %#x: uop %d (%s): site %+v, the forward walk gives %+v",
-					c.sb.entry, i, kindName(c.ops[i].kind), s, want)
+					c.sb.entry, i, uopName(&c.ops[i]), s, want)
 			}
 			sites++
 		}

@@ -1,10 +1,13 @@
 // Micro-op lowering: the compile-time IR of a compiled trace (see trace.go).
-// A trace's guest instructions are pre-decoded into a flat uop array: loads
-// and stores carry a pre-resolved width and sign-extension shift,
-// long-immediate moves carry the materialized constant, compare+branch pairs
-// and ADDI chains are fused, and virtual-time costs are aggregated per
-// straight-line segment so the compiled trace charges the cost model once
-// per segment instead of once per instruction.
+// A trace's guest instructions are pre-decoded into a flat uop array. A uop
+// does not re-declare the ISA: its kind is its role (pure, memory access,
+// sanitizer probe, guard or exit, atomic, system) and its op is the guest op
+// it came from, so what a pure uop computes is read from the op, as the block
+// interpreter reads it. Loads and stores carry a pre-resolved width and
+// sign-extension shift, long-immediate moves carry the materialized constant,
+// compare+branch pairs and ADDI chains are fused, and virtual-time costs are
+// aggregated per straight-line segment so the compiled trace charges the cost
+// model once per segment instead of once per instruction.
 //
 // Nothing executes uops, and nothing keeps them. The array is translator
 // scratch: what -verify proves (symEquivSeq against the reference lowering,
@@ -27,37 +30,17 @@ import (
 
 type uopKind uint8
 
+// A uop's kind is its structural role in the trace: what the segmenter, the
+// planner, the closure compiler and the verifier must know about it beyond
+// the guest op it lowers. Which operation it is comes from uop.op, so a
+// straight-line GA64 op needs no kind of its own.
 const (
 	uNop uopKind = iota
 
-	// Integer register-register.
-	uAdd
-	uSub
-	uMul
-	uDiv
-	uDivU
-	uRem
-	uRemU
-	uAnd
-	uOr
-	uXor
-	uSll
-	uSrl
-	uSra
-	uSlt
-	uSltu
-
-	// Integer register-immediate.
-	uAddi
-	uAndi
-	uOri
-	uXori
-	uSlli
-	uSrli
-	uSrai
-	uSlti
-
-	uLi // rd = val (materialized MOVIW/MOVID constant)
+	// uPure is every op whose only effect is its destination register — the
+	// integer and FP ALU ops and the long-immediate moves (MOVIW, MOVID and
+	// FMOVD carry their literal in val). It cannot fault or leave the trace.
+	uPure
 
 	// Memory, with pre-resolved width (size) and sign shift (sh).
 	uLoad
@@ -85,13 +68,10 @@ const (
 	uLoopBack // back-edge to uop 0 (trace loops onto its own head)
 	uExit     // straight-line trace end
 
-	// Atomics and fences. Atomics end a cost segment because they can fault
-	// or, contended, end the quantum mid-trace.
-	uLL
-	uSC
-	uCAS
-	uAmoAdd
-	uAmoSwap
+	// Atomics (LL, SC, CAS, AMOADD, AMOSWAP; which one is op) end a cost
+	// segment because they can fault or, contended, end the quantum
+	// mid-trace.
+	uAtomic
 	uFence
 
 	// System.
@@ -99,54 +79,19 @@ const (
 	uHint
 	uHaltExit
 	uEbreakExit
-
-	// Floating point.
-	uFAdd
-	uFSub
-	uFMul
-	uFDiv
-	uFMin
-	uFMax
-	uFSqrt
-	uFNeg
-	uFAbs
-	uFExp
-	uFLn
-	uFMovImm
-	uFMv
-	uFMvXD
-	uFMvDX
-	uFCvtDL
-	uFCvtLD
-	uFEq
-	uFLt
-	uFLe
 )
 
 // kindNames maps uop kinds to the short names diagnostics print.
 var kindNames = [...]string{
-	uNop: "nop",
-	uAdd: "add", uSub: "sub", uMul: "mul", uDiv: "div", uDivU: "divu",
-	uRem: "rem", uRemU: "remu", uAnd: "and", uOr: "or", uXor: "xor",
-	uSll: "sll", uSrl: "srl", uSra: "sra", uSlt: "slt", uSltu: "sltu",
-	uAddi: "addi", uAndi: "andi", uOri: "ori", uXori: "xori",
-	uSlli: "slli", uSrli: "srli", uSrai: "srai", uSlti: "slti",
-	uLi:   "li",
+	uNop: "nop", uPure: "pure",
 	uLoad: "load", uStore: "store", uFLoad: "fload", uFStore: "fstore",
 	uSanRead: "sanread", uSanWrite: "sanwrite",
 	uGuard: "guard", uFusedCmpGuard: "cmpguard",
 	uBranchExit: "brexit", uFusedCmpExit: "cmpexit",
 	uLink: "link", uJalExit: "jalexit", uJalrExit: "jalrexit",
 	uLoopBack: "loopback", uExit: "exit",
-	uLL: "ll", uSC: "sc", uCAS: "cas", uAmoAdd: "amoadd", uAmoSwap: "amoswap",
-	uFence:   "fence",
+	uAtomic: "atomic", uFence: "fence",
 	uSvcExit: "svc", uHint: "hint", uHaltExit: "halt", uEbreakExit: "ebreak",
-	uFAdd: "fadd", uFSub: "fsub", uFMul: "fmul", uFDiv: "fdiv",
-	uFMin: "fmin", uFMax: "fmax", uFSqrt: "fsqrt", uFNeg: "fneg",
-	uFAbs: "fabs", uFExp: "fexp", uFLn: "fln", uFMovImm: "fmovi",
-	uFMv: "fmv", uFMvXD: "fmvxd", uFMvDX: "fmvdx",
-	uFCvtDL: "fcvtdl", uFCvtLD: "fcvtld",
-	uFEq: "feq", uFLt: "flt", uFLe: "fle",
 }
 
 func kindName(k uopKind) string {
@@ -154,6 +99,15 @@ func kindName(k uopKind) string {
 		return kindNames[k]
 	}
 	return "u" + strconv.Itoa(int(k))
+}
+
+// uopName is the name a diagnostic gives u: a pure or atomic uop by its op,
+// any other by its kind.
+func uopName(u *uop) string {
+	if u.kind == uPure || u.kind == uAtomic {
+		return u.op.String()
+	}
+	return kindName(u.kind)
 }
 
 // uop is one pre-decoded micro-operation of a superblock.
@@ -177,146 +131,78 @@ type uop struct {
 	rs2         uint8
 	size        uint8  // load/store width in bytes
 	sh          uint8  // load sign-extension shift (64 - 8*size); 0 = none
-	bop         isa.Op // which branch a guard or branch exit is, which atomic an atomic
+	op          isa.Op // the guest op: which a pure uop computes, which branch a guard tests, which atomic an atomic is
 	selfInsns   uint8  // guest instructions this uop retires (2+ when fused)
 	cmpU        bool   // fused compare is unsigned (sltu)
 	expectTaken bool   // guard: branch direction the trace follows
 }
 
-// lowering is one row of the op-to-uop table: everything about lowering a
-// straight-line guest instruction that is a lookup.
-type lowering struct {
-	kind  uopKind
-	size  uint8 // memory access width in bytes
-	sh    uint8 // load sign-extension shift
-	x0nop bool  // the only effect is an integer rd: a uNop when rd is x0
-}
-
-// lowerTab is indexed by isa.Op. Ops without a row — block terminators,
-// which buildTrace lowers because it knows whether the trace follows or exits
-// them, and invalid ops — read as the zero row, uNop, which only OpNOP means.
-var lowerTab = [256]lowering{
-	isa.OpADD:  {kind: uAdd, x0nop: true},
-	isa.OpSUB:  {kind: uSub, x0nop: true},
-	isa.OpMUL:  {kind: uMul, x0nop: true},
-	isa.OpDIV:  {kind: uDiv, x0nop: true},
-	isa.OpDIVU: {kind: uDivU, x0nop: true},
-	isa.OpREM:  {kind: uRem, x0nop: true},
-	isa.OpREMU: {kind: uRemU, x0nop: true},
-	isa.OpAND:  {kind: uAnd, x0nop: true},
-	isa.OpOR:   {kind: uOr, x0nop: true},
-	isa.OpXOR:  {kind: uXor, x0nop: true},
-	isa.OpSLL:  {kind: uSll, x0nop: true},
-	isa.OpSRL:  {kind: uSrl, x0nop: true},
-	isa.OpSRA:  {kind: uSra, x0nop: true},
-	isa.OpSLT:  {kind: uSlt, x0nop: true},
-	isa.OpSLTU: {kind: uSltu, x0nop: true},
-
-	isa.OpADDI: {kind: uAddi, x0nop: true},
-	isa.OpANDI: {kind: uAndi, x0nop: true},
-	isa.OpORI:  {kind: uOri, x0nop: true},
-	isa.OpXORI: {kind: uXori, x0nop: true},
-	isa.OpSLLI: {kind: uSlli, x0nop: true},
-	isa.OpSRLI: {kind: uSrli, x0nop: true},
-	isa.OpSRAI: {kind: uSrai, x0nop: true},
-	isa.OpSLTI: {kind: uSlti, x0nop: true},
-
-	isa.OpMOVIW: {kind: uLi, x0nop: true},
-	isa.OpMOVID: {kind: uLi, x0nop: true},
-
-	isa.OpLB:  {kind: uLoad, size: 1, sh: 56},
-	isa.OpLBU: {kind: uLoad, size: 1},
-	isa.OpLH:  {kind: uLoad, size: 2, sh: 48},
-	isa.OpLHU: {kind: uLoad, size: 2},
-	isa.OpLW:  {kind: uLoad, size: 4, sh: 32},
-	isa.OpLWU: {kind: uLoad, size: 4},
-	isa.OpLD:  {kind: uLoad, size: 8},
-	isa.OpSB:  {kind: uStore, size: 1},
-	isa.OpSH:  {kind: uStore, size: 2},
-	isa.OpSW:  {kind: uStore, size: 4},
-	isa.OpSD:  {kind: uStore, size: 8},
-	isa.OpFLD: {kind: uFLoad, size: 8},
-	isa.OpFSD: {kind: uFStore, size: 8},
-
-	isa.OpLL:      {kind: uLL},
-	isa.OpSC:      {kind: uSC},
-	isa.OpCAS:     {kind: uCAS},
-	isa.OpAMOADD:  {kind: uAmoAdd},
-	isa.OpAMOSWAP: {kind: uAmoSwap},
-	isa.OpFENCE:   {kind: uFence},
-
-	isa.OpHINT: {kind: uHint},
-	isa.OpNOP:  {kind: uNop},
-
-	isa.OpFADD:   {kind: uFAdd},
-	isa.OpFSUB:   {kind: uFSub},
-	isa.OpFMUL:   {kind: uFMul},
-	isa.OpFDIV:   {kind: uFDiv},
-	isa.OpFMIN:   {kind: uFMin},
-	isa.OpFMAX:   {kind: uFMax},
-	isa.OpFSQRT:  {kind: uFSqrt},
-	isa.OpFNEG:   {kind: uFNeg},
-	isa.OpFABS:   {kind: uFAbs},
-	isa.OpFEXP:   {kind: uFExp},
-	isa.OpFLN:    {kind: uFLn},
-	isa.OpFMOVD:  {kind: uFMovImm},
-	isa.OpFMV:    {kind: uFMv},
-	isa.OpFMVXD:  {kind: uFMvXD, x0nop: true},
-	isa.OpFMVDX:  {kind: uFMvDX},
-	isa.OpFCVTDL: {kind: uFCvtDL},
-	isa.OpFCVTLD: {kind: uFCvtLD, x0nop: true},
-	isa.OpFEQ:    {kind: uFEq, x0nop: true},
-	isa.OpFLT:    {kind: uFLt, x0nop: true},
-	isa.OpFLE:    {kind: uFLe, x0nop: true},
-}
+// isAddi reports whether u is a live ADDI: the uop the fold, the planner's
+// address-bump fusions and the checker look for.
+func isAddi(u *uop) bool { return u.kind == uPure && u.op == isa.OpADDI }
 
 // lowerInsn appends the uop(s) for one guest instruction to ops. Pure
-// straight-line instructions only. What the table cannot say is here: the
-// ADDI folds, the materialized constants, the sanitizer probes and which
-// atomic an atomic is.
+// straight-line instructions only. Everything it needs about the op comes
+// from the ISA: the memory width from loadSize/storeSize, the sign shift from
+// the op, and the x0-destination rule from the operand shape in isa.opInfo.
+// What is left is here: the ADDI folds, the literals, the sanitizer probes.
 func (e *Engine) lowerInsn(ops []uop, ins *isa.Instruction, pc uint64) []uop {
-	row := lowerTab[ins.Op]
-	u := uop{kind: row.kind, size: row.size, sh: row.sh,
-		pc: pc, selfInsns: 1, selfCost: int32(e.opCost[ins.Op]), exit: -1, exit2: -1,
+	op := ins.Op
+	u := uop{kind: uPure, op: op,
+		pc: pc, selfInsns: 1, selfCost: int32(e.opCost[op]), exit: -1, exit2: -1,
 		rd: ins.Rd, rs1: ins.Rs1, rs2: ins.Rs2, imm: ins.Imm}
-	if row.x0nop && ins.Rd == 0 {
-		// An integer result into x0 has no architectural effect; keep the
-		// cost charge but drop the work.
+	switch op {
+	case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLWU, isa.OpLD, isa.OpFLD:
+		u.kind, u.size = uLoad, loadSize(op)
+		switch op {
+		case isa.OpLB, isa.OpLH, isa.OpLW:
+			u.sh = 64 - 8*u.size
+		case isa.OpFLD:
+			u.kind = uFLoad
+		}
+		ops = e.lowerSan(ops, ins, pc, uSanRead, u.size)
+	case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD, isa.OpFSD:
+		u.kind, u.size = uStore, storeSize(op)
+		if op == isa.OpFSD {
+			u.kind = uFStore
+		}
+		ops = e.lowerSan(ops, ins, pc, uSanWrite, u.size)
+	case isa.OpLL, isa.OpSC, isa.OpCAS, isa.OpAMOADD, isa.OpAMOSWAP:
+		u.kind = uAtomic
+	case isa.OpFENCE:
+		u.kind = uFence
+	case isa.OpHINT:
+		u.kind = uHint
+	case isa.OpNOP:
 		u.kind = uNop
-		return append(ops, u)
-	}
-	switch row.kind {
-	case uAddi:
-		if len(ops) > 0 {
+	default:
+		switch {
+		case !op.Valid() || ins.IsBranch():
+			// A terminator never reaches lowerInsn, so this is not an
+			// instruction at all and ends the trace at runtime.
+			u.kind = uEbreakExit
+		case ins.Rd == 0 && op.Shape()[0] == 'd':
+			// An integer result into x0 has no architectural effect; keep the
+			// cost charge but drop the work.
+			u.kind = uNop
+		case op == isa.OpADDI && len(ops) > 0:
 			// Fold ADDI chains on the same register into one uop, and drop a
 			// move bounced straight back (addi rd,rs,0 ; addi rs,rd,0: rs
-			// holds the value already; a uAddi's rd is never x0). The
+			// holds the value already; a live ADDI's rd is never x0). The
 			// intermediate value is never observable: ADDI cannot fault, so
 			// any exit between the two additions is impossible.
 			p := &ops[len(ops)-1]
 			chain := ins.Rs1 == ins.Rd && p.rd == ins.Rd
 			bounce := ins.Imm == 0 && p.imm == 0 && ins.Rs1 == p.rd && ins.Rd == p.rs1
-			if p.kind == uAddi && (chain || bounce) && p.selfInsns < 255 {
+			if isAddi(p) && (chain || bounce) && p.selfInsns < 255 {
 				p.imm += ins.Imm
 				p.selfCost += u.selfCost
 				p.selfInsns++
 				e.Stats.FusedUops++
 				return ops
 			}
-		}
-	case uLi, uFMovImm:
-		u.val = uint64(ins.Imm)
-	case uLoad, uFLoad:
-		ops = e.lowerSan(ops, ins, pc, uSanRead, row.size)
-	case uStore, uFStore:
-		ops = e.lowerSan(ops, ins, pc, uSanWrite, row.size)
-	case uLL, uSC, uCAS, uAmoAdd, uAmoSwap:
-		u.bop = ins.Op
-	case uNop:
-		if ins.Op != isa.OpNOP {
-			// No row: a terminator never reaches lowerInsn, so this is not an
-			// instruction at all and ends the trace at runtime.
-			u.kind = uEbreakExit
+		case op == isa.OpMOVIW || op == isa.OpMOVID || op == isa.OpFMOVD:
+			u.val = uint64(ins.Imm)
 		}
 	}
 	return append(ops, u)
@@ -330,7 +216,7 @@ func (e *Engine) lowerSan(ops []uop, ins *isa.Instruction, pc uint64, kind uopKi
 	if e.San == nil {
 		return ops
 	}
-	return append(ops, uop{kind: kind, pc: pc, rs1: ins.Rs1, imm: ins.Imm, size: size, exit: -1, exit2: -1})
+	return append(ops, uop{kind: kind, op: ins.Op, pc: pc, rs1: ins.Rs1, imm: ins.Imm, size: size, exit: -1, exit2: -1})
 }
 
 // segBoundary reports whether k ends a cost segment: every uop that can
@@ -339,8 +225,7 @@ func (e *Engine) lowerSan(ops []uop, ins *isa.Instruction, pc uint64, kind uopKi
 func segBoundary(k uopKind) bool {
 	switch k {
 	case uGuard, uFusedCmpGuard, uBranchExit, uFusedCmpExit, uJalExit,
-		uJalrExit, uLoopBack, uExit, uLL, uSC, uCAS, uAmoAdd, uAmoSwap,
-		uSvcExit, uHint, uHaltExit, uEbreakExit:
+		uJalrExit, uLoopBack, uExit, uAtomic, uSvcExit, uHint, uHaltExit, uEbreakExit:
 		return true
 	}
 	return false
