@@ -29,6 +29,7 @@ import (
 
 	"dqemu"
 	"dqemu/internal/live"
+	"dqemu/internal/proto"
 	"dqemu/internal/trace"
 )
 
@@ -175,7 +176,9 @@ func writeOut(path string, stderr io.Writer, write func(io.Writer) error) error 
 }
 
 // printStats writes the run summary. A live run's clock is "wall", and its
-// frames cross real sockets, not the modelled network.
+// frames cross real sockets, not the modelled network. A simulated run's
+// network line is followed by its message mix: messages and wire bytes per
+// kind, for every kind that was sent.
 func printStats(w io.Writer, res *dqemu.Result, clock string) {
 	fmt.Fprintf(w, "\n--- run statistics ---\n")
 	fmt.Fprintf(w, "exit code:      %d\n", res.ExitCode)
@@ -185,6 +188,11 @@ func printStats(w io.Writer, res *dqemu.Result, clock string) {
 		res.Dir.Reads, res.Dir.Writes, res.Dir.Fetches, res.Dir.Invalidates, res.Dir.Pushes, res.Dir.Splits)
 	if clock == "virtual" {
 		fmt.Fprintf(w, "network:        %d msgs, %d bytes\n", res.Net.Msgs, res.Net.Bytes)
+		for k, n := range res.Net.ByKind {
+			if n != 0 {
+				fmt.Fprintf(w, "  %-13s %d msgs, %d bytes\n", proto.Kind(k), n, res.Net.BytesByKind[k])
+			}
+		}
 	}
 	fmt.Fprintf(w, "syscalls:       %d delegated\n", res.OS.Global)
 	var vSB, vDemote, vT3, vT3Fail uint64

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -50,6 +51,44 @@ func TestSimulatedRunPassesExitCode(t *testing.T) {
 	code, out, errOut := runCmd("-slaves", "1", prog)
 	if code != 3 || out != "bye\n" {
 		t.Errorf("exit %d stdout %q stderr %q", code, out, errOut)
+	}
+}
+
+// TestStatsMessageMix: -stats on the simulator follows the network line with
+// one line per message kind sent, and the lines add up to that total.
+func TestStatsMessageMix(t *testing.T) {
+	prog := writeProg(t, sumSrc)
+	code, _, errOut := runCmd("-slaves", "2", "-stats", prog)
+	if code != 7 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	var totalMsgs, totalBytes, msgs, nbytes int
+	kinds := map[string]bool{}
+	for _, line := range strings.Split(errOut, "\n") {
+		var kind string
+		var n, b int
+		switch {
+		case strings.HasPrefix(line, "network:"):
+			if _, err := fmt.Sscanf(line, "network: %d msgs, %d bytes", &totalMsgs, &totalBytes); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+		case strings.HasPrefix(line, "  "):
+			if _, err := fmt.Sscanf(line, "%s %d msgs, %d bytes", &kind, &n, &b); err != nil || n == 0 {
+				t.Fatalf("kind line %q: %v", line, err)
+			}
+			kinds[kind] = true
+			msgs += n
+			nbytes += b
+		}
+	}
+	if totalMsgs == 0 || msgs != totalMsgs || nbytes != totalBytes {
+		t.Errorf("kind lines add up to %d msgs, %d bytes; network line says %d, %d:\n%s",
+			msgs, nbytes, totalMsgs, totalBytes, errOut)
+	}
+	for _, k := range []string{"page-req", "page-content", "thread-start", "shutdown"} {
+		if !kinds[k] {
+			t.Errorf("no %s line:\n%s", k, errOut)
+		}
 	}
 }
 
@@ -109,6 +148,9 @@ func TestListenConnectMatchesSimulation(t *testing.T) {
 	}
 	if !strings.Contains(masterErr.String(), "s (wall)") {
 		t.Errorf("-stats of a live run does not report wall time:\n%s", masterErr.String())
+	}
+	if strings.Contains(masterErr.String(), " msgs, ") {
+		t.Errorf("-stats of a live run reports modelled network traffic:\n%s", masterErr.String())
 	}
 }
 

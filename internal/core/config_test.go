@@ -125,6 +125,8 @@ func TestConfigCheck(t *testing.T) {
 		{"huge page size", func(c *Config) { c.PageSize = 128 << 10 }, "page size 131072"},
 		{"forward trigger 65", func(c *Config) { c.ForwardTrigger = 65 }, "forward_trigger 65 outside [0, 64]"},
 		{"negative split factor", func(c *Config) { c.SplitFactor = -1 }, "split_factor -1 outside [0, 64]"},
+		{"257 cores", func(c *Config) { c.Cores = 257 }, "257 cores outside [0, 256]"},
+		{"negative cores", func(c *Config) { c.Cores = -1 }, "-1 cores outside [0, 256]"},
 	} {
 		cfg := DefaultConfig()
 		tc.mutate(&cfg)
@@ -149,19 +151,38 @@ func TestConfigCheck(t *testing.T) {
 			t.Errorf("%d slaves refused: %v", slaves, err)
 		}
 	}
+	for _, cores := range []int{0, 256} {
+		cfg := DefaultConfig()
+		cfg.Cores = cores
+		if err := cfg.Check(); err != nil {
+			t.Errorf("%d cores refused: %v", cores, err)
+		}
+	}
 }
 
 // TestInitFrameHugePageSizeRefused: a KInit frame naming a 2^40-byte page
 // decodes, but the slave's NewLocal refuses it instead of asking the memory
 // layer for a 1 TiB page.
 func TestInitFrameHugePageSizeRefused(t *testing.T) {
+	initRefused(t, Config{Slaves: 1, PageSize: 1 << 40}, "page size 1099511627776")
+}
+
+// TestInitFrameTooManyCoresRefused: the same for a frame naming 257 cores
+// per node, one past what Check allows.
+func TestInitFrameTooManyCoresRefused(t *testing.T) {
+	initRefused(t, Config{Slaves: 1, Cores: 257}, "257 cores outside [0, 256]")
+}
+
+// initRefused checks that the KInit frame for cfg decodes and that the
+// slave's NewLocal then refuses it with an error containing wantSub.
+func initRefused(t *testing.T, cfg Config, wantSub string) {
+	t.Helper()
 	im := build(t, `long main() { return 0; }`)
-	cfg := Config{Slaves: 1, PageSize: 1 << 40}
 	got, id, err := ConfigFromInit(InitFrame(cfg, 1, nil))
 	if err != nil {
 		t.Fatalf("ConfigFromInit: %v", err)
 	}
-	if _, err := NewLocal(im, got, id, nil); err == nil || !strings.Contains(err.Error(), "page size 1099511627776") {
-		t.Fatalf("NewLocal error %v, want the page size refused", err)
+	if _, err := NewLocal(im, got, id, nil); err == nil || !strings.Contains(err.Error(), wantSub) {
+		t.Fatalf("NewLocal error %v, want one containing %q", err, wantSub)
 	}
 }

@@ -126,21 +126,6 @@ func (m *master) handle(msg *proto.Msg) {
 		if err := m.dir.OnFetchReply(int(msg.From), msg.Page, data, msg.Write); err != nil {
 			m.cl.fail(err)
 		}
-	case proto.KInvAckBatch:
-		acks, err := proto.DecodeAckBatch(msg.Data)
-		if err != nil {
-			m.cl.fail(err)
-			return
-		}
-		for _, a := range acks {
-			if m.node.san != nil {
-				m.node.san.MergePage(a.Page, a.San)
-			}
-			if err := m.dir.OnInvAck(int(msg.From), a.Page); err != nil {
-				m.cl.fail(err)
-				return
-			}
-		}
 	case proto.KInvAck:
 		if m.node.san != nil {
 			m.node.san.MergePage(msg.Page, msg.AuxPart().San)

@@ -492,8 +492,6 @@ func (n *node) handle(m *proto.Msg) {
 		n.onPageContent(m)
 	case proto.KInvalidate:
 		n.onInvalidate(m)
-	case proto.KInvBatch:
-		n.onInvBatch(m)
 	case proto.KFetch:
 		n.onFetch(m)
 	case proto.KRetry:

@@ -146,8 +146,8 @@ func (p *clusterProf) requestDropped(node int, page uint64) {
 	delete(p.pendApply, key)
 }
 
-// invalidated marks one invalidation sent for page (unicast or as part of a
-// coalesced batch — SendInvalidate is the single entry point for both).
+// invalidated marks one invalidation issued for page, sent at once or held
+// for coalesceWindowNs (SendInvalidate is the single entry point for both).
 func (p *clusterProf) invalidated(page uint64) {
 	if p == nil {
 		return

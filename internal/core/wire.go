@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the wire-efficiency layer of the DSM protocol (delta page
-// transfers, invalidation multicast coalescing, ack aggregation and push
-// piggybacking). It lives entirely between the directory's Env calls and the
-// Runtime's Send: dsm stays pure protocol logic, and the layer works the same
-// over the simulated network and over internal/live's TCP frames.
+// transfers, the per-sharer invalidation hold and push piggybacking). It
+// lives entirely between the directory's Env calls and the Runtime's Send:
+// dsm stays pure protocol logic, and the layer works the same over the
+// simulated network and over internal/live's TCP frames.
 //
 // Versioning (TreadMarks-style twins): the master assigns every page a
 // monotonically increasing version. homeVer names the content of the home
@@ -53,7 +53,10 @@ type WireStats struct {
 	Resends        uint64 // receiver-side twin mismatches (full re-grant)
 	PushDrops      uint64 // forwarded diffs dropped for a stale twin
 
-	PiggyPushes   uint64 // pushes that rode a grant message
+	PiggyPushes uint64 // pushes that rode a grant message
+	// InvBatches and InvBatchPages counted invalidation batches and their
+	// pages, which are gone: they read 0 and stay declared only because the
+	// frozen bench/ reads them (ROADMAP 1(c) drops them at the unfreeze).
 	InvBatches    uint64
 	InvBatchPages uint64
 
@@ -84,9 +87,12 @@ type wireSnap struct {
 const wireSnapKeep = 4
 
 // coalesceWindowNs is how long the master holds invalidations for one sharer
-// before flushing them as a single KInvBatch, letting invalidations from
-// back-to-back coherence events share a message: small next to the ~410 µs
-// remote fault, large enough to capture barrier-release storms.
+// before flushing them, in queue order, as plain KInvalidates: small next to
+// the ~410 µs remote fault, large enough to span a barrier-release storm.
+// Nothing merges; the hold stays because it is measured. Sending each
+// invalidation at once made dedup-2s take 1.704 s of virtual time instead of
+// 1.448 s, with 66.6M guest instructions instead of 49.1M (the revoked
+// sharers spin on their locks sooner and longer).
 const coalesceWindowNs = 12_000
 
 // targetBuf is what one node is owed when the current handle ends: its demand
@@ -96,14 +102,9 @@ type targetBuf struct {
 	grants, pushes []proto.PagePayload
 }
 
-type invBuf struct {
-	pages  []uint64
-	remaps []proto.RemapEntry
-}
-
 // masterWire is the master-side half of the layer: version bookkeeping,
 // per-target grant/push buffering within one message handle, and the
-// windowed invalidation batches.
+// invalidations held for coalesceWindowNs.
 type masterWire struct {
 	m        *master
 	delta    bool
@@ -120,9 +121,9 @@ type masterWire struct {
 	// never pushes, which a node may ignore).
 	remote map[nodePage]uint64
 
-	out     []targetBuf // by node id
-	order   []int32     // targets with something in out, in first-touch order
-	pendInv map[int32]*invBuf
+	out     []targetBuf        // by node id
+	order   []int32            // targets with something in out, in first-touch order
+	pendInv map[int32][]uint64 // held invalidations, by target
 	// arena holds, back to back, the bodies of every payload queued in out:
 	// each Body is a view of it (a view of an array the arena outgrew keeps
 	// that array) until proto.EncodePayloads copies it into the container
@@ -147,7 +148,7 @@ func newMasterWire(m *master) *masterWire {
 		snaps:    map[uint64][]wireSnap{},
 		remote:   map[nodePage]uint64{},
 		out:      make([]targetBuf, cfg.Nodes()),
-		pendInv:  map[int32]*invBuf{},
+		pendInv:  map[int32][]uint64{},
 		scratch:  make([]byte, cfg.PageSize),
 		stats:    &m.cl.wireStats,
 	}
@@ -439,58 +440,40 @@ func (w *masterWire) flushAll() {
 	w.order, w.arena = w.order[:0], w.arena[:0]
 }
 
-// ---- invalidation coalescing ----
+// ---- invalidation hold ----
 
-// queueInvalidate holds an invalidation for its target's current batch,
-// arming the flush timer on the batch's first page.
+// queueInvalidate holds an invalidation for its target, arming the flush
+// timer on the first one held.
 func (w *masterWire) queueInvalidate(to int32, page uint64) {
-	b := w.pendInv[to]
-	if b == nil {
-		b = &invBuf{}
-		w.pendInv[to] = b
+	if w.pendInv[to] == nil {
 		w.m.cl.rt.After(coalesceWindowNs, func() { w.flushInv(to) })
 	}
-	b.pages = append(b.pages, page)
+	w.pendInv[to] = append(w.pendInv[to], page)
 }
 
-// flushInv emits the target's KInvBatch, split across messages when it
-// outgrows the wire format's count field. A batch holding a single page and
-// no remap regresses to the legacy unicast so coalescing never costs bytes
-// when there is nothing to merge.
+// flushInv sends the target's held invalidations as plain KInvalidates, in
+// the order they were queued.
 func (w *masterWire) flushInv(to int32) {
-	b := w.pendInv[to]
-	if b == nil {
+	pages := w.pendInv[to]
+	if pages == nil {
 		return
 	}
 	delete(w.pendInv, to)
 	if w.m.cl.done {
 		return
 	}
-	if len(b.pages) == 1 && len(b.remaps) == 0 {
-		w.m.cl.rt.Send(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: to, Page: b.pages[0]})
-		return
-	}
-	pages, remaps := b.pages, b.remaps
-	for len(pages) > 0 || len(remaps) > 0 {
-		np := min(len(pages), proto.MaxBatchEntries)
-		nr := min(len(remaps), proto.MaxBatchEntries)
-		w.stats.InvBatches++
-		w.stats.InvBatchPages += uint64(np)
-		w.m.cl.rt.Send(&proto.Msg{
-			Kind: proto.KInvBatch, From: 0, To: to,
-			Data: proto.EncodeInvBatch(pages[:np], remaps[:nr]),
-		})
-		pages, remaps = pages[np:], remaps[nr:]
+	for _, page := range pages {
+		w.m.cl.rt.Send(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: to, Page: page})
 	}
 }
 
 // ---- split / remap interplay ----
 
-// broadcastRemap distributes a page split. A target with a pending
-// invalidation batch gets the remap folded into it (flushed immediately —
-// the directory sends retries right after, and the remap must win the
-// race); everyone else gets a legacy KRemap stamped with the split-time
-// home version so matching twins can be split in place.
+// broadcastRemap distributes a page split: every other node gets a KRemap
+// stamped with the split-time home version, so matching twins can be split
+// in place. A target's held invalidations and buffered grants go first —
+// the directory sends retries right after, and the remap must win the race
+// — which is the order the NoCoalesce path sends them in.
 func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 	var ver uint64
 	if w.delta {
@@ -498,11 +481,7 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 	}
 	for id := 1; id < w.m.cl.cfg.Nodes(); id++ {
 		to := int32(id)
-		if b := w.pendInv[to]; b != nil {
-			b.remaps = append(b.remaps, proto.RemapEntry{Orig: orig, Ver: ver, Shadows: shadows})
-			w.flushInv(to)
-			continue
-		}
+		w.flushInv(to)
 		w.flushTarget(to)
 		w.m.cl.rt.Send(&proto.Msg{
 			Kind: proto.KRemap, From: 0, To: to,
@@ -806,26 +785,5 @@ func (n *node) onFetch(m *proto.Msg) {
 		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
 		Page: m.Page, Write: m.Write,
 		Data: proto.EncodePayloads([]proto.PagePayload{pl}),
-	})
-}
-
-// onInvBatch handles a coalesced invalidation: all pages drop, remaps (page
-// splits that rode along) apply, and one aggregated ack answers everything.
-func (n *node) onInvBatch(m *proto.Msg) {
-	pages, remaps, err := proto.DecodeInvBatch(m.Data)
-	if err != nil {
-		n.cl.fail(fmt.Errorf("node %d: inv batch: %w", n.id, err))
-		return
-	}
-	acks := make([]proto.AckEntry, 0, len(pages))
-	for _, page := range pages {
-		acks = append(acks, proto.AckEntry{Page: page, San: n.revoke(page, true)})
-	}
-	for _, re := range remaps {
-		n.applyRemap(re.Orig, re.Shadows, re.Ver)
-	}
-	n.cl.rt.Send(&proto.Msg{
-		Kind: proto.KInvAckBatch, From: int32(n.id), To: 0,
-		Data: proto.EncodeAckBatch(acks),
 	})
 }

@@ -93,7 +93,7 @@ func TestWireAblationEquivalence(t *testing.T) {
 		case "off":
 			// Every page travels whole and alone.
 			w := res.Wire
-			if w.SamePages+w.DeltaPages+w.RLEPages+w.PiggyPushes+w.InvBatches != 0 ||
+			if w.SamePages+w.DeltaPages+w.RLEPages+w.PiggyPushes != 0 ||
 				w.FullPages == 0 || w.BodyBytes != w.RawBytes {
 				t.Errorf("off: want only whole pages, body bytes = raw bytes: %+v", w)
 			}
@@ -402,10 +402,65 @@ func TestWireUnderFaults(t *testing.T) {
 	}
 }
 
-// TestWireCoalescingBatches checks invalidation batching actually happens on
-// a workload with multi-page write bursts invalidating multiple sharers.
-func TestWireCoalescingBatches(t *testing.T) {
-	const src = `
+// invHoldRuntime records every message sent and, for each one sent from a
+// timer armed for coalesceWindowNs, when that timer was armed, which
+// invalidations the master held then, and which it held just before the
+// timer fired.
+type invHoldRuntime struct {
+	Runtime
+	w    *masterWire
+	sent []heldSend
+	cur  *invFlush // the window timer running now, if any
+}
+
+type heldSend struct {
+	m     *proto.Msg
+	at    int64
+	flush *invFlush
+}
+
+type invFlush struct {
+	armedAt         int64
+	heldAtArm, held map[int32][]uint64
+}
+
+func copyHeld(h map[int32][]uint64) map[int32][]uint64 {
+	c := map[int32][]uint64{}
+	for to, pages := range h {
+		c[to] = append([]uint64(nil), pages...)
+	}
+	return c
+}
+
+func (r *invHoldRuntime) After(ns int64, fn func()) {
+	if ns != coalesceWindowNs {
+		r.Runtime.After(ns, fn)
+		return
+	}
+	f := &invFlush{armedAt: r.Now(), heldAtArm: copyHeld(r.w.pendInv)}
+	r.Runtime.After(ns, func() {
+		f.held = copyHeld(r.w.pendInv)
+		r.cur = f
+		fn()
+		r.cur = nil
+	})
+}
+
+func (r *invHoldRuntime) Send(m *proto.Msg) {
+	r.sent = append(r.sent, heldSend{m: m, at: r.Now(), flush: r.cur})
+	r.Runtime.Send(m)
+}
+
+// TestWireInvalidationHold pins what the coalescing window does: the guest
+// has 4 readers share 8 pages that one of them then writes, so the master
+// revokes several pages from each sharer at once. Under the default knobs
+// every invalidation is held, and a sharer's held invalidations all go out
+// as plain KInvalidates, in queue order, in one flush coalesceWindowNs after
+// the first was queued. Under NoCoalesce each goes out the moment it is
+// issued. Either way every KInvalidate is answered by one KInvAck, and the
+// guest cannot tell the two apart.
+func TestWireInvalidationHold(t *testing.T) {
+	im := build(t, `
 long a[4096];
 long bar[3];
 long worker(long idx) {
@@ -426,22 +481,149 @@ long main() {
 	print_long(a[100] + a[4000]);
 	print_char('\n');
 	return 0;
-}`
-	cfg := DefaultConfig()
-	cfg.Slaves = 4
-	res := buildRun(t, src, cfg)
-	if res.ExitCode != 0 {
-		t.Fatalf("exit %d console %q", res.ExitCode, res.Console)
+}`)
+	run := func(noCoalesce bool) (*Result, *invHoldRuntime) {
+		cfg := DefaultConfig()
+		cfg.Slaves = 4
+		cfg.NoCoalesce = noCoalesce
+		c, err := NewCluster(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &invHoldRuntime{Runtime: c.rt, w: c.master.wire}
+		c.rt = rec
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ExitCode != 0 {
+			t.Fatalf("NoCoalesce=%v: exit %d, console %q", noCoalesce, res.ExitCode, res.Console)
+		}
+		if len(c.master.wire.pendInv) != 0 {
+			t.Errorf("NoCoalesce=%v: invalidations still held at the end: %v", noCoalesce, c.master.wire.pendInv)
+		}
+		return res, rec
 	}
-	if res.Wire.InvBatches == 0 {
-		t.Errorf("no invalidation batches on a multi-page write burst: %+v", res.Wire)
+	// answered checks that every KInvalidate got exactly one KInvAck.
+	answered := func(name string, rec *invHoldRuntime) {
+		owed := map[nodePage]int{}
+		invs := 0
+		for _, s := range rec.sent {
+			switch s.m.Kind {
+			case proto.KInvalidate:
+				owed[nodePage{s.m.To, s.m.Page}]++
+				invs++
+			case proto.KInvAck:
+				owed[nodePage{s.m.From, s.m.Page}]--
+			}
+		}
+		for np, n := range owed {
+			if n != 0 {
+				t.Errorf("%s: node %d page %#x: %d more invalidations than acks", name, np.node, np.page, n)
+			}
+		}
+		if invs == 0 {
+			t.Fatalf("%s: no invalidation sent; the guest does not exercise the hold", name)
+		}
 	}
-	if res.Wire.InvBatchPages <= res.Wire.InvBatches {
-		t.Errorf("batches did not merge pages: %d batches, %d pages",
-			res.Wire.InvBatches, res.Wire.InvBatchPages)
+
+	held, rec := run(false)
+	answered("held", rec)
+	flushes := map[*invFlush][]*proto.Msg{}
+	for _, s := range rec.sent {
+		if s.m.Kind != proto.KInvalidate {
+			continue
+		}
+		f := s.flush
+		if f == nil {
+			t.Fatalf("KInvalidate to node %d page %#x went out without the hold", s.m.To, s.m.Page)
+		}
+		if s.at != f.armedAt+coalesceWindowNs {
+			t.Fatalf("KInvalidate to node %d sent at %d, window armed at %d", s.m.To, s.at, f.armedAt)
+		}
+		flushes[f] = append(flushes[f], s.m)
 	}
-	if res.Net.ByKind[0] != 0 {
-		t.Errorf("invalid-kind messages on the wire")
+	merged := 0
+	for f, ms := range flushes {
+		to := ms[0].To
+		if len(f.heldAtArm[to]) != 0 {
+			t.Errorf("node %d: window armed while %d invalidations were already held", to, len(f.heldAtArm[to]))
+		}
+		if len(ms) != len(f.held[to]) {
+			t.Errorf("node %d: %d invalidations held, %d sent in the flush", to, len(f.held[to]), len(ms))
+			continue
+		}
+		for i, m := range ms {
+			if m.To != to || m.Page != f.held[to][i] {
+				t.Errorf("node %d flush, message %d: node %d page %#x, want page %#x held",
+					to, i, m.To, m.Page, f.held[to][i])
+			}
+		}
+		if len(ms) > 1 {
+			merged++
+		}
+	}
+	if merged == 0 {
+		t.Error("no flush carried more than one invalidation; the hold is not exercised")
+	}
+
+	at, rec := run(true)
+	answered("NoCoalesce", rec)
+	for _, s := range rec.sent {
+		if s.flush != nil {
+			t.Fatalf("NoCoalesce: %v to node %d sent from the window timer", s.m.Kind, s.m.To)
+		}
+	}
+	if at.Console != held.Console {
+		t.Errorf("NoCoalesce console %q, held %q", at.Console, held.Console)
+	}
+}
+
+// TestWireRemapOrder pins what a target is sent when a page splits while it
+// has invalidations held and a grant buffered: the held invalidations in
+// queue order, then the grant, then the KRemap — the order the NoCoalesce
+// path sends them in as they are issued. No checked-in guest reaches this
+// case, so the master's wire is driven directly.
+func TestWireRemapOrder(t *testing.T) {
+	im := build(t, "long main() { return 0; }")
+	ps := uint64(DefaultConfig().PageSize)
+	type frame struct {
+		kind proto.Kind
+		to   int32
+		page uint64
+	}
+	sent := func(noCoalesce bool) []frame {
+		cfg := DefaultConfig()
+		cfg.Slaves = 2
+		cfg.NoCoalesce = noCoalesce
+		c, err := NewCluster(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingRuntime{Runtime: c.rt}
+		c.rt = rec
+		m := c.master
+		m.SendInvalidate(1, 0x40*ps)
+		m.SendInvalidate(1, 0x41*ps)
+		m.wire.queueGrant(1, 0x42*ps, mem.PermRead)
+		m.wire.broadcastRemap(0x43*ps, []uint64{0x50 * ps, 0x51 * ps})
+		var fs []frame
+		for _, s := range rec.sent {
+			fs = append(fs, frame{s.m.Kind, s.m.To, s.m.Page})
+		}
+		return fs
+	}
+	want := []frame{
+		{proto.KInvalidate, 1, 0x40 * ps},
+		{proto.KInvalidate, 1, 0x41 * ps},
+		{proto.KPageContent, 1, 0x42 * ps},
+		{proto.KRemap, 1, 0x43 * ps},
+		{proto.KRemap, 2, 0x43 * ps},
+	}
+	for _, noCoalesce := range []bool{false, true} {
+		if got := sent(noCoalesce); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("NoCoalesce=%v: sent %v, want %v", noCoalesce, got, want)
+		}
 	}
 }
 
@@ -465,8 +647,8 @@ func runWrapped(t *testing.T, im *image.Image, noDelta, noCoalesce bool, wrap fu
 
 // TestWireOffArmFraming pins what the fully ablated layer puts on the wire:
 // every frame that carries a page holds one container of one whole page
-// (EncFull) at version 0; there are no batches and no versions, and a
-// KPageContent without data is a reaffirmation. The guest false-shares arr
+// (EncFull) at version 0; there are no versions, and a KPageContent without
+// data is a reaffirmation. The guest false-shares arr
 // (page splits, so remaps) and then has every worker read big in order
 // (forwarded pushes).
 func TestWireOffArmFraming(t *testing.T) {
@@ -510,8 +692,6 @@ long main() {
 		m := s.m
 		seen[m.Kind]++
 		switch {
-		case m.Kind == proto.KInvBatch || m.Kind == proto.KInvAckBatch:
-			t.Fatalf("%v from node %d: a batch", m.Kind, m.From)
 		case m.Flags != 0:
 			t.Fatalf("%v for page %#x: flags %#b", m.Kind, m.Page, m.Flags)
 		}

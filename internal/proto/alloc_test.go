@@ -86,16 +86,9 @@ var testPayloads = []PagePayload{
 	{Page: 0x42, Ver: 1, Enc: EncFull, Body: bytes.Repeat([]byte{0xaa}, 4096)},
 }
 
-var (
-	testInvPages = []uint64{0x40, 0x41, 0x42, 0x43, 0x44}
-	testRemaps   = []RemapEntry{{Orig: 0x99, Ver: 4, Shadows: []uint64{0x100, 0x101, 0x102, 0x103}}, {Orig: 0x9a}}
-	testAcks     = []AckEntry{{Page: 0x40, San: []byte{1, 2, 3}}, {Page: 0x41}, {Page: 0x42, San: bytes.Repeat([]byte{7}, 40)}}
-)
-
-// TestEncodeAllocs: a frame, a container and a batch body are each made once,
-// at exactly their size. (Encode's old capacity hint fell 8 bytes short of
-// the fixed header, so every frame was allocated twice; the batch encoders
-// grew from nil by doubling.)
+// TestEncodeAllocs: a frame and a container are each made once, at exactly
+// their size. (Encode's old capacity hint fell 8 bytes short of the fixed
+// header, so every frame was allocated twice.)
 func TestEncodeAllocs(t *testing.T) {
 	for _, tc := range allocMsgs {
 		frame := tc.m.Encode()
@@ -116,30 +109,15 @@ func TestEncodeAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { sinkBytes = EncodePayloads(testPayloads) }); got != 1 {
 		t.Errorf("EncodePayloads allocates %v times, want 1", got)
 	}
-	for name, enc := range map[string]func() []byte{
-		"EncodeInvBatch": func() []byte { return EncodeInvBatch(testInvPages, testRemaps) },
-		"EncodeAckBatch": func() []byte { return EncodeAckBatch(testAcks) },
-	} {
-		if b := enc(); cap(b) != len(b) {
-			t.Errorf("%s: body of %d bytes in a buffer of %d", name, len(b), cap(b))
-		}
-		if got := testing.AllocsPerRun(20, func() { sinkBytes = enc() }); got != 1 {
-			t.Errorf("%s allocates %v times, want 1", name, got)
-		}
-	}
 }
 
 // TestDecodeTruncatedAllocatesNothingLarge: a frame cut anywhere decodes to
 // an error without allocating what its length fields announce — a 4-byte
 // length used to be answered with a zeroed buffer of that many bytes, up to
-// 16 MB from a peer that sent a dozen; a 2-byte ack batch with 128 KB of
-// entries, and an invalidation batch with 4,096 zero pages.
+// 16 MB from a peer that sent a dozen.
 func TestDecodeTruncatedAllocatesNothingLarge(t *testing.T) {
 	frame := allocMsgs[1].m.Encode()[4:]
 	container := EncodePayloads(testPayloads)
-	inv := EncodeInvBatch(testInvPages, testRemaps)
-	ack := EncodeAckBatch(testAcks)
-	maxCount := []byte{0x00, 0x10} // MaxBatchEntries entries, and nothing behind the count
 	// A well-formed prefix ends in a length field announcing the most a
 	// decoder accepts.
 	hostile := append(append([]byte(nil), frame[:frameFixed-4-12]...), 0xff, 0xff, 0xff, 0x00)
@@ -175,46 +153,15 @@ func TestDecodeTruncatedAllocatesNothingLarge(t *testing.T) {
 			t.Fatalf("container cut at %d accepted", cut)
 		}
 	}
-	decodeInv := func(b []byte) error { _, _, err := DecodeInvBatch(b); return err }
-	decodeAck := func(b []byte) error { _, err := DecodeAckBatch(b); return err }
-	batchAll := func() {
-		for cut := 0; cut < len(inv); cut++ {
-			sink = decodeInv(inv[:cut])
-		}
-		for cut := 0; cut < len(ack); cut++ {
-			sink = decodeAck(ack[:cut])
-		}
-		sink = decodeInv(maxCount)
-		sink = decodeInv(append([]byte{0, 0}, maxCount...)) // no pages, MaxBatchEntries remaps
-		sink = decodeAck(maxCount)
-	}
-	for cut := 0; cut < len(inv); cut++ {
-		if decodeInv(inv[:cut]) == nil {
-			t.Fatalf("inv batch cut at %d accepted", cut)
-		}
-	}
-	for cut := 0; cut < len(ack); cut++ {
-		if decodeAck(ack[:cut]) == nil {
-			t.Fatalf("ack batch cut at %d accepted", cut)
-		}
-	}
-	if decodeInv(maxCount) == nil || decodeAck(maxCount) == nil {
-		t.Fatal("a batch of MaxBatchEntries entries and no bytes accepted")
-	}
 	if _, err := Decode(hostile); err == nil {
 		t.Fatal("hostile frame accepted")
 	}
-	for name, f := range map[string]func(){"Decode": decodeAll, "ReadPayloads": readAll, "batches": batchAll} {
+	for name, f := range map[string]func(){"Decode": decodeAll, "ReadPayloads": readAll} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
 		prefixes := len(frame) + len(container)
-		if name == "batches" {
-			// Few prefixes, so one announced-size allocation would show: the
-			// three hostile counts alone used to cost 790 KB.
-			prefixes = len(inv) + len(ack) + 3
-		}
 		// Each rejected prefix costs an error value and (Decode) a Msg:
 		// a few objects, well under a kilobyte. The old behaviour cost
 		// megabytes.

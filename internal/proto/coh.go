@@ -10,25 +10,15 @@ import (
 // more PagePayloads in Data: a KPageContent holds the demand grant first plus
 // any pushes piggybacked onto it, a KPush holds a batch of forwarded pages,
 // and a KFetchReply holds the owner's single page. A KPageContent without
-// Data is a permission-only reaffirmation. KInvBatch/KInvAckBatch have their
-// own formats below.
+// Data is a permission-only reaffirmation.
 
-// MaxBatchEntries bounds the entry count of every length-prefixed list on
-// the wire: payload containers, invalidation-batch pages and remaps, remap
-// shadow lists, and ack batches. All counts are serialized as uint16, so
-// without a bound a large batch would silently truncate its count while
-// still appending every entry's bytes — decoding to a trailing-bytes error
-// that fails the whole cluster. Encoders panic past the bound (callers must
-// split oversized batches into multiple messages); decoders reject anything
-// larger as corrupt.
+// MaxBatchEntries bounds the payload count of a container. The count is
+// serialized as uint16, so without a bound a large batch would silently
+// truncate its count while still appending every payload's bytes — decoding
+// to a trailing-bytes error that fails the whole cluster. EncodePayloads
+// panics past the bound (callers split oversized batches into multiple
+// messages); ReadPayloads rejects anything larger as corrupt.
 const MaxBatchEntries = 1 << 12
-
-func checkBatchLen(what string, n int) {
-	if n > MaxBatchEntries {
-		panic(fmt.Sprintf("proto: %s of %d entries exceeds MaxBatchEntries (%d); split into multiple messages",
-			what, n, MaxBatchEntries))
-	}
-}
 
 // Page content encodings.
 const (
@@ -73,7 +63,10 @@ const payloadFixed = 35
 // EncodePayloads serializes a payload container for Msg.Data into one buffer
 // of exactly the container's size.
 func EncodePayloads(ps []PagePayload) []byte {
-	checkBatchLen("payload batch", len(ps))
+	if len(ps) > MaxBatchEntries {
+		panic(fmt.Sprintf("proto: payload batch of %d entries exceeds MaxBatchEntries (%d); split into multiple messages",
+			len(ps), MaxBatchEntries))
+	}
 	size := 2
 	for i := range ps {
 		size += payloadFixed + len(ps[i].Body) + len(ps[i].San)
@@ -156,150 +149,4 @@ func (pr *PayloadReader) Err() error {
 		return fmt.Errorf("proto: %d trailing bytes after payloads", len(pr.r.buf)-pr.r.off)
 	}
 	return nil
-}
-
-// RemapEntry is a page-splitting remap riding in a KInvBatch: nodes whose
-// twin of Orig is at version Ver split it along the shadows.
-type RemapEntry struct {
-	Orig    uint64
-	Ver     uint64
-	Shadows []uint64
-}
-
-// remapFixed and ackFixed are the encoded sizes of a remap entry without its
-// shadows (Orig, Ver, shadow count) and of an ack entry without its San.
-const remapFixed, ackFixed = 18, 12
-
-// EncodeInvBatch serializes a KInvBatch body — the pages being revoked from
-// the receiver plus any remaps riding along — into one buffer of exactly its
-// size.
-func EncodeInvBatch(pages []uint64, remaps []RemapEntry) []byte {
-	checkBatchLen("inv-batch page list", len(pages))
-	checkBatchLen("inv-batch remap list", len(remaps))
-	size := 2 + 8*len(pages) + 2
-	for i := range remaps {
-		checkBatchLen("remap shadow list", len(remaps[i].Shadows))
-		size += remapFixed + 8*len(remaps[i].Shadows)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(pages)))
-	for _, p := range pages {
-		buf = binary.LittleEndian.AppendUint64(buf, p)
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(remaps)))
-	for _, rm := range remaps {
-		buf = binary.LittleEndian.AppendUint64(buf, rm.Orig)
-		buf = binary.LittleEndian.AppendUint64(buf, rm.Ver)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rm.Shadows)))
-		for _, sh := range rm.Shadows {
-			buf = binary.LittleEndian.AppendUint64(buf, sh)
-		}
-	}
-	return buf
-}
-
-// room reports whether n more entries of at least size bytes each fit in what
-// is left of the buffer. A batch decoder sizes a list once when they do; when
-// not, it stores nothing and reads on only to name where the body ends.
-func (r *reader) room(n, size int) bool {
-	return n > 0 && n*size <= len(r.buf)-r.off
-}
-
-// DecodeInvBatch parses a KInvBatch body.
-func DecodeInvBatch(b []byte) (pages []uint64, remaps []RemapEntry, err error) {
-	r := &reader{buf: b}
-	np := int(r.u16())
-	if np > MaxBatchEntries {
-		return nil, nil, fmt.Errorf("proto: absurd inv-batch page count %d", np)
-	}
-	if r.room(np, 8) {
-		pages = make([]uint64, 0, np)
-	}
-	for i := 0; i < np && r.err == nil; i++ {
-		if p := r.u64(); pages != nil {
-			pages = append(pages, p)
-		}
-	}
-	nr := int(r.u16())
-	if nr > MaxBatchEntries {
-		return nil, nil, fmt.Errorf("proto: absurd inv-batch remap count %d", nr)
-	}
-	if r.room(nr, remapFixed) {
-		remaps = make([]RemapEntry, 0, nr)
-	}
-	for i := 0; i < nr && r.err == nil; i++ {
-		rm := RemapEntry{Orig: r.u64(), Ver: r.u64()}
-		ns := int(r.u16())
-		if ns > MaxBatchEntries {
-			return nil, nil, fmt.Errorf("proto: absurd remap shadow count %d", ns)
-		}
-		if r.room(ns, 8) {
-			rm.Shadows = make([]uint64, 0, ns)
-		}
-		for j := 0; j < ns && r.err == nil; j++ {
-			if sh := r.u64(); rm.Shadows != nil {
-				rm.Shadows = append(rm.Shadows, sh)
-			}
-		}
-		if remaps != nil {
-			remaps = append(remaps, rm)
-		}
-	}
-	if r.err != nil {
-		return nil, nil, fmt.Errorf("proto: decode inv-batch: %w", r.err)
-	}
-	if r.off != len(b) {
-		return nil, nil, fmt.Errorf("proto: %d trailing bytes after inv-batch", len(b)-r.off)
-	}
-	return pages, remaps, nil
-}
-
-// AckEntry is one page's acknowledgement inside a KInvAckBatch, carrying the
-// dropped page's DQSan shadow history home.
-type AckEntry struct {
-	Page uint64
-	San  []byte
-}
-
-// EncodeAckBatch serializes a KInvAckBatch body into one buffer of exactly
-// its size.
-func EncodeAckBatch(acks []AckEntry) []byte {
-	checkBatchLen("ack batch", len(acks))
-	size := 2
-	for i := range acks {
-		size += ackFixed + len(acks[i].San)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(acks)))
-	for _, a := range acks {
-		buf = binary.LittleEndian.AppendUint64(buf, a.Page)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.San)))
-		buf = append(buf, a.San...)
-	}
-	return buf
-}
-
-// DecodeAckBatch parses a KInvAckBatch body.
-func DecodeAckBatch(b []byte) ([]AckEntry, error) {
-	r := &reader{buf: b}
-	n := int(r.u16())
-	if n > MaxBatchEntries {
-		return nil, fmt.Errorf("proto: absurd ack-batch count %d", n)
-	}
-	var acks []AckEntry
-	if r.room(n, ackFixed) {
-		acks = make([]AckEntry, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		if a := (AckEntry{Page: r.u64(), San: r.blob()}); acks != nil {
-			acks = append(acks, a)
-		}
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("proto: decode ack-batch: %w", r.err)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("proto: %d trailing bytes after ack-batch", len(b)-r.off)
-	}
-	return acks, nil
 }

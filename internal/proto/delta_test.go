@@ -282,46 +282,23 @@ func TestPayloadContainerRoundtrip(t *testing.T) {
 	}
 }
 
-func TestInvBatchRoundtrip(t *testing.T) {
-	pages := []uint64{1, 2, 0xdeadbeef}
-	remaps := []RemapEntry{{Orig: 0x99, Ver: 4, Shadows: []uint64{0x100, 0x101}}}
-	gp, gr, err := DecodeInvBatch(EncodeInvBatch(pages, remaps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gp) != 3 || gp[2] != 0xdeadbeef {
-		t.Errorf("pages: %v", gp)
-	}
-	if len(gr) != 1 || gr[0].Orig != 0x99 || gr[0].Ver != 4 || len(gr[0].Shadows) != 2 {
-		t.Errorf("remaps: %+v", gr)
-	}
-	if _, _, err := DecodeInvBatch([]byte{1}); err == nil {
-		t.Error("truncated batch accepted")
-	}
-}
-
 // TestBatchCountLimits pins the MaxBatchEntries contract on both sides of
-// the wire: every batch count travels as a uint16, so an unchecked encoder
-// would silently truncate the count while still appending every entry —
-// decoding to a trailing-bytes error that fails the whole cluster. Encoders
-// must refuse oversized batches loudly, and decoders must reject counts
-// past the bound (which a u16 can represent: 65535 > MaxBatchEntries).
+// the wire: a container's count travels as a uint16, so an unchecked encoder
+// would silently truncate the count while still appending every payload —
+// decoding to a trailing-bytes error that fails the whole cluster. The
+// encoder must refuse an oversized container loudly, and the decoder must
+// reject counts past the bound (which a u16 can represent: 65535 >
+// MaxBatchEntries).
 func TestBatchCountLimits(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
+	over := MaxBatchEntries + 1
+	func() {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: oversized batch did not panic", name)
+				t.Error("an oversized container did not panic")
 			}
 		}()
-		f()
-	}
-	over := MaxBatchEntries + 1
-	mustPanic("payloads", func() { EncodePayloads(make([]PagePayload, over)) })
-	mustPanic("inv pages", func() { EncodeInvBatch(make([]uint64, over), nil) })
-	mustPanic("inv remaps", func() { EncodeInvBatch(nil, make([]RemapEntry, over)) })
-	mustPanic("shadows", func() { EncodeInvBatch(nil, []RemapEntry{{Shadows: make([]uint64, over)}}) })
-	mustPanic("acks", func() { EncodeAckBatch(make([]AckEntry, over)) })
+		EncodePayloads(make([]PagePayload, over))
+	}()
 
 	// A count field just past the bound must be rejected as absurd, not
 	// misparsed into a huge allocation or a trailing-bytes error.
@@ -329,30 +306,9 @@ func TestBatchCountLimits(t *testing.T) {
 	if _, err := decodePayloads(hdr); err == nil || !strings.Contains(err.Error(), "absurd") {
 		t.Errorf("payload count %d: got %v, want absurd-count error", over, err)
 	}
-	if _, _, err := DecodeInvBatch(hdr); err == nil || !strings.Contains(err.Error(), "absurd") {
-		t.Errorf("inv-batch count %d: got %v, want absurd-count error", over, err)
-	}
-	if _, err := DecodeAckBatch(hdr); err == nil || !strings.Contains(err.Error(), "absurd") {
-		t.Errorf("ack-batch count %d: got %v, want absurd-count error", over, err)
-	}
-	// At the bound everything round-trips.
-	pages := make([]uint64, MaxBatchEntries)
-	gp, _, err := DecodeInvBatch(EncodeInvBatch(pages, nil))
-	if err != nil || len(gp) != MaxBatchEntries {
-		t.Errorf("bound-sized inv batch: %d pages, err %v", len(gp), err)
-	}
-}
-
-func TestAckBatchRoundtrip(t *testing.T) {
-	acks := []AckEntry{{Page: 5, San: []byte{1, 2, 3}}, {Page: 6}}
-	got, err := DecodeAckBatch(EncodeAckBatch(acks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Page != 5 || !bytes.Equal(got[0].San, []byte{1, 2, 3}) || got[1].San != nil {
-		t.Errorf("acks: %+v", got)
-	}
-	if _, err := DecodeAckBatch(append(EncodeAckBatch(acks), 7)); err == nil {
-		t.Error("trailing byte accepted")
+	// At the bound the container round-trips.
+	got, err := decodePayloads(EncodePayloads(make([]PagePayload, MaxBatchEntries)))
+	if err != nil || len(got) != MaxBatchEntries {
+		t.Errorf("bound-sized container: %d payloads, err %v", len(got), err)
 	}
 }

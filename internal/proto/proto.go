@@ -54,13 +54,6 @@ const (
 	// they are idempotent and a later ack subsumes a lost one.
 	KAck // node -> node: Seq = highest contiguous sequence delivered
 
-	// Wire-efficient coherence (delta transfers + multicast coalescing):
-	// the master batches every page it revokes from one sharer during a
-	// coherence event into a single message, and the sharer acknowledges all
-	// of them in one reply. Page-splitting remaps ride along in the batch.
-	KInvBatch    // master -> sharer: Data = InvBatch (pages + remap entries)
-	KInvAckBatch // sharer -> master: Data = ack entries (page + shadow blob)
-
 	// KindCount is one past the highest message kind. Fixed-size per-kind
 	// tables (netsim.Stats.ByKind and friends) are sized from it, so adding a
 	// kind above this line grows them automatically.
@@ -75,7 +68,7 @@ var kindNames = [...]string{
 	KThreadStart: "thread-start", KShutdown: "shutdown",
 	KInit: "init", KInitAck: "init-ack",
 	KMigrate: "migrate", KMigrateCtx: "migrate-ctx",
-	KAck: "ack", KInvBatch: "inv-batch", KInvAckBatch: "inv-ack-batch",
+	KAck: "ack",
 }
 
 func (k Kind) String() string {

@@ -105,14 +105,6 @@ func TestWireSize(t *testing.T) {
 				Data: EncodePayloads([]PagePayload{{Page: 1, Ver: 2, Enc: EncSame}})},
 			2 + 3*8 + 3 + 2*4,
 		},
-		{
-			&Msg{Kind: KInvBatch, Data: EncodeInvBatch([]uint64{1, 2, 3}, nil)},
-			2 + 3*8 + 2,
-		},
-		{
-			&Msg{Kind: KInvAckBatch, Data: EncodeAckBatch([]AckEntry{{Page: 1}, {Page: 2}})},
-			2 + 2*(8+4),
-		},
 	}
 	for _, c := range cases {
 		if c.m.PayloadSize() != c.payload {

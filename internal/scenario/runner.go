@@ -192,7 +192,6 @@ type Report struct {
 var cohKinds = []proto.Kind{
 	proto.KPageReq, proto.KPageContent, proto.KInvalidate, proto.KInvAck,
 	proto.KFetch, proto.KFetchReply, proto.KRetry, proto.KRemap, proto.KPush,
-	proto.KInvBatch, proto.KInvAckBatch,
 }
 
 // Run executes every cell of one spec and evaluates its gates. A failed

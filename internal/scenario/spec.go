@@ -340,9 +340,6 @@ func (s *Spec) validateCell() error {
 	if err := s.config().Check(); err != nil {
 		return err
 	}
-	if s.Cluster.Cores < 0 || s.Cluster.Cores > 256 {
-		return fmt.Errorf("scenario: %d cores outside [0, 256]", s.Cluster.Cores)
-	}
 	if s.Cluster.QuantumNs < 0 || s.Cluster.PageSize < 0 {
 		return fmt.Errorf("scenario: negative quantum or page size")
 	}
@@ -447,7 +444,7 @@ func (s *Spec) Encode(w io.Writer) error {
 func (s *Spec) config() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Slaves = s.Cluster.Slaves
-	if s.Cluster.Cores > 0 {
+	if s.Cluster.Cores != 0 {
 		cfg.Cores = s.Cluster.Cores
 	}
 	if s.Cluster.QuantumNs > 0 {
