@@ -15,11 +15,6 @@ type Inspection struct {
 	NodePerms []map[uint64]mem.Perm
 	// FutexWaiting is the number of threads still parked on a futex.
 	FutexWaiting int
-	// LiveThreads counts threads that never reached tDead.
-	LiveThreads int
-	// UnackedMsgs counts reliable-transport messages still in flight
-	// (0 after a clean quiesce).
-	UnackedMsgs int
 }
 
 // Inspect snapshots coherence state. Call it after Run returns; the snapshot
@@ -32,15 +27,7 @@ func (c *Cluster) Inspect() *Inspection {
 			perms[pageNo] = perm
 		})
 		ins.NodePerms = append(ins.NodePerms, perms)
-		for _, t := range n.threads {
-			if t.state != tDead {
-				ins.LiveThreads++
-			}
-		}
 	}
 	ins.FutexWaiting = c.os.Futex().TotalWaiting()
-	if c.rel != nil {
-		ins.UnackedMsgs = c.rel.Unacked()
-	}
 	return ins
 }

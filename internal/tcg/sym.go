@@ -1,14 +1,17 @@
 // Symbolic translation validation over the micro-op stream.
 //
 // This file is the bridge between the uop IR and the bit-vector engine in
-// internal/tcg/symeq. Registers are expression DAGs; memory and FP results
-// are uninterpreted symbols minted in lockstep, so the k-th matching
-// effect on both sides of an equivalence query reads the same symbol. Two
-// uop sequences are equivalent when their effects (memory accesses,
-// atomics, guards, exits — everything that can fault, trap or leave the
-// trace) line up one-to-one with provably equal operands, AND the full
-// symbolic register state is provably equal at every effect boundary. The
-// state comparison at each boundary is what makes the check sound in the
+// internal/tcg/symeq. Registers are hash-consed expression DAGs built
+// through one normalizing Builder; memory and atomic results are fresh
+// symbols minted in lockstep, so the k-th matching effect on both sides of
+// an equivalence query reads the same symbol, and FP results are
+// uninterpreted applications. Two uop sequences are equivalent when their
+// effects (memory accesses, atomics, guards, exits — everything that can
+// fault, trap or leave the trace) line up one-to-one with operands that
+// intern to the same node, AND every register interns to the same node at
+// every effect boundary. Equality is pointer equality: anything the
+// normalizer does not unify is rejected, never searched. The state
+// comparison at each boundary is what makes the check sound in the
 // presence of faults: a load can fault and expose every register, so no
 // rewrite may defer or reorder a write across one.
 //
@@ -59,8 +62,8 @@ func (st *symState) symPure(u *uop) bool {
 	f := &st.f
 	bin := func(op symeq.Op) *symeq.Expr { return b.Bin(op, x[u.rs1], x[u.rs2]) }
 	imm := func(op symeq.Op) *symeq.Expr { return b.Bin(op, x[u.rs1], b.Const(uint64(u.imm))) }
-	fun2 := func(tag string) *symeq.Expr { return b.Fun(tag, 64, f[u.rs1], f[u.rs2]) }
-	fun1 := func(tag string) *symeq.Expr { return b.Fun(tag, 64, f[u.rs1]) }
+	fun2 := func(tag string) *symeq.Expr { return b.Fun(tag, f[u.rs1], f[u.rs2]) }
+	fun1 := func(tag string) *symeq.Expr { return b.Fun(tag, f[u.rs1]) }
 
 	switch u.kind {
 	case uNop:
@@ -155,15 +158,15 @@ func (st *symState) symPure(u *uop) bool {
 	case isa.OpFMVDX:
 		f[u.rd] = x[u.rs1]
 	case isa.OpFCVTDL:
-		f[u.rd] = b.Fun("fcvtdl", 64, x[u.rs1])
+		f[u.rd] = b.Fun("fcvtdl", x[u.rs1])
 	case isa.OpFCVTLD:
-		x[u.rd] = b.Fun("fcvtld", 64, f[u.rs1])
+		x[u.rd] = fun1("fcvtld")
 	case isa.OpFEQ:
-		x[u.rd] = b.Fun("feq", 1, f[u.rs1], f[u.rs2])
+		x[u.rd] = fun2("feq")
 	case isa.OpFLT:
-		x[u.rd] = b.Fun("flt", 1, f[u.rs1], f[u.rs2])
+		x[u.rd] = fun2("flt")
 	case isa.OpFLE:
-		x[u.rd] = b.Fun("fle", 1, f[u.rs1], f[u.rs2])
+		x[u.rd] = fun2("fle")
 
 	default:
 		return false
@@ -233,20 +236,20 @@ func symEquivSeq(ref, got []uop) error {
 	a, b := newSymPair(bld)
 
 	prove := func(x, y *symeq.Expr, what string) error {
-		if v, _ := bld.Equal(x, y); v != symeq.Proven {
-			return fmt.Errorf("%s not provably equal (%v)", what, v)
+		if x != y {
+			return fmt.Errorf("%s not provably equal", what)
 		}
 		return nil
 	}
 	stateEq := func(where string) error {
-		for i := 0; i < 32; i++ {
-			if v, env := bld.Equal(a.x[i], b.x[i]); v != symeq.Proven {
-				return fmt.Errorf("x%d differs at %s (%v%s)", i, where, v, cexNote(env))
+		for i := range a.x {
+			if a.x[i] != b.x[i] {
+				return fmt.Errorf("x%d not provably equal at %s", i, where)
 			}
 		}
-		for i := 0; i < 32; i++ {
-			if v, env := bld.Equal(a.f[i], b.f[i]); v != symeq.Proven {
-				return fmt.Errorf("f%d differs at %s (%v%s)", i, where, v, cexNote(env))
+		for i := range a.f {
+			if a.f[i] != b.f[i] {
+				return fmt.Errorf("f%d not provably equal at %s", i, where)
 			}
 		}
 		return nil
@@ -299,7 +302,7 @@ func symEquivSeq(ref, got []uop) error {
 			if err := prove(a.addrExpr(ru), b.addrExpr(gu), site+" address"); err != nil {
 				return err
 			}
-			raw := bld.VarW(fmt.Sprintf("ld%d", k), uint8(8*ru.size))
+			raw := bld.Var(fmt.Sprintf("ld%d", k))
 			a.applyLoad(ru, raw)
 			b.applyLoad(gu, raw)
 		case uFLoad:
@@ -309,7 +312,7 @@ func symEquivSeq(ref, got []uop) error {
 			if err := prove(a.addrExpr(ru), b.addrExpr(gu), site+" address"); err != nil {
 				return err
 			}
-			raw := bld.VarW(fmt.Sprintf("fld%d", k), 64)
+			raw := bld.Var(fmt.Sprintf("fld%d", k))
 			a.f[ru.rd] = raw
 			b.f[gu.rd] = raw
 			if ru.rd != gu.rd {
@@ -418,12 +421,7 @@ func symEquivSeq(ref, got []uop) error {
 					return err
 				}
 			}
-			// The result is a fresh symbol, one bit wide for SC's status.
-			width := uint8(64)
-			if ru.op == isa.OpSC {
-				width = 1
-			}
-			res := bld.VarW(fmt.Sprintf("%s%d", ru.op, k), width)
+			res := bld.Var(fmt.Sprintf("%s%d", ru.op, k))
 			a.wrSym(ru.rd, res)
 			b.wrSym(gu.rd, res)
 
@@ -474,13 +472,6 @@ func (st *symState) linkWrite(u *uop) {
 	if u.rd != 0 {
 		st.x[u.rd] = st.bld.Const(u.val)
 	}
-}
-
-func cexNote(env symeq.Env) string {
-	if env == nil {
-		return ""
-	}
-	return ", counterexample found"
 }
 
 func sideDesc(ref []uop, ia int, got []uop, ib int) string {

@@ -1,18 +1,17 @@
 // Package symeq is a small symbolic bit-vector engine used for translation
 // validation of the micro-op translator. Expressions are hash-consed DAGs
 // over 64-bit values with normalizing constructors (constant folding,
-// identity and self-operation elimination, constant reassociation), so two
-// expressions built from semantically identical computations usually intern
-// to the same node and equality is a pointer compare. On top of the DAG the
-// package maintains two abstract domains — known bits (a known-zero and a
-// known-one mask per node) and unsigned intervals — used to refute
-// equalities, and a bounded exhaustive-input fallback that turns into a
-// genuine proof when every free variable is narrow enough to enumerate.
+// identity and self-operation elimination, constant reassociation,
+// canonical operand order), so two expressions built from semantically
+// identical computations intern to the same node. That is the whole proof
+// rule: two sides are equal when they are the same *Expr. Sides that are
+// equal but normalize differently (x*2 and x+x) are not proved; a sound
+// client treats them as a failed proof.
 //
 // The operator semantics mirror the guest ALU exactly: shifts take their
 // amount mod 64, signed division is total (x/0 = -1, MinInt64/-1 =
 // MinInt64), remainders follow the same totalization, and unsigned division
-// by zero yields all-ones. Floating-point and memory results are modeled as
+// by zero yields all-ones. Floating-point results are modeled as
 // uninterpreted function applications: equal tags applied to equal
 // arguments intern to the same node, which is exactly the congruence the
 // translator's rewrites are allowed to rely on.
@@ -63,23 +62,14 @@ func (o Op) String() string {
 // Expr is one interned DAG node. Nodes are immutable after construction and
 // unique within their Builder: structural equality is pointer equality.
 type Expr struct {
-	Op    Op
-	X, Y  *Expr   // binary operands
-	Args  []*Expr // Fun arguments
-	Val   uint64  // Const value; Var id
-	Name  string  // Var name / Fun tag
-	Width uint8   // Var/Fun: significant low bits (1..64)
+	Op   Op
+	X, Y *Expr   // binary operands
+	Args []*Expr // Fun arguments
+	Val  uint64  // Const value
+	Name string  // Var name / Fun tag
 
-	id     uint64 // creation sequence number; canonical operand order
-	kz, ko uint64 // known-zero / known-one masks
-	lo, hi uint64 // unsigned interval
+	id uint64 // creation sequence number; canonical operand order
 }
-
-// KnownBits returns the node's known-zero and known-one masks.
-func (e *Expr) KnownBits() (kz, ko uint64) { return e.kz, e.ko }
-
-// Interval returns the node's unsigned range [lo, hi].
-func (e *Expr) Interval() (lo, hi uint64) { return e.lo, e.hi }
 
 // IsConst reports whether e folded to a constant, returning its value.
 func (e *Expr) IsConst() (uint64, bool) {
@@ -89,11 +79,10 @@ func (e *Expr) IsConst() (uint64, bool) {
 	return 0, false
 }
 
-// Builder interns expressions. One equivalence query should build both
+// Builder interns expressions. One equivalence query must build both
 // sides through the same Builder so shared subterms unify.
 type Builder struct {
 	tab    map[string]*Expr
-	vars   []*Expr
 	nextID uint64
 }
 
@@ -101,9 +90,6 @@ type Builder struct {
 func NewBuilder() *Builder {
 	return &Builder{tab: make(map[string]*Expr)}
 }
-
-// Vars returns every variable minted so far, in creation order.
-func (b *Builder) Vars() []*Expr { return b.vars }
 
 func (b *Builder) intern(key string, mk func() *Expr) *Expr {
 	if e, ok := b.tab[key]; ok {
@@ -116,61 +102,30 @@ func (b *Builder) intern(key string, mk func() *Expr) *Expr {
 	return e
 }
 
-func mask(w uint8) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << w) - 1
-}
-
 // Const interns the constant v.
 func (b *Builder) Const(v uint64) *Expr {
 	key := string([]byte{byte(Const)}) + u64key(v)
 	return b.intern(key, func() *Expr {
-		return &Expr{Op: Const, Val: v, kz: ^v, ko: v, lo: v, hi: v}
+		return &Expr{Op: Const, Val: v}
 	})
 }
 
-// ConstBool interns 0 or 1.
-func (b *Builder) ConstBool(v bool) *Expr {
-	if v {
-		return b.Const(1)
-	}
-	return b.Const(0)
-}
-
-// Var mints a fresh full-width variable.
-func (b *Builder) Var(name string) *Expr { return b.VarW(name, 64) }
-
-// VarW mints a fresh variable ranging over [0, 2^width). Every call
-// creates a new variable; name is for diagnostics only.
-func (b *Builder) VarW(name string, width uint8) *Expr {
-	if width == 0 || width > 64 {
-		width = 64
-	}
-	e := &Expr{Op: Var, Name: name, Width: width, Val: uint64(len(b.vars)),
-		kz: ^mask(width), lo: 0, hi: mask(width)}
-	e.id = b.nextID
+// Var mints a fresh variable. Every call creates a new variable; name is
+// for diagnostics only.
+func (b *Builder) Var(name string) *Expr {
+	e := &Expr{Op: Var, Name: name, id: b.nextID}
 	b.nextID++
-	b.vars = append(b.vars, e)
 	return e
 }
 
-// Fun interns the application of the uninterpreted function tag to args,
-// with a result known to fit in width bits (64 for a full word).
-func (b *Builder) Fun(tag string, width uint8, args ...*Expr) *Expr {
-	if width == 0 || width > 64 {
-		width = 64
-	}
-	key := string([]byte{byte(Fun), width}) + tag
+// Fun interns the application of the uninterpreted function tag to args.
+func (b *Builder) Fun(tag string, args ...*Expr) *Expr {
+	key := string([]byte{byte(Fun)}) + tag
 	for _, a := range args {
 		key += u64key(a.id)
 	}
 	return b.intern(key, func() *Expr {
-		cp := make([]*Expr, len(args))
-		copy(cp, args)
-		return &Expr{Op: Fun, Name: tag, Width: width, Args: cp,
-			kz: ^mask(width), lo: 0, hi: mask(width)}
+		return &Expr{Op: Fun, Name: tag, Args: append([]*Expr(nil), args...)}
 	})
 }
 
@@ -260,8 +215,7 @@ func evalOp(op Op, a, c uint64) uint64 {
 
 // Bin builds op(x, y), normalizing and interning. The rewrites here are the
 // exact algebra the translator's fold and fusion passes rely on; anything
-// beyond it falls back to the refutation domains and stays provable only
-// when both sides normalize identically.
+// beyond it is provable only when both sides normalize identically.
 func (b *Builder) Bin(op Op, x, y *Expr) *Expr {
 	if xv, xok := x.IsConst(); xok {
 		if yv, yok := y.IsConst(); yok {
@@ -324,7 +278,7 @@ func (b *Builder) Bin(op Op, x, y *Expr) *Expr {
 			case ^uint64(0):
 				return x
 			}
-			// Masking bits that are already known clear is a no-op mask merge.
+			// (x & c1) & c2 -> x & (c1 & c2)
 			if x.Op == And {
 				if c1, ok := x.Y.IsConst(); ok {
 					return b.Bin(And, x.X, b.Const(c1&yv))
@@ -376,10 +330,6 @@ func (b *Builder) Bin(op Op, x, y *Expr) *Expr {
 		if x == y {
 			return b.Const(1)
 		}
-		// Known-bit disagreement decides equality without a search.
-		if (x.ko&y.kz)|(x.kz&y.ko) != 0 {
-			return b.Const(0)
-		}
 	case LtS:
 		if x == y {
 			return b.Const(0)
@@ -391,20 +341,10 @@ func (b *Builder) Bin(op Op, x, y *Expr) *Expr {
 		if yconst && yv == 0 {
 			return b.Const(0) // nothing is unsigned-below zero
 		}
-		if x.hi < y.lo {
-			return b.Const(1)
-		}
-		if y.hi <= x.lo {
-			return b.Const(0)
-		}
 	}
 
 	key := string([]byte{byte(op)}) + u64key(x.id) + u64key(y.id)
-	return b.intern(key, func() *Expr {
-		e := &Expr{Op: op, X: x, Y: y}
-		e.computeDomains()
-		return e
-	})
+	return b.intern(key, func() *Expr { return &Expr{Op: op, X: x, Y: y} })
 }
 
 // Not inverts a 0/1 expression.
