@@ -1,6 +1,10 @@
 package dqemu_test
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -161,5 +165,49 @@ long main() {
 	}
 	if fwd.Dir.Pushes == 0 {
 		t.Error("no pushes recorded")
+	}
+}
+
+// TestDocsNameExistingTests: every test, fuzz target or benchmark the
+// documents name in a code span (`TestFoo`, `FuzzBar/seed`) is declared in
+// some _test.go file of the tree, so a doc cannot keep pointing at a test
+// that was renamed or deleted.
+func TestDocsNameExistingTests(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return fs.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_]\\w*)")
+	n := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range named.FindAllSubmatch(text, -1) {
+			n++
+			if !declared[string(m[1])] {
+				t.Errorf("%s names `%s`, which no _test.go file declares", doc, m[1])
+			}
+		}
+	}
+	if n == 0 {
+		t.Error("the documents name no test at all; the pattern is broken")
 	}
 }

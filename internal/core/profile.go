@@ -211,12 +211,11 @@ func (p *clusterProf) snapshot(r *Result) *metrics.Snapshot {
 
 	// Compiled-trace translation counters (summed across nodes).
 	var t3ns int64
-	var t3insns, t3demote uint64
+	var t3insns uint64
 	var vSB, vDemote, vT3, vT3Fail uint64
 	for _, ns := range r.Nodes {
 		t3ns += ns.Engine.Tier3TranslateNs
 		t3insns += ns.Engine.Tier3Insns
-		t3demote += ns.Engine.Tier3Demotions
 		vSB += ns.Engine.VerifiedSuperblocks
 		vDemote += ns.Engine.VerifyDemotions
 		vT3 += ns.Engine.VerifiedTier3
@@ -224,7 +223,6 @@ func (p *clusterProf) snapshot(r *Result) *metrics.Snapshot {
 	}
 	reg.Counter("translate.tier3_ns").Add(uint64(t3ns) - reg.Counter("translate.tier3_ns").Value())
 	reg.Counter("exec.tier3_insns").Add(t3insns - reg.Counter("exec.tier3_insns").Value())
-	reg.Counter("tier3.demotions").Add(t3demote - reg.Counter("tier3.demotions").Value())
 	// Translation-validation counters (all zero unless Config.Verify).
 	reg.Counter("verify.superblocks").Add(vSB - reg.Counter("verify.superblocks").Value())
 	reg.Counter("verify.demotions").Add(vDemote - reg.Counter("verify.demotions").Value())

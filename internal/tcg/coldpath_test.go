@@ -263,11 +263,10 @@ func TestInvalidateShadowOfSplitCodePage(t *testing.T) {
 		if _, ok := e.codePages[100]; !ok || len(e.codePages) != 1 {
 			t.Errorf("codePages = %v, want the shadow {100}", e.codePages)
 		}
-		gen := e.gen
-		if e.InvalidatePage(101); e.gen != gen {
+		if e.InvalidatePage(101); e.Stats.Flushes != 0 {
 			t.Error("invalidating a shadow no code was translated from flushed the cache")
 		}
-		if e.InvalidatePage(100); e.gen == gen {
+		if e.InvalidatePage(100); e.Stats.Flushes != 1 {
 			t.Error("invalidating the shadow the block was translated from left it cached")
 		}
 	})
@@ -484,64 +483,70 @@ func TestCompiledTraceOwnsNoScratch(t *testing.T) {
 }
 
 // TestColdPathNotReentered: the translator's scratch buffers assume that
-// translate, buildTrace and compileTier3 never run inside one another. The
-// one callback that re-enters the engine, OnHint, fires on the execute path;
-// a nested Exec from it translates, promotes and compiles a second loop from
-// cold while the outer trace is suspended, and must neither trip the depth
-// assertion nor disturb the outer program.
+// translate, buildTrace and compileTier3 never run inside one another
+// (coldDepth asserts it), and the engine assumes its cache is flushed only
+// between Exec calls. The sanitizer's execute-path callbacks run with the
+// translator idle, and one that flushes the cache or re-enters Exec from
+// inside a run — on cached blocks or in a compiled trace — panics instead of
+// leaving stale code running.
 func TestColdPathNotReentered(t *testing.T) {
 	want, _ := tier3State(t, hotLoops, nil)
 
-	// The nested loop: s0 += s1 for s1 = 0..199, at an address of its own.
-	const nestedAt = 0x30000
-	nestedCode := encodeInsns(t,
-		isa.Instruction{Op: isa.OpADD, Rd: isa.RegS0, Rs1: isa.RegS0, Rs2: isa.RegS0 + 1},
-		isa.Instruction{Op: isa.OpADDI, Rd: isa.RegS0 + 1, Rs1: isa.RegS0 + 1, Imm: 1},
-		isa.Instruction{Op: isa.OpBLT, Rs1: isa.RegS0 + 1, Rs2: isa.RegS0 + 2, Imm: -2},
-		isa.Instruction{Op: isa.OpHALT})
-
-	hints, nestedRuns := 0, 0
+	loads := 0
 	got, e := tier3State(t, hotLoops, func(e *Engine) {
 		e.Verify = true
-		if err := e.Mem.WriteBytes(nestedAt, nestedCode); err != nil {
-			t.Fatal(err)
-		}
-		e.OnHint = func(tid, group int64) {
-			if e.coldDepth != 0 {
-				t.Errorf("OnHint fired with the translator active (depth %d)", e.coldDepth)
+		e.San = hookSan(func() {
+			if loads++; e.coldDepth != 0 {
+				t.Errorf("sanitizer hook fired with the translator active (depth %d)", e.coldDepth)
 			}
-			if hints++; hints%60 != 1 {
-				return
-			}
-			nestedRuns++
-			e.ClearCache() // the nested loop is cold code every time
-			cpu := &CPU{PC: nestedAt, TID: 2}
-			cpu.X[isa.RegS0+2] = 200
-			for i := 0; ; i++ {
-				res := e.Exec(cpu, 1_500)
-				if res.Reason == StopHalt {
-					break
-				}
-				if res.Reason != StopBudget || i > 10_000 {
-					t.Fatalf("nested run: %+v", res)
-				}
-			}
-			if cpu.X[isa.RegS0] != 199*200/2 {
-				t.Errorf("nested run: sum = %d", cpu.X[isa.RegS0])
-			}
-		}
+		})
 	})
-	if e.coldDepth != 0 {
-		t.Errorf("translator depth %d after the run", e.coldDepth)
-	}
-	if nestedRuns < 2 || e.Stats.Tier3Superblocks < uint64(nestedRuns) {
-		t.Errorf("%d nested runs, %d compiled traces: the nested loop was not compiled from cold",
-			nestedRuns, e.Stats.Tier3Superblocks)
+	if loads == 0 || e.coldDepth != 0 || e.Stats.Tier3Insns == 0 {
+		t.Errorf("%d hook calls, translator depth %d, %d compiled instructions after the run",
+			loads, e.coldDepth, e.Stats.Tier3Insns)
 	}
 	if got.X != want.X || got.PC != want.PC {
-		t.Errorf("nested cold-path use changed the outer program:\n got pc=%#x x=%v\nwant pc=%#x x=%v", got.PC, got.X, want.PC, want.X)
+		t.Errorf("a hooked run changed the program:\n got pc=%#x x=%v\nwant pc=%#x x=%v", got.PC, got.X, want.PC, want.X)
+	}
+
+	for _, compiled := range []bool{false, true} {
+		for name, reenter := range map[string]func(*Engine){
+			"ClearCache": (*Engine).ClearCache,
+			"Exec":       func(e *Engine) { e.Exec(&CPU{TID: 2}, 1_000) },
+		} {
+			t.Run(fmt.Sprintf("%s/compiled=%v", name, compiled), func(t *testing.T) {
+				_, e, cpu, _ := setupImage(t, hotLoops)
+				e.NoSuperblock = !compiled
+				e.HotThreshold = 2
+				loads := 0
+				e.San = hookSan(func() {
+					// The first loop's 100th load: inside its compiled trace,
+					// if it may have one.
+					if loads++; loads == 100 {
+						reenter(e)
+					}
+				})
+				defer func() {
+					if r := recover(); r == nil || loads != 100 {
+						t.Errorf("%s from inside Exec at load %d: recovered %v; want a panic", name, loads, r)
+					} else if ran := e.Stats.Tier3Superblocks != 0; ran != compiled {
+						t.Errorf("%d traces compiled before the hook fired", e.Stats.Tier3Superblocks)
+					}
+				}()
+				runToStop(t, e, cpu)
+			})
+		}
 	}
 }
+
+// hookSan is a sanitizer hook that calls fn on every load.
+type hookSan func()
+
+func (fn hookSan) OnLoad(int64, uint64, int, uint64)                     { fn() }
+func (hookSan) OnStore(int64, uint64, int, uint64)                       {}
+func (hookSan) OnAtomic(int64, uint64, int, uint64, bool)                {}
+func (hookSan) OnFence(int64)                                            {}
+func (hookSan) LintBlock([]isa.Instruction, []uint64, func(uint64) bool) {}
 
 // TestColdPathReusesPlanAndSlab: replanning a trace reuses the engine's
 // plan, and a two-access memory run takes two slots of the access slab, not

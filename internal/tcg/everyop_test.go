@@ -14,7 +14,8 @@ import (
 // op of isa's table, then a loop per shape the closure compiler specialises —
 // on the interpreter, on cached blocks and on compiled traces (also under
 // -verify, and all of them again with a sanitizer hook recording), and wants
-// registers, memory, every stop and every hook call bit-identical. It then
+// registers, memory, the hint group, every stop and every sanitizer call
+// bit-identical. It then
 // reads the compiled engine back and wants every guest op, every uop kind and
 // every surviving compile path to have been compiled at least once: an op
 // added to the table without an executor arm, a lowering row or a closure
@@ -80,9 +81,10 @@ type everyOpOutcome struct {
 	x     [32]uint64
 	f     [32]uint64
 	pc    uint64
+	hint  int64 // cpu.HintGroup at the end
 	mem   map[uint64][]byte
-	stops []string // every non-budget stop, in order
-	hooks []string // every hint and sanitizer call, in order
+	stops []string // every non-budget stop with the hint group at it, in order
+	hooks []string // every sanitizer call, in order
 	insns uint64
 
 	// Not compared: where each page fault left PC, and what was compiled.
@@ -92,9 +94,9 @@ type everyOpOutcome struct {
 
 func (w *everyOpOutcome) diff(t *testing.T, name string, g *everyOpOutcome) {
 	t.Helper()
-	if g.x != w.x || g.f != w.f || g.pc != w.pc {
-		t.Errorf("%s: registers diverged from the interpreter:\n got pc=%#x x=%x f=%x\nwant pc=%#x x=%x f=%x",
-			name, g.pc, g.x, g.f, w.pc, w.x, w.f)
+	if g.x != w.x || g.f != w.f || g.pc != w.pc || g.hint != w.hint {
+		t.Errorf("%s: registers diverged from the interpreter:\n got pc=%#x hint=%d x=%x f=%x\nwant pc=%#x hint=%d x=%x f=%x",
+			name, g.pc, g.hint, g.x, g.f, w.pc, w.hint, w.x, w.f)
 	}
 	if g.insns != w.insns {
 		t.Errorf("%s: retired %d instructions, interpreter %d", name, g.insns, w.insns)
@@ -107,7 +109,7 @@ func (w *everyOpOutcome) diff(t *testing.T, name string, g *everyOpOutcome) {
 	for _, l := range []struct {
 		what      string
 		got, want []string
-	}{{"stop", g.stops, w.stops}, {"hook call", g.hooks, w.hooks}} {
+	}{{"stop", g.stops, w.stops}, {"sanitizer call", g.hooks, w.hooks}} {
 		if len(l.got) != len(l.want) {
 			t.Errorf("%s: %d %ss, interpreter %d", name, len(l.got), l.what, len(l.want))
 		}
@@ -152,7 +154,6 @@ func runEveryOp(t *testing.T, name, src string, tune func(*Engine), san bool) (*
 	}
 	e.HotThreshold = 10 // above the bias minimum, so a biased branch is followed
 	out := &everyOpOutcome{mem: map[uint64][]byte{}}
-	e.OnHint = func(tid, group int64) { out.hooks = append(out.hooks, fmt.Sprintf("hint %d", group)) }
 	if san {
 		e.San = recSan{&out.hooks}
 	}
@@ -184,7 +185,7 @@ func runEveryOp(t *testing.T, name, src string, tune func(*Engine), san bool) (*
 			if res.Reason == StopBudget {
 				continue
 			}
-			stop := fmt.Sprintf("pass %d: %s at %#x", pass, res.Reason, cpu.PC)
+			stop := fmt.Sprintf("pass %d: %s at %#x hint %d", pass, res.Reason, cpu.PC, cpu.HintGroup)
 			switch res.Reason {
 			case StopHalt:
 				if cpu.PC == textEnd { // the program's last instruction
@@ -209,7 +210,7 @@ func runEveryOp(t *testing.T, name, src string, tune func(*Engine), san bool) (*
 			out.stops = append(out.stops, stop)
 		}
 	}
-	out.x, out.pc, out.insns, out.compiled = cpu.X, cpu.PC, e.Stats.ExecInsns, *compiled
+	out.x, out.pc, out.hint, out.insns, out.compiled = cpu.X, cpu.PC, cpu.HintGroup, e.Stats.ExecInsns, *compiled
 	for i, f := range cpu.F {
 		out.f[i] = math.Float64bits(f) // NaNs must compare equal to themselves
 	}
@@ -565,11 +566,6 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compi
 			t.Fatalf("%s: installed trace at %#x does not plan", name, sb.entry)
 		}
 		paths[fmt.Sprintf("fuseLoop=%v", plan.fuseLoop)] = true
-		for _, ch := range sb.t3.chunks {
-			if ch.guard {
-				paths["code-page guard"] = true
-			}
-		}
 		for _, seg := range plan.segs {
 			if len(seg.groups)+1 > t3ChunkOps {
 				paths["segment cut into chunks"] = true
@@ -616,7 +612,7 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compi
 		}
 	}
 	want := []string{
-		"fuseLoop=true", "fuseLoop=false", "code-page guard", "segment cut into chunks",
+		"fuseLoop=true", "fuseLoop=false", "segment cut into chunks",
 		"addi pair", "addi+mul", "jalexit link=true", "jalexit link=false",
 		"cmpguard unsigned=false", "cmpguard unsigned=true", "cmpexit unsigned=false", "cmpexit unsigned=true",
 		"load size=1 signed=true x0=false", "load size=1 signed=false x0=false",

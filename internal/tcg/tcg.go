@@ -99,11 +99,15 @@ type Stats struct {
 	FusedUops        uint64 // lowering-time ADDI folds and cmp+branch fusions
 	JumpCacheHits    uint64
 	JumpCacheMisses  uint64
-	Flushes          uint64 // translation cache flushes (generation bumps)
+	Flushes          uint64 // translation cache flushes (ClearCache calls)
 	Tier3Superblocks uint64 // traces compiled to closures
 	Tier3Insns       uint64 // guest instructions retired in compiled traces
 	Tier3TranslateNs int64  // virtual time charged for forming and compiling traces
-	Tier3Demotions   uint64 // mid-trace generation-guard trips back to the block interpreter
+	// Tier3Demotions counted compiled traces abandoned mid-run after a flush,
+	// which can no longer land inside Exec: it reads 0 and stays declared only
+	// because the frozen bench/ reads it (ROADMAP 1(c) drops it at the
+	// unfreeze).
+	Tier3Demotions uint64
 	// PeepApplied counted applications of the mined peephole rules, which are
 	// gone: it reads 0 and stays declared only because the frozen bench/ reads
 	// it (ROADMAP 1(c) drops it at the unfreeze).
@@ -128,13 +132,12 @@ type block struct {
 	taken, fall     *block
 
 	startPC, endPC uint64 // [startPC, endPC) guest code range of the block
-	gen            uint64 // cache generation the block was translated in
 	cost           int64  // virtual time of all of ops, charged by a run to the end
 
 	// Hot-trace bookkeeping: execution count toward promotion, direction
 	// counts of the terminating conditional branch (for trace bias), the
 	// compiled trace this block heads once promoted, and whether promotion
-	// was refused (sticky: a block lives for one cache generation).
+	// was refused (sticky: a block lives until the next flush).
 	count      uint32
 	takenCount uint32
 	fallCount  uint32
@@ -146,7 +149,8 @@ type block struct {
 // callbacks. All addresses are translated (post-remap) so shadow state is
 // keyed the same way the DSM keys pages. nil disables instrumentation with
 // zero per-instruction cost on the block interpreter and no extra uops in
-// compiled traces.
+// compiled traces. The hooks run inside Exec, so they must not call Exec or
+// ClearCache: both panic there.
 type SanHook interface {
 	OnLoad(tid int64, taddr uint64, size int, pc uint64)
 	OnStore(tid int64, taddr uint64, size int, pc uint64)
@@ -161,8 +165,6 @@ type Engine struct {
 	Cost CostModel
 	// Mon is the LL/SC monitor (the node's global hash table).
 	Mon *LLSCTable
-	// OnHint, if set, observes HINT instructions as they execute.
-	OnHint func(tid, group int64)
 	// San, if set, is the DQSan sanitizer: guest memory accesses are
 	// instrumented and freshly-translated blocks are linted.
 	San SanHook
@@ -197,13 +199,14 @@ type Engine struct {
 	cache  map[uint64]*block
 	opCost [256]int64
 
-	// gen is the translation cache generation. ClearCache bumps it;
-	// blocks, superblocks, chain pointers and exit slots from an older
-	// generation are dead and revalidated wherever they are followed.
-	gen uint64
+	// inExec is set while Exec runs. The cache is flushed only between Exec
+	// calls, so nothing Exec follows — a chain pointer, an exit slot, a
+	// jump-cache entry — can name a retired translation; ClearCache and a
+	// nested Exec panic while it is set.
+	inExec bool
 
-	// codePages is the set of guest pages containing code translated in
-	// the current generation. InvalidatePage flushes the cache only when
+	// codePages is the set of guest pages containing code translated since
+	// the last flush. InvalidatePage flushes the cache only when
 	// the invalidated page is in this set (data-page invalidations — the
 	// overwhelmingly common case under the coherence protocol — keep all
 	// translations).
@@ -212,7 +215,7 @@ type Engine struct {
 	// jc is the indirect-branch target cache (QEMU jump-cache style):
 	// a direct-mapped PC-indexed array resolving JALR targets without the
 	// translation-cache map probe. ClearCache empties it, so an entry with a
-	// block is always of the current generation; an empty one matches no PC.
+	// block is always a live translation; an empty one matches no PC.
 	jc [jcSize]jcEntry
 
 	// pendingExit, when set by exitVia, is the superblock exit slot that
@@ -228,11 +231,9 @@ type Engine struct {
 	pageMask  uint64 // Space page size - 1
 	pageShift uint
 
-	// Compiled-trace execution contexts: a tiny stack-shaped pool so the
-	// trampoline never allocates in steady state yet tolerates hint-hook
-	// re-entry.
-	t3pool  [4]t3ctx
-	t3depth int32
+	// t3 is the compiled-trace execution context. Exec does not nest, so one
+	// serves every trampoline activation and the trampoline never allocates.
+	t3 t3ctx
 
 	// Translator scratch: translate decodes into insBuf/pcBuf, buildTrace
 	// lowers into uopBuf (and refBuf under Verify), compileTier3 plans in
@@ -271,7 +272,7 @@ type jcEntry struct {
 // NewEngine returns an engine bound to a Space with the given cost model.
 func NewEngine(space *mem.Space, cost CostModel) *Engine {
 	e := &Engine{Mem: space, Cost: cost, Mon: NewLLSCTable(),
-		cache: map[uint64]*block{}, codePages: map[uint64]struct{}{}, gen: 1,
+		cache: map[uint64]*block{}, codePages: map[uint64]struct{}{},
 		pageMask:  uint64(space.PageSize() - 1),
 		pageShift: uint(bits.TrailingZeros64(uint64(space.PageSize())))}
 	for op := 1; op < 256; op++ {
@@ -306,13 +307,15 @@ func (e *Engine) classCost(op isa.Op) int64 {
 }
 
 // ClearCache drops all translated blocks, superblocks, chain pointers and
-// jump-cache entries by bumping the cache generation and emptying the jump
-// cache (QEMU tb_flush). Already-chained taken/fall pointers and superblock
-// exit slots may still reference retired blocks, but every follow site
-// revalidates the generation, so no stale translation executes after the
-// flush.
+// jump-cache entries (QEMU tb_flush). It runs only between Exec calls, as
+// QEMU runs tb_flush as exclusive work outside its execution loop: retired
+// blocks still chain to each other, but nothing Exec starts from — the cache
+// map, the jump cache — reaches them any more. A flush from inside Exec
+// panics rather than leave a running trace on stale code.
 func (e *Engine) ClearCache() {
-	e.gen++
+	if e.inExec {
+		panic("tcg: translation cache flushed inside Exec")
+	}
 	clear(e.jc[:])
 	e.cache = map[uint64]*block{}
 	e.codePages = map[uint64]struct{}{}
@@ -433,9 +436,8 @@ func (e *Engine) translate(pc uint64) (*block, error) {
 }
 
 // coldEnter marks the translator's scratch buffers in use, coldLeave frees
-// them. Nothing on the translate path calls back into it — OnHint re-enters
-// Exec from the execute path only — so a second entry is a bug, not a case
-// to serve.
+// them. Nothing on the translate path calls back into it, and Exec does not
+// nest, so a second entry is a bug, not a case to serve.
 func (e *Engine) coldEnter() {
 	if e.coldDepth++; e.coldDepth != 1 {
 		panic("tcg: translator re-entered while its scratch buffers are in use")
@@ -461,7 +463,6 @@ func (e *Engine) lookup(pc uint64, spent *int64) (*block, error) {
 	e.Stats.TranslateNs += t
 	e.Stats.Blocks++
 	e.Stats.TranslatedInsns += uint64(len(b.ops))
-	b.gen = e.gen
 	if !e.NoCache {
 		e.cache[pc] = b
 	}
@@ -472,7 +473,7 @@ func (e *Engine) lookup(pc uint64, spent *int64) (*block, error) {
 }
 
 // isCodeAddr reports whether a guest virtual address falls in a page that
-// holds code translated in the current generation.
+// holds code translated since the last flush.
 func (e *Engine) isCodeAddr(addr uint64) bool {
 	_, ok := e.codePages[e.Mem.PageOf(e.Mem.Translate(addr))]
 	return ok
@@ -506,10 +507,16 @@ func (e *Engine) lookupFast(pc uint64, spent *int64) (*block, error) {
 // There are two executors: a block that heads a compiled trace runs the
 // trace's closures; any other block runs on the block interpreter, which
 // bumps its promotion counter and, at HotThreshold, forms and compiles the
-// trace in one step. All chained pointers (taken/fall, trace exit slots)
-// are revalidated against the cache generation before being followed, and
-// ClearCache empties the jump cache, so a flush retires them atomically.
+// trace in one step. The cache is flushed only between Exec calls, so every
+// chained pointer (taken/fall, trace exit slots, jump-cache entries) it
+// follows is live. Exec does not nest: a hook that calls back into it, or
+// into ClearCache, panics.
 func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
+	if e.inExec {
+		panic("tcg: Exec re-entered")
+	}
+	e.inExec = true
+	defer e.leaveExec()
 	var spent int64
 	e.pendingExit = nil
 	blk, err := e.lookupFast(cpu.PC, &spent)
@@ -520,10 +527,10 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 		var next *block
 		var res Result
 		var stop bool
-		if sb := blk.sb; sb != nil && !e.NoSuperblock && sb.gen == e.gen {
+		if sb := blk.sb; sb != nil && !e.NoSuperblock {
 			next, res, stop = e.execTier3(cpu, sb.t3, &spent, budgetNs)
 		} else {
-			if !e.NoSuperblock && !e.NoCache && blk.sb == nil && !blk.refused && blk.gen == e.gen {
+			if !e.NoSuperblock && !e.NoCache && !blk.refused {
 				blk.count++
 				if blk.count >= e.hotThreshold() && e.promote(blk, &spent) {
 					continue
@@ -538,7 +545,7 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 		if spent >= budgetNs {
 			return Result{Reason: StopBudget, TimeNs: spent}
 		}
-		if next == nil || next.gen != e.gen {
+		if next == nil {
 			nb, err := e.lookupFast(cpu.PC, &spent)
 			if err != nil {
 				return e.codeFault(cpu.PC, spent, err)
@@ -546,7 +553,7 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 			if pe := e.pendingExit; pe != nil {
 				pe.blk = nb
 				e.pendingExit = nil
-			} else if blk.gen == e.gen {
+			} else {
 				switch cpu.PC {
 				case blk.takenPC:
 					blk.taken = nb
@@ -559,6 +566,8 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 		blk = next
 	}
 }
+
+func (e *Engine) leaveExec() { e.inExec = false }
 
 // execBlock executes b. It returns the chained next block (nil when a cache
 // lookup is needed), or stop=true with a Result. Its switch is the reference
@@ -783,9 +792,6 @@ exec:
 
 		case isa.OpHINT:
 			cpu.HintGroup = ins.Imm
-			if e.OnHint != nil {
-				e.OnHint(cpu.TID, ins.Imm)
-			}
 
 		case isa.OpNOP:
 

@@ -268,26 +268,45 @@ _start:
 }
 
 func TestHintHook(t *testing.T) {
-	im, err := asm.Assemble(asm.Source{Name: "t.s", Text: `
+	// HINT records its group in the CPU context on both executors: the
+	// scheduler reads cpu.HintGroup between quanta (§5.3).
+	const src = `
 _start:
+	li   s1, 0
+	li   s2, 1000
+loop:
+	hint 3
+	addi s1, s1, 1
+	blt  s1, s2, loop
 	hint 7
 	halt
-`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	space := mem.NewSpace(0)
-	mem.InstallImage(space, im, mem.PermRead, mem.PermReadWrite)
-	e := NewEngine(space, DefaultCostModel())
-	var gotTID, gotGroup int64
-	e.OnHint = func(tid, group int64) { gotTID, gotGroup = tid, group }
-	cpu := &CPU{PC: im.Entry, TID: 42}
-	res := e.Exec(cpu, 1_000_000)
-	if res.Reason != StopHalt {
-		t.Fatalf("stop: %+v", res)
-	}
-	if gotTID != 42 || gotGroup != 7 || cpu.HintGroup != 7 {
-		t.Errorf("hint: tid=%d group=%d cpu=%d", gotTID, gotGroup, cpu.HintGroup)
+`
+	for _, compiled := range []bool{false, true} {
+		_, e, cpu, _ := setupImage(t, src)
+		e.NoSuperblock = !compiled
+		e.HotThreshold = 4
+		quantum := func() {
+			t.Helper()
+			if res := e.Exec(cpu, 200); res.Reason != StopBudget {
+				t.Fatalf("compiled=%v: stop %+v", compiled, res)
+			}
+		}
+		for range 4 { // translate and chain the loop, and promote it
+			quantum()
+		}
+		cpu.HintGroup = 0
+		insns, t3insns := e.Stats.ExecInsns, e.Stats.Tier3Insns
+		quantum()
+		if cpu.HintGroup != 3 {
+			t.Errorf("compiled=%v: inside the loop the hint group is %d, want 3", compiled, cpu.HintGroup)
+		}
+		if t3 := e.Stats.Tier3Insns - t3insns; compiled && t3 != e.Stats.ExecInsns-insns || !compiled && t3 != 0 {
+			t.Errorf("compiled=%v: %d of the quantum's %d instructions retired in compiled traces",
+				compiled, t3, e.Stats.ExecInsns-insns)
+		}
+		if res := runToStop(t, e, cpu); res.Reason != StopHalt || cpu.HintGroup != 7 {
+			t.Errorf("compiled=%v: at the halt: stop %+v, hint group %d, want 7", compiled, res, cpu.HintGroup)
+		}
 	}
 }
 

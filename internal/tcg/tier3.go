@@ -29,14 +29,11 @@
 // engine TLB / softmmu and refill the site line. Narrower accesses index the
 // engine TLB.
 //
-// Coherence: the trampoline revalidates the cache generation at trace
-// entry (Exec's dispatch check), at every back-edge, after HINT callbacks,
-// and before any segment that starts on a different guest code page than
-// its predecessor (the chunk's guard flag). A failed check abandons the
-// compiled trace at an exact instruction boundary and lands on Exec's
-// lookup, which retranslates for the block interpreter — counted in
-// Stats.Tier3Demotions. A fault inside a segment refunds the unexecuted tail
-// from the faultSite its closure captured at compile time, so
+// Coherence: the translation cache is flushed only between Exec calls
+// (ClearCache panics inside one), so a compiled trace that starts running
+// runs on live code until it exits or its quantum ends, and nothing in the
+// trampoline revalidates it. A fault inside a segment refunds the unexecuted
+// tail from the faultSite its closure captured at compile time, so
 // restart-at-faulting-instruction semantics are bit-identical to the block
 // interpreter's.
 //
@@ -66,11 +63,10 @@ type t3op func(c *t3ctx) int32
 // Trampoline dispositions returned by the closure chain.
 const (
 	t3Next   int32 = iota // chunk ran off its end: advance to the next chunk
-	t3Loop                // back-edge: re-enter the head (budget/gen checked by the trampoline)
+	t3Loop                // back-edge: re-enter the head (budget checked by the trampoline)
 	t3Exit                // trace exit: PC and c.next are set; resume in Exec
 	t3Switch              // jump-cache hit on a compiled target: tail-enter c.sw
 	t3Stop                // quantum ends: c.res/c.stop are set
-	t3Demote              // generation changed mid-trace: fall back to the block interpreter
 
 	// t3Cont is an internal sentinel returned by the shared fault/atomic
 	// helpers: "no disposition — continue down the chain". It never
@@ -78,9 +74,8 @@ const (
 	t3Cont int32 = -1
 )
 
-// t3ctx is the execution context threaded through the closure chain. One
-// context lives per trampoline activation; Engine keeps a small pool so
-// steady-state execution never allocates.
+// t3ctx is the execution context threaded through the closure chain. Exec
+// does not nest, so the Engine keeps one and execution never allocates.
 type t3ctx struct {
 	e        *Engine
 	cpu      *CPU
@@ -100,22 +95,17 @@ type t3ctx struct {
 // t3chunk is one trampoline step: a closure chain plus the charge the
 // trampoline applies inline before calling it. Only a segment's first
 // chunk carries a nonzero cost/insns (continuation chunks cut mid-segment
-// charge nothing); guard marks segments that start on a different guest
-// code page than their predecessor, revalidated against the translation
-// generation before entry.
+// charge nothing).
 type t3chunk struct {
 	fn    t3op
 	cost  int64
 	insns uint64
-	pc    uint64 // segment-start PC: demotion resume point for the guard
-	guard bool
 }
 
 // tier3 is the closure-compiled form of a superblock: a flat chunk array
 // the trampoline walks on disposition codes.
 type tier3 struct {
 	entry  uint64
-	gen    uint64
 	chunks []t3chunk
 }
 
@@ -130,38 +120,24 @@ func t3adv(c *t3ctx) int32 { return t3Next }
 
 var errT3Fall = fmt.Errorf("tcg: compiled trace fell off the end")
 
-func (e *Engine) t3acquire() *t3ctx {
-	if int(e.t3depth) < len(e.t3pool) {
-		c := &e.t3pool[e.t3depth]
-		e.t3depth++
-		return c
-	}
-	// Pathological re-entrancy depth (hint hooks nested 4+ deep): fall back
-	// to an allocation rather than corrupting a live context.
-	return &t3ctx{}
-}
-
 func (e *Engine) t3release(c *t3ctx, spent *int64) {
 	*spent = c.spentv
 	e.Stats.Tier3Insns += c.executed
 	e.Stats.ExecInsns += c.executed
 	c.cpu, c.x, c.f, c.spent = nil, nil, nil, nil
 	c.next, c.sw = nil, nil
-	if e.t3depth > 0 && c == &e.t3pool[e.t3depth-1] {
-		e.t3depth--
-	}
 }
 
 // execTier3 is the trampoline: it walks the chunk array, applying each
-// chunk's charge and code-page generation guard inline, and handles the
-// dispositions that unwind out of the closure chains. Like execBlock it
-// returns the chained next block (nil when a cache lookup is needed) or
-// stop=true with a Result; budgetNs bounds in-trace loops and switches.
+// chunk's charge inline, and handles the dispositions that unwind out of the
+// closure chains. Like execBlock it returns the chained next block (nil when
+// a cache lookup is needed) or stop=true with a Result; budgetNs bounds
+// in-trace loops and switches.
 func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*block, Result, bool) {
-	c := e.t3acquire()
+	c := &e.t3
 	c.e, c.cpu = e, cpu
 	c.x, c.f = &cpu.X, &cpu.F
-	// Accumulate into the pooled context, not through the caller's pointer:
+	// Accumulate into the engine's context, not through the caller's pointer:
 	// stashing spent itself in the (heap-resident) context would force the
 	// caller's accumulator to escape, costing one allocation per Exec.
 	c.spentv = *spent
@@ -175,14 +151,6 @@ func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*
 	ci := 0
 	for {
 		ch := &chunks[ci]
-		if ch.guard && t3.gen != e.gen {
-			// Everything before this boundary retired exactly once; resume
-			// at the segment's first instruction on the block interpreter.
-			cpu.PC = ch.pc
-			e.Stats.Tier3Demotions++
-			e.t3release(c, spent)
-			return nil, Result{}, false
-		}
 		c.spentv += ch.cost
 		c.executed += ch.insns
 		switch ch.fn(c) {
@@ -190,10 +158,7 @@ func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*
 			ci++
 			continue
 		case t3Loop:
-			if c.spentv >= budgetNs || t3.gen != e.gen {
-				if t3.gen != e.gen {
-					e.Stats.Tier3Demotions++
-				}
+			if c.spentv >= budgetNs {
 				cpu.PC = t3.entry
 				e.t3release(c, spent)
 				return nil, Result{}, false
@@ -215,10 +180,6 @@ func (e *Engine) execTier3(cpu *CPU, t3 *tier3, spent *int64, budgetNs int64) (*
 			next := c.next
 			e.t3release(c, spent)
 			return next, Result{}, false
-		case t3Demote:
-			e.Stats.Tier3Demotions++
-			e.t3release(c, spent)
-			return nil, Result{}, false
 		default: // t3Stop
 			res := c.res
 			e.t3release(c, spent)
@@ -273,9 +234,7 @@ func planTier3(p *t3plan, ops []uop) bool {
 	p.segs = slices.Grow(p.segs, len(p.starts))
 
 	// A final segment that is a bare back-edge gets folded into its
-	// predecessor's fall-through: charge + t3Loop in one closure (the
-	// trampoline revalidates the generation immediately after, so the
-	// page-boundary guard is redundant there).
+	// predecessor's fall-through: charge + t3Loop in one closure.
 	nseg := len(p.starts)
 	if nseg >= 2 {
 		lastFirst := p.starts[nseg-1]
@@ -367,8 +326,7 @@ func (e *Engine) compileTier3(sb *superblock, ops []uop) *tier3 {
 	if !planTier3(plan, ops) {
 		return nil
 	}
-	t3 := &tier3{entry: sb.entry, gen: sb.gen}
-	starts := plan.starts
+	t3 := &tier3{entry: sb.entry}
 	nseg := len(plan.segs)
 	fuseLoop := plan.fuseLoop
 
@@ -449,15 +407,8 @@ func (e *Engine) compileTier3(sb *superblock, ops []uop) *tier3 {
 			}
 			n++
 		}
-		guard := false
-		if s > 0 {
-			guard = e.Mem.PageOf(e.Mem.Translate(ops[first].pc)) !=
-				e.Mem.PageOf(e.Mem.Translate(ops[starts[s-1]].pc))
-		}
 		ci--
-		t3.chunks[ci] = t3chunk{fn: fn,
-			cost: int64(ops[first].cost), insns: uint64(ops[first].insns),
-			pc: ops[first].pc, guard: guard}
+		t3.chunks[ci] = t3chunk{fn: fn, cost: int64(ops[first].cost), insns: uint64(ops[first].insns)}
 	}
 
 	e.Stats.Tier3Superblocks++
@@ -490,13 +441,13 @@ func (c *t3ctx) alignFault(s faultSite, addr uint64) int32 {
 }
 
 // chainTo transfers control to the resolved exit block h. When h heads a
-// current compiled trace, execution switches straight to it in the same
+// compiled trace, execution switches straight to it in the same
 // context — no Exec round trip, no context re-init; the trampoline
 // re-checks the budget on the way. Otherwise the trace exits to Exec with
 // c.next = h.
 func (c *t3ctx) chainTo(h *block) int32 {
 	if h != nil {
-		if nsb := h.sb; nsb != nil && nsb.gen == c.e.gen {
+		if nsb := h.sb; nsb != nil {
 			c.sw = nsb.t3
 			return t3Switch
 		}
@@ -1369,7 +1320,7 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 			if !en.NoCache {
 				if h := &en.jc[(target>>2)&(jcSize-1)]; h.pc == target && h.blk != nil {
 					en.Stats.JumpCacheHits++
-					if nsb := h.blk.sb; nsb != nil && nsb.gen == en.gen && *c.spent < c.budget {
+					if nsb := h.blk.sb; nsb != nil && *c.spent < c.budget {
 						// Tail-entry: the target heads a compiled trace too.
 						c.sw = nsb.t3
 						return t3Switch
@@ -1426,17 +1377,6 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 		group := u.imm
 		return func(c *t3ctx) int32 {
 			c.cpu.HintGroup = group
-			e := c.e
-			if e.OnHint != nil {
-				e.OnHint(c.cpu.TID, group)
-				c.monEmpty = e.Mon.Empty()
-				if sb.gen != e.gen {
-					// The hook flushed the translation cache: abandon the
-					// compiled trace at the next instruction boundary.
-					c.cpu.PC = pc + 4
-					return t3Demote
-				}
-			}
 			return next(c)
 		}
 

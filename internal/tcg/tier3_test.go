@@ -160,17 +160,19 @@ loop:
 	}
 }
 
-// TestTier3MidRunInvalidationDemotes flushes the translation cache from a
-// hint hook firing *inside* a compiled trace. The generation guard must
-// demote to the block interpreter at the next instruction boundary (no
-// stale closure may keep running), the loop must re-heat and re-promote
-// afterwards, and the final state must match an undisturbed run exactly.
+// TestTier3MidRunInvalidationDemotes invalidates the code page of a hot,
+// compiled loop between Exec calls, as the coherence layer does between
+// quanta, in the middle of the program's run. Every flush must retire the
+// compiled trace: the quantum after it starts on the block interpreter, the
+// loop re-heats and re-promotes within it, nothing is demoted (no flush
+// lands inside a trace), and the final state matches an undisturbed run
+// exactly.
 func TestTier3MidRunInvalidationDemotes(t *testing.T) {
 	const src = `
 _start:
 	li   s0, 0
 	li   s1, 0
-	li   s2, 600
+	li   s2, 20000
 loop:
 	hint 1
 	add  s0, s0, s1
@@ -184,24 +186,18 @@ loop:
 	_, eng, cpu, im := setupImage(t, src)
 	eng.HotThreshold = 2
 	codePage := eng.Mem.PageOf(eng.Mem.Translate(im.Entry))
-	var hints, onBlocks int
-	tracesAtFlush := ^uint64(0)
-	eng.OnHint = func(tid, group int64) {
-		hints++
-		if eng.Stats.Superblocks == tracesAtFlush {
-			// No trace has formed since the flush: the block interpreter
-			// retired this hint.
-			onBlocks++
-		}
-		if hints%200 == 0 {
+	flushes := 0
+	halted := false
+	for i := 1; i < 1_000_000 && !halted; i++ {
+		flush := i%10 == 0
+		if flush {
 			// Invalidate the page the loop's code lives on, as the
 			// coherence layer would on a code-page migration.
 			eng.InvalidatePage(codePage)
-			tracesAtFlush = eng.Stats.Superblocks
+			flushes++
 		}
-	}
-	halted := false
-	for i := 0; i < 1_000_000 && !halted; i++ {
+		blockInsns := eng.Stats.ExecInsns - eng.Stats.Tier3Insns
+		traces := eng.Stats.Tier3Superblocks
 		res := eng.Exec(cpu, 1_500)
 		switch res.Reason {
 		case StopHalt:
@@ -210,25 +206,27 @@ loop:
 		default:
 			t.Fatalf("stop: %+v", res)
 		}
+		if !flush || halted {
+			continue
+		}
+		if eng.Stats.ExecInsns-eng.Stats.Tier3Insns == blockInsns {
+			t.Errorf("quantum %d: after a flush the loop did not run on the block interpreter", i)
+		}
+		if eng.Stats.Tier3Superblocks == traces {
+			t.Errorf("quantum %d: the loop did not re-promote after a flush", i)
+		}
 	}
 	if !halted {
 		t.Fatalf("program did not halt")
 	}
-	if eng.Stats.Tier3Demotions == 0 {
-		t.Fatalf("no demotions despite mid-run invalidation (stats %+v)", eng.Stats)
+	if flushes < 5 || eng.Stats.Flushes != uint64(flushes) {
+		t.Fatalf("%d invalidations, %d flushes; want at least 5, each flushing", flushes, eng.Stats.Flushes)
 	}
-	if eng.Stats.Flushes == 0 {
-		t.Fatalf("invalidation did not flush the cache")
-	}
-	if onBlocks == 0 {
-		t.Errorf("after a flush the loop never ran on the block interpreter")
-	}
-	if eng.Stats.Tier3Superblocks < 2 {
-		t.Errorf("loop did not re-promote after the flush (compiled traces=%d)",
-			eng.Stats.Tier3Superblocks)
+	if eng.Stats.Tier3Demotions != 0 {
+		t.Errorf("%d demotions; a flush between quanta leaves no trace to demote", eng.Stats.Tier3Demotions)
 	}
 	if cpu.X != baseline.X || cpu.PC != baseline.PC {
-		t.Errorf("mid-run invalidation changed final state:\n got pc=%#x x=%v\nwant pc=%#x x=%v",
+		t.Errorf("invalidation between quanta changed final state:\n got pc=%#x x=%v\nwant pc=%#x x=%v",
 			cpu.PC, cpu.X, baseline.PC, baseline.X)
 	}
 }

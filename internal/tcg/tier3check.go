@@ -18,9 +18,8 @@
 //   - memory-run groups hold only 8-byte accesses and never exceed
 //     t3MemRun;
 //   - the chunk array mirrors the plan: one head chunk per segment
-//     carrying exactly the segment's aggregate cost/insns/pc and the
-//     recomputed code-page-cross guard, continuation chunks charging
-//     nothing, every chunk executable.
+//     carrying exactly the segment's aggregate cost/insns, continuation
+//     chunks charging nothing, every chunk executable.
 //
 // A compilation failing any of these is rejected — the trace is not
 // installed and its head stays on the block interpreter — rather than
@@ -31,12 +30,9 @@ import "fmt"
 
 // checkTier3 validates t3 against the superblock and the segmentized stream
 // it was compiled from. Called under Engine.Verify by install.
-func (e *Engine) checkTier3(sb *superblock, ops []uop, t3 *tier3) error {
+func checkTier3(sb *superblock, ops []uop, t3 *tier3) error {
 	if t3.entry != sb.entry {
 		return fmt.Errorf("tier3 entry %#x, superblock entry %#x", t3.entry, sb.entry)
-	}
-	if t3.gen != sb.gen {
-		return fmt.Errorf("tier3 generation %d, superblock generation %d", t3.gen, sb.gen)
 	}
 	var plan t3plan // the checker's own, not the one the compilation used
 	if !planTier3(&plan, ops) {
@@ -82,25 +78,14 @@ func (e *Engine) checkTier3(sb *superblock, ops []uop, t3 *tier3) error {
 			return fmt.Errorf("segment %d: head chunk charges cost=%d insns=%d, segment aggregates cost=%d insns=%d",
 				s, head.cost, head.insns, ops[first].cost, ops[first].insns)
 		}
-		if head.pc != ops[first].pc {
-			return fmt.Errorf("segment %d: head chunk pc %#x, segment starts at %#x", s, head.pc, ops[first].pc)
-		}
-		wantGuard := false
-		if s > 0 {
-			wantGuard = e.Mem.PageOf(e.Mem.Translate(ops[first].pc)) !=
-				e.Mem.PageOf(e.Mem.Translate(ops[plan.starts[s-1]].pc))
-		}
-		if head.guard != wantGuard {
-			return fmt.Errorf("segment %d: guard=%v, code-page cross says %v", s, head.guard, wantGuard)
-		}
 		for k := 1; k < want; k++ {
 			ch := &t3.chunks[ci+k]
 			if ch.fn == nil {
 				return fmt.Errorf("segment %d: continuation chunk %d has no code", s, k)
 			}
-			if ch.cost != 0 || ch.insns != 0 || ch.guard {
-				return fmt.Errorf("segment %d: continuation chunk %d carries charge/guard (cost=%d insns=%d guard=%v)",
-					s, k, ch.cost, ch.insns, ch.guard)
+			if ch.cost != 0 || ch.insns != 0 {
+				return fmt.Errorf("segment %d: continuation chunk %d carries a charge (cost=%d insns=%d)",
+					s, k, ch.cost, ch.insns)
 			}
 		}
 		ci += want

@@ -25,26 +25,25 @@ loop:
 `
 
 // compiledTrace runs checkedLoop until a compiled trace exists and returns
-// the engine, the superblock, the stream it was compiled from, and its
-// compiled form.
-func compiledTrace(t *testing.T) (*Engine, *superblock, []uop, *tier3) {
+// the superblock, the stream it was compiled from, and its compiled form.
+func compiledTrace(t *testing.T) (*superblock, []uop, *tier3) {
 	t.Helper()
 	var log *[]compiledStream
-	_, e := tier3State(t, checkedLoop, func(e *Engine) { log = recordCompiles(e) })
+	tier3State(t, checkedLoop, func(e *Engine) { log = recordCompiles(e) })
 	for _, c := range *log {
 		if c.sb.t3 != nil {
-			return e, c.sb, c.ops, c.sb.t3
+			return c.sb, c.ops, c.sb.t3
 		}
 	}
 	t.Fatal("no compiled trace produced")
-	return nil, nil, nil, nil
+	return nil, nil, nil
 }
 
 // TestCheckTier3AcceptsRealCompilation: the structural checker must pass
 // every compilation the real compiler produces.
 func TestCheckTier3AcceptsRealCompilation(t *testing.T) {
-	e, sb, ops, t3 := compiledTrace(t)
-	if err := e.checkTier3(sb, ops, t3); err != nil {
+	sb, ops, t3 := compiledTrace(t)
+	if err := checkTier3(sb, ops, t3); err != nil {
 		t.Fatalf("real compilation rejected: %v", err)
 	}
 }
@@ -60,10 +59,10 @@ func corrupted(t3 *tier3, f func(*tier3)) *tier3 {
 // TestCheckTier3RejectsCorruption corrupts one structural property at a
 // time and requires the checker to catch each.
 func TestCheckTier3RejectsCorruption(t *testing.T) {
-	e, sb, ops, t3 := compiledTrace(t)
+	sb, ops, t3 := compiledTrace(t)
 
 	mutate := func(name string, f func(*tier3), want string) {
-		err := e.checkTier3(sb, ops, corrupted(t3, f))
+		err := checkTier3(sb, ops, corrupted(t3, f))
 		if err == nil {
 			t.Errorf("%s: corruption passed the checker", name)
 			return
@@ -74,19 +73,16 @@ func TestCheckTier3RejectsCorruption(t *testing.T) {
 	}
 
 	mutate("wrong entry", func(c *tier3) { c.entry++ }, "entry")
-	mutate("wrong generation", func(c *tier3) { c.gen++ }, "generation")
 	mutate("overcharged head", func(c *tier3) { c.chunks[0].cost++ }, "charges")
 	mutate("wrong insn count", func(c *tier3) { c.chunks[0].insns++ }, "charges")
-	mutate("wrong resume pc", func(c *tier3) { c.chunks[0].pc += 4 }, "pc")
-	mutate("spurious guard", func(c *tier3) { c.chunks[0].guard = !c.chunks[0].guard }, "guard")
 	mutate("dead chunk", func(c *tier3) { c.chunks[0].fn = nil }, "no code")
 	mutate("dropped chunk", func(c *tier3) { c.chunks = c.chunks[:len(c.chunks)-1] }, "chunk")
 	mutate("extra chunk", func(c *tier3) { c.chunks = append(c.chunks, t3chunk{fn: t3adv}) }, "chunk")
 }
 
 // TestRefusedTraceStaysOnBlocks forces one checkTier3 rejection at a loop
-// head: the trace must not be installed, the refusal must be sticky for the
-// cache generation (one attempt, one diagnostic), the guest must finish on
+// head: the trace must not be installed, the refusal must be sticky until
+// the cache is flushed (one attempt, one diagnostic), the guest must finish on
 // the block interpreter with the state of an undisturbed run, and a cache
 // flush must clear the refusal.
 func TestRefusedTraceStaysOnBlocks(t *testing.T) {
@@ -138,7 +134,7 @@ func TestRefusedTraceStaysOnBlocks(t *testing.T) {
 		t.Errorf("refused run diverged:\n got pc=%#x x=%v\nwant pc=%#x x=%v", cpu.PC, cpu.X, want.PC, want.X)
 	}
 
-	// A new cache generation has new blocks: the trace is attempted again,
+	// A flushed cache has new blocks: the trace is attempted again,
 	// and this time nothing corrupts it.
 	e.ClearCache()
 	cpu2 := &CPU{PC: im.Entry, TID: 1}

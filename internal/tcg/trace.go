@@ -13,10 +13,11 @@
 // hot loops run entirely inside one compiled trace with only a budget check
 // per iteration.
 //
-// Coherence: a superblock carries the cache generation it was built in.
-// ClearCache bumps the generation, which retires every compiled trace
-// (checked at dispatch, at back-edges, and after HINT callbacks) and every
-// chained exit pointer — no stale translation can run after a flush.
+// Coherence: ClearCache runs only between Exec calls and drops the cache map
+// and the jump cache, which are the only ways into a trace or a block. A
+// retired trace and the blocks its exit slots chain to are unreachable from
+// then on, so nothing here is revalidated — no stale translation can run
+// after a flush.
 package tcg
 
 import (
@@ -43,7 +44,7 @@ const (
 
 // exitSlot caches the translated block at one static trace exit, the trace
 // analog of block.taken/block.fall chaining. Exec fills it lazily via
-// Engine.pendingExit; exitVia revalidates against the cache generation.
+// Engine.pendingExit.
 type exitSlot struct {
 	blk *block
 }
@@ -53,7 +54,6 @@ type exitSlot struct {
 // translator scratch, dead once promote returns.
 type superblock struct {
 	entry  uint64
-	gen    uint64 // cache generation this trace was built in
 	exits  []exitSlot
 	ninsns uint32 // guest instructions lowered into the trace
 	t3     *tier3 // set once, by install
@@ -73,10 +73,9 @@ func (e *Engine) exitVia(sb *superblock, idx int16) *block {
 		return nil
 	}
 	s := &sb.exits[idx]
-	if b := s.blk; b != nil && b.gen == e.gen {
-		return b
+	if s.blk != nil {
+		return s.blk
 	}
-	s.blk = nil
 	e.pendingExit = s
 	return nil
 }
@@ -107,7 +106,7 @@ func isCondBranch(op isa.Op) bool {
 
 // promote forms the trace headed by head, compiles it and installs it as
 // head.sb; it reports whether head now has a compiled trace. head must be a
-// current-generation cached block. The stream lives in the translator's
+// cached block. The stream lives in the translator's
 // scratch from lowering to install, so the whole promotion is one cold
 // section.
 func (e *Engine) promote(head *block, spent *int64) bool {
@@ -124,11 +123,11 @@ func (e *Engine) promote(head *block, spent *int64) bool {
 // install makes t3 the executable form of head's trace sb, compiled from ops
 // — under Verify only once checkTier3 accepts it. A trace the closure
 // compiler (t3 == nil) or the checker refused is dropped and head marked
-// refused: it stays on the block interpreter and is not attempted again in
-// this cache generation.
+// refused: it stays on the block interpreter and is not attempted again
+// until the cache is flushed.
 func (e *Engine) install(head *block, sb *superblock, ops []uop, t3 *tier3) bool {
 	if t3 != nil && e.Verify {
-		if err := e.checkTier3(sb, ops, t3); err != nil {
+		if err := checkTier3(sb, ops, t3); err != nil {
 			e.Stats.Tier3CheckFailures++
 			if e.OnVerifyFail != nil {
 				e.OnVerifyFail("tier3", sb.entry, err)
@@ -158,7 +157,7 @@ func (e *Engine) buildTrace(head *block, spent *int64) (*superblock, []uop) {
 // scratch: ops is the folded and fused stream, ref (under Verify) the
 // per-instruction reference lowering. Both live until the next lowering.
 func (e *Engine) lowerTrace(head *block) (sb *superblock, ops, ref []uop) {
-	sb = &superblock{entry: head.startPC, gen: e.gen}
+	sb = &superblock{entry: head.startPC}
 	ops = e.uopBuf[:0]
 	visited := [MaxTraceBlocks]uint64{head.startPC} // entries of the blocks in the trace
 	nvisited := 1
@@ -181,14 +180,14 @@ func (e *Engine) lowerTrace(head *block) (sb *superblock, ops, ref []uop) {
 	}
 
 	// canFollow reports whether the trace may continue into the block at
-	// target: it must be translated in this generation, not already part of
-	// the trace, and fit under the caps. A block it admits joins visited.
+	// target: it must be cached, not already part of the trace, and fit
+	// under the caps. A block it admits joins visited.
 	canFollow := func(target uint64, blocks int) (*block, bool) {
 		if blocks >= MaxTraceBlocks || slices.Contains(visited[:nvisited], target) {
 			return nil, false
 		}
 		nb, ok := e.cache[target]
-		if !ok || nb.gen != e.gen {
+		if !ok {
 			return nil, false
 		}
 		if sb.ninsns+uint32(len(nb.ops)) > MaxTraceInsns {

@@ -490,11 +490,11 @@ func findInsn(t *testing.T, e *Engine, pc uint64, op isa.Op) uint64 {
 }
 
 func TestClearCacheRetiresChainedBlocks(t *testing.T) {
-	// Regression: ClearCache during execution (from the OnHint hook) must
-	// retire already-chained blocks. The hook patches the loop body —
-	// replacing its ADDI with HALT — and flushes; the patched code must
-	// execute on the next iteration instead of the stale chained block
-	// looping forever.
+	// A flush between Exec calls must retire already-chained blocks and
+	// compiled traces. The loop body's ADDI is patched to HALT between two
+	// quanta: the next quantum still runs the cached translation, and after
+	// ClearCache the patched code must execute on the next iteration instead
+	// of the stale chained loop.
 	for _, tier := range []struct {
 		name    string
 		noSuper bool
@@ -517,32 +517,39 @@ loop:
 			if err != nil {
 				t.Fatal(err)
 			}
-			hints := 0
-			e.OnHint = func(tid, group int64) {
-				hints++
-				if hints == 20 {
-					page := space.PageOf(addiPC)
-					data := space.PageData(page)
-					off := addiPC - space.PageAddr(page)
-					copy(data[off:], halt)
-					e.ClearCache()
+			quantum := func() {
+				t.Helper()
+				if res := e.Exec(cpu, 200); res.Reason != StopBudget {
+					t.Fatalf("stop: %+v", res)
 				}
 			}
-			res := runToStop(t, e, cpu)
-			if res.Reason != StopHalt {
-				t.Fatalf("patched HALT never executed: %+v", res)
+			for range 20 {
+				quantum()
 			}
-			// The loop ran exactly as many full iterations as hints fired
-			// before (or at) the patch, give or take the iteration in
-			// flight when the flush landed.
-			if s0 := cpu.X[isa.RegS0]; s0 < 19 || s0 > 20 {
-				t.Errorf("s0 = %d, want 19..20", s0)
+			if head := e.cache[im.Symbols["loop"]]; head == nil || head.taken != head {
+				t.Fatal("loop block was not chained to itself before the flush")
+			}
+			if !tier.noSuper && e.Stats.Superblocks == 0 {
+				t.Fatal("loop was not promoted before the flush")
+			}
+
+			page := space.PageOf(addiPC)
+			copy(space.PageData(page)[addiPC-space.PageAddr(page):], halt)
+			s0 := cpu.X[isa.RegS0]
+			quantum()
+			if cpu.X[isa.RegS0] == s0 {
+				t.Fatal("the cached translation did not run after the patch; the flush below proves nothing")
+			}
+			s0 = cpu.X[isa.RegS0]
+			e.ClearCache()
+			if res := e.Exec(cpu, 10_000); res.Reason != StopHalt {
+				t.Fatalf("patched HALT did not execute in the quantum after the flush: %+v", res)
+			}
+			if got := cpu.X[isa.RegS0]; got != s0 {
+				t.Errorf("s0 = %d after the flush, %d before it: the stale loop body ran", got, s0)
 			}
 			if e.Stats.Flushes != 1 {
 				t.Errorf("flushes = %d, want 1", e.Stats.Flushes)
-			}
-			if !tier.noSuper && e.Stats.Superblocks == 0 {
-				t.Error("loop was not promoted before the flush")
 			}
 		})
 	}

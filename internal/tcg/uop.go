@@ -220,8 +220,9 @@ func (e *Engine) lowerSan(ops []uop, ins *isa.Instruction, pc uint64, kind uopKi
 }
 
 // segBoundary reports whether k ends a cost segment: every uop that can
-// leave the trace (exits, guards, back-edges) or stop the quantum mid-trace
-// (atomics, syscalls, hints that may flush the cache).
+// leave the trace (exits, guards, back-edges), stop the quantum mid-trace
+// (atomics, syscalls) or publish an effect the verifier compares in order
+// (hints).
 func segBoundary(k uopKind) bool {
 	switch k {
 	case uGuard, uFusedCmpGuard, uBranchExit, uFusedCmpExit, uJalExit,
