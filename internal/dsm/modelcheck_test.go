@@ -308,10 +308,7 @@ func (e *mcEnv) probeIllegal(t *testing.T, trace []mcEv) {
 // the depth bound, replaying each prefix from scratch so states are
 // independent.
 func TestDirectoryModelCheck(t *testing.T) {
-	depth := 6
-	if testing.Short() {
-		depth = 5
-	}
+	const depth = 6
 	states := 0
 	var explore func(seq []mcEv)
 	explore = func(seq []mcEv) {

@@ -179,12 +179,6 @@ func (s *Space) AddRemap(orig uint64, shadows []uint64) error {
 	return nil
 }
 
-// Remap returns the shadow pages of orig, if split.
-func (s *Space) Remap(orig uint64) ([]uint64, bool) {
-	sh, ok := s.remap[orig]
-	return sh, ok
-}
-
 // RemapCount returns the number of split pages.
 func (s *Space) RemapCount() int { return len(s.remap) }
 

@@ -148,9 +148,6 @@ func (nw *Network) FaultStats() FaultStats {
 	return nw.fault.Stats
 }
 
-// Kernel returns the sim kernel the network schedules on.
-func (nw *Network) Kernel() *sim.Kernel { return nw.k }
-
 // Send queues m for delivery to m.To. Delivery invokes the destination
 // handler after serialization, propagation and receive processing.
 func (nw *Network) Send(m *proto.Msg) {

@@ -346,20 +346,8 @@ func (n *Node) EncodePage(page uint64) []byte {
 	return p.encode()
 }
 
-// InstallPage replaces the local shadow with an incoming copy (page grant).
-func (n *Node) InstallPage(page uint64, blob []byte) {
-	if len(blob) == 0 {
-		return
-	}
-	p, err := decodePageShadow(blob, n.pageSize)
-	if err != nil {
-		return
-	}
-	n.pages[page] = p
-}
-
-// MergePage folds an incoming shadow copy into the local one (writeback and
-// invalidation acks arriving at the home node).
+// MergePage folds an incoming shadow copy into the local one: page grants
+// and pushes at a sharer, fetch replies and invalidation acks at the home node.
 func (n *Node) MergePage(page uint64, blob []byte) {
 	if len(blob) == 0 {
 		return

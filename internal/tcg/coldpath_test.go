@@ -390,8 +390,8 @@ second:
 func scribble(buf []uop) {
 	buf = buf[:cap(buf)]
 	for i := range buf {
-		buf[i] = uop{kind: uEbreakExit, imm: -3, val: 0xbad, pc: 0xbad0, npc: 0xbad4, npc2: 0xbad8,
-			cost: -7, selfCost: -7, insns: 9, exit: 7, exit2: 7,
+		buf[i] = uop{kind: uEbreakExit, imm: -3, val: 0xbad, pc: 0xbad0, npc: 0xbad4,
+			cost: -7, selfCost: -7, insns: 9, exit: 7,
 			rd: 13, rs1: 13, rs2: 13, size: 3, sh: 9, op: isa.OpHALT, selfInsns: 9}
 	}
 }

@@ -551,12 +551,12 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compi
 			switch u.kind {
 			case uGuard:
 				paths[fmt.Sprintf("guard %s expectTaken=%v", u.op, u.expectTaken)] = true
-			case uBranchExit:
-				paths[fmt.Sprintf("brexit %s", u.op)] = true
-			case uFusedCmpGuard, uFusedCmpExit:
-				paths[fmt.Sprintf("%s unsigned=%v", kindName(u.kind), u.cmpU)] = true
-			case uJalExit:
-				paths[fmt.Sprintf("jalexit link=%v", u.rd != 0)] = true
+			case uFusedCmpGuard:
+				paths[fmt.Sprintf("cmpguard unsigned=%v expectTaken=%v", u.cmpU, u.expectTaken)] = true
+			case uExit:
+				if i > 0 {
+					paths["exit after "+kindName(stream[i-1].kind)] = true
+				}
 			case uAtomic:
 				paths[fmt.Sprintf("atomic %s", u.op)] = true
 			}
@@ -565,7 +565,7 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compi
 		if !planTier3(&plan, stream) {
 			t.Fatalf("%s: installed trace at %#x does not plan", name, sb.entry)
 		}
-		paths[fmt.Sprintf("fuseLoop=%v", plan.fuseLoop)] = true
+		paths[fmt.Sprintf("fuseTail=%v %s", plan.fuseTail, kindName(stream[len(stream)-1].kind))] = true
 		for _, seg := range plan.segs {
 			if len(seg.groups)+1 > t3ChunkOps {
 				paths["segment cut into chunks"] = true
@@ -612,9 +612,11 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compi
 		}
 	}
 	want := []string{
-		"fuseLoop=true", "fuseLoop=false", "segment cut into chunks",
-		"addi pair", "addi+mul", "jalexit link=true", "jalexit link=false",
-		"cmpguard unsigned=false", "cmpguard unsigned=true", "cmpexit unsigned=false", "cmpexit unsigned=true",
+		"fuseTail=true loopback", "fuseTail=true exit", "fuseTail=false exit", "segment cut into chunks",
+		"addi pair", "addi+mul",
+		"exit after guard", "exit after cmpguard", "exit after link", "exit after nop",
+		"cmpguard unsigned=false expectTaken=false", "cmpguard unsigned=false expectTaken=true",
+		"cmpguard unsigned=true expectTaken=false", "cmpguard unsigned=true expectTaken=true",
 		"load size=1 signed=true x0=false", "load size=1 signed=false x0=false",
 		"load size=2 signed=true x0=false", "load size=2 signed=false x0=false",
 		"load size=4 signed=true x0=false", "load size=4 signed=false x0=false",
@@ -636,7 +638,7 @@ func checkEveryOpCoverage(t *testing.T, name string, e *Engine, compiled []compi
 		switch op.Shape() {
 		case "stb":
 			want = append(want, fmt.Sprintf("guard %s expectTaken=true", op),
-				fmt.Sprintf("guard %s expectTaken=false", op), fmt.Sprintf("brexit %s", op))
+				fmt.Sprintf("guard %s expectTaken=false", op))
 		case "dta":
 			want = append(want, fmt.Sprintf("atomic %s", op))
 		}

@@ -53,7 +53,7 @@ func decodeUops(data []byte, maxOps int) []uop {
 			rd:        data[1] & 31,
 			rs1:       data[2] & 31,
 			rs2:       data[3] & 31,
-			selfInsns: 1, selfCost: 1, exit: -1, exit2: -1,
+			selfInsns: 1, selfCost: 1,
 		}
 		raw := binary.LittleEndian.Uint16([]byte{data[3], data[4]})
 		u.imm = fuzzImm(data[4], raw)

@@ -197,13 +197,13 @@ func takeExpr(b *symeq.Builder, op isa.Op, x, y *symeq.Expr) *symeq.Expr {
 	}
 }
 
-// branchTake evaluates a guard/branch-exit uop's "taken" condition,
+// branchTake evaluates a guard's "taken" condition,
 // applying the fused compare's register write as a side effect (the
 // executor writes the compare result before deciding the branch).
 func (st *symState) branchTake(u *uop) *symeq.Expr {
 	b := st.bld
 	switch u.kind {
-	case uFusedCmpGuard, uFusedCmpExit:
+	case uFusedCmpGuard:
 		op := symeq.LtS
 		if u.cmpU {
 			op = symeq.LtU
@@ -216,14 +216,11 @@ func (st *symState) branchTake(u *uop) *symeq.Expr {
 	}
 }
 
-// effClass collapses fused and unfused control uops into one comparable
-// effect class; every other effect kind is its own class.
+// effClass collapses fused and unfused guards into one comparable effect
+// class; every other effect kind is its own class.
 func effClass(k uopKind) uopKind {
-	switch k {
-	case uFusedCmpGuard:
+	if k == uFusedCmpGuard {
 		return uGuard
-	case uFusedCmpExit:
-		return uBranchExit
 	}
 	return k
 }
@@ -354,27 +351,6 @@ func symEquivSeq(ref, got []uop) error {
 			if err := stateEq(site); err != nil {
 				return err
 			}
-		case uBranchExit:
-			takeA := a.branchTake(ru)
-			takeB := b.branchTake(gu)
-			if ru.npc != gu.npc || ru.npc2 != gu.npc2 {
-				return fmt.Errorf("%s: branch targets differ", site)
-			}
-			if err := prove(takeA, takeB, site+" condition"); err != nil {
-				return err
-			}
-			if err := stateEq(site); err != nil {
-				return err
-			}
-		case uJalExit:
-			a.linkWrite(ru)
-			b.linkWrite(gu)
-			if ru.npc != gu.npc {
-				return fmt.Errorf("%s: jump target differs", site)
-			}
-			if err := stateEq(site); err != nil {
-				return err
-			}
 		case uJalrExit:
 			tA := bld.Bin(symeq.And, a.addrExpr(ru), bld.Const(^uint64(3)))
 			tB := bld.Bin(symeq.And, b.addrExpr(gu), bld.Const(^uint64(3)))
@@ -467,7 +443,7 @@ func (st *symState) wrSym(rd uint8, v *symeq.Expr) {
 	}
 }
 
-// linkWrite applies the link-register write of a jal/jalr exit.
+// linkWrite applies the link-register write of a jalr exit.
 func (st *symState) linkWrite(u *uop) {
 	if u.rd != 0 {
 		st.x[u.rd] = st.bld.Const(u.val)

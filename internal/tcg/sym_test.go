@@ -8,11 +8,11 @@ import (
 )
 
 func alu2(op isa.Op, rd, rs1, rs2 uint8) uop {
-	return uop{kind: uPure, op: op, rd: rd, rs1: rs1, rs2: rs2, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
+	return uop{kind: uPure, op: op, rd: rd, rs1: rs1, rs2: rs2, selfInsns: 1, selfCost: 1}
 }
 
 func alui(op isa.Op, rd, rs1 uint8, imm int64) uop {
-	return uop{kind: uPure, op: op, rd: rd, rs1: rs1, imm: imm, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
+	return uop{kind: uPure, op: op, rd: rd, rs1: rs1, imm: imm, selfInsns: 1, selfCost: 1}
 }
 
 func TestSymEquivSeqProvesAlgebraicRewrites(t *testing.T) {
@@ -28,7 +28,7 @@ func TestSymEquivSeqProvesAlgebraicRewrites(t *testing.T) {
 		{
 			"xor-self to li 0",
 			[]uop{alu2(isa.OpXOR, 3, 7, 7)},
-			[]uop{{kind: uPure, op: isa.OpMOVID, rd: 3, val: 0, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}},
+			[]uop{{kind: uPure, op: isa.OpMOVID, rd: 3, val: 0, selfInsns: 1, selfCost: 1}},
 		},
 		{
 			"independent addi commute",
@@ -48,9 +48,9 @@ func TestSymEquivSeqProvesAlgebraicRewrites(t *testing.T) {
 }
 
 func TestSymEquivSeqRejectsWrongRewrites(t *testing.T) {
-	ld := uop{kind: uLoad, rd: 3, rs1: 4, imm: 8, size: 8, pc: 0x100, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
-	st := uop{kind: uStore, rs1: 4, rs2: 5, imm: 8, size: 8, pc: 0x104, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
-	amo := uop{kind: uAtomic, op: isa.OpAMOADD, rd: 3, rs1: 4, rs2: 5, pc: 0x108, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
+	ld := uop{kind: uLoad, rd: 3, rs1: 4, imm: 8, size: 8, pc: 0x100, selfInsns: 1, selfCost: 1}
+	st := uop{kind: uStore, rs1: 4, rs2: 5, imm: 8, size: 8, pc: 0x104, selfInsns: 1, selfCost: 1}
+	amo := uop{kind: uAtomic, op: isa.OpAMOADD, rd: 3, rs1: 4, rs2: 5, pc: 0x108, selfInsns: 1, selfCost: 1}
 
 	cases := []struct {
 		name     string
@@ -72,7 +72,7 @@ func TestSymEquivSeqRejectsWrongRewrites(t *testing.T) {
 		{
 			"result materialized into x0",
 			[]uop{alui(isa.OpADDI, 3, 3, 0)},
-			[]uop{{kind: uPure, op: isa.OpMOVID, rd: 0, val: 7, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}},
+			[]uop{{kind: uPure, op: isa.OpMOVID, rd: 0, val: 7, selfInsns: 1, selfCost: 1}},
 			"x0",
 		},
 		{
@@ -136,7 +136,7 @@ func TestSymEquivSeqRejectsWrongRewrites(t *testing.T) {
 func TestSymEquivSeqProvesCmpBranchFusion(t *testing.T) {
 	cmp := alu2(isa.OpSLT, 5, 6, 7)
 	guard := uop{kind: uGuard, rs1: 5, rs2: 0, op: isa.OpBNE, expectTaken: true,
-		pc: 0x200, npc: 0x300, selfInsns: 1, selfCost: 1, exit: 0, exit2: -1}
+		pc: 0x200, npc: 0x300, selfInsns: 1, selfCost: 1, exit: 0}
 	fused := guard
 	fused.kind = uFusedCmpGuard
 	fused.rd, fused.rs1, fused.rs2 = 5, 6, 7

@@ -19,7 +19,9 @@
 // overflowing on long straight-line segments). A segment's aggregate
 // virtual cost and guest-instruction count live on its first chunk and
 // are charged inline by the trampoline — branch-free adds, no charge
-// closure call.
+// closure call. A trace's final back-edge or exit, when it is a segment of
+// its own, charges nothing and gets no chunk: its closure is the previous
+// segment's fall-through.
 //
 // The closures of 8-byte accesses — all but a few percent of the memory
 // traffic — keep a per-site TLB line in each access's memAcc: one static
@@ -197,13 +199,13 @@ type t3seg struct {
 }
 
 // t3plan is the complete compilation plan for a superblock: segment
-// boundaries, the back-edge fold, and each segment's fusion units and
+// boundaries, the fused tail, and each segment's fusion units and
 // memory-run groups. compileTier3 consumes it mechanically, which makes
 // the plan the single structure the checker (tier3check.go) has to
 // validate against the uop sequence.
 type t3plan struct {
 	starts   []int // segment start indices, one per segBoundary
-	fuseLoop bool  // trailing bare uLoopBack folded into the predecessor
+	fuseTail bool  // trailing bare uLoopBack or uExit is the predecessor's fall-through
 	segs     []t3seg
 
 	// Backing arrays of every segment's units and groups. A plan is dead
@@ -233,15 +235,12 @@ func planTier3(p *t3plan, ops []uop) bool {
 	}
 	p.segs = slices.Grow(p.segs, len(p.starts))
 
-	// A final segment that is a bare back-edge gets folded into its
-	// predecessor's fall-through: charge + t3Loop in one closure.
+	// A final segment that is a bare back-edge or exit becomes its
+	// predecessor's fall-through: it charges nothing, so it needs no chunk.
 	nseg := len(p.starts)
-	if nseg >= 2 {
-		lastFirst := p.starts[nseg-1]
-		if lastFirst == len(ops)-1 && ops[lastFirst].kind == uLoopBack {
-			p.fuseLoop = true
-			nseg--
-		}
+	if k := ops[len(ops)-1].kind; nseg >= 2 && p.starts[nseg-1] == len(ops)-1 && (k == uLoopBack || k == uExit) {
+		p.fuseTail = true
+		nseg--
 	}
 
 	for s := 0; s < nseg; s++ {
@@ -328,25 +327,6 @@ func (e *Engine) compileTier3(sb *superblock, ops []uop) *tier3 {
 	}
 	t3 := &tier3{entry: sb.entry}
 	nseg := len(plan.segs)
-	fuseLoop := plan.fuseLoop
-
-	// The last compiled segment ends in a true exit, so its fall-through
-	// is never taken; give it a defensive stop.
-	tailNext := t3op(func(c *t3ctx) int32 {
-		c.cpu.PC = t3.entry
-		c.res = Result{Reason: StopError, Err: errT3Fall}
-		c.stop = true
-		return t3Stop
-	})
-	if fuseLoop {
-		u := &ops[len(ops)-1]
-		cost, insns := int64(u.cost), uint64(u.insns)
-		tailNext = func(c *t3ctx) int32 {
-			*c.spent += cost
-			c.executed += insns
-			return t3Loop
-		}
-	}
 
 	// A segment is a head chunk plus one per t3ChunkOps groups cut off its
 	// end. Segments compile last first, so their chunks fill the array from
@@ -358,6 +338,19 @@ func (e *Engine) compileTier3(sb *superblock, ops []uop) *tier3 {
 	}
 	t3.chunks = make([]t3chunk, ci)
 	sites := newSiteWalk(ops)
+
+	// The last compiled segment falls through into the fused tail (a bare
+	// back-edge or exit, which ignores its own next) or, when it ends in a
+	// true exit, into a defensive stop that never runs.
+	tailNext := t3op(func(c *t3ctx) int32 {
+		c.cpu.PC = t3.entry
+		c.res = Result{Reason: StopError, Err: errT3Fall}
+		c.stop = true
+		return t3Stop
+	})
+	if plan.fuseTail {
+		tailNext = e.compileTail(sb, ops, len(ops)-1, &sites, nil)
+	}
 	for s := nseg - 1; s >= 0; s-- {
 		first := plan.segs[s].first
 		last := plan.segs[s].last
@@ -944,13 +937,13 @@ func compileAddiMul(ops []uop, un t3unit, next t3op) t3op {
 }
 
 // compileMid compiles one straight-line (non-boundary, non-memory) uop: a
-// probe, a fence or a link by its kind, a pure uop by its op. All closures
-// capture their operands at compile time and allocate nothing at execution
-// time. The arms are written out, one closure per op, and stay so: Go does
-// not specialise a closure on a captured function value, so a shared per-op
-// semantics table would put a second indirect call inside the 34-44 % of all
-// closure calls that land here, and generating the arms would move this
-// code, not remove it.
+// probe, a fence, a link or a hint by its kind, a pure uop by its op. All
+// closures capture their operands at compile time and allocate nothing at
+// execution time. The arms are written out, one closure per op, and stay
+// so: Go does not specialise a closure on a captured function value, so a
+// shared per-op semantics table would put a second indirect call inside the
+// 34-44 % of all closure calls that land here, and generating the arms would
+// move this code, not remove it.
 func (e *Engine) compileMid(ops []uop, i int, next t3op) t3op {
 	u := &ops[i]
 	rd, rs1, rs2 := u.rd, u.rs1, u.rs2
@@ -991,6 +984,8 @@ func (e *Engine) compileMid(ops []uop, i int, next t3op) t3op {
 			return next
 		}
 		return func(c *t3ctx) int32 { c.x[rd] = v; return next(c) }
+	case uHint:
+		return func(c *t3ctx) int32 { c.cpu.HintGroup = imm; return next(c) }
 	case uPure: // by op, below
 	default:
 		return nil
@@ -1212,20 +1207,21 @@ func (e *Engine) compileStore(ops []uop, un t3unit, sites *siteWalk, next t3op) 
 }
 
 // compileTail compiles a segment-boundary uop. Fall-through outcomes
-// (guard passes, successful atomics, hints) chain into next; everything
-// else returns a trampoline disposition.
+// (guard passes, successful atomics) chain into next; everything else
+// returns a trampoline disposition.
 func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, next t3op) t3op {
 	u := &ops[i]
 	rd, rs1, rs2 := u.rd, u.rs1, u.rs2
-	pc, npc, npc2 := u.pc, u.npc, u.npc2
-	exit, exit2 := u.exit, u.exit2
+	pc, npc, exit := u.pc, u.npc, u.exit
 	switch u.kind {
 	case uGuard:
 		// The trace stays on the closure chain while the branch goes the
-		// expected way. One closure over takeBranch, as uBranchExit has:
-		// unfused guards are at most 1.6 % of closure calls on the benchmark
-		// workloads and every one of them is a beq (EXPERIMENTS.md, "Tried
-		// and removed"), so a closure per branch op earned nothing.
+		// expected way. One closure over takeBranch for every branch op:
+		// in-trace guards were at most 1.6 % of closure calls on the
+		// benchmark workloads, all of them beq (EXPERIMENTS.md, "Tried and
+		// removed"), and the branches that end a trace are among the exits
+		// that make up at most 4.3 % (DESIGN.md), so a closure per branch
+		// op earns nothing.
 		bop, expect := u.op, u.expectTaken
 		return func(c *t3ctx) int32 {
 			if takeBranch(bop, c.x[rs1], c.x[rs2]) != expect {
@@ -1261,50 +1257,6 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 				return c.chainTo(c.e.exitVia(sb, exit))
 			}
 			return next(c)
-		}
-
-	case uBranchExit:
-		bop := u.op
-		return func(c *t3ctx) int32 {
-			if takeBranch(bop, c.x[rs1], c.x[rs2]) {
-				c.cpu.PC = npc
-				return c.chainTo(c.e.exitVia(sb, exit))
-			}
-			c.cpu.PC = npc2
-			return c.chainTo(c.e.exitVia(sb, exit2))
-		}
-
-	case uFusedCmpExit:
-		takenAt1 := u.op == isa.OpBNE // bnez taken when cmp == 1
-		cmpU := u.cmpU
-		return func(c *t3ctx) int32 {
-			var v uint64
-			if cmpU {
-				v = b2u(c.x[rs1] < c.x[rs2])
-			} else {
-				v = b2u(int64(c.x[rs1]) < int64(c.x[rs2]))
-			}
-			c.x[rd] = v
-			if (v == 1) == takenAt1 {
-				c.cpu.PC = npc
-				return c.chainTo(c.e.exitVia(sb, exit))
-			}
-			c.cpu.PC = npc2
-			return c.chainTo(c.e.exitVia(sb, exit2))
-		}
-
-	case uJalExit:
-		link := u.val
-		if rd == 0 {
-			return func(c *t3ctx) int32 {
-				c.cpu.PC = npc
-				return c.chainTo(c.e.exitVia(sb, exit))
-			}
-		}
-		return func(c *t3ctx) int32 {
-			c.x[rd] = link
-			c.cpu.PC = npc
-			return c.chainTo(c.e.exitVia(sb, exit))
 		}
 
 	case uJalrExit:
@@ -1371,13 +1323,6 @@ func (e *Engine) compileTail(sb *superblock, ops []uop, i int, sites *siteWalk, 
 			c.res = Result{Reason: StopSyscall}
 			c.stop = true
 			return t3Stop
-		}
-
-	case uHint:
-		group := u.imm
-		return func(c *t3ctx) int32 {
-			c.cpu.HintGroup = group
-			return next(c)
 		}
 
 	case uHaltExit:

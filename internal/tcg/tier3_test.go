@@ -270,9 +270,10 @@ loop:
 // TestTier3MemRunFaultRestart drives a fused memory run into a page fault on
 // its *last* access and checks precise-restart semantics: the earlier
 // accesses of the run (and their folded address updates) must have retired,
-// the faulting PC must point at the faulting instruction, and after mapping
-// the page the program must complete with the same state as a fault-free
-// run.
+// and so must the hint at the loop head, which shares the faulting store's
+// cost segment; the faulting PC must point at the faulting instruction, and
+// after mapping the page the program must complete with the same state as a
+// fault-free run.
 func TestTier3MemRunFaultRestart(t *testing.T) {
 	const src = `
 _start:
@@ -282,6 +283,7 @@ _start:
 	li   s3, 0x20000
 	li   s4, 0x3f000     ; second page, revoked below
 loop:
+	hint 5               ; same segment as the faulting store
 	sd   s1, 0(s3)
 	sd   s0, 8(s3)
 	ld   t0, 0(s3)
@@ -310,6 +312,9 @@ loop:
 	space.SetPerm(faultPage, mem.PermNone)
 	var res Result
 	for i := 0; i < 1000; i++ {
+		// Every Exec enters the trace at its head, so a hint group of 5 at
+		// the fault stop is the hint this very Exec retired.
+		cpu.HintGroup = 0
 		res = e.Exec(cpu, 100_000)
 		if res.Reason == StopPageFault {
 			break
@@ -323,6 +328,9 @@ loop:
 	}
 	if got := space.PageOf(space.Translate(res.Fault.Addr)); got != faultPage {
 		t.Fatalf("fault addr %#x not on revoked page", res.Fault.Addr)
+	}
+	if cpu.HintGroup != 5 {
+		t.Errorf("hint group at the fault stop is %d, want 5: the hint before the faulting store did not retire", cpu.HintGroup)
 	}
 	// The faulting PC must be the sd into the revoked page, and the fused
 	// run's earlier accesses must already have retired: 0(s3) holds s1.
@@ -341,8 +349,8 @@ loop:
 	if res.Reason != StopHalt {
 		t.Fatalf("stop after restart: %+v", res)
 	}
-	if cpu.X != baseline.X || cpu.PC != baseline.PC {
-		t.Errorf("fault-and-restart diverged:\n got pc=%#x x=%v\nwant pc=%#x x=%v",
-			cpu.PC, cpu.X, baseline.PC, baseline.X)
+	if cpu.X != baseline.X || cpu.PC != baseline.PC || cpu.HintGroup != baseline.HintGroup {
+		t.Errorf("fault-and-restart diverged:\n got pc=%#x hint=%d x=%v\nwant pc=%#x hint=%d x=%v",
+			cpu.PC, cpu.HintGroup, cpu.X, baseline.PC, baseline.HintGroup, baseline.X)
 	}
 }

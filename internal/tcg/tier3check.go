@@ -19,7 +19,9 @@
 //     t3MemRun;
 //   - the chunk array mirrors the plan: one head chunk per segment
 //     carrying exactly the segment's aggregate cost/insns, continuation
-//     chunks charging nothing, every chunk executable.
+//     chunks charging nothing, every chunk executable;
+//   - a fused tail — a bare final back-edge or exit, compiled as the last
+//     segment's fall-through with no chunk of its own — charges nothing.
 //
 // A compilation failing any of these is rejected — the trace is not
 // installed and its head stays on the block interpreter — rather than
@@ -38,10 +40,13 @@ func checkTier3(sb *superblock, ops []uop, t3 *tier3) error {
 	if !planTier3(&plan, ops) {
 		return fmt.Errorf("uop sequence is not compilable yet a tier3 was produced")
 	}
-	if plan.fuseLoop {
+	if plan.fuseTail {
 		last := &ops[len(ops)-1]
-		if last.kind != uLoopBack {
-			return fmt.Errorf("fused back-edge is %s, not loopback", uopName(last))
+		if last.kind != uLoopBack && last.kind != uExit {
+			return fmt.Errorf("fused tail is %s, not loopback or exit", uopName(last))
+		}
+		if last.cost != 0 || last.insns != 0 {
+			return fmt.Errorf("fused tail %s charges cost=%d insns=%d, want nothing", uopName(last), last.cost, last.insns)
 		}
 	}
 

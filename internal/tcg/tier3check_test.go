@@ -154,12 +154,12 @@ func TestRefusedTraceStaysOnBlocks(t *testing.T) {
 // TestCheckSegPlanRejectsBadPlans exercises the plan validator directly on
 // hand-corrupted fusion plans.
 func TestCheckSegPlanRejectsBadPlans(t *testing.T) {
-	ld := uop{kind: uLoad, rd: 3, rs1: 4, imm: 8, size: 8, selfInsns: 1, selfCost: 1, exit: -1, exit2: -1}
+	ld := uop{kind: uLoad, rd: 3, rs1: 4, imm: 8, size: 8, selfInsns: 1, selfCost: 1}
 	ops := []uop{
 		alui(isa.OpADDI, 4, 4, 8),
 		ld,
 		alui(isa.OpADDI, 4, 4, 8),
-		{kind: uExit, npc: 0x100, exit: 0, exit2: -1},
+		{kind: uExit, npc: 0x100, exit: 0},
 	}
 	segmentize(ops)
 	var plan t3plan

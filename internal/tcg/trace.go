@@ -9,9 +9,11 @@
 // lowered to the micro-op IR in uop.go (folding ADDI chains and fusing
 // compare+branch pairs as it goes), proved under -verify, and handed straight
 // to compileTier3 (tier3.go). There is no second promotion and nothing
-// interprets the IR. A trace that re-enters its own head gets a back-edge, so
-// hot loops run entirely inside one compiled trace with only a budget check
-// per iteration.
+// interprets the IR. A trace leaves at a static target only through a guard
+// or its one final exit, each with its own exit slot; a branch that ends the
+// trace is a guard plus that exit. A trace that re-enters its own head gets a
+// back-edge instead, so hot loops run entirely inside one compiled trace with
+// only a budget check per iteration.
 //
 // Coherence: ClearCache runs only between Exec calls and drops the cache map
 // and the jump cache, which are the only ways into a trace or a block. A
@@ -66,12 +68,9 @@ func (e *Engine) hotThreshold() uint32 {
 	return DefaultHotThreshold
 }
 
-// exitVia resolves the chained block at a trace exit, or records the slot in
-// pendingExit so Exec's next lookup fills it.
+// exitVia resolves the chained block at the exit slot of a guard or a uExit,
+// or records the slot in pendingExit so Exec's next lookup fills it.
 func (e *Engine) exitVia(sb *superblock, idx int16) *block {
-	if idx < 0 {
-		return nil
-	}
 	s := &sb.exits[idx]
 	if s.blk != nil {
 		return s.blk
@@ -198,24 +197,19 @@ func (e *Engine) lowerTrace(head *block) (sb *superblock, ops, ref []uop) {
 		return nb, true
 	}
 
-	// emitGuardOrExit appends a conditional-branch uop, fusing it with an
-	// immediately preceding slt/sltu when the branch tests the compare's
-	// destination against x0. Fusion is unsafe when that destination is x0:
-	// the architectural branch then reads the constant 0, not the compare.
+	// emit appends a guard, fusing it with an immediately preceding
+	// slt/sltu when the branch tests the compare's destination against x0.
+	// Fusion is unsafe when that destination is x0: the architectural branch
+	// then reads the constant 0, not the compare.
 	emit := func(u uop) {
 		if verify {
 			ref = append(ref, u)
 		}
-		if len(ops) > 0 && (u.kind == uGuard || u.kind == uBranchExit) &&
-			u.rs2 == 0 && (u.op == isa.OpBEQ || u.op == isa.OpBNE) {
+		if len(ops) > 0 && u.rs2 == 0 && (u.op == isa.OpBEQ || u.op == isa.OpBNE) {
 			p := &ops[len(ops)-1]
 			if p.kind == uPure && (p.op == isa.OpSLT || p.op == isa.OpSLTU) && p.rd != 0 && p.rd == u.rs1 {
 				fused := u
-				if u.kind == uGuard {
-					fused.kind = uFusedCmpGuard
-				} else {
-					fused.kind = uFusedCmpExit
-				}
+				fused.kind = uFusedCmpGuard
 				fused.rd = p.rd
 				fused.rs1 = p.rs1
 				fused.rs2 = p.rs2
@@ -274,7 +268,7 @@ loop:
 				b = nb
 				continue
 			}
-			app(uop{kind: uExit, npc: fallPC, exit: newExit(), exit2: -1})
+			app(uop{kind: uExit, npc: fallPC, exit: newExit()})
 			break
 		}
 
@@ -286,71 +280,69 @@ loop:
 		case ins.Op == isa.OpJAL:
 			target := pc + uint64(ins.Imm*4)
 			link := uop{kind: uLink, op: ins.Op, rd: ins.Rd, val: pc + 4, pc: pc,
-				selfInsns: 1, selfCost: cost, exit: -1, exit2: -1}
+				selfInsns: 1, selfCost: cost}
 			if ins.Rd == 0 {
 				link.kind = uNop
 			}
+			app(link)
 			if target == sb.entry {
-				app(link)
-				app(uop{kind: uLoopBack, pc: pc, exit: -1, exit2: -1})
+				app(uop{kind: uLoopBack, pc: pc})
 				break loop
 			}
 			if nb, ok := canFollow(target, blocks); ok {
-				app(link)
 				b = nb
 				continue
 			}
-			link.kind = uJalExit
-			link.npc = target
-			link.exit = newExit()
-			app(link)
+			app(uop{kind: uExit, pc: pc, npc: target, exit: newExit()})
 			break loop
 
 		case ins.Op == isa.OpJALR:
 			app(uop{kind: uJalrExit, op: ins.Op, rd: ins.Rd, rs1: ins.Rs1,
-				imm: ins.Imm, val: pc + 4, pc: pc, selfInsns: 1, selfCost: cost,
-				exit: -1, exit2: -1})
+				imm: ins.Imm, val: pc + 4, pc: pc, selfInsns: 1, selfCost: cost})
 			break loop
 
 		case isCondBranch(ins.Op):
 			takenPC := pc + uint64(ins.Imm*4)
 			fallPC := pc + 4
+			g := uop{kind: uGuard, rs1: ins.Rs1, rs2: ins.Rs2, op: ins.Op,
+				pc: pc, selfInsns: 1, selfCost: cost}
 			if followTaken, biased := biasDir(b.takenCount, b.fallCount); biased {
 				onPC, offPC := takenPC, fallPC
 				if !followTaken {
 					onPC, offPC = fallPC, takenPC
 				}
+				g.expectTaken, g.npc = followTaken, offPC
 				if onPC == sb.entry {
-					emit(uop{kind: uGuard, rs1: ins.Rs1, rs2: ins.Rs2, op: ins.Op,
-						expectTaken: followTaken, pc: pc, npc: offPC,
-						selfInsns: 1, selfCost: cost, exit: newExit(), exit2: -1})
-					app(uop{kind: uLoopBack, pc: pc, exit: -1, exit2: -1})
+					g.exit = newExit()
+					emit(g)
+					app(uop{kind: uLoopBack, pc: pc})
 					break loop
 				}
 				if nb, ok := canFollow(onPC, blocks); ok {
-					emit(uop{kind: uGuard, rs1: ins.Rs1, rs2: ins.Rs2, op: ins.Op,
-						expectTaken: followTaken, pc: pc, npc: offPC,
-						selfInsns: 1, selfCost: cost, exit: newExit(), exit2: -1})
+					g.exit = newExit()
+					emit(g)
 					b = nb
 					continue
 				}
 			}
-			emit(uop{kind: uBranchExit, rs1: ins.Rs1, rs2: ins.Rs2, op: ins.Op,
-				pc: pc, npc: takenPC, npc2: fallPC,
-				selfInsns: 1, selfCost: cost, exit: newExit(), exit2: newExit()})
+			// The trace ends at the branch: the guard leaves for the taken
+			// target, an exit for the fall-through.
+			g.expectTaken, g.npc, g.exit = false, takenPC, newExit()
+			emit(g)
+			app(uop{kind: uExit, pc: pc, npc: fallPC, exit: newExit()})
 			break loop
 
 		case ins.Op == isa.OpSVC:
 			app(uop{kind: uSvcExit, op: ins.Op, pc: pc,
-				selfInsns: 1, selfCost: cost, exit: -1, exit2: -1})
+				selfInsns: 1, selfCost: cost})
 			break loop
 		case ins.Op == isa.OpHALT:
 			app(uop{kind: uHaltExit, op: ins.Op, pc: pc,
-				selfInsns: 1, selfCost: cost, exit: -1, exit2: -1})
+				selfInsns: 1, selfCost: cost})
 			break loop
 		default: // EBREAK and anything unexpected
 			app(uop{kind: uEbreakExit, op: ins.Op, pc: pc,
-				selfInsns: 1, selfCost: cost, exit: -1, exit2: -1})
+				selfInsns: 1, selfCost: cost})
 			break loop
 		}
 	}

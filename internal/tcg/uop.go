@@ -5,7 +5,7 @@
 // it came from, so what a pure uop computes is read from the op, as the block
 // interpreter reads it. Loads and stores carry a pre-resolved width and
 // sign-extension shift, long-immediate moves carry the materialized constant,
-// compare+branch pairs and ADDI chains are fused, and virtual-time costs are
+// compare+guard pairs and ADDI chains are fused, and virtual-time costs are
 // aggregated per straight-line segment so the compiled trace charges the cost
 // model once per segment instead of once per instruction.
 //
@@ -55,18 +55,18 @@ const (
 	uSanRead
 	uSanWrite
 
-	// Control flow. Guards keep execution on the trace: a guard evaluates
-	// its branch and side-exits when the outcome differs from the direction
-	// the trace followed. Exit uops end the trace unconditionally.
+	// Control flow. A trace leaves at a static target only through a guard
+	// or a uExit: a guard evaluates its branch and side-exits when the
+	// outcome differs from the direction the trace followed, and a uExit
+	// ends the trace unconditionally. A branch that ends the trace is a
+	// guard expecting not-taken plus a uExit to the fall-through; a JAL that
+	// ends it is its link plus a uExit to the target.
 	uGuard
 	uFusedCmpGuard // slt/sltu fused with a beqz/bnez guard
-	uBranchExit
-	uFusedCmpExit
-	uLink     // JAL followed in-trace: just the link write
-	uJalExit  // JAL ending the trace
-	uJalrExit // indirect branch: target resolved via the jump cache
-	uLoopBack // back-edge to uop 0 (trace loops onto its own head)
-	uExit     // straight-line trace end
+	uLink          // a JAL's link write
+	uJalrExit      // indirect branch: target resolved via the jump cache
+	uLoopBack      // back-edge to uop 0 (trace loops onto its own head)
+	uExit          // trace end at a static target
 
 	// Atomics (LL, SC, CAS, AMOADD, AMOSWAP; which one is op) end a cost
 	// segment because they can fault or, contended, end the quantum
@@ -74,7 +74,7 @@ const (
 	uAtomic
 	uFence
 
-	// System.
+	// System. A hint only records its group, so it is a straight-line uop.
 	uSvcExit
 	uHint
 	uHaltExit
@@ -87,8 +87,7 @@ var kindNames = [...]string{
 	uLoad: "load", uStore: "store", uFLoad: "fload", uFStore: "fstore",
 	uSanRead: "sanread", uSanWrite: "sanwrite",
 	uGuard: "guard", uFusedCmpGuard: "cmpguard",
-	uBranchExit: "brexit", uFusedCmpExit: "cmpexit",
-	uLink: "link", uJalExit: "jalexit", uJalrExit: "jalrexit",
+	uLink: "link", uJalrExit: "jalrexit",
 	uLoopBack: "loopback", uExit: "exit",
 	uAtomic: "atomic", uFence: "fence",
 	uSvcExit: "svc", uHint: "hint", uHaltExit: "halt", uEbreakExit: "ebreak",
@@ -115,15 +114,12 @@ type uop struct {
 	imm int64
 	val uint64 // materialized constant / link value / FP literal bits
 	pc  uint64 // guest PC of the originating instruction
-	npc uint64 // taken / off-trace / continuation target
-
-	npc2 uint64 // fall-through target for branch exits
+	npc uint64 // guard: off-trace target; uExit: the exit's target
 
 	cost     int32  // aggregate virtual cost of the segment starting here
 	selfCost int32  // this uop's own virtual cost (segment accounting)
 	insns    uint16 // segment guest-insn count; nonzero marks a segment start
-	exit     int16  // exit-slot index for npc (-1 = none / dynamic)
-	exit2    int16  // exit-slot index for npc2
+	exit     int16  // guard and uExit: exit-slot index for npc
 
 	kind        uopKind
 	rd          uint8
@@ -149,7 +145,7 @@ func isAddi(u *uop) bool { return u.kind == uPure && u.op == isa.OpADDI }
 func (e *Engine) lowerInsn(ops []uop, ins *isa.Instruction, pc uint64) []uop {
 	op := ins.Op
 	u := uop{kind: uPure, op: op,
-		pc: pc, selfInsns: 1, selfCost: int32(e.opCost[op]), exit: -1, exit2: -1,
+		pc: pc, selfInsns: 1, selfCost: int32(e.opCost[op]),
 		rd: ins.Rd, rs1: ins.Rs1, rs2: ins.Rs2, imm: ins.Imm}
 	switch op {
 	case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLWU, isa.OpLD, isa.OpFLD:
@@ -216,17 +212,15 @@ func (e *Engine) lowerSan(ops []uop, ins *isa.Instruction, pc uint64, kind uopKi
 	if e.San == nil {
 		return ops
 	}
-	return append(ops, uop{kind: kind, op: ins.Op, pc: pc, rs1: ins.Rs1, imm: ins.Imm, size: size, exit: -1, exit2: -1})
+	return append(ops, uop{kind: kind, op: ins.Op, pc: pc, rs1: ins.Rs1, imm: ins.Imm, size: size})
 }
 
 // segBoundary reports whether k ends a cost segment: every uop that can
-// leave the trace (exits, guards, back-edges), stop the quantum mid-trace
-// (atomics, syscalls) or publish an effect the verifier compares in order
-// (hints).
+// leave the trace (exits, guards, back-edges) or stop the quantum mid-trace
+// (atomics, syscalls).
 func segBoundary(k uopKind) bool {
 	switch k {
-	case uGuard, uFusedCmpGuard, uBranchExit, uFusedCmpExit, uJalExit,
-		uJalrExit, uLoopBack, uExit, uAtomic, uSvcExit, uHint, uHaltExit, uEbreakExit:
+	case uGuard, uFusedCmpGuard, uJalrExit, uLoopBack, uExit, uAtomic, uSvcExit, uHaltExit, uEbreakExit:
 		return true
 	}
 	return false
