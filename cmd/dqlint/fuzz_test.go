@@ -12,7 +12,7 @@ import (
 // explore the report paths, not just the early returns.
 func FuzzLint(f *testing.F) {
 	f.Add("package core\nimport \"time\"\nfunc tick() int64 { return time.Now().UnixNano() }\n")
-	f.Add("package chaos\nimport \"math/rand\"\nfunc roll() int { return rand.Intn(6) }\n")
+	f.Add("package netsim\nimport \"math/rand\"\nfunc roll() int { return rand.Intn(6) }\n")
 	f.Add("package trace\nimport \"sync\"\nfunc lock(mu sync.Mutex) {}\n")
 	f.Add("package core\ntype m struct{}\nfunc (x *m) handleMsg() { panic(\"no\") }\n")
 	f.Add("package trace\nimport \"fmt\"\nfunc record(v int) string { return fmt.Sprint(v) }\n")

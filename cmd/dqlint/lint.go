@@ -16,9 +16,8 @@ import (
 // wallclock rule is what keeps it that way.
 // internal/scenario is in it because every "exactly reproducible" figure
 // in EXPERIMENTS.md is a row it emits.
-// internal/live (real sockets), internal/chaos (drives the sim from
-// outside) and the commands are exempt from the wallclock rule, not from
-// the others.
+// internal/live (real sockets) and the commands are exempt from the
+// wallclock rule, not from the others.
 var deterministicDirs = []string{
 	"internal/abi", "internal/asm", "internal/core", "internal/dsm",
 	"internal/grt", "internal/guestos", "internal/image", "internal/isa",

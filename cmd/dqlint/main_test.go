@@ -49,19 +49,19 @@ func tick() int64 { return clock.Now().UnixNano() }
 }
 
 func TestGlobalRandRule(t *testing.T) {
-	src := `package chaos
+	src := `package netsim
 import "math/rand"
 func roll() int { return rand.Intn(6) }
 `
 	// The global source is banned everywhere, even in seed-driving packages.
-	if got := lint(t, "internal/chaos/x.go", src); len(got) != 1 || got[0] != "globalrand" {
+	if got := lint(t, "internal/netsim/x.go", src); len(got) != 1 || got[0] != "globalrand" {
 		t.Errorf("global rand: %v", got)
 	}
-	seeded := `package chaos
+	seeded := `package netsim
 import "math/rand"
 func roll(seed int64) int { return rand.New(rand.NewSource(seed)).Intn(6) }
 `
-	if got := lint(t, "internal/chaos/x.go", seeded); len(got) != 0 {
+	if got := lint(t, "internal/netsim/x.go", seeded); len(got) != 0 {
 		t.Errorf("seeded generator flagged: %v", got)
 	}
 }

@@ -170,8 +170,9 @@ long main() {
 
 // TestDocsNameExistingTests: every test, fuzz target or benchmark the
 // documents name in a code span (`TestFoo`, `FuzzBar/seed`) is declared in
-// some _test.go file of the tree, so a doc cannot keep pointing at a test
-// that was renamed or deleted.
+// some _test.go file of the tree, and every `internal/…` or `cmd/…` path
+// README.md and DESIGN.md name exists, so a doc cannot keep pointing at a
+// test or package that was renamed or deleted.
 func TestDocsNameExistingTests(t *testing.T) {
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
 	declared := map[string]bool{}
@@ -194,11 +195,18 @@ func TestDocsNameExistingTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	named := regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_]\\w*)")
+	path := regexp.MustCompile("`((?:internal|cmd)/[\\w./-]*)")
 	n := 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range path.FindAllSubmatch(text, -1) {
+			// EXPERIMENTS.md is partly history: it may name what is gone.
+			if _, err := os.Stat(string(m[1])); err != nil && doc != "EXPERIMENTS.md" {
+				t.Errorf("%s names `%s`, which does not exist", doc, m[1])
+			}
 		}
 		for _, m := range named.FindAllSubmatch(text, -1) {
 			n++

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"dqemu/internal/image"
+	"dqemu/internal/mem"
 	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
 	"dqemu/internal/workloads"
@@ -329,21 +330,22 @@ func TestAllocRecycledBuffersNotResident(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ins := c.Inspect()
 	dropped := 0
 	for _, n := range c.nodes[1:] {
+		listed := map[uint64]bool{}
+		n.space.ForEachPage(func(page uint64, _ mem.Perm) { listed[page] = true })
 		for page, tw := range n.twins {
 			if tw.ver == 0 {
 				t.Errorf("node %d: twin of page %#x left without a version", n.id, page)
 			}
 			if n.space.PageData(page) == nil {
 				dropped++
-				if _, listed := ins.NodePerms[n.id][page]; listed {
+				if listed[page] {
 					t.Errorf("node %d: dropped page %#x listed as resident", n.id, page)
 				}
 			}
 		}
-		if got := len(ins.NodePerms[n.id]); got != n.space.ResidentPages() {
+		if got := len(listed); got != n.space.ResidentPages() {
 			t.Errorf("node %d: %d pages inspected, %d resident", n.id, got, n.space.ResidentPages())
 		}
 	}

@@ -388,6 +388,21 @@ func (c *Cluster) ThreadDump() string {
 	return sb.String()
 }
 
+// checkCoherence checks the protocol's invariants once a run has quiesced:
+// the directory against every node's page table, and no thread left parked
+// on a futex. It returns every violation joined.
+func (c *Cluster) checkCoherence() error {
+	spaces := make([]*mem.Space, len(c.nodes))
+	for i, n := range c.nodes {
+		spaces[i] = n.space
+	}
+	err := c.master.dir.Check(spaces)
+	if n := c.os.Futex().TotalWaiting(); n != 0 {
+		err = errors.Join(err, fmt.Errorf("%d threads still parked on futexes", n))
+	}
+	return err
+}
+
 // Run is the one-call convenience: load, run, report.
 func Run(im *image.Image, cfg Config) (*Result, error) {
 	c, err := NewCluster(im, cfg)

@@ -141,7 +141,8 @@ type Config struct {
 	// Retry tunes the reliable transport when Faults is active. The zero
 	// value selects netsim.DefaultRetryPolicy (virtual time; internal/live
 	// substitutes a wall-clock policy); the NoRetry/NoDedup fields are
-	// deliberate-breakage ablations for the chaos suite.
+	// deliberate-breakage ablations the torture battery must catch
+	// (TestChaosBrokenCaught).
 	Retry netsim.RetryPolicy
 
 	// Cancel, when non-nil, aborts the run when closed: Cluster.Run returns

@@ -6,33 +6,6 @@ import (
 	"dqemu/internal/mem"
 )
 
-// PageState is one directory entry, exported for invariant checking and
-// failure reports.
-type PageState struct {
-	Page     uint64
-	Owner    int // NoOwner, Master, or a slave id
-	Sharers  NodeSet
-	Busy     bool
-	Retired  bool
-	Pending  int // queued requests behind a busy transaction
-	AcksLeft int
-}
-
-// Snapshot returns every directory entry, sorted by page number. The torture
-// harness cross-checks it against each node's page table after a run.
-func (d *Directory) Snapshot() []PageState {
-	out := make([]PageState, 0, len(d.pages))
-	for page, e := range d.pages {
-		out = append(out, PageState{
-			Page: page, Owner: e.owner, Sharers: e.sharers,
-			Busy: e.busy, Retired: e.retired,
-			Pending: len(e.pending), AcksLeft: e.acksLeft,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
-	return out
-}
-
 // ReclaimNode re-homes every page state involving a dead node: the node is
 // struck from all sharer sets, and pages it owned in Modified state revert to
 // the home copy (their unsynced modifications are lost — the caller reports

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"dqemu/internal/chaos"
 	"dqemu/internal/core"
 	"dqemu/internal/grt"
 	"dqemu/internal/image"
@@ -233,14 +232,14 @@ var recoverable = netsim.FaultPlan{
 var fastRetry = netsim.RetryPolicy{BaseRTONs: 2_000_000, MaxRTONs: 200_000_000, MaxAttempts: 16}
 
 // TestLiveChaos puts the socket transport in front of the seeded battery the
-// simulator faces (internal/chaos): the same plans from the same seeds on the
+// simulator faces (TestChaosShort): the same plans from the same seeds on the
 // same self-checking torture guest, both classes. A recoverable plan must end
 // in the fault-free simulation's exit code and console; a crash plan — the
 // guest sized to still be running when the crash lands — in a
 // *core.NodeLostError naming the slave the plan cut off, long before Timeout.
 func TestLiveChaos(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 13, 20, 27} {
-		plan, class := chaos.PlanForSeed(seed, 2)
+		plan, class := netsim.PlanForSeed(seed, 2)
 		rounds := 24
 		if class == "crash" {
 			rounds = 1500 // ≈ 0.3 s fault-free; the plans crash within 40 ms

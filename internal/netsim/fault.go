@@ -40,6 +40,35 @@ type FaultPlan struct {
 	Crashes []Crash `json:"crashes,omitempty"`
 }
 
+// PlanForSeed derives a torture plan for a cluster of slaves+1 nodes from a
+// seed. Roughly one seed in five is a crash-class plan, in which one slave
+// dies within the first 40 ms; the rest are recoverable: drop, duplication,
+// jitter and reorder rates plus up to two stall windows, all of which the
+// reliable transport must absorb.
+func PlanForSeed(seed int64, slaves int) (FaultPlan, string) {
+	rng := rand.New(rand.NewSource(seed))
+	plan := FaultPlan{Seed: seed}
+	if rng.Intn(5) == 0 && slaves > 0 {
+		plan.Crashes = []Crash{{
+			Node: int32(1 + rng.Intn(slaves)),
+			AtNs: 1_000_000 + rng.Int63n(39_000_000),
+		}}
+		return plan, "crash"
+	}
+	plan.DropRate = rng.Float64() * 0.15
+	plan.DupRate = rng.Float64() * 0.15
+	plan.JitterNs = rng.Int63n(400_000)
+	plan.ReorderRate = rng.Float64() * 0.10
+	for i := rng.Intn(3); i > 0; i-- {
+		node := int32(rng.Intn(slaves + 1))
+		from := rng.Int63n(30_000_000)
+		plan.Stalls = append(plan.Stalls, Window{
+			Node: node, FromNs: from, ToNs: from + 1_000_000 + rng.Int63n(10_000_000),
+		})
+	}
+	return plan, "recoverable"
+}
+
 // Window is a [FromNs, ToNs) interval of the run's clock on one node.
 type Window struct {
 	Node   int32 `json:"node"`
@@ -52,6 +81,10 @@ type Crash struct {
 	Node int32 `json:"node"`
 	AtNs int64 `json:"at_ns"`
 }
+
+// maxDelayNs bounds a plan's jitter and reorder delay at one hour, the
+// default run budget, so that no delay the Injector sums can overflow.
+const maxDelayNs = 3_600_000_000_000
 
 // Validate rejects plans that decoded from data (scenario specs) but make
 // no physical sense; hand-built plans in Go code are assumed well formed.
@@ -66,8 +99,8 @@ func (p *FaultPlan) Validate(nodes int) error {
 			return fmt.Errorf("netsim: %s %v outside [0, 1]", name, r)
 		}
 	}
-	if p.JitterNs < 0 || p.ReorderDelayNs < 0 {
-		return fmt.Errorf("netsim: negative jitter/reorder delay")
+	if p.JitterNs < 0 || p.ReorderDelayNs < 0 || p.JitterNs > maxDelayNs || p.ReorderDelayNs > maxDelayNs {
+		return fmt.Errorf("netsim: jitter/reorder delay outside [0, %d] ns", maxDelayNs)
 	}
 	for _, w := range p.Stalls {
 		if w.Node < 0 || int(w.Node) >= nodes {

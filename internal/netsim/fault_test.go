@@ -223,3 +223,20 @@ func TestFaultPlanString(t *testing.T) {
 		t.Fatalf("plan string: %q", got)
 	}
 }
+
+// TestFaultPlanDelayBound: a delay the Injector could overflow on is
+// rejected, and every plan the torture generator makes is valid and active.
+func TestFaultPlanDelayBound(t *testing.T) {
+	for _, p := range []FaultPlan{{JitterNs: 1<<63 - 1}, {ReorderDelayNs: maxDelayNs + 1}} {
+		if err := p.Validate(2); err == nil {
+			t.Errorf("%+v validated", p)
+		}
+	}
+	for seed := int64(1); seed <= 2000; seed++ {
+		for slaves := 1; slaves <= 4; slaves++ {
+			if p, _ := PlanForSeed(seed, slaves); p.Validate(slaves+1) != nil || !p.Active() {
+				t.Fatalf("seed %d, %d slaves: %+v invalid (%v) or inactive", seed, slaves, p, p.Validate(slaves+1))
+			}
+		}
+	}
+}

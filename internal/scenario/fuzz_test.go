@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dqemu/internal/netsim"
 )
 
 // FuzzScenarioSpec throws hostile bytes at the spec decoder. The contract:
 // Decode never panics; anything it accepts re-validates, resolves at both
-// scales, and encodes to a canonical fixpoint (decode∘encode = identity).
+// scales, encodes to a canonical fixpoint (decode∘encode = identity), and
+// carries a fault plan the injector can run.
 // Seeds come from the checked-in suites plus the corpus under
 // testdata/fuzz/FuzzScenarioSpec/.
 func FuzzScenarioSpec(f *testing.F) {
@@ -33,6 +36,12 @@ func FuzzScenarioSpec(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Decode accepted a spec Validate rejects: %v", err)
+		}
+		if s.Faults.Active() {
+			// An accepted plan must not be able to crash the injector.
+			inj := netsim.NewInjector(*s.Faults)
+			inj.Decide(0, 1, 0)
+			inj.Arrive(1, 0)
 		}
 		cells, err := s.cells()
 		if err != nil || len(cells) == 0 || len(cells) > maxCells {

@@ -55,7 +55,8 @@ type Spec struct {
 	Cluster  Cluster  `json:"cluster"`
 	Knobs    Knobs    `json:"knobs,omitempty"`
 	// Faults, when present, is injected via Config.Faults; the reliable
-	// transport layers in automatically, as in the chaos battery.
+	// transport layers in automatically, as in the torture battery
+	// (netsim.PlanForSeed makes its plans).
 	Faults *netsim.FaultPlan `json:"faults,omitempty"`
 	// Gates are judged on every cell.
 	Gates Gates `json:"gates,omitempty"`
