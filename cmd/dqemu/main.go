@@ -29,7 +29,6 @@ import (
 
 	"dqemu"
 	"dqemu/internal/live"
-	"dqemu/internal/proto"
 	"dqemu/internal/trace"
 )
 
@@ -111,7 +110,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *stats {
-		printStats(stderr, res, clock)
+		// A live run's clock is "wall", and its net.* rows read 0: its
+		// frames cross real sockets, not the modelled network.
+		fmt.Fprintf(stderr, "\n--- run statistics ---\n")
+		for _, row := range res.Rows(clock) {
+			fmt.Fprintln(stderr, row)
+		}
 	}
 	profileJSON := func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -173,43 +177,4 @@ func writeOut(path string, stderr io.Writer, write func(io.Writer) error) error 
 		return err
 	}
 	return f.Close()
-}
-
-// printStats writes the run summary. A live run's clock is "wall", and its
-// frames cross real sockets, not the modelled network. A simulated run's
-// network line is followed by its message mix: messages and wire bytes per
-// kind, for every kind that was sent.
-func printStats(w io.Writer, res *dqemu.Result, clock string) {
-	fmt.Fprintf(w, "\n--- run statistics ---\n")
-	fmt.Fprintf(w, "exit code:      %d\n", res.ExitCode)
-	fmt.Fprintf(w, "guest time:     %.6f s (%s)\n", float64(res.TimeNs)/1e9, clock)
-	fmt.Fprintf(w, "threads:        %d\n", len(res.Threads))
-	fmt.Fprintf(w, "directory:      reads=%d writes=%d fetches=%d invalidates=%d pushes=%d splits=%d\n",
-		res.Dir.Reads, res.Dir.Writes, res.Dir.Fetches, res.Dir.Invalidates, res.Dir.Pushes, res.Dir.Splits)
-	if clock == "virtual" {
-		fmt.Fprintf(w, "network:        %d msgs, %d bytes\n", res.Net.Msgs, res.Net.Bytes)
-		for k, n := range res.Net.ByKind {
-			if n != 0 {
-				fmt.Fprintf(w, "  %-13s %d msgs, %d bytes\n", proto.Kind(k), n, res.Net.BytesByKind[k])
-			}
-		}
-	}
-	fmt.Fprintf(w, "syscalls:       %d delegated\n", res.OS.Global)
-	var vSB, vDemote, vT3, vT3Fail uint64
-	for _, n := range res.Nodes {
-		fmt.Fprintf(w, "node %d:         threads=%d exec-insns=%d faults=%d local-sys=%d global-sys=%d\n",
-			n.Node, n.Threads, n.Engine.ExecInsns, n.PageFaults, n.LocalSys, n.GlobalSys)
-		vSB += n.Engine.VerifiedSuperblocks
-		vDemote += n.Engine.VerifyDemotions
-		vT3 += n.Engine.VerifiedTier3
-		vT3Fail += n.Engine.Tier3CheckFailures
-	}
-	if vSB+vDemote+vT3+vT3Fail > 0 {
-		fmt.Fprintf(w, "verify:         traces proved=%d demoted=%d compilations checked=%d rejected=%d\n",
-			vSB, vDemote, vT3, vT3Fail)
-	}
-	if res.Sched.Ticks > 0 {
-		fmt.Fprintf(w, "adaptive:       ticks=%d migrations=%d proactive-splits=%d\n",
-			res.Sched.Ticks, res.Sched.Migrations, res.Sched.ProactiveSplits)
-	}
 }

@@ -3,12 +3,20 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"dqemu"
+	"dqemu/internal/metrics"
+	"dqemu/internal/server"
 )
 
 // sumSrc is a schedule-independent guest: every worker writes its own slot,
@@ -54,41 +62,132 @@ func TestSimulatedRunPassesExitCode(t *testing.T) {
 	}
 }
 
-// TestStatsMessageMix: -stats on the simulator follows the network line with
-// one line per message kind sent, and the lines add up to that total.
+// TestStatsMessageMix: -stats on the simulator lists messages and wire bytes
+// for every message kind sent, and the kind rows add up to the network
+// totals.
 func TestStatsMessageMix(t *testing.T) {
 	prog := writeProg(t, sumSrc)
 	code, _, errOut := runCmd("-slaves", "2", "-stats", prog)
 	if code != 7 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	var totalMsgs, totalBytes, msgs, nbytes int
+	rows := statsRows(t, errOut)
+	var msgs, nbytes int64
 	kinds := map[string]bool{}
-	for _, line := range strings.Split(errOut, "\n") {
-		var kind string
-		var n, b int
-		switch {
-		case strings.HasPrefix(line, "network:"):
-			if _, err := fmt.Sscanf(line, "network: %d msgs, %d bytes", &totalMsgs, &totalBytes); err != nil {
-				t.Fatalf("%q: %v", line, err)
-			}
-		case strings.HasPrefix(line, "  "):
-			if _, err := fmt.Sscanf(line, "%s %d msgs, %d bytes", &kind, &n, &b); err != nil || n == 0 {
-				t.Fatalf("kind line %q: %v", line, err)
-			}
+	for key, v := range rows {
+		if kind, ok := strings.CutPrefix(key, "net.by_kind."); ok {
 			kinds[kind] = true
-			msgs += n
-			nbytes += b
+			msgs += v
+		} else if strings.HasPrefix(key, "net.bytes_by_kind.") {
+			nbytes += v
 		}
 	}
-	if totalMsgs == 0 || msgs != totalMsgs || nbytes != totalBytes {
-		t.Errorf("kind lines add up to %d msgs, %d bytes; network line says %d, %d:\n%s",
-			msgs, nbytes, totalMsgs, totalBytes, errOut)
+	if rows["net.msgs"] == 0 || msgs != rows["net.msgs"] || nbytes != rows["net.bytes"] {
+		t.Errorf("kind rows add up to %d msgs, %d bytes; totals are %d, %d:\n%s",
+			msgs, nbytes, rows["net.msgs"], rows["net.bytes"], errOut)
 	}
 	for _, k := range []string{"page-req", "page-content", "thread-start", "shutdown"} {
 		if !kinds[k] {
-			t.Errorf("no %s line:\n%s", k, errOut)
+			t.Errorf("no %s row:\n%s", k, errOut)
 		}
+	}
+}
+
+// statsRows parses -stats output into key -> value.
+func statsRows(t *testing.T, out string) map[string]int64 {
+	t.Helper()
+	_, body, ok := strings.Cut(out, "--- run statistics ---\n")
+	if !ok {
+		t.Fatalf("no statistics in:\n%s", out)
+	}
+	rows := map[string]int64{}
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		var key string
+		var v int64
+		if _, err := fmt.Sscan(line, &key, &v); err != nil {
+			t.Fatalf("row %q: %v", line, err)
+		}
+		rows[key] = v
+	}
+	return rows
+}
+
+// TestRowsAgree: a run's Result rows reach -stats, the -profile JSON and a
+// dqemud sim job's result with metrics, each row with the same value there.
+func TestRowsAgree(t *testing.T) {
+	prog := writeProg(t, sumSrc)
+	im, err := dqemu.Load(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := dqemu.DefaultConfig()
+	cfg.Slaves, cfg.Metrics = 2, true
+	res, err := dqemu.Run(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Rows("virtual")
+
+	profile := filepath.Join(t.TempDir(), "profile.json")
+	code, _, errOut := runCmd("-slaves", "2", "-stats", "-profile", profile, prog)
+	if code != 7 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	stats := statsRows(t, errOut)
+	data, err := os.ReadFile(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap metrics.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := server.New(server.Options{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Drain(10 * time.Second) }()
+	var job server.JobResult
+	getJSON := func(method, path string, body any) {
+		t.Helper()
+		data, _ := json.Marshal(body)
+		req, _ := http.NewRequest(method, ts.URL+path, bytes.NewReader(data))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil || resp.StatusCode >= 300 {
+			t.Fatalf("%s %s: HTTP %d, %v", method, path, resp.StatusCode, err)
+		}
+	}
+	getJSON("POST", "/v1/jobs", server.JobRequest{Source: sumSrc, Slaves: 2, Cores: cfg.Cores, Metrics: true})
+	getJSON("GET", "/v1/jobs/"+job.ID+"?wait_ms=60000", nil)
+	getJSON("GET", "/v1/jobs/"+job.ID+"/result", nil)
+	if job.Metrics == nil {
+		t.Fatalf("job %s carries no metrics: %+v", job.ID, job.JobStatus)
+	}
+
+	byKey := func(rows []metrics.Row) map[string]metrics.Row {
+		m := map[string]metrics.Row{}
+		for _, r := range rows {
+			m[r.Key] = r
+		}
+		return m
+	}
+	prof, jobRows := byKey(snap.Result), byKey(job.Metrics.Result)
+	for _, w := range want {
+		if v, ok := stats[w.Key]; !ok || v != w.Value {
+			t.Errorf("-stats %s = %d (listed %v), want %d", w.Key, v, ok, w.Value)
+		}
+		if prof[w.Key] != w {
+			t.Errorf("-profile row %+v, want %+v", prof[w.Key], w)
+		}
+		if jobRows[w.Key] != w {
+			t.Errorf("job result row %+v, want %+v", jobRows[w.Key], w)
+		}
+	}
+	if len(want) == 0 || len(stats) != len(want) || len(prof) != len(want) || len(jobRows) != len(want) {
+		t.Errorf("rows: want %d, -stats %d, -profile %d, job %d", len(want), len(stats), len(prof), len(jobRows))
 	}
 }
 
@@ -149,7 +248,7 @@ func TestListenConnectMatchesSimulation(t *testing.T) {
 	if !strings.Contains(masterErr.String(), "s (wall)") {
 		t.Errorf("-stats of a live run does not report wall time:\n%s", masterErr.String())
 	}
-	if strings.Contains(masterErr.String(), " msgs, ") {
+	if strings.Contains(masterErr.String(), "net.by_kind.") {
 		t.Errorf("-stats of a live run reports modelled network traffic:\n%s", masterErr.String())
 	}
 }

@@ -33,11 +33,6 @@ var deterministicDirs = []string{
 // policy's hysteresis and determinism discipline (the metricsread rule).
 var metricsPolicyDirs = []string{"internal/metrics", "internal/sched"}
 
-// metricsReadAllowed are the enclosing functions exempt from metricsread:
-// snapshot (internal/core/profile.go) reads counters only to compute
-// end-of-run deltas for the exported report, after every decision is made.
-var metricsReadAllowed = map[string]bool{"snapshot": true}
-
 // protocolDirs hold message handlers that must degrade gracefully. The
 // protocol handlers proper are internal/core's (both transports run them);
 // internal/live and internal/netsim hold the transports that call them.
@@ -138,11 +133,9 @@ func lintSource(path string, src []byte) ([]finding, error) {
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok {
-			l.metricsArmed = l.metricsWatch
 			ast.Inspect(decl, l.inspectExpr)
 			continue
 		}
-		l.metricsArmed = l.metricsWatch && !metricsReadAllowed[fn.Name.Name]
 		l.checkSignature(fn)
 		inHandler := l.protocol && isHandlerName(fn.Name.Name)
 		inRecorder := l.deterministic && isRecorderName(fn.Name.Name)
@@ -191,9 +184,8 @@ type linter struct {
 	// does not import them (never a valid identifier, so lookups just miss).
 	timeName, randName, syncName, fmtName string
 	// metricsWatch is set when the file imports dqemu/internal/metrics from
-	// outside the policy dirs; metricsArmed additionally excludes the
-	// current enclosing function when it is allowlisted.
-	metricsWatch, metricsArmed bool
+	// outside the policy dirs.
+	metricsWatch bool
 
 	findings []finding
 }
@@ -215,9 +207,9 @@ func (l *linter) inspectExpr(n ast.Node) bool {
 	if !ok {
 		return true
 	}
-	if l.metricsArmed && sel.Sel.Name == "Value" && len(call.Args) == 0 {
+	if l.metricsWatch && sel.Sel.Name == "Value" && len(call.Args) == 0 {
 		l.report(call.Pos(), "metricsread",
-			"metrics counter read outside policy code; feedback decisions belong in internal/sched (or the snapshot exporter)")
+			"metrics counter read outside policy code; feedback decisions belong in internal/sched")
 	}
 	pkg, ok := sel.X.(*ast.Ident)
 	if !ok {

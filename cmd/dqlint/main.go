@@ -24,7 +24,7 @@
 //     time and capture the result.
 //   - metricsread: metrics counter reads (.Value() in a file importing
 //     dqemu/internal/metrics) are confined to internal/sched and
-//     internal/metrics, plus the snapshot exporter in core. The registry is
+//     internal/metrics, with no exemption. The registry is
 //     a sensor bus feeding ONE consumer — the feedback scheduler; ad-hoc
 //     `if counter.Value() > n` logic elsewhere is a shadow control loop with
 //     none of the policy's hysteresis, cooldowns, or determinism discipline.

@@ -325,11 +325,8 @@ import "dqemu/internal/metrics"
 func decide(reg *metrics.Registry) bool {
 	return reg.Counter("fault.remote").Value() > 100 // flagged: shadow control loop
 }
-func snapshot(reg *metrics.Registry) uint64 {
-	return reg.Counter("net.msgs").Value() // allowlisted exporter
-}
 func record(reg *metrics.Registry) {
-	reg.Counter("net.msgs").Add(1) // writes are fine anywhere
+	reg.Counter("fault.remote").Add(1) // writes are fine anywhere
 }
 `
 	got := lint(t, "internal/core/x.go", src)
@@ -419,7 +416,6 @@ func TestSpecialNamesExist(t *testing.T) {
 	}{
 		{"nakedpanic handlerNames", handlerNames, func(p string) bool { return inDirs(p, protocolDirs) }},
 		{"uopmut uopMutAllowed", uopMutAllowed, func(p string) bool { return inDirs(p, tier3Dirs) }},
-		{"metricsread metricsReadAllowed", metricsReadAllowed, func(p string) bool { return !inDirs(p, metricsPolicyDirs) }},
 	} {
 		for name := range rule.names {
 			if !slices.ContainsFunc(declared[name], rule.in) {

@@ -94,8 +94,8 @@ type Result struct {
 	// counts) when Config.Sanitizer is on; nil otherwise.
 	San *sanitizer.Summary
 	// Metrics is the observability snapshot (fault-latency histograms,
-	// page heat, lock contention, per-thread breakdowns) when
-	// Config.Metrics is on; nil otherwise.
+	// page heat, lock contention, per-thread migration transit, and this
+	// Result's Rows) when Config.Metrics is on; nil otherwise.
 	Metrics *metrics.Snapshot
 	// Sched counts feedback-scheduler decisions (Config.Adaptive); zero
 	// when the adaptive loop is off.
@@ -359,7 +359,11 @@ func (c *Cluster) Result() *Result {
 		}
 		r.San = sanitizer.Summarize(sans)
 	}
-	r.Metrics = c.prof.snapshot(r)
+	clock := "wall"
+	if c.sim != nil {
+		clock = "virtual"
+	}
+	r.Metrics = c.prof.snapshot(r, clock)
 	return r
 }
 

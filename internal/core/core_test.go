@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"dqemu/internal/abi"
 	"dqemu/internal/grt"
 	"dqemu/internal/image"
 	"dqemu/internal/trace"
@@ -337,5 +339,93 @@ long main() {
 	}
 	if len(tr.Filter(trace.EvSched)) == 0 {
 		t.Error("no scheduling events traced")
+	}
+}
+
+// TestSyscallOnRemotePage: nanosleep and clock_gettime take their timespec
+// from a global that another node wrote last, so on 2 slaves both handlers
+// find the page missing, park in retryOnFault and re-run once it arrives.
+// Each thread checks that it slept and that the clock was written; console
+// and exit code must equal the single-node interpreter's.
+func TestSyscallOnRemotePage(t *testing.T) {
+	src := fmt.Sprintf(`
+long ts[10];
+long ok[5];
+long check(long slot) {
+	long t0 = now_ns();
+	__syscall(%[1]d, (long)&ts[2 * slot], 0, 0, 0, 0, 0);
+	long slept = now_ns() - t0 >= 200000;
+	__syscall(%[2]d, 0, (long)&ts[2 * slot], 0, 0, 0, 0);
+	ok[slot] = slept + (ts[2 * slot] * 1000000000 + ts[2 * slot + 1] >= t0 + 200000);
+	return 0;
+}
+long main() {
+	for (long i = 0; i < 5; i++) {
+		ts[2 * i] = 0;
+		ts[2 * i + 1] = 200000;
+	}
+	long tids[4];
+	for (long i = 0; i < 4; i++) tids[i] = thread_create((long)check, i);
+	for (long i = 0; i < 4; i++) thread_join(tids[i]);
+	check(4);
+	print_long(ok[0] + ok[1] + ok[2] + ok[3] + ok[4]);
+	print_char('\n');
+	return 5;
+}`, abi.SysNanosleep, abi.SysClockGettime)
+	im := build(t, src)
+	want, err := Run(im, tierConfigs()["interp"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Console != "10\n" || want.ExitCode != 5 {
+		t.Fatalf("interpreter: exit %d console %q", want.ExitCode, want.Console)
+	}
+	cfg := DefaultConfig()
+	cfg.Slaves = 2
+	res, err := Run(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Console != want.Console || res.ExitCode != want.ExitCode {
+		t.Errorf("2 slaves: exit %d console %q, interpreter: exit %d console %q",
+			res.ExitCode, res.Console, want.ExitCode, want.Console)
+	}
+}
+
+// TestExitWithParkedWaiter: main returning while it holds a mutex a worker
+// is parked on is a clean exit_group. The parked thread does not keep the
+// run alive or fail it.
+func TestExitWithParkedWaiter(t *testing.T) {
+	im := build(t, `
+long lock;
+long worker(long idx) {
+	mutex_lock(&lock);
+	print_str("worker got the lock\n");
+	return 0;
+}
+long main() {
+	mutex_lock(&lock);
+	thread_create((long)worker, 0);
+	sleep_ns(2000000);
+	print_str("main exits holding the lock\n");
+	return 0;
+}`)
+	for _, slaves := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.Slaves = slaves
+		c, err := NewCluster(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatalf("%d slaves: %v", slaves, err)
+		}
+		if res.ExitCode != 0 || res.Console != "main exits holding the lock\n" {
+			t.Errorf("%d slaves: exit %d console %q", slaves, res.ExitCode, res.Console)
+		}
+		if n := c.os.Futex().TotalWaiting(); n != 1 {
+			t.Errorf("%d slaves: %d threads parked at exit, want the worker", slaves, n)
+		}
 	}
 }

@@ -190,60 +190,16 @@ func (p *clusterProf) futexProfile() *metrics.LockProfile {
 	return p.reg.Locks()
 }
 
-// snapshot renders the run's metrics. It folds in the cross-subsystem
-// summaries that live outside the registry: per-thread and per-node time
-// breakdowns, wire-layer delta efficiency, and network/migration totals.
-func (p *clusterProf) snapshot(r *Result) *metrics.Snapshot {
+// snapshot renders the run's metrics: the registry, each migrated thread's
+// transit time, and r's rows on clock.
+func (p *clusterProf) snapshot(r *Result, clock string) *metrics.Snapshot {
 	if p == nil {
 		return nil
 	}
-	reg := p.reg
-	reg.Counter("net.msgs").Add(r.Net.Msgs - reg.Counter("net.msgs").Value())
-	reg.Counter("net.bytes").Add(r.Net.Bytes - reg.Counter("net.bytes").Value())
-	reg.Counter("migrate.done").Add(r.Migrations - reg.Counter("migrate.done").Value())
-	reg.Gauge("wire.body_bytes").Set(float64(r.Wire.BodyBytes))
-	reg.Gauge("wire.raw_bytes").Set(float64(r.Wire.RawBytes))
-	if r.Wire.RawBytes > 0 {
-		// Fraction of full-page bytes the delta/coalescing layer did not
-		// have to ship: 0 = everything went as full pages, 1 = free.
-		reg.Gauge("wire.delta_ratio").Set(1 - float64(r.Wire.BodyBytes)/float64(r.Wire.RawBytes))
-	}
-
-	// Compiled-trace translation counters (summed across nodes).
-	var t3ns int64
-	var t3insns uint64
-	var vSB, vDemote, vT3, vT3Fail uint64
-	for _, ns := range r.Nodes {
-		t3ns += ns.Engine.Tier3TranslateNs
-		t3insns += ns.Engine.Tier3Insns
-		vSB += ns.Engine.VerifiedSuperblocks
-		vDemote += ns.Engine.VerifyDemotions
-		vT3 += ns.Engine.VerifiedTier3
-		vT3Fail += ns.Engine.Tier3CheckFailures
-	}
-	reg.Counter("translate.tier3_ns").Add(uint64(t3ns) - reg.Counter("translate.tier3_ns").Value())
-	reg.Counter("exec.tier3_insns").Add(t3insns - reg.Counter("exec.tier3_insns").Value())
-	// Translation-validation counters (all zero unless Config.Verify).
-	reg.Counter("verify.superblocks").Add(vSB - reg.Counter("verify.superblocks").Value())
-	reg.Counter("verify.demotions").Add(vDemote - reg.Counter("verify.demotions").Value())
-	reg.Counter("verify.tier3").Add(vT3 - reg.Counter("verify.tier3").Value())
-	reg.Counter("verify.tier3_failures").Add(vT3Fail - reg.Counter("verify.tier3_failures").Value())
-
-	s := reg.Snapshot(metrics.DefaultHeatTopN)
+	s := p.reg.Snapshot()
 	for _, ts := range r.Threads {
-		s.Threads = append(s.Threads, metrics.ThreadRow{
-			TID: ts.TID, Node: ts.Node,
-			ExecNs: ts.ExecNs, StallNs: ts.FaultNs, SyscallNs: ts.SyscallNs,
-			MigrateNs: p.migrateNs[ts.TID],
-		})
+		s.Threads = append(s.Threads, metrics.ThreadRow{TID: ts.TID, MigrateNs: p.migrateNs[ts.TID]})
 	}
-	for _, ns := range r.Nodes {
-		s.Nodes = append(s.Nodes, metrics.NodeRow{
-			Node:        ns.Node,
-			TranslateNs: ns.Engine.TranslateNs,
-			ExecInsns:   ns.Engine.ExecInsns,
-			PageFaults:  ns.PageFaults,
-		})
-	}
+	s.Result = r.Rows(clock)
 	return s
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"dqemu/internal/metrics"
@@ -8,7 +10,7 @@ import (
 
 // A multi-node workload with cross-node sharing and lock traffic must fill
 // every section of the metrics snapshot: phase-split fault histograms, page
-// heat, lock contention, and the per-thread/per-node breakdowns.
+// heat, lock contention, per-thread rows and the Result's own rows.
 func TestMetricsSnapshotFromClusterRun(t *testing.T) {
 	// The critical section holds the lock across a sleep, far longer than
 	// the futex-wait delegation round trip, so contending threads reliably
@@ -100,22 +102,20 @@ long main() {
 	if len(s.Threads) != 7 { // main + 6 workers
 		t.Fatalf("thread rows = %d, want 7", len(s.Threads))
 	}
-	var execTotal int64
-	for _, tr := range s.Threads {
-		execTotal += tr.ExecNs
+	if want := res.Rows("virtual"); len(want) == 0 || !reflect.DeepEqual(s.Result, want) {
+		t.Fatalf("snapshot carries %d result rows, want the %d of Result.Rows", len(s.Result), len(want))
 	}
-	if execTotal == 0 {
-		t.Fatal("per-thread exec time all zero")
+	var execTotal, translate int64
+	for _, row := range s.Result {
+		switch {
+		case strings.HasPrefix(row.Key, "threads.") && strings.HasSuffix(row.Key, ".exec_ns"):
+			execTotal += row.Value
+		case strings.HasPrefix(row.Key, "nodes.") && strings.HasSuffix(row.Key, ".engine.translate_ns"):
+			translate += row.Value
+		}
 	}
-	if len(s.Nodes) != 3 {
-		t.Fatalf("node rows = %d, want 3", len(s.Nodes))
-	}
-	var translate int64
-	for _, nr := range s.Nodes {
-		translate += nr.TranslateNs
-	}
-	if translate == 0 {
-		t.Fatal("per-node translate time all zero")
+	if execTotal == 0 || translate == 0 || len(res.Nodes) != 3 {
+		t.Fatalf("per-thread exec %d ns, per-node translate %d ns over %d nodes", execTotal, translate, len(res.Nodes))
 	}
 
 	if s.Counters["fault.requests"] == 0 {
@@ -181,8 +181,8 @@ func TestProfilerHooksZeroAllocWhenDisabled(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("disabled profiler hooks allocated %v per run, want 0", n)
 	}
-	if p.snapshot(nil) != nil {
+	if p.snapshot(nil, "virtual") != nil {
 		t.Fatal("nil profiler snapshot should be nil")
 	}
-	var _ *metrics.Snapshot = p.snapshot(nil)
+	var _ *metrics.Snapshot = p.snapshot(nil, "virtual")
 }

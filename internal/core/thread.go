@@ -73,7 +73,7 @@ type thread struct {
 type ThreadStats struct {
 	TID       int64
 	Node      int
-	ExecNs    int64
+	ExecNs    int64 `clock:"model"`
 	FaultNs   int64
 	SyscallNs int64
 }

@@ -1,15 +1,17 @@
 // Package metrics is DQEMU's cluster-wide observability layer: a typed
-// registry of counters, gauges and log-scaled latency histograms that every
+// registry of counters and log-scaled latency histograms that every
 // subsystem records into, plus two domain-specific keyed tables — a per-page
 // fault/invalidation heat map (the input of false-sharing triage, §5.1) and
-// a per-word lock contention profile (§4.4's distributed futex).
+// a per-word lock contention profile (§4.4's distributed futex). The run's
+// own totals are not copied in: a Snapshot carries them as the rendered Rows
+// of core.Result.
 //
-// All values are virtual (sim) time, so a snapshot is a pure function of the
-// run's inputs and seed: identically-seeded runs must produce byte-identical
-// snapshot JSON (the determinism suite asserts this). The registry is
-// single-goroutine by design — it is driven from discrete-event callbacks on
-// the sim kernel, which already serializes them; live mode keeps its own
-// ad-hoc stats and does not share a registry across goroutines.
+// Under the simulator all values are virtual time, so a snapshot is a pure
+// function of the run's inputs and seed: identically-seeded runs must
+// produce byte-identical snapshot JSON (the determinism suite asserts this).
+// The registry is single-goroutine by design — it is driven from the one
+// goroutine that drives its cluster (the sim kernel's callbacks, or a live
+// node's event loop, on the wall clock), and never shared across goroutines.
 //
 // Every handle type no-ops on a nil receiver without allocating, so hot
 // paths are instrumented unconditionally and a disabled configuration
@@ -22,6 +24,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strings"
 )
 
 // ---- Registry ----
@@ -31,7 +34,6 @@ import (
 // which record nothing.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	pages    *HeatMap
 	locks    *LockProfile
@@ -41,7 +43,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		pages:    &HeatMap{pages: map[uint64]*PageHeat{}},
 		locks:    &LockProfile{words: map[uint64]*lockWord{}},
@@ -59,19 +60,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -103,7 +91,7 @@ func (r *Registry) Locks() *LockProfile {
 	return r.locks
 }
 
-// ---- Counter / Gauge ----
+// ---- Counter ----
 
 // Counter is a monotonically increasing event count.
 type Counter struct{ v uint64 }
@@ -125,25 +113,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a last-value-wins measurement.
-type Gauge struct{ v float64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // ---- Histogram ----
@@ -519,61 +488,60 @@ func (p *LockProfile) Rows() []LockRow {
 
 // ---- Snapshot ----
 
-// ThreadRow is the per-thread virtual-time breakdown: execution, page-fault
-// stall, syscall stall, and migration transit.
+// ThreadRow is a thread's migration transit, the one per-thread time a
+// Result does not hold (its exec, stall and syscall times are Result rows).
 type ThreadRow struct {
 	TID       int64 `json:"tid"`
-	Node      int   `json:"node"`
-	ExecNs    int64 `json:"exec_ns"`
-	StallNs   int64 `json:"stall_ns"`
-	SyscallNs int64 `json:"syscall_ns"`
 	MigrateNs int64 `json:"migrate_ns"`
 }
 
-// NodeRow is the per-node translation/work summary.
-type NodeRow struct {
-	Node        int    `json:"node"`
-	TranslateNs int64  `json:"translate_ns"`
-	ExecInsns   uint64 `json:"exec_insns"`
-	PageFaults  uint64 `json:"page_faults"`
+// Row is one number a run counted. Unit is "ns", "bytes" or empty for a
+// plain count; a time row names the Clock it was read on ("virtual",
+// "wall" or "model").
+type Row struct {
+	Key   string `json:"key"`
+	Value int64  `json:"value"`
+	Unit  string `json:"unit,omitempty"`
+	Clock string `json:"clock,omitempty"`
 }
 
-// Snapshot is the rendered state of a registry, stable under JSON encoding
-// (maps marshal in sorted key order; slices are emitted pre-sorted).
+// String renders the row as one line of text: key, value, unit, (clock).
+func (r Row) String() string {
+	s := strings.TrimSpace(fmt.Sprintf("%-40s %d %s", r.Key, r.Value, r.Unit))
+	if r.Clock != "" {
+		s += " (" + r.Clock + ")"
+	}
+	return s
+}
+
+// Snapshot is the rendered state of a registry plus the run's Result rows,
+// stable under JSON encoding (maps marshal in sorted key order; slices are
+// emitted pre-sorted).
 type Snapshot struct {
 	Counters   map[string]uint64       `json:"counters"`
-	Gauges     map[string]float64      `json:"gauges"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
 	PageHeat   []PageHeatRow           `json:"page_heat"`
 	Locks      []LockRow               `json:"locks"`
 	Threads    []ThreadRow             `json:"threads,omitempty"`
-	Nodes      []NodeRow               `json:"nodes,omitempty"`
+	Result     []Row                   `json:"result,omitempty"`
 }
 
-// DefaultHeatTopN bounds the heat-map rows a snapshot carries.
-const DefaultHeatTopN = 32
+// heatTopN bounds the heat-map rows a snapshot carries.
+const heatTopN = 32
 
-// Snapshot renders the registry. topN bounds the heat-map rows (<= 0 means
-// DefaultHeatTopN).
-func (r *Registry) Snapshot(topN int) *Snapshot {
+// Snapshot renders the registry, the heatTopN hottest pages included.
+func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
-	if topN <= 0 {
-		topN = DefaultHeatTopN
-	}
 	s := &Snapshot{
 		Counters:   map[string]uint64{},
-		Gauges:     map[string]float64{},
 		Histograms: map[string]HistSnapshot{},
-		PageHeat:   r.pages.TopN(topN),
+		PageHeat:   r.pages.TopN(heatTopN),
 		Locks:      r.locks.Rows(),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.v
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.v
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.snapshot()
@@ -588,7 +556,7 @@ func (s *Snapshot) Validate(requiredHists ...string) error {
 	if s == nil {
 		return fmt.Errorf("metrics: nil snapshot")
 	}
-	if s.Counters == nil || s.Gauges == nil || s.Histograms == nil {
+	if s.Counters == nil || s.Histograms == nil {
 		return fmt.Errorf("metrics: snapshot missing a top-level section")
 	}
 	for _, name := range requiredHists {

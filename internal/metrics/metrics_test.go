@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("faults")
 	c.Inc()
@@ -15,25 +15,18 @@ func TestCounterGauge(t *testing.T) {
 	if got := r.Counter("faults").Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("ratio")
-	g.Set(0.25)
-	g.Set(0.5)
-	if got := r.Gauge("ratio").Value(); got != 0.5 {
-		t.Fatalf("gauge = %v, want 0.5", got)
-	}
 }
 
 func TestNilRegistryHandlesAreSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
 	r.Histogram("z").Observe(10)
 	r.Pages().Fault(1, 0, true)
 	r.Pages().Invalidate(1)
 	r.Locks().Wait(8, 1)
 	r.Locks().Woke(8, 1, 10, 20)
 	r.Locks().Release(8, 1, 30)
-	if r.Snapshot(0) != nil {
+	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot should be nil")
 	}
 	if r.Counter("x").Value() != 0 || r.Histogram("z").Count() != 0 {
@@ -248,7 +241,6 @@ func TestLockRowsSortedByWait(t *testing.T) {
 func TestSnapshotRoundTripAndValidate(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("faults.remote").Add(3)
-	r.Gauge("wire.delta_ratio").Set(0.42)
 	h := r.Histogram("fault.e2e_ns")
 	for _, v := range []int64{100, 200, 300, 400, 500} {
 		h.Observe(v)
@@ -257,7 +249,7 @@ func TestSnapshotRoundTripAndValidate(t *testing.T) {
 	r.Locks().Wait(0x80, 1)
 	r.Locks().Woke(0x80, 5, 40, 40)
 
-	s := r.Snapshot(10)
+	s := r.Snapshot()
 	if err := s.Validate("fault.e2e_ns"); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -279,8 +271,8 @@ func TestSnapshotRoundTripAndValidate(t *testing.T) {
 	if back.Histograms["fault.e2e_ns"].P50 != 300 {
 		t.Fatalf("p50 after round trip = %d", back.Histograms["fault.e2e_ns"].P50)
 	}
-	if back.Counters["faults.remote"] != 3 || back.Gauges["wire.delta_ratio"] != 0.42 {
-		t.Fatal("counter/gauge lost in round trip")
+	if back.Counters["faults.remote"] != 3 {
+		t.Fatal("counter lost in round trip")
 	}
 	blob2, _ := json.Marshal(&back)
 	if string(blob) != string(blob2) {
@@ -291,7 +283,7 @@ func TestSnapshotRoundTripAndValidate(t *testing.T) {
 func TestValidateCatchesCorruptSnapshots(t *testing.T) {
 	mk := func() *Snapshot {
 		return &Snapshot{
-			Counters: map[string]uint64{}, Gauges: map[string]float64{},
+			Counters: map[string]uint64{},
 			Histograms: map[string]HistSnapshot{
 				"h": {Count: 2, Sum: 30, Min: 10, Max: 20, P50: 10, P95: 20, P99: 20, Exact: true},
 			},

@@ -98,8 +98,6 @@ type Policy struct {
 	splitDone map[uint64]bool
 
 	stats Stats
-
-	cMig, cSplit *metrics.Counter
 }
 
 // New builds a policy over the run's metrics registry.
@@ -109,8 +107,6 @@ func New(reg *metrics.Registry, act Actuator) *Policy {
 		aff:       map[int64]map[int]uint64{},
 		lastMove:  map[int64]int64{},
 		splitDone: map[uint64]bool{},
-		cMig:      reg.Counter("sched.migrations"),
-		cSplit:    reg.Counter("sched.proactive_splits"),
 	}
 }
 
@@ -269,7 +265,6 @@ func (pol *Policy) tickMigrate(in Inputs) {
 func (pol *Policy) commitMove(in Inputs, tid int64, to int, why string, score uint64) {
 	pol.lastMove[tid] = in.NowNs
 	pol.stats.Migrations++
-	pol.cMig.Inc()
 	pol.act.Tracef("sched: migrate tid %d -> node %d (%s score %d)", tid, to, why, score)
 	pol.act.MigrateThread(tid, to)
 	// Every affinity count was measured against the pre-move ownership
@@ -295,7 +290,6 @@ func (pol *Policy) tickSplit() {
 		}
 		pol.splitDone[row.Page] = true
 		pol.stats.ProactiveSplits++
-		pol.cSplit.Inc()
 		pol.act.Tracef("sched: proactive split page %#x (invals %d, %d nodes)",
 			row.Page, row.Invals, row.Nodes)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -90,13 +91,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var wait time.Duration
 	if ms := r.URL.Query().Get("wait_ms"); ms != "" {
 		n, err := strconv.ParseInt(ms, 10, 64)
-		if err != nil || n < 0 {
-			writeErr(w, &APIError{Status: http.StatusBadRequest, Message: "wait_ms must be a non-negative integer"})
+		if err != nil || n < 0 || n > math.MaxInt64/int64(time.Millisecond) {
+			writeErr(w, &APIError{Status: http.StatusBadRequest, Message: "wait_ms must be an integer in [0, 9223372036854]"})
 			return
 		}
 		wait = time.Duration(n) * time.Millisecond
 	}
-	st, err := s.Wait(id, wait)
+	st, err := s.Wait(r.Context(), id, wait)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -13,6 +13,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -436,9 +437,9 @@ func (s *Server) Result(id string) (JobResult, error) {
 	return j.result(), nil
 }
 
-// Wait blocks until the job reaches a terminal state or d elapses, then
-// returns the current status.
-func (s *Server) Wait(id string, d time.Duration) (JobStatus, error) {
+// Wait blocks until the job reaches a terminal state, d elapses or ctx ends
+// (the client hung up), then returns the current status.
+func (s *Server) Wait(ctx context.Context, id string, d time.Duration) (JobStatus, error) {
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
@@ -451,6 +452,7 @@ func (s *Server) Wait(id string, d time.Duration) (JobStatus, error) {
 		select {
 		case <-j.done:
 		case <-timer.C:
+		case <-ctx.Done():
 		}
 	}
 	s.mu.Lock()

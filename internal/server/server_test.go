@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -386,6 +388,96 @@ func TestCancelAndTimeout(t *testing.T) {
 	}
 	if fin.Error == "" {
 		t.Error("timed-out job carries no reason")
+	}
+}
+
+// TestWaitEndsWithClient: a long poll on a running job returns as soon as
+// its request's context ends (the client hung up), not when the job ends or
+// the wait runs out.
+func TestWaitEndsWithClient(t *testing.T) {
+	backend := newBlockingBackend()
+	defer close(backend.release)
+	srv, ts := startServer(t, Options{Workers: 1, Backends: map[string]Backend{"sim": backend}})
+	c := &testClient{t: t, base: ts.URL, tenant: "alice"}
+	st := c.submit(&JobRequest{Source: trivialSource}, http.StatusAccepted)
+	deadline := time.Now().Add(10 * time.Second)
+	for backend.startedCount() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	start := time.Now()
+	got, err := srv.Wait(ctx, st.ID, 20*time.Second)
+	if err != nil || got.State != StateRunning {
+		t.Errorf("Wait: %+v, %v; want the running job", got, err)
+	}
+	req := httptest.NewRequest("GET", "/v1/jobs/"+st.ID+"?wait_ms=20000", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"state": "running"`) {
+		t.Errorf("GET with a canceled request: HTTP %d %s", rec.Code, rec.Body)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("two waits on a gone client took %v", d)
+	}
+}
+
+// TestWaitMsBounds: wait_ms is milliseconds that fit a time.Duration. A
+// larger value is a 400; it used to wrap negative and return at once.
+func TestWaitMsBounds(t *testing.T) {
+	_, ts := startServer(t, Options{Workers: 1})
+	c := &testClient{t: t, base: ts.URL, tenant: "alice"}
+	st := c.wait(c.submit(&JobRequest{Source: trivialSource}, http.StatusAccepted).ID)
+	for ms, want := range map[string]int{
+		"9223372036854":  http.StatusOK, // the job is done, so even the longest wait returns at once
+		"9223372036855":  http.StatusBadRequest,
+		"10000000000000": http.StatusBadRequest,
+		"-1":             http.StatusBadRequest,
+	} {
+		if resp, data := c.req("GET", "/v1/jobs/"+st.ID+"?wait_ms="+ms, nil); resp.StatusCode != want {
+			t.Errorf("wait_ms=%s: HTTP %d %s, want %d", ms, resp.StatusCode, data, want)
+		}
+	}
+}
+
+// TestJobList: GET /v1/jobs lists every tenant's jobs in submission order,
+// ?tenant= keeps one tenant's, and a tenant with none gets [], not null.
+func TestJobList(t *testing.T) {
+	_, ts := startServer(t, Options{Workers: 2})
+	alice := &testClient{t: t, base: ts.URL, tenant: "alice"}
+	bob := &testClient{t: t, base: ts.URL, tenant: "bob"}
+	var ids []string
+	for _, c := range []*testClient{alice, bob, alice} {
+		ids = append(ids, c.submit(&JobRequest{Source: trivialSource}, http.StatusAccepted).ID)
+	}
+	list := func(query string) []string {
+		resp, data := alice.req("GET", "/v1/jobs"+query, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("list%s: HTTP %d %s", query, resp.StatusCode, data)
+		}
+		if query == "?tenant=nobody" && strings.TrimSpace(string(data)) != "[]" {
+			t.Errorf("list%s = %s, want []", query, data)
+		}
+		var jobs []JobStatus
+		if err := json.Unmarshal(data, &jobs); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, j := range jobs {
+			got = append(got, j.ID)
+		}
+		return got
+	}
+	for query, want := range map[string][]string{
+		"":               ids,
+		"?tenant=alice":  {ids[0], ids[2]},
+		"?tenant=bob":    {ids[1]},
+		"?tenant=nobody": nil,
+	} {
+		if got := list(query); !slices.Equal(got, want) {
+			t.Errorf("list%s = %v, want %v", query, got, want)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ type Stats struct {
 	Blocks          uint64 // translation blocks built
 	TranslatedInsns uint64 // guest instructions translated (blocks + traces)
 	ExecInsns       uint64
-	TranslateNs     int64
+	TranslateNs     int64 `clock:"model"`
 	Faults          uint64
 	Syscalls        uint64
 
@@ -102,7 +102,7 @@ type Stats struct {
 	Flushes          uint64 // translation cache flushes (ClearCache calls)
 	Tier3Superblocks uint64 // traces compiled to closures
 	Tier3Insns       uint64 // guest instructions retired in compiled traces
-	Tier3TranslateNs int64  // virtual time charged for forming and compiling traces
+	Tier3TranslateNs int64  `clock:"model"` // virtual time charged for forming and compiling traces
 	// Tier3Demotions counted compiled traces abandoned mid-run after a flush,
 	// which can no longer land inside Exec: it reads 0 and stays declared only
 	// because the frozen bench/ reads it (ROADMAP 1(c) drops it at the
