@@ -26,13 +26,6 @@ var deterministicDirs = []string{
 	"internal/tcg", "internal/trace", "internal/workloads",
 }
 
-// metricsPolicyDirs are the packages allowed to read metrics counters: the
-// metrics package itself and the feedback scheduler, which is the designated
-// consumer of the sensor stream. Reads anywhere else are ad-hoc control
-// loops — scattered `if reg.Counter(x).Value() > n` logic that bypasses the
-// policy's hysteresis and determinism discipline (the metricsread rule).
-var metricsPolicyDirs = []string{"internal/metrics", "internal/sched"}
-
 // protocolDirs hold message handlers that must degrade gracefully. The
 // protocol handlers proper are internal/core's (both transports run them);
 // internal/live and internal/netsim hold the transports that call them.
@@ -126,8 +119,6 @@ func lintSource(path string, src []byte) ([]finding, error) {
 			l.syncName = name
 		case "fmt":
 			l.fmtName = name
-		case "dqemu/internal/metrics":
-			l.metricsWatch = !inDirs(path, metricsPolicyDirs)
 		}
 	}
 	for _, decl := range file.Decls {
@@ -183,9 +174,6 @@ type linter struct {
 	// Local import names of the packages the rules watch; "-" when the file
 	// does not import them (never a valid identifier, so lookups just miss).
 	timeName, randName, syncName, fmtName string
-	// metricsWatch is set when the file imports dqemu/internal/metrics from
-	// outside the policy dirs.
-	metricsWatch bool
 
 	findings []finding
 }
@@ -196,8 +184,7 @@ func (l *linter) report(pos token.Pos, rule, format string, args ...interface{})
 	})
 }
 
-// inspectExpr applies the expression-level rules (wallclock, globalrand,
-// metricsread).
+// inspectExpr applies the expression-level rules (wallclock, globalrand).
 func (l *linter) inspectExpr(n ast.Node) bool {
 	call, ok := n.(*ast.CallExpr)
 	if !ok {
@@ -206,10 +193,6 @@ func (l *linter) inspectExpr(n ast.Node) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return true
-	}
-	if l.metricsWatch && sel.Sel.Name == "Value" && len(call.Args) == 0 {
-		l.report(call.Pos(), "metricsread",
-			"metrics counter read outside policy code; feedback decisions belong in internal/sched")
 	}
 	pkg, ok := sel.X.(*ast.Ident)
 	if !ok {

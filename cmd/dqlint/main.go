@@ -22,12 +22,6 @@
 //     executed micro-op, not once per translation, and break the compiled
 //     traces' zero-alloc steady-state guarantee. Hoist the allocation to compile
 //     time and capture the result.
-//   - metricsread: metrics counter reads (.Value() in a file importing
-//     dqemu/internal/metrics) are confined to internal/sched and
-//     internal/metrics, with no exemption. The registry is
-//     a sensor bus feeding ONE consumer — the feedback scheduler; ad-hoc
-//     `if counter.Value() > n` logic elsewhere is a shadow control loop with
-//     none of the policy's hysteresis, cooldowns, or determinism discipline.
 //
 // Usage: dqlint [./... | dir ...]   (default ./...)
 // Test files are skipped: property tests legitimately use their own RNG

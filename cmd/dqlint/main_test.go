@@ -319,39 +319,6 @@ func fresh(ops []uop) []uop {
 	}
 }
 
-func TestMetricsReadRule(t *testing.T) {
-	src := `package core
-import "dqemu/internal/metrics"
-func decide(reg *metrics.Registry) bool {
-	return reg.Counter("fault.remote").Value() > 100 // flagged: shadow control loop
-}
-func record(reg *metrics.Registry) {
-	reg.Counter("fault.remote").Add(1) // writes are fine anywhere
-}
-`
-	got := lint(t, "internal/core/x.go", src)
-	if len(got) != 1 || got[0] != "metricsread" {
-		t.Errorf("metrics read: %v", got)
-	}
-	// The policy package is the designated consumer.
-	if got := lint(t, "internal/sched/x.go", src); len(got) != 0 {
-		t.Errorf("sched package flagged: %v", got)
-	}
-	if got := lint(t, "internal/metrics/x.go", src); len(got) != 0 {
-		t.Errorf("metrics package flagged: %v", got)
-	}
-	// Value() on unrelated types is only watched when the file imports the
-	// metrics package.
-	other := `package core
-type gauge struct{}
-func (gauge) Value() int { return 0 }
-func read(g gauge) int { return g.Value() }
-`
-	if got := lint(t, "internal/core/x.go", other); len(got) != 0 {
-		t.Errorf("non-metrics Value() flagged: %v", got)
-	}
-}
-
 // TestRepoIsClean runs every rule over the real tree: the linter gates CI,
 // so the tree it gates must pass it.
 func TestRepoIsClean(t *testing.T) {

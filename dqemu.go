@@ -122,7 +122,8 @@ func NewCluster(im *Image, cfg Config) (*Cluster, error) {
 	return core.NewCluster(im, cfg)
 }
 
-// Run loads and executes a guest image to completion.
+// Run loads and executes a guest image to completion, then hands the
+// cluster's memory to the next run in this process (Cluster.Release).
 func Run(im *Image, cfg Config) (*Result, error) {
 	return core.Run(im, cfg)
 }

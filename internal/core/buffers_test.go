@@ -102,6 +102,14 @@ func TestAliasSentBuffersImmutable(t *testing.T) {
 	}
 }
 
+// emptyRecycler has the garbage collector empty the page and engine
+// recycler (two collections drop all a sync.Pool holds), so what the next
+// run allocates does not depend on the runs released before it.
+func emptyRecycler() {
+	runtime.GC()
+	runtime.GC()
+}
+
 // quantumCounter counts the guest quanta a run completes.
 type quantumCounter struct {
 	Runtime
@@ -147,6 +155,7 @@ long main() {
 		rt := &quantumCounter{Runtime: c.rt}
 		c.rt = rt
 		var before, after runtime.MemStats
+		emptyRecycler()
 		runtime.ReadMemStats(&before)
 		res, err := c.Run()
 		runtime.ReadMemStats(&after)
@@ -216,6 +225,7 @@ func TestAllocPerPageTransfer(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Slaves = 2
 		var before, after runtime.MemStats
+		emptyRecycler()
 		runtime.ReadMemStats(&before)
 		res, err := Run(im, cfg)
 		runtime.ReadMemStats(&after)
@@ -290,6 +300,7 @@ long main() {
 		rt := &syscallMsgs{Runtime: c.rt}
 		c.rt = rt
 		var before, after runtime.MemStats
+		emptyRecycler()
 		runtime.ReadMemStats(&before)
 		res, err := c.Run()
 		runtime.ReadMemStats(&after)

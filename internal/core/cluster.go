@@ -64,6 +64,9 @@ type Cluster struct {
 	exitCode int64
 	err      error
 	console  bytes.Buffer
+
+	// released is set by Release; every method panics after it.
+	released bool
 }
 
 // ErrCanceled is returned (wrapped) by Cluster.Run when Config.Cancel
@@ -109,6 +112,9 @@ func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
+	if err := CheckFootprint(im, cfg.Slaves); err != nil {
+		return nil, err
+	}
 	cfg.normalize()
 	s := newSimRuntime(&cfg)
 	ids := make([]int, cfg.Nodes())
@@ -121,6 +127,29 @@ func NewCluster(im *image.Image, cfg Config) (*Cluster, error) {
 		s.net.Register(id, c.Deliver)
 	}
 	return c, nil
+}
+
+// CheckFootprint refuses an image that a cluster of slaves+1 nodes would
+// back with more than image.MaxMemBytes of pages: every node installs its
+// own copy of each read-only segment at boot and the master the writable
+// ones, so a few bytes of program reserving a large .rodata would cost that
+// reservation once per node.
+func CheckFootprint(im *image.Image, slaves int) error {
+	var ro, rw uint64
+	for _, seg := range im.Segments {
+		if seg.Writable {
+			rw += seg.MemSize
+		} else {
+			ro += seg.MemSize
+		}
+	}
+	// Each sum is at most MaxMemBytes (image.AddSegment) and slaves is in
+	// Config.Check's [0, 63]: no overflow.
+	if total := uint64(slaves+1)*ro + rw; total > image.MaxMemBytes {
+		return fmt.Errorf("core: %d nodes each holding %d read-only bytes, plus %d writable, take %d bytes, over the %d-byte limit (image.MaxMemBytes)",
+			slaves+1, ro, rw, total, uint64(image.MaxMemBytes))
+	}
+	return nil
 }
 
 // NewLocal builds the one node with the given id of a cfg-shaped cluster,
@@ -210,6 +239,7 @@ func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
 // handler for every node, or a NewLocal cluster's runtime: through the
 // reliable layer when there is one, then to the node it addresses.
 func (c *Cluster) Deliver(m *proto.Msg) {
+	c.mustLive()
 	if c.rel != nil {
 		c.rel.Receive(m)
 		return
@@ -234,17 +264,37 @@ func (c *Cluster) dispatch(m *proto.Msg) {
 
 // Done reports whether the run has ended: the guest exited, the master
 // sent KShutdown, or a node failed (Err).
-func (c *Cluster) Done() bool { return c.done }
+func (c *Cluster) Done() bool {
+	c.mustLive()
+	return c.done
+}
 
 // Err is the failure that ended the run, nil after a clean exit.
-func (c *Cluster) Err() error { return c.err }
+func (c *Cluster) Err() error {
+	c.mustLive()
+	return c.err
+}
 
 // VFS exposes the guest filesystem for pre-loading inputs and collecting
 // outputs (the process hosting node 0 only).
-func (c *Cluster) VFS() *guestos.VFS { return c.os.VFS() }
+func (c *Cluster) VFS() *guestos.VFS {
+	c.mustLive()
+	return c.os.VFS()
+}
 
 // Now returns the current virtual time.
-func (c *Cluster) Now() int64 { return c.rt.Now() }
+func (c *Cluster) Now() int64 {
+	c.mustLive()
+	return c.rt.Now()
+}
+
+// mustLive panics once the cluster has been released: its memory may
+// already belong to another run.
+func (c *Cluster) mustLive() {
+	if c.released {
+		panic("core: cluster used after Release")
+	}
+}
 
 // fail aborts the run with an error.
 func (c *Cluster) fail(err error) {
@@ -269,6 +319,7 @@ func (c *Cluster) finish(code int64) {
 // Run executes the guest to completion on the simulator and returns the
 // result.
 func (c *Cluster) Run() (*Result, error) {
+	c.mustLive()
 	if c.sim == nil {
 		return nil, errors.New("core: Run drives the simulator; a NewLocal cluster is driven by its Runtime")
 	}
@@ -311,6 +362,7 @@ func (c *Cluster) Run() (*Result, error) {
 // (the frames, and the injector, are the caller's) and Rel covers the hosted
 // nodes' links.
 func (c *Cluster) Result() *Result {
+	c.mustLive()
 	r := &Result{
 		ExitCode: c.exitCode,
 		TimeNs:   c.rt.Now(),
@@ -370,6 +422,7 @@ func (c *Cluster) Result() *Result {
 // ThreadDump summarizes the hosted threads' states for deadlock and timeout
 // diagnostics.
 func (c *Cluster) ThreadDump() string {
+	c.mustLive()
 	var sb bytes.Buffer
 	for _, n := range c.nodes {
 		var tids []int64
@@ -407,11 +460,42 @@ func (c *Cluster) checkCoherence() error {
 	return err
 }
 
-// Run is the one-call convenience: load, run, report.
+// Release hands what the cluster's run allocated page by page — every
+// hosted node's guest pages and twins, the master's home snapshots and
+// scratch page — and every hosted node's engine to the next cluster built
+// in this process, cleared (mem.NewPageBuf, tcg.NewEngine). The owner of a
+// finished run calls it once it has taken the Result; every method of the
+// cluster panics afterwards. A buffer ever handed to Runtime.Send is none
+// of these, so no message in flight or kept for retransmission is touched.
+func (c *Cluster) Release() {
+	c.mustLive()
+	c.released = true
+	for _, n := range c.nodes {
+		n.space.Release()
+		n.engine.Release()
+		for _, tw := range n.twins {
+			mem.FreePageBuf(tw.data)
+		}
+		n.twins = nil
+	}
+	if m := c.master; m != nil {
+		for _, ss := range m.wire.snaps {
+			for _, s := range ss {
+				mem.FreePageBuf(s.data)
+			}
+		}
+		m.wire.snaps = nil
+		mem.FreePageBuf(m.wire.scratch)
+		m.wire.scratch = nil
+	}
+}
+
+// Run is the one-call convenience: load, run, report, release.
 func Run(im *image.Image, cfg Config) (*Result, error) {
 	c, err := NewCluster(im, cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer c.Release()
 	return c.Run()
 }

@@ -40,6 +40,7 @@ func (e *NodeLostError) Error() string {
 // NodeGone declares a peer lost on the runtime's word — a live connection
 // that ended before the run did — with the consequences of a give-up.
 func (c *Cluster) NodeGone(node int) {
+	c.mustLive()
 	c.nodeLost(&proto.Msg{From: int32(c.nodes[0].id), To: int32(node)})
 }
 

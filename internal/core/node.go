@@ -628,7 +628,7 @@ func (n *node) applyRemap(orig uint64, shadows []uint64, ver uint64) {
 	for i, sh := range shadows {
 		buf := tw.data // the retired original's buffer serves the first shadow
 		if i > 0 {
-			buf = make([]byte, ps)
+			buf = mem.NewPageBuf(ps)
 			copy(buf[i*part:(i+1)*part], tw.data[i*part:(i+1)*part])
 		}
 		n.twins[sh] = &pageTwin{ver: 1, data: buf}

@@ -4,7 +4,7 @@ import (
 	"dqemu/internal/metrics"
 )
 
-// Histogram and counter names the profiler publishes; the profile-smoke CI
+// Histogram names the profiler publishes; the profile-smoke CI
 // job requires the fault ones to be present in every -profile dump.
 const (
 	// MetricFaultE2E is the end-to-end remote-fault latency: the faulting
@@ -78,7 +78,6 @@ func (p *clusterProf) reqArrived(node int, page uint64, write bool, now int64) {
 	if p == nil {
 		return
 	}
-	p.reg.Counter("fault.requests").Inc()
 	p.reg.Pages().Fault(page, node, write)
 	key := nodePage{node: int32(node), page: page}
 	// A read request can be followed by a write upgrade for the same page
@@ -152,7 +151,6 @@ func (p *clusterProf) invalidated(page uint64) {
 	if p == nil {
 		return
 	}
-	p.reg.Counter("inv.sent").Inc()
 	p.reg.Pages().Invalidate(page)
 }
 
@@ -161,7 +159,6 @@ func (p *clusterProf) migStarted(tid int64, now int64) {
 	if p == nil {
 		return
 	}
-	p.reg.Counter("migrate.started").Inc()
 	p.migStart[tid] = now
 }
 

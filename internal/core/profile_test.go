@@ -1,11 +1,15 @@
 package core
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"dqemu/internal/grt"
+	"dqemu/internal/image"
 	"dqemu/internal/metrics"
+	"dqemu/internal/workloads"
 )
 
 // A multi-node workload with cross-node sharing and lock traffic must fill
@@ -105,9 +109,13 @@ long main() {
 	if want := res.Rows("virtual"); len(want) == 0 || !reflect.DeepEqual(s.Result, want) {
 		t.Fatalf("snapshot carries %d result rows, want the %d of Result.Rows", len(s.Result), len(want))
 	}
-	var execTotal, translate int64
+	var execTotal, translate, requests, invalidates int64
 	for _, row := range s.Result {
 		switch {
+		case row.Key == "dir.reads" || row.Key == "dir.writes":
+			requests += row.Value
+		case row.Key == "dir.invalidates":
+			invalidates = row.Value
 		case strings.HasPrefix(row.Key, "threads.") && strings.HasSuffix(row.Key, ".exec_ns"):
 			execTotal += row.Value
 		case strings.HasPrefix(row.Key, "nodes.") && strings.HasSuffix(row.Key, ".engine.translate_ns"):
@@ -118,11 +126,77 @@ long main() {
 		t.Fatalf("per-thread exec %d ns, per-node translate %d ns over %d nodes", execTotal, translate, len(res.Nodes))
 	}
 
-	if s.Counters["fault.requests"] == 0 {
-		t.Error("fault.requests counter empty")
+	if requests == 0 {
+		t.Error("no dir.reads or dir.writes row: no page request reached the directory")
 	}
-	if s.Counters["inv.sent"] == 0 {
-		t.Error("inv.sent counter empty (write sharing must invalidate)")
+	if invalidates == 0 {
+		t.Error("dir.invalidates row empty (write sharing must invalidate)")
+	}
+}
+
+// TestRegistryAgreesWithResult: the registry's hooks fire exactly where the
+// run's own counts are taken, so what the heat map and the migration
+// histogram add up to is what Result says: page requests (dir.reads +
+// dir.writes), invalidations (dir.invalidates) and landed migrations. The
+// three registry counters that once re-counted these (fault.requests,
+// inv.sent, migrate.started) agreed with Result on every run here before
+// they went. The runs are every metrics-on configuration the repository
+// runs: the phases-2s adaptive arm, the profile-smoke program and a
+// 4-slave canneal.
+func TestRegistryAgreesWithResult(t *testing.T) {
+	src, err := os.ReadFile("../../cmd/dqemu/testdata/profile_smoke.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	smoke, err := grt.BuildProgram("profile_smoke.mc", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canneal, err := workloads.Canneal(4, 256, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases, err := workloads.Phases(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		im       *image.Image
+		slaves   int
+		adaptive bool
+	}{
+		{"phases-2s adaptive", phases, 2, true},
+		{"profile_smoke", smoke, 2, false},
+		{"canneal", canneal, 4, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Slaves = tc.slaves
+		cfg.Forwarding, cfg.Splitting = true, true
+		cfg.Adaptive, cfg.Metrics = tc.adaptive, true
+		c, err := NewCluster(tc.im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var faults, invals uint64
+		for _, row := range c.prof.reg.Pages().TopN(0) {
+			faults += row.Faults
+			invals += row.Invals
+		}
+		if want := res.Dir.Reads + res.Dir.Writes; faults != want || want == 0 {
+			t.Errorf("%s: heat map counts %d page requests, dir.reads + dir.writes %d", tc.name, faults, want)
+		}
+		if invals != res.Dir.Invalidates || invals == 0 {
+			t.Errorf("%s: heat map counts %d invalidations, dir.invalidates %d", tc.name, invals, res.Dir.Invalidates)
+		}
+		if got := c.prof.migrate.Count(); got != res.Migrations || tc.adaptive != (got > 0) {
+			t.Errorf("%s: %d migrations in the histogram, %d landed", tc.name, got, res.Migrations)
+		}
+		c.Release()
 	}
 }
 

@@ -149,7 +149,7 @@ func newMasterWire(m *master) *masterWire {
 		remote:   map[nodePage]uint64{},
 		out:      make([]targetBuf, cfg.Nodes()),
 		pendInv:  map[int32][]uint64{},
-		scratch:  make([]byte, cfg.PageSize),
+		scratch:  mem.NewPageBuf(cfg.PageSize),
 		stats:    &m.cl.wireStats,
 	}
 }
@@ -194,7 +194,9 @@ func (w *masterWire) snapshotHome(page uint64) {
 	}
 	home := w.m.space.EnsurePage(page, w.m.space.PermOf(page))
 	if len(ss) < wireSnapKeep {
-		w.snaps[page] = append(ss, wireSnap{ver: v, data: append([]byte(nil), home...)})
+		data := mem.NewPageBuf(len(home))
+		copy(data, home)
+		w.snaps[page] = append(ss, wireSnap{ver: v, data: data})
 		return
 	}
 	ss[oldest].ver = v
@@ -596,7 +598,7 @@ func (n *node) setTwin(page uint64, data []byte, ver uint64) {
 func (n *node) twin(page uint64) *pageTwin {
 	tw := n.twins[page]
 	if tw == nil {
-		tw = &pageTwin{data: make([]byte, n.space.PageSize())}
+		tw = &pageTwin{data: mem.NewPageBuf(n.space.PageSize())}
 		if n.twins != nil {
 			n.twins[page] = tw
 		}

@@ -64,11 +64,20 @@ var wallRetry = netsim.RetryPolicy{
 	MaxAttempts: 12,
 }
 
-// validate rejects, naming the field, the two Config.Core settings whose
-// implementation reads other nodes' state in-process: ignoring them would
-// report a run that did not happen.
-func (c *Config) validate() error {
+// validate rejects, before a connection is accepted, a cluster that could
+// not boot im: an invalid Config.Core, an image whose pages would take the
+// cluster over image.MaxMemBytes (core.CheckFootprint), and — naming the
+// field — the two Config.Core settings whose implementation reads other
+// nodes' state in-process: ignoring them would report a run that did not
+// happen.
+func (c *Config) validate(im *image.Image) error {
 	k := &c.Core
+	if err := k.Check(); err != nil {
+		return err
+	}
+	if err := core.CheckFootprint(im, k.Slaves); err != nil {
+		return err
+	}
 	for _, r := range []struct {
 		set        bool
 		field, why string
@@ -107,6 +116,9 @@ var ErrCanceled = core.ErrCanceled
 // and errors.As find it first; the slaves' errors are joined after it, each
 // naming its node if it ran one.
 func Run(im *image.Image, cfg Config) (*Result, error) {
+	if err := cfg.validate(im); err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)

@@ -26,12 +26,19 @@ type sender struct {
 	deadline time.Time // zero = none; bounds blocking sends and close
 }
 
+// sendQueue is the depth of a sender's queue: 16 times the deepest it was
+// measured to get, 89 frames, in TestLiveMatchesSimulation's fault-plan
+// rows (9 on the benchmark's live_tcp jobs). A queue is made per
+// connection per run, so its size is paid on every job; a burst past it
+// blocks, as any full queue does.
+const sendQueue = 16 * 89
+
 func newSender(conn net.Conn, deadline time.Time) *sender {
-	return newSenderSize(conn, deadline, 4096)
+	return newSenderSize(conn, deadline, sendQueue)
 }
 
 // newSenderSize exists so tests can exercise queue-overflow backpressure
-// without manufacturing 4096 in-flight frames.
+// without manufacturing sendQueue in-flight frames.
 func newSenderSize(conn net.Conn, deadline time.Time, queue int) *sender {
 	s := &sender{
 		conn:     conn,
@@ -135,7 +142,7 @@ func peerName(conn net.Conn) string {
 // RunMaster accepts cfg.Core.Slaves connections on ln, boots the cluster
 // with the given guest image, and runs it to completion as node 0.
 func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(im); err != nil {
 		return nil, err
 	}
 	if cfg.Timeout <= 0 {
@@ -175,6 +182,9 @@ func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
 	if l.cl, err = core.NewLocal(im, cfg.Core, 0, l); err != nil {
 		return abort(err)
 	}
+	// Every return below has taken what it reports from the cluster: the
+	// loop, the only goroutine that touched it, has ended by then.
+	defer l.cl.Release()
 	for path, data := range cfg.Files {
 		l.cl.VFS().AddFile(path, data)
 	}

@@ -50,5 +50,7 @@ func RunSlave(addr string) (none core.NodeStats, err error) {
 
 	err = l.run()
 	out.close()
-	return l.cl.Result().Nodes[0], err
+	stats := l.cl.Result().Nodes[0]
+	l.cl.Release()
+	return stats, err
 }

@@ -196,14 +196,15 @@ func (s *Space) InstallPage(pageNo uint64, data []byte, perm Perm) {
 }
 
 // newPage makes pageNo resident on a retired buffer if there is one, whose
-// old content the caller must overwrite, and on a fresh zero one otherwise.
+// old content the caller must overwrite, and on a zero one from the
+// recycler (NewPageBuf) otherwise.
 func (s *Space) newPage(pageNo uint64) *page {
 	var p *page
 	if last := len(s.free) - 1; last >= 0 {
 		p, s.free[last] = s.free[last], nil
 		s.free = s.free[:last]
 	} else {
-		p = &page{data: make([]byte, s.pageSize)}
+		p = &page{data: NewPageBuf(s.pageSize)}
 	}
 	s.pages[pageNo] = p
 	return p

@@ -1,6 +1,6 @@
 // Package metrics is DQEMU's cluster-wide observability layer: a typed
-// registry of counters and log-scaled latency histograms that every
-// subsystem records into, plus two domain-specific keyed tables — a per-page
+// registry of log-scaled latency histograms that every subsystem records
+// into, plus two domain-specific keyed tables — a per-page
 // fault/invalidation heat map (the input of false-sharing triage, §5.1) and
 // a per-word lock contention profile (§4.4's distributed futex). The run's
 // own totals are not copied in: a Snapshot carries them as the rendered Rows
@@ -33,33 +33,18 @@ import (
 // usable; construct with NewRegistry. A nil *Registry hands out nil handles,
 // which record nothing.
 type Registry struct {
-	counters map[string]*Counter
-	hists    map[string]*Histogram
-	pages    *HeatMap
-	locks    *LockProfile
+	hists map[string]*Histogram
+	pages *HeatMap
+	locks *LockProfile
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		hists:    map[string]*Histogram{},
-		pages:    &HeatMap{pages: map[uint64]*PageHeat{}},
-		locks:    &LockProfile{words: map[uint64]*lockWord{}},
+		hists: map[string]*Histogram{},
+		pages: &HeatMap{pages: map[uint64]*PageHeat{}},
+		locks: &LockProfile{words: map[uint64]*lockWord{}},
 	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -89,30 +74,6 @@ func (r *Registry) Locks() *LockProfile {
 		return nil
 	}
 	return r.locks
-}
-
-// ---- Counter ----
-
-// Counter is a monotonically increasing event count.
-type Counter struct{ v uint64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
 }
 
 // ---- Histogram ----
@@ -518,7 +479,6 @@ func (r Row) String() string {
 // stable under JSON encoding (maps marshal in sorted key order; slices are
 // emitted pre-sorted).
 type Snapshot struct {
-	Counters   map[string]uint64       `json:"counters"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
 	PageHeat   []PageHeatRow           `json:"page_heat"`
 	Locks      []LockRow               `json:"locks"`
@@ -535,13 +495,9 @@ func (r *Registry) Snapshot() *Snapshot {
 		return nil
 	}
 	s := &Snapshot{
-		Counters:   map[string]uint64{},
 		Histograms: map[string]HistSnapshot{},
 		PageHeat:   r.pages.TopN(heatTopN),
 		Locks:      r.locks.Rows(),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.v
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.snapshot()
@@ -556,7 +512,7 @@ func (s *Snapshot) Validate(requiredHists ...string) error {
 	if s == nil {
 		return fmt.Errorf("metrics: nil snapshot")
 	}
-	if s.Counters == nil || s.Histograms == nil {
+	if s.Histograms == nil {
 		return fmt.Errorf("metrics: snapshot missing a top-level section")
 	}
 	for _, name := range requiredHists {

@@ -7,19 +7,8 @@ import (
 	"testing"
 )
 
-func TestCounter(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("faults")
-	c.Inc()
-	c.Add(4)
-	if got := r.Counter("faults").Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-}
-
 func TestNilRegistryHandlesAreSafe(t *testing.T) {
 	var r *Registry
-	r.Counter("x").Inc()
 	r.Histogram("z").Observe(10)
 	r.Pages().Fault(1, 0, true)
 	r.Pages().Invalidate(1)
@@ -29,7 +18,7 @@ func TestNilRegistryHandlesAreSafe(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot should be nil")
 	}
-	if r.Counter("x").Value() != 0 || r.Histogram("z").Count() != 0 {
+	if r.Histogram("z").Count() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
 }
@@ -37,18 +26,16 @@ func TestNilRegistryHandlesAreSafe(t *testing.T) {
 func TestNilHandlesZeroAlloc(t *testing.T) {
 	var r *Registry
 	var h *Histogram
-	var c *Counter
 	var hm *HeatMap
 	var lp *LockProfile
 	if n := testing.AllocsPerRun(200, func() {
-		c.Inc()
 		h.Observe(123456)
 		hm.Fault(42, 3, true)
 		hm.Invalidate(42)
 		lp.Wait(0x1000, 2)
 		lp.Woke(0x1000, 7, 100, 200)
 		lp.Release(0x1000, 7, 300)
-		r.Counter("name").Add(1)
+		r.Histogram("name").Observe(1)
 	}); n != 0 {
 		t.Fatalf("disabled metrics allocated %v per run, want 0", n)
 	}
@@ -240,7 +227,6 @@ func TestLockRowsSortedByWait(t *testing.T) {
 
 func TestSnapshotRoundTripAndValidate(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("faults.remote").Add(3)
 	h := r.Histogram("fault.e2e_ns")
 	for _, v := range []int64{100, 200, 300, 400, 500} {
 		h.Observe(v)
@@ -271,9 +257,6 @@ func TestSnapshotRoundTripAndValidate(t *testing.T) {
 	if back.Histograms["fault.e2e_ns"].P50 != 300 {
 		t.Fatalf("p50 after round trip = %d", back.Histograms["fault.e2e_ns"].P50)
 	}
-	if back.Counters["faults.remote"] != 3 {
-		t.Fatal("counter lost in round trip")
-	}
 	blob2, _ := json.Marshal(&back)
 	if string(blob) != string(blob2) {
 		t.Fatal("snapshot JSON not stable under re-encode")
@@ -283,7 +266,6 @@ func TestSnapshotRoundTripAndValidate(t *testing.T) {
 func TestValidateCatchesCorruptSnapshots(t *testing.T) {
 	mk := func() *Snapshot {
 		return &Snapshot{
-			Counters: map[string]uint64{},
 			Histograms: map[string]HistSnapshot{
 				"h": {Count: 2, Sum: 30, Min: 10, Max: 20, P50: 10, P95: 20, P99: 20, Exact: true},
 			},

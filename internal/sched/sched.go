@@ -9,10 +9,9 @@
 // measured instead of hinted), or split a false-sharing page before its
 // fault storm.
 //
-// The policy is the ONLY place adaptation decisions read metrics counters;
-// a dqlint rule (metricsread) enforces that, so the NoAdaptive ablation is
-// honest — with the policy off, nothing else in the cluster steers by the
-// registry.
+// The policy is the only place adaptation decisions read the registry, so
+// the NoAdaptive ablation is honest — with the policy off, nothing else in
+// the cluster steers by it.
 package sched
 
 import (

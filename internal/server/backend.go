@@ -58,6 +58,9 @@ func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, err
 	if err != nil {
 		return nil, err
 	}
+	// The outcome copies what it reports out of res, so the cluster's
+	// memory can go to the next job.
+	defer cl.Release()
 	for path, data := range spec.Files {
 		cl.VFS().AddFile(path, data)
 	}

@@ -232,6 +232,9 @@ func (s *Server) Submit(tenant string, req *JobRequest) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, &APIError{Status: http.StatusBadRequest, Message: fmt.Sprintf("building guest program: %v", err)}
 	}
+	if err := core.CheckFootprint(im, cfg.Slaves); err != nil {
+		return JobStatus{}, &APIError{Status: http.StatusBadRequest, Message: err.Error()}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"dqemu/internal/isa"
 	"dqemu/internal/mem"
@@ -269,9 +270,19 @@ type jcEntry struct {
 	blk *block // nil: empty
 }
 
+// enginePool recycles engines across runs: Release puts one back zeroed and
+// NewEngine takes it. The Engine struct is large (the jump cache, the
+// inline TLBs, the cost table), and a job daemon builds one per node per
+// job.
+var enginePool sync.Pool // of *Engine
+
 // NewEngine returns an engine bound to a Space with the given cost model.
 func NewEngine(space *mem.Space, cost CostModel) *Engine {
-	e := &Engine{Mem: space, Cost: cost, Mon: NewLLSCTable(),
+	e, _ := enginePool.Get().(*Engine)
+	if e == nil {
+		e = new(Engine)
+	}
+	*e = Engine{Mem: space, Cost: cost, Mon: NewLLSCTable(),
 		cache: map[uint64]*block{}, codePages: map[uint64]struct{}{},
 		pageMask:  uint64(space.PageSize() - 1),
 		pageShift: uint(bits.TrailingZeros64(uint64(space.PageSize())))}
@@ -282,6 +293,15 @@ func NewEngine(space *mem.Space, cost CostModel) *Engine {
 		e.opCost[op] = e.classCost(isa.Op(op))
 	}
 	return e
+}
+
+// Release zeroes the engine and hands it to the next NewEngine. Its blocks,
+// traces and their closures are unreachable from then on; the caller
+// releases an engine when the run that used it is over and keeps no
+// reference to it.
+func (e *Engine) Release() {
+	*e = Engine{}
+	enginePool.Put(e)
 }
 
 func (e *Engine) classCost(op isa.Op) int64 {
