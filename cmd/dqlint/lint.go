@@ -400,6 +400,53 @@ func (l *linter) checkScratchReads(fn *ast.FuncDecl) {
 	})
 }
 
+// unusedFuncs applies the unusedfunc rule to one package, given all its
+// files, _test.go files included: an unexported top-level function of a
+// non-test file that no code names outside its own declaration is dead. A
+// name selected after a dot (x.name: a field or method) is not a use.
+func unusedFuncs(fset *token.FileSet, files []*ast.File) []finding {
+	var cands []*ast.FuncDecl
+	used := map[string]bool{}
+	for _, f := range files {
+		test := strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			self := ""
+			if fn != nil && fn.Recv == nil {
+				self = fn.Name.Name
+				if !test && !ast.IsExported(self) && self != "init" && self != "main" && self != "_" {
+					cands = append(cands, fn)
+				}
+			}
+			var visit func(ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					if fn == nil || n != fn.Name && n.Name != self {
+						used[n.Name] = true
+					}
+				}
+				return true
+			}
+			ast.Inspect(decl, visit)
+		}
+	}
+	var out []finding
+	for _, fn := range cands {
+		if !used[fn.Name.Name] {
+			out = append(out, finding{
+				pos:  fset.Position(fn.Name.Pos()),
+				rule: "unusedfunc",
+				msg:  fmt.Sprintf("unexported function %s is named by nothing in its package; delete it", fn.Name.Name),
+			})
+		}
+	}
+	return out
+}
+
 // isCompilerName matches the closure-compiler naming convention in the
 // translation engine: compile* functions return per-micro-op closures.
 func isCompilerName(name string) bool {

@@ -22,16 +22,29 @@
 //     executed micro-op, not once per translation, and break the compiled
 //     traces' zero-alloc steady-state guarantee. Hoist the allocation to compile
 //     time and capture the result.
+//   - t3scratch: a closure a compile* function returns must not read the uop
+//     stream (ops[i], sb.ops, a pointer taken into it) at run time; the
+//     stream is translator scratch the next trace overwrites.
+//   - uopmut: outside lowerInsn and segmentize, a uop slice element is never
+//     written in place; the proof, the compiler and the checker share it.
+//   - unusedfunc: an unexported top-level function (not a method, not init or
+//     main) that no other code in its package names, _test.go files
+//     included, is dead and goes.
 //
 // Usage: dqlint [./... | dir ...]   (default ./...)
-// Test files are skipped: property tests legitimately use their own RNG
+// Test files are not linted: property tests legitimately use their own RNG
 // plumbing and drive the simulation from outside the deterministic boundary.
+// They are read only as users of the functions unusedfunc judges.
 package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -49,27 +62,69 @@ func main() {
 		}
 		files = append(files, fs...)
 	}
-	bad := 0
+	findings, err := lintFiles(files)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dqlint: %v\n", err)
+		os.Exit(2)
+	}
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "dqlint: %d problem(s)\n", len(findings))
+		os.Exit(1)
+	}
+}
+
+// lintFiles runs the per-file rules over files, then unusedfunc over each
+// directory they are in.
+func lintFiles(files []string) ([]finding, error) {
+	var all []finding
+	var dirs []string
 	for _, path := range files {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqlint: %v\n", err)
-			os.Exit(2)
+			return nil, err
 		}
-		findings, err := lintSource(path, src)
+		fs, err := lintSource(path, src)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dqlint: %v\n", err)
-			os.Exit(2)
+			return nil, err
 		}
-		for _, f := range findings {
-			fmt.Println(f)
-			bad++
+		all = append(all, fs...)
+		if dir := filepath.Dir(path); !slices.Contains(dirs, dir) {
+			dirs = append(dirs, dir)
 		}
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "dqlint: %d problem(s)\n", bad)
-		os.Exit(1)
+	for _, dir := range dirs {
+		fs, err := lintPackage(dir)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, fs...)
 	}
+	return all, nil
+}
+
+// lintPackage applies unusedfunc to the package in dir, reading every .go
+// file there, tests included.
+func lintPackage(dir string) ([]finding, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, e := range ents {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return unusedFuncs(fset, files), nil
 }
 
 // expand resolves one argument to the list of non-test .go files under it.

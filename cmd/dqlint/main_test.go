@@ -333,18 +333,55 @@ func TestRepoIsClean(t *testing.T) {
 	if len(files) < 50 {
 		t.Fatalf("walk found only %d files; wrong root?", len(files))
 	}
-	for _, path := range files {
-		src, err := os.ReadFile(path)
-		if err != nil {
+	fs, err := lintFiles(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fs {
+		t.Errorf("%s", f)
+	}
+}
+
+// TestUnusedFuncRule: an unexported top-level function that nothing but its
+// own body names is reported; a use from a test file, a method, an exported
+// function, init and main are not.
+func TestUnusedFuncRule(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"a.go": `package x
+type T struct{ f func() }
+func dead() {}
+func recursive(n int) int { if n == 0 { return 0 }; return recursive(n - 1) }
+func called() {}
+func testOnly() {}
+func asValue() {}
+func selected() {}
+func (T) method() {}
+func (t T) alsoDead() { t.selected() }
+func Exported() { called(); _ = T{f: asValue} }
+func init() {}
+func main() {}
+`,
+		"a_test.go": "package x\nfunc use() { testOnly() }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fs, err := lintSource(path, src)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+	}
+	fs, err := lintPackage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range fs {
+		if f.rule != "unusedfunc" {
+			t.Errorf("wrong rule: %s", f)
 		}
-		for _, f := range fs {
-			t.Errorf("%s", f)
-		}
+		got = append(got, strings.Fields(f.msg)[2])
+	}
+	slices.Sort(got)
+	if want := []string{"dead", "recursive", "selected"}; !slices.Equal(got, want) {
+		t.Errorf("reported %v, want %v", got, want)
 	}
 }
 

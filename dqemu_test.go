@@ -1,6 +1,10 @@
 package dqemu_test
 
 import (
+	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -9,6 +13,7 @@ import (
 	"testing"
 
 	"dqemu"
+	"dqemu/internal/core"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -168,54 +173,139 @@ long main() {
 	}
 }
 
-// TestDocsNameExistingTests: every test, fuzz target or benchmark the
-// documents name in a code span (`TestFoo`, `FuzzBar/seed`) is declared in
-// some _test.go file of the tree, and every `internal/…` or `cmd/…` path
-// README.md and DESIGN.md name exists, so a doc cannot keep pointing at a
-// test or package that was renamed or deleted.
+// TestDocsNameExistingTests holds README.md, DESIGN.md and EXPERIMENTS.md to
+// the tree, so a doc cannot keep pointing at what was renamed or deleted.
+// Outside fenced blocks, every code span that
+//   - names a test, fuzz target or benchmark (`TestFoo`, `FuzzBar/seed`) must
+//     be declared in some _test.go file;
+//   - starts with an `internal/…`, `cmd/…` or `scenarios/…` path must name a
+//     file or directory that exists (a `*` in it is a glob);
+//   - starts with `pkg.Name`, where pkg is a package directory under
+//     internal/, must name a top-level declaration or method of pkg's
+//     non-test files (interface methods included), a test of pkg, a key of
+//     a zero core.Result's Rows, or a metric of BENCHMARK.json.
+//     `pkg.(*T).m` names method m; `name.go` is a file.
 func TestDocsNameExistingTests(t *testing.T) {
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
-	declared := map[string]bool{}
+	testDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	tests := map[string]bool{}
+	pkgs := map[string]map[string]bool{} // package dir name -> names it declares
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
 			return err
-		case d.IsDir() && d.Name() == ".git":
+		case d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata"):
 			return fs.SkipDir
-		case !strings.HasSuffix(path, "_test.go"):
+		case !strings.HasSuffix(path, ".go"):
 			return nil
 		}
 		src, err := os.ReadFile(path)
-		for _, m := range decl.FindAllSubmatch(src, -1) {
-			declared[string(m[1])] = true
+		if err != nil {
+			return err
 		}
-		return err
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		pkg := filepath.Base(filepath.Dir(path))
+		if internal && pkgs[pkg] == nil {
+			pkgs[pkg] = map[string]bool{}
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testDecl.FindAllSubmatch(src, -1) {
+				tests[string(m[1])] = true
+				if internal {
+					pkgs[pkg][string(m[1])] = true
+				}
+			}
+			return nil
+		}
+		if !internal {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				pkgs[pkg][decl.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						pkgs[pkg][spec.Name.Name] = true
+						if it, ok := spec.Type.(*ast.InterfaceType); ok {
+							for _, m := range it.Methods.List {
+								for _, n := range m.Names {
+									pkgs[pkg][n.Name] = true
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							pkgs[pkg][n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	named := regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_]\\w*)")
-	path := regexp.MustCompile("`((?:internal|cmd)/[\\w./-]*)")
-	n := 0
+	keys := map[string]bool{}
+	for _, row := range (&core.Result{}).Rows("virtual") {
+		keys[row.Key] = true
+	}
+	var bench struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &bench)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		keys[m.Name] = true
+	}
+
+	fence := regexp.MustCompile("(?ms)^```.*?^```")
+	span := regexp.MustCompile("`([^`]+)`")
+	named := regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	path := regexp.MustCompile(`^(?:internal|cmd|scenarios)/[\w./*-]*`)
+	ident := regexp.MustCompile(`^([a-z]\w*)\.(?:\(\*?\w+\)\.)?(\w+)(?:\.\w+)*`)
+	nTests, nNames := 0, 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range path.FindAllSubmatch(text, -1) {
-			// EXPERIMENTS.md is partly history: it may name what is gone.
-			if _, err := os.Stat(string(m[1])); err != nil && doc != "EXPERIMENTS.md" {
-				t.Errorf("%s names `%s`, which does not exist", doc, m[1])
+		for _, m := range span.FindAllSubmatch(fence.ReplaceAll(text, nil), -1) {
+			code := string(m[1])
+			if name := named.FindString(code); name != "" {
+				nTests++
+				if !tests[name] {
+					t.Errorf("%s names `%s`, which no _test.go file declares", doc, name)
+				}
 			}
-		}
-		for _, m := range named.FindAllSubmatch(text, -1) {
-			n++
-			if !declared[string(m[1])] {
-				t.Errorf("%s names `%s`, which no _test.go file declares", doc, m[1])
+			if p := strings.TrimRight(path.FindString(code), "./"); p != "" {
+				if hits, _ := filepath.Glob(p); len(hits) == 0 {
+					t.Errorf("%s names `%s`, which does not exist", doc, p)
+				}
+			}
+			id := ident.FindStringSubmatch(code)
+			if id == nil || pkgs[id[1]] == nil || id[2] == "go" {
+				continue
+			}
+			nNames++
+			if !pkgs[id[1]][id[2]] && !keys[id[0]] {
+				t.Errorf("%s names `%s`, which internal/…/%s does not declare and no metric is called", doc, id[0], id[1])
 			}
 		}
 	}
-	if n == 0 {
-		t.Error("the documents name no test at all; the pattern is broken")
+	if nTests == 0 || nNames < 100 {
+		t.Errorf("the documents name %d tests and %d package members; a pattern is broken", nTests, nNames)
 	}
 }

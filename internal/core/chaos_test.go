@@ -213,8 +213,7 @@ func TestChaosCrashStructured(t *testing.T) {
 }
 
 // TestNodeLostErrorFields exercises the structured error end to end with a
-// hand-built plan: slave 1 owns pages, then dies; the master must re-home
-// them and name them in the error.
+// hand-built plan: slave 1 owns pages, then dies; the error must name them.
 func TestNodeLostErrorFields(t *testing.T) {
 	im, err := workloads.Torture(4, 200)
 	if err != nil {
@@ -238,7 +237,7 @@ func TestNodeLostErrorFields(t *testing.T) {
 	if nle.AtNs < 5_000_000 {
 		t.Fatalf("loss declared before the crash: %+v", nle)
 	}
-	if len(nle.RehomedPages) == 0 {
-		t.Fatalf("slave 1 ran guest threads; expected re-homed pages: %+v", nle)
+	if len(nle.LostPages) == 0 {
+		t.Fatalf("slave 1 ran guest threads; expected lost pages: %+v", nle)
 	}
 }

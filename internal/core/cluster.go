@@ -41,9 +41,6 @@ type Cluster struct {
 	os     *guestos.OS
 	im     *image.Image
 
-	// lostNodes records peers declared dead after retransmission gave up.
-	lostNodes map[int32]bool
-
 	// inTransit holds each thread a migration shipped away until it lands:
 	// the thread made on the target node takes over its time breakdown.
 	inTransit map[int64]*thread
@@ -171,7 +168,7 @@ func NewLocal(im *image.Image, cfg Config, id int, rt Runtime) (*Cluster, error)
 // newCluster builds the nodes in ids (ascending) and, when node 0 is among
 // them, the master services around it.
 func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
-	c := &Cluster{cfg: cfg, rt: rt, im: im, lostNodes: map[int32]bool{}, inTransit: map[int64]*thread{}}
+	c := &Cluster{cfg: cfg, rt: rt, im: im, inTransit: map[int64]*thread{}}
 	if cfg.Faults.Active() {
 		c.rel = netsim.NewReliable(rt.After, rt.Send, c.dispatch, cfg.Retry)
 		c.rel.OnGiveUp = c.nodeLost

@@ -8,9 +8,8 @@ import (
 
 // NodeLostError is the structured "graceful degradation" outcome when a peer
 // stops answering: the reliable transport exhausted its retransmission
-// budget on a message, or the runtime saw the peer go (NodeGone); the master
-// re-homed the pages the dead node owned, and the run stopped with this
-// report instead of hanging.
+// budget on a message, or the runtime saw the peer go (NodeGone). The run
+// stops with this report instead of hanging; it is not repaired.
 type NodeLostError struct {
 	// Node is the unreachable peer.
 	Node int
@@ -21,9 +20,9 @@ type NodeLostError struct {
 	LastKind proto.Kind
 	LastPage uint64
 	LastTID  int64
-	// RehomedPages lists pages the dead node owned in Modified state; their
-	// unsynced writes are lost and the home copy is authoritative again.
-	RehomedPages []uint64
+	// LostPages lists, sorted, the pages the dead node held in Modified
+	// state: their only current copy was there.
+	LostPages []uint64
 	// Plan summarizes the active fault plan for reproduction.
 	Plan string
 }
@@ -33,8 +32,8 @@ func (e *NodeLostError) Error() string {
 	if e.LastKind == proto.KInvalid {
 		why = "its connection ended"
 	}
-	return fmt.Sprintf("core: node %d lost at t=%dns (%s); re-homed %d pages [%s]",
-		e.Node, e.AtNs, why, len(e.RehomedPages), e.Plan)
+	return fmt.Sprintf("core: node %d lost at t=%dns (%s); lost %d pages [%s]",
+		e.Node, e.AtNs, why, len(e.LostPages), e.Plan)
 }
 
 // NodeGone declares a peer lost on the runtime's word — a live connection
@@ -44,10 +43,10 @@ func (c *Cluster) NodeGone(node int) {
 	c.nodeLost(&proto.Msg{From: int32(c.nodes[0].id), To: int32(node)})
 }
 
-// nodeLost handles a reliable-transport give-up: declare the peer dead,
-// re-home its pages, and stop the run with a structured error.
+// nodeLost handles a reliable-transport give-up: declare the peer dead and
+// stop the run with a structured error naming the pages lost with it.
 func (c *Cluster) nodeLost(m *proto.Msg) {
-	if c.done || c.lostNodes[m.To] {
+	if c.done {
 		return
 	}
 	// A crashed node's own retransmit timers still fire in the simulation;
@@ -55,7 +54,6 @@ func (c *Cluster) nodeLost(m *proto.Msg) {
 	if c.cfg.Faults.CrashedAt(m.From, c.rt.Now()) {
 		return
 	}
-	c.lostNodes[m.To] = true
 	e := &NodeLostError{
 		Node:     int(m.To),
 		AtNs:     c.rt.Now(),
@@ -67,7 +65,7 @@ func (c *Cluster) nodeLost(m *proto.Msg) {
 		e.Plan = c.cfg.Faults.String()
 	}
 	if m.To != 0 {
-		e.RehomedPages = c.master.dir.ReclaimNode(int(m.To))
+		e.LostPages = c.master.dir.OwnedBy(int(m.To))
 	}
 	c.fail(e)
 }

@@ -14,6 +14,7 @@ package dsm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dqemu/internal/mem"
 )
@@ -153,6 +154,20 @@ func (d *Directory) OwnerOf(page uint64) int {
 		return e.owner
 	}
 	return Master
+}
+
+// OwnedBy returns, sorted, the pages whose only current copy is on node: the
+// ones it holds in Modified state. When node is lost, their writes since the
+// grant are lost with it. The directory is not changed.
+func (d *Directory) OwnedBy(node int) []uint64 {
+	var owned []uint64
+	for page, e := range d.pages {
+		if e.owner == node {
+			owned = append(owned, page)
+		}
+	}
+	slices.Sort(owned)
+	return owned
 }
 
 // ForceSplit begins a SplitHome transaction for page ahead of the reactive

@@ -411,3 +411,44 @@ func TestNodeSet(t *testing.T) {
 		t.Error("empty broken")
 	}
 }
+
+// TestOwnedByNamesModifiedPagesOnly: OwnedBy lists, sorted, the pages a node
+// holds in Modified state — one whose fetch is still in flight included, a
+// shared copy not — and leaves every entry and the environment untouched.
+func TestOwnedByNamesModifiedPagesOnly(t *testing.T) {
+	env := &mockEnv{}
+	d := New(env, nil, nil)
+	d.OnRequest(Request{Node: 1, Page: 9, Write: true})
+	d.OnRequest(Request{Node: 1, Page: 5, Write: true})
+	d.OnRequest(Request{Node: 2, Page: 3, Write: true})
+	d.OnRequest(Request{Node: 1, Page: 7})
+	d.OnRequest(Request{Node: 2, Page: 7})
+	d.OnRequest(Request{Node: 2, Page: 9, Write: true}) // fetch from 1 in flight
+	env.take()
+	pages := []uint64{3, 5, 7, 9}
+	type state struct {
+		owner   int
+		sharers NodeSet
+		busy    bool
+	}
+	snap := func() []state {
+		var s []state
+		for _, p := range pages {
+			o, sh, b := d.State(p)
+			s = append(s, state{o, sh, b})
+		}
+		return s
+	}
+	before := snap()
+	for node, want := range map[int][]uint64{1: {5, 9}, 2: {3}, 3: nil} {
+		if got := d.OwnedBy(node); !reflect.DeepEqual(got, want) {
+			t.Errorf("OwnedBy(%d) = %v, want %v", node, got, want)
+		}
+	}
+	if after := snap(); !reflect.DeepEqual(after, before) {
+		t.Errorf("directory changed: %v -> %v", before, after)
+	}
+	if got := env.take(); len(got) != 0 {
+		t.Errorf("OwnedBy acted on the environment: %v", got)
+	}
+}

@@ -60,16 +60,6 @@ func (t *Type) String() string {
 	return "?"
 }
 
-func sameType(a, b *Type) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Kind == KindPtr {
-		return sameType(a.Elem, b.Elem)
-	}
-	return true
-}
-
 // ---- Expressions ----
 
 type expr interface{ exprNode() }
