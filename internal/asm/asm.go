@@ -72,11 +72,6 @@ func Prepare(opts Options, sources ...Source) (*Prefix, error) {
 	if err := a.parse(sources); err != nil {
 		return nil, err
 	}
-	// Clip what a fork shares with the prefix, so its appends reallocate.
-	a.fixups = a.fixups[:len(a.fixups):len(a.fixups)]
-	for name, list := range a.numeric {
-		a.numeric[name] = list[:len(list):len(list)]
-	}
 	return &Prefix{a: a}, nil
 }
 
@@ -162,14 +157,22 @@ type assembler struct {
 	order   int
 	err     error // the first parse error
 
+	// The prefix's numeric labels and fixups, shared with every fork of it
+	// and only read: a fork lists its own in numeric and fixups, all of
+	// which rank after these.
+	preNumeric map[string][]numPos
+	preFixups  []fixup
+
 	// Current source position, for diagnostics.
 	file string
 	line int
 }
 
 // fork returns a private copy of the prefix's state with room in .text for
-// text more bytes of code. Fixups and numeric-label lists are shared: nothing
-// writes to them and Prepare clipped their capacity.
+// text more bytes of code. The prefix's fixups and numeric labels are not
+// copied: the fork reads them where they are (preFixups, preNumeric) and
+// starts lists of its own. A Prefix is made from the empty one, so it has
+// none of its own to pass on.
 func (p *Prefix) fork(text int) assembler {
 	a := p.a
 	if a.opts.TextBase == 0 {
@@ -181,7 +184,8 @@ func (p *Prefix) fork(text int) assembler {
 	}
 	a.labels = cloneMap(a.labels)
 	a.equates = cloneMap(a.equates)
-	a.numeric = cloneMap(a.numeric)
+	a.preNumeric, a.numeric = a.numeric, map[string][]numPos{}
+	a.preFixups, a.fixups = a.fixups, nil
 	return a
 }
 
@@ -500,15 +504,22 @@ func (a *assembler) addr(pos symPos) uint64 { return a.secs[pos.sec].base + pos.
 
 // findNumeric finds the definition of a numeric label nearest after (or
 // before) the reference ranked order. A label's definitions are listed in
-// rank order, so it is a binary search.
+// rank order, the prefix's before the fork's, so it is a binary search of
+// one list and then, if that has none, of the other.
 func (a *assembler) findNumeric(digits string, forward bool, order int) (numPos, bool) {
-	list := a.numeric[digits]
+	pre, own := a.preNumeric[digits], a.numeric[digits]
 	if forward {
-		if i := sort.Search(len(list), func(i int) bool { return list[i].order > order }); i < len(list) {
-			return list[i], true
+		for _, list := range [2][]numPos{pre, own} {
+			if i := sort.Search(len(list), func(i int) bool { return list[i].order > order }); i < len(list) {
+				return list[i], true
+			}
 		}
-	} else if i := sort.Search(len(list), func(i int) bool { return list[i].order >= order }); i > 0 {
-		return list[i-1], true
+		return numPos{}, false
+	}
+	for _, list := range [2][]numPos{own, pre} {
+		if i := sort.Search(len(list), func(i int) bool { return list[i].order >= order }); i > 0 {
+			return list[i-1], true
+		}
 	}
 	return numPos{}, false
 }
@@ -523,18 +534,20 @@ func (a *assembler) link() (*image.Image, error) {
 		addr = alignUp(addr+a.secs[i].cursor, 4096) + image.DefaultDataGap
 		addr = alignUp(addr, 4096)
 	}
-	for i := range a.fixups {
-		fx := &a.fixups[i]
-		var scratch [12]byte
-		b, err := a.resolve(fx, scratch[:0])
-		if err == nil && fx.at.sec == secBss && !allZero(b) {
-			err = errors.New(bssHoldsData)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", fx.file, fx.line, err)
-		}
-		if fx.at.sec != secBss {
-			copy(a.secs[fx.at.sec].buf[fx.at.off:], b)
+	for _, fixups := range [2][]fixup{a.preFixups, a.fixups} {
+		for i := range fixups {
+			fx := &fixups[i]
+			var scratch [12]byte
+			b, err := a.resolve(fx, scratch[:0])
+			if err == nil && fx.at.sec == secBss && !allZero(b) {
+				err = errors.New(bssHoldsData)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s:%d: %v", fx.file, fx.line, err)
+			}
+			if fx.at.sec != secBss {
+				copy(a.secs[fx.at.sec].buf[fx.at.off:], b)
+			}
 		}
 	}
 

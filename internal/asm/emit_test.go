@@ -106,23 +106,26 @@ func scanNumeric(list []numPos, forward bool, order int) (numPos, bool) {
 }
 
 // TestFindNumericMatchesScan holds the binary search to the scan over
-// random mixes of definitions and references, both directions.
+// random mixes of definitions and references, both directions, with the
+// definitions cut anywhere between a prefix and its fork.
 func TestFindNumericMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
-		a := assembler{numeric: map[string][]numPos{}}
+		var defs []numPos
 		var refs []int
 		for order := 0; order < 1+rng.Intn(40); order++ {
 			if rng.Intn(3) == 0 {
-				a.numeric["1"] = append(a.numeric["1"], numPos{order: order, symPos: symPos{off: uint64(order)}})
+				defs = append(defs, numPos{order: order, symPos: symPos{off: uint64(order)}})
 			} else {
 				refs = append(refs, order)
 			}
 		}
+		cut := rng.Intn(len(defs) + 1)
+		a := assembler{preNumeric: map[string][]numPos{"1": defs[:cut]}, numeric: map[string][]numPos{"1": defs[cut:]}}
 		for _, ref := range append(refs, -1, 1000) {
 			for _, forward := range []bool{false, true} {
 				got, gok := a.findNumeric("1", forward, ref)
-				want, wok := scanNumeric(a.numeric["1"], forward, ref)
+				want, wok := scanNumeric(defs, forward, ref)
 				if got != want || gok != wok {
 					t.Fatalf("trial %d, ref %d, forward %v: %v %v, scan %v %v", trial, ref, forward, got, gok, want, wok)
 				}

@@ -148,6 +148,9 @@ long main() {
 		cfg := DefaultConfig()
 		cfg.Slaves = 0
 		cfg.Cores = 1 // both threads share a core: every quantum goes through the run queue
+		// Both runs start on an empty recycler, so neither translates into
+		// storage an earlier run left its engine.
+		emptyRecycler()
 		c, err := NewCluster(im, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +158,6 @@ long main() {
 		rt := &quantumCounter{Runtime: c.rt}
 		c.rt = rt
 		var before, after runtime.MemStats
-		emptyRecycler()
 		runtime.ReadMemStats(&before)
 		res, err := c.Run()
 		runtime.ReadMemStats(&after)

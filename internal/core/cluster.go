@@ -314,12 +314,15 @@ func (c *Cluster) finish(code int64) {
 }
 
 // Run executes the guest to completion on the simulator and returns the
-// result.
+// result. However the run ends, it ends for good: the engines go back to
+// the recycler once the Result is taken (releaseEngines), and a second Run
+// returns the first one's outcome.
 func (c *Cluster) Run() (*Result, error) {
 	c.mustLive()
 	if c.sim == nil {
 		return nil, errors.New("core: Run drives the simulator; a NewLocal cluster is driven by its Runtime")
 	}
+	defer c.releaseEngines()
 	k := c.sim.k
 	// Poll the host-side cancel channel every cancelCheckEvery events: each
 	// event can carry a full execution quantum, so the interval must be
@@ -333,19 +336,20 @@ func (c *Cluster) Run() (*Result, error) {
 				steps = 0
 				select {
 				case <-c.cfg.Cancel:
-					return nil, fmt.Errorf("core: run at t=%dns: %w", k.Now(), ErrCanceled)
+					c.fail(fmt.Errorf("core: run at t=%dns: %w", k.Now(), ErrCanceled))
+					continue
 				default:
 				}
 			}
 		}
 		if !k.Step() {
-			if c.done {
-				break
+			if !c.done {
+				c.fail(fmt.Errorf("core: deadlock at t=%dns: %s", k.Now(), c.ThreadDump()))
 			}
-			return nil, fmt.Errorf("core: deadlock at t=%dns: %s", k.Now(), c.ThreadDump())
+			break
 		}
 		if k.Now() > c.cfg.MaxTimeNs {
-			return nil, fmt.Errorf("core: guest exceeded %d ns of virtual time: %s", c.cfg.MaxTimeNs, c.ThreadDump())
+			c.fail(fmt.Errorf("core: guest exceeded %d ns of virtual time: %s", c.cfg.MaxTimeNs, c.ThreadDump()))
 		}
 	}
 	if c.err != nil {
@@ -457,6 +461,20 @@ func (c *Cluster) checkCoherence() error {
 	return err
 }
 
+// releaseEngines hands every hosted node's engine, and the storage its
+// translations were made in, to the next cluster built in this process
+// (tcg.Engine.Release); each node keeps its engine's Stats for Result. Run
+// calls it when the run ends, Release otherwise; it acts once.
+func (c *Cluster) releaseEngines() {
+	for _, n := range c.nodes {
+		if n.engine != nil {
+			n.stats.Engine = n.engine.Stats
+			n.engine.Release()
+			n.engine = nil
+		}
+	}
+}
+
 // Release hands what the cluster's run allocated page by page — every
 // hosted node's guest pages and twins, the master's home snapshots and
 // scratch page — and every hosted node's engine to the next cluster built
@@ -467,9 +485,9 @@ func (c *Cluster) checkCoherence() error {
 func (c *Cluster) Release() {
 	c.mustLive()
 	c.released = true
+	c.releaseEngines()
 	for _, n := range c.nodes {
 		n.space.Release()
-		n.engine.Release()
 		for _, tw := range n.twins {
 			mem.FreePageBuf(tw.data)
 		}

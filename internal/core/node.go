@@ -668,12 +668,15 @@ func (n *node) onThreadStart(m *proto.Msg) {
 	n.addThread(cpu)
 }
 
-// snapshotStats fills the exported per-node stats.
+// snapshotStats fills the exported per-node stats. Once the engine is
+// released, n.stats holds its last Stats.
 func (n *node) snapshotStats() NodeStats {
 	s := n.stats
 	s.Node = n.id
 	s.Threads = len(n.threads)
-	s.Engine = n.engine.Stats
+	if n.engine != nil {
+		s.Engine = n.engine.Stats
+	}
 	s.LLSCFalse = n.llsc.FalseFailures
 	s.SplitPages = n.space.RemapCount()
 	s.Resident = n.space.ResidentPages()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -69,7 +70,7 @@ func TestReleasedClusterPanics(t *testing.T) {
 
 // TestAllocSecondRunRecycles: a run released by core.Run hands its pages,
 // twins, snapshots and engines to the next one, which then allocates less
-// than half of what the first did (512.8 KB, then 182.3 KB, measured for
+// than half of what the first did (525.4 KB, then 101.6 KB, measured for
 // this guest on two slaves).
 func TestAllocSecondRunRecycles(t *testing.T) {
 	if raceEnabled {
@@ -97,6 +98,88 @@ func TestAllocSecondRunRecycles(t *testing.T) {
 	first := run()
 	second := run()
 	t.Logf("first run %.1f KB, second %.1f KB", float64(first)/1e3, float64(second)/1e3)
+	if second*2 > first {
+		t.Errorf("the second run allocated %d bytes, more than half the first's %d", second, first)
+	}
+}
+
+// coldSource is the program bench/coldgen.go's genCold emits for cold_code
+// (tcg's tests keep the same generator): funcs straight-line functions of
+// stmts statements over four locals, every one called from main reps times.
+func coldSource(seed int64, funcs, stmts, reps int) string {
+	rng := rand.New(rand.NewSource(seed))
+	var sb strings.Builder
+	for f := 0; f < funcs; f++ {
+		fmt.Fprintf(&sb, "long f%d(long x) {\n\tlong v0 = x;\n\tlong v1 = x + %d;\n\tlong v2 = x ^ %d;\n\tlong v3 = %d;\n",
+			f, f+1, 7*f+3, 11*f+5)
+		for i := 0; i < stmts; i++ {
+			dst, a, op := rng.Intn(4), rng.Intn(4), "+-*^&|lr"[rng.Intn(8)]
+			var rhs string
+			switch op {
+			case 'l', 'r':
+				rhs = fmt.Sprint(1 + rng.Int63n(13))
+			case '&':
+				rhs = fmt.Sprint(rng.Int63n(1<<30) | 0x2aaa5555)
+			default:
+				if rng.Intn(2) == 0 {
+					rhs = fmt.Sprintf("v%d", rng.Intn(4))
+				} else {
+					rhs = fmt.Sprint(1 + rng.Int63n(1<<20))
+				}
+			}
+			sym := map[byte]string{'l': "<<", 'r': ">>"}[op]
+			if sym == "" {
+				sym = string(op)
+			}
+			fmt.Fprintf(&sb, "\tv%d = v%d %s %s;\n", dst, a, sym, rhs)
+		}
+		sb.WriteString("\treturn x * 3 + v0 + v1 + v2 + v3;\n}\n")
+	}
+	fmt.Fprintf(&sb, "long main() {\n\tlong acc = %d;\n\tfor (long r = 0; r < %d; r++) {\n", seed, reps)
+	for f := 0; f < funcs; f++ {
+		fmt.Fprintf(&sb, "\t\tacc = f%d(acc);\n", f)
+	}
+	sb.WriteString("\t}\n\tprint_str(\"acc=\");\n\tprint_long(acc);\n\tprint_char('\\n');\n\treturn acc & 63;\n}\n")
+	return sb.String()
+}
+
+// TestAllocUnreleasedRunsRecycle: a run hands its engines, and the storage
+// their translations were made in, back when it ends, whether or not its
+// owner calls Release — the benchmark's NewCluster + Run loop never does.
+// The second of two such runs of the cold-code generator's program then
+// allocates at most half of what the first did, though it translates every
+// block again.
+func TestAllocUnreleasedRunsRecycle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the detector's own bookkeeping allocates, and sync.Pool drops at random under it")
+	}
+	im := build(t, coldSource(1, 300, 15, 4))
+	cfg := DefaultConfig()
+	cfg.Slaves = 0
+	emptyRecycler()
+	// No collection between the runs: it would empty the recycler.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func() (uint64, *Result) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := NewCluster(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	first, r1 := run()
+	second, r2 := run()
+	t.Logf("first run %.1f KB, second %.1f KB", float64(first)/1e3, float64(second)/1e3)
+	if r2.Console != r1.Console || r2.TimeNs != r1.TimeNs || r2.Nodes[0].Engine != r1.Nodes[0].Engine {
+		t.Fatalf("the second run differs: console %q, %d ns, %+v; the first %q, %d ns, %+v",
+			r2.Console, r2.TimeNs, r2.Nodes[0].Engine, r1.Console, r1.TimeNs, r1.Nodes[0].Engine)
+	}
 	if second*2 > first {
 		t.Errorf("the second run allocated %d bytes, more than half the first's %d", second, first)
 	}

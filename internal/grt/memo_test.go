@@ -112,8 +112,12 @@ func TestConcurrentBuildProgram(t *testing.T) {
 }
 
 // TestBuildTinyAllocs pins what a one-line job costs to build: its own text
-// through minicc, a copy of the runtime prefix, the image and its symbol
-// table. Re-assembling the runtime for it cost 752,594 B in 18,085 objects.
+// through minicc, a copy of the runtime prefix's bytes and symbols, the image
+// and its symbol table — not the prefix's fixups, numeric labels or the
+// Prelude's tokens, which every build reads where they are. It measured
+// 33,512 B in 252 objects (71,368 B when each build lexed the Prelude and
+// copied the fixups; 752,594 B in 18,085 objects when it re-assembled the
+// runtime).
 func TestBuildTinyAllocs(t *testing.T) {
 	const tiny = "long main() { print_str(\"tiny \"); print_long(100001); print_char('\\n'); return 33; }\n"
 	build := func() {
@@ -132,7 +136,8 @@ func TestBuildTinyAllocs(t *testing.T) {
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	objects := testing.AllocsPerRun(runs, build)
 	t.Logf("%d B in %.0f objects per build", bytes, objects)
-	if bytes > 200<<10 || objects > 2500 {
-		t.Errorf("a one-line BuildProgram allocates %d B in %.0f objects, want at most 200 KiB in 2,500", bytes, objects)
+	const maxBytes, maxObjects = 33_512 * 5 / 4, 252 * 5 / 4 // measured, plus a quarter
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("a one-line BuildProgram allocates %d B in %.0f objects, want at most %d B in %d", bytes, objects, maxBytes, maxObjects)
 	}
 }

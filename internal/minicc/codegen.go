@@ -16,10 +16,10 @@ func Compile(file, src string) (string, error) {
 	return CompileWithPrelude(file, "", src)
 }
 
-// CompileWithPrelude is Compile of prelude+src, where prelude is whole lines
-// of declarations every unit shares (grt.Prelude): the output is the same,
-// and a diagnostic counts lines from src's first line, not the prelude's.
-// The text is what Generate hands an asm.Printer.
+// CompileWithPrelude is Compile of prelude+src, where prelude is whole
+// declarations every unit shares (grt.Prelude): the output is the same, and
+// a diagnostic counts lines from src's first line, not the prelude's. The
+// text is what Generate hands an asm.Printer.
 func CompileWithPrelude(file, prelude, src string) (string, error) {
 	var p asm.Printer
 	p.Grow(outBytesPerSrcByte * min(len(src), sizedSrcBytes))
@@ -34,14 +34,21 @@ func CompileWithPrelude(file, prelude, src string) (string, error) {
 // between. The items carry the mini-C line of each function, global and
 // call, so the assembler's diagnostics name what the user wrote.
 func Generate(file, prelude, src string, e asm.Emitter) error {
-	toks, err := tokenize(file, prelude, src)
+	pre, err := preludeTokens(file, prelude)
 	if err != nil {
 		return err
 	}
-	p := &parser{file: file, toks: toks}
-	prog, err := p.parseProgram()
+	toks, err := tokenize(file, src)
 	if err != nil {
 		return err
+	}
+	// The prelude is lexed once per process and parsed from where it is
+	// kept: a declaration does not run on from it into src.
+	prog := &program{}
+	for _, ts := range [...][]token{pre, toks} {
+		if err := (&parser{file: file, toks: ts}).parseProgram(prog); err != nil {
+			return err
+		}
 	}
 	g := &codegen{file: file, unit: sanitize(file), prog: prog, e: e,
 		funcs: map[string]*funcSig{}, globals: map[string]*globalInfo{}, strIdx: map[string]int{}}

@@ -16,6 +16,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 type tokKind uint8
@@ -74,24 +75,49 @@ func (lx *lexer) errorf(format string, args ...interface{}) error {
 	return fmt.Errorf("%s:%d: %s", lx.file, lx.line, fmt.Sprintf(format, args...))
 }
 
-// tokenize lexes prelude then src into one token stream ending in tokEOF.
-// The prelude is whole lines of declarations shared by every unit. Each
-// text counts lines from its own first line, so a diagnostic in src names
-// a line of src.
-func tokenize(file, prelude, src string) ([]token, error) {
+// tokenize lexes src into a token stream ending in tokEOF, counting lines
+// from src's first line.
+func tokenize(file, src string) ([]token, error) {
 	// Generated straight-line code runs at 2.9 bytes a token, hand-written
 	// workloads at 3.2 to 4: room for one per 2.5 bytes means the slice is
 	// allocated once and never copied.
-	toks := make([]token, 0, min(len(prelude)+len(src), sizedSrcBytes)*2/5+1)
-	var lx *lexer
-	for _, text := range [...]string{prelude, src} {
-		lx = &lexer{src: text, file: file, line: 1}
-		var err error
-		if toks, err = lx.lex(toks); err != nil {
-			return nil, err
-		}
+	toks := make([]token, 0, min(len(src), sizedSrcBytes)*2/5+1)
+	lx := &lexer{src: src, file: file, line: 1}
+	toks, err := lx.lex(toks)
+	if err != nil {
+		return nil, err
 	}
 	return append(toks, token{kind: tokEOF, line: lx.line}), nil
+}
+
+// lexedPrelude is the last prelude tokenize lexed without error, and its
+// tokens, which every unit compiled behind it reads and none writes.
+type lexedPrelude struct {
+	text string
+	toks []token
+}
+
+var lastPrelude atomic.Pointer[lexedPrelude]
+
+// noPrelude is the empty prelude's tokens, which Compile compiles behind.
+var noPrelude = []token{{kind: tokEOF, line: 1}}
+
+// preludeTokens returns the tokens of prelude, lexing it only when it is
+// not the one lexed last: every job of a process is compiled behind the
+// same grt.Prelude.
+func preludeTokens(file, prelude string) ([]token, error) {
+	if prelude == "" {
+		return noPrelude, nil
+	}
+	if lp := lastPrelude.Load(); lp != nil && lp.text == prelude {
+		return lp.toks, nil
+	}
+	toks, err := tokenize(file, prelude)
+	if err != nil {
+		return nil, err // its diagnostic names file, so it is not kept
+	}
+	lastPrelude.Store(&lexedPrelude{text: prelude, toks: toks})
+	return toks, nil
 }
 
 // lex appends the tokens of lx.src to toks, reading each byte once.

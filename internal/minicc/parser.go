@@ -62,27 +62,27 @@ func (p *parser) parseType() (*Type, error) {
 	return base, nil
 }
 
-func (p *parser) parseProgram() (*program, error) {
-	prog := &program{}
+// parseProgram appends the declarations of p's tokens to prog.
+func (p *parser) parseProgram(prog *program) error {
 	for p.cur().kind != tokEOF {
 		if p.accept("extern") {
 			ret, err := p.parseType()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			name := p.next()
 			if name.kind != tokIdent {
-				return nil, p.errorf(name.line, "expected extern name")
+				return p.errorf(name.line, "expected extern name")
 			}
 			if err := p.expect("("); err != nil {
-				return nil, err
+				return err
 			}
 			// Parameter types are not checked; skip to ')'.
 			depth := 1
 			for depth > 0 {
 				t := p.next()
 				if t.kind == tokEOF {
-					return nil, p.errorf(t.line, "unterminated extern declaration")
+					return p.errorf(t.line, "unterminated extern declaration")
 				}
 				if t.text == "(" {
 					depth++
@@ -92,37 +92,37 @@ func (p *parser) parseProgram() (*program, error) {
 				}
 			}
 			if err := p.expect(";"); err != nil {
-				return nil, err
+				return err
 			}
 			prog.externs = append(prog.externs, &externDecl{name: name.text, ret: ret})
 			continue
 		}
 		if !p.isTypeStart() {
-			return nil, p.errorf(p.cur().line, "expected declaration, got %q", p.cur().text)
+			return p.errorf(p.cur().line, "expected declaration, got %q", p.cur().text)
 		}
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		name := p.next()
 		if name.kind != tokIdent {
-			return nil, p.errorf(name.line, "expected name, got %q", name.text)
+			return p.errorf(name.line, "expected name, got %q", name.text)
 		}
 		if p.is("(") {
 			fn, err := p.parseFunc(ty, name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			prog.funcs = append(prog.funcs, fn)
 			continue
 		}
 		g, err := p.parseGlobal(ty, name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		prog.globals = append(prog.globals, g)
 	}
-	return prog, nil
+	return nil
 }
 
 func (p *parser) parseFunc(ret *Type, name token) (*funcDecl, error) {

@@ -196,7 +196,7 @@ func sameToken(a, b token) bool {
 // must fail with the same text.
 func DiffReference(src string) string {
 	want, werr := refLex(&lexer{src: src, file: "ref.mc"})
-	got, gerr := tokenize("ref.mc", "", src)
+	got, gerr := tokenize("ref.mc", src)
 	switch {
 	case (werr == nil) != (gerr == nil):
 		return fmt.Sprintf("lex: error %v, reference %v", gerr, werr)

@@ -580,11 +580,11 @@ func TestColdPathReusesPlanAndSlab(t *testing.T) {
 	if runs == 0 || accs >= runs*t3MemRun {
 		t.Fatalf("test loop has %d memory runs of %d accesses; want short runs", runs, accs)
 	}
-	e.accSlab = make([]memAcc, 4*t3MemRun)
+	e.accs = slab[memAcc]{}
 	if e.compileTier3(c.sb, c.ops) == nil {
 		t.Fatal("recompilation failed")
 	}
-	if used := 4*t3MemRun - len(e.accSlab); used != accs {
+	if used := 16*t3MemRun - len(e.accs.free); e.accs.used != 1 || used != accs {
 		t.Errorf("compiling %d accesses in %d runs took %d slab slots", accs, runs, used)
 	}
 }

@@ -82,6 +82,14 @@ func coldSource(seed int64, funcs, stmts, reps int) string {
 // with a stack.
 func coldEngine(t *testing.T, name, src string) (*Engine, *CPU) {
 	t.Helper()
+	space, cpu := loadProgram(t, name, src)
+	return NewEngine(space, DefaultCostModel()), cpu
+}
+
+// loadProgram builds a grt program into a fresh Space with a stack and
+// returns it with a CPU at its entry.
+func loadProgram(t *testing.T, name, src string) (*mem.Space, *CPU) {
+	t.Helper()
 	im, err := grt.BuildProgram(name, src)
 	if err != nil {
 		t.Fatal(err)
@@ -93,21 +101,27 @@ func coldEngine(t *testing.T, name, src string) (*Engine, *CPU) {
 	}
 	cpu := &CPU{PC: im.Entry, TID: 1}
 	cpu.X[isa.RegSP] = image.StackTop
-	return NewEngine(space, DefaultCostModel()), cpu
+	return space, cpu
 }
 
-// runToExit runs a grt program to its exit, serving its writes and
-// answering every other syscall with 0.
-func runToExit(t *testing.T, e *Engine, cpu *CPU) {
+// runToExit runs a grt program to its exit and returns its exit code and
+// what it wrote, answering every other syscall with 0.
+func runToExit(t *testing.T, e *Engine, cpu *CPU) (int64, string) {
 	t.Helper()
+	var out []byte
 	for {
 		switch res := e.Exec(cpu, 1_000_000); res.Reason {
 		case StopBudget:
 		case StopSyscall:
 			switch cpu.X[isa.RegA7] {
 			case abi.SysExit, abi.SysExitGroup:
-				return
+				return int64(cpu.X[isa.RegA0]), string(out)
 			case abi.SysWrite:
+				buf := make([]byte, cpu.X[isa.RegA2])
+				if err := e.Mem.ReadBytes(cpu.X[isa.RegA1], buf); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, buf...)
 				cpu.X[isa.RegA0] = cpu.X[isa.RegA2]
 			default:
 				cpu.X[isa.RegA0] = 0

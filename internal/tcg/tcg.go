@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"dqemu/internal/isa"
@@ -197,7 +198,6 @@ type Engine struct {
 
 	Stats Stats
 
-	cache  map[uint64]*block
 	opCost [256]int64
 
 	// inExec is set while Exec runs. The cache is flushed only between Exec
@@ -205,13 +205,6 @@ type Engine struct {
 	// jump-cache entry — can name a retired translation; ClearCache and a
 	// nested Exec panic while it is set.
 	inExec bool
-
-	// codePages is the set of guest pages containing code translated since
-	// the last flush. InvalidatePage flushes the cache only when
-	// the invalidated page is in this set (data-page invalidations — the
-	// overwhelmingly common case under the coherence protocol — keep all
-	// translations).
-	codePages map[uint64]struct{}
 
 	// jc is the indirect-branch target cache (QEMU jump-cache style):
 	// a direct-mapped PC-indexed array resolving JALR targets without the
@@ -238,21 +231,16 @@ type Engine struct {
 
 	// Translator scratch: translate decodes into insBuf/pcBuf, buildTrace
 	// lowers into uopBuf (and refBuf under Verify), compileTier3 plans in
-	// plan. A block keeps a copy of its instructions made at their final
+	// plan. A block keeps a copy of its instructions cut to their final
 	// size; a compiled trace keeps only its closures, which copied what they
 	// read out of the stream as they were built. translate is one cold
 	// section and promote, from lowering to install, another; coldDepth
 	// asserts that the two are never active at once.
 	insBuf    [MaxBlockInsns]isa.Instruction
 	pcBuf     [MaxBlockInsns]uint64
-	uopBuf    []uop
-	refBuf    []uop
-	plan      t3plan
 	coldDepth int
 
-	// accSlab is where compileMemRun's closures keep their pre-decoded
-	// accesses: kept, not scratch, and handed out a run's length at a time.
-	accSlab []memAcc
+	codeStore
 
 	// Test seams, nil outside tests: traced sees the stream each promotion
 	// compiled before its scratch is reused, sited every fault site a
@@ -270,20 +258,92 @@ type jcEntry struct {
 	blk *block // nil: empty
 }
 
-// enginePool recycles engines across runs: Release puts one back zeroed and
-// NewEngine takes it. The Engine struct is large (the jump cache, the
-// inline TLBs, the cost table), and a job daemon builds one per node per
-// job.
+// codeStore is the storage translations live in, and it outlives them:
+// Release clears it and the next NewEngine translates into it again, as
+// QEMU rewinds its code_gen_buffer at tb_flush rather than freeing it. No
+// translation crosses over — the next run decodes, translates and compiles
+// every block afresh — only the memory they are made in. A flush
+// (ClearCache) empties the maps and leaves the slabs: what a run has cut
+// stays cut until its engine is released.
+type codeStore struct {
+	// cache maps a guest PC to its translated block. codePages is the set
+	// of guest pages containing code translated since the last flush:
+	// InvalidatePage flushes the cache only when the invalidated page is in
+	// it (data-page invalidations — the overwhelmingly common case under the
+	// coherence protocol — keep all translations).
+	cache     map[uint64]*block
+	codePages map[uint64]struct{}
+
+	// insns holds every block's instructions; accs holds compileMemRun's
+	// pre-decoded accesses, which its closures keep.
+	insns slab[isa.Instruction]
+	accs  slab[memAcc]
+
+	// Translator scratch (see Engine.insBuf).
+	uopBuf []uop
+	refBuf []uop
+	plan   t3plan
+}
+
+// reset clears the store for the next run: the maps are emptied and kept,
+// and the slabs rewound with their chunks zeroed, so no access's site TLB
+// line keeps a page alive. The scratch holds no pointers and is left as is.
+func (s *codeStore) reset() {
+	clear(s.cache)
+	clear(s.codePages)
+	s.insns.rewind()
+	s.accs.rewind()
+}
+
+// slab hands out runs of T cut from chunks it keeps. A run stays valid until
+// rewind, which zeroes the chunks cut from and cuts from them again.
+type slab[T any] struct {
+	chunks [][]T
+	used   int // chunks[:used] have been cut from since the last rewind
+	free   []T // the uncut tail of chunks[used-1]
+}
+
+// cut returns want elements of which the caller owns the first n (n <=
+// want): the rest lie over the runs cut next, so a caller can view a short
+// run as a fixed-size array. A chunk holds size elements.
+func (s *slab[T]) cut(n, want, size int) []T {
+	if len(s.free) < want {
+		if s.used == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]T, size))
+		}
+		s.free = s.chunks[s.used]
+		s.used++
+	}
+	run := s.free[:want:want]
+	s.free = s.free[n:]
+	return run
+}
+
+func (s *slab[T]) rewind() {
+	for _, c := range s.chunks[:s.used] {
+		clear(c)
+	}
+	s.used, s.free = 0, nil
+}
+
+// insnChunk is how many instructions one chunk of codeStore.insns holds:
+// 8 KiB, eight of the longest blocks.
+const insnChunk = 8 * MaxBlockInsns
+
+// enginePool recycles engines across runs with their codeStore: Release puts
+// one back cleared and NewEngine takes it. The Engine struct is large (the
+// jump cache, the inline TLBs, the cost table), a job daemon builds one per
+// node per job, and a run's translations take more again.
 var enginePool sync.Pool // of *Engine
 
 // NewEngine returns an engine bound to a Space with the given cost model.
 func NewEngine(space *mem.Space, cost CostModel) *Engine {
 	e, _ := enginePool.Get().(*Engine)
 	if e == nil {
-		e = new(Engine)
+		e = &Engine{codeStore: codeStore{cache: map[uint64]*block{}, codePages: map[uint64]struct{}{}}}
 	}
-	*e = Engine{Mem: space, Cost: cost, Mon: NewLLSCTable(),
-		cache: map[uint64]*block{}, codePages: map[uint64]struct{}{},
+	store := e.codeStore
+	*e = Engine{Mem: space, Cost: cost, Mon: NewLLSCTable(), codeStore: store,
 		pageMask:  uint64(space.PageSize() - 1),
 		pageShift: uint(bits.TrailingZeros64(uint64(space.PageSize())))}
 	for op := 1; op < 256; op++ {
@@ -295,12 +355,16 @@ func NewEngine(space *mem.Space, cost CostModel) *Engine {
 	return e
 }
 
-// Release zeroes the engine and hands it to the next NewEngine. Its blocks,
-// traces and their closures are unreachable from then on; the caller
-// releases an engine when the run that used it is over and keeps no
-// reference to it.
+// Release hands the engine back to the next NewEngine once the run that
+// used it is over. Its blocks, traces and their closures are unreachable
+// from then on; their storage is cleared and kept for the next engine drawn.
+// Until then the engine keeps only its Stats: Exec panics and
+// InvalidatePage does nothing. The caller takes what it needs of Stats
+// first and keeps no reference to the engine.
 func (e *Engine) Release() {
-	*e = Engine{}
+	store := e.codeStore
+	store.reset()
+	*e = Engine{Stats: e.Stats, codeStore: store}
 	enginePool.Put(e)
 }
 
@@ -337,8 +401,8 @@ func (e *Engine) ClearCache() {
 		panic("tcg: translation cache flushed inside Exec")
 	}
 	clear(e.jc[:])
-	e.cache = map[uint64]*block{}
-	e.codePages = map[uint64]struct{}{}
+	clear(e.cache)
+	clear(e.codePages)
 	e.Stats.Flushes++
 }
 
@@ -447,8 +511,13 @@ func (e *Engine) translate(pc uint64) (*block, error) {
 	if last := len(ops) - 1; last == MaxBlockInsns-1 && !ops[last].IsBranch() {
 		b.fallPC = b.endPC
 	}
-	b.ops = make([]isa.Instruction, len(ops))
-	copy(b.ops, ops)
+	if e.NoCache {
+		// Every entry retranslates: the block lives one execution.
+		b.ops = slices.Clone(ops)
+	} else {
+		b.ops = e.insns.cut(len(ops), len(ops), insnChunk)
+		copy(b.ops, ops)
+	}
 	for i := range ops {
 		b.cost += e.opCost[ops[i].Op]
 	}
@@ -534,6 +603,9 @@ func (e *Engine) lookupFast(pc uint64, spent *int64) (*block, error) {
 func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 	if e.inExec {
 		panic("tcg: Exec re-entered")
+	}
+	if e.Mem == nil {
+		panic("tcg: Exec on a released engine")
 	}
 	e.inExec = true
 	defer e.leaveExec()

@@ -615,14 +615,10 @@ type memAcc struct {
 // one copy and change them all.
 func (e *Engine) compileMemRun(ops []uop, us []t3unit, sites *siteWalk, next t3op) t3op {
 	// The closure indexes accs with constants, so it wants the full-width
-	// array type, but reads only the len(us) slots this run fills: take that
+	// array type, but reads only the len(us) slots this run fills: cut that
 	// many from the engine's slab and let the view's unused tail lie over the
 	// slots of the runs compiled next.
-	if len(e.accSlab) < t3MemRun {
-		e.accSlab = make([]memAcc, 16*t3MemRun)
-	}
-	accs := (*[t3MemRun]memAcc)(e.accSlab)
-	e.accSlab = e.accSlab[len(us):]
+	accs := (*[t3MemRun]memAcc)(e.accs.cut(len(us), t3MemRun, 16*t3MemRun))
 	for k := len(us) - 1; k >= 0; k-- { // last first: sites are asked for falling indices
 		un := us[k]
 		u := &ops[un.op]
