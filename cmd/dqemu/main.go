@@ -152,11 +152,7 @@ func runMaster(addr string, im *dqemu.Image, cfg live.Config, stderr io.Writer) 
 	}
 	defer ln.Close()
 	fmt.Fprintf(stderr, "dqemu: waiting for %d slave(s) on %s\n", cfg.Core.Slaves, ln.Addr())
-	res, err := live.RunMaster(ln, im, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Result, nil
+	return live.RunMaster(ln, im, cfg)
 }
 
 // writeOut writes one requested output through write: nothing for an empty

@@ -122,8 +122,9 @@ func NewCluster(im *Image, cfg Config) (*Cluster, error) {
 	return core.NewCluster(im, cfg)
 }
 
-// Run loads and executes a guest image to completion, then hands the
-// cluster's memory to the next run in this process (Cluster.Release).
+// Run loads and executes a guest image to completion on a fresh simulated
+// cluster (NewCluster, then Cluster.Run, which hands the cluster's memory to
+// the next run in this process).
 func Run(im *Image, cfg Config) (*Result, error) {
 	return core.Run(im, cfg)
 }

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"dqemu"
 	"dqemu/internal/core"
@@ -46,5 +47,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(res.Console)
-	fmt.Printf("\nwall time: %v (true concurrency over TCP)\n", res.Wall)
+	fmt.Printf("\nwall time: %v (true concurrency over TCP)\n", time.Duration(res.TimeNs))
 }

@@ -15,6 +15,7 @@ import (
 
 	"dqemu/internal/asm"
 	"dqemu/internal/grt"
+	"dqemu/internal/grt/grttest"
 	"dqemu/internal/image"
 	"dqemu/internal/workloads"
 )
@@ -159,7 +160,7 @@ func goldenMiniC() map[string]struct{ file, src string } {
 // the compiler. The stock workloads are held to it in internal/workloads.
 func TestBothRoutesSameImage(t *testing.T) {
 	for name, mc := range goldenMiniC() {
-		if d := grt.DiffRoutes(mc.file, mc.src); d != "" {
+		if d := grttest.DiffRoutes(mc.file, mc.src); d != "" {
 			t.Errorf("%s: %s", name, d)
 		}
 	}

@@ -340,7 +340,7 @@ func TestAllocRecycledBuffersNotResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(); err != nil {
+	if _, err := c.simulate(maxTimeNs); err != nil {
 		t.Fatal(err)
 	}
 	dropped := 0

@@ -21,6 +21,10 @@ import (
 // its plan as the JSON a scenario spec's "faults" block takes
 // (scenarios/canneal-chaos.json is the model).
 
+// chaosBudgetNs is the virtual time a battery run may take: one that
+// outlives it is a liveness failure, reported instead of waited out.
+const chaosBudgetNs = 20_000_000_000
+
 // chaosVerdict is what one seeded run must reproduce.
 type chaosVerdict struct {
 	Class      string
@@ -69,14 +73,11 @@ func runChaos(t *testing.T, im *image.Image, ref *Result, seed int64, cfg Config
 	t.Helper()
 	plan, class := netsim.PlanForSeed(seed, cfg.Slaves)
 	cfg.Faults = &plan
-	// A run that outlives this budget is a liveness failure, reported
-	// instead of waited out.
-	cfg.MaxTimeNs = 20_000_000_000
 	c, err := NewCluster(im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, runErr := c.Run()
+	res, runErr := c.simulate(chaosBudgetNs)
 	v := chaosVerdict{Class: class, Plan: plan}
 	if res != nil {
 		v.ExitCode, v.TimeNs, v.Faults, v.Rel = res.ExitCode, res.TimeNs, res.Faults, res.Rel
@@ -225,8 +226,11 @@ func TestNodeLostErrorFields(t *testing.T) {
 		Seed:    1,
 		Crashes: []netsim.Crash{{Node: 1, AtNs: 5_000_000}},
 	}
-	cfg.MaxTimeNs = 20_000_000_000
-	_, runErr := Run(im, cfg)
+	c, err := NewCluster(im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := c.simulate(chaosBudgetNs)
 	nle, ok := runErr.(*NodeLostError)
 	if !ok {
 		t.Fatalf("want *NodeLostError, got %v", runErr)

@@ -23,6 +23,10 @@ const sysExitNum = 93 // abi.SysExit; local alias avoids an import knot in docs
 // mmapBase is where thread stacks and large allocations are handed out.
 const mmapBase = 0x4100_0000
 
+// maxTimeNs is how much virtual time a simulated run may take before it
+// fails: an hour.
+const maxTimeNs = int64(3600) * 1_000_000_000
+
 // Cluster is the part of a DQEMU deployment — one master plus cfg.Slaves
 // slaves executing a single guest image — that this process hosts: every
 // node under the simulator's one virtual clock (NewCluster), exactly one
@@ -62,7 +66,8 @@ type Cluster struct {
 	err      error
 	console  bytes.Buffer
 
-	// released is set by Release; every method panics after it.
+	// released is set when the run ends (Run, End); every method panics
+	// after it.
 	released bool
 }
 
@@ -273,7 +278,8 @@ func (c *Cluster) Err() error {
 }
 
 // VFS exposes the guest filesystem for pre-loading inputs and collecting
-// outputs (the process hosting node 0 only).
+// outputs (the process hosting node 0 only). The filesystem outlives the
+// run: what the guest wrote is read from a VFS taken before Run or End.
 func (c *Cluster) VFS() *guestos.VFS {
 	c.mustLive()
 	return c.os.VFS()
@@ -285,11 +291,11 @@ func (c *Cluster) Now() int64 {
 	return c.rt.Now()
 }
 
-// mustLive panics once the cluster has been released: its memory may
-// already belong to another run.
+// mustLive panics once the cluster's run has ended: its memory may already
+// belong to another run.
 func (c *Cluster) mustLive() {
 	if c.released {
-		panic("core: cluster used after Release")
+		panic("core: cluster used after its run ended")
 	}
 }
 
@@ -314,15 +320,22 @@ func (c *Cluster) finish(code int64) {
 }
 
 // Run executes the guest to completion on the simulator and returns the
-// result. However the run ends, it ends for good: the engines go back to
-// the recycler once the Result is taken (releaseEngines), and a second Run
-// returns the first one's outcome.
+// result. However the run ends, it ends for good: once the Result is taken,
+// everything the run allocated goes to the next cluster built in this
+// process (release), and every method of the cluster panics afterwards.
 func (c *Cluster) Run() (*Result, error) {
 	c.mustLive()
 	if c.sim == nil {
 		return nil, errors.New("core: Run drives the simulator; a NewLocal cluster is driven by its Runtime")
 	}
-	defer c.releaseEngines()
+	defer c.release()
+	return c.simulate(maxTimeNs)
+}
+
+// simulate is the loop Run is built on: it runs the guest until it exits,
+// fails, is canceled or outlives limitNs of virtual time, and leaves the
+// cluster as the run left it.
+func (c *Cluster) simulate(limitNs int64) (*Result, error) {
 	k := c.sim.k
 	// Poll the host-side cancel channel every cancelCheckEvery events: each
 	// event can carry a full execution quantum, so the interval must be
@@ -348,22 +361,30 @@ func (c *Cluster) Run() (*Result, error) {
 			}
 			break
 		}
-		if k.Now() > c.cfg.MaxTimeNs {
-			c.fail(fmt.Errorf("core: guest exceeded %d ns of virtual time: %s", c.cfg.MaxTimeNs, c.ThreadDump()))
+		if k.Now() > limitNs {
+			c.fail(fmt.Errorf("core: guest exceeded %d ns of virtual time: %s", limitNs, c.ThreadDump()))
 		}
 	}
 	if c.err != nil {
 		return nil, c.err
 	}
-	return c.Result(), nil
+	return c.result(), nil
 }
 
-// Result reports the hosted nodes' view of a finished run. Under a
-// caller's Runtime, TimeNs is that runtime's clock, Net and Faults are zero
-// (the frames, and the injector, are the caller's) and Rel covers the hosted
-// nodes' links.
-func (c *Cluster) Result() *Result {
+// End ends the run of a cluster its owner drove (NewLocal): it returns the
+// hosted nodes' view of the run, then hands everything the run allocated
+// to the next cluster built in this process (release). Under a caller's
+// Runtime, TimeNs is that runtime's clock, Net and Faults are zero (the
+// frames, and the injector, are the caller's) and Rel covers the hosted
+// nodes' links. Every method of the cluster panics afterwards.
+func (c *Cluster) End() *Result {
 	c.mustLive()
+	defer c.release()
+	return c.result()
+}
+
+// result reports the hosted nodes' view of the run so far.
+func (c *Cluster) result() *Result {
 	r := &Result{
 		ExitCode: c.exitCode,
 		TimeNs:   c.rt.Now(),
@@ -461,32 +482,18 @@ func (c *Cluster) checkCoherence() error {
 	return err
 }
 
-// releaseEngines hands every hosted node's engine, and the storage its
-// translations were made in, to the next cluster built in this process
-// (tcg.Engine.Release); each node keeps its engine's Stats for Result. Run
-// calls it when the run ends, Release otherwise; it acts once.
-func (c *Cluster) releaseEngines() {
-	for _, n := range c.nodes {
-		if n.engine != nil {
-			n.stats.Engine = n.engine.Stats
-			n.engine.Release()
-			n.engine = nil
-		}
-	}
-}
-
-// Release hands what the cluster's run allocated page by page — every
-// hosted node's guest pages and twins, the master's home snapshots and
-// scratch page — and every hosted node's engine to the next cluster built
-// in this process, cleared (mem.NewPageBuf, tcg.NewEngine). The owner of a
-// finished run calls it once it has taken the Result; every method of the
+// release hands what the cluster's run allocated — every hosted node's
+// guest pages, twins and engine (with the storage its translations were
+// made in), the master's home snapshots and scratch page — to the next
+// cluster built in this process, cleared (mem.NewPageBuf, tcg.NewEngine).
+// Run and End call it once the Result is taken; every method of the
 // cluster panics afterwards. A buffer ever handed to Runtime.Send is none
 // of these, so no message in flight or kept for retransmission is touched.
-func (c *Cluster) Release() {
-	c.mustLive()
+func (c *Cluster) release() {
 	c.released = true
-	c.releaseEngines()
 	for _, n := range c.nodes {
+		n.engine.Release()
+		n.engine = nil
 		n.space.Release()
 		for _, tw := range n.twins {
 			mem.FreePageBuf(tw.data)
@@ -511,6 +518,5 @@ func Run(im *image.Image, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.Release()
 	return c.Run()
 }

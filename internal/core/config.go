@@ -121,9 +121,6 @@ type Config struct {
 	// Stdout, if set, receives guest console output as it appears.
 	Stdout io.Writer
 
-	// MaxTimeNs aborts runs exceeding this much virtual time (default 1h).
-	MaxTimeNs int64
-
 	// NoTier3 is an alias of NoSuperblock, folded into it by newNode. It
 	// selected the uop dispatch loop, which is gone; the frozen bench/ still
 	// sets it by name, and it goes at ROADMAP 1(c)'s unfreeze.
@@ -169,7 +166,6 @@ func DefaultConfig() Config {
 		QuantumNs: 100_000,
 		PageSize:  4096,
 		Net:       netsim.DefaultConfig(),
-		MaxTimeNs: int64(3600) * 1_000_000_000,
 	}
 }
 
@@ -218,9 +214,6 @@ func (c *Config) normalize() {
 	}
 	if c.Net == (netsim.Config{}) {
 		c.Net = netsim.DefaultConfig()
-	}
-	if c.MaxTimeNs <= 0 {
-		c.MaxTimeNs = int64(3600) * 1_000_000_000
 	}
 	if c.Adaptive {
 		// The feedback scheduler steers by the metrics registry; without it

@@ -231,7 +231,8 @@ long main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.VFS().AddFile("/data/in.txt", []byte("file content"))
+	vfs := c.VFS()
+	vfs.AddFile("/data/in.txt", []byte("file content"))
 	res, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +240,7 @@ long main() {
 	if res.Console != "file content" {
 		t.Errorf("console = %q", res.Console)
 	}
-	out, ok := c.VFS().FileContent("/data/out.txt")
+	out, ok := vfs.FileContent("/data/out.txt")
 	if !ok || string(out) != "file content" {
 		t.Errorf("out file = %q %v", out, ok)
 	}
@@ -302,9 +303,11 @@ long main() {
 	while (1) {}
 	return 0;
 }`)
-	cfg := DefaultConfig()
-	cfg.MaxTimeNs = 1_000_000
-	_, err := Run(im, cfg)
+	c, err := NewCluster(im, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.simulate(1_000_000)
 	if err == nil || !strings.Contains(err.Error(), "virtual time") {
 		t.Errorf("expected time-limit error, got %v", err)
 	}

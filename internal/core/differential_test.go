@@ -124,7 +124,7 @@ func runTier(t *testing.T, im *image.Image, cfg Config) tierState {
 	// The main thread's CPU outlives its bookkeeping entry; grab it now so
 	// its registers can be inspected after the exit syscall retires it.
 	mainCPU := c.master.node.threads[guestos.MainTID].cpu
-	res, err := c.Run()
+	res, err := c.simulate(maxTimeNs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dqemu/internal/abi"
@@ -411,8 +412,8 @@ func (n *node) clockGettime(t *thread) {
 	addr := t.cpu.X[11]
 	now := n.cl.rt.Now()
 	var buf [16]byte
-	putU64(buf[0:], uint64(now/1_000_000_000))
-	putU64(buf[8:], uint64(now%1_000_000_000))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(now/1_000_000_000))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(now%1_000_000_000))
 	n.guestWriteOrRetry(t, addr, buf[:], (*node).clockGettime, func() {
 		t.cpu.X[10] = 0
 		n.enqueue(t)
@@ -427,7 +428,8 @@ func (n *node) nanosleep(t *thread) {
 		n.retryOnFault(t, addr, false, (*node).nanosleep)
 		return
 	}
-	ns := int64(getU64(buf[0:]))*1_000_000_000 + int64(getU64(buf[8:]))
+	le := binary.LittleEndian
+	ns := int64(le.Uint64(buf[0:]))*1_000_000_000 + int64(le.Uint64(buf[8:]))
 	if ns < 0 {
 		ns = 0
 	}
@@ -668,31 +670,14 @@ func (n *node) onThreadStart(m *proto.Msg) {
 	n.addThread(cpu)
 }
 
-// snapshotStats fills the exported per-node stats. Once the engine is
-// released, n.stats holds its last Stats.
+// snapshotStats fills the exported per-node stats.
 func (n *node) snapshotStats() NodeStats {
 	s := n.stats
 	s.Node = n.id
 	s.Threads = len(n.threads)
-	if n.engine != nil {
-		s.Engine = n.engine.Stats
-	}
+	s.Engine = n.engine.Stats
 	s.LLSCFalse = n.llsc.FalseFailures
 	s.SplitPages = n.space.RemapCount()
 	s.Resident = n.space.ResidentPages()
 	return s
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

@@ -178,7 +178,7 @@ func TestRegistryAgreesWithResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Run()
+		res, err := c.simulate(maxTimeNs)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -196,7 +196,6 @@ func TestRegistryAgreesWithResult(t *testing.T) {
 		if got := c.prof.migrate.Count(); got != res.Migrations || tc.adaptive != (got > 0) {
 			t.Errorf("%s: %d migrations in the histogram, %d landed", tc.name, got, res.Migrations)
 		}
-		c.Release()
 	}
 }
 

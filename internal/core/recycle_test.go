@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -11,7 +12,6 @@ import (
 
 	"dqemu/internal/asm"
 	"dqemu/internal/grt"
-	"dqemu/internal/proto"
 )
 
 // fourThreadSrc is a 4-thread guest whose workers each fill and sum a
@@ -37,41 +37,54 @@ long main() {
 	return 0;
 }`
 
-// TestReleasedClusterPanics: once a cluster's memory has gone to the
-// recycler, using the cluster again is a bug that must not run on memory
-// another run may own.
+// TestReleasedClusterPanics: once a run has ended — Run returned, or End
+// was called — the cluster's memory belongs to the recycler, and every
+// exported method of the cluster panics rather than run on memory another
+// run may own.
 func TestReleasedClusterPanics(t *testing.T) {
+	im := build(t, fourThreadSrc)
 	cfg := DefaultConfig()
 	cfg.Slaves = 2
-	c, err := NewCluster(build(t, fourThreadSrc), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c.Release()
-	for name, use := range map[string]func(){
-		"Run":     func() { c.Run() },
-		"Deliver": func() { c.Deliver(&proto.Msg{Kind: proto.KShutdown, To: 1}) },
-		"Result":  func() { c.Result() },
-		"Release": func() { c.Release() },
+	for _, end := range []struct {
+		name string
+		end  func(*Cluster)
+	}{
+		{"Run", func(c *Cluster) {
+			if _, err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"End", func(c *Cluster) { c.End() }},
 	} {
-		func() {
-			defer func() {
-				if r := recover(); r != "core: cluster used after Release" {
-					t.Errorf("%s after Release: recovered %v, want the use-after-release panic", name, r)
-				}
+		c, err := NewCluster(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end.end(c)
+		v := reflect.ValueOf(c)
+		for i := 0; i < v.NumMethod(); i++ {
+			name, m := v.Type().Method(i).Name, v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != "core: cluster used after its run ended" {
+						t.Errorf("%s after %s: recovered %v, want the use-after-end panic", name, end.name, r)
+					}
+				}()
+				m.Call(args)
 			}()
-			use()
-		}()
+		}
 	}
 }
 
-// TestAllocSecondRunRecycles: a run released by core.Run hands its pages,
-// twins, snapshots and engines to the next one, which then allocates less
-// than half of what the first did (525.4 KB, then 101.6 KB, measured for
-// this guest on two slaves).
+// TestAllocSecondRunRecycles: a run hands its pages, twins, snapshots and
+// engines to the next one when it ends, which then allocates less than half
+// of what the first did — through core.Run (525.4 KB, then 101.6 KB,
+// measured for this guest on two slaves), and through NewCluster + Run, the
+// benchmark's loop.
 func TestAllocSecondRunRecycles(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the detector's own bookkeeping allocates, and sync.Pool drops at random under it")
@@ -79,27 +92,41 @@ func TestAllocSecondRunRecycles(t *testing.T) {
 	im := build(t, fourThreadSrc)
 	cfg := DefaultConfig()
 	cfg.Slaves = 2
-	emptyRecycler()
 	// No collection between the runs: it would empty the recycler.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := Run(im, cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"core.Run", func() (*Result, error) { return Run(im, cfg) }},
+		{"NewCluster + Run", func() (*Result, error) {
+			c, err := NewCluster(im, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return c.Run()
+		}},
+	} {
+		run := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := arm.run()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Console != "25165824\n" {
+				t.Fatalf("console %q", res.Console)
+			}
+			return after.TotalAlloc - before.TotalAlloc
 		}
-		if res.Console != "25165824\n" {
-			t.Fatalf("console %q", res.Console)
+		emptyRecycler()
+		first := run()
+		second := run()
+		t.Logf("%s: first run %.1f KB, second %.1f KB", arm.name, float64(first)/1e3, float64(second)/1e3)
+		if second*2 > first {
+			t.Errorf("%s: the second run allocated %d bytes, more than half the first's %d", arm.name, second, first)
 		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	first := run()
-	second := run()
-	t.Logf("first run %.1f KB, second %.1f KB", float64(first)/1e3, float64(second)/1e3)
-	if second*2 > first {
-		t.Errorf("the second run allocated %d bytes, more than half the first's %d", second, first)
 	}
 }
 
@@ -143,13 +170,12 @@ func coldSource(seed int64, funcs, stmts, reps int) string {
 	return sb.String()
 }
 
-// TestAllocUnreleasedRunsRecycle: a run hands its engines, and the storage
-// their translations were made in, back when it ends, whether or not its
-// owner calls Release — the benchmark's NewCluster + Run loop never does.
-// The second of two such runs of the cold-code generator's program then
-// allocates at most half of what the first did, though it translates every
-// block again.
-func TestAllocUnreleasedRunsRecycle(t *testing.T) {
+// TestAllocColdCodeRunsRecycle: a run hands its engines, and the storage
+// their translations were made in, back when it ends. The second of two
+// NewCluster + Run runs of the cold-code generator's program then allocates
+// at most half of what the first did, though it translates every block
+// again, and reports what the first did.
+func TestAllocColdCodeRunsRecycle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the detector's own bookkeeping allocates, and sync.Pool drops at random under it")
 	}

@@ -492,7 +492,7 @@ long main() {
 		}
 		rec := &invHoldRuntime{Runtime: c.rt, w: c.master.wire}
 		c.rt = rec
-		res, err := c.Run()
+		res, err := c.simulate(maxTimeNs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,9 +10,7 @@
 package grt
 
 import (
-	"bytes"
 	"fmt"
-	"regexp"
 	"sync"
 
 	"dqemu/internal/abi"
@@ -389,33 +387,6 @@ func BuildProgram(name, src string) (*image.Image, error) {
 	}
 	return im, nil
 }
-
-// DiffRoutes builds a mini-C workload both ways — BuildProgram, and the
-// text CompileProgram prints assembled by BuildAsmProgram — and says how
-// the two differ: "" when the images are byte-identical or both builds fail
-// with one message. The tests and FuzzCompile hold the routes to it.
-func DiffRoutes(name, src string) string {
-	im, err := BuildProgram(name, src)
-	text, terr := CompileProgram(name, src)
-	var tim *image.Image
-	if terr == nil {
-		tim, terr = BuildAsmProgram(asm.Source{Name: name + ".s", Text: text})
-	}
-	switch {
-	case err != nil || terr != nil:
-		if err == nil || terr == nil || position.ReplaceAllString(err.Error(), "") != position.ReplaceAllString(terr.Error(), "") {
-			return fmt.Sprintf("built: %v; from text: %v", err, terr)
-		}
-	case !bytes.Equal(im.Encode(), tim.Encode()):
-		return "the images differ"
-	}
-	return ""
-}
-
-// position is what says where a build failed — "grt: assembling …: " and a
-// file:line — which differs between the routes: the mini-C line, or the
-// line of the text.
-var position = regexp.MustCompile(`^(grt: assembling[^:]*: )?[^:]*:-?\d+: `)
 
 // BuildAsmProgram assembles raw assembly sources together with the runtime.
 func BuildAsmProgram(sources ...asm.Source) (*image.Image, error) {

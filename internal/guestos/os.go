@@ -1,6 +1,7 @@
 package guestos
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dqemu/internal/abi"
@@ -236,8 +237,8 @@ func (o *OS) sysFstat(fd int64, statAddr uint64, reply func(uint64)) {
 	}
 	// Minimal struct stat: st_mode (u32 at 16), st_size (i64 at 48).
 	buf := make([]byte, 128)
-	putU32(buf[16:], 0x81ed) // regular file, 0755
-	putU64(buf[48:], uint64(size))
+	binary.LittleEndian.PutUint32(buf[16:], 0x81ed) // regular file, 0755
+	binary.LittleEndian.PutUint64(buf[48:], uint64(size))
 	o.host.WriteGuest(statAddr, buf, func(err error) {
 		if err != nil {
 			reply(errno(abi.EFAULT))
@@ -280,7 +281,7 @@ func (o *OS) sysFutex(tid int64, args [6]uint64, reply func(uint64)) {
 				reply(errno(abi.EFAULT))
 				return
 			}
-			cur := getU64(data)
+			cur := binary.LittleEndian.Uint64(data)
 			if cur != val {
 				reply(errno(abi.EAGAIN))
 				return
@@ -379,22 +380,4 @@ func (o *OS) readCString(addr uint64, max int, cb func(string, error)) {
 		})
 	}
 	step(addr)
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

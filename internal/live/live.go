@@ -13,7 +13,10 @@
 // master ships the guest image and the node configuration in a KInit frame,
 // places threads, and the guest runs until exit_group. Run boots such a
 // cluster inside one process; cmd/dqemu -listen/-connect runs one node per
-// process.
+// process. Each node ends its run in core.Cluster.End, which takes the
+// node's core.Result and hands what the run allocated to the next run in
+// the process; Run and RunMaster report that record, with TimeNs in wall
+// nanoseconds.
 package live
 
 import (
@@ -35,8 +38,8 @@ type Config struct {
 	// means under the simulator: Slaves is how many connections the master
 	// waits for, Cancel aborts the run with ErrCanceled, Stdout receives the
 	// console. The master ships the part slaves need (core.InitFrame). Net
-	// and MaxTimeNs model time and do nothing here; Adaptive and Sanitizer
-	// are rejected (validate).
+	// models time and does nothing here; Adaptive and Sanitizer are
+	// rejected (validate).
 	//
 	// Faults is injected by the master, on every frame it puts on or takes
 	// off a socket — every link, since slaves only address the master — by
@@ -92,20 +95,6 @@ func (c *Config) validate(im *image.Image) error {
 	return nil
 }
 
-// Result reports a finished live run.
-type Result struct {
-	// Result is the master process's view: ExitCode, Console and the
-	// directory and guest-OS statistics are cluster-wide; Threads and most
-	// of Metrics cover node 0; Nodes covers node 0 under RunMaster and every
-	// node, in node-id order, under Run (RunSlave returns each slave's
-	// NodeStats). TimeNs is wall nanoseconds and Net is zero. Under a fault
-	// plan Faults counts what the master's injector did to the cluster's
-	// frames and Rel what the reliable layer did on the master's links
-	// (each slave's own retransmissions stay in its process).
-	*core.Result
-	Wall time.Duration
-}
-
 // ErrCanceled is what a node reports when Config.Core.Cancel closes mid-run
 // (the simulator's sentinel too).
 var ErrCanceled = core.ErrCanceled
@@ -115,7 +104,7 @@ var ErrCanceled = core.ErrCanceled
 // im on it to completion. A master error is returned as it is, so errors.Is
 // and errors.As find it first; the slaves' errors are joined after it, each
 // naming its node if it ran one.
-func Run(im *image.Image, cfg Config) (*Result, error) {
+func Run(im *image.Image, cfg Config) (*core.Result, error) {
 	if err := cfg.validate(im); err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 
 // runLive runs the image on an in-process cluster (Run) in which nothing
 // may fail.
-func runLive(t *testing.T, im *image.Image, cfg Config) *Result {
+func runLive(t *testing.T, im *image.Image, cfg Config) *core.Result {
 	t.Helper()
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
@@ -189,7 +189,7 @@ long main() {
 			if err != nil {
 				t.Fatalf("%s/%s: simulation: %v", g.name, k.name, err)
 			}
-			same := func(t *testing.T, cfg core.Config) *Result {
+			same := func(t *testing.T, cfg core.Config) *core.Result {
 				got := runLive(t, im, Config{Core: cfg})
 				if got.ExitCode != want.ExitCode || sha256.Sum256([]byte(got.Console)) != sha256.Sum256([]byte(want.Console)) {
 					t.Errorf("live exit %d console %q\n sim exit %d console %q",
@@ -207,7 +207,7 @@ long main() {
 			cfg.Faults, cfg.Retry = &recoverable, fastRetry
 			t.Run(fmt.Sprintf("%s/%s/faults", g.name, k.name), func(t *testing.T) {
 				got := same(t, cfg)
-				t.Logf("%v: injected %+v, reliable layer %+v", got.Wall, got.Faults, got.Rel)
+				t.Logf("%v: injected %+v, reliable layer %+v", time.Duration(got.TimeNs), got.Faults, got.Rel)
 				if got.Faults.Dropped == 0 || got.Faults.Duplicated == 0 || got.Rel.Retransmits == 0 {
 					t.Errorf("the plan did not bite: injected %+v, reliable layer %+v", got.Faults, got.Rel)
 				}

@@ -141,7 +141,16 @@ func peerName(conn net.Conn) string {
 
 // RunMaster accepts cfg.Core.Slaves connections on ln, boots the cluster
 // with the given guest image, and runs it to completion as node 0.
-func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
+//
+// The Result is the master process's view: ExitCode, Console and the
+// directory and guest-OS statistics are cluster-wide; Threads and most of
+// Metrics cover node 0; Nodes covers node 0 here and every node, in node-id
+// order, under Run (RunSlave returns each slave's NodeStats). TimeNs is wall
+// nanoseconds since the cluster was assembled and Net is zero. Under a fault
+// plan Faults counts what the master's injector did to the cluster's frames
+// and Rel what the reliable layer did on the master's links (each slave's
+// own retransmissions stay in its process).
+func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*core.Result, error) {
 	if err := cfg.validate(im); err != nil {
 		return nil, err
 	}
@@ -163,7 +172,7 @@ func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
 	// was already accepted — closing a connection also ends its reader
 	// goroutine, so a failed boot leaks neither sockets nor goroutines.
 	peers, err := bootSlaves(ln, im, cfg.Core, deadline, l)
-	abort := func(err error) (*Result, error) {
+	abort := func(err error) (*core.Result, error) {
 		close(l.quit)
 		for _, p := range peers {
 			p.abort()
@@ -182,15 +191,13 @@ func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
 	if l.cl, err = core.NewLocal(im, cfg.Core, 0, l); err != nil {
 		return abort(err)
 	}
-	// Every return below has taken what it reports from the cluster: the
-	// loop, the only goroutine that touched it, has ended by then.
-	defer l.cl.Release()
 	for path, data := range cfg.Files {
 		l.cl.VFS().AddFile(path, data)
 	}
 
 	err = l.run()
-	wall := time.Since(l.start)
+	// The loop, the only goroutine that touched the cluster, has ended.
+	res := l.cl.End()
 	// Tear everything down, flushing the shutdown frames first.
 	for _, p := range peers {
 		p.close()
@@ -198,7 +205,6 @@ func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Result: l.cl.Result(), Wall: wall}
 	if l.inj != nil {
 		res.Faults = l.inj.Stats
 	}

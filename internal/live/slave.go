@@ -41,6 +41,7 @@ func RunSlave(addr string) (none core.NodeStats, err error) {
 		return none, fmt.Errorf("live: init: %w", err)
 	}
 	if err := proto.WriteMsg(conn, &proto.Msg{Kind: proto.KInitAck, From: int32(id)}); err != nil {
+		l.cl.End()
 		return none, fmt.Errorf("live: ack: %w", err)
 	}
 
@@ -49,8 +50,7 @@ func RunSlave(addr string) (none core.NodeStats, err error) {
 	go readFrames(conn, l, 0)
 
 	err = l.run()
+	stats := l.cl.End().Nodes[0]
 	out.close()
-	stats := l.cl.Result().Nodes[0]
-	l.cl.Release()
 	return stats, err
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dqemu/internal/grt"
+	"dqemu/internal/grt/grttest"
 	"dqemu/internal/minicc"
 )
 
@@ -65,7 +66,7 @@ func diagLine(err error) (line int, rest string) {
 //  3. Whatever the compiler emits assembles with the runtime or returns an
 //     error, and BuildProgram, where the compiler hands its items to the
 //     assembler with no text in between, gives the same: the image byte for
-//     byte, or the message (grt.DiffRoutes).
+//     byte, or the message (grttest.DiffRoutes).
 func FuzzCompile(f *testing.F) {
 	f.Add("long main() { return 1 + 2 * 3 - (4 << 1) / 5 % 6 == 7 || 8 && 9; }")
 	// Every literal form, then each way a literal or comment can fail.
@@ -94,7 +95,7 @@ func FuzzCompile(f *testing.F) {
 		case out != whole:
 			t.Fatal("behind the Prelude the assembly differs from Prelude+src's")
 		}
-		if d := grt.DiffRoutes("fuzz.mc", src); d != "" {
+		if d := grttest.DiffRoutes("fuzz.mc", src); d != "" {
 			t.Fatal(d)
 		}
 	})

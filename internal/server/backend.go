@@ -58,9 +58,6 @@ func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, err
 	if err != nil {
 		return nil, err
 	}
-	// The outcome copies what it reports out of res, so the cluster's
-	// memory can go to the next job.
-	defer cl.Release()
 	for path, data := range spec.Files {
 		cl.VFS().AddFile(path, data)
 	}
@@ -113,5 +110,5 @@ func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, er
 	}
 	// The slaves are goroutines of this process, so res reports, and the
 	// bill covers, the whole cluster.
-	return outcome("live", res.Result, nil)
+	return outcome("live", res, nil)
 }

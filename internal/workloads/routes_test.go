@@ -3,7 +3,7 @@ package workloads
 import (
 	"testing"
 
-	"dqemu/internal/grt"
+	"dqemu/internal/grt/grttest"
 	"dqemu/internal/image"
 )
 
@@ -14,7 +14,7 @@ func TestStockSourcesBothRoutes(t *testing.T) {
 	built := 0
 	build = func(name, src string) (*image.Image, error) {
 		built++
-		if d := grt.DiffRoutes(name, src); d != "" {
+		if d := grttest.DiffRoutes(name, src); d != "" {
 			t.Errorf("%s: %s", name, d)
 		}
 		return nil, nil

@@ -16,7 +16,7 @@ import (
 )
 
 // build compiles a workload source. It is a variable so a test can build
-// every stock source both ways (grt.DiffRoutes).
+// every stock source both ways (grttest.DiffRoutes).
 var build = func(name, src string) (*image.Image, error) {
 	im, err := grt.BuildProgram(name, src)
 	if err != nil {
