@@ -14,7 +14,7 @@
 // runs the guest.
 //
 //	dqemu -listen :9000 -slaves 2 -forward prog.mc
-//	dqemu -connect master:9000        # once per slave
+//	dqemu -connect master:9000        # once per slave; -stats prints its node
 package main
 
 import (
@@ -29,6 +29,7 @@ import (
 
 	"dqemu"
 	"dqemu/internal/live"
+	"dqemu/internal/metrics"
 	"dqemu/internal/trace"
 )
 
@@ -46,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.Forwarding, "forward", false, "enable data forwarding (paper §5.2)")
 	fs.BoolVar(&cfg.Splitting, "split", false, "enable page splitting (paper §5.1)")
 	fs.BoolVar(&cfg.HintSched, "hints", false, "enable hint-based locality-aware scheduling (paper §5.3)")
-	stats := fs.Bool("stats", false, "print run statistics to stderr")
+	stats := fs.Bool("stats", false, "print run statistics to stderr (with -connect: this slave node's)")
 	fs.BoolVar(&cfg.Verify, "verify", false, "prove every trace's lowering symbolically and check its closure compilation structurally; a failed proof compiles the reference lowering, a failed check leaves the trace on the block interpreter, and both are counted in -stats")
 	traceFlag := fs.Bool("trace", false, "stream cluster events (messages, faults, syscalls) to stderr")
 	fs.BoolVar(&cfg.Adaptive, "adaptive", false, "enable the metrics-driven feedback scheduler (locality and load migration, proactive splits)")
@@ -76,13 +77,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *connect != "" && *listen == "" && fs.NArg() == 0 {
-		if _, err := live.RunSlave(*connect); err != nil {
+		node, err := live.RunSlave(*connect)
+		if err != nil {
 			return fail(err)
+		}
+		if *stats {
+			printStats(stderr, node.Rows("wall"))
 		}
 		return 0
 	}
 	if *connect != "" || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: dqemu [-listen ADDR] [flags] prog.mc|prog.s|prog.img, or dqemu -connect ADDR")
+		fmt.Fprintln(stderr, "usage: dqemu [-listen ADDR] [flags] prog.mc|prog.s|prog.img, or dqemu [-stats] -connect ADDR")
 		fs.PrintDefaults()
 		return 2
 	}
@@ -112,10 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stats {
 		// A live run's clock is "wall", and its net.* rows read 0: its
 		// frames cross real sockets, not the modelled network.
-		fmt.Fprintf(stderr, "\n--- run statistics ---\n")
-		for _, row := range res.Rows(clock) {
-			fmt.Fprintln(stderr, row)
-		}
+		printStats(stderr, res.Rows(clock))
 	}
 	profileJSON := func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -153,6 +155,14 @@ func runMaster(addr string, im *dqemu.Image, cfg live.Config, stderr io.Writer) 
 	defer ln.Close()
 	fmt.Fprintf(stderr, "dqemu: waiting for %d slave(s) on %s\n", cfg.Core.Slaves, ln.Addr())
 	return live.RunMaster(ln, im, cfg)
+}
+
+// printStats is -stats: the rows of the run, or of a slave's node.
+func printStats(stderr io.Writer, rows []metrics.Row) {
+	fmt.Fprintf(stderr, "\n--- run statistics ---\n")
+	for _, row := range rows {
+		fmt.Fprintln(stderr, row)
+	}
 }
 
 // writeOut writes one requested output through write: nothing for an empty

@@ -193,7 +193,9 @@ func TestRowsAgree(t *testing.T) {
 
 // TestListenConnectMatchesSimulation runs a master and two slaves of a live
 // cluster through the command, the slaves pointed at the address the master
-// prints, and wants the simulator's console and exit code.
+// prints, and wants the simulator's console and exit code. The slaves' -stats
+// report their own nodes, and a switch only the master was given (-verify)
+// shows in them: the node each slave ran proved the traces it compiled.
 func TestListenConnectMatchesSimulation(t *testing.T) {
 	prog := writeProg(t, sumSrc)
 	wantCode, want, errOut := runCmd("-slaves", "2", prog)
@@ -205,7 +207,7 @@ func TestListenConnectMatchesSimulation(t *testing.T) {
 	var stdout bytes.Buffer
 	master := make(chan int, 1)
 	go func() {
-		master <- run([]string{"-listen", "127.0.0.1:0", "-slaves", "2", "-forward", "-split", "-stats", prog}, &stdout, pw)
+		master <- run([]string{"-listen", "127.0.0.1:0", "-slaves", "2", "-forward", "-split", "-verify", "-stats", prog}, &stdout, pw)
 		pw.Close()
 	}()
 	lines := bufio.NewScanner(pr)
@@ -224,22 +226,40 @@ func TestListenConnectMatchesSimulation(t *testing.T) {
 			masterErr.WriteString(lines.Text() + "\n")
 		}
 	}()
-	slaves := make(chan string, 2)
+	type slave struct {
+		code   int
+		stderr string
+	}
+	slaves := make(chan slave, 2)
 	for range 2 {
 		go func() {
-			code, _, errOut := runCmd("-connect", addr)
-			if code != 0 {
-				errOut = "slave exited nonzero: " + errOut
-			}
-			slaves <- errOut
+			code, _, errOut := runCmd("-connect", addr, "-stats")
+			slaves <- slave{code, errOut}
 		}()
 	}
 	code := <-master
 	<-drained
+	ran := map[int64]bool{}
 	for range 2 {
-		if e := <-slaves; e != "" {
-			t.Error(e)
+		s := <-slaves
+		if s.code != 0 {
+			t.Errorf("slave exited %d: %s", s.code, s.stderr)
+			continue
 		}
+		rows := statsRows(t, s.stderr)
+		id := rows["nodes.1.node"] + rows["nodes.2.node"] // the one it has
+		ran[id] = true
+		for key := range rows {
+			if !strings.HasPrefix(key, fmt.Sprintf("nodes.%d.", id)) {
+				t.Errorf("slave node %d reports row %s", id, key)
+			}
+		}
+		if n := rows[fmt.Sprintf("nodes.%d.engine.verified_superblocks", id)]; n < 1 {
+			t.Errorf("slave node %d proved %d traces: -verify did not reach it\n%s", id, n, s.stderr)
+		}
+	}
+	if !ran[1] || !ran[2] {
+		t.Errorf("slaves reported nodes %v, want 1 and 2", ran)
 	}
 	if code != wantCode || stdout.String() != want {
 		t.Errorf("live exit %d console %q, sim exit %d console %q (master: %s)",

@@ -42,9 +42,10 @@ import (
 	"dqemu/internal/image"
 )
 
-// Config describes a cluster: node and core counts, the network model, and
-// the switches of its embedded Knobs (Forwarding, Splitting, HintSched, the
-// ablations and the observability layers).
+// Config describes a cluster: its embedded Shape (node and core counts,
+// quantum, page size), the network model, and the switches of its embedded
+// Knobs (Forwarding, Splitting, HintSched, the ablations and the
+// observability layers).
 type Config = core.Config
 
 // Result reports a finished run: exit code, virtual wall time, console

@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := live.Run(im, live.Config{Core: core.Config{Slaves: 2}})
+	res, err := live.Run(im, live.Config{Core: core.Config{Shape: core.Shape{Slaves: 2}}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -101,18 +102,26 @@ type Knobs struct {
 	Adaptive bool `json:"adaptive,omitempty"`
 }
 
-// Config describes a cluster.
-type Config struct {
+// Shape is the cluster's size and timing. Like Knobs it is declared once:
+// a scenario spec's "cluster" object decodes into it and the KInit frame
+// ships it to slaves, under the same JSON names. Zero fields select the
+// defaults (normalize).
+type Shape struct {
 	// Slaves is the number of slave nodes. 0 emulates the single-node
 	// QEMU baseline: every thread runs on the master with no DSM traffic.
-	Slaves int
+	Slaves int `json:"slaves"`
 	// Cores is the number of cores per node (the paper's testbed: 4); 0
 	// selects it. Check bounds it to [0, 256].
-	Cores int
-	// QuantumNs is the node scheduler's time slice.
-	QuantumNs int64
+	Cores int `json:"cores,omitempty"`
+	// QuantumNs is the node scheduler's time slice (default 100 µs).
+	QuantumNs int64 `json:"quantum_ns,omitempty"`
 	// PageSize is the coherence granularity (default 4096).
-	PageSize int
+	PageSize int `json:"page_size,omitempty"`
+}
+
+// Config describes a cluster.
+type Config struct {
+	Shape
 
 	Net netsim.Config
 
@@ -121,7 +130,7 @@ type Config struct {
 	// Stdout, if set, receives guest console output as it appears.
 	Stdout io.Writer
 
-	// NoTier3 is an alias of NoSuperblock, folded into it by newNode. It
+	// NoTier3 is an alias of NoSuperblock, folded into it by normalize. It
 	// selected the uop dispatch loop, which is gone; the frozen bench/ still
 	// sets it by name, and it goes at ROADMAP 1(c)'s unfreeze.
 	NoTier3 bool
@@ -160,13 +169,9 @@ type Config struct {
 // DefaultConfig mirrors the paper's testbed: quad-core nodes on gigabit
 // Ethernet, all optimizations off (they are evaluated separately).
 func DefaultConfig() Config {
-	return Config{
-		Slaves:    0,
-		Cores:     4,
-		QuantumNs: 100_000,
-		PageSize:  4096,
-		Net:       netsim.DefaultConfig(),
-	}
+	var c Config
+	c.normalize()
+	return c
 }
 
 // Nodes returns the cluster size including the master.
@@ -198,7 +203,7 @@ func (c Config) Check() error {
 	if c.SplitFactor < 0 || c.SplitFactor > 64 {
 		return fmt.Errorf("core: split_factor %d outside [0, 64]", c.SplitFactor)
 	}
-	return nil
+	return c.Faults.Validate(c.Nodes())
 }
 
 // normalize fills defaulted fields.
@@ -215,6 +220,9 @@ func (c *Config) normalize() {
 	if c.Net == (netsim.Config{}) {
 		c.Net = netsim.DefaultConfig()
 	}
+	if c.NoTier3 {
+		c.NoSuperblock = true
+	}
 	if c.Adaptive {
 		// The feedback scheduler steers by the metrics registry; without it
 		// there are no sensors to read.
@@ -222,94 +230,44 @@ func (c *Config) normalize() {
 	}
 }
 
-// nodeFlags are the switches a node (not only the master) reads, in their
-// KInit bit order.
-func (c *Config) nodeFlags() []*bool {
-	return []*bool{&c.Interp, &c.NoSuperblock, &c.Verify, &c.NoDelta}
-}
-
-// initFaults is what a KInit frame carries in San when the cluster runs
-// under a fault plan.
-type initFaults struct {
-	Plan  *netsim.FaultPlan  `json:"plan"`
-	Retry netsim.RetryPolicy `json:"retry"`
+// initRecord is what a KInit frame carries, as JSON, next to the image:
+// the node's id and every part of Config a node reads. Under the simulator
+// every node reads one Config; a slave process reads this copy of the
+// master's.
+type initRecord struct {
+	ID      int                `json:"id"`
+	Cluster Shape              `json:"cluster"`
+	Knobs   Knobs              `json:"knobs"`
+	Faults  *netsim.FaultPlan  `json:"faults,omitempty"`
+	Retry   netsim.RetryPolicy `json:"retry"`
 }
 
 // InitFrame is the KInit frame that boots slave id of a cfg-shaped cluster
-// in another process: the encoded guest image plus the part of cfg a slave
-// node reads — cluster size, cores, page size, quantum, the four engine and
-// wire-layer switches and, under an active fault plan, the plan and the
-// retry policy, announced by one more bit of the flag word that is derived,
-// not set: every node of a cluster must agree on whether its links run the
-// reliable layer. Everything else in Config is read by the master only, or
-// is per-process (Tracer, Metrics, Stdout, Cancel).
+// in another process: the encoded guest image in Data and cfg's Shape,
+// Knobs, fault plan and retry policy in San. What stays behind is the
+// master process's own: its console (Stdout), its canceler, its tracer, and
+// Net, which models time only the simulator keeps.
 func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 	cfg.normalize()
-	var flags uint64
-	nodeFlags := cfg.nodeFlags()
-	for i, f := range nodeFlags {
-		if *f {
-			flags |= 1 << i
-		}
-	}
-	var faults []byte
-	if cfg.Faults.Active() {
-		flags |= 1 << len(nodeFlags)
-		faults, _ = json.Marshal(initFaults{cfg.Faults, cfg.Retry}) // plain numbers: cannot fail
-	}
-	return &proto.Msg{
-		Kind: proto.KInit, From: 0, To: int32(id),
-		Sys: &proto.Sys{Num: int64(id), Args: [6]uint64{
-			uint64(cfg.Nodes()), uint64(cfg.Cores), uint64(cfg.PageSize),
-			uint64(cfg.QuantumNs), flags,
-		}},
-		Data: img,
-		Aux:  proto.SanAux(faults),
-	}
+	rec, _ := json.Marshal(initRecord{id, cfg.Shape, cfg.Knobs, cfg.Faults, cfg.Retry}) // numbers, none NaN once Check passed: cannot fail
+	return &proto.Msg{Kind: proto.KInit, From: 0, To: int32(id), Data: img, Aux: proto.SanAux(rec)}
 }
 
 // ConfigFromInit is InitFrame's inverse on the slave: the Config to hand
-// NewLocal and the node id this process was assigned. A frame this build
-// cannot have written — flag bits above the fault-plan bit, anything in
-// Args[5], a cluster of no nodes, a plan without its bit or a bit without an
-// active, well-formed plan — comes from a master of another build, whose
-// flag word means something else: it is refused, not reinterpreted.
+// NewLocal and the node id this process was assigned. The record is decoded
+// strictly and checked as any Config from outside the program is: a field
+// this build does not know comes from a master of another build, and is
+// refused, not ignored.
 func ConfigFromInit(frame *proto.Msg) (cfg Config, id int, err error) {
-	m, plan := frame.SysPart(), frame.AuxPart().San
-	flags := cfg.nodeFlags()
-	faultsBit := uint64(1) << len(flags)
-	if m.Args[0] == 0 {
-		return Config{}, 0, fmt.Errorf("core: init frame describes a cluster of 0 nodes")
+	var rec initRecord
+	dec := json.NewDecoder(bytes.NewReader(frame.AuxPart().San))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return Config{}, 0, fmt.Errorf("core: decoding init frame: %w", err)
 	}
-	if unknown := m.Args[4] &^ (faultsBit<<1 - 1); unknown != 0 {
-		return Config{}, 0, fmt.Errorf("core: init frame sets unknown flag bits %#b (this build knows bits 0-%d)",
-			unknown, len(flags))
+	cfg = Config{Shape: rec.Cluster, Knobs: rec.Knobs, Faults: rec.Faults, Retry: rec.Retry}
+	if err := cfg.Check(); err != nil {
+		return Config{}, 0, err
 	}
-	if m.Args[5] != 0 {
-		return Config{}, 0, fmt.Errorf("core: init frame carries Args[5] = %d, which this build does not read", m.Args[5])
-	}
-	if m.Args[4]&faultsBit != 0 {
-		var f initFaults
-		err := json.Unmarshal(plan, &f)
-		if err == nil {
-			err = f.Plan.Validate(int(m.Args[0]))
-		}
-		if err != nil {
-			return Config{}, 0, fmt.Errorf("core: init frame's fault plan: %w", err)
-		}
-		if !f.Plan.Active() {
-			return Config{}, 0, fmt.Errorf("core: init frame announces a fault plan and carries none that injects anything")
-		}
-		cfg.Faults, cfg.Retry = f.Plan, f.Retry
-	} else if len(plan) != 0 {
-		return Config{}, 0, fmt.Errorf("core: init frame carries %d bytes of fault plan without the flag bit that announces one", len(plan))
-	}
-	cfg.Slaves = int(m.Args[0]) - 1
-	cfg.Cores = int(m.Args[1])
-	cfg.PageSize = int(m.Args[2])
-	cfg.QuantumNs = int64(m.Args[3])
-	for i, f := range flags {
-		*f = m.Args[4]&(1<<i) != 0
-	}
-	return cfg, int(m.Num), nil
+	return cfg, rec.ID, nil
 }

@@ -1,108 +1,105 @@
 package core
 
 import (
+	"encoding/json"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
+	"dqemu/internal/trace"
 )
 
 // TestInitFrameRoundTrip: a slave process rebuilds, from the KInit frame
-// alone, exactly the part of Config a node reads — the four scalars, the four
-// switches of nodeFlags, each in its own bit, and under an active fault plan
-// the plan and the retry policy behind a fifth, derived bit — and nothing
-// else; a frame this build could not have written is refused with an error
-// that says what it does not understand.
+// alone, the master's whole Shape and Knobs — every field of both, each set
+// here by reflection, so a field added to either that does not reach the
+// slave fails — and its fault plan and retry policy; the per-process fields
+// stay behind. A record this build could not have written, or one no
+// cluster can be built from, is refused with an error that names what was
+// refused.
 func TestInitFrameRoundTrip(t *testing.T) {
-	base := Config{Slaves: 3, Cores: 2, PageSize: 1024, QuantumNs: 7_000}
-	const nflags = 4
-	if n := len(base.nodeFlags()); n != nflags {
-		t.Fatalf("nodeFlags has %d switches, want %d", n, nflags)
-	}
-	img := []byte{1, 2, 3}
-
-	// Each switch alone, then all together.
-	for i := 0; i <= nflags; i++ {
-		want := base
-		for j, f := range want.nodeFlags() {
-			*f = i == j || i == nflags
-		}
-		m := InitFrame(want, 2, img)
-		wantBits := uint64(1) << i
-		if i == nflags {
-			wantBits = 1<<nflags - 1
-		}
-		if m.Sys.Args[4] != wantBits {
-			t.Errorf("case %d: flag word %#b, want %#b", i, m.Sys.Args[4], wantBits)
-		}
-		if m.Sys.Args[5] != 0 {
-			t.Errorf("case %d: Args[5] = %d, nothing ships there", i, m.Sys.Args[5])
-		}
-		if !reflect.DeepEqual(m.Data, img) {
-			t.Errorf("case %d: frame carries image %v", i, m.Data)
-		}
-		got, id, err := ConfigFromInit(m)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if id != 2 {
-			t.Errorf("case %d: node id %d, want 2", i, id)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("case %d: round trip\n got %+v\nwant %+v", i, got, want)
+	var want Config
+	for _, v := range []reflect.Value{reflect.ValueOf(&want.Shape).Elem(), reflect.ValueOf(&want.Knobs).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			switch f, name := v.Field(i), v.Type().Field(i).Name; {
+			case name == "PageSize":
+				f.SetInt(1024)
+			case f.Kind() == reflect.Bool:
+				f.SetBool(true)
+			case f.CanInt():
+				f.SetInt(int64(2 + i)) // distinct, and inside every bound Check knows
+			default:
+				t.Fatalf("%s.%s is a %v, which this test cannot set", v.Type().Name(), name, f.Kind())
+			}
 		}
 	}
-
-	// An active fault plan travels whole, with the retry policy, and sets
-	// the derived bit; an inactive one is no plan.
-	faulty := base
-	faulty.Faults = &netsim.FaultPlan{
+	want.Faults = &netsim.FaultPlan{
 		Seed: 7, DropRate: 0.03, JitterNs: 200_000,
 		Stalls:  []netsim.Window{{Node: 1, FromNs: 5, ToNs: 9}},
 		Crashes: []netsim.Crash{{Node: 2, AtNs: 11}},
 	}
-	faulty.Retry = netsim.RetryPolicy{BaseRTONs: 5_000_000, MaxRTONs: 80_000_000, MaxAttempts: 9, NoDedup: true}
-	m := InitFrame(faulty, 1, img)
-	if m.Sys.Args[4] != 1<<nflags {
-		t.Errorf("fault plan: flag word %#b, want only bit %d", m.Sys.Args[4], nflags)
+	want.Retry = netsim.RetryPolicy{BaseRTONs: 5_000_000, MaxRTONs: 80_000_000, MaxAttempts: 9, NoDedup: true}
+
+	master := want
+	master.Net = netsim.DefaultConfig()
+	master.Stdout = io.Discard
+	master.Cancel = make(chan struct{})
+	master.Tracer = trace.New(0, nil)
+	img := []byte{1, 2, 3}
+	m := InitFrame(master, 2, img)
+	if m.Sys != nil {
+		t.Errorf("KInit carries syscall words %+v", *m.Sys)
 	}
-	if got, _, err := ConfigFromInit(m); err != nil || !reflect.DeepEqual(got, faulty) {
-		t.Errorf("fault plan: round trip (err %v)\n got %+v\nwant %+v", err, got, faulty)
+	if !reflect.DeepEqual(m.Data, img) {
+		t.Errorf("frame carries image %v", m.Data)
 	}
-	idle := base
-	idle.Faults = &netsim.FaultPlan{Seed: 7}
-	if m := InitFrame(idle, 1, img); m.Sys.Args[4] != 0 || len(m.AuxPart().San) != 0 {
-		t.Errorf("inactive plan shipped: flag word %#b, %d bytes", m.Sys.Args[4], len(m.AuxPart().San))
+	got, id, err := ConfigFromInit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 2 {
+		t.Errorf("node id %d, want 2", id)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip\n got %+v\nwant %+v", got, want)
 	}
 
-	// Master-only and per-process fields do not travel.
-	master := base
-	master.Forwarding, master.Splitting, master.HintSched = true, true, true
-	if got, _, err := ConfigFromInit(InitFrame(master, 1, nil)); err != nil || !reflect.DeepEqual(got, base) {
-		t.Errorf("master-only fields leaked into the slave's Config (err %v):\n got %+v\nwant %+v", err, got, base)
+	// NoTier3 is not a knob: it reaches the slave as what normalize folds
+	// it into.
+	if got, _, err := ConfigFromInit(InitFrame(Config{NoTier3: true}, 1, nil)); err != nil || !got.NoSuperblock {
+		t.Errorf("master with NoTier3: slave NoSuperblock %v (err %v)", got.NoSuperblock, err)
 	}
 
-	// Frames from another build: the flag word had eight bits before four
-	// switches left it, and Args[5] once carried a threshold. And
-	// frames whose fault-plan bit and plan disagree.
+	record := func(m *proto.Msg) map[string]any {
+		var r map[string]any
+		if err := json.Unmarshal(m.Aux.San, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	for name, tc := range map[string]struct {
 		from    Config
-		mutate  func(m *proto.Msg)
+		edit    func(r map[string]any)
 		wantSub string
 	}{
-		"unknown flag bit": {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << (nflags + 1) }, "unknown flag bits 0b100000"},
-		"high flag bit":    {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << 63 }, "unknown flag bits 0b1" + strings.Repeat("0", 63)},
-		"Args[5] set":      {base, func(m *proto.Msg) { m.Sys.Args[5] = 24 }, "Args[5] = 24"},
-		"no nodes":         {base, func(m *proto.Msg) { m.Sys.Args[0] = 0 }, "0 nodes"},
-		"bit, no plan":     {base, func(m *proto.Msg) { m.Sys.Args[4] |= 1 << nflags }, "fault plan"},
-		"plan, no bit":     {faulty, func(m *proto.Msg) { m.Sys.Args[4] = 0 }, "without the flag bit"},
-		"idle plan":        {faulty, func(m *proto.Msg) { m.Aux.San = []byte(`{"plan":{"seed":7}}`) }, "injects"},
-		"crash of node 9":  {faulty, func(m *proto.Msg) { m.Aux.San = []byte(`{"plan":{"seed":7,"crashes":[{"node":9,"at_ns":1}]}}`) }, "unknown or master node 9"},
+		"unknown field":   {Config{}, func(r map[string]any) { r["flags"] = 64 }, `unknown field "flags"`},
+		"unknown knob":    {Config{}, func(r map[string]any) { r["knobs"] = map[string]any{"tier3": true} }, `unknown field "tier3"`},
+		"negative slaves": {Config{}, func(r map[string]any) { r["cluster"].(map[string]any)["slaves"] = -1 }, "-1 slaves outside [0, 63]"},
+		"crash of node 9": {want, func(r map[string]any) {
+			r["faults"].(map[string]any)["crashes"] = []any{map[string]any{"node": 9, "at_ns": 1}}
+		}, "unknown or master node 9"},
+		"malformed": {Config{}, nil, "decoding init frame: unexpected EOF"},
 	} {
 		m := InitFrame(tc.from, 1, nil)
-		tc.mutate(m)
+		if tc.edit == nil {
+			m.Aux.San = m.Aux.San[:len(m.Aux.San)/2]
+		} else {
+			r := record(m)
+			tc.edit(r)
+			m.Aux.San, _ = json.Marshal(r)
+		}
 		if _, _, err := ConfigFromInit(m); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: error %v, want one containing %q", name, err, tc.wantSub)
 		}
@@ -160,29 +157,24 @@ func TestConfigCheck(t *testing.T) {
 	}
 }
 
-// TestInitFrameHugePageSizeRefused: a KInit frame naming a 2^40-byte page
-// decodes, but the slave's NewLocal refuses it instead of asking the memory
-// layer for a 1 TiB page.
+// TestInitFrameHugePageSizeRefused: a KInit frame naming a 2^40-byte page is
+// refused by the slave while it decodes the frame, before anything asks the
+// memory layer for a 1 TiB page.
 func TestInitFrameHugePageSizeRefused(t *testing.T) {
-	initRefused(t, Config{Slaves: 1, PageSize: 1 << 40}, "page size 1099511627776")
+	initRefused(t, Config{Shape: Shape{Slaves: 1, PageSize: 1 << 40}}, "page size 1099511627776")
 }
 
 // TestInitFrameTooManyCoresRefused: the same for a frame naming 257 cores
 // per node, one past what Check allows.
 func TestInitFrameTooManyCoresRefused(t *testing.T) {
-	initRefused(t, Config{Slaves: 1, Cores: 257}, "257 cores outside [0, 256]")
+	initRefused(t, Config{Shape: Shape{Slaves: 1, Cores: 257}}, "257 cores outside [0, 256]")
 }
 
-// initRefused checks that the KInit frame for cfg decodes and that the
-// slave's NewLocal then refuses it with an error containing wantSub.
+// initRefused checks that ConfigFromInit refuses the KInit frame for cfg
+// with an error containing wantSub.
 func initRefused(t *testing.T, cfg Config, wantSub string) {
 	t.Helper()
-	im := build(t, `long main() { return 0; }`)
-	got, id, err := ConfigFromInit(InitFrame(cfg, 1, nil))
-	if err != nil {
-		t.Fatalf("ConfigFromInit: %v", err)
-	}
-	if _, err := NewLocal(im, got, id, nil); err == nil || !strings.Contains(err.Error(), wantSub) {
-		t.Fatalf("NewLocal error %v, want one containing %q", err, wantSub)
+	if _, _, err := ConfigFromInit(InitFrame(cfg, 1, nil)); err == nil || !strings.Contains(err.Error(), wantSub) {
+		t.Fatalf("ConfigFromInit error %v, want one containing %q", err, wantSub)
 	}
 }

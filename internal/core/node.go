@@ -76,7 +76,7 @@ func newNode(id int, cl *Cluster) *node {
 	space := mem.NewSpace(cl.cfg.PageSize)
 	engine := tcg.NewEngine(space, tcg.DefaultCostModel())
 	engine.NoCache = cl.cfg.Interp
-	engine.NoSuperblock = cl.cfg.NoSuperblock || cl.cfg.NoTier3
+	engine.NoSuperblock = cl.cfg.NoSuperblock
 	engine.Verify = cl.cfg.Verify
 	n := &node{
 		id:        id,

@@ -20,14 +20,23 @@ import (
 // Strings and pointers (Console, San, Metrics) are not rendered. A field
 // named …Ns is a time on clock ("virtual" or "wall") or on its clock tag
 // ("model": charged by the cost model on both runtimes); …Bytes… is bytes.
-func (r *Result) Rows(clock string) []metrics.Row {
-	var rows []metrics.Row
+func (r *Result) Rows(clock string) []metrics.Row { return rows("", reflect.ValueOf(*r), clock) }
+
+// Rows renders one node's counts as its cluster's Result.Rows does, keyed
+// "nodes.<id>.…": the rows a slave process reports of its own node.
+func (s NodeStats) Rows(clock string) []metrics.Row {
+	return rows("nodes."+strconv.Itoa(s.Node), reflect.ValueOf(s), clock)
+}
+
+// rows renders v under key as Result.Rows describes.
+func rows(key string, v reflect.Value, clock string) []metrics.Row {
+	var out []metrics.Row
 	var walk func(key string, attrs metrics.Row, v reflect.Value)
 	walk = func(key string, attrs metrics.Row, v reflect.Value) {
 		switch {
 		case v.CanInt() || v.CanUint():
 			attrs.Key, attrs.Value = key, v.Convert(reflect.TypeOf(int64(0))).Int()
-			rows = append(rows, attrs)
+			out = append(out, attrs)
 		case v.Kind() == reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
 				f := v.Type().Field(i)
@@ -58,8 +67,8 @@ func (r *Result) Rows(clock string) []metrics.Row {
 			}
 		}
 	}
-	walk("", metrics.Row{}, reflect.ValueOf(*r))
-	return rows
+	walk(key, metrics.Row{}, v)
+	return out
 }
 
 // snake turns a Go field name into a row key segment at its word and

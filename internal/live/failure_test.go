@@ -26,7 +26,7 @@ func TestMasterAcceptTimeout(t *testing.T) {
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(ln, im, Config{Core: core.Config{Slaves: 1}, Timeout: 300 * time.Millisecond})
+		_, err := RunMaster(ln, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 1}}, Timeout: 300 * time.Millisecond})
 		done <- err
 	}()
 	select {
@@ -86,7 +86,7 @@ func TestMasterHandshakeFailureCleansUp(t *testing.T) {
 	// Slave 2 connects and slams the door before acking.
 	masterDone := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(ln, im, Config{Core: core.Config{Slaves: 2}, Timeout: 5 * time.Second})
+		_, err := RunMaster(ln, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 2}}, Timeout: 5 * time.Second})
 		masterDone <- err
 	}()
 	if err := <-goodReady; err != nil {
@@ -158,7 +158,7 @@ long main() {
 	start := time.Now()
 	masterDone := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(ln, im, Config{Core: core.Config{Slaves: 1}, Timeout: timeout})
+		_, err := RunMaster(ln, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 1}}, Timeout: timeout})
 		masterDone <- err
 	}()
 
@@ -365,7 +365,7 @@ long main() {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(ln, im, Config{Core: core.Config{Slaves: 0, Cancel: cancel}, Timeout: 30 * time.Second})
+		_, err := RunMaster(ln, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 0}, Cancel: cancel}, Timeout: 30 * time.Second})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -10,7 +10,9 @@
 // the master's end of every connection as the place the plan is injected.
 //
 // Usage: the master listens (RunMaster), slaves connect (RunSlave); the
-// master ships the guest image and the node configuration in a KInit frame,
+// master ships the guest image and its core.Config — shape, knobs, fault
+// plan and retry policy, as JSON — in a KInit frame, so every slave runs the
+// configuration the master runs, as every simulated node does. The master
 // places threads, and the guest runs until exit_group. Run boots such a
 // cluster inside one process; cmd/dqemu -listen/-connect runs one node per
 // process. Each node ends its run in core.Cluster.End, which takes the
@@ -37,8 +39,9 @@ type Config struct {
 	// Core is the cluster shape and every protocol knob, meaning what it
 	// means under the simulator: Slaves is how many connections the master
 	// waits for, Cancel aborts the run with ErrCanceled, Stdout receives the
-	// console. The master ships the part slaves need (core.InitFrame). Net
-	// models time and does nothing here; Adaptive and Sanitizer are
+	// console. The master ships Shape, Knobs, Faults and Retry to every
+	// slave (core.InitFrame); Stdout, Cancel and Tracer stay with the master.
+	// Net models time and does nothing here; Adaptive and Sanitizer are
 	// rejected (validate).
 	//
 	// Faults is injected by the master, on every frame it puts on or takes

@@ -36,9 +36,9 @@ func TestRunSlaveBadHandshake(t *testing.T) {
 	}
 }
 
-// TestRunSlaveRefusesForeignInit: a KInit frame whose flag word has a bit
+// TestRunSlaveRefusesForeignInit: a KInit frame whose record has a field
 // this build does not know comes from a master of another build; the slave
-// must refuse to boot rather than run with its switches reinterpreted.
+// must refuse to boot rather than run without the setting it names.
 func TestRunSlaveRefusesForeignInit(t *testing.T) {
 	im := build(t, `long main() { return 0; }`)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -52,14 +52,14 @@ func TestRunSlaveRefusesForeignInit(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		m := core.InitFrame(core.Config{Slaves: 1}, 1, im.Encode())
-		m.Sys.Args[4] |= 1 << 6 // one past the six bits this build ships
+		m := core.InitFrame(core.Config{Shape: core.Shape{Slaves: 1}}, 1, im.Encode())
+		m.Aux.San = append(m.Aux.San[:len(m.Aux.San)-1], `,"tier4":true}`...)
 		proto.WriteMsg(conn, m)
 		proto.ReadMsg(conn) // hold the connection until the slave gives up
 	}()
 	_, err = RunSlave(ln.Addr().String())
-	if err == nil || !strings.Contains(err.Error(), "live: init:") || !strings.Contains(err.Error(), "unknown flag bits 0b1000000") {
-		t.Errorf("expected a live: init: error naming the unknown bit, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "live: init:") || !strings.Contains(err.Error(), `unknown field "tier4"`) {
+		t.Errorf("expected a live: init: error naming the unknown field, got %v", err)
 	}
 }
 
@@ -75,7 +75,7 @@ long main() {
 	}
 	defer ln.Close()
 	go RunSlave(ln.Addr().String())
-	_, err = RunMaster(ln, im, Config{Core: core.Config{Slaves: 1}, Timeout: 500 * time.Millisecond})
+	_, err = RunMaster(ln, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 1}}, Timeout: 500 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("expected timeout, got %v", err)
 	}
@@ -107,7 +107,7 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Core: core.Config{Slaves: 2, Knobs: core.Knobs{Splitting: true, HintSched: true, Forwarding: true}}})
+	res := runLive(t, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 2}, Knobs: core.Knobs{Splitting: true, HintSched: true, Forwarding: true}}})
 	if res.Console != "30720\n" { // 512 slots * 60 rounds
 		t.Errorf("console = %q", res.Console)
 	}
@@ -120,8 +120,8 @@ long main() {
 func TestRunMasterRejectsUnsupportedConfig(t *testing.T) {
 	im := build(t, `long main() { return 0; }`)
 	for field, cfg := range map[string]core.Config{
-		"Adaptive":  {Slaves: 1, Knobs: core.Knobs{Adaptive: true}},
-		"Sanitizer": {Slaves: 1, Knobs: core.Knobs{Sanitizer: true}},
+		"Adaptive":  {Shape: core.Shape{Slaves: 1}, Knobs: core.Knobs{Adaptive: true}},
+		"Sanitizer": {Shape: core.Shape{Slaves: 1}, Knobs: core.Knobs{Sanitizer: true}},
 	} {
 		t.Run(field, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -43,7 +43,7 @@ long main() {
 	print_str("hello over tcp\n");
 	return 0;
 }`)
-	res := runLive(t, im, Config{Core: core.Config{Slaves: 0}})
+	res := runLive(t, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 0}}})
 	if res.Console != "hello over tcp\n" || res.ExitCode != 0 {
 		t.Errorf("console=%q exit=%d", res.Console, res.ExitCode)
 	}
@@ -77,7 +77,7 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Core: core.Config{Slaves: 2}})
+	res := runLive(t, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 2}}})
 	// 800 lock-protected increments, and all 4 workers ran on slave nodes.
 	if res.Console != "800 4\n" {
 		t.Errorf("console = %q", res.Console)
@@ -116,7 +116,7 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Core: core.Config{Slaves: 3}})
+	res := runLive(t, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 3}}})
 	// sum = sum over idx 0..5, round 0..2 of (idx+round) = 3*15 + 6*3 = 63
 	if res.Console != "63\n" {
 		t.Errorf("console = %q", res.Console)
@@ -184,7 +184,7 @@ long main() {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 		for _, k := range knobs {
-			cfg := core.Config{Slaves: 2, Knobs: k.knobs}
+			cfg := core.Config{Shape: core.Shape{Slaves: 2}, Knobs: k.knobs}
 			want, err := core.Run(im, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: simulation: %v", g.name, k.name, err)
@@ -250,11 +250,11 @@ func TestLiveChaos(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%s/seed=%d", class, seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := core.Config{Slaves: 2, Faults: &plan, Retry: fastRetry}
+			cfg := core.Config{Shape: core.Shape{Slaves: 2}, Faults: &plan, Retry: fastRetry}
 			start := time.Now()
 			got, err := Run(im, Config{Core: cfg, Timeout: 60 * time.Second})
 			if class == "recoverable" {
-				want, simErr := core.Run(im, core.Config{Slaves: 2})
+				want, simErr := core.Run(im, core.Config{Shape: core.Shape{Slaves: 2}})
 				if simErr != nil {
 					t.Fatal(simErr)
 				}
@@ -314,7 +314,7 @@ long main() {
 	print_char('\n');
 	return 0;
 }`)
-	res := runLive(t, im, Config{Core: core.Config{Slaves: 1, Knobs: core.Knobs{Forwarding: true, Splitting: true}}, Files: map[string][]byte{"/seed.txt": []byte("3")}})
+	res := runLive(t, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 1}, Knobs: core.Knobs{Forwarding: true, Splitting: true}}, Files: map[string][]byte{"/seed.txt": []byte("3")}})
 	if res.Console != "24576\n" {
 		t.Errorf("console = %q", res.Console)
 	}
@@ -330,7 +330,7 @@ long main() {
 	print_str("slept\n");
 	return 0;
 }`)
-	res := runLive(t, im, Config{Core: core.Config{Slaves: 1}})
+	res := runLive(t, im, Config{Core: core.Config{Shape: core.Shape{Slaves: 1}}})
 	if res.ExitCode != 0 || res.Console != "slept\n" {
 		t.Errorf("exit=%d console=%q", res.ExitCode, res.Console)
 	}

@@ -95,7 +95,7 @@ func (p *FaultPlan) Validate(nodes int) error {
 	for name, r := range map[string]float64{
 		"drop_rate": p.DropRate, "dup_rate": p.DupRate, "reorder_rate": p.ReorderRate,
 	} {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // NaN too: it has no JSON form for a KInit frame
 			return fmt.Errorf("netsim: %s %v outside [0, 1]", name, r)
 		}
 	}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -224,10 +225,11 @@ func TestFaultPlanString(t *testing.T) {
 	}
 }
 
-// TestFaultPlanDelayBound: a delay the Injector could overflow on is
-// rejected, and every plan the torture generator makes is valid and active.
+// TestFaultPlanDelayBound: a delay the Injector could overflow on, or a rate
+// that is not a number, is rejected, and every plan the torture generator
+// makes is valid and active.
 func TestFaultPlanDelayBound(t *testing.T) {
-	for _, p := range []FaultPlan{{JitterNs: 1<<63 - 1}, {ReorderDelayNs: maxDelayNs + 1}} {
+	for _, p := range []FaultPlan{{JitterNs: 1<<63 - 1}, {ReorderDelayNs: maxDelayNs + 1}, {DupRate: math.NaN()}} {
 		if err := p.Validate(2); err == nil {
 			t.Errorf("%+v validated", p)
 		}

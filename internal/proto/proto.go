@@ -45,8 +45,8 @@ const (
 	KMigrateCtx // node -> master: TID, CPU
 
 	// Live-mode bootstrap (internal/live): the master assigns the slave its
-	// node id and ships the guest image.
-	KInit // master -> slave: Num=node id, Args=cluster shape and switches, Data=image, San=fault plan (core.InitFrame)
+	// node id and ships the guest image and the cluster's configuration.
+	KInit // master -> slave: Data=image, San=JSON of node id, shape, knobs, fault plan, retry policy (core.InitFrame)
 	KInitAck
 
 	// Reliable delivery (fault-tolerant transport): cumulative acknowledgement
@@ -112,9 +112,9 @@ type Msg struct {
 }
 
 // Sys is the eight syscall words of a message: set on syscall delegation and
-// replies, KMigrate, KShutdown and KInit, nil on coherence traffic.
+// replies and on KMigrate, nil on coherence traffic.
 type Sys struct {
-	Num  int64 // syscall number; KMigrate's target node, KInit's node id
+	Num  int64 // syscall number; KMigrate's target node
 	Ret  uint64
 	Args [6]uint64
 }
@@ -123,7 +123,7 @@ type Sys struct {
 // serialized CPU context of a thread start or migration, and San, the DQSan
 // piggyback — an encoded vector clock (syscall delegation, futex replies,
 // thread start/migration) or an encoded shadow page (coherence transfers);
-// on KInit the fault plan. Nil whenever all three are empty, so the sanitizer
+// on KInit the cluster's configuration. Nil whenever all three are empty, so the sanitizer
 // costs nothing, in memory or on the wire, in normal runs.
 type Aux struct {
 	Shadows []uint64

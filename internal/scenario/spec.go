@@ -128,17 +128,9 @@ type Workload struct {
 	Args map[string]int64 `json:"args,omitempty"`
 }
 
-// Cluster is the machine shape.
-type Cluster struct {
-	// Slaves is the slave-node count (0 = single-node QEMU baseline).
-	Slaves int `json:"slaves"`
-	// Cores per node; 0 selects the default (4).
-	Cores int `json:"cores,omitempty"`
-	// QuantumNs is the node scheduler slice; 0 selects the default.
-	QuantumNs int64 `json:"quantum_ns,omitempty"`
-	// PageSize is the coherence granularity; 0 selects the default (4096).
-	PageSize int `json:"page_size,omitempty"`
-}
+// Cluster is the machine shape, under its JSON names; zero fields select
+// core's defaults.
+type Cluster = core.Shape
 
 // Knobs are the core.Config switches a spec sets, under their JSON names.
 type Knobs = core.Knobs
@@ -347,9 +339,6 @@ func (s *Spec) validateCell() error {
 	if ps := s.Cluster.PageSize; ps != 0 && (ps < 256 || ps > 65536 || ps&(ps-1) != 0) {
 		return fmt.Errorf("scenario: page size %d is not a power of two in [256, 65536]", ps)
 	}
-	if err := s.Faults.Validate(s.Cluster.Slaves + 1); err != nil {
-		return err
-	}
 	_, err := s.Workload.resolve(Quick, s.Cluster.Slaves)
 	return err
 }
@@ -443,18 +432,7 @@ func (s *Spec) Encode(w io.Writer) error {
 
 // config assembles the core.Config a flat spec describes.
 func (s *Spec) config() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Slaves = s.Cluster.Slaves
-	if s.Cluster.Cores != 0 {
-		cfg.Cores = s.Cluster.Cores
-	}
-	if s.Cluster.QuantumNs > 0 {
-		cfg.QuantumNs = s.Cluster.QuantumNs
-	}
-	if s.Cluster.PageSize > 0 {
-		cfg.PageSize = s.Cluster.PageSize
-	}
-	cfg.Knobs = s.Knobs
+	cfg := core.Config{Shape: s.Cluster, Knobs: s.Knobs}
 	if s.Faults != nil {
 		plan := *s.Faults // the cluster must not alias the spec
 		cfg.Faults = &plan

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"dqemu/internal/core"
 	"dqemu/internal/image"
@@ -15,15 +14,13 @@ import (
 // configuration both backends run. Admission builds the program and checks
 // the configuration (and rejects either with 400), so by the time a worker
 // sees a RunSpec the only failures left are runtime ones.
+//
+// Timeout bounds the run's host time: the request's timeout_ms, clamped to
+// Options.MaxTimeout, or Options.DefaultTimeout. The daemon cancels the job
+// when it passes, and the live backend's cluster has it as its deadline.
 type RunSpec struct {
-	Image  *image.Image
-	Files  map[string][]byte
-	Config core.Config
-	// Timeout bounds the run's host time: the request's timeout_ms, clamped
-	// to Options.MaxTimeout, or Options.DefaultTimeout. The daemon cancels
-	// the job when it passes, and a backend with a deadline of its own sets
-	// it from here.
-	Timeout time.Duration
+	Image *image.Image
+	live.Config
 }
 
 // RunOutcome is what a backend reports for a finished guest.
@@ -52,7 +49,7 @@ var ErrJobCanceled = errors.New("job canceled")
 type SimBackend struct{}
 
 func (b *SimBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
-	cfg := spec.Config
+	cfg := spec.Core
 	cfg.Cancel = cancel
 	cl, err := core.NewCluster(spec.Image, cfg)
 	if err != nil {
@@ -86,16 +83,8 @@ func outcome(name string, res *core.Result, err error) (*RunOutcome, error) {
 	return out, nil
 }
 
-// liveConfig is the live cluster spec runs on: its deadline is the job's,
-// not live.Config's default.
-func liveConfig(cancel <-chan struct{}, spec RunSpec) live.Config {
-	cfg := live.Config{Core: spec.Config, Files: spec.Files, Timeout: spec.Timeout}
-	cfg.Core.Cancel = cancel
-	return cfg
-}
-
 // LiveBackend spawns a real-socket cluster per job (live.Run): a master
-// listening on loopback plus spec.Config.Slaves slave loops, each node a
+// listening on loopback plus spec.Core.Slaves slave loops, each node a
 // genuinely concurrent event loop running the same protocol engine as
 // SimBackend and exchanging length-prefixed frames over TCP. It exists to
 // keep the service honest against the hardened transport — the same
@@ -104,7 +93,8 @@ func liveConfig(cancel <-chan struct{}, spec RunSpec) live.Config {
 type LiveBackend struct{}
 
 func (b *LiveBackend) Run(cancel <-chan struct{}, spec RunSpec) (*RunOutcome, error) {
-	res, err := live.Run(spec.Image, liveConfig(cancel, spec))
+	spec.Core.Cancel = cancel
+	res, err := live.Run(spec.Image, spec.Config)
 	if err != nil {
 		return outcome("live", nil, err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"dqemu/internal/core"
 	"dqemu/internal/grt"
+	"dqemu/internal/live"
 )
 
 // TestJobsDoNotSeeEachOthersMemory: a finished job's pages, twins and
@@ -28,7 +29,7 @@ func TestJobsDoNotSeeEachOthersMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return RunSpec{Image: im, Config: core.DefaultConfig(), Timeout: 20 * time.Second}
+		return RunSpec{Image: im, Config: live.Config{Core: core.DefaultConfig(), Timeout: 20 * time.Second}}
 	}
 	a, b := build("testdata/isolation_a.mc"), build("testdata/isolation_b.mc")
 	for _, be := range []struct {
@@ -37,7 +38,7 @@ func TestJobsDoNotSeeEachOthersMemory(t *testing.T) {
 	}{{"sim", &SimBackend{}}, {"live", &LiveBackend{}}} {
 		for _, slaves := range []int{0, 2} {
 			run := func(spec RunSpec) string {
-				spec.Config.Slaves = slaves
+				spec.Core.Slaves = slaves
 				// A guest that finds stale memory may spin on it forever.
 				cancel := make(chan struct{})
 				defer time.AfterFunc(spec.Timeout, func() { close(cancel) }).Stop()

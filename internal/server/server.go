@@ -26,6 +26,7 @@ import (
 	"dqemu/internal/core"
 	"dqemu/internal/grt"
 	"dqemu/internal/image"
+	"dqemu/internal/live"
 )
 
 // Quota bounds one tenant. Zero fields fall back to the server defaults;
@@ -262,7 +263,7 @@ func (s *Server) Submit(tenant string, req *JobRequest) (JobStatus, error) {
 		tenant:   tenant,
 		name:     req.Name,
 		backend:  backendName,
-		spec:     RunSpec{Image: im, Files: req.Files, Config: cfg, Timeout: timeout},
+		spec:     RunSpec{Image: im, Config: live.Config{Core: cfg, Timeout: timeout, Files: req.Files}},
 		state:    StateQueued,
 		queuedAt: time.Now(),
 		cancel:   make(chan struct{}),
