@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -11,38 +13,105 @@ import (
 	"dqemu/internal/mem"
 	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
+	"dqemu/internal/recycle"
 	"dqemu/internal/workloads"
 )
 
 // sentMsg is a message as it looked when it was handed to Runtime.Send.
 type sentMsg struct {
 	m              *proto.Msg
+	kind           proto.Kind
+	from, to       int32
+	page           uint64
 	data, san, cpu [sha256.Size]byte
 }
 
 func hashSent(m *proto.Msg) sentMsg {
 	aux := m.AuxPart()
-	return sentMsg{m: m, data: sha256.Sum256(m.Data), san: sha256.Sum256(aux.San), cpu: sha256.Sum256(aux.CPU)}
+	return sentMsg{m: m, kind: m.Kind, from: m.From, to: m.To, page: m.Page,
+		data: sha256.Sum256(m.Data), san: sha256.Sum256(aux.San), cpu: sha256.Sum256(aux.CPU)}
 }
 
-// recordingRuntime hashes every buffer a message carries as it is sent.
+// copyMsg is a deep copy of m: what a test that reads a message after its
+// handler returned must keep, since the cluster then reuses the message
+// and its container.
+func copyMsg(m *proto.Msg) *proto.Msg {
+	c := *m
+	c.Data = bytes.Clone(m.Data)
+	if m.Sys != nil {
+		sys := *m.Sys
+		c.Sys = &sys
+	}
+	if m.Aux != nil {
+		c.Aux = &proto.Aux{Shadows: slices.Clone(m.Aux.Shadows), CPU: bytes.Clone(m.Aux.CPU), San: bytes.Clone(m.Aux.San)}
+	}
+	return &c
+}
+
+// recordingRuntime records a deep copy of every message sent.
 type recordingRuntime struct {
 	Runtime
-	sent []sentMsg
+	sent []*proto.Msg
 }
 
 func (r *recordingRuntime) Send(m *proto.Msg) {
-	r.sent = append(r.sent, hashSent(m))
+	r.sent = append(r.sent, copyMsg(m))
 	r.Runtime.Send(m)
 }
 
-// TestAliasSentBuffersImmutable pins the rule that makes reusing page, twin,
-// snapshot and scratch buffers safe (wire.go): whatever was
-// handed to Runtime.Send never changes afterwards. The reliable transport
-// keeps it for retransmission and, under the simulator, the receiver reads
-// the sender's very bytes, so a reused buffer that had leaked into a message
-// would corrupt a later delivery. Every buffer of every message is hashed at
-// Send and again after the run.
+// aliasRuntime hashes every buffer a message carries as it is sent, and
+// checks the hashes again when the message is delivered, before its
+// handler runs.
+type aliasRuntime struct {
+	Runtime
+	t    *testing.T
+	name string
+	// inFlight is what each message sent and not yet delivered looked
+	// like at Send; under a fault plan delivered messages stay in it.
+	inFlight map[*proto.Msg]sentMsg
+	keep     bool
+	// sends counts messages sent, and reused those sent in a message
+	// that had already been delivered in this run.
+	sends, reused int
+	delivered     map[*proto.Msg]bool
+}
+
+func (r *aliasRuntime) Send(m *proto.Msg) {
+	r.sends++
+	if r.delivered[m] {
+		r.reused++
+	}
+	r.inFlight[m] = hashSent(m)
+	r.Runtime.Send(m)
+}
+
+// deliver runs as a frame's delivery starts. Under a fault plan it may be
+// a copy the wire made, or an ack, which were never sent through r.
+func (r *aliasRuntime) deliver(m *proto.Msg) {
+	s, ok := r.inFlight[m]
+	if !ok {
+		return
+	}
+	if now := hashSent(m); now != s {
+		r.t.Fatalf("%s: a message (%v, node %d -> %d, page %#x) changed between its Send and its delivery",
+			r.name, s.kind, s.from, s.to, s.page)
+	}
+	r.delivered[m] = true
+	if !r.keep {
+		delete(r.inFlight, m)
+	}
+}
+
+// TestAliasSentBuffersImmutable pins the rule that makes reusing buffers
+// safe (wire.go): whatever was handed to Runtime.Send does not change until
+// its handler runs. Under the simulator the receiver reads the sender's very
+// bytes, so a reused page, twin, snapshot, scratch or arena buffer that had
+// leaked into a message, or a kept frame drawn while still in flight, would
+// corrupt a later delivery. Every buffer of every message is hashed at Send
+// and again when its delivery starts. Under a fault plan the reliable
+// transport keeps frames for retransmission and nothing is reused, so every
+// message is checked again after the run; otherwise the cluster reuses
+// delivered frames, and only the ones never delivered are.
 func TestAliasSentBuffersImmutable(t *testing.T) {
 	canneal, err := workloads.Canneal(4, 256, 40, 1)
 	if err != nil {
@@ -78,8 +147,15 @@ func TestAliasSentBuffersImmutable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &recordingRuntime{Runtime: c.rt}
+		rec := &aliasRuntime{Runtime: c.rt, t: t, name: tc.name, keep: tc.faults != nil,
+			inFlight: map[*proto.Msg]sentMsg{}, delivered: map[*proto.Msg]bool{}}
 		c.rt = rec
+		for id := 0; id < cfg.Nodes(); id++ {
+			c.sim.net.Register(id, func(m *proto.Msg) {
+				rec.deliver(m)
+				c.Deliver(m)
+			})
+		}
 		res, err := c.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -93,21 +169,16 @@ func TestAliasSentBuffersImmutable(t *testing.T) {
 		if tc.faults != nil && res.Rel.Retransmits == 0 {
 			t.Errorf("%s: no retransmission happened", tc.name)
 		}
-		for i, s := range rec.sent {
-			if now := hashSent(s.m); now != s {
-				t.Fatalf("%s: message %d of %d (%v, node %d -> %d, page %#x) changed after it was sent",
-					tc.name, i, len(rec.sent), s.m.Kind, s.m.From, s.m.To, s.m.Page)
+		if reusing := tc.faults == nil; reusing != (rec.reused > 0) {
+			t.Errorf("%s: %d of %d messages went out in a frame delivered earlier in the run", tc.name, rec.reused, rec.sends)
+		}
+		for m, s := range rec.inFlight {
+			if now := hashSent(m); now != s {
+				t.Fatalf("%s: a message (%v, node %d -> %d, page %#x) changed after it was sent",
+					tc.name, s.kind, s.from, s.to, s.page)
 			}
 		}
 	}
-}
-
-// emptyRecycler has the garbage collector empty the page and engine
-// recycler (two collections drop all a sync.Pool holds), so what the next
-// run allocates does not depend on the runs released before it.
-func emptyRecycler() {
-	runtime.GC()
-	runtime.GC()
 }
 
 // quantumCounter counts the guest quanta a run completes.
@@ -150,7 +221,7 @@ long main() {
 		cfg.Cores = 1 // both threads share a core: every quantum goes through the run queue
 		// Both runs start on an empty recycler, so neither translates into
 		// storage an earlier run left its engine.
-		emptyRecycler()
+		recycle.Drain()
 		c, err := NewCluster(im, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -213,21 +284,23 @@ long main() {
 
 // TestAllocPerPageTransfer pins the buffer discipline end to end: once the
 // page, its twins and its snapshots exist, moving it between nodes allocates
-// no page-sized buffer, and the protocol around it only what the wire must
-// own. Two runs that differ only in how long they ping-pong the same page
-// differ, per extra page payload, by about 390 bytes: the request, fetch,
-// reply and grant messages (96 bytes each) and the containers the two
-// content-carrying ones hold. It was 747 bytes while a message was 224 bytes
-// and every delta body was made to be copied into its container, 1,490 while
-// quanta, event hops and decodes still allocated, and three and a half pages
-// before buffers were rewritten in place.
+// no page-sized buffer, and the protocol around it next to nothing: the
+// request, fetch, reply and grant are built in frames delivered before them,
+// the two content-carrying ones in delivered containers, and the directory
+// holds a stashed request by value. Two runs that differ only in how long
+// they ping-pong the same page differ, per extra page payload, by 27 to 31
+// bytes (the invalidation hold's timers, mostly). It was 389 bytes while
+// every message and container was allocated and dropped, 747 while a
+// message was 224 bytes and every delta body was made to be copied into its
+// container, 1,490 while quanta, event hops and decodes still allocated, and
+// three and a half pages before buffers were rewritten in place.
 func TestAllocPerPageTransfer(t *testing.T) {
 	run := func(rounds int) (allocated, payloads uint64) {
 		im := build(t, pingPongSrc(rounds))
 		cfg := DefaultConfig()
 		cfg.Slaves = 2
 		var before, after runtime.MemStats
-		emptyRecycler()
+		recycle.Drain()
 		runtime.ReadMemStats(&before)
 		res, err := Run(im, cfg)
 		runtime.ReadMemStats(&after)
@@ -251,7 +324,7 @@ func TestAllocPerPageTransfer(t *testing.T) {
 	if raceEnabled {
 		return // the detector's own bookkeeping allocates
 	}
-	if limit := 490.0; perPayload > limit { // measured 389, plus a quarter
+	if limit := 40.0; perPayload > limit { // measured 31, plus a quarter
 		t.Errorf("%.0f bytes allocated per extra page payload, want under %.0f", perPayload, limit)
 	}
 }
@@ -278,9 +351,11 @@ func (r *syscallMsgs) Send(m *proto.Msg) {
 
 // TestAllocSyscallMsg: a delegated syscall is a request and a reply of 96 + 64
 // bytes each — the message and its syscall words, no Aux while the sanitizer
-// is off — where each was 224. Two runs that differ only in how many times a
-// thread on the slave calls getpid differ, per extra call, by those 320 bytes
-// and the master's reply closure.
+// is off — where each was 224. The messages are frames delivered before
+// them, so two runs that differ only in how many times a thread on the slave
+// calls getpid differ, per extra call, by the two syscall-word parts (never
+// reused) and the master's reply closure: 176 bytes, where it was 369 while
+// every message was allocated.
 func TestAllocSyscallMsg(t *testing.T) {
 	run := func(calls int) (allocated, msgs, msgBytes uint64) {
 		im := build(t, fmt.Sprintf(`
@@ -302,7 +377,7 @@ long main() {
 		rt := &syscallMsgs{Runtime: c.rt}
 		c.rt = rt
 		var before, after runtime.MemStats
-		emptyRecycler()
+		recycle.Drain()
 		runtime.ReadMemStats(&before)
 		res, err := c.Run()
 		runtime.ReadMemStats(&after)
@@ -325,7 +400,7 @@ long main() {
 	if raceEnabled {
 		return // the detector's own bookkeeping allocates
 	}
-	if limit := 460.0; perTrip > limit { // measured 369, plus a quarter; 497 with 224-byte messages
+	if limit := 220.0; perTrip > limit { // measured 176, plus a quarter; 497 with 224-byte messages
 		t.Errorf("%.0f bytes allocated per extra round trip, want under %.0f", perTrip, limit)
 	}
 }

@@ -75,9 +75,9 @@ func newMaster(n *node) *master {
 // sendNow flushes any buffered grants/pushes for the target before an
 // immediate send, so buffering can never reorder the master's messages on
 // one link relative to the unbuffered protocol.
-func (m *master) sendNow(msg *proto.Msg) {
+func (m *master) sendNow(msg proto.Msg) {
 	m.wire.flushTarget(msg.To)
-	m.cl.rt.Send(msg)
+	m.cl.send(msg)
 }
 
 // handle dispatches master-bound messages: directory traffic and delegated
@@ -165,7 +165,7 @@ func (m *master) onMigrateCtx(msg *proto.Msg) {
 		m.node.addThread(cpu)
 		return
 	}
-	m.sendNow(&proto.Msg{
+	m.sendNow(proto.Msg{
 		Kind: proto.KThreadStart, From: 0, To: int32(target),
 		TID: msg.TID, Aux: msg.Aux, // context and clock, as they arrived
 	})
@@ -214,7 +214,7 @@ func (m *master) MigrateThread(tid int64, to int) {
 		return
 	}
 	m.migrating[tid] = to
-	m.cl.rt.Send(&proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(cur), TID: tid, Sys: &proto.Sys{Num: int64(to)}})
+	m.cl.send(proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(cur), TID: tid, Sys: &proto.Sys{Num: int64(to)}})
 	m.cl.prof.migStarted(tid, m.cl.rt.Now())
 }
 
@@ -267,7 +267,7 @@ func (m *master) onSyscallReq(msg *proto.Msg) {
 		if m.cl.done {
 			return
 		}
-		rm := &proto.Msg{
+		rm := proto.Msg{
 			Kind: proto.KSyscallReply, From: 0, To: from, TID: tid, Sys: &proto.Sys{Ret: ret},
 		}
 		if attach != nil {
@@ -323,7 +323,7 @@ func (m *master) SendReaffirm(to int, page uint64, perm mem.Perm) {
 		m.node.contentArrived(page, perm)
 		return
 	}
-	m.sendNow(&proto.Msg{
+	m.sendNow(proto.Msg{
 		Kind: proto.KPageContent, From: 0, To: int32(to),
 		Page: page, Perm: uint8(perm),
 	})
@@ -335,11 +335,11 @@ func (m *master) SendInvalidate(to int, page uint64) {
 		m.wire.queueInvalidate(int32(to), page)
 		return
 	}
-	m.sendNow(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: int32(to), Page: page})
+	m.sendNow(proto.Msg{Kind: proto.KInvalidate, From: 0, To: int32(to), Page: page})
 }
 
 func (m *master) SendFetch(owner int, page uint64, invalidate bool) {
-	msg := &proto.Msg{Kind: proto.KFetch, From: 0, To: int32(owner), Page: page, Write: invalidate}
+	msg := proto.Msg{Kind: proto.KFetch, From: 0, To: int32(owner), Page: page, Write: invalidate}
 	if m.wire.delta {
 		// Stamp the epoch naming the owner's content so the reply's diff
 		// carries the version the page will be known by.
@@ -355,7 +355,7 @@ func (m *master) SendRetry(to int, page uint64, tid int64) {
 		m.node.retryArrived(page)
 		return
 	}
-	m.sendNow(&proto.Msg{Kind: proto.KRetry, From: 0, To: int32(to), Page: page, TID: tid})
+	m.sendNow(proto.Msg{Kind: proto.KRetry, From: 0, To: int32(to), Page: page, TID: tid})
 }
 
 func (m *master) HomeWriteback(page uint64, data []byte) {
@@ -501,7 +501,7 @@ func (m *master) StartThread(tid int64, fn, arg, stackTop uint64, hint int64) {
 		m.node.addThread(cpu)
 		return
 	}
-	m.sendNow(&proto.Msg{
+	m.sendNow(proto.Msg{
 		Kind: proto.KThreadStart, From: 0, To: int32(target),
 		TID: tid, Aux: &proto.Aux{CPU: proto.EncodeCPU(cpu), San: m.createSan},
 	})

@@ -143,7 +143,7 @@ func (n *node) shipContext(t *thread) {
 	n.llsc.DropThread(t.tid)
 	t.state = tDead
 	n.stats.MigratedOut++
-	msg := &proto.Msg{
+	msg := proto.Msg{
 		Kind: proto.KMigrateCtx, From: int32(n.id), To: 0,
 		TID: t.tid, Aux: &proto.Aux{CPU: proto.EncodeCPU(t.cpu)},
 	}
@@ -153,7 +153,7 @@ func (n *node) shipContext(t *thread) {
 		msg.Aux.San = n.san.EncodeThread(t.tid)
 		n.san.DropThread(t.tid)
 	}
-	n.cl.rt.Send(msg)
+	n.cl.send(msg)
 }
 
 // onMigrate marks a thread for migration; if it is already runnable it
@@ -261,7 +261,7 @@ func (n *node) requestPage(page uint64, addr uint64, write bool, tid int64) {
 		return
 	}
 	n.requested[page] |= bit
-	msg := &proto.Msg{
+	msg := proto.Msg{
 		Kind:  proto.KPageReq,
 		From:  int32(n.id),
 		To:    0,
@@ -277,7 +277,7 @@ func (n *node) requestPage(page uint64, addr uint64, write bool, tid int64) {
 			msg.Ver = tw.ver
 		}
 	}
-	n.cl.rt.Send(msg)
+	n.cl.send(msg)
 }
 
 // wakePageWaiters releases threads whose page need is now satisfied.
@@ -357,7 +357,7 @@ func (n *node) delegate(t *thread, num int64) {
 		t.blockStart = n.cl.rt.Now()
 		n.cl.cfg.Tracer.Begin(t.blockStart, trace.EvSyscall, n.id, t.tid, "syscall-wait")
 	}
-	msg := &proto.Msg{
+	msg := proto.Msg{
 		Kind: proto.KSyscallReq,
 		From: int32(n.id),
 		To:   0,
@@ -371,7 +371,7 @@ func (n *node) delegate(t *thread, num int64) {
 		// by this thread are not ordered before the master's use of it.
 		msg.Aux = proto.SanAux(n.san.SyscallClock(t.tid))
 	}
-	n.cl.rt.Send(msg)
+	n.cl.send(msg)
 }
 
 // localSyscall executes a node-local syscall. Handlers that touch guest
@@ -550,7 +550,7 @@ func (n *node) contentArrived(page uint64, perm mem.Perm) {
 
 func (n *node) onInvalidate(m *proto.Msg) {
 	san := n.revoke(m.Page, true)
-	n.cl.rt.Send(&proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, Aux: proto.SanAux(san)})
+	n.cl.send(proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, Aux: proto.SanAux(san)})
 }
 
 // revoke gives up this node's hold on page, dropping the local copy (drop)

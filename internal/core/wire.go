@@ -30,15 +30,19 @@ import (
 // Buffers: a transfer rewrites buffers that already exist. A node keeps per
 // page the resident copy (mem.Space) and the twin; the master keeps the home
 // copy, a ring of at most wireSnapKeep snapshots per page, and one scratch
-// page. The rule that makes rewriting in place safe: a buffer handed to
-// Runtime.Send (Msg.Data, a payload Body, San) is immutable from then on —
-// netsim.Reliable keeps it for retransmission, and under the simulator the
-// receiver reads the very same bytes, as views (proto.PayloadReader): it
-// copies them out and never writes through them. So page, twin, snapshot and
-// scratch buffers and the body arena are never sent (what is sent is a fresh
-// copy or a fresh encoding), and what materializeFetchReply returns may be
-// the scratch page or the home copy itself: nothing may keep it past
-// Directory.OnFetchReply.
+// page. The rule that makes rewriting in place safe: a message handed to
+// Runtime.Send and every buffer it carries (Msg.Data, a payload Body, San)
+// are immutable until the handler it is delivered to returns. Under the
+// simulator the receiver reads the very same bytes, as views
+// (proto.PayloadReader): it copies out what it keeps and never writes
+// through them. Once the handler returns, Cluster.dispatch keeps the message
+// and a KPageContent's, KPush's or KFetchReply's container, and the next send
+// is built in them (frames.go) — except under Config.Faults, where
+// netsim.Reliable keeps frames for retransmission and nothing is kept. So
+// page, twin, snapshot and scratch buffers and the body arena are never sent
+// (what is sent is an encoding, into a kept container or a fresh one), and
+// what materializeFetchReply returns may be the scratch page or the home
+// copy itself: nothing may keep it past Directory.OnFetchReply.
 
 // WireStats counts wire-layer activity (Result.Wire).
 type WireStats struct {
@@ -126,7 +130,7 @@ type masterWire struct {
 	pendInv map[int32][]uint64 // held invalidations, by target
 	// arena holds, back to back, the bodies of every payload queued in out:
 	// each Body is a view of it (a view of an array the arena outgrew keeps
-	// that array) until proto.EncodePayloads copies it into the container
+	// that array) until proto.AppendPayloads copies it into the container
 	// that is sent. flushAll cuts the arena back; it is never sent.
 	arena []byte
 
@@ -424,10 +428,11 @@ func (w *masterWire) flushTarget(to int32) {
 func (w *masterWire) sendContainer(kind proto.Kind, to int32, pls []proto.PagePayload) {
 	for len(pls) > 0 {
 		n := min(len(pls), proto.MaxBatchEntries)
-		w.m.cl.rt.Send(&proto.Msg{
+		c := w.m.cl
+		c.send(proto.Msg{
 			Kind: kind, From: 0, To: to,
 			Page: pls[0].Page, Perm: pls[0].Perm,
-			Data: proto.EncodePayloads(pls[:n]),
+			Data: proto.AppendPayloads(c.frames.container(), pls[:n]),
 		})
 		pls = pls[n:]
 	}
@@ -465,7 +470,7 @@ func (w *masterWire) flushInv(to int32) {
 		return
 	}
 	for _, page := range pages {
-		w.m.cl.rt.Send(&proto.Msg{Kind: proto.KInvalidate, From: 0, To: to, Page: page})
+		w.m.cl.send(proto.Msg{Kind: proto.KInvalidate, From: 0, To: to, Page: page})
 	}
 }
 
@@ -485,7 +490,7 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 		to := int32(id)
 		w.flushInv(to)
 		w.flushTarget(to)
-		w.m.cl.rt.Send(&proto.Msg{
+		w.m.cl.send(proto.Msg{
 			Kind: proto.KRemap, From: 0, To: to,
 			Page: orig, Ver: ver, Aux: &proto.Aux{Shadows: shadows},
 		})
@@ -679,7 +684,7 @@ func (n *node) applyGrant(pl *proto.PagePayload) {
 		n.cl.wireStats.Resends++
 		delete(n.twins, pl.Page)
 		n.resend[pl.Page] = true
-		n.cl.rt.Send(&proto.Msg{
+		n.cl.send(proto.Msg{
 			Kind: proto.KPageReq, From: int32(n.id), To: 0, TID: -1,
 			Page:  pl.Page,
 			Write: perm == mem.PermReadWrite || n.requested[pl.Page]&reqWrite != 0,
@@ -719,7 +724,7 @@ func (n *node) applyPush(pl *proto.PagePayload) {
 		n.cl.wireStats.PushDrops++
 		delete(n.twins, pl.Page)
 		n.requested[pl.Page] |= reqRead
-		n.cl.rt.Send(&proto.Msg{
+		n.cl.send(proto.Msg{
 			Kind: proto.KPageReq, From: int32(n.id), To: 0, TID: -1,
 			Page: pl.Page, Flags: proto.FlagFullResend,
 		})
@@ -783,9 +788,9 @@ func (n *node) onFetch(m *proto.Msg) {
 		pl.San = n.revoke(m.Page, m.Write)
 	}
 	n.cl.wireStats.countPayload(&pl, n.space.PageSize())
-	n.cl.rt.Send(&proto.Msg{
+	n.cl.send(proto.Msg{
 		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
 		Page: m.Page, Write: m.Write,
-		Data: proto.EncodePayloads([]proto.PagePayload{pl}),
+		Data: proto.AppendPayloads(n.cl.frames.container(), []proto.PagePayload{pl}),
 	})
 }

@@ -447,7 +447,7 @@ func (r *invHoldRuntime) After(ns int64, fn func()) {
 }
 
 func (r *invHoldRuntime) Send(m *proto.Msg) {
-	r.sent = append(r.sent, heldSend{m: m, at: r.Now(), flush: r.cur})
+	r.sent = append(r.sent, heldSend{m: copyMsg(m), at: r.Now(), flush: r.cur})
 	r.Runtime.Send(m)
 }
 
@@ -608,8 +608,8 @@ func TestWireRemapOrder(t *testing.T) {
 		m.wire.queueGrant(1, 0x42*ps, mem.PermRead)
 		m.wire.broadcastRemap(0x43*ps, []uint64{0x50 * ps, 0x51 * ps})
 		var fs []frame
-		for _, s := range rec.sent {
-			fs = append(fs, frame{s.m.Kind, s.m.To, s.m.Page})
+		for _, m := range rec.sent {
+			fs = append(fs, frame{m.Kind, m.To, m.Page})
 		}
 		return fs
 	}
@@ -688,8 +688,7 @@ long main() {
 	ps := DefaultConfig().PageSize
 	seen := map[proto.Kind]int{}
 	reaffirms := 0
-	for _, s := range rec.sent {
-		m := s.m
+	for _, m := range rec.sent {
 		seen[m.Kind]++
 		switch {
 		case m.Flags != 0:
@@ -744,7 +743,7 @@ func (r *truncatingRuntime) Send(m *proto.Msg) {
 		pl.Enc == proto.EncFull && len(pl.Body) > 100 {
 		pl.Body = pl.Body[:100]
 		m.Data = proto.EncodePayloads([]proto.PagePayload{pl})
-		r.cut = append(r.cut, m)
+		r.cut = append(r.cut, copyMsg(m))
 	}
 	r.Runtime.Send(m)
 }

@@ -99,9 +99,10 @@ type entry struct {
 
 	busy       bool
 	acksLeft   int
-	fetchFrom  int       // slave a fetch is outstanding to (0 = none)
-	invPending NodeSet   // nodes that owe an invalidation ack
-	grant      *Request  // request waiting for acks/fetch
+	fetchFrom  int     // slave a fetch is outstanding to (0 = none)
+	invPending NodeSet // nodes that owe an invalidation ack
+	grant      Request // request waiting for acks/fetch, when granting
+	granting   bool
 	split      bool      // a split transaction is in flight
 	pending    []Request // requests queued while busy
 	retired    bool      // page was split; always answer Retry
@@ -277,9 +278,20 @@ func (d *Directory) invalidateSharers(e *entry, page uint64, except int) (acks i
 	return acks
 }
 
-// stash parks r on the busy entry until its acks or fetch reply arrive. Only
-// here does a request reach the heap: serveRead/serveWrite take it by value.
-func (e *entry) stash(r Request) { e.grant = &r }
+// stash parks r on the busy entry until its acks or fetch reply arrive.
+func (e *entry) stash(r Request) { e.grant, e.granting = r, true }
+
+// serveStashed serves the request the entry was busy for, if any, and then
+// what queued behind it.
+func (d *Directory) serveStashed(page uint64, e *entry) {
+	grant, granting := e.grant, e.granting
+	e.busy = false
+	e.grant, e.granting = Request{}, false
+	if granting {
+		d.serve(e, grant)
+	}
+	d.drain(page, e)
+}
 
 func (d *Directory) serveRead(e *entry, r Request) {
 	if e.owner == r.Node && r.Node != Master {
@@ -381,13 +393,7 @@ func (d *Directory) OnFetchReply(owner int, page uint64, data []byte, invalidate
 		d.finishSplit(page, e)
 		return nil
 	}
-	grant := e.grant
-	e.busy = false
-	e.grant = nil
-	if grant != nil {
-		d.serve(e, *grant)
-	}
-	d.drain(page, e)
+	d.serveStashed(page, e)
 	return nil
 }
 
@@ -407,13 +413,7 @@ func (d *Directory) OnInvAck(node int, page uint64) error {
 		d.finishSplit(page, e)
 		return nil
 	}
-	grant := e.grant
-	e.busy = false
-	e.grant = nil
-	if grant != nil {
-		d.serve(e, *grant)
-	}
-	d.drain(page, e)
+	d.serveStashed(page, e)
 	return nil
 }
 
@@ -421,7 +421,8 @@ func (d *Directory) OnInvAck(node int, page uint64) error {
 func (d *Directory) drain(page uint64, e *entry) {
 	for len(e.pending) > 0 && !e.busy {
 		r := e.pending[0]
-		e.pending = e.pending[1:]
+		// Copy down rather than reslice: the queue keeps its backing array.
+		e.pending = e.pending[:copy(e.pending, e.pending[1:])]
 		if e.retired {
 			d.Stats.Retries++
 			d.env.SendRetry(r.Node, r.Page, r.TID)
@@ -467,10 +468,10 @@ func (d *Directory) finishSplit(page uint64, e *entry) {
 	e.split = false
 	e.owner = NoOwner
 	e.sharers = 0
-	if e.grant != nil {
+	if e.granting {
 		d.Stats.Retries++
 		d.env.SendRetry(e.grant.Node, page, e.grant.TID)
-		e.grant = nil
+		e.grant, e.granting = Request{}, false
 	}
 	for _, r := range e.pending {
 		d.Stats.Retries++

@@ -452,3 +452,46 @@ func TestOwnedByNamesModifiedPagesOnly(t *testing.T) {
 		t.Errorf("OwnedBy acted on the environment: %v", got)
 	}
 }
+
+// nopEnv is a directory environment that does nothing.
+type nopEnv struct{}
+
+func (nopEnv) SendContent(int, uint64, mem.Perm)  {}
+func (nopEnv) SendReaffirm(int, uint64, mem.Perm) {}
+func (nopEnv) SendInvalidate(int, uint64)         {}
+func (nopEnv) SendFetch(int, uint64, bool)        {}
+func (nopEnv) SendRetry(int, uint64, int64)       {}
+func (nopEnv) HomeWriteback(uint64, []byte)       {}
+func (nopEnv) HomeSetPerm(uint64, mem.Perm)       {}
+func (nopEnv) BroadcastRemap(uint64, []uint64)    {}
+func (nopEnv) PushPage(int, uint64)               {}
+func (nopEnv) SplitHome(uint64, []uint64)         {}
+
+// TestAllocOwnershipHandoff: write ownership of a page going back and forth
+// between two slaves, with a request queued behind each fetch, allocates
+// nothing: the request a busy entry waits on is held by value, and the queue
+// keeps its array as it drains. (A stashed request was a heap object each,
+// and a drained queue lost its array.)
+func TestAllocOwnershipHandoff(t *testing.T) {
+	d := New(nopEnv{}, nil, nil)
+	const page = 5
+	data := make([]byte, 64)
+	d.OnRequest(Request{Node: 1, Page: page, Write: true})
+	handoff := func() {
+		d.OnRequest(Request{Node: 2, Page: page, Write: true})      // fetch from 1
+		d.OnRequest(Request{Node: 1, Page: page, Write: true})      // queued
+		if err := d.OnFetchReply(1, page, data, true); err != nil { // grant 2, then fetch from 2
+			t.Fatal(err)
+		}
+		if err := d.OnFetchReply(2, page, data, true); err != nil { // grant 1
+			t.Fatal(err)
+		}
+	}
+	handoff()
+	if d.OwnerOf(page) != 1 || d.Stats.Queued != 1 {
+		t.Fatalf("after one handoff: owner %d, %d queued; want 1, 1", d.OwnerOf(page), d.Stats.Queued)
+	}
+	if n := testing.AllocsPerRun(100, handoff); n != 0 {
+		t.Errorf("an ownership handoff allocates %v times, want 0", n)
+	}
+}

@@ -2,9 +2,11 @@ package mem
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"dqemu/internal/image"
+	"dqemu/internal/recycle"
 )
 
 func TestSplitFactorsTwoAndEight(t *testing.T) {
@@ -202,5 +204,26 @@ func TestAddRemapRecyclesOriginal(t *testing.T) {
 	}
 	if got := s.EnsurePage(0x100, PermRead); &got[0] != &old[0] || !bytes.Equal(got, make([]byte, 256)) {
 		t.Error("first shadow is not the original's buffer, zeroed")
+	}
+}
+
+// TestAllocPagesSurviveCollections: a page handed back to the recycler is
+// drawn again, zero, whatever the garbage collector did in between. (While
+// the recycler was a sync.Pool, two collections emptied it.)
+func TestAllocPagesSurviveCollections(t *testing.T) {
+	recycle.Drain()
+	buf := NewPageBuf(DefaultPageSize)
+	buf[9] = 0xaa
+	FreePageBuf(buf)
+	if n := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+		b := NewPageBuf(DefaultPageSize)
+		if &b[0] != &buf[0] || b[9] != 0 {
+			t.Fatal("the recycled page came back as another buffer, or not zero")
+		}
+		FreePageBuf(b)
+	}); n != 0 {
+		t.Errorf("a page recycled across collections allocates %v times, want 0", n)
 	}
 }

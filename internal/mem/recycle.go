@@ -1,20 +1,23 @@
 package mem
 
-import "sync"
+import "dqemu/internal/recycle"
+
+// maxRecycledPages caps the page recycler at 16 MiB. The most it holds on
+// the benchmark's workloads is 1,705 pages, after a shared_cluster run.
+const maxRecycledPages = 4096
 
 // pagePool recycles DefaultPageSize buffers across runs: a finished run's
 // pages, twins and snapshots come back through Release and FreePageBuf, and
-// the next run in the process draws them through NewPageBuf. A sync.Pool,
-// so the garbage collector bounds what it keeps and no cap has to be
-// chosen. Every buffer in it is zero.
-var pagePool sync.Pool // of *[DefaultPageSize]byte
+// the next run in the process draws them through NewPageBuf. Every buffer in
+// it is zero.
+var pagePool = recycle.New[*[DefaultPageSize]byte]("mem.pages", maxRecycledPages)
 
 // NewPageBuf returns a zero buffer of size bytes: a recycled one when size
 // is DefaultPageSize and the recycler has one, a fresh allocation
 // otherwise.
 func NewPageBuf(size int) []byte {
 	if size == DefaultPageSize {
-		if b, _ := pagePool.Get().(*[DefaultPageSize]byte); b != nil {
+		if b, ok := pagePool.Get(); ok {
 			return b[:]
 		}
 	}
@@ -23,7 +26,8 @@ func NewPageBuf(size int) []byte {
 
 // FreePageBuf clears buf and hands it to the recycler. buf must be a whole
 // buffer from NewPageBuf that nothing else will read or write again; one
-// of any other size is left to the garbage collector.
+// of any other size, or one the full recycler refuses, is left to the
+// garbage collector.
 func FreePageBuf(buf []byte) {
 	if len(buf) != DefaultPageSize || cap(buf) != DefaultPageSize {
 		return

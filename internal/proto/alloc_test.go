@@ -109,6 +109,14 @@ func TestEncodeAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { sinkBytes = EncodePayloads(testPayloads) }); got != 1 {
 		t.Errorf("EncodePayloads allocates %v times, want 1", got)
 	}
+	// Into a kept container with room: the same bytes, no allocation.
+	kept := make([]byte, 0, len(c))
+	if got := AppendPayloads(kept, testPayloads); !bytes.Equal(got, c) || &got[0] != &kept[:1][0] {
+		t.Error("AppendPayloads into a container with room: other bytes, or another buffer")
+	}
+	if got := testing.AllocsPerRun(20, func() { sinkBytes = AppendPayloads(kept, testPayloads) }); got != 0 {
+		t.Errorf("AppendPayloads into a container with room allocates %v times, want 0", got)
+	}
 }
 
 // TestDecodeTruncatedAllocatesNothingLarge: a frame cut anywhere decodes to

@@ -62,7 +62,14 @@ const payloadFixed = 35
 
 // EncodePayloads serializes a payload container for Msg.Data into one buffer
 // of exactly the container's size.
-func EncodePayloads(ps []PagePayload) []byte {
+func EncodePayloads(ps []PagePayload) []byte { return AppendPayloads(nil, ps) }
+
+// AppendPayloads appends the payload container of ps to dst and returns the
+// extended slice; when dst has too little room, into a new buffer of
+// exactly the size needed. A sender that keeps the
+// containers of frames delivered to it encodes the next one into such a
+// container, cut to length 0.
+func AppendPayloads(dst []byte, ps []PagePayload) []byte {
 	if len(ps) > MaxBatchEntries {
 		panic(fmt.Sprintf("proto: payload batch of %d entries exceeds MaxBatchEntries (%d); split into multiple messages",
 			len(ps), MaxBatchEntries))
@@ -71,7 +78,10 @@ func EncodePayloads(ps []PagePayload) []byte {
 	for i := range ps {
 		size += payloadFixed + len(ps[i].Body) + len(ps[i].San)
 	}
-	buf := make([]byte, 0, size)
+	buf := dst
+	if cap(buf)-len(buf) < size {
+		buf = append(make([]byte, 0, len(dst)+size), dst...)
+	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ps)))
 	for i := range ps {
 		p := &ps[i]
@@ -93,9 +103,11 @@ func EncodePayloads(ps []PagePayload) []byte {
 
 // PayloadReader walks a container produced by EncodePayloads one payload at
 // a time, by value: for r.Next(&pl) { ... }; then r.Err(). Every Body and San
-// it yields is a view of the container, never a copy — the container (a
-// decoded frame's Data or, under the simulator, the sender's own encoding)
-// is immutable, and whoever installs a payload copies it out.
+// it yields is a view of the container, never a copy, good until the handler
+// of the frame that carries the container returns: the container (a decoded
+// frame's Data or, under the simulator, the sender's own encoding) is
+// immutable until then, and afterwards the receiving cluster may encode its
+// next send into it. Whoever keeps a payload's bytes copies them out.
 type PayloadReader struct {
 	r    reader
 	n    int // payloads the container announces

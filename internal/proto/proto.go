@@ -83,6 +83,13 @@ func (k Kind) String() string {
 // sits behind Sys and Aux — so a coherence message (request, fetch, reply,
 // grant, invalidation, ack) is one 96-byte object; a field appended here
 // moves every message sent to the next size class (TestAllocMsgSize).
+//
+// A message handed to a runtime's Send, and every buffer it carries, is
+// immutable until the handler it is delivered to returns. From then on the
+// receiving cluster may reuse the message, and the Data of a KPageContent,
+// KPush or KFetchReply, for a message of its own: a handler that keeps any
+// of a message's content past its return copies it out. Sys and Aux parts
+// are never reused.
 type Msg struct {
 	Kind  Kind
 	Write bool
@@ -234,7 +241,8 @@ func (m *Msg) AppendFrame(dst []byte) []byte {
 // Decode parses a frame produced by Encode (without consuming the length
 // prefix, which the transport strips). The message's Data, CPU and San are
 // views of buf, not copies: buf belongs to the message from here on, and
-// nobody — caller, message holder or consumer — may write it (wire.go).
+// nobody — caller, message holder or consumer — may write it while the
+// message is handled (the contract at Msg).
 func Decode(buf []byte) (*Msg, error) {
 	r := &reader{buf: buf}
 	m := &Msg{}

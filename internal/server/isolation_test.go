@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"net/http"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"dqemu/internal/core"
 	"dqemu/internal/grt"
 	"dqemu/internal/live"
+	"dqemu/internal/recycle"
 )
 
 // TestJobsDoNotSeeEachOthersMemory: a finished job's pages, twins and
@@ -48,10 +48,8 @@ func TestJobsDoNotSeeEachOthersMemory(t *testing.T) {
 				}
 				return out.Console
 			}
-			// Two collections empty the recycler: B's reference run gets
-			// memory no job has used.
-			runtime.GC()
-			runtime.GC()
+			// B's reference run gets memory no job has used.
+			recycle.Drain()
 			fresh := run(b)
 			if fresh != "0\n" {
 				t.Fatalf("%s, %d slaves: B alone printed %q, want 0", be.name, slaves, fresh)

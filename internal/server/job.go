@@ -117,6 +117,12 @@ type job struct {
 	done   chan struct{} // closed on terminal transition
 }
 
+// dropProgram lets go of a terminal job's image and input files, which
+// nothing reads again. Timeout stays: runJob's timer reads it.
+func (j *job) dropProgram() {
+	j.spec.Image, j.spec.Files = nil, nil
+}
+
 func (j *job) status() JobStatus {
 	st := JobStatus{
 		ID: j.id, Tenant: j.tenant, Name: j.name, Backend: j.backend,

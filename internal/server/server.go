@@ -362,6 +362,7 @@ func (s *Server) complete(j *job, res *RunOutcome, err error) {
 		j.state = StateFailed
 		j.err = err
 	}
+	j.dropProgram()
 	close(j.done)
 	s.cond.Broadcast()
 	s.logf("job %s: %s (err=%v)", j.id, j.state, err)
@@ -385,6 +386,7 @@ func (s *Server) cancelWith(j *job, reason error) bool {
 		j.state = StateCanceled
 		j.err = reason
 		j.finished = time.Now()
+		j.dropProgram()
 		close(j.cancel)
 		close(j.done)
 		s.cond.Broadcast()

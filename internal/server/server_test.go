@@ -392,6 +392,58 @@ func TestCancelAndTimeout(t *testing.T) {
 	}
 }
 
+// TestTerminalJobDropsProgram: a job that has ended — succeeded, failed,
+// canceled while queued or while running — no longer holds its guest image
+// or input files, which nothing reads again, so a daemon that keeps every
+// job's record does not keep every job's program. The timeout stays.
+func TestTerminalJobDropsProgram(t *testing.T) {
+	backend := newBlockingBackend()
+	srv, ts := startServer(t, Options{
+		Workers:      2,
+		DefaultQuota: Quota{MaxConcurrent: 1},
+		Backends:     map[string]Backend{"sim": backend, "good": &SimBackend{}, "bad": panicBackend{}},
+	})
+	c := &testClient{t: t, base: ts.URL, tenant: "alice"}
+	files := map[string][]byte{"in.txt": []byte("input")}
+	submit := func(be string) string {
+		return c.submit(&JobRequest{Source: trivialSource, Backend: be, Files: files}, http.StatusAccepted).ID
+	}
+	ended := map[string]State{}
+	for be, want := range map[string]State{"good": StateSucceeded, "bad": StateFailed} {
+		id := submit(be)
+		if fin := c.wait(id); fin.State != want {
+			t.Fatalf("%s backend: job %s, want %s (%s)", be, fin.State, want, fin.Error)
+		}
+		ended[id] = want
+	}
+	running := submit("sim")
+	deadline := time.Now().Add(10 * time.Second)
+	for backend.startedCount() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	queued := submit("sim")
+	for _, id := range []string{queued, running} {
+		if resp, data := c.req("DELETE", "/v1/jobs/"+id, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel %s: HTTP %d: %s", id, resp.StatusCode, data)
+		}
+		if fin := c.wait(id); fin.State != StateCanceled {
+			t.Fatalf("job %s after cancel: %s", id, fin.State)
+		}
+		ended[id] = StateCanceled
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for id, state := range ended {
+		j := srv.jobs[id]
+		if j.spec.Image != nil || j.spec.Files != nil {
+			t.Errorf("%s job %s still holds its image (%v) or files (%v)", state, id, j.spec.Image != nil, j.spec.Files)
+		}
+		if j.spec.Timeout == 0 {
+			t.Errorf("%s job %s lost its timeout", state, id)
+		}
+	}
+}
+
 // TestWaitEndsWithClient: a long poll on a running job returns as soon as
 // its request's context ends (the client hung up), not when the job ends or
 // the wait runs out.

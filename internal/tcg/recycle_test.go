@@ -1,9 +1,9 @@
 package tcg
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
+
+	"dqemu/internal/recycle"
 )
 
 // Two programs whose loops compile to memory runs: 8-byte loads and stores
@@ -54,11 +54,7 @@ long main() {
 // since gone back to the page recycler too. No translation of A survives:
 // B translates as many blocks as it does on a fresh engine.
 func TestRecycledEngineRunsLikeFresh(t *testing.T) {
-	// No collection between handing A's engine back and drawing it for B: it
-	// would empty the pool.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	runtime.GC()
+	recycle.Drain()
 
 	space, cpu := loadProgram(t, "b.mc", recycleSrcB)
 	fresh := NewEngine(space, DefaultCostModel())
@@ -98,7 +94,7 @@ func TestRecycledEngineRunsLikeFresh(t *testing.T) {
 	space, cpu = loadProgram(t, "b.mc", recycleSrcB)
 	eB := NewEngine(space, DefaultCostModel())
 	if eB != eA {
-		t.Skip("the pool did not hand back the released engine")
+		t.Fatal("the recycler did not hand back the released engine")
 	}
 	if eB.Stats != (Stats{}) || len(eB.cache) != 0 {
 		t.Fatalf("a drawn engine starts with Stats %+v and %d cached blocks", eB.Stats, len(eB.cache))

@@ -17,10 +17,10 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"dqemu/internal/isa"
 	"dqemu/internal/mem"
+	"dqemu/internal/recycle"
 )
 
 // CPU is the guest CPU context of one thread — the state that migrates when
@@ -330,16 +330,20 @@ func (s *slab[T]) rewind() {
 // 8 KiB, eight of the longest blocks.
 const insnChunk = 8 * MaxBlockInsns
 
+// maxRecycledEngines caps the engine recycler. The most it holds on the
+// benchmark's workloads is 6, after two concurrent three-node daemon jobs.
+const maxRecycledEngines = 16
+
 // enginePool recycles engines across runs with their codeStore: Release puts
 // one back cleared and NewEngine takes it. The Engine struct is large (the
 // jump cache, the inline TLBs, the cost table), a job daemon builds one per
 // node per job, and a run's translations take more again.
-var enginePool sync.Pool // of *Engine
+var enginePool = recycle.New[*Engine]("tcg.engines", maxRecycledEngines)
 
 // NewEngine returns an engine bound to a Space with the given cost model.
 func NewEngine(space *mem.Space, cost CostModel) *Engine {
-	e, _ := enginePool.Get().(*Engine)
-	if e == nil {
+	e, ok := enginePool.Get()
+	if !ok {
 		e = &Engine{codeStore: codeStore{cache: map[uint64]*block{}, codePages: map[uint64]struct{}{}}}
 	}
 	store := e.codeStore
