@@ -288,12 +288,13 @@ long main() {
 // request, fetch, reply and grant are built in frames delivered before them,
 // the two content-carrying ones in delivered containers, and the directory
 // holds a stashed request by value. Two runs that differ only in how long
-// they ping-pong the same page differ, per extra page payload, by 27 to 31
-// bytes (the invalidation hold's timers, mostly). It was 389 bytes while
-// every message and container was allocated and dropped, 747 while a
-// message was 224 bytes and every delta body was made to be copied into its
-// container, 1,490 while quanta, event hops and decodes still allocated, and
-// three and a half pages before buffers were rewritten in place.
+// they ping-pong the same page differ, per extra page payload, by 15 to 16
+// bytes. It was 27 to 31 while every invalidation window made its timer
+// event and its slice again, 389 bytes while every message and container
+// was allocated and dropped, 747 while a message was 224 bytes and every
+// delta body was made to be copied into its container, 1,490 while quanta,
+// event hops and decodes still allocated, and three and a half pages before
+// buffers were rewritten in place.
 func TestAllocPerPageTransfer(t *testing.T) {
 	run := func(rounds int) (allocated, payloads uint64) {
 		im := build(t, pingPongSrc(rounds))
@@ -324,7 +325,7 @@ func TestAllocPerPageTransfer(t *testing.T) {
 	if raceEnabled {
 		return // the detector's own bookkeeping allocates
 	}
-	if limit := 40.0; perPayload > limit { // measured 31, plus a quarter
+	if limit := 20.0; perPayload > limit { // measured 16, plus a quarter
 		t.Errorf("%.0f bytes allocated per extra page payload, want under %.0f", perPayload, limit)
 	}
 }

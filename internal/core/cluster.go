@@ -57,9 +57,6 @@ type Cluster struct {
 	// layer ships.
 	wireStats WireStats
 
-	// frames are the delivered frames kept for the cluster's next sends.
-	frames frames
-
 	// prof is the metrics recorder (Config.Metrics); nil when disabled,
 	// which makes every instrumentation hook a zero-allocation no-op.
 	prof *clusterProf
@@ -177,7 +174,6 @@ func NewLocal(im *image.Image, cfg Config, id int, rt Runtime) (*Cluster, error)
 // them, the master services around it.
 func newCluster(im *image.Image, cfg Config, rt Runtime, ids []int) *Cluster {
 	c := &Cluster{cfg: cfg, rt: rt, im: im, inTransit: map[int64]*thread{}}
-	c.frames, _ = frameSets.Get()
 	if cfg.Faults.Active() {
 		c.rel = netsim.NewReliable(rt.After, rt.Send, c.dispatch, cfg.Retry)
 		c.rel.OnGiveUp = c.nodeLost
@@ -255,12 +251,12 @@ func (c *Cluster) Deliver(m *proto.Msg) {
 
 // dispatch hands a frame to the hosted node it addresses. A frame ends here:
 // once the handler returns nothing reads it, so unless a reliable layer
-// keeps frames to send again (Config.Faults), the cluster keeps it for its
-// next send.
+// keeps frames to send again (Config.Faults), it goes back to the frame
+// stock for the next send.
 func (c *Cluster) dispatch(m *proto.Msg) {
 	c.route(m)
 	if c.rel == nil {
-		c.frames.keep(m)
+		KeepFrame(m)
 	}
 }
 
@@ -498,16 +494,13 @@ func (c *Cluster) checkCoherence() error {
 
 // release hands what the cluster's run allocated — every hosted node's
 // guest pages, twins and engine (with the storage its translations were
-// made in), the master's home snapshots and scratch page, the frames kept
-// for sending — to the next cluster built in this process, cleared
-// (mem.NewPageBuf, tcg.NewEngine, frameSets). Run and End call it once the
-// Result is taken; every method of the cluster panics afterwards. A message
-// in flight or kept for retransmission is none of these: the kept frames
-// are ones whose handler has returned.
+// made in), the master's home snapshots and scratch page — to the next
+// cluster built in this process, cleared (mem.NewPageBuf, tcg.NewEngine).
+// Run and End call it once the Result is taken; every method of the cluster
+// panics afterwards. Frames are not among them: each went back to the
+// process's frame stock when its handler returned.
 func (c *Cluster) release() {
 	c.released = true
-	frameSets.Put(c.frames)
-	c.frames = frames{}
 	for _, n := range c.nodes {
 		n.engine.Release()
 		n.engine = nil

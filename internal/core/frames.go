@@ -1,53 +1,53 @@
 package core
 
 import (
+	"bytes"
+	"testing"
+
 	"dqemu/internal/mem"
 	"dqemu/internal/proto"
 	"dqemu/internal/recycle"
 )
 
-// frames is a cluster's stock of delivered frames for its next sends: the
-// messages, and the payload containers of the page-carrying kinds, that
-// dispatch took back once their handler returned. Plain slices: one
-// goroutine drives a cluster, so drawing and keeping take no lock.
-type frames struct {
-	msgs []*proto.Msg
-	data [][]byte // each cut to length 0
-}
+// The frame stock: delivered frames kept for the next sends, one stock per
+// process. Every cluster in the process draws its messages, and the payload
+// containers of the page-carrying kinds, from it (send, container), and
+// gives back each frame whose handler has returned (KeepFrame, from
+// dispatch). Over sockets a frame crosses between processes, so internal/live
+// closes the loop at both ends of a connection: its readers decode into
+// stock frames (DecodeFrame) and its senders give back each frame once it is
+// encoded. The stock is shared because the traffic is lopsided: the master
+// sends grants but receives few containers, a slave receives them but sends
+// few, so a stock per node would leave the master allocating a container for
+// every grant while each slave's stock fills and drops frames.
+var (
+	stockMsgs = recycle.New[*proto.Msg]("core.frame-msgs", maxKeptMsgs)
+	stockData = recycle.New[[]byte]("core.frame-data", maxKeptContainers)
+)
 
-// The caps on one cluster's stock, from the benchmark's workloads: at most
-// 37 messages and 15 containers are kept at once on shared_cluster. On a
-// live node, where frames received become frames sent, a slave receives
-// more containers (grants, pushes) than it sends (fetch replies), and its
-// stock grows to the cap: 72 after 4 s of live_tcp. A container above
-// maxKeptContainer bytes (a batch of more than two pages; 21 of 100,000 on
-// shared_cluster) is left to the garbage collector.
+// The caps on the stock, from the high-water marks it reached: 37 messages
+// and 15 containers on shared_cluster, 11 and 8 on live_tcp (three nodes and
+// their connections sharing the stock), 35 and 33 in internal/live's tests.
+// A container above maxKeptContainer bytes (a batch of more than two pages;
+// 21 of 100,000 on shared_cluster) is left to the garbage collector.
 const (
 	maxKeptMsgs       = 64
 	maxKeptContainers = 64
 	maxKeptContainer  = 2 * mem.DefaultPageSize
 )
 
-// frameSets carries a finished cluster's frames to the next cluster built in
-// the process, one set per cluster: at most 3 are held at once on the
-// benchmark (live_tcp's three in-process nodes).
-var frameSets = recycle.New[frames]("core.frames", 8)
-
-// poisonFrames, set by this package's tests, fills every kept container
-// with poisonByte: a handler that kept a view of a delivered payload past
-// its return then reads garbage instead of what it was sent.
-var poisonFrames bool
+// poisonFrames fills every kept container with poisonByte in a test binary: a
+// handler or reader that kept a view of a delivered payload past its return
+// then reads garbage instead of what it was sent, and the differential and
+// chaos tests of every package that runs a cluster see the run go wrong.
+var poisonFrames = testing.Testing()
 
 const poisonByte = 0xdb
 
-// msg returns a message with m's fields: a kept one when there is one.
-func (f *frames) msg(m proto.Msg) *proto.Msg {
-	var p *proto.Msg
-	if n := len(f.msgs); n > 0 {
-		p = f.msgs[n-1]
-		f.msgs[n-1] = nil
-		f.msgs = f.msgs[:n-1]
-	} else {
+// newMsg returns a message with m's fields: a kept one when there is one.
+func newMsg(m proto.Msg) *proto.Msg {
+	p, ok := stockMsgs.Get()
+	if !ok {
 		p = new(proto.Msg)
 	}
 	*p = m
@@ -56,24 +56,20 @@ func (f *frames) msg(m proto.Msg) *proto.Msg {
 
 // container returns a kept payload container, empty, to append a payload
 // container to (proto.AppendPayloads); nil when none is kept.
-func (f *frames) container() []byte {
-	n := len(f.data)
-	if n == 0 {
-		return nil
-	}
-	d := f.data[n-1]
-	f.data[n-1] = nil
-	f.data = f.data[:n-1]
+func container() []byte {
+	d, _ := stockData.Get()
 	return d
 }
 
-// keep takes back a frame whose handler has returned: the message, zeroed,
-// and the container of a KPageContent, KPush or KFetchReply. Its Sys and
-// Aux parts are not kept: onMigrateCtx relays an arriving Aux as it is.
-func (f *frames) keep(m *proto.Msg) {
+// KeepFrame gives back a frame nothing reads any more: the message, zeroed,
+// and the container of a KPageContent, KPush or KFetchReply. Its Sys and Aux
+// parts are not kept: onMigrateCtx relays an arriving Aux as it is. A frame
+// that a reliable layer keeps to send again (Config.Faults) is never given
+// back.
+func KeepFrame(m *proto.Msg) {
 	switch d := m.Data; m.Kind {
 	case proto.KPageContent, proto.KPush, proto.KFetchReply:
-		if d == nil || cap(d) > maxKeptContainer || len(f.data) >= maxKeptContainers {
+		if d == nil || cap(d) > maxKeptContainer {
 			break
 		}
 		if poisonFrames {
@@ -82,14 +78,30 @@ func (f *frames) keep(m *proto.Msg) {
 				d[i] = poisonByte
 			}
 		}
-		f.data = append(f.data, d[:0])
+		stockData.Put(d[:0])
 	}
 	*m = proto.Msg{}
-	if len(f.msgs) < maxKeptMsgs {
-		f.msgs = append(f.msgs, m)
+	stockMsgs.Put(m)
+}
+
+// DecodeFrame decodes a frame a connection reader read (proto.ReadFrame)
+// into a stock message. The reader reads its next frame into the same
+// buffer, so what the message carries is copied out: Data into a stock
+// container, the CPU context and San anew.
+func DecodeFrame(frame []byte) (*proto.Msg, error) {
+	m := newMsg(proto.Msg{})
+	if err := proto.DecodeInto(m, frame); err != nil {
+		return nil, err
 	}
+	if m.Data != nil {
+		m.Data = append(container(), m.Data...)
+	}
+	if a := m.Aux; a != nil {
+		a.CPU, a.San = bytes.Clone(a.CPU), bytes.Clone(a.San)
+	}
+	return m, nil
 }
 
 // send puts a message with m's fields on the wire, in a kept frame when
 // there is one.
-func (c *Cluster) send(m proto.Msg) { c.rt.Send(c.frames.msg(m)) }
+func (c *Cluster) send(m proto.Msg) { c.rt.Send(newMsg(m)) }

@@ -620,11 +620,12 @@ func (n *node) applyRemap(orig uint64, shadows []uint64, ver uint64) {
 		return
 	}
 	tw := n.twins[orig]
-	delete(n.twins, orig)
 	delete(n.resend, orig)
 	if tw == nil || ver == 0 || tw.ver != ver {
+		n.dropTwin(orig)
 		return
 	}
+	delete(n.twins, orig)
 	ps := n.space.PageSize()
 	part := ps / len(shadows)
 	for i, sh := range shadows {
@@ -633,6 +634,7 @@ func (n *node) applyRemap(orig uint64, shadows []uint64, ver uint64) {
 			buf = mem.NewPageBuf(ps)
 			copy(buf[i*part:(i+1)*part], tw.data[i*part:(i+1)*part])
 		}
+		n.dropTwin(sh)
 		n.twins[sh] = &pageTwin{ver: 1, data: buf}
 	}
 	clear(tw.data[part:])

@@ -274,8 +274,8 @@ func TestFootprintLimit(t *testing.T) {
 }
 
 // frameOrigins counts, by kind, the messages and payload containers a run
-// sends that the cluster neither held when it was built nor had sent before
-// in the run: the ones allocated during the run.
+// sends that the frame stock neither held when the cluster was built nor
+// had sent before in the run: the ones allocated during the run.
 type frameOrigins struct {
 	Runtime
 	msgs       map[*proto.Msg]bool
@@ -287,13 +287,31 @@ type frameOrigins struct {
 func newFrameOrigins(c *Cluster) *frameOrigins {
 	r := &frameOrigins{Runtime: c.rt, msgs: map[*proto.Msg]bool{}, containers: map[*byte]bool{},
 		freshMsgs: map[proto.Kind]int{}, freshData: map[proto.Kind]int{}}
-	for _, m := range c.frames.msgs {
+	msgs, data := stocked()
+	for _, m := range msgs {
 		r.msgs[m] = true
 	}
-	for _, d := range c.frames.data {
+	for _, d := range data {
 		r.containers[unsafe.SliceData(d)] = true
 	}
 	return r
+}
+
+// stocked reports what the frame stock holds, and leaves it holding that.
+func stocked() (msgs []*proto.Msg, data [][]byte) {
+	for m, ok := stockMsgs.Get(); ok; m, ok = stockMsgs.Get() {
+		msgs = append(msgs, m)
+	}
+	for d, ok := stockData.Get(); ok; d, ok = stockData.Get() {
+		data = append(data, d)
+	}
+	for i := len(msgs) - 1; i >= 0; i-- {
+		stockMsgs.Put(msgs[i])
+	}
+	for i := len(data) - 1; i >= 0; i-- {
+		stockData.Put(data[i])
+	}
+	return msgs, data
 }
 
 func (r *frameOrigins) Send(m *proto.Msg) {
@@ -309,11 +327,12 @@ func (r *frameOrigins) Send(m *proto.Msg) {
 }
 
 // TestAllocFramesRecycled: a run builds its messages, and the payload
-// containers of its page transfers, in the frames delivered to it, and
-// hands what it kept to the next run. A second two-slave ping-pong of one
-// page then allocates no message and no container on the coherence path.
-// (It allocates the two syscall replies whose frames the first run's
-// KShutdowns took: those were never delivered.)
+// containers of its page transfers, in the frames delivered before them,
+// which the process's frame stock carries to the next run. A second
+// two-slave ping-pong of one page then allocates no message and no
+// container on the coherence path. (It allocates the two syscall replies
+// whose frames the first run's KShutdowns took: those were never
+// delivered.)
 func TestAllocFramesRecycled(t *testing.T) {
 	im := build(t, pingPongSrc(50))
 	cfg := DefaultConfig()
@@ -346,8 +365,8 @@ func TestAllocFramesRecycled(t *testing.T) {
 }
 
 // TestRecyclerCapped: the recycler keeps no more than its caps, however
-// many runs hand it their memory, and a cluster's stock of frames is as
-// large after its tenth run as after its second: every send draws from it.
+// many runs hand it their memory, and the frame stock is as large after the
+// tenth run as after the second: every send draws from it.
 func TestRecyclerCapped(t *testing.T) {
 	im := build(t, pingPongSrc(20))
 	cfg := DefaultConfig()
@@ -358,16 +377,15 @@ func TestRecyclerCapped(t *testing.T) {
 		if _, err := Run(im, cfg); err != nil {
 			t.Fatal(err)
 		}
-		f, _ := frameSets.Get()
-		stock = append(stock, len(f.msgs)+len(f.data))
-		frameSets.Put(f)
+		msgs, data := stocked()
+		stock = append(stock, len(msgs)+len(data))
 	}
 	for i := 2; i < len(stock); i++ {
 		if stock[i] != stock[1] {
 			t.Fatalf("frames kept after each run: %v, want no growth after the second", stock)
 		}
 	}
-	// More clusters at once than frameSets keeps.
+	// More clusters at once than any run of the benchmark has.
 	var wg sync.WaitGroup
 	errs := make(chan error, 12)
 	for g := 0; g < 12; g++ {
@@ -392,19 +410,14 @@ func TestRecyclerCapped(t *testing.T) {
 			t.Errorf("%s holds %d, over its cap of %d", h.Name, h.Len, h.Max)
 		}
 	}
-	for {
-		f, ok := frameSets.Get()
-		if !ok {
-			break
-		}
-		if len(f.msgs) > maxKeptMsgs || len(f.data) > maxKeptContainers {
-			t.Errorf("a cluster kept %d messages and %d containers, over the caps of %d and %d",
-				len(f.msgs), len(f.data), maxKeptMsgs, maxKeptContainers)
-		}
-		for _, d := range f.data {
-			if cap(d) > maxKeptContainer {
-				t.Errorf("a cluster kept a container of %d bytes, over the cap of %d", cap(d), maxKeptContainer)
-			}
+	msgs, data := stocked()
+	if len(msgs) > maxKeptMsgs || len(data) > maxKeptContainers {
+		t.Errorf("the stock keeps %d messages and %d containers, over the caps of %d and %d",
+			len(msgs), len(data), maxKeptMsgs, maxKeptContainers)
+	}
+	for _, d := range data {
+		if cap(d) > maxKeptContainer {
+			t.Errorf("the stock kept a container of %d bytes, over the cap of %d", cap(d), maxKeptContainer)
 		}
 	}
 }

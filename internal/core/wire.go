@@ -35,14 +35,15 @@ import (
 // are immutable until the handler it is delivered to returns. Under the
 // simulator the receiver reads the very same bytes, as views
 // (proto.PayloadReader): it copies out what it keeps and never writes
-// through them. Once the handler returns, Cluster.dispatch keeps the message
-// and a KPageContent's, KPush's or KFetchReply's container, and the next send
-// is built in them (frames.go) — except under Config.Faults, where
-// netsim.Reliable keeps frames for retransmission and nothing is kept. So
-// page, twin, snapshot and scratch buffers and the body arena are never sent
-// (what is sent is an encoding, into a kept container or a fresh one), and
-// what materializeFetchReply returns may be the scratch page or the home
-// copy itself: nothing may keep it past Directory.OnFetchReply.
+// through them. Once the handler returns, Cluster.dispatch gives the message
+// and a KPageContent's, KPush's or KFetchReply's container back to the
+// process's frame stock, and a later send is built in them (frames.go) —
+// except under Config.Faults, where netsim.Reliable keeps frames for
+// retransmission and nothing is given back. So page, twin, snapshot and
+// scratch buffers and the body arena are never sent (what is sent is an
+// encoding, into a kept container or a fresh one), and what
+// materializeFetchReply returns may be the scratch page or the home copy
+// itself: nothing may keep it past Directory.OnFetchReply.
 
 // WireStats counts wire-layer activity (Result.Wire).
 type WireStats struct {
@@ -125,9 +126,12 @@ type masterWire struct {
 	// never pushes, which a node may ignore).
 	remote map[nodePage]uint64
 
-	out     []targetBuf        // by node id
-	order   []int32            // targets with something in out, in first-touch order
-	pendInv map[int32][]uint64 // held invalidations, by target
+	out   []targetBuf // by node id
+	order []int32     // targets with something in out, in first-touch order
+	// pendInv holds each node's invalidations (by node id) until invFlush's
+	// event for it sends them; a flush cuts the slice back and keeps it.
+	pendInv  [][]uint64
+	invFlush []func()
 	// arena holds, back to back, the bodies of every payload queued in out:
 	// each Body is a view of it (a view of an array the arena outgrew keeps
 	// that array) until proto.AppendPayloads copies it into the container
@@ -152,7 +156,8 @@ func newMasterWire(m *master) *masterWire {
 		snaps:    map[uint64][]wireSnap{},
 		remote:   map[nodePage]uint64{},
 		out:      make([]targetBuf, cfg.Nodes()),
-		pendInv:  map[int32][]uint64{},
+		pendInv:  make([][]uint64, cfg.Nodes()),
+		invFlush: make([]func(), cfg.Nodes()),
 		scratch:  mem.NewPageBuf(cfg.PageSize),
 		stats:    &m.cl.wireStats,
 	}
@@ -432,7 +437,7 @@ func (w *masterWire) sendContainer(kind proto.Kind, to int32, pls []proto.PagePa
 		c.send(proto.Msg{
 			Kind: kind, From: 0, To: to,
 			Page: pls[0].Page, Perm: pls[0].Perm,
-			Data: proto.AppendPayloads(c.frames.container(), pls[:n]),
+			Data: proto.AppendPayloads(container(), pls[:n]),
 		})
 		pls = pls[n:]
 	}
@@ -450,10 +455,13 @@ func (w *masterWire) flushAll() {
 // ---- invalidation hold ----
 
 // queueInvalidate holds an invalidation for its target, arming the flush
-// timer on the first one held.
+// timer on the first one held. The timer's event is made once per target.
 func (w *masterWire) queueInvalidate(to int32, page uint64) {
-	if w.pendInv[to] == nil {
-		w.m.cl.rt.After(coalesceWindowNs, func() { w.flushInv(to) })
+	if len(w.pendInv[to]) == 0 {
+		if w.invFlush[to] == nil {
+			w.invFlush[to] = func() { w.flushInv(to) }
+		}
+		w.m.cl.rt.After(coalesceWindowNs, w.invFlush[to])
 	}
 	w.pendInv[to] = append(w.pendInv[to], page)
 }
@@ -462,10 +470,10 @@ func (w *masterWire) queueInvalidate(to int32, page uint64) {
 // the order they were queued.
 func (w *masterWire) flushInv(to int32) {
 	pages := w.pendInv[to]
-	if pages == nil {
+	if len(pages) == 0 {
 		return
 	}
-	delete(w.pendInv, to)
+	w.pendInv[to] = pages[:0] // sending queues nothing, so pages stays as it is
 	if w.m.cl.done {
 		return
 	}
@@ -512,10 +520,20 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 		if w.lastVer[sh] < 1 {
 			w.lastVer[sh] = 1
 		}
-		delete(w.snaps, sh)
+		w.dropSnaps(sh)
 	}
-	delete(w.snaps, orig)
+	w.dropSnaps(orig)
 	delete(w.epoch, orig)
+}
+
+// dropSnaps forgets the page's snapshots and hands their buffers back to the
+// page recycler: a snapshot is read only while a payload is encoded from it
+// (snapOf), never sent or installed.
+func (w *masterWire) dropSnaps(page uint64) {
+	for _, s := range w.snaps[page] {
+		mem.FreePageBuf(s.data)
+	}
+	delete(w.snaps, page)
 }
 
 // ---- fetch replies ----
@@ -611,6 +629,16 @@ func (n *node) twin(page uint64) *pageTwin {
 	return tw
 }
 
+// dropTwin forgets the page's twin and hands its buffer back to the page
+// recycler: no page, message or other twin points into a twin (InstallPage
+// and setTwin copy).
+func (n *node) dropTwin(page uint64) {
+	if tw := n.twins[page]; tw != nil {
+		delete(n.twins, page)
+		mem.FreePageBuf(tw.data)
+	}
+}
+
 // materialize reconstructs full page bytes from a payload. ok=false means
 // the payload needed a twin this node no longer has (or has at the wrong
 // version) — the content cannot be recovered locally and the caller must
@@ -682,7 +710,7 @@ func (n *node) applyGrant(pl *proto.PagePayload) {
 	}
 	if !ok {
 		n.cl.wireStats.Resends++
-		delete(n.twins, pl.Page)
+		n.dropTwin(pl.Page)
 		n.resend[pl.Page] = true
 		n.cl.send(proto.Msg{
 			Kind: proto.KPageReq, From: int32(n.id), To: 0, TID: -1,
@@ -722,7 +750,7 @@ func (n *node) applyPush(pl *proto.PagePayload) {
 	}
 	if !ok {
 		n.cl.wireStats.PushDrops++
-		delete(n.twins, pl.Page)
+		n.dropTwin(pl.Page)
 		n.requested[pl.Page] |= reqRead
 		n.cl.send(proto.Msg{
 			Kind: proto.KPageReq, From: int32(n.id), To: 0, TID: -1,
@@ -791,6 +819,6 @@ func (n *node) onFetch(m *proto.Msg) {
 	n.cl.send(proto.Msg{
 		Kind: proto.KFetchReply, From: int32(n.id), To: 0,
 		Page: m.Page, Write: m.Write,
-		Data: proto.AppendPayloads(n.cl.frames.container(), []proto.PagePayload{pl}),
+		Data: proto.AppendPayloads(container(), []proto.PagePayload{pl}),
 	})
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -206,7 +207,7 @@ long main() {
 func TestSenderBackpressure(t *testing.T) {
 	client, srv := net.Pipe()
 	defer srv.Close()
-	s := newSenderSize(client, time.Now().Add(30*time.Second), 1)
+	s := newSenderSize(client, time.Now().Add(30*time.Second), 1, false)
 
 	// net.Pipe has no buffering: the writer goroutine blocks inside
 	// WriteMsg on the first frame, the second fills the 1-slot queue, so
@@ -268,7 +269,7 @@ func TestSenderBackpressureDeadline(t *testing.T) {
 	client, srv := net.Pipe()
 	defer srv.Close()
 	defer client.Close()
-	s := newSenderSize(client, time.Now().Add(200*time.Millisecond), 1)
+	s := newSenderSize(client, time.Now().Add(200*time.Millisecond), 1, false)
 
 	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Sys: &proto.Sys{Num: n}} }
 	s.send(msg(1)) // writer wedges in WriteMsg
@@ -293,7 +294,8 @@ func TestSenderBackpressureDeadline(t *testing.T) {
 }
 
 // frameSink is the connection end of a sender under test: it decodes each
-// frame as it is written and notes which array it was written from.
+// frame as it is written, notes which array it was written from, and checks
+// that a page it carries is the 0xab page it was sent with.
 type frameSink struct {
 	net.Conn // nil: a sender only writes to its connection and closes it
 	arrays   map[*byte]int
@@ -308,6 +310,9 @@ func (f *frameSink) Write(p []byte) (int, error) {
 		f.err = err
 		return 0, err
 	}
+	if m.Data != nil && !bytes.Equal(m.Data, bytes.Repeat([]byte{0xab}, 4096)) {
+		f.err = fmt.Errorf("frame %d carries a page that is not the one sent", m.SysPart().Num)
+	}
 	f.nums = append(f.nums, m.SysPart().Num)
 	return len(p), nil
 }
@@ -318,15 +323,16 @@ func (f *frameSink) Close() error { return nil }
 // one buffer it owns. The first frame sizes it; the thousand behind it, none
 // larger, are written from the same array — AppendFrame allocated nothing —
 // and each arrives whole and in order although the buffer was rewritten under
-// the one before.
+// the one before, and each message, with its page, went back to the frame
+// stock (poisoned, in a test binary) as soon as it was encoded.
 func TestAllocSenderFrames(t *testing.T) {
 	sink := &frameSink{arrays: map[*byte]int{}}
-	s := newSender(sink, time.Time{})
+	s := newSender(sink, time.Time{}, false)
 	page := bytes.Repeat([]byte{0xab}, 4096)
 	for i := int64(0); i <= 1000; i++ {
 		m := &proto.Msg{Kind: proto.KSyscallReply, Sys: &proto.Sys{Num: i}}
 		if i%3 == 0 {
-			m.Kind, m.Data = proto.KPageContent, page
+			m.Kind, m.Data = proto.KPageContent, bytes.Clone(page)
 		}
 		if err := s.send(m); err != nil {
 			t.Fatal(err)

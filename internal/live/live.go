@@ -9,6 +9,15 @@
 // Cancel, a slave whose connection ends mid-run, and — under a fault plan —
 // the master's end of every connection as the place the plan is injected.
 //
+// Frames make the round trip through the process's frame stock, as they do
+// under the simulator (core.KeepFrame): a connection's reader reads every
+// frame into one buffer and decodes it into a stock message, copying what
+// the frame carries into stock memory (core.DecodeFrame), the node's
+// handler gives the frame back when it returns, and a sender gives back
+// every frame it has encoded. Under a fault plan the reliable layer keeps
+// frames to send again, and neither end gives any back. The connections'
+// buffers go to the next run's connections.
+//
 // Usage: the master listens (RunMaster), slaves connect (RunSlave); the
 // master ships the guest image and its core.Config — shape, knobs, fault
 // plan and retry policy, as JSON — in a KInit frame, so every slave runs the
@@ -189,9 +198,10 @@ type loop struct {
 	timeout    time.Duration // the configured Timeout, for the message
 	cancel     <-chan struct{}
 
-	// inbox carries frames from the connection readers. Its buffer absorbs
-	// a burst (a grant storm after a barrier) so readers, and through TCP
-	// flow control the sending peers, rarely wait on this loop.
+	// inbox carries frames from the connection readers. Its buffer
+	// (queueDepth) absorbs a burst (a grant storm after a barrier) so
+	// readers, and through TCP flow control the sending peers, rarely wait
+	// on this loop.
 	inbox chan *proto.Msg
 	// quit is closed when run returns, releasing readers blocked on inbox.
 	quit chan struct{}
@@ -205,13 +215,13 @@ type loop struct {
 	inj *netsim.Injector
 }
 
-func newLoop(id int, cancel <-chan struct{}) *loop {
+func newLoop(id int, cancel <-chan struct{}, faults bool) *loop {
 	l := &loop{
 		id:     id,
 		timers: sim.NewKernel(),
 		start:  time.Now(),
 		cancel: cancel,
-		inbox:  make(chan *proto.Msg, 1024),
+		inbox:  make(chan *proto.Msg, queueDepth(faults)),
 		quit:   make(chan struct{}),
 	}
 	l.deliverLocal = func(m any) { l.cl.Deliver(m.(*proto.Msg)) }
@@ -231,6 +241,10 @@ func (l *loop) Send(m *proto.Msg) {
 		l.timers.PostArgAt(l.Now(), l.deliverLocal, m)
 		return
 	}
+	if l.inj == nil { // no method value is made per frame: it would be allocated
+		l.transmit(m)
+		return
+	}
 	l.inject(m, l.transmit)
 }
 
@@ -239,8 +253,9 @@ func (l *loop) Send(m *proto.Msg) {
 // tell it — as an event of its own: core's handlers, which call Send, are
 // not re-entrant.
 func (l *loop) transmit(m *proto.Msg) {
+	to := m.To // once out takes m, its sender may give it back to the stock
 	if l.out(m) != nil {
-		l.After(0, func() { l.deliver(l.gone(m.To)) })
+		l.After(0, func() { l.deliver(l.gone(to)) })
 	}
 }
 
@@ -255,10 +270,6 @@ func (l *loop) gone(peer int32) *proto.Msg {
 // through the fault plan: what netsim.Network.Send does to a message of the
 // simulation, with timers for the wire's delays.
 func (l *loop) inject(m *proto.Msg, pass func(*proto.Msg)) {
-	if l.inj == nil {
-		pass(m)
-		return
-	}
 	fate := l.inj.Decide(m.From, m.To, l.Now())
 	if fate.Lost {
 		return
@@ -288,6 +299,10 @@ func (l *loop) arrive(m *proto.Msg, pass func(*proto.Msg)) {
 func (l *loop) deliver(m *proto.Msg) {
 	if l.id == 0 && m.Kind == proto.KShutdown {
 		l.cl.NodeGone(int(m.From))
+		return
+	}
+	if l.inj == nil {
+		l.cl.Deliver(m)
 		return
 	}
 	l.inject(m, l.cl.Deliver)

@@ -134,7 +134,10 @@ long main() {
 // entry point ships) and then, wire layer on, under a fault plan the
 // reliable layer must repair: the console of the fault-free simulation is
 // still the reference, so a duplicated write or futex wake that got through
-// would show.
+// would show. Fault-free, every frame goes round the process's frame stock,
+// whose containers are poisoned in a test binary (TestFramesPoisoned): a
+// reader, sender or handler that used a frame after giving it back would
+// show too.
 func TestLiveMatchesSimulation(t *testing.T) {
 	guests := []struct {
 		name  string

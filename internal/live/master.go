@@ -11,6 +11,7 @@ import (
 	"dqemu/internal/image"
 	"dqemu/internal/netsim"
 	"dqemu/internal/proto"
+	"dqemu/internal/recycle"
 )
 
 // sender serializes writes to one connection. The outgoing queue absorbs
@@ -26,20 +27,32 @@ type sender struct {
 	deadline time.Time // zero = none; bounds blocking sends and close
 }
 
-// sendQueue is the depth of a sender's queue: 16 times the deepest it was
-// measured to get, 89 frames, in TestLiveMatchesSimulation's fault-plan
-// rows (9 on the benchmark's live_tcp jobs). A queue is made per
-// connection per run, so its size is paid on every job; a burst past it
+// queueDepth is how many frames a queue of a connection — a sender's
+// outgoing queue, a loop's inbox — holds before it blocks: 16 times the
+// deepest either was measured to get. That is 32 frames fault-free, in
+// TestLiveMatchesSimulation (9 on the benchmark's live_tcp jobs), and 89
+// under a fault plan, whose retransmissions come in bursts (inboxes reached
+// 75 there, 190 under the race detector). The queues are made per
+// connection per run, so their size is paid on every job; a burst past it
 // blocks, as any full queue does.
-const sendQueue = 16 * 89
+func queueDepth(faults bool) int {
+	if faults {
+		return 16 * 89
+	}
+	return 16 * 32
+}
 
-func newSender(conn net.Conn, deadline time.Time) *sender {
-	return newSenderSize(conn, deadline, sendQueue)
+// newSender starts the sender of conn. Fault-free, a frame is the sender's
+// once send takes it, and goes back to the frame stock as soon as it is
+// encoded (core.KeepFrame); under a fault plan the reliable layer keeps
+// frames to send again, and nothing is given back.
+func newSender(conn net.Conn, deadline time.Time, faults bool) *sender {
+	return newSenderSize(conn, deadline, queueDepth(faults), faults)
 }
 
 // newSenderSize exists so tests can exercise queue-overflow backpressure
-// without manufacturing sendQueue in-flight frames.
-func newSenderSize(conn net.Conn, deadline time.Time, queue int) *sender {
+// without manufacturing a full queue's worth of in-flight frames.
+func newSenderSize(conn net.Conn, deadline time.Time, queue int, faults bool) *sender {
 	s := &sender{
 		conn:     conn,
 		out:      make(chan *proto.Msg, queue),
@@ -49,11 +62,16 @@ func newSenderSize(conn net.Conn, deadline time.Time, queue int) *sender {
 	}
 	go func() {
 		defer close(s.drained)
-		// Every frame is encoded into this one buffer. Only this goroutine sees
-		// it: Write does not keep it, the reliable layer keeps messages.
-		var frame []byte
+		// Every frame is encoded into this one buffer (ioBufs). Only this
+		// goroutine sees it: Write does not keep it, the reliable layer keeps
+		// messages.
+		frame, _ := ioBufs.Get()
+		defer func() { putBuf(frame) }()
 		for m := range s.out {
 			frame = m.AppendFrame(slices.Grow(frame[:0], m.FrameSize()))
+			if !faults {
+				core.KeepFrame(m)
+			}
 			if _, err := conn.Write(frame); err != nil {
 				select {
 				case s.err <- err:
@@ -158,7 +176,7 @@ func RunMaster(ln net.Listener, im *image.Image, cfg Config) (*core.Result, erro
 		cfg.Timeout = 2 * time.Minute
 	}
 	deadline := time.Now().Add(cfg.Timeout)
-	l := newLoop(0, cfg.Core.Cancel)
+	l := newLoop(0, cfg.Core.Cancel, cfg.Core.Faults.Active())
 	if cfg.Core.Faults.Active() {
 		l.inj = netsim.NewInjector(*cfg.Core.Faults)
 		if cfg.Core.Retry.BaseRTONs <= 0 {
@@ -266,7 +284,7 @@ func bootSlaves(ln net.Listener, im *image.Image, cfg core.Config, deadline time
 		// Steady state: senders/readers run without I/O deadlines (the
 		// loop enforces the run deadline itself).
 		conn.SetDeadline(time.Time{})
-		peers = append(peers, newSender(conn, deadline))
+		peers = append(peers, newSender(conn, deadline, cfg.Faults.Active()))
 		go readFrames(conn, l, int32(id))
 	}
 	return peers, nil
@@ -275,10 +293,18 @@ func bootSlaves(ln net.Listener, im *image.Image, cfg core.Config, deadline time
 // readFrames is the reader goroutine of the connection to peer: every frame
 // goes to the loop, stamped with the link it arrived on — the connection,
 // not the frame, says who is talking, and slaves only address the master.
-// When the connection ends (shutdown, or broken) the loop is told last.
+// Frames are read into one buffer, decoded into stock frames that carry
+// copies of what they need (core.DecodeFrame). When the connection ends
+// (shutdown, or broken) the loop is told last.
 func readFrames(conn net.Conn, l *loop, peer int32) {
+	buf, _ := ioBufs.Get()
+	defer func() { putBuf(buf) }()
 	for {
-		m, err := proto.ReadMsg(conn)
+		var m *proto.Msg
+		var err error
+		if buf, err = proto.ReadFrame(conn, buf); err == nil {
+			m, err = core.DecodeFrame(buf)
+		}
 		if err != nil {
 			m = l.gone(peer)
 		}
@@ -291,5 +317,21 @@ func readFrames(conn net.Conn, l *loop, peer int32) {
 		if err != nil {
 			return
 		}
+	}
+}
+
+// ioBufs keeps, for the next run's connections, the buffers that readers
+// read frames into and senders encode frames into. Its cap is the most in
+// use at once in this package's tests, 16; on the benchmark it is 8
+// (live_tcp's four connection ends of two slaves, each with a reader and a
+// sender), none over 6 KiB. One grown past maxKeptBuf is left to the
+// garbage collector.
+var ioBufs = recycle.New[[]byte]("live.buffers", 16)
+
+const maxKeptBuf = 64 << 10
+
+func putBuf(b []byte) {
+	if cap(b) <= maxKeptBuf {
+		ioBufs.Put(b[:0])
 	}
 }

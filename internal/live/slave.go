@@ -36,7 +36,7 @@ func RunSlave(addr string) (none core.NodeStats, err error) {
 	if err != nil {
 		return none, fmt.Errorf("live: init: %w", err)
 	}
-	l := newLoop(id, nil)
+	l := newLoop(id, nil, cfg.Faults.Active())
 	if l.cl, err = core.NewLocal(im, cfg, id, l); err != nil {
 		return none, fmt.Errorf("live: init: %w", err)
 	}
@@ -45,7 +45,7 @@ func RunSlave(addr string) (none core.NodeStats, err error) {
 		return none, fmt.Errorf("live: ack: %w", err)
 	}
 
-	out := newSender(conn, time.Time{})
+	out := newSender(conn, time.Time{}, cfg.Faults.Active())
 	l.out = out.send
 	go readFrames(conn, l, 0)
 

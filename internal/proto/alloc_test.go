@@ -259,6 +259,81 @@ func TestReadMsgOwnsItsFrame(t *testing.T) {
 	}
 }
 
+// TestWriteMsgIsEncode: WriteMsg writes, in its three pieces, the bytes
+// Encode makes; a KInit's image is written from where it is, not copied.
+func TestWriteMsgIsEncode(t *testing.T) {
+	msgs := []*Msg{{Kind: KInit, To: 1, Data: bytes.Repeat([]byte{7}, 70_000), Aux: &Aux{San: []byte(`{"id":1}`)}}}
+	for _, tc := range allocMsgs {
+		msgs = append(msgs, tc.m)
+	}
+	for _, m := range msgs {
+		var out bytes.Buffer
+		if err := WriteMsg(&out, m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), m.Encode()) {
+			t.Errorf("%v: WriteMsg wrote other bytes than Encode makes", m.Kind)
+		}
+	}
+	image := msgs[0]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WriteMsg(io.Discard, image); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(image.Data)) {
+		t.Errorf("writing a %d-byte image allocated %d bytes", len(image.Data), got)
+	}
+}
+
+// TestAllocReadFrame: a connection reads every frame into one buffer.
+// ReadFrame reads into the buffer it is given, grown only for a frame that
+// does not fit, and DecodeInto rewrites every field of the message it is
+// given, so a stream of frames allocates nothing but what a decoded frame
+// has of its own (a Sys part, Shadows, an Aux).
+func TestAllocReadFrame(t *testing.T) {
+	var stream bytes.Buffer
+	for _, tc := range allocMsgs {
+		if err := WriteMsg(&stream, tc.m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := stream.Bytes()
+	var buf []byte
+	var m Msg
+	read := func() {
+		r := bytes.NewReader(frames)
+		for _, tc := range allocMsgs {
+			var err error
+			if buf, err = ReadFrame(r, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := DecodeInto(&m, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(m.Encode(), tc.m.Encode()) {
+				t.Fatalf("%s: read back as %+v", tc.name, m)
+			}
+		}
+	}
+	read()
+	grown := cap(buf)
+	if got := testing.AllocsPerRun(20, func() {
+		r := bytes.NewReader(frames)
+		for range allocMsgs {
+			buf, _ = ReadFrame(r, buf)
+			DecodeInto(&m, buf)
+		}
+	}); got != 3 { // the remap's Shadows and Aux, and the bytes.Reader
+		t.Errorf("reading %d frames into one buffer allocates %v times, want 3", len(allocMsgs), got)
+	}
+	read()
+	if cap(buf) != grown {
+		t.Errorf("the buffer grew from %d to %d bytes on frames it had held", grown, cap(buf))
+	}
+}
+
 type iotestOneByte struct{ r io.Reader }
 
 func (o iotestOneByte) Read(p []byte) (int, error) {

@@ -106,8 +106,9 @@ func AppendPayloads(dst []byte, ps []PagePayload) []byte {
 // it yields is a view of the container, never a copy, good until the handler
 // of the frame that carries the container returns: the container (a decoded
 // frame's Data or, under the simulator, the sender's own encoding) is
-// immutable until then, and afterwards the receiving cluster may encode its
-// next send into it. Whoever keeps a payload's bytes copies them out.
+// immutable until then, and afterwards it goes back to the process's frame
+// stock, where any later send may be encoded into it. Whoever keeps a
+// payload's bytes copies them out.
 type PayloadReader struct {
 	r    reader
 	n    int // payloads the container announces

@@ -86,10 +86,12 @@ func (k Kind) String() string {
 //
 // A message handed to a runtime's Send, and every buffer it carries, is
 // immutable until the handler it is delivered to returns. From then on the
-// receiving cluster may reuse the message, and the Data of a KPageContent,
-// KPush or KFetchReply, for a message of its own: a handler that keeps any
-// of a message's content past its return copies it out. Sys and Aux parts
-// are never reused.
+// message, and the Data of a KPageContent, KPush or KFetchReply, go back to
+// the process's frame stock (internal/core) and are reused for a later
+// message: a handler that keeps any of a message's content past its return
+// copies it out. Over sockets the sender gives a frame back as soon as it
+// is encoded, and the reader copies a received frame out of its read
+// buffer. Sys and Aux parts are never reused.
 type Msg struct {
 	Kind  Kind
 	Write bool
@@ -205,6 +207,15 @@ func (m *Msg) Encode() []byte {
 // every frame into that one buffer.
 func (m *Msg) AppendFrame(dst []byte) []byte {
 	start := len(dst)
+	buf := append(m.appendHead(dst), m.Data...)
+	buf = m.appendTail(buf)
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	return buf
+}
+
+// appendHead appends the frame up to Data's length word, with a zero length
+// prefix for the caller to fill in.
+func (m *Msg) appendHead(dst []byte) []byte {
 	sys, aux := m.SysPart(), m.AuxPart()
 	buf := append(dst, 0, 0, 0, 0, byte(m.Kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.From))
@@ -228,24 +239,38 @@ func (m *Msg) AppendFrame(dst []byte) []byte {
 	for _, s := range aux.Shadows {
 		buf = binary.LittleEndian.AppendUint64(buf, s)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Data)))
-	buf = append(buf, m.Data...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(aux.CPU)))
+	return binary.LittleEndian.AppendUint32(buf, uint32(len(m.Data)))
+}
+
+// appendTail appends what the frame carries after Data: CPU and San.
+func (m *Msg) appendTail(dst []byte) []byte {
+	aux := m.AuxPart()
+	buf := binary.LittleEndian.AppendUint32(dst, uint32(len(aux.CPU)))
 	buf = append(buf, aux.CPU...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(aux.San)))
-	buf = append(buf, aux.San...)
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	return buf
+	return append(buf, aux.San...)
 }
 
 // Decode parses a frame produced by Encode (without consuming the length
-// prefix, which the transport strips). The message's Data, CPU and San are
-// views of buf, not copies: buf belongs to the message from here on, and
-// nobody — caller, message holder or consumer — may write it while the
-// message is handled (the contract at Msg).
+// prefix, which the transport strips) into a new message: DecodeInto on a
+// message of its own.
 func Decode(buf []byte) (*Msg, error) {
-	r := &reader{buf: buf}
 	m := &Msg{}
+	if err := DecodeInto(m, buf); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeInto parses a frame produced by Encode (without its length prefix)
+// into m, overwriting every field. The message's Data, CPU and San are views
+// of buf, not copies: buf belongs to the message from here on, and nobody —
+// caller, message holder or consumer — may write it while the message is
+// handled (the contract at Msg). A reader that reuses buf for the next frame
+// copies them out first. Shadows and the Sys part are made anew.
+func DecodeInto(m *Msg, buf []byte) error {
+	r := &reader{buf: buf}
+	*m = Msg{}
 	m.Kind = Kind(r.u8())
 	m.From = int32(r.u32())
 	m.To = int32(r.u32())
@@ -268,7 +293,7 @@ func Decode(buf []byte) (*Msg, error) {
 	var aux Aux
 	if n := int(r.u32()); n > 0 {
 		if n > 1<<20 {
-			return nil, fmt.Errorf("proto: absurd shadow count %d", n)
+			return fmt.Errorf("proto: absurd shadow count %d", n)
 		}
 		if b := r.take(8 * n); b != nil {
 			aux.Shadows = make([]uint64, n)
@@ -281,13 +306,13 @@ func Decode(buf []byte) (*Msg, error) {
 	aux.CPU = r.blob()
 	aux.San = r.blob()
 	if r.err != nil {
-		return nil, fmt.Errorf("proto: decode %v: %w", m.Kind, r.err)
+		return fmt.Errorf("proto: decode %v: %w", m.Kind, r.err)
 	}
 	if aux.Shadows != nil || aux.CPU != nil || aux.San != nil {
 		part := aux
 		m.Aux = &part
 	}
-	return m, nil
+	return nil
 }
 
 type reader struct {

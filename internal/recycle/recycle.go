@@ -1,6 +1,7 @@
 // Package recycle is the process-wide recycler's one data structure: a
 // capped free list that a finished run hands its memory to and the next run
-// in the process draws from (guest pages, engines, a cluster's frames).
+// in the process draws from (guest pages, engines, the frame stock, the
+// buffers of live connections).
 //
 // A List is a mutex-guarded stack, not a sync.Pool: the garbage collector
 // never empties it, so what a run allocates depends on what ran before it in
