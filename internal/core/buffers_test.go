@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"dqemu/internal/image"
 	"dqemu/internal/mem"
@@ -27,9 +26,8 @@ type sentMsg struct {
 }
 
 func hashSent(m *proto.Msg) sentMsg {
-	aux := m.AuxPart()
 	return sentMsg{m: m, kind: m.Kind, from: m.From, to: m.To, page: m.Page,
-		data: sha256.Sum256(m.Data), san: sha256.Sum256(aux.San), cpu: sha256.Sum256(aux.CPU)}
+		data: sha256.Sum256(m.Data), san: sha256.Sum256(m.San), cpu: sha256.Sum256(m.CPU)}
 }
 
 // copyMsg is a deep copy of m: what a test that reads a message after its
@@ -38,13 +36,7 @@ func hashSent(m *proto.Msg) sentMsg {
 func copyMsg(m *proto.Msg) *proto.Msg {
 	c := *m
 	c.Data = bytes.Clone(m.Data)
-	if m.Sys != nil {
-		sys := *m.Sys
-		c.Sys = &sys
-	}
-	if m.Aux != nil {
-		c.Aux = &proto.Aux{Shadows: slices.Clone(m.Aux.Shadows), CPU: bytes.Clone(m.Aux.CPU), San: bytes.Clone(m.Aux.San)}
-	}
+	c.Shadows, c.CPU, c.San = slices.Clone(m.Shadows), bytes.Clone(m.CPU), bytes.Clone(m.San)
 	return &c
 }
 
@@ -330,35 +322,27 @@ func TestAllocPerPageTransfer(t *testing.T) {
 	}
 }
 
-// syscallMsgs sums what the syscall messages of a run cost as heap objects.
+// syscallMsgs counts the syscall messages of a run.
 type syscallMsgs struct {
 	Runtime
-	msgs, bytes uint64
+	msgs uint64
 }
 
 func (r *syscallMsgs) Send(m *proto.Msg) {
 	if m.Kind == proto.KSyscallReq || m.Kind == proto.KSyscallReply {
 		r.msgs++
-		r.bytes += uint64(unsafe.Sizeof(*m))
-		if m.Sys != nil {
-			r.bytes += uint64(unsafe.Sizeof(*m.Sys))
-		}
-		if m.Aux != nil {
-			r.bytes += 80 // the size class of unsafe.Sizeof(proto.Aux{}) = 72
-		}
 	}
 	r.Runtime.Send(m)
 }
 
-// TestAllocSyscallMsg: a delegated syscall is a request and a reply of 96 + 64
-// bytes each — the message and its syscall words, no Aux while the sanitizer
-// is off — where each was 224. The messages are frames delivered before
-// them, so two runs that differ only in how many times a thread on the slave
-// calls getpid differ, per extra call, by the two syscall-word parts (never
-// reused) and the master's reply closure: 176 bytes, where it was 369 while
-// every message was allocated.
+// TestAllocSyscallMsg: a delegated syscall is a request and a reply, each a
+// frame delivered before it with the syscall words among its fields. So two
+// runs that differ only in how many times a thread on the slave calls
+// getpid differ, per extra call, by the master's reply closure: 43 to 48
+// bytes. It was 176 while each message carried a 64-byte syscall part made
+// anew, and 369 while every message was allocated.
 func TestAllocSyscallMsg(t *testing.T) {
-	run := func(calls int) (allocated, msgs, msgBytes uint64) {
+	run := func(calls int) (allocated, msgs uint64) {
 		im := build(t, fmt.Sprintf(`
 long worker(long arg) {
 	long s = 0;
@@ -385,23 +369,20 @@ long main() {
 		if err != nil || res.ExitCode != 0 {
 			t.Fatalf("exit %v, err %v", res, err)
 		}
-		return after.TotalAlloc - before.TotalAlloc, rt.msgs, rt.bytes
+		return after.TotalAlloc - before.TotalAlloc, rt.msgs
 	}
-	shortBytes, shortMsgs, shortMsgBytes := run(500)
-	longBytes, longMsgs, longMsgBytes := run(2500)
+	shortBytes, shortMsgs := run(500)
+	longBytes, longMsgs := run(2500)
 	trips := (longMsgs - shortMsgs) / 2
 	if trips != 2000 {
 		t.Fatalf("2,000 more calls made %d more round trips", trips)
-	}
-	if got := (longMsgBytes - shortMsgBytes) / trips; got > 2*(96+64) {
-		t.Errorf("the two messages of a round trip are %d bytes of objects, want at most %d", got, 2*(96+64))
 	}
 	perTrip := float64(longBytes-shortBytes) / float64(trips)
 	t.Logf("%.0f bytes allocated per extra round trip", perTrip)
 	if raceEnabled {
 		return // the detector's own bookkeeping allocates
 	}
-	if limit := 220.0; perTrip > limit { // measured 176, plus a quarter; 497 with 224-byte messages
+	if limit := 60.0; perTrip > limit { // measured 48, plus a quarter
 		t.Errorf("%.0f bytes allocated per extra round trip, want under %.0f", perTrip, limit)
 	}
 }

@@ -250,7 +250,7 @@ type initRecord struct {
 func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 	cfg.normalize()
 	rec, _ := json.Marshal(initRecord{id, cfg.Shape, cfg.Knobs, cfg.Faults, cfg.Retry}) // numbers, none NaN once Check passed: cannot fail
-	return &proto.Msg{Kind: proto.KInit, From: 0, To: int32(id), Data: img, Aux: proto.SanAux(rec)}
+	return &proto.Msg{Kind: proto.KInit, From: 0, To: int32(id), Data: img, San: rec}
 }
 
 // ConfigFromInit is InitFrame's inverse on the slave: the Config to hand
@@ -260,7 +260,7 @@ func InitFrame(cfg Config, id int, img []byte) *proto.Msg {
 // refused, not ignored.
 func ConfigFromInit(frame *proto.Msg) (cfg Config, id int, err error) {
 	var rec initRecord
-	dec := json.NewDecoder(bytes.NewReader(frame.AuxPart().San))
+	dec := json.NewDecoder(bytes.NewReader(frame.San))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rec); err != nil {
 		return Config{}, 0, fmt.Errorf("core: decoding init frame: %w", err)

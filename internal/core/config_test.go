@@ -49,8 +49,8 @@ func TestInitFrameRoundTrip(t *testing.T) {
 	master.Tracer = trace.New(0, nil)
 	img := []byte{1, 2, 3}
 	m := InitFrame(master, 2, img)
-	if m.Sys != nil {
-		t.Errorf("KInit carries syscall words %+v", *m.Sys)
+	if m.Num != 0 || m.Ret != 0 || m.Args != [6]uint64{} {
+		t.Errorf("KInit carries syscall words %d %d %v", m.Num, m.Ret, m.Args)
 	}
 	if !reflect.DeepEqual(m.Data, img) {
 		t.Errorf("frame carries image %v", m.Data)
@@ -74,7 +74,7 @@ func TestInitFrameRoundTrip(t *testing.T) {
 
 	record := func(m *proto.Msg) map[string]any {
 		var r map[string]any
-		if err := json.Unmarshal(m.Aux.San, &r); err != nil {
+		if err := json.Unmarshal(m.San, &r); err != nil {
 			t.Fatal(err)
 		}
 		return r
@@ -94,11 +94,11 @@ func TestInitFrameRoundTrip(t *testing.T) {
 	} {
 		m := InitFrame(tc.from, 1, nil)
 		if tc.edit == nil {
-			m.Aux.San = m.Aux.San[:len(m.Aux.San)/2]
+			m.San = m.San[:len(m.San)/2]
 		} else {
 			r := record(m)
 			tc.edit(r)
-			m.Aux.San, _ = json.Marshal(r)
+			m.San, _ = json.Marshal(r)
 		}
 		if _, _, err := ConfigFromInit(m); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: error %v, want one containing %q", name, err, tc.wantSub)

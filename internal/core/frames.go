@@ -62,10 +62,10 @@ func container() []byte {
 }
 
 // KeepFrame gives back a frame nothing reads any more: the message, zeroed,
-// and the container of a KPageContent, KPush or KFetchReply. Its Sys and Aux
-// parts are not kept: onMigrateCtx relays an arriving Aux as it is. A frame
-// that a reliable layer keeps to send again (Config.Faults) is never given
-// back.
+// and the container of a KPageContent, KPush or KFetchReply. Its Shadows,
+// CPU and San are not kept: onMigrateCtx relays an arriving CPU and San as
+// they are. A frame that a reliable layer keeps to send again
+// (Config.Faults) is never given back.
 func KeepFrame(m *proto.Msg) {
 	switch d := m.Data; m.Kind {
 	case proto.KPageContent, proto.KPush, proto.KFetchReply:
@@ -96,9 +96,7 @@ func DecodeFrame(frame []byte) (*proto.Msg, error) {
 	if m.Data != nil {
 		m.Data = append(container(), m.Data...)
 	}
-	if a := m.Aux; a != nil {
-		a.CPU, a.San = bytes.Clone(a.CPU), bytes.Clone(a.San)
-	}
+	m.CPU, m.San = bytes.Clone(m.CPU), bytes.Clone(m.San)
 	return m, nil
 }
 

@@ -128,7 +128,7 @@ func (m *master) handle(msg *proto.Msg) {
 		}
 	case proto.KInvAck:
 		if m.node.san != nil {
-			m.node.san.MergePage(msg.Page, msg.AuxPart().San)
+			m.node.san.MergePage(msg.Page, msg.San)
 		}
 		if err := m.dir.OnInvAck(int(msg.From), msg.Page); err != nil {
 			m.cl.fail(err)
@@ -153,21 +153,20 @@ func (m *master) onMigrateCtx(msg *proto.Msg) {
 	m.placement[msg.TID] = target
 	m.migrations++
 	if target == 0 {
-		aux := msg.AuxPart()
-		cpu, err := proto.DecodeCPU(aux.CPU)
+		cpu, err := proto.DecodeCPU(msg.CPU)
 		if err != nil {
 			m.cl.fail(err)
 			return
 		}
 		if m.node.san != nil {
-			m.node.san.InstallThread(msg.TID, aux.San)
+			m.node.san.InstallThread(msg.TID, msg.San)
 		}
 		m.node.addThread(cpu)
 		return
 	}
 	m.sendNow(proto.Msg{
 		Kind: proto.KThreadStart, From: 0, To: int32(target),
-		TID: msg.TID, Aux: msg.Aux, // context and clock, as they arrived
+		TID: msg.TID, CPU: msg.CPU, San: msg.San, // context and clock, as they arrived
 	})
 }
 
@@ -214,7 +213,7 @@ func (m *master) MigrateThread(tid int64, to int) {
 		return
 	}
 	m.migrating[tid] = to
-	m.cl.send(proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(cur), TID: tid, Sys: &proto.Sys{Num: int64(to)}})
+	m.cl.send(proto.Msg{Kind: proto.KMigrate, From: 0, To: int32(cur), TID: tid, Num: int64(to)})
 	m.cl.prof.migStarted(tid, m.cl.rt.Now())
 }
 
@@ -232,8 +231,8 @@ func (m *master) Tracef(format string, args ...interface{}) {
 func (m *master) onSyscallReq(msg *proto.Msg) {
 	from := msg.From
 	tid := msg.TID
-	sys, clock := msg.SysPart(), msg.AuxPart().San
-	if sys.Num == sysExitNum {
+	num, args, clock := msg.Num, msg.Args, msg.San
+	if num == sysExitNum {
 		delete(m.placement, tid)
 		delete(m.migrating, tid)
 	}
@@ -246,10 +245,10 @@ func (m *master) onSyscallReq(msg *proto.Msg) {
 	san := m.node.san
 	var attach func() []byte
 	if san != nil {
-		switch sys.Num {
+		switch num {
 		case abi.SysFutex:
-			taddr := m.space.Translate(sys.Args[0])
-			if int64(sys.Args[1]) == abi.FutexWake {
+			taddr := m.space.Translate(args[0])
+			if int64(args[1]) == abi.FutexWake {
 				san.FutexWake(taddr, clock)
 			} else {
 				attach = func() []byte { return san.FutexWaitClock(taddr) }
@@ -257,7 +256,7 @@ func (m *master) onSyscallReq(msg *proto.Msg) {
 		case abi.SysThreadCreate:
 			m.createSan = clock
 		case abi.SysThreadJoin:
-			child := int64(sys.Args[0])
+			child := int64(args[0])
 			attach = func() []byte { return san.JoinClock(child) }
 		case sysExitNum:
 			san.RecordExit(tid, clock)
@@ -268,14 +267,14 @@ func (m *master) onSyscallReq(msg *proto.Msg) {
 			return
 		}
 		rm := proto.Msg{
-			Kind: proto.KSyscallReply, From: 0, To: from, TID: tid, Sys: &proto.Sys{Ret: ret},
+			Kind: proto.KSyscallReply, From: 0, To: from, TID: tid, Ret: ret,
 		}
 		if attach != nil {
-			rm.Aux = proto.SanAux(attach())
+			rm.San = attach()
 		}
 		m.sendNow(rm)
 	}
-	m.cl.os.Global(tid, sys.Num, sys.Args, reply)
+	m.cl.os.Global(tid, num, args, reply)
 	m.createSan = nil
 }
 
@@ -503,7 +502,7 @@ func (m *master) StartThread(tid int64, fn, arg, stackTop uint64, hint int64) {
 	}
 	m.sendNow(proto.Msg{
 		Kind: proto.KThreadStart, From: 0, To: int32(target),
-		TID: tid, Aux: &proto.Aux{CPU: proto.EncodeCPU(cpu), San: m.createSan},
+		TID: tid, CPU: proto.EncodeCPU(cpu), San: m.createSan,
 	})
 }
 

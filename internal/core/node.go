@@ -145,12 +145,12 @@ func (n *node) shipContext(t *thread) {
 	n.stats.MigratedOut++
 	msg := proto.Msg{
 		Kind: proto.KMigrateCtx, From: int32(n.id), To: 0,
-		TID: t.tid, Aux: &proto.Aux{CPU: proto.EncodeCPU(t.cpu)},
+		TID: t.tid, CPU: proto.EncodeCPU(t.cpu),
 	}
 	if n.san != nil {
 		// The vector clock is part of the thread context: it migrates with
 		// the CPU state and is dropped here like the LL/SC reservation.
-		msg.Aux.San = n.san.EncodeThread(t.tid)
+		msg.San = n.san.EncodeThread(t.tid)
 		n.san.DropThread(t.tid)
 	}
 	n.cl.send(msg)
@@ -362,14 +362,15 @@ func (n *node) delegate(t *thread, num int64) {
 		From: int32(n.id),
 		To:   0,
 		TID:  t.tid,
-		Sys:  &proto.Sys{Num: num, Args: args},
+		Num:  num,
+		Args: args,
 	}
 	if n.san != nil {
 		// Every delegation releases the caller's clock to the master: thread
 		// create, futex wake and exit all publish whatever the caller did
 		// before trapping. SyscallClock ticks afterwards, so later accesses
 		// by this thread are not ordered before the master's use of it.
-		msg.Aux = proto.SanAux(n.san.SyscallClock(t.tid))
+		msg.San = n.san.SyscallClock(t.tid)
 	}
 	n.cl.send(msg)
 }
@@ -550,7 +551,7 @@ func (n *node) contentArrived(page uint64, perm mem.Perm) {
 
 func (n *node) onInvalidate(m *proto.Msg) {
 	san := n.revoke(m.Page, true)
-	n.cl.send(proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, Aux: proto.SanAux(san)})
+	n.cl.send(proto.Msg{Kind: proto.KInvAck, From: int32(n.id), To: 0, Page: m.Page, San: san})
 }
 
 // revoke gives up this node's hold on page, dropping the local copy (drop)
@@ -596,7 +597,7 @@ func (n *node) retryArrived(page uint64) {
 }
 
 func (n *node) onRemap(m *proto.Msg) {
-	n.applyRemap(m.Page, m.AuxPart().Shadows, m.Ver)
+	n.applyRemap(m.Page, m.Shadows, m.Ver)
 }
 
 // applyRemap installs a page split. ver, when nonzero, is the home version
@@ -648,18 +649,17 @@ func (n *node) onSyscallReply(m *proto.Msg) {
 	}
 	n.cl.cfg.Tracer.End(n.cl.rt.Now(), trace.EvSyscall, n.id, t.tid, "syscall-wait")
 	t.syscallNs += n.cl.rt.Now() - t.blockStart
-	t.cpu.X[10] = m.SysPart().Ret
+	t.cpu.X[10] = m.Ret
 	if n.san != nil {
 		// Acquire whatever clock the master attached: futex-wait wakeups
 		// carry the wakers' releases, join replies the target's exit clock.
-		n.san.Acquire(m.TID, m.AuxPart().San)
+		n.san.Acquire(m.TID, m.San)
 	}
 	n.enqueue(t)
 }
 
 func (n *node) onThreadStart(m *proto.Msg) {
-	aux := m.AuxPart()
-	cpu, err := proto.DecodeCPU(aux.CPU)
+	cpu, err := proto.DecodeCPU(m.CPU)
 	if err != nil {
 		n.cl.fail(fmt.Errorf("node %d: thread start: %w", n.id, err))
 		return
@@ -667,7 +667,7 @@ func (n *node) onThreadStart(m *proto.Msg) {
 	if n.san != nil {
 		// New or migrated thread: its clock (creator's clock at create, or
 		// the migrated thread's own) arrives with the context.
-		n.san.InstallThread(m.TID, aux.San)
+		n.san.InstallThread(m.TID, m.San)
 	}
 	n.addThread(cpu)
 }

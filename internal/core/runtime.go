@@ -61,7 +61,7 @@ func newSimRuntime(cfg *Config) *simRuntime {
 	if tr := cfg.Tracer; tr != nil {
 		s.net.Trace = func(now int64, m *proto.Msg) {
 			tr.Record(now, trace.EvMsg, int(m.From), m.TID,
-				"%v -> node%d page=%#x num=%d", m.Kind, m.To, m.Page, m.SysPart().Num)
+				"%v -> node%d page=%#x num=%d", m.Kind, m.To, m.Page, m.Num)
 		}
 	}
 	s.net.SetFaults(cfg.Faults)

@@ -500,7 +500,7 @@ func (w *masterWire) broadcastRemap(orig uint64, shadows []uint64) {
 		w.flushTarget(to)
 		w.m.cl.send(proto.Msg{
 			Kind: proto.KRemap, From: 0, To: to,
-			Page: orig, Ver: ver, Aux: &proto.Aux{Shadows: shadows},
+			Page: orig, Ver: ver, Shadows: shadows,
 		})
 	}
 	if !w.delta {

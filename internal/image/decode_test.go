@@ -133,3 +133,29 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestAllocDecodeAliasesSegments: a segment's Data is a view of the encoded
+// image, so decoding an image with a megabyte of segment bytes allocates
+// what decoding one with a few bytes does.
+func TestAllocDecodeAliasesSegments(t *testing.T) {
+	withData := func(n int) []byte {
+		im := sample()
+		im.AddSegment(Segment{Name: "rodata", Addr: 0x40000, Data: bytes.Repeat([]byte{0x5a}, n)})
+		return im.Encode()
+	}
+	small, large := withData(16), withData(1<<20)
+	im, err := Decode(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := im.Segments[2].Data
+	if at := bytes.Index(large, data); at < 0 || &data[0] != &large[at] || cap(data) != len(data) {
+		t.Error("a segment's Data is not a capacity-clipped view of the encoded image")
+	}
+	smallBytes := allocated(func() { _, err = Decode(small) })
+	largeBytes := allocated(func() { _, err = Decode(large) })
+	t.Logf("decoding allocates %d bytes with 16 segment bytes, %d with 1 MiB", smallBytes, largeBytes)
+	if largeBytes > smallBytes+1024 {
+		t.Errorf("1 MiB of segment bytes allocated %d bytes where 16 allocated %d: Decode copies segments", largeBytes, smallBytes)
+	}
+}

@@ -136,8 +136,10 @@ func (im *Image) Encode() []byte {
 	return buf
 }
 
-// Decode parses a serialised image. It allocates in proportion to the
-// bytes it is given, never to a length they claim.
+// Decode parses a serialised image. The image aliases buf: each segment's
+// Data is a view of it (capacity clipped), not a copy, so nobody may write
+// buf while the image is in use. What Decode allocates does not grow with
+// the segment bytes, and never with a length the bytes claim.
 func Decode(buf []byte) (*Image, error) {
 	r := reader{buf: buf}
 	if string(r.bytes(len(magic))) != magic {
@@ -151,7 +153,9 @@ func Decode(buf []byte) (*Image, error) {
 		s.Addr = r.u64()
 		s.MemSize = r.u64()
 		s.Writable = r.u32() != 0
-		s.Data = append([]byte(nil), r.bytes(int(r.u32()))...)
+		if d := r.bytes(int(r.u32())); len(d) > 0 {
+			s.Data = d[:len(d):len(d)]
+		}
 		if r.err == nil {
 			if err := im.AddSegment(s); err != nil {
 				return nil, err

@@ -81,7 +81,7 @@ func TestMasterHandshakeFailureCleansUp(t *testing.T) {
 			goodReady <- errors.New("expected KInit")
 			return
 		}
-		goodReady <- proto.WriteMsg(good, &proto.Msg{Kind: proto.KInitAck, From: int32(init.SysPart().Num)})
+		goodReady <- proto.WriteMsg(good, &proto.Msg{Kind: proto.KInitAck, From: int32(init.Num)})
 	}()
 
 	// Slave 2 connects and slams the door before acking.
@@ -212,7 +212,7 @@ func TestSenderBackpressure(t *testing.T) {
 	// net.Pipe has no buffering: the writer goroutine blocks inside
 	// WriteMsg on the first frame, the second fills the 1-slot queue, so
 	// the third send must take the blocking path.
-	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Sys: &proto.Sys{Num: n}} }
+	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Num: n} }
 	if err := s.send(msg(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSenderBackpressure(t *testing.T) {
 				close(got)
 				return
 			}
-			got <- m.SysPart().Num
+			got <- m.Num
 		}
 	}()
 	if err := <-sent; err != nil {
@@ -271,7 +271,7 @@ func TestSenderBackpressureDeadline(t *testing.T) {
 	defer client.Close()
 	s := newSenderSize(client, time.Now().Add(200*time.Millisecond), 1, false)
 
-	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Sys: &proto.Sys{Num: n}} }
+	msg := func(n int64) *proto.Msg { return &proto.Msg{Kind: proto.KRetry, Num: n} }
 	s.send(msg(1)) // writer wedges in WriteMsg
 	deadline := time.Now().Add(2 * time.Second)
 	for len(s.out) != 0 && time.Now().Before(deadline) {
@@ -311,9 +311,9 @@ func (f *frameSink) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	if m.Data != nil && !bytes.Equal(m.Data, bytes.Repeat([]byte{0xab}, 4096)) {
-		f.err = fmt.Errorf("frame %d carries a page that is not the one sent", m.SysPart().Num)
+		f.err = fmt.Errorf("frame %d carries a page that is not the one sent", m.Num)
 	}
-	f.nums = append(f.nums, m.SysPart().Num)
+	f.nums = append(f.nums, m.Num)
 	return len(p), nil
 }
 
@@ -330,7 +330,7 @@ func TestAllocSenderFrames(t *testing.T) {
 	s := newSender(sink, time.Time{}, false)
 	page := bytes.Repeat([]byte{0xab}, 4096)
 	for i := int64(0); i <= 1000; i++ {
-		m := &proto.Msg{Kind: proto.KSyscallReply, Sys: &proto.Sys{Num: i}}
+		m := &proto.Msg{Kind: proto.KSyscallReply, Num: i}
 		if i%3 == 0 {
 			m.Kind, m.Data = proto.KPageContent, bytes.Clone(page)
 		}

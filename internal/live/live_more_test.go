@@ -53,7 +53,7 @@ func TestRunSlaveRefusesForeignInit(t *testing.T) {
 		}
 		defer conn.Close()
 		m := core.InitFrame(core.Config{Shape: core.Shape{Slaves: 1}}, 1, im.Encode())
-		m.Aux.San = append(m.Aux.San[:len(m.Aux.San)-1], `,"tier4":true}`...)
+		m.San = append(m.San[:len(m.San)-1], `,"tier4":true}`...)
 		proto.WriteMsg(conn, m)
 		proto.ReadMsg(conn) // hold the connection until the slave gives up
 	}()

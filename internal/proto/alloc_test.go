@@ -36,8 +36,7 @@ func inside(view, frame []byte) bool {
 // of a decoded message is a view of the input, and decoding wrote nothing.
 func checkMsgViews(t *testing.T, m *Msg, in []byte, before [sha256.Size]byte) {
 	t.Helper()
-	aux := m.AuxPart()
-	for name, v := range map[string][]byte{"Data": m.Data, "CPU": aux.CPU, "San": aux.San} {
+	for name, v := range map[string][]byte{"Data": m.Data, "CPU": m.CPU, "San": m.San} {
 		if !inside(v, in) {
 			t.Errorf("%v: %s is not a view of the frame", m.Kind, name)
 		}
@@ -75,8 +74,8 @@ var allocMsgs = []struct {
 }{
 	{"header only", &Msg{Kind: KPageReq, From: 2, Page: 0x123, Addr: 0x123456, Write: true, TID: 7}},
 	{"page", &Msg{Kind: KPageContent, To: 2, Page: 0x123, Perm: 2, Data: bytes.Repeat([]byte{0xab}, 4096)}},
-	{"san and shadows", &Msg{Kind: KRemap, To: 3, Page: 5, Ver: 9, Aux: &Aux{Shadows: []uint64{100, 101, 102, 103},
-		San: []byte{1, 2, 3, 4, 5}, CPU: make([]byte, 48)}}},
+	{"san and shadows", &Msg{Kind: KRemap, To: 3, Page: 5, Ver: 9, Shadows: []uint64{100, 101, 102, 103},
+		San: []byte{1, 2, 3, 4, 5}, CPU: make([]byte, 48)}},
 	{"container", &Msg{Kind: KPageContent, To: 1, Data: EncodePayloads(testPayloads)}},
 }
 
@@ -197,7 +196,7 @@ func TestDecodePayloadsViews(t *testing.T) {
 		if len(tc.m.Data) > 0 && len(m.Data) != len(tc.m.Data) {
 			t.Errorf("%s: Data of %d bytes decoded to %d", tc.name, len(tc.m.Data), len(m.Data))
 		}
-		if san := m.AuxPart().San; cap(m.Data) != len(m.Data) || cap(san) != len(san) {
+		if cap(m.Data) != len(m.Data) || cap(m.San) != len(m.San) {
 			t.Errorf("%s: a view's capacity reaches past its end", tc.name)
 		}
 		if tc.name != "container" {
@@ -227,8 +226,8 @@ func TestDecodePayloadsViews(t *testing.T) {
 // frame ReadMsg returns lives in a buffer of its own.
 func TestReadMsgOwnsItsFrame(t *testing.T) {
 	var stream bytes.Buffer
-	first := &Msg{Kind: KPageContent, To: 2, Page: 1, Data: bytes.Repeat([]byte{0x11}, 4096), Aux: &Aux{San: []byte{1, 2}}}
-	second := &Msg{Kind: KPageContent, To: 2, Page: 2, Data: bytes.Repeat([]byte{0x22}, 4096), Aux: &Aux{CPU: []byte{3, 4}}}
+	first := &Msg{Kind: KPageContent, To: 2, Page: 1, Data: bytes.Repeat([]byte{0x11}, 4096), San: []byte{1, 2}}
+	second := &Msg{Kind: KPageContent, To: 2, Page: 2, Data: bytes.Repeat([]byte{0x22}, 4096), CPU: []byte{3, 4}}
 	for _, m := range []*Msg{first, second} {
 		if err := WriteMsg(&stream, m); err != nil {
 			t.Fatal(err)
@@ -244,8 +243,8 @@ func TestReadMsgOwnsItsFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range [][]byte{a.Data, a.Aux.San} {
-		for _, w := range [][]byte{b.Data, b.Aux.CPU} {
+	for _, v := range [][]byte{a.Data, a.San} {
+		for _, w := range [][]byte{b.Data, b.CPU} {
 			if inside(v[:1], w) || inside(w[:1], v) {
 				t.Fatal("two frames share memory")
 			}
@@ -254,7 +253,7 @@ func TestReadMsgOwnsItsFrame(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = 0xee
 	}
-	if !bytes.Equal(b.Data, second.Data) || !bytes.Equal(b.Aux.CPU, second.Aux.CPU) {
+	if !bytes.Equal(b.Data, second.Data) || !bytes.Equal(b.CPU, second.CPU) {
 		t.Error("writing the first message changed the second")
 	}
 }
@@ -262,7 +261,7 @@ func TestReadMsgOwnsItsFrame(t *testing.T) {
 // TestWriteMsgIsEncode: WriteMsg writes, in its three pieces, the bytes
 // Encode makes; a KInit's image is written from where it is, not copied.
 func TestWriteMsgIsEncode(t *testing.T) {
-	msgs := []*Msg{{Kind: KInit, To: 1, Data: bytes.Repeat([]byte{7}, 70_000), Aux: &Aux{San: []byte(`{"id":1}`)}}}
+	msgs := []*Msg{{Kind: KInit, To: 1, Data: bytes.Repeat([]byte{7}, 70_000), San: []byte(`{"id":1}`)}}
 	for _, tc := range allocMsgs {
 		msgs = append(msgs, tc.m)
 	}
@@ -291,7 +290,7 @@ func TestWriteMsgIsEncode(t *testing.T) {
 // ReadFrame reads into the buffer it is given, grown only for a frame that
 // does not fit, and DecodeInto rewrites every field of the message it is
 // given, so a stream of frames allocates nothing but what a decoded frame
-// has of its own (a Sys part, Shadows, an Aux).
+// has of its own (Shadows).
 func TestAllocReadFrame(t *testing.T) {
 	var stream bytes.Buffer
 	for _, tc := range allocMsgs {
@@ -325,8 +324,8 @@ func TestAllocReadFrame(t *testing.T) {
 			buf, _ = ReadFrame(r, buf)
 			DecodeInto(&m, buf)
 		}
-	}); got != 3 { // the remap's Shadows and Aux, and the bytes.Reader
-		t.Errorf("reading %d frames into one buffer allocates %v times, want 3", len(allocMsgs), got)
+	}); got != 2 { // the remap's Shadows and the bytes.Reader
+		t.Errorf("reading %d frames into one buffer allocates %v times, want 2", len(allocMsgs), got)
 	}
 	read()
 	if cap(buf) != grown {

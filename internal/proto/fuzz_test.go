@@ -19,9 +19,9 @@ import (
 var fuzzSeeds = []*Msg{
 	{Kind: KPageReq, From: 2, To: 0, Page: 0x123, Addr: 0x123456, Write: true, TID: 7},
 	{Kind: KPageContent, From: 0, To: 2, Seq: 99, Page: 0x123, Perm: 2, Data: bytes.Repeat([]byte{0xab}, 64)},
-	{Kind: KRemap, From: 0, To: 3, Page: 5, Aux: &Aux{Shadows: []uint64{100, 101, 102, 103}}},
-	{Kind: KSyscallReq, From: 1, To: 0, Seq: 3, TID: 12, Sys: &Sys{Num: 64, Args: [6]uint64{1, 0x2000, 5, 0, 0, 0}}},
-	{Kind: KThreadStart, From: 0, To: 2, TID: 3, Aux: &Aux{CPU: make([]byte, 64)}},
+	{Kind: KRemap, From: 0, To: 3, Page: 5, Shadows: []uint64{100, 101, 102, 103}},
+	{Kind: KSyscallReq, From: 1, To: 0, Seq: 3, TID: 12, Num: 64, Args: [6]uint64{1, 0x2000, 5, 0, 0, 0}},
+	{Kind: KThreadStart, From: 0, To: 2, TID: 3, CPU: make([]byte, 64)},
 	{Kind: KAck, From: 1, To: 2, Seq: 41},
 }
 

@@ -1,9 +1,10 @@
 // Package proto defines the wire protocol spoken between DQEMU cluster
 // nodes: coherence traffic (page requests, contents, invalidations), syscall
 // delegation, thread management and the optimization side-channels (page
-// splitting remaps, forwarded pages). One Msg type covers all kinds; the
-// binary codec is used by the live TCP transport and to size messages for
-// the simulated network's bandwidth model.
+// splitting remaps, forwarded pages). One Msg struct covers all kinds, with
+// a field for everything any kind carries; the binary codec is used by the
+// live TCP transport and to size messages for the simulated network's
+// bandwidth model.
 package proto
 
 import (
@@ -36,7 +37,7 @@ const (
 
 	// Thread management (§4.1).
 	KThreadStart // master -> node: TID, CPU (serialized context)
-	KShutdown    // master -> all: stop; Num = exit code
+	KShutdown    // master -> all: stop
 
 	// Dynamic thread migration (extension of the paper's §4.1 context
 	// shipping): the master asks a node to hand over a thread; the node
@@ -78,11 +79,11 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Msg is one protocol message. Unused fields are zero. It is 96 bytes — the
-// one-byte fields share a word with From and To, what only some kinds carry
-// sits behind Sys and Aux — so a coherence message (request, fetch, reply,
-// grant, invalidation, ack) is one 96-byte object; a field appended here
-// moves every message sent to the next size class (TestAllocMsgSize).
+// Msg is one protocol message. Unused fields are zero. Every field is in
+// the one struct, 216 bytes (the 224-byte size class, TestAllocMsgSize):
+// messages come from the process's frame stock and are reused, so a
+// message that carries no syscall words or variable fields costs nothing
+// more for having room for them.
 //
 // A message handed to a runtime's Send, and every buffer it carries, is
 // immutable until the handler it is delivered to returns. From then on the
@@ -91,7 +92,7 @@ func (k Kind) String() string {
 // message: a handler that keeps any of a message's content past its return
 // copies it out. Over sockets the sender gives a frame back as soon as it
 // is encoded, and the reader copies a received frame out of its read
-// buffer. Sys and Aux parts are never reused.
+// buffer.
 type Msg struct {
 	Kind  Kind
 	Write bool
@@ -113,56 +114,22 @@ type Msg struct {
 	// split time (nodes whose twin matches split it along the shadows).
 	Ver  uint64
 	Data []byte
-	// Sys and Aux are nil on a message that sets none of their fields (read
-	// them through SysPart and AuxPart): a frame carries zeros for a nil part,
-	// and Decode leaves a part nil when the frame carries only zeros for it.
-	Sys *Sys
-	Aux *Aux
-}
 
-// Sys is the eight syscall words of a message: set on syscall delegation and
-// replies and on KMigrate, nil on coherence traffic.
-type Sys struct {
-	Num  int64 // syscall number; KMigrate's target node
+	// The syscall words: set on syscall delegation and replies, and on
+	// KMigrate (Num = target node).
+	Num  int64
 	Ret  uint64
 	Args [6]uint64
-}
 
-// Aux is the variable-length fields other than Data: a remap's Shadows, the
-// serialized CPU context of a thread start or migration, and San, the DQSan
-// piggyback — an encoded vector clock (syscall delegation, futex replies,
-// thread start/migration) or an encoded shadow page (coherence transfers);
-// on KInit the cluster's configuration. Nil whenever all three are empty, so the sanitizer
-// costs nothing, in memory or on the wire, in normal runs.
-type Aux struct {
+	// Shadows are a remap's shadow pages.
 	Shadows []uint64
-	CPU     []byte
-	San     []byte
-}
-
-// SysPart returns the message's syscall words, zero when it has none.
-func (m *Msg) SysPart() Sys {
-	if m.Sys == nil {
-		return Sys{}
-	}
-	return *m.Sys
-}
-
-// AuxPart returns the message's Shadows, CPU and San, empty when it has none.
-func (m *Msg) AuxPart() Aux {
-	if m.Aux == nil {
-		return Aux{}
-	}
-	return *m.Aux
-}
-
-// SanAux is the Aux of a message whose only auxiliary field is san: nil for
-// an empty san (the sanitizer is off, or the page has no shadow state).
-func SanAux(san []byte) *Aux {
-	if len(san) == 0 {
-		return nil
-	}
-	return &Aux{San: san}
+	// CPU is the serialized context of a thread start or migration.
+	CPU []byte
+	// San is the DQSan piggyback — an encoded vector clock (syscall
+	// delegation, futex replies, thread start/migration) or an encoded
+	// shadow page (coherence transfers), empty when the sanitizer is off —
+	// and on KInit the cluster's configuration.
+	San []byte
 }
 
 // FlagFullResend, a Msg.Flags bit, on a KPageReq asks for a full-page
@@ -183,8 +150,7 @@ func (m *Msg) WireSize() int64 {
 // payload containers, serialized CPU contexts, shadow lists and the DQSan
 // piggyback.
 func (m *Msg) PayloadSize() int {
-	a := m.AuxPart()
-	return len(m.Data) + len(a.CPU) + 8*len(a.Shadows) + len(a.San)
+	return len(m.Data) + len(m.CPU) + 8*len(m.Shadows) + len(m.San)
 }
 
 // frameFixed is the encoded size of a message that carries nothing variable:
@@ -216,7 +182,6 @@ func (m *Msg) AppendFrame(dst []byte) []byte {
 // appendHead appends the frame up to Data's length word, with a zero length
 // prefix for the caller to fill in.
 func (m *Msg) appendHead(dst []byte) []byte {
-	sys, aux := m.SysPart(), m.AuxPart()
 	buf := append(dst, 0, 0, 0, 0, byte(m.Kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.From))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.To))
@@ -230,13 +195,13 @@ func (m *Msg) appendHead(dst []byte) []byte {
 	}
 	buf = append(buf, w, m.Perm, m.Flags)
 	buf = binary.LittleEndian.AppendUint64(buf, m.Ver)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(sys.Num))
-	buf = binary.LittleEndian.AppendUint64(buf, sys.Ret)
-	for _, a := range sys.Args {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Num))
+	buf = binary.LittleEndian.AppendUint64(buf, m.Ret)
+	for _, a := range m.Args {
 		buf = binary.LittleEndian.AppendUint64(buf, a)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(aux.Shadows)))
-	for _, s := range aux.Shadows {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Shadows)))
+	for _, s := range m.Shadows {
 		buf = binary.LittleEndian.AppendUint64(buf, s)
 	}
 	return binary.LittleEndian.AppendUint32(buf, uint32(len(m.Data)))
@@ -244,11 +209,10 @@ func (m *Msg) appendHead(dst []byte) []byte {
 
 // appendTail appends what the frame carries after Data: CPU and San.
 func (m *Msg) appendTail(dst []byte) []byte {
-	aux := m.AuxPart()
-	buf := binary.LittleEndian.AppendUint32(dst, uint32(len(aux.CPU)))
-	buf = append(buf, aux.CPU...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(aux.San)))
-	return append(buf, aux.San...)
+	buf := binary.LittleEndian.AppendUint32(dst, uint32(len(m.CPU)))
+	buf = append(buf, m.CPU...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.San)))
+	return append(buf, m.San...)
 }
 
 // Decode parses a frame produced by Encode (without consuming the length
@@ -267,7 +231,7 @@ func Decode(buf []byte) (*Msg, error) {
 // of buf, not copies: buf belongs to the message from here on, and nobody —
 // caller, message holder or consumer — may write it while the message is
 // handled (the contract at Msg). A reader that reuses buf for the next frame
-// copies them out first. Shadows and the Sys part are made anew.
+// copies them out first. Shadows are made anew.
 func DecodeInto(m *Msg, buf []byte) error {
 	r := &reader{buf: buf}
 	*m = Msg{}
@@ -282,35 +246,27 @@ func DecodeInto(m *Msg, buf []byte) error {
 	m.Perm = r.u8()
 	m.Flags = r.u8()
 	m.Ver = r.u64()
-	sys := Sys{Num: int64(r.u64()), Ret: r.u64()}
-	for i := range sys.Args {
-		sys.Args[i] = r.u64()
+	m.Num = int64(r.u64())
+	m.Ret = r.u64()
+	for i := range m.Args {
+		m.Args[i] = r.u64()
 	}
-	if sys != (Sys{}) {
-		part := sys // escapes; sys itself stays on the stack
-		m.Sys = &part
-	}
-	var aux Aux
 	if n := int(r.u32()); n > 0 {
 		if n > 1<<20 {
 			return fmt.Errorf("proto: absurd shadow count %d", n)
 		}
 		if b := r.take(8 * n); b != nil {
-			aux.Shadows = make([]uint64, n)
-			for i := range aux.Shadows {
-				aux.Shadows[i] = binary.LittleEndian.Uint64(b[8*i:])
+			m.Shadows = make([]uint64, n)
+			for i := range m.Shadows {
+				m.Shadows[i] = binary.LittleEndian.Uint64(b[8*i:])
 			}
 		}
 	}
 	m.Data = r.blob()
-	aux.CPU = r.blob()
-	aux.San = r.blob()
+	m.CPU = r.blob()
+	m.San = r.blob()
 	if r.err != nil {
 		return fmt.Errorf("proto: decode %v: %w", m.Kind, r.err)
-	}
-	if aux.Shadows != nil || aux.CPU != nil || aux.San != nil {
-		part := aux
-		m.Aux = &part
 	}
 	return nil
 }

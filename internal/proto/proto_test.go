@@ -17,11 +17,11 @@ var roundtripMsgs = []*Msg{
 	{Kind: KPageReq, From: 2, To: 0, Page: 0x123, Addr: 0x123456, Write: true, TID: 7},
 	{Kind: KPageContent, From: 0, To: 2, Page: 0x123, Perm: 2, Data: bytes.Repeat([]byte{0xab}, 4096)},
 	{Kind: KInvalidate, From: 0, To: 1, Page: 9},
-	{Kind: KRemap, From: 0, To: 3, Page: 5, Aux: &Aux{Shadows: []uint64{100, 101, 102, 103}}},
-	{Kind: KSyscallReq, From: 1, To: 0, TID: 12, Sys: &Sys{Num: 64, Args: [6]uint64{1, 0x2000, 5, 0, 0, 0}}},
-	{Kind: KSyscallReply, From: 0, To: 1, TID: 12, Sys: &Sys{Ret: 5}},
-	{Kind: KThreadStart, From: 0, To: 2, TID: 3, Aux: &Aux{CPU: make([]byte, 32*8+32*8+24)}},
-	{Kind: KMigrate, From: 0, To: 2, TID: 3, Sys: &Sys{Num: 1}},
+	{Kind: KRemap, From: 0, To: 3, Page: 5, Shadows: []uint64{100, 101, 102, 103}},
+	{Kind: KSyscallReq, From: 1, To: 0, TID: 12, Num: 64, Args: [6]uint64{1, 0x2000, 5, 0, 0, 0}},
+	{Kind: KSyscallReply, From: 0, To: 1, TID: 12, Ret: 5},
+	{Kind: KThreadStart, From: 0, To: 2, TID: 3, CPU: make([]byte, 32*8+32*8+24)},
+	{Kind: KMigrate, From: 0, To: 2, TID: 3, Num: 1},
 }
 
 func TestMsgRoundtrip(t *testing.T) {
@@ -53,10 +53,11 @@ func TestMsgRoundtripQuick(t *testing.T) {
 			Addr:  r.Uint64(),
 			Write: r.Intn(2) == 1,
 			Perm:  uint8(r.Intn(3)),
-			Sys:   &Sys{Num: r.Int63(), Ret: r.Uint64()},
+			Num:   r.Int63(),
+			Ret:   r.Uint64(),
 		}
-		for i := range m.Sys.Args {
-			m.Sys.Args[i] = r.Uint64()
+		for i := range m.Args {
+			m.Args[i] = r.Uint64()
 		}
 		if r.Intn(2) == 1 {
 			m.Data = make([]byte, r.Intn(1000))
@@ -66,7 +67,7 @@ func TestMsgRoundtripQuick(t *testing.T) {
 			}
 		}
 		if r.Intn(3) == 0 {
-			m.Aux = &Aux{Shadows: []uint64{r.Uint64(), r.Uint64()}}
+			m.Shadows = []uint64{r.Uint64(), r.Uint64()}
 		}
 		got, err := Decode(m.Encode()[4:])
 		return err == nil && reflect.DeepEqual(m, got)
@@ -97,9 +98,9 @@ func TestWireSize(t *testing.T) {
 	}{
 		{&Msg{Kind: KPageReq, Page: 0x44, Ver: 9}, 0},
 		{&Msg{Kind: KPageContent, Data: make([]byte, 4096)}, 4096},
-		{&Msg{Kind: KPageContent, Data: make([]byte, 4096), Aux: &Aux{San: make([]byte, 40)}}, 4136},
-		{&Msg{Kind: KRemap, Aux: &Aux{Shadows: make([]uint64, 4)}}, 4 * 8},
-		{&Msg{Kind: KThreadStart, Aux: &Aux{CPU: make([]byte, 544)}}, 544},
+		{&Msg{Kind: KPageContent, Data: make([]byte, 4096), San: make([]byte, 40)}, 4136},
+		{&Msg{Kind: KRemap, Shadows: make([]uint64, 4)}, 4 * 8},
+		{&Msg{Kind: KThreadStart, CPU: make([]byte, 544)}, 544},
 		{
 			&Msg{Kind: KPageContent,
 				Data: EncodePayloads([]PagePayload{{Page: 1, Ver: 2, Enc: EncSame}})},
